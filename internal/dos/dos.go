@@ -26,7 +26,9 @@ type Snapshot struct {
 // Buffer retains snapshots and serves the adversary the freshest one
 // that is at least Lateness rounds old. Lateness 0 gives the adversary
 // real-time topology (the negative-control regime in which no overlay
-// of sublinear degree can survive).
+// of sublinear degree can survive). Rounds passed to View must not
+// decrease: View drops the snapshots older than the one it serves, so
+// a long run holds about Lateness of them, not one per round.
 type Buffer struct {
 	Lateness int
 	history  []*Snapshot
@@ -40,7 +42,10 @@ func (b *Buffer) Publish(s *Snapshot) { b.history = append(b.history, s) }
 func (b *Buffer) View(round int) *Snapshot {
 	for i := len(b.history) - 1; i >= 0; i-- {
 		if b.history[i].Round <= round-b.Lateness {
-			return b.history[i]
+			kept := copy(b.history, b.history[i:])
+			clear(b.history[kept:]) // release the dropped snapshots
+			b.history = b.history[:kept]
+			return b.history[0]
 		}
 	}
 	return nil

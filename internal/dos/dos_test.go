@@ -101,3 +101,30 @@ func TestHalfEachGroup(t *testing.T) {
 		t.Fatalf("blocked %d", len(blocked))
 	}
 }
+
+// TestBufferPrunesBehindView: a long run must hold about Lateness
+// snapshots, not one per round, and pruning must never change which
+// snapshot View serves.
+func TestBufferPrunesBehindView(t *testing.T) {
+	for _, late := range []int{0, 1, 7} {
+		b := &Buffer{Lateness: late}
+		var all []*Snapshot // what an unpruned buffer would hold
+		for r := 1; r <= 10*late+10; r++ {
+			s := snap(r - 1)
+			b.Publish(s)
+			all = append(all, s)
+			var want *Snapshot
+			for _, s := range all {
+				if s.Round <= r-late {
+					want = s
+				}
+			}
+			if got := b.View(r); got != want {
+				t.Fatalf("lateness %d round %d: View = %+v, unpruned buffer serves %+v", late, r, got, want)
+			}
+			if b.Len() > late+2 {
+				t.Fatalf("lateness %d round %d: %d snapshots retained, want at most %d", late, r, b.Len(), late+2)
+			}
+		}
+	}
+}

@@ -47,18 +47,18 @@ func r1Scenarios(quick bool) []r1Scenario {
 	}
 }
 
-// degradedService condenses connected components into the two
-// degraded-mode service measures: the fraction of ordered node pairs
-// that can still route (both endpoints in one component) and a
+// degradedService condenses the sizes of the connected components into
+// the two degraded-mode service measures: the fraction of ordered node
+// pairs that can still route (both endpoints in one component) and a
 // total-variation proxy for sampling quality (the probability mass a
 // uniform sampler loses to nodes outside the largest component).
-func degradedService(comps [][]int, n int) (routing, tv float64) {
+func degradedService(sizes []int, n int) (routing, tv float64) {
 	if n <= 1 {
 		return 1, 0
 	}
 	var pairs, largest float64
-	for _, c := range comps {
-		sz := float64(len(c))
+	for _, c := range sizes {
+		sz := float64(c)
 		pairs += sz * (sz - 1)
 		if sz > largest {
 			largest = sz
@@ -159,7 +159,12 @@ func r1Core(o Options, cell, n int, scen r1Scenario) []string {
 
 	routing, tv := 1.0, 0.0
 	observe := func() {
-		r, t := degradedService(nw.BuildGraph().Components(), nw.N())
+		comps := nw.BuildGraph().Components()
+		sizes := make([]int, len(comps))
+		for i, c := range comps {
+			sizes[i] = len(c)
+		}
+		r, t := degradedService(sizes, nw.N())
 		if r < routing {
 			routing = r
 		}

@@ -60,7 +60,7 @@ func TestR1RecoverySmoke(t *testing.T) {
 // used while the overlay is partitioned.
 func TestR1DegradedService(t *testing.T) {
 	// Two equal halves of 4: routable pairs 2·4·3 = 24 of 8·7 = 56.
-	routing, tv := degradedService([][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}, 8)
+	routing, tv := degradedService([]int{4, 4}, 8)
 	if routing < 0.42 || routing > 0.43 {
 		t.Fatalf("routing = %v, want 24/56", routing)
 	}
@@ -68,7 +68,7 @@ func TestR1DegradedService(t *testing.T) {
 		t.Fatalf("sampling proxy = %v, want 0.5", tv)
 	}
 	// Connected: full service.
-	routing, tv = degradedService([][]int{{0, 1, 2}}, 3)
+	routing, tv = degradedService([]int{3}, 3)
 	if routing != 1 || tv != 0 {
 		t.Fatalf("connected service = %v, %v", routing, tv)
 	}

@@ -325,6 +325,16 @@ func (s Spec) Partitioned(round int) bool {
 	return s.PartWin > 0 && round >= s.PartFrom && round < s.PartFrom+s.PartWin
 }
 
+// Components returns how many partition components the identities fall
+// into at round: PartK while the window is open, otherwise (and for a
+// PartK that cuts nothing) 1. Component's values lie below it.
+func (s Spec) Components(round int) int {
+	if s.Partitioned(round) && s.PartK > 1 {
+		return s.PartK
+	}
+	return 1
+}
+
 // Component returns which of the PartK partition components identity id
 // belongs to (0 when the partition fault is disabled).
 func (s Spec) Component(id uint64) int {

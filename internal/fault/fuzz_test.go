@@ -46,6 +46,9 @@ func FuzzScheduleDerivation(f *testing.F) {
 		if s.CutsEdge(r, from, to) && !s.Partitioned(r) {
 			t.Fatal("edge cut outside the partition window")
 		}
+		if k := s.Components(r); k < 1 || (k == 1) == s.Partitioned(r) || (k > 1 && s.Component(from) >= k) {
+			t.Fatalf("Components(%d) = %d with window open %v, Component(%d) = %d", r, k, s.Partitioned(r), from, s.Component(from))
+		}
 		if s.CorruptsAt(e) != s.CorruptsAt(e) || s.CorruptPick(e) != s.CorruptPick(e) {
 			t.Fatal("corruption schedule not idempotent")
 		}

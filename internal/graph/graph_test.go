@@ -214,3 +214,64 @@ func TestEccentricity(t *testing.T) {
 		t.Fatalf("path middle eccentricity = %d/%v, want 2/true", ecc, ok)
 	}
 }
+
+// TestUnionFindMatchesComponents merges random edges and checks the
+// number of successful unions and every set size against the BFS
+// components of the same graph, on a backing array reused across Resets.
+func TestUnionFindMatchesComponents(t *testing.T) {
+	var uf UnionFind
+	uf.Reset(64)
+	backing := &uf.p[0]
+	f := func(seed uint64, sizeRaw, edgesRaw uint8) bool {
+		n := int(sizeRaw%60) + 2
+		r := rng.New(seed)
+		g := New(n)
+		uf.Reset(n)
+		merges := 0
+		for i := 0; i < int(edgesRaw%80); i++ {
+			a, b := r.Intn(n), r.Intn(n)
+			if a == b {
+				continue
+			}
+			g.AddEdge(a, b)
+			if uf.Union(int32(a), int32(b)) {
+				merges++
+			}
+			if uf.Union(int32(b), int32(a)) {
+				return false // a repeated union merges nothing
+			}
+		}
+		comps := g.Components()
+		if n-merges != len(comps) {
+			return false
+		}
+		for _, c := range comps {
+			for _, v := range c {
+				if uf.Find(int32(v)) != uf.Find(int32(c[0])) || uf.Size(int32(v)) != len(c) {
+					return false
+				}
+			}
+		}
+		return &uf.p[0] == backing
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestUnionFindResetForgets(t *testing.T) {
+	var uf UnionFind
+	uf.Reset(4)
+	uf.Union(0, 1)
+	uf.Union(2, 3)
+	uf.Union(1, 3)
+	if uf.Size(0) != 4 {
+		t.Fatalf("size after three merges = %d, want 4", uf.Size(0))
+	}
+	uf.Reset(6)
+	for v := int32(0); v < 6; v++ {
+		if uf.Find(v) != v || uf.Size(v) != 1 {
+			t.Fatalf("vertex %d is not a singleton after Reset", v)
+		}
+	}
+}

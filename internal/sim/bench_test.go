@@ -166,8 +166,8 @@ func BenchmarkStepSharded(b *testing.B) {
 
 // readPeakRSSMB returns the process's peak resident set size in MiB
 // from /proc/self/status (VmHWM), or 0 where that is unavailable. It is
-// a process-wide high-water mark — a coarse footprint note for
-// BENCH_SIM.json, not a per-benchmark measurement.
+// a process-wide high-water mark — a coarse footprint note, not a
+// per-benchmark measurement (bench/ measures live bytes per node).
 func readPeakRSSMB() float64 {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
@@ -210,8 +210,8 @@ func BenchmarkStepAllocs(b *testing.B) {
 
 // BenchmarkStepTraced measures the same steady-state flood round with a
 // counting tracer attached — the overhead of the observability hooks
-// when enabled (recorded in BENCH_SIM.json next to the nil-tracer
-// numbers). After the first round the tracer path also reaches an
+// when enabled (go run ./bench reports the pair as
+// trace.attached_ratio). After the first round the tracer path also reaches an
 // allocation steady state: the distribution scratch buffers are reused.
 func BenchmarkStepTraced(b *testing.B) {
 	net := floodNet(1000, 4)

@@ -2,6 +2,7 @@ package splitmerge
 
 import (
 	"fmt"
+	"slices"
 
 	"overlaynet/internal/audit"
 )
@@ -11,14 +12,21 @@ import (
 // the label-coverage invariant the corruption breaks, and a repair
 // protocol that forces a re-balance back toward Equation (1).
 
-// KnowledgeComponents returns the connected components of the current
-// knowledge-based overlay (the graph ConnectedNow tests, including any
-// open partition cut), largest first, as member indices in Members()
-// order — recovery experiments use the component sizes as the
+// KnowledgeComponents returns the sizes of the connected components of
+// the current knowledge-based overlay over all committed members (the
+// graph ConnectedNow restricts to the non-blocked ones, including any
+// open partition cut), largest first — the recovery experiments'
 // degraded-mode service measure.
-func (nw *Network) KnowledgeComponents() [][]int {
-	g, _, _ := nw.knowledgeGraph()
-	return g.Components()
+func (nw *Network) KnowledgeComponents() []int {
+	nw.collapseViews(true)
+	var sizes []int
+	for v, s := range nw.nodeSuper {
+		if s >= 0 && nw.connUF.Find(int32(v)) == int32(v) {
+			sizes = append(sizes, nw.connUF.Size(int32(v)))
+		}
+	}
+	slices.SortFunc(sizes, func(a, b int) int { return b - a })
+	return sizes
 }
 
 // checkLabelCoverage verifies that the supernode labels form an exact

@@ -236,6 +236,11 @@ type Network struct {
 	// a second worker or ANY non-nil gate (injector, partition window,
 	// latency deadline) forces the outbox pipeline.
 	direct bool
+
+	// Connectivity-oracle scratch (collapseViews), allocated by the first
+	// measurement so a network that never measures carries none.
+	connUF  graph.UnionFind
+	connRep []int32
 }
 
 // New builds the initial network: the label tree starts at the unique
@@ -904,6 +909,7 @@ func (nw *Network) Step(blocked map[sim.NodeID]bool) RoundReport {
 func (nw *Network) broadcastRange(w int) {
 	b0, b1, b2 := nw.blockedHist[0], nw.blockedHist[1], nw.blockedHist[2]
 	cur := int32(nw.epoch)
+	part := nw.faults.Partitioned(nw.round) // asked once: an idle run makes no per-edge call
 	lo, hi := sim.Chunk(len(nw.supers), nw.shards, w)
 	for si := lo; si < hi; si++ {
 		s := nw.supers[si]
@@ -919,7 +925,7 @@ func (nw *Network) broadcastRange(w int) {
 				// A partition window severs cross-component links: peers
 				// on the far side cannot deliver the S(x) state.
 				if u != id && !b1.Test(int32(u-1)) && !b2.Test(int32(u-1)) &&
-					!nw.faults.CutsEdge(nw.round, uint64(id), uint64(u)) {
+					!(part && nw.faults.CutsEdge(nw.round, uint64(id), uint64(u))) {
 					nw.viewEpoch[v] = cur
 					break
 				}
@@ -1528,67 +1534,72 @@ func (nw *Network) Snapshot() *dos.Snapshot {
 // partition window is open, cross-component knowledge edges are treated
 // as down — no message can traverse them.
 func (nw *Network) ConnectedNow() bool {
-	g, alive, _ := nw.knowledgeGraph()
-	return g.IsConnectedRestricted(alive)
+	alive, comps := nw.collapseViews(false)
+	return alive <= 1 || comps == 1
 }
 
-// knowledgeGraph materializes the knowledge-based overlay ConnectedNow
-// tests over the committed members (in Members() order), minus any edge
-// a currently open partition window severs.
-func (nw *Network) knowledgeGraph() (*graph.Graph, []bool, []sim.NodeID) {
-	members := nw.Members()
-	idx := make(map[sim.NodeID]int, len(members))
-	for i, id := range members {
-		idx[id] = i
+// collapseViews is supernode.Network.collapseViews over this stack's
+// slots: the vertices are the committed members (the non-blocked ones
+// unless all is set), a historic group counts only its members that
+// still are committed, and adjacency is the viewed epoch's own. It
+// leaves the components in nw.connUF, where every other slot stays a
+// singleton.
+func (nw *Network) collapseViews(all bool) (vertices, comps int) {
+	b0 := nw.blockedHist[0]
+	k := nw.faults.Components(nw.round) // partition components a viewer can be in
+	// stride: the most supernodes any live history entry has.
+	stride := 0
+	for i := 0; i < nw.histLen; i++ {
+		stride = max(stride, len(nw.histAt(nw.histBase+i).groups))
 	}
-	alive := make([]bool, len(members))
-	for i, id := range members {
-		alive[i] = !nw.blocked(id, 0)
-	}
-	g := graph.New(len(members))
-	seen := make(map[int64]bool)
-	addEdge := func(a, b int) {
-		if a == b || nw.faults.CutsEdge(nw.round, uint64(members[a]), uint64(members[b])) {
-			return
+	uf := &nw.connUF
+	uf.Reset(len(nw.nodeSuper))
+	keys := nw.histLen * stride * k
+	nw.connRep = slices.Grow(nw.connRep[:0], keys)[:keys]
+	clear(nw.connRep)
+	merges := 0
+	for v, s := range nw.nodeSuper {
+		if s < 0 || !all && b0.Test(int32(v)) {
+			continue // every edge a blocked viewer owns has a blocked endpoint
 		}
-		if a > b {
-			a, b = b, a
-		}
-		key := int64(a)<<32 | int64(b)
-		if !seen[key] {
-			seen[key] = true
-			g.AddEdge(a, b)
-		}
-	}
-	for i, id := range members {
-		e := int(nw.viewEpoch[id-1])
-		if e > nw.epoch {
-			e = nw.epoch
-		}
-		if e < nw.histBase {
-			e = nw.histBase
-		}
+		vertices++
+		e := min(max(int(nw.viewEpoch[v]), nw.histBase), nw.epoch)
 		h := nw.histAt(e)
-		if int(id) > len(h.nodeGroup) {
-			continue
+		if v >= len(h.nodeGroup) || h.nodeGroup[v] < 0 {
+			continue // not a member in the epoch it last heard of: knows nobody
 		}
-		x := h.nodeGroup[id-1]
-		if x < 0 {
-			continue
+		c := 0
+		if k > 1 {
+			c = nw.faults.Component(uint64(v) + 1)
 		}
-		link := func(group int32) {
-			for _, w := range h.groups[group] {
-				if wi, ok := idx[w]; ok {
-					addEdge(i, wi)
+		x := h.nodeGroup[v]
+		adj := h.adj[x]
+		for i := -1; i < len(adj); i++ { // y = x, then each neighbour of x
+			y := x
+			if i >= 0 {
+				y = adj[i]
+			}
+			rep := &nw.connRep[((e-nw.histBase)*stride+int(y))*k+c]
+			if *rep == 0 {
+				*rep = -1
+				for _, id := range h.groups[y] {
+					w := int32(id - 1)
+					if nw.nodeSuper[w] < 0 || !all && b0.Test(w) || k > 1 && nw.faults.Component(uint64(id)) != c {
+						continue
+					}
+					if *rep < 0 {
+						*rep = w + 1
+					} else if uf.Union(*rep-1, w) {
+						merges++
+					}
 				}
 			}
-		}
-		link(x)
-		for _, y := range h.adj[x] {
-			link(y)
+			if *rep > 0 && uf.Union(int32(v), *rep-1) {
+				merges++
+			}
 		}
 	}
-	return g, alive, members
+	return vertices, vertices - merges
 }
 
 // Run drives the network under the adversary for the given rounds,

@@ -16,12 +16,21 @@ func sortIDs(ids []sim.NodeID) { slices.Sort(ids) }
 // repair protocol that re-forms the group partition from the surviving
 // replicas.
 
-// KnowledgeComponents returns the connected components of the current
-// knowledge-based overlay (the graph ConnectedNow tests, including any
-// open partition cut), largest first — recovery experiments use the
-// component sizes as the degraded-mode service measure.
-func (nw *Network) KnowledgeComponents() [][]int {
-	return nw.knowledgeGraph().Components()
+// KnowledgeComponents returns the sizes of the connected components of
+// the current knowledge-based overlay over all nodes (the graph
+// ConnectedNow restricts to the non-blocked ones, including any open
+// partition cut), largest first — the recovery experiments'
+// degraded-mode service measure.
+func (nw *Network) KnowledgeComponents() []int {
+	nw.collapseViews(true)
+	var sizes []int
+	for v := int32(0); v < int32(nw.cfg.N); v++ {
+		if nw.connUF.Find(v) == v {
+			sizes = append(sizes, nw.connUF.Size(v))
+		}
+	}
+	slices.SortFunc(sizes, func(a, b int) int { return b - a })
+	return sizes
 }
 
 // CorruptState implements fault.Corrupter: it perturbs the live

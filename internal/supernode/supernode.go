@@ -274,6 +274,11 @@ type Network struct {
 	// and are safe under direct delivery; TestByteIdenticalAcrossShards
 	// pins direct-vs-outbox byte-identity for each gate axis.
 	direct bool
+
+	// Connectivity-oracle scratch (collapseViews), allocated by the first
+	// measurement so a network that never measures carries none.
+	connUF  graph.UnionFind
+	connRep []int32
 }
 
 // New builds the network with nodes assigned to groups independently
@@ -1188,6 +1193,7 @@ func (nw *Network) commitIndexRange(w int) {
 func (nw *Network) broadcastRange(w int) {
 	b0, b1, b2 := nw.blockedHist[0], nw.blockedHist[1], nw.blockedHist[2]
 	cur := int32(nw.epoch)
+	part := nw.faults.Partitioned(nw.round) // asked once: an idle run makes no per-edge call
 	lo, hi := sim.Chunk(nw.cfg.N, nw.shards, w)
 	for v := lo; v < hi; v++ {
 		vs := int32(v)
@@ -1203,7 +1209,7 @@ func (nw *Network) broadcastRange(w int) {
 			// A partition window severs cross-component links: a peer on
 			// the far side cannot deliver the S(x) state even if available.
 			if u != id && !b1.Test(int32(u-1)) && !b2.Test(int32(u-1)) &&
-				!nw.faults.CutsEdge(nw.round, uint64(id), uint64(u)) {
+				!(part && nw.faults.CutsEdge(nw.round, uint64(id), uint64(u))) {
 				nw.viewEpoch[v] = cur
 				break
 			}
@@ -1276,52 +1282,68 @@ func (nw *Network) workMaxRange(w int) {
 // is open, cross-component knowledge edges are treated as down — no
 // message can traverse them, so they cannot carry the overlay.
 func (nw *Network) ConnectedNow() bool {
-	return nw.knowledgeGraph().IsConnectedRestricted(nw.aliveNow())
+	alive, comps := nw.collapseViews(false)
+	return alive <= 1 || comps == 1
 }
 
-func (nw *Network) aliveNow() []bool {
-	n := nw.cfg.N
-	alive := make([]bool, n)
-	for v := 0; v < n; v++ {
-		alive[v] = !nw.blockedSlot(int32(v), 0)
-	}
-	return alive
-}
-
-// knowledgeGraph materializes the knowledge-based overlay ConnectedNow
-// tests: each node contributes the clique and bipartite edges of the
-// epoch it last received, minus any edge a currently open partition
-// window severs.
-func (nw *Network) knowledgeGraph() *graph.Graph {
-	n := nw.cfg.N
-	g := graph.New(n)
-	seen := make(map[int64]bool)
-	addEdge := func(a, b int) {
-		if a == b || nw.faults.CutsEdge(nw.round, uint64(a)+1, uint64(b)+1) {
-			return
+// collapseViews leaves in nw.connUF the components of the knowledge
+// graph over the non-blocked nodes (over every node when all is set),
+// without enumerating an edge, and returns how many vertices and
+// components there are. A viewer v whose view is history entry h, group
+// x, is adjacent to every eligible member of h.groups[y] for y = x and
+// each y adjacent to x, so each such set is one component as soon as it
+// has a viewer: the first viewer of (h, y, partition component) unions
+// the set and leaves a representative in connRep (slot+1; −1 for a set
+// with nobody eligible), and every later viewer makes a single union with
+// it. See DESIGN.md, "Connectivity oracle".
+func (nw *Network) collapseViews(all bool) (vertices, comps int) {
+	b0 := nw.blockedHist[0]
+	k := nw.faults.Components(nw.round) // partition components a viewer can be in
+	uf := &nw.connUF
+	uf.Reset(nw.cfg.N)
+	keys := nw.histLen * nw.nSuper * k
+	nw.connRep = slices.Grow(nw.connRep[:0], keys)[:keys]
+	clear(nw.connRep)
+	merges := 0
+	for v := int32(0); v < int32(nw.cfg.N); v++ {
+		if !all && b0.Test(v) {
+			continue // every edge a blocked viewer owns has a blocked endpoint
 		}
-		if a > b {
-			a, b = b, a
+		vertices++
+		c := 0
+		if k > 1 {
+			c = nw.faults.Component(uint64(v) + 1)
 		}
-		key := int64(a)<<32 | int64(b)
-		if !seen[key] {
-			seen[key] = true
-			g.AddEdge(a, b)
-		}
-	}
-	for v := 0; v < n; v++ {
-		h := nw.histAt(int(nw.viewEpoch[v]))
+		e := int(nw.viewEpoch[v])
+		h := nw.histAt(e)
 		x := h.nodeGroup[v]
-		for _, w := range h.groups[x] {
-			addEdge(v, int(w)-1)
-		}
-		for _, y := range nw.adj[x] {
-			for _, w := range h.groups[y] {
-				addEdge(v, int(w)-1)
+		adj := nw.adj[x]
+		for i := -1; i < len(adj); i++ { // y = x, then each neighbour of x
+			y := x
+			if i >= 0 {
+				y = adj[i]
+			}
+			rep := &nw.connRep[((e-nw.histBase)*nw.nSuper+int(y))*k+c]
+			if *rep == 0 {
+				*rep = -1
+				for _, id := range h.groups[y] {
+					w := int32(id - 1)
+					if !all && b0.Test(w) || k > 1 && nw.faults.Component(uint64(id)) != c {
+						continue
+					}
+					if *rep < 0 {
+						*rep = w + 1
+					} else if uf.Union(*rep-1, w) {
+						merges++
+					}
+				}
+			}
+			if *rep > 0 && uf.Union(v, *rep-1) {
+				merges++
 			}
 		}
 	}
-	return g
+	return vertices, vertices - merges
 }
 
 // Run drives the network for the given number of rounds under the

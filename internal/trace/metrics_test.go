@@ -330,7 +330,8 @@ func TestJSONLCarriesMetricsLine(t *testing.T) {
 // n=1k with the full metrics pipeline attached (registry + streaming
 // histograms, no event retention) — the attached half of the overhead
 // pair whose detached half is sim.BenchmarkStepAllocs. CI runs it to
-// keep the hot path honest; BENCH_SIM.json records the comparison.
+// keep the hot path honest; go run ./bench reports the comparison as
+// trace.metrics_attached_ratio.
 func BenchmarkStepMetricsAttached(b *testing.B) {
 	reg := obs.NewRegistry(0)
 	rec := New().WithMetrics(reg)
@@ -348,8 +349,8 @@ func BenchmarkStepMetricsAttached(b *testing.B) {
 
 // benchScaleFlood measures one steady-state event-driven flood round
 // (the S2 workload: handler kernel, fanout 4 random targets) with the
-// metrics pipeline attached or detached — the pair BENCH_SIM.json's
-// metrics_pipeline_overhead section records at n=100k and n=1M.
+// metrics pipeline attached or detached, at n=100k and n=1M (go run
+// ./bench reports the n=20k pair as trace.metrics_attached_ratio).
 func benchScaleFlood(b *testing.B, n int, attach bool) {
 	net := sim.NewNetwork(sim.Config{Seed: 7, SizeHint: n})
 	if attach {
