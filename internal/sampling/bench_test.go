@@ -1,18 +1,72 @@
 package sampling
 
 import (
+	"fmt"
 	"testing"
 
 	"overlaynet/internal/hgraph"
 	"overlaynet/internal/rng"
+	"overlaynet/internal/sim"
 )
 
 func BenchmarkRapidHGraph1024(b *testing.B) {
 	h := hgraph.Random(rng.New(1), 1024, 8)
 	p := HGraphParams{N: 1024, D: 8, Alpha: 2, Epsilon: 1, C: 1}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		RapidHGraph(uint64(i)+1, h, p)
+	}
+}
+
+// BenchmarkRapidHGraphCoreShape is one sampling run at the budget
+// schedule of the bench's core_churn workload (see coreShape): the
+// sampling share of a Section 4 epoch without the 25 s driver run.
+func BenchmarkRapidHGraphCoreShape(b *testing.B) {
+	h := hgraph.Random(rng.New(1), coreShape.N, coreShape.D)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RapidHGraph(uint64(i)+1, h, coreShape)
+	}
+}
+
+// BenchmarkSendRequests is one node's request step (extract m_i
+// targets, group, send) at three points of the core_churn schedule. M
+// holds 3·m_i endpoints as it does in a run; in iteration 1 they are
+// the node's 8 neighbors, later they spread over the network. One op is
+// one sim round of a one-node network whose sends go to absent ids, so
+// the kernel's share is a round's fixed cost plus one outbox entry per
+// batch.
+func BenchmarkSendRequests(b *testing.B) {
+	for _, c := range []struct{ mi, distinct int }{{19, 1024}, {513, 1024}, {4617, 8}} {
+		b.Run(fmt.Sprintf("m=%d", c.mi), func(b *testing.B) {
+			r := rng.New(1)
+			master := make([]int32, 3*c.mi)
+			for j := range master {
+				master[j] = int32(1024 + r.Intn(c.distinct))
+			}
+			s := HGraphSampler{
+				idOf:    func(v int) sim.NodeID { return sim.NodeID(v) },
+				idBits:  sim.IDBits(1024),
+				m:       []int{len(master), c.mi},
+				targets: make([]int32, 2*c.mi),
+			}
+			items := make([]int32, len(master))
+			net := sim.NewNetwork(sim.Config{Seed: 1, Shards: 1})
+			net.DisableWorkLog()
+			net.SpawnHandler(1, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
+				copy(items, master)
+				s.M = items
+				s.sendRequests(ctx, 1)
+				return true
+			}))
+			b.ReportAllocs()
+			b.ResetTimer()
+			net.Run(b.N)
+			b.StopTimer()
+			net.Shutdown()
+		})
 	}
 }
 

@@ -121,15 +121,24 @@ func (p HGraphParams) WalkLength() int { return 1 << p.T() }
 // M returns the multiset budget m_i for iteration i (0 ≤ i ≤ T):
 // m_i = ⌈(2+ε)^{T−i}·c·log₂ n⌉.
 func (p HGraphParams) M(i int) int {
-	t := p.T()
-	if i < 0 || i > t {
-		panic(fmt.Sprintf("sampling: m_%d outside [0,%d]", i, t))
+	m := p.schedule()
+	if i < 0 || i >= len(m) {
+		panic(fmt.Sprintf("sampling: m_%d outside [0,%d]", i, len(m)-1))
 	}
-	if p.FlatBudget {
-		i = t
+	return m[i]
+}
+
+// schedule returns the whole budget schedule m_0 … m_T.
+func (p HGraphParams) schedule() []int {
+	m := make([]int, p.T()+1)
+	for i := range m {
+		e := len(m) - 1 - i
+		if p.FlatBudget {
+			e = 0
+		}
+		m[i] = int(math.Ceil(math.Pow(2+p.Epsilon, float64(e)) * p.C * math.Log2(float64(p.N))))
 	}
-	v := math.Pow(2+p.Epsilon, float64(t-i)) * p.C * math.Log2(float64(p.N))
-	return int(math.Ceil(v))
+	return m
 }
 
 // Samples returns the final sample count m_T.

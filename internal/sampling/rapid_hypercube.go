@@ -1,7 +1,8 @@
 package sampling
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"overlaynet/internal/hypercube"
 	"overlaynet/internal/sim"
@@ -74,11 +75,11 @@ func RapidHypercube(seed uint64, p HypercubeParams) *RapidResult {
 						reqs = append(reqs, req{target: extract(j), j: int16(j)})
 					}
 				}
-				sort.Slice(reqs, func(a, b int) bool {
-					if reqs[a].target != reqs[b].target {
-						return reqs[a].target < reqs[b].target
+				slices.SortFunc(reqs, func(a, b req) int {
+					if a.target != b.target {
+						return cmp.Compare(a.target, b.target)
 					}
-					return reqs[a].j < reqs[b].j
+					return cmp.Compare(a.j, b.j)
 				})
 				for a := 0; a < len(reqs); {
 					b := a

@@ -1,9 +1,10 @@
 package sampling
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"overlaynet/internal/hypercube"
 	"overlaynet/internal/sim"
@@ -116,11 +117,11 @@ func RapidKAry(seed uint64, p KAryParams) *RapidResult {
 						reqs = append(reqs, req{target: extract(j), j: int16(j)})
 					}
 				}
-				sort.Slice(reqs, func(a, b int) bool {
-					if reqs[a].target != reqs[b].target {
-						return reqs[a].target < reqs[b].target
+				slices.SortFunc(reqs, func(a, b req) int {
+					if a.target != b.target {
+						return cmp.Compare(a.target, b.target)
 					}
-					return reqs[a].j < reqs[b].j
+					return cmp.Compare(a.j, b.j)
 				})
 				for a := 0; a < len(reqs); {
 					b := a

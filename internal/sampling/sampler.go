@@ -1,7 +1,7 @@
 package sampling
 
 import (
-	"sort"
+	"math/bits"
 
 	"overlaynet/internal/sim"
 )
@@ -24,15 +24,19 @@ import (
 // coroutine loop, so both forms are a single implementation and produce
 // identical messages, randomness consumption, and budget accounting.
 type HGraphSampler struct {
-	p      HGraphParams
 	self   int
 	idOf   func(int) sim.NodeID
 	fail   *int
 	stats  *BudgetStats
 	idBits int
-	T      int
-	step   int // completed HandleRound calls; odd = serve, even = collect
-	M      Multiset[int32]
+	step   int     // completed HandleRound calls; odd = serve, even = collect
+	M      []int32 // the multiset M of Algorithm 1
+
+	// Run scratch, allocated by Start and dropped when HandleRound
+	// returns true: the node programs that embed a sampler outlive the
+	// run by many epochs and must not keep its buffers.
+	m       []int   // budget schedule m_0 … m_T
+	targets []int32 // 2·m_1: an iteration's request targets and the radix pass's other buffer
 }
 
 // Start begins a sampling run in the current round: it performs the
@@ -44,52 +48,60 @@ type HGraphSampler struct {
 func (s *HGraphSampler) Start(ctx *sim.Ctx, p HGraphParams, self int, neighbors []int,
 	idOf func(int) sim.NodeID, fail *int, stats *BudgetStats) {
 
-	s.p = p
-	s.self = self
-	s.idOf = idOf
-	s.fail = fail
-	s.stats = stats
-	s.idBits = sim.IDBits(p.N)
-	s.T = p.T()
-	s.step = 0
-	s.M = Multiset[int32]{}
+	*s = HGraphSampler{self: self, idOf: idOf, fail: fail, stats: stats,
+		idBits: sim.IDBits(p.N), m: p.schedule()}
+	s.targets = make([]int32, 2*s.m[1])
 
+	// M_0 is the multiset's storage for the whole run: every later
+	// collect round writes the (smaller) M_i over it.
 	r := ctx.RNG()
-	m0 := p.M(0)
-	for j := 0; j < m0; j++ {
-		s.M.Add(int32(neighbors[r.Intn(len(neighbors))]))
+	m0 := make([]int32, s.m[0])
+	for j := range m0 {
+		m0[j] = int32(neighbors[r.Intn(len(neighbors))])
 	}
+	s.M = m0
 	s.sendRequests(ctx, 1)
 }
 
-// extract draws one walk endpoint from the multiset, substituting the
-// node itself (and counting the refusal) when the multiset is empty.
-func (s *HGraphSampler) extract(ctx *sim.Ctx) int32 {
-	w, ok := s.M.Extract(ctx.RNG())
-	if !ok {
+// extract fills dst with walk endpoints drawn from the multiset, in
+// order, substituting the node itself (and counting the refusal) once
+// the multiset is empty. Each draw is Multiset.Extract — r.Intn(len),
+// swap-remove — with the Lemire fast path of Intn inlined.
+func (s *HGraphSampler) extract(ctx *sim.Ctx, dst []int32) {
+	r, items := ctx.RNG(), s.M
+	k := 0
+	for ; k < len(dst) && len(items) > 0; k++ {
+		n := uint64(len(items))
+		hi, lo := bits.Mul64(r.Uint64(), n)
+		if lo < n {
+			hi = r.Uint64nTail(hi, lo, n)
+		}
+		dst[k] = items[hi]
+		items[hi] = items[n-1]
+		items = items[:n-1]
+	}
+	s.M = items
+	for ; k < len(dst); k++ { // the multiset ran empty
+		dst[k] = int32(s.self)
 		if s.fail != nil {
 			*s.fail++
 		}
 		if s.stats != nil {
 			s.stats.Refused.Add(1)
 		}
-		return int32(s.self)
 	}
-	return w
 }
 
 // sendRequests issues iteration i's walk-extension requests, batched
-// per target (identical targets collapse into one reqBatch message).
+// per target (identical targets collapse into one reqBatch message) and
+// sent in ascending target order.
 func (s *HGraphSampler) sendRequests(ctx *sim.Ctx, i int) {
-	mi := s.p.M(i)
-	targets := make([]int32, mi)
-	for j := 0; j < mi; j++ {
-		targets[j] = s.extract(ctx)
-	}
-	if s.stats != nil {
-		s.stats.Issued.Add(int64(mi))
-	}
-	sort.Slice(targets, func(a, b int) bool { return targets[a] < targets[b] })
+	mi := s.m[i]
+	half := len(s.targets) / 2
+	targets := s.targets[:mi]
+	s.extract(ctx, targets)
+	targets = radixSort(targets, s.targets[half:half+mi])
+	batches := 0
 	for j := 0; j < mi; {
 		k := j
 		for k < mi && targets[k] == targets[j] {
@@ -97,11 +109,43 @@ func (s *HGraphSampler) sendRequests(ctx *sim.Ctx, i int) {
 		}
 		count := k - j
 		ctx.Send(s.idOf(int(targets[j])), reqBatch{Count: int32(count)}, count*s.idBits)
-		if s.stats != nil {
-			s.stats.ReqBatches.Add(1)
-		}
+		batches++
 		j = k
 	}
+	if s.stats != nil {
+		s.stats.Issued.Add(int64(mi))
+		s.stats.ReqBatches.Add(int64(batches))
+	}
+}
+
+// radixSort sorts a ascending, using tmp (of the same length) as the
+// second buffer, and returns whichever of the two ends up holding the
+// result. It is an LSD radix sort on v − min(a), radixBits per pass, so
+// the cost follows the observed id range — one pass while the targets
+// span less than 2^radixBits — and nothing is sized by N or IDBits(N):
+// vertex ids are names (core's grow under churn).
+func radixSort(a, tmp []int32) []int32 {
+	lo, hi := a[0], a[0]
+	for _, v := range a {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	const radixBits, mask = 11, 1<<11 - 1
+	for shift := 0; uint32(hi-lo)>>shift != 0; shift += radixBits {
+		var pos [mask + 2]int32 // pos[d+1] counts digit d, then pos[d] is where digit d goes next
+		for _, v := range a {
+			pos[uint32(v-lo)>>shift&mask+1]++
+		}
+		for d, top := uint32(1), min(uint32(hi-lo)>>shift, mask); d <= top; d++ {
+			pos[d] += pos[d-1]
+		}
+		for _, v := range a {
+			d := uint32(v-lo) >> shift & mask
+			tmp[pos[d]] = v
+			pos[d]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
 }
 
 // HandleRound consumes one round's inbox. Odd rounds since Start serve
@@ -114,7 +158,19 @@ func (s *HGraphSampler) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOther f
 	s.step++
 	if s.step&1 == 1 {
 		// Serve round: answer each request batch with freshly extracted
-		// walk endpoints.
+		// walk endpoints. The round's batches are carved out of two
+		// arrays sized by its summed Counts; they are never reused,
+		// because the payloads stay referenced by late deliveries,
+		// injected duplicates and retransmit buffers.
+		total, batches := 0, 0
+		for _, m := range inbox {
+			if rb, ok := m.Payload.(reqBatch); ok {
+				total += int(rb.Count)
+				batches++
+			}
+		}
+		ids := make([]int32, total)
+		resps := make([]respBatch, batches)
 		for _, m := range inbox {
 			rb, ok := m.Payload.(reqBatch)
 			if !ok {
@@ -123,24 +179,28 @@ func (s *HGraphSampler) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOther f
 				}
 				continue
 			}
-			ids := make([]int32, rb.Count)
-			for k := range ids {
-				ids[k] = s.extract(ctx)
-			}
-			ctx.Send(m.From, respBatch{IDs: ids}, len(ids)*s.idBits)
-			if s.stats != nil {
-				s.stats.Served.Add(int64(rb.Count))
-				s.stats.RespBatches.Add(1)
-			}
+			n := int(rb.Count)
+			resp := &resps[0]
+			resp.IDs, ids, resps = ids[:n:n], ids[n:], resps[1:]
+			s.extract(ctx, resp.IDs)
+			ctx.Send(m.From, resp, n*s.idBits)
+		}
+		if s.stats != nil {
+			s.stats.Served.Add(int64(total))
+			s.stats.RespBatches.Add(int64(batches))
 		}
 		return false
 	}
 	// Collect round for iteration i: the responses replace the multiset
-	// (the walks grew by 2^(i-1) steps).
+	// (the walks grew by 2^(i-1) steps). The final M_T gets storage of
+	// its own size so that the run's buffers can go.
 	i := s.step / 2
-	collected := make([]int32, 0, s.p.M(i))
+	collected := s.M[:0]
+	if i == len(s.m)-1 {
+		collected = make([]int32, 0, s.m[i])
+	}
 	for _, m := range inbox {
-		rb, ok := m.Payload.(respBatch)
+		rb, ok := m.Payload.(*respBatch)
 		if !ok {
 			if onOther != nil {
 				onOther(m)
@@ -149,19 +209,20 @@ func (s *HGraphSampler) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOther f
 		}
 		collected = append(collected, rb.IDs...)
 	}
-	s.M.Reset(collected)
-	if i < s.T {
+	s.M = collected
+	if i < len(s.m)-1 {
 		s.sendRequests(ctx, i+1)
 		return false
 	}
+	s.m, s.targets = nil, nil
 	return true
 }
 
 // Samples returns the sampled vertices once HandleRound has returned
 // true (length p.Samples() = m_T).
 func (s *HGraphSampler) Samples() []int {
-	out := make([]int, s.M.Len())
-	for k, w := range s.M.Items() {
+	out := make([]int, len(s.M))
+	for k, w := range s.M {
 		out[k] = int(w)
 	}
 	return out

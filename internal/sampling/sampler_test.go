@@ -1,0 +1,92 @@
+package sampling
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"overlaynet/internal/hgraph"
+	"overlaynet/internal/rng"
+)
+
+// coreShape is the schedule core.RunEpoch derives at n = 1024 for one
+// joiner per sponsor (the bench's core_churn workload): T = 6,
+// m_0 = 13 851, m_T = 19.
+var coreShape = HGraphParams{N: 1024, D: 8, Alpha: 2, Epsilon: 1, C: 1.9}
+
+func TestRadixSortMatchesSort(t *testing.T) {
+	r := rng.New(5)
+	for _, c := range []struct {
+		n      int
+		lo, hi int64 // value range, inclusive
+	}{
+		{1, 7, 7}, {19, 0, 1023}, {513, 0, 1023}, {4617, 1024, 1031},
+		{300, 0, 255}, {300, 0, 256}, {300, 5000, 5000 + 1<<16}, {300, 0, 1<<24 + 1},
+		{300, -1000, 1000}, {300, -1 << 31, 1<<31 - 1}, {64, 42, 42},
+	} {
+		a := make([]int32, c.n)
+		for i := range a {
+			a[i] = int32(c.lo + int64(r.Uint64n(uint64(c.hi-c.lo+1))))
+		}
+		want := slices.Clone(a)
+		slices.Sort(want)
+		got := radixSort(a, make([]int32, c.n))
+		if !slices.Equal(got, want) {
+			t.Errorf("n=%d range [%d,%d]: not sorted", c.n, c.lo, c.hi)
+		}
+	}
+}
+
+// sliceCaps appends the capacity of every slice reachable from v
+// through struct fields.
+func sliceCaps(v reflect.Value, caps []int) []int {
+	switch v.Kind() {
+	case reflect.Slice:
+		caps = append(caps, v.Cap())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			caps = sliceCaps(v.Field(i), caps)
+		}
+	}
+	return caps
+}
+
+// TestSamplerReleasesScratch: node programs embed a sampler for the
+// node's lifetime (core.coreNode), so a completed run may keep nothing
+// larger than its result — the 55 KB M_0 buffer of the core_churn shape
+// would be half again of that workload's live bytes per node.
+func TestSamplerReleasesScratch(t *testing.T) {
+	var samplers []*HGraphSampler
+	c := diffCase{n: coreShape.N, p: coreShape}
+	c.run(3, func() nodeSampler {
+		samplers = append(samplers, &HGraphSampler{})
+		return samplers[len(samplers)-1]
+	})
+	mT := coreShape.Samples()
+	for v, s := range samplers {
+		if got := len(s.Samples()); got != mT {
+			t.Fatalf("node %d: %d samples, want %d", v, got, mT)
+		}
+		for _, c := range sliceCaps(reflect.ValueOf(*s), nil) {
+			if c > mT {
+				t.Fatalf("node %d: sampler retains a slice of cap %d > m_T = %d after completion", v, c, mT)
+			}
+		}
+	}
+}
+
+// TestSamplerAllocsPerRun: a run allocates per iteration (the serve
+// round's two arrays, the kernel's queue doublings), not per batch.
+func TestSamplerAllocsPerRun(t *testing.T) {
+	p := HGraphParams{N: 256, D: 8, Alpha: 2, Epsilon: 1, C: 1.9}
+	h := hgraph.Random(rng.New(1), p.N, p.D)
+	perNode := testing.AllocsPerRun(3, func() { RapidHGraph(7, h, p) }) / float64(p.N)
+
+	c := diffCase{n: p.N, p: p}
+	b := c.run(7, func() nodeSampler { return &HGraphSampler{} }).Budget
+	batches := float64(b.ReqBatches+b.RespBatches) / float64(p.N)
+	t.Logf("%.1f allocations and %.0f batches per node, T = %d", perNode, batches, p.T())
+	if limit := float64(12 * p.T()); perNode > limit || limit > batches/4 {
+		t.Fatalf("%.1f allocations per node, want at most 12·T = %.0f (batches per node: %.0f)", perNode, limit, batches)
+	}
+}
