@@ -7,7 +7,7 @@
 // internal/:
 //
 //   - sim: the paper's synchronous message-passing model, with
-//     goroutine-per-node protocols and the exact DoS blocking semantics
+//     per-round handler protocols and the exact DoS blocking semantics
 //     of Section 1.1;
 //   - hgraph, hypercube: the ℍ-graph and (k-ary) hypercube topologies;
 //   - sampling: the rapid node sampling primitives (Algorithms 1 and

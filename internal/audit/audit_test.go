@@ -124,16 +124,14 @@ func workloadRun(t *testing.T, inj sim.Injector, shards int) *WorkAuditor {
 		net.SetInjector(inj)
 	}
 	const n, rounds = 32, 10
+	flood := sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
+		for j := 0; j < 3; j++ {
+			ctx.Send(sim.NodeID((int(ctx.ID())+j*7)%n+1), j, 16)
+		}
+		return true
+	})
 	for i := 0; i < n; i++ {
-		id := sim.NodeID(i + 1)
-		net.Spawn(id, func(ctx *sim.Ctx) {
-			for {
-				for j := 0; j < 3; j++ {
-					ctx.Send(sim.NodeID((int(id)+j*7)%n+1), j, 16)
-				}
-				ctx.NextRound()
-			}
-		})
+		net.SpawnHandler(sim.NodeID(i+1), flood)
 	}
 	net.Run(rounds)
 	net.Shutdown()

@@ -38,14 +38,6 @@ type Config struct {
 	// and the epoch degrades (sampling underflow, missed boundaries —
 	// the Failures counters) instead of assuming lockstep delivery.
 	Latency sim.Latency
-	// Coroutine runs node programs in the legacy blocking-coroutine form
-	// (one adapter goroutine per node) instead of event-driven handlers.
-	// Both forms are transcriptions of the same protocol and produce
-	// byte-identical epoch traces at a fixed seed — the regression tests
-	// compare them — so this exists for that comparison and as a
-	// debugging aid (coroutine stacks show the protocol position),
-	// not as a performance option.
-	Coroutine bool
 	// Reliable layers the deterministic ack/retransmit/timeout endpoint
 	// (internal/reliable) around every protocol node: sends are enveloped
 	// and acked, losses retransmitted on a pure backoff schedule, and an
@@ -53,8 +45,7 @@ type Config struct {
 	// silent loss. Epochs then take EpochRounds·stretch sim rounds, where
 	// the stretch is Reliable.EffectiveStretch(Latency) — 1 on a
 	// spread-free model, so zero-spread reliable epochs reproduce the
-	// legacy traces bit for bit. Incompatible with Coroutine (the
-	// endpoint wraps sim.Handler values).
+	// legacy traces bit for bit.
 	Reliable reliable.Config
 }
 
@@ -84,9 +75,6 @@ func (cfg Config) Validate() error {
 	}
 	if err := cfg.Reliable.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	if cfg.Reliable.Enabled() && cfg.Coroutine {
-		return fmt.Errorf("core: reliable delivery requires the event-driven node form (disable Coroutine)")
 	}
 	return nil
 }
@@ -131,7 +119,7 @@ type EpochReport struct {
 }
 
 // epochPlan carries the parameters all nodes use for one epoch. The
-// driver writes it between epochs; node goroutines read it during the
+// driver writes it between epochs; node handlers read it during the
 // epoch (the happens-before edge is the round barrier).
 type epochPlan struct {
 	epoch    int
@@ -241,7 +229,7 @@ type Network struct {
 	metrics *obs.StackMetrics
 
 	// audit/budget/faulty: optional invariant auditing (SetAudit). The
-	// budget tally is shared by every node goroutine's sampling
+	// budget tally is shared by every node's sampling
 	// sub-phase; lastWindow is the most recent epoch's reconciliation
 	// window for the sampling-budget checker. faulty records that a
 	// message injector is attached, which relaxes the exact
@@ -394,7 +382,7 @@ func doublingSteps(n int) int {
 }
 
 // NewNetwork builds the initial ℍ-graph over cfg.N0 nodes and spawns
-// their protocol goroutines. The initial topology is sampled uniformly
+// their protocol handlers. The initial topology is sampled uniformly
 // from ℍₙ, matching the paper's initial condition.
 func NewNetwork(cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
@@ -469,18 +457,11 @@ func (nw *Network) wrap(h sim.Handler) sim.Handler {
 }
 
 // spawnMember starts the protocol node of a member that is already part
-// of the topology: an event-driven coreNode handler by default, or the
-// equivalent coroutine program under Config.Coroutine.
+// of the topology.
 func (nw *Network) spawnMember(id int, succ, pred []int32) {
 	st := &slot{}
 	nw.slots[id] = st
-	if !nw.cfg.Coroutine {
-		nw.net.SpawnHandler(nw.idOf(id), nw.wrap(&coreNode{nw: nw, id: id, st: st, succ: succ, pred: pred}))
-		return
-	}
-	nw.net.Spawn(nw.idOf(id), func(ctx *sim.Ctx) {
-		nw.memberLoop(ctx, id, st, succ, pred)
-	})
+	nw.net.SpawnHandler(nw.idOf(id), nw.wrap(&coreNode{nw: nw, id: id, st: st, succ: succ, pred: pred}))
 }
 
 // spawnJoiner starts a node that is not yet in the topology; it
@@ -488,268 +469,7 @@ func (nw *Network) spawnMember(id int, succ, pred []int32) {
 func (nw *Network) spawnJoiner(id, sponsor int) {
 	st := &slot{}
 	nw.slots[id] = st
-	if !nw.cfg.Coroutine {
-		nw.net.SpawnHandler(nw.idOf(id), nw.wrap(&coreNode{nw: nw, id: id, st: st, joining: true, sponsor: sponsor}))
-		return
-	}
-	nw.net.Spawn(nw.idOf(id), func(ctx *sim.Ctx) {
-		plan := nw.plan
-		idBits := sim.IDBits(plan.params.N)
-		ctx.Send(nw.idOf(sponsor), helloMsg{ID: int32(id)}, idBits)
-		nc := nw.cfg.D / 2
-		succ := make([]int32, nc)
-		pred := make([]int32, nc)
-		st.assigned = 0
-		for r := 1; r < plan.rounds; r++ {
-			inbox := ctx.NextRound()
-			for _, m := range inbox {
-				if a, ok := m.Payload.(assignMsg); ok {
-					succ[a.Cycle] = a.Succ
-					pred[a.Cycle] = a.Pred
-					st.assigned++
-				}
-			}
-		}
-		if st.assigned != nc {
-			st.fails[FailAssign]++
-		}
-		st.succ, st.pred = succ, pred
-		st.active = make([]bool, nc)
-		st.placed = make([]int, nc)
-		ctx.NextRound() // commit: align with the members' final barrier
-		nw.memberLoop(ctx, id, st, succ, pred)
-	})
-}
-
-// memberLoop runs reconfiguration epochs until the node leaves. The
-// departure decision uses the flag captured at the start of the epoch
-// that just ran: the driver may already have marked this node as a
-// leaver for the NEXT epoch while it was parked at the commit barrier,
-// and that epoch must still be participated in.
-func (nw *Network) memberLoop(ctx *sim.Ctx, id int, st *slot, succ, pred []int32) {
-	for {
-		var left bool
-		succ, pred, left = nw.runEpoch(ctx, id, st, succ, pred)
-		if left {
-			return
-		}
-	}
-}
-
-// runEpoch executes one reconfiguration epoch for a member node and
-// returns its new per-cycle successors and predecessors, plus whether
-// the node was a leaver in this epoch (and hence must depart).
-func (nw *Network) runEpoch(ctx *sim.Ctx, id int, st *slot, succ, pred []int32) ([]int32, []int32, bool) {
-	plan := nw.plan
-	p := plan.params
-	nc := nw.cfg.D / 2
-	K := plan.doubling
-	r := ctx.RNG()
-	idBits := sim.IDBits(p.N)
-	leaving := st.leaving
-
-	st.fails = [numFailKinds]int{}
-	st.assigned = 0
-
-	// Round 1: nothing to send (joiners send hellos); collect hellos.
-	var joiners []int32
-	inbox := ctx.NextRound()
-	for _, m := range inbox {
-		if h, ok := m.Payload.(helloMsg); ok {
-			joiners = append(joiners, h.ID)
-		}
-	}
-
-	// Rounds 2..2T+1: rapid node sampling (Algorithm 1) over the
-	// current topology.
-	neighbors := make([]int, 0, nw.cfg.D)
-	for c := 0; c < nc; c++ {
-		neighbors = append(neighbors, int(pred[c]), int(succ[c]))
-	}
-	samples := sampling.RapidHGraphInlineStats(ctx, p, id, neighbors, nw.idOf, nil, &st.fails[FailSampling], nw.budget)
-
-	// Round 2T+2 (Phase 1 of Algorithm 3): place own id (unless
-	// leaving) and every hosted joiner's id at independently sampled
-	// targets, one per cycle.
-	si := 0
-	nextSample := func() int {
-		if si < len(samples) {
-			v := samples[si]
-			si++
-			return v
-		}
-		// Budget exhausted: reuse a random sample (counted failure).
-		st.fails[FailBudget]++
-		if len(samples) == 0 {
-			// Every sample was lost in transit (possible only under
-			// injected message faults): place at self rather than crash.
-			return id
-		}
-		return samples[r.Intn(len(samples))]
-	}
-	for c := 0; c < nc; c++ {
-		if !leaving {
-			ctx.Send(nw.idOf(nextSample()), placeMsg{Cycle: int8(c), ID: int32(id)}, idBits)
-		}
-		for _, j := range joiners {
-			ctx.Send(nw.idOf(nextSample()), placeMsg{Cycle: int8(c), ID: j}, idBits)
-		}
-	}
-
-	// Round 2T+3 (Phase 2): collect placements, permute per cycle.
-	seqs := make([][]int32, nc)
-	inbox = ctx.NextRound()
-	for _, m := range inbox {
-		if pm, ok := m.Payload.(placeMsg); ok {
-			seqs[pm.Cycle] = append(seqs[pm.Cycle], pm.ID)
-		}
-	}
-	active := make([]bool, nc)
-	st.placed = make([]int, nc)
-	for c := 0; c < nc; c++ {
-		st.placed[c] = len(seqs[c])
-		if len(seqs[c]) > 0 {
-			active[c] = true
-			r.Shuffle(len(seqs[c]), func(i, j int) {
-				seqs[c][i], seqs[c][j] = seqs[c][j], seqs[c][i]
-			})
-		}
-	}
-	st.active = active
-
-	// Rounds 2T+3 .. 2T+2+2K (Phase 3, pointer doubling): every node
-	// finds the nearest active node in successor direction along each
-	// old cycle; Lemma 12 bounds empty segments polylogarithmically, so
-	// K = O(log log n) steps suffice.
-	fwd := make([]int32, nc)
-	resolved := make([]bool, nc)
-	copy(fwd, succ)
-	for step := 0; step < K; step++ {
-		for c := 0; c < nc; c++ {
-			if !resolved[c] {
-				ctx.Send(nw.idOf(int(fwd[c])), dblQuery{Cycle: int8(c)}, idBits)
-			}
-		}
-		inbox = ctx.NextRound()
-		// Respond with our status and current jump pointer as of the
-		// start of this step.
-		for _, m := range inbox {
-			if q, ok := m.Payload.(dblQuery); ok {
-				ctx.Send(m.From, dblResp{
-					Cycle:     q.Cycle,
-					Active:    active[q.Cycle],
-					Fwd:       fwd[q.Cycle],
-					FwdActive: resolved[q.Cycle],
-				}, 2*idBits)
-			}
-		}
-		inbox = ctx.NextRound()
-		for _, m := range inbox {
-			if resp, ok := m.Payload.(dblResp); ok {
-				c := resp.Cycle
-				if resolved[c] {
-					continue
-				}
-				if resp.Active {
-					resolved[c] = true // fwd[c] already points at the responder
-				} else {
-					fwd[c] = resp.Fwd
-					resolved[c] = resp.FwdActive
-				}
-			}
-		}
-	}
-
-	// Round 2T+3+2K: active nodes send their last sequence element to
-	// their nearest active successor.
-	for c := 0; c < nc; c++ {
-		if active[c] {
-			if !resolved[c] {
-				st.fails[FailDoubling]++
-				continue
-			}
-			ctx.Send(nw.idOf(int(fwd[c])), boundMsg{Cycle: int8(c), Last: seqs[c][len(seqs[c])-1]}, idBits)
-		}
-	}
-
-	// Round 2T+4+2K: active nodes receive the boundary element from
-	// their nearest active predecessor and reply with their first one.
-	u0 := make([]int32, nc)
-	uLast := make([]int32, nc)
-	haveU0 := make([]bool, nc)
-	haveLast := make([]bool, nc)
-	inbox = ctx.NextRound()
-	for _, m := range inbox {
-		if b, ok := m.Payload.(boundMsg); ok {
-			c := b.Cycle
-			if haveU0[c] {
-				st.fails[FailBound]++ // two active predecessors: doubling failure
-				continue
-			}
-			u0[c] = b.Last
-			haveU0[c] = true
-			ctx.Send(m.From, boundReply{Cycle: c, First: seqs[c][0]}, idBits)
-		}
-	}
-
-	// Round 2T+5+2K: collect replies; send Phase 4 assignments.
-	inbox = ctx.NextRound()
-	for _, m := range inbox {
-		if br, ok := m.Payload.(boundReply); ok {
-			uLast[br.Cycle] = br.First
-			haveLast[br.Cycle] = true
-		}
-	}
-	for c := 0; c < nc; c++ {
-		if !active[c] {
-			continue
-		}
-		seq := seqs[c]
-		mLen := len(seq)
-		if !haveU0[c] {
-			st.fails[FailBound]++
-			u0[c] = seq[mLen-1]
-		}
-		if !haveLast[c] {
-			st.fails[FailBound]++
-			uLast[c] = seq[0]
-		}
-		for i := 0; i < mLen; i++ {
-			p0 := u0[c]
-			if i > 0 {
-				p0 = seq[i-1]
-			}
-			s0 := uLast[c]
-			if i < mLen-1 {
-				s0 = seq[i+1]
-			}
-			ctx.Send(nw.idOf(int(seq[i])), assignMsg{Cycle: int8(c), Pred: p0, Succ: s0}, 2*idBits)
-		}
-	}
-
-	// Round 2T+6+2K: receive the new neighbors and commit the result
-	// to the driver's slot.
-	newSucc := make([]int32, nc)
-	newPred := make([]int32, nc)
-	inbox = ctx.NextRound()
-	for _, m := range inbox {
-		if a, ok := m.Payload.(assignMsg); ok {
-			newSucc[a.Cycle] = a.Succ
-			newPred[a.Cycle] = a.Pred
-			st.assigned++
-		}
-	}
-	if !leaving && st.assigned != nc {
-		st.fails[FailAssign]++
-	}
-	st.succ, st.pred = newSucc, newPred
-	if !leaving {
-		// Commit barrier: the epoch ends and the next one begins at the
-		// other side of this call. Leavers skip it so their protocol
-		// goroutine departs at the end of the epoch's final round.
-		ctx.NextRound()
-	}
-	return newSucc, newPred, leaving
+	nw.net.SpawnHandler(nw.idOf(id), nw.wrap(&coreNode{nw: nw, id: id, st: st, joining: true, sponsor: sponsor}))
 }
 
 // RunEpoch performs one reconfiguration epoch: the given joiners enter
@@ -1066,7 +786,7 @@ func (nw *Network) BuildGraph() *graph.Graph {
 	return g
 }
 
-// Shutdown stops all node goroutines.
+// Shutdown removes all nodes from the simulator.
 func (nw *Network) Shutdown() { nw.net.Shutdown() }
 
 // DeferredMessages returns the cumulative count of messages the

@@ -5,16 +5,10 @@ import (
 	"overlaynet/internal/sim"
 )
 
-// coreNode is the reconfiguration protocol of Section 4 in event-driven
-// state-machine form: one sim.Handler per node, no goroutine. It is a
-// faithful transcription of the blocking-coroutine epoch program in
-// network.go (runEpoch / spawnJoiner), segment by segment — the switch
-// below dispatches on p, the 1-based round within the current epoch,
-// and each case performs exactly the work the coroutine performs
-// between the corresponding NextRound calls, in the same order, with
-// the same randomness draws. Config.Coroutine selects which form runs;
-// the two must stay in lockstep (the byte-identity regression tests
-// compare full epoch traces across both).
+// coreNode is the reconfiguration protocol of Section 4: one sim.Handler
+// per node. The switch in OnRound dispatches on p, the 1-based round
+// within the current epoch; the draws and sends of each case, and their
+// order, are pinned by TestEpochTranscriptGolden.
 //
 // Epoch layout for a member (R = 2T+2K+6 rounds, see EpochRounds):
 //
@@ -66,9 +60,8 @@ type coreNode struct {
 	newPred  []int32
 }
 
-// nextSample mirrors the coroutine's placement sampler: consume the
-// rapid-sampling budget in order, falling back to a uniformly chosen
-// reuse (a counted FailBudget) when it runs out.
+// nextSample consumes the rapid-sampling budget in order, falling back
+// to a uniformly chosen reuse (a counted FailBudget) when it runs out.
 func (m *coreNode) nextSample(ctx *sim.Ctx) int {
 	if m.si < len(m.samples) {
 		v := m.samples[m.si]
@@ -112,7 +105,9 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	switch {
 	case p == 1:
 		// Epoch init; nothing is sent (joiners send hellos this round)
-		// and nothing arrives (the commit round is silent).
+		// and nothing arrives (the commit round is silent). The leaving
+		// flag is captured here because the driver may mark the node as
+		// a leaver of the NEXT epoch before this one has committed.
 		m.leaving = m.st.leaving
 		m.st.fails = [numFailKinds]int{}
 		m.st.assigned = 0

@@ -45,15 +45,6 @@ func TestReliableZeroSpreadIdentity(t *testing.T) {
 	}
 }
 
-// TestReliableValidateRejectsCoroutine: the endpoint wraps sim.Handler
-// values, so the coroutine node form cannot carry it.
-func TestReliableValidateRejectsCoroutine(t *testing.T) {
-	cfg := Config{Seed: 1, N0: 32, D: 8, Coroutine: true, Reliable: reliable.On()}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Coroutine+Reliable validated")
-	}
-}
-
 // TestReliableRecoversDroppedEpoch: a drop rate that breaks the legacy
 // epoch (missing assignments, invalid cycles) is won back by the
 // reliable layer — at the price of retransmit traffic and a stretched

@@ -97,18 +97,16 @@ func TestOverlappingBlockWindows(t *testing.T) {
 	run := func(blockedRounds map[int]bool) int64 {
 		net := sim.NewNetwork(sim.Config{Seed: 21})
 		var received atomic.Int64
-		net.Spawn(1, func(ctx *sim.Ctx) {
-			for r := 1; r <= rounds; r++ {
+		net.SpawnHandler(1, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
+			if r := ctx.Round(); r <= rounds {
 				ctx.Send(2, r, 1)
-				ctx.NextRound()
 			}
-			ctx.NextRound()
-		})
-		net.Spawn(2, func(ctx *sim.Ctx) {
-			for r := 0; r <= rounds+1; r++ {
-				received.Add(int64(len(ctx.NextRound())))
-			}
-		})
+			return true
+		}))
+		net.SpawnHandler(2, sim.HandlerFunc(func(_ *sim.Ctx, inbox []sim.Message) bool {
+			received.Add(int64(len(inbox)))
+			return true
+		}))
 		for r := 1; r <= rounds+2; r++ {
 			if blockedRounds[r] {
 				net.SetBlocked(map[sim.NodeID]bool{2: true})

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
 	"strings"
 	"sync/atomic"
@@ -207,13 +208,18 @@ func TestRunCellsTelemetry(t *testing.T) {
 // TestTelemetryDoesNotPerturbTables is the acceptance criterion for the
 // observability layer at the experiment level: every quick table must
 // be byte-identical with and without a recorder + progress attached.
+// The plain renderings, in All() order, are also the repo's one record
+// of absolute table values: their digest was taken before the coroutine
+// drivers were ported to handlers and must not move.
 func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice")
 	}
+	const recorded = "598c8f80dab0df64"
 	rec := trace.New()
 	prog := trace.NewProgress(io.Discard, time.Hour)
 	defer prog.Close()
+	tables := fnv.New64a()
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -221,6 +227,7 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 			// work, and legitimately vary run to run — mask them so the
 			// comparison covers every deterministic column.
 			plain := MaskWallClock(e.Run(Options{Seed: 42, Quick: true, Exp: e.ID})).String()
+			fmt.Fprintf(tables, "%s\n", plain)
 			traced := MaskWallClock(e.Run(Options{Seed: 42, Quick: true, Exp: e.ID, Trace: rec, Progress: prog})).String()
 			if plain != traced {
 				t.Fatalf("%s: table differs with telemetry attached:\n--- plain\n%s\n--- traced\n%s",
@@ -230,5 +237,8 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 	}
 	if rec.Counters().Rounds == 0 {
 		t.Fatal("recorder saw no simulator rounds — tracing is not wired through the drivers")
+	}
+	if got := fmt.Sprintf("%016x", tables.Sum64()); got != recorded {
+		t.Errorf("digest of the %d quick tables is %s, recorded %s", len(All()), got, recorded)
 	}
 }

@@ -200,57 +200,71 @@ func E14PointerDoubling(o Options) *metrics.Table {
 	ns := o.sizes([]int{64}, []int{64, 128, 256})
 	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
 		n := ns[cell]
-		rounds := pointerDoublingRounds(o.Seed, n, o.Shards)
+		rounds := pointerDoublingRounds(sim.NewNetwork(sim.Config{Seed: o.Seed, Shards: o.Shards}), n)
 		return [][]string{metrics.Row(n, n/2, rounds, fmt.Sprintf("%.1f", math.Log2(float64(n/2))))}
 	})))
 	return t
 }
 
 // pointerDoublingRounds runs the introduce-all-contacts protocol on an
-// n-cycle until node 0 knows its antipode, returning the round count.
-// The horizon ⌈log₂ n⌉+2 always suffices: the knowledge radius doubles
-// every round.
-func pointerDoublingRounds(seed uint64, n, shards int) int {
-	net := sim.NewNetwork(sim.Config{Seed: seed, Shards: shards})
+// n-cycle over net until node 0 knows its antipode, returning the round
+// count. The horizon ⌈log₂ n⌉+2 always suffices: the knowledge radius
+// doubles every round. A node's contacts are a membership table scanned
+// in ascending order, so each message's id list and the order of the
+// sends are a function of the protocol alone.
+func pointerDoublingRounds(net *sim.Network, n int) int {
 	type intro struct{ IDs []int32 }
-	found := make([]int, n)
-	antipode := int32(n / 2)
+	found := 0
+	antipode := n / 2
 	idBits := sim.IDBits(n)
 	horizon := int(math.Ceil(math.Log2(float64(n)))) + 2
-	for v := 0; v < n; v++ {
-		v := v
-		net.Spawn(sim.NodeID(v+1), func(ctx *sim.Ctx) {
-			known := map[int32]bool{int32((v + 1) % n): true, int32((v + n - 1) % n): true}
-			for round := 1; round <= horizon; round++ {
-				// Send the full contact list to every contact; once
-				// everything is known nothing new can be learned, so
-				// stop contributing to the quadratic blow-up.
-				if len(known) < n-1 {
-					list := make([]int32, 0, len(known))
-					for w := range known {
-						list = append(list, w)
+	known := make([][]bool, n) // known[v][w]: v has w's id
+	contacts := make([]int, n) // number of true entries of known[v]
+	for v := range known {
+		known[v] = make([]bool, n)
+		known[v][(v+1)%n], known[v][(v+n-1)%n] = true, true
+		contacts[v] = 2
+	}
+	node := sim.HandlerFunc(func(ctx *sim.Ctx, inbox []sim.Message) bool {
+		v := int(ctx.ID()) - 1
+		mine := known[v]
+		for _, m := range inbox {
+			if in, ok := m.Payload.(intro); ok {
+				for _, w := range in.IDs {
+					if int(w) != v && !mine[w] {
+						mine[w] = true
+						contacts[v]++
 					}
-					for w := range known {
-						ctx.Send(sim.NodeID(int(w)+1), intro{IDs: list}, len(list)*idBits)
-					}
-				}
-				inbox := ctx.NextRound()
-				for _, m := range inbox {
-					if in, ok := m.Payload.(intro); ok {
-						for _, w := range in.IDs {
-							if int(w) != v {
-								known[w] = true
-							}
-						}
-					}
-				}
-				if v == 0 && found[0] == 0 && known[antipode] {
-					found[0] = round
 				}
 			}
-		})
+		}
+		// The inbox answers the previous round's sends.
+		if v == 0 && found == 0 && mine[antipode] {
+			found = ctx.Round() - 1
+		}
+		if ctx.Round() > horizon {
+			return false
+		}
+		// Send the full contact list to every contact; once everything
+		// is known nothing new can be learned, so stop contributing to
+		// the quadratic blow-up.
+		if contacts[v] < n-1 {
+			list := make([]int32, 0, contacts[v])
+			for w, ok := range mine {
+				if ok {
+					list = append(list, int32(w))
+				}
+			}
+			for _, w := range list {
+				ctx.Send(sim.NodeID(w+1), intro{IDs: list}, len(list)*idBits)
+			}
+		}
+		return true
+	})
+	for v := 0; v < n; v++ {
+		net.SpawnHandler(sim.NodeID(v+1), node)
 	}
 	net.Run(horizon + 1)
 	net.Shutdown()
-	return found[0]
+	return found
 }

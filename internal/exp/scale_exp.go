@@ -23,26 +23,11 @@ func floodHandler(n, fanout, idBits int) sim.HandlerFunc {
 	}
 }
 
-// buildFlood populates a network with n flood nodes, as handlers by
-// default or as blocking coroutines (one adapter goroutine per node)
-// when coroutine is set. Both forms draw identically from the per-node
-// generators, so all work accounting is byte-identical across modes.
-func buildFlood(net *sim.Network, n, fanout, idBits int, coroutine bool) {
+// buildFlood populates a network with n flood nodes.
+func buildFlood(net *sim.Network, n, fanout, idBits int) {
 	h := floodHandler(n, fanout, idBits)
 	for v := 0; v < n; v++ {
-		if coroutine {
-			net.Spawn(sim.NodeID(v+1), func(ctx *sim.Ctx) {
-				r := ctx.RNG()
-				for {
-					for j := 0; j < fanout; j++ {
-						ctx.Send(sim.NodeID(r.Intn(n)+1), nil, idBits)
-					}
-					ctx.NextRound()
-				}
-			})
-		} else {
-			net.SpawnHandler(sim.NodeID(v+1), h)
-		}
+		net.SpawnHandler(sim.NodeID(v+1), h)
 	}
 }
 
@@ -72,7 +57,7 @@ func S1ScaleFlood(o Options) *metrics.Table {
 			net.SetTracer(o.Trace.Tracer(fmt.Sprintf("%s/n%d", o.Exp, n)))
 		}
 		idBits := sim.IDBits(n)
-		buildFlood(net, n, fanout, idBits, false)
+		buildFlood(net, n, fanout, idBits)
 		net.Run(rounds)
 		net.Shutdown()
 		var msgs int
@@ -124,7 +109,7 @@ func S2ScaleFloodEvent(o Options) *metrics.Table {
 			net.SetTracer(o.Trace.Tracer(fmt.Sprintf("%s/n%d", o.Exp, n)))
 		}
 		idBits := sim.IDBits(n)
-		buildFlood(net, n, fanout, idBits, false)
+		buildFlood(net, n, fanout, idBits)
 		start := time.Now()
 		net.Run(rounds)
 		wall := time.Since(start)

@@ -2,9 +2,11 @@ package sampling
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"overlaynet/internal/hypercube"
+	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
 
@@ -32,135 +34,168 @@ func RapidHypercube(seed uint64, p HypercubeParams) *RapidResult {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	d := p.Dim
-	n := hypercube.N(d)
-	net := sim.NewNetwork(sim.Config{Seed: seed, Shards: p.Shards, Latency: p.Latency})
-	res := &RapidResult{Samples: make([][]int, n), Rounds: p.Rounds()}
-	failures := make([]int, n)
-	idBits := sim.IDBits(n)
-	T := p.T()
-
-	idOf := func(v int) sim.NodeID { return sim.NodeID(v + 1) }
-
-	for v := 0; v < n; v++ {
-		u := hypercube.Vertex(v)
-		net.Spawn(idOf(v), func(ctx *sim.Ctx) {
-			r := ctx.RNG()
-			// M[j-1] is the paper's M_j.
-			M := make([]Multiset[int32], d)
-
-			extract := func(j int) int32 {
-				w, ok := M[j-1].Extract(r)
-				if !ok {
-					failures[int(u)]++
-					return int32(u)
-				}
-				return w
-			}
-
-			// sendRequests is Phase 2 of iteration i: for every list
-			// index j ≡ 1 (mod 2^i), extract m_i walk endpoints from
-			// M_j and ask each for an extension in dimension block
-			// j+2^{i-1}..j+2^i−1.
-			sendRequests := func(i int) {
-				mi := p.M(i)
-				step := 1 << i
-				type req struct {
-					target int32
-					j      int16
-				}
-				var reqs []req
-				for j := 1; j <= d; j += step {
-					for k := 0; k < mi; k++ {
-						reqs = append(reqs, req{target: extract(j), j: int16(j)})
-					}
-				}
-				slices.SortFunc(reqs, func(a, b req) int {
-					if a.target != b.target {
-						return cmp.Compare(a.target, b.target)
-					}
-					return cmp.Compare(a.j, b.j)
-				})
-				for a := 0; a < len(reqs); {
-					b := a
-					var js []int16
-					for b < len(reqs) && reqs[b].target == reqs[a].target {
-						js = append(js, reqs[b].j)
-						b++
-					}
-					ctx.Send(idOf(int(reqs[a].target)), hcReq{Js: js}, len(js)*idBits)
-					a = b
-				}
-			}
-
-			// Phase 1 (local): fill every M_j with m_0 entries, each
-			// either n_j(u) or u by a fair coin — walks randomizing
-			// exactly coordinate j.
-			m0 := p.M(0)
-			for j := 1; j <= d; j++ {
-				for k := 0; k < m0; k++ {
-					if r.Coin() {
-						M[j-1].Add(int32(hypercube.Neighbor(u, j)))
-					} else {
-						M[j-1].Add(int32(u))
-					}
-				}
-			}
-			sendRequests(1)
-
-			for i := 1; i <= T; i++ {
-				// Phase 3: a request (w, j) is served from M_{j+2^{i-1}},
-				// whose entries have coordinates j+2^{i-1}..j+2^i−1
-				// randomized relative to us.
-				half := 1 << (i - 1)
-				inbox := ctx.NextRound()
-				for _, m := range inbox {
-					rq, ok := m.Payload.(hcReq)
-					if !ok {
-						continue
-					}
-					pairs := make([]hcRespPair, len(rq.Js))
-					for k, j := range rq.Js {
-						pairs[k] = hcRespPair{V: extract(int(j) + half), J: j}
-					}
-					ctx.Send(m.From, hcResp{Pairs: pairs}, len(pairs)*idBits)
-				}
-				// Phase 4: clear all lists and refill from responses;
-				// Phase 2 of the next iteration shares this round.
-				inbox = ctx.NextRound()
-				for j := range M {
-					M[j].Clear()
-				}
-				for _, m := range inbox {
-					if rp, ok := m.Payload.(hcResp); ok {
-						for _, pr := range rp.Pairs {
-							M[pr.J-1].Add(pr.V)
-						}
-					}
-				}
-				if i < T {
-					sendRequests(i + 1)
-				}
-			}
-
-			out := make([]int, M[0].Len())
-			for k, w := range M[0].Items() {
-				out[k] = int(w)
-			}
-			res.Samples[int(u)] = out
-		})
-	}
-	net.Run(p.Rounds())
-	net.Shutdown()
-	res.Deferred = net.DeferredMessages()
-	for _, w := range net.Work() {
-		if w.MaxNodeBits > res.MaxNodeBits {
-			res.MaxNodeBits = w.MaxNodeBits
+	// Phase 1: an entry of M_j is n_j(u) or u by a fair coin — a walk
+	// randomizing exactly coordinate j.
+	fill := func(r *rng.RNG, u, j int) int32 {
+		if r.Coin() {
+			return int32(hypercube.Neighbor(hypercube.Vertex(u), j))
 		}
-		res.TotalBits += w.TotalBits
+		return int32(u)
 	}
-	for _, f := range failures {
-		res.Failures += f
+	cfg := sim.Config{Seed: seed, Shards: p.Shards, Latency: p.Latency}
+	return rapidCube(cfg, hypercube.N(p.Dim), p.Dim, p.M, fill)
+}
+
+// rapidCube is the driver of Algorithm 2 on a cube of n vertices and
+// d = 2^T dimensions with budget schedule m(0) … m(T). fill draws one
+// Phase-1 entry of M_j at vertex u; it is all that differs between the
+// binary and the k-ary cube.
+func rapidCube(cfg sim.Config, n, d int, m func(i int) int, fill func(r *rng.RNG, u, j int) int32) *RapidResult {
+	T := bits.TrailingZeros(uint(d))
+	run := &cubeRun{d: d, m: make([]int, T+1), idBits: sim.IDBits(n), fill: fill,
+		res:      &RapidResult{Samples: make([][]int, n), Rounds: 2*T + 1},
+		failures: make([]int, n)}
+	for i := range run.m {
+		run.m[i] = m(i)
 	}
-	return res
+	net := newNetwork(cfg)
+	simulate(net, n, run.res.Rounds, func(v int) sim.Handler { return &cubeNode{run: run, u: v} })
+	run.res.collect(net, run.failures)
+	return run.res
+}
+
+// cubeRun is what the nodes of one Algorithm 2 run share.
+type cubeRun struct {
+	d        int
+	m        []int // budget schedule m_0 … m_T
+	idBits   int
+	fill     func(r *rng.RNG, u, j int) int32
+	res      *RapidResult
+	failures []int // per vertex: extractions from an empty list
+}
+
+type cubeReq struct {
+	target int32
+	j      int16
+}
+
+// cubeNode is one node of Algorithm 2. Round 1 is Phase 1 plus the
+// first requests; iteration i then serves in round 2i and refills in
+// round 2i+1, which is also where the node departs after iteration T.
+type cubeNode struct {
+	run  *cubeRun
+	u    int
+	step int               // rounds completed
+	M    []Multiset[int32] // M[j-1] is the paper's M_j
+	reqs []cubeReq         // sendRequests' scratch
+}
+
+// extract draws one entry of M_j, substituting the node itself (a
+// counted failure) when the list is empty — or when there is no such
+// list: under a latency model with spread a request can arrive an
+// iteration late and name a block past dimension d.
+func (nd *cubeNode) extract(r *rng.RNG, j int) int32 {
+	if j <= nd.run.d {
+		if w, ok := nd.M[j-1].Extract(r); ok {
+			return w
+		}
+	}
+	nd.run.failures[nd.u]++
+	return int32(nd.u)
+}
+
+// sendRequests is Phase 2 of iteration i: for every list index
+// j ≡ 1 (mod 2^i), extract m_i walk endpoints from M_j and ask each for
+// an extension in dimension block j+2^{i-1}..j+2^i−1, one message per
+// distinct endpoint, in ascending endpoint order.
+func (nd *cubeNode) sendRequests(ctx *sim.Ctx, i int) {
+	run, r := nd.run, ctx.RNG()
+	reqs := nd.reqs[:0]
+	for j := 1; j <= run.d; j += 1 << i {
+		for k := 0; k < run.m[i]; k++ {
+			reqs = append(reqs, cubeReq{target: nd.extract(r, j), j: int16(j)})
+		}
+	}
+	nd.reqs = reqs
+	slices.SortFunc(reqs, func(a, b cubeReq) int {
+		if a.target != b.target {
+			return cmp.Compare(a.target, b.target)
+		}
+		return cmp.Compare(a.j, b.j)
+	})
+	// The round's Js payloads are carved out of one array; it is never
+	// reused, the messages keep pointing into it.
+	js := make([]int16, len(reqs))
+	for k, rq := range reqs {
+		js[k] = rq.j
+	}
+	for a := 0; a < len(reqs); {
+		b := a + 1
+		for b < len(reqs) && reqs[b].target == reqs[a].target {
+			b++
+		}
+		ctx.Send(vertexID(int(reqs[a].target)), hcReq{Js: js[a:b:b]}, (b-a)*run.idBits)
+		a = b
+	}
+}
+
+func (nd *cubeNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
+	run := nd.run
+	nd.step++
+	i := nd.step / 2 // the iteration this round belongs to
+	switch {
+	case nd.step == 1:
+		// Phase 1 (local): fill every M_j with m_0 entries.
+		r, m0 := ctx.RNG(), run.m[0]
+		nd.M = make([]Multiset[int32], run.d)
+		buf := make([]int32, run.d*m0)
+		for j := 1; j <= run.d; j++ {
+			lo := (j - 1) * m0
+			nd.M[j-1].Reset(buf[lo : lo : lo+m0])
+			for k := 0; k < m0; k++ {
+				nd.M[j-1].Add(run.fill(r, nd.u, j))
+			}
+		}
+		nd.sendRequests(ctx, 1)
+	case nd.step&1 == 0:
+		// Phase 3: a request (w, j) is served from M_{j+2^{i-1}}, whose
+		// entries have coordinates j+2^{i-1}..j+2^i−1 randomized
+		// relative to us.
+		r, half := ctx.RNG(), 1<<(i-1)
+		for _, m := range inbox {
+			rq, ok := m.Payload.(hcReq)
+			if !ok {
+				continue
+			}
+			pairs := make([]hcRespPair, len(rq.Js))
+			for k, j := range rq.Js {
+				pairs[k] = hcRespPair{V: nd.extract(r, int(j)+half), J: j}
+			}
+			ctx.Send(m.From, hcResp{Pairs: pairs}, len(pairs)*run.idBits)
+		}
+	default:
+		// Phase 4: clear all lists and refill from the responses; Phase 2
+		// of the next iteration shares this round.
+		for j := range nd.M {
+			nd.M[j].Clear()
+		}
+		for _, m := range inbox {
+			if rp, ok := m.Payload.(hcResp); ok {
+				for _, pr := range rp.Pairs {
+					nd.M[pr.J-1].Add(pr.V)
+				}
+			}
+		}
+		if i < len(run.m)-1 {
+			nd.sendRequests(ctx, i+1)
+			break
+		}
+		out := make([]int, nd.M[0].Len())
+		for k, w := range nd.M[0].Items() {
+			out[k] = int(w)
+		}
+		run.res.Samples[nd.u] = out
+		return false
+	}
+	return true
 }

@@ -1,12 +1,11 @@
 package sampling
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"overlaynet/internal/hypercube"
+	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
 
@@ -80,119 +79,8 @@ func RapidKAry(seed uint64, p KAryParams) *RapidResult {
 		panic(err)
 	}
 	cube := hypercube.NewKAry(p.K, p.Dim)
-	n := cube.N()
-	d := p.Dim
-	T := p.T()
-	net := sim.NewNetwork(sim.Config{Seed: seed, Shards: p.Shards})
-	res := &RapidResult{Samples: make([][]int, n), Rounds: p.Rounds()}
-	failures := make([]int, n)
-	idBits := sim.IDBits(n)
-	idOf := func(v int) sim.NodeID { return sim.NodeID(v + 1) }
-
-	for v := 0; v < n; v++ {
-		u := v
-		net.Spawn(idOf(v), func(ctx *sim.Ctx) {
-			r := ctx.RNG()
-			M := make([]Multiset[int32], d)
-
-			extract := func(j int) int32 {
-				w, ok := M[j-1].Extract(r)
-				if !ok {
-					failures[u]++
-					return int32(u)
-				}
-				return w
-			}
-
-			sendRequests := func(i int) {
-				mi := p.M(i)
-				step := 1 << i
-				type req struct {
-					target int32
-					j      int16
-				}
-				var reqs []req
-				for j := 1; j <= d; j += step {
-					for k := 0; k < mi; k++ {
-						reqs = append(reqs, req{target: extract(j), j: int16(j)})
-					}
-				}
-				slices.SortFunc(reqs, func(a, b req) int {
-					if a.target != b.target {
-						return cmp.Compare(a.target, b.target)
-					}
-					return cmp.Compare(a.j, b.j)
-				})
-				for a := 0; a < len(reqs); {
-					b := a
-					var js []int16
-					for b < len(reqs) && reqs[b].target == reqs[a].target {
-						js = append(js, reqs[b].j)
-						b++
-					}
-					ctx.Send(idOf(int(reqs[a].target)), hcReq{Js: js}, len(js)*idBits)
-					a = b
-				}
-			}
-
-			// Phase 1: randomize each coordinate independently with a
-			// uniform symbol from {0,…,k−1}.
-			m0 := p.M(0)
-			for j := 1; j <= d; j++ {
-				for k := 0; k < m0; k++ {
-					val := r.Intn(p.K)
-					M[j-1].Add(int32(cube.WithCoord(u, j-1, val)))
-				}
-			}
-			sendRequests(1)
-
-			for i := 1; i <= T; i++ {
-				half := 1 << (i - 1)
-				inbox := ctx.NextRound()
-				for _, m := range inbox {
-					rq, ok := m.Payload.(hcReq)
-					if !ok {
-						continue
-					}
-					pairs := make([]hcRespPair, len(rq.Js))
-					for k, j := range rq.Js {
-						pairs[k] = hcRespPair{V: extract(int(j) + half), J: j}
-					}
-					ctx.Send(m.From, hcResp{Pairs: pairs}, len(pairs)*idBits)
-				}
-				inbox = ctx.NextRound()
-				for j := range M {
-					M[j].Clear()
-				}
-				for _, m := range inbox {
-					if rp, ok := m.Payload.(hcResp); ok {
-						for _, pr := range rp.Pairs {
-							M[pr.J-1].Add(pr.V)
-						}
-					}
-				}
-				if i < T {
-					sendRequests(i + 1)
-				}
-			}
-
-			out := make([]int, M[0].Len())
-			for k, w := range M[0].Items() {
-				out[k] = int(w)
-			}
-			res.Samples[u] = out
-		})
+	fill := func(r *rng.RNG, u, j int) int32 {
+		return int32(cube.WithCoord(u, j-1, r.Intn(p.K)))
 	}
-	net.Run(p.Rounds())
-	net.Shutdown()
-	for _, w := range net.Work() {
-		if w.MaxNodeBits > res.MaxNodeBits {
-			res.MaxNodeBits = w.MaxNodeBits
-		}
-		res.TotalBits += w.TotalBits
-	}
-	for _, f := range failures {
-		res.Failures += f
-	}
-	return res
+	return rapidCube(sim.Config{Seed: seed, Shards: p.Shards}, cube.N(), p.Dim, p.M, fill)
 }

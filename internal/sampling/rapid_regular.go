@@ -1,10 +1,6 @@
 package sampling
 
-import (
-	"fmt"
-
-	"overlaynet/internal/sim"
-)
+import "fmt"
 
 // RapidRegular runs Algorithm 1 on an arbitrary regular multigraph
 // given by adjacency lists (every list must have the same length,
@@ -34,29 +30,7 @@ func RapidRegular(seed uint64, adj [][]int, p HGraphParams) *RapidResult {
 			panic(fmt.Sprintf("sampling: graph not regular: node %d has degree %d, want %d", v, len(nb), deg))
 		}
 	}
-	net := sim.NewNetwork(sim.Config{Seed: seed, Shards: p.Shards, Latency: p.Latency})
-	res := &RapidResult{Samples: make([][]int, n), Rounds: p.Rounds()}
-	failures := make([]int, n)
-	idOf := func(v int) sim.NodeID { return sim.NodeID(v + 1) }
-	for v := 0; v < n; v++ {
-		v := v
-		net.Spawn(idOf(v), func(ctx *sim.Ctx) {
-			res.Samples[v] = RapidHGraphInline(ctx, p, v, adj[v], idOf, nil, &failures[v])
-		})
-	}
-	net.Run(p.Rounds())
-	net.Shutdown()
-	res.Deferred = net.DeferredMessages()
-	for _, w := range net.Work() {
-		if w.MaxNodeBits > res.MaxNodeBits {
-			res.MaxNodeBits = w.MaxNodeBits
-		}
-		res.TotalBits += w.TotalBits
-	}
-	for _, f := range failures {
-		res.Failures += f
-	}
-	return res
+	return rapidWalks(seed, n, p, func(v int) []int { return adj[v] })
 }
 
 // TorusAdjacency returns the 4-regular side×side torus adjacency, the

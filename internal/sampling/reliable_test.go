@@ -116,3 +116,31 @@ func TestRapidReliableShardInvariance(t *testing.T) {
 		t.Fatalf("reliable sampling diverged across shard counts:\n1 shard:  %+v\n4 shards: %+v", r1, r4)
 	}
 }
+
+// TestRapidRegularHonoursFaultsAndReliable: RapidRegular shares
+// RapidHGraph's driver, so a lossy run must lose samples and a protected
+// one must win them all back. (It used to run a perfect unprotected
+// network whatever the params said.) reliable.On()'s automatic stretch
+// is 1 on this spread-free model, too short for a retransmit to land
+// inside its phase, so the protected run fixes a stretch that holds all
+// four attempts: 3+3+3+3 < 16 rounds.
+func TestRapidRegularHonoursFaultsAndReliable(t *testing.T) {
+	const seed = 7
+	adj := TorusAdjacency(8)
+	p := HGraphParams{N: len(adj), Epsilon: 1, C: 1, WalkOverride: 16}
+	clean := RapidRegular(seed, adj, p)
+
+	p.Faults = fault.Spec{Seed: seed, Drop: 0.05}
+	if lossy := RapidRegular(seed, adj, p); lossy.Failures == 0 {
+		t.Fatal("drop=0.05 lost nothing: RapidRegular ignores HGraphParams.Faults")
+	}
+
+	p.Reliable = reliable.Config{On: true, RTO: 3, Backoff: 1, Budget: 4, Stretch: 16}
+	rel := RapidRegular(seed, adj, p)
+	if rel.Retransmits == 0 || rel.DeliveryFailures != 0 {
+		t.Fatalf("protected run: %d retransmits, %d delivery failures", rel.Retransmits, rel.DeliveryFailures)
+	}
+	if !reflect.DeepEqual(rel.Samples, clean.Samples) {
+		t.Fatal("protected lossy run does not reproduce the fault-free samples")
+	}
+}

@@ -2,14 +2,16 @@ package sampling
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"overlaynet/internal/sim"
 )
 
 // HGraphSampler is the per-node part of Algorithm 1 (rapid node
-// sampling in ℍ-graphs) in event-driven state-machine form, so that
-// handler-style node programs (sim.Handler) can run rapid sampling as a
-// sub-phase without a goroutine to park. Usage:
+// sampling in ℍ-graphs) as a state machine, so that any node program
+// (sim.Handler) can run rapid sampling as a sub-phase — rapidNode does
+// nothing else, the reconfiguration network of Section 4 does it once
+// per epoch. Usage:
 //
 //	Start(ctx, ...)              // in some round r: local walks + first requests
 //	for each following round:    // rounds r+1 .. r+2T
@@ -17,12 +19,8 @@ import (
 //	Samples()                    // after HandleRound returns true
 //
 // HandleRound returns true at the end of round r+2T, i.e. after exactly
-// p.InlineRounds() = 2·T() rounds. All nodes of the network must drive
-// their samplers in the same rounds with the same parameters.
-//
-// RapidHGraphInline is this same state machine driven by a blocking
-// coroutine loop, so both forms are a single implementation and produce
-// identical messages, randomness consumption, and budget accounting.
+// 2·T() rounds. All nodes of the network must drive their samplers in
+// the same rounds with the same parameters.
 type HGraphSampler struct {
 	self   int
 	idOf   func(int) sim.NodeID
@@ -226,4 +224,35 @@ func (s *HGraphSampler) Samples() []int {
 		out[k] = int(w)
 	}
 	return out
+}
+
+// BudgetStats tallies the sampling protocol's request budget across all
+// nodes of a network, for the audit layer's conservation check: every
+// request issued is answered by exactly one served grant (so with no
+// message faults Issued == Served after each sampling window), and
+// Refused counts extraction fallbacks where an empty multiset forced a
+// node to substitute itself. ReqBatches/RespBatches count the Send
+// calls, which reconcile against the RoundWork message totals of the
+// sampling rounds. Fields are atomic because every node of a network
+// shares one BudgetStats and handlers run concurrently on shard workers.
+type BudgetStats struct {
+	Issued, Served, Refused atomic.Int64
+	ReqBatches, RespBatches atomic.Int64
+}
+
+// BudgetSnapshot is a plain-value copy of BudgetStats.
+type BudgetSnapshot struct {
+	Issued, Served, Refused, ReqBatches, RespBatches int64
+}
+
+// Snapshot reads the counters; call it only between rounds (the driver
+// side), when no node is mutating them.
+func (b *BudgetStats) Snapshot() BudgetSnapshot {
+	return BudgetSnapshot{
+		Issued:      b.Issued.Load(),
+		Served:      b.Served.Load(),
+		Refused:     b.Refused.Load(),
+		ReqBatches:  b.ReqBatches.Load(),
+		RespBatches: b.RespBatches.Load(),
+	}
 }

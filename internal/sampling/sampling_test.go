@@ -339,6 +339,17 @@ func TestRapidHypercubeDeterministic(t *testing.T) {
 	}
 }
 
+// TestRapidHypercubeSurvivesLatencySpread: a request deferred past its
+// iteration names a list beyond dimension d; it must be refused as a
+// counted failure, not index out of range.
+func TestRapidHypercubeSurvivesLatencySpread(t *testing.T) {
+	p := DefaultHypercubeParams(4)
+	p.Latency = mustLatency(t, "uniform:0.5,2.5")
+	if res := RapidHypercube(42, p); res.Deferred == 0 || res.Failures == 0 {
+		t.Fatalf("spread run deferred %d messages and counted %d failures, want both > 0", res.Deferred, res.Failures)
+	}
+}
+
 func TestBaselineWalkHGraph(t *testing.T) {
 	r := rng.New(14)
 	n, d := 64, 8

@@ -61,6 +61,19 @@ type walkAnswer struct {
 	Endpoint int32
 }
 
+// run executes a token-walk baseline, one node per vertex: the walk's
+// Rounds communication rounds plus the round in which the origins read
+// their answers.
+func (res *TokenWalkResult) run(seed uint64, node func(v int) sim.Handler) {
+	net := newNetwork(sim.Config{Seed: seed})
+	simulate(net, len(res.Samples), res.Rounds+1, node)
+	for _, w := range net.Work() {
+		if w.MaxNodeBits > res.MaxNodeBits {
+			res.MaxNodeBits = w.MaxNodeBits
+		}
+	}
+}
+
 // BaselineWalkHGraph is the standard distributed random-walk sampler
 // the paper improves upon (cf. Das Sarma et al.): every node launches k
 // tokens that take `steps` simple-random-walk steps, one step per
@@ -68,68 +81,96 @@ type walkAnswer struct {
 // (an overlay shortcut, 1 extra round). Rounds = steps + 1, i.e.
 // Θ(log n) — exponentially slower than Algorithm 1's O(log log n).
 func BaselineWalkHGraph(seed uint64, h *hgraph.HGraph, k, steps int) *TokenWalkResult {
-	n := h.N()
-	net := sim.NewNetwork(sim.Config{Seed: seed})
+	n, d := h.N(), h.D()
 	res := &TokenWalkResult{Samples: make([][]int, n), Rounds: steps + 1}
 	idBits := sim.IDBits(n)
-	d := h.D()
-
-	idOf := func(v int) sim.NodeID { return sim.NodeID(v + 1) }
-
-	for v := 0; v < n; v++ {
-		v := v
-		net.Spawn(idOf(v), func(ctx *sim.Ctx) {
-			r := ctx.RNG()
-			moveToken := func(tok walkToken) {
-				e := r.Intn(d)
-				c := h.Cycle(e / 2)
-				var w int
-				if e%2 == 0 {
-					w = c.Pred(v)
-				} else {
-					w = c.Succ(v)
-				}
-				ctx.Send(idOf(w), tok, 2*idBits)
+	// The node program keeps nothing between rounds but its answers, so
+	// one handler serves every vertex.
+	walker := sim.HandlerFunc(func(ctx *sim.Ctx, inbox []sim.Message) bool {
+		v := int(ctx.ID()) - 1
+		r := ctx.RNG()
+		moveToken := func(tok walkToken) {
+			e := r.Intn(d)
+			c := h.Cycle(e / 2)
+			w := c.Succ(v)
+			if e%2 == 0 {
+				w = c.Pred(v)
 			}
+			ctx.Send(vertexID(w), tok, 2*idBits)
+		}
+		if ctx.Round() == 1 {
 			for j := 0; j < k; j++ {
 				moveToken(walkToken{Origin: int32(v), Step: 1})
 			}
-			for {
-				inbox := ctx.NextRound()
-				if ctx.Round() > steps+1 {
-					// Collect answers and stop.
-					for _, m := range inbox {
-						if a, ok := m.Payload.(walkAnswer); ok {
-							res.Samples[v] = append(res.Samples[v], int(a.Endpoint))
-						}
-					}
-					return
+			return true
+		}
+		last := ctx.Round() > steps+1 // the walks are over; only answers are read
+		for _, m := range inbox {
+			switch t := m.Payload.(type) {
+			case walkToken:
+				switch {
+				case last:
+				case int(t.Step) >= steps:
+					// Walk complete: report own id to origin.
+					ctx.Send(vertexID(int(t.Origin)), walkAnswer{Endpoint: int32(v)}, idBits)
+				default:
+					t.Step++
+					moveToken(t)
 				}
-				for _, m := range inbox {
-					switch t := m.Payload.(type) {
-					case walkToken:
-						if int(t.Step) >= steps {
-							// Walk complete: report own id to origin.
-							ctx.Send(idOf(int(t.Origin)), walkAnswer{Endpoint: int32(v)}, idBits)
-						} else {
-							t.Step++
-							moveToken(t)
-						}
-					case walkAnswer:
-						res.Samples[v] = append(res.Samples[v], int(t.Endpoint))
-					}
-				}
+			case walkAnswer:
+				res.Samples[v] = append(res.Samples[v], int(t.Endpoint))
 			}
-		})
+		}
+		return !last
+	})
+	res.run(seed, func(int) sim.Handler { return walker })
+	return res
+}
+
+// cubeWalker is one node of BaselineWalkHypercube. In round s ≤ dim it
+// adopts the tokens that arrived and moves each held token across
+// coordinate s by a fair coin; round dim+1 reports the endpoints to the
+// origins and round dim+2 reads the answers.
+type cubeWalker struct {
+	v      hypercube.Vertex
+	dim    int
+	idBits int
+	mine   []int32 // origins of the tokens held
+	res    *TokenWalkResult
+}
+
+func (nd *cubeWalker) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
+	step := ctx.Round()
+	if step > nd.dim+1 {
+		for _, m := range inbox {
+			if a, ok := m.Payload.(walkAnswer); ok {
+				nd.res.Samples[nd.v] = append(nd.res.Samples[nd.v], int(a.Endpoint))
+			}
+		}
+		return false
 	}
-	net.Run(steps + 2)
-	net.Shutdown()
-	for _, w := range net.Work() {
-		if w.MaxNodeBits > res.MaxNodeBits {
-			res.MaxNodeBits = w.MaxNodeBits
+	for _, m := range inbox {
+		if t, ok := m.Payload.(walkToken); ok {
+			nd.mine = append(nd.mine, t.Origin)
 		}
 	}
-	return res
+	if step > nd.dim {
+		for _, origin := range nd.mine {
+			ctx.Send(vertexID(int(origin)), walkAnswer{Endpoint: int32(nd.v)}, nd.idBits)
+		}
+		return true
+	}
+	r := ctx.RNG()
+	keep := nd.mine[:0]
+	for _, origin := range nd.mine {
+		if r.Coin() {
+			ctx.Send(vertexID(int(hypercube.Neighbor(nd.v, step))), walkToken{Origin: origin, Step: int32(step)}, 2*nd.idBits)
+		} else {
+			keep = append(keep, origin)
+		}
+	}
+	nd.mine = keep
+	return true
 }
 
 // BaselineWalkHypercube is the distributed d-round coin-flip sampler of
@@ -137,58 +178,14 @@ func BaselineWalkHGraph(seed uint64, h *hgraph.HGraph, k, steps int) *TokenWalkR
 // than Algorithm 2.
 func BaselineWalkHypercube(seed uint64, dim, k int) *TokenWalkResult {
 	n := hypercube.N(dim)
-	net := sim.NewNetwork(sim.Config{Seed: seed})
 	res := &TokenWalkResult{Samples: make([][]int, n), Rounds: dim + 1}
 	idBits := sim.IDBits(n)
-
-	idOf := func(v int) sim.NodeID { return sim.NodeID(v + 1) }
-
-	for v := 0; v < n; v++ {
-		v := hypercube.Vertex(v)
-		net.Spawn(idOf(int(v)), func(ctx *sim.Ctx) {
-			r := ctx.RNG()
-			// Tokens held by this node at the start of the current
-			// step; step s uses coordinate s (1-indexed).
-			type held struct{ origin int32 }
-			var mine []held
-			for j := 0; j < k; j++ {
-				mine = append(mine, held{origin: int32(v)})
-			}
-			for step := 1; step <= dim; step++ {
-				var keep []held
-				for _, t := range mine {
-					if r.Coin() {
-						ctx.Send(idOf(int(hypercube.Neighbor(v, step))), walkToken{Origin: t.origin, Step: int32(step)}, 2*idBits)
-					} else {
-						keep = append(keep, t)
-					}
-				}
-				mine = keep
-				inbox := ctx.NextRound()
-				for _, m := range inbox {
-					if t, ok := m.Payload.(walkToken); ok {
-						mine = append(mine, held{origin: t.Origin})
-					}
-				}
-			}
-			// Report endpoints to origins.
-			for _, t := range mine {
-				ctx.Send(idOf(int(t.origin)), walkAnswer{Endpoint: int32(v)}, idBits)
-			}
-			inbox := ctx.NextRound()
-			for _, m := range inbox {
-				if a, ok := m.Payload.(walkAnswer); ok {
-					res.Samples[int(v)] = append(res.Samples[int(v)], int(a.Endpoint))
-				}
-			}
-		})
-	}
-	net.Run(dim + 2)
-	net.Shutdown()
-	for _, w := range net.Work() {
-		if w.MaxNodeBits > res.MaxNodeBits {
-			res.MaxNodeBits = w.MaxNodeBits
+	res.run(seed, func(v int) sim.Handler {
+		nd := &cubeWalker{v: hypercube.Vertex(v), dim: dim, idBits: idBits, mine: make([]int32, k), res: res}
+		for j := range nd.mine {
+			nd.mine[j] = int32(v)
 		}
-	}
+		return nd
+	})
 	return res
 }

@@ -58,9 +58,10 @@ func (a *procAdapter) OnRound(ctx *Ctx, inbox []Message) bool {
 	return false
 }
 
-// run is the proc goroutine: it delivers the first inbox through
-// Ctx.FirstInbox, runs the proc to completion, and converts the
-// haltSignal unwind (a kill arriving at a NextRound park point) into a
+// run is the proc goroutine: it waits for the node's first round (whose
+// inbox is empty: nothing can have been sent to an id before it
+// existed), runs the proc to completion, and converts the haltSignal
+// unwind (a kill arriving at a NextRound park point) into a
 // normal exit. The final yield <- false hands control back to whichever
 // kernel-side call (OnRound or stop) is waiting.
 func (a *procAdapter) run(ctx *Ctx) {
@@ -75,11 +76,10 @@ func (a *procAdapter) run(ctx *Ctx) {
 		}
 		a.yield <- false
 	}()
-	first := <-a.resume
+	<-a.resume
 	if a.kill {
 		panic(haltSignal{})
 	}
-	ctx.pendingFirst = first
 	a.proc(ctx)
 }
 

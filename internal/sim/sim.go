@@ -11,11 +11,11 @@
 // goroutine, no channel, and no stack: its entire footprint is its
 // dense slot in the node table plus whatever state the Handler value
 // itself carries, which is what lets a single process simulate millions
-// of nodes. The classic blocking-coroutine API (Spawn with a Proc that
-// parks in Ctx.NextRound) is kept as a thin adapter over the handler
-// kernel: each Proc runs on a private goroutine that the adapter parks
-// between rounds and resumes from its own OnRound, so both styles mix
-// freely in one network and produce byte-identical results.
+// of nodes. Every protocol in the repository is written as a Handler.
+// Spawn, Proc and Ctx.NextRound (adapter.go) run a blocking program on a
+// private goroutine over the same kernel; nothing but this package's
+// tests and one bench probe (sim.coroutine_ns_per_msg) calls them, and
+// they go when that probe does.
 //
 // All randomness is deterministic: node v's generator is derived from
 // (network seed, v), node programs touch only their own state, and
@@ -87,15 +87,14 @@ const (
 // once per round, inline, with the messages delivered to the node this
 // round. The handler may call Ctx.Send any number of times and returns
 // whether the node stays in the network; returning false ends the
-// node's life (it leaves after its final sends are delivered, exactly
-// like a Proc returning). The inbox slice is only valid for the
-// duration of the call: the kernel recycles the buffer, so handlers
-// must copy any messages they keep.
+// node's life (it leaves after its final sends are delivered). The
+// inbox slice is only valid for the duration of the call: the kernel
+// recycles the buffer, so handlers must copy any messages they keep.
 //
 // OnRound may run on any kernel worker, but never concurrently with
 // itself or with another node's handler touching shared mutable state
-// it owns exclusively; like a Proc, a handler must confine itself to
-// its own node's state (plus Ctx) for results to stay deterministic.
+// it owns exclusively; a handler must confine itself to its own node's
+// state (plus Ctx) for results to stay deterministic.
 type Handler interface {
 	OnRound(ctx *Ctx, inbox []Message) bool
 }
@@ -106,12 +105,11 @@ type HandlerFunc func(ctx *Ctx, inbox []Message) bool
 // OnRound implements Handler.
 func (f HandlerFunc) OnRound(ctx *Ctx, inbox []Message) bool { return f(ctx, inbox) }
 
-// Proc is a node protocol in blocking-coroutine form. It is invoked in
-// the node's first round; it may compute, call Ctx.Send any number of
-// times, and must call Ctx.NextRound to end its round. Returning ends
-// the node's life (it leaves the network after its final sends are
-// delivered). Procs run through a per-node adapter goroutine over the
-// handler kernel; SpawnHandler avoids that cost entirely.
+// Proc is a node program in blocking-coroutine form (bench-only, see the
+// package comment). It is invoked in the node's first round; it may
+// compute, call Ctx.Send any number of times, and must call
+// Ctx.NextRound to end its round. Returning ends the node's life (it
+// leaves the network after its final sends are delivered).
 type Proc func(ctx *Ctx)
 
 // Config configures a Network.
@@ -503,10 +501,10 @@ func (n *Network) SpawnHandler(id NodeID, h Handler) {
 	n.order = append(n.order, s)
 }
 
-// Spawn adds a node running proc in blocking-coroutine form: a thin
-// adapter gives the proc a private goroutine that parks between rounds,
-// at a cost of roughly one goroutine stack plus two channels per node.
-// Prefer SpawnHandler for large networks.
+// Spawn adds a node running proc in blocking-coroutine form: an adapter
+// gives the proc a private goroutine that parks between rounds, at a
+// cost of roughly one goroutine stack plus two channels per node.
+// Bench-only (see the package comment); protocols use SpawnHandler.
 func (n *Network) Spawn(id NodeID, proc Proc) {
 	n.SpawnHandler(id, &procAdapter{net: n, proc: proc})
 }
@@ -664,23 +662,9 @@ func (n *Network) computeRange(plo, phi int, acc *shardAcc) {
 			// drop ledger (the reliable layer accounts them itself).
 			pend := st.inbox[st.fill]
 			if tr != nil {
-				if acc != nil {
-					for i := range pend {
-						if pend[i].lane != laneProtocol {
-							continue
-						}
-						acc.recvDrops = append(acc.recvDrops, dropEvent{
-							from: pend[i].From, to: st.id, bits: pend[i].Bits,
-							reason: DropBlockedReceiverDeliveryRound,
-						})
-					}
-				} else {
-					for i := range pend {
-						if pend[i].lane != laneProtocol {
-							continue
-						}
-						tr.MessageDropped(n.round, DropBlockedReceiverDeliveryRound,
-							pend[i].From, st.id, pend[i].Bits)
+				for i := range pend {
+					if pend[i].lane == laneProtocol {
+						n.traceDrop(acc, DropBlockedReceiverDeliveryRound, pend[i].From, st.id, pend[i].Bits)
 					}
 				}
 			}
@@ -772,19 +756,10 @@ func (n *Network) asyncInbox(st *nodeState, s int32, acc *shardAcc) []Message {
 	slices.SortFunc(due, pendingLess)
 	var box []Message
 	if n.blockedAny && n.blocked.Test(s) {
-		if tr := n.tracer; tr != nil {
+		if n.tracer != nil {
 			for i := range due {
-				if due[i].m.lane != laneProtocol {
-					continue // control lane stays out of the drop ledger
-				}
-				if acc != nil {
-					acc.recvDrops = append(acc.recvDrops, dropEvent{
-						from: due[i].m.From, to: st.id, bits: due[i].m.Bits,
-						reason: DropBlockedReceiverDeliveryRound,
-					})
-				} else {
-					tr.MessageDropped(n.round, DropBlockedReceiverDeliveryRound,
-						due[i].m.From, st.id, due[i].m.Bits)
+				if due[i].m.lane == laneProtocol { // control lane stays out of the drop ledger
+					n.traceDrop(acc, DropBlockedReceiverDeliveryRound, due[i].m.From, st.id, due[i].m.Bits)
 				}
 			}
 		}
@@ -835,16 +810,8 @@ func (n *Network) sendRange(plo, phi int, dlo, dhi int32, acc *shardAcc) (messag
 			// never enter Messages either).
 			if mine && tr != nil {
 				for i := range out {
-					if out[i].lane != laneProtocol {
-						continue
-					}
-					if acc != nil {
-						acc.sendDrops = append(acc.sendDrops, dropEvent{
-							from: out[i].From, to: out[i].To, bits: out[i].Bits,
-							reason: DropBlockedSender,
-						})
-					} else {
-						tr.MessageDropped(n.round, DropBlockedSender, out[i].From, out[i].To, out[i].Bits)
+					if out[i].lane == laneProtocol {
+						n.traceDrop(acc, DropBlockedSender, out[i].From, out[i].To, out[i].Bits)
 					}
 				}
 			}
@@ -868,13 +835,7 @@ func (n *Network) sendRange(plo, phi int, dlo, dhi int32, acc *shardAcc) (messag
 					if t < 0 {
 						reason = DropDeadReceiver
 					}
-					if acc != nil {
-						acc.sendDrops = append(acc.sendDrops, dropEvent{
-							from: m.From, to: m.To, bits: m.Bits, reason: reason,
-						})
-					} else {
-						tr.MessageDropped(n.round, reason, m.From, m.To, m.Bits)
-					}
+					n.traceDrop(acc, reason, m.From, m.To, m.Bits)
 				}
 				if mine {
 					if m.lane == laneProtocol {
@@ -915,24 +876,9 @@ func (n *Network) sendRange(plo, phi int, dlo, dhi int32, acc *shardAcc) (messag
 						}
 						if mine && tr != nil && m.lane == laneProtocol {
 							if copies == 0 {
-								if acc != nil {
-									acc.sendDrops = append(acc.sendDrops, dropEvent{
-										from: m.From, to: m.To, bits: m.Bits,
-										reason: DropFaultInjected,
-									})
-								} else {
-									tr.MessageDropped(n.round, DropFaultInjected, m.From, m.To, m.Bits)
-								}
+								n.traceDrop(acc, DropFaultInjected, m.From, m.To, m.Bits)
 							} else if copies > 1 && n.faultObs != nil {
-								if acc != nil {
-									acc.dups = append(acc.dups, dupEvent{
-										from: m.From, to: m.To, bits: m.Bits, copies: copies,
-									})
-								} else {
-									n.dupScratch = append(n.dupScratch, dupEvent{
-										from: m.From, to: m.To, bits: m.Bits, copies: copies,
-									})
-								}
+								n.traceDup(acc, m, copies)
 							}
 						}
 					}
@@ -941,13 +887,7 @@ func (n *Network) sendRange(plo, phi int, dlo, dhi int32, acc *shardAcc) (messag
 					if t < 0 {
 						reason = DropDeadReceiver
 					}
-					if acc != nil {
-						acc.sendDrops = append(acc.sendDrops, dropEvent{
-							from: m.From, to: m.To, bits: m.Bits, reason: reason,
-						})
-					} else {
-						tr.MessageDropped(n.round, reason, m.From, m.To, m.Bits)
-					}
+					n.traceDrop(acc, reason, m.From, m.To, m.Bits)
 				}
 				if mine {
 					if m.lane == laneProtocol {
@@ -1026,16 +966,8 @@ func (n *Network) sendRangeAsync(plo, phi int, dlo, dhi int32, acc *shardAcc) (m
 			// Blocked sender: the whole outbox is discarded.
 			if mine && tr != nil {
 				for i := range out {
-					if out[i].lane != laneProtocol {
-						continue
-					}
-					if acc != nil {
-						acc.sendDrops = append(acc.sendDrops, dropEvent{
-							from: out[i].From, to: out[i].To, bits: out[i].Bits,
-							reason: DropBlockedSender,
-						})
-					} else {
-						tr.MessageDropped(round, DropBlockedSender, out[i].From, out[i].To, out[i].Bits)
+					if out[i].lane == laneProtocol {
+						n.traceDrop(acc, DropBlockedSender, out[i].From, out[i].To, out[i].Bits)
 					}
 				}
 			}
@@ -1070,24 +1002,9 @@ func (n *Network) sendRangeAsync(plo, phi int, dlo, dhi int32, acc *shardAcc) (m
 						}
 						if mine && tr != nil && m.lane == laneProtocol {
 							if copies == 0 {
-								if acc != nil {
-									acc.sendDrops = append(acc.sendDrops, dropEvent{
-										from: m.From, to: m.To, bits: m.Bits,
-										reason: DropFaultInjected,
-									})
-								} else {
-									tr.MessageDropped(round, DropFaultInjected, m.From, m.To, m.Bits)
-								}
+								n.traceDrop(acc, DropFaultInjected, m.From, m.To, m.Bits)
 							} else if copies > 1 && n.faultObs != nil {
-								if acc != nil {
-									acc.dups = append(acc.dups, dupEvent{
-										from: m.From, to: m.To, bits: m.Bits, copies: copies,
-									})
-								} else {
-									n.dupScratch = append(n.dupScratch, dupEvent{
-										from: m.From, to: m.To, bits: m.Bits, copies: copies,
-									})
-								}
+								n.traceDup(acc, m, copies)
 							}
 						}
 					}
@@ -1096,13 +1013,7 @@ func (n *Network) sendRangeAsync(plo, phi int, dlo, dhi int32, acc *shardAcc) (m
 					if t < 0 {
 						reason = DropDeadReceiver
 					}
-					if acc != nil {
-						acc.sendDrops = append(acc.sendDrops, dropEvent{
-							from: m.From, to: m.To, bits: m.Bits, reason: reason,
-						})
-					} else {
-						tr.MessageDropped(round, reason, m.From, m.To, m.Bits)
-					}
+					n.traceDrop(acc, reason, m.From, m.To, m.Bits)
 				}
 				if mine {
 					if m.lane == laneProtocol {
@@ -1153,6 +1064,35 @@ func (n *Network) sendRangeAsync(plo, phi int, dlo, dhi int32, acc *shardAcc) (m
 		n.roundDeferred += deferred
 	}
 	return messages, totalBits, maxBits, anyHalted
+}
+
+// traceDrop reports one dropped protocol-lane message; callers have
+// checked that a tracer is attached. The serial path tells the tracer
+// directly; a shard worker (acc != nil) buffers the event for replay in
+// canonical order after the step — delivery-round drops, which belong
+// to the receive step, in a buffer of their own.
+func (n *Network) traceDrop(acc *shardAcc, reason DropReason, from, to NodeID, bits int) {
+	ev := dropEvent{from: from, to: to, bits: bits, reason: reason}
+	switch {
+	case acc == nil:
+		n.tracer.MessageDropped(n.round, reason, from, to, bits)
+	case reason == DropBlockedReceiverDeliveryRound:
+		acc.recvDrops = append(acc.recvDrops, ev)
+	default:
+		acc.sendDrops = append(acc.sendDrops, ev)
+	}
+}
+
+// traceDup buffers one injected duplication for the fault observer: on
+// the serial path too, so that the events replay after the send step as
+// they do under sharding.
+func (n *Network) traceDup(acc *shardAcc, m *Message, copies int) {
+	ev := dupEvent{from: m.From, to: m.To, bits: m.Bits, copies: copies}
+	if acc != nil {
+		acc.dups = append(acc.dups, ev)
+	} else {
+		n.dupScratch = append(n.dupScratch, ev)
+	}
 }
 
 // reap removes departed nodes from the spawn order and recycles their
@@ -1216,9 +1156,8 @@ type Ctx struct {
 	// stable for the node's lifetime, so holding the generator inline
 	// saves one allocation per node — at n=1M that is a full object
 	// (plus header) per node of footprint.
-	rng          rng.RNG
-	adapter      *procAdapter // non-nil only for coroutine nodes
-	pendingFirst []Message
+	rng     rng.RNG
+	adapter *procAdapter // non-nil only for coroutine nodes
 	// lookup is a tiny direct-mapped NodeID→slot cache in front of the
 	// network's id map: protocols overwhelmingly re-send to the same
 	// few neighbors, and a hit avoids the shared map probe entirely.
@@ -1285,12 +1224,6 @@ func (c *Ctx) Round() int { return c.net.round }
 
 // RNG returns the node's private deterministic generator.
 func (c *Ctx) RNG() *rng.RNG { return &c.rng }
-
-// FirstInbox returns the messages delivered in the node's first round.
-// It is empty for freshly spawned nodes (nothing can have been sent to
-// an id before it existed) but exposed for completeness. Handler nodes
-// receive their first inbox as the first OnRound argument instead.
-func (c *Ctx) FirstInbox() []Message { return c.pendingFirst }
 
 // Send queues a message for delivery in the next round. bits is the
 // message size for communication-work accounting. When a send hook is

@@ -23,14 +23,15 @@ func TestSelfSendDelivered(t *testing.T) {
 
 func TestFirstInboxEmpty(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
-	var n atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		n.Store(int64(len(ctx.FirstInbox())))
-	})
+	first := -1
+	net.SpawnHandler(1, HandlerFunc(func(_ *Ctx, inbox []Message) bool {
+		first = len(inbox)
+		return false
+	}))
 	net.Run(1)
 	net.Shutdown()
-	if n.Load() != 0 {
-		t.Fatalf("fresh node had %d messages in its first inbox", n.Load())
+	if first != 0 {
+		t.Fatalf("fresh node had %d messages in its first inbox", first)
 	}
 }
 

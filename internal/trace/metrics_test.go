@@ -20,16 +20,15 @@ func floodNet(n, fanout, shards int, tr sim.Tracer) *sim.Network {
 	if tr != nil {
 		net.SetTracer(tr)
 	}
+	flood := sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
+		idx := int(ctx.ID()) - 1
+		for j := 1; j <= fanout; j++ {
+			ctx.Send(sim.NodeID((idx+j)%n+1), "f", 64)
+		}
+		return true
+	})
 	for i := 0; i < n; i++ {
-		idx := i
-		net.Spawn(sim.NodeID(i+1), func(ctx *sim.Ctx) {
-			for {
-				for j := 1; j <= fanout; j++ {
-					ctx.Send(sim.NodeID((idx+j)%n+1), "f", 64)
-				}
-				ctx.NextRound()
-			}
-		})
+		net.SpawnHandler(sim.NodeID(i+1), flood)
 	}
 	return net
 }

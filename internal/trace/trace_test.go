@@ -18,30 +18,20 @@ import (
 func scenario(rec *Recorder) {
 	net := sim.NewNetwork(sim.Config{Seed: 9})
 	net.SetTracer(rec.Tracer("test"))
-	net.Spawn(1, func(ctx *sim.Ctx) {
-		for i := 0; i < 4; i++ {
-			ctx.Send(2, "m", 8)
-			ctx.Send(3, "m", 8)
-			ctx.Send(4, "m", 8)
-			ctx.NextRound()
+	idle := sim.HandlerFunc(func(*sim.Ctx, []sim.Message) bool { return true })
+	net.SpawnHandler(1, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
+		if ctx.Round() > 4 {
+			return false
 		}
-	})
-	net.Spawn(2, func(ctx *sim.Ctx) {
-		for i := 0; i < 8; i++ {
-			ctx.NextRound()
-		}
-	})
-	net.Spawn(3, func(ctx *sim.Ctx) {
-		for i := 0; i < 8; i++ {
-			ctx.NextRound()
-		}
-	})
-	net.Spawn(4, func(ctx *sim.Ctx) {}) // departs after round 1
-	net.Spawn(5, func(ctx *sim.Ctx) {
-		for {
-			ctx.NextRound()
-		}
-	})
+		ctx.Send(2, "m", 8)
+		ctx.Send(3, "m", 8)
+		ctx.Send(4, "m", 8)
+		return true
+	}))
+	net.SpawnHandler(2, idle)
+	net.SpawnHandler(3, idle)
+	net.SpawnHandler(4, sim.HandlerFunc(func(*sim.Ctx, []sim.Message) bool { return false })) // departs after round 1
+	net.SpawnHandler(5, idle)
 
 	net.Step()
 	net.Kill(5)
