@@ -237,7 +237,7 @@ func main() {
 	auditEvery := flag.Int("audit-every", 0, "invariant check cadence in engine ticks (0 = every tick)")
 	recoverOnly := flag.Bool("recover", false, "run the self-healing recovery experiment (adds R1 to -only)")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell stall watchdog (e.g. 5m); 0 disables")
-	maskWall := flag.Bool("maskwall", false, "blank wall-clock table columns (rounds/sec) so output can be diffed across runs and machines")
+	maskWall := flag.Bool("maskwall", false, "blank wall-clock table columns (rounds/sec) and omit the per-experiment seconds so output can be diffed across runs and machines")
 	// -latency runs every sim-kernel network under the discrete-event
 	// scheduler (the §5/§6 overlay stacks translate the model into a
 	// per-virtual-round delivery deadline only inside AS1, which sweeps
@@ -399,7 +399,11 @@ func main() {
 	for i, e := range selected {
 		<-done[i]
 		fmt.Println(results[i].table)
-		fmt.Printf("(%s: %s, %.1fs)\n\n", e.ID, e.Claim, results[i].elapsed.Seconds())
+		if *maskWall {
+			fmt.Printf("(%s: %s)\n\n", e.ID, e.Claim)
+		} else {
+			fmt.Printf("(%s: %s, %.1fs)\n\n", e.ID, e.Claim, results[i].elapsed.Seconds())
+		}
 	}
 	total := time.Since(runStart)
 	if prog != nil {

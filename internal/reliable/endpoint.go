@@ -44,9 +44,13 @@ type pendingTx struct {
 	to      sim.NodeID
 	env     Envelope
 	bits    int
-	nextAt  int // sim round the next attempt (or the failure) fires
+	nextAt  int // sim round the next attempt (or the failure) fires; acked once the ack is in
 	attempt int // retransmissions already sent (0 = only the original)
 }
+
+// acked marks a pendingTx whose ack has arrived; the retransmit scan
+// drops it.
+const acked = -1
 
 // bufEntry is one unwrapped arrival awaiting the phase boundary,
 // keyed for canonical delivery order.
@@ -177,11 +181,15 @@ func (e *Endpoint) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 		}
 	}
 
-	// Retransmit scan, in send order: due entries either fire their next
-	// attempt or exhaust the budget and report failure.
+	// Retransmit scan, in send order: acked entries go, due entries
+	// either fire their next attempt or exhaust the budget and report
+	// failure.
 	keep := e.pending[:0]
 	for i := range e.pending {
 		p := &e.pending[i]
+		if p.nextAt == acked {
+			continue
+		}
 		if r < p.nextAt {
 			keep = append(keep, *p)
 			continue
@@ -199,6 +207,7 @@ func (e *Endpoint) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 			uint64(ctx.ID()), uint64(p.to), p.attempt)
 		keep = append(keep, *p)
 	}
+	clear(e.pending[len(keep):]) // release the dropped envelopes' payloads
 	e.pending = keep
 
 	// Phase boundary: run one protocol round on the buffered arrivals.
@@ -244,16 +253,17 @@ func (e *Endpoint) sendEnvelope(ctx *sim.Ctx, to sim.NodeID, payload any, bits i
 	})
 }
 
-// ackPending clears the pending entry for seq (order-preserving) and
-// records the observed ack delay.
+// ackPending marks the pending entry for seq acked and records the
+// observed ack delay. pending is in ascending Seq order by construction
+// (sendEnvelope appends, the retransmit scan keeps order), so the entry
+// is found by binary search and removed by the scan's rewrite instead
+// of a memmove per ack.
 func (e *Endpoint) ackPending(ctx *sim.Ctx, r int, seq uint64) {
-	for i := range e.pending {
-		if e.pending[i].env.Seq == seq {
-			ctx.ObserveAckDelay(r - e.pending[i].env.Round)
-			e.pending = append(e.pending[:i], e.pending[i+1:]...)
-			return
-		}
+	i := sort.Search(len(e.pending), func(i int) bool { return e.pending[i].env.Seq >= seq })
+	// Unknown or already marked: a duplicate ack, or one that arrived
+	// after the budget ran out. Nothing to do.
+	if i < len(e.pending) && e.pending[i].env.Seq == seq && e.pending[i].nextAt != acked {
+		ctx.ObserveAckDelay(r - e.pending[i].env.Round)
+		e.pending[i].nextAt = acked
 	}
-	// Unknown seq: a duplicate ack, or an ack that arrived after the
-	// budget ran out. Nothing to do.
 }

@@ -9,14 +9,10 @@ import (
 	"testing"
 )
 
-// floodNet builds a network of n nodes that each send fanout messages
-// per round to deterministic targets, forever.
+// floodNet builds a network of n coroutine nodes that each send fanout
+// messages per round to deterministic targets, forever.
 func floodNet(n, fanout int) *Network {
-	return floodNetShards(n, fanout, 0)
-}
-
-func floodNetShards(n, fanout, shards int) *Network {
-	net := NewNetwork(Config{Seed: 1, Shards: shards})
+	net := NewNetwork(Config{Seed: 1})
 	for i := 0; i < n; i++ {
 		idx := i
 		payload := any(idx) // pre-boxed so the benchmark measures the kernel
@@ -36,7 +32,7 @@ func floodNetShards(n, fanout, shards int) *Network {
 // floodBenchHandler is floodNet's send pattern as one shared handler
 // value: per-node identity comes from the Ctx, so spawning a node costs
 // no closure or boxed payload — the per-node footprint the n=1M rows
-// measure is the kernel's own (slot + Ctx + recycled buffers).
+// measure is the kernel's own (slot + Ctx + its share of log and arena).
 type floodBenchHandler struct {
 	n, fanout int
 	payload   any // one pre-boxed value shared by every send
@@ -47,6 +43,22 @@ func (h *floodBenchHandler) OnRound(ctx *Ctx, _ []Message) bool {
 	for j := 0; j < h.fanout; j++ {
 		to := NodeID((idx+j*7+1)%h.n + 1)
 		ctx.Send(to, h.payload, 32)
+	}
+	return true
+}
+
+// randomFloodHandler is S2's shape: every round each node sends fanout
+// messages to targets drawn uniformly from its own generator, so
+// receivers are touched in random order.
+type randomFloodHandler struct {
+	n, fanout int
+	payload   any
+}
+
+func (h *randomFloodHandler) OnRound(ctx *Ctx, _ []Message) bool {
+	r := ctx.RNG()
+	for j := 0; j < h.fanout; j++ {
+		ctx.Send(NodeID(r.Intn(h.n)+1), h.payload, 32)
 	}
 	return true
 }
@@ -71,9 +83,29 @@ func floodHandlerNet(n, fanout, shards int) *Network {
 // per node), "handler" rows run the same flood as event-driven handlers
 // inline on the kernel. The handler rows extend to n=1M, which the
 // adapter mode cannot reach in this container's memory budget.
-// Allocations per round must stay near zero in steady state: inbox and
-// outbox buffers are recycled, and there is no sorting pass.
+// Allocations per round must stay near zero in steady state: send logs
+// and inbox arenas are overwritten in place. The cold-random row is the
+// other regime (S2's): a fresh network's first 8 rounds, random
+// targets, timed from the first Step — one op is all 8 rounds, spawn
+// excluded — where the logs and the arena are still growing.
 func BenchmarkStep(b *testing.B) {
+	b.Run("cold-random/n=100k", func(b *testing.B) {
+		const n, rounds = 100000, 8
+		h := &randomFloodHandler{n: n, fanout: 4, payload: any(0)}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			net := NewNetwork(Config{Seed: uint64(i + 1), SizeHint: n})
+			for v := 0; v < n; v++ {
+				net.SpawnHandler(NodeID(v+1), h)
+			}
+			b.StartTimer()
+			net.Run(rounds)
+			b.StopTimer()
+			net.Shutdown()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds*n*4), "ns/msg")
+	})
 	for _, bc := range []struct {
 		name    string
 		n       int
@@ -142,15 +174,15 @@ func BenchmarkStep(b *testing.B) {
 }
 
 // BenchmarkStepSharded measures the sharded intra-round delivery path
-// on the n=100k flood workload across worker counts. Results are
+// on the n=100k handler flood across worker counts. Results are
 // byte-identical for every shard count (pinned by
 // TestWorkLogByteIdentityAcrossShards); only wall time may differ, and
-// only on multi-core machines — on a single core the extra outbox scans
+// only on multi-core machines — on a single core the extra log scans
 // make sharding a net loss, which is why Shards defaults to 1.
 func BenchmarkStepSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("flood/n=100k/shards=%d", shards), func(b *testing.B) {
-			net := floodNetShards(100000, 4, shards)
+			net := floodHandlerNet(100000, 4, shards)
 			net.DisableWorkLog()
 			net.Run(2)
 			b.ReportAllocs()

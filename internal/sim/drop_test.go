@@ -1,135 +1,218 @@
 package sim
 
 import (
-	"sync/atomic"
+	"slices"
 	"testing"
 )
 
-// stateOf returns the dense slot state backing a live node — a test
-// helper for the white-box buffer assertions. The pointer is only valid
-// until the next Spawn (the node table may grow).
-func (n *Network) stateOf(id NodeID) *nodeState {
-	return &n.slots[n.nodes[id]]
+// indexed counts the ids the network can resolve — dense table and
+// overflow map together. White-box helper: a departed node must leave
+// no entry in either.
+func (n *Network) indexed() int {
+	k := len(n.sparse)
+	for _, s := range n.dense {
+		if s != 0 {
+			k++
+		}
+	}
+	return k
 }
 
-// TestDroppedMessagesDoNotLeak is the regression test for the old
-// leftover-mailbox hazard: messages addressed to blocked or departed
-// nodes must be dropped promptly — the receiver-side buffers are
-// truncated and their payload references zeroed, and departed nodes
-// leave no bookkeeping behind.
-func TestDroppedMessagesDoNotLeak(t *testing.T) {
-	net := NewNetwork(Config{Seed: 1})
-	payload := "heavy payload"
-	net.Spawn(1, func(ctx *Ctx) {
-		for i := 0; i < 6; i++ {
-			ctx.Send(2, payload, 8)
-			ctx.Send(3, payload, 8)
-			ctx.NextRound()
-		}
-	})
-	var delivered atomic.Int64
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 7; i++ {
-			delivered.Add(int64(len(ctx.NextRound())))
-		}
-	})
-	net.Spawn(3, func(ctx *Ctx) {}) // departs after round 1
+// inboxOf returns the pending inbox of a live node: its range of the
+// arena of the worker that filled it.
+func (n *Network) inboxOf(id NodeID) []Message {
+	st := &n.slots[n.slotOf(id)]
+	return n.mail[st.inW].arena[st.inLo:st.inHi]
+}
 
-	net.Step() // round 1: first sends go out; node 3 departs
-	if net.Exists(3) {
-		t.Fatal("node 3 should have departed")
-	}
-	if len(net.nodes) != 2 {
-		t.Fatalf("nodes map holds %d entries after a departure, want 2", len(net.nodes))
-	}
-	// Node 2 is blocked in round 2, its delivery round: the pending
-	// inbox must be dropped, not deferred.
-	net.SetBlocked(map[NodeID]bool{2: true})
-	net.Step()
-	st := net.stateOf(2)
-	for _, box := range st.inbox {
-		if len(box) != 0 {
-			t.Fatalf("blocked node kept %d pending messages", len(box))
+// stalePayloads counts payload references the delivery state holds
+// outside its live part: beyond the length of a log, an arena or a
+// scratch box, up to capacity.
+func (n *Network) stalePayloads() int {
+	k := 0
+	for w := range n.mail {
+		mb := &n.mail[w]
+		for _, e := range mb.log[len(mb.log):cap(mb.log)] {
+			if e.m.Payload != nil {
+				k++
+			}
 		}
-		// The dropped entries must have been zeroed so the payloads are
-		// collectable even while the buffer capacity is retained.
-		full := box[:cap(box)]
-		for i := range full {
-			if full[i].Payload != nil {
-				t.Fatalf("dropped message %d still references its payload", i)
+		for _, box := range [][]Message{mb.arena, mb.box} {
+			for _, m := range box[len(box):cap(box)] {
+				if m.Payload != nil {
+					k++
+				}
 			}
 		}
 	}
-	net.Run(6)
-	net.Shutdown()
-	// Node 1 sends in rounds 1..6. The round-1 send is dropped at
-	// delivery (receiver blocked in round 2) and the round-2 send is
-	// dropped at send time (receiver blocked in the send round); the
-	// remaining four arrive in rounds 4..7.
-	if delivered.Load() != 4 {
-		t.Fatalf("delivered %d messages, want 4", delivered.Load())
-	}
-	if net.NumAlive() != 0 {
-		t.Fatalf("%d nodes alive after shutdown", net.NumAlive())
-	}
-	if len(net.nodes) != 0 {
-		t.Fatalf("nodes map holds %d entries after shutdown, want 0", len(net.nodes))
+	return k
+}
+
+// burst sends k messages to each of the given ids in the rounds listed,
+// and nothing otherwise.
+func burst(k int, rounds map[int]bool, to ...NodeID) Handler {
+	return HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if rounds[ctx.Round()] {
+			for i := 0; i < k; i++ {
+				for _, id := range to {
+					ctx.Send(id, "heavy payload", 8)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// TestDroppedMessagesDoNotLeak is the regression test for the old
+// leftover-mailbox hazard: mail pending for a blocked node is dropped,
+// not deferred; once a round has passed, nothing outside the live part
+// of a log or arena still references a payload (and nothing at all after
+// Shutdown); departed nodes leave no bookkeeping behind.
+func TestDroppedMessagesDoNotLeak(t *testing.T) {
+	for _, lat := range []string{"sync", "uniform:1,2"} {
+		l, _ := ParseLatency(lat)
+		net := NewNetwork(Config{Seed: 1, Latency: l})
+		// Node 1 sends 8+8 messages in round 1 and 1+1 in rounds 2..6, so
+		// log and arena shrink after the first round.
+		net.SpawnHandler(1, burst(7, map[int]bool{1: true}, 2, 3))
+		net.SpawnHandler(4, burst(1, map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true, 6: true}, 2, 3))
+		delivered := 0
+		net.SpawnHandler(2, HandlerFunc(func(_ *Ctx, inbox []Message) bool {
+			delivered += len(inbox)
+			return true
+		}))
+		net.SpawnHandler(3, HandlerFunc(func(*Ctx, []Message) bool { return false })) // departs after round 1
+
+		net.Step() // round 1: first sends go out; node 3 departs
+		if net.Exists(3) || net.indexed() != 3 {
+			t.Fatalf("%s: node 3 still tracked: exists=%v indexed=%d, want 3", lat, net.Exists(3), net.indexed())
+		}
+		if lat == "sync" {
+			if got := len(net.inboxOf(2)); got != 8 {
+				t.Fatalf("node 2 has %d pending messages after round 1, want 8", got)
+			}
+		}
+		// Node 2 is blocked in round 2, its delivery round: the pending
+		// inbox must be dropped, not deferred.
+		net.SetBlocked(map[NodeID]bool{2: true})
+		net.Step()
+		if delivered != 0 {
+			t.Fatalf("%s: blocked node received %d messages", lat, delivered)
+		}
+		if lat == "sync" {
+			// Round 2's only deliverable sends went to the blocked node
+			// (send-round half) and the departed one: the arena is empty.
+			if got := len(net.inboxOf(2)); got != 0 {
+				t.Fatalf("blocked node kept %d pending messages", got)
+			}
+		}
+		net.Step()
+		if k := net.stalePayloads(); k != 0 {
+			t.Fatalf("%s: %d messages beyond the live log/arena still reference a payload", lat, k)
+		}
+		net.Run(5)
+		if lat == "sync" {
+			// Node 4 sends in rounds 1..6. The round-1 burst is dropped at
+			// delivery (receiver blocked in round 2) and the round-2 send at
+			// send time (receiver blocked in the send round); the remaining
+			// four arrive in rounds 4..7.
+			if delivered != 4 {
+				t.Fatalf("delivered %d messages, want 4", delivered)
+			}
+		}
+		net.Shutdown()
+		if net.NumAlive() != 0 || net.indexed() != 0 {
+			t.Fatalf("%s: after shutdown alive=%d indexed=%d, want 0/0", lat, net.NumAlive(), net.indexed())
+		}
+		for w := range net.mail {
+			if mb := &net.mail[w]; mb.log != nil || mb.arena != nil || mb.box != nil {
+				t.Fatalf("%s: Shutdown kept worker %d's log/arena", lat, w)
+			}
+		}
+		for s := range net.slots {
+			st := &net.slots[s]
+			if st.inLo != st.inHi {
+				t.Fatalf("%s: slot %d kept its inbox range after shutdown", lat, s)
+			}
+			for _, pm := range st.future[:cap(st.future)] {
+				if pm.m.Payload != nil {
+					t.Fatalf("%s: slot %d's calendar still references a payload after shutdown", lat, s)
+				}
+			}
+		}
 	}
 }
 
 // TestKilledNodeBuffersReleased checks that killing a node removes all
-// of its network-side state in the same round.
+// of its network-side state in the same round: no index entry, an empty
+// inbox range for the slot's next occupant.
 func TestKilledNodeBuffersReleased(t *testing.T) {
-	net := NewNetwork(Config{Seed: 2})
-	net.Spawn(1, func(ctx *Ctx) {
-		for {
-			ctx.Send(2, "x", 4)
-			ctx.NextRound()
+	for _, id := range []NodeID{2, 1<<40 + 2} {
+		net := NewNetwork(Config{Seed: 2})
+		every := map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true}
+		net.SpawnHandler(1, burst(1, every, id))
+		net.SpawnHandler(id, burst(0, nil))
+		net.Step()
+		s := net.slotOf(id)
+		net.Kill(id)
+		net.Step()
+		if net.Exists(id) || net.indexed() != 1 {
+			t.Fatalf("killed node %d still tracked: exists=%v indexed=%d", id, net.Exists(id), net.indexed())
 		}
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for {
-			ctx.NextRound()
+		if st := &net.slots[s]; st.inLo != st.inHi || st.h != nil || st.ctx != nil {
+			t.Fatalf("freed slot keeps state: %+v", *st)
 		}
-	})
-	net.Step()
-	net.Kill(2)
-	net.Step()
-	if net.Exists(2) || len(net.nodes) != 1 {
-		t.Fatalf("killed node still tracked: exists=%v nodes=%d", net.Exists(2), len(net.nodes))
+		// Sends to the dead id must keep being dropped without error, and
+		// must not reach the node that takes over the slot.
+		got := 0
+		net.SpawnHandler(id+1, HandlerFunc(func(_ *Ctx, inbox []Message) bool { got += len(inbox); return true }))
+		if net.slotOf(id+1) != s {
+			t.Fatalf("test premise broken: slot %d not reused", s)
+		}
+		net.Run(3)
+		net.Shutdown()
+		if got != 0 {
+			t.Fatalf("slot's next occupant received %d messages addressed to the dead id", got)
+		}
 	}
-	// Sends to the dead id must keep being dropped without error.
-	net.Run(3)
-	net.Shutdown()
 }
 
-// TestInboxBufferReuse pins the Layer-2 property the benchmarks rely
-// on: in steady state the network recycles each node's inbox buffers
-// instead of allocating fresh ones every round.
+// TestInboxBufferReuse pins the property the benchmarks rely on: in
+// steady state the send logs and inbox arenas are overwritten in place —
+// their capacity does not move and a round allocates nothing — on the
+// serial, sharded and calendar paths alike.
 func TestInboxBufferReuse(t *testing.T) {
-	net := NewNetwork(Config{Seed: 3})
-	const rounds = 32
-	net.Spawn(1, func(ctx *Ctx) {
-		for i := 0; i < rounds+2; i++ {
-			ctx.Send(2, i, 8)
-			ctx.NextRound()
+	for _, tc := range []struct {
+		shards int
+		lat    Latency
+	}{{1, Latency{}}, {3, Latency{}}, {1, Latency{Kind: LatencyConst, A: 1}}} {
+		net := NewNetwork(Config{Seed: 3, Shards: tc.shards, Latency: tc.lat})
+		for v := 0; v < 64; v++ {
+			net.SpawnHandler(NodeID(v+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+				for j := 0; j < 3; j++ {
+					ctx.Send(NodeID((int(ctx.ID())*7+j*11)%64+1), j, 8)
+				}
+				return true
+			}))
 		}
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < rounds+2; i++ {
-			ctx.NextRound()
+		net.DisableWorkLog()
+		net.Run(3) // reach the steady state
+		caps := func() (c []int) {
+			for w := range net.mail {
+				c = append(c, cap(net.mail[w].log), cap(net.mail[w].arena))
+			}
+			return c
 		}
-	})
-	net.Run(3) // populate both buffers
-	st := net.stateOf(2)
-	c0, c1 := cap(st.inbox[0]), cap(st.inbox[1])
-	if c0 == 0 || c1 == 0 {
-		t.Fatalf("expected both inbox buffers populated, caps %d/%d", c0, c1)
+		before := caps()
+		if before[0] == 0 || !tc.lat.Enabled() && before[1] == 0 {
+			t.Fatalf("shards=%d %v: log/arena never populated: %v", tc.shards, tc.lat, before)
+		}
+		if allocs := testing.AllocsPerRun(32, net.Step); allocs != 0 {
+			t.Errorf("shards=%d %v: %v allocs per steady round, want 0", tc.shards, tc.lat, allocs)
+		}
+		if after := caps(); !slices.Equal(before, after) {
+			t.Errorf("shards=%d %v: log/arena capacities moved: %v -> %v", tc.shards, tc.lat, before, after)
+		}
+		net.Shutdown()
 	}
-	net.Run(rounds)
-	if cap(st.inbox[0]) != c0 || cap(st.inbox[1]) != c1 {
-		t.Fatalf("inbox buffers reallocated: caps %d/%d -> %d/%d",
-			c0, c1, cap(st.inbox[0]), cap(st.inbox[1]))
-	}
-	net.Shutdown()
 }

@@ -54,16 +54,16 @@ func TestWorkLogByteIdenticalAcrossModes(t *testing.T) {
 	}
 }
 
-// TestLookupCacheSlotReuse guards the per-Ctx id→slot cache against
-// slot recycling: after a cached receiver dies and its dense slot is
+// TestLookupCacheSlotReuse guards id→slot resolution against slot
+// recycling: after a receiver dies and its dense slot is
 // reused by a freshly spawned node with a different id, sends to the
 // dead id must be absorbed — never delivered to the slot's new
 // occupant — and sends to the new id must reach it.
 func TestLookupCacheSlotReuse(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 
-	// Sender 1 sends to id 2 every round (priming its lookup cache with
-	// id 2's slot), and to id 3 once that node exists.
+	// Sender 1 sends to id 2 every round, and to id 3 once that node
+	// exists.
 	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
 		ctx.Send(2, "to-dead", 8)
 		ctx.Send(3, "to-new", 8)
@@ -77,13 +77,13 @@ func TestLookupCacheSlotReuse(t *testing.T) {
 		return true
 	}))
 
-	net.Step() // round 1: sends queued, cache primed
+	net.Step() // round 1: sends queued
 	net.Step() // round 2: node 2 receives
 	if len(victimGot) != 1 || victimGot[0] != "to-dead" {
 		t.Fatalf("victim inbox before kill = %v", victimGot)
 	}
 
-	victimSlot := net.nodes[2]
+	victimSlot := net.slotOf(2)
 	net.Kill(2)
 	net.Step() // node 2 absorbs its final round, then its slot is freed
 	net.SpawnHandler(3, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
@@ -92,7 +92,7 @@ func TestLookupCacheSlotReuse(t *testing.T) {
 		}
 		return true
 	}))
-	if got := net.nodes[3]; got != victimSlot {
+	if got := net.slotOf(3); got != victimSlot {
 		t.Fatalf("test premise broken: node 3 got slot %d, want recycled slot %d", got, victimSlot)
 	}
 

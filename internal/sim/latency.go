@@ -270,10 +270,10 @@ func (l Latency) Late(seed uint64, round int, from, to uint64) bool {
 // future queue until the round containing its arrival tick.
 type pendingMsg struct {
 	m    Message
-	tick uint64 // absolute arrival tick (send round * tickScale + delay)
+	tick uint64 // absolute arrival tick (send round * tickScale + delay); delivered in round ceil(tick/tickScale)
+	seq  uint64 // sender's send sequence (tie-break 4)
 	srnd int32  // send round (tie-break 2)
 	pos  int32  // sender position in canonical order at send time (tie-break 3)
-	rnd  int32  // delivery round: ceil(tick/tickScale), at least srnd+1
 }
 
 // pendingLess is the total delivery order: arrival tick, then send
@@ -298,8 +298,8 @@ func pendingLess(a, b pendingMsg) int {
 			return -1
 		}
 		return 1
-	case a.m.seq != b.m.seq:
-		if a.m.seq < b.m.seq {
+	case a.seq != b.seq:
+		if a.seq < b.seq {
 			return -1
 		}
 		return 1

@@ -4,10 +4,11 @@
 //
 // Determinism argument: canonical inbox order — (sender spawn order,
 // send sequence) — is a property of the partition, not the schedule.
-// In the send step every worker scans *all* outboxes in spawn order but
-// appends only the messages whose receiver slot falls in its contiguous
-// slot range; since each inbox is written by exactly one worker, which
-// visits senders in the same spawn order the serial kernel does, every
+// In the send step every worker scans *all* send logs in worker order
+// (spawn order) but counts and scatters only the messages whose receiver
+// slot falls in its contiguous slot range, into its own arena; since each
+// inbox is written by exactly one worker, which visits senders in the
+// same spawn order the serial kernel does, and the sort is stable, every
 // inbox ends up byte-identical for any S. Accounting is partitioned by
 // contiguous sender-position ranges with per-shard partial sums merged
 // in shard order (sums and maxes are associative, and sample slices
@@ -16,8 +17,8 @@
 // in shard order, which again equals the serial call order. The compute
 // step is partitioned by position range the same way; handlers run
 // inline on the worker owning their node's position, touch only their
-// own node's state plus round-constant shared structures (the id map
-// and other slots' identity fields, which never mutate mid-round), and
+// own node's state, their worker's log, and round-constant shared
+// structures (the id index and other slots' identity fields), and
 // draw randomness from per-node generators, so the partition cannot
 // change any node's behavior.
 package sim
@@ -163,20 +164,15 @@ func (n *Network) runShard(phase, w int) {
 	case phaseCompute:
 		acc.reset()
 		plo, phi := chunk(len(n.order), n.shards, w)
-		n.computeRange(plo, phi, acc)
+		n.computeRange(plo, phi, w, acc)
 		if timed {
 			acc.computeNS = time.Since(t0).Nanoseconds()
 		}
 	case phaseSend:
 		plo, phi := chunk(len(n.order), n.shards, w)
 		slo, shi := chunk(len(n.slots), n.shards, w)
-		if n.async {
-			acc.messages, acc.totalBits, acc.maxBits, acc.anyHalted =
-				n.sendRangeAsync(plo, phi, int32(slo), int32(shi), acc)
-		} else {
-			acc.messages, acc.totalBits, acc.maxBits, acc.anyHalted =
-				n.sendRange(plo, phi, int32(slo), int32(shi), acc)
-		}
+		acc.messages, acc.totalBits, acc.maxBits, acc.anyHalted =
+			n.sendRange(w, plo, phi, int32(slo), int32(shi), acc)
 		if timed {
 			acc.sendNS = time.Since(t0).Nanoseconds()
 		}

@@ -24,10 +24,14 @@
 // configuration.
 //
 // Layout: every live node occupies a dense int32 slot in a slice-backed
-// node table; the NodeID→slot map is consulted only at the spawn/kill
-// boundary and once per Send (with a per-node cache in front), so the
-// round loop itself performs zero map operations. The per-round
-// DoS-blocked set and the kill-request set are bitsets indexed by slot.
+// node table, found from its id through a dense id-indexed table (a map
+// only for ids far beyond the number ever spawned). Ctx.Send appends to
+// its worker's send log; the send step is a stable counting sort from
+// the logs into one flat inbox arena per worker — decide and count per
+// receiver slot, prefix-sum, scatter — so a node's inbox is a range of
+// the arena, nothing is buffered per node, and the round loop performs
+// no map operation. The per-round DoS-blocked set and the kill-request
+// set are bitsets indexed by slot.
 // With Config.Shards > 1 the compute (receive + handler execution) and
 // send/delivery steps run on a persistent worker pool, partitioned so
 // that results — tables, work logs, and tracer accounting — are
@@ -63,9 +67,31 @@ type Message struct {
 	// (the paper counts bits sent plus bits received per round).
 	Bits int
 
-	seq  uint64 // per-sender send sequence, for canonical inbox order
-	slot int32  // receiver's dense slot, resolved at Send time; -1 = no such node
-	lane uint8  // laneProtocol, or a control lane (reliability traffic)
+	slot int32 // receiver's dense slot, resolved at Send time; -1 = no such node
+	lane uint8 // laneProtocol, or a control lane (reliability traffic)
+}
+
+// sent is one send-log entry: the message plus the number of inbox
+// entries to place for it, decided by the receiver's owner in the count
+// pass. Its per-sender send sequence (injector identity, calendar
+// tie-break) is not stored: a node's sends of one round are consecutive
+// and end at nodeState.seq.
+type sent struct {
+	m      Message
+	copies int32
+}
+
+// mailbag is one worker's share of the delivery state (a serial network
+// has exactly one). The log holds this round's sends of the nodes the
+// worker computed, in spawn order; the arena holds the inboxes of the
+// receiver slots the worker owns, one contiguous range per slot. Both
+// are overwritten every round, so only the tail beyond the new length
+// is cleared and a steady state allocates nothing. box is the async
+// path's scratch inbox, rebuilt per node.
+type mailbag struct {
+	log   []sent
+	arena []Message
+	box   []Message
 }
 
 // Message lanes. Protocol-lane messages are the paper's messages and
@@ -123,9 +149,10 @@ type Config struct {
 	// identical results at a fixed seed; values > 1 only pay off on
 	// multi-core machines and large networks.
 	Shards int
-	// SizeHint, when positive, presizes the node table, id map, and
-	// slot-indexed bitsets for that many nodes. Purely a capacity hint:
-	// it never changes results, only avoids the incremental growth
+	// SizeHint, when positive, presizes the node table, the dense id
+	// table (ids up to twice the hint stay off the overflow map whatever
+	// the spawn order) and the slot-indexed bitsets. Purely a capacity
+	// hint: it never changes results, only avoids the incremental growth
 	// (and its transient copies) while spawning a large network — worth
 	// setting for the n=1M scale runs, irrelevant below ~100k.
 	SizeHint int
@@ -151,8 +178,8 @@ var envShards = func() func() int {
 	}
 }()
 
-// maxShards bounds the worker pool; the delivery step scans every
-// outbox once per shard, so very high counts cost more than they win.
+// maxShards bounds the worker pool; the delivery step scans every send
+// log once per shard, so very high counts cost more than they win.
 const maxShards = 64
 
 // RoundWork summarizes the communication work of one round. The
@@ -171,7 +198,7 @@ type RoundWork struct {
 }
 
 // ackDelayBuckets sizes the log2 histogram of ack round trips: bucket
-// b counts acks whose send→ack delay was in [2^(b-1), 2^b) rounds
+// b counts acks whose send→ack delay was in [2^b, 2^(b+1)) rounds
 // (bucket 0 is delay <= 1), with the last bucket absorbing the tail.
 const ackDelayBuckets = 8
 
@@ -223,22 +250,21 @@ type ReliabilityTotals struct {
 
 type haltSignal struct{}
 
-// nodeState is one dense slot of the node table. The two inbox buffers
-// are reused round after round: while the node consumes one, the send
-// step fills the other, so the steady state allocates nothing. Slots
-// are recycled through a free list when nodes depart; their buffers
-// stay with the slot for the next occupant.
+// nodeState is one dense slot of the node table. It owns no message
+// buffer: this round's sends are mail[w].log[outLo:outHi] and the
+// pending inbox is mail[inW].arena[inLo:inHi]. Slots are recycled
+// through a free list when nodes depart.
 type nodeState struct {
-	id     NodeID
-	h      Handler
-	ctx    *Ctx
-	outbox []Message
-	inbox  [2][]Message // double-buffered receive queues
-	fill   uint8        // inbox index accepting the current round's sends
-	live   bool         // slot is occupied
-	halted bool         // handler returned false or node was killed
-	seq    uint64
-	bits   int64 // sent+received bits in the current round
+	id           NodeID
+	h            Handler
+	ctx          *Ctx
+	seq          uint64
+	bits         int64 // sent+received bits in the current round
+	outLo, outHi int32
+	inLo, inHi   int32
+	w, inW       uint8 // workers that computed the node / filled its inbox (slot chunks move with Spawn, so recorded)
+	live         bool  // slot is occupied
+	halted       bool  // handler returned false or node was killed
 	// future is the node's event calendar in async mode: messages
 	// parked until the round containing their arrival tick. Unordered;
 	// the compute step extracts and sorts the due entries. Always empty
@@ -252,10 +278,22 @@ type nodeState struct {
 type Network struct {
 	root  *rng.RNG
 	round int
-	slots []nodeState      // dense node table, indexed by slot
-	free  []int32          // recycled slots (LIFO)
-	nodes map[NodeID]int32 // id → slot; touched only at Spawn/Kill/Send boundaries
-	order []int32          // live slots in spawn order; determines scheduling
+	slots []nodeState // dense node table, indexed by slot
+	free  []int32     // recycled slots (LIFO)
+	order []int32     // live slots in spawn order; determines scheduling
+
+	// id → slot (see slotOf). dense[id] is slot+1 for every id below
+	// 2·max(spawned, SizeHint)+denseSlack at its spawn — all of v+1 and
+	// any monotone counter, however long the run — and sparse holds the
+	// rest. The bound follows ids ever spawned, not live nodes, so the
+	// table neither decays onto the map nor grows past O(spawned).
+	dense   []int32
+	sparse  map[NodeID]int32
+	spawned int
+	hint    int
+
+	mail   []mailbag // per-worker send logs and inbox arenas
+	cursor []int32   // per-slot count, then write cursor, of the send step
 
 	pendingBlocked Bitset // applies to the next Step (built by SetBlocked)
 	pendingAny     bool
@@ -343,7 +381,8 @@ func NewNetwork(cfg Config) *Network {
 	}
 	n := &Network{
 		root:       rng.New(cfg.Seed),
-		nodes:      make(map[NodeID]int32, hint),
+		hint:       hint,
+		mail:       make([]mailbag, shards),
 		recordWork: true,
 		shards:     shards,
 		lat:        cfg.Latency,
@@ -353,6 +392,8 @@ func NewNetwork(cfg Config) *Network {
 	if hint > 0 {
 		n.slots = make([]nodeState, 0, hint)
 		n.order = make([]int32, 0, hint)
+		n.dense = make([]int32, 0, hint+1)
+		n.cursor = make([]int32, 0, hint)
 		n.blocked = GrowBitset(nil, hint)
 		n.pendingBlocked = GrowBitset(nil, hint)
 		n.killReq = GrowBitset(nil, hint)
@@ -415,9 +456,47 @@ func (n *Network) Alive() []NodeID {
 }
 
 // Exists reports whether a node with the given id is currently alive.
-func (n *Network) Exists(id NodeID) bool {
-	_, ok := n.nodes[id]
-	return ok
+func (n *Network) Exists(id NodeID) bool { return n.slotOf(id) >= 0 }
+
+// denseSlack is the headroom of the dense id table beyond twice the
+// number of ids ever spawned.
+const denseSlack = 1024
+
+// slotOf maps an id to its dense slot, or -1 if no such node is alive.
+// Nodes call it from Send during the compute step; the index is never
+// mutated while nodes compute, so the concurrent reads are safe. Dead
+// ids are never reused, so a miss stays correct.
+func (n *Network) slotOf(id NodeID) int32 {
+	if id < NodeID(len(n.dense)) {
+		if s := n.dense[id]; s != 0 {
+			return s - 1
+		}
+	}
+	if len(n.sparse) != 0 {
+		if s, ok := n.sparse[id]; ok {
+			return s
+		}
+	}
+	return -1
+}
+
+// setSlot records id → s at Spawn, or forgets the id with s < 0 when the
+// node departs.
+func (n *Network) setSlot(id NodeID, s int32) {
+	switch {
+	case id < NodeID(len(n.dense)) && (s >= 0 || n.dense[id] != 0):
+		n.dense[id] = s + 1
+	case s < 0:
+		delete(n.sparse, id)
+	case id < NodeID(2*max(n.spawned, n.hint)+denseSlack):
+		n.dense = append(n.dense, make([]int32, int(id)+1-len(n.dense))...)
+		n.dense[id] = s + 1
+	default:
+		if n.sparse == nil {
+			n.sparse = make(map[NodeID]int32)
+		}
+		n.sparse[id] = s
+	}
 }
 
 // Work returns the per-round communication-work log.
@@ -436,41 +515,26 @@ func (n *Network) allocSlot() int32 {
 	n.blocked = GrowBitset(n.blocked, len(n.slots))
 	n.pendingBlocked = GrowBitset(n.pendingBlocked, len(n.slots))
 	n.killReq = GrowBitset(n.killReq, len(n.slots))
+	n.cursor = append(n.cursor, 0)
 	return s
 }
 
-// freeSlot returns a departed node's slot to the free list. Buffer
-// capacity stays with the slot for reuse, but message contents are
-// zeroed so payload references are released, the handler and Ctx are
-// dropped, and all slot-indexed bits are cleared for the next occupant.
-// A coroutine adapter whose goroutine is still parked (the node was
-// killed rather than returning) is unwound here.
+// freeSlot returns a departed node's slot to the free list: the handler
+// and Ctx are dropped, the inbox range is emptied so the next occupant
+// starts with none (mail placed for the departed node this round is
+// absorbed; its payloads go when the arena is next overwritten), and all
+// slot-indexed bits are cleared. A coroutine adapter whose goroutine is
+// still parked (the node was killed rather than returning) is unwound
+// here.
 func (n *Network) freeSlot(s int32) {
 	st := &n.slots[s]
 	if a, ok := st.h.(*procAdapter); ok {
 		a.stop()
 	}
-	for k := range st.inbox {
-		clear(st.inbox[k])
-		st.inbox[k] = st.inbox[k][:0]
-	}
-	clear(st.outbox)
-	st.outbox = st.outbox[:0]
-	if len(st.future) != 0 {
-		// In-flight messages to a departed node are absorbed, exactly
-		// like the synchronous kernel's undelivered inbox; clearing also
-		// keeps them from reaching the slot's next occupant.
-		clear(st.future)
-		st.future = st.future[:0]
-	}
-	st.id = 0
-	st.h = nil
-	st.ctx = nil
-	st.live = false
-	st.halted = false
-	st.fill = 0
-	st.seq = 0
-	st.bits = 0
+	// In-flight calendar entries to a departed node are absorbed the same
+	// way; clearing also keeps them from the slot's next occupant.
+	clear(st.future)
+	*st = nodeState{future: st.future[:0]}
 	n.killReq.Unset(s)
 	n.blocked.Unset(s)
 	n.pendingBlocked.Unset(s)
@@ -485,7 +549,7 @@ func (n *Network) SpawnHandler(id NodeID, h Handler) {
 	if h == nil {
 		panic("sim: nil handler")
 	}
-	if _, ok := n.nodes[id]; ok {
+	if n.slotOf(id) >= 0 {
 		panic(fmt.Sprintf("sim: duplicate node id %d", id))
 	}
 	s := n.allocSlot()
@@ -494,7 +558,8 @@ func (n *Network) SpawnHandler(id NodeID, h Handler) {
 	st.live = true
 	st.h = h
 	st.ctx = &Ctx{net: n, slot: s, rng: *n.root.Split(uint64(id))}
-	n.nodes[id] = s
+	n.setSlot(id, s)
+	n.spawned++
 	if n.tracer != nil {
 		n.tracer.NodeSpawned(n.round, id)
 	}
@@ -514,7 +579,7 @@ func (n *Network) Spawn(id NodeID, proc Proc) {
 // round — messages addressed to it in its final round are absorbed, not
 // counted as drops, exactly as for a node whose program returns).
 func (n *Network) Kill(id NodeID) {
-	if s, ok := n.nodes[id]; ok {
+	if s := n.slotOf(id); s >= 0 {
 		n.killReq.Set(s)
 		if n.tracer != nil {
 			n.tracer.NodeKilled(n.round, id)
@@ -535,7 +600,7 @@ func (n *Network) SetBlocked(blocked map[NodeID]bool) {
 		if !b {
 			continue
 		}
-		if s, ok := n.nodes[id]; ok {
+		if s := n.slotOf(id); s >= 0 {
 			n.pendingBlocked.Set(s)
 			n.pendingAny = true
 		}
@@ -563,20 +628,13 @@ func (n *Network) Step() {
 	if n.shards > 1 {
 		messages, totalBits, maxBits, anyHalted = n.stepSharded()
 	} else {
-		// Compute step: hand each node the inbox filled during the
-		// previous send step (empty if blocked in this round — the
-		// "receiver non-blocked in round i+1" half of the rule; the
-		// other half was enforced at send time) and run its handler
-		// inline.
-		n.computeRange(0, len(n.order), nil)
-		// Send step: drain outboxes in deterministic spawn order,
-		// appending each message to its receiver's fill buffer (or, in
-		// async mode, parking it in the receiver's event calendar).
-		if n.async {
-			messages, totalBits, maxBits, anyHalted = n.sendRangeAsync(0, len(n.order), 0, int32(len(n.slots)), nil)
-		} else {
-			messages, totalBits, maxBits, anyHalted = n.sendRange(0, len(n.order), 0, int32(len(n.slots)), nil)
-		}
+		// Compute step: hand each node the inbox the previous send step
+		// placed (empty if blocked in this round — the "receiver
+		// non-blocked in round i+1" half of the rule; the other half was
+		// enforced at send time) and run its handler inline. Send step:
+		// sort the log into the arena (or, in async mode, the calendars).
+		n.computeRange(0, len(n.order), 0, nil)
+		messages, totalBits, maxBits, anyHalted = n.sendRange(0, 0, len(n.order), 0, int32(len(n.slots)), nil)
 		if len(n.dupScratch) > 0 {
 			for _, d := range n.dupScratch {
 				n.faultObs.MessageDuplicated(n.round, d.from, d.to, d.bits, d.copies)
@@ -630,52 +688,41 @@ func (n *Network) Step() {
 	}
 }
 
-// computeRange runs the merged receive + compute step for spawn-order
-// positions [plo, phi): it clears the node's stale outbox from the
-// previous round, hands over (or, for blocked receivers, drops) the
-// pending inbox, and invokes the node's handler inline — unless a kill
-// was requested, in which case the node halts without computing.
+// computeRange runs the merged receive + compute step of worker w for
+// spawn-order positions [plo, phi): it restarts the worker's send log,
+// hands each node its pending inbox (or, for blocked receivers, drops
+// it), and invokes the node's handler inline — unless a kill was
+// requested, in which case the node halts without computing.
 // acc != nil buffers tracer events and samples per shard instead of
 // calling the tracer directly (workers must not touch it concurrently);
 // they are replayed in canonical order afterwards.
-func (n *Network) computeRange(plo, phi int, acc *shardAcc) {
+func (n *Network) computeRange(plo, phi, w int, acc *shardAcc) {
 	tr := n.tracer
 	slots := n.slots
 	blocked, anyB := n.blocked, n.blockedAny
+	mb := &n.mail[w]
+	stale := len(mb.log)
+	mb.log = mb.log[:0]
 	for p := plo; p < phi; p++ {
 		s := n.order[p]
 		st := &slots[s]
-		if out := st.outbox; len(out) != 0 {
-			// Delivered last round by the send step; zero the entries so
-			// payload references are released, keep the capacity.
-			clear(out)
-			st.outbox = out[:0]
-		}
 		var box []Message
 		if n.async {
 			// Event-scheduler receive step: deliver (or, when blocked,
 			// drop) the calendar entries due this round.
-			box = n.asyncInbox(st, s, acc)
-		} else if anyB && blocked.Test(s) {
+			box = n.asyncInbox(st, s, mb, acc)
+		} else if box = n.mail[st.inW].arena[st.inLo:st.inHi]; anyB && blocked.Test(s) {
 			// Drop the pending inbox without delivering it. Control-lane
 			// messages are lost the same way but stay out of the exact
 			// drop ledger (the reliable layer accounts them itself).
-			pend := st.inbox[st.fill]
 			if tr != nil {
-				for i := range pend {
-					if pend[i].lane == laneProtocol {
-						n.traceDrop(acc, DropBlockedReceiverDeliveryRound, pend[i].From, st.id, pend[i].Bits)
+				for i := range box {
+					if box[i].lane == laneProtocol {
+						n.traceDrop(acc, DropBlockedReceiverDeliveryRound, box[i].From, st.id, box[i].Bits)
 					}
 				}
 			}
-			clear(pend)
-			st.inbox[st.fill] = pend[:0]
-		} else {
-			box = st.inbox[st.fill]
-			st.fill ^= 1
-			next := st.inbox[st.fill]
-			clear(next)
-			st.inbox[st.fill] = next[:0]
+			box = nil
 		}
 		// Protocol-lane receive accounting: control-lane messages (acks,
 		// retransmit copies) are delivered but contribute neither to the
@@ -697,54 +744,59 @@ func (n *Network) computeRange(plo, phi int, acc *shardAcc) {
 			}
 		}
 		// Compute: a killed node halts without running; otherwise the
-		// handler executes inline on this worker. Its sends go to the
-		// node's own outbox and its reads of shared structures (the id
-		// map, other slots' identity fields) are of state that never
-		// mutates during a round, so inline execution is safe and
-		// deterministic under any shard partition.
+		// handler executes inline on this worker. Its sends go to this
+		// worker's log and its reads of shared structures (the id index,
+		// other slots' identity fields) are of state that never mutates
+		// during a round, so inline execution is safe and deterministic
+		// under any shard partition.
+		st.w, st.outLo = uint8(w), int32(len(mb.log))
 		if n.killReq.Test(s) {
 			st.halted = true
 		} else if !st.h.OnRound(st.ctx, box) {
 			st.halted = true
 		}
+		st.outHi = int32(len(mb.log))
 		// Harvest the node's reliability reports (delivery failures,
 		// stale discards, ack delays) into the round accumulator. The
 		// dirty flag keeps this to one branch per node for the common
 		// case of no reliable layer.
 		if ctx := st.ctx; ctx.rel.dirty {
+			rel := &n.roundRel
 			if acc != nil {
-				acc.rel.Failures += int(ctx.rel.failures)
-				acc.rel.Stale += int(ctx.rel.stale)
-				for b := range ctx.rel.ackDelay {
-					acc.rel.AckDelay[b] += ctx.rel.ackDelay[b]
-				}
-			} else {
-				n.roundRel.Failures += int(ctx.rel.failures)
-				n.roundRel.Stale += int(ctx.rel.stale)
-				for b := range ctx.rel.ackDelay {
-					n.roundRel.AckDelay[b] += ctx.rel.ackDelay[b]
-				}
+				rel = &acc.rel
+			}
+			rel.Failures += int(ctx.rel.failures)
+			rel.Stale += int(ctx.rel.stale)
+			for b := range ctx.rel.ackDelay {
+				rel.AckDelay[b] += ctx.rel.ackDelay[b]
 			}
 			ctx.rel = relNodeStats{}
 		}
 	}
+	// Release the payloads of whatever the shorter log and the scratch
+	// inbox no longer cover (a log that grew past its old length was
+	// either extended in place or reallocated: nothing stale either way).
+	if k := len(mb.log); k < stale {
+		clear(mb.log[k:stale])
+	}
+	clear(mb.box[:cap(mb.box)])
 }
 
 // asyncInbox runs the event-scheduler receive step for one slot: it
 // extracts the calendar entries whose delivery round has arrived, sorts
 // them into the total order (arrival tick, send round, sender position,
-// send sequence — see latency.go), and materializes them in the slot's
-// inbox buffer — or, for a blocked receiver, drops them with
+// send sequence — see latency.go), and materializes them in the
+// worker's scratch inbox — or, for a blocked receiver, drops them with
 // DropBlockedReceiverDeliveryRound, exactly as the synchronous path
 // drops a blocked node's pending inbox. The sort happens per receiver
 // over its own calendar, so any shard partition of the receivers
 // produces the same inboxes.
-func (n *Network) asyncInbox(st *nodeState, s int32, acc *shardAcc) []Message {
+func (n *Network) asyncInbox(st *nodeState, s int32, mb *mailbag, acc *shardAcc) []Message {
 	fut := st.future
-	round := int32(n.round)
+	now := uint64(n.round) * tickScale // delivery round = ceil(tick/tickScale)
 	d := 0
 	for i := range fut {
-		if fut[i].rnd <= round {
+		if fut[i].tick <= now {
 			fut[d], fut[i] = fut[i], fut[d]
 			d++
 		}
@@ -754,7 +806,7 @@ func (n *Network) asyncInbox(st *nodeState, s int32, acc *shardAcc) []Message {
 	}
 	due := fut[:d]
 	slices.SortFunc(due, pendingLess)
-	var box []Message
+	box := mb.box[:0]
 	if n.blockedAny && n.blocked.Test(s) {
 		if n.tracer != nil {
 			for i := range due {
@@ -764,14 +816,10 @@ func (n *Network) asyncInbox(st *nodeState, s int32, acc *shardAcc) []Message {
 			}
 		}
 	} else {
-		buf := st.inbox[0]
-		clear(buf)
-		buf = buf[:0]
 		for i := range due {
-			buf = append(buf, due[i].m)
+			box = append(box, due[i].m)
 		}
-		st.inbox[0] = buf
-		box = buf
+		mb.box = box
 	}
 	// Retire the due entries: shift the keepers down, release payload
 	// references from the vacated tail.
@@ -781,133 +829,112 @@ func (n *Network) asyncInbox(st *nodeState, s int32, acc *shardAcc) []Message {
 	return box
 }
 
-// sendRange runs the send step. It scans every sender's outbox in spawn
-// order and (a) appends messages whose receiver slot falls in
-// [dlo, dhi) to that receiver's fill buffer — per-sender outboxes are
-// already in send order, so every inbox ends up in canonical (sender
-// spawn order, send sequence) order with no sorting pass — and (b) for
-// sender positions in [plo, phi), performs the round's accounting:
-// message and bit totals, drop events, and departure detection. In
-// serial mode both ranges cover everything; under sharding each worker
-// owns a contiguous receiver-slot range and a contiguous sender-
-// position range, so the union of the shards reproduces the serial
-// round exactly.
-func (n *Network) sendRange(plo, phi int, dlo, dhi int32, acc *shardAcc) (messages int, totalBits, maxBits int64, anyHalted bool) {
+// noDrop marks a message the send step decided to deliver.
+const noDrop = NumDropReasons
+
+// sendRange runs the send step of worker w: a stable counting sort from
+// the send logs into the worker's inbox arena. It scans every sender's
+// log range in spawn order and, per message, decides the copy count —
+// the §1.1 blocking rule's send-round half (sender, then receiver; the
+// i+1 half is checked at delivery), then the injector — and (a) for
+// receiver slots in [dlo, dhi) records and counts it (or, in async mode,
+// stamps the arrival tick — a pure function of seed, round and edge —
+// and parks the copies in the receiver's calendar), and (b) for sender
+// positions in [plo, phi) performs the round's accounting: message and
+// bit totals, drop and duplication events, deferrals, departures. place
+// then turns the counts into inboxes; logs are in (sender spawn order,
+// send sequence) order and the sort is stable, so every inbox is in
+// canonical order. In serial mode both ranges cover everything; under
+// sharding each worker owns a contiguous receiver-slot range and a
+// contiguous sender-position range, so the union of the shards
+// reproduces the serial round exactly. The injector is pure, so the
+// owner of a message's receiver and the accounting worker of its sender
+// reach the same decision when they differ.
+func (n *Network) sendRange(w, plo, phi int, dlo, dhi int32, acc *shardAcc) (messages int, totalBits, maxBits int64, anyHalted bool) {
 	tr := n.tracer
 	inj := n.injector
 	slots := n.slots
 	blocked, anyB := n.blocked, n.blockedAny
+	async, round := n.async, n.round
+	cnt := n.cursor
+	clear(cnt[dlo:dhi])
+	var deferred int64
 	var rel ReliabilityRoundStats
-	for p, norder := 0, len(n.order); p < norder; p++ {
-		s := n.order[p]
+	for p, s := range n.order {
 		st := &slots[s]
 		mine := p >= plo && p < phi
-		out := st.outbox
+		out := n.mail[st.w].log[st.outLo:st.outHi]
+		// A blocked sender's sends are all discarded, uncounted: they
+		// enter neither Messages nor the control-lane totals.
+		sblocked := anyB && blocked.Test(s)
 		nctl := 0
-		if anyB && blocked.Test(s) {
-			// Blocked sender: the whole outbox is discarded. Control-lane
-			// messages vanish uncounted, like the protocol sends (which
-			// never enter Messages either).
-			if mine && tr != nil {
-				for i := range out {
-					if out[i].lane == laneProtocol {
-						n.traceDrop(acc, DropBlockedSender, out[i].From, out[i].To, out[i].Bits)
-					}
+		seq := st.seq - uint64(len(out))
+		for i := range out {
+			e := &out[i]
+			t := e.m.slot
+			seq++
+			owned := t >= dlo && t < dhi
+			copies, reason := 1, noDrop
+			switch {
+			case sblocked:
+				copies, reason = 0, DropBlockedSender
+			case t < 0:
+				copies, reason = 0, DropDeadReceiver
+			case anyB && blocked.Test(t):
+				copies, reason = 0, DropBlockedReceiverSendRound
+			case inj != nil && (owned || mine && (tr != nil || async)):
+				if copies = max(inj.Deliveries(round, e.m.From, e.m.To, seq), 0); copies == 0 {
+					reason = DropFaultInjected
 				}
 			}
-		} else if inj == nil {
-			// Fast path: no fault injection. This loop body is kept
-			// free of the injector branch so a detached injector costs
-			// one pointer check per sender, not one per message.
-			for i := range out {
-				m := &out[i]
-				t := m.slot
-				// Receiver must exist (slot resolved at send time) and be
-				// non-blocked in the send round; the i+1 half of the rule
-				// is checked at delivery.
-				if t >= 0 && !(anyB && blocked.Test(t)) {
-					if t >= dlo && t < dhi {
-						rcv := &slots[t]
-						rcv.inbox[rcv.fill] = append(rcv.inbox[rcv.fill], *m)
-					}
-				} else if mine && tr != nil && m.lane == laneProtocol {
-					reason := DropBlockedReceiverSendRound
-					if t < 0 {
-						reason = DropDeadReceiver
-					}
-					n.traceDrop(acc, reason, m.From, m.To, m.Bits)
+			if !async {
+				if owned {
+					e.copies = int32(copies)
+					cnt[t] += int32(copies)
 				}
-				if mine {
-					if m.lane == laneProtocol {
-						st.bits += int64(m.Bits)
-					} else {
-						nctl++
-						rel.CtlBits += int64(m.Bits)
-						if m.lane == laneAck {
-							rel.Acks++
-						} else {
-							rel.Retransmits++
-						}
+			} else if copies > 0 && (owned || mine) {
+				at := uint64(round)*tickScale + n.lat.delayTicks(n.latSeed, round, uint64(e.m.From), uint64(e.m.To))
+				if owned {
+					rcv := &slots[t]
+					pm := pendingMsg{m: e.m, tick: at, seq: seq, srnd: int32(round), pos: int32(p)}
+					for c := 0; c < copies; c++ {
+						rcv.future = append(rcv.future, pm)
 					}
+				}
+				if mine && at > uint64(round+1)*tickScale && e.m.lane == laneProtocol {
+					deferred++
 				}
 			}
-			if mine {
-				messages += len(out) - nctl
+			if !mine {
+				continue
 			}
-		} else {
-			for i := range out {
-				m := &out[i]
-				t := m.slot
-				if t >= 0 && !(anyB && blocked.Test(t)) {
-					// Fault injection: the injector is a pure function
-					// of the message identity, so the delivering worker
-					// and the accounting worker (which may differ under
-					// sharding) reach the same decision. Control-lane
-					// messages face the same faults but never enter the
-					// drop/dup ledger.
-					deliver := t >= dlo && t < dhi
-					if deliver || (mine && tr != nil) {
-						copies := inj.Deliveries(n.round, m.From, m.To, m.seq)
-						if deliver {
-							rcv := &slots[t]
-							for c := 0; c < copies; c++ {
-								rcv.inbox[rcv.fill] = append(rcv.inbox[rcv.fill], *m)
-							}
-						}
-						if mine && tr != nil && m.lane == laneProtocol {
-							if copies == 0 {
-								n.traceDrop(acc, DropFaultInjected, m.From, m.To, m.Bits)
-							} else if copies > 1 && n.faultObs != nil {
-								n.traceDup(acc, m, copies)
-							}
-						}
+			// Control-lane messages face the same blocking and faults but
+			// never enter the drop/dup ledger.
+			if e.m.lane == laneProtocol {
+				if reason != noDrop {
+					if tr != nil {
+						n.traceDrop(acc, reason, e.m.From, e.m.To, e.m.Bits)
 					}
-				} else if mine && tr != nil && m.lane == laneProtocol {
-					reason := DropBlockedReceiverSendRound
-					if t < 0 {
-						reason = DropDeadReceiver
-					}
-					n.traceDrop(acc, reason, m.From, m.To, m.Bits)
+				} else if copies > 1 && n.faultObs != nil {
+					n.traceDup(acc, &e.m, copies)
 				}
-				if mine {
-					if m.lane == laneProtocol {
-						st.bits += int64(m.Bits)
-					} else {
-						nctl++
-						rel.CtlBits += int64(m.Bits)
-						if m.lane == laneAck {
-							rel.Acks++
-						} else {
-							rel.Retransmits++
-						}
-					}
+				if !sblocked {
+					st.bits += int64(e.m.Bits)
 				}
-			}
-			if mine {
-				messages += len(out) - nctl
+			} else if !sblocked {
+				nctl++
+				rel.CtlBits += int64(e.m.Bits)
+				if e.m.lane == laneAck {
+					rel.Acks++
+				} else {
+					rel.Retransmits++
+				}
 			}
 		}
 		if mine {
+			if !sblocked {
+				messages += len(out) - nctl
+			}
 			rel.CtlMessages += nctl
 			totalBits += st.bits
 			if st.bits > maxBits {
@@ -925,145 +952,55 @@ func (n *Network) sendRange(plo, phi int, dlo, dhi int32, acc *shardAcc) (messag
 			}
 		}
 	}
-	if rel.any() {
-		if acc != nil {
-			acc.rel.add(&rel)
-		} else {
-			n.roundRel.add(&rel)
-		}
+	if !async {
+		n.place(w, dlo, dhi)
+	}
+	if acc != nil {
+		acc.rel.add(&rel)
+		acc.deferred = deferred
+	} else {
+		n.roundRel.add(&rel)
+		n.roundDeferred += deferred
 	}
 	return messages, totalBits, maxBits, anyHalted
 }
 
-// sendRangeAsync is the event-scheduler send step: identical structure
-// and accounting to sendRange, but instead of appending to the
-// receiver's fill buffer each deliverable message is stamped with its
-// arrival tick (a pure function of seed, round, and edge — every
-// worker layout computes the same stamp) and parked in the receiver's
-// calendar. The DoS send-round check, fault injection, drop reasons,
-// and per-sender accounting are exactly those of sendRange; the
-// delivery-round blocked check happens in asyncInbox when the entry
-// comes due. Messages whose delay defers them past the next round are
-// counted by the accounting worker (deferred is therefore deterministic
-// too).
-func (n *Network) sendRangeAsync(plo, phi int, dlo, dhi int32, acc *shardAcc) (messages int, totalBits, maxBits int64, anyHalted bool) {
-	tr := n.tracer
-	inj := n.injector
-	slots := n.slots
-	blocked, anyB := n.blocked, n.blockedAny
-	lat, latSeed := n.lat, n.latSeed
-	round := n.round
-	rtick := uint64(round) * tickScale
-	var deferred int64
-	var rel ReliabilityRoundStats
-	for p, norder := 0, len(n.order); p < norder; p++ {
-		s := n.order[p]
-		st := &slots[s]
-		mine := p >= plo && p < phi
-		out := st.outbox
-		nctl := 0
-		if anyB && blocked.Test(s) {
-			// Blocked sender: the whole outbox is discarded.
-			if mine && tr != nil {
-				for i := range out {
-					if out[i].lane == laneProtocol {
-						n.traceDrop(acc, DropBlockedSender, out[i].From, out[i].To, out[i].Bits)
-					}
-				}
-			}
-		} else {
-			for i := range out {
-				m := &out[i]
-				t := m.slot
-				if t >= 0 && !(anyB && blocked.Test(t)) {
-					deliver := t >= dlo && t < dhi
-					if deliver || mine {
-						copies := 1
-						if inj != nil {
-							copies = inj.Deliveries(round, m.From, m.To, m.seq)
-						}
-						if copies > 0 {
-							ticks := lat.delayTicks(latSeed, round, uint64(m.From), uint64(m.To))
-							at := rtick + ticks
-							ar := int32((at + tickScale - 1) / tickScale)
-							if ar <= int32(round) {
-								ar = int32(round) + 1
-							}
-							if deliver {
-								rcv := &slots[t]
-								pm := pendingMsg{m: *m, tick: at, srnd: int32(round), pos: int32(p), rnd: ar}
-								for c := 0; c < copies; c++ {
-									rcv.future = append(rcv.future, pm)
-								}
-							}
-							if mine && ar > int32(round)+1 && m.lane == laneProtocol {
-								deferred++
-							}
-						}
-						if mine && tr != nil && m.lane == laneProtocol {
-							if copies == 0 {
-								n.traceDrop(acc, DropFaultInjected, m.From, m.To, m.Bits)
-							} else if copies > 1 && n.faultObs != nil {
-								n.traceDup(acc, m, copies)
-							}
-						}
-					}
-				} else if mine && tr != nil && m.lane == laneProtocol {
-					reason := DropBlockedReceiverSendRound
-					if t < 0 {
-						reason = DropDeadReceiver
-					}
-					n.traceDrop(acc, reason, m.From, m.To, m.Bits)
-				}
-				if mine {
-					if m.lane == laneProtocol {
-						st.bits += int64(m.Bits)
-					} else {
-						nctl++
-						rel.CtlBits += int64(m.Bits)
-						if m.lane == laneAck {
-							rel.Acks++
-						} else {
-							rel.Retransmits++
-						}
-					}
-				}
-			}
-			if mine {
-				messages += len(out) - nctl
-			}
-		}
-		if mine {
-			rel.CtlMessages += nctl
-			totalBits += st.bits
-			if st.bits > maxBits {
-				maxBits = st.bits
-			}
-			if tr != nil {
-				if acc != nil {
-					acc.bitsSamples = append(acc.bitsSamples, st.bits)
-				} else {
-					n.traceBits = append(n.traceBits, st.bits)
-				}
-			}
-			if st.halted {
-				anyHalted = true
-			}
-		}
+// place finishes worker w's counting sort for receiver slots [dlo, dhi):
+// a prefix sum over the counts lays the inbox ranges out in the worker's
+// arena, then one lean pass over every log, in worker order (which is
+// spawn order), scatters the decided copies. The compute step has
+// finished reading the arena, so it is overwritten in place, and only
+// the tail the new round no longer covers needs its payloads released.
+func (n *Network) place(w int, dlo, dhi int32) {
+	mb := &n.mail[w]
+	cur := n.cursor
+	var off int32
+	for s := dlo; s < dhi; s++ {
+		st := &n.slots[s]
+		st.inW, st.inLo = uint8(w), off
+		cur[s], off = off, off+cur[s]
+		st.inHi = off
 	}
-	if rel.any() {
-		if acc != nil {
-			acc.rel.add(&rel)
-		} else {
-			n.roundRel.add(&rel)
-		}
-	}
-	if acc != nil {
-		acc.deferred = deferred
+	arena := mb.arena
+	if total := int(off); total > cap(arena) {
+		arena = make([]Message, total, total+total/8)
 	} else {
-		n.roundDeferred += deferred
+		clear(arena[min(total, len(arena)):])
+		arena = arena[:total]
 	}
-	return messages, totalBits, maxBits, anyHalted
+	mb.arena = arena
+	for v := range n.mail {
+		log := n.mail[v].log
+		for i := range log {
+			e := &log[i]
+			if t := e.m.slot; t >= dlo && t < dhi {
+				for c := e.copies; c > 0; c-- {
+					arena[cur[t]] = e.m
+					cur[t]++
+				}
+			}
+		}
+	}
 }
 
 // traceDrop reports one dropped protocol-lane message; callers have
@@ -1103,7 +1040,7 @@ func (n *Network) reap() {
 	for _, s := range n.order {
 		st := &n.slots[s]
 		if st.halted {
-			delete(n.nodes, st.id)
+			n.setSlot(st.id, -1)
 			n.freeSlot(s)
 		} else {
 			alive = append(alive, s)
@@ -1138,11 +1075,11 @@ func (n *Network) Shutdown() {
 	// no-op for adapters already retired in phase 1's interrupt wait or
 	// never started).
 	for _, s := range n.order {
-		st := &n.slots[s]
-		delete(n.nodes, st.id)
+		n.setSlot(n.slots[s].id, -1)
 		n.freeSlot(s)
 	}
 	n.order = n.order[:0]
+	clear(n.mail) // logs and arenas go, with every payload they reference
 	n.stopPool()
 }
 
@@ -1158,13 +1095,6 @@ type Ctx struct {
 	// (plus header) per node of footprint.
 	rng     rng.RNG
 	adapter *procAdapter // non-nil only for coroutine nodes
-	// lookup is a tiny direct-mapped NodeID→slot cache in front of the
-	// network's id map: protocols overwhelmingly re-send to the same
-	// few neighbors, and a hit avoids the shared map probe entirely.
-	// Hits are validated against the slot's current occupant, so a
-	// stale entry (the receiver departed and its slot was recycled)
-	// falls through to the map.
-	lookup [lookupEntries]lookupEntry
 	// sendHook, when set, intercepts Ctx.Send so a shim (the reliable-
 	// delivery endpoint) can wrap outgoing protocol messages. The hook
 	// runs on the node's own compute step and must itself use SendRaw/
@@ -1184,36 +1114,6 @@ type relNodeStats struct {
 	failures int32
 	stale    int32
 	ackDelay [ackDelayBuckets]int32
-}
-
-const lookupEntries = 8
-
-type lookupEntry struct {
-	id   NodeID
-	slot int32
-	ok   bool
-}
-
-// resolve maps a receiver id to its dense slot, or -1 if no such node
-// is currently alive. Called from the node's program during the
-// compute step; the id map is never mutated while nodes compute, so
-// the concurrent reads are safe.
-func (c *Ctx) resolve(to NodeID) int32 {
-	e := &c.lookup[uint64(to)&(lookupEntries-1)]
-	if e.ok && e.id == to {
-		s := e.slot
-		st := &c.net.slots[s]
-		if st.live && st.id == to {
-			return s
-		}
-	}
-	if s, ok := c.net.nodes[to]; ok {
-		*e = lookupEntry{id: to, slot: s, ok: true}
-		return s
-	}
-	// Negative results are not cached: the id may be spawned later,
-	// and dead ids are never reused, so a miss stays correct.
-	return -1
 }
 
 // ID returns the node's identifier.
@@ -1243,17 +1143,11 @@ func (c *Ctx) Send(to NodeID, payload any, bits int) {
 // between them: all lanes share the same blocking, fault, and latency
 // machinery.
 func (c *Ctx) sendRaw(to NodeID, payload any, bits int, lane uint8) {
-	st := &c.net.slots[c.slot]
+	n := c.net
+	st := &n.slots[c.slot]
 	st.seq++
-	st.outbox = append(st.outbox, Message{
-		From:    st.id,
-		To:      to,
-		Payload: payload,
-		Bits:    bits,
-		seq:     st.seq,
-		slot:    c.resolve(to),
-		lane:    lane,
-	})
+	mb := &n.mail[st.w]
+	mb.log = append(mb.log, sent{m: Message{From: st.id, To: to, Payload: payload, Bits: bits, slot: n.slotOf(to), lane: lane}})
 }
 
 // SetSendHook installs (or, with nil, removes) an interceptor for

@@ -15,7 +15,7 @@ type DropReason uint8
 
 const (
 	// DropBlockedSender: the sender was blocked in the send round, so
-	// its entire outbox was discarded.
+	// all of its sends were discarded.
 	DropBlockedSender DropReason = iota
 	// DropBlockedReceiverSendRound: the receiver was blocked in the
 	// send round (round i of the paper's rule).

@@ -252,8 +252,8 @@ func TestShutdownDoesNotPolluteAccounting(t *testing.T) {
 	if len(net.Work()) != entries {
 		t.Fatalf("Shutdown appended to the work log: %d -> %d entries", entries, len(net.Work()))
 	}
-	if net.NumAlive() != 0 || len(net.nodes) != 0 {
-		t.Fatalf("Shutdown left state: alive=%d nodes=%d", net.NumAlive(), len(net.nodes))
+	if net.NumAlive() != 0 || net.indexed() != 0 {
+		t.Fatalf("Shutdown left state: alive=%d indexed=%d", net.NumAlive(), net.indexed())
 	}
 }
 
