@@ -8,6 +8,7 @@ package churn
 
 import (
 	"fmt"
+	"slices"
 
 	"overlaynet/internal/core"
 	"overlaynet/internal/rng"
@@ -17,7 +18,7 @@ import (
 // each epoch.
 type View struct {
 	Epoch   int
-	Members []int
+	Members []int // ascending, as core.Network.Members returns them
 	// Neighbors returns the current neighbors of a member (with
 	// multiplicity), exposing the full topology.
 	Neighbors func(id int) []int
@@ -148,7 +149,9 @@ func (a *TargetNeighborhood) Plan(v View) ([]core.JoinSpec, []int) {
 			if len(leaves) >= budget {
 				break
 			}
-			if w != victim && !leaving[w] {
+			// After an epoch under message faults a recorded neighbour can be
+			// an id that has left, or 0 for a pointer never set: skip those.
+			if _, member := slices.BinarySearch(v.Members, w); member && w != victim && !leaving[w] {
 				leaving[w] = true
 				leaves = append(leaves, w)
 			}

@@ -1,6 +1,7 @@
 package churn
 
 import (
+	"slices"
 	"testing"
 
 	"overlaynet/internal/core"
@@ -90,6 +91,39 @@ func TestTargetNeighborhoodAdversary(t *testing.T) {
 	adv := &TargetNeighborhood{Fraction: 0.25, R: rng.New(14)}
 	reports := Run(nw, adv, 5)
 	checkReports(t, reports, "neighborhood")
+}
+
+// TestTargetNeighborhoodSkipsDeparted: after an epoch under message
+// faults core.NeighborsOf can name ids that are gone, and id 0 for a
+// pointer never set. Plan must prescribe members only, and must plan
+// exactly what it would on a view that had filtered them out itself
+// (same draws, same order).
+func TestTargetNeighborhoodSkipsDeparted(t *testing.T) {
+	members := make([]int, 40)
+	for i := range members {
+		members[i] = 100 + i
+	}
+	ring := func(id int) []int {
+		i := id - 100
+		return []int{members[(i+39)%40], members[(i+1)%40], members[(i+7)%40]}
+	}
+	dirty := View{Members: members, Neighbors: func(id int) []int {
+		return append([]int{0, 7}, append(ring(id), 99, 0)...)
+	}}
+	clean := View{Members: members, Neighbors: ring}
+	joins, leaves := (&TargetNeighborhood{Fraction: 0.25, R: rng.New(3)}).Plan(dirty)
+	wantJoins, wantLeaves := (&TargetNeighborhood{Fraction: 0.25, R: rng.New(3)}).Plan(clean)
+	if len(leaves) != 10 {
+		t.Fatalf("%d leavers, want the budget of 10", len(leaves))
+	}
+	for _, l := range leaves {
+		if l < 100 || l >= 140 {
+			t.Fatalf("leaver %d is not a member", l)
+		}
+	}
+	if !slices.Equal(leaves, wantLeaves) || !slices.Equal(joins, wantJoins) {
+		t.Fatalf("stale neighbour ids changed the plan: leaves %v joins %v, want %v %v", leaves, joins, wantLeaves, wantJoins)
+	}
 }
 
 func TestRateChecker(t *testing.T) {

@@ -38,7 +38,7 @@ type ackScript struct {
 func (a *ackScript) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	var seqs []uint64
 	for i := range inbox {
-		seqs = append(seqs, inbox[i].Payload.(Envelope).Seq)
+		seqs = append(seqs, inbox[i].Payload.(*Envelope).Seq)
 	}
 	var acks []uint64
 	if len(seqs) > 0 {

@@ -1,7 +1,9 @@
 package reliable
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"overlaynet/internal/sim"
 )
@@ -11,10 +13,12 @@ import (
 // message's original bits — the sequencing header is accounted as free,
 // like the kernel's own From/To/seq metadata — so a zero-spread
 // reliable run reproduces the synchronous work tables bit for bit.
-// Retransmissions send the same Envelope on the retransmit lane.
+// Retransmissions send the same *Envelope on the retransmit lane: it is
+// boxed once, shared by every copy and the sender's retransmit state,
+// and read-only from the moment it is sent.
 type Envelope struct {
-	// Seq is the sender endpoint's sequence number, unique per sender
-	// across all destinations; the receiver dedups on (sender, Seq).
+	// Seq is the sender endpoint's sequence number (from 1), unique per
+	// sender across all destinations; the receiver dedups on (sender, Seq).
 	Seq uint64
 	// Round is the sim round of the first transmission; the receiver
 	// derives the protocol phase the message belongs to from it, and the
@@ -34,18 +38,20 @@ type Ack struct {
 // FailureHandler is optionally implemented by the wrapped protocol
 // handler to hear about messages whose retransmit budget ran out — the
 // graceful-degradation path: the protocol learns it lost a message
-// instead of silently never receiving an answer.
+// instead of silently never receiving an answer. Called from inside
+// the retransmit scan: it must not send.
 type FailureHandler interface {
 	OnDeliveryFailure(to sim.NodeID)
 }
 
 // pendingTx is one unacked envelope at the sender.
 type pendingTx struct {
+	seq     uint64 // env.Seq, inline for the ack search
+	env     *Envelope
 	to      sim.NodeID
-	env     Envelope
-	bits    int
-	nextAt  int // sim round the next attempt (or the failure) fires; acked once the ack is in
-	attempt int // retransmissions already sent (0 = only the original)
+	nextAt  int   // sim round the next attempt (or the failure) fires; acked once the ack is in
+	bits    int32 // accounted size of every copy
+	attempt int32 // retransmissions already sent (0 = only the original)
 }
 
 // acked marks a pendingTx whose ack has arrived; the retransmit scan
@@ -59,46 +65,22 @@ type bufEntry struct {
 	msg sim.Message
 }
 
-// recvState is the per-sender dedup window at the receiver: every seq
-// ≤ watermark has been processed, plus the out-of-order set above it.
-type recvState struct {
-	watermark uint64
-	seen      map[uint64]struct{}
-}
-
-func (rs *recvState) has(seq uint64) bool {
-	if seq <= rs.watermark {
-		return true
-	}
-	_, ok := rs.seen[seq]
-	return ok
-}
-
-func (rs *recvState) add(seq uint64) {
-	if rs.seen == nil {
-		rs.seen = make(map[uint64]struct{})
-	}
-	rs.seen[seq] = struct{}{}
-	for {
-		if _, ok := rs.seen[rs.watermark+1]; !ok {
-			return
-		}
-		rs.watermark++
-		delete(rs.seen, rs.watermark)
-	}
-}
-
 // Endpoint is the reliable-delivery shim around one protocol handler.
 // It intercepts the handler's sends (sim.Ctx send hook), envelopes them
-// with sequence numbers, acks every arrival, retransmits unacked
-// envelopes on the pure AttemptDelay schedule, and drives the inner
-// handler one protocol round per Stretch sim rounds, feeding it the
-// deduplicated, unwrapped messages that arrived during the phase.
+// with sequence numbers, acks every in-window arrival, retransmits
+// unacked envelopes on the pure AttemptDelay schedule, and drives the
+// inner handler one protocol round per Stretch sim rounds, feeding it
+// the deduplicated, unwrapped messages that arrived during the phase.
 //
-// All Endpoint state is touched only from the node's own OnRound call,
-// and the dedup maps are looked up by key, never iterated, so the shim
-// adds no scheduling nondeterminism: for a fixed seed the full message
-// history is identical at any -procs/-shards.
+// Receiver state is phase-scoped: the stale rule admits an envelope
+// only until the boundary after its send, so every admissible copy sits
+// in the one phase buffer that boundary consumes; deduplication looks at
+// nothing else, and nothing is remembered across a boundary.
+//
+// All Endpoint state is touched only from the node's own OnRound call
+// and is ordered by message identity alone, so the shim adds no
+// scheduling nondeterminism: for a fixed seed the full message history
+// is identical at any -procs/-shards.
 type Endpoint struct {
 	inner   sim.Handler
 	cfg     Config
@@ -107,10 +89,10 @@ type Endpoint struct {
 
 	started bool
 	seq     uint64
-	pending []pendingTx
-	buf     []bufEntry // unwrapped arrivals awaiting the phase boundary
+	pending []pendingTx // unacked envelopes, ascending Seq
+	due     int         // no pending nextAt is earlier: the scan can wait until then
+	buf     []bufEntry  // unwrapped arrivals awaiting the phase boundary
 	out     []sim.Message
-	recv    map[sim.NodeID]*recvState
 }
 
 // Wrap layers reliable delivery around a protocol handler. stretch is
@@ -118,10 +100,7 @@ type Endpoint struct {
 // network must be wrapped with the same value, since phase boundaries
 // (sim round ≡ 0 mod stretch) are a network-global convention.
 func Wrap(seed uint64, cfg Config, stretch int, inner sim.Handler) *Endpoint {
-	if stretch < 1 {
-		stretch = 1
-	}
-	return &Endpoint{inner: inner, cfg: cfg, seed: seed, stretch: stretch}
+	return &Endpoint{inner: inner, cfg: cfg, seed: seed, stretch: max(stretch, 1)}
 }
 
 // Inner returns the wrapped handler.
@@ -131,21 +110,20 @@ func (e *Endpoint) Inner() sim.Handler { return e.inner }
 func (e *Endpoint) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	if !e.started {
 		e.started = true
-		e.recv = make(map[sim.NodeID]*recvState)
 		ctx.SetSendHook(func(to sim.NodeID, payload any, bits int) {
 			e.sendEnvelope(ctx, to, payload, bits)
 		})
 	}
 	r := ctx.Round()
 
-	// Ingest: acks clear pending entries; envelopes are acked, deduped,
-	// phase-checked, and buffered for the next protocol round.
+	// Ingest: acks clear pending entries; envelopes are phase-checked,
+	// acked, and buffered for the next protocol round.
 	for i := range inbox {
 		m := &inbox[i]
 		switch p := m.Payload.(type) {
 		case Ack:
 			e.ackPending(ctx, r, p.Seq)
-		case Envelope:
+		case *Envelope:
 			// An envelope sent in phase k is consumed by the protocol
 			// round executing at sim round (k+1)·S; later arrivals are
 			// stale — counted and discarded, and deliberately NOT acked:
@@ -162,15 +140,6 @@ func (e *Endpoint) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 			// sender stops retransmitting even when its first ack was
 			// lost in transit.
 			ctx.SendAck(m.From, Ack{Seq: p.Seq}, AckBits)
-			rs := e.recv[m.From]
-			if rs == nil {
-				rs = &recvState{}
-				e.recv[m.From] = rs
-			}
-			if rs.has(p.Seq) {
-				continue
-			}
-			rs.add(p.Seq)
 			e.buf = append(e.buf, bufEntry{seq: p.Seq, msg: sim.Message{
 				From: m.From, To: m.To, Payload: p.Payload, Bits: m.Bits,
 			}})
@@ -181,63 +150,84 @@ func (e *Endpoint) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 		}
 	}
 
-	// Retransmit scan, in send order: acked entries go, due entries
-	// either fire their next attempt or exhaust the budget and report
-	// failure.
-	keep := e.pending[:0]
+	if r >= e.due {
+		e.retransmit(ctx, r)
+	}
+	if r%e.stretch != 0 {
+		return true
+	}
+
+	// Phase boundary: run one protocol round on the buffered arrivals.
+	if e.stretch > 1 && len(e.buf) > 1 {
+		// Stretched phases collect arrivals over several sim rounds in
+		// latency-draw order. Re-canonicalize by (sender, seq) — the
+		// pair names the envelope — so the inner protocol's execution
+		// (including its RNG consumption, which follows inbox order)
+		// depends only on WHICH messages survived the phase, never on
+		// when their copies happened to arrive. At stretch 1 the buffer
+		// already carries the kernel's deterministic one-round order;
+		// keeping it untouched is what makes the zero-spread run
+		// byte-identical to the legacy one.
+		slices.SortStableFunc(e.buf, func(a, b bufEntry) int {
+			if c := cmp.Compare(a.msg.From, b.msg.From); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+	}
+	// Copies of one envelope are now side by side: the sort put them
+	// there, and at stretch 1 the only in-window copies are the fault
+	// injector's duplicates of the original transmission (retransmits
+	// land at least two rounds later), which both kernel paths deliver
+	// adjacent. Pass-through traffic (seq 0) is never deduplicated.
+	out := e.out[:0]
+	for i := range e.buf {
+		b := &e.buf[i]
+		if i > 0 && b.seq != 0 && b.seq == e.buf[i-1].seq && b.msg.From == e.buf[i-1].msg.From {
+			continue
+		}
+		out = append(out, b.msg)
+	}
+	clear(e.buf) // neither buffer keeps a payload alive past its phase
+	e.buf = e.buf[:0]
+	alive := e.inner.OnRound(ctx, out)
+	clear(out)
+	e.out = out[:0]
+	return alive
+}
+
+// retransmit is the scan over pending, in send order: acked entries go,
+// due entries either fire their next attempt or exhaust the budget and
+// report failure. Survivors are compacted in place.
+func (e *Endpoint) retransmit(ctx *sim.Ctx, r int) {
+	w, due := 0, math.MaxInt
 	for i := range e.pending {
 		p := &e.pending[i]
 		if p.nextAt == acked {
 			continue
 		}
-		if r < p.nextAt {
-			keep = append(keep, *p)
-			continue
-		}
-		if p.attempt >= e.cfg.Budget {
-			ctx.ReportDeliveryFailure()
-			if fh, ok := e.inner.(FailureHandler); ok {
-				fh.OnDeliveryFailure(p.to)
-			}
-			continue
-		}
-		p.attempt++
-		ctx.SendRetransmit(p.to, p.env, p.bits)
-		p.nextAt = r + AttemptDelay(e.cfg, e.seed, p.env.Round,
-			uint64(ctx.ID()), uint64(p.to), p.attempt)
-		keep = append(keep, *p)
-	}
-	clear(e.pending[len(keep):]) // release the dropped envelopes' payloads
-	e.pending = keep
-
-	// Phase boundary: run one protocol round on the buffered arrivals.
-	if r%e.stretch == 0 {
-		if e.stretch > 1 && len(e.buf) > 1 {
-			// Stretched phases collect arrivals over several sim rounds in
-			// latency-draw order. Re-canonicalize by (sender, seq) — the
-			// pair is unique per envelope — so the inner protocol's
-			// execution (including its RNG consumption, which follows
-			// inbox order) depends only on WHICH messages survived the
-			// phase, never on when their copies happened to arrive. At
-			// stretch 1 the buffer already carries the kernel's
-			// deterministic one-round order; keeping it untouched is what
-			// makes the zero-spread run byte-identical to the legacy one.
-			sort.Slice(e.buf, func(i, j int) bool {
-				if e.buf[i].msg.From != e.buf[j].msg.From {
-					return e.buf[i].msg.From < e.buf[j].msg.From
+		if r >= p.nextAt {
+			if int(p.attempt) >= e.cfg.Budget {
+				ctx.ReportDeliveryFailure()
+				if fh, ok := e.inner.(FailureHandler); ok {
+					fh.OnDeliveryFailure(p.to)
 				}
-				return e.buf[i].seq < e.buf[j].seq
-			})
+				continue
+			}
+			p.attempt++
+			ctx.SendRetransmit(p.to, p.env, int(p.bits))
+			p.nextAt = r + AttemptDelay(e.cfg, e.seed, p.env.Round,
+				uint64(ctx.ID()), uint64(p.to), int(p.attempt))
 		}
-		e.out = e.out[:0]
-		for i := range e.buf {
-			e.out = append(e.out, e.buf[i].msg)
+		due = min(due, p.nextAt)
+		if w != i {
+			e.pending[w] = *p
 		}
-		e.buf = e.buf[:0]
-		alive := e.inner.OnRound(ctx, e.out)
-		return alive
+		w++
 	}
-	return true
+	clear(e.pending[w:]) // release the dropped envelopes
+	e.pending = e.pending[:w]
+	e.due = due
 }
 
 // sendEnvelope is the send hook: wrap, transmit on the protocol lane,
@@ -245,25 +235,30 @@ func (e *Endpoint) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 func (e *Endpoint) sendEnvelope(ctx *sim.Ctx, to sim.NodeID, payload any, bits int) {
 	r := ctx.Round()
 	e.seq++
-	env := Envelope{Seq: e.seq, Round: r, Payload: payload}
+	env := &Envelope{Seq: e.seq, Round: r, Payload: payload}
 	ctx.SendRaw(to, env, bits)
-	e.pending = append(e.pending, pendingTx{
-		to: to, env: env, bits: bits,
-		nextAt: r + AttemptDelay(e.cfg, e.seed, r, uint64(ctx.ID()), uint64(to), 0),
-	})
+	nextAt := r + AttemptDelay(e.cfg, e.seed, r, uint64(ctx.ID()), uint64(to), 0)
+	e.pending = append(e.pending, pendingTx{seq: e.seq, env: env, to: to, nextAt: nextAt, bits: int32(bits)})
+	e.due = min(e.due, nextAt)
 }
 
 // ackPending marks the pending entry for seq acked and records the
-// observed ack delay. pending is in ascending Seq order by construction
-// (sendEnvelope appends, the retransmit scan keeps order), so the entry
-// is found by binary search and removed by the scan's rewrite instead
-// of a memmove per ack.
+// observed ack delay. pending is in ascending seq order by construction
+// (sendEnvelope appends, the scan keeps order), so the entry is found by
+// binary search and removed by the scan's rewrite, not a memmove per ack.
 func (e *Endpoint) ackPending(ctx *sim.Ctx, r int, seq uint64) {
-	i := sort.Search(len(e.pending), func(i int) bool { return e.pending[i].env.Seq >= seq })
+	lo, hi := 0, len(e.pending)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); e.pending[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
 	// Unknown or already marked: a duplicate ack, or one that arrived
 	// after the budget ran out. Nothing to do.
-	if i < len(e.pending) && e.pending[i].env.Seq == seq && e.pending[i].nextAt != acked {
-		ctx.ObserveAckDelay(r - e.pending[i].env.Round)
-		e.pending[i].nextAt = acked
+	if lo < len(e.pending) && e.pending[lo].seq == seq && e.pending[lo].nextAt != acked {
+		ctx.ObserveAckDelay(r - e.pending[lo].env.Round)
+		e.pending[lo].nextAt = acked
 	}
 }

@@ -230,7 +230,7 @@ func (h *transcript) payload(p any) {
 	case foreignMsg:
 		h.mix(3)
 		h.mix(p.X)
-	case reliable.Envelope:
+	case *reliable.Envelope:
 		h.mix(4)
 		h.mix(p.Seq)
 		h.mix(uint64(p.Round))
