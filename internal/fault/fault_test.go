@@ -174,3 +174,65 @@ func TestStringStableOrder(t *testing.T) {
 		t.Fatalf("String() = %q", s)
 	}
 }
+
+// TestComposeGate pins when an overlay stack gets a delivery gate: an
+// untyped nil exactly when nothing can touch delivery, the bare injector
+// when the latency model can never miss the one-round deadline, and a
+// gate that applies injected faults first and the deadline second
+// otherwise. The nil cases guard the typed-nil trap: a nil *Injector
+// wrapped in a non-nil Gate passes a caller's nil check and panics on
+// the first message.
+func TestComposeGate(t *testing.T) {
+	const seed = 1
+	never := sim.Latency{Kind: sim.LatencyConst, A: 1}
+	spread := sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2}
+	part := Spec{Seed: 3, PartK: 2, PartFrom: 2, PartWin: 4}
+	dropDup := Spec{Seed: 3, Drop: 0.1, Dup: 0.1}
+
+	if g := ComposeGate((Spec{}).Injector(), sim.Latency{}, seed); g != nil {
+		t.Fatal("zero spec and no latency produced a gate")
+	}
+	// Crash faults act on the blocked set before generation, not on
+	// messages in transit.
+	if g := ComposeGate((Spec{Seed: 3, Crash: 0.1}).Injector(), sim.Latency{}, seed); g != nil {
+		t.Fatal("message-fault-free spec produced a gate (typed-nil trap)")
+	}
+	if g := ComposeGate(part.Injector(), sim.Latency{}, seed); g == nil {
+		t.Fatal("partition window left no gate; cut messages would be delivered")
+	}
+	if g := ComposeGate(nil, never, seed); g != nil {
+		t.Fatal("zero-spread latency (never late) must compose to no gate")
+	}
+	in := dropDup.Injector()
+	if g := ComposeGate(in, never, seed); g != Gate(in) {
+		t.Fatal("zero-spread latency must compose to the bare injector")
+	}
+	late := ComposeGate(nil, spread, seed)
+	if late == nil {
+		t.Fatal("latency with spread > 1 round left no gate")
+	}
+	both := ComposeGate(in, spread, seed)
+	drops, lates, dups := 0, 0, 0
+	for idx := 0; idx < 4000; idx++ {
+		from, to := uint64(idx%50+1), uint64(idx%31+100)
+		inj, lat, got := in.CopiesAt(7, from, to, idx), late.CopiesAt(7, from, to, idx), both.CopiesAt(7, from, to, idx)
+		want := inj
+		if lat == 0 {
+			want = 0
+		}
+		if got != want {
+			t.Fatalf("message %d: composed gate gives %d copies, injector %d and deadline %d", idx, got, inj, lat)
+		}
+		switch {
+		case inj == 0:
+			drops++
+		case lat == 0:
+			lates++
+		case inj > 1:
+			dups++
+		}
+	}
+	if drops == 0 || lates == 0 || dups == 0 {
+		t.Fatalf("composition sample saw %d drops, %d late and %d duplicated messages, want all three", drops, lates, dups)
+	}
+}

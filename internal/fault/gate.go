@@ -3,20 +3,21 @@ package fault
 import "overlaynet/internal/sim"
 
 // Gate is the per-message delivery decision consulted by the centrally
-// simulated overlay stacks (§5 supernode, §6 splitmerge), which run
-// whole protocol phases per virtual round and therefore cannot use the
-// sim kernel's send/deliver pipeline directly. *Injector implements it;
-// ComposeGate layers the discrete-event latency model on top.
+// simulated overlay stacks (§5 supernode, §6 splitmerge, through
+// internal/committee), which run whole protocol phases per virtual
+// round and therefore do not go through the sim kernel's send step.
+// *Injector implements it; ComposeGate layers the discrete-event latency
+// model on top.
 //
 // Like sim.Injector, every implementation MUST be a pure function of
-// its arguments: the same message may be evaluated by the delivering
-// worker and the accounting worker under sharded execution, and both
-// must agree for results to stay byte-identical across -procs/-shards.
+// its arguments: under sharded execution whichever worker owns the
+// target asks, and the answer must not depend on who asks or when for
+// results to stay byte-identical across -procs/-shards.
 //
-// The overlay stacks' direct-delivery fast path (PR 8) is gated on the
-// Gate being nil: any non-nil Gate — injector, partition window, or
-// latency deadline — can change which messages arrive and must force
-// the two-phase outbox pipeline.
+// The engine queues every generated message and, only when the Gate is
+// non-nil — injector, partition window, or latency deadline — walks the
+// round's fresh messages once to mark each with its copy count; a nil
+// Gate means that pass is skipped, nothing else.
 type Gate interface {
 	CopiesAt(round int, from, to uint64, index int) int
 }
@@ -50,10 +51,11 @@ func (g *latencyGate) CopiesAt(round int, from, to uint64, index int) int {
 // ComposeGate builds the delivery gate for an overlay stack from its
 // fault injector and latency model. It returns an untyped nil when
 // neither can affect delivery — never a non-nil interface wrapping a
-// nil *Injector, which would silently disable the direct fast path —
-// and returns the bare injector when the latency model can never miss
-// the one-round deadline (sync, or zero-spread with delay <= 1), so a
-// zero-spread configuration is bit-for-bit the synchronous run.
+// nil *Injector, which a caller's nil check would take for a gate and
+// call through — and returns the bare injector when the latency model
+// can never miss the one-round deadline (sync, or zero-spread with
+// delay <= 1), so a zero-spread configuration is bit-for-bit the
+// synchronous run.
 func ComposeGate(inner *Injector, lat sim.Latency, seed uint64) Gate {
 	canBeLate := lat.Enabled() && lat.MaxRounds() > 1
 	if !canBeLate {

@@ -75,7 +75,7 @@ func TestOwnerOfCoversEveryVirtualVertex(t *testing.T) {
 	_, dmax := nw.DimRange()
 	seen := make([]int, nw.NumSupers())
 	for w := 0; w < 1<<dmax; w++ {
-		oi := nw.ownerOf(uint32(w))
+		oi := nw.ownerOf(int32(w))
 		if oi < 0 {
 			t.Fatalf("virtual vertex %b has no owner", w)
 		}

@@ -26,12 +26,12 @@ func (nw *Network) referenceKnowledgeGraph() (*graph.Graph, []bool) {
 	}
 	alive := make([]bool, len(members))
 	for i, id := range members {
-		alive[i] = !nw.blocked(id, 0)
+		alive[i] = !nw.eng.BlockedAgo(int32(id-1), 0)
 	}
 	g := graph.New(len(members))
 	seen := make(map[int64]bool)
 	addEdge := func(a, b int) {
-		if a == b || nw.faults.CutsEdge(nw.round, uint64(members[a]), uint64(members[b])) {
+		if a == b || nw.eng.Faults.CutsEdge(nw.eng.Round, uint64(members[a]), uint64(members[b])) {
 			return
 		}
 		if a > b {
@@ -44,30 +44,30 @@ func (nw *Network) referenceKnowledgeGraph() (*graph.Graph, []bool) {
 		}
 	}
 	for i, id := range members {
-		e := int(nw.viewEpoch[id-1])
-		if e > nw.epoch {
-			e = nw.epoch
+		e := int(nw.eng.ViewEpoch[id-1])
+		if e > nw.eng.Epoch {
+			e = nw.eng.Epoch
 		}
-		if e < nw.histBase {
-			e = nw.histBase
+		if base, _ := nw.eng.Views(); e < base {
+			e = base
 		}
-		h := nw.histAt(e)
-		if int(id) > len(h.nodeGroup) {
+		h := nw.eng.ViewAt(e)
+		if int(id) > len(h.NodeGroup) {
 			continue
 		}
-		x := h.nodeGroup[id-1]
+		x := h.NodeGroup[id-1]
 		if x < 0 {
 			continue
 		}
 		link := func(group int32) {
-			for _, w := range h.groups[group] {
+			for _, w := range h.Groups[group] {
 				if wi, ok := idx[w]; ok {
 					addEdge(i, wi)
 				}
 			}
 		}
 		link(x)
-		for _, y := range h.adj[x] {
+		for _, y := range h.Adj[x] {
 			link(y)
 		}
 	}
@@ -86,17 +86,17 @@ func checkOracle(t *testing.T, nw *Network) bool {
 	slot := func(i int) int32 { return int32(members[i] - 1) }
 	want := g.IsConnectedRestricted(alive)
 	if got := nw.ConnectedNow(); got != want {
-		t.Fatalf("round %d: ConnectedNow = %v, reference graph says %v", nw.round, got, want)
+		t.Fatalf("round %d: ConnectedNow = %v, reference graph says %v", nw.eng.Round, got, want)
 	}
-	checkPartition(t, nw.round, induced(g, alive).Components(), slot, &nw.connUF)
+	checkPartition(t, nw.eng.Round, induced(g, alive).Components(), slot, &nw.eng.ConnUF)
 	var sizes []int
 	for _, c := range g.Components() {
 		sizes = append(sizes, len(c))
 	}
 	if got := nw.KnowledgeComponents(); !slices.Equal(got, sizes) {
-		t.Fatalf("round %d: KnowledgeComponents sizes = %v, reference graph has %v", nw.round, got, sizes)
+		t.Fatalf("round %d: KnowledgeComponents sizes = %v, reference graph has %v", nw.eng.Round, got, sizes)
 	}
-	checkPartition(t, nw.round, g.Components(), slot, &nw.connUF)
+	checkPartition(t, nw.eng.Round, g.Components(), slot, &nw.eng.ConnUF)
 	return want
 }
 
@@ -139,7 +139,7 @@ func attack(t *testing.T, nw *Network, adv dos.Adversary, buf *dos.Buffer, round
 	t.Helper()
 	for i := 0; i < rounds; i++ {
 		buf.Publish(nw.Snapshot())
-		nw.Step(adv.SelectBlocked(nw.round+1, nw.N(), buf.View(nw.round+1)))
+		nw.Step(adv.SelectBlocked(nw.eng.Round+1, nw.N(), buf.View(nw.eng.Round+1)))
 		if checkOracle(t, nw) {
 			connected++
 		} else {
@@ -246,13 +246,14 @@ func TestOracleMatchesReferenceChurnSplitMerge(t *testing.T) {
 			if !checkOracle(t, nw) {
 				cut++
 			}
-			for v, x := range nw.nodeSuper {
-				if x >= 0 && int(nw.viewEpoch[v]) < nw.epoch && !nw.blockedHist[0].Test(int32(v)) {
+			for v, x := range nw.eng.NodeGroup {
+				if x >= 0 && int(nw.eng.ViewEpoch[v]) < nw.eng.Epoch && !nw.eng.BlockedAgo(int32(v), 0) {
 					staleAlive++
 				}
 			}
 		}
-		entries = max(entries, nw.histLen)
+		_, views := nw.eng.Views()
+		entries = max(entries, views)
 	}
 	st := nw.StatsSnapshot()
 	if st.Splits == 0 || st.Merges+st.ForcedMerges == 0 {
@@ -336,7 +337,7 @@ func TestConnectedNowAllocsSteadyState(t *testing.T) {
 	for i := 0; i < nw.EpochRounds(); i++ {
 		nw.Step(nil)
 	}
-	if nw.connRep != nil {
+	if nw.eng.ConnRep != nil {
 		t.Fatal("oracle scratch allocated before the first measurement")
 	}
 	nw.ConnectedNow()

@@ -2,7 +2,6 @@ package splitmerge
 
 import (
 	"fmt"
-	"slices"
 
 	"overlaynet/internal/audit"
 )
@@ -17,17 +16,7 @@ import (
 // graph ConnectedNow restricts to the non-blocked ones, including any
 // open partition cut), largest first — the recovery experiments'
 // degraded-mode service measure.
-func (nw *Network) KnowledgeComponents() []int {
-	nw.collapseViews(true)
-	var sizes []int
-	for v, s := range nw.nodeSuper {
-		if s >= 0 && nw.connUF.Find(int32(v)) == int32(v) {
-			sizes = append(sizes, nw.connUF.Size(int32(v)))
-		}
-	}
-	slices.SortFunc(sizes, func(a, b int) int { return b - a })
-	return sizes
-}
+func (nw *Network) KnowledgeComponents() []int { return nw.eng.KnowledgeComponents() }
 
 // checkLabelCoverage verifies that the supernode labels form an exact
 // partition of the label space (the invariant behind ownerOf and the
@@ -75,9 +64,9 @@ func (nw *Network) CorruptState(pick uint64) string {
 			return ""
 		}
 		id := members[int((pick>>8)%uint64(len(members)))]
-		x := nw.nodeSuper[id-1]
+		x := nw.eng.NodeGroup[id-1]
 		y := (int(x) + 1 + int((pick>>40)%uint64(len(nw.supers)-1))) % len(nw.supers)
-		nw.nodeSuper[id-1] = int32(y)
+		nw.eng.NodeGroup[id-1] = int32(y)
 		return fmt.Sprintf("node %d nodeSuper index desynced %d -> %d", id, x, y)
 	}
 	si := int((pick >> 8) % uint64(len(nw.supers)))
@@ -168,19 +157,19 @@ func (nw *Network) RepairBalance() int {
 func (nw *Network) RepairMembership() int {
 	nw.metrics.AddRepairs(1)
 	fixes := 0
-	seen := make([]bool, len(nw.nodeSuper))
+	seen := make([]bool, len(nw.eng.NodeGroup))
 	for x, s := range nw.supers {
 		for _, id := range s.members {
 			seen[id-1] = true
-			if nw.nodeSuper[id-1] != int32(x) {
-				nw.nodeSuper[id-1] = int32(x)
+			if nw.eng.NodeGroup[id-1] != int32(x) {
+				nw.eng.NodeGroup[id-1] = int32(x)
 				fixes++
 			}
 		}
 	}
-	for v := range nw.nodeSuper {
-		if nw.nodeSuper[v] >= 0 && !seen[v] {
-			nw.nodeSuper[v] = -1
+	for v := range nw.eng.NodeGroup {
+		if nw.eng.NodeGroup[v] >= 0 && !seen[v] {
+			nw.eng.NodeGroup[v] = -1
 			fixes++
 		}
 	}

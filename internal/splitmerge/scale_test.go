@@ -68,57 +68,16 @@ func TestByteIdenticalAcrossShards(t *testing.T) {
 	if got := driveDigest(4, true, true); got != want {
 		t.Fatal("attaching metrics+audit perturbed the results")
 	}
-	// Without an injector, one worker takes the direct-delivery fast
-	// path; the sharded outbox pipeline must match it byte for byte
-	// (the DoS adversary still forces leaderless rounds, exercising
-	// the direct path's queue-clearing prepass).
-	direct := driveDigest(1, false, false)
-	if got := driveDigest(8, false, false); got != direct {
-		t.Fatal("outbox pipeline diverges from the direct single-worker path")
-	}
-}
-
-// TestDeliveryGateDisablesDirectPath mirrors the supernode test: the
-// §6 fast path must be off exactly when a non-nil delivery gate —
-// injector, partition window, or latency deadline — exists, and the
-// zero-spec / zero-spread configurations must leave an untyped nil
-// (the typed-nil interface trap).
-func TestDeliveryGateDisablesDirectPath(t *testing.T) {
-	nw := New(Config{Seed: 1, N0: 512, Shards: 1})
-	defer nw.Close()
-	if nw.inj != nil {
-		t.Fatal("fresh network has a delivery gate")
-	}
-	nw.SetFaults(fault.Spec{Seed: 3, Crash: 0.1})
-	if nw.inj != nil {
-		t.Fatal("message-fault-free spec produced a gate (typed-nil trap)")
-	}
-	nw.SetFaults(fault.Spec{Seed: 3, PartK: 2, PartFrom: 2, PartWin: 4})
-	if nw.inj == nil {
-		t.Fatal("partition window left no gate")
-	}
-	nw.SetFaults(fault.Spec{})
-	nw.SetLatency(sim.Latency{Kind: sim.LatencyConst, A: 1})
-	if nw.inj != nil {
-		t.Fatal("zero-spread latency (never late) must compose to no gate")
-	}
-	nw.SetLatency(sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2})
-	if nw.inj == nil {
-		t.Fatal("latency with spread > 1 round left no gate")
-	}
-	nw.Step(nil)
-	if nw.direct {
-		t.Fatal("direct fast path stayed on with a latency gate attached")
-	}
-	nw.SetLatency(sim.Latency{})
-	nw.Step(nil)
-	if !nw.direct {
-		t.Fatal("direct fast path did not re-engage after the gate detached")
+	// Without a gate no marking pass runs; the DoS adversary still
+	// forces leaderless rounds, exercising the queue-clearing prepass.
+	plain := driveDigest(1, false, false)
+	if got := driveDigest(8, false, false); got != plain {
+		t.Fatal("shards=8 diverges from the serial execution without a gate")
 	}
 }
 
 // gateDigest fingerprints a run under one delivery-gate configuration
-// (see supernode's gateDigest) for the fast-path × faults × latency ×
+// (see supernode's gateDigest) for the shards × faults × latency ×
 // observability byte-identity matrix.
 func gateDigest(shards int, withObs bool, spec fault.Spec, lat sim.Latency, corrupt bool) string {
 	nw := New(Config{Seed: 42, N0: 1024, MeasureEvery: 2, Shards: shards})
@@ -146,11 +105,10 @@ func gateDigest(shards int, withObs bool, spec fault.Spec, lat sim.Latency, corr
 	return b.String()
 }
 
-// TestDirectPathGatingMatrix mirrors the supernode matrix: every gate
-// axis compared across single-worker (direct when the gate is nil) and
-// shards=8, with and without metrics+audit, plus §6-level
-// sync-equivalence of the zero-spread latency model.
-func TestDirectPathGatingMatrix(t *testing.T) {
+// TestGateMatrix mirrors the supernode matrix: every gate axis compared
+// across single-worker and shards=8, with and without metrics+audit,
+// plus §6-level sync-equivalence of the zero-spread latency model.
+func TestGateMatrix(t *testing.T) {
 	uni := sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2}
 	cases := []struct {
 		name    string
@@ -162,7 +120,7 @@ func TestDirectPathGatingMatrix(t *testing.T) {
 		{name: "dropdup-only", spec: fault.Spec{Seed: 11, Drop: 0.03, Dup: 0.02}},
 		{name: "latency-only", lat: uni},
 		{name: "latency+faults", spec: fault.Spec{Seed: 11, Drop: 0.02, Dup: 0.01}, lat: uni},
-		{name: "corrupt-direct", corrupt: true},
+		{name: "corrupt-no-gate", corrupt: true},
 	}
 	for _, c := range cases {
 		want := gateDigest(1, false, c.spec, c.lat, c.corrupt)
@@ -176,10 +134,10 @@ func TestDirectPathGatingMatrix(t *testing.T) {
 	base := gateDigest(1, false, fault.Spec{}, sim.Latency{}, false)
 	zero := sim.Latency{Kind: sim.LatencyConst, A: 1}
 	if got := gateDigest(1, false, fault.Spec{}, zero, false); got != base {
-		t.Fatal("const:1 latency changed the direct-path bytes")
+		t.Fatal("const:1 latency changed the single-worker bytes")
 	}
 	if got := gateDigest(8, false, fault.Spec{}, zero, false); got != base {
-		t.Fatal("const:1 latency changed the sharded-pipeline bytes")
+		t.Fatal("const:1 latency changed the shards=8 bytes")
 	}
 	if got := gateDigest(1, false, fault.Spec{}, uni, false); got == base {
 		t.Fatal("latency gate with spread had no observable effect")
@@ -233,7 +191,7 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	for i := 0; i < 6*nw.EpochRounds(); i++ {
 		nw.Step(nil)
 	}
-	samplingRounds := 2 * (2*nw.T + 1)
+	samplingRounds := nw.samplingRounds()
 	var m0, m1 runtime.MemStats
 	type badRound struct {
 		round, phase int
@@ -251,5 +209,45 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	}
 	for _, r := range bad {
 		t.Errorf("round %d (phase %d) allocated %d objects in steady state", r.round, r.phase, r.mallocs)
+	}
+}
+
+// TestUnevenShards covers what the per-worker queue segments add over
+// the identity tests above (shards 2, 4, 8 at n >= 1024): worker counts
+// that do not divide the supernode or virtual-vertex count, and more
+// workers than supernodes, so that some own an empty range — with and
+// without a gate and a crash schedule, under an adversary fresh enough
+// to stall groups, while a quarter of the network joins every epoch.
+func TestUnevenShards(t *testing.T) {
+	run := func(n, shards int, spec fault.Spec) string {
+		nw := New(Config{Seed: 42, N0: n, MeasureEvery: 2, Shards: shards})
+		defer nw.Close()
+		nw.SetFaults(spec)
+		adv := &dos.GroupIsolate{Fraction: 0.3, R: rng.New(7)}
+		buf := &dos.Buffer{Lateness: 1}
+		joins := rng.New(99)
+		var b strings.Builder
+		for e := 0; e < 3; e++ {
+			members := nw.Members()
+			for k := 0; k < len(members)/4; k++ {
+				nw.Join(members[joins.Intn(len(members))])
+			}
+			for _, rep := range nw.Run(adv, buf, nw.EpochRounds()) {
+				fmt.Fprintf(&b, "%+v\n", rep)
+				nw.roundState(&b)
+			}
+		}
+		fmt.Fprintf(&b, "%+v\n%v\n%v\n", nw.StatsSnapshot(), nw.Labels(), nw.Members())
+		return b.String()
+	}
+	for _, n := range []int{64, 100, 300} {
+		for _, spec := range []fault.Spec{{}, {Seed: 11, Drop: 0.05, Dup: 0.05, Crash: 0.05}} {
+			want := run(n, 1, spec)
+			for _, shards := range []int{3, 7, 64} {
+				if got := run(n, shards, spec); got != want {
+					t.Errorf("n=%d faults=%q: shards=%d diverges from the serial execution", n, spec, shards)
+				}
+			}
+		}
 	}
 }

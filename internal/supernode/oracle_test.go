@@ -23,7 +23,7 @@ func (nw *Network) referenceKnowledgeGraph() *graph.Graph {
 	g := graph.New(n)
 	seen := make(map[int64]bool)
 	addEdge := func(a, b int) {
-		if a == b || nw.faults.CutsEdge(nw.round, uint64(a)+1, uint64(b)+1) {
+		if a == b || nw.eng.Faults.CutsEdge(nw.eng.Round, uint64(a)+1, uint64(b)+1) {
 			return
 		}
 		if a > b {
@@ -36,13 +36,13 @@ func (nw *Network) referenceKnowledgeGraph() *graph.Graph {
 		}
 	}
 	for v := 0; v < n; v++ {
-		h := nw.histAt(int(nw.viewEpoch[v]))
-		x := h.nodeGroup[v]
-		for _, w := range h.groups[x] {
+		h := nw.eng.ViewAt(int(nw.eng.ViewEpoch[v]))
+		x := h.NodeGroup[v]
+		for _, w := range h.Groups[x] {
 			addEdge(v, int(w)-1)
 		}
 		for _, y := range nw.adj[x] {
-			for _, w := range h.groups[y] {
+			for _, w := range h.Groups[y] {
 				addEdge(v, int(w)-1)
 			}
 		}
@@ -53,7 +53,7 @@ func (nw *Network) referenceKnowledgeGraph() *graph.Graph {
 func (nw *Network) referenceAlive() []bool {
 	alive := make([]bool, nw.cfg.N)
 	for v := range alive {
-		alive[v] = !nw.blockedSlot(int32(v), 0)
+		alive[v] = !nw.eng.BlockedAgo(int32(v), 0)
 	}
 	return alive
 }
@@ -69,17 +69,17 @@ func checkOracle(t *testing.T, nw *Network) bool {
 	slot := func(v int) int32 { return int32(v) }
 	want := g.IsConnectedRestricted(alive)
 	if got := nw.ConnectedNow(); got != want {
-		t.Fatalf("round %d: ConnectedNow = %v, reference graph says %v", nw.round, got, want)
+		t.Fatalf("round %d: ConnectedNow = %v, reference graph says %v", nw.eng.Round, got, want)
 	}
-	checkPartition(t, nw.round, induced(g, alive).Components(), slot, &nw.connUF)
+	checkPartition(t, nw.eng.Round, induced(g, alive).Components(), slot, &nw.eng.ConnUF)
 	var sizes []int
 	for _, c := range g.Components() {
 		sizes = append(sizes, len(c))
 	}
 	if got := nw.KnowledgeComponents(); !slices.Equal(got, sizes) {
-		t.Fatalf("round %d: KnowledgeComponents sizes = %v, reference graph has %v", nw.round, got, sizes)
+		t.Fatalf("round %d: KnowledgeComponents sizes = %v, reference graph has %v", nw.eng.Round, got, sizes)
 	}
-	checkPartition(t, nw.round, g.Components(), slot, &nw.connUF)
+	checkPartition(t, nw.eng.Round, g.Components(), slot, &nw.eng.ConnUF)
 	return want
 }
 
@@ -122,7 +122,7 @@ func attack(t *testing.T, nw *Network, adv dos.Adversary, buf *dos.Buffer, round
 	t.Helper()
 	for i := 0; i < rounds; i++ {
 		buf.Publish(nw.Snapshot())
-		nw.Step(adv.SelectBlocked(nw.round+1, nw.cfg.N, buf.View(nw.round+1)))
+		nw.Step(adv.SelectBlocked(nw.eng.Round+1, nw.cfg.N, buf.View(nw.eng.Round+1)))
 		if checkOracle(t, nw) {
 			connected++
 		} else {
@@ -207,8 +207,8 @@ func TestOracleMatchesReferenceStaleViews(t *testing.T) {
 		if !checkOracle(t, nw) {
 			cut++
 		}
-		for v, ve := range nw.viewEpoch {
-			if int(ve) < nw.epoch && !nw.blockedSlot(int32(v), 0) {
+		for v, ve := range nw.eng.ViewEpoch {
+			if int(ve) < nw.eng.Epoch && !nw.eng.BlockedAgo(int32(v), 0) {
 				staleAlive++
 			}
 		}
@@ -286,7 +286,7 @@ func TestConnectedNowAllocsSteadyState(t *testing.T) {
 	for i := 0; i < nw.EpochRounds(); i++ {
 		nw.Step(nil)
 	}
-	if nw.connRep != nil {
+	if nw.eng.ConnRep != nil {
 		t.Fatal("oracle scratch allocated before the first measurement")
 	}
 	nw.ConnectedNow()

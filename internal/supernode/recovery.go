@@ -7,10 +7,6 @@ import (
 	"overlaynet/internal/sim"
 )
 
-// sortIDs keeps the repair paths on the same ordering the round
-// pipeline uses (slices.Sort over unique ids).
-func sortIDs(ids []sim.NodeID) { slices.Sort(ids) }
-
 // This file is the §5 network's self-healing surface: deterministic
 // corruption of the replicated group state (fault.Corrupter) and a
 // repair protocol that re-forms the group partition from the surviving
@@ -21,17 +17,7 @@ func sortIDs(ids []sim.NodeID) { slices.Sort(ids) }
 // ConnectedNow restricts to the non-blocked ones, including any open
 // partition cut), largest first — the recovery experiments'
 // degraded-mode service measure.
-func (nw *Network) KnowledgeComponents() []int {
-	nw.collapseViews(true)
-	var sizes []int
-	for v := int32(0); v < int32(nw.cfg.N); v++ {
-		if nw.connUF.Find(v) == v {
-			sizes = append(sizes, nw.connUF.Size(v))
-		}
-	}
-	slices.SortFunc(sizes, func(a, b int) int { return b - a })
-	return sizes
-}
+func (nw *Network) KnowledgeComponents() []int { return nw.eng.KnowledgeComponents() }
 
 // CorruptState implements fault.Corrupter: it perturbs the live
 // replicated group state in one of three ways selected by pick —
@@ -48,11 +34,11 @@ func (nw *Network) CorruptState(pick uint64) string {
 	}
 	v := int((pick >> 8) % uint64(n))
 	id := sim.NodeID(v + 1)
-	x := int(nw.nodeGroup[v])
+	x := int(nw.eng.NodeGroup[v])
 	switch pick % 3 {
 	case 0:
 		y := (x + 1 + int((pick>>40)%uint64(nw.nSuper-1))) % nw.nSuper
-		nw.nodeGroup[v] = int32(y)
+		nw.eng.NodeGroup[v] = int32(y)
 		return fmt.Sprintf("node %d nodeGroup pointer desynced %d -> %d", id, x, y)
 	case 1:
 		g := nw.groups[x]
@@ -66,7 +52,7 @@ func (nw *Network) CorruptState(pick uint64) string {
 	default:
 		y := (x + 1 + int((pick>>40)%uint64(nw.nSuper-1))) % nw.nSuper
 		nw.groups[y] = append(nw.groups[y], id)
-		sortIDs(nw.groups[y])
+		slices.Sort(nw.groups[y])
 		return fmt.Sprintf("node %d duplicated into group %d (home %d)", id, y, x)
 	}
 }
@@ -97,17 +83,17 @@ func (nw *Network) RepairGroups() int {
 		id := sim.NodeID(v + 1)
 		switch {
 		case len(where[v]) == 0:
-			x := int(nw.nodeGroup[v])
+			x := int(nw.eng.NodeGroup[v])
 			if x < 0 || x >= nw.nSuper {
-				x = int(nw.histAt(nw.epoch).nodeGroup[v])
+				x = int(nw.eng.ViewAt(nw.eng.Epoch).NodeGroup[v])
 			}
 			nw.groups[x] = append(nw.groups[x], id)
-			sortIDs(nw.groups[x])
+			slices.Sort(nw.groups[x])
 			fixes++
 		case len(where[v]) > 1:
 			keep := where[v][0]
 			for _, x := range where[v] {
-				if int32(x) == nw.nodeGroup[v] {
+				if int32(x) == nw.eng.NodeGroup[v] {
 					keep = x
 					break
 				}
@@ -134,8 +120,8 @@ func (nw *Network) RepairGroups() int {
 	}
 	for x, g := range nw.groups {
 		for _, id := range g {
-			if nw.nodeGroup[int(id)-1] != int32(x) {
-				nw.nodeGroup[int(id)-1] = int32(x)
+			if nw.eng.NodeGroup[int(id)-1] != int32(x) {
+				nw.eng.NodeGroup[int(id)-1] = int32(x)
 				fixes++
 			}
 		}

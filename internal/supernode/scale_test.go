@@ -54,61 +54,17 @@ func TestByteIdenticalAcrossShards(t *testing.T) {
 	if got := driveDigest(4, true, true); got != want {
 		t.Fatal("attaching metrics+audit perturbed the results")
 	}
-	// Without an injector, one worker takes the direct-delivery fast
-	// path; the sharded outbox pipeline must match it byte for byte
-	// (the DoS adversary still forces leaderless rounds, exercising
-	// the direct path's queue-clearing prepass).
-	direct := driveDigest(1, false, false)
-	if got := driveDigest(8, false, false); got != direct {
-		t.Fatal("outbox pipeline diverges from the direct single-worker path")
-	}
-}
-
-// TestDeliveryGateDisablesDirectPath pins the direct fast path's gating
-// invariant: nw.inj must be untyped nil exactly when nothing can touch
-// delivery, and any active injector, partition window, or latency
-// deadline must force the outbox pipeline. The zero-spec and
-// zero-spread cases guard the typed-nil interface trap — a *fault.
-// Injector nil wrapped in a non-nil fault.Gate would disable the fast
-// path forever (or, composed the other way, keep it on with faults
-// attached).
-func TestDeliveryGateDisablesDirectPath(t *testing.T) {
-	nw := New(Config{Seed: 1, N: 512, Shards: 1})
-	defer nw.Close()
-	if nw.inj != nil {
-		t.Fatal("fresh network has a delivery gate")
-	}
-	nw.SetFaults(fault.Spec{Seed: 3, Crash: 0.1}) // crash-only: acts pre-generation, no gate
-	if nw.inj != nil {
-		t.Fatal("message-fault-free spec produced a gate (typed-nil trap)")
-	}
-	nw.SetFaults(fault.Spec{Seed: 3, PartK: 2, PartFrom: 2, PartWin: 4})
-	if nw.inj == nil {
-		t.Fatal("partition window left no gate; direct path would reorder/deliver cut messages")
-	}
-	nw.SetFaults(fault.Spec{})
-	nw.SetLatency(sim.Latency{Kind: sim.LatencyConst, A: 1})
-	if nw.inj != nil {
-		t.Fatal("zero-spread latency (never late) must compose to no gate")
-	}
-	nw.SetLatency(sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2})
-	if nw.inj == nil {
-		t.Fatal("latency with spread > 1 round left no gate")
-	}
-	nw.Step(nil)
-	if nw.direct {
-		t.Fatal("direct fast path stayed on with a latency gate attached")
-	}
-	nw.SetLatency(sim.Latency{})
-	nw.Step(nil)
-	if !nw.direct {
-		t.Fatal("direct fast path did not re-engage after the gate detached")
+	// Without a gate no marking pass runs; the DoS adversary still
+	// forces leaderless rounds, exercising the queue-clearing prepass.
+	plain := driveDigest(1, false, false)
+	if got := driveDigest(8, false, false); got != plain {
+		t.Fatal("shards=8 diverges from the serial execution without a gate")
 	}
 }
 
 // gateDigest fingerprints a run under one delivery-gate configuration,
 // optionally with metrics+audit attached and a mid-run state
-// corruption, for the fast-path × faults × latency × observability
+// corruption, for the shards × faults × latency × observability
 // byte-identity matrix.
 func gateDigest(shards int, withObs bool, spec fault.Spec, lat sim.Latency, corrupt bool) string {
 	nw := New(Config{Seed: 42, N: 1024, MeasureEvery: 2, Shards: shards})
@@ -136,14 +92,14 @@ func gateDigest(shards int, withObs bool, spec fault.Spec, lat sim.Latency, corr
 	return b.String()
 }
 
-// TestDirectPathGatingMatrix runs every gate axis — partition-only,
-// drop/dup, latency deadline, latency composed with faults, and state
-// corruption (which is gate-free by design and must stay byte-identical
-// ON the direct path) — comparing the single-worker execution against
-// shards=8, with and without metrics+audit. It also pins §5-level
-// sync-equivalence: a zero-spread latency model must not change a
-// single byte relative to no latency model at all.
-func TestDirectPathGatingMatrix(t *testing.T) {
+// TestGateMatrix runs every gate axis — partition-only, drop/dup,
+// latency deadline, latency composed with faults, and state corruption
+// (which acts before generation and needs no gate) — comparing the
+// single-worker execution against shards=8, with and without
+// metrics+audit. It also pins §5-level sync-equivalence: a zero-spread
+// latency model must not change a single byte relative to no latency
+// model at all.
+func TestGateMatrix(t *testing.T) {
 	uni := sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2}
 	cases := []struct {
 		name    string
@@ -155,7 +111,7 @@ func TestDirectPathGatingMatrix(t *testing.T) {
 		{name: "dropdup-only", spec: fault.Spec{Seed: 11, Drop: 0.03, Dup: 0.02}},
 		{name: "latency-only", lat: uni},
 		{name: "latency+faults", spec: fault.Spec{Seed: 11, Drop: 0.02, Dup: 0.01}, lat: uni},
-		{name: "corrupt-direct", corrupt: true},
+		{name: "corrupt-no-gate", corrupt: true},
 	}
 	for _, c := range cases {
 		want := gateDigest(1, false, c.spec, c.lat, c.corrupt)
@@ -167,14 +123,14 @@ func TestDirectPathGatingMatrix(t *testing.T) {
 		}
 	}
 	// Zero-spread latency composes away entirely: same bytes as no
-	// latency model, on the direct path and the sharded pipeline alike.
+	// latency model, at one worker and at eight.
 	base := gateDigest(1, false, fault.Spec{}, sim.Latency{}, false)
 	zero := sim.Latency{Kind: sim.LatencyConst, A: 1}
 	if got := gateDigest(1, false, fault.Spec{}, zero, false); got != base {
-		t.Fatal("const:1 latency changed the direct-path bytes")
+		t.Fatal("const:1 latency changed the single-worker bytes")
 	}
 	if got := gateDigest(8, false, fault.Spec{}, zero, false); got != base {
-		t.Fatal("const:1 latency changed the sharded-pipeline bytes")
+		t.Fatal("const:1 latency changed the shards=8 bytes")
 	}
 	// And a latency model with spread must actually change behavior,
 	// otherwise the gate is vacuous.
@@ -229,7 +185,7 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	for i := 0; i < 6*nw.EpochRounds(); i++ {
 		nw.Step(nil)
 	}
-	samplingRounds := 2 * (2*nw.T + 1)
+	samplingRounds := nw.samplingRounds()
 	var m0, m1 runtime.MemStats
 	type badRound struct {
 		round, phase int
@@ -247,5 +203,36 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	}
 	for _, r := range bad {
 		t.Errorf("round %d (phase %d) allocated %d objects in steady state", r.round, r.phase, r.mallocs)
+	}
+}
+
+// TestUnevenShards covers what the per-worker queue segments add over
+// the identity tests above (shards 2, 4, 8 at n >= 1024): worker counts
+// that do not divide the supernode count, and more workers than
+// supernodes, so that some own an empty range — with and without a gate
+// and a crash schedule, under an adversary fresh enough to stall groups.
+func TestUnevenShards(t *testing.T) {
+	run := func(n, shards int, spec fault.Spec) string {
+		nw := New(Config{Seed: 42, N: n, MeasureEvery: 2, Shards: shards})
+		defer nw.Close()
+		nw.SetFaults(spec)
+		adv := &dos.GroupIsolate{Fraction: 0.3, R: rng.New(7)}
+		var b strings.Builder
+		for _, rep := range nw.Run(adv, &dos.Buffer{Lateness: 1}, 3*nw.EpochRounds()) {
+			fmt.Fprintf(&b, "%+v\n", rep)
+			nw.roundState(&b)
+		}
+		fmt.Fprintf(&b, "%+v\n%v\n", nw.StatsSnapshot(), nw.Groups())
+		return b.String()
+	}
+	for _, n := range []int{64, 100, 300} {
+		for _, spec := range []fault.Spec{{}, {Seed: 11, Drop: 0.05, Dup: 0.05, Crash: 0.05}} {
+			want := run(n, 1, spec)
+			for _, shards := range []int{3, 7, 64} {
+				if got := run(n, shards, spec); got != want {
+					t.Errorf("n=%d faults=%q: shards=%d diverges from the serial execution", n, spec, shards)
+				}
+			}
+		}
 	}
 }

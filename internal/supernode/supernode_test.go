@@ -49,7 +49,7 @@ func TestDimensionIsPowerOfTwo(t *testing.T) {
 
 func TestEpochProgressionNoAdversary(t *testing.T) {
 	nw := New(Config{Seed: 3, N: 256})
-	before := append([]int32(nil), nw.nodeGroup...)
+	before := append([]int32(nil), nw.eng.NodeGroup...)
 	rounds := nw.EpochRounds()
 	reports := nw.Run(nil, &dos.Buffer{Lateness: rounds}, rounds)
 	if nw.Epoch() != 1 {
@@ -69,7 +69,7 @@ func TestEpochProgressionNoAdversary(t *testing.T) {
 	}
 	// The rebuild must actually change assignments.
 	changed := 0
-	for v, g := range nw.nodeGroup {
+	for v, g := range nw.eng.NodeGroup {
 		if g != before[v] {
 			changed++
 		}
@@ -164,7 +164,7 @@ func TestDeterministicRuns(t *testing.T) {
 		nw := New(Config{Seed: 9, N: 256, MeasureEvery: -1})
 		adv := &dos.GroupIsolate{Fraction: 0.3, R: rng.New(90)}
 		nw.Run(adv, &dos.Buffer{Lateness: nw.EpochRounds()}, 2*nw.EpochRounds())
-		return append([]int32(nil), nw.nodeGroup...)
+		return append([]int32(nil), nw.eng.NodeGroup...)
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -191,13 +191,13 @@ func TestStaleNodesRecover(t *testing.T) {
 	for i := 0; i < nw.EpochRounds()+3; i++ {
 		nw.Step(blockedSet)
 	}
-	if nw.viewEpoch[0] == int32(nw.Epoch()) && nw.Epoch() > 0 {
+	if nw.eng.ViewEpoch[0] == int32(nw.Epoch()) && nw.Epoch() > 0 {
 		t.Fatal("blocked node impossibly up to date")
 	}
 	nw.Step(nil)
 	nw.Step(nil)
 	nw.Step(nil)
-	if nw.viewEpoch[0] != int32(nw.Epoch()) {
-		t.Fatalf("released node still stale: view %d vs epoch %d", nw.viewEpoch[0], nw.Epoch())
+	if nw.eng.ViewEpoch[0] != int32(nw.Epoch()) {
+		t.Fatalf("released node still stale: view %d vs epoch %d", nw.eng.ViewEpoch[0], nw.Epoch())
 	}
 }
