@@ -51,9 +51,9 @@ type Counters struct {
 // never share a cache line.
 type cell struct {
 	Counters
-	avail []int32    // election: a committee's available members
-	tight []tightSeg // segments this worker consumed that want a larger arena
-	_     [64]byte
+	avail   []int32 // election: a committee's available members
+	scratch []int32 // response values: a gated segment being rebuilt, answers nobody receives
+	_       [64]byte
 }
 
 // Engine phases dispatched through RunShard; a stack's own are >= 0.
@@ -67,9 +67,13 @@ const (
 // configuration fields once after New, owns the contents of NodeR,
 // NodeGroup, ViewEpoch and Owner, and advances Epoch when it commits.
 type Engine struct {
-	// Fill writes vertex u's Phase-1 list j (1-based; len(list) one-hop
-	// walks) from r. The stacks use different bits of each draw.
-	Fill func(r *rng.RNG, u, j int, list []int32)
+	// Arity is the cube's K: a vertex is a D-digit base-K number.
+	Arity int
+	// Fill draws vertex u's Phase-1 list j (1-based) from r: m one-hop
+	// walks, packed into syms as the symbol each sets coordinate j−1 to,
+	// SymBits(Arity) bits apiece from bit 0 of syms[0]; what lies past them
+	// is never read. The stacks use different bits of each draw.
+	Fill func(r *rng.RNG, u, j int, syms []uint64, m int)
 	// RespFrom offsets a response's gate identity past every request's,
 	// keeping the two hash streams of one vertex pair disjoint.
 	RespFrom uint64
@@ -127,8 +131,8 @@ func New(seed uint64, shards int, run func(phase, w int)) *Engine {
 	e.guard = &struct{ *sim.Pool }{e.pool}
 	sim.FinalizePool(e.guard, e.pool)
 	e.cells = make([]cell, e.shards)
-	e.reqs = make([][][]entry, e.shards)
-	e.resps = make([][][]entry, e.shards)
+	e.reqs = make([][]segment[asks], e.shards)
+	e.resps = make([][]answers, e.shards)
 	e.routed = make([][][]sim.NodeID, e.shards)
 	return e
 }

@@ -2,6 +2,7 @@ package committee
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -18,17 +19,27 @@ type toy struct {
 	members [][]sim.NodeID
 	verts   [][]int32
 	mi      []int
+	// lateCoins counts Phase-1 symbols served at iterations >= 2: draws
+	// from a list that carried over, which only a ragged cube has.
+	lateCoins int
 }
 
 func newToy(d, shards int) *toy {
 	n := 1 << d
-	ty := &toy{mi: []int{4 * d, 2 * d, d}} // T = 2: d = 4 lists per vertex
+	ty := &toy{}
+	for T := bits.Len(uint(d - 1)); len(ty.mi) <= T; { // d·2^T, …, 2d, d
+		ty.mi = append(ty.mi, d<<(T-len(ty.mi)))
+	}
 	e := New(1, shards, func(phase, w int) {})
 	ty.e = e
 	e.RespFrom = uint64(n) + 1
-	e.Fill = func(r *rng.RNG, u, j int, list []int32) {
-		for i := range list {
-			list[i] = int32(u) ^ int32(r.Uint64()&1)<<(j-1)
+	e.Arity = 2
+	e.Fill = func(r *rng.RNG, u, j int, syms []uint64, m int) { // §6's: flip bit j−1 on the low bit of a draw
+		r.PackBit(syms, m, 0)
+		if u>>(j-1)&1 == 1 {
+			for i := range syms {
+				syms[i] = ^syms[i]
+			}
 		}
 	}
 	e.Grow(3 * n)
@@ -50,7 +61,7 @@ func newToy(d, shards int) *toy {
 	return ty
 }
 
-// epoch runs Algorithm 2's five primitive rounds with the given nodes
+// epoch runs Algorithm 2's 2T+1 primitive rounds with the given nodes
 // blocked throughout and returns the transcript — per round the counters
 // and every vertex's queue, then the samples — and the counters' totals.
 // While every vertex is simulated, what a round leaves queued must be
@@ -61,7 +72,17 @@ func (ty *toy) epoch(t *testing.T, blocked map[sim.NodeID]bool) (string, Counter
 	var sum Counters
 	for pr := 0; pr < 2*len(ty.mi)-1; pr++ {
 		e.Begin(blocked, ty.members, ty.verts)
+		coins := 0
+		for _, l := range e.lists {
+			coins += int(l.coins)
+		}
 		e.Sample(pr)
+		if pr%2 == 1 && pr >= 3 {
+			for _, l := range e.lists {
+				coins -= int(l.coins)
+			}
+			ty.lateCoins += coins
+		}
 		c := e.End()
 		fmt.Fprintf(&b, "%d %v %+v:", pr, e.Leaders, c)
 		queued := 0
@@ -90,23 +111,27 @@ func (ty *toy) epoch(t *testing.T, blocked map[sim.NodeID]bool) (string, Counter
 // that leads two committees (their draws come from one RNG, in committee
 // order): every draw, queue length, counter and sample must match the
 // single worker's, and what is queued must be what was generated, as
-// gated.
+// gated. At d = 5 the cube is ragged: list 5 carries over, still packed,
+// and is served at iteration 3.
 func TestSegmentOrderIsSerialOrder(t *testing.T) {
 	blocked := map[sim.NodeID]bool{4: true, 5: true, 6: true, 10: true} // committee 1 stalls; 3 elects its second member
 	for _, sc := range []struct {
 		name   string
+		d      int
 		spec   fault.Spec
 		unown  bool
 		shared bool
 	}{
-		{name: "plain"},
-		{name: "gate", spec: fault.Spec{Seed: 5, Drop: 0.1, Dup: 0.1}},
-		{name: "unowned-vertex", unown: true},
-		{name: "shared-leader", shared: true},
+		{name: "plain", d: 4},
+		{name: "gate", d: 4, spec: fault.Spec{Seed: 5, Drop: 0.1, Dup: 0.1}},
+		{name: "unowned-vertex", d: 4, unown: true},
+		{name: "shared-leader", d: 4, shared: true},
+		{name: "ragged", d: 5},
+		{name: "ragged-gate", d: 5, spec: fault.Spec{Seed: 5, Drop: 0.1, Dup: 0.1}},
 	} {
 		var want string
 		for _, shards := range []int{1, 2, 5, 40} {
-			ty := newToy(4, shards)
+			ty := newToy(sc.d, shards)
 			ty.e.SetFaults(sc.spec)
 			if sc.unown {
 				ty.e.Owner[5] = -1
@@ -118,8 +143,11 @@ func TestSegmentOrderIsSerialOrder(t *testing.T) {
 			ty.e.Close()
 			if shards == 1 {
 				want = got
-				if gated := sc.spec.Drop > 0; sum.Stalls != 5 || sum.Messages == 0 || gated != (sum.FaultDrops > 0) || gated != (sum.FaultDups > 0) {
+				if gated := sc.spec.Drop > 0; sum.Stalls != 2*len(ty.mi)-1 || sum.Messages == 0 || gated != (sum.FaultDrops > 0) || gated != (sum.FaultDups > 0) {
 					t.Fatalf("%s: %+v does not exercise a stalled committee and the gate as intended", sc.name, sum)
+				}
+				if ragged := sc.d == 5; ragged != (ty.lateCoins > 0) {
+					t.Fatalf("%s: %d coins served at iterations >= 2", sc.name, ty.lateCoins)
 				}
 			} else if got != want {
 				t.Errorf("%s: shards=%d diverges from the single worker", sc.name, shards)

@@ -201,7 +201,7 @@ func New(cfg Config) *Network {
 	}
 	e := committee.New(cfg.Seed, cfg.Shards, nw.runShard)
 	nw.eng = e
-	e.Fill = fill
+	e.Arity, e.Fill = 2, fill
 	e.RespFrom = 1 + 1<<32 // past the 32-bit virtual-label space
 	nw.growNodes(cfg.N0)
 	for v := 0; v < cfg.N0; v++ {
@@ -220,13 +220,15 @@ func New(cfg Config) *Network {
 }
 
 // fill is the Phase-1 fill: every entry of virtual vertex w's list j is w
-// with bit j−1 flipped by a fair coin. Coin() is the low bit of one raw
-// draw, so the entry is w XOR-masked by that bit — same draw sequence, no
-// data-dependent branch.
-func fill(r *rng.RNG, w, j int, list []int32) {
-	bit := int32(1) << (j - 1)
-	for k := range list {
-		list[k] = int32(w) ^ (bit & -int32(r.Uint64()&1))
+// with bit j−1 flipped by a fair coin, the low bit of one raw draw. What is
+// stored is the bit the entry ends up with — the coin XOR w's own bit j−1 —
+// so a set own bit complements the list (and the unread padding with it).
+func fill(r *rng.RNG, w, j int, syms []uint64, m int) {
+	r.PackBit(syms, m, 0)
+	if w>>(j-1)&1 == 1 {
+		for i := range syms {
+			syms[i] = ^syms[i]
+		}
 	}
 }
 

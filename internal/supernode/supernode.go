@@ -91,8 +91,8 @@ func (cfg Config) Validate() error {
 	if k == 0 {
 		k = 2
 	}
-	if k < 2 {
-		return fmt.Errorf("supernode: arity %d < 2", k)
+	if k < 2 || k > 256 {
+		return fmt.Errorf("supernode: arity %d outside [2, 256] (a coordinate is stored in 8 bits)", k)
 	}
 	c := cfg.C
 	if c == 0 {
@@ -228,7 +228,7 @@ func New(cfg Config) *Network {
 
 	e := committee.New(cfg.Seed, cfg.Shards, nw.runShard)
 	nw.eng = e
-	e.Fill = nw.fill()
+	e.Arity, e.Fill = cfg.K, nw.fill()
 	e.Rotate = cfg.RandomLeader
 	e.RespFrom = uint64(nw.nSuper) + 1
 	e.Grow(cfg.N)
@@ -264,28 +264,21 @@ func New(cfg Config) *Network {
 	return nw
 }
 
-// fill returns the Phase-1 fill: every entry of vertex x's list j is x
-// with coordinate j−1 replaced by a uniform symbol (for k = 2 the paper's
-// fair coin).
-func (nw *Network) fill() func(r *rng.RNG, x, j int, list []int32) {
-	k, cube := nw.cfg.K, nw.cube
-	if k&(k-1) != 0 {
-		return func(r *rng.RNG, x, j int, list []int32) {
-			for i := range list {
-				list[i] = int32(cube.WithCoord(x, j-1, r.Intn(k)))
-			}
-		}
+// fill returns the Phase-1 fill: every entry of a list is its vertex with
+// one coordinate replaced by a uniform symbol, Intn(k) of one draw, and the
+// symbol is all that is stored. For k = 2 — the paper's fair coin — Intn is
+// the draw's top bit (a power of two never enters Lemire's rejection loop),
+// which has a bulk form.
+func (nw *Network) fill() func(r *rng.RNG, x, j int, syms []uint64, m int) {
+	k := nw.cfg.K
+	if k == 2 {
+		return func(r *rng.RNG, _, _ int, syms []uint64, m int) { r.PackBit(syms, m, 63) }
 	}
-	// Power-of-two arity: Intn(k) is exactly the top log₂k bits of one
-	// raw draw (the Lemire rejection loop never fires when k divides
-	// 2⁶⁴), and the coordinate update is a shifted bit-field write — same
-	// draw sequence, no multiply or division.
-	log2k := uint(bits.Len(uint(k)) - 1)
-	return func(r *rng.RNG, x, j int, list []int32) {
-		s := uint(j-1) * log2k
-		stripped := int32(x &^ ((k - 1) << s))
-		for i := range list {
-			list[i] = stripped | int32(r.Uint64()>>(64-log2k))<<s
+	b := committee.SymBits(k)
+	return func(r *rng.RNG, _, _ int, syms []uint64, m int) {
+		clear(syms)
+		for i := uint(0); i < uint(m); i++ {
+			syms[i*b>>6] |= uint64(r.Intn(k)) << (i * b & 63)
 		}
 	}
 }

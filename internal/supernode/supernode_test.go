@@ -1,6 +1,7 @@
 package supernode
 
 import (
+	"strings"
 	"testing"
 
 	"overlaynet/internal/dos"
@@ -199,5 +200,28 @@ func TestStaleNodesRecover(t *testing.T) {
 	nw.Step(nil)
 	if nw.eng.ViewEpoch[0] != int32(nw.Epoch()) {
 		t.Fatalf("released node still stale: view %d vs epoch %d", nw.eng.ViewEpoch[0], nw.Epoch())
+	}
+}
+
+// TestValidateArity: an arity the engine cannot store (a coordinate is
+// packed in at most 8 bits) or the cube cannot have is an error that says
+// so, at any n, not a panic in New.
+func TestValidateArity(t *testing.T) {
+	for _, c := range []struct {
+		k, n int
+		want string // substring of the error; "" = valid
+	}{
+		{k: 0, n: 1024},
+		{k: 3, n: 1024},
+		{k: 256, n: 1 << 22},
+		{k: 1, n: 1024, want: "outside [2, 256]"},
+		{k: 257, n: 1 << 22, want: "outside [2, 256]"},
+		{k: 1 << 20, n: 1 << 62, want: "outside [2, 256]"},
+		{k: 16, n: 1024, want: "too large for n"},
+	} {
+		err := Config{N: c.n, K: c.k}.Validate()
+		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("K=%d N=%d: Validate() = %v, want an error containing %q", c.k, c.n, err, c.want)
+		}
 	}
 }
