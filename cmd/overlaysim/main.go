@@ -92,20 +92,12 @@ func runSample(args []string) {
 	}
 	h := hgraph.Random(rng.New(*seed), *n, *d)
 	res := sampling.RapidHGraph(*seed, h, p)
-	counts := make([]int, *n)
-	total := 0
-	for _, s := range res.Samples {
-		for _, w := range s {
-			counts[w]++
-			total++
-		}
-	}
+	tv, env := metrics.PooledTV(res.Samples, *n)
 	fmt.Printf("rapid node sampling on a random H-graph (n=%d, d=%d)\n", *n, *d)
 	fmt.Printf("  rounds            %d  (walk length %d would need %d rounds)\n",
 		res.Rounds, p.WalkLength(), p.WalkTarget()+1)
 	fmt.Printf("  samples/node      %d\n", p.Samples())
-	fmt.Printf("  TV vs uniform     %.4f  (3x envelope %.4f)\n",
-		metrics.TVDistanceUniform(counts), 3*metrics.ExpectedTVUniform(*n, total))
+	fmt.Printf("  TV vs uniform     %.4f  (3x envelope %.4f)\n", tv, env)
 	fmt.Printf("  max bits/node-rnd %d\n", res.MaxNodeBits)
 	fmt.Printf("  failures          %d\n", res.Failures)
 }
@@ -124,18 +116,10 @@ func runCube(args []string) {
 	}
 	res := sampling.RapidHypercube(*seed, p)
 	n := 1 << *dim
-	counts := make([]int, n)
-	total := 0
-	for _, s := range res.Samples {
-		for _, w := range s {
-			counts[w]++
-			total++
-		}
-	}
+	tv, env := metrics.PooledTV(res.Samples, n)
 	fmt.Printf("rapid node sampling on the %d-cube (n=%d)\n", *dim, n)
 	fmt.Printf("  rounds        %d  (classic walk needs %d)\n", res.Rounds, *dim+1)
-	fmt.Printf("  TV vs uniform %.4f  (3x envelope %.4f)\n",
-		metrics.TVDistanceUniform(counts), 3*metrics.ExpectedTVUniform(n, total))
+	fmt.Printf("  TV vs uniform %.4f  (3x envelope %.4f)\n", tv, env)
 	fmt.Printf("  failures      %d\n", res.Failures)
 }
 
@@ -187,22 +171,16 @@ func runDoS(args []string) {
 	}
 	adv := &dos.GroupIsolate{Fraction: *frac, R: rng.New(*seed + 1)}
 	buf := &dos.Buffer{Lateness: lateness}
-	disc := 0
-	reports := nw.Run(adv, buf, *epochs*nw.EpochRounds())
-	for _, rep := range reports {
-		if rep.Measured && !rep.Connected {
-			disc++
-		}
-	}
+	nw.Run(adv, buf, *epochs*nw.EpochRounds())
 	st := nw.StatsSnapshot()
 	fmt.Printf("hypercube network under group-isolate DoS (n=%d, %d supernodes, dim %d)\n",
 		*n, nw.NSuper(), nw.Dim())
 	fmt.Printf("  blocked fraction     %.2f\n", *frac)
 	fmt.Printf("  adversary lateness   %d rounds (epoch = %d rounds)\n", lateness, nw.EpochRounds())
-	fmt.Printf("  rounds run           %d\n", len(reports))
-	fmt.Printf("  disconnected rounds  %d\n", disc)
+	fmt.Printf("  rounds run           %d\n", st.Rounds)
+	fmt.Printf("  disconnected rounds  %d\n", st.Disconnected)
 	fmt.Printf("  group stalls         %d\n", st.Stalls)
-	if disc == 0 {
+	if st.Disconnected == 0 {
 		fmt.Println("  -> connectivity maintained (Theorem 6)")
 	} else {
 		fmt.Println("  -> network was cut (expected for a 0-late adversary)")
@@ -230,39 +208,16 @@ func runChurnDoS(args []string) {
 	adv := &dos.GroupIsolate{Fraction: *frac, R: rng.New(*seed + 1)}
 	buf := &dos.Buffer{Lateness: 2 * nw.EpochRounds()}
 	r := rng.New(*seed + 2)
-	disc := 0
 	for e := 0; e < *epochs; e++ {
-		members := nw.Members()
-		k := int(*churnFrac * float64(len(members)))
-		gone := map[sim.NodeID]bool{}
-		for len(gone) < k {
-			id := members[r.Intn(len(members))]
-			if !gone[id] {
-				gone[id] = true
-				nw.Leave(id)
-			}
-		}
-		for i := 0; i < k; i++ {
-			for {
-				s := members[r.Intn(len(members))]
-				if !gone[s] {
-					nw.Join(s)
-					break
-				}
-			}
-		}
-		for _, rep := range nw.Run(adv, buf, nw.EpochRounds()) {
-			if rep.Measured && !rep.Connected {
-				disc++
-			}
-		}
+		nw.ReplaceMembers(r, int(*churnFrac*float64(nw.N())))
+		nw.Run(adv, buf, nw.EpochRounds())
 	}
 	st := nw.StatsSnapshot()
 	min, max := nw.DimRange()
 	fmt.Printf("split/merge network under churn %.1f%% + DoS %.0f%% (n0=%d)\n",
 		*churnFrac*100, *frac*100, *n)
 	fmt.Printf("  epochs %d, rounds/epoch %d\n", *epochs, nw.EpochRounds())
-	fmt.Printf("  disconnected rounds %d, stalls %d\n", disc, st.Stalls)
+	fmt.Printf("  disconnected rounds %d, stalls %d\n", st.Disconnected, st.Stalls)
 	fmt.Printf("  splits %d, merges %d (forced %d)\n", st.Splits, st.Merges, st.ForcedMerges)
 	fmt.Printf("  dimensions [%d, %d] (spread <= 2: %v), Equation 1 holds: %v\n",
 		min, max, max-min <= 2, nw.Eq1Holds())

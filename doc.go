@@ -22,7 +22,6 @@
 //   - apps/anon, apps/dht, apps/pubsub: the Section 7 applications;
 //   - exp: one driver per reproduced experiment (see DESIGN.md).
 //
-// The benchmarks in bench_test.go and the cmd/benchtables tool
-// regenerate every experiment table; EXPERIMENTS.md records
-// paper-claim versus measured outcome for each.
+// The cmd/benchtables tool regenerates every experiment table;
+// EXPERIMENTS.md records paper-claim versus measured outcome for each.
 package overlaynet

@@ -38,19 +38,14 @@ func main() {
 		}
 		adv := &dos.GroupIsolate{Fraction: blockedFraction, R: rng.New(77)}
 		buf := &dos.Buffer{Lateness: late}
-		disc := 0
-		reports := nw.Run(adv, buf, 3*nw.EpochRounds())
-		for _, rep := range reports {
-			if rep.Measured && !rep.Connected {
-				disc++
-			}
-		}
+		nw.Run(adv, buf, 3*nw.EpochRounds())
+		st := nw.StatsSnapshot()
+		disc := st.Disconnected
 		verdict := "network cut"
 		if disc == 0 {
 			verdict = "connectivity maintained"
 		}
-		t.AddRowf(fmt.Sprintf("%d rounds", late), len(reports), disc,
-			nw.StatsSnapshot().Stalls, verdict)
+		t.AddRowf(fmt.Sprintf("%d rounds", late), st.Rounds, disc, st.Stalls, verdict)
 		// The headline contrast: real-time information cuts the network
 		// (the Section 1.1 impossibility), 2t-stale information cannot
 		// (Theorem 6).

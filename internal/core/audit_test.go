@@ -34,7 +34,7 @@ func TestAuditDetectsCorruptedTopology(t *testing.T) {
 	eng := audit.NewEngine("test", 7, 1, nil)
 	nw.SetAudit(eng)
 	nw.RunEpoch(nil, nil)
-	nw.CorruptTopologyForTest()
+	nw.corruptTopology()
 	if err := nw.ValidateTopology(); err == nil {
 		t.Fatal("ValidateTopology accepted a corrupted topology")
 	}
@@ -118,4 +118,16 @@ func TestInjectedDropsOpenBudgetGapWithoutPanic(t *testing.T) {
 		t.Fatalf("sampling-budget fired %d times under injection; the ledger should account faults: %+v",
 			got, eng.Violations())
 	}
+}
+
+// corruptTopology deliberately breaks the current topology by
+// redirecting one member's cycle-0 successor pointer to itself, without
+// updating the predecessor side. It exists so tests can prove the audit
+// layer detects a corrupted topology within one check interval; never
+// call it outside tests.
+func (nw *Network) corruptTopology() {
+	id := nw.members[0]
+	succ := append([]int32(nil), nw.curSucc[id]...)
+	succ[0] = int32(id)
+	nw.curSucc[id] = succ
 }

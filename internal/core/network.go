@@ -670,18 +670,6 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 // hamilton-topology checker is this test.
 func (nw *Network) ValidateTopology() error { return nw.validateTopology() }
 
-// CorruptTopologyForTest deliberately breaks the current topology by
-// redirecting one member's cycle-0 successor pointer to itself, without
-// updating the predecessor side. It exists so tests can prove the audit
-// layer detects a corrupted topology within one check interval; never
-// call it outside tests.
-func (nw *Network) CorruptTopologyForTest() {
-	id := nw.members[0]
-	succ := append([]int32(nil), nw.curSucc[id]...)
-	succ[0] = int32(id)
-	nw.curSucc[id] = succ
-}
-
 // maxEmptySegment scans every old cycle for the longest run of
 // inactive nodes (Lemma 12), using the active flags the nodes recorded.
 // Runs that wrap around the cycle's scan origin are merged.

@@ -19,8 +19,8 @@ func (nw *Network) Round() int { return nw.net.Round() }
 // live successor pointer in one Hamilton cycle, redirecting it at a
 // hash-selected wrong member. The write goes through the shared backing
 // array the node goroutine's local slice aliases (adopted at the last
-// commit), so — unlike CorruptTopologyForTest — the corruption reaches
-// the live protocol state, not just the driver's bookkeeping. Must be
+// commit), so the corruption reaches the live protocol state, not just
+// the driver's bookkeeping. Must be
 // called between epochs, when every node goroutine is parked at the
 // round barrier.
 func (nw *Network) CorruptState(pick uint64) string {

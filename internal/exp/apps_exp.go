@@ -20,10 +20,7 @@ import (
 func E11AnonRouting(o Options) *metrics.Table {
 	t := metrics.NewTable("E11  Corollary 2 — robust anonymous routing",
 		"n", "blocked frac", "requests", "delivered", "replied", "rounds/req", "exit entropy", "max entropy")
-	requests := 2000
-	if o.Quick {
-		requests = 300
-	}
+	requests := o.size(300, 2000)
 	ns := o.sizes([]int{256}, []int{512, 1024})
 	fracs := o.sizes([]int{0}, []int{0, 25, 40, 45})
 	t.AddRows(mustRows(RunRows(o, len(ns)*len(fracs), func(cell int) [][]string {
@@ -31,8 +28,7 @@ func E11AnonRouting(o Options) *metrics.Table {
 		frac := fracs[cell%len(fracs)]
 		{
 			fraction := float64(frac) / 100
-			net := supernode.New(supernode.Config{Seed: o.Seed ^ uint64(n), N: n, MeasureEvery: -1, Shards: o.Shards})
-			net.SetMetrics(o.stack("supernode"))
+			net := newSupernode(o.envMetrics(), supernode.Config{Seed: o.Seed ^ uint64(n), N: n, MeasureEvery: -1})
 			sy := anon.NewSystem(net, o.Seed+uint64(n))
 			adv := &dos.Random{Fraction: fraction, R: rng.New(o.Seed + uint64(frac)), IDs: blockedIDs(n)}
 			delivered, replied := 0, 0

@@ -6,14 +6,13 @@ import (
 	"overlaynet/internal/churn"
 	"overlaynet/internal/core"
 	"overlaynet/internal/dos"
+	"overlaynet/internal/fault"
 	"overlaynet/internal/hgraph"
 	"overlaynet/internal/metrics"
 	"overlaynet/internal/reliable"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sampling"
 	"overlaynet/internal/sim"
-	"overlaynet/internal/splitmerge"
-	"overlaynet/internal/supernode"
 )
 
 // AS1: the asynchrony experiment. The paper's model is fully
@@ -45,15 +44,20 @@ func AS1AsyncLatency(o Options) *metrics.Table {
 	const nSystems = 4
 	t.AddRows(mustRows(RunRows(o, nSystems*len(lats), func(cell int) [][]string {
 		lat := lats[cell%len(lats)]
-		switch cell / len(lats) {
+		// AS1 measures the UNPROTECTED protocols (AS2 adds the reliable
+		// endpoints), so the global -reliable option does not apply here.
+		switch sys := cell / len(lats); sys {
 		case 0:
-			return [][]string{as1Sampling(o, lat)}
+			res, tv, inEnv := samplingUnder(o, 0xa5, lat, 0, reliable.Config{})
+			return [][]string{metrics.Row("sampling §3", lat, res.Deferred, res.Failures,
+				tv, res.Failures == 0 && inEnv)}
 		case 1:
-			return [][]string{as1Core(o, lat)}
-		case 2:
-			return [][]string{as1Supernode(o, lat)}
+			nw, tally := coreUnder(o, 0xa5, lat, 0, reliable.Config{})
+			defer nw.Shutdown()
+			return [][]string{metrics.Row("reconfig §4", lat, nw.DeferredMessages(), tally.failures,
+				tally, tally.healthy())}
 		default:
-			return [][]string{as1SplitMerge(o, lat)}
+			return [][]string{as1Overlay(o, lat, overlayKinds[sys-2])}
 		}
 	})))
 	return t
@@ -76,128 +80,63 @@ func as1Latencies(quick bool) []sim.Latency {
 	return lats
 }
 
-// as1Sampling reruns Theorem 2's rapid sampling under lat. Quality is
-// the pooled TV distance against its 3x expected-under-uniform
-// envelope: deferred responses shrink the multisets, so spread shows
-// up first as extraction failures, then as TV loss. The seed is shared
-// by every latency row, so the sync and const:1 rows compare the SAME
-// run under the two execution modes.
-func as1Sampling(o Options, lat sim.Latency) []string {
-	n := 256
-	if o.Quick {
-		n = 128
-	}
-	seed := cellSeed(o.Seed, 0xa5, uint64(n))
+// samplingUnder reruns Theorem 2's rapid sampling under one delivery
+// regime — a latency model, a message drop rate and an endpoint
+// configuration — and renders its quality cell: the pooled TV distance
+// against its 3x expected-under-uniform envelope, and whether it is
+// inside. Deferred or lost responses shrink the multisets, so a bad regime
+// shows up first as extraction failures, then as TV loss. The seed depends
+// only on tag (the experiment) and n, so every row of a sweep reruns the
+// SAME protocol instance.
+func samplingUnder(o Options, tag uint64, lat sim.Latency, drop float64, rel reliable.Config) (res *sampling.RapidResult, quality string, inEnv bool) {
+	n := o.size(128, 256)
+	seed := cellSeed(o.Seed, tag, uint64(n))
 	p := expParams(o, n)
-	p.Latency = lat
-	// AS1 measures the UNPROTECTED protocols (AS2 adds the reliable
-	// endpoints), so the global -reliable option does not apply here.
-	p.Reliable = reliable.Config{}
+	p.Latency, p.Reliable = lat, rel
+	if drop > 0 {
+		p.Faults = fault.Spec{Seed: cellSeed(seed, 0xd0), Drop: drop}
+	}
 	h := hgraph.Random(rng.New(seed), n, p.D)
-	res := sampling.RapidHGraph(seed^1, h, p)
-	counts := make([]int, n)
-	total := 0
-	for _, s := range res.Samples {
-		for _, w := range s {
-			counts[w]++
-			total++
-		}
-	}
-	tv := metrics.TVDistanceUniform(counts)
-	env := 3 * metrics.ExpectedTVUniform(n, total)
-	return metrics.Row("sampling §3", lat, res.Deferred, res.Failures,
-		fmt.Sprintf("TV %.3f (env %.3f)", tv, env),
-		res.Failures == 0 && tv <= env)
+	res = sampling.RapidHGraph(seed^1, h, p)
+	tv, env := metrics.PooledTV(res.Samples, n)
+	return res, fmt.Sprintf("TV %.3f (env %.3f)", tv, env), tv <= env
 }
 
-// as1Core reruns Theorem 4/5's reconfiguration under lat with 25%
-// replacement churn per epoch. Quality is the per-epoch connectivity
-// and validity tally: deferred protocol messages miss their phase, so
-// spread surfaces as sampling underflow and unresolved assignments
-// (the failures column) and eventually as invalid epochs.
-func as1Core(o Options, lat sim.Latency) []string {
+// coreUnder reruns Theorem 4/5's reconfiguration under the same kind of
+// regime with 25% replacement churn per epoch, and tallies connectivity
+// and validity per epoch: late or lost protocol messages miss their
+// phase, so a bad regime surfaces as sampling underflow and unresolved
+// assignments (failures) and eventually as invalid epochs. The caller
+// shuts the network down once it has read the kernel's counters.
+func coreUnder(o Options, tag uint64, lat sim.Latency, drop float64, rel reliable.Config) (*core.Network, epochTally) {
 	n := 64
-	epochs := 3
-	if o.Quick {
-		epochs = 2
+	epochs := o.size(2, 3)
+	seed := cellSeed(o.Seed, tag, 0xc0, uint64(n))
+	e := o.envMetrics()
+	e.latency, e.reliable = lat, rel
+	if drop > 0 {
+		e.faults = fault.Spec{Seed: cellSeed(seed, 0xd0), Drop: drop}
 	}
-	seed := cellSeed(o.Seed, 0xa5, 0xc0, uint64(n))
-	cfg := coreConfig(o, seed, n)
-	cfg.Latency = lat
-	cfg.Reliable = reliable.Config{} // unprotected control; see as1Sampling
-	nw := core.NewNetwork(cfg)
-	defer nw.Shutdown()
-	nw.SetMetrics(o.stack("core"))
-	reports := churn.Run(nw, &churn.Replace{Fraction: 0.25, R: rng.New(seed + 1)}, epochs)
-	conn, valid, failures := 0, 0, 0
-	for _, rep := range reports {
-		if rep.Connected {
-			conn++
-		}
-		if rep.Valid {
-			valid++
-		}
-		failures += rep.Failures
-	}
-	return metrics.Row("reconfig §4", lat, nw.DeferredMessages(), failures,
-		fmt.Sprintf("conn %d/%d valid %d/%d", conn, epochs, valid, epochs),
-		conn == epochs && valid == epochs && failures == 0)
+	nw := newCore(e, seed, n)
+	return nw, tallyEpochs(churn.Run(nw, &churn.Replace{Fraction: 0.25, R: rng.New(seed + 1)}, epochs))
 }
 
-// as1Supernode reruns Theorem 6's connectivity claim under lat with a
-// 20% group-isolate DoS adversary. The §5 stack runs whole protocol
-// phases per virtual round, so the latency model acts as a delivery
-// deadline (SetLatency): messages sampled later than one round are
-// lost for their phase. Quality is the disconnected fraction of the
-// measured rounds.
-func as1Supernode(o Options, lat sim.Latency) []string {
-	n := 256
-	if o.Quick {
-		n = 128
-	}
-	seed := cellSeed(o.Seed, 0xa5, 0x50, uint64(n))
-	nw := supernode.New(supernode.Config{Seed: seed, N: n, MeasureEvery: 2, Shards: o.Shards})
+// as1Overlay reruns the connectivity claim of Theorem 6 (§5) or 7 (§6)
+// under lat with the stack's 20% DoS adversary. These stacks run whole
+// protocol phases per virtual round, so the latency model acts as a
+// delivery deadline: messages sampled later than one round are lost for
+// their phase. Quality is the disconnected fraction of the measured
+// rounds.
+func as1Overlay(o Options, lat sim.Latency, k overlayKind) []string {
+	n := o.size(128, 256)
+	seed := cellSeed(o.Seed, 0xa5, uint64(k.sec)<<4, uint64(n))
+	e := o.envMetrics()
+	e.deadline = lat
+	nw := k.build(e, seed, n, 2, 0)
 	defer nw.Close()
-	nw.SetMetrics(o.stack("supernode"))
-	nw.SetLatency(lat)
-	adv := &dos.GroupIsolate{Fraction: 0.2, R: rng.New(seed + 1)}
-	buf := &dos.Buffer{Lateness: nw.EpochRounds()}
-	measured, disc := 0, 0
-	for _, rep := range nw.Run(adv, buf, 2*nw.EpochRounds()) {
-		if rep.Measured {
-			measured++
-			if !rep.Connected {
-				disc++
-			}
-		}
-	}
-	return metrics.Row("supernode §5", lat, "-", nw.StatsSnapshot().Stalls,
-		fmt.Sprintf("disc %d/%d", disc, measured), disc == 0)
-}
-
-// as1SplitMerge mirrors as1Supernode for the §6 split/merge stack
-// (Theorem 7), with its random blocking adversary.
-func as1SplitMerge(o Options, lat sim.Latency) []string {
-	n := 256
-	if o.Quick {
-		n = 128
-	}
-	seed := cellSeed(o.Seed, 0xa5, 0x60, uint64(n))
-	nw := splitmerge.New(splitmerge.Config{Seed: seed, N0: n, MeasureEvery: 2, Shards: o.Shards})
-	defer nw.Close()
-	nw.SetMetrics(o.stack("splitmerge"))
-	nw.SetLatency(lat)
-	adv := &dos.Random{Fraction: 0.2, R: rng.New(seed + 1), IDs: nw.Members}
-	buf := &dos.Buffer{Lateness: 2}
-	measured, disc := 0, 0
-	for _, rep := range nw.Run(adv, buf, 2*nw.EpochRounds()) {
-		if rep.Measured {
-			measured++
-			if !rep.Connected {
-				disc++
-			}
-		}
-	}
-	return metrics.Row("splitmerge §6", lat, "-", nw.StatsSnapshot().Stalls,
-		fmt.Sprintf("disc %d/%d", disc, measured), disc == 0)
+	adv, lateness := nw.as1(rng.New(seed + 1))
+	nw.run(adv, &dos.Buffer{Lateness: lateness}, 2*nw.EpochRounds())
+	h := nw.health()
+	return metrics.Row(k.label(), lat, "-", h.stalls,
+		fmt.Sprintf("disc %d/%d", h.disconnected, h.measured), h.disconnected == 0)
 }

@@ -10,11 +10,36 @@ import (
 	"overlaynet/internal/rng"
 )
 
-// coreConfig returns the expander-network configuration used by the
-// churn experiments.
-func coreConfig(o Options, seed uint64, n int) core.Config {
-	return core.Config{Seed: seed, N0: n, D: 8, Alpha: 2, Epsilon: 1,
-		Shards: o.Shards, Latency: o.Latency, Reliable: o.Reliable}
+// epochTally condenses a run of §4 epochs into what the tables report.
+type epochTally struct {
+	epochs, conn, valid int // epochs run; of them connected, valid
+	failures            int // protocol failures, summed
+	rounds, lastRounds  int // rounds, summed and of the last epoch
+}
+
+func tallyEpochs(reports []core.EpochReport) epochTally {
+	t := epochTally{epochs: len(reports)}
+	for _, rep := range reports {
+		if rep.Connected {
+			t.conn++
+		}
+		if rep.Valid {
+			t.valid++
+		}
+		t.failures += rep.Failures
+		t.rounds += rep.Rounds
+		t.lastRounds = rep.Rounds
+	}
+	return t
+}
+
+// healthy: every epoch connected and valid, no protocol failure.
+func (t epochTally) healthy() bool {
+	return t.conn == t.epochs && t.valid == t.epochs && t.failures == 0
+}
+
+func (t epochTally) String() string {
+	return fmt.Sprintf("conn %d/%d valid %d/%d", t.conn, t.epochs, t.valid, t.epochs)
 }
 
 // E6ReconfigChurn measures Theorems 4 and 5: rounds per reconfiguration
@@ -23,15 +48,9 @@ func coreConfig(o Options, seed uint64, n int) core.Config {
 func E6ReconfigChurn(o Options) *metrics.Table {
 	t := metrics.NewTable("E6  Theorems 4/5 — reconfiguration under adversarial churn (d=8)",
 		"n", "adversary", "epochs", "rounds/epoch", "loglog n", "connected", "valid", "failures")
-	epochs := 4
-	if o.Quick {
-		epochs = 2
-	}
+	epochs := o.size(2, 4)
 	ns := o.sizes([]int{64}, []int{64, 256, 1024})
-	nadv := 5
-	if o.Quick {
-		nadv = 2
-	}
+	nadv := o.size(2, 5)
 	t.AddRows(mustRows(RunRows(o, len(ns)*nadv, func(cell int) [][]string {
 		n := ns[cell/nadv]
 		advs := []struct {
@@ -45,17 +64,7 @@ func E6ReconfigChurn(o Options) *metrics.Table {
 			{"neighborhood-25%", &churn.TargetNeighborhood{Fraction: 0.25, R: rng.New(o.Seed + 4)}},
 		}
 		a := advs[cell%nadv]
-		nw := core.NewNetwork(coreConfig(o, o.Seed^uint64(n), n))
-		nw.SetMetrics(o.stack("core"))
-		if o.Trace != nil {
-			nw.SetTrace(o.Trace, fmt.Sprintf("%s/cell%d", o.Exp, cell))
-		}
-		if e := o.auditEngine(fmt.Sprintf("%s/cell%d", o.Exp, cell), o.Seed^uint64(n)); e != nil {
-			nw.SetAudit(e)
-		}
-		if inj := o.cellFaults(cell).Injector(); inj != nil {
-			nw.SetInjector(inj)
-		}
+		nw := newCore(o.envGlobals(cell, o.Seed^uint64(n)), o.Seed^uint64(n), n)
 		var reports []core.EpochReport
 		if a.adv == nil {
 			for e := 0; e < epochs; e++ {
@@ -67,16 +76,10 @@ func E6ReconfigChurn(o Options) *metrics.Table {
 			reports = churn.Run(nw, a.adv, epochs)
 		}
 		nw.Shutdown()
-		connected, valid, failures, rounds := true, true, 0, 0
-		for _, rep := range reports {
-			connected = connected && rep.Connected
-			valid = valid && rep.Valid
-			failures += rep.Failures
-			rounds = rep.Rounds
-		}
-		return [][]string{metrics.Row(n, a.name, epochs, rounds,
+		t := tallyEpochs(reports)
+		return [][]string{metrics.Row(n, a.name, epochs, t.lastRounds,
 			fmt.Sprintf("%.2f", math.Log2(math.Log2(float64(n)))),
-			connected, valid, failures)}
+			t.conn == epochs, t.valid == epochs, t.failures)}
 	})))
 	return t
 }
@@ -90,17 +93,10 @@ func E7CongestionSegments(o Options) *metrics.Table {
 	ns := o.sizes([]int{64}, []int{64, 256, 1024, 2048})
 	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
 		n := ns[cell]
-		nw := core.NewNetwork(coreConfig(o, o.Seed^uint64(n), n))
-		nw.SetMetrics(o.stack("core"))
-		if o.Trace != nil {
-			nw.SetTrace(o.Trace, fmt.Sprintf("%s/cell%d", o.Exp, cell))
-		}
+		nw := newCore(o.envTraced(cell), o.Seed^uint64(n), n)
 		maxChosen, maxSeg := 0, 0
 		var maxBits int64
-		epochs := 3
-		if o.Quick {
-			epochs = 1
-		}
+		epochs := o.size(1, 3)
 		for e := 0; e < epochs; e++ {
 			rep, _ := nw.RunEpoch(nil, nil)
 			if rep.MaxChosen > maxChosen {

@@ -1,12 +1,9 @@
 package exp
 
 import (
-	"fmt"
-
 	"overlaynet/internal/dos"
 	"overlaynet/internal/metrics"
 	"overlaynet/internal/rng"
-	"overlaynet/internal/sim"
 	"overlaynet/internal/splitmerge"
 )
 
@@ -17,10 +14,7 @@ import (
 func E10ChurnDoS(o Options) *metrics.Table {
 	t := metrics.NewTable("E10  Theorem 7 / Lemma 18 — churn + DoS with split/merge supernodes",
 		"n0", "churn/epoch", "blocked", "epochs", "disc rounds", "dim spread", "eq1 ok", "splits", "merges", "n final")
-	epochs := 4
-	if o.Quick {
-		epochs = 2
-	}
+	epochs := o.size(2, 4)
 	n0s := o.sizes([]int{512}, []int{512, 1024, 2048})
 	cases := []struct {
 		churnFrac float64
@@ -37,55 +31,21 @@ func E10ChurnDoS(o Options) *metrics.Table {
 	t.AddRows(mustRows(RunRows(o, len(n0s)*len(cases), func(cell int) [][]string {
 		n0 := n0s[cell/len(cases)]
 		cse := cases[cell%len(cases)]
-		{
-			nw := splitmerge.New(splitmerge.Config{Seed: o.Seed ^ uint64(n0), N0: n0, Shards: o.Shards})
-			nw.SetMetrics(o.stack("splitmerge"))
-			if e := o.auditEngine(fmt.Sprintf("%s/cell%d", o.Exp, cell), o.Seed^uint64(n0)); e != nil {
-				nw.SetAudit(e)
-			}
-			if fs := o.cellFaults(cell); fs.Active() {
-				nw.SetFaults(fs)
-			}
-			var adv dos.Adversary
-			if cse.blocked > 0 {
-				adv = &dos.GroupIsolate{Fraction: cse.blocked, R: rng.New(o.Seed + uint64(n0))}
-			}
-			buf := &dos.Buffer{Lateness: 2 * nw.EpochRounds()}
-			r := rng.New(o.Seed + 99)
-			disc := 0
-			for e := 0; e < epochs; e++ {
-				if cse.churnFrac > 0 {
-					members := nw.Members()
-					churn := int(cse.churnFrac * float64(len(members)))
-					gone := map[sim.NodeID]bool{}
-					for len(gone) < churn {
-						id := members[r.Intn(len(members))]
-						if !gone[id] {
-							gone[id] = true
-							nw.Leave(id)
-						}
-					}
-					for i := 0; i < churn; i++ {
-						for {
-							s := members[r.Intn(len(members))]
-							if !gone[s] {
-								nw.Join(s)
-								break
-							}
-						}
-					}
-				}
-				for _, rep := range nw.Run(adv, buf, nw.EpochRounds()) {
-					if rep.Measured && !rep.Connected {
-						disc++
-					}
-				}
-			}
-			st := nw.StatsSnapshot()
-			return [][]string{metrics.Row(n0, cse.churnFrac, cse.blocked, epochs, disc,
-				st.MaxDimSpread, st.Eq1Violations == 0 && nw.Eq1Holds(),
-				st.Splits, st.Merges+st.ForcedMerges, nw.N())}
+		nw := newSplitMerge(o.envGlobals(cell, o.Seed^uint64(n0)), splitmerge.Config{Seed: o.Seed ^ uint64(n0), N0: n0})
+		var adv dos.Adversary
+		if cse.blocked > 0 {
+			adv = &dos.GroupIsolate{Fraction: cse.blocked, R: rng.New(o.Seed + uint64(n0))}
 		}
+		buf := &dos.Buffer{Lateness: 2 * nw.EpochRounds()}
+		r := rng.New(o.Seed + 99)
+		for e := 0; e < epochs; e++ {
+			nw.ReplaceMembers(r, int(cse.churnFrac*float64(nw.N())))
+			nw.Run(adv, buf, nw.EpochRounds())
+		}
+		st := nw.StatsSnapshot()
+		return [][]string{metrics.Row(n0, cse.churnFrac, cse.blocked, epochs, st.Disconnected,
+			st.MaxDimSpread, st.Eq1Violations == 0 && nw.Eq1Holds(),
+			st.Splits, st.Merges+st.ForcedMerges, nw.N())}
 	})))
 	return t
 }

@@ -17,10 +17,7 @@ import (
 func E8DoSConnectivity(o Options) *metrics.Table {
 	t := metrics.NewTable("E8  Theorem 6 — connectivity under DoS attack (group-isolate adversary)",
 		"n", "blocked frac", "lateness", "rounds", "disconnected rounds", "stalls")
-	epochs := 3
-	if o.Quick {
-		epochs = 2
-	}
+	epochs := o.size(2, 3)
 	ns := o.sizes([]int{256}, []int{256, 1024, 4096})
 	fracs := []float64{0.1, 0.25, 0.4, 0.45}
 	if o.Quick {
@@ -30,30 +27,22 @@ func E8DoSConnectivity(o Options) *metrics.Table {
 		n := ns[cell/(len(fracs)*2)]
 		frac := fracs[cell/2%len(fracs)]
 		late := cell%2 == 0
-		nw := supernode.New(supernode.Config{Seed: o.Seed ^ uint64(n), N: n, Shards: o.Shards})
-		nw.SetMetrics(o.stack("supernode"))
-		if e := o.auditEngine(fmt.Sprintf("%s/cell%d", o.Exp, cell), o.Seed^uint64(n)); e != nil {
-			nw.SetAudit(e)
-		}
-		if fs := o.cellFaults(cell); fs.Active() {
-			nw.SetFaults(fs)
-		}
-		lateness := 0
-		if late {
-			lateness = 2 * nw.EpochRounds()
-		}
-		adv := &dos.GroupIsolate{Fraction: frac, R: rng.New(o.Seed + uint64(n) + uint64(frac*100))}
-		buf := &dos.Buffer{Lateness: lateness}
-		reports := nw.Run(adv, buf, epochs*nw.EpochRounds())
-		disc := 0
-		for _, rep := range reports {
-			if rep.Measured && !rep.Connected {
-				disc++
-			}
-		}
-		return [][]string{metrics.Row(n, frac, fmt.Sprintf("%d", lateness), len(reports), disc, nw.StatsSnapshot().Stalls)}
+		nw := newSupernode(o.envGlobals(cell, o.Seed^uint64(n)), supernode.Config{Seed: o.Seed ^ uint64(n), N: n})
+		lateness, st := isolate(nw, frac, rng.New(o.Seed+uint64(n)+uint64(frac*100)), late, epochs)
+		return [][]string{metrics.Row(n, frac, fmt.Sprintf("%d", lateness), st.Rounds, st.Disconnected, st.Stalls)}
 	})))
 	return t
+}
+
+// isolate attacks nw for the given number of epochs with the
+// group-isolate adversary, 2t-late (the paper's regime) or with the
+// real-time topology, and returns that lateness and the resulting health.
+func isolate(nw *supernode.Network, frac float64, r *rng.RNG, late bool, epochs int) (lateness int, st supernode.Stats) {
+	if late {
+		lateness = 2 * nw.EpochRounds()
+	}
+	nw.Run(&dos.GroupIsolate{Fraction: frac, R: r}, &dos.Buffer{Lateness: lateness}, epochs*nw.EpochRounds())
+	return lateness, nw.StatsSnapshot()
 }
 
 // E9GroupBalance measures Lemmas 16 and 17: the min/max group sizes
@@ -70,16 +59,12 @@ func E9GroupBalance(o Options) *metrics.Table {
 	t.AddRows(mustRows(RunRows(o, len(ns)*len(fracs), func(cell int) [][]string {
 		n := ns[cell/len(fracs)]
 		frac := fracs[cell%len(fracs)]
-		nw := supernode.New(supernode.Config{Seed: o.Seed ^ uint64(n), N: n, MeasureEvery: -1, Shards: o.Shards})
-		nw.SetMetrics(o.stack("supernode"))
+		nw := newSupernode(o.envMetrics(), supernode.Config{Seed: o.Seed ^ uint64(n), N: n, MeasureEvery: -1})
 		adv := &dos.HalfEachGroup{Fraction: frac, R: rng.New(o.Seed + uint64(n))}
 		buf := &dos.Buffer{Lateness: 2 * nw.EpochRounds()}
 		maxFrac := 0.0
 		allAvail := true
-		rounds := 2 * nw.EpochRounds()
-		if o.Quick {
-			rounds = nw.EpochRounds()
-		}
+		rounds := o.size(nw.EpochRounds(), 2*nw.EpochRounds())
 		for i := 0; i < rounds; i++ {
 			buf.Publish(nw.Snapshot())
 			blocked := adv.SelectBlocked(nw.Round()+1, n, buf.View(nw.Round()+1))
@@ -116,29 +101,16 @@ func E9GroupBalance(o Options) *metrics.Table {
 func A2SyncRule(o Options) *metrics.Table {
 	t := metrics.NewTable("A2  Ablation — synchronization rule (n=1024, blocked 0.4, late)",
 		"rule", "rounds", "disconnected", "stalls", "empty groups")
-	n := 1024
-	if o.Quick {
-		n = 256
-	}
+	n := o.size(256, 1024)
 	t.AddRows(mustRows(RunRows(o, 2, func(cell int) [][]string {
 		random := cell == 1
-		nw := supernode.New(supernode.Config{Seed: o.Seed, N: n, RandomLeader: random, Shards: o.Shards})
-		nw.SetMetrics(o.stack("supernode"))
-		adv := &dos.GroupIsolate{Fraction: 0.4, R: rng.New(o.Seed + 7)}
-		buf := &dos.Buffer{Lateness: 2 * nw.EpochRounds()}
-		reports := nw.Run(adv, buf, 3*nw.EpochRounds())
-		disc := 0
-		for _, rep := range reports {
-			if rep.Measured && !rep.Connected {
-				disc++
-			}
-		}
+		nw := newSupernode(o.envMetrics(), supernode.Config{Seed: o.Seed, N: n, RandomLeader: random})
+		_, st := isolate(nw, 0.4, rng.New(o.Seed+7), true, 3)
 		name := "lowest-id"
 		if random {
 			name = "rotating"
 		}
-		st := nw.StatsSnapshot()
-		return [][]string{metrics.Row(name, len(reports), disc, st.Stalls, st.EmptyGroups)}
+		return [][]string{metrics.Row(name, st.Rounds, st.Disconnected, st.Stalls, st.EmptyGroups)}
 	})))
 	return t
 }

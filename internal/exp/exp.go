@@ -1,15 +1,14 @@
 // Package exp contains one driver per experiment of the reproduction
 // (see DESIGN.md §3): each driver runs a workload sweep against the
 // implemented systems and renders the quantities the corresponding
-// theorem or lemma bounds. The drivers are shared by the testing.B
-// benchmarks in the repository root (bench_test.go) and by
-// cmd/benchtables, which regenerates every table.
+// theorem or lemma bounds. The drivers are shared by cmd/benchtables,
+// which regenerates every table, and by the benchmark in bench/, whose
+// sweep_quick workload times each of them.
 package exp
 
 import (
 	"time"
 
-	"overlaynet/internal/audit"
 	"overlaynet/internal/fault"
 	"overlaynet/internal/metrics"
 	"overlaynet/internal/obs"
@@ -102,30 +101,6 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// stack returns the protocol metric bundle for one stack name, or nil
-// when metrics are detached — drivers call it unconditionally and the
-// nil bundle absorbs every report.
-func (o Options) stack(name string) *obs.StackMetrics {
-	return o.Metrics.StackMetrics(name)
-}
-
-// auditEngine builds the invariant engine for one sweep cell, or nil
-// when auditing is off.
-func (o Options) auditEngine(scope string, seed uint64) *audit.Engine {
-	if !o.Audit {
-		return nil
-	}
-	every := o.AuditEvery
-	if every == 0 {
-		every = 1
-	}
-	var rep audit.Reporter
-	if o.Trace != nil {
-		rep = o.Trace
-	}
-	return audit.NewEngine(scope, seed, every, rep)
-}
-
 // cellFaults derives the per-cell fault spec: the same Spec with a
 // seed mixed from the cell coordinate, so distinct cells draw
 // independent schedules yet the whole sweep is reproducible for any
@@ -143,6 +118,14 @@ func (o Options) cellFaults(cell int) fault.Spec {
 
 // sizes returns quick or full sweep sizes.
 func (o Options) sizes(quick, full []int) []int {
+	if o.Quick {
+		return quick
+	}
+	return full
+}
+
+// size is sizes for one number.
+func (o Options) size(quick, full int) int {
 	if o.Quick {
 		return quick
 	}

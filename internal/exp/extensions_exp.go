@@ -135,54 +135,22 @@ func bfsAll(neighbors func(int) []int32, n, src int) []int {
 func X1ChurnRateLimit(o Options) *metrics.Table {
 	t := metrics.NewTable("X1  Extension — churn-rate limit of the split/merge network (n0=1024)",
 		"churn/epoch", "epochs", "disc rounds", "stalls", "assign fails", "eq1 ok", "dim spread", "n final")
-	n0 := 1024
-	if o.Quick {
-		n0 = 512
-	}
+	n0 := o.size(512, 1024)
 	fracs := o.sizes([]int{25}, []int{12, 25, 50, 75, 100})
-	epochs := 4
-	if o.Quick {
-		epochs = 2
-	}
+	epochs := o.size(2, 4)
 	t.AddRows(mustRows(RunRows(o, len(fracs), func(cell int) [][]string {
 		f := fracs[cell]
 		frac := float64(f) / 100
-		nw := splitmerge.New(splitmerge.Config{Seed: o.Seed, N0: n0, Shards: o.Shards})
-		nw.SetMetrics(o.stack("splitmerge"))
+		nw := newSplitMerge(o.envMetrics(), splitmerge.Config{Seed: o.Seed, N0: n0})
 		buf := &dos.Buffer{Lateness: 1}
 		r := rng.New(o.Seed + uint64(f))
-		disc := 0
 		for e := 0; e < epochs; e++ {
-			members := nw.Members()
-			k := int(frac * float64(len(members)))
-			if k > len(members)-8 {
-				k = len(members) - 8
-			}
-			gone := map[sim.NodeID]bool{}
-			for len(gone) < k {
-				id := members[r.Intn(len(members))]
-				if !gone[id] {
-					gone[id] = true
-					nw.Leave(id)
-				}
-			}
-			for i := 0; i < k; i++ {
-				for {
-					s := members[r.Intn(len(members))]
-					if !gone[s] {
-						nw.Join(s)
-						break
-					}
-				}
-			}
-			for _, rep := range nw.Run(nil, buf, nw.EpochRounds()) {
-				if rep.Measured && !rep.Connected {
-					disc++
-				}
-			}
+			// At 100% the method's clamp keeps 8 members to sponsor.
+			nw.ReplaceMembers(r, int(frac*float64(nw.N())))
+			nw.Run(nil, buf, nw.EpochRounds())
 		}
 		st := nw.StatsSnapshot()
-		return [][]string{metrics.Row(fmt.Sprintf("%d%%", f), epochs, disc, st.Stalls, st.AssignFails,
+		return [][]string{metrics.Row(fmt.Sprintf("%d%%", f), epochs, st.Disconnected, st.Stalls, st.AssignFails,
 			st.Eq1Violations == 0 && nw.Eq1Holds(), st.MaxDimSpread, nw.N())}
 	})))
 	return t
@@ -197,33 +165,23 @@ func X1ChurnRateLimit(o Options) *metrics.Table {
 func X2CrashFailures(o Options) *metrics.Table {
 	t := metrics.NewTable("X2  Extension — permanent crash failures in the Section 5 network (n=1024)",
 		"crashed frac", "rounds", "disconnected (live)", "stalls", "epochs completed")
-	n := 1024
-	if o.Quick {
-		n = 256
-	}
+	n := o.size(256, 1024)
 	fracs := o.sizes([]int{20}, []int{10, 25, 40, 48})
 	t.AddRows(mustRows(RunRows(o, len(fracs), func(cell int) [][]string {
 		f := fracs[cell]
 		frac := float64(f) / 100
-		nw := supernode.New(supernode.Config{Seed: o.Seed ^ uint64(f), N: n, Shards: o.Shards})
-		nw.SetMetrics(o.stack("supernode"))
+		nw := newSupernode(o.envMetrics(), supernode.Config{Seed: o.Seed ^ uint64(f), N: n})
 		r := rng.New(o.Seed + uint64(f))
 		crashed := map[sim.NodeID]bool{}
 		for len(crashed) < int(frac*float64(n)) {
 			crashed[sim.NodeID(r.Intn(n)+1)] = true
 		}
-		rounds := 3 * nw.EpochRounds()
-		if o.Quick {
-			rounds = nw.EpochRounds()
-		}
-		disc := 0
+		rounds := o.size(nw.EpochRounds(), 3*nw.EpochRounds())
 		for i := 0; i < rounds; i++ {
-			rep := nw.Step(crashed)
-			if rep.Measured && !rep.Connected {
-				disc++
-			}
+			nw.Step(crashed)
 		}
-		return [][]string{metrics.Row(frac, rounds, disc, nw.StatsSnapshot().Stalls, nw.Epoch())}
+		st := nw.StatsSnapshot()
+		return [][]string{metrics.Row(frac, rounds, st.Disconnected, st.Stalls, nw.Epoch())}
 	})))
 	return t
 }
@@ -242,23 +200,10 @@ func X4KAryNetwork(o Options) *metrics.Table {
 	t.AddRows(mustRows(RunRows(o, len(cases)*2, func(cell int) [][]string {
 		c := cases[cell/2]
 		late := cell%2 == 0
-		nw := supernode.New(supernode.Config{Seed: o.Seed ^ uint64(c[0]), N: c[1], K: c[0], Shards: o.Shards})
-		nw.SetMetrics(o.stack("supernode"))
-		lateness := 0
-		if late {
-			lateness = 2 * nw.EpochRounds()
-		}
-		adv := &dos.GroupIsolate{Fraction: 0.4, R: rng.New(o.Seed + uint64(c[0]))}
-		buf := &dos.Buffer{Lateness: lateness}
-		disc := 0
-		reports := nw.Run(adv, buf, 3*nw.EpochRounds())
-		for _, rep := range reports {
-			if rep.Measured && !rep.Connected {
-				disc++
-			}
-		}
+		nw := newSupernode(o.envMetrics(), supernode.Config{Seed: o.Seed ^ uint64(c[0]), N: c[1], K: c[0]})
+		lateness, st := isolate(nw, 0.4, rng.New(o.Seed+uint64(c[0])), late, 3)
 		return [][]string{metrics.Row(c[0], c[1], nw.NSuper(), nw.EpochRounds(),
-			fmt.Sprintf("%d", lateness), disc, nw.StatsSnapshot().Stalls)}
+			fmt.Sprintf("%d", lateness), st.Disconnected, st.Stalls)}
 	})))
 	return t
 }
@@ -281,16 +226,8 @@ func X3KAryRapidSampling(o Options) *metrics.Table {
 		for i := 0; i < c[1]; i++ {
 			n *= c[0]
 		}
-		counts := make([]int, n)
-		total := 0
-		for _, s := range res.Samples {
-			for _, w := range s {
-				counts[w]++
-				total++
-			}
-		}
-		return [][]string{metrics.Row(c[0], c[1], n, res.Rounds, p.Samples(),
-			metrics.TVDistanceUniform(counts), 3*metrics.ExpectedTVUniform(n, total), res.Failures)}
+		tv, env := metrics.PooledTV(res.Samples, n)
+		return [][]string{metrics.Row(c[0], c[1], n, res.Rounds, p.Samples(), tv, env, res.Failures)}
 	})))
 	return t
 }

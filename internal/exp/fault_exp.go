@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"strings"
 
 	"overlaynet/internal/audit"
@@ -9,11 +8,9 @@ import (
 	"overlaynet/internal/dos"
 	"overlaynet/internal/fault"
 	"overlaynet/internal/metrics"
-	"overlaynet/internal/reliable"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 	"overlaynet/internal/splitmerge"
-	"overlaynet/internal/trace"
 )
 
 // f1Specs is the fault matrix: message-level faults, crash-restart, and
@@ -83,36 +80,11 @@ func F1FaultMatrix(o Options) *metrics.Table {
 // their downtime expires.
 func f1Core(o Options, cell int, spec fault.Spec) [][]string {
 	n := 64
-	epochs := 4
-	if o.Quick {
-		epochs = 2
-	}
+	epochs := o.size(2, 4)
 	seed := cellSeed(o.Seed, 0xf1, uint64(cell))
-	scope := fmt.Sprintf("%s/cell%d", o.Exp, cell)
-
-	// A cell-local recorder supplies the fault-drop/duplication counts
-	// and receives the violation events; it never streams anywhere, so
-	// it cannot interfere with a shared -events recorder.
-	rec := trace.New()
-	every := o.AuditEvery
-	if every == 0 {
-		every = 1
-	}
-	eng := audit.NewEngine(scope, seed, every, rec)
-
-	// F1 measures the UNPROTECTED fault response (retransmitting
-	// endpoints would recover the very drops the matrix injects), so the
-	// global -reliable option does not apply here — which also keeps the
-	// CI byte-identity of `-latency const:1 -reliable on` runs intact.
-	cfg := coreConfig(o, seed, n)
-	cfg.Reliable = reliable.Config{}
-	nw := core.NewNetwork(cfg)
-	nw.SetMetrics(o.stack("core"))
-	nw.SetTrace(rec, scope)
-	nw.SetAudit(eng)
-	if inj := spec.Injector(); inj != nil {
-		nw.SetInjector(inj)
-	}
+	ev := o.envLocal(cell, seed, o.AuditEvery)
+	ev.faults = spec
+	nw := newCore(ev, seed, n)
 
 	crashes, rejoins := 0, 0
 	recoverAt := map[int]int{} // epoch -> nodes due back
@@ -147,45 +119,25 @@ func f1Core(o Options, cell int, spec fault.Spec) [][]string {
 	}
 	nw.Shutdown()
 
-	drops := rec.DropCount(sim.DropFaultInjected)
-	dups := rec.Counters().DupExtraCopies
+	drops := ev.trace.DropCount(sim.DropFaultInjected)
+	dups := ev.trace.Counters().DupExtraCopies
 	return [][]string{metrics.Row("reconfig §4", spec.String(), epochs,
-		crashes, rejoins, drops, dups, eng.Count(), failedInvariants(eng), healthy)}
+		crashes, rejoins, drops, dups, ev.audit.Count(), failedInvariants(ev.audit), healthy)}
 }
 
 // f1SplitMerge runs the §6 split/merge overlay under spec plus a late
 // DoS adversary, auditing every round.
 func f1SplitMerge(o Options, cell int, spec fault.Spec) [][]string {
-	n0 := 256
-	epochs := 3
-	if o.Quick {
-		n0 = 128
-		epochs = 2
-	}
+	n0, epochs := o.size(128, 256), o.size(2, 3)
 	seed := cellSeed(o.Seed, 0xf1, uint64(cell))
-	scope := fmt.Sprintf("%s/cell%d", o.Exp, cell)
-
-	rec := trace.New()
-	every := o.AuditEvery
-	if every == 0 {
-		every = 1
-	}
-	eng := audit.NewEngine(scope, seed, every, rec)
-
-	nw := splitmerge.New(splitmerge.Config{Seed: seed, N0: n0, Shards: o.Shards})
-	nw.SetMetrics(o.stack("splitmerge"))
-	nw.SetAudit(eng)
-	nw.SetFaults(spec)
+	ev := o.envLocal(cell, seed, o.AuditEvery)
+	ev.faults = spec
+	nw := newSplitMerge(ev, splitmerge.Config{Seed: seed, N0: n0})
 	adv := &dos.GroupIsolate{Fraction: 0.25, R: rng.New(seed + 17)}
 	buf := &dos.Buffer{Lateness: 2 * nw.EpochRounds()}
-	disc := 0
-	for _, rep := range nw.Run(adv, buf, epochs*nw.EpochRounds()) {
-		if rep.Measured && !rep.Connected {
-			disc++
-		}
-	}
+	nw.Run(adv, buf, epochs*nw.EpochRounds())
 	st := nw.StatsSnapshot()
-	healthy := disc == 0 && nw.Eq1Holds()
+	healthy := st.Disconnected == 0 && nw.Eq1Holds()
 	return [][]string{metrics.Row("splitmerge §6", spec.String(), epochs,
-		st.Crashes, st.Restarts, st.FaultDrops, st.FaultDups, eng.Count(), failedInvariants(eng), healthy)}
+		st.Crashes, st.Restarts, st.FaultDrops, st.FaultDups, ev.audit.Count(), failedInvariants(ev.audit), healthy)}
 }

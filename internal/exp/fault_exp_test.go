@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -72,5 +74,40 @@ func TestF1FaultMatrixSmoke(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "F1") {
 		t.Fatal("table missing title")
+	}
+}
+
+// TestGlobalFlagMatrix pins which drivers the global -audit/-faults
+// options reach, recorded before the wiring moved into stack.go: the
+// three that honour them (E6, E8, E10 — one per stack) render tables
+// whose digest must not move, and one driver per stack that does not
+// (E7, E9, X1) renders the same bytes with and without them.
+func TestGlobalFlagMatrix(t *testing.T) {
+	const recorded = "6d4cc2f4601dcc46"
+	flags := func(o Options) Options {
+		o.Audit, o.Faults = true, fault.Spec{Drop: 0.01, Dup: 0.01}
+		return o
+	}
+	h := fnv.New64a()
+	for _, e := range []Experiment{
+		{"E6", "", E6ReconfigChurn},
+		{"E8", "", E8DoSConnectivity},
+		{"E10", "", E10ChurnDoS},
+	} {
+		fmt.Fprintf(h, "%s\n", e.Run(flags(Options{Seed: 42, Quick: true, Exp: e.ID})).String())
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != recorded {
+		t.Errorf("digest of the audited+faulted E6/E8/E10 tables is %s, recorded %s", got, recorded)
+	}
+	for _, e := range []Experiment{
+		{"E7", "", E7CongestionSegments},
+		{"E9", "", E9GroupBalance},
+		{"X1", "", X1ChurnRateLimit},
+	} {
+		o := Options{Seed: 42, Quick: true, Exp: e.ID}
+		if plain, flagged := e.Run(o).String(), e.Run(flags(o)).String(); plain != flagged {
+			t.Errorf("%s does not honour -audit/-faults, yet they changed its table:\n--- plain\n%s\n--- flagged\n%s",
+				e.ID, plain, flagged)
+		}
 	}
 }

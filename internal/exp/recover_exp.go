@@ -4,13 +4,8 @@ import (
 	"fmt"
 
 	"overlaynet/internal/audit"
-	"overlaynet/internal/core"
 	"overlaynet/internal/fault"
 	"overlaynet/internal/metrics"
-	"overlaynet/internal/reliable"
-	"overlaynet/internal/splitmerge"
-	"overlaynet/internal/supernode"
-	"overlaynet/internal/trace"
 )
 
 // R1: the self-healing experiment. The paper proves its three networks
@@ -33,18 +28,16 @@ type r1Scenario struct {
 }
 
 func r1Scenarios(quick bool) []r1Scenario {
-	if quick {
-		return []r1Scenario{
-			{"partition k=2", fault.Spec{PartK: 2, PartWin: 1}},
-			{"corrupt p=1.0", fault.Spec{Corrupt: 1}},
-		}
-	}
-	return []r1Scenario{
+	all := []r1Scenario{
 		{"partition k=2", fault.Spec{PartK: 2, PartWin: 1}},
 		{"partition k=3", fault.Spec{PartK: 3, PartWin: 1}},
 		{"corrupt p=0.5", fault.Spec{Corrupt: 0.5}},
 		{"corrupt p=1.0", fault.Spec{Corrupt: 1}},
 	}
+	if quick {
+		return []r1Scenario{all[0], all[3]}
+	}
+	return all
 }
 
 // degradedService condenses the sizes of the connected components into
@@ -67,14 +60,13 @@ func degradedService(sizes []int, n int) (routing, tv float64) {
 	return pairs / (float64(n) * float64(n-1)), 1 - largest/float64(n)
 }
 
-// r1Engine builds the cell-local audit engine: cadence 1 regardless of
-// Options.AuditEvery, because MTTR is measured at checker resolution.
-// The cell-local recorder receives violation and recovery events
-// without interfering with a shared -events stream.
-func r1Engine(o Options, cell int, seed uint64) (*audit.Engine, *trace.Recorder) {
-	rec := trace.New()
-	scope := fmt.Sprintf("%s/cell%d", o.Exp, cell)
-	return audit.NewEngine(scope, seed, 1, rec), rec
+// worstService keeps the worst degraded-mode service observed while an
+// overlay is broken; it starts at {routing: 1}.
+type worstService struct{ routing, tv float64 }
+
+func (w *worstService) observe(sizes []int, n int) {
+	r, t := degradedService(sizes, n)
+	w.routing, w.tv = min(w.routing, r), max(w.tv, t)
 }
 
 // r1Row renders one sweep cell from the engine's recovery ledger. The
@@ -82,7 +74,7 @@ func r1Engine(o Options, cell int, seed uint64) (*audit.Engine, *trace.Recorder)
 // one break was observed and no invariant is still broken. Closed
 // episodes are forwarded to the shared trace recorder so benchtables
 // -events and tracestats see them.
-func r1Row(o Options, system string, n int, scen string, eng *audit.Engine, repairs int, routing, tv float64) []string {
+func r1Row(o Options, system string, n int, scen string, eng *audit.Engine, repairs int, worst worstService) []string {
 	recs := eng.Recoveries()
 	if o.Trace != nil {
 		for _, r := range recs {
@@ -101,7 +93,7 @@ func r1Row(o Options, system string, n int, scen string, eng *audit.Engine, repa
 	}
 	recovered := len(recs) > 0 && len(eng.OpenBreaks()) == 0
 	return metrics.Row(system, n, scen, len(recs), brokenAt, cleanAt, mttr, repairs,
-		fmt.Sprintf("%.3f", routing), fmt.Sprintf("%.3f", tv), recovered)
+		fmt.Sprintf("%.3f", worst.routing), fmt.Sprintf("%.3f", worst.tv), recovered)
 }
 
 // R1Recovery sweeps partition width, corruption rate and n over the
@@ -118,18 +110,22 @@ func R1Recovery(o Options) *metrics.Table {
 	perCore := len(coreNs) * len(scens)
 	perOv := len(ovNs) * len(scens)
 	t.AddRows(mustRows(RunRows(o, perCore+2*perOv, func(cell int) [][]string {
-		switch {
-		case cell < perCore:
+		if cell < perCore {
 			return [][]string{r1Core(o, cell, coreNs[cell/len(scens)], scens[cell%len(scens)])}
-		case cell < perCore+perOv:
-			c := cell - perCore
-			return [][]string{r1Supernode(o, cell, ovNs[c/len(scens)], scens[c%len(scens)])}
-		default:
-			c := cell - perCore - perOv
-			return [][]string{r1SplitMerge(o, cell, ovNs[c/len(scens)], scens[c%len(scens)])}
 		}
+		c := (cell - perCore) % perOv
+		return [][]string{r1Overlay(o, cell, ovNs[c/len(scens)], scens[c%len(scens)], overlayKinds[(cell-perCore)/perOv])}
 	})))
 	return t
+}
+
+// r1Cell is what the §4 and the §5/§6 halves of a cell share: the seed,
+// the scenario's spec bound to it, and the always-on audit engine —
+// cadence 1 regardless of Options.AuditEvery, because MTTR is measured at
+// checker resolution.
+func r1Cell(o Options, cell int, scen r1Scenario) (seed uint64, spec fault.Spec, e env) {
+	seed = cellSeed(o.Seed, 0x51, uint64(cell))
+	return seed, scen.spec.WithSeed(cellSeed(seed, 0x5a)), o.envLocal(cell, seed, 1)
 }
 
 // r1Core breaks and repairs the §4 reconfiguration network. A
@@ -140,37 +136,22 @@ func R1Recovery(o Options) *metrics.Table {
 // splice: suspects computed from the broken topology leave and re-enter
 // through the §4 join protocol until the auditors are quiet.
 func r1Core(o Options, cell, n int, scen r1Scenario) []string {
-	seed := cellSeed(o.Seed, 0x51, uint64(cell))
-	spec := scen.spec.WithSeed(cellSeed(seed, 0x5a))
-	eng, rec := r1Engine(o, cell, seed)
-
-	// Unprotected control, like F1: R1 measures raw damage and repair,
-	// not what retransmitting endpoints would mask (see f1Core).
-	cfg := coreConfig(o, seed, n)
-	cfg.Reliable = reliable.Config{}
-	nw := core.NewNetwork(cfg)
-	nw.SetMetrics(o.stack("core"))
+	seed, spec, e := r1Cell(o, cell, scen)
+	eng := e.audit
+	nw := newCore(e, seed, n)
 	defer nw.Shutdown()
-	nw.SetTrace(rec, fmt.Sprintf("%s/cell%d", o.Exp, cell))
-	nw.SetAudit(eng)
 
 	nw.RunEpoch(nil, nil) // clean warm-up epoch
 	nw.ResetWork()
 
-	routing, tv := 1.0, 0.0
+	worst := worstService{routing: 1}
 	observe := func() {
 		comps := nw.BuildGraph().Components()
 		sizes := make([]int, len(comps))
 		for i, c := range comps {
 			sizes[i] = len(c)
 		}
-		r, t := degradedService(sizes, nw.N())
-		if r < routing {
-			routing = r
-		}
-		if t > tv {
-			tv = t
-		}
+		worst.observe(sizes, nw.N())
 	}
 	repairs := 0
 	const budget = 8 // repair epochs per episode before giving up
@@ -186,18 +167,15 @@ func r1Core(o Options, cell, n int, scen r1Scenario) []string {
 		ps := spec
 		ps.PartFrom = nw.Round()
 		ps.PartWin = 1 << 30
-		nw.SetInjector(ps.Injector())
+		inject(nw, ps)
 		nw.RunEpoch(nil, nil) // one epoch under the cut
 		nw.ResetWork()
 		eng.RunNow(nw.Round())
 		observe()
-		nw.SetInjector(nil) // the partition heals
+		inject(nw, fault.Spec{}) // the partition heals
 		repairUntilClean()
 	} else {
-		epochs := 4
-		if o.Quick {
-			epochs = 2
-		}
+		epochs := o.size(2, 4)
 		for e := 0; e < epochs; e++ {
 			if spec.CorruptsAt(e) && nw.CorruptState(spec.CorruptPick(e)) != "" {
 				eng.RunNow(nw.Round())
@@ -209,160 +187,70 @@ func r1Core(o Options, cell, n int, scen r1Scenario) []string {
 			nw.ResetWork()
 		}
 	}
-	return r1Row(o, "reconfig §4", n, scen.name, eng, repairs, routing, tv)
+	return r1Row(o, "reconfig §4", n, scen.name, eng, repairs, worst)
 }
 
-// r1Supernode breaks and repairs the §5 supernode network. A partition
-// gates both the supernode message queues and the every-round S(x)
-// state broadcasts for one epoch; recovery after the window closes is
-// the broadcast re-merging the knowledge graph, with no driver help.
-// Corruption perturbs the replicated group state; repair is group
-// re-formation from the surviving replicas (RepairGroups).
-func r1Supernode(o Options, cell, n int, scen r1Scenario) []string {
-	seed := cellSeed(o.Seed, 0x51, uint64(cell))
-	spec := scen.spec.WithSeed(cellSeed(seed, 0x5a))
-	eng, _ := r1Engine(o, cell, seed)
-
-	nw := supernode.New(supernode.Config{Seed: seed, N: n, Shards: o.Shards})
-	nw.SetMetrics(o.stack("supernode"))
-	nw.SetAudit(eng)
+// r1Overlay breaks and repairs a §5 or §6 network. A partition gates
+// both the supernode message queues and the every-round S(x) state
+// broadcasts for one epoch; recovery after the window closes is the
+// broadcast re-merging the knowledge graph, with no driver help.
+// Corruption perturbs the replicated group state (§5), or desynchronizes
+// the membership index or mutates a supernode's label dimension,
+// punching a coverage hole in the label tree (§6); repair is the stack's
+// own — group re-formation from the surviving replicas, or restoring the
+// label partition, forcing a re-balance toward Equation (1) and
+// reconciling the membership index.
+func r1Overlay(o Options, cell, n int, scen r1Scenario, k overlayKind) []string {
+	seed, spec, e := r1Cell(o, cell, scen)
+	eng := e.audit
+	nw := k.build(e, seed, n, 0, 0)
+	defer nw.Close()
 	er := nw.EpochRounds()
 	step := func(k int) {
 		for i := 0; i < k; i++ {
-			nw.Step(nil)
+			nw.step()
 		}
 	}
 	step(er) // clean warm-up epoch
 
-	routing, tv := 1.0, 0.0
-	observe := func() {
-		r, t := degradedService(nw.KnowledgeComponents(), n)
-		if r < routing {
-			routing = r
-		}
-		if t > tv {
-			tv = t
-		}
-	}
+	worst := worstService{routing: 1}
 	repairs := 0
 	budget := 6 * er // recovery rounds per episode before giving up
 
 	if spec.PartWin > 0 {
-		ps := spec
-		ps.PartFrom = nw.Round() + 1
-		ps.PartWin = er
-		nw.SetFaults(ps)
+		cut(nw, spec, er)
 		for i := 0; i < er; i++ { // one epoch under the cut
-			nw.Step(nil)
-			observe()
+			nw.step()
+			worst.observe(nw.KnowledgeComponents(), nw.n())
 		}
 		// The window is closed; the S(x) broadcasts re-merge the knowledge
 		// graph on their own. If auditors are still firing after a
-		// two-epoch grace (reorganizations stalled mid-partition can leave
-		// group damage the broadcasts cannot undo), escalate to the repair
-		// protocol between rounds.
+		// two-epoch grace, escalate to the repair protocol between rounds:
+		// a reorganization stalled mid-partition can leave group damage the
+		// broadcasts cannot undo — in §6 an empty or undersized group
+		// outside the Equation (1) band, which with no members has no
+		// leader to ever merge itself away.
 		for i := 0; i < budget && len(eng.OpenBreaks()) > 0; i++ {
-			if i >= 2*er && nw.RepairGroups() > 0 {
+			if i >= 2*er && nw.repair() > 0 {
 				repairs++
 			}
-			nw.Step(nil)
+			nw.step()
 		}
 	} else {
-		epochs := 3
-		if o.Quick {
-			epochs = 2
-		}
+		epochs := o.size(2, 3)
 		for e := 0; e < epochs; e++ {
 			if spec.CorruptsAt(e) && nw.CorruptState(spec.CorruptPick(e)) != "" {
 				eng.RunNow(nw.Round())
-				observe()
+				worst.observe(nw.KnowledgeComponents(), nw.n())
 				for i := 0; i < budget && len(eng.OpenBreaks()) > 0; i++ {
-					if nw.RepairGroups() > 0 {
+					if nw.repair() > 0 {
 						repairs++
 					}
-					nw.Step(nil)
+					nw.step()
 				}
 			}
 			step(er)
 		}
 	}
-	return r1Row(o, "supernode §5", n, scen.name, eng, repairs, routing, tv)
-}
-
-// r1SplitMerge breaks and repairs the §6 split/merge network. The
-// partition path mirrors the supernode driver. Corruption either
-// desynchronizes the membership index or mutates a supernode's label
-// dimension (punching a coverage hole in the label tree); repair
-// restores the label partition and forces a re-balance toward
-// Equation (1) (RepairBalance), then reconciles the membership index
-// (RepairMembership).
-func r1SplitMerge(o Options, cell, n int, scen r1Scenario) []string {
-	seed := cellSeed(o.Seed, 0x51, uint64(cell))
-	spec := scen.spec.WithSeed(cellSeed(seed, 0x5a))
-	eng, _ := r1Engine(o, cell, seed)
-
-	nw := splitmerge.New(splitmerge.Config{Seed: seed, N0: n, Shards: o.Shards})
-	nw.SetMetrics(o.stack("splitmerge"))
-	nw.SetAudit(eng)
-	er := nw.EpochRounds()
-	step := func(k int) {
-		for i := 0; i < k; i++ {
-			nw.Step(nil)
-		}
-	}
-	step(er) // clean warm-up epoch
-
-	routing, tv := 1.0, 0.0
-	observe := func() {
-		r, t := degradedService(nw.KnowledgeComponents(), nw.N())
-		if r < routing {
-			routing = r
-		}
-		if t > tv {
-			tv = t
-		}
-	}
-	repairs := 0
-	budget := 6 * er
-
-	if spec.PartWin > 0 {
-		ps := spec
-		ps.PartFrom = nw.Round() + 1
-		ps.PartWin = er
-		nw.SetFaults(ps)
-		for i := 0; i < er; i++ { // one epoch under the cut
-			nw.Step(nil)
-			observe()
-		}
-		// Self-heal grace first (the broadcasts re-merge knowledge), then
-		// escalate to the forced re-balance: a reorganization stalled
-		// mid-partition can strand an empty or undersized group outside
-		// the Equation (1) band, and with no members it has no leader to
-		// ever merge itself away.
-		for i := 0; i < budget && len(eng.OpenBreaks()) > 0; i++ {
-			if i >= 2*er && nw.RepairBalance()+nw.RepairMembership() > 0 {
-				repairs++
-			}
-			nw.Step(nil)
-		}
-	} else {
-		epochs := 3
-		if o.Quick {
-			epochs = 2
-		}
-		for e := 0; e < epochs; e++ {
-			if spec.CorruptsAt(e) && nw.CorruptState(spec.CorruptPick(e)) != "" {
-				eng.RunNow(nw.Round())
-				observe()
-				for i := 0; i < budget && len(eng.OpenBreaks()) > 0; i++ {
-					if nw.RepairBalance()+nw.RepairMembership() > 0 {
-						repairs++
-					}
-					nw.Step(nil)
-				}
-			}
-			step(er)
-		}
-	}
-	return r1Row(o, "splitmerge §6", n, scen.name, eng, repairs, routing, tv)
+	return r1Row(o, k.label(), n, scen.name, eng, repairs, worst)
 }

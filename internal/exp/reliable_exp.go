@@ -1,16 +1,8 @@
 package exp
 
 import (
-	"fmt"
-
-	"overlaynet/internal/churn"
-	"overlaynet/internal/core"
-	"overlaynet/internal/fault"
-	"overlaynet/internal/hgraph"
 	"overlaynet/internal/metrics"
 	"overlaynet/internal/reliable"
-	"overlaynet/internal/rng"
-	"overlaynet/internal/sampling"
 	"overlaynet/internal/sim"
 )
 
@@ -50,11 +42,25 @@ func AS2ReliableDelivery(o Options) *metrics.Table {
 		c := cell % perSys
 		lat := lats[c/(len(drops)*modes)]
 		drop := drops[(c/modes)%len(drops)]
-		rel := c%modes == 1
-		if cell/perSys == 0 {
-			return [][]string{as2Sampling(o, lat, drop, rel)}
+		mode, rel := "legacy", reliable.Config{}
+		if c%modes == 1 {
+			mode, rel = "reliable", as2Config(drop)
 		}
-		return [][]string{as2Core(o, lat, drop, rel)}
+		if cell/perSys == 0 {
+			res, tv, inEnv := samplingUnder(o, 0xa2, lat, drop, rel)
+			return [][]string{metrics.Row("sampling §3", lat, drop, mode, res.Rounds,
+				res.Failures, res.Retransmits, res.DeliveryFailures,
+				tv, res.Failures == 0 && res.DeliveryFailures == 0 && inEnv)}
+		}
+		// Budget-exhausted deliveries surface as FailDelivery inside the
+		// failures column AND in the lost column (the kernel's own tally),
+		// so a reliable row is healthy only when the guarantee is restored
+		// outright.
+		nw, tally := coreUnder(o, 0xa2, lat, drop, rel)
+		defer nw.Shutdown()
+		rs := nw.ReliabilityStats()
+		return [][]string{metrics.Row("reconfig §4", lat, drop, mode, tally.rounds*nw.Stretch(),
+			tally.failures, rs.Retransmits, rs.Failures, tally, tally.healthy())}
 	})))
 	return t
 }
@@ -97,93 +103,4 @@ func as2Config(drop float64) reliable.Config {
 		cfg.Stretch = 32
 	}
 	return cfg
-}
-
-func as2Mode(rel bool) string {
-	if rel {
-		return "reliable"
-	}
-	return "legacy"
-}
-
-// as2Sampling is as1Sampling with drops and the optional endpoint: the
-// §3 rapid-sampling run, judged by extraction failures and the pooled
-// TV distance against its 3x uniform envelope. The seed is shared by
-// all rows, so every cell reruns the SAME protocol instance under a
-// different delivery regime.
-func as2Sampling(o Options, lat sim.Latency, drop float64, rel bool) []string {
-	n := 256
-	if o.Quick {
-		n = 128
-	}
-	seed := cellSeed(o.Seed, 0xa2, uint64(n))
-	p := expParams(o, n)
-	p.Latency = lat
-	p.Reliable = reliable.Config{}
-	if drop > 0 {
-		p.Faults = fault.Spec{Seed: cellSeed(seed, 0xd0), Drop: drop}
-	}
-	if rel {
-		p.Reliable = as2Config(drop)
-	}
-	h := hgraph.Random(rng.New(seed), n, p.D)
-	res := sampling.RapidHGraph(seed^1, h, p)
-	counts := make([]int, n)
-	total := 0
-	for _, s := range res.Samples {
-		for _, w := range s {
-			counts[w]++
-			total++
-		}
-	}
-	tv := metrics.TVDistanceUniform(counts)
-	env := 3 * metrics.ExpectedTVUniform(n, total)
-	return metrics.Row("sampling §3", lat, drop, as2Mode(rel), res.Rounds,
-		res.Failures, res.Retransmits, res.DeliveryFailures,
-		fmt.Sprintf("TV %.3f (env %.3f)", tv, env),
-		res.Failures == 0 && res.DeliveryFailures == 0 && tv <= env)
-}
-
-// as2Core is as1Core with drops and the optional endpoint: the §4
-// reconfiguration network under 25% replacement churn, judged by
-// per-epoch connectivity and validity. Budget-exhausted deliveries
-// surface as FailDelivery inside the failures column AND in the lost
-// column (the kernel's own tally), so a reliable row is healthy only
-// when the guarantee is restored outright.
-func as2Core(o Options, lat sim.Latency, drop float64, rel bool) []string {
-	n := 64
-	epochs := 3
-	if o.Quick {
-		epochs = 2
-	}
-	seed := cellSeed(o.Seed, 0xa2, 0xc0, uint64(n))
-	cfg := coreConfig(o, seed, n)
-	cfg.Latency = lat
-	cfg.Reliable = reliable.Config{}
-	if rel {
-		cfg.Reliable = as2Config(drop)
-	}
-	nw := core.NewNetwork(cfg)
-	defer nw.Shutdown()
-	nw.SetMetrics(o.stack("core"))
-	if drop > 0 {
-		nw.SetInjector(fault.Spec{Seed: cellSeed(seed, 0xd0), Drop: drop}.Injector())
-	}
-	reports := churn.Run(nw, &churn.Replace{Fraction: 0.25, R: rng.New(seed + 1)}, epochs)
-	conn, valid, failures, rounds := 0, 0, 0, 0
-	for _, rep := range reports {
-		if rep.Connected {
-			conn++
-		}
-		if rep.Valid {
-			valid++
-		}
-		failures += rep.Failures
-		rounds += rep.Rounds
-	}
-	rs := nw.ReliabilityStats()
-	return metrics.Row("reconfig §4", lat, drop, as2Mode(rel), rounds*nw.Stretch(),
-		failures, rs.Retransmits, rs.Failures,
-		fmt.Sprintf("conn %d/%d valid %d/%d", conn, epochs, valid, epochs),
-		conn == epochs && valid == epochs && failures == 0)
 }

@@ -32,17 +32,9 @@ func E1RapidSamplingHGraph(o Options) *metrics.Table {
 		p := expParams(o, n)
 		h := hgraph.Random(rng.New(cellSeed(o.Seed, uint64(n))), n, p.D)
 		res := sampling.RapidHGraph(o.Seed^uint64(n), h, p)
-		counts := make([]int, n)
-		total := 0
-		for _, s := range res.Samples {
-			for _, w := range s {
-				counts[w]++
-				total++
-			}
-		}
+		tv, env := metrics.PooledTV(res.Samples, n)
 		return [][]string{metrics.Row(n, res.Rounds, fmt.Sprintf("%.2f", math.Log2(math.Log2(float64(n)))),
-			p.Samples(), metrics.TVDistanceUniform(counts),
-			3*metrics.ExpectedTVUniform(n, total), res.Failures)}
+			p.Samples(), tv, env, res.Failures)}
 	})))
 	return t
 }
@@ -78,16 +70,8 @@ func E3RapidSamplingHypercube(o Options) *metrics.Table {
 		p := sampling.HypercubeParams{Dim: dim, Epsilon: 1, C: 2, Shards: o.Shards, Latency: o.Latency}
 		res := sampling.RapidHypercube(o.Seed^uint64(dim), p)
 		n := 1 << dim
-		counts := make([]int, n)
-		total := 0
-		for _, s := range res.Samples {
-			for _, w := range s {
-				counts[w]++
-				total++
-			}
-		}
-		return [][]string{metrics.Row(dim, n, res.Rounds, p.Samples(),
-			metrics.TVDistanceUniform(counts), 3*metrics.ExpectedTVUniform(n, total), res.Failures)}
+		tv, env := metrics.PooledTV(res.Samples, n)
+		return [][]string{metrics.Row(dim, n, res.Rounds, p.Samples(), tv, env, res.Failures)}
 	})))
 	return t
 }
@@ -126,13 +110,8 @@ func E4RapidVsWalk(o Options) *metrics.Table {
 }
 
 func tvOf(samples [][]int, n int) float64 {
-	counts := make([]int, n)
-	for _, s := range samples {
-		for _, w := range s {
-			counts[w]++
-		}
-	}
-	return metrics.TVDistanceUniform(counts)
+	tv, _ := metrics.PooledTV(samples, n)
+	return tv
 }
 
 // E5SuccessProbability sweeps the budget constant c downward and the

@@ -23,11 +23,50 @@ func floodHandler(n, fanout, idBits int) sim.HandlerFunc {
 	}
 }
 
-// buildFlood populates a network with n flood nodes.
-func buildFlood(net *sim.Network, n, fanout, idBits int) {
-	h := floodHandler(n, fanout, idBits)
+// floodWork is what one flood network did: the simulator's work
+// accounting over all rounds, and when and how long net.Run ran.
+type floodWork struct {
+	msgs          int
+	bits, maxBits int64
+	start         time.Time
+	wall          time.Duration
+}
+
+const floodFanout, floodRounds = 4, 8
+
+// runFlood is the cell S1 and S2 share: floodRounds rounds on one
+// network of n flood nodes (hint is sim.Config.SizeHint).
+func runFlood(o Options, n, hint int) floodWork {
+	net := sim.NewNetwork(sim.Config{Seed: cellSeed(o.Seed, uint64(n)), Shards: o.Shards, SizeHint: hint, Latency: o.Latency})
+	if o.Trace != nil {
+		// Metrics-only and flight-recorder tracing keep the kernel's
+		// streaming-histogram path (no per-round percentile sort), so
+		// attaching here stays viable at n=1M.
+		net.SetTracer(o.Trace.Tracer(fmt.Sprintf("%s/n%d", o.Exp, n)))
+	}
+	h := floodHandler(n, floodFanout, sim.IDBits(n))
 	for v := 0; v < n; v++ {
 		net.SpawnHandler(sim.NodeID(v+1), h)
+	}
+	w := floodWork{start: time.Now()}
+	net.Run(floodRounds)
+	w.wall = time.Since(w.start)
+	net.Shutdown()
+	for _, rw := range net.Work() {
+		w.msgs += rw.Messages
+		w.bits += rw.TotalBits
+		w.maxBits = max(w.maxBits, rw.MaxNodeBits)
+	}
+	return w
+}
+
+// floodProgress reports a serial sweep's cells as done, all at once.
+func floodProgress(o Options, ncells int) {
+	if o.Progress != nil {
+		o.Progress.AddCells(o.Exp, ncells)
+		for i := 0; i < ncells; i++ {
+			o.Progress.CellDone(o.Exp)
+		}
 	}
 }
 
@@ -46,39 +85,14 @@ func S1ScaleFlood(o Options) *metrics.Table {
 		"S1  Scale — flood rounds on a single network (fanout=4)",
 		"n", "rounds", "messages/round", "total Mbits", "max bits/node-round")
 	ns := o.sizes([]int{1000, 10000}, []int{10000, 100000})
-	const fanout, rounds = 4, 8
 	// One network at a time: the cells here are memory-heavy and
 	// intra-round sharding is the axis under test, so the sweep runs
 	// serially regardless of Procs.
-	rows := make([][]string, 0, len(ns))
 	for _, n := range ns {
-		net := sim.NewNetwork(sim.Config{Seed: cellSeed(o.Seed, uint64(n)), Shards: o.Shards, Latency: o.Latency})
-		if o.Trace != nil {
-			net.SetTracer(o.Trace.Tracer(fmt.Sprintf("%s/n%d", o.Exp, n)))
-		}
-		idBits := sim.IDBits(n)
-		buildFlood(net, n, fanout, idBits)
-		net.Run(rounds)
-		net.Shutdown()
-		var msgs int
-		var bits, maxBits int64
-		for _, w := range net.Work() {
-			msgs += w.Messages
-			bits += w.TotalBits
-			if w.MaxNodeBits > maxBits {
-				maxBits = w.MaxNodeBits
-			}
-		}
-		rows = append(rows, metrics.Row(n, rounds, msgs/rounds,
-			fmt.Sprintf("%.2f", float64(bits)/1e6), maxBits))
+		w := runFlood(o, n, 0)
+		t.AddRowf(n, floodRounds, w.msgs/floodRounds, fmt.Sprintf("%.2f", float64(w.bits)/1e6), w.maxBits)
 	}
-	t.AddRows(rows)
-	if o.Progress != nil {
-		o.Progress.AddCells(o.Exp, len(ns))
-		for range ns {
-			o.Progress.CellDone(o.Exp)
-		}
-	}
+	floodProgress(o, len(ns))
 	return t
 }
 
@@ -98,47 +112,18 @@ func S2ScaleFloodEvent(o Options) *metrics.Table {
 		"S2  Scale — event-driven flood, handler kernel (fanout=4)",
 		"n", "rounds", "messages/round", "bytes/node-round", "max bits/node-round", "rounds/sec (wall)")
 	ns := o.sizes([]int{10000, 100000}, []int{100000, 1000000})
-	const fanout, rounds = 4, 8
-	rows := make([][]string, 0, len(ns))
 	for _, n := range ns {
-		net := sim.NewNetwork(sim.Config{Seed: cellSeed(o.Seed, uint64(n)), Shards: o.Shards, SizeHint: n, Latency: o.Latency})
+		w := runFlood(o, n, n)
+		bytesPerNode := float64(w.bits) / 8 / float64(n) / floodRounds
+		roundsPerSec := floodRounds / w.wall.Seconds()
+		t.AddRowf(n, floodRounds, w.msgs/floodRounds,
+			fmt.Sprintf("%.1f", bytesPerNode), w.maxBits,
+			fmt.Sprintf("%.1f", roundsPerSec))
 		if o.Trace != nil {
-			// Metrics-only and flight-recorder tracing keep the kernel's
-			// streaming-histogram path (no per-round percentile sort), so
-			// attaching here stays viable at n=1M.
-			net.SetTracer(o.Trace.Tracer(fmt.Sprintf("%s/n%d", o.Exp, n)))
-		}
-		idBits := sim.IDBits(n)
-		buildFlood(net, n, fanout, idBits)
-		start := time.Now()
-		net.Run(rounds)
-		wall := time.Since(start)
-		net.Shutdown()
-		var msgs int
-		var bits, maxBits int64
-		for _, w := range net.Work() {
-			msgs += w.Messages
-			bits += w.TotalBits
-			if w.MaxNodeBits > maxBits {
-				maxBits = w.MaxNodeBits
-			}
-		}
-		bytesPerNode := float64(bits) / 8 / float64(n) / float64(rounds)
-		roundsPerSec := float64(rounds) / wall.Seconds()
-		rows = append(rows, metrics.Row(n, rounds, msgs/rounds,
-			fmt.Sprintf("%.1f", bytesPerNode), maxBits,
-			fmt.Sprintf("%.1f", roundsPerSec)))
-		if o.Trace != nil {
-			o.Trace.ScaleSpan(o.Exp, n, rounds, roundsPerSec, bytesPerNode, start)
+			o.Trace.ScaleSpan(o.Exp, n, floodRounds, roundsPerSec, bytesPerNode, w.start)
 		}
 	}
-	t.AddRows(rows)
-	if o.Progress != nil {
-		o.Progress.AddCells(o.Exp, len(ns))
-		for range ns {
-			o.Progress.CellDone(o.Exp)
-		}
-	}
+	floodProgress(o, len(ns))
 	return t
 }
 

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"overlaynet/internal/metrics"
-	"overlaynet/internal/splitmerge"
-	"overlaynet/internal/supernode"
 )
 
 // S3ScaleOverlay measures the §5/§6 overlay stacks themselves at the
@@ -37,69 +35,30 @@ func S3ScaleOverlay(o Options) *metrics.Table {
 		o.Progress.AddCells(o.Exp, 2*len(ns))
 	}
 	for _, n := range ns {
-		// §5 fixed-membership hypercube.
-		{
+		for _, k := range overlayKinds {
 			eps := 1.0
 			if n >= 1000000 {
-				eps = 0.25
+				eps = k.eps1M
 			}
-			nw := supernode.New(supernode.Config{
-				Seed: cellSeed(o.Seed, uint64(n), 5), N: n, Epsilon: eps,
-				MeasureEvery: -1, Shards: o.Shards,
-			})
-			nw.SetMetrics(o.stack("supernode"))
+			nw := k.build(o.envMetrics(), cellSeed(o.Seed, uint64(n), uint64(k.sec)), n, -1, eps)
 			rounds := nw.EpochRounds()
 			start := time.Now()
 			for i := 0; i < rounds; i++ {
-				nw.Step(nil)
+				nw.step()
 			}
 			wall := time.Since(start)
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
-			msgs := nw.StatsSnapshot().Messages
+			msgs := nw.health().messages
 			nw.Close()
 			roundsPerSec := float64(rounds) / wall.Seconds()
 			bytesPerNode := float64(msgs) * 8 / float64(n) / float64(rounds)
-			rows = append(rows, metrics.Row("supernode", n, rounds, nw.NSuper(),
+			rows = append(rows, metrics.Row(k.name, n, rounds, nw.supers(),
 				fmt.Sprintf("%.1f", bytesPerNode),
 				fmt.Sprintf("%.2f", roundsPerSec),
 				fmt.Sprintf("%.0f", float64(ms.HeapInuse)/1e6)))
 			if o.Trace != nil {
-				o.Trace.ScaleSpan(o.Exp+"/supernode", n, rounds, roundsPerSec, bytesPerNode, start)
-			}
-			if o.Progress != nil {
-				o.Progress.CellDone(o.Exp)
-			}
-		}
-		// §6 split/merge label tree.
-		{
-			eps := 1.0
-			if n >= 1000000 {
-				eps = 0.1
-			}
-			nw := splitmerge.New(splitmerge.Config{
-				Seed: cellSeed(o.Seed, uint64(n), 6), N0: n, Epsilon: eps,
-				MeasureEvery: -1, Shards: o.Shards,
-			})
-			nw.SetMetrics(o.stack("splitmerge"))
-			rounds := nw.EpochRounds()
-			start := time.Now()
-			for i := 0; i < rounds; i++ {
-				nw.Step(nil)
-			}
-			wall := time.Since(start)
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			msgs := nw.StatsSnapshot().Messages
-			nw.Close()
-			roundsPerSec := float64(rounds) / wall.Seconds()
-			bytesPerNode := float64(msgs) * 8 / float64(n) / float64(rounds)
-			rows = append(rows, metrics.Row("splitmerge", n, rounds, nw.NumSupers(),
-				fmt.Sprintf("%.1f", bytesPerNode),
-				fmt.Sprintf("%.2f", roundsPerSec),
-				fmt.Sprintf("%.0f", float64(ms.HeapInuse)/1e6)))
-			if o.Trace != nil {
-				o.Trace.ScaleSpan(o.Exp+"/splitmerge", n, rounds, roundsPerSec, bytesPerNode, start)
+				o.Trace.ScaleSpan(o.Exp+"/"+k.name, n, rounds, roundsPerSec, bytesPerNode, start)
 			}
 			if o.Progress != nil {
 				o.Progress.CellDone(o.Exp)

@@ -50,6 +50,22 @@ func ExpectedTVUniform(n, samples int) float64 {
 	return float64(n) * math.Sqrt(2*lambda/math.Pi) / float64(samples) / 2
 }
 
+// PooledTV pools every node's samples over the n outcomes and returns
+// their total variation distance to uniform together with the envelope
+// it is judged against: 3x the distance expected of that many uniform
+// draws.
+func PooledTV(samples [][]int, n int) (tv, env float64) {
+	counts := make([]int, n)
+	total := 0
+	for _, s := range samples {
+		for _, w := range s {
+			counts[w]++
+			total++
+		}
+	}
+	return TVDistanceUniform(counts), 3 * ExpectedTVUniform(n, total)
+}
+
 // ChiSquareUniform returns the chi-square statistic of counts against
 // the uniform distribution (df = len(counts)−1).
 func ChiSquareUniform(counts []int) float64 {

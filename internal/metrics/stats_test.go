@@ -97,3 +97,15 @@ func TestQuantileAgreement(t *testing.T) {
 		}
 	}
 }
+
+func TestPooledTV(t *testing.T) {
+	// Two nodes, four samples, one per outcome: exactly uniform, judged
+	// against 3x the noise floor of four draws over four outcomes.
+	tv, env := PooledTV([][]int{{0, 3}, {2, 1}}, 4)
+	if tv != 0 || env != 3*ExpectedTVUniform(4, 4) {
+		t.Fatalf("PooledTV = (%g, %g), want (0, %g)", tv, env, 3*ExpectedTVUniform(4, 4))
+	}
+	if tv, _ := PooledTV([][]int{{1, 1}, {1, 1}}, 4); tv != 0.75 {
+		t.Fatalf("all mass on one of four outcomes: TV %g, want 0.75", tv)
+	}
+}

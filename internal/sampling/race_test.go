@@ -1,0 +1,7 @@
+//go:build race
+
+package sampling
+
+// raceEnabled: the race runtime allocates on its own, so the allocation
+// gates, exact without it, skip.
+const raceEnabled = true

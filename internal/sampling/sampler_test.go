@@ -78,6 +78,9 @@ func TestSamplerReleasesScratch(t *testing.T) {
 // TestSamplerAllocsPerRun: a run allocates per iteration (the serve
 // round's two arrays, the kernel's queue doublings), not per batch.
 func TestSamplerAllocsPerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are exact only without -race: the race runtime allocates on its own")
+	}
 	p := HGraphParams{N: 256, D: 8, Alpha: 2, Epsilon: 1, C: 1.9}
 	h := hgraph.Random(rng.New(1), p.N, p.D)
 	perNode := testing.AllocsPerRun(3, func() { RapidHGraph(7, h, p) }) / float64(p.N)

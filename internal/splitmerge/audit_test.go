@@ -28,7 +28,7 @@ func TestAuditDetectsCorruptedMembership(t *testing.T) {
 	nw := New(Config{Seed: 5, N0: 256, MeasureEvery: -1})
 	eng := audit.NewEngine("test", 5, every, nil)
 	nw.SetAudit(eng)
-	nw.CorruptGroupForTest()
+	nw.corruptGroup()
 	for r := 0; r < every; r++ {
 		nw.Step(nil)
 	}
@@ -78,5 +78,17 @@ func TestFaultedRunDeterministic(t *testing.T) {
 	}
 	if a.FaultDrops == 0 || a.FaultDups == 0 {
 		t.Fatalf("fault injection inactive: %+v", a)
+	}
+}
+
+// corruptGroup deliberately desynchronizes the membership index
+// for the first committed member, so tests can verify the audit engine
+// reports the inconsistency within its check cadence.
+func (nw *Network) corruptGroup() {
+	for x, s := range nw.supers {
+		if len(s.members) > 0 {
+			nw.eng.NodeGroup[s.members[0]-1] = int32((x + 1) % len(nw.supers))
+			return
+		}
 	}
 }

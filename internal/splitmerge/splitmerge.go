@@ -462,18 +462,6 @@ func (nw *Network) checkMembership() []audit.Violation {
 	return out
 }
 
-// CorruptGroupForTest deliberately desynchronizes the membership index
-// for the first committed member, so tests can verify the audit engine
-// reports the inconsistency within its check cadence.
-func (nw *Network) CorruptGroupForTest() {
-	for x, s := range nw.supers {
-		if len(s.members) > 0 {
-			nw.eng.NodeGroup[s.members[0]-1] = int32((x + 1) % len(nw.supers))
-			return
-		}
-	}
-}
-
 // Join introduces a new node through the given sponsor and returns its
 // id; the node becomes a full member at the next commit (the paper's
 // O(log log n)-round join).
@@ -513,6 +501,33 @@ func (nw *Network) Members() []sim.NodeID {
 		}
 	}
 	return out
+}
+
+// ReplaceMembers churns k members at the next commit: k distinct members
+// drawn uniformly are marked leaving, then k joiners enter, each through
+// a uniformly drawn sponsor that is not leaving. k is clamped so that at
+// least 8 members stay to sponsor. Every attempt, rejected or not, is one
+// r.Intn(len(members)) — leavers first, then sponsors.
+func (nw *Network) ReplaceMembers(r *rng.RNG, k int) {
+	members := nw.Members()
+	k = min(k, len(members)-8)
+	gone := map[sim.NodeID]bool{}
+	for len(gone) < k {
+		id := members[r.Intn(len(members))]
+		if !gone[id] {
+			gone[id] = true
+			nw.Leave(id)
+		}
+	}
+	for i := 0; i < k; i++ {
+		for {
+			s := members[r.Intn(len(members))]
+			if !gone[s] {
+				nw.Join(s)
+				break
+			}
+		}
+	}
 }
 
 func (nw *Network) indexMembers() {

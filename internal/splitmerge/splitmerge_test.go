@@ -1,6 +1,9 @@
 package splitmerge
 
 import (
+	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 
 	"overlaynet/internal/dos"
@@ -249,5 +252,63 @@ func TestZeroLateDisconnects(t *testing.T) {
 	}
 	if disconnected == 0 {
 		t.Fatal("0-late adversary failed to disconnect the split/merge network")
+	}
+}
+
+// TestReplaceMembersTranscript pins ReplaceMembers to the loop E10, X1
+// and `overlaysim churndos` each carried inline before it existed,
+// recorded from that loop at seed 7, n₀ = 128, rng.New(99): the same
+// members leave in the same order, every joiner enters through the same
+// sponsor (observed as the group it waits in — ids are handed out in
+// join order), and the generator has made the same number of draws.
+func TestReplaceMembersTranscript(t *testing.T) {
+	for _, tc := range []struct {
+		k        int
+		leavers  []sim.NodeID
+		sponsors []sim.NodeID
+		digest   string // of "leavers groups" where the transcript is too long to spell out
+		next     uint64 // the generator's next draw after the call
+	}{
+		{k: 16,
+			leavers:  []sim.NodeID{45, 73, 49, 110, 101, 27, 36, 8, 109, 75, 95, 23, 20, 17, 51, 66},
+			sponsors: []sim.NodeID{26, 117, 97, 57, 37, 83, 86, 14, 42, 37, 79, 21, 7, 1, 14, 104},
+			next:     13177633058780226051},
+		{k: 0, next: 6432450796990294708},
+		// X1's clamp: 8 members always stay, so 120 of 128 are replaced.
+		{k: 1000, digest: "4a4a52aa8528863c", next: 4233866739821705342},
+	} {
+		nw := New(Config{Seed: 7, N0: 128, MeasureEvery: -1})
+		r := rng.New(99)
+		first := nw.nextID
+		nw.ReplaceMembers(r, tc.k)
+		groups := make([]int32, nw.nextID-first)
+		for x, s := range nw.supers {
+			for _, id := range s.pending {
+				groups[id-first] = int32(x)
+			}
+		}
+		if want := min(tc.k, 120); len(nw.leavingIDs) != want || len(groups) != want {
+			t.Fatalf("k=%d: %d leavers and %d joiners, want %d of each", tc.k, len(nw.leavingIDs), len(groups), want)
+		}
+		if tc.digest != "" {
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%v %v", nw.leavingIDs, groups)
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != tc.digest {
+				t.Fatalf("k=%d: transcript digest %s, recorded %s", tc.k, got, tc.digest)
+			}
+		} else {
+			if !slices.Equal(nw.leavingIDs, tc.leavers) {
+				t.Fatalf("k=%d: leavers %v, recorded %v", tc.k, nw.leavingIDs, tc.leavers)
+			}
+			for i, s := range tc.sponsors {
+				if groups[i] != nw.superOf(s) {
+					t.Fatalf("k=%d: joiner %d waits in group %d, not in that of its recorded sponsor %d", tc.k, i, groups[i], s)
+				}
+			}
+		}
+		if got := r.Uint64(); got != tc.next {
+			t.Fatalf("k=%d: generator is at %d after the call, recorded %d (a different number of draws)", tc.k, got, tc.next)
+		}
+		nw.Close()
 	}
 }

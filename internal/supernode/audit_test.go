@@ -29,7 +29,7 @@ func TestAuditDetectsCorruptedGroup(t *testing.T) {
 	nw := New(Config{Seed: 5, N: 256, MeasureEvery: -1})
 	eng := audit.NewEngine("test", 5, every, nil)
 	nw.SetAudit(eng)
-	nw.CorruptGroupForTest()
+	nw.corruptGroup()
 	for r := 0; r < every; r++ {
 		nw.Step(nil)
 	}
@@ -85,5 +85,19 @@ func TestFaultedRunDeterministic(t *testing.T) {
 	}
 	if a.FaultDrops == 0 || a.FaultDups == 0 {
 		t.Fatalf("fault injection inactive: %+v", a)
+	}
+}
+
+// corruptGroup deliberately desynchronizes the group partition
+// (one node's nodeGroup pointer stops matching its group) so tests can
+// prove the audit layer reports it within one check interval. Never
+// call it outside tests.
+func (nw *Network) corruptGroup() {
+	for x, g := range nw.groups {
+		if len(g) > 0 {
+			v := int(g[0]) - 1
+			nw.eng.NodeGroup[v] = int32((x + 1) % nw.nSuper)
+			return
+		}
 	}
 }

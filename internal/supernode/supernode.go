@@ -451,20 +451,6 @@ func (nw *Network) checkGroups() []audit.Violation {
 	return []audit.Violation{{Detail: fmt.Sprintf("%s (%d nodes affected)", detail, len(bad)), Nodes: bad}}
 }
 
-// CorruptGroupForTest deliberately desynchronizes the group partition
-// (one node's nodeGroup pointer stops matching its group) so tests can
-// prove the audit layer reports it within one check interval. Never
-// call it outside tests.
-func (nw *Network) CorruptGroupForTest() {
-	for x, g := range nw.groups {
-		if len(g) > 0 {
-			v := int(g[0]) - 1
-			nw.eng.NodeGroup[v] = int32((x + 1) % nw.nSuper)
-			return
-		}
-	}
-}
-
 // The stack's own worker phases (committee.Engine.Each).
 const (
 	phaseAssign = iota
