@@ -61,6 +61,9 @@ func (cfg Config) Validate() error {
 	if cfg.D < 6 || cfg.D%2 != 0 {
 		return fmt.Errorf("core: degree %d must be even and at least 6", cfg.D)
 	}
+	if cfg.D > sampling.MaxDegree {
+		return fmt.Errorf("core: degree %d exceeds %d, the most the sampler's byte symbols index", cfg.D, sampling.MaxDegree)
+	}
 	if cfg.Alpha < 0 {
 		return fmt.Errorf("core: alpha %g must be positive", cfg.Alpha)
 	}

@@ -45,3 +45,26 @@ func (r *RNG) PackBit(dst []uint64, m int, bit uint) {
 	}
 	r.SetState(s)
 }
+
+// FillIntn fills dst with len(dst) draws from [0, n), n ≤ 256 — exactly the
+// Intn(n) calls it replaces: Lemire's draw on the next Uint64 (for a power
+// of two its top bits), with the state handed to Uint64nTail for the rare
+// retry and taken back.
+func (r *RNG) FillIntn(dst []uint8, n int) {
+	if n <= 0 || n > 256 {
+		panic("rng: FillIntn needs 0 < n ≤ 256, what a byte holds")
+	}
+	s, un := r.State(), uint64(n)
+	for k := range dst {
+		var x uint64
+		x, s = s.Next()
+		hi, lo := bits.Mul64(x, un)
+		if lo < un {
+			r.SetState(s)
+			hi = r.Uint64nTail(hi, lo, un)
+			s = r.State()
+		}
+		dst[k] = uint8(hi)
+	}
+	r.SetState(s)
+}

@@ -32,33 +32,51 @@ func BenchmarkRapidHGraphCoreShape(b *testing.B) {
 }
 
 // BenchmarkSendRequests is one node's request step (extract m_i
-// targets, group, send) at three points of the core_churn schedule. M
-// holds 3·m_i endpoints as it does in a run; in iteration 1 they are
-// the node's 8 neighbors, later they spread over the network. One op is
-// one sim round of a one-node network whose sends go to absent ids, so
-// the kernel's share is a round's fixed cost plus one outbox entry per
-// batch.
+// targets, group, send) at three points of the core_churn schedule. The
+// multiset holds 3·m_i endpoints as it does in a run: in iteration 1
+// (m = 4617) they are symbols of the node's 8 neighbors and d counters
+// group the targets, later they are vertices spread over the network and
+// the radix pass does. One op is one sim round of a one-node network
+// whose sends go to absent ids, so the kernel's share is a round's fixed
+// cost plus one outbox entry per batch.
 func BenchmarkSendRequests(b *testing.B) {
 	for _, c := range []struct{ mi, distinct int }{{19, 1024}, {513, 1024}, {4617, 8}} {
 		b.Run(fmt.Sprintf("m=%d", c.mi), func(b *testing.B) {
 			r := rng.New(1)
-			master := make([]int32, 3*c.mi)
-			for j := range master {
-				master[j] = int32(1024 + r.Intn(c.distinct))
-			}
 			s := HGraphSampler{
-				idOf:    func(v int) sim.NodeID { return sim.NodeID(v) },
-				idBits:  sim.IDBits(1024),
-				m:       []int{len(master), c.mi},
-				targets: make([]int32, 2*c.mi),
+				idOf:   func(v int) sim.NodeID { return sim.NodeID(v) },
+				idBits: sim.IDBits(1024),
 			}
-			items := make([]int32, len(master))
+			var request func(ctx *sim.Ctx)
+			if c.distinct <= MaxDegree { // iteration 1: M_0's symbols
+				master := make([]uint8, 3*c.mi)
+				r.FillIntn(master, c.distinct)
+				for v := 0; v < c.distinct; v++ {
+					s.neighbors = append(s.neighbors, 1024+v)
+				}
+				s.m = []int{len(master), c.mi}
+				syms := make([]uint8, len(master))
+				request = func(ctx *sim.Ctx) {
+					s.syms = syms[:copy(syms, master)]
+					s.requestNeighbors(ctx)
+				}
+			} else {
+				master := make([]int32, 3*c.mi)
+				for j := range master {
+					master[j] = int32(1024 + r.Intn(c.distinct))
+				}
+				s.m, s.step = []int{0, len(master), c.mi}, 2
+				s.targets = make([]int32, 2*c.mi)
+				items := make([]int32, len(master))
+				request = func(ctx *sim.Ctx) {
+					s.M = items[:copy(items, master)]
+					s.sendRequests(ctx, 2)
+				}
+			}
 			net := sim.NewNetwork(sim.Config{Seed: 1, Shards: 1})
 			net.DisableWorkLog()
 			net.SpawnHandler(1, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
-				copy(items, master)
-				s.M = items
-				s.sendRequests(ctx, 1)
+				request(ctx)
 				return true
 			}))
 			b.ReportAllocs()

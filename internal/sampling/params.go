@@ -75,6 +75,9 @@ func (p HGraphParams) Validate() error {
 	if p.WalkOverride == 0 && (p.D < 6 || p.D%2 != 0) {
 		return fmt.Errorf("sampling: degree %d must be even and ≥ 6", p.D)
 	}
+	if p.D > MaxDegree {
+		return fmt.Errorf("sampling: degree %d exceeds %d, the most a sampler's byte symbols index", p.D, MaxDegree)
+	}
 	if p.WalkOverride == 0 && p.Alpha < 1 {
 		return fmt.Errorf("sampling: alpha %v < 1", p.Alpha)
 	}

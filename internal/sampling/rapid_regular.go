@@ -25,6 +25,9 @@ func RapidRegular(seed uint64, adj [][]int, p HGraphParams) *RapidResult {
 		panic(fmt.Sprintf("sampling: adjacency has %d nodes, params say %d", n, p.N))
 	}
 	deg := len(adj[0])
+	if deg > MaxDegree {
+		panic(fmt.Sprintf("sampling: degree %d exceeds %d, the most a sampler's byte symbols index", deg, MaxDegree))
+	}
 	for v, nb := range adj {
 		if len(nb) != deg {
 			panic(fmt.Sprintf("sampling: graph not regular: node %d has degree %d, want %d", v, len(nb), deg))

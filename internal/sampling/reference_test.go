@@ -3,6 +3,7 @@ package sampling
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -393,49 +394,92 @@ func diffCases(t *testing.T) []diffCase {
 		{name: "foreign-messages", n: 128, p: small(nil), foreign: true},
 		{name: "foreign-messages-drop", n: 128, foreign: true,
 			p: small(func(p *HGraphParams) { p.Faults = fault.Spec{Seed: 5, Drop: 0.05} })},
+		// What M_0 as neighbor indices adds and D = 8 on 128 vertices never
+		// visits: Lemire's draw for a d that is no power of two in the fill;
+		// a vertex in several slots of one neighbor list, which must still
+		// get one reqBatch; a first collect that is also the last.
+		{name: "d=6", n: 128, p: DefaultHGraphParams(128, 6)},
+		{name: "multi-edges", n: 8, p: DefaultHGraphParams(8, 8)},
+		{name: "one-iteration", n: 128, p: small(func(p *HGraphParams) { p.WalkOverride = 2 })},
 	}
 }
 
-// TestSamplerMatchesReference runs every case through HGraphSampler and
-// through the frozen referenceSampler and requires the two executions
-// to be indistinguishable: same inbox transcript at every node and
-// round, same samples, failures, budget tally, work log, and the same
-// generator state afterwards.
+// matchReference runs the case through HGraphSampler, at one shard and
+// at four, and through the frozen referenceSampler and requires the
+// executions to be indistinguishable: same inbox transcript at every
+// node and round, same samples, failures, budget tally, work log, and the
+// same generator state afterwards. It returns the reference run.
+func matchReference(t *testing.T, seed uint64, c diffCase) *diffRun {
+	// The kernel is shard-invariant, so one reference run serves both
+	// shard counts.
+	want := c.run(seed, func() nodeSampler { return &referenceSampler{} })
+	for _, shards := range []int{1, 4} {
+		c := c
+		c.p.Shards = shards
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			got := c.run(seed, func() nodeSampler { return &HGraphSampler{} })
+			for v := 0; v < c.n; v++ {
+				if !reflect.DeepEqual(got.Inboxes[v], want.Inboxes[v]) {
+					for r := range want.Inboxes[v] {
+						if r >= len(got.Inboxes[v]) || got.Inboxes[v][r] != want.Inboxes[v][r] {
+							t.Fatalf("node %d: inbox of protocol round %d differs", v, r+1)
+						}
+					}
+					t.Fatalf("node %d: %d rounds, want %d", v, len(got.Inboxes[v]), len(want.Inboxes[v]))
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("runs differ beyond the transcript:\n got budget %+v rel %+v\nwant budget %+v rel %+v",
+					got.Budget, got.Rel, want.Budget, want.Rel)
+			}
+		})
+	}
+	return want
+}
+
+// TestSamplerMatchesReference is matchReference on the hand-picked
+// cases, each checked to reach what it is there for.
 func TestSamplerMatchesReference(t *testing.T) {
 	const seed = 11
 	for _, c := range diffCases(t) {
-		// The kernel is shard-invariant, so one reference run serves
-		// both shard counts.
-		want := c.run(seed, func() nodeSampler { return &referenceSampler{} })
-		for _, shards := range []int{1, 4} {
-			c := c
-			c.p.Shards = shards
-			t.Run(fmt.Sprintf("%s/shards=%d", c.name, shards), func(t *testing.T) {
-				got := c.run(seed, func() nodeSampler { return &HGraphSampler{} })
-				if want.Budget.Issued == 0 || want.Budget.Served == 0 {
-					t.Fatalf("reference run did nothing: %+v", want.Budget)
+		t.Run(c.name, func(t *testing.T) {
+			want := matchReference(t, seed, c)
+			if want.Budget.Issued == 0 || want.Budget.Served == 0 {
+				t.Fatalf("reference run did nothing: %+v", want.Budget)
+			}
+			if c.p.FlatBudget && want.Budget.Refused == 0 {
+				t.Fatal("flat budget produced no refusals")
+			}
+			if c.foreign && len(want.Others[0]) == 0 {
+				t.Fatal("no foreign message reached onOther")
+			}
+			if c.name == "multi-edges" {
+				nbrs := hgraph.Random(rng.New(seed), c.n, c.p.D).Neighbors(0)
+				if distinct := len(slices.Compact(slices.Sorted(slices.Values(nbrs)))); distinct == len(nbrs) {
+					t.Fatalf("vertex 0's neighbor list %v repeats no vertex", nbrs)
 				}
-				if c.p.FlatBudget && want.Budget.Refused == 0 {
-					t.Fatal("flat budget produced no refusals")
-				}
-				if c.foreign && len(want.Others[0]) == 0 {
-					t.Fatal("no foreign message reached onOther")
-				}
-				for v := 0; v < c.n; v++ {
-					if !reflect.DeepEqual(got.Inboxes[v], want.Inboxes[v]) {
-						for r := range want.Inboxes[v] {
-							if r >= len(got.Inboxes[v]) || got.Inboxes[v][r] != want.Inboxes[v][r] {
-								t.Fatalf("node %d: inbox of protocol round %d differs", v, r+1)
-							}
-						}
-						t.Fatalf("node %d: %d rounds, want %d", v, len(got.Inboxes[v]), len(want.Inboxes[v]))
-					}
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("runs differ beyond the transcript:\n got budget %+v rel %+v\nwant budget %+v rel %+v",
-						got.Budget, got.Rel, want.Budget, want.Rel)
-				}
-			})
-		}
+			}
+			if c.name == "one-iteration" && c.p.T() != 1 {
+				t.Fatalf("T = %d", c.p.T())
+			}
+		})
 	}
+}
+
+// FuzzSamplerMatchesReference is matchReference on generated cases: the
+// arguments decode to a seed, n ≤ 64, D ∈ {6, 8, 10, 12}, the budget
+// constants, the two schedule overrides and drop/dup rates ≤ 0.1.
+func FuzzSamplerMatchesReference(f *testing.F) {
+	f.Add(uint64(11), uint8(60), uint8(1), uint8(7), uint8(15), false, uint8(0), uint8(0), uint8(0))
+	f.Add(uint64(3), uint8(4), uint8(0), uint8(15), uint8(3), true, uint8(0), uint8(25), uint8(25))
+	f.Add(uint64(5), uint8(20), uint8(3), uint8(0), uint8(8), false, uint8(2), uint8(0), uint8(10))
+	f.Fuzz(func(t *testing.T, seed uint64, n, d, c, eps uint8, flat bool, walk, drop, dup uint8) {
+		p := HGraphParams{
+			N: 4 + int(n)%61, D: 6 + 2*int(d%4), Alpha: 2.5,
+			C: float64(1+c%16) / 8, Epsilon: float64(1+eps%16) / 16,
+			FlatBudget: flat, WalkOverride: int(walk % 17),
+			Faults: fault.Spec{Seed: seed, Drop: float64(drop%26) / 250, Dup: float64(dup%26) / 250},
+		}
+		matchReference(t, seed, diffCase{n: p.N, p: p})
+	})
 }

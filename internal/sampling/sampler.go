@@ -1,7 +1,9 @@
 package sampling
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"overlaynet/internal/sim"
@@ -28,37 +30,113 @@ type HGraphSampler struct {
 	stats  *BudgetStats
 	idBits int
 	step   int     // completed HandleRound calls; odd = serve, even = collect
-	M      []int32 // the multiset M of Algorithm 1
+	M      []int32 // the multiset M_i of Algorithm 1, i ≥ 1
+
+	// M_0 is m_0 draws from the node's d neighbors, kept as what was
+	// drawn: indices into the neighbor list, decoded when extracted.
+	// Iteration 1 (step < 2) draws from it; its collect round drops both.
+	syms      []uint8
+	neighbors []int
 
 	// Run scratch, allocated by Start and dropped when HandleRound
 	// returns true: the node programs that embed a sampler outlive the
 	// run by many epochs and must not keep its buffers.
 	m       []int   // budget schedule m_0 … m_T
-	targets []int32 // 2·m_1: an iteration's request targets and the radix pass's other buffer
+	targets []int32 // 2·m_2: an iteration's request targets and the radix pass's other buffer
 }
+
+// MaxDegree bounds a neighbor list: M_0 stores indices into it as bytes.
+const MaxDegree = 256
 
 // Start begins a sampling run in the current round: it performs the
 // phase-1 local walks (walks of length 1 over the neighbor multiset)
 // and sends the first request batches. neighbors is the node's
-// multigraph neighbor list with multiplicity (length p.D); idOf maps
-// graph vertices to sim ids; fail (optional) counts extraction-from-
-// empty events; stats (optional) is the shared budget tally.
+// multigraph neighbor list with multiplicity (length p.D ≤ MaxDegree),
+// which the sampler reads until iteration 1 is over; idOf maps graph
+// vertices to sim ids; fail (optional) counts extraction-from-empty
+// events; stats (optional) is the shared budget tally.
 func (s *HGraphSampler) Start(ctx *sim.Ctx, p HGraphParams, self int, neighbors []int,
 	idOf func(int) sim.NodeID, fail *int, stats *BudgetStats) {
 
 	*s = HGraphSampler{self: self, idOf: idOf, fail: fail, stats: stats,
-		idBits: sim.IDBits(p.N), m: p.schedule()}
-	s.targets = make([]int32, 2*s.m[1])
-
-	// M_0 is the multiset's storage for the whole run: every later
-	// collect round writes the (smaller) M_i over it.
-	r := ctx.RNG()
-	m0 := make([]int32, s.m[0])
-	for j := range m0 {
-		m0[j] = int32(neighbors[r.Intn(len(neighbors))])
+		idBits: sim.IDBits(p.N), m: p.schedule(), neighbors: neighbors}
+	if len(s.m) > 2 {
+		s.targets = make([]int32, 2*s.m[2])
 	}
-	s.M = m0
-	s.sendRequests(ctx, 1)
+	s.syms = make([]uint8, s.m[0])
+	ctx.RNG().FillIntn(s.syms, len(neighbors))
+	s.requestNeighbors(ctx)
+}
+
+// refuse counts n extractions from an empty multiset (answered: self).
+func (s *HGraphSampler) refuse(n int) {
+	if s.fail != nil {
+		*s.fail += n
+	}
+	if s.stats != nil {
+		s.stats.Refused.Add(int64(n))
+	}
+}
+
+// drawSyms makes extract's draws on M_0's symbols, up to k of them, the
+// generator held in registers. A drawn symbol is parked in the slot the
+// multiset just vacated, so the draws come back as the buffer's dead
+// tail, last draw first; fewer than k mean the multiset ran empty.
+func (s *HGraphSampler) drawSyms(ctx *sim.Ctx, k int) []uint8 {
+	r, items := ctx.RNG(), s.syms
+	k = min(k, len(items))
+	rs, end := r.State(), uint64(len(items)-k)
+	for n := uint64(len(items)); n > end; n-- {
+		var x uint64
+		x, rs = rs.Next()
+		hi, lo := bits.Mul64(x, n)
+		if lo < n {
+			r.SetState(rs)
+			hi = r.Uint64nTail(hi, lo, n)
+			rs = r.State()
+		}
+		items[hi], items[n-1] = items[n-1], items[hi]
+	}
+	r.SetState(rs)
+	s.syms = items[:end]
+	return items[end:]
+}
+
+// requestNeighbors issues iteration 1's requests. Drawn from M_0, its
+// targets take at most d values, so d counters group them: one reqBatch
+// per distinct vertex in ascending order, with the summed count where a
+// vertex fills several slots of the neighbor list or is the node itself,
+// substituted once M_0 ran empty.
+func (s *HGraphSampler) requestNeighbors(ctx *sim.Ctx) {
+	m1 := s.m[1]
+	drawn := s.drawSyms(ctx, m1)
+	type batch struct{ vertex, count int32 }
+	var buf [MaxDegree + 1]batch
+	for _, sym := range drawn {
+		buf[sym].count++
+	}
+	b := buf[:len(s.neighbors)+1]
+	for sym, v := range s.neighbors {
+		b[sym].vertex = int32(v)
+	}
+	b[len(b)-1] = batch{int32(s.self), int32(m1 - len(drawn))}
+	s.refuse(m1 - len(drawn))
+	slices.SortFunc(b, func(x, y batch) int { return cmp.Compare(x.vertex, y.vertex) })
+	batches := 0
+	for j, k := 0, 0; j < len(b); j = k {
+		count := int32(0)
+		for ; k < len(b) && b[k].vertex == b[j].vertex; k++ {
+			count += b[k].count
+		}
+		if count > 0 {
+			ctx.Send(s.idOf(int(b[j].vertex)), reqBatch{Count: count}, int(count)*s.idBits)
+			batches++
+		}
+	}
+	if s.stats != nil {
+		s.stats.Issued.Add(int64(m1))
+		s.stats.ReqBatches.Add(int64(batches))
+	}
 }
 
 // extract fills dst with walk endpoints drawn from the multiset, in
@@ -68,6 +146,12 @@ func (s *HGraphSampler) Start(ctx *sim.Ctx, p HGraphParams, self int, neighbors 
 func (s *HGraphSampler) extract(ctx *sim.Ctx, dst []int32) {
 	r, items := ctx.RNG(), s.M
 	k := 0
+	if s.step < 2 { // M is M_0 (and items empty): decode the drawn symbols
+		drawn := s.drawSyms(ctx, len(dst))
+		for ; k < len(drawn); k++ {
+			dst[k] = int32(s.neighbors[drawn[len(drawn)-1-k]])
+		}
+	}
 	for ; k < len(dst) && len(items) > 0; k++ {
 		n := uint64(len(items))
 		hi, lo := bits.Mul64(r.Uint64(), n)
@@ -79,20 +163,15 @@ func (s *HGraphSampler) extract(ctx *sim.Ctx, dst []int32) {
 		items = items[:n-1]
 	}
 	s.M = items
+	s.refuse(len(dst) - k)
 	for ; k < len(dst); k++ { // the multiset ran empty
 		dst[k] = int32(s.self)
-		if s.fail != nil {
-			*s.fail++
-		}
-		if s.stats != nil {
-			s.stats.Refused.Add(1)
-		}
 	}
 }
 
-// sendRequests issues iteration i's walk-extension requests, batched
-// per target (identical targets collapse into one reqBatch message) and
-// sent in ascending target order.
+// sendRequests issues iteration i's walk-extension requests, i ≥ 2,
+// batched per target (identical targets collapse into one reqBatch
+// message) and sent in ascending target order.
 func (s *HGraphSampler) sendRequests(ctx *sim.Ctx, i int) {
 	mi := s.m[i]
 	half := len(s.targets) / 2
@@ -190,12 +269,14 @@ func (s *HGraphSampler) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOther f
 		return false
 	}
 	// Collect round for iteration i: the responses replace the multiset
-	// (the walks grew by 2^(i-1) steps). The final M_T gets storage of
-	// its own size so that the run's buffers can go.
+	// (the walks grew by 2^(i-1) steps) and are written over it, except
+	// that M_1 — M_0 is symbols — and the final M_T, so that the run's
+	// buffers can go, get storage of their own size.
 	i := s.step / 2
 	collected := s.M[:0]
-	if i == len(s.m)-1 {
+	if i == 1 || i == len(s.m)-1 {
 		collected = make([]int32, 0, s.m[i])
+		s.syms, s.neighbors = nil, nil
 	}
 	for _, m := range inbox {
 		rb, ok := m.Payload.(*respBatch)

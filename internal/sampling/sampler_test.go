@@ -7,6 +7,7 @@ import (
 
 	"overlaynet/internal/hgraph"
 	"overlaynet/internal/rng"
+	"overlaynet/internal/sim"
 )
 
 // coreShape is the schedule core.RunEpoch derives at n = 1024 for one
@@ -37,12 +38,12 @@ func TestRadixSortMatchesSort(t *testing.T) {
 	}
 }
 
-// sliceCaps appends the capacity of every slice reachable from v
-// through struct fields.
+// sliceCaps appends the capacity, in bytes, of every slice reachable
+// from v through struct fields.
 func sliceCaps(v reflect.Value, caps []int) []int {
 	switch v.Kind() {
 	case reflect.Slice:
-		caps = append(caps, v.Cap())
+		caps = append(caps, v.Cap()*int(v.Type().Elem().Size()))
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			caps = sliceCaps(v.Field(i), caps)
@@ -53,8 +54,9 @@ func sliceCaps(v reflect.Value, caps []int) []int {
 
 // TestSamplerReleasesScratch: node programs embed a sampler for the
 // node's lifetime (core.coreNode), so a completed run may keep nothing
-// larger than its result — the 55 KB M_0 buffer of the core_churn shape
-// would be half again of that workload's live bytes per node.
+// larger than its result — the 55 KB an int32 M_0 of the core_churn
+// shape took would be +143 % on that workload's 38.8 kB of live bytes
+// per node.
 func TestSamplerReleasesScratch(t *testing.T) {
 	var samplers []*HGraphSampler
 	c := diffCase{n: coreShape.N, p: coreShape}
@@ -68,11 +70,65 @@ func TestSamplerReleasesScratch(t *testing.T) {
 			t.Fatalf("node %d: %d samples, want %d", v, got, mT)
 		}
 		for _, c := range sliceCaps(reflect.ValueOf(*s), nil) {
-			if c > mT {
-				t.Fatalf("node %d: sampler retains a slice of cap %d > m_T = %d after completion", v, c, mT)
+			if c > 4*mT {
+				t.Fatalf("node %d: sampler retains a slice of %d bytes > 4·m_T = %d after completion", v, c, 4*mT)
 			}
 		}
 	}
+}
+
+// footprintProbe is a sampler that checks, after every call, the bytes
+// of all slices it holds against the limit of the run's stage.
+type footprintProbe struct {
+	HGraphSampler
+	t                       *testing.T
+	started, collected, end int
+}
+
+func (f *footprintProbe) check(done bool) {
+	limit, stage := f.started, "Start"
+	if done {
+		limit, stage = f.end, "completion"
+	} else if f.step >= 2 {
+		limit, stage = f.collected, "the first collect"
+	}
+	held := 0
+	for _, c := range sliceCaps(reflect.ValueOf(f.HGraphSampler), nil) {
+		held += c
+	}
+	if held > limit {
+		f.t.Errorf("node %d holds %d bytes after %s (step %d), want at most %d", f.self, held, stage, f.step, limit)
+	}
+}
+
+func (f *footprintProbe) Start(ctx *sim.Ctx, p HGraphParams, self int, neighbors []int,
+	idOf func(int) sim.NodeID, fail *int, stats *BudgetStats) {
+	f.HGraphSampler.Start(ctx, p, self, neighbors, idOf, fail, stats)
+	f.check(false)
+}
+
+func (f *footprintProbe) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOther func(sim.Message)) bool {
+	done := f.HGraphSampler.HandleRound(ctx, inbox, onOther)
+	f.check(done)
+	return done
+}
+
+// TestSamplerRunFootprint bounds what a sampler holds during a run of
+// the core_churn shape: M_0 at a byte per entry beside the 2·m_2 request
+// scratch (26.2 kB; an int32 M_0 with 2·m_1 of scratch was 92.3 kB),
+// then M_1 in storage of its own size, then the samples alone. The 64
+// bytes are the schedule's; until the first collect the caller's
+// neighbor list is referenced too.
+func TestSamplerRunFootprint(t *testing.T) {
+	p := coreShape
+	c := diffCase{n: p.N, p: p}
+	c.run(3, func() nodeSampler {
+		return &footprintProbe{t: t,
+			started:   p.M(0) + 8*p.M(2) + 64 + 8*p.D,
+			collected: 4*p.M(1) + 8*p.M(2) + 64,
+			end:       4 * p.Samples(),
+		}
+	})
 }
 
 // TestSamplerAllocsPerRun: a run allocates per iteration (the serve
