@@ -31,13 +31,13 @@
 //	-progress    print a live cells-done/total + ETA line to stderr.
 //	-http ADDR   serve the observability endpoints on this address:
 //	             Prometheus text metrics at /metrics, liveness at
-//	             /healthz, expvar counters at /debug/vars (including
-//	             the live trace counter snapshot), and net/http/pprof
-//	             at /debug/pprof/. The listener binds before the sweep
+//	             /healthz, the runtime's expvar at /debug/vars, and
+//	             net/http/pprof at /debug/pprof/. The listener binds
+//	             before the sweep
 //	             starts — a bad address fails immediately — and the
-//	             actually-bound address is printed to stderr, so
-//	             ":0" works in tests and scripts. Attach the live
-//	             dashboard with: overlaymon -addr <printed address>.
+//	             actually-bound address is printed to stderr, so ":0"
+//	             works in tests and scripts. Attach the live dashboard
+//	             with: overlaymon -addr <printed address>.
 //	-linger D    keep the -http server (and the process) up for D
 //	             after the sweep finishes, so dashboards and scrapes
 //	             can read the final state.
@@ -49,11 +49,12 @@
 //	             -procs/-shards setting.
 //	-flight-rate P  flight sampling probability (default 0.01).
 //
-// A metrics registry (internal/obs) is attached whenever any telemetry
-// flag is on: named counters and streaming histograms for the kernel
-// and all three protocol stacks, exported in the manifest's "metrics"
-// field and served at /metrics. Metrics are observation only — tables
-// are byte-identical with the pipeline attached or detached.
+// Whenever any telemetry flag is on, one metrics registry (internal/obs)
+// holds every count of the run: named counters and streaming histograms
+// for the kernel and all three protocol stacks, exported under "metrics"
+// in the manifest, the -events file's last line and the -trace file, and
+// served at /metrics. Metrics are observation only — tables are
+// byte-identical with the pipeline attached or detached.
 //
 // Robustness:
 //
@@ -69,7 +70,7 @@ package main
 
 import (
 	"encoding/json"
-	"expvar"
+	_ "expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -111,10 +112,8 @@ type manifest struct {
 	TotalSeconds float64              `json:"total_seconds"`
 	Experiments  []manifestExperiment `json:"experiments"`
 	ScalePoints  []manifestScalePoint `json:"scale_points,omitempty"`
-	Counters     *trace.Counters      `json:"counters,omitempty"`
-	// Metrics is the flat snapshot of the obs registry at the end of the
-	// run: every named counter and gauge, plus _count/_sum/_p50/_p95/
-	// _max per histogram.
+	// Metrics is the recorder's Snapshot at the end of the run: every
+	// named counter, plus _count/_sum/_p50/_p95/_max per histogram.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -295,20 +294,16 @@ func main() {
 	// Telemetry wiring. A single recorder spans every experiment; it
 	// aggregates counters and spans (full event retention stays off — a
 	// sweep would retain millions; -flight keeps a bounded deterministic
-	// sample instead). The metrics registry rides along whenever any
-	// telemetry is on: counters and streaming histograms cost O(1) per
-	// event and never perturb tables.
+	// sample instead). Its registry holds every count of the run:
+	// counters and streaming histograms cost O(1) per event and never
+	// perturb tables.
 	var rec *trace.Recorder
-	var reg *obs.Registry
 	if *traceOut != "" || *eventsOut != "" || *manifestOut != "" || *httpAddr != "" || *flightCap > 0 {
 		rec = trace.New()
-		reg = obs.NewRegistry(0)
-		rec.WithMetrics(reg)
 		if *flightCap > 0 {
 			rec.FlightRecorder(*seed, *flightRate, *flightCap)
 		}
 		opts.Trace = rec
-		opts.Metrics = reg
 	}
 	var prog *trace.Progress
 	if *progress {
@@ -325,11 +320,10 @@ func main() {
 			fatalf("-http: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "benchtables: serving observability endpoints on http://%s (/metrics /healthz /debug/vars /debug/pprof/)\n", ln.Addr())
-		expvar.Publish("overlaynet_trace", rec)
 		// expvar and net/http/pprof register themselves on the default
 		// mux; the obs endpoints join them there.
-		http.Handle("/metrics", reg.MetricsHandler())
-		http.Handle("/healthz", obs.HealthzHandler(reg))
+		http.Handle("/metrics", rec.Registry().MetricsHandler())
+		http.Handle("/healthz", obs.HealthzHandler(rec.Registry()))
 		srv = &http.Server{}
 		go func() {
 			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -459,9 +453,7 @@ func main() {
 					BytesPerNode: s.BytesPerNode,
 				})
 			}
-			c := rec.Counters()
-			m.Counters = &c
-			m.Metrics = reg.FlatSnapshot()
+			m.Metrics = rec.Snapshot()
 		}
 		f, err := os.Create(*manifestOut)
 		if err != nil {

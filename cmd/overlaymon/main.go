@@ -122,7 +122,11 @@ func render(w *strings.Builder, addr string, cur, prev map[string]float64, dt fl
 	line("blocks", "overlaynet_blocks_total")
 	line("cells", "overlaynet_cells_total")
 	line("epochs", "overlaynet_epochs_total")
-	fmt.Fprintf(w, "  %-16s %10s\n", "alive nodes", fmtCount(cur["overlaynet_alive_nodes"]))
+	// Largest traced network so far, as the bound of the top occupied bucket of the
+	// alive-at-round-start histogram.
+	if les, _, _, ok := obs.HistogramFromScrape(cur, "overlaynet_alive_nodes"); ok {
+		fmt.Fprintf(w, "  %-16s %10s\n", "alive nodes ≤", fmtCount(float64(les[len(les)-1])))
+	}
 
 	// Drops by reason: every overlaynet_drops_*_total series, sorted.
 	var dropKeys []string

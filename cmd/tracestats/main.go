@@ -36,55 +36,26 @@ import (
 	"overlaynet/internal/trace"
 )
 
-// cellStat is one summarized cell (or epoch) span.
+// cellStat is one summarized cell span.
 type cellStat struct {
 	name  string
-	exp   string
-	cell  int
 	durUS int64
 }
 
-// summary is the normalized content of either input format.
+// summary is the normalized content of either input format. metrics is
+// the run's registry snapshot, under the registry's own series names —
+// the one vocabulary both files, the manifest and /metrics share.
 type summary struct {
 	records    int        // telemetry records successfully ingested
 	spans      []cellStat // cell spans only
 	epochs     int
 	exps       map[string]*expAgg
-	counters   map[string]uint64
 	metrics    map[string]float64
-	violations []violationRec
-	recoveries []recoveryRec
-	scales     []scaleRec
+	violations []trace.Event
+	recoveries []trace.Event
+	scales     []trace.Span // kind "scale": one size point of a scale experiment
 	minTS      int64
 	maxTS      int64
-}
-
-// scaleRec is one size point of a scale experiment (kind "scale"
-// spans): round throughput and per-node communication at one n.
-type scaleRec struct {
-	scope        string
-	n            int
-	rounds       int
-	roundsPerSec float64
-	bytesPerNode float64
-}
-
-// recoveryRec is one closed break episode from the stream: an invariant
-// first violated at brokenAt was observed clean again at cleanAt.
-type recoveryRec struct {
-	scope     string
-	invariant string
-	brokenAt  int
-	cleanAt   int
-	rounds    int
-}
-
-// violationRec is one invariant-audit violation event from the stream.
-type violationRec struct {
-	scope     string
-	round     int
-	invariant string
-	detail    string
 }
 
 type expAgg struct {
@@ -94,8 +65,11 @@ type expAgg struct {
 }
 
 func newSummary() *summary {
-	return &summary{exps: map[string]*expAgg{}, counters: map[string]uint64{}, minTS: -1}
+	return &summary{exps: map[string]*expAgg{}, minTS: -1}
 }
+
+// count reads one counter series of the snapshot.
+func (s *summary) count(series string) uint64 { return uint64(s.metrics[series]) }
 
 func (s *summary) observeTS(start, dur int64) {
 	if s.minTS < 0 || start < s.minTS {
@@ -106,119 +80,68 @@ func (s *summary) observeTS(start, dur int64) {
 	}
 }
 
-func (s *summary) addCell(exp string, cell int, startUS, durUS int64) {
-	s.spans = append(s.spans, cellStat{
-		name:  fmt.Sprintf("%s cell %d", exp, cell),
-		exp:   exp,
-		cell:  cell,
-		durUS: durUS,
-	})
-	a := s.exps[exp]
-	if a == nil {
-		a = &expAgg{}
-		s.exps[exp] = a
+func (s *summary) addSpan(sp trace.Span) {
+	s.records++
+	s.observeTS(sp.StartUS, sp.DurUS)
+	switch sp.Kind {
+	case "cell":
+		s.spans = append(s.spans, cellStat{fmt.Sprintf("%s cell %d", sp.Scope, sp.Cell), sp.DurUS})
+		a := s.exps[sp.Scope]
+		if a == nil {
+			a = &expAgg{}
+			s.exps[sp.Scope] = a
+		}
+		a.cells++
+		a.totalUS += sp.DurUS
+		a.maxUS = max(a.maxUS, sp.DurUS)
+	case "epoch":
+		s.epochs++
+	case "scale":
+		s.scales = append(s.scales, sp)
 	}
-	a.cells++
-	a.totalUS += durUS
-	if durUS > a.maxUS {
-		a.maxUS = durUS
+}
+
+func (s *summary) addEvent(ev trace.Event) {
+	s.records++
+	s.observeTS(ev.TSMicros, 0)
+	switch ev.Kind {
+	case "violation":
+		s.violations = append(s.violations, ev)
+	case "recovery":
+		s.recoveries = append(s.recoveries, ev)
 	}
-	s.observeTS(startUS, durUS)
+}
+
+func (s *summary) setMetrics(m map[string]float64) {
+	if len(m) > 0 {
+		s.records++
+		s.metrics = m
+	}
 }
 
 // loadChrome ingests a Chrome trace_events file written by
-// trace.WriteChromeTrace.
+// trace.WriteChromeTrace, reading back the span and event fields the
+// export put into each entry's args.
 func loadChrome(data []byte, s *summary) error {
 	var f trace.ChromeFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return err
 	}
-	if len(f.OverlayCounters) > 0 {
-		s.records++
-	}
-	for k, v := range f.OverlayCounters {
-		s.counters[k] = v
-	}
+	s.setMetrics(f.Metrics)
 	for _, ev := range f.TraceEvents {
-		s.records++
-		s.observeTS(ev.TS, ev.Dur)
+		str := func(k string) string { v, _ := ev.Args[k].(string); return v }
+		num := func(k string) float64 { v, _ := ev.Args[k].(float64); return v }
 		if ev.Ph != "X" {
+			s.addEvent(trace.Event{TSMicros: ev.TS, Kind: ev.Name, Scope: str("scope"), Round: int(num("round")),
+				Reason: str("invariant"), Detail: str("detail"),
+				CleanRound: int(num("clean_round")), MTTRRounds: int(num("mttr_rounds"))})
 			continue
 		}
-		switch ev.Cat {
-		case "cell":
-			exp, _ := ev.Args["exp"].(string)
-			cell := 0
-			if c, ok := ev.Args["cell"].(float64); ok {
-				cell = int(c)
-			}
-			s.addCell(exp, cell, ev.TS, ev.Dur)
-		case "epoch":
-			s.epochs++
-		case "scale":
-			exp, _ := ev.Args["exp"].(string)
-			rec := scaleRec{scope: exp}
-			if v, ok := ev.Args["n"].(float64); ok {
-				rec.n = int(v)
-			}
-			if v, ok := ev.Args["rounds"].(float64); ok {
-				rec.rounds = int(v)
-			}
-			rec.roundsPerSec, _ = ev.Args["rounds_per_sec"].(float64)
-			rec.bytesPerNode, _ = ev.Args["bytes_per_node"].(float64)
-			s.scales = append(s.scales, rec)
-		}
+		s.addSpan(trace.Span{Kind: ev.Cat, Scope: str("exp"), Cell: int(num("cell")), StartUS: ev.TS, DurUS: ev.Dur,
+			N: int(num("n")), Rounds: int(num("rounds")),
+			RoundsPerSec: num("rounds_per_sec"), BytesPerNode: num("bytes_per_node")})
 	}
 	return nil
-}
-
-// jsonlRecord is the union shape of one JSONL line.
-type jsonlRecord struct {
-	Type string `json:"type"`
-	// span fields
-	Kind    string `json:"kind"`
-	Scope   string `json:"scope"`
-	Cell    int    `json:"cell"`
-	StartUS int64  `json:"start_us"`
-	DurUS   int64  `json:"dur_us"`
-	TSMicro int64  `json:"ts_us"`
-	// scale-span fields
-	N            int     `json:"n"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	BytesPerNode float64 `json:"bytes_per_node"`
-	// event fields (violation events carry the invariant name in
-	// "reason" plus a human-readable detail; recovery events add the
-	// clean round and the episode's MTTR)
-	Round      int    `json:"round"`
-	Reason     string `json:"reason"`
-	Detail     string `json:"detail"`
-	CleanRound int    `json:"clean_round"`
-	MTTRRounds int    `json:"mttr_rounds"`
-	// metrics-registry snapshot line
-	Metrics map[string]float64 `json:"metrics"`
-	// counters fields
-	Rounds    uint64            `json:"rounds"`
-	Messages  uint64            `json:"messages"`
-	Delivered uint64            `json:"delivered"`
-	Spawns    uint64            `json:"spawns"`
-	Kills     uint64            `json:"kills"`
-	Blocks    uint64            `json:"blocks"`
-	Cells     uint64            `json:"cells"`
-	Epochs    uint64            `json:"epochs"`
-	DupExtra  uint64            `json:"dup_extra_copies"`
-	ViolCount uint64            `json:"violations"`
-	RecCount  uint64            `json:"recoveries"`
-	RecRounds uint64            `json:"recovery_rounds"`
-	Drops     map[string]uint64 `json:"drops"`
-	// Async/reliability lane (event scheduler + internal/reliable).
-	AsyncDeferred    uint64 `json:"async_deferred"`
-	Retransmits      uint64 `json:"retransmits"`
-	AckCount         uint64 `json:"acks"`
-	DeliveryFailures uint64 `json:"delivery_failures"`
-	StaleDeliveries  uint64 `json:"stale_deliveries"`
-	// Per-shard phase busy time from sharded simulator rounds.
-	ShardRecvUS []uint64 `json:"shard_recv_us"`
-	ShardSendUS []uint64 `json:"shard_send_us"`
 }
 
 // loadJSONL ingests a JSONL stream written by trace.WriteJSONL (or
@@ -229,77 +152,29 @@ func loadJSONL(data []byte, s *summary) error {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
-		var rec jsonlRecord
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return fmt.Errorf("line %d: %w", line, err)
+		var rec struct {
+			Type    string             `json:"type"`
+			Metrics map[string]float64 `json:"metrics"`
 		}
+		err := json.Unmarshal(text, &rec)
 		switch rec.Type {
 		case "span":
-			s.records++
-			switch rec.Kind {
-			case "cell":
-				s.addCell(rec.Scope, rec.Cell, rec.StartUS, rec.DurUS)
-			case "epoch":
-				s.epochs++
-				s.observeTS(rec.StartUS, rec.DurUS)
-			case "scale":
-				s.scales = append(s.scales, scaleRec{
-					scope: rec.Scope, n: rec.N, rounds: int(rec.Rounds),
-					roundsPerSec: rec.RoundsPerSec, bytesPerNode: rec.BytesPerNode,
-				})
-				s.observeTS(rec.StartUS, rec.DurUS)
-			default:
-				s.observeTS(rec.StartUS, rec.DurUS)
-			}
+			var sp trace.Span
+			err = json.Unmarshal(text, &sp)
+			s.addSpan(sp)
 		case "event":
-			s.records++
-			s.observeTS(rec.TSMicro, 0)
-			switch rec.Kind {
-			case "violation":
-				s.violations = append(s.violations, violationRec{
-					scope: rec.Scope, round: rec.Round, invariant: rec.Reason, detail: rec.Detail,
-				})
-			case "recovery":
-				s.recoveries = append(s.recoveries, recoveryRec{
-					scope: rec.Scope, invariant: rec.Reason,
-					brokenAt: rec.Round, cleanAt: rec.CleanRound, rounds: rec.MTTRRounds,
-				})
-			}
+			var ev trace.Event
+			err = json.Unmarshal(text, &ev)
+			s.addEvent(ev)
 		case "metrics":
-			s.records++
-			s.metrics = rec.Metrics
-		case "counters":
-			s.records++
-			s.counters["rounds"] = rec.Rounds
-			s.counters["messages"] = rec.Messages
-			s.counters["delivered"] = rec.Delivered
-			s.counters["spawns"] = rec.Spawns
-			s.counters["kills"] = rec.Kills
-			s.counters["blocks"] = rec.Blocks
-			s.counters["cells"] = rec.Cells
-			s.counters["epochs"] = rec.Epochs
-			s.counters["dup_extra_copies"] = rec.DupExtra
-			s.counters["violations"] = rec.ViolCount
-			s.counters["recoveries"] = rec.RecCount
-			s.counters["recovery_rounds"] = rec.RecRounds
-			s.counters["async_deferred"] = rec.AsyncDeferred
-			s.counters["retransmits"] = rec.Retransmits
-			s.counters["acks"] = rec.AckCount
-			s.counters["delivery_failures"] = rec.DeliveryFailures
-			s.counters["stale_deliveries"] = rec.StaleDeliveries
-			for k, v := range rec.Drops {
-				s.counters["drop:"+k] = v
-			}
-			for i, v := range rec.ShardRecvUS {
-				s.counters[fmt.Sprintf("shard:%d:recv_us", i)] = v
-			}
-			for i, v := range rec.ShardSendUS {
-				s.counters[fmt.Sprintf("shard:%d:send_us", i)] = v
-			}
+			s.setMetrics(rec.Metrics)
+		}
+		if err != nil {
+			return fmt.Errorf("line %d: %w", line, err)
 		}
 	}
 	return sc.Err()
@@ -308,18 +183,18 @@ func loadJSONL(data []byte, s *summary) error {
 func ms(us int64) float64 { return float64(us) / 1e3 }
 
 // printShardBalance reports the per-shard receive/send busy time of the
-// sharded simulator kernel, if the trace contains any ("shard:<i>:…"
-// counters, fed by the per-round shard spans). The balance line gives
-// max/mean of the per-shard totals — 1.00 is a perfectly even
-// partition; anything well above means the contiguous slot ranges are
-// carrying skewed delivery load.
+// sharded simulator kernel, if the snapshot contains any (the
+// overlaynet_shard_<i>_… series, fed by the per-round shard spans). The
+// balance line gives max/mean of the per-shard totals — 1.00 is a
+// perfectly even partition; anything well above means the contiguous
+// slot ranges are carrying skewed delivery load.
 func printShardBalance(w io.Writer, s *summary) {
 	type shardBusy struct{ recv, send uint64 }
 	byShard := map[int]*shardBusy{}
-	for k, v := range s.counters {
+	for k, v := range s.metrics {
 		var i int
 		var kind string
-		if _, err := fmt.Sscanf(k, "shard:%d:%s", &i, &kind); err != nil {
+		if _, err := fmt.Sscanf(k, "overlaynet_shard_%d_%s", &i, &kind); err != nil {
 			continue
 		}
 		b := byShard[i]
@@ -328,10 +203,10 @@ func printShardBalance(w io.Writer, s *summary) {
 			byShard[i] = b
 		}
 		switch kind {
-		case "recv_us":
-			b.recv = v
-		case "send_us":
-			b.send = v
+		case "recv_us_total":
+			b.recv = uint64(v)
+		case "send_us_total":
+			b.send = uint64(v)
 		}
 	}
 	if len(byShard) == 0 {
@@ -362,19 +237,17 @@ func printShardBalance(w io.Writer, s *summary) {
 
 // printRecoveries reports the self-healing verdict: closed break
 // episodes from the recovery tracker, with per-invariant episode counts
-// and MTTR (mean and worst, in protocol rounds). The counters line
-// works even when individual events were not retained.
+// and MTTR (mean and worst, in protocol rounds). The first line works
+// from the snapshot even when individual events were not retained.
 func printRecoveries(w io.Writer, s *summary) {
-	count := s.counters["recoveries"]
-	if n := uint64(len(s.recoveries)); n > count {
-		count = n
-	}
+	closed := s.count("overlaynet_recoveries_total")
+	count := max(closed, uint64(len(s.recoveries)))
 	if count == 0 {
 		return
 	}
 	fmt.Fprintf(w, "  recoveries     %d closed break episodes", count)
-	if rr, ok := s.counters["recovery_rounds"]; ok && s.counters["recoveries"] > 0 {
-		fmt.Fprintf(w, ", mean MTTR %.1f rounds", float64(rr)/float64(s.counters["recoveries"]))
+	if closed > 0 {
+		fmt.Fprintf(w, ", mean MTTR %.1f rounds", s.metrics["overlaynet_mttr_rounds_sum"]/float64(closed))
 	}
 	fmt.Fprintln(w)
 	if len(s.recoveries) == 0 {
@@ -387,16 +260,14 @@ func printRecoveries(w io.Writer, s *summary) {
 	}
 	byInv := map[string]*invAgg{}
 	for _, rec := range s.recoveries {
-		a := byInv[rec.invariant]
+		a := byInv[rec.Reason]
 		if a == nil {
 			a = &invAgg{}
-			byInv[rec.invariant] = a
+			byInv[rec.Reason] = a
 		}
 		a.episodes++
-		a.total += rec.rounds
-		if rec.rounds > a.worst {
-			a.worst = rec.rounds
-		}
+		a.total += rec.MTTRRounds
+		a.worst = max(a.worst, rec.MTTRRounds)
 	}
 	var invs []string
 	for k := range byInv {
@@ -411,7 +282,7 @@ func printRecoveries(w io.Writer, s *summary) {
 	show := min(len(s.recoveries), 5)
 	for _, rec := range s.recoveries[:show] {
 		fmt.Fprintf(w, "    e.g. %s [%s] broken@%d clean@%d (%d rounds)\n",
-			rec.scope, rec.invariant, rec.brokenAt, rec.cleanAt, rec.rounds)
+			rec.Scope, rec.Reason, rec.Round, rec.CleanRound, rec.MTTRRounds)
 	}
 }
 
@@ -423,24 +294,24 @@ func printScaleSpans(w io.Writer, s *summary) {
 		return
 	}
 	sort.SliceStable(s.scales, func(i, j int) bool {
-		if s.scales[i].scope != s.scales[j].scope {
-			return s.scales[i].scope < s.scales[j].scope
+		if s.scales[i].Scope != s.scales[j].Scope {
+			return s.scales[i].Scope < s.scales[j].Scope
 		}
-		return s.scales[i].n < s.scales[j].n
+		return s.scales[i].N < s.scales[j].N
 	})
 	fmt.Fprintf(w, "  scale points   %d\n", len(s.scales))
 	for _, rec := range s.scales {
-		label := rec.scope
+		label := rec.Scope
 		if label == "" {
 			label = "(unlabeled)"
 		}
 		fmt.Fprintf(w, "    %-6s n=%-9d %2d rounds  %8.1f rounds/sec  %8.1f bytes/node-round\n",
-			label, rec.n, rec.rounds, rec.roundsPerSec, rec.bytesPerNode)
+			label, rec.N, rec.Rounds, rec.RoundsPerSec, rec.BytesPerNode)
 	}
 }
 
-// printMetrics reports the metrics-registry snapshot embedded in the
-// JSONL stream ({"type":"metrics"}): one line per streaming histogram
+// printMetrics reports the snapshot's distributions: one line per
+// streaming histogram
 // with its sample count and the p50/p95/max reconstructed from the
 // log-scale buckets (≤19% relative error).
 func printMetrics(w io.Writer, s *summary) {
@@ -516,58 +387,61 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  cell spans     %d across %d experiments\n", len(s.spans), len(s.exps))
 	fmt.Fprintf(stdout, "  epoch spans    %d\n", s.epochs)
 
-	if rounds := s.counters["rounds"]; rounds > 0 {
+	if rounds := s.count("overlaynet_rounds_total"); rounds > 0 {
 		fmt.Fprintf(stdout, "  sim rounds     %d", rounds)
 		if wallUS > 0 {
 			fmt.Fprintf(stdout, "  (%.0f rounds/sec over the traced span)", float64(rounds)/(float64(wallUS)/1e6))
 		}
 		fmt.Fprintln(stdout)
-		fmt.Fprintf(stdout, "  messages       %d sent, %d delivered\n", s.counters["messages"], s.counters["delivered"])
+		fmt.Fprintf(stdout, "  messages       %d sent, %d delivered\n",
+			s.count("overlaynet_messages_total"), s.count("overlaynet_delivered_total"))
 		fmt.Fprintf(stdout, "  lifecycle      %d spawns, %d kills, %d node-round blocks\n",
-			s.counters["spawns"], s.counters["kills"], s.counters["blocks"])
+			s.count("overlaynet_spawns_total"), s.count("overlaynet_kills_total"), s.count("overlaynet_blocks_total"))
 	}
 
-	// Drop-reason totals, stable order.
+	// Drop-reason totals: every overlaynet_drops_<reason>_total series,
+	// stable order.
 	var dropKeys []string
 	var dropTotal uint64
-	for k, v := range s.counters {
-		if strings.HasPrefix(k, "drop:") {
+	for k := range s.metrics {
+		if strings.HasPrefix(k, "overlaynet_drops_") && strings.HasSuffix(k, "_total") {
 			dropKeys = append(dropKeys, k)
-			dropTotal += v
+			dropTotal += s.count(k)
 		}
 	}
 	sort.Strings(dropKeys)
 	if len(dropKeys) > 0 {
 		fmt.Fprintf(stdout, "  drops          %d total\n", dropTotal)
 		for _, k := range dropKeys {
-			fmt.Fprintf(stdout, "    %-33s %d\n", strings.TrimPrefix(k, "drop:"), s.counters[k])
+			reason := strings.TrimSuffix(strings.TrimPrefix(k, "overlaynet_drops_"), "_total")
+			fmt.Fprintf(stdout, "    %-33s %d\n", strings.ReplaceAll(reason, "_", "-"), s.count(k))
 		}
 	}
-	if dup := s.counters["dup_extra_copies"]; dup > 0 {
+	if dup := s.count("overlaynet_dup_extra_copies_total"); dup > 0 {
 		fmt.Fprintf(stdout, "  dup extras     %d fault-injected extra copies\n", dup)
 	}
 
 	// Async/reliability lane: deferred deliveries from the event
 	// scheduler plus the control-plane activity of reliable endpoints.
-	if s.counters["async_deferred"] > 0 {
-		fmt.Fprintf(stdout, "  async          %d deliveries deferred past round+1\n", s.counters["async_deferred"])
+	if d := s.count("overlaynet_async_deferred_total"); d > 0 {
+		fmt.Fprintf(stdout, "  async          %d deliveries deferred past round+1\n", d)
 	}
-	if s.counters["retransmits"] > 0 || s.counters["acks"] > 0 ||
-		s.counters["delivery_failures"] > 0 || s.counters["stale_deliveries"] > 0 {
-		fmt.Fprintf(stdout, "  reliable       %d retransmits, %d acks\n",
-			s.counters["retransmits"], s.counters["acks"])
-		if f, st := s.counters["delivery_failures"], s.counters["stale_deliveries"]; f > 0 || st > 0 {
-			fmt.Fprintf(stdout, "    %d budget-exhausted delivery failures, %d stale envelopes discarded\n", f, st)
+	retx, acks := s.count("overlaynet_retransmits_total"), s.count("overlaynet_acks_total")
+	lost, stale := s.count("overlaynet_delivery_failures_total"), s.count("overlaynet_stale_deliveries_total")
+	if retx > 0 || acks > 0 || lost > 0 || stale > 0 {
+		fmt.Fprintf(stdout, "  reliable       %d retransmits, %d acks\n", retx, acks)
+		if lost > 0 || stale > 0 {
+			fmt.Fprintf(stdout, "    %d budget-exhausted delivery failures, %d stale envelopes discarded\n", lost, stale)
 		}
 	}
 
 	// Invariant-audit verdict: the counter totals violations even when
 	// events were not recorded; individual reports appear when they were.
-	if v := s.counters["violations"]; v > 0 || len(s.violations) > 0 {
+	if v := s.count("overlaynet_violations_total"); v > 0 || len(s.violations) > 0 {
 		fmt.Fprintf(stdout, "  violations     %d reported by the invariant audit\n", max(v, uint64(len(s.violations))))
 		byInv := map[string]int{}
 		for _, rec := range s.violations {
-			byInv[rec.invariant]++
+			byInv[rec.Reason]++
 		}
 		var invs []string
 		for k := range byInv {
@@ -579,7 +453,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		show := min(len(s.violations), 5)
 		for _, rec := range s.violations[:show] {
-			fmt.Fprintf(stdout, "    e.g. %s round %d [%s]: %s\n", rec.scope, rec.round, rec.invariant, rec.detail)
+			fmt.Fprintf(stdout, "    e.g. %s round %d [%s]: %s\n", rec.Scope, rec.Round, rec.Reason, rec.Detail)
 		}
 	}
 

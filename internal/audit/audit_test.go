@@ -109,6 +109,18 @@ func TestEngineInvariantsSorted(t *testing.T) {
 	}
 }
 
+// statsTap is a bare auditor that also keeps the last RoundStats the
+// kernel handed it.
+type statsTap struct {
+	*WorkAuditor
+	last sim.RoundStats
+}
+
+func (s *statsTap) RoundEnd(stats sim.RoundStats) {
+	s.last = stats
+	s.WorkAuditor.RoundEnd(stats)
+}
+
 // workloadRun drives a real simulator network through a uniform all-send
 // workload with an optional injector and a WorkAuditor attached,
 // returning the auditor. With every node alive and unblocked the ledger
@@ -118,8 +130,9 @@ func workloadRun(t *testing.T, inj sim.Injector, shards int) *WorkAuditor {
 	t.Helper()
 	rep := &sliceReporter{}
 	a := NewWorkAuditor(rep, nil)
+	tap := &statsTap{WorkAuditor: a}
 	net := sim.NewNetwork(sim.Config{Seed: 5, Shards: shards})
-	net.SetTracer(a)
+	net.SetTracer(tap)
 	if inj != nil {
 		net.SetInjector(inj)
 	}
@@ -140,6 +153,11 @@ func workloadRun(t *testing.T, inj sim.Injector, shards int) *WorkAuditor {
 	}
 	if a.Mismatches() != 0 {
 		t.Fatalf("work ledger mismatched %d rounds: %+v", a.Mismatches(), rep.got)
+	}
+	// Wrapping no consumer, the auditor asks for no percentiles: the
+	// kernel skipped the sort and the ledger balanced on Delivered alone.
+	if st := tap.last; st.Delivered == 0 || st.InboxP50 != 0 || st.InboxMax != 0 || st.BitsP95 != 0 || st.BitsMax != 0 {
+		t.Fatalf("bare auditor's RoundEnd saw %+v, want Delivered > 0 and zero percentiles", st)
 	}
 	return a
 }

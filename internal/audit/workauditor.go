@@ -155,14 +155,11 @@ func (a *WorkAuditor) RoundSamples(round int, inbox, bits []int64) {
 	}
 }
 
-// ExactRoundStats defers to the wrapped consumer; with no sampling
-// consumer inside, exact percentiles stay on (the auditor itself only
-// needs Delivered, which is always computed).
+// ExactRoundStats defers to the wrapped consumer; with none inside,
+// nobody reads the percentiles (the auditor itself only needs Delivered,
+// which is always computed) and the kernel skips the sort.
 func (a *WorkAuditor) ExactRoundStats() bool {
-	if a.sampleFwd != nil {
-		return a.sampleFwd.ExactRoundStats()
-	}
-	return true
+	return a.sampleFwd != nil && a.sampleFwd.ExactRoundStats()
 }
 
 // ShardRound implements sim.ShardObserver by pure forwarding, so

@@ -11,7 +11,6 @@ import (
 
 	"overlaynet/internal/fault"
 	"overlaynet/internal/metrics"
-	"overlaynet/internal/obs"
 	"overlaynet/internal/reliable"
 	"overlaynet/internal/sim"
 	"overlaynet/internal/trace"
@@ -69,8 +68,10 @@ type Options struct {
 	// Trace, when non-nil, receives a span per sweep cell from the
 	// runner, plus epoch spans and simulator drop/round accounting
 	// from the drivers that thread it through (the reconfiguration
-	// experiments). Tracing never perturbs the tables: no randomness
-	// or scheduling depends on it.
+	// experiments), and every network the drivers build reports its
+	// per-stack obs.StackMetrics bundle (epochs, stalls, splits/merges,
+	// repairs, group sizes) into its registry. Tracing never perturbs
+	// the tables: no randomness or scheduling depends on it.
 	Trace *trace.Recorder
 	// Progress, when non-nil, is notified as sweep cells are
 	// registered and completed (cmd/benchtables -progress).
@@ -91,14 +92,6 @@ type Options struct {
 	// derives its injection seed through cellSeed, so the schedule is
 	// independent of Procs and Shards.
 	Faults fault.Spec
-
-	// Metrics, when non-nil, is the always-on metrics registry: the
-	// protocol drivers attach per-stack obs.StackMetrics bundles to
-	// every network they build (epochs, stalls, splits/merges, repairs,
-	// group sizes), alongside whatever kernel metrics Trace feeds when
-	// it was built WithMetrics. Like Trace, metrics never perturb the
-	// tables.
-	Metrics *obs.Registry
 }
 
 // cellFaults derives the per-cell fault spec: the same Spec with a

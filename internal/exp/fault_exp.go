@@ -119,10 +119,10 @@ func f1Core(o Options, cell int, spec fault.Spec) [][]string {
 	}
 	nw.Shutdown()
 
-	drops := ev.trace.DropCount(sim.DropFaultInjected)
-	dups := ev.trace.Counters().DupExtraCopies
+	c := ev.trace.Counters()
 	return [][]string{metrics.Row("reconfig §4", spec.String(), epochs,
-		crashes, rejoins, drops, dups, ev.audit.Count(), failedInvariants(ev.audit), healthy)}
+		crashes, rejoins, c.Drops[sim.DropFaultInjected.String()], c.DupExtraCopies,
+		ev.audit.Count(), failedInvariants(ev.audit), healthy)}
 }
 
 // f1SplitMerge runs the §6 split/merge overlay under spec plus a late

@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
+	"overlaynet/internal/fault"
 	"overlaynet/internal/metrics"
 	"overlaynet/internal/obs"
 	"overlaynet/internal/trace"
@@ -30,7 +33,6 @@ func TestTablesByteIdenticalWithMetricsAttached(t *testing.T) {
 			var reg *obs.Registry
 			if attached {
 				reg = obs.NewRegistry(0)
-				o.Metrics = reg
 				o.Trace = trace.New().WithMetrics(reg).FlightRecorder(42, 0.05, 1024)
 			}
 			return run(o).String(), reg
@@ -50,6 +52,56 @@ func TestTablesByteIdenticalWithMetricsAttached(t *testing.T) {
 			if snap["overlaynet_rounds_total"] == 0 && snap["overlaynet_cells_total"] == 0 {
 				t.Errorf("%s: attached registry recorded neither rounds nor cells (Shards=%d)", name, shards)
 			}
+		}
+	}
+}
+
+// TestArtifactMetricsDeterministic pins what a manifest may be diffed
+// on: the snapshot the artifacts carry is the same at any worker layout
+// on every series that is not wall-clock (the *_duration_us histograms
+// and the per-shard busy times). Four drivers share one recorder, run
+// one after another at Procs 1, Shards 1 and all at once at Procs 8,
+// Shards 4, audited and faulted so the violation and drop series move.
+func TestArtifactMetricsDeterministic(t *testing.T) {
+	drivers := map[string]func(Options) *metrics.Table{
+		"E6": E6ReconfigChurn, "E7": E7CongestionSegments, "F1": F1FaultMatrix, "S1": S1ScaleFlood,
+	}
+	snapshot := func(procs, shards int) map[string]float64 {
+		rec := trace.New().WithMetrics(obs.NewRegistry(0))
+		var wg sync.WaitGroup
+		for id, run := range drivers {
+			o := Options{Seed: 42, Quick: true, Procs: procs, Shards: shards, Exp: id, Trace: rec,
+				Audit: true, Faults: fault.Spec{Drop: 0.01, Dup: 0.01}}
+			if procs == 1 {
+				run(o)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(o)
+			}()
+		}
+		wg.Wait()
+		m := rec.Snapshot()
+		for series := range m {
+			if strings.Contains(series, "_duration_us") || strings.HasPrefix(series, "overlaynet_shard_") {
+				delete(m, series)
+			}
+		}
+		return m
+	}
+	serial, parallel := snapshot(1, 1), snapshot(8, 4)
+	if serial["overlaynet_alive_nodes_count"] == 0 || serial["overlaynet_violations_total"] == 0 ||
+		serial["overlaynet_core_epochs_total"] == 0 {
+		t.Fatalf("snapshot is missing the series the run must move: %v", serial)
+	}
+	if len(serial) != len(parallel) {
+		t.Errorf("%d series at Procs 1, Shards 1 but %d at Procs 8, Shards 4", len(serial), len(parallel))
+	}
+	for series, want := range serial {
+		if got := parallel[series]; got != want {
+			t.Errorf("%s = %v at Procs 8, Shards 4, %v at Procs 1, Shards 1", series, got, want)
 		}
 	}
 }

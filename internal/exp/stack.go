@@ -43,7 +43,7 @@ type env struct {
 // the sim kernel -latency and -reliable (§3 takes those through
 // expParams).
 func (o Options) envMetrics() env {
-	return env{shards: o.Shards, metrics: o.Metrics, latency: o.Latency, reliable: o.Reliable}
+	return env{shards: o.Shards, metrics: o.Trace.Registry(), latency: o.Latency, reliable: o.Reliable}
 }
 
 // envTraced adds the shared recorder under the cell's scope (E7).

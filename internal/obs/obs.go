@@ -1,5 +1,5 @@
 // Package obs is the always-on metrics pipeline of the reproduction:
-// named counters, gauges, and streaming log-scale histograms designed
+// named counters and streaming log-scale histograms designed
 // to stay attached while a simulated network runs a million nodes per
 // round.
 //
@@ -97,38 +97,6 @@ func (c *Counter) Name() string {
 	return c.name
 }
 
-// Gauge is a settable instantaneous value. Gauges are low-rate
-// (set once per round or epoch, not per message), so a single atomic
-// cell suffices. Nil-receiver safe.
-type Gauge struct {
-	name, help string
-	v          atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by d (d may be negative).
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // Registry holds the named metrics of one process. Registration is
 // get-or-create and safe for concurrent use; the returned handles are
 // stable for the life of the registry. A nil *Registry is a valid
@@ -139,7 +107,6 @@ type Registry struct {
 
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	nextLane atomic.Uint64
 }
@@ -156,7 +123,6 @@ func NewRegistry(lanes int) *Registry {
 	return &Registry{
 		lanes:    lanes,
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -188,23 +154,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge returns the gauge registered under name, creating it on first
-// use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		sanitizeMetricName(name)
-		g = &Gauge{name: name, help: help}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the histogram registered under name, creating it on
 // first use.
 func (r *Registry) Histogram(name, help string) *Histogram {
@@ -224,29 +173,25 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 
 // snapshotLists returns name-sorted copies of the metric lists, the
 // stable iteration order every exporter uses.
-func (r *Registry) snapshotLists() (cs []*Counter, gs []*Gauge, hs []*Histogram) {
+func (r *Registry) snapshotLists() (cs []*Counter, hs []*Histogram) {
 	if r == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 	r.mu.Lock()
 	for _, c := range r.counters {
 		cs = append(cs, c)
-	}
-	for _, g := range r.gauges {
-		gs = append(gs, g)
 	}
 	for _, h := range r.hists {
 		hs = append(hs, h)
 	}
 	r.mu.Unlock()
 	sort.Slice(cs, func(i, j int) bool { return cs[i].name < cs[j].name })
-	sort.Slice(gs, func(i, j int) bool { return gs[i].name < gs[j].name })
 	sort.Slice(hs, func(i, j int) bool { return hs[i].name < hs[j].name })
-	return cs, gs, hs
+	return cs, hs
 }
 
 // FlatSnapshot renders every metric as flat name → value pairs: plain
-// names for counters and gauges; "<name>_count", "<name>_sum",
+// names for counters; "<name>_count", "<name>_sum",
 // "<name>_p50", "<name>_p95", and "<name>_max" for histograms
 // (quantiles are bucket-bound estimates). This is the shape run
 // manifests and the JSONL metrics line embed.
@@ -254,13 +199,10 @@ func (r *Registry) FlatSnapshot() map[string]float64 {
 	if r == nil {
 		return nil
 	}
-	cs, gs, hs := r.snapshotLists()
-	m := make(map[string]float64, len(cs)+len(gs)+5*len(hs))
+	cs, hs := r.snapshotLists()
+	m := make(map[string]float64, len(cs)+5*len(hs))
 	for _, c := range cs {
 		m[c.name] = float64(c.Value())
-	}
-	for _, g := range gs {
-		m[g.name] = float64(g.Value())
 	}
 	for _, h := range hs {
 		s := h.Snapshot()

@@ -26,20 +26,14 @@ func TestCounterLanesSumAndNilSafety(t *testing.T) {
 	if nilC.Value() != 0 || nilC.Name() != "" {
 		t.Fatal("nil counter not inert")
 	}
-	var nilG *Gauge
-	nilG.Set(7)
-	nilG.Add(-2)
-	if nilG.Value() != 0 {
-		t.Fatal("nil gauge not inert")
-	}
 	var nilH *Histogram
 	nilH.Observe(42)
 	if s := nilH.Snapshot(); s.Count != 0 {
 		t.Fatal("nil histogram not inert")
 	}
 	var nilR *Registry
-	if nilR.Counter("x", "") != nil || nilR.Gauge("x", "") != nil ||
-		nilR.Histogram("x", "") != nil || nilR.StackMetrics("core") != nil {
+	if nilR.Counter("x", "") != nil || nilR.Histogram("x", "") != nil ||
+		nilR.StackMetrics("core") != nil {
 		t.Fatal("nil registry returned non-nil handle")
 	}
 	if nilR.Lane() != 0 || nilR.FlatSnapshot() != nil {
@@ -254,13 +248,12 @@ func TestRingOverwriteOldest(t *testing.T) {
 func TestFlatSnapshot(t *testing.T) {
 	r := NewRegistry(2)
 	r.Counter("overlaynet_c_total", "").Add(0, 5)
-	r.Gauge("overlaynet_g", "").Set(-3)
 	h := r.Histogram("overlaynet_h", "")
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(i)
 	}
 	m := r.FlatSnapshot()
-	if m["overlaynet_c_total"] != 5 || m["overlaynet_g"] != -3 {
+	if m["overlaynet_c_total"] != 5 {
 		t.Fatalf("scalar snapshot wrong: %v", m)
 	}
 	if m["overlaynet_h_count"] != 100 || m["overlaynet_h_sum"] != 5050 {

@@ -11,21 +11,17 @@ import (
 // WritePrometheus renders every registered metric in the Prometheus
 // text exposition format (version 0.0.4), sorted by name so output is
 // deterministic for golden-file tests. Counters render as `counter`,
-// gauges as `gauge`, histograms as cumulative `histogram` series with
-// only the non-empty buckets plus the mandatory +Inf bucket.
+// histograms as cumulative `histogram` series with only the non-empty
+// buckets plus the mandatory +Inf bucket.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	cs, gs, hs := r.snapshotLists()
+	cs, hs := r.snapshotLists()
 	for _, c := range cs {
 		writeHeader(bw, c.name, c.help, "counter")
 		fmt.Fprintf(bw, "%s %d\n", c.name, c.Value())
-	}
-	for _, g := range gs {
-		writeHeader(bw, g.name, g.help, "gauge")
-		fmt.Fprintf(bw, "%s %d\n", g.name, g.Value())
 	}
 	for _, h := range hs {
 		s := h.Snapshot()

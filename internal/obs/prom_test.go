@@ -22,7 +22,6 @@ func goldenRegistry() *Registry {
 	rounds.Add(1, 28)
 	msgs := r.Counter("overlaynet_messages_total", "messages delivered")
 	msgs.Add(2, 4096)
-	r.Gauge("overlaynet_alive_nodes", "currently alive nodes").Set(512)
 	h := r.Histogram("overlaynet_inbox_depth", "per-node inbox depth")
 	for _, v := range []int64{1, 1, 2, 3, 4, 8, 8, 8, 100, 1000} {
 		h.Observe(v)
@@ -66,9 +65,6 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	if m["overlaynet_rounds_total"] != 128 {
 		t.Fatalf("rounds = %v", m["overlaynet_rounds_total"])
-	}
-	if m["overlaynet_alive_nodes"] != 512 {
-		t.Fatalf("gauge = %v", m["overlaynet_alive_nodes"])
 	}
 	if m["overlaynet_inbox_depth_count"] != 10 || m["overlaynet_inbox_depth_sum"] != 1135 {
 		t.Fatalf("histogram scalars = %v %v",

@@ -5,22 +5,20 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"overlaynet/internal/sim"
 )
 
 // The two export formats:
 //
 //   - JSONL: one JSON object per line — {"type":"event",...} lines for
 //     simulator lifecycle events, {"type":"span",...} lines for timed
-//     regions, and a final {"type":"counters",...} line with the
-//     aggregate totals. Greppable and streamable.
+//     regions, and a final {"type":"metrics",...} line with the
+//     recorder's Snapshot. Greppable and streamable.
 //
 //   - Chrome trace_events JSON: {"traceEvents":[...]} with complete
 //     ("X") events for spans and instant ("i") events for lifecycle
 //     events, loadable in https://ui.perfetto.dev or chrome://tracing.
-//     The aggregate counters ride along under "overlayCounters", which
-//     viewers ignore but cmd/tracestats reads.
+//     The same Snapshot rides along under "metrics", which viewers
+//     ignore but cmd/tracestats reads.
 
 type eventLine struct {
 	Type string `json:"type"`
@@ -32,30 +30,26 @@ type spanLine struct {
 	Span
 }
 
-type countersLine struct {
-	Type string `json:"type"`
-	Counters
-}
-
 type metricsLine struct {
 	Type    string             `json:"type"`
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// WriteJSONL writes all retained events and spans plus the counter
-// totals as JSON lines. (With a StreamJSONL sink the same lines were
-// already emitted incrementally; this is the batch form.) When full
-// event retention is off but the flight recorder is on, the sampled
-// flight events stand in for the event lines; when a metrics registry
-// is attached, a {"type":"metrics",...} line with its flat snapshot
-// precedes the final counters line.
+// exportEvents is the event list both formats carry: the retained
+// events, or the flight recorder's sample when nothing was retained.
+func (r *Recorder) exportEvents() []Event {
+	if events := r.Events(); len(events) > 0 {
+		return events
+	}
+	return r.FlightEvents()
+}
+
+// WriteJSONL writes the events and spans as JSON lines, then the
+// metrics line. (With a StreamJSONL sink the event and span lines were
+// already emitted incrementally; this is the batch form.)
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	events := r.Events()
-	if len(events) == 0 {
-		events = r.FlightEvents()
-	}
-	for _, ev := range events {
+	for _, ev := range r.exportEvents() {
 		if err := enc.Encode(eventLine{Type: "event", Event: ev}); err != nil {
 			return err
 		}
@@ -65,12 +59,7 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 			return err
 		}
 	}
-	if m := r.reg.FlatSnapshot(); m != nil {
-		if err := enc.Encode(metricsLine{Type: "metrics", Metrics: m}); err != nil {
-			return err
-		}
-	}
-	return enc.Encode(countersLine{Type: "counters", Counters: r.Counters()})
+	return enc.Encode(metricsLine{Type: "metrics", Metrics: r.Snapshot()})
 }
 
 // ChromeEvent is one entry of the trace_events array.
@@ -89,9 +78,9 @@ type ChromeEvent struct {
 // ChromeFile is the on-disk shape of the Chrome/Perfetto export; it is
 // exported so cmd/tracestats can decode traces with the same types.
 type ChromeFile struct {
-	TraceEvents     []ChromeEvent     `json:"traceEvents"`
-	DisplayTimeUnit string            `json:"displayTimeUnit"`
-	OverlayCounters map[string]uint64 `json:"overlayCounters"`
+	TraceEvents     []ChromeEvent      `json:"traceEvents"`
+	DisplayTimeUnit string             `json:"displayTimeUnit"`
+	Metrics         map[string]float64 `json:"metrics"`
 }
 
 // Track layout of the Chrome export: pid 1 holds the experiment
@@ -107,13 +96,12 @@ const (
 // trace_events JSON.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	spans := r.Spans()
-	events := r.Events()
-	c := r.Counters()
+	events := r.exportEvents()
 
 	out := ChromeFile{
 		TraceEvents:     make([]ChromeEvent, 0, len(spans)+len(events)),
 		DisplayTimeUnit: "ms",
-		OverlayCounters: flattenCounters(c),
+		Metrics:         r.Snapshot(),
 	}
 
 	epochTids := map[string]int{}
@@ -190,6 +178,13 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		case "round_start":
 			ev.Args["alive"] = e.Alive
 			ev.Args["blocked"] = e.Blocked
+		case "violation":
+			ev.Args["invariant"] = e.Reason
+			ev.Args["detail"] = e.Detail
+		case "recovery":
+			ev.Args["invariant"] = e.Reason
+			ev.Args["clean_round"] = e.CleanRound
+			ev.Args["mttr_rounds"] = e.MTTRRounds
 		}
 		out.TraceEvents = append(out.TraceEvents, ev)
 	}
@@ -222,38 +217,6 @@ func (r *Recorder) WriteJSONLFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// flattenCounters renders a Counters snapshot as a flat string→uint64
-// map ("drop:<reason>" keys for the per-reason totals).
-func flattenCounters(c Counters) map[string]uint64 {
-	m := map[string]uint64{
-		"rounds":    c.Rounds,
-		"messages":  c.Messages,
-		"delivered": c.Delivered,
-		"spawns":    c.Spawns,
-		"kills":     c.Kills,
-		"blocks":    c.Blocks,
-		"cells":     c.Cells,
-		"epochs":    c.Epochs,
-	}
-	for i := sim.DropReason(0); i < sim.NumDropReasons; i++ {
-		m["drop:"+i.String()] = c.Drops[i.String()]
-	}
-	// Async/reliability lane — deterministic, so safe in byte-compared
-	// exports; zero in every synchronous unprotected run.
-	m["async_deferred"] = c.AsyncDeferred
-	m["retransmits"] = c.Retransmits
-	m["acks"] = c.Acks
-	m["delivery_failures"] = c.DeliveryFailures
-	m["stale_deliveries"] = c.StaleDeliveries
-	for i, v := range c.ShardRecvUS {
-		m[fmt.Sprintf("shard:%d:recv_us", i)] = v
-	}
-	for i, v := range c.ShardSendUS {
-		m[fmt.Sprintf("shard:%d:send_us", i)] = v
-	}
-	return m
 }
 
 func max64(a, b int64) int64 {

@@ -7,11 +7,12 @@ import (
 	"overlaynet/internal/sim"
 )
 
-// kernelMetrics is the recorder's bridge into an obs.Registry: one
-// named metric per kernel counter, plus the streaming histograms that
-// replace exact per-round sample sorts at scale. All handles are
-// created once in WithMetrics; tracer hot paths only touch counters on
-// their own lane.
+// kernelMetrics is the recorder's state in its obs.Registry: one named
+// series per count, plus the streaming histograms that replace exact
+// per-round sample sorts at scale. The names here are the telemetry
+// vocabulary — manifests, JSONL, Chrome traces, /metrics, tracestats and
+// overlaymon all read them. All handles are created once in WithMetrics;
+// tracer hot paths only touch counters on their own lane.
 type kernelMetrics struct {
 	rounds     *obs.Counter
 	messages   *obs.Counter
@@ -34,8 +35,10 @@ type kernelMetrics struct {
 	staleDeliveries *obs.Counter
 	drops           [sim.NumDropReasons]*obs.Counter
 
-	alive *obs.Gauge
-
+	// alive distributes the alive count at every traced round start —
+	// sums over rounds and networks, so the order concurrent networks
+	// report in never shows.
+	alive       *obs.Histogram
 	roundDurUS  *obs.Histogram
 	inboxDepth  *obs.Histogram
 	nodeBits    *obs.Histogram
@@ -48,9 +51,6 @@ type kernelMetrics struct {
 }
 
 func newKernelMetrics(reg *obs.Registry) *kernelMetrics {
-	if reg == nil {
-		return nil
-	}
 	km := &kernelMetrics{
 		rounds:     reg.Counter("overlaynet_rounds_total", "simulation rounds executed"),
 		messages:   reg.Counter("overlaynet_messages_total", "messages sent by non-blocked senders"),
@@ -70,8 +70,7 @@ func newKernelMetrics(reg *obs.Registry) *kernelMetrics {
 		relFailures:     reg.Counter("overlaynet_delivery_failures_total", "messages whose retransmit budget ran out"),
 		staleDeliveries: reg.Counter("overlaynet_stale_deliveries_total", "envelopes discarded for arriving after their protocol round closed"),
 
-		alive: reg.Gauge("overlaynet_alive_nodes", "alive nodes at last round start"),
-
+		alive:       reg.Histogram("overlaynet_alive_nodes", "alive nodes at round start"),
 		roundDurUS:  reg.Histogram("overlaynet_round_duration_us", "wall-clock round duration (microseconds)"),
 		inboxDepth:  reg.Histogram("overlaynet_inbox_depth", "delivered inbox size per alive node per round"),
 		nodeBits:    reg.Histogram("overlaynet_node_bits", "sent+received bits per node per round"),
@@ -88,22 +87,26 @@ func newKernelMetrics(reg *obs.Registry) *kernelMetrics {
 	return km
 }
 
-// WithMetrics attaches an obs.Registry: from now on every tracer hook
-// also feeds the registry's named counters and histograms. Call before
-// any Tracer is handed out. A nil registry detaches (the default —
-// nothing is recorded and the hot path pays nothing). Returns r for
-// chaining.
+// WithMetrics makes the recorder count into reg, a registry the caller
+// shares with other writers, instead of the one New made. Call before
+// any Tracer is handed out. Returns r for chaining.
 func (r *Recorder) WithMetrics(reg *obs.Registry) *Recorder {
 	r.reg = reg
 	r.km = newKernelMetrics(reg)
 	r.recLane = reg.Lane()
+	r.shardUS = nil
 	return r
 }
 
-// Registry returns the attached metrics registry (nil when detached) —
-// the handle cmd/benchtables mounts at /metrics and snapshots into the
-// run manifest.
-func (r *Recorder) Registry() *obs.Registry { return r.reg }
+// Registry returns the registry the recorder counts into — where the
+// experiment drivers attach the stacks' bundles and cmd/benchtables
+// mounts /metrics. A nil recorder has the nil, detached registry.
+func (r *Recorder) Registry() *obs.Registry {
+	if r == nil {
+		return nil
+	}
+	return r.reg
+}
 
 // FlightRecorder turns on sampled event retention: a deterministic
 // splitmix64 sampler keeps roughly rate of the per-message/per-round

@@ -84,7 +84,7 @@ func TestRecorderMetricsConcurrent(t *testing.T) {
 	}
 	c := rec.Counters()
 	if c.Rounds != workers*rounds || c.Messages != workers*rounds*4 {
-		t.Errorf("legacy counters diverge: rounds %d messages %d", c.Rounds, c.Messages)
+		t.Errorf("Counters view diverges: rounds %d messages %d", c.Rounds, c.Messages)
 	}
 }
 
@@ -287,41 +287,33 @@ func TestMetricsOnlySkipsExactPercentiles(t *testing.T) {
 	}
 }
 
-// TestJSONLCarriesMetricsLine checks that a metrics-attached recorder
-// emits the {"type":"metrics"} snapshot line before the counters line,
-// and that a detached one does not.
+// TestJSONLCarriesMetricsLine checks that the JSONL export ends with
+// the {"type":"metrics"} snapshot line, whether the recorder counts into
+// a shared registry or its own.
 func TestJSONLCarriesMetricsLine(t *testing.T) {
-	reg := obs.NewRegistry(0)
-	rec := New().WithMetrics(reg)
-	net := floodNet(8, 1, 1, rec.Tracer("j"))
-	net.Run(3)
-	net.Shutdown()
+	for name, rec := range map[string]*Recorder{
+		"shared": New().WithMetrics(obs.NewRegistry(0)),
+		"own":    New(),
+	} {
+		net := floodNet(8, 1, 1, rec.Tracer("j"))
+		net.Run(3)
+		net.Shutdown()
 
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) < 2 {
-		t.Fatalf("too few JSONL lines: %q", buf.String())
-	}
-	var metrics struct {
-		Type    string             `json:"type"`
-		Metrics map[string]float64 `json:"metrics"`
-	}
-	if err := json.Unmarshal([]byte(lines[len(lines)-2]), &metrics); err != nil {
-		t.Fatal(err)
-	}
-	if metrics.Type != "metrics" || metrics.Metrics["overlaynet_rounds_total"] != 3 {
-		t.Fatalf("penultimate line is not the metrics snapshot: %s", lines[len(lines)-2])
-	}
-
-	var detachedBuf bytes.Buffer
-	if err := New().WriteJSONL(&detachedBuf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(detachedBuf.String(), `"type":"metrics"`) {
-		t.Fatal("detached recorder emitted a metrics line")
+		var buf bytes.Buffer
+		if err := rec.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		var metrics struct {
+			Type    string             `json:"type"`
+			Metrics map[string]float64 `json:"metrics"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &metrics); err != nil {
+			t.Fatal(err)
+		}
+		if metrics.Type != "metrics" || metrics.Metrics["overlaynet_rounds_total"] != 3 {
+			t.Fatalf("%s: last line is not the metrics snapshot: %s", name, lines[len(lines)-1])
+		}
 	}
 }
 

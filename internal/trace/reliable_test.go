@@ -9,10 +9,9 @@ import (
 )
 
 // TestRoundReliabilityLane drives the reliability callback directly
-// and checks the whole export chain: recorder counter snapshot,
-// metrics-registry series (Prometheus names + ack-delay histogram),
-// retained events, and the flattened Chrome counter map tracestats
-// reads.
+// and checks the whole export chain: the Counters view, the registry
+// series (Prometheus names + ack-delay histogram), retained events, and
+// the JSONL lines tracestats reads.
 func TestRoundReliabilityLane(t *testing.T) {
 	rec := New()
 	reg := obs.NewRegistry(0)
@@ -67,18 +66,6 @@ func TestRoundReliabilityLane(t *testing.T) {
 		t.Fatalf("event fields wrong: %+v", lane[0])
 	}
 
-	flat := flattenCounters(c)
-	for key, want := range map[string]uint64{
-		"retransmits":       4,
-		"acks":              10,
-		"delivery_failures": 2,
-		"stale_deliveries":  3,
-	} {
-		if flat[key] != want {
-			t.Errorf("flattened counter %s = %d, want %d", key, flat[key], want)
-		}
-	}
-
 	// The JSONL export must carry the lane too, so tracestats can
 	// ingest it from an -events file.
 	var sb strings.Builder
@@ -86,7 +73,7 @@ func TestRoundReliabilityLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{`"kind":"reliable_round"`, `"retransmits":4`, `"delivery_failures":2`} {
+	for _, want := range []string{`"kind":"reliable_round"`, `"retransmits":4`, `"overlaynet_delivery_failures_total":2`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSONL export missing %s", want)
 		}

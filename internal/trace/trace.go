@@ -5,12 +5,12 @@
 // (per epoch).
 //
 // A single Recorder may be shared by many networks and worker
-// goroutines: counters are atomic and span/event recording is
-// mutex-protected. Attach it to a simulator with
-// Network.SetTracer(rec.Tracer(scope)) and to the experiment harness
-// via exp.Options.Trace; export the result with WriteJSONL (one event
-// per line) or WriteChromeTrace (Chrome/Perfetto trace_events JSON,
-// load it at https://ui.perfetto.dev).
+// goroutines: its counters are the series of an obs.Registry (per-lane
+// atomic banks) and span/event recording is mutex-protected. Attach it
+// to a simulator with Network.SetTracer(rec.Tracer(scope)) and to the
+// experiment harness via exp.Options.Trace; export the result with
+// WriteJSONL (one event per line) or WriteChromeTrace (Chrome/Perfetto
+// trace_events JSON, load it at https://ui.perfetto.dev).
 //
 // By default the Recorder aggregates counters and spans only; call
 // RecordEvents(true) to additionally keep every per-round, per-message
@@ -20,6 +20,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -29,10 +30,6 @@ import (
 	"overlaynet/internal/obs"
 	"overlaynet/internal/sim"
 )
-
-// maxTraceShards bounds the per-shard counters; it matches the
-// simulator's worker-pool cap.
-const maxTraceShards = 64
 
 // Event is one simulator lifecycle event. TSMicros is microseconds
 // since the Recorder was created.
@@ -110,34 +107,36 @@ type Span struct {
 	BytesPerNode float64 `json:"bytes_per_node,omitempty"`
 }
 
-// Counters is a consistent-enough snapshot of the recorder's aggregate
-// totals (each field is individually atomic).
+// Counters is a typed view of the recorder's registry series for Go
+// callers — nothing is stored behind it, every field is read from its
+// series when Counters() is called (TestCountersMatchRegistry lists
+// which). Delivered is the one derived field.
 type Counters struct {
-	Rounds    uint64            `json:"rounds"`
-	Messages  uint64            `json:"messages"`  // sends by non-blocked senders
-	Delivered uint64            `json:"delivered"` // messages that reached an inbox
-	Spawns    uint64            `json:"spawns"`
-	Kills     uint64            `json:"kills"`
-	Blocks    uint64            `json:"blocks"` // node-round block events
-	Cells     uint64            `json:"cells"`
-	Epochs    uint64            `json:"epochs"`
-	Drops     map[string]uint64 `json:"drops"` // by sim.DropReason name
+	Rounds    uint64
+	Messages  uint64 // sends by non-blocked senders
+	Delivered uint64 // messages that reached an inbox
+	Spawns    uint64
+	Kills     uint64
+	Blocks    uint64 // node-round block events
+	Cells     uint64
+	Epochs    uint64
+	Drops     map[string]uint64 // by sim.DropReason name
 	// DupExtraCopies counts inbox entries beyond the first created by
 	// injected duplication (copies-1 per duplicated message);
 	// Violations counts invariant-audit reports.
-	DupExtraCopies uint64 `json:"dup_extra_copies,omitempty"`
-	Violations     uint64 `json:"violations,omitempty"`
+	DupExtraCopies uint64
+	Violations     uint64
 	// Recoveries counts closed break episodes (invariant broken, then
 	// observed clean again); RecoveryRounds is the sum of their
 	// per-episode recovery times, so RecoveryRounds/Recoveries is the
 	// run's mean time to recover in rounds.
-	Recoveries     uint64 `json:"recoveries,omitempty"`
-	RecoveryRounds uint64 `json:"recovery_rounds,omitempty"`
+	Recoveries     uint64
+	RecoveryRounds uint64
 	// AsyncDeferred counts messages the discrete-event scheduler parked
 	// past the synchronous round+1 deadline (async mode with latency
 	// spread only — zero in every synchronous or zero-spread run). It is
 	// deterministic: safe for manifests and byte-compared tables.
-	AsyncDeferred uint64 `json:"async_deferred,omitempty"`
+	AsyncDeferred uint64
 	// Reliability lane (internal/reliable endpoints; all zero unless a
 	// traced stack enables reliable delivery). Retransmits counts
 	// control-lane retransmit copies, Acks the acknowledgements,
@@ -145,18 +144,18 @@ type Counters struct {
 	// StaleDeliveries the envelopes that arrived after their protocol
 	// round closed (discarded, unacked). All deterministic, like
 	// AsyncDeferred.
-	Retransmits      uint64 `json:"retransmits,omitempty"`
-	Acks             uint64 `json:"acks,omitempty"`
-	DeliveryFailures uint64 `json:"delivery_failures,omitempty"`
-	StaleDeliveries  uint64 `json:"stale_deliveries,omitempty"`
+	Retransmits      uint64
+	Acks             uint64
+	DeliveryFailures uint64
+	StaleDeliveries  uint64
 	// Per-shard busy time (µs) in the simulator's receive and send
 	// phases, indexed by shard id — populated only when a sharded
 	// network ran under this recorder. The imbalance between entries
 	// is the delivery skew cmd/tracestats reports. These two slices are
 	// the ONLY wall-clock-derived fields in Counters; everything a
 	// byte-compared artifact consumes must come from the other fields.
-	ShardRecvUS []uint64 `json:"shard_recv_us,omitempty"`
-	ShardSendUS []uint64 `json:"shard_send_us,omitempty"`
+	ShardRecvUS []uint64
+	ShardSendUS []uint64
 }
 
 // Recorder collects events, spans, and counters. The zero value is not
@@ -165,23 +164,9 @@ type Recorder struct {
 	start      time.Time
 	withEvents bool
 
-	rounds, messages      atomic.Uint64
-	spawns, kills, blocks atomic.Uint64
-	cells, epochs         atomic.Uint64
-	drops                 [sim.NumDropReasons]atomic.Uint64
-	dupExtra, violations  atomic.Uint64
-	recoveries, mttr      atomic.Uint64
-	deferred              atomic.Uint64
-	retransmits, acks     atomic.Uint64
-	relFailures, stale    atomic.Uint64
-
-	// Per-shard phase busy time; maxTraceShards matches the simulator's
-	// shard cap. shardsSeen is the high-water shard count observed.
-	shardRecvUS, shardSendUS [maxTraceShards]atomic.Uint64
-	shardsSeen               atomic.Int64
-
-	// Metrics pipeline (see metrics.go): reg/km/recLane are set once by
-	// WithMetrics before tracers are handed out; nil means detached.
+	// The one store of every count (see metrics.go): reg is New's own
+	// registry or the shared one WithMetrics named, km its kernel series,
+	// recLane the lane of the recorder's own increments.
 	reg     *obs.Registry
 	km      *kernelMetrics
 	recLane int
@@ -197,11 +182,15 @@ type Recorder struct {
 	events []Event
 	flight *obs.Ring[Event]
 	jsonl  *json.Encoder
+	// shardUS[i] is shard i's receive and send busy-time series,
+	// registered the first time a sharded round reports shard i.
+	shardUS [][2]*obs.Counter
 }
 
-// New returns an empty Recorder; its clock starts now.
+// New returns an empty Recorder counting into a registry of its own
+// (WithMetrics names a shared one instead); its clock starts now.
 func New() *Recorder {
-	return &Recorder{start: time.Now()}
+	return (&Recorder{start: time.Now()}).WithMetrics(obs.NewRegistry(0))
 }
 
 // RecordEvents toggles in-memory retention of per-round/per-message
@@ -252,11 +241,8 @@ func (r *Recorder) Since(t time.Time) int64 { return t.Sub(r.start).Microseconds
 // CellSpan records the span of one sweep cell that started at start and
 // just finished.
 func (r *Recorder) CellSpan(exp string, cell int, seed uint64, worker int, start time.Time) {
-	r.cells.Add(1)
-	if r.km != nil {
-		r.km.cells.Inc(r.recLane)
-		r.km.cellDurUS.Observe(time.Since(start).Microseconds())
-	}
+	r.km.cells.Inc(r.recLane)
+	r.km.cellDurUS.Observe(time.Since(start).Microseconds())
 	r.AddSpan(Span{
 		Kind:    "cell",
 		Name:    exp,
@@ -271,11 +257,8 @@ func (r *Recorder) CellSpan(exp string, cell int, seed uint64, worker int, start
 
 // EpochSpan records the span of one reconfiguration epoch.
 func (r *Recorder) EpochSpan(scope string, epoch, rounds, nOld, nNew int, start time.Time) {
-	r.epochs.Add(1)
-	if r.km != nil {
-		r.km.epochs.Inc(r.recLane)
-		r.km.epochRounds.Observe(int64(rounds))
-	}
+	r.km.epochs.Inc(r.recLane)
+	r.km.epochRounds.Observe(int64(rounds))
 	r.AddSpan(Span{
 		Kind:    "epoch",
 		Name:    scope,
@@ -321,30 +304,31 @@ func (r *Recorder) ExperimentSpan(id string, seed uint64, rows int, start time.T
 	})
 }
 
-// Counters returns a snapshot of the aggregate totals.
+// Counters reads the view off the registry series.
 func (r *Recorder) Counters() Counters {
+	km := r.km
 	c := Counters{
-		Rounds:   r.rounds.Load(),
-		Messages: r.messages.Load(),
-		Spawns:   r.spawns.Load(),
-		Kills:    r.kills.Load(),
-		Blocks:   r.blocks.Load(),
-		Cells:    r.cells.Load(),
-		Epochs:   r.epochs.Load(),
-		Drops:    make(map[string]uint64, sim.NumDropReasons),
+		Rounds:           km.rounds.Value(),
+		Messages:         km.messages.Value(),
+		Spawns:           km.spawns.Value(),
+		Kills:            km.kills.Value(),
+		Blocks:           km.blocks.Value(),
+		Cells:            km.cells.Value(),
+		Epochs:           km.epochs.Value(),
+		Drops:            make(map[string]uint64, sim.NumDropReasons),
+		DupExtraCopies:   km.dupExtra.Value(),
+		Violations:       km.violations.Value(),
+		Recoveries:       km.recoveries.Value(),
+		RecoveryRounds:   uint64(km.mttrRounds.Snapshot().Sum),
+		AsyncDeferred:    km.asyncDeferred.Value(),
+		Retransmits:      km.retransmits.Value(),
+		Acks:             km.acks.Value(),
+		DeliveryFailures: km.relFailures.Value(),
+		StaleDeliveries:  km.staleDeliveries.Value(),
 	}
-	for i := range r.drops {
-		c.Drops[sim.DropReason(i).String()] = r.drops[i].Load()
+	for i, d := range km.drops {
+		c.Drops[sim.DropReason(i).String()] = d.Value()
 	}
-	c.DupExtraCopies = r.dupExtra.Load()
-	c.AsyncDeferred = r.deferred.Load()
-	c.Retransmits = r.retransmits.Load()
-	c.Acks = r.acks.Load()
-	c.DeliveryFailures = r.relFailures.Load()
-	c.StaleDeliveries = r.stale.Load()
-	c.Violations = r.violations.Load()
-	c.Recoveries = r.recoveries.Load()
-	c.RecoveryRounds = r.mttr.Load()
 	// Per the sim.Tracer reconciliation contract: delivered = sends by
 	// non-blocked senders minus the send-round drops (including
 	// injected ones), plus the extra copies injected duplication added.
@@ -353,26 +337,30 @@ func (r *Recorder) Counters() Counters {
 		c.Drops[sim.DropBlockedReceiverSendRound.String()] -
 		c.Drops[sim.DropFaultInjected.String()] +
 		c.DupExtraCopies
-	if n := int(r.shardsSeen.Load()); n > 0 {
-		c.ShardRecvUS = make([]uint64, n)
-		c.ShardSendUS = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			c.ShardRecvUS[i] = r.shardRecvUS[i].Load()
-			c.ShardSendUS[i] = r.shardSendUS[i].Load()
-		}
+	r.mu.Lock()
+	for _, s := range r.shardUS {
+		c.ShardRecvUS = append(c.ShardRecvUS, s[0].Value())
+		c.ShardSendUS = append(c.ShardSendUS, s[1].Value())
 	}
+	r.mu.Unlock()
 	return c
+}
+
+// Snapshot is the flat name → value map every artifact carries under
+// "metrics" (run manifest, JSONL metrics line, Chrome trace file): the
+// registry's FlatSnapshot plus the derived overlaynet_delivered_total.
+func (r *Recorder) Snapshot() map[string]float64 {
+	m := r.reg.FlatSnapshot()
+	m["overlaynet_delivered_total"] = float64(r.Counters().Delivered)
+	return m
 }
 
 // ReportViolation implements audit.Reporter: invariant violations are
 // counted and emitted as "violation" events, so they reach JSONL
-// streams, manifests (via Counters), and cmd/tracestats alongside the
-// rest of the telemetry.
+// streams, manifests (via the metrics snapshot), and cmd/tracestats
+// alongside the rest of the telemetry.
 func (r *Recorder) ReportViolation(v audit.Violation) {
-	r.violations.Add(1)
-	if r.km != nil {
-		r.km.violations.Inc(r.recLane)
-	}
+	r.km.violations.Inc(r.recLane)
 	// Unlike round/message telemetry, violations are rare and
 	// load-bearing, so they are always retained and streamed — not gated
 	// behind RecordEvents. The audit engine caps what it reports.
@@ -398,21 +386,14 @@ func (r *Recorder) ReportViolation(v audit.Violation) {
 	r.mu.Unlock()
 }
 
-// ViolationCount returns the number of invariant violations reported.
-func (r *Recorder) ViolationCount() uint64 { return r.violations.Load() }
-
 // ReportRecovery implements audit.RecoveryReporter: closed break
 // episodes are counted (with their recovery times summed for MTTR) and
 // emitted as "recovery" events. Like violations they are rare and
 // load-bearing, so they are always retained and streamed regardless of
 // RecordEvents.
 func (r *Recorder) ReportRecovery(rec audit.Recovery) {
-	r.recoveries.Add(1)
-	r.mttr.Add(uint64(rec.Rounds))
-	if r.km != nil {
-		r.km.recoveries.Inc(r.recLane)
-		r.km.mttrRounds.Observe(int64(rec.Rounds))
-	}
+	r.km.recoveries.Inc(r.recLane)
+	r.km.mttrRounds.Observe(int64(rec.Rounds))
 	ev := Event{
 		TSMicros:   time.Since(r.start).Microseconds(),
 		Kind:       "recovery",
@@ -434,14 +415,6 @@ func (r *Recorder) ReportRecovery(rec audit.Recovery) {
 	r.mu.Unlock()
 }
 
-// RecoveryCount returns the number of closed break episodes reported.
-func (r *Recorder) RecoveryCount() uint64 { return r.recoveries.Load() }
-
-// DropCount returns the aggregate count for one drop reason.
-func (r *Recorder) DropCount(reason sim.DropReason) uint64 {
-	return r.drops[reason].Load()
-}
-
 // Spans returns a copy of the recorded spans.
 func (r *Recorder) Spans() []Span {
 	r.mu.Lock()
@@ -455,14 +428,6 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
-}
-
-// String renders the counter snapshot as JSON, which makes a Recorder
-// publishable as an expvar.Var (cmd/benchtables -http does exactly
-// that).
-func (r *Recorder) String() string {
-	b, _ := json.Marshal(r.Counters())
-	return string(b)
 }
 
 // emit appends an event (if event retention is on) and streams it (if
@@ -494,9 +459,9 @@ func (r *Recorder) wantsExactStats() bool { return r.withEvents || r.jsonl != ni
 
 // simTracer adapts a Recorder to the sim.Tracer interface, labeling
 // everything with a fixed scope. It also implements sim.RoundSampler:
-// with a metrics registry attached the raw per-round samples stream
-// into log-scale histograms, and the kernel may skip its exact
-// percentile sort (see ExactRoundStats). lane is the tracer's private
+// the raw per-round samples stream into the registry's log-scale
+// histograms, and the kernel may skip its exact percentile sort (see
+// ExactRoundStats). lane is the tracer's private
 // counter lane; roundStartUS times the current round for the duration
 // histogram (driver-goroutine-only state, like the kernel's own
 // scratch).
@@ -510,13 +475,11 @@ type simTracer struct {
 func (t *simTracer) now() int64 { return time.Since(t.rec.start).Microseconds() }
 
 func (t *simTracer) RoundStart(round, alive, blocked int) {
-	t.rec.rounds.Add(1)
-	if km := t.rec.km; km != nil {
-		km.rounds.Inc(t.lane)
-		km.blocks.Add(t.lane, uint64(blocked))
-		km.alive.Set(int64(alive))
-		t.roundStartUS = t.now()
-	}
+	km := t.rec.km
+	km.rounds.Inc(t.lane)
+	km.blocks.Add(t.lane, uint64(blocked))
+	km.alive.Observe(int64(alive))
+	t.roundStartUS = t.now()
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "round_start", Scope: t.scope,
 			Round: round, Alive: alive, Blocked: blocked})
@@ -524,11 +487,8 @@ func (t *simTracer) RoundStart(round, alive, blocked int) {
 }
 
 func (t *simTracer) RoundEnd(stats sim.RoundStats) {
-	t.rec.messages.Add(uint64(stats.Work.Messages))
-	if km := t.rec.km; km != nil {
-		km.messages.Add(t.lane, uint64(stats.Work.Messages))
-		km.roundDurUS.Observe(t.now() - t.roundStartUS)
-	}
+	t.rec.km.messages.Add(t.lane, uint64(stats.Work.Messages))
+	t.rec.km.roundDurUS.Observe(t.now() - t.roundStartUS)
 	if t.rec.wantsEvents() {
 		s := stats
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "round_end", Scope: t.scope,
@@ -541,25 +501,18 @@ func (t *simTracer) RoundEnd(stats sim.RoundStats) {
 // O(n) bucket increments on the driver goroutine, no sorting, no
 // retention.
 func (t *simTracer) RoundSamples(round int, inbox, bits []int64) {
-	km := t.rec.km
-	if km == nil {
-		return
-	}
-	km.inboxDepth.ObserveAll(inbox)
-	km.nodeBits.ObserveAll(bits)
+	t.rec.km.inboxDepth.ObserveAll(inbox)
+	t.rec.km.nodeBits.ObserveAll(bits)
 }
 
 // ExactRoundStats tells the kernel whether the exact sorted round
 // percentiles are still needed: only when full events or a JSONL
-// stream embed them. Counters-only, metrics-only, and flight-recorder
-// tracing all skip the per-round O(n log n) sort.
+// stream embed them. Metrics-only and flight-recorder tracing skip the
+// per-round O(n log n) sort.
 func (t *simTracer) ExactRoundStats() bool { return t.rec.wantsExactStats() }
 
 func (t *simTracer) NodeSpawned(round int, id sim.NodeID) {
-	t.rec.spawns.Add(1)
-	if km := t.rec.km; km != nil {
-		km.spawns.Inc(t.lane)
-	}
+	t.rec.km.spawns.Inc(t.lane)
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "spawn", Scope: t.scope,
 			Round: round, Node: uint64(id)})
@@ -567,43 +520,43 @@ func (t *simTracer) NodeSpawned(round int, id sim.NodeID) {
 }
 
 func (t *simTracer) NodeKilled(round int, id sim.NodeID) {
-	t.rec.kills.Add(1)
-	if km := t.rec.km; km != nil {
-		km.kills.Inc(t.lane)
-	}
+	t.rec.km.kills.Inc(t.lane)
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "kill", Scope: t.scope,
 			Round: round, Node: uint64(id)})
 	}
 }
 
+// NodeBlocked only emits the event: RoundStart has counted the round's
+// blocked nodes.
 func (t *simTracer) NodeBlocked(round int, id sim.NodeID) {
-	t.rec.blocks.Add(1)
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "block", Scope: t.scope,
 			Round: round, Node: uint64(id)})
 	}
 }
 
+// shardSeries returns shard's receive and send busy-time counters.
+func (r *Recorder) shardSeries(shard int) [2]*obs.Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := len(r.shardUS); i <= shard; i++ {
+		r.shardUS = append(r.shardUS, [2]*obs.Counter{
+			r.reg.Counter(fmt.Sprintf("overlaynet_shard_%d_recv_us_total", i), "wall-clock receive-phase busy time of one shard (microseconds)"),
+			r.reg.Counter(fmt.Sprintf("overlaynet_shard_%d_send_us_total", i), "wall-clock send-phase busy time of one shard (microseconds)"),
+		})
+	}
+	return r.shardUS[shard]
+}
+
 // ShardRound implements sim.ShardObserver: per-shard phase wall times
-// from sharded rounds accumulate into the recorder's counters (and the
-// event stream when retained), so delivery skew across workers is
-// visible in cmd/tracestats.
+// from sharded rounds accumulate into the recorder's per-shard series
+// (and the event stream when retained), so delivery skew across workers
+// is visible in cmd/tracestats.
 func (t *simTracer) ShardRound(round, shard int, recvUS, sendUS int64) {
-	if shard < 0 || shard >= maxTraceShards {
-		return
-	}
-	t.rec.shardRecvUS[shard].Add(uint64(recvUS))
-	t.rec.shardSendUS[shard].Add(uint64(sendUS))
-	for {
-		seen := t.rec.shardsSeen.Load()
-		if int64(shard) < seen {
-			break
-		}
-		if t.rec.shardsSeen.CompareAndSwap(seen, int64(shard)+1) {
-			break
-		}
-	}
+	s := t.rec.shardSeries(shard)
+	s[0].Add(t.lane, uint64(recvUS))
+	s[1].Add(t.lane, uint64(sendUS))
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "shard_round", Scope: t.scope,
 			Round: round, Shard: shard, RecvUS: recvUS, SendUS: sendUS})
@@ -618,10 +571,7 @@ func (t *simTracer) ShardRound(round, shard int, recvUS, sendUS int64) {
 // function of (seed, latency model): sched_deferred events and the
 // AsyncDeferred counter are deterministic output, safe to byte-compare.
 func (t *simTracer) RoundDeferred(round, deferred int) {
-	t.rec.deferred.Add(uint64(deferred))
-	if km := t.rec.km; km != nil {
-		km.asyncDeferred.Add(t.lane, uint64(deferred))
-	}
+	t.rec.km.asyncDeferred.Add(t.lane, uint64(deferred))
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "sched_deferred", Scope: t.scope,
 			Round: round, Deferred: deferred})
@@ -636,18 +586,13 @@ func (t *simTracer) RoundDeferred(round, deferred int) {
 // the legacy callback cadence — and every count is a pure function of
 // (seed, latency model, fault spec), safe to byte-compare.
 func (t *simTracer) RoundReliability(round int, stats sim.ReliabilityRoundStats) {
-	t.rec.retransmits.Add(uint64(stats.Retransmits))
-	t.rec.acks.Add(uint64(stats.Acks))
-	t.rec.relFailures.Add(uint64(stats.Failures))
-	t.rec.stale.Add(uint64(stats.Stale))
-	if km := t.rec.km; km != nil {
-		km.retransmits.Add(t.lane, uint64(stats.Retransmits))
-		km.acks.Add(t.lane, uint64(stats.Acks))
-		km.relFailures.Add(t.lane, uint64(stats.Failures))
-		km.staleDeliveries.Add(t.lane, uint64(stats.Stale))
-		for b, c := range stats.AckDelay {
-			km.ackDelayRounds.ObserveN(int64(1)<<b, uint64(c))
-		}
+	km := t.rec.km
+	km.retransmits.Add(t.lane, uint64(stats.Retransmits))
+	km.acks.Add(t.lane, uint64(stats.Acks))
+	km.relFailures.Add(t.lane, uint64(stats.Failures))
+	km.staleDeliveries.Add(t.lane, uint64(stats.Stale))
+	for b, c := range stats.AckDelay {
+		km.ackDelayRounds.ObserveN(int64(1)<<b, uint64(c))
 	}
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "reliable_round", Scope: t.scope,
@@ -659,10 +604,7 @@ func (t *simTracer) RoundReliability(round int, stats sim.ReliabilityRoundStats)
 // MessageDuplicated implements sim.FaultObserver: injected duplications
 // accumulate the extra-copy counter the Delivered reconciliation uses.
 func (t *simTracer) MessageDuplicated(round int, from, to sim.NodeID, bits, copies int) {
-	t.rec.dupExtra.Add(uint64(copies - 1))
-	if km := t.rec.km; km != nil {
-		km.dupExtra.Add(t.lane, uint64(copies-1))
-	}
+	t.rec.km.dupExtra.Add(t.lane, uint64(copies-1))
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "dup", Scope: t.scope,
 			Round: round, From: uint64(from), To: uint64(to),
@@ -671,10 +613,7 @@ func (t *simTracer) MessageDuplicated(round int, from, to sim.NodeID, bits, copi
 }
 
 func (t *simTracer) MessageDropped(round int, reason sim.DropReason, from, to sim.NodeID, bits int) {
-	t.rec.drops[reason].Add(1)
-	if km := t.rec.km; km != nil {
-		km.drops[reason].Inc(t.lane)
-	}
+	t.rec.km.drops[reason].Inc(t.lane)
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "drop", Scope: t.scope,
 			Round: round, From: uint64(from), To: uint64(to),

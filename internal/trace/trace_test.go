@@ -71,16 +71,9 @@ func TestRecorderCounters(t *testing.T) {
 	if c.Delivered != 6 { // 9 sends − 2 dead − 1 blocked-receiver-send-round
 		t.Fatalf("delivered = %d, want 6", c.Delivered)
 	}
-	if rec.DropCount(sim.DropBlockedSender) != 3 {
-		t.Fatalf("DropCount(blocked-sender) = %d, want 3", rec.DropCount(sim.DropBlockedSender))
-	}
-	// String() is the expvar form: it must be the JSON counter snapshot.
-	var fromString Counters
-	if err := json.Unmarshal([]byte(rec.String()), &fromString); err != nil {
-		t.Fatalf("String() is not valid JSON: %v", err)
-	}
-	if fromString.Messages != c.Messages || fromString.Delivered != c.Delivered {
-		t.Fatalf("String() snapshot diverges: %+v vs %+v", fromString, c)
+	// The artifacts' snapshot carries the derived total under its own name.
+	if got := rec.Snapshot()["overlaynet_delivered_total"]; got != 6 {
+		t.Fatalf("snapshot overlaynet_delivered_total = %v, want 6", got)
 	}
 }
 
@@ -117,7 +110,7 @@ func TestRecorderEventRetention(t *testing.T) {
 }
 
 // TestWriteJSONL checks that every emitted line parses as JSON, that
-// the stream ends with the counters line, and that streaming via
+// the stream ends with the metrics line, and that streaming via
 // StreamJSONL produces the same event/span lines incrementally.
 func TestWriteJSONL(t *testing.T) {
 	var streamed bytes.Buffer
@@ -141,25 +134,25 @@ func TestWriteJSONL(t *testing.T) {
 		types[typ]++
 		last = m
 	}
-	if types["event"] == 0 || types["span"] != 1 || types["counters"] != 1 {
+	if types["event"] == 0 || types["span"] != 1 || types["metrics"] != 1 || len(types) != 3 {
 		t.Fatalf("line type histogram: %v", types)
 	}
-	if last["type"] != "counters" {
-		t.Fatalf("last line is %v, want counters", last["type"])
+	if last["type"] != "metrics" {
+		t.Fatalf("last line is %v, want metrics", last["type"])
 	}
 	// The streamed sink saw the same event and span lines (it has no
-	// trailing counters line — that is batch-only).
+	// trailing metrics line — that is batch-only).
 	streamedLines := strings.Count(streamed.String(), "\n")
-	batchLines := types["event"] + types["span"] + types["counters"]
+	batchLines := types["event"] + types["span"] + types["metrics"]
 	if streamedLines != batchLines-1 {
-		t.Fatalf("streamed %d lines, batch has %d (+1 counters)", streamedLines, batchLines)
+		t.Fatalf("streamed %d lines, batch has %d (+1 metrics)", streamedLines, batchLines)
 	}
 }
 
 // TestWriteChromeTrace round-trips the Chrome export through its own
 // exported types: spans become "X" events on the documented pid layout,
-// lifecycle events become "i" instants, and the aggregate counters ride
-// along under overlayCounters.
+// lifecycle events become "i" instants, and the metrics snapshot rides
+// along under "metrics".
 func TestWriteChromeTrace(t *testing.T) {
 	rec := New().RecordEvents(true)
 	scenario(rec)
@@ -176,8 +169,8 @@ func TestWriteChromeTrace(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	if f.OverlayCounters["messages"] != 9 || f.OverlayCounters["drop:"+sim.DropDeadReceiver.String()] != 2 {
-		t.Fatalf("overlayCounters wrong: %v", f.OverlayCounters)
+	if f.Metrics["overlaynet_messages_total"] != 9 || f.Metrics["overlaynet_drops_dead_receiver_total"] != 2 {
+		t.Fatalf("metrics wrong: %v", f.Metrics)
 	}
 	var spans, instants int
 	pids := map[string]int{"cell": chromePidHarness, "epoch": chromePidEpochs, "experiment": chromePidHarness}
