@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -46,6 +47,17 @@ func (n *Network) stalePayloads() int {
 		}
 	}
 	return k
+}
+
+// bufferSizes returns the length and the capacity of every worker's
+// send log and inbox arena, in worker order (log, arena, log, ...).
+func (n *Network) bufferSizes() (lens, caps []int) {
+	for w := range n.mail {
+		mb := &n.mail[w]
+		lens = append(lens, len(mb.log), len(mb.arena))
+		caps = append(caps, cap(mb.log), cap(mb.arena))
+	}
+	return lens, caps
 }
 
 // burst sends k messages to each of the given ids in the rounds listed,
@@ -197,22 +209,168 @@ func TestInboxBufferReuse(t *testing.T) {
 		}
 		net.DisableWorkLog()
 		net.Run(3) // reach the steady state
-		caps := func() (c []int) {
-			for w := range net.mail {
-				c = append(c, cap(net.mail[w].log), cap(net.mail[w].arena))
-			}
-			return c
-		}
-		before := caps()
+		_, before := net.bufferSizes()
 		if before[0] == 0 || !tc.lat.Enabled() && before[1] == 0 {
 			t.Fatalf("shards=%d %v: log/arena never populated: %v", tc.shards, tc.lat, before)
 		}
 		if allocs := testing.AllocsPerRun(32, net.Step); allocs != 0 {
 			t.Errorf("shards=%d %v: %v allocs per steady round, want 0", tc.shards, tc.lat, allocs)
 		}
-		if after := caps(); !slices.Equal(before, after) {
+		if _, after := net.bufferSizes(); !slices.Equal(before, after) {
 			t.Errorf("shards=%d %v: log/arena capacities moved: %v -> %v", tc.shards, tc.lat, before, after)
 		}
 		net.Shutdown()
 	}
+}
+
+// pulseNet spawns 64 nodes that each send fanout(r) messages in round
+// r. A node's first message of round r goes to node (v+r) mod 64 and
+// carries (r, v); the rest spread over the others. So after a round of
+// fanout 1 every node receives exactly one message, from a known
+// sender: such inboxes are checked, and bad[v] counts node v's wrong
+// ones.
+func pulseNet(shards int, lat Latency, fanout func(round int) int, bad *[64]int) *Network {
+	const nodes = 64
+	net := NewNetwork(Config{Seed: 4, Shards: shards, Latency: lat})
+	for v := 0; v < nodes; v++ {
+		net.SpawnHandler(NodeID(v+1), HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+			r := ctx.Round()
+			if r > 1 && fanout(r-1) == 1 {
+				u := ((v-r+1)%nodes + nodes) % nodes
+				if len(inbox) != 1 || inbox[0].From != NodeID(u+1) || inbox[0].Payload != [2]int{r - 1, u} {
+					bad[v]++
+				}
+			}
+			for j := 0; j < fanout(r); j++ {
+				to := (v + r) % nodes
+				if j > 0 {
+					to = (v*7 + j*11) % nodes
+				}
+				ctx.Send(NodeID(to+1), [2]int{r, v}, 8)
+			}
+			return true
+		}))
+	}
+	net.DisableWorkLog()
+	return net
+}
+
+// TestBuffersReleaseAfterQuietRounds pins the release rule on the
+// serial and sharded paths: after one burst round the send logs and
+// inbox arenas keep the burst's capacity through trimRounds-1 light
+// rounds, the next light round shrinks them to at most twice the
+// window's highest length without moving a pending message, and the
+// released sizes then hold. The calendar path keeps its log. The
+// sampler's shape, heavy rounds alternating with rounds an eighth as
+// heavy, never releases.
+func TestBuffersReleaseAfterQuietRounds(t *testing.T) {
+	const again = 2 + 3*trimRounds // the second burst
+	burstThenLight := func(r int) int {
+		if r == 1 || r == again {
+			return 32
+		}
+		return 1
+	}
+	for _, tc := range []struct {
+		shards int
+		lat    Latency
+	}{
+		{1, Latency{}}, {3, Latency{}},
+		{1, Latency{Kind: LatencyConst, A: 1}}, {3, Latency{Kind: LatencyConst, A: 1}},
+	} {
+		name := fmt.Sprintf("shards=%d %v", tc.shards, tc.lat)
+		var bad [64]int
+		net := pulseNet(tc.shards, tc.lat, burstThenLight, &bad)
+		net.Step() // the burst
+		_, burst := net.bufferSizes()
+		high := make([]int, len(burst))
+		for q := 1; q < trimRounds; q++ {
+			net.Step()
+			lens, caps := net.bufferSizes()
+			if !slices.Equal(caps, burst) {
+				t.Fatalf("%s: capacities moved after %d quiet rounds: %v -> %v", name, q, burst, caps)
+			}
+			for i, l := range lens {
+				high[i] = max(high[i], l)
+			}
+		}
+		net.Step() // the window's last round, as light as the others
+		_, released := net.bufferSizes()
+		if tc.lat.Enabled() {
+			if !slices.Equal(released, burst) {
+				t.Errorf("%s: the calendar path released its buffers: %v -> %v", name, burst, released)
+			}
+		} else {
+			for i, c := range released {
+				if c <= 0 || c > 2*high[i] || c >= burst[i] {
+					t.Errorf("%s: buffer %d has capacity %d after the window, want in (0, %d] (burst %d)", name, i, c, 2*high[i], burst[i])
+				}
+			}
+		}
+		if k := net.stalePayloads(); k != 0 {
+			t.Errorf("%s: %d payloads referenced beyond the released buffers", name, k)
+		}
+		net.Run(2 * trimRounds)
+		if _, caps := net.bufferSizes(); !slices.Equal(caps, released) {
+			t.Errorf("%s: light rounds moved the released capacities: %v -> %v", name, released, caps)
+		}
+		net.Step() // the second burst
+		_, regrown := net.bufferSizes()
+		for i, c := range regrown {
+			if c < burst[i] {
+				t.Errorf("%s: the second burst left capacities %v, below the first's %v", name, regrown, burst)
+				break
+			}
+		}
+		net.Run(2) // deliver it, then a checked light round
+		if bad != [64]int{} {
+			t.Errorf("%s: light-round inboxes arrived wrong, per node: %v", name, bad)
+		}
+		net.Shutdown()
+
+		net = pulseNet(tc.shards, tc.lat, func(r int) int { return 4 + 28*(r%2) }, &bad)
+		net.Step()
+		_, first := net.bufferSizes()
+		for r := 2; r <= 64; r++ {
+			net.Step()
+			if _, caps := net.bufferSizes(); !slices.Equal(caps, first) {
+				t.Fatalf("%s: 8:1 alternation moved the capacities in round %d: %v -> %v", name, r, first, caps)
+			}
+		}
+		net.Shutdown()
+	}
+}
+
+// TestTrimObserve walks the release rule through a §4-like life: a
+// burst, a first release that keeps the tail's traffic, a second down to
+// the light rounds, growth that stays light, the burst's return, and a
+// release out of total silence, which forgets the burst.
+func TestTrimObserve(t *testing.T) {
+	var tr trim
+	step := func(length, capacity, want int) {
+		t.Helper()
+		if got := tr.observe(length, capacity); got != want {
+			t.Fatalf("observe(%d, %d) = %d, want %d (state %+v)", length, capacity, got, want, tr)
+		}
+	}
+	step(1000, 1200, -1) // the burst
+	for q := 1; q < trimRounds; q++ {
+		step(100+q, 1200, -1)
+	}
+	step(100, 1200, 2*(100+trimRounds-1)) // window high 107
+	for q := 1; q < trimRounds; q++ {
+		step(20, 214, -1)
+	}
+	step(25, 214, 50)  // released again; the peak stays 1200
+	step(40, 64, -1)   // regrown, but not past trimShare·50
+	step(180, 200, -1) // still not
+	step(180, 200, -1)
+	step(190, 250, 1200) // past it: the burst is back
+	step(1100, 1200, -1)
+	for q := 1; q < trimRounds; q++ {
+		step(0, 1200, -1)
+	}
+	step(0, 1200, 0) // silence: released to nothing
+	step(9, 16, -1)  // and nothing to restore
+	step(90, 128, -1)
 }

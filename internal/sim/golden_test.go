@@ -14,7 +14,8 @@ import (
 // constants in TestDeliveryTranscriptGolden were recorded at PR 14
 // (f9f5c7c), before the send step became a counting sort; a change that
 // moves one changed an inbox, its order, a work-log row, a reliability
-// counter or a tracer event.
+// counter or a tracer event. The burst cases' constants are younger:
+// they were recorded before the kernel had a buffer release rule.
 
 // Lane markers added to the payload so the transcript sees which Send
 // variant produced a message without reading unexported fields.
@@ -23,15 +24,21 @@ const (
 	goldenRetx = 1 << 21
 )
 
+// goldenBurst is the extra fanout of a heavy round: 64 against the
+// quiet rounds' average of 2, so a burst outgrows the quiet rounds
+// around it by more than the factor the buffer release rule waits for.
+const goldenBurst = 64
+
 // goldenSparse is where the scenario's ids beyond any dense table live.
 const goldenSparse NodeID = 1 << 40
 
 type goldenNode struct {
 	id    NodeID
-	maxID *NodeID // highest dense id spawned so far (driver-owned, read-only in rounds)
-	quit  int     // round in which OnRound returns false (0: never)
-	round int     // last round this node ran
-	sum   uint64  // that round's inbox digest
+	maxID *NodeID      // highest dense id spawned so far (driver-owned, read-only in rounds)
+	heavy map[int]bool // rounds in which the node sends goldenBurst more messages
+	quit  int          // round in which OnRound returns false (0: never)
+	round int          // last round this node ran
+	sum   uint64       // that round's inbox digest
 }
 
 func (g *goldenNode) OnRound(ctx *Ctx, inbox []Message) bool {
@@ -42,7 +49,11 @@ func (g *goldenNode) OnRound(ctx *Ctx, inbox []Message) bool {
 	g.round, g.sum = ctx.Round(), h.Sum64()
 
 	r := ctx.RNG()
-	for j, k := 0, r.Intn(5); j < k; j++ {
+	k := r.Intn(5)
+	if g.heavy[ctx.Round()] {
+		k += goldenBurst
+	}
+	for j := 0; j < k; j++ {
 		// Targets cover live ids, departed ids, ids not yet spawned and the
 		// sparse range.
 		to := NodeID(r.Intn(int(*g.maxID)+4) + 1)
@@ -117,8 +128,11 @@ func (t goldenTracer) RoundReliability(round int, stats ReliabilityRoundStats) {
 // driver blocks a random sixth of the nodes in overlapping two-round
 // windows (so both halves of the blocking rule hit senders and
 // receivers), kills nodes, lets others return false, and spawns
-// replacements — dense and sparse ids — into the recycled slots.
-func deliveryTranscript(lat Latency, shards int) uint64 {
+// replacements — dense and sparse ids — into the recycled slots. Every
+// node sends goldenBurst more messages in the heavy rounds. It also
+// returns how many times a send log or inbox arena lost capacity at the
+// end of a round that left inboxes pending.
+func deliveryTranscript(lat Latency, shards int, heavy map[int]bool) (digest uint64, releases int) {
 	h := fnv.New64a()
 	net := NewNetwork(Config{Seed: 99, Shards: shards, Latency: lat})
 	net.SetTracer(goldenTracer{h})
@@ -127,7 +141,7 @@ func deliveryTranscript(lat Latency, shards int) uint64 {
 	var maxID NodeID
 	var nodes []*goldenNode
 	spawn := func(id NodeID, quit int) {
-		g := &goldenNode{id: id, maxID: &maxID, quit: quit}
+		g := &goldenNode{id: id, maxID: &maxID, heavy: heavy, quit: quit}
 		nodes = append(nodes, g)
 		net.SpawnHandler(id, g)
 	}
@@ -143,6 +157,13 @@ func deliveryTranscript(lat Latency, shards int) uint64 {
 		spawnDense(quit)
 	}
 	spawn(goldenSparse+1, 0)
+	pending := func() (k int) {
+		for _, s := range net.order {
+			st := &net.slots[s]
+			k += int(st.inHi - st.inLo)
+		}
+		return k
+	}
 	prev := map[NodeID]bool{}
 	for round := 1; round <= 48; round++ {
 		alive := net.Alive()
@@ -184,7 +205,14 @@ func deliveryTranscript(lat Latency, shards int) uint64 {
 		}
 		net.SetBlocked(cur)
 		prev = fresh
+		_, before := net.bufferSizes()
 		net.Step()
+		_, after := net.bufferSizes()
+		for i, c := range after {
+			if c < before[i] && pending() > 0 {
+				releases++
+			}
+		}
 		for _, g := range nodes {
 			if g.round == round {
 				fmt.Fprintf(h, "node %d %x\n", g.id, g.sum)
@@ -194,25 +222,39 @@ func deliveryTranscript(lat Latency, shards int) uint64 {
 	}
 	fmt.Fprintf(h, "work %+v\nrel %+v\ndeferred %d\n", net.Work(), net.ReliabilityStats(), net.DeferredMessages())
 	net.Shutdown()
-	return h.Sum64()
+	return h.Sum64(), releases
 }
 
 func TestDeliveryTranscriptGolden(t *testing.T) {
+	// The burst cases send goldenBurst more in rounds 3-4 and 24, so the
+	// synchronous kernel's buffers are released at the end of rounds
+	// whose kills, spawns into recycled slots and blocking leave inboxes
+	// pending, and regrown by the second burst. Their constants were
+	// recorded before the kernel had a release rule.
+	burst := map[int]bool{3: true, 4: true, 24: true}
 	for _, tc := range []struct {
-		lat  string
-		want uint64
+		lat   string
+		heavy map[int]bool
+		want  uint64
 	}{
-		{"sync", 0x6e29a862655714ce},
-		{"const:1", 0x6e29a862655714ce},
-		{"uniform:1,3", 0x8acffbb233d2c383},
+		{"sync", nil, 0x6e29a862655714ce},
+		{"const:1", nil, 0x6e29a862655714ce},
+		{"uniform:1,3", nil, 0x8acffbb233d2c383},
+		{"sync", burst, 0xb904ac080e3a8c2d},
+		{"const:1", burst, 0xb904ac080e3a8c2d},
+		{"uniform:1,3", burst, 0x045f5df5f74c41ed},
 	} {
 		lat, err := ParseLatency(tc.lat)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{1, 4} {
-			if got := deliveryTranscript(lat, shards); got != tc.want {
-				t.Errorf("%s shards=%d: transcript digest %#x, want %#x", tc.lat, shards, got, tc.want)
+			got, releases := deliveryTranscript(lat, shards, tc.heavy)
+			if got != tc.want {
+				t.Errorf("%s burst=%v shards=%d: transcript digest %#x, want %#x", tc.lat, tc.heavy != nil, shards, got, tc.want)
+			}
+			if tc.heavy != nil && !lat.Enabled() && releases == 0 {
+				t.Errorf("%s shards=%d: no buffer was released with inboxes pending", tc.lat, shards)
 			}
 		}
 	}

@@ -86,12 +86,89 @@ type sent struct {
 // worker computed, in spawn order; the arena holds the inboxes of the
 // receiver slots the worker owns, one contiguous range per slot. Both
 // are overwritten every round, so only the tail beyond the new length
-// is cleared and a steady state allocates nothing. box is the async
-// path's scratch inbox, rebuilt per node.
+// is cleared and a steady state allocates nothing; a burst's capacity is
+// given back by the release rule (see trim). box is the async path's
+// scratch inbox, rebuilt per node.
 type mailbag struct {
 	log   []sent
 	arena []Message
 	box   []Message
+
+	logTrim, arenaTrim trim
+}
+
+// The release rule (synchronous path): a send log or inbox arena whose
+// end-of-round length stays under 1/trimShare of its capacity for
+// trimRounds consecutive rounds is reallocated to twice the highest
+// length of that window. A §4 epoch's sampling rounds send hundreds of
+// times the messages of the rounds after them; without the rule both
+// buffers would keep that burst's size for the life of the network. A
+// sampler's heavy/light alternation never keeps a buffer quiet long
+// enough to release it, and a steady flood never goes quiet at all.
+// A released buffer that regrows to more than trimShare times its
+// released size is facing its burst again: at the end of that round it
+// gets back the largest capacity it gave up, in one allocation instead
+// of append's many 1.25× steps (the hot path stays a plain append).
+// Lengths are a pure function of the run, so the rule is deterministic,
+// and it moves no message. The calendar path keeps its log: there the
+// per-node calendars hold most of a burst's capacity, so releasing the
+// log alone would pay the regrowth of every stretched phase and give
+// back a quarter of what the network retains.
+const (
+	trimRounds = 8
+	trimShare  = 4
+)
+
+// trim is one buffer's release window — how many consecutive rounds it
+// has been quiet and the highest length it held in them — and, once it
+// has been released, the largest capacity it gave up (peak) and the
+// capacity it was released to (cut).
+type trim struct {
+	quiet, high int
+	peak, cut   int
+}
+
+// observe records a buffer's end-of-round length and capacity and
+// returns the capacity to reallocate it to, or -1 to keep it.
+func (t *trim) observe(length, capacity int) int {
+	if t.peak > capacity && capacity > trimShare*t.cut {
+		c := t.peak
+		*t = trim{}
+		return c
+	}
+	if trimShare*length >= capacity {
+		t.quiet, t.high = 0, 0
+		return -1
+	}
+	t.quiet++
+	t.high = max(t.high, length)
+	if t.quiet < trimRounds {
+		return -1
+	}
+	c := 2 * t.high
+	if c > 0 {
+		*t = trim{peak: max(t.peak, capacity), cut: c}
+	} else {
+		*t = trim{} // released from silence: the burst is forgotten
+	}
+	return c
+}
+
+// release applies the release rule to every worker's buffers, serially
+// at the end of a synchronous round: the log is dead by then (the send
+// step consumed it) and the arena holds only the next round's inboxes,
+// whose live prefix is copied so every slot's inW/inLo/inHi stays valid.
+// A restored capacity exceeds the length, so the same copy serves it.
+func (n *Network) release() {
+	for w := range n.mail {
+		mb := &n.mail[w]
+		if c := mb.logTrim.observe(len(mb.log), cap(mb.log)); c >= 0 {
+			mb.log = make([]sent, 0, c)
+		}
+		if c := mb.arenaTrim.observe(len(mb.arena), cap(mb.arena)); c >= 0 {
+			mb.arena = append(make([]Message, 0, c), mb.arena...)
+		}
+	}
 }
 
 // Message lanes. Protocol-lane messages are the paper's messages and
@@ -668,6 +745,9 @@ func (n *Network) Step() {
 
 	if anyHalted {
 		n.reap()
+	}
+	if !n.async {
+		n.release()
 	}
 	if n.blockedAny {
 		n.blocked.Zero()
