@@ -10,11 +10,12 @@
 //	           [-cell-timeout D] [-cpuprofile F] [-trace F] [-events F]
 //	           [-manifest F] [-progress] [-http ADDR]
 //
-// Sweep cells run on -procs workers (default: all CPUs), and each
-// simulated network runs its rounds on -shards intra-round workers
-// (default 1; see internal/sim). The rendered tables are identical for
-// every -procs and -shards combination at a fixed seed, and for every
-// combination of the telemetry flags — tracing is observation only.
+// Sweep cells run on -procs workers (default: all CPUs), and each §5/§6
+// overlay network runs its rounds on -shards intra-round workers
+// (default 1; see internal/committee); the sim kernel is serial. The
+// rendered tables are identical for every -procs and -shards
+// combination at a fixed seed, and for every combination of the
+// telemetry flags — tracing is observation only.
 //
 // Telemetry:
 //
@@ -221,7 +222,7 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	procs := flag.Int("procs", runtime.GOMAXPROCS(0), "worker goroutines for sweep cells (tables are identical for any value)")
-	shards := flag.Int("shards", 0, "intra-round simulator workers per network; 0 = $OVERLAYNET_SHARDS or 1 (tables are identical for any value)")
+	shards := flag.Int("shards", 0, "intra-round workers per §5/§6 network; 0 = $OVERLAYNET_SHARDS or 1 (tables are identical for any value)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace_events JSON file")
 	eventsOut := flag.String("events", "", "write the raw telemetry stream as JSONL")

@@ -129,9 +129,8 @@ func runChurn(args []string) {
 	epochs := fs.Int("epochs", 5, "reconfiguration epochs")
 	frac := fs.Float64("frac", 0.25, "replacement fraction per epoch")
 	seed := fs.Uint64("seed", 1, "seed")
-	shards := fs.Int("shards", 0, "intra-round simulator workers (0 = $OVERLAYNET_SHARDS or 1; results identical for any value)")
 	fs.Parse(args)
-	cfg := core.Config{Seed: *seed, N0: *n, D: 8, Alpha: 2, Epsilon: 0.5, Shards: *shards}
+	cfg := core.Config{Seed: *seed, N0: *n, D: 8, Alpha: 2, Epsilon: 0.5}
 	if err := cfg.Validate(); err != nil {
 		fail("churn", err)
 	}
@@ -157,7 +156,7 @@ func runDoS(args []string) {
 	late := fs.Bool("late", true, "adversary is 2t-late (false = 0-late)")
 	epochs := fs.Int("epochs", 3, "reorganization epochs")
 	seed := fs.Uint64("seed", 1, "seed")
-	shards := fs.Int("shards", 0, "intra-round workers (0 = $OVERLAYNET_SHARDS or 1; results identical for any value)")
+	shards := fs.Int("shards", 0, "intra-round committee-engine workers (0 = $OVERLAYNET_SHARDS or 1; results identical for any value)")
 	fs.Parse(args)
 	cfg := supernode.Config{Seed: *seed, N: *n, Shards: *shards}
 	if err := cfg.Validate(); err != nil {
@@ -194,7 +193,7 @@ func runChurnDoS(args []string) {
 	churnFrac := fs.Float64("churn", 0.125, "churn fraction per epoch")
 	epochs := fs.Int("epochs", 4, "epochs")
 	seed := fs.Uint64("seed", 1, "seed")
-	shards := fs.Int("shards", 0, "intra-round workers (0 = $OVERLAYNET_SHARDS or 1; results identical for any value)")
+	shards := fs.Int("shards", 0, "intra-round committee-engine workers (0 = $OVERLAYNET_SHARDS or 1; results identical for any value)")
 	fs.Parse(args)
 	cfg := splitmerge.Config{Seed: *seed, N0: *n, Shards: *shards}
 	if err := cfg.Validate(); err != nil {
@@ -230,7 +229,7 @@ func runAnon(args []string) {
 	frac := fs.Float64("frac", 0.4, "blocked fraction")
 	requests := fs.Int("requests", 1000, "requests")
 	seed := fs.Uint64("seed", 1, "seed")
-	shards := fs.Int("shards", 0, "intra-round workers (0 = $OVERLAYNET_SHARDS or 1; results identical for any value)")
+	shards := fs.Int("shards", 0, "intra-round committee-engine workers (0 = $OVERLAYNET_SHARDS or 1; results identical for any value)")
 	fs.Parse(args)
 	cfg := supernode.Config{Seed: *seed, N: *n, MeasureEvery: -1, Shards: *shards}
 	if err := cfg.Validate(); err != nil {

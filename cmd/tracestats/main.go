@@ -5,9 +5,7 @@
 // (deferred deliveries, retransmit and ack traffic, budget-exhausted
 // delivery failures, stale discards), invariant-audit violations and
 // recovery episodes (per-invariant MTTR), the metrics-registry
-// snapshot (streaming-histogram quantiles), and — when the run used a
-// sharded simulator kernel — the per-shard wall-time balance of the
-// receive/send phases, so delivery skew across workers is visible.
+// snapshot (streaming-histogram quantiles).
 //
 // Usage:
 //
@@ -144,8 +142,7 @@ func loadChrome(data []byte, s *summary) error {
 	return nil
 }
 
-// loadJSONL ingests a JSONL stream written by trace.WriteJSONL (or
-// streamed via StreamJSONL).
+// loadJSONL ingests a JSONL file written by trace.WriteJSONL.
 func loadJSONL(data []byte, s *summary) error {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -181,59 +178,6 @@ func loadJSONL(data []byte, s *summary) error {
 }
 
 func ms(us int64) float64 { return float64(us) / 1e3 }
-
-// printShardBalance reports the per-shard receive/send busy time of the
-// sharded simulator kernel, if the snapshot contains any (the
-// overlaynet_shard_<i>_… series, fed by the per-round shard spans). The
-// balance line gives max/mean of the per-shard totals — 1.00 is a
-// perfectly even partition; anything well above means the contiguous
-// slot ranges are carrying skewed delivery load.
-func printShardBalance(w io.Writer, s *summary) {
-	type shardBusy struct{ recv, send uint64 }
-	byShard := map[int]*shardBusy{}
-	for k, v := range s.metrics {
-		var i int
-		var kind string
-		if _, err := fmt.Sscanf(k, "overlaynet_shard_%d_%s", &i, &kind); err != nil {
-			continue
-		}
-		b := byShard[i]
-		if b == nil {
-			b = &shardBusy{}
-			byShard[i] = b
-		}
-		switch kind {
-		case "recv_us_total":
-			b.recv = uint64(v)
-		case "send_us_total":
-			b.send = uint64(v)
-		}
-	}
-	if len(byShard) == 0 {
-		return
-	}
-	ids := make([]int, 0, len(byShard))
-	var total, maxTotal uint64
-	for i, b := range byShard {
-		ids = append(ids, i)
-		t := b.recv + b.send
-		total += t
-		if t > maxTotal {
-			maxTotal = t
-		}
-	}
-	sort.Ints(ids)
-	mean := float64(total) / float64(len(byShard))
-	balance := 1.0
-	if mean > 0 {
-		balance = float64(maxTotal) / mean
-	}
-	fmt.Fprintf(w, "  shard balance  %d shards, busy max/mean %.2f\n", len(byShard), balance)
-	for _, i := range ids {
-		b := byShard[i]
-		fmt.Fprintf(w, "    shard %-3d recv %10.1f ms  send %10.1f ms\n", i, ms(int64(b.recv)), ms(int64(b.send)))
-	}
-}
 
 // printRecoveries reports the self-healing verdict: closed break
 // episodes from the recovery tracker, with per-invariant episode counts
@@ -478,7 +422,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	printShardBalance(stdout, s)
 	printScaleSpans(stdout, s)
 
 	if len(s.spans) > 0 && *top > 0 {

@@ -112,14 +112,14 @@ func TestRunUsageError(t *testing.T) {
 
 // TestSummaryEqualAcrossFormats records one small run that moves every
 // part of the summary — a drop of every reason, a duplication, reliable
-// traffic, shard timing, a violation, a closed recovery episode, spans
+// traffic, a violation, a closed recovery episode, spans
 // of every kind — exports it both ways, and requires the two summaries
 // to agree on everything below the line naming the file.
 func TestSummaryEqualAcrossFormats(t *testing.T) {
 	rec := trace.New().RecordEvents(true)
 
 	// Every send-side and delivery-side drop reason but the injected one.
-	net := sim.NewNetwork(sim.Config{Seed: 9, Shards: 2})
+	net := sim.NewNetwork(sim.Config{Seed: 9})
 	net.SetTracer(rec.Tracer("drops"))
 	idle := sim.HandlerFunc(func(*sim.Ctx, []sim.Message) bool { return true })
 	net.SpawnHandler(1, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
@@ -190,7 +190,7 @@ func TestSummaryEqualAcrossFormats(t *testing.T) {
 		"violations     1", "e.g. E6/cell0 round 3 [cycle-cover]: broken edge",
 		"recoveries     1 closed break episodes, mean MTTR 5.0 rounds",
 		"e.g. E6/cell0 [cycle-cover] broken@3 clean@8 (5 rounds)",
-		"shard balance  ", "scale points   1", "overlaynet_inbox_depth", "slowest 2 cells",
+		"scale points   1", "overlaynet_inbox_depth", "slowest 2 cells",
 	} {
 		if !strings.Contains(fromJSONL, want) {
 			t.Errorf("summary missing %q:\n%s", want, fromJSONL)

@@ -126,12 +126,12 @@ func (s *statsTap) RoundEnd(stats sim.RoundStats) {
 // returning the auditor. With every node alive and unblocked the ledger
 // must balance exactly — deliveries reconcile against sends minus
 // injected drops plus duplicated extras.
-func workloadRun(t *testing.T, inj sim.Injector, shards int) *WorkAuditor {
+func workloadRun(t *testing.T, inj sim.Injector) *WorkAuditor {
 	t.Helper()
 	rep := &sliceReporter{}
 	a := NewWorkAuditor(rep, nil)
 	tap := &statsTap{WorkAuditor: a}
-	net := sim.NewNetwork(sim.Config{Seed: 5, Shards: shards})
+	net := sim.NewNetwork(sim.Config{Seed: 5})
 	net.SetTracer(tap)
 	if inj != nil {
 		net.SetInjector(inj)
@@ -164,18 +164,15 @@ func workloadRun(t *testing.T, inj sim.Injector, shards int) *WorkAuditor {
 
 // TestWorkAuditorCleanRun: no faults, ledger balances.
 func TestWorkAuditorCleanRun(t *testing.T) {
-	workloadRun(t, nil, 1)
+	workloadRun(t, nil)
 }
 
 // TestWorkAuditorUnderInjectedFaults: the ledger must still balance
 // when the injector drops and duplicates messages, because the fault
-// events enter the ledger through MessageDropped/MessageDuplicated —
-// serially and sharded.
+// events enter the ledger through MessageDropped/MessageDuplicated.
 func TestWorkAuditorUnderInjectedFaults(t *testing.T) {
 	spec := fault.Spec{Seed: 9, Drop: 0.1, Dup: 0.05}
-	for _, shards := range []int{1, 4} {
-		workloadRun(t, spec.Injector(), shards)
-	}
+	workloadRun(t, spec.Injector())
 }
 
 // TestWorkAuditorDetectsImbalance drives the hooks directly with a

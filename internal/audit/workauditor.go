@@ -23,7 +23,6 @@ import (
 // mismatch is reported as a "work-conservation" violation.
 type WorkAuditor struct {
 	next      sim.Tracer
-	shardFwd  sim.ShardObserver
 	faultFwd  sim.FaultObserver
 	sampleFwd sim.RoundSampler
 	latFwd    sim.LatencyObserver
@@ -51,7 +50,6 @@ type WorkAuditor struct {
 // Network.SetTracer.
 func NewWorkAuditor(rep Reporter, next sim.Tracer) *WorkAuditor {
 	a := &WorkAuditor{next: next, rep: rep}
-	a.shardFwd, _ = next.(sim.ShardObserver)
 	a.faultFwd, _ = next.(sim.FaultObserver)
 	a.sampleFwd, _ = next.(sim.RoundSampler)
 	a.latFwd, _ = next.(sim.LatencyObserver)
@@ -160,14 +158,6 @@ func (a *WorkAuditor) RoundSamples(round int, inbox, bits []int64) {
 // which is always computed) and the kernel skips the sort.
 func (a *WorkAuditor) ExactRoundStats() bool {
 	return a.sampleFwd != nil && a.sampleFwd.ExactRoundStats()
-}
-
-// ShardRound implements sim.ShardObserver by pure forwarding, so
-// wrapping a Recorder tracer keeps its shard-balance accounting.
-func (a *WorkAuditor) ShardRound(round, shard int, recvUS, sendUS int64) {
-	if a.shardFwd != nil {
-		a.shardFwd.ShardRound(round, shard, recvUS, sendUS)
-	}
 }
 
 // RoundDeferred implements sim.LatencyObserver by pure forwarding, so an

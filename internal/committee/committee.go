@@ -56,7 +56,7 @@ type cell struct {
 	_       [64]byte
 }
 
-// Engine phases dispatched through RunShard; a stack's own are >= 0.
+// Engine phases dispatched through runShard; a stack's own are >= 0.
 const (
 	phaseElect = -1 - iota
 	phaseSim
@@ -108,14 +108,14 @@ type Engine struct {
 	part       bool // a partition window is open this round
 
 	shards int
-	pool   *sim.Pool
+	pool   *pool
 	// serial: some node leads two committees this round, which only a
 	// corruption that lists it in both can cause. Their vertices draw from
 	// one RNG, in committee order, so the round's phases run one worker at
 	// a time. leads is the scratch that finds such a node.
 	serial bool
 	leads  sim.Bitset
-	guard  *struct{ *sim.Pool } // finalizer anchor: closes the pool of an engine dropped without Close
+	guard  *struct{ *pool } // finalizer anchor: closes the pool of an engine dropped without Close
 	cells  []cell
 	run    func(phase, w int)
 }
@@ -124,12 +124,12 @@ type Engine struct {
 // OVERLAYNET_SHARDS, then 1) and no nodes. run executes worker w's share
 // of one of the stack's own phases (see Each); seed keys the latency gate.
 func New(seed uint64, shards int, run func(phase, w int)) *Engine {
-	e := &Engine{seed: seed, shards: sim.DefaultShards(shards), run: run}
-	e.pool = sim.NewPool(e.shards)
+	e := &Engine{seed: seed, shards: defaultShards(shards), run: run}
+	e.pool = newPool(e.shards)
 	// The engine is reachable from itself through run, and an object in a
 	// cycle is never finalized; the guard has no way back.
-	e.guard = &struct{ *sim.Pool }{e.pool}
-	sim.FinalizePool(e.guard, e.pool)
+	e.guard = &struct{ *pool }{e.pool}
+	e.pool.finalize(e.guard)
 	e.cells = make([]cell, e.shards)
 	e.reqs = make([][]segment[asks], e.shards)
 	e.resps = make([][]answers, e.shards)
@@ -139,7 +139,7 @@ func New(seed uint64, shards int, run func(phase, w int)) *Engine {
 
 // Close releases the worker goroutines; the engine must not run a round
 // afterwards.
-func (e *Engine) Close() { e.pool.Close() }
+func (e *Engine) Close() { e.pool.close() }
 
 // Grow extends every slot-indexed structure to n node slots; new slots
 // belong to no committee.
@@ -254,7 +254,7 @@ func (e *Engine) Begin(blocked map[sim.NodeID]bool, members [][]sim.NodeID, vert
 	for w := range e.routed {
 		e.routed[w] = slices.Grow(e.routed[w][:0], len(members))[:len(members)]
 	}
-	e.pool.Run(e, phaseElect)
+	e.pool.run(e, phaseElect)
 	e.serial = false
 	if e.shards > 1 {
 		for _, ld := range e.Leaders {
@@ -323,7 +323,9 @@ func (e *Engine) Cell(w int) *Counters { return &e.cells[w].Counters }
 
 // Chunk returns worker w's contiguous share of [0, total). Worker order
 // is index order, which is what makes merging in worker order serial.
-func (e *Engine) Chunk(total, w int) (lo, hi int) { return sim.Chunk(total, e.shards, w) }
+func (e *Engine) Chunk(total, w int) (lo, hi int) {
+	return total * w / e.shards, total * (w + 1) / e.shards
+}
 
 // Each runs one of the stack's phases (>= 0) on every worker through the
 // run function given to New and returns when all are done. A worker may
@@ -332,15 +334,15 @@ func (e *Engine) Chunk(total, w int) (lo, hi int) { return sim.Chunk(total, e.sh
 func (e *Engine) Each(phase int) {
 	if e.serial {
 		for w := range e.cells {
-			e.RunShard(phase, w)
+			e.runShard(phase, w)
 		}
 		return
 	}
-	e.pool.Run(e, phase)
+	e.pool.run(e, phase)
 }
 
-// RunShard implements sim.ShardRunner.
-func (e *Engine) RunShard(phase, w int) {
+// runShard executes worker w's share of one phase.
+func (e *Engine) runShard(phase, w int) {
 	switch phase {
 	case phaseElect:
 		e.electRange(w)

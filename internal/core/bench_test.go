@@ -52,7 +52,7 @@ func BenchmarkEpochWithChurn1024(b *testing.B) {
 		return ms.HeapAlloc
 	}
 	base := live()
-	nw := NewNetwork(Config{Seed: 7, N0: 1024, D: 8, Alpha: 2, Epsilon: 1, Shards: 1})
+	nw := NewNetwork(Config{Seed: 7, N0: 1024, D: 8, Alpha: 2, Epsilon: 1})
 	defer nw.Shutdown()
 	r := rng.New(8)
 	var retained float64

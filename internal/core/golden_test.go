@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// epochTranscript runs a fixed churn schedule through a Network at the
-// given shard count and serializes everything observable: each epoch's
-// report and final-id list, plus the membership and per-member
-// neighborhoods after every epoch.
-func epochTranscript(shards int) string {
-	nw := NewNetwork(Config{Seed: 42, N0: 24, D: 6, Shards: shards})
+// epochTranscript runs a fixed churn schedule through a Network and
+// serializes everything observable: each epoch's report and final-id
+// list, plus the membership and per-member neighborhoods after every
+// epoch.
+func epochTranscript() string {
+	nw := NewNetwork(Config{Seed: 42, N0: 24, D: 6})
 	defer nw.Shutdown()
 	out := ""
 	schedule := []struct {
@@ -47,14 +47,12 @@ func epochTranscript(shards int) string {
 // coroutines and handlers, compared byte for byte by the test this one
 // replaces), so it stands for both — epoch reports, joiner id
 // assignments, membership and topology over four epochs of joins and
-// leaves — and every shard count must reproduce it.
+// leaves.
 func TestEpochTranscriptGolden(t *testing.T) {
 	const recorded = "a47f9af9811b177e"
-	for _, shards := range []int{1, 4} {
-		h := fnv.New64a()
-		h.Write([]byte(epochTranscript(shards)))
-		if got := fmt.Sprintf("%016x", h.Sum64()); got != recorded {
-			t.Errorf("shards=%d: transcript digest %s, recorded %s", shards, got, recorded)
-		}
+	h := fnv.New64a()
+	h.Write([]byte(epochTranscript()))
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != recorded {
+		t.Errorf("transcript digest %s, recorded %s", got, recorded)
 	}
 }

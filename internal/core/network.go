@@ -28,8 +28,8 @@ type Config struct {
 	Alpha float64
 	// Epsilon is the sampling budget slack (default 1).
 	Epsilon float64
-	// Shards is forwarded to sim.Config.Shards (intra-round simulator
-	// workers); the epoch traces are identical for any value.
+	// Shards is ignored: the kernel is serial. The field stays only
+	// until bench/ stops setting it (ROADMAP item 1(c)/(e)).
 	Shards int
 	// Latency is forwarded to sim.Config.Latency: the zero value keeps
 	// the synchronous round model; an enabled model runs the
@@ -69,9 +69,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.Epsilon < 0 {
 		return fmt.Errorf("core: epsilon %g must be positive", cfg.Epsilon)
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("core: shards %d must not be negative", cfg.Shards)
 	}
 	if err := cfg.Latency.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -251,11 +248,11 @@ type Network struct {
 
 // budgetWindow is one epoch's sampling-budget reconciliation window:
 // the sim-level message count of the sampling rounds and the budget
-// counter deltas over the same epoch.
+// tally over the same epoch.
 type budgetWindow struct {
 	epoch    int
 	messages int64 // RoundWork.Messages summed over the sampling rounds
-	snap     sampling.BudgetSnapshot
+	budget   sampling.BudgetStats
 	valid    bool
 }
 
@@ -351,24 +348,18 @@ func (nw *Network) checkBudget() []audit.Violation {
 		return nil
 	}
 	var out []audit.Violation
-	if batches := w.snap.ReqBatches + w.snap.RespBatches; w.messages != batches {
+	b := &w.budget
+	if batches := b.ReqBatches + b.RespBatches; w.messages != batches {
 		out = append(out, audit.Violation{Detail: fmt.Sprintf(
 			"epoch %d: sampling rounds carried %d messages but the protocol sent %d batches (%d req + %d resp)",
-			w.epoch, w.messages, batches, w.snap.ReqBatches, w.snap.RespBatches)})
+			w.epoch, w.messages, batches, b.ReqBatches, b.RespBatches)})
 	}
-	if !nw.faulty && w.snap.Served != w.snap.Issued {
+	if !nw.faulty && b.Served != b.Issued {
 		out = append(out, audit.Violation{Detail: fmt.Sprintf(
 			"epoch %d: issued %d but served %d (refused %d) with no faults injected",
-			w.epoch, w.snap.Issued, w.snap.Served, w.snap.Refused)})
+			w.epoch, b.Issued, b.Served, b.Refused)})
 	}
 	return out
-}
-
-// BudgetWindow returns the most recent epoch's sampling-budget window
-// (zero until an epoch has run under SetAudit).
-func (nw *Network) BudgetWindow() (epoch int, messages int64, snap sampling.BudgetSnapshot, ok bool) {
-	w := nw.lastWindow
-	return w.epoch, w.messages, w.snap, w.valid
 }
 
 // EpochRounds returns the number of communication rounds one epoch
@@ -399,7 +390,7 @@ func NewNetwork(cfg Config) *Network {
 	}
 	nw := &Network{
 		cfg:     cfg,
-		net:     sim.NewNetwork(sim.Config{Seed: cfg.Seed, Shards: cfg.Shards, Latency: cfg.Latency}),
+		net:     sim.NewNetwork(sim.Config{Seed: cfg.Seed, Latency: cfg.Latency}),
 		r:       rng.New(cfg.Seed ^ 0xabcdef0123456789),
 		slots:   make(map[int]*slot),
 		curSucc: make(map[int][]int32),
@@ -548,9 +539,8 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 		nw.spawnJoiner(id, j.Sponsor)
 	}
 
-	var budgetPre sampling.BudgetSnapshot
 	if nw.budget != nil {
-		budgetPre = nw.budget.Snapshot()
+		*nw.budget = sampling.BudgetStats{}
 	}
 	workStart := len(nw.net.Work())
 	// With a reliable layer the epoch's protocol rounds are stretched:
@@ -559,32 +549,18 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	// spread-free models, so legacy timing is untouched.
 	nw.net.Run(plan.rounds * nw.stretch)
 	if nw.budget != nil {
-		post := nw.budget.Snapshot()
-		w := budgetWindow{epoch: nw.epoch, valid: true}
-		w.snap = sampling.BudgetSnapshot{
-			Issued:      post.Issued - budgetPre.Issued,
-			Served:      post.Served - budgetPre.Served,
-			Refused:     post.Refused - budgetPre.Refused,
-			ReqBatches:  post.ReqBatches - budgetPre.ReqBatches,
-			RespBatches: post.RespBatches - budgetPre.RespBatches,
-		}
 		// Sampling occupies epoch rounds 2..2T+1 exclusively: hellos are
 		// round 1, placements round 2T+2, so the sim-level message count
-		// over those rounds is exactly the batch count.
-		work := nw.net.Work()
-		if nw.stretch > 1 {
-			// Stretched epochs interleave the sampling batches with empty
-			// carrier rounds and shift every phase's sim-round index; the
-			// per-round message window below no longer delimits the
-			// sampling sub-phase, so the reconciliation is skipped (the
-			// batch counters themselves are still tallied and audited).
-			w.valid = false
-		} else if end := workStart + 1 + 2*params.T(); end <= len(work) {
-			for _, rw := range work[workStart+1 : end] {
+		// over those rounds is exactly the batch count. Stretched epochs
+		// (stretch > 1) interleave the sampling batches with empty carrier
+		// rounds and shift every phase's sim-round index, so no round
+		// window delimits the sampling sub-phase: the window stays invalid
+		// and checkBudget audits nothing for the epoch.
+		w := budgetWindow{epoch: nw.epoch, budget: *nw.budget, valid: nw.stretch == 1}
+		if w.valid {
+			for _, rw := range nw.net.Work()[workStart+1 : workStart+1+2*params.T()] {
 				w.messages += int64(rw.Messages)
 			}
-		} else {
-			w.valid = false // work log disabled; nothing to reconcile
 		}
 		nw.lastWindow = w
 	}

@@ -28,11 +28,11 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). Any value yields identical tables: cells
 	// are seeded independently and merged in canonical order.
 	Procs int
-	// Shards is forwarded to sim.Config.Shards: the number of workers
-	// each simulated network uses inside a round (intra-round
-	// parallelism, orthogonal to Procs' across-cell parallelism). Zero
-	// defers to the OVERLAYNET_SHARDS environment variable, then 1.
-	// Any value yields byte-identical tables.
+	// Shards is the worker count of the §5/§6 committee engine inside a
+	// round (intra-round parallelism, orthogonal to Procs' across-cell
+	// parallelism); the sim kernel is serial. Zero defers to the
+	// OVERLAYNET_SHARDS environment variable, then 1. Any value yields
+	// byte-identical tables.
 	Shards int
 	// Latency is forwarded to sim.Config.Latency by the drivers that
 	// build sim-kernel networks (the sampling, churn, and scale
@@ -156,7 +156,7 @@ func All() []Experiment {
 		{"X2", "Extension (§6): permanent crash failures", X2CrashFailures},
 		{"X3", "Extension (§7.2): rapid sampling on k-ary hypercubes", X3KAryRapidSampling},
 		{"X4", "Extension (§7.2): the reconfigured k-ary hypercube network under DoS", X4KAryNetwork},
-		{"S1", "Scale: one simulated network at n up to 100k, sharded kernel", S1ScaleFlood},
+		{"S1", "Scale: one simulated network at n up to 100k, dense-slot kernel", S1ScaleFlood},
 		{"S2", "Scale: event-driven flood at n up to 1M, handler kernel", S2ScaleFloodEvent},
 		{"S3", "Scale: §5/§6 overlay stacks at n up to 1M, dense slots + sharded rounds", S3ScaleOverlay},
 		{"F1", "Audit: which invariants survive which fault rates (drop/dup/crash sweep)", F1FaultMatrix},

@@ -220,7 +220,7 @@ func X3KAryRapidSampling(o Options) *metrics.Table {
 	}
 	t.AddRows(mustRows(RunRows(o, len(cases), func(cell int) [][]string {
 		c := cases[cell]
-		p := sampling.KAryParams{K: c[0], Dim: c[1], Epsilon: 1, C: 2, Shards: o.Shards}
+		p := sampling.KAryParams{K: c[0], Dim: c[1], Epsilon: 1, C: 2}
 		res := sampling.RapidKAry(o.Seed^uint64(c[0]*100+c[1]), p)
 		n := 1
 		for i := 0; i < c[1]; i++ {

@@ -14,11 +14,10 @@ import (
 // TestTablesByteIdenticalWithMetricsAttached is the acceptance gate for
 // the always-on metrics pipeline: every table must render byte-for-byte
 // identically with the full observability stack attached (registry +
-// kernel metrics + flight recorder) and fully detached, at Shards=1 and
-// Shards=8. The driver set mirrors TestTablesByteIdenticalAcrossShards:
-// sampling primitives (E1), the reconfiguration network (E6), a
-// raw-kernel protocol (E14), and the scale sweeps (S1, S2 with its
-// wall-clock column masked).
+// kernel metrics + flight recorder) and fully detached. The drivers
+// cover the ways experiments reach the simulator: sampling primitives
+// (E1), the reconfiguration network (E6), a raw-kernel protocol (E14),
+// and the scale sweeps (S1, S2 with its wall-clock column masked).
 func TestTablesByteIdenticalWithMetricsAttached(t *testing.T) {
 	drivers := map[string]func(Options) *metrics.Table{
 		"E1":  E1RapidSamplingHGraph,
@@ -28,40 +27,32 @@ func TestTablesByteIdenticalWithMetricsAttached(t *testing.T) {
 		"S2":  func(o Options) *metrics.Table { return MaskWallClock(S2ScaleFloodEvent(o)) },
 	}
 	for name, run := range drivers {
-		render := func(attached bool, shards int) (string, *obs.Registry) {
-			o := Options{Seed: 42, Quick: true, Shards: shards}
-			var reg *obs.Registry
-			if attached {
-				reg = obs.NewRegistry(0)
-				o.Trace = trace.New().WithMetrics(reg).FlightRecorder(42, 0.05, 1024)
-			}
-			return run(o).String(), reg
+		base := run(Options{Seed: 42, Quick: true}).String()
+		reg := obs.NewRegistry(0)
+		o := Options{Seed: 42, Quick: true, Trace: trace.New().WithMetrics(reg).FlightRecorder(42, 0.05, 1024)}
+		if got := run(o).String(); got != base {
+			t.Errorf("%s: table differs with metrics attached:\n--- detached\n%s\n--- attached\n%s",
+				name, base, got)
 		}
-		base, _ := render(false, 1)
-		for _, shards := range []int{1, 8} {
-			got, reg := render(true, shards)
-			if got != base {
-				t.Errorf("%s: table differs with metrics attached (Shards=%d):\n--- detached\n%s\n--- attached\n%s",
-					name, shards, base, got)
-			}
-			// The attachment must not be a no-op either: every driver
-			// feeds the registry — kernel rounds where the tracer reaches
-			// the simulator (E6, S1, S2), sweep cells via the runner
-			// elsewhere (E1, E14).
-			snap := reg.FlatSnapshot()
-			if snap["overlaynet_rounds_total"] == 0 && snap["overlaynet_cells_total"] == 0 {
-				t.Errorf("%s: attached registry recorded neither rounds nor cells (Shards=%d)", name, shards)
-			}
+		// The attachment must not be a no-op either: every driver feeds
+		// the registry — kernel rounds where the tracer reaches the
+		// simulator (E6, S1, S2), sweep cells via the runner elsewhere
+		// (E1, E14).
+		snap := reg.FlatSnapshot()
+		if snap["overlaynet_rounds_total"] == 0 && snap["overlaynet_cells_total"] == 0 {
+			t.Errorf("%s: attached registry recorded neither rounds nor cells", name)
 		}
 	}
 }
 
 // TestArtifactMetricsDeterministic pins what a manifest may be diffed
 // on: the snapshot the artifacts carry is the same at any worker layout
-// on every series that is not wall-clock (the *_duration_us histograms
-// and the per-shard busy times). Four drivers share one recorder, run
-// one after another at Procs 1, Shards 1 and all at once at Procs 8,
-// Shards 4, audited and faulted so the violation and drop series move.
+// on every series that is not wall-clock (the *_duration_us
+// histograms). Four drivers share one recorder, run one after another
+// at Procs 1, Shards 1 and all at once at Procs 8, Shards 4, audited and
+// faulted so the violation and drop series move. Under -race this is
+// the kernel's concurrency coverage: concurrent cells, each stepping
+// its own networks, tracing into one Recorder.
 func TestArtifactMetricsDeterministic(t *testing.T) {
 	drivers := map[string]func(Options) *metrics.Table{
 		"E6": E6ReconfigChurn, "E7": E7CongestionSegments, "F1": F1FaultMatrix, "S1": S1ScaleFlood,
@@ -85,7 +76,7 @@ func TestArtifactMetricsDeterministic(t *testing.T) {
 		wg.Wait()
 		m := rec.Snapshot()
 		for series := range m {
-			if strings.Contains(series, "_duration_us") || strings.HasPrefix(series, "overlaynet_shard_") {
+			if strings.Contains(series, "_duration_us") {
 				delete(m, series)
 			}
 		}

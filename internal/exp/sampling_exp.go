@@ -17,7 +17,7 @@ import (
 // failure probability far below 1/n (Lemma 7) at every sweep size.
 func expParams(o Options, n int) sampling.HGraphParams {
 	return sampling.HGraphParams{N: n, D: 8, Alpha: 2, Epsilon: 1, C: 2,
-		Shards: o.Shards, Latency: o.Latency, Reliable: o.Reliable}
+		Latency: o.Latency, Reliable: o.Reliable}
 }
 
 // E1RapidSamplingHGraph measures Theorem 2's claims on ℍ-graphs:
@@ -67,7 +67,7 @@ func E3RapidSamplingHypercube(o Options) *metrics.Table {
 	dims := o.sizes([]int{4}, []int{2, 4, 8})
 	t.AddRows(mustRows(RunRows(o, len(dims), func(cell int) [][]string {
 		dim := dims[cell]
-		p := sampling.HypercubeParams{Dim: dim, Epsilon: 1, C: 2, Shards: o.Shards, Latency: o.Latency}
+		p := sampling.HypercubeParams{Dim: dim, Epsilon: 1, C: 2, Latency: o.Latency}
 		res := sampling.RapidHypercube(o.Seed^uint64(dim), p)
 		n := 1 << dim
 		tv, env := metrics.PooledTV(res.Samples, n)
@@ -179,7 +179,7 @@ func E14PointerDoubling(o Options) *metrics.Table {
 	ns := o.sizes([]int{64}, []int{64, 128, 256})
 	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
 		n := ns[cell]
-		rounds := pointerDoublingRounds(sim.NewNetwork(sim.Config{Seed: o.Seed, Shards: o.Shards}), n)
+		rounds := pointerDoublingRounds(sim.NewNetwork(sim.Config{Seed: o.Seed}), n)
 		return [][]string{metrics.Row(n, n/2, rounds, fmt.Sprintf("%.1f", math.Log2(float64(n/2))))}
 	})))
 	return t

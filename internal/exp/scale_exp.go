@@ -37,7 +37,7 @@ const floodFanout, floodRounds = 4, 8
 // runFlood is the cell S1 and S2 share: floodRounds rounds on one
 // network of n flood nodes (hint is sim.Config.SizeHint).
 func runFlood(o Options, n, hint int) floodWork {
-	net := sim.NewNetwork(sim.Config{Seed: cellSeed(o.Seed, uint64(n)), Shards: o.Shards, SizeHint: hint, Latency: o.Latency})
+	net := sim.NewNetwork(sim.Config{Seed: cellSeed(o.Seed, uint64(n)), SizeHint: hint, Latency: o.Latency})
 	if o.Trace != nil {
 		// Metrics-only and flight-recorder tracing keep the kernel's
 		// streaming-histogram path (no per-round percentile sort), so
@@ -74,20 +74,17 @@ func floodProgress(o Options, ncells int) {
 // ROADMAP's production-scale goal calls for (related reproductions of
 // dynamic overlays evaluate at hundreds of thousands of nodes). Every
 // node picks fanout random known targets per round, the regime the
-// kernel's dense-slot layout and sharded delivery are built for. All
-// reported columns are deterministic at a fixed seed — messages and
-// bits come from the simulator's work accounting, never from wall time
-// — so the table is byte-identical for any Procs and Shards setting;
-// Options.Shards only changes how fast the rounds run on a multi-core
-// machine.
+// kernel's dense-slot layout is built for. All reported columns are
+// deterministic at a fixed seed — messages and bits come from the
+// simulator's work accounting, never from wall time — so the table is
+// byte-identical for any Procs setting.
 func S1ScaleFlood(o Options) *metrics.Table {
 	t := metrics.NewTable(
 		"S1  Scale — flood rounds on a single network (fanout=4)",
 		"n", "rounds", "messages/round", "total Mbits", "max bits/node-round")
 	ns := o.sizes([]int{1000, 10000}, []int{10000, 100000})
-	// One network at a time: the cells here are memory-heavy and
-	// intra-round sharding is the axis under test, so the sweep runs
-	// serially regardless of Procs.
+	// One network at a time: the cells here are memory-heavy, so the
+	// sweep runs serially regardless of Procs.
 	for _, n := range ns {
 		w := runFlood(o, n, 0)
 		t.AddRowf(n, floodRounds, w.msgs/floodRounds, fmt.Sprintf("%.2f", float64(w.bits)/1e6), w.maxBits)
@@ -103,7 +100,7 @@ func S1ScaleFlood(o Options) *metrics.Table {
 // is total sent+received communication averaged over nodes and rounds);
 // the final column is the measured wall-clock round throughput of the
 // net.Run call, which varies by machine — regression tests comparing
-// tables across execution modes or shard counts mask it (see
+// tables across execution modes or -procs values mask it (see
 // MaskWallClock). When telemetry is attached, each size also records a
 // scale span (n, rounds/sec, bytes/node) so the perf trajectory of
 // every run lands in the trace and the benchtables manifest.
@@ -129,7 +126,7 @@ func S2ScaleFloodEvent(o Options) *metrics.Table {
 
 // MaskWallClock blanks every wall-clock column of a table (headers
 // containing "(wall)"), so renderings can be compared byte-for-byte
-// across machines, execution modes, and shard counts. It returns the
+// across machines, execution modes, and -procs values. It returns the
 // table for chaining and is a no-op on tables without such a column.
 func MaskWallClock(t *metrics.Table) *metrics.Table {
 	for i := 0; ; i++ {

@@ -8,21 +8,14 @@ import (
 )
 
 // TestTablesByteIdenticalAcrossShards is the experiment-level half of
-// the sharding determinism guarantee: rendered tables must be
+// the committee engine's determinism guarantee: rendered tables must be
 // byte-for-byte identical for Shards=1 and Shards=8, with and without
-// telemetry attached. The drivers chosen cover the three ways
-// experiments reach the simulator — the sampling primitives (E1), the
-// reconfiguration network (E6), a raw-kernel protocol (E14) — plus the
-// scale sweeps whose whole point is the sharded kernel (S1, and S2 with
-// its wall-clock column masked, since round throughput legitimately
-// varies with the worker count).
+// telemetry attached. Options.Shards reaches only the §5/§6 engine, so
+// the drivers are one per stack: §5 (E8) and §6 (E10).
 func TestTablesByteIdenticalAcrossShards(t *testing.T) {
 	drivers := map[string]func(Options) *metrics.Table{
-		"E1":  E1RapidSamplingHGraph,
-		"E6":  E6ReconfigChurn,
-		"E14": E14PointerDoubling,
-		"S1":  S1ScaleFlood,
-		"S2":  func(o Options) *metrics.Table { return MaskWallClock(S2ScaleFloodEvent(o)) },
+		"E8":  E8DoSConnectivity,
+		"E10": E10ChurnDoS,
 	}
 	for name, run := range drivers {
 		for _, traced := range []bool{false, true} {

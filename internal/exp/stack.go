@@ -86,7 +86,7 @@ func (o Options) envLocal(cell int, seed uint64, every int) env {
 // (d = 8, α = 2, ε = 1) under e.
 func newCore(e env, seed uint64, n int) *core.Network {
 	nw := core.NewNetwork(core.Config{Seed: seed, N0: n, D: 8, Alpha: 2, Epsilon: 1,
-		Shards: e.shards, Latency: e.latency, Reliable: e.reliable})
+		Latency: e.latency, Reliable: e.reliable})
 	nw.SetMetrics(e.metrics.StackMetrics("core"))
 	if e.trace != nil {
 		nw.SetTrace(e.trace, e.scope)

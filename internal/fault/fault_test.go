@@ -67,7 +67,7 @@ func TestParseSpecErrors(t *testing.T) {
 
 // TestInjectorPurity pins the determinism contract documented on
 // sim.Injector: re-evaluating the same message must give the same fate,
-// because under sharded execution two workers may both ask.
+// because the §5/§6 engine's workers ask in no fixed order.
 func TestInjectorPurity(t *testing.T) {
 	in := Spec{Seed: 7, Drop: 0.2, Dup: 0.1}.Injector()
 	for round := 0; round < 20; round++ {

@@ -9,7 +9,7 @@ import (
 // FuzzScheduleDerivation checks the pure-schedule contract on arbitrary
 // inputs: every per-message, per-epoch and per-round decision must be
 // in range, idempotent (the same query always returns the same answer —
-// the sharded kernel may evaluate a message on several workers), and
+// the §5/§6 engine's workers ask in no fixed order), and
 // consistent across the derived helpers. Nothing may panic.
 func FuzzScheduleDerivation(f *testing.F) {
 	f.Add(uint64(42), 0.01, 0.01, 0.5, 3, 10, 7, int64(12), uint64(5), uint64(9), int64(3))

@@ -10,9 +10,9 @@ import "overlaynet/internal/sim"
 // model on top.
 //
 // Like sim.Injector, every implementation MUST be a pure function of
-// its arguments: under sharded execution whichever worker owns the
-// target asks, and the answer must not depend on who asks or when for
-// results to stay byte-identical across -procs/-shards.
+// its arguments: under the engine's sharded rounds whichever worker
+// owns the target asks, and the answer must not depend on who asks or
+// when for results to stay byte-identical across -procs/-shards.
 //
 // The engine queues every generated message and, only when the Gate is
 // non-nil — injector, partition window, or latency deadline — walks the

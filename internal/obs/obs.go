@@ -39,8 +39,8 @@ import (
 )
 
 // MaxLanes bounds a registry's per-counter bank width; it matches the
-// simulator's shard cap (sim.maxShards) so one lane per shard worker is
-// always available.
+// committee engine's worker cap so one lane per worker is always
+// available.
 const MaxLanes = 64
 
 // DefaultLanes is the bank width used when NewRegistry is given 0: wide

@@ -35,7 +35,7 @@ func floodNet(tb testing.TB, n int, latSpec string, drop float64) (*sim.Network,
 	if err != nil {
 		tb.Fatal(err)
 	}
-	net := sim.NewNetwork(sim.Config{Seed: 1, Shards: 1, SizeHint: n, Latency: lat})
+	net := sim.NewNetwork(sim.Config{Seed: 1, SizeHint: n, Latency: lat})
 	if inj := (fault.Spec{Seed: 1, Drop: drop}).Injector(); inj != nil {
 		net.SetInjector(inj)
 	}

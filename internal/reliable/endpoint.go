@@ -80,7 +80,7 @@ type bufEntry struct {
 // All Endpoint state is touched only from the node's own OnRound call
 // and is ordered by message identity alone, so the shim adds no
 // scheduling nondeterminism: for a fixed seed the full message history
-// is identical at any -procs/-shards.
+// is identical at any -procs.
 type Endpoint struct {
 	inner   sim.Handler
 	cfg     Config

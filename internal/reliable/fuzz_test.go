@@ -157,7 +157,7 @@ func FuzzEndpointExactlyOnce(f *testing.F) {
 		nn, ns, np := int(n%8)+1, int(sends%6), int(phases%10)+1
 		cfg := Config{On: true, RTO: DefaultRTO, Backoff: DefaultBackoff, Budget: int(budget % 4), Stretch: int(stretch % 13)}
 		s := cfg.EffectiveStretch(lat)
-		net := sim.NewNetwork(sim.Config{Seed: seed, Shards: 1, Latency: lat})
+		net := sim.NewNetwork(sim.Config{Seed: seed, Latency: lat})
 		defer net.Shutdown()
 		fs := fault.Spec{Seed: seed, Drop: float64(drop) / 255, Dup: float64(dup) / 255}
 		if inj := fs.Injector(); inj != nil {

@@ -64,7 +64,7 @@ func (p *goldPasser) OnRound(ctx *sim.Ctx, _ []sim.Message) bool {
 // endpointTranscript runs the golden network and digests everything the
 // endpoint can influence: every inner handler's transcript, the work
 // log, the reliability totals and the deferred-message count.
-func endpointTranscript(t *testing.T, latSpec string, spec fault.Spec, shards int) uint64 {
+func endpointTranscript(t *testing.T, latSpec string, spec fault.Spec) uint64 {
 	t.Helper()
 	const n, phases, seed = 24, 30, 11
 	lat, err := sim.ParseLatency(latSpec)
@@ -73,7 +73,7 @@ func endpointTranscript(t *testing.T, latSpec string, spec fault.Spec, shards in
 	}
 	cfg := Config{On: true, RTO: DefaultRTO, Backoff: DefaultBackoff, Budget: 1}
 	stretch := cfg.EffectiveStretch(lat)
-	net := sim.NewNetwork(sim.Config{Seed: seed, Shards: shards, Latency: lat})
+	net := sim.NewNetwork(sim.Config{Seed: seed, Latency: lat})
 	spec.Seed = seed
 	net.SetInjector(spec.Injector())
 	nodes := make([]*goldNode, n)
@@ -112,10 +112,8 @@ func TestEndpointTranscriptGolden(t *testing.T) {
 		{"lognorm-drop", "lognorm:0,0.6", fault.Spec{Drop: 0.05}, 0xc663c0265746fae6},
 	}
 	for _, tc := range cases {
-		for _, shards := range []int{1, 4} {
-			if got := endpointTranscript(t, tc.lat, tc.spec, shards); got != tc.want {
-				t.Errorf("%s shards=%d: transcript digest %#016x, want %#016x", tc.name, shards, got, tc.want)
-			}
+		if got := endpointTranscript(t, tc.lat, tc.spec); got != tc.want {
+			t.Errorf("%s: transcript digest %#016x, want %#016x", tc.name, got, tc.want)
 		}
 	}
 }

@@ -7,9 +7,9 @@
 // Every timing decision — when attempt a+1 of a message fires if the
 // ack has not arrived — is a pure splitmix64 function of
 // (seed, round, src, dst, attempt), never a sequential RNG stream, so
-// runs stay byte-identical at any -procs/-shards and compose with the
+// runs stay byte-identical at any -procs and compose with the
 // internal/fault injectors: a dropped envelope is retransmitted on a
-// schedule every worker agrees on, and a fresh kernel send means a
+// fixed schedule, and a fresh kernel send means a
 // fresh fault and latency draw, which is exactly why retransmission
 // recovers what the synchronous model loses.
 //
@@ -236,8 +236,8 @@ func mix64(h uint64) uint64 {
 // base drawn from splitmix64(seed, round, src, dst, attempt). round is
 // the sim round of the original transmission, so the whole schedule is
 // fixed the moment the message is first sent: a pure function of the
-// message identity that every worker and shard agrees on, and that
-// desynchronizes retransmit storms without a shared RNG stream.
+// message identity that desynchronizes retransmit storms without a
+// shared RNG stream.
 func AttemptDelay(cfg Config, seed uint64, round int, src, dst uint64, attempt int) int {
 	base := cfg.RTO
 	for i := 0; i < attempt && base < maxAttemptDelay; i++ {

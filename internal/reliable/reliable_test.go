@@ -212,8 +212,8 @@ func runRing(t *testing.T, seed uint64, n, rounds, shards int, latSpec string, c
 // for the zero-spread CI check, in miniature.
 func TestZeroSpreadSilence(t *testing.T) {
 	for _, latSpec := range []string{"", "const:1"} {
-		legacy, lnet := runRing(t, 42, 8, 10, 1, latSpec, Config{}, fault.Spec{})
-		wrapped, wnet := runRing(t, 42, 8, 10, 1, latSpec, On(), fault.Spec{})
+		legacy, lnet := runRing(t, 42, 8, 10, 0, latSpec, Config{}, fault.Spec{})
+		wrapped, wnet := runRing(t, 42, 8, 10, 0, latSpec, On(), fault.Spec{})
 		rs := wnet.ReliabilityStats()
 		if rs.Retransmits != 0 || rs.Failures != 0 || rs.Stale != 0 {
 			t.Fatalf("lat %q: reliable layer not silent on perfect network: %+v", latSpec, rs)
@@ -254,8 +254,8 @@ func TestZeroSpreadSilence(t *testing.T) {
 func TestDropRecovery(t *testing.T) {
 	spec := fault.Spec{Seed: 7, Drop: 0.3}
 	cfg := Config{On: true, RTO: 3, Backoff: 2, Budget: 4, Stretch: 16}
-	legacy, _ := runRing(t, 42, 8, 10, 1, "const:1", Config{}, spec)
-	wrapped, wnet := runRing(t, 42, 8, 10, 1, "const:1", cfg, spec)
+	legacy, _ := runRing(t, 42, 8, 10, 0, "const:1", Config{}, spec)
+	wrapped, wnet := runRing(t, 42, 8, 10, 0, "const:1", cfg, spec)
 	lgot, wgot, sent, failed := 0, 0, 0, 0
 	for v := range legacy {
 		lgot += legacy[v].got
@@ -280,13 +280,14 @@ func TestDropRecovery(t *testing.T) {
 	}
 }
 
-// TestShardInvariance: the reliable layer's full observable output —
+// TestShardInvariance pins the ignored sim.Config.Shards (kept while
+// bench/ sets it) under the reliable layer: its full observable output —
 // work log including control-lane columns, reliability totals, and
-// protocol state — is identical at any shard count.
+// protocol state — at Shards: 4 equals the default's.
 func TestShardInvariance(t *testing.T) {
 	spec := fault.Spec{Seed: 7, Drop: 0.2}
 	cfg := Config{On: true, RTO: 3, Backoff: 2, Budget: 3, Stretch: 8}
-	base, bnet := runRing(t, 42, 16, 8, 1, "uniform:0.5,2.5", cfg, spec)
+	base, bnet := runRing(t, 42, 16, 8, 0, "uniform:0.5,2.5", cfg, spec)
 	shrd, snet := runRing(t, 42, 16, 8, 4, "uniform:0.5,2.5", cfg, spec)
 	if b, s := bnet.ReliabilityStats(), snet.ReliabilityStats(); b != s {
 		t.Fatalf("reliability totals diverge across shards: %+v vs %+v", b, s)
@@ -353,7 +354,7 @@ func TestDupNoDoubleCount(t *testing.T) {
 func TestDropStormBudgetCap(t *testing.T) {
 	spec := fault.Spec{Seed: 7, Drop: 1.0}
 	cfg := Config{On: true, RTO: 3, Backoff: 2, Budget: 3, Stretch: 8}
-	nodes, net := runRing(t, 42, 8, 6, 1, "const:1", cfg, spec)
+	nodes, net := runRing(t, 42, 8, 6, 0, "const:1", cfg, spec)
 	sent, failed := 0, 0
 	for v := range nodes {
 		if nodes[v].got != 0 {
@@ -379,7 +380,7 @@ func TestDropStormBudgetCap(t *testing.T) {
 // must be counted stale, never delivered twice.
 func TestStaleDiscard(t *testing.T) {
 	cfg := Config{On: true, RTO: 3, Backoff: 2, Budget: 2, Stretch: 1}
-	nodes, net := runRing(t, 42, 8, 12, 1, "uniform:0.5,3.5", cfg, fault.Spec{})
+	nodes, net := runRing(t, 42, 8, 12, 0, "uniform:0.5,3.5", cfg, fault.Spec{})
 	rs := net.ReliabilityStats()
 	if rs.Stale == 0 {
 		t.Fatal("wide spread at stretch 1 produced no stale arrivals")

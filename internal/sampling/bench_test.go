@@ -73,7 +73,7 @@ func BenchmarkSendRequests(b *testing.B) {
 					s.sendRequests(ctx, 2)
 				}
 			}
-			net := sim.NewNetwork(sim.Config{Seed: 1, Shards: 1})
+			net := sim.NewNetwork(sim.Config{Seed: 1})
 			net.DisableWorkLog()
 			net.SpawnHandler(1, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
 				request(ctx)

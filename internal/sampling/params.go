@@ -34,9 +34,8 @@ type HGraphParams struct {
 	// sampling on arbitrary regular graphs (RapidRegular), where the
 	// ℍ-graph mixing bound of Lemma 2 does not apply.
 	WalkOverride int
-	// Shards is passed to sim.Config.Shards: the number of workers the
-	// simulator uses inside each round. Any value yields identical
-	// samples (the kernel is deterministic for every shard count).
+	// Shards is ignored: the kernel is serial. The field stays only
+	// until bench/ stops setting it (ROADMAP item 1(c)/(e)).
 	Shards int
 	// Latency is passed to sim.Config.Latency: the zero value keeps the
 	// synchronous round model; an enabled model runs the sampler under
@@ -162,7 +161,7 @@ type HypercubeParams struct {
 	Dim     int     // hypercube dimension d (power of two)
 	Epsilon float64 // 0 < ε ≤ 1
 	C       float64 // c ≥ β
-	Shards  int     // sim.Config.Shards; results identical for any value
+	Shards  int     // ignored, like HGraphParams.Shards
 	// Latency is sim.Config.Latency: zero keeps the synchronous model
 	// (see HGraphParams.Latency).
 	Latency sim.Latency

@@ -109,7 +109,7 @@ func (nd *rapidNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 // multiplicity: p's fault injector, latency model and reliable
 // endpoints are attached here, so every caller gets them.
 func rapidWalks(seed uint64, n int, p HGraphParams, neighbors func(v int) []int) *RapidResult {
-	net := newNetwork(sim.Config{Seed: seed, Shards: p.Shards, Latency: p.Latency})
+	net := newNetwork(sim.Config{Seed: seed, Latency: p.Latency})
 	if inj := p.Faults.Injector(); inj != nil {
 		net.SetInjector(inj)
 	}

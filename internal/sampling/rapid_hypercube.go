@@ -42,7 +42,7 @@ func RapidHypercube(seed uint64, p HypercubeParams) *RapidResult {
 		}
 		return int32(u)
 	}
-	cfg := sim.Config{Seed: seed, Shards: p.Shards, Latency: p.Latency}
+	cfg := sim.Config{Seed: seed, Latency: p.Latency}
 	return rapidCube(cfg, hypercube.N(p.Dim), p.Dim, p.M, fill)
 }
 

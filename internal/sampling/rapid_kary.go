@@ -17,7 +17,7 @@ type KAryParams struct {
 	K, Dim  int
 	Epsilon float64 // 0 < ε ≤ 1
 	C       float64 // c ≥ β
-	Shards  int     // sim.Config.Shards; results identical for any value
+	Shards  int     // ignored, like HGraphParams.Shards
 }
 
 // DefaultKAryParams returns ε = 1, c = 1.
@@ -82,5 +82,5 @@ func RapidKAry(seed uint64, p KAryParams) *RapidResult {
 	fill := func(r *rng.RNG, u, j int) int32 {
 		return int32(cube.WithCoord(u, j-1, r.Intn(p.K)))
 	}
-	return rapidCube(sim.Config{Seed: seed, Shards: p.Shards}, cube.N(), p.Dim, p.M, fill)
+	return rapidCube(sim.Config{Seed: seed}, cube.N(), p.Dim, p.M, fill)
 }

@@ -67,7 +67,7 @@ func (s *referenceSampler) extract(ctx *sim.Ctx) int32 {
 			*s.fail++
 		}
 		if s.stats != nil {
-			s.stats.Refused.Add(1)
+			s.stats.Refused++
 		}
 		return int32(s.self)
 	}
@@ -83,7 +83,7 @@ func (s *referenceSampler) sendRequests(ctx *sim.Ctx, i int) {
 		targets[j] = s.extract(ctx)
 	}
 	if s.stats != nil {
-		s.stats.Issued.Add(int64(mi))
+		s.stats.Issued += int64(mi)
 	}
 	sort.Slice(targets, func(a, b int) bool { return targets[a] < targets[b] })
 	for j := 0; j < mi; {
@@ -94,7 +94,7 @@ func (s *referenceSampler) sendRequests(ctx *sim.Ctx, i int) {
 		count := k - j
 		ctx.Send(s.idOf(int(targets[j])), reqBatch{Count: int32(count)}, count*s.idBits)
 		if s.stats != nil {
-			s.stats.ReqBatches.Add(1)
+			s.stats.ReqBatches++
 		}
 		j = k
 	}
@@ -125,8 +125,8 @@ func (s *referenceSampler) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOthe
 			}
 			ctx.Send(m.From, respBatch{IDs: ids}, len(ids)*s.idBits)
 			if s.stats != nil {
-				s.stats.Served.Add(int64(rb.Count))
-				s.stats.RespBatches.Add(1)
+				s.stats.Served += int64(rb.Count)
+				s.stats.RespBatches++
 			}
 		}
 		return false
@@ -193,7 +193,7 @@ type diffRun struct {
 	Samples  [][]int
 	Failures []int
 	NextRNG  []uint64 // per node: ctx.RNG().Uint64() right after completion
-	Budget   BudgetSnapshot
+	Budget   BudgetStats
 	Work     []sim.RoundWork
 	Rel      sim.ReliabilityTotals
 }
@@ -329,7 +329,7 @@ func (c *diffCase) vertexOf(v int) int {
 func (c *diffCase) run(seed uint64, mk func() nodeSampler) *diffRun {
 	n, p := c.n, c.p
 	h := hgraph.Random(rng.New(seed), n, p.D)
-	net := sim.NewNetwork(sim.Config{Seed: seed, Shards: p.Shards, Latency: p.Latency})
+	net := sim.NewNetwork(sim.Config{Seed: seed, Latency: p.Latency})
 	if inj := p.Faults.Injector(); inj != nil {
 		net.SetInjector(inj)
 	}
@@ -358,7 +358,7 @@ func (c *diffCase) run(seed uint64, mk func() nodeSampler) *diffRun {
 	}
 	net.Run(reliable.StretchedRounds(p.Rounds(), stretch))
 	net.Shutdown()
-	out.Budget = stats.Snapshot()
+	out.Budget = *stats
 	out.Work = net.Work()
 	out.Rel = net.ReliabilityStats()
 	return out
@@ -404,14 +404,14 @@ func diffCases(t *testing.T) []diffCase {
 	}
 }
 
-// matchReference runs the case through HGraphSampler, at one shard and
-// at four, and through the frozen referenceSampler and requires the
-// executions to be indistinguishable: same inbox transcript at every
-// node and round, same samples, failures, budget tally, work log, and the
-// same generator state afterwards. It returns the reference run.
+// matchReference runs the case through HGraphSampler and through the
+// frozen referenceSampler and requires the executions to be
+// indistinguishable: same inbox transcript at every node and round,
+// same samples, failures, budget tally, work log, and the same
+// generator state afterwards. It returns the reference run. The
+// shards=4 subtest sets the ignored HGraphParams.Shards, pinning that
+// it changes nothing while bench/ still sets it.
 func matchReference(t *testing.T, seed uint64, c diffCase) *diffRun {
-	// The kernel is shard-invariant, so one reference run serves both
-	// shard counts.
 	want := c.run(seed, func() nodeSampler { return &referenceSampler{} })
 	for _, shards := range []int{1, 4} {
 		c := c

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"overlaynet/internal/sim"
 )
@@ -74,7 +73,7 @@ func (s *HGraphSampler) refuse(n int) {
 		*s.fail += n
 	}
 	if s.stats != nil {
-		s.stats.Refused.Add(int64(n))
+		s.stats.Refused += int64(n)
 	}
 }
 
@@ -134,8 +133,8 @@ func (s *HGraphSampler) requestNeighbors(ctx *sim.Ctx) {
 		}
 	}
 	if s.stats != nil {
-		s.stats.Issued.Add(int64(m1))
-		s.stats.ReqBatches.Add(int64(batches))
+		s.stats.Issued += int64(m1)
+		s.stats.ReqBatches += int64(batches)
 	}
 }
 
@@ -190,8 +189,8 @@ func (s *HGraphSampler) sendRequests(ctx *sim.Ctx, i int) {
 		j = k
 	}
 	if s.stats != nil {
-		s.stats.Issued.Add(int64(mi))
-		s.stats.ReqBatches.Add(int64(batches))
+		s.stats.Issued += int64(mi)
+		s.stats.ReqBatches += int64(batches)
 	}
 }
 
@@ -263,8 +262,8 @@ func (s *HGraphSampler) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOther f
 			ctx.Send(m.From, resp, n*s.idBits)
 		}
 		if s.stats != nil {
-			s.stats.Served.Add(int64(total))
-			s.stats.RespBatches.Add(int64(batches))
+			s.stats.Served += int64(total)
+			s.stats.RespBatches += int64(batches)
 		}
 		return false
 	}
@@ -314,26 +313,10 @@ func (s *HGraphSampler) Samples() []int {
 // Refused counts extraction fallbacks where an empty multiset forced a
 // node to substitute itself. ReqBatches/RespBatches count the Send
 // calls, which reconcile against the RoundWork message totals of the
-// sampling rounds. Fields are atomic because every node of a network
-// shares one BudgetStats and handlers run concurrently on shard workers.
+// sampling rounds. Every node of a network shares one BudgetStats; the
+// kernel runs handlers one at a time, so plain fields suffice, and a
+// copy is a snapshot.
 type BudgetStats struct {
-	Issued, Served, Refused atomic.Int64
-	ReqBatches, RespBatches atomic.Int64
-}
-
-// BudgetSnapshot is a plain-value copy of BudgetStats.
-type BudgetSnapshot struct {
-	Issued, Served, Refused, ReqBatches, RespBatches int64
-}
-
-// Snapshot reads the counters; call it only between rounds (the driver
-// side), when no node is mutating them.
-func (b *BudgetStats) Snapshot() BudgetSnapshot {
-	return BudgetSnapshot{
-		Issued:      b.Issued.Load(),
-		Served:      b.Served.Load(),
-		Refused:     b.Refused.Load(),
-		ReqBatches:  b.ReqBatches.Load(),
-		RespBatches: b.RespBatches.Load(),
-	}
+	Issued, Served, Refused int64
+	ReqBatches, RespBatches int64
 }

@@ -47,7 +47,7 @@ func (a *procAdapter) OnRound(ctx *Ctx, inbox []Message) bool {
 		a.yield = make(chan bool, 1)
 		a.done = make(chan struct{})
 		ctx.adapter = a
-		a.net.adapterLive.Add(1)
+		a.net.adapterLive++
 		go a.run(ctx)
 	}
 	a.resume <- inbox
@@ -118,5 +118,5 @@ func (a *procAdapter) stop() {
 func (a *procAdapter) retire() {
 	<-a.done
 	a.state = adapterDone
-	a.net.adapterLive.Add(-1)
+	a.net.adapterLive--
 }

@@ -66,8 +66,8 @@ func (h *randomFloodHandler) OnRound(ctx *Ctx, _ []Message) bool {
 // floodHandlerNet is floodNet with event-driven handler nodes: same
 // deterministic send pattern, but no goroutine, channel pair, or stack
 // per node.
-func floodHandlerNet(n, fanout, shards int) *Network {
-	net := NewNetwork(Config{Seed: 1, Shards: shards, SizeHint: n})
+func floodHandlerNet(n, fanout int) *Network {
+	net := NewNetwork(Config{Seed: 1, SizeHint: n})
 	h := &floodBenchHandler{n: n, fanout: fanout, payload: any(0)}
 	for i := 0; i < n; i++ {
 		net.SpawnHandler(NodeID(i+1), h)
@@ -144,7 +144,7 @@ func BenchmarkStep(b *testing.B) {
 					})
 				}
 			case bc.handler:
-				net = floodHandlerNet(bc.n, bc.fanout, 0)
+				net = floodHandlerNet(bc.n, bc.fanout)
 			default:
 				net = floodNet(bc.n, bc.fanout)
 			}
@@ -168,29 +168,6 @@ func BenchmarkStep(b *testing.B) {
 					b.ReportMetric(mb, "peakRSS-MB")
 				}
 			}
-			net.Shutdown()
-		})
-	}
-}
-
-// BenchmarkStepSharded measures the sharded intra-round delivery path
-// on the n=100k handler flood across worker counts. Results are
-// byte-identical for every shard count (pinned by
-// TestWorkLogByteIdentityAcrossShards); only wall time may differ, and
-// only on multi-core machines — on a single core the extra log scans
-// make sharding a net loss, which is why Shards defaults to 1.
-func BenchmarkStepSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("flood/n=100k/shards=%d", shards), func(b *testing.B) {
-			net := floodHandlerNet(100000, 4, shards)
-			net.DisableWorkLog()
-			net.Run(2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.Step()
-			}
-			b.StopTimer()
 			net.Shutdown()
 		})
 	}

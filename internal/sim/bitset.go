@@ -10,9 +10,10 @@ import "math/bits"
 // why the type is exported.
 //
 // Concurrency contract: all writes happen on the driver goroutine
-// between rounds (SetBlocked, Kill, slot reap); reads from node
-// goroutines and shard workers are ordered after those writes by the
-// resume-channel and worker-wakeup edges, so no atomics are needed.
+// between rounds (SetBlocked, Kill, slot reap); reads from coroutine
+// goroutines and the §5/§6 engine's workers are ordered after those
+// writes by the resume-channel and worker-wakeup edges, so no atomics
+// are needed.
 type Bitset []uint64
 
 // Test reports whether bit i is set. i must be < the grown capacity.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 )
@@ -20,10 +19,10 @@ func (n *Network) indexed() int {
 }
 
 // inboxOf returns the pending inbox of a live node: its range of the
-// arena of the worker that filled it.
+// arena.
 func (n *Network) inboxOf(id NodeID) []Message {
 	st := &n.slots[n.slotOf(id)]
-	return n.mail[st.inW].arena[st.inLo:st.inHi]
+	return n.mail.arena[st.inLo:st.inHi]
 }
 
 // stalePayloads counts payload references the delivery state holds
@@ -31,33 +30,27 @@ func (n *Network) inboxOf(id NodeID) []Message {
 // scratch box, up to capacity.
 func (n *Network) stalePayloads() int {
 	k := 0
-	for w := range n.mail {
-		mb := &n.mail[w]
-		for _, e := range mb.log[len(mb.log):cap(mb.log)] {
-			if e.m.Payload != nil {
-				k++
-			}
+	mb := &n.mail
+	for _, e := range mb.log[len(mb.log):cap(mb.log)] {
+		if e.m.Payload != nil {
+			k++
 		}
-		for _, box := range [][]Message{mb.arena, mb.box} {
-			for _, m := range box[len(box):cap(box)] {
-				if m.Payload != nil {
-					k++
-				}
+	}
+	for _, box := range [][]Message{mb.arena, mb.box} {
+		for _, m := range box[len(box):cap(box)] {
+			if m.Payload != nil {
+				k++
 			}
 		}
 	}
 	return k
 }
 
-// bufferSizes returns the length and the capacity of every worker's
-// send log and inbox arena, in worker order (log, arena, log, ...).
+// bufferSizes returns the length and the capacity of the send log and
+// the inbox arena, in that order.
 func (n *Network) bufferSizes() (lens, caps []int) {
-	for w := range n.mail {
-		mb := &n.mail[w]
-		lens = append(lens, len(mb.log), len(mb.arena))
-		caps = append(caps, cap(mb.log), cap(mb.arena))
-	}
-	return lens, caps
+	mb := &n.mail
+	return []int{len(mb.log), len(mb.arena)}, []int{cap(mb.log), cap(mb.arena)}
 }
 
 // burst sends k messages to each of the given ids in the rounds listed,
@@ -136,10 +129,8 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 		if net.NumAlive() != 0 || net.indexed() != 0 {
 			t.Fatalf("%s: after shutdown alive=%d indexed=%d, want 0/0", lat, net.NumAlive(), net.indexed())
 		}
-		for w := range net.mail {
-			if mb := &net.mail[w]; mb.log != nil || mb.arena != nil || mb.box != nil {
-				t.Fatalf("%s: Shutdown kept worker %d's log/arena", lat, w)
-			}
+		if mb := &net.mail; mb.log != nil || mb.arena != nil || mb.box != nil {
+			t.Fatalf("%s: Shutdown kept the log/arena", lat)
 		}
 		for s := range net.slots {
 			st := &net.slots[s]
@@ -192,13 +183,10 @@ func TestKilledNodeBuffersReleased(t *testing.T) {
 // TestInboxBufferReuse pins the property the benchmarks rely on: in
 // steady state the send logs and inbox arenas are overwritten in place —
 // their capacity does not move and a round allocates nothing — on the
-// serial, sharded and calendar paths alike.
+// synchronous and calendar paths alike.
 func TestInboxBufferReuse(t *testing.T) {
-	for _, tc := range []struct {
-		shards int
-		lat    Latency
-	}{{1, Latency{}}, {3, Latency{}}, {1, Latency{Kind: LatencyConst, A: 1}}} {
-		net := NewNetwork(Config{Seed: 3, Shards: tc.shards, Latency: tc.lat})
+	for _, lat := range []Latency{{}, {Kind: LatencyConst, A: 1}} {
+		net := NewNetwork(Config{Seed: 3, Latency: lat})
 		for v := 0; v < 64; v++ {
 			net.SpawnHandler(NodeID(v+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
 				for j := 0; j < 3; j++ {
@@ -210,14 +198,14 @@ func TestInboxBufferReuse(t *testing.T) {
 		net.DisableWorkLog()
 		net.Run(3) // reach the steady state
 		_, before := net.bufferSizes()
-		if before[0] == 0 || !tc.lat.Enabled() && before[1] == 0 {
-			t.Fatalf("shards=%d %v: log/arena never populated: %v", tc.shards, tc.lat, before)
+		if before[0] == 0 || !lat.Enabled() && before[1] == 0 {
+			t.Fatalf("%v: log/arena never populated: %v", lat, before)
 		}
 		if allocs := testing.AllocsPerRun(32, net.Step); allocs != 0 {
-			t.Errorf("shards=%d %v: %v allocs per steady round, want 0", tc.shards, tc.lat, allocs)
+			t.Errorf("%v: %v allocs per steady round, want 0", lat, allocs)
 		}
 		if _, after := net.bufferSizes(); !slices.Equal(before, after) {
-			t.Errorf("shards=%d %v: log/arena capacities moved: %v -> %v", tc.shards, tc.lat, before, after)
+			t.Errorf("%v: log/arena capacities moved: %v -> %v", lat, before, after)
 		}
 		net.Shutdown()
 	}
@@ -229,9 +217,9 @@ func TestInboxBufferReuse(t *testing.T) {
 // fanout 1 every node receives exactly one message, from a known
 // sender: such inboxes are checked, and bad[v] counts node v's wrong
 // ones.
-func pulseNet(shards int, lat Latency, fanout func(round int) int, bad *[64]int) *Network {
+func pulseNet(lat Latency, fanout func(round int) int, bad *[64]int) *Network {
 	const nodes = 64
-	net := NewNetwork(Config{Seed: 4, Shards: shards, Latency: lat})
+	net := NewNetwork(Config{Seed: 4, Latency: lat})
 	for v := 0; v < nodes; v++ {
 		net.SpawnHandler(NodeID(v+1), HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
 			r := ctx.Round()
@@ -256,8 +244,8 @@ func pulseNet(shards int, lat Latency, fanout func(round int) int, bad *[64]int)
 }
 
 // TestBuffersReleaseAfterQuietRounds pins the release rule on the
-// serial and sharded paths: after one burst round the send logs and
-// inbox arenas keep the burst's capacity through trimRounds-1 light
+// synchronous path: after one burst round the send log and the inbox
+// arena keep the burst's capacity through trimRounds-1 light
 // rounds, the next light round shrinks them to at most twice the
 // window's highest length without moving a pending message, and the
 // released sizes then hold. The calendar path keeps its log. The
@@ -271,16 +259,10 @@ func TestBuffersReleaseAfterQuietRounds(t *testing.T) {
 		}
 		return 1
 	}
-	for _, tc := range []struct {
-		shards int
-		lat    Latency
-	}{
-		{1, Latency{}}, {3, Latency{}},
-		{1, Latency{Kind: LatencyConst, A: 1}}, {3, Latency{Kind: LatencyConst, A: 1}},
-	} {
-		name := fmt.Sprintf("shards=%d %v", tc.shards, tc.lat)
+	for _, lat := range []Latency{{}, {Kind: LatencyConst, A: 1}} {
+		name := lat.String()
 		var bad [64]int
-		net := pulseNet(tc.shards, tc.lat, burstThenLight, &bad)
+		net := pulseNet(lat, burstThenLight, &bad)
 		net.Step() // the burst
 		_, burst := net.bufferSizes()
 		high := make([]int, len(burst))
@@ -296,7 +278,7 @@ func TestBuffersReleaseAfterQuietRounds(t *testing.T) {
 		}
 		net.Step() // the window's last round, as light as the others
 		_, released := net.bufferSizes()
-		if tc.lat.Enabled() {
+		if lat.Enabled() {
 			if !slices.Equal(released, burst) {
 				t.Errorf("%s: the calendar path released its buffers: %v -> %v", name, burst, released)
 			}
@@ -328,7 +310,7 @@ func TestBuffersReleaseAfterQuietRounds(t *testing.T) {
 		}
 		net.Shutdown()
 
-		net = pulseNet(tc.shards, tc.lat, func(r int) int { return 4 + 28*(r%2) }, &bad)
+		net = pulseNet(lat, func(r int) int { return 4 + 28*(r%2) }, &bad)
 		net.Step()
 		_, first := net.bufferSizes()
 		for r := 2; r <= 64; r++ {

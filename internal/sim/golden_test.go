@@ -97,8 +97,7 @@ func (goldenInjector) Deliveries(round int, from, to NodeID, seq uint64) int {
 	return 1
 }
 
-// goldenTracer folds every deterministic tracer call into the digest
-// (it does not implement ShardObserver: wall times are not transcript).
+// goldenTracer folds every tracer call into the digest.
 type goldenTracer struct{ h hash.Hash64 }
 
 func (t goldenTracer) RoundStart(round, alive, blocked int) {
@@ -132,9 +131,9 @@ func (t goldenTracer) RoundReliability(round int, stats ReliabilityRoundStats) {
 // node sends goldenBurst more messages in the heavy rounds. It also
 // returns how many times a send log or inbox arena lost capacity at the
 // end of a round that left inboxes pending.
-func deliveryTranscript(lat Latency, shards int, heavy map[int]bool) (digest uint64, releases int) {
+func deliveryTranscript(lat Latency, heavy map[int]bool) (digest uint64, releases int) {
 	h := fnv.New64a()
-	net := NewNetwork(Config{Seed: 99, Shards: shards, Latency: lat})
+	net := NewNetwork(Config{Seed: 99, Latency: lat})
 	net.SetTracer(goldenTracer{h})
 	net.SetInjector(goldenInjector{})
 	drv := rng.New(7)
@@ -248,14 +247,12 @@ func TestDeliveryTranscriptGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 4} {
-			got, releases := deliveryTranscript(lat, shards, tc.heavy)
-			if got != tc.want {
-				t.Errorf("%s burst=%v shards=%d: transcript digest %#x, want %#x", tc.lat, tc.heavy != nil, shards, got, tc.want)
-			}
-			if tc.heavy != nil && !lat.Enabled() && releases == 0 {
-				t.Errorf("%s shards=%d: no buffer was released with inboxes pending", tc.lat, shards)
-			}
+		got, releases := deliveryTranscript(lat, tc.heavy)
+		if got != tc.want {
+			t.Errorf("%s burst=%v: transcript digest %#x, want %#x", tc.lat, tc.heavy != nil, got, tc.want)
+		}
+		if tc.heavy != nil && !lat.Enabled() && releases == 0 {
+			t.Errorf("%s: no buffer was released with inboxes pending", tc.lat)
 		}
 	}
 }

@@ -3,54 +3,111 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 )
+
+// churnScenario drives a network built from cfg through a workload
+// that exercises every kernel path at once — fan-out sends, blocked
+// senders and receivers, departures, kills, and late spawns — with its
+// programs as handler nodes called inline by the kernel, or as the same
+// programs in blocking-coroutine form behind the adapter. Both perform
+// identical randomness draws and sends. It returns the work log plus
+// the tracer's view (nil tracer ⇒ nil stats).
+func churnScenario(cfg Config, traced, handler bool) ([]RoundWork, *countingTracer) {
+	net := NewNetwork(cfg)
+	var tr *countingTracer
+	if traced {
+		tr = &countingTracer{}
+		net.SetTracer(tr)
+	}
+	const n = 64
+	spawn := func(i int) {
+		idx := i
+		round := func(ctx *Ctx) {
+			k := int(ctx.RNG().Intn(5))
+			for j := 0; j < k; j++ {
+				// Some targets are dead or not yet spawned on purpose.
+				ctx.Send(NodeID((idx*3+j*11)%(n+8)+1), j, 16+j)
+			}
+		}
+		if handler {
+			net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+				round(ctx)
+				return true
+			}))
+			return
+		}
+		net.Spawn(NodeID(i+1), func(ctx *Ctx) {
+			for {
+				round(ctx)
+				ctx.NextRound()
+			}
+		})
+	}
+	for i := 0; i < n; i++ {
+		spawn(i)
+	}
+	for r := 0; r < 12; r++ {
+		switch r {
+		case 2:
+			net.SetBlocked(map[NodeID]bool{3: true, 17: true, 40: true})
+		case 4:
+			net.Kill(5)
+			net.Kill(23)
+		case 5:
+			spawn(n + 1)
+			net.SetBlocked(map[NodeID]bool{NodeID(n + 2): true, 9: true})
+		case 8:
+			net.Kill(1)
+			spawn(n + 4)
+		}
+		net.Step()
+	}
+	net.Shutdown()
+	return net.Work(), tr
+}
+
+// sameRun fails unless two churnScenario results are byte-identical:
+// the serialized work logs and, when traced, every tracer count and
+// round stat.
+func sameRun(t *testing.T, label string, aw, bw []RoundWork, at, bt *countingTracer) {
+	t.Helper()
+	a, err := json.Marshal(aw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(bw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("%s: Work() logs differ:\n%s\n%s", label, a, b)
+	}
+	if at == nil {
+		return
+	}
+	if at.drops != bt.drops {
+		t.Fatalf("%s: drop counters differ: %v vs %v", label, at.drops, bt.drops)
+	}
+	if at.rounds != bt.rounds || at.spawns != bt.spawns || at.kills != bt.kills || at.blocks != bt.blocks {
+		t.Fatalf("%s: lifecycle counters differ", label)
+	}
+	if !slices.Equal(at.stats, bt.stats) {
+		t.Fatalf("%s: round stats differ:\n%+v\n%+v", label, at.stats, bt.stats)
+	}
+}
 
 // TestWorkLogByteIdenticalAcrossModes is the execution-mode half of the
 // determinism guarantee: the same programs run as event-driven handlers
 // and as blocking coroutines behind the adapter must produce
-// byte-identical Work() logs and tracer views, at every shard count.
-// Together with TestWorkLogByteIdentityAcrossShards this pins the full
-// {mode} × {shards} matrix to one canonical trace.
+// byte-identical Work() logs and tracer views.
 func TestWorkLogByteIdenticalAcrossModes(t *testing.T) {
 	for _, traced := range []bool{false, true} {
-		for _, shards := range []int{1, 4} {
-			adapterWork, adapterTr := churnScenarioMode(shards, traced, false)
-			handlerWork, handlerTr := churnScenarioMode(shards, traced, true)
-			a, err := json.Marshal(adapterWork)
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := json.Marshal(handlerWork)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, h) {
-				t.Fatalf("traced=%v shards=%d: Work() log differs between coroutine and handler modes:\n--- coroutine\n%s\n--- handler\n%s",
-					traced, shards, a, h)
-			}
-			if !traced {
-				continue
-			}
-			if adapterTr.drops != handlerTr.drops {
-				t.Fatalf("shards=%d: drop counters differ between modes: %v vs %v",
-					shards, adapterTr.drops, handlerTr.drops)
-			}
-			if adapterTr.rounds != handlerTr.rounds || adapterTr.spawns != handlerTr.spawns ||
-				adapterTr.kills != handlerTr.kills || adapterTr.blocks != handlerTr.blocks {
-				t.Fatalf("shards=%d: lifecycle counters differ between modes", shards)
-			}
-			if len(adapterTr.stats) != len(handlerTr.stats) {
-				t.Fatalf("shards=%d: round stats length differs: %d vs %d",
-					shards, len(adapterTr.stats), len(handlerTr.stats))
-			}
-			for i := range adapterTr.stats {
-				if adapterTr.stats[i] != handlerTr.stats[i] {
-					t.Fatalf("shards=%d round %d: stats differ between modes:\n%+v\n%+v",
-						shards, i+1, adapterTr.stats[i], handlerTr.stats[i])
-				}
-			}
-		}
+		adapterWork, adapterTr := churnScenario(Config{Seed: 42}, traced, false)
+		handlerWork, handlerTr := churnScenario(Config{Seed: 42}, traced, true)
+		sameRun(t, fmt.Sprintf("coroutine vs handler, traced=%v", traced), adapterWork, handlerWork, adapterTr, handlerTr)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // nodes: targets include live, departed and not-yet-spawned indices.
 // It returns the delivery transcript with ids mapped back to indices
 // (so two namings can be compared) and the network, shut down.
-func indexScenario(idOf func(v int) NodeID, shards int) ([]string, *Network) {
-	net := NewNetwork(Config{Seed: 11, Shards: shards})
+func indexScenario(idOf func(v int) NodeID) ([]string, *Network) {
+	net := NewNetwork(Config{Seed: 11})
 	vOf := map[NodeID]int{} // grows between rounds only; nodes read it
 	var lines [][]string    // one transcript line per node per round, by index
 	next := 0
@@ -58,7 +58,7 @@ func indexScenario(idOf func(v int) NodeID, shards int) ([]string, *Network) {
 // TestIDResolutionPathsAgree runs the same scenario with ids the dense
 // table holds (v+1), ids only the overflow map can hold, and a mix of
 // both in one network: transcripts (modulo the renaming) and work logs
-// must be identical, serially and sharded.
+// must be identical.
 func TestIDResolutionPathsAgree(t *testing.T) {
 	dense := func(v int) NodeID { return NodeID(v + 1) }
 	sparse := func(v int) NodeID { return 1<<40 + 977*NodeID(v) }
@@ -68,7 +68,7 @@ func TestIDResolutionPathsAgree(t *testing.T) {
 		}
 		return sparse(v)
 	}
-	want, ref := indexScenario(dense, 1)
+	want, ref := indexScenario(dense)
 	if len(ref.sparse) != 0 {
 		t.Fatalf("ids v+1 put %d entries in the overflow map", len(ref.sparse))
 	}
@@ -76,20 +76,18 @@ func TestIDResolutionPathsAgree(t *testing.T) {
 		t.Fatalf("transcript has only %d lines", len(want))
 	}
 	for name, idOf := range map[string]func(int) NodeID{"dense": dense, "sparse": sparse, "mixed": mixed} {
-		for _, shards := range []int{1, 4} {
-			got, net := indexScenario(idOf, shards)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s ids, shards=%d: transcript differs from the dense serial run", name, shards)
-			}
-			if !reflect.DeepEqual(net.Work(), ref.Work()) {
-				t.Errorf("%s ids, shards=%d: work log differs from the dense serial run", name, shards)
-			}
-			if name == "sparse" && len(net.dense) != 0 {
-				t.Errorf("sparse ids grew the dense table to %d entries", len(net.dense))
-			}
-			if net.indexed() != 0 {
-				t.Errorf("%s ids: %d index entries left after shutdown", name, net.indexed())
-			}
+		got, net := indexScenario(idOf)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s ids: transcript differs from the dense run", name)
+		}
+		if !reflect.DeepEqual(net.Work(), ref.Work()) {
+			t.Errorf("%s ids: work log differs from the dense run", name)
+		}
+		if name == "sparse" && len(net.dense) != 0 {
+			t.Errorf("sparse ids grew the dense table to %d entries", len(net.dense))
+		}
+		if net.indexed() != 0 {
+			t.Errorf("%s ids: %d index entries left after shutdown", name, net.indexed())
 		}
 	}
 }

@@ -8,11 +8,10 @@ package sim
 // normal delivery, c > 1 delivers c consecutive copies.
 //
 // Implementations MUST be pure functions of their arguments (and any
-// fixed configuration such as a seed): under sharded execution the same
-// message may be evaluated by more than one worker — the delivering
-// worker and the accounting worker — and both must reach the same
-// decision for results to stay byte-identical across shard counts.
-// Sequential RNG streams are therefore unusable here; hash the
+// fixed configuration such as a seed): the §5/§6 engine consults the
+// same injector from its workers in no fixed order (fault.ComposeGate),
+// and a decision must not depend on which messages were asked about
+// before. Sequential RNG streams are therefore unusable here; hash the
 // (round, from, to, seq) tuple instead (internal/fault does exactly
 // that).
 //
@@ -31,10 +30,8 @@ type FaultObserver interface {
 	MessageDuplicated(round int, from, to NodeID, bits, copies int)
 }
 
-// dupEvent is a deferred FaultObserver.MessageDuplicated call. Like
-// dropEvent it is buffered (per shard under sharded execution, in
-// Network.dupScratch serially) and replayed by the driver after the send
-// step, so the tracer call sequence is identical for every shard count.
+// dupEvent is a deferred FaultObserver.MessageDuplicated call, buffered
+// in Network.dupScratch and replayed after the send step's drops.
 type dupEvent struct {
 	from, to NodeID
 	bits     int

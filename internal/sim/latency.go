@@ -19,16 +19,16 @@ import (
 // first round whose receive step its tick has reached. Within a round
 // the inbox is ordered by (arrival tick, send round, sender position,
 // send sequence) — a total order over distinct messages — so delivery
-// is byte-reproducible at any -procs/-shards, exactly like the
-// synchronous path.
+// is byte-reproducible, exactly like the synchronous path.
 //
 // Determinism argument, in full:
 //
 //   - The delay of a message is a pure function delayTicks(seed, round,
 //     from, to) of the network seed, the send round, and the edge — the
 //     same splitmix64 finalizer construction the fault layer uses. No
-//     sequential RNG is consumed, so shard workers can stamp messages
-//     independently and the stamp never depends on execution order.
+//     sequential RNG is consumed, so the stamp never depends on
+//     execution order (the §5/§6 engine's workers draw the same delays
+//     through fault.ComposeGate).
 //     All messages on one edge in one round share a delay, which makes
 //     per-edge delivery FIFO within a round (links do not reorder a
 //     burst); distinct rounds redraw.
@@ -216,8 +216,8 @@ func latUnit(h uint64) float64 {
 const saltLatency = 0xa24baed4963ee407
 
 // delayTicks returns the delivery delay, in ticks, of a message sent on
-// edge from→to in the given round: a pure function of its arguments, so
-// identical for every shard/worker layout. The result is clamped to
+// edge from→to in the given round: a pure function of its arguments.
+// The result is clamped to
 // [1, maxDelayRounds*tickScale].
 func (l Latency) delayTicks(seed uint64, round int, from, to uint64) uint64 {
 	var d float64

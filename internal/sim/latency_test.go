@@ -9,9 +9,8 @@ import (
 // eventTracer records every deterministic tracer callback as a rendered
 // line, preserving call order, so comparing two runs' event slices is a
 // byte-level comparison of their entire observable histories. It
-// deliberately implements LatencyObserver too (RoundDeferred events are
-// part of the deterministic stream) but not ShardObserver (wall times
-// are not).
+// implements LatencyObserver too: RoundDeferred events are part of the
+// deterministic stream.
 type eventTracer struct {
 	events   []string
 	deferred int64
@@ -38,7 +37,7 @@ func (t *eventTracer) RoundDeferred(round, deferred int) {
 	t.deferred += int64(deferred)
 }
 
-// latencyScenario drives the churn workload of shard_test.go with
+// latencyScenario drives the churn workload of churnScenario with
 // inbox-order-sensitive handlers: each node folds its inbox — order and
 // contents — into a rolling hash that seeds its next sends, so any
 // difference in delivery order or timing changes the bytes of the work
@@ -110,56 +109,48 @@ func diffEvents(t *testing.T, label string, base, got []string) {
 // TestZeroSpreadReproducesSync is the keystone sync-equivalence
 // regression: with zero latency spread and delay <= 1 round, the
 // discrete-event scheduler must reproduce the synchronous kernel's work
-// log and complete tracer event stream byte for byte, at every shard
-// count, with zero deferrals.
+// log and complete tracer event stream byte for byte, with zero
+// deferrals.
 func TestZeroSpreadReproducesSync(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		syncWork, syncEvents, _ := latencyScenario(shards, Latency{})
-		for _, lat := range []Latency{
-			{Kind: LatencyConst, A: 1},
-			{Kind: LatencyConst, A: 0.5},
-			{Kind: LatencyUniform, A: 1, B: 1},
-		} {
-			work, events, deferred := latencyScenario(shards, lat)
-			label := fmt.Sprintf("shards=%d lat=%s", shards, lat)
-			if deferred != 0 {
-				t.Fatalf("%s: deferred %d messages, want 0", label, deferred)
-			}
-			if work != syncWork {
-				t.Fatalf("%s: work log differs from synchronous run:\n sync: %s\n  got: %s",
-					label, syncWork, work)
-			}
-			diffEvents(t, label, syncEvents, events)
+	syncWork, syncEvents, _ := latencyScenario(0, Latency{})
+	for _, lat := range []Latency{
+		{Kind: LatencyConst, A: 1},
+		{Kind: LatencyConst, A: 0.5},
+		{Kind: LatencyUniform, A: 1, B: 1},
+	} {
+		work, events, deferred := latencyScenario(0, lat)
+		label := "lat=" + lat.String()
+		if deferred != 0 {
+			t.Fatalf("%s: deferred %d messages, want 0", label, deferred)
 		}
+		if work != syncWork {
+			t.Fatalf("%s: work log differs from synchronous run:\n sync: %s\n  got: %s",
+				label, syncWork, work)
+		}
+		diffEvents(t, label, syncEvents, events)
 	}
 }
 
-// TestAsyncByteIdenticalAcrossShards: with real latency spread, the
-// scheduler must still produce byte-identical work logs, event streams,
-// and deferral counts for every worker layout.
+// TestAsyncByteIdenticalAcrossShards pins the ignored Config.Shards
+// field on the calendar path (see TestWorkLogByteIdentityAcrossShards):
+// with real latency spread, Shards: 8 gives the default's work log,
+// event stream and deferral count.
 func TestAsyncByteIdenticalAcrossShards(t *testing.T) {
 	for _, lat := range []Latency{
 		{Kind: LatencyUniform, A: 0.5, B: 2.5},
 		{Kind: LatencyLognorm, A: 0, B: 0.6},
 		{Kind: LatencyConst, A: 3},
 	} {
-		baseWork, baseEvents, baseDeferred := latencyScenario(1, lat)
-		if lat.Spread() || lat.A > 1 {
-			if baseDeferred == 0 {
-				t.Fatalf("lat=%s: scenario deferred no messages; spread not exercised", lat)
-			}
+		baseWork, baseEvents, baseDeferred := latencyScenario(0, lat)
+		if baseDeferred == 0 {
+			t.Fatalf("lat=%s: scenario deferred no messages; spread not exercised", lat)
 		}
-		for _, shards := range []int{2, 8} {
-			work, events, deferred := latencyScenario(shards, lat)
-			label := fmt.Sprintf("lat=%s shards=%d", lat, shards)
-			if deferred != baseDeferred {
-				t.Fatalf("%s: deferred=%d, serial run had %d", label, deferred, baseDeferred)
-			}
-			if work != baseWork {
-				t.Fatalf("%s: work log differs from serial run", label)
-			}
-			diffEvents(t, label, baseEvents, events)
+		work, events, deferred := latencyScenario(8, lat)
+		label := "lat=" + lat.String()
+		if deferred != baseDeferred || work != baseWork {
+			t.Fatalf("%s: Shards: 8 changed the run (deferred %d vs %d)", label, deferred, baseDeferred)
 		}
+		diffEvents(t, label, baseEvents, events)
 	}
 }
 
@@ -167,8 +158,8 @@ func TestAsyncByteIdenticalAcrossShards(t *testing.T) {
 // degenerate to the synchronous schedule — the event streams have to
 // differ (otherwise the sweep in the AS1 experiment measures nothing).
 func TestAsyncActuallyReorders(t *testing.T) {
-	_, syncEvents, _ := latencyScenario(1, Latency{})
-	_, asyncEvents, deferred := latencyScenario(1, Latency{Kind: LatencyUniform, A: 0.5, B: 2.5})
+	_, syncEvents, _ := latencyScenario(0, Latency{})
+	_, asyncEvents, deferred := latencyScenario(0, Latency{Kind: LatencyUniform, A: 0.5, B: 2.5})
 	if deferred == 0 {
 		t.Fatal("uniform(0.5, 2.5) deferred nothing")
 	}
@@ -269,12 +260,11 @@ func TestParseLatency(t *testing.T) {
 }
 
 // TestAsyncDeterministicWithFaults: event scheduler composed with the
-// fault injector (drops + duplicates) stays byte-identical across shard
-// counts — injector decisions and delay stamps are both pure hashes.
+// fault injector (drops + duplicates) reproduces itself byte for byte —
+// injector decisions and delay stamps are both pure hashes.
 func TestAsyncDeterministicWithFaults(t *testing.T) {
-	run := func(shards int) (string, int64) {
-		net := NewNetwork(Config{Seed: 5, Shards: shards,
-			Latency: Latency{Kind: LatencyUniform, A: 0.5, B: 2.0}})
+	run := func() (string, int64) {
+		net := NewNetwork(Config{Seed: 5, Latency: Latency{Kind: LatencyUniform, A: 0.5, B: 2.0}})
 		net.SetInjector(hashInjector{})
 		const n = 32
 		for i := 0; i < n; i++ {
@@ -294,13 +284,12 @@ func TestAsyncDeterministicWithFaults(t *testing.T) {
 		w, _ := json.Marshal(net.Work())
 		return string(w), net.DeferredMessages()
 	}
-	baseWork, baseDef := run(1)
-	for _, shards := range []int{3, 8} {
-		work, def := run(shards)
-		if work != baseWork || def != baseDef {
-			t.Fatalf("shards=%d: async+faults run diverged from serial (deferred %d vs %d)",
-				shards, def, baseDef)
-		}
+	baseWork, baseDef := run()
+	if baseDef == 0 {
+		t.Fatal("spread deferred nothing")
+	}
+	if work, def := run(); work != baseWork || def != baseDef {
+		t.Fatalf("async+faults run did not reproduce itself (deferred %d vs %d)", def, baseDef)
 	}
 }
 

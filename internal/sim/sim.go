@@ -7,7 +7,7 @@
 //
 // Execution model: node programs are event-driven state machines — a
 // Handler whose OnRound method is invoked inline, once per round, by
-// the kernel (or by one of its shard workers). A handler node owns no
+// the kernel, serially in spawn order. A handler node owns no
 // goroutine, no channel, and no stack: its entire footprint is its
 // dense slot in the node table plus whatever state the Handler value
 // itself carries, which is what lets a single process simulate millions
@@ -20,22 +20,17 @@
 // All randomness is deterministic: node v's generator is derived from
 // (network seed, v), node programs touch only their own state, and
 // inboxes are delivered in canonical (sender spawn order, send
-// sequence) order, so results are exactly reproducible for any worker
-// configuration.
+// sequence) order, so results are exactly reproducible.
 //
 // Layout: every live node occupies a dense int32 slot in a slice-backed
 // node table, found from its id through a dense id-indexed table (a map
 // only for ids far beyond the number ever spawned). Ctx.Send appends to
-// its worker's send log; the send step is a stable counting sort from
-// the logs into one flat inbox arena per worker — decide and count per
-// receiver slot, prefix-sum, scatter — so a node's inbox is a range of
-// the arena, nothing is buffered per node, and the round loop performs
-// no map operation. The per-round DoS-blocked set and the kill-request
-// set are bitsets indexed by slot.
-// With Config.Shards > 1 the compute (receive + handler execution) and
-// send/delivery steps run on a persistent worker pool, partitioned so
-// that results — tables, work logs, and tracer accounting — are
-// byte-identical for every shard count (see shard.go for the argument).
+// the send log; the send step is a stable counting sort from the log
+// into one flat inbox arena — decide and count per receiver slot,
+// prefix-sum, scatter — so a node's inbox is a range of the arena,
+// nothing is buffered per node, and the round loop performs no map
+// operation. The per-round DoS-blocked set and the kill-request set are
+// bitsets indexed by slot.
 //
 // DoS semantics follow the paper: a message sent from v to w at round i
 // is received iff v is non-blocked in round i and w is non-blocked in
@@ -45,10 +40,7 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	"slices"
-	"strconv"
-	"sync/atomic"
 
 	"overlaynet/internal/rng"
 )
@@ -72,23 +64,21 @@ type Message struct {
 }
 
 // sent is one send-log entry: the message plus the number of inbox
-// entries to place for it, decided by the receiver's owner in the count
-// pass. Its per-sender send sequence (injector identity, calendar
-// tie-break) is not stored: a node's sends of one round are consecutive
-// and end at nodeState.seq.
+// entries to place for it, decided in the count pass. Its per-sender
+// send sequence (injector identity, calendar tie-break) is not stored:
+// a node's sends of one round are consecutive and end at nodeState.seq.
 type sent struct {
 	m      Message
 	copies int32
 }
 
-// mailbag is one worker's share of the delivery state (a serial network
-// has exactly one). The log holds this round's sends of the nodes the
-// worker computed, in spawn order; the arena holds the inboxes of the
-// receiver slots the worker owns, one contiguous range per slot. Both
-// are overwritten every round, so only the tail beyond the new length
-// is cleared and a steady state allocates nothing; a burst's capacity is
-// given back by the release rule (see trim). box is the async path's
-// scratch inbox, rebuilt per node.
+// mailbag is the delivery state. The log holds this round's sends in
+// spawn order; the arena holds the next round's inboxes, one contiguous
+// range per receiver slot. Both are overwritten every round, so only
+// the tail beyond the new length is cleared and a steady state
+// allocates nothing; a burst's capacity is given back by the release
+// rule (see trim). box is the async path's scratch inbox, rebuilt per
+// node.
 type mailbag struct {
 	log   []sent
 	arena []Message
@@ -154,20 +144,18 @@ func (t *trim) observe(length, capacity int) int {
 	return c
 }
 
-// release applies the release rule to every worker's buffers, serially
-// at the end of a synchronous round: the log is dead by then (the send
-// step consumed it) and the arena holds only the next round's inboxes,
-// whose live prefix is copied so every slot's inW/inLo/inHi stays valid.
-// A restored capacity exceeds the length, so the same copy serves it.
+// release applies the release rule at the end of a synchronous round:
+// the log is dead by then (the send step consumed it) and the arena
+// holds only the next round's inboxes, whose live prefix is copied so
+// every slot's inLo/inHi stays valid. A restored capacity exceeds the
+// length, so the same copy serves it.
 func (n *Network) release() {
-	for w := range n.mail {
-		mb := &n.mail[w]
-		if c := mb.logTrim.observe(len(mb.log), cap(mb.log)); c >= 0 {
-			mb.log = make([]sent, 0, c)
-		}
-		if c := mb.arenaTrim.observe(len(mb.arena), cap(mb.arena)); c >= 0 {
-			mb.arena = append(make([]Message, 0, c), mb.arena...)
-		}
+	mb := &n.mail
+	if c := mb.logTrim.observe(len(mb.log), cap(mb.log)); c >= 0 {
+		mb.log = make([]sent, 0, c)
+	}
+	if c := mb.arenaTrim.observe(len(mb.arena), cap(mb.arena)); c >= 0 {
+		mb.arena = append(make([]Message, 0, c), mb.arena...)
 	}
 }
 
@@ -193,11 +181,7 @@ const (
 // node's life (it leaves after its final sends are delivered). The
 // inbox slice is only valid for the duration of the call: the kernel
 // recycles the buffer, so handlers must copy any messages they keep.
-//
-// OnRound may run on any kernel worker, but never concurrently with
-// itself or with another node's handler touching shared mutable state
-// it owns exclusively; a handler must confine itself to its own node's
-// state (plus Ctx) for results to stay deterministic.
+// Handlers run one at a time on the goroutine calling Step.
 type Handler interface {
 	OnRound(ctx *Ctx, inbox []Message) bool
 }
@@ -219,12 +203,8 @@ type Proc func(ctx *Ctx)
 type Config struct {
 	// Seed determines all randomness in the network.
 	Seed uint64
-	// Shards is the number of workers that partition the intra-round
-	// compute and send/delivery steps. 0 consults the OVERLAYNET_SHARDS
-	// environment variable (useful to force the sharded path in CI),
-	// falling back to 1 (fully serial). Any value produces byte-
-	// identical results at a fixed seed; values > 1 only pay off on
-	// multi-core machines and large networks.
+	// Shards is ignored: the kernel is serial. The field stays only
+	// until bench/ stops setting it (ROADMAP item 1(c)/(e)).
 	Shards int
 	// SizeHint, when positive, presizes the node table, the dense id
 	// table (ids up to twice the hint stay off the overflow map whatever
@@ -241,23 +221,6 @@ type Config struct {
 	// argument). The zero value keeps the synchronous round model.
 	Latency Latency
 }
-
-// envShards reads the OVERLAYNET_SHARDS default once.
-var envShards = func() func() int {
-	var once atomic.Int64
-	return func() int {
-		if v := once.Load(); v != 0 {
-			return int(v - 1)
-		}
-		v, _ := strconv.Atoi(os.Getenv("OVERLAYNET_SHARDS"))
-		once.Store(int64(v) + 1)
-		return v
-	}
-}()
-
-// maxShards bounds the worker pool; the delivery step scans every send
-// log once per shard, so very high counts cost more than they win.
-const maxShards = 64
 
 // RoundWork summarizes the communication work of one round. The
 // protocol-lane triple (Messages, TotalBits, MaxNodeBits) measures
@@ -283,8 +246,7 @@ const ackDelayBuckets = 8
 // control-lane traffic split by kind, the delivery failures endpoints
 // reported, stale deliveries they discarded, and the ack-delay
 // histogram. Every field is a pure function of the seed and the run
-// (sums over per-node deterministic state, merged in canonical order),
-// so the stats are identical at any -procs/-shards and safe in
+// (sums over per-node deterministic state), so the stats are safe in
 // byte-compared artifacts.
 type ReliabilityRoundStats struct {
 	Retransmits int // retransmit copies sent (control lane)
@@ -299,18 +261,6 @@ type ReliabilityRoundStats struct {
 func (s *ReliabilityRoundStats) any() bool {
 	return s.Retransmits != 0 || s.Acks != 0 || s.Failures != 0 ||
 		s.Stale != 0 || s.CtlMessages != 0
-}
-
-func (s *ReliabilityRoundStats) add(o *ReliabilityRoundStats) {
-	s.Retransmits += o.Retransmits
-	s.Acks += o.Acks
-	s.Failures += o.Failures
-	s.Stale += o.Stale
-	s.CtlMessages += o.CtlMessages
-	s.CtlBits += o.CtlBits
-	for i := range s.AckDelay {
-		s.AckDelay[i] += o.AckDelay[i]
-	}
 }
 
 // ReliabilityTotals is the cumulative reliability-layer activity of a
@@ -328,9 +278,9 @@ type ReliabilityTotals struct {
 type haltSignal struct{}
 
 // nodeState is one dense slot of the node table. It owns no message
-// buffer: this round's sends are mail[w].log[outLo:outHi] and the
-// pending inbox is mail[inW].arena[inLo:inHi]. Slots are recycled
-// through a free list when nodes depart.
+// buffer: this round's sends are mail.log[outLo:outHi] and the pending
+// inbox is mail.arena[inLo:inHi]. Slots are recycled through a free
+// list when nodes depart.
 type nodeState struct {
 	id           NodeID
 	h            Handler
@@ -339,9 +289,8 @@ type nodeState struct {
 	bits         int64 // sent+received bits in the current round
 	outLo, outHi int32
 	inLo, inHi   int32
-	w, inW       uint8 // workers that computed the node / filled its inbox (slot chunks move with Spawn, so recorded)
-	live         bool  // slot is occupied
-	halted       bool  // handler returned false or node was killed
+	live         bool // slot is occupied
+	halted       bool // handler returned false or node was killed
 	// future is the node's event calendar in async mode: messages
 	// parked until the round containing their arrival tick. Unordered;
 	// the compute step extracts and sorts the due entries. Always empty
@@ -369,8 +318,8 @@ type Network struct {
 	spawned int
 	hint    int
 
-	mail   []mailbag // per-worker send logs and inbox arenas
-	cursor []int32   // per-slot count, then write cursor, of the send step
+	mail   mailbag // send log and inbox arena
+	cursor []int32 // per-slot count, then write cursor, of the send step
 
 	pendingBlocked Bitset // applies to the next Step (built by SetBlocked)
 	pendingAny     bool
@@ -382,33 +331,23 @@ type Network struct {
 	recordWork bool
 
 	// adapterLive counts coroutine-adapter goroutines currently alive,
-	// for the teardown leak audit (AdapterGoroutines). Atomic because
-	// shard workers start and retire adapters concurrently.
-	adapterLive atomic.Int64
-
-	// Sharded execution (see shard.go). acc holds one accumulator per
-	// shard; pool is the persistent worker pool, started lazily.
-	shards int
-	acc    []shardAcc
-	pool   *shardPool
+	// for the teardown leak audit (AdapterGoroutines).
+	adapterLive int
 
 	// tracer, when non-nil, receives lifecycle events and drop-reason
 	// accounting (see trace.go). The scratch slices collect the
 	// per-node inbox-size and bits samples for RoundStats; they are
 	// reused round after round so tracing adds no steady-state
-	// allocations beyond its first round. shardObs caches whether the
-	// tracer also wants per-shard timing.
+	// allocations beyond its first round.
 	tracer     Tracer
-	shardObs   ShardObserver
 	sampleObs  RoundSampler
 	traceInbox []int64
 	traceBits  []int64
 
 	// injector, when non-nil, is consulted for every otherwise-
 	// deliverable message (see inject.go). faultObs caches whether the
-	// tracer wants duplication events; dupScratch buffers them on the
-	// serial path so they replay after the send step, matching the
-	// sharded call order.
+	// tracer wants duplication events; dupScratch buffers them so they
+	// fire after the send step's drops.
 	injector   Injector
 	faultObs   FaultObserver
 	dupScratch []dupEvent
@@ -417,8 +356,8 @@ type Network struct {
 	// lat.Enabled(); latSeed feeds the pure per-edge delay hash;
 	// deferred counts messages (cumulatively) whose sampled delay
 	// pushed arrival past the next round — a deterministic statistic.
-	// roundDeferred accumulates the serial path's per-round count;
-	// latObs caches whether the tracer wants it.
+	// roundDeferred is this round's count; latObs caches whether the
+	// tracer wants it.
 	lat           Latency
 	async         bool
 	latSeed       uint64
@@ -427,11 +366,10 @@ type Network struct {
 	latObs        LatencyObserver
 
 	// Reliability-layer accounting (see the lane constants). roundRel
-	// accumulates the serial path's per-round stats (the sharded path
-	// merges per-worker accumulators into it); relTotals is cumulative;
-	// relObs caches whether the tracer wants the per-round stats. All
-	// zero unless nodes actually use the control-lane sends, so a
-	// reliability-free run is untouched.
+	// is this round's stats; relTotals is cumulative; relObs caches
+	// whether the tracer wants the per-round stats. All zero unless
+	// nodes actually use the control-lane sends, so a reliability-free
+	// run is untouched.
 	roundRel  ReliabilityRoundStats
 	relTotals ReliabilityTotals
 	relObs    ReliabilityObserver
@@ -439,16 +377,6 @@ type Network struct {
 
 // NewNetwork returns an empty network.
 func NewNetwork(cfg Config) *Network {
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = envShards()
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > maxShards {
-		shards = maxShards
-	}
 	hint := cfg.SizeHint
 	if hint < 0 {
 		hint = 0
@@ -459,9 +387,7 @@ func NewNetwork(cfg Config) *Network {
 	n := &Network{
 		root:       rng.New(cfg.Seed),
 		hint:       hint,
-		mail:       make([]mailbag, shards),
 		recordWork: true,
-		shards:     shards,
 		lat:        cfg.Latency,
 		async:      cfg.Latency.Enabled(),
 		latSeed:    cfg.Seed,
@@ -475,14 +401,8 @@ func NewNetwork(cfg Config) *Network {
 		n.pendingBlocked = GrowBitset(nil, hint)
 		n.killReq = GrowBitset(nil, hint)
 	}
-	if shards > 1 {
-		n.acc = make([]shardAcc, shards)
-	}
 	return n
 }
-
-// Shards returns the configured worker count for the intra-round steps.
-func (n *Network) Shards() int { return n.shards }
 
 // Async reports whether the discrete-event scheduler is active.
 func (n *Network) Async() bool { return n.async }
@@ -490,15 +410,15 @@ func (n *Network) Async() bool { return n.async }
 // DeferredMessages returns the cumulative number of messages whose
 // sampled latency pushed their arrival beyond the next round — the
 // scheduler's headline divergence-from-synchrony statistic. It is a
-// pure function of the seed and the run, identical at any shard count,
-// so it is safe in byte-compared artifacts. Always 0 in synchronous
-// mode and in zero-spread configurations with delay <= 1 round.
+// pure function of the seed and the run, so it is safe in byte-compared
+// artifacts. Always 0 in synchronous mode and in zero-spread
+// configurations with delay <= 1 round.
 func (n *Network) DeferredMessages() int64 { return n.deferred }
 
 // ReliabilityStats returns the cumulative reliability-layer activity:
 // retransmit copies and acks sent over the control lane, delivery
-// failures and stale deliveries reported by endpoints. Deterministic at
-// any -procs/-shards; all zero when no node uses the reliable layer.
+// failures and stale deliveries reported by endpoints. Deterministic;
+// all zero when no node uses the reliable layer.
 func (n *Network) ReliabilityStats() ReliabilityTotals { return n.relTotals }
 
 // DisableWorkLog turns off per-round work summaries (useful for very
@@ -521,7 +441,7 @@ func (n *Network) NumAlive() int { return len(n.order) }
 // currently alive. It is 0 for a network of pure handler nodes, and
 // must return to 0 after Shutdown (the teardown leak audit asserts
 // both).
-func (n *Network) AdapterGoroutines() int { return int(n.adapterLive.Load()) }
+func (n *Network) AdapterGoroutines() int { return n.adapterLive }
 
 // Alive returns the ids of live nodes in spawn order.
 func (n *Network) Alive() []NodeID {
@@ -541,8 +461,8 @@ const denseSlack = 1024
 
 // slotOf maps an id to its dense slot, or -1 if no such node is alive.
 // Nodes call it from Send during the compute step; the index is never
-// mutated while nodes compute, so the concurrent reads are safe. Dead
-// ids are never reused, so a miss stays correct.
+// mutated while nodes compute. Dead ids are never reused, so a miss
+// stays correct.
 func (n *Network) slotOf(id NodeID) int32 {
 	if id < NodeID(len(n.dense)) {
 		if s := n.dense[id]; s != 0 {
@@ -696,29 +616,20 @@ func (n *Network) Step() {
 		nblocked = n.traceRoundStart()
 	}
 
-	var messages int
-	var totalBits, maxBits int64
-	var anyHalted bool
 	n.roundDeferred = 0
 	n.roundRel = ReliabilityRoundStats{}
 
-	if n.shards > 1 {
-		messages, totalBits, maxBits, anyHalted = n.stepSharded()
-	} else {
-		// Compute step: hand each node the inbox the previous send step
-		// placed (empty if blocked in this round — the "receiver
-		// non-blocked in round i+1" half of the rule; the other half was
-		// enforced at send time) and run its handler inline. Send step:
-		// sort the log into the arena (or, in async mode, the calendars).
-		n.computeRange(0, len(n.order), 0, nil)
-		messages, totalBits, maxBits, anyHalted = n.sendRange(0, 0, len(n.order), 0, int32(len(n.slots)), nil)
-		if len(n.dupScratch) > 0 {
-			for _, d := range n.dupScratch {
-				n.faultObs.MessageDuplicated(n.round, d.from, d.to, d.bits, d.copies)
-			}
-			n.dupScratch = n.dupScratch[:0]
-		}
+	// Compute step: hand each node the inbox the previous send step
+	// placed (empty if blocked in this round — the "receiver non-blocked
+	// in round i+1" half of the rule; the other half was enforced at send
+	// time) and run its handler inline. Send step: sort the log into the
+	// arena (or, in async mode, the calendars).
+	n.compute()
+	messages, totalBits, maxBits, anyHalted := n.send()
+	for _, d := range n.dupScratch {
+		n.faultObs.MessageDuplicated(n.round, d.from, d.to, d.bits, d.copies)
 	}
+	n.dupScratch = n.dupScratch[:0]
 	if n.async {
 		n.deferred += n.roundDeferred
 		// Fire only on nonzero counts: a zero-spread async run then
@@ -768,37 +679,33 @@ func (n *Network) Step() {
 	}
 }
 
-// computeRange runs the merged receive + compute step of worker w for
-// spawn-order positions [plo, phi): it restarts the worker's send log,
-// hands each node its pending inbox (or, for blocked receivers, drops
-// it), and invokes the node's handler inline — unless a kill was
-// requested, in which case the node halts without computing.
-// acc != nil buffers tracer events and samples per shard instead of
-// calling the tracer directly (workers must not touch it concurrently);
-// they are replayed in canonical order afterwards.
-func (n *Network) computeRange(plo, phi, w int, acc *shardAcc) {
+// compute runs the merged receive + compute step in spawn order: it
+// restarts the send log, hands each node its pending inbox (or, for
+// blocked receivers, drops it), and invokes the node's handler inline —
+// unless a kill was requested, in which case the node halts without
+// computing.
+func (n *Network) compute() {
 	tr := n.tracer
 	slots := n.slots
 	blocked, anyB := n.blocked, n.blockedAny
-	mb := &n.mail[w]
+	mb := &n.mail
 	stale := len(mb.log)
 	mb.log = mb.log[:0]
-	for p := plo; p < phi; p++ {
-		s := n.order[p]
+	for _, s := range n.order {
 		st := &slots[s]
 		var box []Message
 		if n.async {
 			// Event-scheduler receive step: deliver (or, when blocked,
 			// drop) the calendar entries due this round.
-			box = n.asyncInbox(st, s, mb, acc)
-		} else if box = n.mail[st.inW].arena[st.inLo:st.inHi]; anyB && blocked.Test(s) {
+			box = n.asyncInbox(st, s)
+		} else if box = mb.arena[st.inLo:st.inHi]; anyB && blocked.Test(s) {
 			// Drop the pending inbox without delivering it. Control-lane
 			// messages are lost the same way but stay out of the exact
 			// drop ledger (the reliable layer accounts them itself).
 			if tr != nil {
 				for i := range box {
 					if box[i].lane == laneProtocol {
-						n.traceDrop(acc, DropBlockedReceiverDeliveryRound, box[i].From, st.id, box[i].Bits)
+						tr.MessageDropped(n.round, DropBlockedReceiverDeliveryRound, box[i].From, st.id, box[i].Bits)
 					}
 				}
 			}
@@ -817,19 +724,11 @@ func (n *Network) computeRange(plo, phi, w int, acc *shardAcc) {
 		}
 		st.bits = bits
 		if tr != nil {
-			if acc != nil {
-				acc.inboxSamples = append(acc.inboxSamples, nprot)
-			} else {
-				n.traceInbox = append(n.traceInbox, nprot)
-			}
+			n.traceInbox = append(n.traceInbox, nprot)
 		}
 		// Compute: a killed node halts without running; otherwise the
-		// handler executes inline on this worker. Its sends go to this
-		// worker's log and its reads of shared structures (the id index,
-		// other slots' identity fields) are of state that never mutates
-		// during a round, so inline execution is safe and deterministic
-		// under any shard partition.
-		st.w, st.outLo = uint8(w), int32(len(mb.log))
+		// handler executes inline and its sends append to the log.
+		st.outLo = int32(len(mb.log))
 		if n.killReq.Test(s) {
 			st.halted = true
 		} else if !st.h.OnRound(st.ctx, box) {
@@ -842,9 +741,6 @@ func (n *Network) computeRange(plo, phi, w int, acc *shardAcc) {
 		// case of no reliable layer.
 		if ctx := st.ctx; ctx.rel.dirty {
 			rel := &n.roundRel
-			if acc != nil {
-				rel = &acc.rel
-			}
 			rel.Failures += int(ctx.rel.failures)
 			rel.Stale += int(ctx.rel.stale)
 			for b := range ctx.rel.ackDelay {
@@ -865,13 +761,12 @@ func (n *Network) computeRange(plo, phi, w int, acc *shardAcc) {
 // asyncInbox runs the event-scheduler receive step for one slot: it
 // extracts the calendar entries whose delivery round has arrived, sorts
 // them into the total order (arrival tick, send round, sender position,
-// send sequence — see latency.go), and materializes them in the
-// worker's scratch inbox — or, for a blocked receiver, drops them with
+// send sequence — see latency.go), and materializes them in the scratch
+// inbox — or, for a blocked receiver, drops them with
 // DropBlockedReceiverDeliveryRound, exactly as the synchronous path
-// drops a blocked node's pending inbox. The sort happens per receiver
-// over its own calendar, so any shard partition of the receivers
-// produces the same inboxes.
-func (n *Network) asyncInbox(st *nodeState, s int32, mb *mailbag, acc *shardAcc) []Message {
+// drops a blocked node's pending inbox.
+func (n *Network) asyncInbox(st *nodeState, s int32) []Message {
+	mb := &n.mail
 	fut := st.future
 	now := uint64(n.round) * tickScale // delivery round = ceil(tick/tickScale)
 	d := 0
@@ -891,7 +786,7 @@ func (n *Network) asyncInbox(st *nodeState, s int32, mb *mailbag, acc *shardAcc)
 		if n.tracer != nil {
 			for i := range due {
 				if due[i].m.lane == laneProtocol { // control lane stays out of the drop ledger
-					n.traceDrop(acc, DropBlockedReceiverDeliveryRound, due[i].m.From, st.id, due[i].m.Bits)
+					n.tracer.MessageDropped(n.round, DropBlockedReceiverDeliveryRound, due[i].m.From, st.id, due[i].m.Bits)
 				}
 			}
 		}
@@ -912,38 +807,31 @@ func (n *Network) asyncInbox(st *nodeState, s int32, mb *mailbag, acc *shardAcc)
 // noDrop marks a message the send step decided to deliver.
 const noDrop = NumDropReasons
 
-// sendRange runs the send step of worker w: a stable counting sort from
-// the send logs into the worker's inbox arena. It scans every sender's
-// log range in spawn order and, per message, decides the copy count —
-// the §1.1 blocking rule's send-round half (sender, then receiver; the
-// i+1 half is checked at delivery), then the injector — and (a) for
-// receiver slots in [dlo, dhi) records and counts it (or, in async mode,
-// stamps the arrival tick — a pure function of seed, round and edge —
-// and parks the copies in the receiver's calendar), and (b) for sender
-// positions in [plo, phi) performs the round's accounting: message and
-// bit totals, drop and duplication events, deferrals, departures. place
-// then turns the counts into inboxes; logs are in (sender spawn order,
-// send sequence) order and the sort is stable, so every inbox is in
-// canonical order. In serial mode both ranges cover everything; under
-// sharding each worker owns a contiguous receiver-slot range and a
-// contiguous sender-position range, so the union of the shards
-// reproduces the serial round exactly. The injector is pure, so the
-// owner of a message's receiver and the accounting worker of its sender
-// reach the same decision when they differ.
-func (n *Network) sendRange(w, plo, phi int, dlo, dhi int32, acc *shardAcc) (messages int, totalBits, maxBits int64, anyHalted bool) {
+// send runs the send step: a stable counting sort from the send log
+// into the inbox arena. It scans every sender's log range in spawn
+// order and, per message, decides the copy count — the §1.1 blocking
+// rule's send-round half (sender, then receiver; the i+1 half is
+// checked at delivery), then the injector — records and counts it (or,
+// in async mode, stamps the arrival tick — a pure function of seed,
+// round and edge — and parks the copies in the receiver's calendar),
+// and performs the round's accounting: message and bit totals, drop and
+// duplication events, deferrals, departures. place then turns the
+// counts into inboxes; the log is in (sender spawn order, send
+// sequence) order and the sort is stable, so every inbox is in
+// canonical order.
+func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool) {
 	tr := n.tracer
 	inj := n.injector
 	slots := n.slots
+	log := n.mail.log
 	blocked, anyB := n.blocked, n.blockedAny
 	async, round := n.async, n.round
+	rel := &n.roundRel
 	cnt := n.cursor
-	clear(cnt[dlo:dhi])
-	var deferred int64
-	var rel ReliabilityRoundStats
+	clear(cnt)
 	for p, s := range n.order {
 		st := &slots[s]
-		mine := p >= plo && p < phi
-		out := n.mail[st.w].log[st.outLo:st.outHi]
+		out := log[st.outLo:st.outHi]
 		// A blocked sender's sends are all discarded, uncounted: they
 		// enter neither Messages nor the control-lane totals.
 		sblocked := anyB && blocked.Test(s)
@@ -953,7 +841,6 @@ func (n *Network) sendRange(w, plo, phi int, dlo, dhi int32, acc *shardAcc) (mes
 			e := &out[i]
 			t := e.m.slot
 			seq++
-			owned := t >= dlo && t < dhi
 			copies, reason := 1, noDrop
 			switch {
 			case sblocked:
@@ -962,41 +849,36 @@ func (n *Network) sendRange(w, plo, phi int, dlo, dhi int32, acc *shardAcc) (mes
 				copies, reason = 0, DropDeadReceiver
 			case anyB && blocked.Test(t):
 				copies, reason = 0, DropBlockedReceiverSendRound
-			case inj != nil && (owned || mine && (tr != nil || async)):
+			case inj != nil:
 				if copies = max(inj.Deliveries(round, e.m.From, e.m.To, seq), 0); copies == 0 {
 					reason = DropFaultInjected
 				}
 			}
 			if !async {
-				if owned {
-					e.copies = int32(copies)
+				e.copies = int32(copies)
+				if copies > 0 {
 					cnt[t] += int32(copies)
 				}
-			} else if copies > 0 && (owned || mine) {
+			} else if copies > 0 {
 				at := uint64(round)*tickScale + n.lat.delayTicks(n.latSeed, round, uint64(e.m.From), uint64(e.m.To))
-				if owned {
-					rcv := &slots[t]
-					pm := pendingMsg{m: e.m, tick: at, seq: seq, srnd: int32(round), pos: int32(p)}
-					for c := 0; c < copies; c++ {
-						rcv.future = append(rcv.future, pm)
-					}
+				rcv := &slots[t]
+				pm := pendingMsg{m: e.m, tick: at, seq: seq, srnd: int32(round), pos: int32(p)}
+				for c := 0; c < copies; c++ {
+					rcv.future = append(rcv.future, pm)
 				}
-				if mine && at > uint64(round+1)*tickScale && e.m.lane == laneProtocol {
-					deferred++
+				if at > uint64(round+1)*tickScale && e.m.lane == laneProtocol {
+					n.roundDeferred++
 				}
-			}
-			if !mine {
-				continue
 			}
 			// Control-lane messages face the same blocking and faults but
 			// never enter the drop/dup ledger.
 			if e.m.lane == laneProtocol {
 				if reason != noDrop {
 					if tr != nil {
-						n.traceDrop(acc, reason, e.m.From, e.m.To, e.m.Bits)
+						tr.MessageDropped(round, reason, e.m.From, e.m.To, e.m.Bits)
 					}
 				} else if copies > 1 && n.faultObs != nil {
-					n.traceDup(acc, &e.m, copies)
+					n.dupScratch = append(n.dupScratch, dupEvent{from: e.m.From, to: e.m.To, bits: e.m.Bits, copies: copies})
 				}
 				if !sblocked {
 					st.bits += int64(e.m.Bits)
@@ -1011,53 +893,39 @@ func (n *Network) sendRange(w, plo, phi int, dlo, dhi int32, acc *shardAcc) (mes
 				}
 			}
 		}
-		if mine {
-			if !sblocked {
-				messages += len(out) - nctl
-			}
-			rel.CtlMessages += nctl
-			totalBits += st.bits
-			if st.bits > maxBits {
-				maxBits = st.bits
-			}
-			if tr != nil {
-				if acc != nil {
-					acc.bitsSamples = append(acc.bitsSamples, st.bits)
-				} else {
-					n.traceBits = append(n.traceBits, st.bits)
-				}
-			}
-			if st.halted {
-				anyHalted = true
-			}
+		if !sblocked {
+			messages += len(out) - nctl
+		}
+		rel.CtlMessages += nctl
+		totalBits += st.bits
+		if st.bits > maxBits {
+			maxBits = st.bits
+		}
+		if tr != nil {
+			n.traceBits = append(n.traceBits, st.bits)
+		}
+		if st.halted {
+			anyHalted = true
 		}
 	}
 	if !async {
-		n.place(w, dlo, dhi)
-	}
-	if acc != nil {
-		acc.rel.add(&rel)
-		acc.deferred = deferred
-	} else {
-		n.roundRel.add(&rel)
-		n.roundDeferred += deferred
+		n.place()
 	}
 	return messages, totalBits, maxBits, anyHalted
 }
 
-// place finishes worker w's counting sort for receiver slots [dlo, dhi):
-// a prefix sum over the counts lays the inbox ranges out in the worker's
-// arena, then one lean pass over every log, in worker order (which is
-// spawn order), scatters the decided copies. The compute step has
-// finished reading the arena, so it is overwritten in place, and only
-// the tail the new round no longer covers needs its payloads released.
-func (n *Network) place(w int, dlo, dhi int32) {
-	mb := &n.mail[w]
+// place finishes the counting sort: a prefix sum over the counts lays
+// the inbox ranges out in the arena, then one lean pass over the log
+// scatters the decided copies. The compute step has finished reading
+// the arena, so it is overwritten in place, and only the tail the new
+// round no longer covers needs its payloads released.
+func (n *Network) place() {
+	mb := &n.mail
 	cur := n.cursor
 	var off int32
-	for s := dlo; s < dhi; s++ {
+	for s := range cur {
 		st := &n.slots[s]
-		st.inW, st.inLo = uint8(w), off
+		st.inLo = off
 		cur[s], off = off, off+cur[s]
 		st.inHi = off
 	}
@@ -1069,52 +937,19 @@ func (n *Network) place(w int, dlo, dhi int32) {
 		arena = arena[:total]
 	}
 	mb.arena = arena
-	for v := range n.mail {
-		log := n.mail[v].log
-		for i := range log {
-			e := &log[i]
-			if t := e.m.slot; t >= dlo && t < dhi {
-				for c := e.copies; c > 0; c-- {
-					arena[cur[t]] = e.m
-					cur[t]++
-				}
-			}
+	for i := range mb.log {
+		e := &mb.log[i]
+		t := e.m.slot
+		for c := e.copies; c > 0; c-- {
+			arena[cur[t]] = e.m
+			cur[t]++
 		}
 	}
 }
 
-// traceDrop reports one dropped protocol-lane message; callers have
-// checked that a tracer is attached. The serial path tells the tracer
-// directly; a shard worker (acc != nil) buffers the event for replay in
-// canonical order after the step — delivery-round drops, which belong
-// to the receive step, in a buffer of their own.
-func (n *Network) traceDrop(acc *shardAcc, reason DropReason, from, to NodeID, bits int) {
-	ev := dropEvent{from: from, to: to, bits: bits, reason: reason}
-	switch {
-	case acc == nil:
-		n.tracer.MessageDropped(n.round, reason, from, to, bits)
-	case reason == DropBlockedReceiverDeliveryRound:
-		acc.recvDrops = append(acc.recvDrops, ev)
-	default:
-		acc.sendDrops = append(acc.sendDrops, ev)
-	}
-}
-
-// traceDup buffers one injected duplication for the fault observer: on
-// the serial path too, so that the events replay after the send step as
-// they do under sharding.
-func (n *Network) traceDup(acc *shardAcc, m *Message, copies int) {
-	ev := dupEvent{from: m.From, to: m.To, bits: m.Bits, copies: copies}
-	if acc != nil {
-		acc.dups = append(acc.dups, ev)
-	} else {
-		n.dupScratch = append(n.dupScratch, ev)
-	}
-}
-
 // reap removes departed nodes from the spawn order and recycles their
-// slots. It runs serially at the end of a round, in spawn order, so
-// slot reuse is identical for every shard count.
+// slots. It runs at the end of a round, in spawn order, so slot reuse
+// is deterministic.
 func (n *Network) reap() {
 	alive := n.order[:0]
 	for _, s := range n.order {
@@ -1142,7 +977,7 @@ func (n *Network) Run(rounds int) {
 // Handler nodes simply have their slots recycled; coroutine adapters
 // are woken with their kill flag set (all of them before any is waited
 // on, so the unwinds overlap) and unwind through their NextRound park
-// point. The shard worker pool, if started, is stopped as well.
+// point.
 func (n *Network) Shutdown() {
 	// Phase 1: wake every parked adapter goroutine. The resume channels
 	// are buffered, so the wakes do not serialize on the unwinds.
@@ -1159,8 +994,7 @@ func (n *Network) Shutdown() {
 		n.freeSlot(s)
 	}
 	n.order = n.order[:0]
-	clear(n.mail) // logs and arenas go, with every payload they reference
-	n.stopPool()
+	n.mail = mailbag{} // the log and arena go, with every payload they reference
 }
 
 // Ctx is a node's handle to the network. It must only be used from the
@@ -1226,7 +1060,7 @@ func (c *Ctx) sendRaw(to NodeID, payload any, bits int, lane uint8) {
 	n := c.net
 	st := &n.slots[c.slot]
 	st.seq++
-	mb := &n.mail[st.w]
+	mb := &n.mail
 	mb.log = append(mb.log, sent{m: Message{From: st.id, To: to, Payload: payload, Bits: bits, slot: n.slotOf(to), lane: lane}})
 }
 

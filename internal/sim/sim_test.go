@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -385,6 +387,108 @@ func TestSpawnMidRun(t *testing.T) {
 	net.Shutdown()
 	if recv.Load() != 1 {
 		t.Fatalf("node 1 received %d messages from late joiner, want 1", recv.Load())
+	}
+}
+
+// TestSetBlockedMapAliasing is the regression test for the aliasing
+// footgun: SetBlocked must snapshot the caller's map at call time, so
+// mutating (or clearing) the map afterwards cannot change the round's
+// DoS set.
+func TestSetBlockedMapAliasing(t *testing.T) {
+	run := func(mutate bool) []RoundWork {
+		net := NewNetwork(Config{Seed: 13})
+		net.Spawn(1, func(ctx *Ctx) {
+			for {
+				ctx.Send(2, "x", 8)
+				ctx.NextRound()
+			}
+		})
+		net.Spawn(2, func(ctx *Ctx) {
+			for {
+				ctx.NextRound()
+			}
+		})
+		blocked := map[NodeID]bool{1: true}
+		net.SetBlocked(blocked)
+		if mutate {
+			delete(blocked, 1) // must not unblock node 1
+			blocked[2] = true  // must not block node 2
+		}
+		net.Step()
+		net.Run(2)
+		net.Shutdown()
+		return net.Work()
+	}
+	base, mutated := run(false), run(true)
+	if len(base) != len(mutated) {
+		t.Fatalf("work log lengths differ: %d vs %d", len(base), len(mutated))
+	}
+	for i := range base {
+		if base[i] != mutated[i] {
+			t.Fatalf("round %d: mutating the map after SetBlocked changed the round: %+v vs %+v",
+				i+1, base[i], mutated[i])
+		}
+	}
+	// Sanity: the snapshot actually blocked node 1 in round 1.
+	if base[0].Messages != 0 {
+		t.Fatalf("round 1 should have a blocked sender, got %d messages", base[0].Messages)
+	}
+	if base[1].Messages != 1 {
+		t.Fatalf("round 2 should be unblocked (the set applies to one Step only), got %d messages",
+			base[1].Messages)
+	}
+}
+
+// TestSetBlockedReplacesPreviousPending: two SetBlocked calls before a
+// Step — the second call replaces the first set rather than unioning.
+func TestSetBlockedReplacesPreviousPending(t *testing.T) {
+	net := NewNetwork(Config{Seed: 14})
+	for i := 1; i <= 2; i++ {
+		net.Spawn(NodeID(i), func(ctx *Ctx) {
+			for {
+				ctx.Send(3, "x", 8)
+				ctx.NextRound()
+			}
+		})
+	}
+	net.Spawn(3, func(ctx *Ctx) {
+		for {
+			ctx.NextRound()
+		}
+	})
+	net.SetBlocked(map[NodeID]bool{1: true, 2: true})
+	net.SetBlocked(map[NodeID]bool{1: true})
+	net.Step()
+	net.Shutdown()
+	if got := net.Work()[0].Messages; got != 1 {
+		t.Fatalf("round 1 messages = %d, want 1 (only node 1 blocked after replacement)", got)
+	}
+}
+
+// TestWorkLogByteIdentityAcrossShards pins the ignored Config.Shards
+// field (kept only while bench/ still sets it): a network built with
+// Shards: 4 under OVERLAYNET_SHARDS=4 starts no goroutine and produces
+// the same work log and tracer view as the default, traced or not.
+func TestWorkLogByteIdentityAcrossShards(t *testing.T) {
+	t.Setenv("OVERLAYNET_SHARDS", "4")
+	before := runtime.NumGoroutine()
+	net := NewNetwork(Config{Seed: 1, Shards: 4})
+	for i := 0; i < 64; i++ {
+		net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+			ctx.Send(NodeID(ctx.RNG().Intn(64)+1), nil, 8)
+			return true
+		}))
+	}
+	net.Run(3)
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("stepping a Shards: 4 network took the goroutine count from %d to %d", before, got)
+	}
+	net.Shutdown()
+
+	for _, traced := range []bool{false, true} {
+		baseWork, baseTr := churnScenario(Config{Seed: 42}, traced, true)
+		work, tr := churnScenario(Config{Seed: 42, Shards: 4}, traced, true)
+		sameRun(t, fmt.Sprintf("Shards 4 vs default, traced=%v", traced), baseWork, work, baseTr, tr)
 	}
 }
 

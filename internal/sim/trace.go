@@ -60,10 +60,9 @@ type RoundStats struct {
 	Blocked int // of those, blocked in this round
 	Work    RoundWork
 	// Delivered is the number of messages handed to nodes in this
-	// round's receive step (the sum of the inbox sizes below). It is a
-	// sum over per-node samples, so it is identical for every shard
-	// count. audit.WorkAuditor reconciles it against the previous
-	// round's Messages and drop events.
+	// round's receive step (the sum of the inbox sizes below).
+	// audit.WorkAuditor reconciles it against the previous round's
+	// Messages and drop events.
 	Delivered int64
 	// Delivered-inbox size distribution across alive nodes (blocked
 	// nodes receive nothing and contribute 0).
@@ -107,28 +106,14 @@ type Tracer interface {
 	MessageDropped(round int, reason DropReason, from, to NodeID, bits int)
 }
 
-// ShardObserver is an optional extension a Tracer can implement to
-// receive per-shard phase wall times when the network runs with
-// Shards > 1 (it fires only on the sharded path). The driver calls it
-// once per worker per round, in worker order, after the send step; the
-// times are microseconds spent in that worker's receive and send
-// phases. Unlike every other hook, these values are wall-clock
-// measurements and therefore not deterministic — tools must keep them
-// out of any byte-compared output.
-type ShardObserver interface {
-	ShardRound(round, shard int, recvUS, sendUS int64)
-}
-
 // LatencyObserver is an optional extension a Tracer can implement to
 // receive the discrete-event scheduler's per-round deferral count: how
 // many of the round's delivered sends drew a latency beyond the next
 // round and so missed the synchronous deadline. It fires after the send
 // step of any round with a nonzero count when Config.Latency is enabled
 // (never on zero, so a zero-spread async run emits exactly the
-// synchronous run's call sequence). Unlike ShardObserver's wall times
-// the count is a pure function
-// of the seed — deterministic at any -procs/-shards — so it is safe in
-// byte-compared artifacts.
+// synchronous run's call sequence). The count is a pure function of
+// the seed, so it is safe in byte-compared artifacts.
 type LatencyObserver interface {
 	RoundDeferred(round, deferred int)
 }
@@ -159,8 +144,7 @@ type RoundSampler interface {
 // round, so a run without a reliable layer — or a reliable run on a
 // perfect network, where the layer is silent — emits exactly the
 // legacy call sequence. The stats are sums of pure per-message
-// functions of the seed, so they are identical at any -procs/-shards
-// and safe in byte-compared artifacts.
+// functions of the seed, so they are safe in byte-compared artifacts.
 type ReliabilityObserver interface {
 	RoundReliability(round int, stats ReliabilityRoundStats)
 }
@@ -170,7 +154,6 @@ type ReliabilityObserver interface {
 // rounds.
 func (n *Network) SetTracer(t Tracer) {
 	n.tracer = t
-	n.shardObs, _ = t.(ShardObserver)
 	n.faultObs, _ = t.(FaultObserver)
 	n.sampleObs, _ = t.(RoundSampler)
 	n.latObs, _ = t.(LatencyObserver)

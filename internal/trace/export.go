@@ -12,7 +12,7 @@ import (
 //   - JSONL: one JSON object per line — {"type":"event",...} lines for
 //     simulator lifecycle events, {"type":"span",...} lines for timed
 //     regions, and a final {"type":"metrics",...} line with the
-//     recorder's Snapshot. Greppable and streamable.
+//     recorder's Snapshot. Greppable.
 //
 //   - Chrome trace_events JSON: {"traceEvents":[...]} with complete
 //     ("X") events for spans and instant ("i") events for lifecycle
@@ -45,8 +45,7 @@ func (r *Recorder) exportEvents() []Event {
 }
 
 // WriteJSONL writes the events and spans as JSON lines, then the
-// metrics line. (With a StreamJSONL sink the event and span lines were
-// already emitted incrementally; this is the batch form.)
+// metrics line.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, ev := range r.exportEvents() {

@@ -94,7 +94,6 @@ func (r *Recorder) WithMetrics(reg *obs.Registry) *Recorder {
 	r.reg = reg
 	r.km = newKernelMetrics(reg)
 	r.recLane = reg.Lane()
-	r.shardUS = nil
 	return r
 }
 
@@ -111,10 +110,9 @@ func (r *Recorder) Registry() *obs.Registry {
 // FlightRecorder turns on sampled event retention: a deterministic
 // splitmix64 sampler keeps roughly rate of the per-message/per-round
 // events in a bounded ring of the given capacity, regardless of run
-// length. Violations and recoveries are always kept; per-shard timing
-// events never are (they are wall-clock and placement-dependent). The
-// sampling decision is a pure function of (seed, event identity), so
-// the kept set is byte-identical at any -procs/-shards setting.
+// length. Violations and recoveries are always kept. The sampling
+// decision is a pure function of (seed, event identity), so the kept
+// set is byte-identical at any -procs/-shards setting.
 //
 // Flight mode implies event emission but not exact round percentiles:
 // at n=1M the kernel keeps its streaming-histogram path and the
@@ -167,11 +165,8 @@ func kindID(kind string) uint64 {
 // keepInFlight decides (deterministically) whether ev enters the flight
 // ring. Caller holds r.mu.
 func (r *Recorder) keepInFlight(ev Event) bool {
-	switch ev.Kind {
-	case "violation", "recovery":
+	if ev.Kind == "violation" || ev.Kind == "recovery" {
 		return true
-	case "shard_round":
-		return false
 	}
 	return r.flightSampler.Keep(
 		kindID(ev.Kind)^uint64(ev.Round)<<8,

@@ -14,7 +14,8 @@ import (
 
 // floodNet builds a deterministic flood workload: n nodes, each
 // forwarding to its next fanout ring neighbours every round, with a few
-// blocked rounds to exercise the drop paths.
+// blocked rounds to exercise the drop paths. shards sets the ignored
+// sim.Config.Shards (0 everywhere but the flight-recorder pin).
 func floodNet(n, fanout, shards int, tr sim.Tracer) *sim.Network {
 	net := sim.NewNetwork(sim.Config{Seed: 1234, Shards: shards})
 	if tr != nil {
@@ -100,10 +101,10 @@ func maskTS(evs []Event) []Event {
 }
 
 // TestFlightRecorderDeterministicAcrossShards runs the same seeded
-// flood at Shards=1 and Shards=4 with identical flight-recorder
-// settings: the sampled event stream (timestamps masked) must be
-// byte-identical — the sampling decision is a pure function of event
-// identity, never of worker placement.
+// flood at the default and at the ignored Shards: 4 (kept while bench/
+// sets it) with identical flight-recorder settings: the sampled event
+// stream (timestamps masked) must be byte-identical — the sampling
+// decision is a pure function of event identity.
 func TestFlightRecorderDeterministicAcrossShards(t *testing.T) {
 	capture := func(shards int) []Event {
 		rec := New().FlightRecorder(99, 0.25, 4096)
@@ -114,7 +115,7 @@ func TestFlightRecorderDeterministicAcrossShards(t *testing.T) {
 		net.Shutdown()
 		return maskTS(rec.FlightEvents())
 	}
-	base := capture(1)
+	base := capture(0)
 	if len(base) == 0 {
 		t.Fatal("flight recorder kept no events at rate 0.25")
 	}
@@ -127,24 +128,21 @@ func TestFlightRecorderDeterministicAcrossShards(t *testing.T) {
 	a, _ := json.Marshal(base)
 	b, _ := json.Marshal(other)
 	if !bytes.Equal(a, b) {
-		t.Fatalf("flight streams differ between Shards=1 (%d events) and Shards=4 (%d events)",
+		t.Fatalf("flight streams differ between Shards 0 (%d events) and 4 (%d events)",
 			len(base), len(other))
 	}
 }
 
 // TestWallClockConfinedToDocumentedFields pins the wall-clock
-// confinement contract: sharded runs measure per-shard phase times
-// (ShardObserver), but those measurements surface ONLY in the two
-// documented Counters fields (ShardRecvUS/ShardSendUS) and in
-// shard_round events under full retention — never in the flight ring,
-// and never in any other counter. Everything else the recorder exposes,
-// including the async scheduler's sched_deferred events and the
-// AsyncDeferred total, must be byte-identical across worker layouts
-// once event timestamps are masked.
+// confinement contract: event timestamps and the *_duration_us
+// histograms are the only wall-clock values the recorder exposes.
+// Everything else — including the async scheduler's sched_deferred
+// events and the AsyncDeferred total — must be byte-identical across
+// two runs once event timestamps are masked.
 func TestWallClockConfinedToDocumentedFields(t *testing.T) {
-	capture := func(shards int) ([]Event, Counters) {
+	capture := func() ([]Event, map[string]float64) {
 		rec := New().FlightRecorder(99, 0.5, 4096)
-		net := sim.NewNetwork(sim.Config{Seed: 1234, Shards: shards,
+		net := sim.NewNetwork(sim.Config{Seed: 1234,
 			Latency: sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2.5}})
 		net.SetTracer(rec.Tracer("confine"))
 		const n, fanout = 64, 3
@@ -160,46 +158,37 @@ func TestWallClockConfinedToDocumentedFields(t *testing.T) {
 		}
 		net.Run(8)
 		net.Shutdown()
-		return maskTS(rec.FlightEvents()), rec.Counters()
-	}
-
-	f2, c2 := capture(2)
-	f4, c4 := capture(4)
-
-	// The wall clock was genuinely measured: both runs saw shard timing.
-	if len(c2.ShardRecvUS) != 2 || len(c4.ShardRecvUS) != 4 {
-		t.Fatalf("shard timing not recorded: %d/%d entries", len(c2.ShardRecvUS), len(c4.ShardRecvUS))
-	}
-	// ...but none of it reached the flight ring.
-	deferredEvents := 0
-	for _, evs := range [][]Event{f2, f4} {
-		for _, ev := range evs {
-			if ev.Kind == "shard_round" {
-				t.Fatal("wall-clock shard_round event leaked into the flight ring")
-			}
-			if ev.Kind == "sched_deferred" {
-				deferredEvents++
+		snap := rec.Snapshot()
+		for k := range snap {
+			if strings.Contains(k, "_duration_us") {
+				delete(snap, k)
 			}
 		}
+		return maskTS(rec.FlightEvents()), snap
 	}
+
+	f1, s1 := capture()
+	f2, s2 := capture()
 	// The scheduler's deferral telemetry is deterministic and must be
 	// present (latency spread 0.5–2.5 rounds defers messages every round).
-	if deferredEvents == 0 || c2.AsyncDeferred == 0 {
-		t.Fatalf("no sched_deferred telemetry (events %d, counter %d)", deferredEvents, c2.AsyncDeferred)
+	deferredEvents := 0
+	for _, ev := range f1 {
+		if ev.Kind == "sched_deferred" {
+			deferredEvents++
+		}
 	}
-	// Masked flight streams and shard-timing-stripped counters are
-	// byte-identical across worker layouts.
-	fa, _ := json.Marshal(f2)
-	fb, _ := json.Marshal(f4)
+	if deferredEvents == 0 || s1["overlaynet_async_deferred_total"] == 0 {
+		t.Fatalf("no sched_deferred telemetry (events %d, counter %v)", deferredEvents, s1["overlaynet_async_deferred_total"])
+	}
+	fa, _ := json.Marshal(f1)
+	fb, _ := json.Marshal(f2)
 	if !bytes.Equal(fa, fb) {
-		t.Fatalf("flight streams differ across shard counts (%d vs %d events)", len(f2), len(f4))
+		t.Fatalf("masked flight streams differ between runs (%d vs %d events)", len(f1), len(f2))
 	}
-	c2.ShardRecvUS, c2.ShardSendUS = nil, nil
-	c4.ShardRecvUS, c4.ShardSendUS = nil, nil
-	ca, _ := json.Marshal(c2)
-	cb, _ := json.Marshal(c4)
-	if !bytes.Equal(ca, cb) {
-		t.Fatalf("counters differ beyond the documented wall-clock fields:\n%s\n%s", ca, cb)
+	sa, _ := json.Marshal(s1)
+	sb, _ := json.Marshal(s2)
+	if !bytes.Equal(sa, sb) {
+		t.Fatalf("series differ beyond the *_duration_us histograms:\n%s\n%s", sa, sb)
 	}
 }
 
@@ -209,7 +198,7 @@ func TestWallClockConfinedToDocumentedFields(t *testing.T) {
 // rate.
 func TestFlightRecorderBoundedAndKeepsViolations(t *testing.T) {
 	rec := New().FlightRecorder(7, 0, 32) // rate 0: only always-keep kinds survive
-	net := floodNet(32, 2, 1, rec.Tracer("ring"))
+	net := floodNet(32, 2, 0, rec.Tracer("ring"))
 	net.Run(20)
 	net.Shutdown()
 	rec.ReportViolation(audit.Violation{Invariant: "cycle-cover", Round: 3, Detail: "test"})
@@ -235,7 +224,7 @@ func TestFlightRecorderBoundedAndKeepsViolations(t *testing.T) {
 	// At rate 1 a long run must still respect the bound (overwrite, not
 	// grow): 32 spawns + 40 round_start + 40 round_end > 64.
 	full := New().FlightRecorder(7, 1, 64)
-	net = floodNet(32, 2, 1, full.Tracer("ring"))
+	net = floodNet(32, 2, 0, full.Tracer("ring"))
 	net.Run(40)
 	net.Shutdown()
 	if got := len(full.FlightEvents()); got != 64 {
@@ -251,7 +240,7 @@ func TestFlightRecorderBoundedAndKeepsViolations(t *testing.T) {
 func TestMetricsOnlySkipsExactPercentiles(t *testing.T) {
 	reg := obs.NewRegistry(0)
 	rec := New().WithMetrics(reg)
-	net := floodNet(32, 3, 1, rec.Tracer("m"))
+	net := floodNet(32, 3, 0, rec.Tracer("m"))
 	net.Run(5)
 	net.Shutdown()
 
@@ -273,7 +262,7 @@ func TestMetricsOnlySkipsExactPercentiles(t *testing.T) {
 
 	// With full event retention the exact percentiles come back.
 	recFull := New().RecordEvents(true)
-	net = floodNet(32, 3, 1, recFull.Tracer("e"))
+	net = floodNet(32, 3, 0, recFull.Tracer("e"))
 	net.Run(5)
 	net.Shutdown()
 	sawExact := false
@@ -295,7 +284,7 @@ func TestJSONLCarriesMetricsLine(t *testing.T) {
 		"shared": New().WithMetrics(obs.NewRegistry(0)),
 		"own":    New(),
 	} {
-		net := floodNet(8, 1, 1, rec.Tracer("j"))
+		net := floodNet(8, 1, 0, rec.Tracer("j"))
 		net.Run(3)
 		net.Shutdown()
 
@@ -326,7 +315,7 @@ func TestJSONLCarriesMetricsLine(t *testing.T) {
 func BenchmarkStepMetricsAttached(b *testing.B) {
 	reg := obs.NewRegistry(0)
 	rec := New().WithMetrics(reg)
-	net := floodNet(1000, 4, 1, rec.Tracer("bench"))
+	net := floodNet(1000, 4, 0, rec.Tracer("bench"))
 	net.DisableWorkLog()
 	net.Run(2)
 	b.ReportAllocs()

@@ -19,9 +19,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,18 +56,10 @@ type Event struct {
 	// pass after it, MTTRRounds their difference.
 	CleanRound int `json:"clean_round,omitempty"`
 	MTTRRounds int `json:"mttr_rounds,omitempty"`
-	// Shard timing, on shard_round events only (sharded kernels with a
-	// ShardObserver-aware tracer — every Recorder tracer is one). These
-	// are wall-clock measurements: useful for skew diagnosis, never
-	// part of deterministic output.
-	Shard  int   `json:"shard,omitempty"`
-	RecvUS int64 `json:"recv_us,omitempty"`
-	SendUS int64 `json:"send_us,omitempty"`
 	// Deferred, on sched_deferred events only: how many messages the
-	// discrete-event scheduler parked past round+1 this round. Unlike the
-	// shard timings it is a deterministic count — a pure function of the
-	// seed and the latency model — so it participates in byte-compared
-	// output.
+	// discrete-event scheduler parked past round+1 this round. It is a
+	// deterministic count — a pure function of the seed and the latency
+	// model — so it participates in byte-compared output.
 	Deferred int `json:"deferred,omitempty"`
 	// Reliability lane, on reliable_round events only: the round's
 	// control-plane activity from internal/reliable endpoints. Like
@@ -148,14 +137,6 @@ type Counters struct {
 	Acks             uint64
 	DeliveryFailures uint64
 	StaleDeliveries  uint64
-	// Per-shard busy time (µs) in the simulator's receive and send
-	// phases, indexed by shard id — populated only when a sharded
-	// network ran under this recorder. The imbalance between entries
-	// is the delivery skew cmd/tracestats reports. These two slices are
-	// the ONLY wall-clock-derived fields in Counters; everything a
-	// byte-compared artifact consumes must come from the other fields.
-	ShardRecvUS []uint64
-	ShardSendUS []uint64
 }
 
 // Recorder collects events, spans, and counters. The zero value is not
@@ -181,10 +162,6 @@ type Recorder struct {
 	spans  []Span
 	events []Event
 	flight *obs.Ring[Event]
-	jsonl  *json.Encoder
-	// shardUS[i] is shard i's receive and send busy-time series,
-	// registered the first time a sharded round reports shard i.
-	shardUS [][2]*obs.Counter
 }
 
 // New returns an empty Recorder counting into a registry of its own
@@ -197,16 +174,6 @@ func New() *Recorder {
 // events (counters and spans are always kept). Returns r for chaining.
 func (r *Recorder) RecordEvents(on bool) *Recorder {
 	r.withEvents = on
-	return r
-}
-
-// StreamJSONL streams every event and span to w as it is recorded, one
-// JSON object per line (the same shapes WriteJSONL emits). Returns r
-// for chaining.
-func (r *Recorder) StreamJSONL(w io.Writer) *Recorder {
-	r.mu.Lock()
-	r.jsonl = json.NewEncoder(w)
-	r.mu.Unlock()
 	return r
 }
 
@@ -228,9 +195,6 @@ func (r *Recorder) Tracer(scope string) sim.Tracer {
 func (r *Recorder) AddSpan(s Span) {
 	r.mu.Lock()
 	r.spans = append(r.spans, s)
-	if r.jsonl != nil {
-		r.jsonl.Encode(spanLine{Type: "span", Span: s})
-	}
 	r.mu.Unlock()
 }
 
@@ -337,12 +301,6 @@ func (r *Recorder) Counters() Counters {
 		c.Drops[sim.DropBlockedReceiverSendRound.String()] -
 		c.Drops[sim.DropFaultInjected.String()] +
 		c.DupExtraCopies
-	r.mu.Lock()
-	for _, s := range r.shardUS {
-		c.ShardRecvUS = append(c.ShardRecvUS, s[0].Value())
-		c.ShardSendUS = append(c.ShardSendUS, s[1].Value())
-	}
-	r.mu.Unlock()
 	return c
 }
 
@@ -357,13 +315,13 @@ func (r *Recorder) Snapshot() map[string]float64 {
 
 // ReportViolation implements audit.Reporter: invariant violations are
 // counted and emitted as "violation" events, so they reach JSONL
-// streams, manifests (via the metrics snapshot), and cmd/tracestats
+// exports, manifests (via the metrics snapshot), and cmd/tracestats
 // alongside the rest of the telemetry.
 func (r *Recorder) ReportViolation(v audit.Violation) {
 	r.km.violations.Inc(r.recLane)
 	// Unlike round/message telemetry, violations are rare and
-	// load-bearing, so they are always retained and streamed — not gated
-	// behind RecordEvents. The audit engine caps what it reports.
+	// load-bearing, so they are always retained — not gated behind
+	// RecordEvents. The audit engine caps what it reports.
 	ev := Event{
 		TSMicros: time.Since(r.start).Microseconds(),
 		Kind:     "violation",
@@ -380,17 +338,13 @@ func (r *Recorder) ReportViolation(v audit.Violation) {
 	if r.flight != nil {
 		r.flight.Append(ev)
 	}
-	if r.jsonl != nil {
-		r.jsonl.Encode(eventLine{Type: "event", Event: ev})
-	}
 	r.mu.Unlock()
 }
 
 // ReportRecovery implements audit.RecoveryReporter: closed break
 // episodes are counted (with their recovery times summed for MTTR) and
 // emitted as "recovery" events. Like violations they are rare and
-// load-bearing, so they are always retained and streamed regardless of
-// RecordEvents.
+// load-bearing, so they are always retained regardless of RecordEvents.
 func (r *Recorder) ReportRecovery(rec audit.Recovery) {
 	r.km.recoveries.Inc(r.recLane)
 	r.km.mttrRounds.Observe(int64(rec.Rounds))
@@ -408,9 +362,6 @@ func (r *Recorder) ReportRecovery(rec audit.Recovery) {
 	r.events = append(r.events, ev)
 	if r.flight != nil {
 		r.flight.Append(ev)
-	}
-	if r.jsonl != nil {
-		r.jsonl.Encode(eventLine{Type: "event", Event: ev})
 	}
 	r.mu.Unlock()
 }
@@ -430,9 +381,9 @@ func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// emit appends an event (if event retention is on) and streams it (if
-// a JSONL sink is set). Called only when at least one of the two is
-// possible — the tracer methods check cheaply first.
+// emit appends an event (if event retention is on) and offers it to
+// the flight ring (if one is set). Called only when at least one of the
+// two is possible — the tracer methods check cheaply first.
 func (r *Recorder) emit(ev Event) {
 	r.mu.Lock()
 	if r.withEvents {
@@ -441,21 +392,12 @@ func (r *Recorder) emit(ev Event) {
 	if r.flight != nil && r.keepInFlight(ev) {
 		r.flight.Append(ev)
 	}
-	if r.jsonl != nil {
-		r.jsonl.Encode(eventLine{Type: "event", Event: ev})
-	}
 	r.mu.Unlock()
 }
 
 func (r *Recorder) wantsEvents() bool {
-	return r.withEvents || r.jsonl != nil || r.flightOn.Load()
+	return r.withEvents || r.flightOn.Load()
 }
-
-// wantsExactStats reports whether any sink needs the exact sorted
-// round percentiles: full event retention and JSONL streams embed them
-// in round_end events; the flight ring deliberately does not (that is
-// what keeps flight mode O(n) per round at n=1M).
-func (r *Recorder) wantsExactStats() bool { return r.withEvents || r.jsonl != nil }
 
 // simTracer adapts a Recorder to the sim.Tracer interface, labeling
 // everything with a fixed scope. It also implements sim.RoundSampler:
@@ -506,10 +448,11 @@ func (t *simTracer) RoundSamples(round int, inbox, bits []int64) {
 }
 
 // ExactRoundStats tells the kernel whether the exact sorted round
-// percentiles are still needed: only when full events or a JSONL
-// stream embed them. Metrics-only and flight-recorder tracing skip the
-// per-round O(n log n) sort.
-func (t *simTracer) ExactRoundStats() bool { return t.rec.wantsExactStats() }
+// percentiles are still needed: only when retained round_end events
+// embed them. Metrics-only and flight-recorder tracing skip the
+// per-round O(n log n) sort — the flight ring deliberately carries
+// none, which keeps flight mode O(n) per round at n=1M.
+func (t *simTracer) ExactRoundStats() bool { return t.rec.withEvents }
 
 func (t *simTracer) NodeSpawned(round int, id sim.NodeID) {
 	t.rec.km.spawns.Inc(t.lane)
@@ -536,40 +479,13 @@ func (t *simTracer) NodeBlocked(round int, id sim.NodeID) {
 	}
 }
 
-// shardSeries returns shard's receive and send busy-time counters.
-func (r *Recorder) shardSeries(shard int) [2]*obs.Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := len(r.shardUS); i <= shard; i++ {
-		r.shardUS = append(r.shardUS, [2]*obs.Counter{
-			r.reg.Counter(fmt.Sprintf("overlaynet_shard_%d_recv_us_total", i), "wall-clock receive-phase busy time of one shard (microseconds)"),
-			r.reg.Counter(fmt.Sprintf("overlaynet_shard_%d_send_us_total", i), "wall-clock send-phase busy time of one shard (microseconds)"),
-		})
-	}
-	return r.shardUS[shard]
-}
-
-// ShardRound implements sim.ShardObserver: per-shard phase wall times
-// from sharded rounds accumulate into the recorder's per-shard series
-// (and the event stream when retained), so delivery skew across workers
-// is visible in cmd/tracestats.
-func (t *simTracer) ShardRound(round, shard int, recvUS, sendUS int64) {
-	s := t.rec.shardSeries(shard)
-	s[0].Add(t.lane, uint64(recvUS))
-	s[1].Add(t.lane, uint64(sendUS))
-	if t.rec.wantsEvents() {
-		t.rec.emit(Event{TSMicros: t.now(), Kind: "shard_round", Scope: t.scope,
-			Round: round, Shard: shard, RecvUS: recvUS, SendUS: sendUS})
-	}
-}
-
 // RoundDeferred implements sim.LatencyObserver: the discrete-event
 // scheduler reports each round's count of messages parked past the
 // synchronous round+1 deadline. The kernel only calls it for nonzero
 // counts, so a zero-spread async run produces the exact synchronous
-// callback sequence, and — unlike ShardRound — the count is a pure
-// function of (seed, latency model): sched_deferred events and the
-// AsyncDeferred counter are deterministic output, safe to byte-compare.
+// callback sequence, and the count is a pure function of (seed, latency
+// model): sched_deferred events and the AsyncDeferred counter are
+// deterministic output, safe to byte-compare.
 func (t *simTracer) RoundDeferred(round, deferred int) {
 	t.rec.km.asyncDeferred.Add(t.lane, uint64(deferred))
 	if t.rec.wantsEvents() {
