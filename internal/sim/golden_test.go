@@ -15,7 +15,8 @@ import (
 // (f9f5c7c), before the send step became a counting sort; a change that
 // moves one changed an inbox, its order, a work-log row, a reliability
 // counter or a tracer event. The burst cases' constants are younger:
-// they were recorded before the kernel had a buffer release rule.
+// they were recorded before the kernel had a buffer release rule; the
+// seal cases' before the send log had segments.
 
 // Lane markers added to the payload so the transcript sees which Send
 // variant produced a message without reading unexported fields.
@@ -29,16 +30,36 @@ const (
 // around it by more than the factor the buffer release rule waits for.
 const goldenBurst = 64
 
+// goldenSealFanout and goldenGiant size the seal cases' traffic: a heavy
+// round of some 45 nodes sending goldenSealFanout more each fills
+// several send-log segments, and a giant sender alone sends more than a
+// segment holds.
+const (
+	goldenSealFanout = 400
+	goldenGiant      = 5000
+)
+
+// goldenLoad is a scenario's traffic beyond the quiet rounds' 0-4 sends
+// per node: extra more per node in the heavy rounds, and goldenGiant
+// more from every node whose id is 5 mod 16 in the giant rounds.
+type goldenLoad struct {
+	heavy map[int]bool
+	extra int
+	giant map[int]bool
+}
+
 // goldenSparse is where the scenario's ids beyond any dense table live.
 const goldenSparse NodeID = 1 << 40
 
 type goldenNode struct {
 	id    NodeID
-	maxID *NodeID      // highest dense id spawned so far (driver-owned, read-only in rounds)
-	heavy map[int]bool // rounds in which the node sends goldenBurst more messages
-	quit  int          // round in which OnRound returns false (0: never)
-	round int          // last round this node ran
-	sum   uint64       // that round's inbox digest
+	maxID *NodeID // highest dense id spawned so far (set by the scenario loop, read-only in rounds)
+	load  goldenLoad
+	quit  int    // round in which OnRound returns false (0: never)
+	round int    // last round this node ran
+	sum   uint64 // that round's inbox digest
+	seg   int    // the send-log segment that round's sends went to
+	sends int    // how many it sent
 }
 
 func (g *goldenNode) OnRound(ctx *Ctx, inbox []Message) bool {
@@ -46,13 +67,17 @@ func (g *goldenNode) OnRound(ctx *Ctx, inbox []Message) bool {
 	for i, m := range inbox {
 		fmt.Fprintf(h, "%d:%d,%d,%d,%v;", i, m.From, m.To, m.Bits, m.Payload)
 	}
-	g.round, g.sum = ctx.Round(), h.Sum64()
+	g.round, g.sum, g.seg = ctx.Round(), h.Sum64(), ctx.net.mail.cur
 
 	r := ctx.RNG()
 	k := r.Intn(5)
-	if g.heavy[ctx.Round()] {
-		k += goldenBurst
+	if g.load.heavy[ctx.Round()] {
+		k += g.load.extra
 	}
+	if g.load.giant[ctx.Round()] && g.id%16 == 5 {
+		k += goldenGiant
+	}
+	g.sends = k
 	for j := 0; j < k; j++ {
 		// Targets cover live ids, departed ids, ids not yet spawned and the
 		// sparse range.
@@ -127,11 +152,10 @@ func (t goldenTracer) RoundReliability(round int, stats ReliabilityRoundStats) {
 // driver blocks a random sixth of the nodes in overlapping two-round
 // windows (so both halves of the blocking rule hit senders and
 // receivers), kills nodes, lets others return false, and spawns
-// replacements — dense and sparse ids — into the recycled slots. Every
-// node sends goldenBurst more messages in the heavy rounds. It also
-// returns how many times a send log or inbox arena lost capacity at the
-// end of a round that left inboxes pending.
-func deliveryTranscript(lat Latency, heavy map[int]bool) (digest uint64, releases int) {
+// replacements — dense and sparse ids — into the recycled slots. The
+// load adds heavy and giant rounds. It also returns what the scenario
+// exercised of the kernel's buffers (which the digest cannot see).
+func deliveryTranscript(lat Latency, load goldenLoad) (digest uint64, ex exercised) {
 	h := fnv.New64a()
 	net := NewNetwork(Config{Seed: 99, Latency: lat})
 	net.SetTracer(goldenTracer{h})
@@ -140,7 +164,7 @@ func deliveryTranscript(lat Latency, heavy map[int]bool) (digest uint64, release
 	var maxID NodeID
 	var nodes []*goldenNode
 	spawn := func(id NodeID, quit int) {
-		g := &goldenNode{id: id, maxID: &maxID, heavy: heavy, quit: quit}
+		g := &goldenNode{id: id, maxID: &maxID, load: load, quit: quit}
 		nodes = append(nodes, g)
 		net.SpawnHandler(id, g)
 	}
@@ -209,19 +233,49 @@ func deliveryTranscript(lat Latency, heavy map[int]bool) (digest uint64, release
 		_, after := net.bufferSizes()
 		for i, c := range after {
 			if c < before[i] && pending() > 0 {
-				releases++
+				ex.releases++
 			}
 		}
+		var last *goldenNode
 		for _, g := range nodes {
 			if g.round == round {
 				fmt.Fprintf(h, "node %d %x\n", g.id, g.sum)
+				ex.observe(last, g, cur)
+				last = g
 			}
 		}
 		fmt.Fprintf(h, "alive %v %v %v\n", net.Alive(), net.Exists(maxID), net.Exists(goldenSparse+2))
 	}
 	fmt.Fprintf(h, "work %+v\nrel %+v\ndeferred %d\n", net.Work(), net.ReliabilityStats(), net.DeferredMessages())
 	net.Shutdown()
-	return h.Sum64(), releases
+	return h.Sum64(), ex
+}
+
+// exercised counts what a transcript run did to the send log and the
+// arena: releases of either with inboxes pending, seals (consecutive
+// nodes of one round in different log segments), seals with a blocked
+// node just before or just after them, and senders of more than segLen
+// messages in one round.
+type exercised struct {
+	releases, seals, blockedBefore, blockedAfter, giants int
+}
+
+// observe takes two nodes that ran consecutively in a round (a nil prev
+// for the round's first) and the round's blocked set.
+func (ex *exercised) observe(prev, g *goldenNode, blocked map[NodeID]bool) {
+	if g.sends > segLen {
+		ex.giants++
+	}
+	if prev == nil || prev.seg == g.seg {
+		return
+	}
+	ex.seals++
+	if blocked[prev.id] {
+		ex.blockedBefore++
+	}
+	if blocked[g.id] {
+		ex.blockedAfter++
+	}
 }
 
 func TestDeliveryTranscriptGolden(t *testing.T) {
@@ -230,29 +284,38 @@ func TestDeliveryTranscriptGolden(t *testing.T) {
 	// whose kills, spawns into recycled slots and blocking leave inboxes
 	// pending, and regrown by the second burst. Their constants were
 	// recorded before the kernel had a release rule.
-	burst := map[int]bool{3: true, 4: true, 24: true}
+	burst := goldenLoad{heavy: map[int]bool{3: true, 4: true, 24: true}, extra: goldenBurst}
+	seals := goldenLoad{heavy: map[int]bool{4: true, 5: true, 20: true}, extra: goldenSealFanout,
+		giant: map[int]bool{10: true, 20: true}}
 	for _, tc := range []struct {
-		lat   string
-		heavy map[int]bool
-		want  uint64
+		lat  string
+		name string
+		load goldenLoad
+		want uint64
 	}{
-		{"sync", nil, 0x6e29a862655714ce},
-		{"const:1", nil, 0x6e29a862655714ce},
-		{"uniform:1,3", nil, 0x8acffbb233d2c383},
-		{"sync", burst, 0xb904ac080e3a8c2d},
-		{"const:1", burst, 0xb904ac080e3a8c2d},
-		{"uniform:1,3", burst, 0x045f5df5f74c41ed},
+		{"sync", "quiet", goldenLoad{}, 0x6e29a862655714ce},
+		{"const:1", "quiet", goldenLoad{}, 0x6e29a862655714ce},
+		{"uniform:1,3", "quiet", goldenLoad{}, 0x8acffbb233d2c383},
+		{"sync", "burst", burst, 0xb904ac080e3a8c2d},
+		{"const:1", "burst", burst, 0xb904ac080e3a8c2d},
+		{"uniform:1,3", "burst", burst, 0x045f5df5f74c41ed},
+		{"sync", "seals", seals, 0x5a6da379a1489292},
+		{"const:1", "seals", seals, 0x5a6da379a1489292},
+		{"uniform:1,3", "seals", seals, 0xa7d5c86a663c3199},
 	} {
 		lat, err := ParseLatency(tc.lat)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, releases := deliveryTranscript(lat, tc.heavy)
+		got, ex := deliveryTranscript(lat, tc.load)
 		if got != tc.want {
-			t.Errorf("%s burst=%v: transcript digest %#x, want %#x", tc.lat, tc.heavy != nil, got, tc.want)
+			t.Errorf("%s %s: transcript digest %#x, want %#x", tc.lat, tc.name, got, tc.want)
 		}
-		if tc.heavy != nil && !lat.Enabled() && releases == 0 {
-			t.Errorf("%s: no buffer was released with inboxes pending", tc.lat)
+		if tc.load.heavy != nil && !lat.Enabled() && ex.releases == 0 {
+			t.Errorf("%s %s: no buffer was released with inboxes pending", tc.lat, tc.name)
+		}
+		if tc.name == "seals" && (ex.seals < 3 || ex.blockedBefore == 0 || ex.blockedAfter == 0 || ex.giants == 0) {
+			t.Errorf("%s %s: the log was not exercised across seals: %+v", tc.lat, tc.name, ex)
 		}
 	}
 }

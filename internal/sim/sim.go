@@ -72,62 +72,72 @@ type sent struct {
 	copies int32
 }
 
-// mailbag is the delivery state. The log holds this round's sends in
-// spawn order; the arena holds the next round's inboxes, one contiguous
-// range per receiver slot. Both are overwritten every round, so only
-// the tail beyond the new length is cleared and a steady state
-// allocates nothing; a burst's capacity is given back by the release
-// rule (see trim). box is the async path's scratch inbox, rebuilt per
-// node.
+// mailbag is the delivery state. The send log holds this round's sends
+// in spawn order, as a list of segments; the arena holds the next
+// round's inboxes, one contiguous range per receiver slot. Both are
+// overwritten every round, so only what the new round no longer covers
+// is cleared and a steady state allocates nothing; a burst's capacity is
+// given back by the release rule (see trim). box is the async path's
+// scratch inbox, rebuilt per node.
 type mailbag struct {
-	log   []sent
-	arena []Message
-	box   []Message
+	log     []sent   // the open segment: Ctx.sendRaw appends here
+	segs    [][]sent // every segment; segs[:cur+1] hold this round's sends
+	cur     int      // the open segment's index in segs
+	stale   int      // the open segment's length in the round before
+	widest  int      // most sends of one node this round, at most segLen/4
+	reserve []sent   // an empty segment kept for the next round's seal
+	arena   []Message
+	box     []Message
 
 	logTrim, arenaTrim trim
 }
 
+// segLen is the length at which the send log's open segment may be
+// sealed. Ctx.sendRaw appends to the open segment and nothing else: any
+// check per send cost the flood 5–11 %. Between two handlers compute
+// seals the open segment once it holds segLen entries and has less room
+// left than the widest sender of the round so far sent (capped at
+// segLen/4), so a node's sends never straddle two segments, and opens
+// the next: a spare one kept from an earlier round, or a new one with
+// room for segLen/4 more than segLen (287 kB). So a burst costs one
+// allocation per segment and no copy, where one log grown by append
+// re-allocates and copies itself in 1.25× steps. Only a node that sends
+// more than its segment has left regrows that one segment. Segment 0
+// grows by append like a single log, so a round of up to segLen sends
+// (most of them) sees exactly the single log's capacities.
+const segLen = 4096
+
 // The release rule (synchronous path): a send log or inbox arena whose
 // end-of-round length stays under 1/trimShare of its capacity for
-// trimRounds consecutive rounds is reallocated to twice the highest
-// length of that window. A §4 epoch's sampling rounds send hundreds of
-// times the messages of the rounds after them; without the rule both
-// buffers would keep that burst's size for the life of the network. A
-// sampler's heavy/light alternation never keeps a buffer quiet long
-// enough to release it, and a steady flood never goes quiet at all.
-// A released buffer that regrows to more than trimShare times its
-// released size is facing its burst again: at the end of that round it
-// gets back the largest capacity it gave up, in one allocation instead
-// of append's many 1.25× steps (the hot path stays a plain append).
-// Lengths are a pure function of the run, so the rule is deterministic,
-// and it moves no message. The calendar path keeps its log: there the
-// per-node calendars hold most of a burst's capacity, so releasing the
-// log alone would pay the regrowth of every stretched phase and give
-// back a quarter of what the network retains.
+// trimRounds consecutive rounds is cut to twice the highest length of
+// that window. A §4 epoch's sampling rounds send hundreds of times the
+// messages of the rounds after them; without the rule both buffers would
+// keep that burst's size for the life of the network. A sampler's
+// heavy/light alternation never keeps a buffer quiet long enough to
+// release it, and a steady flood never goes quiet at all. A released
+// buffer regrows at the burst's size when the burst returns, without
+// copying: the log by whole segments, the arena in place's one exact
+// allocation. Lengths are a pure function of the run, so the rule is
+// deterministic, and it moves no message. The calendar path keeps its
+// log: there the per-node calendars hold most of a burst's capacity, so
+// releasing the log alone would pay the regrowth of every stretched
+// phase and give back a quarter of what the network retains.
 const (
 	trimRounds = 8
 	trimShare  = 4
 )
 
-// trim is one buffer's release window — how many consecutive rounds it
-// has been quiet and the highest length it held in them — and, once it
-// has been released, the largest capacity it gave up (peak) and the
-// capacity it was released to (cut).
+// trim is one buffer's release window: how many consecutive rounds it
+// has been quiet and the highest length it held in them.
 type trim struct {
 	quiet, high int
-	peak, cut   int
 }
 
 // observe records a buffer's end-of-round length and capacity and
-// returns the capacity to reallocate it to, or -1 to keep it.
+// returns the capacity to cut it to, or -1 to keep it.
 func (t *trim) observe(length, capacity int) int {
-	if t.peak > capacity && capacity > trimShare*t.cut {
-		c := t.peak
-		*t = trim{}
-		return c
-	}
 	if trimShare*length >= capacity {
-		t.quiet, t.high = 0, 0
+		*t = trim{}
 		return -1
 	}
 	t.quiet++
@@ -136,27 +146,75 @@ func (t *trim) observe(length, capacity int) int {
 		return -1
 	}
 	c := 2 * t.high
-	if c > 0 {
-		*t = trim{peak: max(t.peak, capacity), cut: c}
-	} else {
-		*t = trim{} // released from silence: the burst is forgotten
-	}
+	*t = trim{}
 	return c
 }
 
-// release applies the release rule at the end of a synchronous round:
-// the log is dead by then (the send step consumed it) and the arena
-// holds only the next round's inboxes, whose live prefix is copied so
-// every slot's inLo/inHi stays valid. A restored capacity exceeds the
-// length, so the same copy serves it.
+// release applies the release rule at the end of a synchronous round.
+// The log is dead by then (the send step consumed it): it keeps the
+// shortest prefix of its segments that holds the target and drops the
+// rest, reallocating only a segment 0 larger than the target. The arena
+// holds the next round's inboxes, whose live prefix is copied so every
+// slot's inLo/inHi stays valid.
+//
+// Before the rule, a last segment the round sealed its way into and then
+// wrote nothing to leaves the list: it waits one round as the reserve
+// the next new segment is taken from, and goes if that round opens none.
+// A seal cannot know that every later node stays silent. Kept, such a
+// segment is held by a network that never needed it (a §4 epoch ends on
+// such a round: 2,482 instead of 2,262 retained B/node at N₀ = 1024);
+// dropped at once, a round of that shape every time would allocate one.
 func (n *Network) release() {
 	mb := &n.mail
-	if c := mb.logTrim.observe(len(mb.log), cap(mb.log)); c >= 0 {
-		mb.log = make([]sent, 0, c)
+	mb.reserve = nil
+	if last := len(mb.segs) - 1; last > 0 && last == mb.cur && len(mb.segs[last]) == 0 {
+		mb.reserve, mb.segs[last], mb.segs = mb.segs[last], nil, mb.segs[:last]
+	}
+	length, capacity := 0, 0
+	for _, seg := range mb.segs {
+		length, capacity = length+len(seg), capacity+cap(seg)
+	}
+	if c := mb.logTrim.observe(length, capacity); c >= 0 {
+		keep := 0
+		for have := 0; have < c; keep++ {
+			have += cap(mb.segs[keep])
+		}
+		if keep == 1 && cap(mb.segs[0]) > c {
+			mb.segs[0] = make([]sent, 0, c)
+		}
+		clear(mb.segs[keep:]) // no reference may outlive the drop in the spare capacity
+		mb.segs = mb.segs[:keep]
 	}
 	if c := mb.arenaTrim.observe(len(mb.arena), cap(mb.arena)); c >= 0 {
 		mb.arena = append(make([]Message, 0, c), mb.arena...)
 	}
+}
+
+// open makes segment i the open one — a new segment (the reserve, if
+// there is one) if there is none yet — and remembers its length from the
+// round before for close.
+func (mb *mailbag) open(i int) {
+	if i == len(mb.segs) {
+		var seg []sent // segment 0 grows by append
+		if i > 0 {
+			if seg, mb.reserve = mb.reserve, nil; seg == nil {
+				seg = make([]sent, 0, segLen+segLen/4)
+			}
+		}
+		mb.segs = append(mb.segs, seg)
+	}
+	mb.cur, mb.log, mb.stale = i, mb.segs[i][:0], len(mb.segs[i])
+}
+
+// close stores the open segment back into the list and releases the
+// payloads of whatever this round left of its old length (a segment that
+// grew past its old length was either extended in place or reallocated:
+// nothing stale either way).
+func (mb *mailbag) close() {
+	if k := len(mb.log); k < mb.stale {
+		clear(mb.log[k:mb.stale])
+	}
+	mb.segs[mb.cur] = mb.log
 }
 
 // Message lanes. Protocol-lane messages are the paper's messages and
@@ -278,9 +336,9 @@ type ReliabilityTotals struct {
 type haltSignal struct{}
 
 // nodeState is one dense slot of the node table. It owns no message
-// buffer: this round's sends are mail.log[outLo:outHi] and the pending
-// inbox is mail.arena[inLo:inHi]. Slots are recycled through a free
-// list when nodes depart.
+// buffer: this round's sends are [outLo, outHi) of one send-log segment
+// and the pending inbox is mail.arena[inLo:inHi]. Slots are recycled
+// through a free list when nodes depart.
 type nodeState struct {
 	id           NodeID
 	h            Handler
@@ -683,14 +741,15 @@ func (n *Network) Step() {
 // restarts the send log, hands each node its pending inbox (or, for
 // blocked receivers, drops it), and invokes the node's handler inline —
 // unless a kill was requested, in which case the node halts without
-// computing.
+// computing. Between two handlers it seals a nearly full log segment
+// (see segLen).
 func (n *Network) compute() {
 	tr := n.tracer
 	slots := n.slots
 	blocked, anyB := n.blocked, n.blockedAny
 	mb := &n.mail
-	stale := len(mb.log)
-	mb.log = mb.log[:0]
+	mb.open(0)
+	mb.widest = 0
 	for _, s := range n.order {
 		st := &slots[s]
 		var box []Message
@@ -728,6 +787,10 @@ func (n *Network) compute() {
 		}
 		// Compute: a killed node halts without running; otherwise the
 		// handler executes inline and its sends append to the log.
+		if k := len(mb.log); k >= segLen && k > cap(mb.log)-mb.widest {
+			mb.close()
+			mb.open(mb.cur + 1)
+		}
 		st.outLo = int32(len(mb.log))
 		if n.killReq.Test(s) {
 			st.halted = true
@@ -735,6 +798,9 @@ func (n *Network) compute() {
 			st.halted = true
 		}
 		st.outHi = int32(len(mb.log))
+		if k := int(st.outHi - st.outLo); k > mb.widest {
+			mb.widest = min(k, segLen/4)
+		}
 		// Harvest the node's reliability reports (delivery failures,
 		// stale discards, ack delays) into the round accumulator. The
 		// dirty flag keeps this to one branch per node for the common
@@ -749,11 +815,15 @@ func (n *Network) compute() {
 			ctx.rel = relNodeStats{}
 		}
 	}
-	// Release the payloads of whatever the shorter log and the scratch
-	// inbox no longer cover (a log that grew past its old length was
-	// either extended in place or reallocated: nothing stale either way).
-	if k := len(mb.log); k < stale {
-		clear(mb.log[k:stale])
+	// Release the payloads of whatever this round's log and the scratch
+	// inbox no longer cover: the open segment's old tail, and all of the
+	// spare segments this round did not reach. Between rounds only the
+	// list holds a segment, so the release rule's drop is a real one.
+	mb.close()
+	mb.log = nil
+	for i := mb.cur + 1; i < len(mb.segs); i++ {
+		clear(mb.segs[i])
+		mb.segs[i] = mb.segs[i][:0]
 	}
 	clear(mb.box[:cap(mb.box)])
 }
@@ -816,14 +886,15 @@ const noDrop = NumDropReasons
 // round and edge — and parks the copies in the receiver's calendar),
 // and performs the round's accounting: message and bit totals, drop and
 // duplication events, deferrals, departures. place then turns the
-// counts into inboxes; the log is in (sender spawn order, send
-// sequence) order and the sort is stable, so every inbox is in
-// canonical order.
+// counts into inboxes; the log's segments in order are in (sender spawn
+// order, send sequence) order and the sort is stable, so every inbox is
+// in canonical order.
 func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool) {
 	tr := n.tracer
 	inj := n.injector
 	slots := n.slots
-	log := n.mail.log
+	segs := n.mail.segs
+	log, hi := segs[0], int32(0)
 	blocked, anyB := n.blocked, n.blockedAny
 	async, round := n.async, n.round
 	rel := &n.roundRel
@@ -831,6 +902,13 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 	clear(cnt)
 	for p, s := range n.order {
 		st := &slots[s]
+		// A node's range starting below its predecessor's end is the
+		// first of the next segment: a sealed segment is never empty.
+		if st.outLo < hi {
+			segs = segs[1:]
+			log = segs[0]
+		}
+		hi = st.outHi
 		out := log[st.outLo:st.outHi]
 		// A blocked sender's sends are all discarded, uncounted: they
 		// enter neither Messages nor the control-lane totals.
@@ -915,10 +993,10 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 }
 
 // place finishes the counting sort: a prefix sum over the counts lays
-// the inbox ranges out in the arena, then one lean pass over the log
-// scatters the decided copies. The compute step has finished reading
-// the arena, so it is overwritten in place, and only the tail the new
-// round no longer covers needs its payloads released.
+// the inbox ranges out in the arena, then one lean pass over the log's
+// segments scatters the decided copies. The compute step has finished
+// reading the arena, so it is overwritten in place, and only the tail
+// the new round no longer covers needs its payloads released.
 func (n *Network) place() {
 	mb := &n.mail
 	cur := n.cursor
@@ -937,12 +1015,14 @@ func (n *Network) place() {
 		arena = arena[:total]
 	}
 	mb.arena = arena
-	for i := range mb.log {
-		e := &mb.log[i]
-		t := e.m.slot
-		for c := e.copies; c > 0; c-- {
-			arena[cur[t]] = e.m
-			cur[t]++
+	for _, log := range mb.segs[:mb.cur+1] {
+		for i := range log {
+			e := &log[i]
+			t := e.m.slot
+			for c := e.copies; c > 0; c-- {
+				arena[cur[t]] = e.m
+				cur[t]++
+			}
 		}
 	}
 }
