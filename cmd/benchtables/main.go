@@ -43,11 +43,12 @@
 //	             after the sweep finishes, so dashboards and scrapes
 //	             can read the final state.
 //	-flight N    flight recorder: retain a deterministic sample of
-//	             telemetry events in a bounded ring of N entries
-//	             (0 disables). Exported by -events when full event
-//	             retention is off. Sampling is a pure function of the
-//	             seed and event identity — byte-identical at any
-//	             -procs/-shards setting.
+//	             per-round and per-message events in a bounded ring of
+//	             N entries (0 disables). -events and -trace write every
+//	             audit violation and recovery (kept whatever N is), then
+//	             the sample. Sampling is a pure function of the seed and
+//	             event identity — byte-identical at any -procs/-shards
+//	             setting.
 //	-flight-rate P  flight sampling probability (default 0.01).
 //
 // Whenever any telemetry flag is on, one metrics registry (internal/obs)
@@ -293,11 +294,11 @@ func main() {
 		Reliable: reliableCfg, CellTimeout: *cellTimeout}
 
 	// Telemetry wiring. A single recorder spans every experiment; it
-	// aggregates counters and spans (full event retention stays off — a
-	// sweep would retain millions; -flight keeps a bounded deterministic
-	// sample instead). Its registry holds every count of the run:
-	// counters and streaming histograms cost O(1) per event and never
-	// perturb tables.
+	// aggregates counters and spans and keeps violation and recovery
+	// reports (a sweep's millions of round and message events reach the
+	// artifacts only as -flight's bounded deterministic sample). Its
+	// registry holds every count of the run: counters and streaming
+	// histograms cost O(1) per event and never perturb tables.
 	var rec *trace.Recorder
 	if *traceOut != "" || *eventsOut != "" || *manifestOut != "" || *httpAddr != "" || *flightCap > 0 {
 		rec = trace.New()

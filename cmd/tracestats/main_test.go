@@ -116,7 +116,7 @@ func TestRunUsageError(t *testing.T) {
 // of every kind — exports it both ways, and requires the two summaries
 // to agree on everything below the line naming the file.
 func TestSummaryEqualAcrossFormats(t *testing.T) {
-	rec := trace.New().RecordEvents(true)
+	rec := trace.New().FlightRecorder(1, 1, 4096)
 
 	// Every send-side and delivery-side drop reason but the injected one.
 	net := sim.NewNetwork(sim.Config{Seed: 9})

@@ -154,10 +154,8 @@ func workloadRun(t *testing.T, inj sim.Injector) *WorkAuditor {
 	if a.Mismatches() != 0 {
 		t.Fatalf("work ledger mismatched %d rounds: %+v", a.Mismatches(), rep.got)
 	}
-	// Wrapping no consumer, the auditor asks for no percentiles: the
-	// kernel skipped the sort and the ledger balanced on Delivered alone.
-	if st := tap.last; st.Delivered == 0 || st.InboxP50 != 0 || st.InboxMax != 0 || st.BitsP95 != 0 || st.BitsMax != 0 {
-		t.Fatalf("bare auditor's RoundEnd saw %+v, want Delivered > 0 and zero percentiles", st)
+	if tap.last.Delivered == 0 {
+		t.Fatalf("bare auditor's RoundEnd saw %+v, want Delivered > 0", tap.last)
 	}
 	return a
 }

@@ -22,12 +22,8 @@ import (
 // is tolerated — but only in rounds following a departure; any other
 // mismatch is reported as a "work-conservation" violation.
 type WorkAuditor struct {
-	next      sim.Tracer
-	faultFwd  sim.FaultObserver
-	sampleFwd sim.RoundSampler
-	latFwd    sim.LatencyObserver
-	relFwd    sim.ReliabilityObserver
-	rep       Reporter
+	next sim.Tracer
+	rep  Reporter
 
 	haveRound  bool
 	prevMsgs   int
@@ -49,12 +45,7 @@ type WorkAuditor struct {
 // every tracer hook to next (which may be nil). Attach the result with
 // Network.SetTracer.
 func NewWorkAuditor(rep Reporter, next sim.Tracer) *WorkAuditor {
-	a := &WorkAuditor{next: next, rep: rep}
-	a.faultFwd, _ = next.(sim.FaultObserver)
-	a.sampleFwd, _ = next.(sim.RoundSampler)
-	a.latFwd, _ = next.(sim.LatencyObserver)
-	a.relFwd, _ = next.(sim.ReliabilityObserver)
-	return a
+	return &WorkAuditor{next: next, rep: rep}
 }
 
 // Checked returns how many rounds the ledger was verified for.
@@ -136,47 +127,34 @@ func (a *WorkAuditor) MessageDropped(round int, reason sim.DropReason, from, to 
 	}
 }
 
-// MessageDuplicated implements sim.FaultObserver: the extra copies enter
-// the ledger's credit side.
+// MessageDuplicated enters the extra copies on the ledger's credit side.
 func (a *WorkAuditor) MessageDuplicated(round int, from, to sim.NodeID, bits, copies int) {
 	a.curDupX += copies - 1
-	if a.faultFwd != nil {
-		a.faultFwd.MessageDuplicated(round, from, to, bits, copies)
+	if a.next != nil {
+		a.next.MessageDuplicated(round, from, to, bits, copies)
 	}
 }
 
-// RoundSamples implements sim.RoundSampler by pure forwarding, so an
-// audit splice keeps a metrics-attached Recorder's histograms fed.
 func (a *WorkAuditor) RoundSamples(round int, inbox, bits []int64) {
-	if a.sampleFwd != nil {
-		a.sampleFwd.RoundSamples(round, inbox, bits)
+	if a.next != nil {
+		a.next.RoundSamples(round, inbox, bits)
 	}
 }
 
-// ExactRoundStats defers to the wrapped consumer; with none inside,
-// nobody reads the percentiles (the auditor itself only needs Delivered,
-// which is always computed) and the kernel skips the sort.
-func (a *WorkAuditor) ExactRoundStats() bool {
-	return a.sampleFwd != nil && a.sampleFwd.ExactRoundStats()
-}
-
-// RoundDeferred implements sim.LatencyObserver by pure forwarding, so an
-// audit splice keeps the wrapped Recorder's async-deferral accounting.
 func (a *WorkAuditor) RoundDeferred(round, deferred int) {
-	if a.latFwd != nil {
-		a.latFwd.RoundDeferred(round, deferred)
+	if a.next != nil {
+		a.next.RoundDeferred(round, deferred)
 	}
 }
 
-// RoundReliability implements sim.ReliabilityObserver by pure
-// forwarding. The control-lane traffic it describes is deliberately
-// outside the work-conservation ledger (see the sim lane constants):
-// acks and retransmit copies are accounted in RoundWork.CtlMessages/
-// CtlBits, never in Messages or Delivered, so the ledger arithmetic
-// above stays exact with a reliable layer attached.
+// RoundReliability only forwards. The control-lane traffic it describes
+// is deliberately outside the work-conservation ledger (see the sim lane
+// constants): acks and retransmit copies are accounted in
+// RoundWork.CtlMessages/CtlBits, never in Messages or Delivered, so the
+// ledger arithmetic above stays exact with a reliable layer attached.
 func (a *WorkAuditor) RoundReliability(round int, stats sim.ReliabilityRoundStats) {
-	if a.relFwd != nil {
-		a.relFwd.RoundReliability(round, stats)
+	if a.next != nil {
+		a.next.RoundReliability(round, stats)
 	}
 }
 

@@ -66,6 +66,9 @@ func (*ackHist) NodeSpawned(int, sim.NodeID)                                    
 func (*ackHist) NodeKilled(int, sim.NodeID)                                      {}
 func (*ackHist) NodeBlocked(int, sim.NodeID)                                     {}
 func (*ackHist) MessageDropped(int, sim.DropReason, sim.NodeID, sim.NodeID, int) {}
+func (*ackHist) MessageDuplicated(int, sim.NodeID, sim.NodeID, int, int)         {}
+func (*ackHist) RoundDeferred(int, int)                                          {}
+func (*ackHist) RoundSamples(int, []int64, []int64)                              {}
 func (h *ackHist) RoundReliability(_ int, s sim.ReliabilityRoundStats) {
 	for b, c := range s.AckDelay {
 		h.hist[b] += int(c)

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"slices"
 	"testing"
 
+	"overlaynet/internal/metrics"
 	"overlaynet/internal/rng"
 )
 
@@ -122,28 +124,51 @@ func (goldenInjector) Deliveries(round int, from, to NodeID, seq uint64) int {
 	return 1
 }
 
-// goldenTracer folds every tracer call into the digest.
-type goldenTracer struct{ h hash.Hash64 }
+// goldenTracer folds every tracer call into the digest. The round's
+// samples enter it as the nearest-rank p50, p95 and max of the inbox
+// sizes and of the bits, printed in the round-end line as RoundStats
+// printed them when it carried them, so the recorded digests still hold.
+type goldenTracer struct {
+	h   hash.Hash64
+	pct [6]int64 // inbox p50, p95, max; bits p50, p95, max
+}
 
-func (t goldenTracer) RoundStart(round, alive, blocked int) {
+func (t *goldenTracer) RoundStart(round, alive, blocked int) {
 	fmt.Fprintf(t.h, "start %d %d %d\n", round, alive, blocked)
 }
-func (t goldenTracer) RoundEnd(stats RoundStats)        { fmt.Fprintf(t.h, "end %+v\n", stats) }
-func (t goldenTracer) NodeSpawned(round int, id NodeID) { fmt.Fprintf(t.h, "spawn %d %d\n", round, id) }
-func (t goldenTracer) NodeKilled(round int, id NodeID)  { fmt.Fprintf(t.h, "kill %d %d\n", round, id) }
-func (t goldenTracer) NodeBlocked(round int, id NodeID) {
+func (t *goldenTracer) RoundSamples(round int, inbox, bits []int64) {
+	t.pct = [6]int64{}
+	for i, s := range [][]int64{inbox, bits} {
+		if len(s) > 0 {
+			s = slices.Sorted(slices.Values(s))
+			t.pct[3*i] = metrics.PercentileSortedInt64(s, 0.50)
+			t.pct[3*i+1] = metrics.PercentileSortedInt64(s, 0.95)
+			t.pct[3*i+2] = s[len(s)-1]
+		}
+	}
+}
+func (t *goldenTracer) RoundEnd(st RoundStats) {
+	p := t.pct
+	fmt.Fprintf(t.h, "end {Round:%d Alive:%d Blocked:%d Work:%+v Delivered:%d InboxP50:%d InboxP95:%d InboxMax:%d BitsP50:%d BitsP95:%d BitsMax:%d}\n",
+		st.Round, st.Alive, st.Blocked, st.Work, st.Delivered, p[0], p[1], p[2], p[3], p[4], p[5])
+}
+func (t *goldenTracer) NodeSpawned(round int, id NodeID) {
+	fmt.Fprintf(t.h, "spawn %d %d\n", round, id)
+}
+func (t *goldenTracer) NodeKilled(round int, id NodeID) { fmt.Fprintf(t.h, "kill %d %d\n", round, id) }
+func (t *goldenTracer) NodeBlocked(round int, id NodeID) {
 	fmt.Fprintf(t.h, "blocked %d %d\n", round, id)
 }
-func (t goldenTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {
+func (t *goldenTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {
 	fmt.Fprintf(t.h, "drop %d %v %d %d %d\n", round, reason, from, to, bits)
 }
-func (t goldenTracer) MessageDuplicated(round int, from, to NodeID, bits, copies int) {
+func (t *goldenTracer) MessageDuplicated(round int, from, to NodeID, bits, copies int) {
 	fmt.Fprintf(t.h, "dup %d %d %d %d %d\n", round, from, to, bits, copies)
 }
-func (t goldenTracer) RoundDeferred(round, deferred int) {
+func (t *goldenTracer) RoundDeferred(round, deferred int) {
 	fmt.Fprintf(t.h, "deferred %d %d\n", round, deferred)
 }
-func (t goldenTracer) RoundReliability(round int, stats ReliabilityRoundStats) {
+func (t *goldenTracer) RoundReliability(round int, stats ReliabilityRoundStats) {
 	fmt.Fprintf(t.h, "rel %d %+v\n", round, stats)
 }
 
@@ -158,7 +183,7 @@ func (t goldenTracer) RoundReliability(round int, stats ReliabilityRoundStats) {
 func deliveryTranscript(lat Latency, load goldenLoad) (digest uint64, ex exercised) {
 	h := fnv.New64a()
 	net := NewNetwork(Config{Seed: 99, Latency: lat})
-	net.SetTracer(goldenTracer{h})
+	net.SetTracer(&goldenTracer{h: h})
 	net.SetInjector(goldenInjector{})
 	drv := rng.New(7)
 	var maxID NodeID

@@ -21,16 +21,7 @@ type Injector interface {
 	Deliveries(round int, from, to NodeID, seq uint64) int
 }
 
-// FaultObserver is an optional extension a Tracer can implement to be
-// told about injected duplications (drops are reported through the
-// ordinary MessageDropped hook with reason DropFaultInjected). copies is
-// the total number delivered, so copies-1 extra messages entered the
-// receiver's inbox beyond the one counted in RoundWork.Messages.
-type FaultObserver interface {
-	MessageDuplicated(round int, from, to NodeID, bits, copies int)
-}
-
-// dupEvent is a deferred FaultObserver.MessageDuplicated call, buffered
+// dupEvent is a deferred Tracer.MessageDuplicated call, buffered
 // in Network.dupScratch and replayed after the send step's drops.
 type dupEvent struct {
 	from, to NodeID

@@ -23,7 +23,6 @@ type faultEvent struct {
 }
 
 // faultTracer records round stats plus the ordered fault event stream.
-// It implements Tracer and FaultObserver.
 type faultTracer struct {
 	stats  []RoundStats
 	drops  [NumDropReasons]int
@@ -44,6 +43,9 @@ func (t *faultTracer) MessageDropped(round int, reason DropReason, from, to Node
 func (t *faultTracer) MessageDuplicated(round int, from, to NodeID, bits, copies int) {
 	t.events = append(t.events, faultEvent{"dup", round, from, to, copies})
 }
+func (t *faultTracer) RoundDeferred(round, deferred int)                       {}
+func (t *faultTracer) RoundReliability(round int, stats ReliabilityRoundStats) {}
+func (t *faultTracer) RoundSamples(round int, inbox, bits []int64)             {}
 
 // injectScenario runs a fan-out workload (every node alive and
 // unblocked, so the message ledger is exact) with the given injector.
@@ -156,7 +158,7 @@ func TestInjectorPassThroughMatchesDetached(t *testing.T) {
 }
 
 // TestInjectorMultiCopies: an injector returning c > 2 delivers c
-// consecutive copies and reports the count to the FaultObserver.
+// consecutive copies and reports the count to the tracer.
 func TestInjectorMultiCopies(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	tr := &faultTracer{}

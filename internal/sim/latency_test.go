@@ -8,10 +8,10 @@ import (
 
 // eventTracer records every deterministic tracer callback as a rendered
 // line, preserving call order, so comparing two runs' event slices is a
-// byte-level comparison of their entire observable histories. It
-// implements LatencyObserver too: RoundDeferred events are part of the
-// deterministic stream.
+// byte-level comparison of their entire observable histories,
+// RoundDeferred events included.
 type eventTracer struct {
+	nopTracer
 	events   []string
 	deferred int64
 }

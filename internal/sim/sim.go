@@ -394,43 +394,37 @@ type Network struct {
 
 	// tracer, when non-nil, receives lifecycle events and drop-reason
 	// accounting (see trace.go). The scratch slices collect the
-	// per-node inbox-size and bits samples for RoundStats; they are
+	// per-node inbox-size and bits samples for RoundSamples; they are
 	// reused round after round so tracing adds no steady-state
 	// allocations beyond its first round.
 	tracer     Tracer
-	sampleObs  RoundSampler
 	traceInbox []int64
 	traceBits  []int64
 
 	// injector, when non-nil, is consulted for every otherwise-
-	// deliverable message (see inject.go). faultObs caches whether the
-	// tracer wants duplication events; dupScratch buffers them so they
-	// fire after the send step's drops.
+	// deliverable message (see inject.go). dupScratch buffers the
+	// tracer's duplication events so they fire after the send step's
+	// drops.
 	injector   Injector
-	faultObs   FaultObserver
 	dupScratch []dupEvent
 
 	// Discrete-event scheduler state (latency.go). async mirrors
 	// lat.Enabled(); latSeed feeds the pure per-edge delay hash;
 	// deferred counts messages (cumulatively) whose sampled delay
 	// pushed arrival past the next round — a deterministic statistic.
-	// roundDeferred is this round's count; latObs caches whether the
-	// tracer wants it.
+	// roundDeferred is this round's count.
 	lat           Latency
 	async         bool
 	latSeed       uint64
 	deferred      int64
 	roundDeferred int64
-	latObs        LatencyObserver
 
 	// Reliability-layer accounting (see the lane constants). roundRel
-	// is this round's stats; relTotals is cumulative; relObs caches
-	// whether the tracer wants the per-round stats. All zero unless
+	// is this round's stats; relTotals is cumulative. All zero unless
 	// nodes actually use the control-lane sends, so a reliability-free
 	// run is untouched.
 	roundRel  ReliabilityRoundStats
 	relTotals ReliabilityTotals
-	relObs    ReliabilityObserver
 }
 
 // NewNetwork returns an empty network.
@@ -685,21 +679,21 @@ func (n *Network) Step() {
 	n.compute()
 	messages, totalBits, maxBits, anyHalted := n.send()
 	for _, d := range n.dupScratch {
-		n.faultObs.MessageDuplicated(n.round, d.from, d.to, d.bits, d.copies)
+		n.tracer.MessageDuplicated(n.round, d.from, d.to, d.bits, d.copies)
 	}
 	n.dupScratch = n.dupScratch[:0]
 	if n.async {
 		n.deferred += n.roundDeferred
 		// Fire only on nonzero counts: a zero-spread async run then
 		// produces exactly the synchronous run's tracer call sequence.
-		if n.latObs != nil && n.roundDeferred > 0 {
-			n.latObs.RoundDeferred(n.round, int(n.roundDeferred))
+		if n.tracer != nil && n.roundDeferred > 0 {
+			n.tracer.RoundDeferred(n.round, int(n.roundDeferred))
 		}
 	}
 
-	// Reliability flush: totals accumulate, and the tracer extension
-	// fires only on rounds with activity — a run whose reliable layer
-	// stays silent produces exactly the pre-reliability call sequence.
+	// Reliability flush: totals accumulate, and the tracer hook fires
+	// only on rounds with activity — a run whose reliable layer stays
+	// silent produces exactly the pre-reliability call sequence.
 	if rel := &n.roundRel; rel.any() {
 		n.relTotals.Retransmits += int64(rel.Retransmits)
 		n.relTotals.Acks += int64(rel.Acks)
@@ -707,8 +701,8 @@ func (n *Network) Step() {
 		n.relTotals.Stale += int64(rel.Stale)
 		n.relTotals.CtlMessages += int64(rel.CtlMessages)
 		n.relTotals.CtlBits += rel.CtlBits
-		if n.relObs != nil {
-			n.relObs.RoundReliability(n.round, *rel)
+		if n.tracer != nil {
+			n.tracer.RoundReliability(n.round, *rel)
 		}
 	}
 
@@ -955,7 +949,7 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 					if tr != nil {
 						tr.MessageDropped(round, reason, e.m.From, e.m.To, e.m.Bits)
 					}
-				} else if copies > 1 && n.faultObs != nil {
+				} else if copies > 1 && tr != nil {
 					n.dupScratch = append(n.dupScratch, dupEvent{from: e.m.From, to: e.m.To, bits: e.m.Bits, copies: copies})
 				}
 				if !sblocked {

@@ -1,11 +1,5 @@
 package sim
 
-import (
-	"slices"
-
-	"overlaynet/internal/metrics"
-)
-
 // DropReason classifies why a message was not delivered. The paper's
 // DoS rule (a message from v to w sent in round i arrives iff v is
 // non-blocked in round i and w is non-blocked in rounds i and i+1)
@@ -50,25 +44,18 @@ func (r DropReason) String() string {
 }
 
 // RoundStats summarizes one completed round for a Tracer: the work
-// triple the network always computes, plus the per-node inbox-size and
-// bits (sent+received) distributions that are only computed when a
-// tracer is attached. Percentiles use the same nearest-rank rule as
-// metrics.Summarize.
+// triple the network always computes, plus how many messages were
+// delivered. The per-node samples behind it reach Tracer.RoundSamples.
 type RoundStats struct {
 	Round   int
 	Alive   int // nodes alive at the start of the round
 	Blocked int // of those, blocked in this round
 	Work    RoundWork
 	// Delivered is the number of messages handed to nodes in this
-	// round's receive step (the sum of the inbox sizes below).
+	// round's receive step (the sum of the round's inbox samples).
 	// audit.WorkAuditor reconciles it against the previous round's
 	// Messages and drop events.
 	Delivered int64
-	// Delivered-inbox size distribution across alive nodes (blocked
-	// nodes receive nothing and contribute 0).
-	InboxP50, InboxP95, InboxMax int64
-	// Per-node sent+received bits distribution.
-	BitsP50, BitsP95, BitsMax int64
 }
 
 // Tracer receives simulator lifecycle events. Implementations must be
@@ -82,10 +69,15 @@ type RoundStats struct {
 // of messages delivered into inboxes plus the MessageDropped calls with
 // reasons DropDeadReceiver, DropBlockedReceiverSendRound, and
 // DropFaultInjected for that round, minus the extra copies reported via
-// FaultObserver.MessageDuplicated (each adds copies-1 inbox entries
-// beyond the single counted send). DropBlockedSender drops are *not*
-// part of Work.Messages, and DropBlockedReceiverDeliveryRound drops
-// were counted as Messages in the preceding round (their send round).
+// MessageDuplicated (each adds copies-1 inbox entries beyond the single
+// counted send). DropBlockedSender drops are *not* part of
+// Work.Messages, and DropBlockedReceiverDeliveryRound drops were counted
+// as Messages in the preceding round (their send round).
+//
+// Within a round the hooks fire in this order: RoundStart, NodeBlocked,
+// the receive step's MessageDropped, the send step's MessageDropped,
+// MessageDuplicated, RoundDeferred, RoundReliability, RoundSamples,
+// RoundEnd.
 type Tracer interface {
 	// RoundStart fires after the round counter is advanced, before
 	// delivery: alive is the number of participating nodes, blocked how
@@ -104,61 +96,34 @@ type Tracer interface {
 	// MessageDropped fires for every undelivered message with the round
 	// in which the drop happened.
 	MessageDropped(round int, reason DropReason, from, to NodeID, bits int)
-}
-
-// LatencyObserver is an optional extension a Tracer can implement to
-// receive the discrete-event scheduler's per-round deferral count: how
-// many of the round's delivered sends drew a latency beyond the next
-// round and so missed the synchronous deadline. It fires after the send
-// step of any round with a nonzero count when Config.Latency is enabled
-// (never on zero, so a zero-spread async run emits exactly the
-// synchronous run's call sequence). The count is a pure function of
-// the seed, so it is safe in byte-compared artifacts.
-type LatencyObserver interface {
+	// MessageDuplicated fires for every message an Injector delivered
+	// more than once, after the round's drops: copies is the total
+	// number delivered, so copies-1 extra messages entered the
+	// receiver's inbox beyond the one counted in RoundWork.Messages.
+	MessageDuplicated(round int, from, to NodeID, bits, copies int)
+	// RoundDeferred reports how many of the round's delivered sends drew
+	// a latency beyond the next round and so missed the synchronous
+	// deadline (Config.Latency enabled). It never fires on a zero count,
+	// so a zero-spread async run emits exactly the synchronous run's
+	// call sequence; the count is a pure function of the seed.
 	RoundDeferred(round, deferred int)
-}
-
-// RoundSampler is an optional extension a Tracer can implement to
-// receive the raw per-node samples of each round — the delivered inbox
-// sizes and sent+received bits across alive nodes — before any
-// aggregation. A streaming-metrics consumer (trace.Recorder with a
-// metrics registry attached) feeds them into log-scale histograms in
-// O(n) instead of the exact-sort percentile pass.
-//
-// ExactRoundStats reports whether the consumer still needs the exact
-// sorted percentiles in RoundStats. When it returns false the network
-// skips the O(n log n) sort entirely and leaves the percentile fields
-// of RoundStats zero — the change that keeps an attached tracer usable
-// at n=1M. The slices passed to RoundSamples are the network's scratch
-// buffers, valid only for the duration of the call.
-type RoundSampler interface {
-	RoundSamples(round int, inbox, bits []int64)
-	ExactRoundStats() bool
-}
-
-// ReliabilityObserver is an optional extension a Tracer can implement
-// to receive the reliable-delivery layer's per-round activity: acks and
-// retransmit copies sent, delivery failures and stale discards
-// reported, control-lane traffic, and the ack-delay histogram. Like
-// RoundDeferred it fires at most once per round and never on an empty
-// round, so a run without a reliable layer — or a reliable run on a
-// perfect network, where the layer is silent — emits exactly the
-// legacy call sequence. The stats are sums of pure per-message
-// functions of the seed, so they are safe in byte-compared artifacts.
-type ReliabilityObserver interface {
+	// RoundReliability reports the reliable-delivery layer's round:
+	// acks and retransmit copies sent, delivery failures and stale
+	// discards reported, control-lane traffic and the ack-delay
+	// histogram. It never fires on an empty round, so a run without a
+	// reliable layer emits exactly the legacy call sequence.
 	RoundReliability(round int, stats ReliabilityRoundStats)
+	// RoundSamples hands over the round's raw per-node samples across
+	// alive nodes, in spawn order: delivered inbox sizes and sent+
+	// received bits. The slices are the network's scratch buffers,
+	// valid only for the duration of the call.
+	RoundSamples(round int, inbox, bits []int64)
 }
 
 // SetTracer attaches (or, with nil, detaches) a Tracer. Like the other
 // network methods it must be called from the driver goroutine between
 // rounds.
-func (n *Network) SetTracer(t Tracer) {
-	n.tracer = t
-	n.faultObs, _ = t.(FaultObserver)
-	n.sampleObs, _ = t.(RoundSampler)
-	n.latObs, _ = t.(LatencyObserver)
-	n.relObs, _ = t.(ReliabilityObserver)
-}
+func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 
 // traceRoundStart counts blocked members in spawn order, emits the
 // round-start and per-node block events, and resets the distribution
@@ -185,8 +150,8 @@ func (n *Network) traceRoundStart() int {
 	return nblocked
 }
 
-// traceRoundEnd computes the inbox and bits distributions from the
-// scratch samples Step collected and emits the round-end event.
+// traceRoundEnd hands the round's samples to the tracer and emits the
+// round-end event.
 func (n *Network) traceRoundEnd(alive, nblocked, messages int, totalBits, maxBits int64) {
 	stats := RoundStats{
 		Round:   n.round,
@@ -202,26 +167,6 @@ func (n *Network) traceRoundEnd(alive, nblocked, messages int, totalBits, maxBit
 	for _, v := range n.traceInbox {
 		stats.Delivered += v
 	}
-	// Hand the raw samples to a streaming consumer before sorting
-	// scrambles their per-node order.
-	exact := true
-	if n.sampleObs != nil {
-		n.sampleObs.RoundSamples(n.round, n.traceInbox, n.traceBits)
-		exact = n.sampleObs.ExactRoundStats()
-	}
-	if exact {
-		if len(n.traceInbox) > 0 {
-			slices.Sort(n.traceInbox)
-			stats.InboxP50 = metrics.PercentileSortedInt64(n.traceInbox, 0.50)
-			stats.InboxP95 = metrics.PercentileSortedInt64(n.traceInbox, 0.95)
-			stats.InboxMax = n.traceInbox[len(n.traceInbox)-1]
-		}
-		if len(n.traceBits) > 0 {
-			slices.Sort(n.traceBits)
-			stats.BitsP50 = metrics.PercentileSortedInt64(n.traceBits, 0.50)
-			stats.BitsP95 = metrics.PercentileSortedInt64(n.traceBits, 0.95)
-			stats.BitsMax = n.traceBits[len(n.traceBits)-1]
-		}
-	}
+	n.tracer.RoundSamples(n.round, n.traceInbox, n.traceBits)
 	n.tracer.RoundEnd(stats)
 }

@@ -1,14 +1,31 @@
 package sim
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 )
+
+// nopTracer ignores every hook; the package's test tracers embed it and
+// override what they observe.
+type nopTracer struct{}
+
+func (nopTracer) RoundStart(round, alive, blocked int)                                   {}
+func (nopTracer) RoundEnd(stats RoundStats)                                              {}
+func (nopTracer) NodeSpawned(round int, id NodeID)                                       {}
+func (nopTracer) NodeKilled(round int, id NodeID)                                        {}
+func (nopTracer) NodeBlocked(round int, id NodeID)                                       {}
+func (nopTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {}
+func (nopTracer) MessageDuplicated(round int, from, to NodeID, bits, copies int)         {}
+func (nopTracer) RoundDeferred(round, deferred int)                                      {}
+func (nopTracer) RoundReliability(round int, stats ReliabilityRoundStats)                {}
+func (nopTracer) RoundSamples(round int, inbox, bits []int64)                            {}
 
 // countingTracer tallies every hook invocation; it is the minimal
 // Tracer used to pin the drop-reason accounting and to measure
 // tracer-attached overhead in the benchmarks.
 type countingTracer struct {
+	nopTracer
 	rounds, spawns, kills, blocks int
 	messages                      int
 	drops                         [NumDropReasons]int
@@ -129,12 +146,25 @@ func TestDropReasonAccounting(t *testing.T) {
 	net.Shutdown()
 }
 
+// samplingTracer is a countingTracer that also keeps every round's
+// samples.
+type samplingTracer struct {
+	countingTracer
+	inbox, bits [][]int64
+}
+
+func (t *samplingTracer) RoundSamples(round int, inbox, bits []int64) {
+	t.inbox = append(t.inbox, slices.Clone(inbox))
+	t.bits = append(t.bits, slices.Clone(bits))
+}
+
 // TestRoundStatsDistributions sanity-checks the per-round inbox/bits
-// distributions a tracer receives: ordered percentiles, max matching
-// the work log, and a blocked round reporting blocked > 0.
+// samples a tracer receives: one per alive node, inbox sizes summing to
+// Delivered, the largest bits sample matching the work log, and a
+// blocked round reporting blocked > 0.
 func TestRoundStatsDistributions(t *testing.T) {
 	net := NewNetwork(Config{Seed: 11})
-	tr := &countingTracer{}
+	tr := &samplingTracer{}
 	net.SetTracer(tr)
 	const n = 16
 	for i := 0; i < n; i++ {
@@ -164,14 +194,19 @@ func TestRoundStatsDistributions(t *testing.T) {
 		if st.Round != i+1 || st.Alive != n {
 			t.Fatalf("stats[%d]: round %d alive %d", i, st.Round, st.Alive)
 		}
-		if st.InboxP50 > st.InboxP95 || st.InboxP95 > st.InboxMax {
-			t.Fatalf("stats[%d]: inbox percentiles out of order: %+v", i, st)
+		inbox, bits := tr.inbox[i], tr.bits[i]
+		if len(inbox) != n || len(bits) != n {
+			t.Fatalf("stats[%d]: %d inbox and %d bits samples, want %d", i, len(inbox), len(bits), n)
 		}
-		if st.BitsP50 > st.BitsP95 || st.BitsP95 > st.BitsMax {
-			t.Fatalf("stats[%d]: bits percentiles out of order: %+v", i, st)
+		var delivered int64
+		for _, v := range inbox {
+			delivered += v
 		}
-		if st.BitsMax != st.Work.MaxNodeBits {
-			t.Fatalf("stats[%d]: BitsMax %d != Work.MaxNodeBits %d", i, st.BitsMax, st.Work.MaxNodeBits)
+		if delivered != st.Delivered {
+			t.Fatalf("stats[%d]: inbox samples sum to %d, Delivered %d", i, delivered, st.Delivered)
+		}
+		if m := slices.Max(bits); m != st.Work.MaxNodeBits {
+			t.Fatalf("stats[%d]: max bits sample %d != Work.MaxNodeBits %d", i, m, st.Work.MaxNodeBits)
 		}
 		if st.Work != net.Work()[i] {
 			t.Fatalf("stats[%d]: Work %+v != log %+v", i, st.Work, net.Work()[i])
@@ -182,8 +217,8 @@ func TestRoundStatsDistributions(t *testing.T) {
 	if tr.stats[1].Blocked != 1 {
 		t.Fatalf("round 2 blocked = %d, want 1", tr.stats[1].Blocked)
 	}
-	if tr.stats[1].InboxMax != 1 || tr.stats[1].InboxP50 != 1 {
-		t.Fatalf("round 2 inbox distribution unexpected: %+v", tr.stats[1])
+	if in := tr.inbox[1]; slices.Max(in) != 1 || in[0] != 0 || in[1] != 0 || tr.stats[1].Delivered != n-2 {
+		t.Fatalf("round 2 inbox samples unexpected: %v (%+v)", in, tr.stats[1])
 	}
 }
 

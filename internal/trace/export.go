@@ -35,20 +35,11 @@ type metricsLine struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// exportEvents is the event list both formats carry: the retained
-// events, or the flight recorder's sample when nothing was retained.
-func (r *Recorder) exportEvents() []Event {
-	if events := r.Events(); len(events) > 0 {
-		return events
-	}
-	return r.FlightEvents()
-}
-
 // WriteJSONL writes the events and spans as JSON lines, then the
 // metrics line.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, ev := range r.exportEvents() {
+	for _, ev := range r.Events() {
 		if err := enc.Encode(eventLine{Type: "event", Event: ev}); err != nil {
 			return err
 		}
@@ -95,7 +86,7 @@ const (
 // trace_events JSON.
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	spans := r.Spans()
-	events := r.exportEvents()
+	events := r.Events()
 
 	out := ChromeFile{
 		TraceEvents:     make([]ChromeEvent, 0, len(spans)+len(events)),
@@ -165,12 +156,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 				ev.Args["messages"] = e.Stats.Work.Messages
 				ev.Args["total_bits"] = e.Stats.Work.TotalBits
 				ev.Args["max_node_bits"] = e.Stats.Work.MaxNodeBits
-				ev.Args["inbox_p50"] = e.Stats.InboxP50
-				ev.Args["inbox_p95"] = e.Stats.InboxP95
-				ev.Args["inbox_max"] = e.Stats.InboxMax
-				ev.Args["bits_p50"] = e.Stats.BitsP50
-				ev.Args["bits_p95"] = e.Stats.BitsP95
-				ev.Args["bits_max"] = e.Stats.BitsMax
 			}
 		case "spawn", "kill", "block":
 			ev.Args["node"] = e.Node

@@ -110,14 +110,11 @@ func (r *Recorder) Registry() *obs.Registry {
 // FlightRecorder turns on sampled event retention: a deterministic
 // splitmix64 sampler keeps roughly rate of the per-message/per-round
 // events in a bounded ring of the given capacity, regardless of run
-// length. Violations and recoveries are always kept. The sampling
+// length; rate 1 keeps every event until the ring fills. Violations and
+// recoveries are kept beside the ring whatever the rate. The sampling
 // decision is a pure function of (seed, event identity), so the kept
-// set is byte-identical at any -procs/-shards setting.
-//
-// Flight mode implies event emission but not exact round percentiles:
-// at n=1M the kernel keeps its streaming-histogram path and the
-// round_end events in the ring carry zero percentile fields. Returns r
-// for chaining.
+// set is byte-identical at any -procs/-shards setting. Returns r for
+// chaining.
 func (r *Recorder) FlightRecorder(seed uint64, rate float64, capacity int) *Recorder {
 	r.mu.Lock()
 	r.flight = obs.NewRing[Event](capacity)
@@ -165,9 +162,6 @@ func kindID(kind string) uint64 {
 // keepInFlight decides (deterministically) whether ev enters the flight
 // ring. Caller holds r.mu.
 func (r *Recorder) keepInFlight(ev Event) bool {
-	if ev.Kind == "violation" || ev.Kind == "recovery" {
-		return true
-	}
 	return r.flightSampler.Keep(
 		kindID(ev.Kind)^uint64(ev.Round)<<8,
 		ev.From^ev.Node,

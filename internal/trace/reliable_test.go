@@ -10,27 +10,21 @@ import (
 
 // TestRoundReliabilityLane drives the reliability callback directly
 // and checks the whole export chain: the Counters view, the registry
-// series (Prometheus names + ack-delay histogram), retained events, and
-// the JSONL lines tracestats reads.
+// series (Prometheus names + ack-delay histogram), the flight ring's
+// events, and the JSONL lines tracestats reads.
 func TestRoundReliabilityLane(t *testing.T) {
-	rec := New()
 	reg := obs.NewRegistry(0)
-	rec.WithMetrics(reg)
-	rec.RecordEvents(true)
+	rec := New().WithMetrics(reg).FlightRecorder(1, 1, 64)
 
 	tr := rec.Tracer("lane-test")
-	ro, ok := tr.(sim.ReliabilityObserver)
-	if !ok {
-		t.Fatal("Tracer does not implement sim.ReliabilityObserver")
-	}
 	var stats sim.ReliabilityRoundStats
 	stats.Retransmits = 4
 	stats.Acks = 9
 	stats.Failures = 2
 	stats.Stale = 3
 	stats.AckDelay[1] = 5 // five acks with delay in (1, 2] rounds
-	ro.RoundReliability(7, stats)
-	ro.RoundReliability(8, sim.ReliabilityRoundStats{Acks: 1})
+	tr.RoundReliability(7, stats)
+	tr.RoundReliability(8, sim.ReliabilityRoundStats{Acks: 1})
 
 	c := rec.Counters()
 	if c.Retransmits != 4 || c.Acks != 10 || c.DeliveryFailures != 2 || c.StaleDeliveries != 3 {
@@ -51,9 +45,8 @@ func TestRoundReliabilityLane(t *testing.T) {
 		}
 	}
 
-	events := rec.Events()
 	var lane []Event
-	for _, ev := range events {
+	for _, ev := range rec.FlightEvents() {
 		if ev.Kind == "reliable_round" {
 			lane = append(lane, ev)
 		}

@@ -12,10 +12,10 @@
 // WriteJSONL (one event per line) or WriteChromeTrace (Chrome/Perfetto
 // trace_events JSON, load it at https://ui.perfetto.dev).
 //
-// By default the Recorder aggregates counters and spans only; call
-// RecordEvents(true) to additionally keep every per-round, per-message
-// event (memory grows with the run — meant for focused scenarios, not
-// full sweeps).
+// Every Recorder keeps its counters, spans, and every violation and
+// recovery report. Per-round and per-message events are kept only in
+// the bounded flight ring FlightRecorder turns on; FlightRecorder(seed,
+// 1, capacity) keeps all of them until the ring fills.
 package trace
 
 import (
@@ -142,8 +142,7 @@ type Counters struct {
 // Recorder collects events, spans, and counters. The zero value is not
 // usable; call New.
 type Recorder struct {
-	start      time.Time
-	withEvents bool
+	start time.Time
 
 	// The one store of every count (see metrics.go): reg is New's own
 	// registry or the shared one WithMetrics named, km its kernel series,
@@ -154,13 +153,13 @@ type Recorder struct {
 
 	// Flight recorder (see metrics.go): a bounded ring of
 	// deterministically sampled events. flightOn mirrors flight != nil
-	// so wantsEvents stays lock-free.
+	// so the tracer hooks' check stays lock-free.
 	flightOn      atomic.Bool
 	flightSampler obs.Sampler
 
 	mu     sync.Mutex
 	spans  []Span
-	events []Event
+	kept   []Event // every violation and recovery, beside the ring so none is evicted
 	flight *obs.Ring[Event]
 }
 
@@ -168,13 +167,6 @@ type Recorder struct {
 // (WithMetrics names a shared one instead); its clock starts now.
 func New() *Recorder {
 	return (&Recorder{start: time.Now()}).WithMetrics(obs.NewRegistry(0))
-}
-
-// RecordEvents toggles in-memory retention of per-round/per-message
-// events (counters and spans are always kept). Returns r for chaining.
-func (r *Recorder) RecordEvents(on bool) *Recorder {
-	r.withEvents = on
-	return r
 }
 
 // Start returns the recorder's epoch; span and event timestamps are
@@ -320,9 +312,9 @@ func (r *Recorder) Snapshot() map[string]float64 {
 func (r *Recorder) ReportViolation(v audit.Violation) {
 	r.km.violations.Inc(r.recLane)
 	// Unlike round/message telemetry, violations are rare and
-	// load-bearing, so they are always retained — not gated behind
-	// RecordEvents. The audit engine caps what it reports.
-	ev := Event{
+	// load-bearing, so every one is kept. The audit engine caps what it
+	// reports.
+	r.keep(Event{
 		TSMicros: time.Since(r.start).Microseconds(),
 		Kind:     "violation",
 		Scope:    v.Scope,
@@ -332,23 +324,16 @@ func (r *Recorder) ReportViolation(v audit.Violation) {
 		Epoch:    v.Epoch,
 		Seed:     v.Seed,
 		Nodes:    v.Nodes,
-	}
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	if r.flight != nil {
-		r.flight.Append(ev)
-	}
-	r.mu.Unlock()
+	})
 }
 
 // ReportRecovery implements audit.RecoveryReporter: closed break
 // episodes are counted (with their recovery times summed for MTTR) and
-// emitted as "recovery" events. Like violations they are rare and
-// load-bearing, so they are always retained regardless of RecordEvents.
+// emitted as "recovery" events, kept like violations.
 func (r *Recorder) ReportRecovery(rec audit.Recovery) {
 	r.km.recoveries.Inc(r.recLane)
 	r.km.mttrRounds.Observe(int64(rec.Rounds))
-	ev := Event{
+	r.keep(Event{
 		TSMicros:   time.Since(r.start).Microseconds(),
 		Kind:       "recovery",
 		Scope:      rec.Scope,
@@ -357,12 +342,12 @@ func (r *Recorder) ReportRecovery(rec audit.Recovery) {
 		Seed:       rec.Seed,
 		CleanRound: rec.CleanAt,
 		MTTRRounds: rec.Rounds,
-	}
+	})
+}
+
+func (r *Recorder) keep(ev Event) {
 	r.mu.Lock()
-	r.events = append(r.events, ev)
-	if r.flight != nil {
-		r.flight.Append(ev)
-	}
+	r.kept = append(r.kept, ev)
 	r.mu.Unlock()
 }
 
@@ -373,37 +358,30 @@ func (r *Recorder) Spans() []Span {
 	return append([]Span(nil), r.spans...)
 }
 
-// Events returns a copy of the recorded events (empty unless
-// RecordEvents(true) was set).
+// Events returns a copy of the events both exports write: every
+// violation and recovery report, then the flight ring's sample, oldest
+// first (none without FlightRecorder).
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	return append(append([]Event(nil), r.kept...), r.flight.Snapshot()...)
 }
 
-// emit appends an event (if event retention is on) and offers it to
-// the flight ring (if one is set). Called only when at least one of the
-// two is possible — the tracer methods check cheaply first.
+// emit offers an event to the flight ring. The tracer hooks call it only
+// when wantsEvents reports a ring, checked without the lock.
 func (r *Recorder) emit(ev Event) {
 	r.mu.Lock()
-	if r.withEvents {
-		r.events = append(r.events, ev)
-	}
-	if r.flight != nil && r.keepInFlight(ev) {
+	if r.keepInFlight(ev) {
 		r.flight.Append(ev)
 	}
 	r.mu.Unlock()
 }
 
-func (r *Recorder) wantsEvents() bool {
-	return r.withEvents || r.flightOn.Load()
-}
+func (r *Recorder) wantsEvents() bool { return r.flightOn.Load() }
 
 // simTracer adapts a Recorder to the sim.Tracer interface, labeling
-// everything with a fixed scope. It also implements sim.RoundSampler:
-// the raw per-round samples stream into the registry's log-scale
-// histograms, and the kernel may skip its exact percentile sort (see
-// ExactRoundStats). lane is the tracer's private
+// everything with a fixed scope; the raw per-round samples stream into
+// the registry's log-scale histograms. lane is the tracer's private
 // counter lane; roundStartUS times the current round for the duration
 // histogram (driver-goroutine-only state, like the kernel's own
 // scratch).
@@ -438,21 +416,13 @@ func (t *simTracer) RoundEnd(stats sim.RoundStats) {
 	}
 }
 
-// RoundSamples implements sim.RoundSampler: the kernel's raw per-node
-// inbox and bits samples stream into the registry's histograms —
-// O(n) bucket increments on the driver goroutine, no sorting, no
-// retention.
+// RoundSamples streams the kernel's raw per-node inbox and bits samples
+// into the registry's histograms — O(n) bucket increments on the driver
+// goroutine, no sorting, no retention.
 func (t *simTracer) RoundSamples(round int, inbox, bits []int64) {
 	t.rec.km.inboxDepth.ObserveAll(inbox)
 	t.rec.km.nodeBits.ObserveAll(bits)
 }
-
-// ExactRoundStats tells the kernel whether the exact sorted round
-// percentiles are still needed: only when retained round_end events
-// embed them. Metrics-only and flight-recorder tracing skip the
-// per-round O(n log n) sort — the flight ring deliberately carries
-// none, which keeps flight mode O(n) per round at n=1M.
-func (t *simTracer) ExactRoundStats() bool { return t.rec.withEvents }
 
 func (t *simTracer) NodeSpawned(round int, id sim.NodeID) {
 	t.rec.km.spawns.Inc(t.lane)
@@ -479,13 +449,10 @@ func (t *simTracer) NodeBlocked(round int, id sim.NodeID) {
 	}
 }
 
-// RoundDeferred implements sim.LatencyObserver: the discrete-event
-// scheduler reports each round's count of messages parked past the
-// synchronous round+1 deadline. The kernel only calls it for nonzero
-// counts, so a zero-spread async run produces the exact synchronous
-// callback sequence, and the count is a pure function of (seed, latency
-// model): sched_deferred events and the AsyncDeferred counter are
-// deterministic output, safe to byte-compare.
+// RoundDeferred counts the messages the discrete-event scheduler parked
+// past the synchronous round+1 deadline. The count is a pure function of
+// (seed, latency model): sched_deferred events and the AsyncDeferred
+// counter are deterministic output, safe to byte-compare.
 func (t *simTracer) RoundDeferred(round, deferred int) {
 	t.rec.km.asyncDeferred.Add(t.lane, uint64(deferred))
 	if t.rec.wantsEvents() {
@@ -494,13 +461,10 @@ func (t *simTracer) RoundDeferred(round, deferred int) {
 	}
 }
 
-// RoundReliability implements sim.ReliabilityObserver: the kernel
-// reports each round's control-lane activity (retransmits, acks,
-// exhausted budgets, stale arrivals) from reliable endpoints. Like
-// RoundDeferred it fires only on nonzero rounds — a run without the
-// reliable layer (or on a perfect network where only acks flow) keeps
-// the legacy callback cadence — and every count is a pure function of
-// (seed, latency model, fault spec), safe to byte-compare.
+// RoundReliability counts a round's control-lane activity (retransmits,
+// acks, exhausted budgets, stale arrivals) from reliable endpoints; every
+// count is a pure function of (seed, latency model, fault spec), safe to
+// byte-compare.
 func (t *simTracer) RoundReliability(round int, stats sim.ReliabilityRoundStats) {
 	km := t.rec.km
 	km.retransmits.Add(t.lane, uint64(stats.Retransmits))
@@ -517,8 +481,8 @@ func (t *simTracer) RoundReliability(round int, stats sim.ReliabilityRoundStats)
 	}
 }
 
-// MessageDuplicated implements sim.FaultObserver: injected duplications
-// accumulate the extra-copy counter the Delivered reconciliation uses.
+// MessageDuplicated accumulates the extra-copy counter the Delivered
+// reconciliation uses.
 func (t *simTracer) MessageDuplicated(round int, from, to sim.NodeID, bits, copies int) {
 	t.rec.km.dupExtra.Add(t.lane, uint64(copies-1))
 	if t.rec.wantsEvents() {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"overlaynet/internal/audit"
 	"overlaynet/internal/sim"
 )
 
@@ -77,22 +78,19 @@ func TestRecorderCounters(t *testing.T) {
 	}
 }
 
-// TestRecorderEventRetention verifies that events are kept only when
-// RecordEvents(true) is set, and that the retained stream contains all
-// lifecycle kinds with scope labels.
+// TestRecorderEventRetention verifies that lifecycle events are kept
+// only in a flight ring, and that a rate-1 ring keeps all lifecycle kinds
+// with scope labels.
 func TestRecorderEventRetention(t *testing.T) {
 	off := New()
 	scenario(off)
 	if n := len(off.Events()); n != 0 {
-		t.Fatalf("events retained without RecordEvents: %d", n)
+		t.Fatalf("events retained without a flight ring: %d", n)
 	}
 
-	on := New().RecordEvents(true)
+	on := New().FlightRecorder(1, 1, 1024)
 	scenario(on)
-	evs := on.Events()
-	if len(evs) == 0 {
-		t.Fatal("no events retained with RecordEvents(true)")
-	}
+	evs := on.FlightEvents()
 	kinds := map[string]int{}
 	for _, ev := range evs {
 		kinds[ev.Kind]++
@@ -112,7 +110,7 @@ func TestRecorderEventRetention(t *testing.T) {
 // TestWriteJSONL checks that every emitted line parses as JSON and that
 // the export ends with the metrics line.
 func TestWriteJSONL(t *testing.T) {
-	rec := New().RecordEvents(true)
+	rec := New().FlightRecorder(1, 1, 1024)
 	scenario(rec)
 	rec.CellSpan("E0", 3, 42, 1, rec.Start())
 
@@ -145,7 +143,7 @@ func TestWriteJSONL(t *testing.T) {
 // lifecycle events become "i" instants, and the metrics snapshot rides
 // along under "metrics".
 func TestWriteChromeTrace(t *testing.T) {
-	rec := New().RecordEvents(true)
+	rec := New().FlightRecorder(1, 1, 1024)
 	scenario(rec)
 	start := rec.Start()
 	rec.CellSpan("E0", 0, 42, 2, start)
@@ -186,6 +184,61 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if spans != 3 || instants != len(rec.Events()) {
 		t.Fatalf("spans=%d instants=%d, want 3/%d", spans, instants, len(rec.Events()))
+	}
+}
+
+// exportedKinds counts the event lines of the JSONL export and the
+// instants of the Chrome export by kind.
+func exportedKinds(t *testing.T, rec *Recorder) (jsonl, chrome map[string]int) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	jsonl = map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev eventLine
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Type == "event" {
+			jsonl[ev.Kind]++
+		}
+	}
+	buf.Reset()
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f ChromeFile
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatal(err)
+	}
+	chrome = map[string]int{}
+	for _, ev := range f.TraceEvents {
+		if ev.Ph == "i" {
+			chrome[strings.SplitN(ev.Name, ":", 2)[0]]++
+		}
+	}
+	return jsonl, chrome
+}
+
+// TestExportKeepsFlightSampleBesideViolations is the regression test for
+// an export that wrote only the violations once there was one, dropping
+// the flight sample around it: both formats carry the scenario's 25
+// sampled events and the one violation.
+func TestExportKeepsFlightSampleBesideViolations(t *testing.T) {
+	rec := New().FlightRecorder(1, 1, 1024)
+	scenario(rec)
+	rec.ReportViolation(audit.Violation{Scope: "test", Invariant: "cycle-cover", Round: 3, Detail: "test"})
+	jsonl, chrome := exportedKinds(t, rec)
+	for name, kinds := range map[string]map[string]int{"JSONL": jsonl, "Chrome": chrome} {
+		total := 0
+		for _, n := range kinds {
+			total += n
+		}
+		if total != 26 || kinds["violation"] != 1 {
+			t.Errorf("%s export: %d events, %d violations, want 26 and 1 (%v)", name, total, kinds["violation"], kinds)
+		}
 	}
 }
 
