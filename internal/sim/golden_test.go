@@ -18,7 +18,9 @@ import (
 // moves one changed an inbox, its order, a work-log row, a reliability
 // counter or a tracer event. The burst cases' constants are younger:
 // they were recorded before the kernel had a buffer release rule; the
-// seal cases' before the send log had segments.
+// seal cases' before the send log had segments; the const:2.5 and
+// lognorm:1,1.5 cases' while the latency scheduler still kept per-node
+// calendars, before its messages reached the inbox arena.
 
 // Lane markers added to the payload so the transcript sees which Send
 // variant produced a message without reading unexported fields.
@@ -327,6 +329,10 @@ func TestDeliveryTranscriptGolden(t *testing.T) {
 		{"sync", "seals", seals, 0x5a6da379a1489292},
 		{"const:1", "seals", seals, 0x5a6da379a1489292},
 		{"uniform:1,3", "seals", seals, 0xa7d5c86a663c3199},
+		{"const:2.5", "quiet", goldenLoad{}, 0xf1c7e1de744d68b2},
+		{"const:2.5", "burst", burst, 0x4a02bad33609ef44},
+		{"lognorm:1,1.5", "quiet", goldenLoad{}, 0xc6c38142e5ff525c},
+		{"lognorm:1,1.5", "burst", burst, 0x5235041bd5159678},
 	} {
 		lat, err := ParseLatency(tc.lat)
 		if err != nil {

@@ -12,14 +12,18 @@ import (
 //
 // The paper's model is synchronous — every message sent in round i is
 // delivered at the start of round i+1 — but real deployments are not.
-// When Config.Latency is enabled the kernel switches to an event
-// calendar: each message is stamped with an arrival *tick* (rounds are
-// subdivided into tickScale ticks) drawn from a per-edge latency
-// distribution, parked in the receiver's calendar, and delivered in the
-// first round whose receive step its tick has reached. Within a round
-// the inbox is ordered by (arrival tick, send round, sender position,
-// send sequence) — a total order over distinct messages — so delivery
-// is byte-reproducible, exactly like the synchronous path.
+// When Config.Latency is enabled each message is stamped with an
+// arrival *tick* (rounds are subdivided into tickScale ticks) drawn from
+// a per-edge latency distribution and delivered in the first round whose
+// receive step its tick has reached. A message due next round stays in
+// the send log, as on the synchronous path; one due later waits in the
+// calendar bucket of its delivery round (mailbag.cal). Either way it
+// reaches its receiver through the one inbox arena: place scatters the
+// bucket due next round, then the log, stably, and under spread stably
+// sorts each inbox by arrival tick. The inbox is so ordered by (arrival
+// tick, send round, sender position, send sequence) — a total order
+// over distinct messages — and delivery is byte-reproducible, exactly
+// like the synchronous path.
 //
 // Determinism argument, in full:
 //
@@ -33,16 +37,16 @@ import (
 //     per-edge delivery FIFO within a round (links do not reorder a
 //     burst); distinct rounds redraw.
 //   - Ties: equal ticks are broken by send round, then sender position
-//     in canonical spawn order, then the sender's send sequence. The
+//     in canonical spawn order, then the sender's send sequence: the
+//     order the stable scatter leaves and the stable sort keeps. The
 //     last two are exactly the synchronous kernel's canonical inbox
 //     order, so the tie-break never consults arrival order. Injector
 //     duplicates share a key but are identical values, so their mutual
 //     order is irrelevant to the bytes produced.
-//   - Sync equivalence: with zero spread (Const d, 0 < d <= 1) every
-//     message sent in round i arrives in round i+1 and all ticks within
-//     an inbox are equal, so the order degenerates to (sender position,
-//     send sequence) — the synchronous order — and the run reproduces
-//     the synchronous kernel's tables and work logs byte for byte.
+//   - Without spread (Const d) every inbox of a round holds one send
+//     round's messages at one tick, so no sort runs. With 0 < d <= 1
+//     every message stays in the log and the run is the synchronous
+//     kernel's, byte for byte: tables, work logs and tracer calls.
 //
 // The §5/§6 overlay stacks run whole protocol phases per sim-free
 // round and cannot re-order intra-round delivery; they consume the same
@@ -128,7 +132,7 @@ func (l Latency) Validate() error {
 			return fmt.Errorf("latency const: delay %v out of range", l.A)
 		}
 	case LatencyUniform:
-		if l.A < 0 || l.B < l.A || math.IsNaN(l.B) || math.IsInf(l.B, 0) {
+		if l.A < 0 || l.B < l.A || math.IsNaN(l.A) || math.IsInf(l.A, 0) || math.IsNaN(l.B) || math.IsInf(l.B, 0) {
 			return fmt.Errorf("latency uniform: need 0 <= lo <= hi, got [%v, %v]", l.A, l.B)
 		}
 	case LatencyLognorm:
@@ -264,45 +268,4 @@ func (l Latency) delayTicks(seed uint64, round int, from, to uint64) uint64 {
 // rounds that cannot express multi-round deferral.
 func (l Latency) Late(seed uint64, round int, from, to uint64) bool {
 	return l.delayTicks(seed, round, from, to) > tickScale
-}
-
-// pendingMsg is a calendar entry: a message parked in its receiver's
-// future queue until the round containing its arrival tick.
-type pendingMsg struct {
-	m    Message
-	tick uint64 // absolute arrival tick (send round * tickScale + delay); delivered in round ceil(tick/tickScale)
-	seq  uint64 // sender's send sequence (tie-break 4)
-	srnd int32  // send round (tie-break 2)
-	pos  int32  // sender position in canonical order at send time (tie-break 3)
-}
-
-// pendingLess is the total delivery order: arrival tick, then send
-// round, then sender position, then send sequence. Distinct messages
-// always differ in the key (two messages with equal (srnd, pos) are
-// from the same sender in the same round and so differ in seq);
-// injector duplicates tie but are identical values.
-func pendingLess(a, b pendingMsg) int {
-	switch {
-	case a.tick != b.tick:
-		if a.tick < b.tick {
-			return -1
-		}
-		return 1
-	case a.srnd != b.srnd:
-		if a.srnd < b.srnd {
-			return -1
-		}
-		return 1
-	case a.pos != b.pos:
-		if a.pos < b.pos {
-			return -1
-		}
-		return 1
-	case a.seq != b.seq:
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	}
-	return 0
 }

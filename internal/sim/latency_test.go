@@ -251,7 +251,7 @@ func TestParseLatency(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"gauss:1", "const:", "const:a", "const:-1", "uniform:2,1", "uniform:1",
-		"lognorm:0,-1", "const:1,2", "uniform:0.5;2.5",
+		"lognorm:0,-1", "const:1,2", "uniform:0.5;2.5", "uniform:NaN,1",
 	} {
 		if _, err := ParseLatency(bad); err == nil {
 			t.Fatalf("ParseLatency(%q) accepted invalid spec", bad)

@@ -39,6 +39,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -59,17 +60,21 @@ type Message struct {
 	// (the paper counts bits sent plus bits received per round).
 	Bits int
 
-	slot int32 // receiver's dense slot, resolved at Send time; -1 = no such node
+	// slot is the receiver's dense slot, resolved at Send time (-1 = no
+	// such node); place sorts a spread inbox by arrival tick kept here.
+	slot int32
 	lane uint8 // laneProtocol, or a control lane (reliability traffic)
 }
 
-// sent is one send-log entry: the message plus the number of inbox
-// entries to place for it, decided in the count pass. Its per-sender
-// send sequence (injector identity, calendar tie-break) is not stored:
+// sent is one send-log or calendar entry: the message, the number of
+// inbox entries to place for it, decided in the count pass, and under a
+// latency model its arrival tick in the delivery round, in (0, tickScale].
+// Its per-sender send sequence (the injector's identity) is not stored:
 // a node's sends of one round are consecutive and end at nodeState.seq.
 type sent struct {
 	m      Message
 	copies int32
+	tick   uint32
 }
 
 // mailbag is the delivery state. The send log holds this round's sends
@@ -77,8 +82,10 @@ type sent struct {
 // round's inboxes, one contiguous range per receiver slot. Both are
 // overwritten every round, so only what the new round no longer covers
 // is cleared and a steady state allocates nothing; a burst's capacity is
-// given back by the release rule (see trim). box is the async path's
-// scratch inbox, rebuilt per node.
+// given back by the release rule (see trim). Under a latency model cal
+// is the calendar: cal[k] holds the copies due k+1 rounds after the
+// round in progress, in send order; place delivers cal[0] with the log
+// and recycles it as the last bucket.
 type mailbag struct {
 	log     []sent   // the open segment: Ctx.sendRaw appends here
 	segs    [][]sent // every segment; segs[:cur+1] hold this round's sends
@@ -87,7 +94,7 @@ type mailbag struct {
 	widest  int      // most sends of one node this round, at most segLen/4
 	reserve []sent   // an empty segment kept for the next round's seal
 	arena   []Message
-	box     []Message
+	cal     []bucket
 
 	logTrim, arenaTrim trim
 }
@@ -118,10 +125,9 @@ const segLen = 4096
 // buffer regrows at the burst's size when the burst returns, without
 // copying: the log by whole segments, the arena in place's one exact
 // allocation. Lengths are a pure function of the run, so the rule is
-// deterministic, and it moves no message. The calendar path keeps its
-// log: there the per-node calendars hold most of a burst's capacity, so
-// releasing the log alone would pay the regrowth of every stretched
-// phase and give back a quarter of what the network retains.
+// deterministic, and it moves no message. Under a latency model the
+// kernel keeps its buffers: releasing them there pays the regrowth of
+// every stretched reliable phase and retains more, not less.
 const (
 	trimRounds = 8
 	trimShare  = 4
@@ -349,11 +355,6 @@ type nodeState struct {
 	inLo, inHi   int32
 	live         bool // slot is occupied
 	halted       bool // handler returned false or node was killed
-	// future is the node's event calendar in async mode: messages
-	// parked until the round containing their arrival tick. Unordered;
-	// the compute step extracts and sorts the due entries. Always empty
-	// in synchronous mode.
-	future []pendingMsg
 }
 
 // Network coordinates the synchronous rounds. It is not safe for
@@ -455,9 +456,6 @@ func NewNetwork(cfg Config) *Network {
 	}
 	return n
 }
-
-// Async reports whether the discrete-event scheduler is active.
-func (n *Network) Async() bool { return n.async }
 
 // DeferredMessages returns the cumulative number of messages whose
 // sampled latency pushed their arrival beyond the next round — the
@@ -571,19 +569,16 @@ func (n *Network) allocSlot() int32 {
 // freeSlot returns a departed node's slot to the free list: the handler
 // and Ctx are dropped, the inbox range is emptied so the next occupant
 // starts with none (mail placed for the departed node this round is
-// absorbed; its payloads go when the arena is next overwritten), and all
-// slot-indexed bits are cleared. A coroutine adapter whose goroutine is
-// still parked (the node was killed rather than returning) is unwound
-// here.
+// absorbed; its payloads go when the arena is next overwritten; mail
+// still in the calendar is absorbed by place), and all slot-indexed bits
+// are cleared. A coroutine adapter whose goroutine is still parked (the
+// node was killed rather than returning) is unwound here.
 func (n *Network) freeSlot(s int32) {
 	st := &n.slots[s]
 	if a, ok := st.h.(*procAdapter); ok {
 		a.stop()
 	}
-	// In-flight calendar entries to a departed node are absorbed the same
-	// way; clearing also keeps them from the slot's next occupant.
-	clear(st.future)
-	*st = nodeState{future: st.future[:0]}
+	*st = nodeState{}
 	n.killReq.Unset(s)
 	n.blocked.Unset(s)
 	n.pendingBlocked.Unset(s)
@@ -674,8 +669,8 @@ func (n *Network) Step() {
 	// Compute step: hand each node the inbox the previous send step
 	// placed (empty if blocked in this round — the "receiver non-blocked
 	// in round i+1" half of the rule; the other half was enforced at send
-	// time) and run its handler inline. Send step: sort the log into the
-	// arena (or, in async mode, the calendars).
+	// time) and run its handler inline. Send step: sort the log (and the
+	// calendar bucket due next round) into the arena.
 	n.compute()
 	messages, totalBits, maxBits, anyHalted := n.send()
 	for _, d := range n.dupScratch {
@@ -746,12 +741,8 @@ func (n *Network) compute() {
 	mb.widest = 0
 	for _, s := range n.order {
 		st := &slots[s]
-		var box []Message
-		if n.async {
-			// Event-scheduler receive step: deliver (or, when blocked,
-			// drop) the calendar entries due this round.
-			box = n.asyncInbox(st, s)
-		} else if box = mb.arena[st.inLo:st.inHi]; anyB && blocked.Test(s) {
+		box := mb.arena[st.inLo:st.inHi]
+		if anyB && blocked.Test(s) {
 			// Drop the pending inbox without delivering it. Control-lane
 			// messages are lost the same way but stay out of the exact
 			// drop ledger (the reliable layer accounts them itself).
@@ -809,63 +800,16 @@ func (n *Network) compute() {
 			ctx.rel = relNodeStats{}
 		}
 	}
-	// Release the payloads of whatever this round's log and the scratch
-	// inbox no longer cover: the open segment's old tail, and all of the
-	// spare segments this round did not reach. Between rounds only the
-	// list holds a segment, so the release rule's drop is a real one.
+	// Release the payloads of whatever this round's log no longer covers:
+	// the open segment's old tail, and all of the spare segments this
+	// round did not reach. Between rounds only the list holds a segment,
+	// so the release rule's drop is a real one.
 	mb.close()
 	mb.log = nil
 	for i := mb.cur + 1; i < len(mb.segs); i++ {
 		clear(mb.segs[i])
 		mb.segs[i] = mb.segs[i][:0]
 	}
-	clear(mb.box[:cap(mb.box)])
-}
-
-// asyncInbox runs the event-scheduler receive step for one slot: it
-// extracts the calendar entries whose delivery round has arrived, sorts
-// them into the total order (arrival tick, send round, sender position,
-// send sequence — see latency.go), and materializes them in the scratch
-// inbox — or, for a blocked receiver, drops them with
-// DropBlockedReceiverDeliveryRound, exactly as the synchronous path
-// drops a blocked node's pending inbox.
-func (n *Network) asyncInbox(st *nodeState, s int32) []Message {
-	mb := &n.mail
-	fut := st.future
-	now := uint64(n.round) * tickScale // delivery round = ceil(tick/tickScale)
-	d := 0
-	for i := range fut {
-		if fut[i].tick <= now {
-			fut[d], fut[i] = fut[i], fut[d]
-			d++
-		}
-	}
-	if d == 0 {
-		return nil
-	}
-	due := fut[:d]
-	slices.SortFunc(due, pendingLess)
-	box := mb.box[:0]
-	if n.blockedAny && n.blocked.Test(s) {
-		if n.tracer != nil {
-			for i := range due {
-				if due[i].m.lane == laneProtocol { // control lane stays out of the drop ledger
-					n.tracer.MessageDropped(n.round, DropBlockedReceiverDeliveryRound, due[i].m.From, st.id, due[i].m.Bits)
-				}
-			}
-		}
-	} else {
-		for i := range due {
-			box = append(box, due[i].m)
-		}
-		mb.box = box
-	}
-	// Retire the due entries: shift the keepers down, release payload
-	// references from the vacated tail.
-	k := copy(fut, fut[d:])
-	clear(fut[k:])
-	st.future = fut[:k]
-	return box
 }
 
 // noDrop marks a message the send step decided to deliver.
@@ -875,14 +819,13 @@ const noDrop = NumDropReasons
 // into the inbox arena. It scans every sender's log range in spawn
 // order and, per message, decides the copy count — the §1.1 blocking
 // rule's send-round half (sender, then receiver; the i+1 half is
-// checked at delivery), then the injector — records and counts it (or,
-// in async mode, stamps the arrival tick — a pure function of seed,
-// round and edge — and parks the copies in the receiver's calendar),
-// and performs the round's accounting: message and bit totals, drop and
-// duplication events, deferrals, departures. place then turns the
-// counts into inboxes; the log's segments in order are in (sender spawn
-// order, send sequence) order and the sort is stable, so every inbox is
-// in canonical order.
+// checked at delivery), then the injector — records it (under a latency
+// model, after stamping its arrival: see schedule), counts what is due
+// next round, and performs the round's accounting: message and bit
+// totals, drop and duplication events, deferrals, departures. place then
+// turns the counts into inboxes; the log's segments in order are in
+// (sender spawn order, send sequence) order and the sort is stable, so
+// every inbox is in canonical order.
 func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool) {
 	tr := n.tracer
 	inj := n.injector
@@ -894,7 +837,7 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 	rel := &n.roundRel
 	cnt := n.cursor
 	clear(cnt)
-	for p, s := range n.order {
+	for _, s := range n.order {
 		st := &slots[s]
 		// A node's range starting below its predecessor's end is the
 		// first of the next segment: a sealed segment is never empty.
@@ -926,21 +869,12 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 					reason = DropFaultInjected
 				}
 			}
-			if !async {
-				e.copies = int32(copies)
-				if copies > 0 {
-					cnt[t] += int32(copies)
-				}
-			} else if copies > 0 {
-				at := uint64(round)*tickScale + n.lat.delayTicks(n.latSeed, round, uint64(e.m.From), uint64(e.m.To))
-				rcv := &slots[t]
-				pm := pendingMsg{m: e.m, tick: at, seq: seq, srnd: int32(round), pos: int32(p)}
-				for c := 0; c < copies; c++ {
-					rcv.future = append(rcv.future, pm)
-				}
-				if at > uint64(round+1)*tickScale && e.m.lane == laneProtocol {
-					n.roundDeferred++
-				}
+			e.copies = int32(copies)
+			if copies > 0 && async {
+				n.schedule(e, round)
+			}
+			if e.copies > 0 {
+				cnt[t] += e.copies
 			}
 			// Control-lane messages face the same blocking and faults but
 			// never enter the drop/dup ledger.
@@ -980,20 +914,58 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 			anyHalted = true
 		}
 	}
-	if !async {
-		n.place()
-	}
+	n.place()
 	return messages, totalBits, maxBits, anyHalted
 }
 
-// place finishes the counting sort: a prefix sum over the counts lays
-// the inbox ranges out in the arena, then one lean pass over the log's
-// segments scatters the decided copies. The compute step has finished
-// reading the arena, so it is overwritten in place, and only the tail
-// the new round no longer covers needs its payloads released.
+// schedule stamps a decided message's arrival under the latency model:
+// its delay is a pure function of seed, round and edge (see latency.go).
+// It records the arrival tick within the delivery round and, for a
+// message due after the next round, moves its copies from the log to
+// that round's calendar bucket.
+func (n *Network) schedule(e *sent, round int) {
+	delay := n.lat.delayTicks(n.latSeed, round, uint64(e.m.From), uint64(e.m.To))
+	k := int((delay - 1) / tickScale) // rounds past the next
+	e.tick = uint32(delay - uint64(k)*tickScale)
+	if k == 0 {
+		return
+	}
+	mb := &n.mail
+	for len(mb.cal) <= k {
+		mb.cal = append(mb.cal, bucket{})
+	}
+	mb.cal[k].push(*e)
+	e.copies = 0
+	if e.m.lane == laneProtocol {
+		n.roundDeferred++
+	}
+}
+
+// place finishes the counting sort. It counts the calendar bucket due
+// next round (an entry whose receiver slot no longer holds its addressee,
+// departed since the send, is absorbed), a prefix sum lays the inboxes
+// out in the arena, and one lean pass scatters the bucket, which holds
+// older send rounds in send order, then the log: every inbox is in (send
+// round, sender position, send sequence) order, and under spread is then
+// stably sorted by arrival tick. The arena is overwritten in place; only
+// the tail the new round no longer covers has its payloads released.
 func (n *Network) place() {
 	mb := &n.mail
 	cur := n.cursor
+	var due bucket
+	if len(mb.cal) > 0 {
+		due = mb.cal[0]
+	}
+	for _, c := range due.chunks[:due.used] {
+		for i := range c {
+			e := &c[i]
+			if rcv := &n.slots[e.m.slot]; rcv.live && rcv.id == e.m.To {
+				cur[e.m.slot] += e.copies
+			} else {
+				e.copies = 0
+			}
+		}
+	}
 	var off int32
 	for s := range cur {
 		st := &n.slots[s]
@@ -1009,14 +981,67 @@ func (n *Network) place() {
 		arena = arena[:total]
 	}
 	mb.arena = arena
+	spread := n.lat.Spread()
+	for _, c := range due.chunks[:due.used] {
+		scatter(arena, cur, c, spread)
+	}
 	for _, log := range mb.segs[:mb.cur+1] {
-		for i := range log {
-			e := &log[i]
-			t := e.m.slot
-			for c := e.copies; c > 0; c-- {
-				arena[cur[t]] = e.m
-				cur[t]++
+		scatter(arena, cur, log, spread)
+	}
+	if spread {
+		for s := range n.slots {
+			st := &n.slots[s]
+			box := arena[st.inLo:st.inHi]
+			slices.SortStableFunc(box, func(a, b Message) int { return cmp.Compare(a.slot, b.slot) })
+			for i := range box {
+				box[i].slot = int32(s)
 			}
+		}
+	}
+	if len(mb.cal) > 0 { // recycle the bucket as the last, its payloads released
+		for i, c := range due.chunks[:due.used] {
+			clear(c)
+			due.chunks[i] = c[:0]
+		}
+		due.used = 0
+		copy(mb.cal, mb.cal[1:])
+		mb.cal[len(mb.cal)-1] = due
+	}
+}
+
+// bucket is one round's calendar entries, in send order, in chunks:
+// chunk 0 grows by append, and once it is full at chunkLen or more every
+// further chunk is allocated at chunkLen, so a bucket grows without
+// copying itself, as the send log does. Emptied, it keeps its chunks.
+type bucket struct {
+	chunks [][]sent
+	used   int // chunks[:used] hold the entries
+}
+
+const chunkLen = segLen / 4
+
+func (b *bucket) push(e sent) {
+	if k := b.used - 1; k < 0 || len(b.chunks[k]) >= chunkLen && len(b.chunks[k]) == cap(b.chunks[k]) {
+		if b.used == len(b.chunks) {
+			b.chunks = append(b.chunks, make([]sent, 0, chunkLen*min(b.used, 1))) // chunk 0 grows by append
+		}
+		b.used++
+	}
+	b.chunks[b.used-1] = append(b.chunks[b.used-1], e)
+}
+
+// scatter copies each decided entry of log to its receiver's next arena
+// position; with stamp set, the copy's slot holds its arrival tick.
+func scatter(arena []Message, cur []int32, log []sent, stamp bool) {
+	for i := range log {
+		e := &log[i]
+		t := e.m.slot
+		for c := e.copies; c > 0; c-- {
+			arena[cur[t]] = e.m
+			if stamp {
+				arena[cur[t]].slot = int32(e.tick)
+			}
+			cur[t]++
 		}
 	}
 }
