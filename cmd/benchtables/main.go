@@ -8,7 +8,7 @@
 //	           [-faults drop=0.01,dup=0.001,crash=0.05,restart=2]
 //	           [-latency uniform:0.5,2.5] [-reliable on]
 //	           [-cell-timeout D] [-cpuprofile F] [-trace F] [-events F]
-//	           [-manifest F] [-progress] [-http ADDR]
+//	           [-manifest F] [-progress]
 //
 // Sweep cells run on -procs workers (default: all CPUs), and each §5/§6
 // overlay network runs its rounds on -shards intra-round workers
@@ -30,18 +30,6 @@
 //	             every recorded table is attributable to the run that
 //	             produced it.
 //	-progress    print a live cells-done/total + ETA line to stderr.
-//	-http ADDR   serve the observability endpoints on this address:
-//	             Prometheus text metrics at /metrics, liveness at
-//	             /healthz, the runtime's expvar at /debug/vars, and
-//	             net/http/pprof at /debug/pprof/. The listener binds
-//	             before the sweep
-//	             starts — a bad address fails immediately — and the
-//	             actually-bound address is printed to stderr, so ":0"
-//	             works in tests and scripts. Attach the live dashboard
-//	             with: overlaymon -addr <printed address>.
-//	-linger D    keep the -http server (and the process) up for D
-//	             after the sweep finishes, so dashboards and scrapes
-//	             can read the final state.
 //	-flight N    flight recorder: retain a deterministic sample of
 //	             per-round and per-message events in a bounded ring of
 //	             N entries (0 disables). -events and -trace write every
@@ -54,9 +42,9 @@
 // Whenever any telemetry flag is on, one metrics registry (internal/obs)
 // holds every count of the run: named counters and streaming histograms
 // for the kernel and all three protocol stacks, exported under "metrics"
-// in the manifest, the -events file's last line and the -trace file, and
-// served at /metrics. Metrics are observation only — tables are
-// byte-identical with the pipeline attached or detached.
+// in the manifest, the -events file's last line and the -trace file.
+// Metrics are observation only — tables are byte-identical with the
+// pipeline attached or detached.
 //
 // Robustness:
 //
@@ -72,12 +60,8 @@ package main
 
 import (
 	"encoding/json"
-	_ "expvar"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/exec"
 	"runtime"
@@ -88,7 +72,6 @@ import (
 
 	"overlaynet/internal/exp"
 	"overlaynet/internal/fault"
-	"overlaynet/internal/obs"
 	"overlaynet/internal/reliable"
 	"overlaynet/internal/sim"
 	"overlaynet/internal/trace"
@@ -229,8 +212,6 @@ func main() {
 	eventsOut := flag.String("events", "", "write the raw telemetry stream as JSONL")
 	manifestOut := flag.String("manifest", "", "write a run manifest JSON file")
 	progress := flag.Bool("progress", false, "print live sweep progress to stderr")
-	httpAddr := flag.String("http", "", "serve /metrics, /healthz, expvar and net/http/pprof on this address (e.g. :6060, :0 for any free port)")
-	linger := flag.Duration("linger", 0, "keep the -http server up this long after the sweep (e.g. 30s)")
 	flightCap := flag.Int("flight", 0, "flight-recorder ring capacity in events (0 disables)")
 	flightRate := flag.Float64("flight-rate", 0.01, "flight-recorder sampling probability")
 	auditOn := flag.Bool("audit", false, "attach the runtime invariant-audit engine to the reconfiguration experiments")
@@ -300,7 +281,7 @@ func main() {
 	// registry holds every count of the run: counters and streaming
 	// histograms cost O(1) per event and never perturb tables.
 	var rec *trace.Recorder
-	if *traceOut != "" || *eventsOut != "" || *manifestOut != "" || *httpAddr != "" || *flightCap > 0 {
+	if *traceOut != "" || *eventsOut != "" || *manifestOut != "" || *flightCap > 0 {
 		rec = trace.New()
 		if *flightCap > 0 {
 			rec.FlightRecorder(*seed, *flightRate, *flightCap)
@@ -312,28 +293,6 @@ func main() {
 		prog = trace.NewProgress(os.Stderr, 2*time.Second)
 		opts.Progress = prog
 	}
-	// -http binds before the sweep starts: a bad address is a synchronous
-	// startup error, and with ":0" the actually-bound address printed
-	// here is what tests and overlaymon attach to.
-	var srv *http.Server
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			fatalf("-http: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "benchtables: serving observability endpoints on http://%s (/metrics /healthz /debug/vars /debug/pprof/)\n", ln.Addr())
-		// expvar and net/http/pprof register themselves on the default
-		// mux; the obs endpoints join them there.
-		http.Handle("/metrics", rec.Registry().MetricsHandler())
-		http.Handle("/healthz", obs.HealthzHandler(rec.Registry()))
-		srv = &http.Server{}
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "benchtables: -http: %v\n", err)
-			}
-		}()
-	}
-
 	var selected []exp.Experiment
 	for _, e := range experiments {
 		if len(want) > 0 && !want[e.ID] {
@@ -469,16 +428,5 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatalf("-manifest: %v", err)
 		}
-	}
-
-	// Keep the observability endpoints readable after the sweep if
-	// asked, then shut the server down cleanly so the listener is
-	// released before exit.
-	if srv != nil {
-		if *linger > 0 {
-			fmt.Fprintf(os.Stderr, "benchtables: sweep done; -http lingering %s\n", *linger)
-			time.Sleep(*linger)
-		}
-		srv.Close()
 	}
 }

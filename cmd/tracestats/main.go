@@ -42,7 +42,7 @@ type cellStat struct {
 
 // summary is the normalized content of either input format. metrics is
 // the run's registry snapshot, under the registry's own series names —
-// the one vocabulary both files, the manifest and /metrics share.
+// the one vocabulary both files and the manifest share.
 type summary struct {
 	records    int        // telemetry records successfully ingested
 	spans      []cellStat // cell spans only

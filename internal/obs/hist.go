@@ -10,7 +10,7 @@ import (
 // log-linear sub-buckets, the classic HDR/DDSketch compromise. With 4
 // sub-buckets per octave the worst-case relative error of a
 // reconstructed quantile is 2^(1/4)-1 ≈ 19%, constant across the whole
-// int64 range — good enough for dashboard quantiles of round durations
+// int64 range — good enough for the reported quantiles of round durations
 // (ns), inbox depths, and message sizes, at a fixed 257×8-byte
 // footprint per histogram.
 const (
@@ -26,15 +26,15 @@ const (
 // quantiles are reconstructed from bucket upper bounds on snapshot.
 // Nil-receiver safe like the other handle types.
 type Histogram struct {
-	name, help string
-	count      atomic.Uint64
-	sum        atomic.Int64
-	max        atomic.Int64
-	buckets    [numBuckets]atomic.Uint64
+	name    string
+	count   atomic.Uint64
+	sum     atomic.Int64
+	max     atomic.Int64
+	buckets [numBuckets]atomic.Uint64
 }
 
-func newHistogram(name, help string) *Histogram {
-	h := &Histogram{name: name, help: help}
+func newHistogram(name string) *Histogram {
+	h := &Histogram{name: name}
 	h.max.Store(math.MinInt64)
 	return h
 }
@@ -170,8 +170,7 @@ type HistSnapshot struct {
 }
 
 // Snapshot copies the histogram state. Buckets are loaded individually
-// while writers may be active, so the copy is per-cell consistent (the
-// same guarantee Prometheus scrapes live under).
+// while writers may be active, so the copy is per-cell consistent.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
 	if h == nil {

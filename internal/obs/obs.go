@@ -21,14 +21,10 @@
 //   - Deterministic sampling. Sampler is a pure splitmix64 hash of the
 //     event identity, so a sampled "flight recorder" keeps the same
 //     events at any -procs/-shards setting.
-//   - Standard exposition. WritePrometheus renders the registry in
-//     Prometheus text format (scrape it, or point cmd/overlaymon at
-//     it); ParseText reads the same format back, so the dashboard and
-//     the golden-file tests share one wire format.
 //
-// The package deliberately depends on nothing inside the repository:
-// it is the transport-agnostic surface the ROADMAP's real-transport
-// and async modes can reuse unchanged.
+// FlatSnapshot is the one export: the run artifacts (manifest, JSONL,
+// Chrome trace) embed it. The package depends on nothing inside the
+// repository.
 package obs
 
 import (
@@ -61,8 +57,8 @@ type padCell struct {
 // per-lane bank. All methods are nil-receiver safe, so holders of a
 // possibly-detached metric handle call them unconditionally.
 type Counter struct {
-	name, help string
-	bank       []padCell
+	name string
+	bank []padCell
 }
 
 // Add increments the counter by d on the given lane (wrapped into the
@@ -138,7 +134,8 @@ func (r *Registry) Lane() int {
 }
 
 // Counter returns the counter registered under name, creating it on
-// first use. Help is recorded on creation only.
+// first use. help documents the series at the call site; nothing reads
+// it.
 func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
@@ -148,14 +145,15 @@ func (r *Registry) Counter(name, help string) *Counter {
 	c := r.counters[name]
 	if c == nil {
 		sanitizeMetricName(name)
-		c = &Counter{name: name, help: help, bank: make([]padCell, r.lanes)}
+		c = &Counter{name: name, bank: make([]padCell, r.lanes)}
 		r.counters[name] = c
 	}
 	return c
 }
 
 // Histogram returns the histogram registered under name, creating it on
-// first use.
+// first use. help documents the series at the call site; nothing reads
+// it.
 func (r *Registry) Histogram(name, help string) *Histogram {
 	if r == nil {
 		return nil
@@ -165,14 +163,13 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	h := r.hists[name]
 	if h == nil {
 		sanitizeMetricName(name)
-		h = newHistogram(name, help)
+		h = newHistogram(name)
 		r.hists[name] = h
 	}
 	return h
 }
 
-// snapshotLists returns name-sorted copies of the metric lists, the
-// stable iteration order every exporter uses.
+// snapshotLists returns name-sorted copies of the metric lists.
 func (r *Registry) snapshotLists() (cs []*Counter, hs []*Histogram) {
 	if r == nil {
 		return nil, nil
@@ -215,10 +212,11 @@ func (r *Registry) FlatSnapshot() map[string]float64 {
 	return m
 }
 
-// sanitizeMetricName guards registration-time typos: Prometheus metric
-// names must match [a-zA-Z_:][a-zA-Z0-9_:]*. The registry does not
-// rewrite names — a bad name is a programming error worth a loud panic
-// at registration, not a silently renamed series.
+// sanitizeMetricName guards registration-time typos: a name is a JSON
+// key in every artifact and a word of tracestats' vocabulary, so it must
+// match [a-zA-Z_:][a-zA-Z0-9_:]*. The registry does not rewrite names —
+// a bad name is a programming error worth a loud panic at registration,
+// not a silently renamed series.
 func sanitizeMetricName(name string) {
 	if name == "" {
 		panic("obs: empty metric name")

@@ -113,7 +113,7 @@ func TestHistogramBucketsMonotone(t *testing.T) {
 }
 
 func TestHistogramQuantileError(t *testing.T) {
-	h := newHistogram("overlaynet_q", "")
+	h := newHistogram("overlaynet_q")
 	const n = 100000
 	for i := int64(1); i <= n; i++ {
 		h.Observe(i)
@@ -145,11 +145,11 @@ func TestHistogramQuantileError(t *testing.T) {
 // values, including non-positive ones, and nil/empty safety.
 func TestObserveAllMatchesObserve(t *testing.T) {
 	vals := []int64{-5, 0, 1, 2, 3, 4, 7, 8, 100, 1 << 20, math.MaxInt64, 3, 3}
-	one := newHistogram("overlaynet_one", "")
+	one := newHistogram("overlaynet_one")
 	for _, v := range vals {
 		one.Observe(v)
 	}
-	bulk := newHistogram("overlaynet_bulk", "")
+	bulk := newHistogram("overlaynet_bulk")
 	bulk.ObserveAll(vals)
 	a, b := one.Snapshot(), bulk.Snapshot()
 	if a.Count != b.Count || a.Sum != b.Sum || a.MaxSeen != b.MaxSeen {
@@ -168,7 +168,7 @@ func TestObserveAllMatchesObserve(t *testing.T) {
 }
 
 func TestHistogramEmptyAndNegative(t *testing.T) {
-	h := newHistogram("overlaynet_e", "")
+	h := newHistogram("overlaynet_e")
 	if s := h.Snapshot(); s.Quantile(0.5) != 0 || s.Max() != 0 || s.Mean() != 0 {
 		t.Fatal("empty snapshot not zero")
 	}

@@ -10,8 +10,8 @@ import (
 // kernelMetrics is the recorder's state in its obs.Registry: one named
 // series per count, plus the streaming histograms that replace exact
 // per-round sample sorts at scale. The names here are the telemetry
-// vocabulary — manifests, JSONL, Chrome traces, /metrics, tracestats and
-// overlaymon all read them. All handles are created once in WithMetrics;
+// vocabulary — manifests, JSONL, Chrome traces and tracestats all read
+// them. All handles are created once in WithMetrics;
 // tracer hot paths only touch counters on their own lane.
 type kernelMetrics struct {
 	rounds     *obs.Counter
@@ -98,8 +98,8 @@ func (r *Recorder) WithMetrics(reg *obs.Registry) *Recorder {
 }
 
 // Registry returns the registry the recorder counts into — where the
-// experiment drivers attach the stacks' bundles and cmd/benchtables
-// mounts /metrics. A nil recorder has the nil, detached registry.
+// experiment drivers attach the stacks' bundles. A nil recorder has the
+// nil, detached registry.
 func (r *Recorder) Registry() *obs.Registry {
 	if r == nil {
 		return nil

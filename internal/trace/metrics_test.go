@@ -36,9 +36,9 @@ func floodNet(n, fanout, shards int, tr sim.Tracer) *sim.Network {
 
 // TestRecorderMetricsConcurrent hammers one metrics-attached Recorder
 // from many tracer goroutines while snapshots are taken concurrently —
-// the scenario of a sweep running cells on every core while the -http
-// endpoint scrapes. Run under -race this is the data-race proof; the
-// final totals prove no increment was lost to a lane collision.
+// a sweep running cells on every core while the registry is read. Run
+// under -race this is the data-race proof; the final totals prove no
+// increment was lost to a lane collision.
 func TestRecorderMetricsConcurrent(t *testing.T) {
 	reg := obs.NewRegistry(4) // fewer lanes than goroutines: forced sharing
 	rec := New().WithMetrics(reg)
@@ -60,7 +60,7 @@ func TestRecorderMetricsConcurrent(t *testing.T) {
 		}(w)
 	}
 	done := make(chan struct{})
-	go func() { // concurrent scraper
+	go func() { // concurrent reader
 		defer close(done)
 		for i := 0; i < 200; i++ {
 			_ = rec.Counters()

@@ -10,7 +10,7 @@ import (
 
 // TestRoundReliabilityLane drives the reliability callback directly
 // and checks the whole export chain: the Counters view, the registry
-// series (Prometheus names + ack-delay histogram), the flight ring's
+// series (artifact key names + ack-delay histogram), the flight ring's
 // events, and the JSONL lines tracestats reads.
 func TestRoundReliabilityLane(t *testing.T) {
 	reg := obs.NewRegistry(0)
