@@ -21,10 +21,10 @@
 //
 //	-trace F     write a Chrome/Perfetto trace_events JSON file with a
 //	             span per experiment, per sweep cell (worker id, seed)
-//	             and per reconfiguration epoch; load it at
-//	             https://ui.perfetto.dev, or summarize with
-//	             cmd/tracestats.
-//	-events F    write the raw event/span stream as JSONL.
+//	             and per reconfiguration epoch: a timeline view for
+//	             https://ui.perfetto.dev, without the metrics.
+//	-events F    write the raw event/span stream as JSONL, the complete
+//	             record; summarize it with cmd/tracestats.
 //	-manifest F  write a run manifest (seed, go version, GOMAXPROCS,
 //	             -procs, git revision, per-experiment wall time) so
 //	             every recorded table is attributable to the run that
@@ -40,11 +40,11 @@
 //	-flight-rate P  flight sampling probability (default 0.01).
 //
 // Whenever any telemetry flag is on, one metrics registry (internal/obs)
-// holds every count of the run: named counters and streaming histograms
-// for the kernel and all three protocol stacks, exported under "metrics"
-// in the manifest, the -events file's last line and the -trace file.
-// Metrics are observation only — tables are byte-identical with the
-// pipeline attached or detached.
+// holds the run's kernel, cell, epoch and audit counts as named counters
+// and streaming histograms, exported under "metrics" in the manifest and
+// the -events file's last line. The protocol stacks' own counts are the
+// tables' columns. Metrics are observation only — tables are
+// byte-identical with the pipeline attached or detached.
 //
 // Robustness:
 //
@@ -60,6 +60,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -96,7 +97,6 @@ type manifest struct {
 	NumCPU       int                  `json:"num_cpu"`
 	TotalSeconds float64              `json:"total_seconds"`
 	Experiments  []manifestExperiment `json:"experiments"`
-	ScalePoints  []manifestScalePoint `json:"scale_points,omitempty"`
 	// Metrics is the recorder's Snapshot at the end of the run: every
 	// named counter, plus _count/_sum/_p50/_p95/_max per histogram.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
@@ -107,19 +107,6 @@ type manifestExperiment struct {
 	Claim   string  `json:"claim"`
 	Rows    int     `json:"rows"`
 	Seconds float64 `json:"seconds"`
-}
-
-// manifestScalePoint is one size point of a scale experiment, from the
-// recorder's kind-"scale" spans: the measured round throughput and the
-// per-node communication footprint at one network size, so the perf
-// trajectory of every recorded run is attributable alongside its
-// tables.
-type manifestScalePoint struct {
-	Exp          string  `json:"exp"`
-	N            int     `json:"n"`
-	Rounds       int     `json:"rounds"`
-	RoundsPerSec float64 `json:"rounds_per_sec"`
-	BytesPerNode float64 `json:"bytes_per_node"`
 }
 
 // gitRev resolves the source revision: the VCS stamp the Go toolchain
@@ -195,8 +182,31 @@ func parseSpecs(faults, latency, rel string) (fault.Spec, sim.Latency, reliable.
 	return fs, lat, cfg, nil
 }
 
+// checkCounts validates the numeric flags. Each bad value yields one
+// line naming the flag and the value, so a negative -procs is a usage
+// error rather than a driver panic, and a NaN -flight-rate is not a
+// silent 50 % sample.
+func checkCounts(procs, shards, flight int, flightRate float64, auditEvery int, cellTimeout time.Duration) error {
+	var errs []error
+	check := func(ok bool, flag string, v any, want string) {
+		if !ok {
+			errs = append(errs, fmt.Errorf("%s: %v is not %s", flag, v, want))
+		}
+	}
+	check(procs >= 1, "-procs", procs, "a worker count of at least 1")
+	check(shards >= 0, "-shards", shards, "a worker count of at least 0")
+	check(flight >= 0, "-flight", flight, "a ring capacity of at least 0")
+	check(flightRate > 0 && flightRate <= 1, "-flight-rate", flightRate, "a probability in (0, 1]")
+	check(auditEvery >= 0, "-audit-every", auditEvery, "a cadence of at least 0")
+	check(cellTimeout >= 0, "-cell-timeout", cellTimeout, "a duration of at least 0")
+	return errors.Join(errs...)
+}
+
+// fatalf prints each line of the message as one usage line and exits 1.
 func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchtables: "+format+"\n", args...)
+	for _, line := range strings.Split(fmt.Sprintf(format, args...), "\n") {
+		fmt.Fprintln(os.Stderr, "benchtables: "+line)
+	}
 	os.Exit(1)
 }
 
@@ -237,6 +247,9 @@ func main() {
 
 	faultSpec, latency, reliableCfg, err := parseSpecs(*faultsFlag, *latencyFlag, *reliableFlag)
 	if err != nil {
+		fatalf("%v", err)
+	}
+	if err := checkCounts(*procs, *shards, *flightCap, *flightRate, *auditEvery, *cellTimeout); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -308,10 +321,6 @@ func main() {
 	// Experiments are independent, so they run concurrently on the same
 	// worker budget that each driver's sweep cells use; tables stream
 	// out in canonical order as their experiments finish.
-	workers := *procs
-	if workers < 1 {
-		workers = 1
-	}
 	type result struct {
 		table   string
 		rows    int
@@ -323,7 +332,7 @@ func main() {
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, *procs)
 	for i, e := range selected {
 		go func(i int, e exp.Experiment) {
 			sem <- struct{}{}
@@ -402,18 +411,6 @@ func main() {
 			})
 		}
 		if rec != nil {
-			for _, s := range rec.Spans() {
-				if s.Kind != "scale" {
-					continue
-				}
-				m.ScalePoints = append(m.ScalePoints, manifestScalePoint{
-					Exp:          s.Scope,
-					N:            s.N,
-					Rounds:       s.Rounds,
-					RoundsPerSec: s.RoundsPerSec,
-					BytesPerNode: s.BytesPerNode,
-				})
-			}
 			m.Metrics = rec.Snapshot()
 		}
 		f, err := os.Create(*manifestOut)

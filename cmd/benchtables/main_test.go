@@ -1,8 +1,10 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestParseSpecs covers the structured-model flag triple: well-formed
@@ -93,5 +95,64 @@ func TestReliableStringRoundTrip(t *testing.T) {
 		if got := reliableString(cfg); got != want {
 			t.Errorf("reliableString(%q) = %q, want %q", spec, got, want)
 		}
+	}
+}
+
+// TestCheckCounts covers the numeric flags: the defaults pass, and each
+// bad value fails with one line naming the flag and the value, however
+// many are bad at once. A negative -procs used to end in a driver panic,
+// and a NaN -flight-rate in a silent 50 % sample.
+func TestCheckCounts(t *testing.T) {
+	type counts struct {
+		procs, shards, flight int
+		rate                  float64
+		auditEvery            int
+		timeout               time.Duration
+	}
+	good := counts{procs: 2, rate: 0.01}
+	cases := []struct {
+		name  string
+		edit  func(*counts)
+		lines []string // wanted error lines, in flag order; nil means valid
+	}{
+		{name: "defaults", edit: func(*counts) {}},
+		{name: "all set", edit: func(c *counts) { *c = counts{1, 8, 4096, 1, 3, time.Minute} }},
+		{name: "procs zero", edit: func(c *counts) { c.procs = 0 }, lines: []string{"-procs: 0"}},
+		{name: "procs negative", edit: func(c *counts) { c.procs = -1 }, lines: []string{"-procs: -1"}},
+		{name: "shards negative", edit: func(c *counts) { c.shards = -2 }, lines: []string{"-shards: -2"}},
+		{name: "flight negative", edit: func(c *counts) { c.flight = -1 }, lines: []string{"-flight: -1"}},
+		{name: "rate NaN", edit: func(c *counts) { c.rate = math.NaN() }, lines: []string{"-flight-rate: NaN"}},
+		{name: "rate +Inf", edit: func(c *counts) { c.rate = math.Inf(1) }, lines: []string{"-flight-rate: +Inf"}},
+		{name: "rate zero", edit: func(c *counts) { c.rate = 0 }, lines: []string{"-flight-rate: 0"}},
+		{name: "rate above one", edit: func(c *counts) { c.rate = 1.5 }, lines: []string{"-flight-rate: 1.5"}},
+		{name: "audit-every negative", edit: func(c *counts) { c.auditEvery = -3 }, lines: []string{"-audit-every: -3"}},
+		{name: "cell-timeout negative", edit: func(c *counts) { c.timeout = -time.Second }, lines: []string{"-cell-timeout: -1s"}},
+		{name: "two bad", edit: func(c *counts) { c.procs, c.rate = -1, math.NaN() },
+			lines: []string{"-procs: -1", "-flight-rate: NaN"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := good
+			tc.edit(&c)
+			err := checkCounts(c.procs, c.shards, c.flight, c.rate, c.auditEvery, c.timeout)
+			if tc.lines == nil {
+				if err != nil {
+					t.Fatalf("checkCounts(%+v) = %v, want nil", c, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("checkCounts(%+v) = nil, want %q", c, tc.lines)
+			}
+			got := strings.Split(err.Error(), "\n")
+			if len(got) != len(tc.lines) {
+				t.Fatalf("error %q has %d lines, want %d", err, len(got), len(tc.lines))
+			}
+			for i, want := range tc.lines {
+				if !strings.HasPrefix(got[i], want+" ") {
+					t.Errorf("line %d = %q, want prefix %q", i, got[i], want)
+				}
+			}
+		})
 	}
 }

@@ -1,20 +1,18 @@
-// Command tracestats summarizes a telemetry file produced by
-// benchtables -trace (Chrome trace_events JSON) or -events (JSONL):
-// per-experiment wall time, the slowest sweep cells, drop-reason
-// totals, simulator round throughput, the async/reliability lane
-// (deferred deliveries, retransmit and ack traffic, budget-exhausted
-// delivery failures, stale discards), invariant-audit violations and
-// recovery episodes (per-invariant MTTR), the metrics-registry
-// snapshot (streaming-histogram quantiles).
+// Command tracestats summarizes the JSONL telemetry stream written by
+// benchtables -events: per-experiment wall time, the slowest sweep
+// cells, drop-reason totals, simulator round throughput, the
+// async/reliability lane (deferred deliveries, retransmit and ack
+// traffic, budget-exhausted delivery failures, stale discards),
+// invariant-audit violations and recovery episodes (per-invariant
+// MTTR), the metrics-registry snapshot (streaming-histogram quantiles).
 //
 // Usage:
 //
-//	tracestats [-top N] trace.json
 //	tracestats [-top N] events.jsonl
 //
-// The format is sniffed from the content: a JSON object with a
-// "traceEvents" key is treated as a Chrome trace, anything else as
-// JSONL. The exit status is non-zero when the file is missing, empty,
+// The JSONL stream is the complete record of a run; the -trace file is a
+// Perfetto view without the metrics snapshot, and reads as zero records.
+// The exit status is non-zero when the file is missing, empty,
 // unparseable (e.g. truncated mid-line), or contains no telemetry
 // records at all — so scripted pipelines fail loudly instead of
 // printing an all-zero summary.
@@ -40,9 +38,9 @@ type cellStat struct {
 	durUS int64
 }
 
-// summary is the normalized content of either input format. metrics is
-// the run's registry snapshot, under the registry's own series names —
-// the one vocabulary both files and the manifest share.
+// summary is the content of one JSONL stream. metrics is the run's
+// registry snapshot, under the registry's own series names — the one
+// vocabulary the stream and the manifest share.
 type summary struct {
 	records    int        // telemetry records successfully ingested
 	spans      []cellStat // cell spans only
@@ -51,7 +49,6 @@ type summary struct {
 	metrics    map[string]float64
 	violations []trace.Event
 	recoveries []trace.Event
-	scales     []trace.Span // kind "scale": one size point of a scale experiment
 	minTS      int64
 	maxTS      int64
 }
@@ -94,8 +91,6 @@ func (s *summary) addSpan(sp trace.Span) {
 		a.maxUS = max(a.maxUS, sp.DurUS)
 	case "epoch":
 		s.epochs++
-	case "scale":
-		s.scales = append(s.scales, sp)
 	}
 }
 
@@ -115,31 +110,6 @@ func (s *summary) setMetrics(m map[string]float64) {
 		s.records++
 		s.metrics = m
 	}
-}
-
-// loadChrome ingests a Chrome trace_events file written by
-// trace.WriteChromeTrace, reading back the span and event fields the
-// export put into each entry's args.
-func loadChrome(data []byte, s *summary) error {
-	var f trace.ChromeFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return err
-	}
-	s.setMetrics(f.Metrics)
-	for _, ev := range f.TraceEvents {
-		str := func(k string) string { v, _ := ev.Args[k].(string); return v }
-		num := func(k string) float64 { v, _ := ev.Args[k].(float64); return v }
-		if ev.Ph != "X" {
-			s.addEvent(trace.Event{TSMicros: ev.TS, Kind: ev.Name, Scope: str("scope"), Round: int(num("round")),
-				Reason: str("invariant"), Detail: str("detail"),
-				CleanRound: int(num("clean_round")), MTTRRounds: int(num("mttr_rounds"))})
-			continue
-		}
-		s.addSpan(trace.Span{Kind: ev.Cat, Scope: str("exp"), Cell: int(num("cell")), StartUS: ev.TS, DurUS: ev.Dur,
-			N: int(num("n")), Rounds: int(num("rounds")),
-			RoundsPerSec: num("rounds_per_sec"), BytesPerNode: num("bytes_per_node")})
-	}
-	return nil
 }
 
 // loadJSONL ingests a JSONL file written by trace.WriteJSONL.
@@ -230,30 +200,6 @@ func printRecoveries(w io.Writer, s *summary) {
 	}
 }
 
-// printScaleSpans reports the scale-experiment size points: at each n,
-// the measured wall-clock round throughput and the per-node
-// communication footprint of one network run.
-func printScaleSpans(w io.Writer, s *summary) {
-	if len(s.scales) == 0 {
-		return
-	}
-	sort.SliceStable(s.scales, func(i, j int) bool {
-		if s.scales[i].Scope != s.scales[j].Scope {
-			return s.scales[i].Scope < s.scales[j].Scope
-		}
-		return s.scales[i].N < s.scales[j].N
-	})
-	fmt.Fprintf(w, "  scale points   %d\n", len(s.scales))
-	for _, rec := range s.scales {
-		label := rec.Scope
-		if label == "" {
-			label = "(unlabeled)"
-		}
-		fmt.Fprintf(w, "    %-6s n=%-9d %2d rounds  %8.1f rounds/sec  %8.1f bytes/node-round\n",
-			label, rec.N, rec.Rounds, rec.RoundsPerSec, rec.BytesPerNode)
-	}
-}
-
 // printMetrics reports the snapshot's distributions: one line per
 // streaming histogram
 // with its sample count and the p50/p95/max reconstructed from the
@@ -292,7 +238,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: tracestats [-top N] <trace.json|events.jsonl>")
+		fmt.Fprintln(stderr, "usage: tracestats [-top N] <events.jsonl>")
 		return 2
 	}
 	path := fs.Arg(0)
@@ -302,18 +248,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
+	if len(bytes.TrimSpace(data)) == 0 {
 		fmt.Fprintf(stderr, "tracestats: %s: empty telemetry file\n", path)
 		return 1
 	}
 	s := newSummary()
-	if bytes.HasPrefix(trimmed, []byte("{")) && bytes.Contains(trimmed[:min(len(trimmed), 4096)], []byte(`"traceEvents"`)) {
-		err = loadChrome(data, s)
-	} else {
-		err = loadJSONL(data, s)
-	}
-	if err != nil {
+	if err := loadJSONL(data, s); err != nil {
 		fmt.Fprintf(stderr, "tracestats: %s: %v (truncated or corrupt telemetry?)\n", path, err)
 		return 1
 	}
@@ -421,8 +361,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				label, a.cells, ms(a.totalUS), ms(a.totalUS)/float64(a.cells), ms(a.maxUS))
 		}
 	}
-
-	printScaleSpans(stdout, s)
 
 	if len(s.spans) > 0 && *top > 0 {
 		sort.Slice(s.spans, func(i, j int) bool { return s.spans[i].durUS > s.spans[j].durUS })

@@ -9,7 +9,6 @@ import (
 	"overlaynet/internal/audit"
 	"overlaynet/internal/graph"
 	"overlaynet/internal/hgraph"
-	"overlaynet/internal/obs"
 	"overlaynet/internal/reliable"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sampling"
@@ -224,9 +223,6 @@ type Network struct {
 	trace      *trace.Recorder
 	traceScope string
 	simTracer  sim.Tracer // the tracer SetTrace attached, pre-WorkAuditor
-	// metrics: optional always-on protocol metrics (SetMetrics). Nil is
-	// the detached default; every report call is a no-op then.
-	metrics *obs.StackMetrics
 
 	// audit/budget/faulty: optional invariant auditing (SetAudit). The
 	// budget tally is shared by every node's sampling
@@ -271,15 +267,6 @@ func (nw *Network) SetTrace(rec *trace.Recorder, scope string) {
 		nw.simTracer = rec.Tracer(scope)
 	}
 	nw.attachTracer()
-}
-
-// SetMetrics attaches a protocol metric bundle (obs.StackMetrics for
-// the "core" stack): epoch completions, admitted joiners, and repair
-// invocations report into it. Nil detaches. Metrics are observation
-// only — no randomness or protocol state is touched, so results are
-// identical with and without them.
-func (nw *Network) SetMetrics(sm *obs.StackMetrics) {
-	nw.metrics = sm
 }
 
 // attachTracer wires the effective tracer chain into the simulator:
@@ -632,9 +619,6 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	if nw.trace != nil {
 		nw.trace.EpochSpan(nw.traceScope, rep.Epoch, rep.Rounds, rep.NOld, rep.NNew, epochStart)
 	}
-	nw.metrics.AddEpochs(1)
-	nw.metrics.AddJoins(uint64(len(joinerIDs)))
-	nw.metrics.ObserveGroupSize(int64(rep.NNew))
 	// Audit tick: the topology is only consistent at epoch boundaries
 	// (mid-epoch it is being resampled), so the engine's round cadence
 	// is driven once per epoch here.

@@ -183,7 +183,6 @@ func (nw *Network) quarantineCycles() int {
 // cannot attribute. Returns the epoch report and how many suspects were
 // evicted; callers loop until their audit engine reports clean.
 func (nw *Network) Repair() (EpochReport, int) {
-	nw.metrics.AddRepairs(1)
 	suspects := nw.SuspectMembers() // before quarantine erases the evidence
 	nw.quarantineCycles()
 	n := len(nw.members)

@@ -28,7 +28,7 @@ func E11AnonRouting(o Options) *metrics.Table {
 		frac := fracs[cell%len(fracs)]
 		{
 			fraction := float64(frac) / 100
-			net := newSupernode(o.envMetrics(), supernode.Config{Seed: o.Seed ^ uint64(n), N: n, MeasureEvery: -1})
+			net := newSupernode(o.envDelivery(), supernode.Config{Seed: o.Seed ^ uint64(n), N: n, MeasureEvery: -1})
 			sy := anon.NewSystem(net, o.Seed+uint64(n))
 			adv := &dos.Random{Fraction: fraction, R: rng.New(o.Seed + uint64(frac)), IDs: blockedIDs(n)}
 			delivered, replied := 0, 0

@@ -112,7 +112,7 @@ func coreUnder(o Options, tag uint64, lat sim.Latency, drop float64, rel reliabl
 	n := 64
 	epochs := o.size(2, 3)
 	seed := cellSeed(o.Seed, tag, 0xc0, uint64(n))
-	e := o.envMetrics()
+	e := o.envDelivery()
 	e.latency, e.reliable = lat, rel
 	if drop > 0 {
 		e.faults = fault.Spec{Seed: cellSeed(seed, 0xd0), Drop: drop}
@@ -130,7 +130,7 @@ func coreUnder(o Options, tag uint64, lat sim.Latency, drop float64, rel reliabl
 func as1Overlay(o Options, lat sim.Latency, k overlayKind) []string {
 	n := o.size(128, 256)
 	seed := cellSeed(o.Seed, 0xa5, uint64(k.sec)<<4, uint64(n))
-	e := o.envMetrics()
+	e := o.envDelivery()
 	e.deadline = lat
 	nw := k.build(e, seed, n, 2, 0)
 	defer nw.Close()

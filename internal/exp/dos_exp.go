@@ -59,7 +59,7 @@ func E9GroupBalance(o Options) *metrics.Table {
 	t.AddRows(mustRows(RunRows(o, len(ns)*len(fracs), func(cell int) [][]string {
 		n := ns[cell/len(fracs)]
 		frac := fracs[cell%len(fracs)]
-		nw := newSupernode(o.envMetrics(), supernode.Config{Seed: o.Seed ^ uint64(n), N: n, MeasureEvery: -1})
+		nw := newSupernode(o.envDelivery(), supernode.Config{Seed: o.Seed ^ uint64(n), N: n, MeasureEvery: -1})
 		adv := &dos.HalfEachGroup{Fraction: frac, R: rng.New(o.Seed + uint64(n))}
 		buf := &dos.Buffer{Lateness: 2 * nw.EpochRounds()}
 		maxFrac := 0.0
@@ -104,7 +104,7 @@ func A2SyncRule(o Options) *metrics.Table {
 	n := o.size(256, 1024)
 	t.AddRows(mustRows(RunRows(o, 2, func(cell int) [][]string {
 		random := cell == 1
-		nw := newSupernode(o.envMetrics(), supernode.Config{Seed: o.Seed, N: n, RandomLeader: random})
+		nw := newSupernode(o.envDelivery(), supernode.Config{Seed: o.Seed, N: n, RandomLeader: random})
 		_, st := isolate(nw, 0.4, rng.New(o.Seed+7), true, 3)
 		name := "lowest-id"
 		if random {

@@ -67,11 +67,11 @@ type Options struct {
 	Exp string
 	// Trace, when non-nil, receives a span per sweep cell from the
 	// runner, plus epoch spans and simulator drop/round accounting
-	// from the drivers that thread it through (the reconfiguration
-	// experiments), and every network the drivers build reports its
-	// per-stack obs.StackMetrics bundle (epochs, stalls, splits/merges,
-	// repairs, group sizes) into its registry. Tracing never perturbs
-	// the tables: no randomness or scheduling depends on it.
+	// from the drivers that thread it through (the reconfiguration and
+	// flood experiments). The protocol stacks' own counts (epochs,
+	// stalls, splits/merges) are their Stats, read into the tables.
+	// Tracing never perturbs the tables: no randomness or scheduling
+	// depends on it.
 	Trace *trace.Recorder
 	// Progress, when non-nil, is notified as sweep cells are
 	// registered and completed (cmd/benchtables -progress).

@@ -1,24 +1,33 @@
 package exp
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"overlaynet/internal/trace"
 )
 
 // TestAllExperimentsQuick runs every experiment driver in quick mode
 // and sanity-checks the emitted tables. This doubles as an integration
-// test across all subsystems.
+// test across all subsystems. Every driver must sweep through the one
+// cell runner, which is what gives it cell spans, progress and the
+// -cell-timeout watchdog: at least one cell span carries its id.
 func TestAllExperimentsQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tbl := e.Run(Options{Seed: 42, Quick: true})
+			rec := trace.New()
+			tbl := e.Run(Options{Seed: 42, Quick: true, Exp: e.ID, Trace: rec})
 			if tbl == nil || tbl.NumRows() == 0 {
 				t.Fatalf("%s produced no rows", e.ID)
 			}
 			out := tbl.String()
 			if !strings.Contains(out, e.ID) {
 				t.Fatalf("%s table title missing id:\n%s", e.ID, out)
+			}
+			if !slices.ContainsFunc(rec.Spans(), func(s trace.Span) bool { return s.Kind == "cell" && s.Name == e.ID }) {
+				t.Fatalf("%s recorded no cell span: its sweep bypasses RunCells", e.ID)
 			}
 		})
 	}

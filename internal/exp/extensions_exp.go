@@ -141,7 +141,7 @@ func X1ChurnRateLimit(o Options) *metrics.Table {
 	t.AddRows(mustRows(RunRows(o, len(fracs), func(cell int) [][]string {
 		f := fracs[cell]
 		frac := float64(f) / 100
-		nw := newSplitMerge(o.envMetrics(), splitmerge.Config{Seed: o.Seed, N0: n0})
+		nw := newSplitMerge(o.envDelivery(), splitmerge.Config{Seed: o.Seed, N0: n0})
 		buf := &dos.Buffer{Lateness: 1}
 		r := rng.New(o.Seed + uint64(f))
 		for e := 0; e < epochs; e++ {
@@ -170,7 +170,7 @@ func X2CrashFailures(o Options) *metrics.Table {
 	t.AddRows(mustRows(RunRows(o, len(fracs), func(cell int) [][]string {
 		f := fracs[cell]
 		frac := float64(f) / 100
-		nw := newSupernode(o.envMetrics(), supernode.Config{Seed: o.Seed ^ uint64(f), N: n})
+		nw := newSupernode(o.envDelivery(), supernode.Config{Seed: o.Seed ^ uint64(f), N: n})
 		r := rng.New(o.Seed + uint64(f))
 		crashed := map[sim.NodeID]bool{}
 		for len(crashed) < int(frac*float64(n)) {
@@ -200,7 +200,7 @@ func X4KAryNetwork(o Options) *metrics.Table {
 	t.AddRows(mustRows(RunRows(o, len(cases)*2, func(cell int) [][]string {
 		c := cases[cell/2]
 		late := cell%2 == 0
-		nw := newSupernode(o.envMetrics(), supernode.Config{Seed: o.Seed ^ uint64(c[0]), N: c[1], K: c[0]})
+		nw := newSupernode(o.envDelivery(), supernode.Config{Seed: o.Seed ^ uint64(c[0]), N: c[1], K: c[0]})
 		lateness, st := isolate(nw, 0.4, rng.New(o.Seed+uint64(c[0])), late, 3)
 		return [][]string{metrics.Row(c[0], c[1], nw.NSuper(), nw.EpochRounds(),
 			fmt.Sprintf("%d", lateness), st.Disconnected, st.Stalls)}

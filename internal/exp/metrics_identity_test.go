@@ -84,7 +84,7 @@ func TestArtifactMetricsDeterministic(t *testing.T) {
 	}
 	serial, parallel := snapshot(1, 1), snapshot(8, 4)
 	if serial["overlaynet_alive_nodes_count"] == 0 || serial["overlaynet_violations_total"] == 0 ||
-		serial["overlaynet_core_epochs_total"] == 0 {
+		serial["overlaynet_epochs_total"] == 0 {
 		t.Fatalf("snapshot is missing the series the run must move: %v", serial)
 	}
 	if len(serial) != len(parallel) {

@@ -24,11 +24,10 @@ func floodHandler(n, fanout, idBits int) sim.HandlerFunc {
 }
 
 // floodWork is what one flood network did: the simulator's work
-// accounting over all rounds, and when and how long net.Run ran.
+// accounting over all rounds, and how long net.Run ran.
 type floodWork struct {
 	msgs          int
 	bits, maxBits int64
-	start         time.Time
 	wall          time.Duration
 }
 
@@ -48,9 +47,9 @@ func runFlood(o Options, n, hint int) floodWork {
 	for v := 0; v < n; v++ {
 		net.SpawnHandler(sim.NodeID(v+1), h)
 	}
-	w := floodWork{start: time.Now()}
+	start := time.Now()
 	net.Run(floodRounds)
-	w.wall = time.Since(w.start)
+	w := floodWork{wall: time.Since(start)}
 	net.Shutdown()
 	for _, rw := range net.Work() {
 		w.msgs += rw.Messages
@@ -58,16 +57,6 @@ func runFlood(o Options, n, hint int) floodWork {
 		w.maxBits = max(w.maxBits, rw.MaxNodeBits)
 	}
 	return w
-}
-
-// floodProgress reports a serial sweep's cells as done, all at once.
-func floodProgress(o Options, ncells int) {
-	if o.Progress != nil {
-		o.Progress.AddCells(o.Exp, ncells)
-		for i := 0; i < ncells; i++ {
-			o.Progress.CellDone(o.Exp)
-		}
-	}
 }
 
 // S1ScaleFlood exercises one simulated network at the sizes the
@@ -85,11 +74,12 @@ func S1ScaleFlood(o Options) *metrics.Table {
 	ns := o.sizes([]int{1000, 10000}, []int{10000, 100000})
 	// One network at a time: the cells here are memory-heavy, so the
 	// sweep runs serially regardless of Procs.
-	for _, n := range ns {
+	o.Procs = 1
+	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
+		n := ns[cell]
 		w := runFlood(o, n, 0)
-		t.AddRowf(n, floodRounds, w.msgs/floodRounds, fmt.Sprintf("%.2f", float64(w.bits)/1e6), w.maxBits)
-	}
-	floodProgress(o, len(ns))
+		return [][]string{metrics.Row(n, floodRounds, w.msgs/floodRounds, fmt.Sprintf("%.2f", float64(w.bits)/1e6), w.maxBits)}
+	})))
 	return t
 }
 
@@ -101,26 +91,21 @@ func S1ScaleFlood(o Options) *metrics.Table {
 // the final column is the measured wall-clock round throughput of the
 // net.Run call, which varies by machine — regression tests comparing
 // tables across execution modes or -procs values mask it (see
-// MaskWallClock). When telemetry is attached, each size also records a
-// scale span (n, rounds/sec, bytes/node) so the perf trajectory of
-// every run lands in the trace and the benchtables manifest.
+// MaskWallClock). The table is the record of the per-n throughput.
 func S2ScaleFloodEvent(o Options) *metrics.Table {
 	t := metrics.NewTable(
 		"S2  Scale — event-driven flood, handler kernel (fanout=4)",
 		"n", "rounds", "messages/round", "bytes/node-round", "max bits/node-round", "rounds/sec (wall)")
 	ns := o.sizes([]int{10000, 100000}, []int{100000, 1000000})
-	for _, n := range ns {
+	// Memory-heavy, one network at a time, as in S1.
+	o.Procs = 1
+	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
+		n := ns[cell]
 		w := runFlood(o, n, n)
-		bytesPerNode := float64(w.bits) / 8 / float64(n) / floodRounds
-		roundsPerSec := floodRounds / w.wall.Seconds()
-		t.AddRowf(n, floodRounds, w.msgs/floodRounds,
-			fmt.Sprintf("%.1f", bytesPerNode), w.maxBits,
-			fmt.Sprintf("%.1f", roundsPerSec))
-		if o.Trace != nil {
-			o.Trace.ScaleSpan(o.Exp, n, floodRounds, roundsPerSec, bytesPerNode, w.start)
-		}
-	}
-	floodProgress(o, len(ns))
+		return [][]string{metrics.Row(n, floodRounds, w.msgs/floodRounds,
+			fmt.Sprintf("%.1f", float64(w.bits)/8/float64(n)/floodRounds), w.maxBits,
+			fmt.Sprintf("%.1f", floodRounds/w.wall.Seconds()))}
+	})))
 	return t
 }
 

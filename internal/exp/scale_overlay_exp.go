@@ -30,41 +30,29 @@ func S3ScaleOverlay(o Options) *metrics.Table {
 		"S3  Scale — §5/§6 overlay stacks, full epochs (dense slots, sharded rounds)",
 		"stack", "n", "rounds", "supers", "bytes/node-round", "rounds/sec (wall)", "heapMB (wall)")
 	ns := o.sizes([]int{10000}, []int{100000, 1000000})
-	rows := make([][]string, 0, 2*len(ns))
-	if o.Progress != nil {
-		o.Progress.AddCells(o.Exp, 2*len(ns))
-	}
-	for _, n := range ns {
-		for _, k := range overlayKinds {
-			eps := 1.0
-			if n >= 1000000 {
-				eps = k.eps1M
-			}
-			nw := k.build(o.envMetrics(), cellSeed(o.Seed, uint64(n), uint64(k.sec)), n, -1, eps)
-			rounds := nw.EpochRounds()
-			start := time.Now()
-			for i := 0; i < rounds; i++ {
-				nw.step()
-			}
-			wall := time.Since(start)
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			msgs := nw.health().messages
-			nw.Close()
-			roundsPerSec := float64(rounds) / wall.Seconds()
-			bytesPerNode := float64(msgs) * 8 / float64(n) / float64(rounds)
-			rows = append(rows, metrics.Row(k.name, n, rounds, nw.supers(),
-				fmt.Sprintf("%.1f", bytesPerNode),
-				fmt.Sprintf("%.2f", roundsPerSec),
-				fmt.Sprintf("%.0f", float64(ms.HeapInuse)/1e6)))
-			if o.Trace != nil {
-				o.Trace.ScaleSpan(o.Exp+"/"+k.name, n, rounds, roundsPerSec, bytesPerNode, start)
-			}
-			if o.Progress != nil {
-				o.Progress.CellDone(o.Exp)
-			}
+	// Memory-heavy, one network at a time, as in S1.
+	o.Procs = 1
+	t.AddRows(mustRows(RunRows(o, len(ns)*len(overlayKinds), func(cell int) [][]string {
+		n, k := ns[cell/len(overlayKinds)], overlayKinds[cell%len(overlayKinds)]
+		eps := 1.0
+		if n >= 1000000 {
+			eps = k.eps1M
 		}
-	}
-	t.AddRows(rows)
+		nw := k.build(o.envDelivery(), cellSeed(o.Seed, uint64(n), uint64(k.sec)), n, -1, eps)
+		rounds := nw.EpochRounds()
+		start := time.Now()
+		for i := 0; i < rounds; i++ {
+			nw.step()
+		}
+		wall := time.Since(start)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		msgs := nw.health().messages
+		nw.Close()
+		return [][]string{metrics.Row(k.name, n, rounds, nw.supers(),
+			fmt.Sprintf("%.1f", float64(msgs)*8/float64(n)/float64(rounds)),
+			fmt.Sprintf("%.2f", float64(rounds)/wall.Seconds()),
+			fmt.Sprintf("%.0f", float64(ms.HeapInuse)/1e6))}
+	})))
 	return t
 }

@@ -7,7 +7,6 @@ import (
 	"overlaynet/internal/core"
 	"overlaynet/internal/dos"
 	"overlaynet/internal/fault"
-	"overlaynet/internal/obs"
 	"overlaynet/internal/reliable"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
@@ -23,12 +22,11 @@ import (
 
 // env is what one sweep cell attaches to the network it builds.
 type env struct {
-	shards  int
-	metrics *obs.Registry
-	trace   *trace.Recorder // §4 only: the committee stacks have no trace hook
-	scope   string
-	audit   *audit.Engine
-	faults  fault.Spec
+	shards int
+	trace  *trace.Recorder // §4 only: the committee stacks have no trace hook
+	scope  string
+	audit  *audit.Engine
+	faults fault.Spec
 	// latency and reliable are §4's delivery: the kernel's scheduler
 	// model and the endpoints every node runs behind.
 	latency  sim.Latency
@@ -39,16 +37,16 @@ type env struct {
 	deadline sim.Latency
 }
 
-// envMetrics is what every driver attaches: the metric bundles, and on
-// the sim kernel -latency and -reliable (§3 takes those through
-// expParams).
-func (o Options) envMetrics() env {
-	return env{shards: o.Shards, metrics: o.Trace.Registry(), latency: o.Latency, reliable: o.Reliable}
+// envDelivery is what every driver attaches: the committee engine's
+// -shards, and on the sim kernel -latency and -reliable (§3 takes those
+// through expParams).
+func (o Options) envDelivery() env {
+	return env{shards: o.Shards, latency: o.Latency, reliable: o.Reliable}
 }
 
 // envTraced adds the shared recorder under the cell's scope (E7).
 func (o Options) envTraced(cell int) env {
-	e := o.envMetrics()
+	e := o.envDelivery()
 	e.trace, e.scope = o.Trace, fmt.Sprintf("%s/cell%d", o.Exp, cell)
 	return e
 }
@@ -87,7 +85,6 @@ func (o Options) envLocal(cell int, seed uint64, every int) env {
 func newCore(e env, seed uint64, n int) *core.Network {
 	nw := core.NewNetwork(core.Config{Seed: seed, N0: n, D: 8, Alpha: 2, Epsilon: 1,
 		Latency: e.latency, Reliable: e.reliable})
-	nw.SetMetrics(e.metrics.StackMetrics("core"))
 	if e.trace != nil {
 		nw.SetTrace(e.trace, e.scope)
 	}
@@ -112,7 +109,7 @@ func inject(nw *core.Network, spec fault.Spec) {
 func newSupernode(e env, cfg supernode.Config) *supernode.Network {
 	cfg.Shards = e.shards
 	nw := supernode.New(cfg)
-	e.attach(nw, "supernode")
+	e.attach(nw)
 	return nw
 }
 
@@ -120,17 +117,15 @@ func newSupernode(e env, cfg supernode.Config) *supernode.Network {
 func newSplitMerge(e env, cfg splitmerge.Config) *splitmerge.Network {
 	cfg.Shards = e.shards
 	nw := splitmerge.New(cfg)
-	e.attach(nw, "splitmerge")
+	e.attach(nw)
 	return nw
 }
 
 func (e env) attach(nw interface {
-	SetMetrics(*obs.StackMetrics)
 	SetAudit(*audit.Engine)
 	SetFaults(fault.Spec)
 	SetLatency(sim.Latency)
-}, stack string) {
-	nw.SetMetrics(e.metrics.StackMetrics(stack))
+}) {
 	if e.audit != nil {
 		nw.SetAudit(e.audit)
 	}
@@ -206,7 +201,7 @@ func (s s6) as1(r *rng.RNG) (dos.Adversary, int) {
 
 // overlayKind is a stack as the cross-stack sweeps enumerate it.
 type overlayKind struct {
-	name string // metric bundle, S3's row label
+	name string // S3's row label
 	sec  int    // the paper's section: row label "name §sec", seed coordinate
 	// eps1M is S3's sampling slack at n = 1M, where the default ε = 1
 	// budget schedule would dominate memory, not the protocol state.

@@ -147,9 +147,7 @@ func Summarize(xs []float64) Summary {
 
 // quantileIndex returns the nearest-rank index of the p-quantile for a
 // sample of length n > 0, clamped into [0, n-1] so out-of-range p (or
-// floating-point spill at p = 1) can never index past the slice. Both
-// Summarize and PercentileSortedInt64 resolve quantiles through this
-// one rule, so they always agree.
+// floating-point spill at p = 1) can never index past the slice.
 func quantileIndex(n int, p float64) int {
 	idx := int(p * float64(n-1))
 	if idx < 0 {
@@ -159,18 +157,6 @@ func quantileIndex(n int, p float64) int {
 		return n - 1
 	}
 	return idx
-}
-
-// PercentileSortedInt64 returns the p-quantile (0 ≤ p ≤ 1) of a sample
-// already sorted ascending, using the same nearest-rank rule as
-// Summarize. It allocates nothing, so per-round hot paths (the
-// simulator's tracing distributions) can call it on reused scratch
-// buffers.
-func PercentileSortedInt64(sorted []int64, p float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return sorted[quantileIndex(len(sorted), p)]
 }
 
 // SummarizeInts is Summarize for integer samples.

@@ -2,12 +2,10 @@ package metrics
 
 import "testing"
 
-// Both quantile entry points must resolve through the same clamped
-// nearest-rank rule. Historically Summarize's inline q() had no clamp
-// (it would index past the slice for p outside [0, 1], and disagreed
-// with PercentileSortedInt64 by construction); these tables pin the
-// unified behavior for the degenerate lengths and the boundary
-// quantiles.
+// Summarize resolves quantiles through one clamped nearest-rank rule.
+// Historically its inline q() had no clamp (it would index past the
+// slice for p outside [0, 1]); these tables pin the rule for the
+// degenerate lengths and the boundary quantiles.
 
 func TestQuantileIndexClamped(t *testing.T) {
 	cases := []struct {
@@ -28,27 +26,6 @@ func TestQuantileIndexClamped(t *testing.T) {
 	}
 }
 
-func TestPercentileSortedInt64Table(t *testing.T) {
-	ps := []float64{0, 0.5, 0.99, 1.0}
-	cases := []struct {
-		name   string
-		sorted []int64
-		want   []int64 // one per entry of ps
-	}{
-		{"len0", nil, []int64{0, 0, 0, 0}},
-		{"len1", []int64{7}, []int64{7, 7, 7, 7}},
-		{"len2", []int64{3, 9}, []int64{3, 3, 3, 9}},
-	}
-	for _, c := range cases {
-		for i, p := range ps {
-			if got := PercentileSortedInt64(c.sorted, p); got != c.want[i] {
-				t.Errorf("%s: PercentileSortedInt64(%v, %g) = %d, want %d",
-					c.name, c.sorted, p, got, c.want[i])
-			}
-		}
-	}
-}
-
 func TestSummarizeDegenerateLengths(t *testing.T) {
 	// Zero samples must not panic and must return the zero Summary.
 	if s := Summarize(nil); s.N != 0 || s.P50 != 0 || s.P99 != 0 {
@@ -62,39 +39,11 @@ func TestSummarizeDegenerateLengths(t *testing.T) {
 		t.Errorf("Summarize(len 1) = %+v, want all quantiles 4", s)
 	}
 
-	// len 2: nearest-rank puts p50 on the lower sample, p90/p99 on the
-	// upper — matching PercentileSortedInt64 on the same data.
+	// len 2: nearest-rank floors p·(n−1), so p50, p90 and p99 all land
+	// on the lower sample.
 	s := Summarize([]float64{1, 5})
 	if s.P50 != 1 || s.P90 != 1 || s.P99 != 1 {
 		t.Errorf("Summarize(len 2) quantiles = %g/%g/%g, want 1/1/1", s.P50, s.P90, s.P99)
-	}
-}
-
-// TestQuantileAgreement checks the headline bug: Summarize and
-// PercentileSortedInt64 must return the same value for the same
-// quantile of the same sample.
-func TestQuantileAgreement(t *testing.T) {
-	samples := [][]int64{
-		{5},
-		{1, 2},
-		{10, 20, 30},
-		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
-	}
-	for _, xs := range samples {
-		fs := make([]float64, len(xs))
-		for i, x := range xs {
-			fs[i] = float64(x)
-		}
-		s := Summarize(fs)
-		for _, c := range []struct {
-			p    float64
-			from float64
-		}{{0.50, s.P50}, {0.90, s.P90}, {0.99, s.P99}} {
-			if want := float64(PercentileSortedInt64(xs, c.p)); c.from != want {
-				t.Errorf("Summarize(%v) p%g = %g disagrees with PercentileSortedInt64 = %g",
-					xs, c.p*100, c.from, want)
-			}
-		}
 	}
 }
 

@@ -22,9 +22,10 @@
 //     event identity, so a sampled "flight recorder" keeps the same
 //     events at any -procs/-shards setting.
 //
-// FlatSnapshot is the one export: the run artifacts (manifest, JSONL,
-// Chrome trace) embed it. The package depends on nothing inside the
-// repository.
+// FlatSnapshot is the one export: the run manifest and the JSONL stream
+// embed it. Its one writer is trace.Recorder (kernel, cell, epoch and
+// audit counts); the protocol stacks keep their counts in their own
+// Stats. The package depends on nothing inside the repository.
 package obs
 
 import (
@@ -213,7 +214,8 @@ func (r *Registry) FlatSnapshot() map[string]float64 {
 }
 
 // sanitizeMetricName guards registration-time typos: a name is a JSON
-// key in every artifact and a word of tracestats' vocabulary, so it must
+// key in the manifest and the JSONL stream and a word of tracestats'
+// vocabulary, so it must
 // match [a-zA-Z_:][a-zA-Z0-9_:]*. The registry does not rewrite names —
 // a bad name is a programming error worth a loud panic at registration,
 // not a silently renamed series.

@@ -32,8 +32,7 @@ func TestCounterLanesSumAndNilSafety(t *testing.T) {
 		t.Fatal("nil histogram not inert")
 	}
 	var nilR *Registry
-	if nilR.Counter("x", "") != nil || nilR.Histogram("x", "") != nil ||
-		nilR.StackMetrics("core") != nil {
+	if nilR.Counter("x", "") != nil || nilR.Histogram("x", "") != nil {
 		t.Fatal("nil registry returned non-nil handle")
 	}
 	if nilR.Lane() != 0 || nilR.FlatSnapshot() != nil {
@@ -261,31 +260,5 @@ func TestFlatSnapshot(t *testing.T) {
 	}
 	if m["overlaynet_h_p50"] <= 0 || m["overlaynet_h_max"] != 100 {
 		t.Fatalf("histogram quantiles wrong: %v", m)
-	}
-}
-
-func TestStackMetricsNilSafe(t *testing.T) {
-	var sm *StackMetrics
-	sm.AddEpochs(1)
-	sm.AddStalls(1)
-	sm.AddJoins(1)
-	sm.AddRepairs(1)
-	sm.ObserveGroupSize(8)
-	if sm.Lane() != 0 {
-		t.Fatal("nil StackMetrics not inert")
-	}
-
-	r := NewRegistry(4)
-	live := r.StackMetrics("core")
-	live.AddEpochs(3)
-	live.ObserveGroupSize(16)
-	if live.Epochs.Value() != 3 {
-		t.Fatalf("epochs = %d", live.Epochs.Value())
-	}
-	// Same stack name re-registers onto the same underlying counters.
-	again := r.StackMetrics("core")
-	again.AddEpochs(1)
-	if live.Epochs.Value() != 4 {
-		t.Fatalf("shared counter broken: %d", live.Epochs.Value())
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"overlaynet/internal/metrics"
 	"overlaynet/internal/rng"
 )
 
@@ -143,8 +142,8 @@ func (t *goldenTracer) RoundSamples(round int, inbox, bits []int64) {
 	for i, s := range [][]int64{inbox, bits} {
 		if len(s) > 0 {
 			s = slices.Sorted(slices.Values(s))
-			t.pct[3*i] = metrics.PercentileSortedInt64(s, 0.50)
-			t.pct[3*i+1] = metrics.PercentileSortedInt64(s, 0.95)
+			t.pct[3*i] = s[int(0.50*float64(len(s)-1))]
+			t.pct[3*i+1] = s[int(0.95*float64(len(s)-1))]
 			t.pct[3*i+2] = s[len(s)-1]
 		}
 	}

@@ -92,7 +92,6 @@ func (nw *Network) CorruptState(pick uint64) string {
 // membership index is rebuilt last. Returns the number of structural
 // fixes applied (0 when the tree was already a legal partition).
 func (nw *Network) RepairBalance() int {
-	nw.metrics.AddRepairs(1)
 	fixes := 0
 	// Collapse overlapping subtrees: if one label is an ancestor of (or
 	// equal to) another, merge the whole subtree under the shorter label.
@@ -155,7 +154,6 @@ func (nw *Network) RepairBalance() int {
 // group, and stale index entries for unknown nodes are dropped.
 // Returns the number of entries fixed.
 func (nw *Network) RepairMembership() int {
-	nw.metrics.AddRepairs(1)
 	fixes := 0
 	seen := make([]bool, len(nw.eng.NodeGroup))
 	for x, s := range nw.supers {

@@ -9,7 +9,6 @@ import (
 	"overlaynet/internal/audit"
 	"overlaynet/internal/dos"
 	"overlaynet/internal/fault"
-	"overlaynet/internal/obs"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
@@ -19,12 +18,10 @@ import (
 // observable output: each round's report, the final stats, the label
 // tree, and the group partition. Any execution-order leak in the
 // sharded round pipeline shows up as a digest mismatch.
-func driveDigest(shards int, withObs, withFaults bool) string {
+func driveDigest(shards int, withAudit, withFaults bool) string {
 	nw := New(Config{Seed: 42, N0: 2048, MeasureEvery: 2, Shards: shards})
 	defer nw.Close()
-	if withObs {
-		reg := obs.NewRegistry(1)
-		nw.SetMetrics(reg.StackMetrics("splitmerge"))
+	if withAudit {
 		nw.SetAudit(audit.NewEngine("scale-identity", 9, 3, nil))
 	}
 	if withFaults {
@@ -57,7 +54,7 @@ func driveDigest(shards int, withObs, withFaults bool) string {
 // sharded round pipeline must reproduce the serial execution exactly —
 // same RNG draws, same queue orders, same fault-injection tuples, same
 // split/merge decisions — at any worker count, with or without the
-// observation layers attached.
+// audit attached.
 func TestByteIdenticalAcrossShards(t *testing.T) {
 	want := driveDigest(1, false, true)
 	for _, shards := range []int{2, 8} {
@@ -66,7 +63,7 @@ func TestByteIdenticalAcrossShards(t *testing.T) {
 		}
 	}
 	if got := driveDigest(4, true, true); got != want {
-		t.Fatal("attaching metrics+audit perturbed the results")
+		t.Fatal("attaching audit perturbed the results")
 	}
 	// Without a gate no marking pass runs; the DoS adversary still
 	// forces leaderless rounds, exercising the queue-clearing prepass.
@@ -78,13 +75,11 @@ func TestByteIdenticalAcrossShards(t *testing.T) {
 
 // gateDigest fingerprints a run under one delivery-gate configuration
 // (see supernode's gateDigest) for the shards × faults × latency ×
-// observability byte-identity matrix.
-func gateDigest(shards int, withObs bool, spec fault.Spec, lat sim.Latency, corrupt bool) string {
+// audit byte-identity matrix.
+func gateDigest(shards int, withAudit bool, spec fault.Spec, lat sim.Latency, corrupt bool) string {
 	nw := New(Config{Seed: 42, N0: 1024, MeasureEvery: 2, Shards: shards})
 	defer nw.Close()
-	if withObs {
-		reg := obs.NewRegistry(1)
-		nw.SetMetrics(reg.StackMetrics("splitmerge"))
+	if withAudit {
 		nw.SetAudit(audit.NewEngine("gate-identity", 9, 3, nil))
 	}
 	nw.SetFaults(spec)
@@ -106,7 +101,7 @@ func gateDigest(shards int, withObs bool, spec fault.Spec, lat sim.Latency, corr
 }
 
 // TestGateMatrix mirrors the supernode matrix: every gate axis compared
-// across single-worker and shards=8, with and without metrics+audit,
+// across single-worker and shards=8, with and without audit,
 // plus §6-level sync-equivalence of the zero-spread latency model.
 func TestGateMatrix(t *testing.T) {
 	uni := sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2}
@@ -128,7 +123,7 @@ func TestGateMatrix(t *testing.T) {
 			t.Fatalf("%s: shards=8 diverges from the single-worker execution", c.name)
 		}
 		if got := gateDigest(4, true, c.spec, c.lat, c.corrupt); got != want {
-			t.Fatalf("%s: attaching metrics+audit perturbed the results", c.name)
+			t.Fatalf("%s: attaching audit perturbed the results", c.name)
 		}
 	}
 	base := gateDigest(1, false, fault.Spec{}, sim.Latency{}, false)

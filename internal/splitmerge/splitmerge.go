@@ -38,7 +38,6 @@ import (
 	"overlaynet/internal/dos"
 	"overlaynet/internal/fault"
 	"overlaynet/internal/hypercube"
-	"overlaynet/internal/obs"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
@@ -165,10 +164,6 @@ type Network struct {
 	pendingAssign [][]sim.NodeID
 	pendingValid  bool
 	stats         Stats
-	// metrics/lastStats: optional always-on protocol metrics
-	// (SetMetrics); Step flushes the Stats delta.
-	metrics   *obs.StackMetrics
-	lastStats Stats
 
 	// audit: optional invariant engine, ticked once per Step.
 	audit *audit.Engine
@@ -328,42 +323,6 @@ func (nw *Network) Eq1Holds() bool {
 		}
 	}
 	return true
-}
-
-// SetMetrics attaches a protocol metric bundle (obs.StackMetrics for
-// the "splitmerge" stack); nil detaches. Every Step flushes the delta
-// of the internal Stats counters into it. Observation only — results
-// are identical with and without metrics.
-func (nw *Network) SetMetrics(sm *obs.StackMetrics) {
-	nw.metrics = sm
-	nw.lastStats = nw.stats
-}
-
-// flushMetrics reports the Stats movement since the last flush into
-// the attached metric bundle (no-op when detached); called once per
-// Step.
-func (nw *Network) flushMetrics() {
-	sm := nw.metrics
-	if sm == nil {
-		return
-	}
-	cur, prev := nw.stats, nw.lastStats
-	lane := sm.Lane()
-	sm.Epochs.Add(lane, uint64(cur.Epochs-prev.Epochs))
-	sm.Stalls.Add(lane, uint64(cur.Stalls-prev.Stalls))
-	sm.SampleFails.Add(lane, uint64(cur.SampleFails-prev.SampleFails))
-	sm.AssignFails.Add(lane, uint64(cur.AssignFails-prev.AssignFails))
-	sm.Splits.Add(lane, uint64(cur.Splits-prev.Splits))
-	sm.Merges.Add(lane, uint64(cur.Merges-prev.Merges))
-	sm.ForcedMerge.Add(lane, uint64(cur.ForcedMerges-prev.ForcedMerges))
-	sm.Crashes.Add(lane, uint64(cur.Crashes-prev.Crashes))
-	sm.Restarts.Add(lane, uint64(cur.Restarts-prev.Restarts))
-	if cur.Splits > prev.Splits || cur.Merges > prev.Merges || cur.Epochs > prev.Epochs {
-		for _, g := range nw.GroupSizes() {
-			sm.ObserveGroupSize(int64(g))
-		}
-	}
-	nw.lastStats = cur
 }
 
 // SetAudit attaches (or, with nil, detaches) an invariant engine. The
@@ -678,7 +637,6 @@ func (nw *Network) runShard(phase, w int) {
 // copied into owned bitset storage; the caller may reuse or mutate it
 // freely after Step returns.
 func (nw *Network) Step(blocked map[sim.NodeID]bool) RoundReport {
-	defer nw.flushMetrics()
 	e := nw.eng
 	nw.viewSupers()
 	e.Begin(blocked, nw.members, nw.verts)

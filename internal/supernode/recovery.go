@@ -66,7 +66,6 @@ func (nw *Network) CorruptState(pick uint64) string {
 // pointers are rebuilt from the final lists. Returns the number of
 // fixes applied; zero means the partition was already consistent.
 func (nw *Network) RepairGroups() int {
-	nw.metrics.AddRepairs(1)
 	n := nw.cfg.N
 	fixes := 0
 	where := make([][]int, n) // groups currently listing each node

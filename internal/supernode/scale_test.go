@@ -9,7 +9,6 @@ import (
 	"overlaynet/internal/audit"
 	"overlaynet/internal/dos"
 	"overlaynet/internal/fault"
-	"overlaynet/internal/obs"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
@@ -19,12 +18,10 @@ import (
 // observable output: each round's report, the final stats, and the
 // group partition. Any execution-order leak in the sharded round
 // pipeline shows up as a digest mismatch.
-func driveDigest(shards int, withObs, withFaults bool) string {
+func driveDigest(shards int, withAudit, withFaults bool) string {
 	nw := New(Config{Seed: 42, N: 2048, MeasureEvery: 2, Shards: shards})
 	defer nw.Close()
-	if withObs {
-		reg := obs.NewRegistry(1)
-		nw.SetMetrics(reg.StackMetrics("supernode"))
+	if withAudit {
 		nw.SetAudit(audit.NewEngine("scale-identity", 9, 3, nil))
 	}
 	if withFaults {
@@ -43,7 +40,7 @@ func driveDigest(shards int, withObs, withFaults bool) string {
 // TestByteIdenticalAcrossShards pins the §5 determinism contract: the
 // sharded round pipeline must reproduce the serial execution exactly —
 // same RNG draws, same queue orders, same fault-injection tuples — at
-// any worker count, with or without the observation layers attached.
+// any worker count, with or without the audit attached.
 func TestByteIdenticalAcrossShards(t *testing.T) {
 	want := driveDigest(1, false, true)
 	for _, shards := range []int{2, 8} {
@@ -52,7 +49,7 @@ func TestByteIdenticalAcrossShards(t *testing.T) {
 		}
 	}
 	if got := driveDigest(4, true, true); got != want {
-		t.Fatal("attaching metrics+audit perturbed the results")
+		t.Fatal("attaching audit perturbed the results")
 	}
 	// Without a gate no marking pass runs; the DoS adversary still
 	// forces leaderless rounds, exercising the queue-clearing prepass.
@@ -63,15 +60,13 @@ func TestByteIdenticalAcrossShards(t *testing.T) {
 }
 
 // gateDigest fingerprints a run under one delivery-gate configuration,
-// optionally with metrics+audit attached and a mid-run state
+// optionally with audit attached and a mid-run state
 // corruption, for the shards × faults × latency × observability
 // byte-identity matrix.
-func gateDigest(shards int, withObs bool, spec fault.Spec, lat sim.Latency, corrupt bool) string {
+func gateDigest(shards int, withAudit bool, spec fault.Spec, lat sim.Latency, corrupt bool) string {
 	nw := New(Config{Seed: 42, N: 1024, MeasureEvery: 2, Shards: shards})
 	defer nw.Close()
-	if withObs {
-		reg := obs.NewRegistry(1)
-		nw.SetMetrics(reg.StackMetrics("supernode"))
+	if withAudit {
 		nw.SetAudit(audit.NewEngine("gate-identity", 9, 3, nil))
 	}
 	nw.SetFaults(spec)
@@ -96,7 +91,7 @@ func gateDigest(shards int, withObs bool, spec fault.Spec, lat sim.Latency, corr
 // latency deadline, latency composed with faults, and state corruption
 // (which acts before generation and needs no gate) — comparing the
 // single-worker execution against shards=8, with and without
-// metrics+audit. It also pins §5-level sync-equivalence: a zero-spread
+// audit. It also pins §5-level sync-equivalence: a zero-spread
 // latency model must not change a single byte relative to no latency
 // model at all.
 func TestGateMatrix(t *testing.T) {
@@ -119,7 +114,7 @@ func TestGateMatrix(t *testing.T) {
 			t.Fatalf("%s: shards=8 diverges from the single-worker execution", c.name)
 		}
 		if got := gateDigest(4, true, c.spec, c.lat, c.corrupt); got != want {
-			t.Fatalf("%s: attaching metrics+audit perturbed the results", c.name)
+			t.Fatalf("%s: attaching audit perturbed the results", c.name)
 		}
 	}
 	// Zero-spread latency composes away entirely: same bytes as no

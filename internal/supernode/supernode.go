@@ -44,7 +44,6 @@ import (
 	"overlaynet/internal/dos"
 	"overlaynet/internal/fault"
 	"overlaynet/internal/hypercube"
-	"overlaynet/internal/obs"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
@@ -169,12 +168,7 @@ type Network struct {
 	pendingValid bool
 	phase        int // round index within the epoch
 
-	stats Stats
-	// metrics/lastStats: optional always-on protocol metrics
-	// (SetMetrics). Step flushes the Stats delta since the previous
-	// flush into the bundle, so instrumentation stays a single site.
-	metrics      *obs.StackMetrics
-	lastStats    Stats
+	stats        Stats
 	idBits       int
 	supBits      int
 	groupBitsAvg int
@@ -338,40 +332,6 @@ func (nw *Network) Snapshot() *dos.Snapshot {
 	return &dos.Snapshot{Round: nw.eng.Round, Groups: cloneGroups(nw.groups), Adj: nw.adj}
 }
 
-// SetMetrics attaches a protocol metric bundle (obs.StackMetrics for
-// the "supernode" stack); nil detaches. Every Step flushes the delta
-// of the internal Stats counters into it. Observation only — results
-// are identical with and without metrics.
-func (nw *Network) SetMetrics(sm *obs.StackMetrics) {
-	nw.metrics = sm
-	nw.lastStats = nw.stats
-}
-
-// flushMetrics reports the Stats movement since the last flush into
-// the attached metric bundle (no-op when detached). Called once per
-// Step, so counter updates are amortized over whole protocol rounds.
-func (nw *Network) flushMetrics() {
-	sm := nw.metrics
-	if sm == nil {
-		return
-	}
-	cur, prev := nw.stats, nw.lastStats
-	lane := sm.Lane()
-	sm.Epochs.Add(lane, uint64(cur.Epochs-prev.Epochs))
-	sm.Stalls.Add(lane, uint64(cur.Stalls-prev.Stalls))
-	sm.SampleFails.Add(lane, uint64(cur.SampleFails-prev.SampleFails))
-	sm.AssignFails.Add(lane, uint64(cur.AssignFails-prev.AssignFails))
-	sm.EmptyGroups.Add(lane, uint64(cur.EmptyGroups-prev.EmptyGroups))
-	sm.Crashes.Add(lane, uint64(cur.Crashes-prev.Crashes))
-	sm.Restarts.Add(lane, uint64(cur.Restarts-prev.Restarts))
-	if cur.Epochs > prev.Epochs {
-		for _, g := range nw.GroupSizes() {
-			sm.ObserveGroupSize(int64(g))
-		}
-	}
-	nw.lastStats = cur
-}
-
 // SetAudit attaches an invariant-audit engine (nil detaches): the
 // connectivity and group-partition checkers are registered and the
 // engine ticks once per Step.
@@ -473,7 +433,6 @@ func (nw *Network) runShard(phase, w int) {
 // The map is copied into owned bitset storage; the caller may reuse or
 // mutate it freely after Step returns.
 func (nw *Network) Step(blocked map[sim.NodeID]bool) RoundReport {
-	defer nw.flushMetrics()
 	e := nw.eng
 	e.Begin(blocked, nw.groups, nw.verts)
 	rep := RoundReport{Round: e.Round, Epoch: e.Epoch, Blocked: e.Blocked, Connected: true}

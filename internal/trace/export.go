@@ -12,13 +12,14 @@ import (
 //   - JSONL: one JSON object per line — {"type":"event",...} lines for
 //     simulator lifecycle events, {"type":"span",...} lines for timed
 //     regions, and a final {"type":"metrics",...} line with the
-//     recorder's Snapshot. Greppable.
+//     recorder's Snapshot. It is the complete record of a run, and the
+//     one format cmd/tracestats reads.
 //
 //   - Chrome trace_events JSON: {"traceEvents":[...]} with complete
 //     ("X") events for spans and instant ("i") events for lifecycle
-//     events, loadable in https://ui.perfetto.dev or chrome://tracing.
-//     The same Snapshot rides along under "metrics", which viewers
-//     ignore but cmd/tracestats reads.
+//     events, a view for https://ui.perfetto.dev or chrome://tracing.
+//     It carries no metrics, and its args omit what a timeline does not
+//     draw (violation nodes, seeds, epochs).
 
 type eventLine struct {
 	Type string `json:"type"`
@@ -52,8 +53,8 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	return enc.Encode(metricsLine{Type: "metrics", Metrics: r.Snapshot()})
 }
 
-// ChromeEvent is one entry of the trace_events array.
-type ChromeEvent struct {
+// chromeEvent is one entry of the trace_events array.
+type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -65,12 +66,10 @@ type ChromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// ChromeFile is the on-disk shape of the Chrome/Perfetto export; it is
-// exported so cmd/tracestats can decode traces with the same types.
-type ChromeFile struct {
-	TraceEvents     []ChromeEvent      `json:"traceEvents"`
-	DisplayTimeUnit string             `json:"displayTimeUnit"`
-	Metrics         map[string]float64 `json:"metrics"`
+// chromeFile is the on-disk shape of the Chrome/Perfetto export.
+type chromeFile struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
 // Track layout of the Chrome export: pid 1 holds the experiment
@@ -88,19 +87,18 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	spans := r.Spans()
 	events := r.Events()
 
-	out := ChromeFile{
-		TraceEvents:     make([]ChromeEvent, 0, len(spans)+len(events)),
+	out := chromeFile{
+		TraceEvents:     make([]chromeEvent, 0, len(spans)+len(events)),
 		DisplayTimeUnit: "ms",
-		Metrics:         r.Snapshot(),
 	}
 
 	epochTids := map[string]int{}
 	for _, s := range spans {
-		ev := ChromeEvent{
+		ev := chromeEvent{
 			Ph:  "X",
 			Cat: s.Kind,
 			TS:  s.StartUS,
-			Dur: max64(s.DurUS, 1),
+			Dur: max(s.DurUS, 1),
 		}
 		switch s.Kind {
 		case "cell":
@@ -119,12 +117,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			ev.Tid = tid
 			ev.Args = map[string]any{"scope": s.Scope, "epoch": s.Epoch, "rounds": s.Rounds,
 				"n_old": s.NOld, "n_new": s.NNew}
-		case "scale":
-			ev.Name = fmt.Sprintf("%s n=%d", s.Scope, s.N)
-			ev.Pid = chromePidHarness
-			ev.Tid = 0
-			ev.Args = map[string]any{"exp": s.Scope, "n": s.N, "rounds": s.Rounds,
-				"rounds_per_sec": s.RoundsPerSec, "bytes_per_node": s.BytesPerNode}
 		default: // experiment
 			ev.Name = s.Name
 			ev.Pid = chromePidHarness
@@ -135,7 +127,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 
 	for _, e := range events {
-		ev := ChromeEvent{
+		ev := chromeEvent{
 			Name: e.Kind,
 			Cat:  "sim",
 			Ph:   "i",
@@ -201,11 +193,4 @@ func (r *Recorder) WriteJSONLFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

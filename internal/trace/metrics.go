@@ -10,7 +10,7 @@ import (
 // kernelMetrics is the recorder's state in its obs.Registry: one named
 // series per count, plus the streaming histograms that replace exact
 // per-round sample sorts at scale. The names here are the telemetry
-// vocabulary — manifests, JSONL, Chrome traces and tracestats all read
+// vocabulary — the manifest, the JSONL stream and tracestats read
 // them. All handles are created once in WithMetrics;
 // tracer hot paths only touch counters on their own lane.
 type kernelMetrics struct {
@@ -95,16 +95,6 @@ func (r *Recorder) WithMetrics(reg *obs.Registry) *Recorder {
 	r.km = newKernelMetrics(reg)
 	r.recLane = reg.Lane()
 	return r
-}
-
-// Registry returns the registry the recorder counts into — where the
-// experiment drivers attach the stacks' bundles. A nil recorder has the
-// nil, detached registry.
-func (r *Recorder) Registry() *obs.Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
 }
 
 // FlightRecorder turns on sampled event retention: a deterministic

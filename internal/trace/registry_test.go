@@ -49,7 +49,7 @@ func TestCountersMatchRegistry(t *testing.T) {
 	rec.EpochSpan("E0/cell0", 1, 7, 64, 64, rec.Start())
 
 	c := rec.Counters()
-	snap := rec.Registry().FlatSnapshot()
+	snap := rec.Snapshot()
 	for _, p := range []struct {
 		series string
 		field  uint64

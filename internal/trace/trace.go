@@ -87,13 +87,6 @@ type Span struct {
 	NOld    int    `json:"n_old,omitempty"`
 	NNew    int    `json:"n_new,omitempty"`
 	Rows    int    `json:"rows,omitempty"`
-	// Scale-span fields (kind "scale"): one network run of N nodes for
-	// Rounds rounds, with its measured round throughput and per-node
-	// communication footprint. RoundsPerSec is wall-clock (machine-
-	// dependent); BytesPerNode is deterministic work accounting.
-	N            int     `json:"n,omitempty"`
-	RoundsPerSec float64 `json:"rounds_per_sec,omitempty"`
-	BytesPerNode float64 `json:"bytes_per_node,omitempty"`
 }
 
 // Counters is a typed view of the recorder's registry series for Go
@@ -228,25 +221,6 @@ func (r *Recorder) EpochSpan(scope string, epoch, rounds, nOld, nNew int, start 
 	})
 }
 
-// ScaleSpan records one size point of a scale experiment: a network of
-// n nodes ran rounds rounds starting at start, achieving roundsPerSec
-// wall-clock throughput at bytesPerNode communication per node-round.
-// These spans feed the benchtables manifest's scale section and the
-// cmd/tracestats scale report.
-func (r *Recorder) ScaleSpan(scope string, n, rounds int, roundsPerSec, bytesPerNode float64, start time.Time) {
-	r.AddSpan(Span{
-		Kind:         "scale",
-		Name:         scope,
-		Scope:        scope,
-		Rounds:       rounds,
-		N:            n,
-		RoundsPerSec: roundsPerSec,
-		BytesPerNode: bytesPerNode,
-		StartUS:      r.Since(start),
-		DurUS:        time.Since(start).Microseconds(),
-	})
-}
-
 // ExperimentSpan records the span of one whole experiment driver run.
 func (r *Recorder) ExperimentSpan(id string, seed uint64, rows int, start time.Time) {
 	r.AddSpan(Span{
@@ -296,9 +270,9 @@ func (r *Recorder) Counters() Counters {
 	return c
 }
 
-// Snapshot is the flat name → value map every artifact carries under
-// "metrics" (run manifest, JSONL metrics line, Chrome trace file): the
-// registry's FlatSnapshot plus the derived overlaynet_delivered_total.
+// Snapshot is the flat name → value map the run manifest and the JSONL
+// stream's last line carry under "metrics": the registry's FlatSnapshot
+// plus the derived overlaynet_delivered_total.
 func (r *Recorder) Snapshot() map[string]float64 {
 	m := r.reg.FlatSnapshot()
 	m["overlaynet_delivered_total"] = float64(r.Counters().Delivered)

@@ -139,9 +139,9 @@ func TestWriteJSONL(t *testing.T) {
 }
 
 // TestWriteChromeTrace round-trips the Chrome export through its own
-// exported types: spans become "X" events on the documented pid layout,
-// lifecycle events become "i" instants, and the metrics snapshot rides
-// along under "metrics".
+// types: spans become "X" events on the documented pid layout, lifecycle
+// events become "i" instants, and no metrics snapshot rides along (the
+// JSONL stream and the manifest carry it).
 func TestWriteChromeTrace(t *testing.T) {
 	rec := New().FlightRecorder(1, 1, 1024)
 	scenario(rec)
@@ -154,12 +154,16 @@ func TestWriteChromeTrace(t *testing.T) {
 	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatalf("WriteChromeTrace: %v", err)
 	}
-	var f ChromeFile
+	var f chromeFile
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	if f.Metrics["overlaynet_messages_total"] != 9 || f.Metrics["overlaynet_drops_dead_receiver_total"] != 2 {
-		t.Fatalf("metrics wrong: %v", f.Metrics)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["metrics"]; ok {
+		t.Fatal("Chrome export carries a metrics key")
 	}
 	var spans, instants int
 	pids := map[string]int{"cell": chromePidHarness, "epoch": chromePidEpochs, "experiment": chromePidHarness}
@@ -209,7 +213,7 @@ func exportedKinds(t *testing.T, rec *Recorder) (jsonl, chrome map[string]int) {
 	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var f ChromeFile
+	var f chromeFile
 	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
 		t.Fatal(err)
 	}
