@@ -3,19 +3,19 @@
 //
 // Usage:
 //
-//	benchtables [-quick] [-seed N] [-only E8[,E9,…]] [-recover] [-procs N]
-//	           [-shards N] [-list] [-audit] [-audit-every N]
-//	           [-faults drop=0.01,dup=0.001,crash=0.05,restart=2]
+//	benchtables [-quick] [-seed N] [-only E8[,E9,…]] [-procs N] [-list]
+//	           [-audit] [-faults drop=0.01,dup=0.001,crash=0.05,restart=2]
 //	           [-latency uniform:0.5,2.5] [-reliable on]
 //	           [-cell-timeout D] [-cpuprofile F] [-trace F] [-events F]
-//	           [-manifest F] [-progress]
+//	           [-manifest F] [-progress] [-flight N] [-maskwall]
 //
 // Sweep cells run on -procs workers (default: all CPUs), and each §5/§6
-// overlay network runs its rounds on -shards intra-round workers
-// (default 1; see internal/committee); the sim kernel is serial. The
-// rendered tables are identical for every -procs and -shards
-// combination at a fixed seed, and for every combination of the
-// telemetry flags — tracing is observation only.
+// overlay network runs its rounds on $OVERLAYNET_SHARDS intra-round
+// workers (default 1; see internal/committee); the sim kernel is serial.
+// The rendered tables are identical for every -procs and shard count at
+// a fixed seed, and for every combination of the telemetry flags —
+// tracing is observation only. -only names experiments by id (-list
+// prints them); an id that names none is a usage error.
 //
 // Telemetry:
 //
@@ -30,26 +30,23 @@
 //	             every recorded table is attributable to the run that
 //	             produced it.
 //	-progress    print a live cells-done/total + ETA line to stderr.
-//	-flight N    flight recorder: retain a deterministic sample of
+//	-flight N    flight recorder: retain a deterministic 1 % sample of
 //	             per-round and per-message events in a bounded ring of
-//	             N entries (0 disables). -events and -trace write every
-//	             audit violation and recovery (kept whatever N is), then
-//	             the sample. Sampling is a pure function of the seed and
-//	             event identity — byte-identical at any -procs/-shards
-//	             setting.
-//	-flight-rate P  flight sampling probability (default 0.01).
+//	             N entries (0 disables; needs -events or -trace). Both
+//	             write every audit violation and recovery (kept whatever
+//	             N is), then the sample. Sampling is a pure function of
+//	             the seed and event identity — byte-identical at any
+//	             -procs or shard count.
 //
-// Whenever any telemetry flag is on, one metrics registry (internal/obs)
-// holds the run's kernel, cell, epoch and audit counts as named counters
-// and streaming histograms, exported under "metrics" in the manifest and
-// the -events file's last line. The protocol stacks' own counts are the
-// tables' columns. Metrics are observation only — tables are
-// byte-identical with the pipeline attached or detached.
+// With -trace or -events, one metrics registry (internal/obs) holds the
+// run's kernel, cell, epoch and audit counts as named counters and
+// streaming histograms, exported on the -events file's last line. The
+// protocol stacks' own counts are the tables' columns. Metrics are
+// observation only — tables are byte-identical with the pipeline
+// attached or detached.
 //
 // Robustness:
 //
-//	-recover        run the self-healing recovery experiment (R1):
-//	                shorthand for adding R1 to the -only selection.
 //	-cell-timeout D arm the per-cell stall watchdog: a sweep cell that
 //	                makes no progress for D wall-clock time (e.g. 5m)
 //	                fails the run with a diagnostic naming the cell
@@ -68,6 +65,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -88,7 +86,6 @@ type manifest struct {
 	Seed         uint64               `json:"seed"`
 	Quick        bool                 `json:"quick"`
 	Procs        int                  `json:"procs"`
-	Shards       int                  `json:"shards"`
 	Audit        bool                 `json:"audit,omitempty"`
 	Faults       string               `json:"faults,omitempty"`
 	Latency      string               `json:"latency,omitempty"`
@@ -97,9 +94,6 @@ type manifest struct {
 	NumCPU       int                  `json:"num_cpu"`
 	TotalSeconds float64              `json:"total_seconds"`
 	Experiments  []manifestExperiment `json:"experiments"`
-	// Metrics is the recorder's Snapshot at the end of the run: every
-	// named counter, plus _count/_sum/_p50/_p95/_max per histogram.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 type manifestExperiment struct {
@@ -184,9 +178,9 @@ func parseSpecs(faults, latency, rel string) (fault.Spec, sim.Latency, reliable.
 
 // checkCounts validates the numeric flags. Each bad value yields one
 // line naming the flag and the value, so a negative -procs is a usage
-// error rather than a driver panic, and a NaN -flight-rate is not a
-// silent 50 % sample.
-func checkCounts(procs, shards, flight int, flightRate float64, auditEvery int, cellTimeout time.Duration) error {
+// error rather than a driver panic, and a -flight ring that neither
+// -events nor -trace would write is not filled for nothing.
+func checkCounts(procs, flight int, cellTimeout time.Duration, exported bool) error {
 	var errs []error
 	check := func(ok bool, flag string, v any, want string) {
 		if !ok {
@@ -194,12 +188,39 @@ func checkCounts(procs, shards, flight int, flightRate float64, auditEvery int, 
 		}
 	}
 	check(procs >= 1, "-procs", procs, "a worker count of at least 1")
-	check(shards >= 0, "-shards", shards, "a worker count of at least 0")
 	check(flight >= 0, "-flight", flight, "a ring capacity of at least 0")
-	check(flightRate > 0 && flightRate <= 1, "-flight-rate", flightRate, "a probability in (0, 1]")
-	check(auditEvery >= 0, "-audit-every", auditEvery, "a cadence of at least 0")
+	check(flight <= 0 || exported, "-flight", flight, "written anywhere without -events or -trace")
 	check(cellTimeout >= 0, "-cell-timeout", cellTimeout, "a duration of at least 0")
 	return errors.Join(errs...)
+}
+
+// selectExperiments resolves -only against all: every experiment when
+// only is empty, else the named ones in canonical order. Ids are
+// case-insensitive; an id that names no experiment is an error, one line
+// naming each such id.
+func selectExperiments(all []exp.Experiment, only string) ([]exp.Experiment, error) {
+	if only == "" {
+		return all, nil
+	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, id := range strings.Split(only, ",") {
+		id = strings.ToUpper(strings.TrimSpace(id))
+		if !slices.ContainsFunc(all, func(e exp.Experiment) bool { return e.ID == id }) {
+			unknown = append(unknown, fmt.Sprintf("%q", id))
+		}
+		want[id] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("-only: not an experiment id: %s (-list prints them)", strings.Join(unknown, ", "))
+	}
+	var selected []exp.Experiment
+	for _, e := range all {
+		if want[e.ID] {
+			selected = append(selected, e)
+		}
+	}
+	return selected, nil
 }
 
 // fatalf prints each line of the message as one usage line and exits 1.
@@ -216,18 +237,14 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	procs := flag.Int("procs", runtime.GOMAXPROCS(0), "worker goroutines for sweep cells (tables are identical for any value)")
-	shards := flag.Int("shards", 0, "intra-round workers per §5/§6 network; 0 = $OVERLAYNET_SHARDS or 1 (tables are identical for any value)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace_events JSON file")
 	eventsOut := flag.String("events", "", "write the raw telemetry stream as JSONL")
 	manifestOut := flag.String("manifest", "", "write a run manifest JSON file")
 	progress := flag.Bool("progress", false, "print live sweep progress to stderr")
-	flightCap := flag.Int("flight", 0, "flight-recorder ring capacity in events (0 disables)")
-	flightRate := flag.Float64("flight-rate", 0.01, "flight-recorder sampling probability")
+	flightCap := flag.Int("flight", 0, "flight-recorder ring capacity in events, a 1% sample written by -events and -trace (0 disables)")
 	auditOn := flag.Bool("audit", false, "attach the runtime invariant-audit engine to the reconfiguration experiments")
 	faultsFlag := flag.String("faults", "", "deterministic fault injection, e.g. drop=0.01,dup=0.001,crash=0.05,restart=2")
-	auditEvery := flag.Int("audit-every", 0, "invariant check cadence in engine ticks (0 = every tick)")
-	recoverOnly := flag.Bool("recover", false, "run the self-healing recovery experiment (adds R1 to -only)")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell stall watchdog (e.g. 5m); 0 disables")
 	maskWall := flag.Bool("maskwall", false, "blank wall-clock table columns (rounds/sec) and omit the per-experiment seconds so output can be diffed across runs and machines")
 	// -latency runs every sim-kernel network under the discrete-event
@@ -249,7 +266,20 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if err := checkCounts(*procs, *shards, *flightCap, *flightRate, *auditEvery, *cellTimeout); err != nil {
+	exported := *traceOut != "" || *eventsOut != ""
+	if err := checkCounts(*procs, *flightCap, *cellTimeout, exported); err != nil {
+		fatalf("%v", err)
+	}
+
+	experiments := exp.All()
+	if *list {
+		for _, e := range experiments {
+			fmt.Printf("%-4s %s\n", e.ID, e.Claim)
+		}
+		return
+	}
+	selected, err := selectExperiments(experiments, *only)
+	if err != nil {
 		fatalf("%v", err)
 	}
 
@@ -265,27 +295,8 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	experiments := exp.All()
-	if *list {
-		for _, e := range experiments {
-			fmt.Printf("%-4s %s\n", e.ID, e.Claim)
-		}
-		return
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
-	if *recoverOnly {
-		want["R1"] = true
-	}
-
-	opts := exp.Options{Seed: *seed, Quick: *quick, Procs: *procs, Shards: *shards,
-		Audit: *auditOn, AuditEvery: *auditEvery, Faults: faultSpec, Latency: latency,
-		Reliable: reliableCfg, CellTimeout: *cellTimeout}
+	opts := exp.Options{Seed: *seed, Quick: *quick, Procs: *procs, Audit: *auditOn,
+		Faults: faultSpec, Latency: latency, Reliable: reliableCfg, CellTimeout: *cellTimeout}
 
 	// Telemetry wiring. A single recorder spans every experiment; it
 	// aggregates counters and spans and keeps violation and recovery
@@ -294,10 +305,10 @@ func main() {
 	// registry holds every count of the run: counters and streaming
 	// histograms cost O(1) per event and never perturb tables.
 	var rec *trace.Recorder
-	if *traceOut != "" || *eventsOut != "" || *manifestOut != "" || *flightCap > 0 {
+	if exported {
 		rec = trace.New()
 		if *flightCap > 0 {
-			rec.FlightRecorder(*seed, *flightRate, *flightCap)
+			rec.FlightRecorder(*seed, 0.01, *flightCap)
 		}
 		opts.Trace = rec
 	}
@@ -305,17 +316,6 @@ func main() {
 	if *progress {
 		prog = trace.NewProgress(os.Stderr, 2*time.Second)
 		opts.Progress = prog
-	}
-	var selected []exp.Experiment
-	for _, e := range experiments {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
-		selected = append(selected, e)
-	}
-	if len(selected) == 0 {
-		fmt.Fprintln(os.Stderr, "no experiments matched; use -list")
-		os.Exit(1)
 	}
 
 	// Experiments are independent, so they run concurrently on the same
@@ -393,7 +393,6 @@ func main() {
 			Seed:        *seed,
 			Quick:       *quick,
 			Procs:       *procs,
-			Shards:      *shards,
 			Audit:       *auditOn,
 			Faults:      faultsString(faultSpec),
 			Latency:     latencyString(latency),
@@ -409,9 +408,6 @@ func main() {
 				Rows:    results[i].rows,
 				Seconds: results[i].elapsed.Seconds(),
 			})
-		}
-		if rec != nil {
-			m.Metrics = rec.Snapshot()
 		}
 		f, err := os.Create(*manifestOut)
 		if err != nil {

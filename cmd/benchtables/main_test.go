@@ -1,10 +1,12 @@
 package main
 
 import (
-	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"overlaynet/internal/exp"
 )
 
 // TestParseSpecs covers the structured-model flag triple: well-formed
@@ -101,40 +103,35 @@ func TestReliableStringRoundTrip(t *testing.T) {
 // TestCheckCounts covers the numeric flags: the defaults pass, and each
 // bad value fails with one line naming the flag and the value, however
 // many are bad at once. A negative -procs used to end in a driver panic,
-// and a NaN -flight-rate in a silent 50 % sample.
+// and a -flight ring with neither -events nor -trace was filled and
+// never written.
 func TestCheckCounts(t *testing.T) {
 	type counts struct {
-		procs, shards, flight int
-		rate                  float64
-		auditEvery            int
-		timeout               time.Duration
+		procs, flight int
+		timeout       time.Duration
+		exported      bool
 	}
-	good := counts{procs: 2, rate: 0.01}
+	good := counts{procs: 2}
 	cases := []struct {
 		name  string
 		edit  func(*counts)
 		lines []string // wanted error lines, in flag order; nil means valid
 	}{
 		{name: "defaults", edit: func(*counts) {}},
-		{name: "all set", edit: func(c *counts) { *c = counts{1, 8, 4096, 1, 3, time.Minute} }},
+		{name: "all set", edit: func(c *counts) { *c = counts{1, 4096, time.Minute, true} }},
 		{name: "procs zero", edit: func(c *counts) { c.procs = 0 }, lines: []string{"-procs: 0"}},
 		{name: "procs negative", edit: func(c *counts) { c.procs = -1 }, lines: []string{"-procs: -1"}},
-		{name: "shards negative", edit: func(c *counts) { c.shards = -2 }, lines: []string{"-shards: -2"}},
 		{name: "flight negative", edit: func(c *counts) { c.flight = -1 }, lines: []string{"-flight: -1"}},
-		{name: "rate NaN", edit: func(c *counts) { c.rate = math.NaN() }, lines: []string{"-flight-rate: NaN"}},
-		{name: "rate +Inf", edit: func(c *counts) { c.rate = math.Inf(1) }, lines: []string{"-flight-rate: +Inf"}},
-		{name: "rate zero", edit: func(c *counts) { c.rate = 0 }, lines: []string{"-flight-rate: 0"}},
-		{name: "rate above one", edit: func(c *counts) { c.rate = 1.5 }, lines: []string{"-flight-rate: 1.5"}},
-		{name: "audit-every negative", edit: func(c *counts) { c.auditEvery = -3 }, lines: []string{"-audit-every: -3"}},
+		{name: "flight without exporter", edit: func(c *counts) { c.flight = 4096 }, lines: []string{"-flight: 4096"}},
 		{name: "cell-timeout negative", edit: func(c *counts) { c.timeout = -time.Second }, lines: []string{"-cell-timeout: -1s"}},
-		{name: "two bad", edit: func(c *counts) { c.procs, c.rate = -1, math.NaN() },
-			lines: []string{"-procs: -1", "-flight-rate: NaN"}},
+		{name: "two bad", edit: func(c *counts) { c.procs, c.flight = -1, 64 },
+			lines: []string{"-procs: -1", "-flight: 64"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := good
 			tc.edit(&c)
-			err := checkCounts(c.procs, c.shards, c.flight, c.rate, c.auditEvery, c.timeout)
+			err := checkCounts(c.procs, c.flight, c.timeout, c.exported)
 			if tc.lines == nil {
 				if err != nil {
 					t.Fatalf("checkCounts(%+v) = %v, want nil", c, err)
@@ -152,6 +149,59 @@ func TestCheckCounts(t *testing.T) {
 				if !strings.HasPrefix(got[i], want+" ") {
 					t.Errorf("line %d = %q, want prefix %q", i, got[i], want)
 				}
+			}
+		})
+	}
+}
+
+// TestSelectExperiments covers -only: ids select in canonical order,
+// whatever their case, spacing or repetition, and any id that names no
+// experiment fails the selection on one line naming every such id —
+// -only E8,E99 used to run E8 and say nothing about E99.
+func TestSelectExperiments(t *testing.T) {
+	all := exp.All()
+	ids := func(es []exp.Experiment) []string {
+		var out []string
+		for _, e := range es {
+			out = append(out, e.ID)
+		}
+		return out
+	}
+	cases := []struct {
+		name, only string
+		want       []string // selected ids; nil means an error
+		unknown    []string // the ids the error must name
+	}{
+		{name: "empty", only: "", want: ids(all)},
+		{name: "one", only: "E8", want: []string{"E8"}},
+		{name: "canonical order", only: "R1, e8,E1,E8", want: []string{"E1", "E8", "R1"}},
+		{name: "one unknown", only: "E8,E99", unknown: []string{`"E99"`}},
+		{name: "all unknown", only: "E99,x9", unknown: []string{`"E99"`, `"X9"`}},
+		{name: "empty id", only: "E8,", unknown: []string{`""`}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := selectExperiments(all, tc.only)
+			if tc.want != nil {
+				if err != nil || !slices.Equal(ids(got), tc.want) {
+					t.Fatalf("selectExperiments(%q) = %v, %v; want %v", tc.only, ids(got), err, tc.want)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("selectExperiments(%q) = %v, want an error naming %v", tc.only, ids(got), tc.unknown)
+			}
+			msg := err.Error()
+			if !strings.HasPrefix(msg, "-only: ") || strings.ContainsRune(msg, '\n') {
+				t.Errorf("error %q is not one -only usage line", msg)
+			}
+			for _, id := range tc.unknown {
+				if !strings.Contains(msg, id) {
+					t.Errorf("error %q does not name %s", msg, id)
+				}
+			}
+			if strings.Contains(msg, `"E8"`) {
+				t.Errorf("error %q names the known id E8", msg)
 			}
 		})
 	}

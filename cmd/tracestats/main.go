@@ -40,7 +40,7 @@ type cellStat struct {
 
 // summary is the content of one JSONL stream. metrics is the run's
 // registry snapshot, under the registry's own series names — the one
-// vocabulary the stream and the manifest share.
+// vocabulary of the run's counts.
 type summary struct {
 	records    int        // telemetry records successfully ingested
 	spans      []cellStat // cell spans only

@@ -11,7 +11,7 @@
 // sim.Tracer: all methods are nil-receiver safe, so drivers hold a
 // possibly-nil *Engine and call it unconditionally; a detached engine
 // costs one nil check. Violations flow to a Reporter (internal/trace's
-// Recorder implements it) so they land in JSONL streams, manifests, and
+// Recorder implements it) so they land in JSONL streams and
 // cmd/tracestats.
 package audit
 

@@ -51,20 +51,20 @@ func TestEpochSpansRecorded(t *testing.T) {
 		t.Fatalf("join not reflected in reports: %d -> %d", rep1.NNew, rep2.NNew)
 	}
 
-	c := rec.Counters()
-	if c.Epochs != uint64(len(reports)) {
-		t.Fatalf("epoch counter = %d, want %d", c.Epochs, len(reports))
+	m := rec.Snapshot()
+	if got := m["overlaynet_epochs_total"]; got != float64(len(reports)) {
+		t.Fatalf("epoch counter = %v, want %d", got, len(reports))
 	}
-	if c.Rounds != uint64(totalRounds) {
-		t.Fatalf("sim rounds counter = %d, want sum of epoch rounds %d", c.Rounds, totalRounds)
+	if got := m["overlaynet_rounds_total"]; got != float64(totalRounds) {
+		t.Fatalf("sim rounds counter = %v, want sum of epoch rounds %d", got, totalRounds)
 	}
-	if c.Messages == 0 || c.Delivered == 0 {
-		t.Fatalf("no message traffic recorded: %+v", c)
+	if m["overlaynet_messages_total"] == 0 || m["overlaynet_delivered_total"] == 0 {
+		t.Fatalf("no message traffic recorded: %v", m)
 	}
 	// The initial members spawn in NewNetwork, before the tracer is
 	// attached; only the epoch-2 joiner is counted.
-	if c.Spawns != 1 {
-		t.Fatalf("spawns = %d, want 1 (the joiner)", c.Spawns)
+	if got := m["overlaynet_spawns_total"]; got != 1 {
+		t.Fatalf("spawns = %v, want 1 (the joiner)", got)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestSetTraceDetach(t *testing.T) {
 	nw.SetTrace(rec, "attached")
 	nw.RunEpoch(nil, nil)
 	spansBefore := len(rec.Spans())
-	roundsBefore := rec.Counters().Rounds
+	roundsBefore := rec.Snapshot()["overlaynet_rounds_total"]
 
 	nw.SetTrace(nil, "")
 	nw.RunEpoch(nil, nil)
@@ -85,7 +85,7 @@ func TestSetTraceDetach(t *testing.T) {
 	if n := len(rec.Spans()); n != spansBefore {
 		t.Fatalf("spans grew after detach: %d -> %d", spansBefore, n)
 	}
-	if r := rec.Counters().Rounds; r != roundsBefore {
-		t.Fatalf("round counter grew after detach: %d -> %d", roundsBefore, r)
+	if r := rec.Snapshot()["overlaynet_rounds_total"]; r != roundsBefore {
+		t.Fatalf("round counter grew after detach: %v -> %v", roundsBefore, r)
 	}
 }

@@ -52,7 +52,7 @@ func TestAS1ZeroSpreadRowsMatchSync(t *testing.T) {
 func TestAS1ShardAndProcInvariance(t *testing.T) {
 	base := AS1AsyncLatency(Options{Seed: 7, Quick: true, Procs: 1, Shards: 1}).String()
 	if got := AS1AsyncLatency(Options{Seed: 7, Quick: true, Procs: 4, Shards: 4}).String(); got != base {
-		t.Fatal("AS1 table varies with -procs/-shards")
+		t.Fatal("AS1 table varies with -procs/OVERLAYNET_SHARDS")
 	}
 }
 

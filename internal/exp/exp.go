@@ -78,15 +78,12 @@ type Options struct {
 	Progress *trace.Progress
 
 	// Audit attaches the runtime invariant-audit engine to the networks
-	// built by the reconfiguration drivers (E6/E8/E10/F1). Violations
-	// are reported through Trace (when set) and never change table
-	// output: a clean run renders byte-identical tables with or without
-	// auditing.
+	// built by the reconfiguration drivers (E6/E8/E10/F1), checking every
+	// tick: every epoch for the core network and every round for the
+	// supernode overlays. Violations are reported through Trace (when
+	// set) and never change table output: a clean run renders
+	// byte-identical tables with or without auditing.
 	Audit bool
-	// AuditEvery is the engine's check cadence in ticks (0 means 1,
-	// i.e. every epoch for the core network and every round for the
-	// supernode overlays).
-	AuditEvery int
 	// Faults is a deterministic fault-injection spec the supporting
 	// drivers apply to every network they build. Each sweep cell
 	// derives its injection seed through cellSeed, so the schedule is

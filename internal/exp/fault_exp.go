@@ -9,7 +9,6 @@ import (
 	"overlaynet/internal/fault"
 	"overlaynet/internal/metrics"
 	"overlaynet/internal/rng"
-	"overlaynet/internal/sim"
 	"overlaynet/internal/splitmerge"
 )
 
@@ -82,7 +81,7 @@ func f1Core(o Options, cell int, spec fault.Spec) [][]string {
 	n := 64
 	epochs := o.size(2, 4)
 	seed := cellSeed(o.Seed, 0xf1, uint64(cell))
-	ev := o.envLocal(cell, seed, o.AuditEvery)
+	ev := o.envLocal(cell, seed)
 	ev.faults = spec
 	nw := newCore(ev, seed, n)
 
@@ -119,9 +118,10 @@ func f1Core(o Options, cell int, spec fault.Spec) [][]string {
 	}
 	nw.Shutdown()
 
-	c := ev.trace.Counters()
+	m := ev.trace.Snapshot()
 	return [][]string{metrics.Row("reconfig §4", spec.String(), epochs,
-		crashes, rejoins, c.Drops[sim.DropFaultInjected.String()], c.DupExtraCopies,
+		crashes, rejoins, uint64(m["overlaynet_drops_fault_injected_total"]),
+		uint64(m["overlaynet_dup_extra_copies_total"]),
 		ev.audit.Count(), failedInvariants(ev.audit), healthy)}
 }
 
@@ -130,7 +130,7 @@ func f1Core(o Options, cell int, spec fault.Spec) [][]string {
 func f1SplitMerge(o Options, cell int, spec fault.Spec) [][]string {
 	n0, epochs := o.size(128, 256), o.size(2, 3)
 	seed := cellSeed(o.Seed, 0xf1, uint64(cell))
-	ev := o.envLocal(cell, seed, o.AuditEvery)
+	ev := o.envLocal(cell, seed)
 	ev.faults = spec
 	nw := newSplitMerge(ev, splitmerge.Config{Seed: seed, N0: n0})
 	adv := &dos.GroupIsolate{Fraction: 0.25, R: rng.New(seed + 17)}

@@ -45,8 +45,8 @@ func TestTablesByteIdenticalWithMetricsAttached(t *testing.T) {
 	}
 }
 
-// TestArtifactMetricsDeterministic pins what a manifest may be diffed
-// on: the snapshot the artifacts carry is the same at any worker layout
+// TestArtifactMetricsDeterministic pins what a metrics line may be
+// diffed on: the snapshot the JSONL carries is the same at any worker layout
 // on every series that is not wall-clock (the *_duration_us
 // histograms). Four drivers share one recorder, run one after another
 // at Procs 1, Shards 1 and all at once at Procs 8, Shards 4, audited and

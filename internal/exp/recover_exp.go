@@ -100,7 +100,7 @@ func r1Row(o Options, system string, n int, scen string, eng *audit.Engine, repa
 // three networks, breaking each overlay and driving its repair path
 // until the auditors go quiet (or a fixed budget runs out). Every
 // decision is a pure function of the cell seed, so the table is
-// byte-identical for any -procs or -shards.
+// byte-identical for any -procs or OVERLAYNET_SHARDS.
 func R1Recovery(o Options) *metrics.Table {
 	t := metrics.NewTable("R1  Self-healing — partition & state corruption, measured time-to-recover",
 		"system", "n", "fault", "episodes", "broken@", "clean@", "mttr (rounds)", "repairs", "svc routing", "svc sampling", "recovered")
@@ -121,11 +121,10 @@ func R1Recovery(o Options) *metrics.Table {
 
 // r1Cell is what the §4 and the §5/§6 halves of a cell share: the seed,
 // the scenario's spec bound to it, and the always-on audit engine —
-// cadence 1 regardless of Options.AuditEvery, because MTTR is measured at
-// checker resolution.
+// checking every tick, because MTTR is measured at checker resolution.
 func r1Cell(o Options, cell int, scen r1Scenario) (seed uint64, spec fault.Spec, e env) {
 	seed = cellSeed(o.Seed, 0x51, uint64(cell))
-	return seed, scen.spec.WithSeed(cellSeed(seed, 0x5a)), o.envLocal(cell, seed, 1)
+	return seed, scen.spec.WithSeed(cellSeed(seed, 0x5a)), o.envLocal(cell, seed)
 }
 
 // r1Core breaks and repairs the §4 reconfiguration network. A

@@ -72,6 +72,6 @@ func TestAS2ReliableRestores(t *testing.T) {
 func TestAS2ShardAndProcInvariance(t *testing.T) {
 	base := AS2ReliableDelivery(Options{Seed: 7, Quick: true, Procs: 1, Shards: 1}).String()
 	if got := AS2ReliableDelivery(Options{Seed: 7, Quick: true, Procs: 4, Shards: 4}).String(); got != base {
-		t.Fatal("AS2 table varies with -procs/-shards")
+		t.Fatal("AS2 table varies with -procs/OVERLAYNET_SHARDS")
 	}
 }

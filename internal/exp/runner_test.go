@@ -200,8 +200,8 @@ func TestRunCellsTelemetry(t *testing.T) {
 		}
 		seen[s.Cell] = true
 	}
-	if c := rec.Counters(); c.Cells != ncells {
-		t.Fatalf("cell counter = %d, want %d", c.Cells, ncells)
+	if got := rec.Snapshot()["overlaynet_cells_total"]; got != ncells {
+		t.Fatalf("cell counter = %v, want %d", got, ncells)
 	}
 }
 
@@ -235,7 +235,7 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 			}
 		})
 	}
-	if rec.Counters().Rounds == 0 {
+	if rec.Snapshot()["overlaynet_rounds_total"] == 0 {
 		t.Fatal("recorder saw no simulator rounds — tracing is not wired through the drivers")
 	}
 	if got := fmt.Sprintf("%016x", tables.Sum64()); got != recorded {

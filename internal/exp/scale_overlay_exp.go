@@ -14,7 +14,7 @@ import (
 // slot/bitset layout keeps the per-node footprint near the ~1 KB/node
 // budget, and the sharded round pipeline (Options.Shards) only changes
 // wall-clock speed — every protocol column is byte-identical at any
-// -procs/-shards setting. At n = 1M the sampling slack is tightened
+// -procs/OVERLAYNET_SHARDS setting. At n = 1M the sampling slack is tightened
 // (§5 ε = 0.25, §6 ε = 0.1): the default ε = 1 budget schedule is
 // exponentially oversized at that scale and would dominate memory, not
 // the protocol state under test.

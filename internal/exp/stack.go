@@ -38,7 +38,7 @@ type env struct {
 }
 
 // envDelivery is what every driver attaches: the committee engine's
-// -shards, and on the sim kernel -latency and -reliable (§3 takes those
+// Shards, and on the sim kernel -latency and -reliable (§3 takes those
 // through expParams).
 func (o Options) envDelivery() env {
 	return env{shards: o.Shards, latency: o.Latency, reliable: o.Reliable}
@@ -60,22 +60,23 @@ func (o Options) envGlobals(cell int, auditSeed uint64) env {
 		if o.Trace != nil {
 			rep = o.Trace
 		}
-		e.audit = audit.NewEngine(e.scope, auditSeed, o.AuditEvery, rep)
+		e.audit = audit.NewEngine(e.scope, auditSeed, 1, rep)
 	}
 	e.faults = o.cellFaults(cell)
 	return e
 }
 
 // envLocal is for F1 and R1, which measure the raw fault response: the
-// audit engine is always on and reports to a recorder of the cell's own
-// (it supplies the drop and duplication counts and cannot interfere with
-// a shared -events stream), and there are no reliable endpoints — they
-// would mask the damage under test, and break the byte identity of
-// `-latency const:1 -reliable on`. The driver sets the faults.
-func (o Options) envLocal(cell int, seed uint64, every int) env {
+// audit engine is always on, checks every tick and reports to a recorder
+// of the cell's own (it supplies the drop and duplication counts and
+// cannot interfere with a shared -events stream), and there are no
+// reliable endpoints — they would mask the damage under test, and break
+// the byte identity of `-latency const:1 -reliable on`. The driver sets
+// the faults.
+func (o Options) envLocal(cell int, seed uint64) env {
 	e := o.envTraced(cell)
 	e.trace = trace.New()
-	e.audit = audit.NewEngine(e.scope, seed, every, e.trace)
+	e.audit = audit.NewEngine(e.scope, seed, 1, e.trace)
 	e.reliable = reliable.Config{}
 	return e
 }

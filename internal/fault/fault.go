@@ -25,7 +25,7 @@ import (
 type Spec struct {
 	// Seed derives every fault decision. Drivers should derive it from
 	// the per-cell experiment seed (exp.cellSeed) so fault schedules are
-	// independent of -procs/-shards.
+	// independent of -procs/OVERLAYNET_SHARDS.
 	Seed uint64
 	// Drop is the per-message probability of being lost in transit.
 	Drop float64

@@ -12,7 +12,7 @@ import "overlaynet/internal/sim"
 // Like sim.Injector, every implementation MUST be a pure function of
 // its arguments: under the engine's sharded rounds whichever worker
 // owns the target asks, and the answer must not depend on who asks or
-// when for results to stay byte-identical across -procs/-shards.
+// when for results to stay byte-identical across -procs/OVERLAYNET_SHARDS.
 //
 // The engine queues every generated message and, only when the Gate is
 // non-nil — injector, partition window, or latency deadline — walks the

@@ -127,12 +127,6 @@ func (t *Table) MaskColumn(i int, placeholder string) {
 	}
 }
 
-// FindColumn returns the index of the first header containing substr,
-// or -1 if none does.
-func (t *Table) FindColumn(substr string) int {
-	return t.FindColumnFrom(substr, 0)
-}
-
 // FindColumnFrom returns the index of the first header at or after
 // start containing substr, or -1 if none does. MaskColumn leaves
 // headers intact, so callers masking every matching column advance

@@ -20,10 +20,10 @@
 //     1M" and not.
 //   - Deterministic sampling. Sampler is a pure splitmix64 hash of the
 //     event identity, so a sampled "flight recorder" keeps the same
-//     events at any -procs/-shards setting.
+//     events at any -procs/OVERLAYNET_SHARDS setting.
 //
-// FlatSnapshot is the one export: the run manifest and the JSONL stream
-// embed it. Its one writer is trace.Recorder (kernel, cell, epoch and
+// FlatSnapshot is the one export: the JSONL stream's last line embeds
+// it. Its one writer is trace.Recorder (kernel, cell, epoch and
 // audit counts); the protocol stacks keep their counts in their own
 // Stats. The package depends on nothing inside the repository.
 package obs
@@ -191,8 +191,8 @@ func (r *Registry) snapshotLists() (cs []*Counter, hs []*Histogram) {
 // FlatSnapshot renders every metric as flat name → value pairs: plain
 // names for counters; "<name>_count", "<name>_sum",
 // "<name>_p50", "<name>_p95", and "<name>_max" for histograms
-// (quantiles are bucket-bound estimates). This is the shape run
-// manifests and the JSONL metrics line embed.
+// (quantiles are bucket-bound estimates). This is the shape the JSONL
+// metrics line embeds.
 func (r *Registry) FlatSnapshot() map[string]float64 {
 	if r == nil {
 		return nil
@@ -214,7 +214,7 @@ func (r *Registry) FlatSnapshot() map[string]float64 {
 }
 
 // sanitizeMetricName guards registration-time typos: a name is a JSON
-// key in the manifest and the JSONL stream and a word of tracestats'
+// key in the JSONL stream and a word of tracestats'
 // vocabulary, so it must
 // match [a-zA-Z_:][a-zA-Z0-9_:]*. The registry does not rewrite names —
 // a bad name is a programming error worth a loud panic at registration,

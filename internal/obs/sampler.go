@@ -17,7 +17,7 @@ func splitmix64(x uint64) uint64 {
 // rate. The decision for an event depends only on the sampler seed and
 // the event's identity tuple — never on goroutine scheduling, shard
 // count, or arrival order — so a sampled event stream is byte-identical
-// at any -procs/-shards setting.
+// at any -procs/OVERLAYNET_SHARDS setting.
 type Sampler struct {
 	seed      uint64
 	threshold uint64 // keep iff hash < threshold

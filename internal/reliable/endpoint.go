@@ -103,9 +103,6 @@ func Wrap(seed uint64, cfg Config, stretch int, inner sim.Handler) *Endpoint {
 	return &Endpoint{inner: inner, cfg: cfg, seed: seed, stretch: max(stretch, 1)}
 }
 
-// Inner returns the wrapped handler.
-func (e *Endpoint) Inner() sim.Handler { return e.inner }
-
 // OnRound implements sim.Handler.
 func (e *Endpoint) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	if !e.started {

@@ -255,8 +255,8 @@ func TestZeroLateDisconnects(t *testing.T) {
 	}
 }
 
-// TestReplaceMembersTranscript pins ReplaceMembers to the loop E10, X1
-// and `overlaysim churndos` each carried inline before it existed,
+// TestReplaceMembersTranscript pins ReplaceMembers to the loop E10 and
+// X1 each carried inline before it existed,
 // recorded from that loop at seed 7, n₀ = 128, rng.New(99): the same
 // members leave in the same order, every joiner enters through the same
 // sponsor (observed as the group it waits in — ids are handed out in

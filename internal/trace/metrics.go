@@ -10,8 +10,8 @@ import (
 // kernelMetrics is the recorder's state in its obs.Registry: one named
 // series per count, plus the streaming histograms that replace exact
 // per-round sample sorts at scale. The names here are the telemetry
-// vocabulary — the manifest, the JSONL stream and tracestats read
-// them. All handles are created once in WithMetrics;
+// vocabulary — Snapshot, the JSONL stream and tracestats read them.
+// All handles are created once in WithMetrics;
 // tracer hot paths only touch counters on their own lane.
 type kernelMetrics struct {
 	rounds     *obs.Counter
@@ -24,11 +24,15 @@ type kernelMetrics struct {
 	violations *obs.Counter
 	recoveries *obs.Counter
 	dupExtra   *obs.Counter
-	// asyncDeferred tracks messages the discrete-event scheduler parked
-	// past the synchronous deadline (deterministic; see
-	// Counters.AsyncDeferred).
+	// asyncDeferred counts messages the discrete-event scheduler parked
+	// past the synchronous round+1 deadline (zero in every synchronous or
+	// zero-spread run).
 	asyncDeferred *obs.Counter
-	// Reliability lane (deterministic; see Counters.Retransmits etc.).
+	// Reliability lane (internal/reliable endpoints; all zero unless a
+	// traced stack enables reliable delivery): retransmit copies, acks,
+	// messages whose retransmit budget ran out, and envelopes discarded
+	// for arriving after their protocol round closed. Like asyncDeferred,
+	// every one is a pure function of seed, latency model and fault spec.
 	retransmits     *obs.Counter
 	acks            *obs.Counter
 	relFailures     *obs.Counter
@@ -103,8 +107,8 @@ func (r *Recorder) WithMetrics(reg *obs.Registry) *Recorder {
 // length; rate 1 keeps every event until the ring fills. Violations and
 // recoveries are kept beside the ring whatever the rate. The sampling
 // decision is a pure function of (seed, event identity), so the kept
-// set is byte-identical at any -procs/-shards setting. Returns r for
-// chaining.
+// set is byte-identical at any -procs/OVERLAYNET_SHARDS setting.
+// Returns r for chaining.
 func (r *Recorder) FlightRecorder(seed uint64, rate float64, capacity int) *Recorder {
 	r.mu.Lock()
 	r.flight = obs.NewRing[Event](capacity)

@@ -63,8 +63,7 @@ func TestRecorderMetricsConcurrent(t *testing.T) {
 	go func() { // concurrent reader
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			_ = rec.Counters()
-			_ = reg.FlatSnapshot()
+			_ = rec.Snapshot()
 		}
 	}()
 	wg.Wait()
@@ -82,10 +81,6 @@ func TestRecorderMetricsConcurrent(t *testing.T) {
 	}
 	if got := snap["overlaynet_round_duration_us_count"]; got != workers*rounds {
 		t.Errorf("round_duration_us_count = %v, want %d", got, workers*rounds)
-	}
-	c := rec.Counters()
-	if c.Rounds != workers*rounds || c.Messages != workers*rounds*4 {
-		t.Errorf("Counters view diverges: rounds %d messages %d", c.Rounds, c.Messages)
 	}
 }
 
@@ -137,7 +132,7 @@ func TestFlightRecorderDeterministicAcrossShards(t *testing.T) {
 // confinement contract: event timestamps and the *_duration_us
 // histograms are the only wall-clock values the recorder exposes.
 // Everything else — including the async scheduler's sched_deferred
-// events and the AsyncDeferred total — must be byte-identical across
+// events and the async-deferred total — must be byte-identical across
 // two runs once event timestamps are masked.
 func TestWallClockConfinedToDocumentedFields(t *testing.T) {
 	capture := func() ([]Event, map[string]float64) {
@@ -254,8 +249,8 @@ func TestMetricsOnlyStreamsSamples(t *testing.T) {
 	if p95 := snap["overlaynet_inbox_depth_p95"]; p95 < 2 || p95 > 4 {
 		t.Errorf("inbox_depth_p95 = %v, want ≈3", p95)
 	}
-	if c := rec.Counters(); c.Delivered != 5*32*3 {
-		t.Errorf("delivered = %d, want %d (spawn-time sends deliver in round 1, so every round carries full fanout)", c.Delivered, 5*32*3)
+	if got := rec.Snapshot()["overlaynet_delivered_total"]; got != 5*32*3 {
+		t.Errorf("delivered = %v, want %d (spawn-time sends deliver in round 1, so every round carries full fanout)", got, 5*32*3)
 	}
 }
 

@@ -34,11 +34,13 @@ func lossyRing(rec *Recorder) {
 	net.Shutdown()
 }
 
-// TestCountersMatchRegistry is the written statement of the Counters
-// view: which registry series each field reads. One scenario moves every
-// counter — all five drop reasons, duplication, scheduler deferrals, the
-// reliable layer's four, a violation, a closed recovery episode, a cell
-// and an epoch — and every field must equal its series.
+// TestCountersMatchRegistry is the written statement of the snapshot's
+// counter vocabulary. One scenario moves every counter — all five drop
+// reasons, duplication, scheduler deferrals, the reliable layer's four,
+// a violation, a closed recovery episode, a cell and an epoch — and each
+// must be in the snapshot, non-zero, equal to its registry series. The
+// one series the registry does not hold is overlaynet_delivered_total,
+// derived from the others by the reconciliation contract.
 func TestCountersMatchRegistry(t *testing.T) {
 	rec := New()
 	scenario(rec)
@@ -48,47 +50,42 @@ func TestCountersMatchRegistry(t *testing.T) {
 	rec.CellSpan("E0", 0, 42, 0, rec.Start())
 	rec.EpochSpan("E0/cell0", 1, 7, 64, 64, rec.Start())
 
-	c := rec.Counters()
-	snap := rec.Snapshot()
-	for _, p := range []struct {
-		series string
-		field  uint64
-	}{
-		{"overlaynet_rounds_total", c.Rounds},
-		{"overlaynet_messages_total", c.Messages},
-		{"overlaynet_spawns_total", c.Spawns},
-		{"overlaynet_kills_total", c.Kills},
-		{"overlaynet_blocks_total", c.Blocks},
-		{"overlaynet_cells_total", c.Cells},
-		{"overlaynet_epochs_total", c.Epochs},
-		{"overlaynet_drops_blocked_sender_total", c.Drops["blocked-sender"]},
-		{"overlaynet_drops_blocked_receiver_send_round_total", c.Drops["blocked-receiver-send-round"]},
-		{"overlaynet_drops_blocked_receiver_delivery_round_total", c.Drops["blocked-receiver-delivery-round"]},
-		{"overlaynet_drops_dead_receiver_total", c.Drops["dead-receiver"]},
-		{"overlaynet_drops_fault_injected_total", c.Drops["fault-injected"]},
-		{"overlaynet_dup_extra_copies_total", c.DupExtraCopies},
-		{"overlaynet_violations_total", c.Violations},
-		{"overlaynet_recoveries_total", c.Recoveries},
-		{"overlaynet_mttr_rounds_sum", c.RecoveryRounds},
-		{"overlaynet_async_deferred_total", c.AsyncDeferred},
-		{"overlaynet_retransmits_total", c.Retransmits},
-		{"overlaynet_acks_total", c.Acks},
-		{"overlaynet_delivery_failures_total", c.DeliveryFailures},
-		{"overlaynet_stale_deliveries_total", c.StaleDeliveries},
+	snap, reg := rec.Snapshot(), rec.reg.FlatSnapshot()
+	for _, name := range []string{
+		"overlaynet_rounds_total",
+		"overlaynet_messages_total",
+		"overlaynet_spawns_total",
+		"overlaynet_kills_total",
+		"overlaynet_blocks_total",
+		"overlaynet_cells_total",
+		"overlaynet_epochs_total",
+		"overlaynet_drops_blocked_sender_total",
+		"overlaynet_drops_blocked_receiver_send_round_total",
+		"overlaynet_drops_blocked_receiver_delivery_round_total",
+		"overlaynet_drops_dead_receiver_total",
+		"overlaynet_drops_fault_injected_total",
+		"overlaynet_dup_extra_copies_total",
+		"overlaynet_violations_total",
+		"overlaynet_recoveries_total",
+		"overlaynet_mttr_rounds_sum",
+		"overlaynet_async_deferred_total",
+		"overlaynet_retransmits_total",
+		"overlaynet_acks_total",
+		"overlaynet_delivery_failures_total",
+		"overlaynet_stale_deliveries_total",
 	} {
-		got, ok := snap[p.series]
-		if !ok {
-			t.Errorf("no series %s in the registry", p.series)
-		} else if p.field == 0 || float64(p.field) != got {
-			t.Errorf("%s = %v, Counters field = %d (want equal and non-zero)", p.series, got, p.field)
+		if got, ok := reg[name]; !ok || got == 0 || snap[name] != got {
+			t.Errorf("%s = %v in the registry (present %v), %v in the snapshot; want equal and non-zero",
+				name, got, ok, snap[name])
 		}
 	}
-	if len(c.Drops) != int(sim.NumDropReasons) {
-		t.Errorf("Drops has %d reasons, want %d", len(c.Drops), sim.NumDropReasons)
+	if _, ok := reg["overlaynet_delivered_total"]; ok || len(snap) != len(reg)+1 {
+		t.Errorf("snapshot has %d series, registry %d: want the registry plus overlaynet_delivered_total", len(snap), len(reg))
 	}
-	want := c.Messages - c.Drops["dead-receiver"] - c.Drops["blocked-receiver-send-round"] -
-		c.Drops["fault-injected"] + c.DupExtraCopies
-	if c.Delivered != want {
-		t.Errorf("Delivered = %d, want %d by the reconciliation contract", c.Delivered, want)
+	want := snap["overlaynet_messages_total"] - snap["overlaynet_drops_dead_receiver_total"] -
+		snap["overlaynet_drops_blocked_receiver_send_round_total"] -
+		snap["overlaynet_drops_fault_injected_total"] + snap["overlaynet_dup_extra_copies_total"]
+	if got := snap["overlaynet_delivered_total"]; got == 0 || got != want {
+		t.Errorf("overlaynet_delivered_total = %v, want %v by the reconciliation contract", got, want)
 	}
 }

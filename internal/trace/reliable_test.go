@@ -9,9 +9,9 @@ import (
 )
 
 // TestRoundReliabilityLane drives the reliability callback directly
-// and checks the whole export chain: the Counters view, the registry
-// series (artifact key names + ack-delay histogram), the flight ring's
-// events, and the JSONL lines tracestats reads.
+// and checks the whole export chain: the registry series (artifact key
+// names + ack-delay histogram), the flight ring's events, and the JSONL
+// lines tracestats reads.
 func TestRoundReliabilityLane(t *testing.T) {
 	reg := obs.NewRegistry(0)
 	rec := New().WithMetrics(reg).FlightRecorder(1, 1, 64)
@@ -25,12 +25,6 @@ func TestRoundReliabilityLane(t *testing.T) {
 	stats.AckDelay[1] = 5 // five acks with delay in (1, 2] rounds
 	tr.RoundReliability(7, stats)
 	tr.RoundReliability(8, sim.ReliabilityRoundStats{Acks: 1})
-
-	c := rec.Counters()
-	if c.Retransmits != 4 || c.Acks != 10 || c.DeliveryFailures != 2 || c.StaleDeliveries != 3 {
-		t.Fatalf("counters = retx %d acks %d lost %d stale %d, want 4/10/2/3",
-			c.Retransmits, c.Acks, c.DeliveryFailures, c.StaleDeliveries)
-	}
 
 	snap := reg.FlatSnapshot()
 	for name, want := range map[string]float64{

@@ -89,49 +89,6 @@ type Span struct {
 	Rows    int    `json:"rows,omitempty"`
 }
 
-// Counters is a typed view of the recorder's registry series for Go
-// callers — nothing is stored behind it, every field is read from its
-// series when Counters() is called (TestCountersMatchRegistry lists
-// which). Delivered is the one derived field.
-type Counters struct {
-	Rounds    uint64
-	Messages  uint64 // sends by non-blocked senders
-	Delivered uint64 // messages that reached an inbox
-	Spawns    uint64
-	Kills     uint64
-	Blocks    uint64 // node-round block events
-	Cells     uint64
-	Epochs    uint64
-	Drops     map[string]uint64 // by sim.DropReason name
-	// DupExtraCopies counts inbox entries beyond the first created by
-	// injected duplication (copies-1 per duplicated message);
-	// Violations counts invariant-audit reports.
-	DupExtraCopies uint64
-	Violations     uint64
-	// Recoveries counts closed break episodes (invariant broken, then
-	// observed clean again); RecoveryRounds is the sum of their
-	// per-episode recovery times, so RecoveryRounds/Recoveries is the
-	// run's mean time to recover in rounds.
-	Recoveries     uint64
-	RecoveryRounds uint64
-	// AsyncDeferred counts messages the discrete-event scheduler parked
-	// past the synchronous round+1 deadline (async mode with latency
-	// spread only — zero in every synchronous or zero-spread run). It is
-	// deterministic: safe for manifests and byte-compared tables.
-	AsyncDeferred uint64
-	// Reliability lane (internal/reliable endpoints; all zero unless a
-	// traced stack enables reliable delivery). Retransmits counts
-	// control-lane retransmit copies, Acks the acknowledgements,
-	// DeliveryFailures the messages whose retransmit budget ran out,
-	// StaleDeliveries the envelopes that arrived after their protocol
-	// round closed (discarded, unacked). All deterministic, like
-	// AsyncDeferred.
-	Retransmits      uint64
-	Acks             uint64
-	DeliveryFailures uint64
-	StaleDeliveries  uint64
-}
-
 // Recorder collects events, spans, and counters. The zero value is not
 // usable; call New.
 type Recorder struct {
@@ -234,55 +191,28 @@ func (r *Recorder) ExperimentSpan(id string, seed uint64, rows int, start time.T
 	})
 }
 
-// Counters reads the view off the registry series.
-func (r *Recorder) Counters() Counters {
-	km := r.km
-	c := Counters{
-		Rounds:           km.rounds.Value(),
-		Messages:         km.messages.Value(),
-		Spawns:           km.spawns.Value(),
-		Kills:            km.kills.Value(),
-		Blocks:           km.blocks.Value(),
-		Cells:            km.cells.Value(),
-		Epochs:           km.epochs.Value(),
-		Drops:            make(map[string]uint64, sim.NumDropReasons),
-		DupExtraCopies:   km.dupExtra.Value(),
-		Violations:       km.violations.Value(),
-		Recoveries:       km.recoveries.Value(),
-		RecoveryRounds:   uint64(km.mttrRounds.Snapshot().Sum),
-		AsyncDeferred:    km.asyncDeferred.Value(),
-		Retransmits:      km.retransmits.Value(),
-		Acks:             km.acks.Value(),
-		DeliveryFailures: km.relFailures.Value(),
-		StaleDeliveries:  km.staleDeliveries.Value(),
-	}
-	for i, d := range km.drops {
-		c.Drops[sim.DropReason(i).String()] = d.Value()
-	}
+// Snapshot is the flat name → value map the JSONL stream's last line
+// carries under "metrics", and the one way Go callers read a count: the
+// registry's FlatSnapshot (names in metrics.go) plus the derived
+// overlaynet_delivered_total.
+func (r *Recorder) Snapshot() map[string]float64 {
+	m := r.reg.FlatSnapshot()
 	// Per the sim.Tracer reconciliation contract: delivered = sends by
 	// non-blocked senders minus the send-round drops (including
 	// injected ones), plus the extra copies injected duplication added.
-	c.Delivered = c.Messages -
-		c.Drops[sim.DropDeadReceiver.String()] -
-		c.Drops[sim.DropBlockedReceiverSendRound.String()] -
-		c.Drops[sim.DropFaultInjected.String()] +
-		c.DupExtraCopies
-	return c
-}
-
-// Snapshot is the flat name → value map the run manifest and the JSONL
-// stream's last line carry under "metrics": the registry's FlatSnapshot
-// plus the derived overlaynet_delivered_total.
-func (r *Recorder) Snapshot() map[string]float64 {
-	m := r.reg.FlatSnapshot()
-	m["overlaynet_delivered_total"] = float64(r.Counters().Delivered)
+	km := r.km
+	m["overlaynet_delivered_total"] = float64(km.messages.Value() -
+		km.drops[sim.DropDeadReceiver].Value() -
+		km.drops[sim.DropBlockedReceiverSendRound].Value() -
+		km.drops[sim.DropFaultInjected].Value() +
+		km.dupExtra.Value())
 	return m
 }
 
 // ReportViolation implements audit.Reporter: invariant violations are
-// counted and emitted as "violation" events, so they reach JSONL
-// exports, manifests (via the metrics snapshot), and cmd/tracestats
-// alongside the rest of the telemetry.
+// counted and emitted as "violation" events, so they reach the JSONL
+// export (events and the metrics snapshot) and cmd/tracestats alongside
+// the rest of the telemetry.
 func (r *Recorder) ReportViolation(v audit.Violation) {
 	r.km.violations.Inc(r.recLane)
 	// Unlike round/message telemetry, violations are rare and
@@ -425,8 +355,9 @@ func (t *simTracer) NodeBlocked(round int, id sim.NodeID) {
 
 // RoundDeferred counts the messages the discrete-event scheduler parked
 // past the synchronous round+1 deadline. The count is a pure function of
-// (seed, latency model): sched_deferred events and the AsyncDeferred
-// counter are deterministic output, safe to byte-compare.
+// (seed, latency model): sched_deferred events and the
+// overlaynet_async_deferred_total series are deterministic output, safe
+// to byte-compare.
 func (t *simTracer) RoundDeferred(round, deferred int) {
 	t.rec.km.asyncDeferred.Add(t.lane, uint64(deferred))
 	if t.rec.wantsEvents() {
@@ -455,7 +386,7 @@ func (t *simTracer) RoundReliability(round int, stats sim.ReliabilityRoundStats)
 	}
 }
 
-// MessageDuplicated accumulates the extra-copy counter the Delivered
+// MessageDuplicated accumulates the extra-copy counter the delivered
 // reconciliation uses.
 func (t *simTracer) MessageDuplicated(round int, from, to sim.NodeID, bits, copies int) {
 	t.rec.km.dupExtra.Add(t.lane, uint64(copies-1))

@@ -45,36 +45,29 @@ func scenario(rec *Recorder) {
 }
 
 // TestRecorderCounters attaches a Recorder to the drop scenario and
-// checks every aggregate counter, including the derived Delivered
-// total from the reconciliation contract.
+// checks every aggregate counter of the snapshot, including the derived
+// delivered total from the reconciliation contract.
 func TestRecorderCounters(t *testing.T) {
 	rec := New()
 	scenario(rec)
-	c := rec.Counters()
-	if c.Rounds != 5 || c.Spawns != 5 || c.Kills != 1 || c.Blocks != 2 {
-		t.Fatalf("rounds/spawns/kills/blocks = %d/%d/%d/%d, want 5/5/1/2",
-			c.Rounds, c.Spawns, c.Kills, c.Blocks)
-	}
-	if c.Messages != 9 {
-		t.Fatalf("messages = %d, want 9", c.Messages)
-	}
-	wantDrops := map[string]uint64{
-		sim.DropBlockedSender.String():                3,
-		sim.DropBlockedReceiverSendRound.String():     1,
-		sim.DropBlockedReceiverDeliveryRound.String(): 1,
-		sim.DropDeadReceiver.String():                 2,
-	}
-	for reason, want := range wantDrops {
-		if c.Drops[reason] != want {
-			t.Fatalf("drops[%s] = %d, want %d", reason, c.Drops[reason], want)
+	m := rec.Snapshot()
+	for name, want := range map[string]float64{
+		"overlaynet_rounds_total":   5,
+		"overlaynet_spawns_total":   5,
+		"overlaynet_kills_total":    1,
+		"overlaynet_blocks_total":   2,
+		"overlaynet_messages_total": 9,
+
+		"overlaynet_drops_blocked_sender_total":                  3,
+		"overlaynet_drops_blocked_receiver_send_round_total":     1,
+		"overlaynet_drops_blocked_receiver_delivery_round_total": 1,
+		"overlaynet_drops_dead_receiver_total":                   2,
+
+		"overlaynet_delivered_total": 6, // 9 sends − 2 dead − 1 blocked-receiver-send-round
+	} {
+		if m[name] != want {
+			t.Errorf("%s = %v, want %v", name, m[name], want)
 		}
-	}
-	if c.Delivered != 6 { // 9 sends − 2 dead − 1 blocked-receiver-send-round
-		t.Fatalf("delivered = %d, want 6", c.Delivered)
-	}
-	// The artifacts' snapshot carries the derived total under its own name.
-	if got := rec.Snapshot()["overlaynet_delivered_total"]; got != 6 {
-		t.Fatalf("snapshot overlaynet_delivered_total = %v, want 6", got)
 	}
 }
 
@@ -141,7 +134,7 @@ func TestWriteJSONL(t *testing.T) {
 // TestWriteChromeTrace round-trips the Chrome export through its own
 // types: spans become "X" events on the documented pid layout, lifecycle
 // events become "i" instants, and no metrics snapshot rides along (the
-// JSONL stream and the manifest carry it).
+// JSONL stream carries it).
 func TestWriteChromeTrace(t *testing.T) {
 	rec := New().FlightRecorder(1, 1, 1024)
 	scenario(rec)
@@ -268,8 +261,8 @@ func TestSpanKinds(t *testing.T) {
 	if expt.Kind != "experiment" || expt.Rows != 10 || expt.Name != "E6" {
 		t.Fatalf("experiment span: %+v", expt)
 	}
-	if c := rec.Counters(); c.Cells != 1 || c.Epochs != 1 {
-		t.Fatalf("cell/epoch counters = %d/%d, want 1/1", c.Cells, c.Epochs)
+	if m := rec.Snapshot(); m["overlaynet_cells_total"] != 1 || m["overlaynet_epochs_total"] != 1 {
+		t.Fatalf("cell/epoch counters = %v/%v, want 1/1", m["overlaynet_cells_total"], m["overlaynet_epochs_total"])
 	}
 }
 
