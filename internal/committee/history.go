@@ -28,7 +28,11 @@ type history struct {
 
 	// Oracle scratch (collapseViews), created by the first measurement so
 	// a network that never measures carries none; exported for the stacks'
-	// differential and allocation tests.
+	// differential and allocation tests. ConnRep has two halves, each
+	// indexed by (live view, committee, partition component) and holding
+	// slot+1, −1 for none, 0 for not yet seen: the first half is a
+	// representative of the set's eligible members, the second a viewer
+	// already merged with every set its view names.
 	ConnUF  graph.UnionFind
 	ConnRep []int32
 }
@@ -115,22 +119,28 @@ func (e *Engine) KnowledgeComponents() []int {
 // of h.Groups[y] for y = x and each y adjacent to x in h, so each such set
 // is one component as soon as it has a viewer: the first viewer of (h, y,
 // partition component) unions the set and leaves a representative in
-// ConnRep (slot+1; −1 for a set with nobody eligible), and every later
-// viewer makes a single union with it. Eligible means still a member,
+// ConnRep's first half. All viewers of one (h, x, partition component)
+// join the same sets, so the first of them unions itself with each set's
+// representative and leaves itself in ConnRep's second half, and every
+// later one makes a single union with it. Eligible means still a member,
 // non-blocked unless all, and on the viewer's side of an open partition.
 // See DESIGN.md, "Connectivity oracle".
 func (e *Engine) collapseViews(all bool) (vertices, comps int) {
 	b0 := e.blocked[0]
 	k := e.Faults.Components(e.Round) // partition components a viewer can be in
-	stride := 0                       // the most committees any live view has
+	var buf [16]*View                 // the live views, epoch base first; more spill to the heap
+	views := buf[:0]
+	stride := 0 // the most committees any live view has
 	for i := 0; i < e.n; i++ {
-		stride = max(stride, len(e.ViewAt(e.base+i).Groups))
+		views = append(views, e.ViewAt(e.base+i))
+		stride = max(stride, len(views[i].Groups))
 	}
 	uf := &e.ConnUF
 	uf.Reset(len(e.NodeGroup))
 	keys := e.n * stride * k
-	e.ConnRep = slices.Grow(e.ConnRep[:0], keys)[:keys]
+	e.ConnRep = slices.Grow(e.ConnRep[:0], 2*keys)[:2*keys]
 	clear(e.ConnRep)
+	sets, viewers := e.ConnRep[:keys], e.ConnRep[keys:]
 	merges := 0
 	for v, g := range e.NodeGroup {
 		v := int32(v)
@@ -138,8 +148,8 @@ func (e *Engine) collapseViews(all bool) (vertices, comps int) {
 			continue // every edge a blocked viewer owns has a blocked endpoint
 		}
 		vertices++
-		ep := min(max(int(e.ViewEpoch[v]), e.base), e.Epoch)
-		h := e.ViewAt(ep)
+		ep := min(max(int(e.ViewEpoch[v]), e.base), e.Epoch) - e.base
+		h := views[ep]
 		if int(v) >= len(h.NodeGroup) || h.NodeGroup[v] < 0 {
 			continue // not a member in the epoch it last heard of: knows nobody
 		}
@@ -148,13 +158,21 @@ func (e *Engine) collapseViews(all bool) (vertices, comps int) {
 			c = e.Faults.Component(uint64(v) + 1)
 		}
 		x := h.NodeGroup[v]
+		first := &viewers[(ep*stride+int(x))*k+c]
+		if *first != 0 {
+			if *first > 0 && uf.Union(v, *first-1) {
+				merges++
+			}
+			continue
+		}
+		*first = -1
 		adj := h.Adj[x]
 		for i := -1; i < len(adj); i++ { // y = x, then each neighbour of x
 			y := x
 			if i >= 0 {
 				y = adj[i]
 			}
-			rep := &e.ConnRep[((ep-e.base)*stride+int(y))*k+c]
+			rep := &sets[(ep*stride+int(y))*k+c]
 			if *rep == 0 {
 				*rep = -1
 				for _, id := range h.Groups[y] {
@@ -169,8 +187,11 @@ func (e *Engine) collapseViews(all bool) (vertices, comps int) {
 					}
 				}
 			}
-			if *rep > 0 && uf.Union(v, *rep-1) {
-				merges++
+			if *rep > 0 {
+				*first = v + 1
+				if uf.Union(v, *rep-1) {
+					merges++
+				}
 			}
 		}
 	}

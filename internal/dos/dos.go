@@ -4,9 +4,13 @@
 // rounds old (a "t-late" adversary). The Buffer enforces the lateness
 // mechanically: the network publishes a topology snapshot every round,
 // and adversaries are only ever handed the snapshot from ≥ t rounds ago.
+// An adversary's Fraction is clamped to [0, 1] (NaN counts as 0): it
+// never blocks more than all the nodes, nor fewer than none.
 package dos
 
 import (
+	"math"
+
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
@@ -70,13 +74,22 @@ type Random struct {
 	IDs func() []sim.NodeID
 }
 
+// budget returns how many of n nodes a fraction may block: 0 for NaN or
+// a fraction ≤ 0, n for one ≥ 1 (a saturated budget blocks everyone).
+func budget(fraction float64, n int) int {
+	switch {
+	case math.IsNaN(fraction) || fraction <= 0:
+		return 0
+	case fraction >= 1:
+		return n
+	}
+	return int(fraction * float64(n))
+}
+
 // SelectBlocked implements Adversary.
 func (a *Random) SelectBlocked(round, n int, snap *Snapshot) map[sim.NodeID]bool {
 	ids := a.IDs()
-	k := int(a.Fraction * float64(len(ids)))
-	if k > len(ids) { // saturated budget (Fraction ≥ 1) blocks everyone
-		k = len(ids)
-	}
+	k := budget(a.Fraction, len(ids))
 	blocked := make(map[sim.NodeID]bool, k)
 	perm := a.R.Perm(len(ids))
 	for _, i := range perm[:k] {
@@ -98,15 +111,15 @@ type GroupIsolate struct {
 
 // SelectBlocked implements Adversary.
 func (a *GroupIsolate) SelectBlocked(round, n int, snap *Snapshot) map[sim.NodeID]bool {
-	blocked := make(map[sim.NodeID]bool)
 	if snap == nil || len(snap.Groups) == 0 {
-		return blocked
+		return map[sim.NodeID]bool{}
 	}
-	budget := int(a.Fraction * float64(n))
+	limit := budget(a.Fraction, n)
+	blocked := make(map[sim.NodeID]bool, limit)
 	victim := a.R.Intn(len(snap.Groups))
 	spend := func(group int) {
 		for _, id := range snap.Groups[group] {
-			if len(blocked) >= budget {
+			if len(blocked) >= limit {
 				return
 			}
 			blocked[id] = true
@@ -117,7 +130,7 @@ func (a *GroupIsolate) SelectBlocked(round, n int, snap *Snapshot) map[sim.NodeI
 	}
 	// Spend the rest of the budget on further whole groups (skipping
 	// the victim, whose members must stay observably cut off).
-	for off := 1; off < len(snap.Groups) && len(blocked) < budget; off++ {
+	for off := 1; off < len(snap.Groups) && len(blocked) < limit; off++ {
 		g := (victim + off) % len(snap.Groups)
 		spend(g)
 	}
@@ -134,15 +147,15 @@ type WholeGroups struct {
 
 // SelectBlocked implements Adversary.
 func (a *WholeGroups) SelectBlocked(round, n int, snap *Snapshot) map[sim.NodeID]bool {
-	blocked := make(map[sim.NodeID]bool)
 	if snap == nil || len(snap.Groups) == 0 {
-		return blocked
+		return map[sim.NodeID]bool{}
 	}
-	budget := int(a.Fraction * float64(n))
+	limit := budget(a.Fraction, n)
+	blocked := make(map[sim.NodeID]bool, limit)
 	perm := a.R.Perm(len(snap.Groups))
 	for _, g := range perm {
 		grp := snap.Groups[g]
-		if len(blocked)+len(grp) > budget {
+		if len(blocked)+len(grp) > limit {
 			continue
 		}
 		for _, id := range grp {
@@ -163,16 +176,16 @@ type HalfEachGroup struct {
 
 // SelectBlocked implements Adversary.
 func (a *HalfEachGroup) SelectBlocked(round, n int, snap *Snapshot) map[sim.NodeID]bool {
-	blocked := make(map[sim.NodeID]bool)
 	if snap == nil || len(snap.Groups) == 0 {
-		return blocked
+		return map[sim.NodeID]bool{}
 	}
-	budget := int(a.Fraction * float64(n))
+	limit := budget(a.Fraction, n)
+	blocked := make(map[sim.NodeID]bool, limit)
 	perm := a.R.Perm(len(snap.Groups))
 	for _, g := range perm {
 		grp := snap.Groups[g]
 		take := (len(grp) + 1) / 2
-		if len(blocked)+take > budget {
+		if len(blocked)+take > limit {
 			break
 		}
 		for i := 0; i < take; i++ {

@@ -297,3 +297,50 @@ func TestConnectedNowAllocsSteadyState(t *testing.T) {
 		t.Fatalf("ConnectedNow allocates %v objects per call in steady state", a)
 	}
 }
+
+// FuzzOracleMatchesReference is the differential test on generated
+// runs: the arguments decode to a seed, n ∈ [64, 512], one of the four
+// adversaries at a fraction in [0, 1], lateness 0 or 2 epochs, no fault,
+// a crash schedule, a partition window or a burst of state corruption,
+// and up to two epochs of rounds, with the oracle checked against the
+// reference after each Step.
+func FuzzOracleMatchesReference(f *testing.F) {
+	f.Add(uint64(0), uint16(183), uint8(1), uint8(75), uint8(0), uint8(0), uint8(7), uint8(255))
+	f.Add(uint64(34), uint16(53), uint8(0), uint8(53), uint8(0), uint8(3), uint8(110), uint8(137))
+	f.Add(uint64(196), uint16(62), uint8(1), uint8(102), uint8(0), uint8(3), uint8(117), uint8(255))
+	f.Add(uint64(2), uint16(192), uint8(1), uint8(102), uint8(1), uint8(1), uint8(40), uint8(255))
+	f.Add(uint64(5), uint16(320), uint8(3), uint8(200), uint8(0), uint8(2), uint8(3), uint8(255))
+	f.Add(uint64(4), uint16(64), uint8(2), uint8(128), uint8(1), uint8(0), uint8(0), uint8(255))
+	f.Fuzz(func(t *testing.T, seed uint64, n16 uint16, kind, frac, late, faults, faultArg, rounds uint8) {
+		n := 64 + int(n16)%449
+		nw := New(Config{Seed: seed, N: n, MeasureEvery: -1})
+		defer nw.Close()
+		er := nw.EpochRounds()
+		r := rng.New(seed ^ 0x5eed)
+		switch faults % 4 {
+		case 1:
+			nw.SetFaults(fault.Spec{Seed: seed, Crash: float64(faultArg%64) / 128, Restart: 1 + int(faultArg>>6)%2})
+		case 2:
+			nw.SetFaults(fault.Spec{Seed: seed, PartK: 2 + int(faultArg)%2, PartFrom: int(faultArg>>1) % er, PartWin: 1 + int(faultArg>>2)%er})
+		case 3: // views whose member lists disagree with their pointers
+			for i := 0; i <= int(faultArg%16); i++ {
+				nw.CorruptState(r.Uint64())
+			}
+		}
+		fraction := float64(frac) / 255
+		var adv dos.Adversary
+		switch kind % 4 {
+		case 0:
+			ids := allIDs(n)
+			adv = &dos.Random{Fraction: fraction, R: r, IDs: func() []sim.NodeID { return ids }}
+		case 1:
+			adv = &dos.GroupIsolate{Fraction: fraction, R: r}
+		case 2:
+			adv = &dos.WholeGroups{Fraction: fraction, R: r}
+		case 3:
+			adv = &dos.HalfEachGroup{Fraction: fraction, R: r}
+		}
+		buf := &dos.Buffer{Lateness: 2 * er * int(late%2)}
+		attack(t, nw, adv, buf, int(rounds)%(2*er+1))
+	})
+}
