@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"slices"
 	"strings"
 	"testing"
@@ -8,6 +12,38 @@ import (
 
 	"overlaynet/internal/exp"
 )
+
+// mainArg makes the test binary run the command itself, on the
+// arguments after it, so a test can check its exit status and stderr.
+const mainArg = "-run-benchtables"
+
+func TestMain(m *testing.M) {
+	if i := slices.Index(os.Args, mainArg); i >= 0 {
+		os.Args = append([]string{"benchtables"}, os.Args[i+1:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestFaultsUsageExit runs the command on -faults values that parse key
+// by key but are no usable spec — a NaN rate, a repeated key — and
+// requires exit status 1 with one benchtables: line on stderr. -list
+// keeps a wrongly accepted spec from starting the sweep.
+func TestFaultsUsageExit(t *testing.T) {
+	for _, spec := range []string{"drop=NaN", "drop=0.1,drop=0.2"} {
+		cmd := exec.Command(os.Args[0], mainArg, "-faults", spec, "-list")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if ee := (*exec.ExitError)(nil); !errors.As(err, &ee) || ee.ExitCode() != 1 {
+			t.Errorf("-faults %s: %v, want exit status 1", spec, err)
+		}
+		if lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], "benchtables: ") {
+			t.Errorf("-faults %s: stderr %q, want one benchtables: line", spec, stderr.String())
+		}
+	}
+}
 
 // TestParseSpecs covers the structured-model flag triple: well-formed
 // values parse, and every malformed value fails with one error that

@@ -279,8 +279,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 		fmt.Fprintf(stdout, "  messages       %d sent, %d delivered\n",
 			s.count("overlaynet_messages_total"), s.count("overlaynet_delivered_total"))
-		fmt.Fprintf(stdout, "  lifecycle      %d spawns, %d kills, %d node-round blocks\n",
-			s.count("overlaynet_spawns_total"), s.count("overlaynet_kills_total"), s.count("overlaynet_blocks_total"))
+		fmt.Fprintf(stdout, "  lifecycle      %d spawns\n", s.count("overlaynet_spawns_total"))
 	}
 
 	// Drop-reason totals: every overlaynet_drops_<reason>_total series,

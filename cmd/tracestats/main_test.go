@@ -24,7 +24,7 @@ const goodJSONL = `{"type":"span","kind":"cell","name":"E1","scope":"E1","cell":
 {"type":"span","kind":"cell","name":"E1","scope":"E1","cell":1,"start_us":520,"dur_us":700}
 {"type":"event","ts_us":900,"kind":"violation","scope":"E6","round":12,"reason":"cycle-cover","detail":"broken edge"}
 {"type":"event","ts_us":950,"kind":"recovery","scope":"E6","round":12,"reason":"cycle-cover","clean_round":15,"mttr_rounds":3}
-{"type":"metrics","metrics":{"overlaynet_rounds_total":40,"overlaynet_messages_total":1000,"overlaynet_delivered_total":990,"overlaynet_cells_total":2,"overlaynet_drops_dead_receiver_total":10,"overlaynet_drops_blocked_sender_total":1,"overlaynet_drops_blocked_receiver_send_round_total":2,"overlaynet_drops_blocked_receiver_delivery_round_total":3,"overlaynet_drops_fault_injected_total":4,"overlaynet_dup_extra_copies_total":6,"overlaynet_violations_total":1,"overlaynet_recoveries_total":1,"overlaynet_mttr_rounds_sum":3,"overlaynet_async_deferred_total":7,"overlaynet_retransmits_total":120,"overlaynet_acks_total":900,"overlaynet_delivery_failures_total":2,"overlaynet_stale_deliveries_total":5,"overlaynet_inbox_depth_count":100,"overlaynet_inbox_depth_p50":3,"overlaynet_inbox_depth_p95":7,"overlaynet_inbox_depth_max":9,"overlaynet_inbox_depth_sum":320}}
+{"type":"metrics","metrics":{"overlaynet_rounds_total":40,"overlaynet_messages_total":1000,"overlaynet_delivered_total":990,"overlaynet_cells_total":2,"overlaynet_spawns_total":12,"overlaynet_drops_dead_receiver_total":10,"overlaynet_drops_fault_injected_total":4,"overlaynet_dup_extra_copies_total":6,"overlaynet_violations_total":1,"overlaynet_recoveries_total":1,"overlaynet_mttr_rounds_sum":3,"overlaynet_async_deferred_total":7,"overlaynet_retransmits_total":120,"overlaynet_acks_total":900,"overlaynet_delivery_failures_total":2,"overlaynet_stale_deliveries_total":5,"overlaynet_inbox_depth_count":100,"overlaynet_inbox_depth_p50":3,"overlaynet_inbox_depth_p95":7,"overlaynet_inbox_depth_max":9,"overlaynet_inbox_depth_sum":320}}
 `
 
 func TestRunSummarizesJSONL(t *testing.T) {
@@ -38,10 +38,8 @@ func TestRunSummarizesJSONL(t *testing.T) {
 		"cell spans     2",
 		"sim rounds     40",
 		"1000 sent, 990 delivered",
-		"drops          20 total",
-		"blocked-sender                    1",
-		"blocked-receiver-send-round       2",
-		"blocked-receiver-delivery-round   3",
+		"lifecycle      12 spawns\n",
+		"drops          14 total",
 		"dead-receiver                     10",
 		"fault-injected                    4",
 		"dup extras     6 fault-injected extra copies",

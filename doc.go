@@ -7,8 +7,7 @@
 // internal/:
 //
 //   - sim: the paper's synchronous message-passing model, with
-//     per-round handler protocols and the exact DoS blocking semantics
-//     of Section 1.1;
+//     per-round handler protocols;
 //   - hgraph, hypercube: the ℍ-graph and (k-ary) hypercube topologies;
 //   - sampling: the rapid node sampling primitives (Algorithms 1 and
 //     2) that combine random walks with pointer doubling to sample
@@ -18,6 +17,8 @@
 //     (Algorithm 3, continuous reconfiguration);
 //   - supernode: the DoS-resistant hypercube of Section 5;
 //   - splitmerge: the combined churn+DoS network of Section 6;
+//   - committee: the round engine under both, and the one home of
+//     Section 1.1's DoS blocking rule;
 //   - churn, dos: the adversaries (omniscient churn, t-late DoS);
 //   - apps/anon, apps/dht, apps/pubsub: the Section 7 applications;
 //   - exp: one driver per reproduced experiment (see DESIGN.md).

@@ -110,10 +110,11 @@ func TestEngineInvariantsSorted(t *testing.T) {
 }
 
 // statsTap is a bare auditor that also keeps the last RoundStats the
-// kernel handed it.
+// kernel handed it and counts the dead-receiver drops.
 type statsTap struct {
 	*WorkAuditor
 	last sim.RoundStats
+	dead int
 }
 
 func (s *statsTap) RoundEnd(stats sim.RoundStats) {
@@ -121,12 +122,20 @@ func (s *statsTap) RoundEnd(stats sim.RoundStats) {
 	s.WorkAuditor.RoundEnd(stats)
 }
 
+func (s *statsTap) MessageDropped(round int, reason sim.DropReason, from, to sim.NodeID, bits int) {
+	if reason == sim.DropDeadReceiver {
+		s.dead++
+	}
+	s.WorkAuditor.MessageDropped(round, reason, from, to, bits)
+}
+
 // workloadRun drives a real simulator network through a uniform all-send
 // workload with an optional injector and a WorkAuditor attached,
-// returning the auditor. With every node alive and unblocked the ledger
-// must balance exactly — deliveries reconcile against sends minus
-// injected drops plus duplicated extras.
-func workloadRun(t *testing.T, inj sim.Injector) *WorkAuditor {
+// returning the tap. Targets cover ghosts ids past the last node, which
+// never exist. No node departs, so the ledger must balance exactly —
+// deliveries reconcile against sends minus dead-receiver and injected
+// drops plus duplicated extras.
+func workloadRun(t *testing.T, inj sim.Injector, ghosts int) *statsTap {
 	t.Helper()
 	rep := &sliceReporter{}
 	a := NewWorkAuditor(rep, nil)
@@ -139,7 +148,7 @@ func workloadRun(t *testing.T, inj sim.Injector) *WorkAuditor {
 	const n, rounds = 32, 10
 	flood := sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
 		for j := 0; j < 3; j++ {
-			ctx.Send(sim.NodeID((int(ctx.ID())+j*7)%n+1), j, 16)
+			ctx.Send(sim.NodeID((int(ctx.ID())+j*7)%(n+ghosts)+1), j, 16)
 		}
 		return true
 	})
@@ -157,12 +166,21 @@ func workloadRun(t *testing.T, inj sim.Injector) *WorkAuditor {
 	if tap.last.Delivered == 0 {
 		t.Fatalf("bare auditor's RoundEnd saw %+v, want Delivered > 0", tap.last)
 	}
-	return a
+	return tap
 }
 
 // TestWorkAuditorCleanRun: no faults, ledger balances.
 func TestWorkAuditorCleanRun(t *testing.T) {
-	workloadRun(t, nil)
+	workloadRun(t, nil, 0)
+}
+
+// TestWorkAuditorDeadReceivers: sends to ids that never existed are
+// dead-receiver drops, and the ledger balances with no departure to
+// excuse a shortfall.
+func TestWorkAuditorDeadReceivers(t *testing.T) {
+	if tap := workloadRun(t, nil, 4); tap.dead == 0 {
+		t.Fatal("test premise broken: no dead-receiver drops")
+	}
 }
 
 // TestWorkAuditorUnderInjectedFaults: the ledger must still balance
@@ -170,7 +188,7 @@ func TestWorkAuditorCleanRun(t *testing.T) {
 // events enter the ledger through MessageDropped/MessageDuplicated.
 func TestWorkAuditorUnderInjectedFaults(t *testing.T) {
 	spec := fault.Spec{Seed: 9, Drop: 0.1, Dup: 0.05}
-	workloadRun(t, spec.Injector())
+	workloadRun(t, spec.Injector(), 0)
 }
 
 // TestWorkAuditorDetectsImbalance drives the hooks directly with a
@@ -185,11 +203,11 @@ func TestWorkAuditorDetectsImbalance(t *testing.T) {
 		s.Work.Messages = msgs
 		return s
 	}
-	a.RoundStart(1, 10, 0)
+	a.RoundStart(1, 10)
 	a.RoundEnd(stats(1, 5, 0))
-	a.RoundStart(2, 10, 0)
+	a.RoundStart(2, 10)
 	a.RoundEnd(stats(2, 5, 5)) // 5 sent, 5 delivered: balanced
-	a.RoundStart(3, 10, 0)
+	a.RoundStart(3, 10)
 	a.RoundEnd(stats(3, 5, 9)) // 9 delivered out of 5 sent: impossible
 	if a.Mismatches() != 1 || len(rep.got) != 1 {
 		t.Fatalf("mismatches=%d reports=%d, want 1/1", a.Mismatches(), len(rep.got))
@@ -198,14 +216,14 @@ func TestWorkAuditorDetectsImbalance(t *testing.T) {
 		t.Fatalf("violation = %+v", rep.got[0])
 	}
 	// A shortfall without departures is also a violation…
-	a.RoundStart(4, 10, 0)
+	a.RoundStart(4, 10)
 	a.RoundEnd(stats(4, 5, 2))
 	if a.Mismatches() != 2 {
 		t.Fatalf("shortfall without departures not reported (mismatches=%d)", a.Mismatches())
 	}
 	// …but with a departure in between it is absorbed silently.
 	a.NodeSpawned(4, 11)
-	a.RoundStart(5, 10, 0) // 10+1 spawned − 10 alive ⇒ one departure
+	a.RoundStart(5, 10) // 10+1 spawned − 10 alive ⇒ one departure
 	a.RoundEnd(stats(5, 5, 2))
 	if a.Mismatches() != 2 {
 		t.Fatalf("shortfall with a departure was reported (mismatches=%d)", a.Mismatches())

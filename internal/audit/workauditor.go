@@ -14,13 +14,12 @@ import (
 //
 // The ledger, per the sim.Tracer reconciliation contract: messages
 // handed to nodes in round r's receive step equal the previous round's
-// Work.Messages, minus that round's dead-receiver, blocked-receiver-
-// send-round, and fault-injected drops, plus its duplicated extra
-// copies, minus the blocked-receiver-delivery-round drops of round r
-// itself. Inboxes of nodes that departed at the end of round r-1 are
-// absorbed silently (the kernel recycles their slots), so a shortfall
-// is tolerated — but only in rounds following a departure; any other
-// mismatch is reported as a "work-conservation" violation.
+// Work.Messages, minus that round's dead-receiver and fault-injected
+// drops, plus its duplicated extra copies. Inboxes of nodes that
+// departed at the end of round r-1 are absorbed silently (the kernel
+// recycles their slots), so a shortfall is tolerated — but only in
+// rounds following a departure; any other mismatch is reported as a
+// "work-conservation" violation.
 type WorkAuditor struct {
 	next sim.Tracer
 	rep  Reporter
@@ -28,7 +27,6 @@ type WorkAuditor struct {
 	haveRound  bool
 	prevMsgs   int
 	prevDead   int
-	prevBRSR   int
 	prevFault  int
 	prevDupX   int
 	havePrevA  bool
@@ -36,7 +34,7 @@ type WorkAuditor struct {
 	spawns     int
 	departures int
 
-	curDead, curBRSR, curBRDR, curFault, curDupX int
+	curDead, curFault, curDupX int
 
 	checked, mismatches int
 }
@@ -54,7 +52,7 @@ func (a *WorkAuditor) Checked() int { return a.checked }
 // Mismatches returns how many rounds failed the ledger check.
 func (a *WorkAuditor) Mismatches() int { return a.mismatches }
 
-func (a *WorkAuditor) RoundStart(round, alive, blocked int) {
+func (a *WorkAuditor) RoundStart(round, alive int) {
 	if a.havePrevA {
 		// Nodes that departed at the end of the previous round are the
 		// gap between who should be here (previous alive + spawns since)
@@ -65,28 +63,28 @@ func (a *WorkAuditor) RoundStart(round, alive, blocked int) {
 	a.prevAlive = alive
 	a.spawns = 0
 	if a.next != nil {
-		a.next.RoundStart(round, alive, blocked)
+		a.next.RoundStart(round, alive)
 	}
 }
 
 func (a *WorkAuditor) RoundEnd(stats sim.RoundStats) {
 	if a.haveRound {
-		expected := int64(a.prevMsgs - a.prevDead - a.prevBRSR - a.prevFault + a.prevDupX - a.curBRDR)
+		expected := int64(a.prevMsgs - a.prevDead - a.prevFault + a.prevDupX)
 		a.checked++
 		if stats.Delivered > expected || (stats.Delivered < expected && a.departures == 0) {
 			a.mismatches++
 			a.report(Violation{
 				Invariant: "work-conservation",
 				Round:     stats.Round,
-				Detail: fmt.Sprintf("delivered %d, ledger expects %d (prev sent %d, dead %d, blocked-recv %d, fault %d, dup extra %d, delivery-round drops %d, departures %d)",
-					stats.Delivered, expected, a.prevMsgs, a.prevDead, a.prevBRSR, a.prevFault, a.prevDupX, a.curBRDR, a.departures),
+				Detail: fmt.Sprintf("delivered %d, ledger expects %d (prev sent %d, dead %d, fault %d, dup extra %d, departures %d)",
+					stats.Delivered, expected, a.prevMsgs, a.prevDead, a.prevFault, a.prevDupX, a.departures),
 			})
 		}
 	}
 	a.haveRound = true
 	a.prevMsgs = stats.Work.Messages
-	a.prevDead, a.prevBRSR, a.prevFault, a.prevDupX = a.curDead, a.curBRSR, a.curFault, a.curDupX
-	a.curDead, a.curBRSR, a.curBRDR, a.curFault, a.curDupX = 0, 0, 0, 0, 0
+	a.prevDead, a.prevFault, a.prevDupX = a.curDead, a.curFault, a.curDupX
+	a.curDead, a.curFault, a.curDupX = 0, 0, 0
 	if a.next != nil {
 		a.next.RoundEnd(stats)
 	}
@@ -99,26 +97,10 @@ func (a *WorkAuditor) NodeSpawned(round int, id sim.NodeID) {
 	}
 }
 
-func (a *WorkAuditor) NodeKilled(round int, id sim.NodeID) {
-	if a.next != nil {
-		a.next.NodeKilled(round, id)
-	}
-}
-
-func (a *WorkAuditor) NodeBlocked(round int, id sim.NodeID) {
-	if a.next != nil {
-		a.next.NodeBlocked(round, id)
-	}
-}
-
 func (a *WorkAuditor) MessageDropped(round int, reason sim.DropReason, from, to sim.NodeID, bits int) {
 	switch reason {
 	case sim.DropDeadReceiver:
 		a.curDead++
-	case sim.DropBlockedReceiverSendRound:
-		a.curBRSR++
-	case sim.DropBlockedReceiverDeliveryRound:
-		a.curBRDR++
 	case sim.DropFaultInjected:
 		a.curFault++
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -333,4 +334,24 @@ func TestNetworkBadInputsPanic(t *testing.T) {
 	defer nw.Shutdown()
 	mustPanic("unknown leaver", func() { nw.RunEpoch(nil, []int{999}) })
 	mustPanic("bad sponsor", func() { nw.RunEpoch([]JoinSpec{{Sponsor: 999}}, nil) })
+}
+
+// TestValidateRejectsNonFinite: a NaN or infinite constant must fail
+// Validate. Past it, NewNetwork makes a slice of impossible length on a
+// NaN epsilon, and a NaN or infinite alpha runs without complaint.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Epsilon=NaN", Config{N0: 64, D: 8, Epsilon: nan}},
+		{"Epsilon=+Inf", Config{N0: 64, D: 8, Epsilon: inf}},
+		{"Alpha=NaN", Config{N0: 64, D: 8, Alpha: nan}},
+		{"Alpha=+Inf", Config{N0: 64, D: 8, Alpha: inf}},
+	} {
+		if err := c.cfg.Validate(); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%s: Validate() = %v, want an error saying the value must be finite", c.name, err)
+		}
+	}
 }

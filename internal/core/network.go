@@ -63,11 +63,11 @@ func (cfg Config) Validate() error {
 	if cfg.D > sampling.MaxDegree {
 		return fmt.Errorf("core: degree %d exceeds %d, the most the sampler's byte symbols index", cfg.D, sampling.MaxDegree)
 	}
-	if cfg.Alpha < 0 {
-		return fmt.Errorf("core: alpha %g must be positive", cfg.Alpha)
+	if !(cfg.Alpha >= 0 && cfg.Alpha < math.Inf(1)) {
+		return fmt.Errorf("core: alpha %g must be finite and positive", cfg.Alpha)
 	}
-	if cfg.Epsilon < 0 {
-		return fmt.Errorf("core: epsilon %g must be positive", cfg.Epsilon)
+	if !(cfg.Epsilon >= 0 && cfg.Epsilon < math.Inf(1)) {
+		return fmt.Errorf("core: epsilon %g must be finite and positive", cfg.Epsilon)
 	}
 	if err := cfg.Latency.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)

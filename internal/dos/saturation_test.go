@@ -1,7 +1,6 @@
 package dos
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"overlaynet/internal/rng"
@@ -82,64 +81,6 @@ func TestHalfEachGroupSaturation(t *testing.T) {
 		}
 		if half != 1 {
 			t.Fatalf("group %v has %d blocked members, want 1", grp, half)
-		}
-	}
-}
-
-// TestOverlappingBlockWindows drives the kernel's per-round blocked set
-// through two multi-round block windows, first overlapping and then
-// disjoint, and checks the §2 delivery rule against the union of the
-// windows: a message sent in round i arrives iff the receiver is
-// non-blocked in rounds i and i+1. Overlap must not double-drop or
-// un-block anything.
-func TestOverlappingBlockWindows(t *testing.T) {
-	const rounds = 8
-	run := func(blockedRounds map[int]bool) int64 {
-		net := sim.NewNetwork(sim.Config{Seed: 21})
-		var received atomic.Int64
-		net.SpawnHandler(1, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
-			if r := ctx.Round(); r <= rounds {
-				ctx.Send(2, r, 1)
-			}
-			return true
-		}))
-		net.SpawnHandler(2, sim.HandlerFunc(func(_ *sim.Ctx, inbox []sim.Message) bool {
-			received.Add(int64(len(inbox)))
-			return true
-		}))
-		for r := 1; r <= rounds+2; r++ {
-			if blockedRounds[r] {
-				net.SetBlocked(map[sim.NodeID]bool{2: true})
-			}
-			net.Step()
-		}
-		net.Shutdown()
-		return received.Load()
-	}
-	expect := func(blockedRounds map[int]bool) int64 {
-		var want int64
-		for i := 1; i <= rounds; i++ {
-			if !blockedRounds[i] && !blockedRounds[i+1] {
-				want++
-			}
-		}
-		return want
-	}
-	cases := []struct {
-		name    string
-		blocked map[int]bool
-	}{
-		// Windows [2,4) and [3,5): overlap at round 3.
-		{"overlapping", map[int]bool{2: true, 3: true, 4: true}},
-		// Windows [2,3) and [5,6): a clear round between them.
-		{"disjoint", map[int]bool{2: true, 5: true}},
-		// The same window applied twice must behave like once.
-		{"duplicate", map[int]bool{3: true, 4: true}},
-	}
-	for _, tc := range cases {
-		got, want := run(tc.blocked), expect(tc.blocked)
-		if got != want {
-			t.Fatalf("%s windows %v: received %d, want %d", tc.name, tc.blocked, got, want)
 		}
 	}
 }

@@ -68,14 +68,15 @@ type Corrupter interface {
 // "drop=0.01,dup=0.001,crash=0.05,restart=2" or
 // "partk=2,partfrom=10,partwin=40,corrupt=0.5". Keys: drop, dup, crash,
 // corrupt (probabilities in [0,1]), restart (epochs, >= 1), partk
-// (components, >= 2), partfrom/partwin (rounds), seed (uint64). The
-// empty string parses to the zero Spec.
+// (components, >= 2), partfrom/partwin (rounds), seed (uint64). Each key
+// may appear once. The empty string parses to the zero Spec.
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return spec, nil
 	}
+	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -87,6 +88,10 @@ func ParseSpec(s string) (Spec, error) {
 		}
 		key = strings.TrimSpace(key)
 		val = strings.TrimSpace(val)
+		if seen[key] {
+			return spec, fmt.Errorf("fault: %s given twice", key)
+		}
+		seen[key] = true
 		switch key {
 		case "drop", "dup", "crash", "corrupt":
 			f, err := strconv.ParseFloat(val, 64)
@@ -137,7 +142,7 @@ func (s Spec) Validate() error {
 		name string
 		v    float64
 	}{{"drop", s.Drop}, {"dup", s.Dup}, {"crash", s.Crash}, {"corrupt", s.Corrupt}} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) { // NaN too
 			return fmt.Errorf("fault: %s=%g outside [0,1]", p.name, p.v)
 		}
 	}

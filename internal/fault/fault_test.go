@@ -50,14 +50,17 @@ func TestParseSpecAcceptsSeedAndSpaces(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
-		"drop",             // not key=value
-		"splat=0.5",        // unknown key
-		"drop=lots",        // not a float
-		"drop=1.5",         // out of range
-		"crash=-0.1",       // out of range
-		"drop=0.6,dup=0.6", // bands overlap
-		"restart=-1",       // negative
-		"seed=abc",         // not a uint
+		"drop",              // not key=value
+		"splat=0.5",         // unknown key
+		"drop=lots",         // not a float
+		"drop=1.5",          // out of range
+		"crash=-0.1",        // out of range
+		"drop=0.6,dup=0.6",  // bands overlap
+		"restart=-1",        // negative
+		"seed=abc",          // not a uint
+		"drop=NaN",          // not in [0,1]
+		"crash=NaN",         // not in [0,1]
+		"drop=0.1,drop=0.2", // repeated key
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)

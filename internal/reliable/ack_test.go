@@ -60,11 +60,9 @@ func (a *ackScript) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 // ackHist sums the per-round ack-delay histograms.
 type ackHist struct{ hist [8]int }
 
-func (*ackHist) RoundStart(int, int, int)                                        {}
+func (*ackHist) RoundStart(int, int)                                             {}
 func (*ackHist) RoundEnd(sim.RoundStats)                                         {}
 func (*ackHist) NodeSpawned(int, sim.NodeID)                                     {}
-func (*ackHist) NodeKilled(int, sim.NodeID)                                      {}
-func (*ackHist) NodeBlocked(int, sim.NodeID)                                     {}
 func (*ackHist) MessageDropped(int, sim.DropReason, sim.NodeID, sim.NodeID, int) {}
 func (*ackHist) MessageDuplicated(int, sim.NodeID, sim.NodeID, int, int)         {}
 func (*ackHist) RoundDeferred(int, int)                                          {}

@@ -96,9 +96,9 @@ func (a *procAdapter) interrupt() {
 }
 
 // stop synchronously unwinds a parked proc goroutine; a no-op if it
-// never started or already exited. Called from freeSlot when a killed
-// (rather than returned) coroutine node is reaped, and from Shutdown
-// after interrupt.
+// never started or already exited. Called from freeSlot: a reaped node's
+// proc has returned, so only Shutdown, after interrupt, finds one
+// parked.
 func (a *procAdapter) stop() {
 	if a.state != adapterParked {
 		return

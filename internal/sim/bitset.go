@@ -2,18 +2,15 @@ package sim
 
 import "math/bits"
 
-// Bitset is a fixed-layout bit vector indexed by dense node slot. The
-// kernel keeps the per-round DoS-blocked set and the kill-request set
-// as bitsets so the hot path tests membership with a shift and a mask
-// instead of a map probe. The §5/§6 overlay stacks reuse the same
-// layout for their blocked-history, crash, and leaving sets, which is
-// why the type is exported.
+// Bitset is a fixed-layout bit vector indexed by dense node slot, so a
+// hot path tests membership with a shift and a mask instead of a map
+// probe. The §5/§6 overlay stacks keep their blocked-history, crash,
+// leader and leaving sets in it.
 //
 // Concurrency contract: all writes happen on the driver goroutine
-// between rounds (SetBlocked, Kill, slot reap); reads from coroutine
-// goroutines and the §5/§6 engine's workers are ordered after those
-// writes by the resume-channel and worker-wakeup edges, so no atomics
-// are needed.
+// between rounds; reads from the §5/§6 engine's workers are ordered
+// after those writes by the worker-wakeup edges, so no atomics are
+// needed.
 type Bitset []uint64
 
 // Test reports whether bit i is set. i must be < the grown capacity.

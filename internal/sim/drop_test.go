@@ -124,9 +124,20 @@ func burst(k int, rounds map[int]bool, to ...NodeID) Handler {
 // senders fill four send-log segments.
 const leakBurst = segLen / 8
 
+// dropRound is an Injector that drops every message sent in one round.
+type dropRound int
+
+func (d dropRound) Deliveries(round int, _, _ NodeID, _ uint64) int {
+	if round == int(d) {
+		return 0
+	}
+	return 1
+}
+
 // TestDroppedMessagesDoNotLeak is the regression test for the old
-// leftover-mailbox hazard: mail pending for a blocked node is dropped,
-// not deferred; once a round has passed, nothing outside the live part
+// leftover-mailbox hazard: mail dropped in transit is never placed, and
+// a delivered burst does not outlive its round; once a round has passed,
+// nothing outside the live part
 // of a log segment or arena still references a payload (and nothing at
 // all after Shutdown), and no segment is referenced from outside the
 // segment list, after the release rule has dropped segments too;
@@ -136,6 +147,7 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 	for _, lat := range []string{"sync", "uniform:1,2"} {
 		l, _ := ParseLatency(lat)
 		net := NewNetwork(Config{Seed: 1, Latency: l})
+		net.SetInjector(dropRound(2))
 		// Node 4 sends 1+1 messages in rounds 1..6; sixteen burst nodes
 		// send leakBurst+leakBurst each in round 1, across several sealed
 		// log segments, so log and arena shrink after the first round.
@@ -162,18 +174,15 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 				t.Fatalf("node 2 has %d pending messages after round 1, want %d", got, want)
 			}
 		}
-		// Node 2 is blocked in round 2, its delivery round: the pending
-		// inbox must be dropped, not deferred.
-		net.SetBlocked(map[NodeID]bool{2: true})
+		// Round 2 delivers the burst to node 2, and the injector drops
+		// every send of the round: none may be placed.
 		net.Step()
-		if delivered != 0 {
-			t.Fatalf("%s: blocked node received %d messages", lat, delivered)
-		}
 		if lat == "sync" {
-			// Round 2's only deliverable sends went to the blocked node
-			// (send-round half) and the departed one: the arena is empty.
-			if got := len(net.inboxOf(2)); got != 0 {
-				t.Fatalf("blocked node kept %d pending messages", got)
+			if want := 1 + senders*leakBurst; delivered != want {
+				t.Fatalf("node 2 received %d messages in round 2, want %d", delivered, want)
+			}
+			if got := len(net.mail.arena); got != 0 {
+				t.Fatalf("the arena kept %d messages after a round whose sends were all dropped", got)
 			}
 		}
 		net.Step()
@@ -185,12 +194,11 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 		}
 		net.Run(5 + trimRounds)
 		if lat == "sync" {
-			// Node 4 sends in rounds 1..6. The round-1 burst is dropped at
-			// delivery (receiver blocked in round 2) and the round-2 send at
-			// send time (receiver blocked in the send round); the remaining
-			// four arrive in rounds 4..7.
-			if delivered != 4 {
-				t.Fatalf("delivered %d messages, want 4", delivered)
+			// Node 4 sends in rounds 1..6. The round-1 message arrives
+			// with the burst, the round-2 one is dropped in transit, and
+			// the remaining four arrive in rounds 4..7.
+			if want := 1 + senders*leakBurst + 4; delivered != want {
+				t.Fatalf("delivered %d messages, want %d", delivered, want)
 			}
 			if segs := len(net.mail.segs); segs > 1 {
 				t.Fatalf("the quiet rounds kept %d log segments, want the release rule to drop all but one", segs)
@@ -225,11 +233,12 @@ type dropCounter struct {
 
 func (d *dropCounter) MessageDropped(_ int, reason DropReason, _, _ NodeID, _ int) { d.drops[reason]++ }
 
-// TestKilledNodeBuffersReleased checks that killing a node removes all
-// of its network-side state in the same round: no index entry, an empty
-// inbox range for the slot's next occupant. Under a latency model the
-// messages still in flight to the killed node are absorbed: they never
-// reach the slot's next occupant and record no drop.
+// TestKilledNodeBuffersReleased checks that a node whose handler halts
+// (returns false before reading its inbox) leaves no network-side state
+// after that round: no index entry, an empty inbox range for the slot's
+// next occupant. Under a latency model the messages still in flight to
+// the departed node are absorbed: they never reach the slot's next
+// occupant and record no drop.
 func TestKilledNodeBuffersReleased(t *testing.T) {
 	const senders = 4
 	for _, spec := range []string{"sync", "const:3", "uniform:1,3"} {
@@ -242,19 +251,20 @@ func TestKilledNodeBuffersReleased(t *testing.T) {
 			for v := NodeID(0); v < senders; v++ {
 				net.SpawnHandler(100+v, burst(1, every, id))
 			}
-			net.SpawnHandler(id, burst(0, nil))
+			halt := false
+			net.SpawnHandler(id, HandlerFunc(func(*Ctx, []Message) bool { return !halt }))
 			net.Step()
 			s := net.slotOf(id)
-			net.Kill(id)
+			halt = true
 			net.Step()
 			if net.Exists(id) || net.indexed() != senders {
-				t.Fatalf("%s: killed node %d still tracked: exists=%v indexed=%d", spec, id, net.Exists(id), net.indexed())
+				t.Fatalf("%s: halted node %d still tracked: exists=%v indexed=%d", spec, id, net.Exists(id), net.indexed())
 			}
 			if st := &net.slots[s]; st.inLo != st.inHi || st.h != nil || st.ctx != nil {
 				t.Fatalf("%s: freed slot keeps state: %+v", spec, *st)
 			}
 			if inFlight := net.inFlightTo(id); lat.Enabled() != (inFlight > 0) {
-				t.Fatalf("%s: test premise broken: %d copies in flight to the killed node", spec, inFlight)
+				t.Fatalf("%s: test premise broken: %d copies in flight to the halted node", spec, inFlight)
 			}
 			// Sends to the dead id must keep being dropped without error, and
 			// must not reach the node that takes over the slot.

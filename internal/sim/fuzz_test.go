@@ -2,11 +2,11 @@ package sim
 
 import "testing"
 
-// FuzzBitset drives the kernel's Bitset through an arbitrary operation
-// sequence, mirrored against a map reference: after every step the two
-// must agree on membership, growth must preserve existing bits, and no
-// input may panic. The Bitset carries the per-round blocked and kill
-// sets, so a single wrong bit silently mis-delivers messages.
+// FuzzBitset drives Bitset through an arbitrary operation sequence,
+// mirrored against a map reference: after every step the two must agree
+// on membership, growth must preserve existing bits, and no input may
+// panic. The §5/§6 engine keeps its blocked histories in it, so a single
+// wrong bit silently mis-delivers messages.
 func FuzzBitset(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 1, 3, 0}, uint16(64))
 	f.Add([]byte{0, 200, 1, 200, 3, 0, 0, 200}, uint16(1))

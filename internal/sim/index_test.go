@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// indexScenario runs a flood under churn and blocking whose every
+// indexScenario runs a flood under churn whose every
 // decision is a function of node *indices* v, with idOf naming the
 // nodes: targets include live, departed and not-yet-spawned indices.
 // It returns the delivery transcript with ids mapped back to indices
@@ -14,6 +14,7 @@ import (
 func indexScenario(idOf func(v int) NodeID) ([]string, *Network) {
 	net := NewNetwork(Config{Seed: 11})
 	vOf := map[NodeID]int{} // grows between rounds only; nodes read it
+	halt := map[int]bool{}  // indices set to depart at their next round
 	var lines [][]string    // one transcript line per node per round, by index
 	next := 0
 	spawn := func() {
@@ -22,6 +23,9 @@ func indexScenario(idOf func(v int) NodeID) ([]string, *Network) {
 		vOf[idOf(v)] = v
 		lines = append(lines, nil)
 		net.SpawnHandler(idOf(v), HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+			if halt[v] {
+				return false
+			}
 			r := ctx.Round()
 			line := fmt.Sprintf("r%d v%d:", r, v)
 			for _, m := range inbox {
@@ -40,11 +44,10 @@ func indexScenario(idOf func(v int) NodeID) ([]string, *Network) {
 	for r := 1; r <= 40; r++ {
 		if r%4 == 0 {
 			for k := 0; k < 3; k++ {
-				net.Kill(idOf((r*5 + k*13) % next))
+				halt[(r*5+k*13)%next] = true
 				spawn()
 			}
 		}
-		net.SetBlocked(map[NodeID]bool{idOf(r % next): true, idOf((r * 3) % next): true, idOf(next + 1): true})
 		net.Step()
 	}
 	var out []string
@@ -99,14 +102,15 @@ func TestIDResolutionPathsAgree(t *testing.T) {
 // spawned).
 func TestDenseTableDoesNotDecay(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
-	idle := HandlerFunc(func(*Ctx, []Message) bool { return true })
+	halt := map[NodeID]bool{}
+	idle := HandlerFunc(func(ctx *Ctx, _ []Message) bool { return !halt[ctx.ID()] })
 	next := NodeID(1)
 	for ; next <= 64; next++ {
 		net.SpawnHandler(next, idle)
 	}
 	for epoch := 0; epoch < 200; epoch++ {
 		for _, id := range net.Alive()[:8] {
-			net.Kill(id)
+			halt[id] = true
 		}
 		net.Step()
 		for k := 0; k < 8; k++ {

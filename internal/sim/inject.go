@@ -2,10 +2,10 @@ package sim
 
 // Injector is a deterministic fault-injection hook between the send and
 // deliver halves of a round. When attached, the send step consults it
-// once per otherwise-deliverable message (receiver alive and non-blocked
-// per the paper's DoS rule); the return value is the number of copies to
-// append to the receiver's inbox: 0 drops the message in transit, 1 is
-// normal delivery, c > 1 delivers c consecutive copies.
+// once per otherwise-deliverable message (receiver alive); the return
+// value is the number of copies to append to the receiver's inbox: 0
+// drops the message in transit, 1 is normal delivery, c > 1 delivers c
+// consecutive copies.
 //
 // Implementations MUST be pure functions of their arguments (and any
 // fixed configuration such as a seed): the §5/§6 engine consults the

@@ -29,11 +29,9 @@ type faultTracer struct {
 	events []faultEvent
 }
 
-func (t *faultTracer) RoundStart(round, alive, blocked int) {}
-func (t *faultTracer) RoundEnd(stats RoundStats)            { t.stats = append(t.stats, stats) }
-func (t *faultTracer) NodeSpawned(round int, id NodeID)     {}
-func (t *faultTracer) NodeKilled(round int, id NodeID)      {}
-func (t *faultTracer) NodeBlocked(round int, id NodeID)     {}
+func (t *faultTracer) RoundStart(round, alive int)      {}
+func (t *faultTracer) RoundEnd(stats RoundStats)        { t.stats = append(t.stats, stats) }
+func (t *faultTracer) NodeSpawned(round int, id NodeID) {}
 func (t *faultTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {
 	t.drops[reason]++
 	if reason == DropFaultInjected {
@@ -47,8 +45,8 @@ func (t *faultTracer) RoundDeferred(round, deferred int)                       {
 func (t *faultTracer) RoundReliability(round int, stats ReliabilityRoundStats) {}
 func (t *faultTracer) RoundSamples(round int, inbox, bits []int64)             {}
 
-// injectScenario runs a fan-out workload (every node alive and
-// unblocked, so the message ledger is exact) with the given injector.
+// injectScenario runs a fan-out workload (every node alive, so the
+// message ledger is exact) with the given injector.
 func injectScenario(inj Injector, shards int) ([]RoundWork, *faultTracer) {
 	net := NewNetwork(Config{Seed: 42, Shards: shards})
 	tr := &faultTracer{}
@@ -75,7 +73,7 @@ func injectScenario(inj Injector, shards int) ([]RoundWork, *faultTracer) {
 }
 
 // TestInjectorLedgerExact reconciles the injected faults against the
-// work log round by round: with no churn and no blocking, round r's
+// work log round by round: with no churn, round r's
 // deliveries must equal round r-1's sends, minus its injected drops,
 // plus its duplicated extra copies.
 func TestInjectorLedgerExact(t *testing.T) {

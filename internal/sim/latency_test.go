@@ -20,15 +20,13 @@ func (t *eventTracer) log(format string, args ...any) {
 	t.events = append(t.events, fmt.Sprintf(format, args...))
 }
 
-func (t *eventTracer) RoundStart(round, alive, blocked int) {
-	t.log("start r=%d alive=%d blocked=%d", round, alive, blocked)
+func (t *eventTracer) RoundStart(round, alive int) {
+	t.log("start r=%d alive=%d", round, alive)
 }
 func (t *eventTracer) RoundEnd(stats RoundStats) { t.log("end %+v", stats) }
 func (t *eventTracer) NodeSpawned(round int, id NodeID) {
 	t.log("spawn r=%d id=%d", round, id)
 }
-func (t *eventTracer) NodeKilled(round int, id NodeID)  { t.log("kill r=%d id=%d", round, id) }
-func (t *eventTracer) NodeBlocked(round int, id NodeID) { t.log("block r=%d id=%d", round, id) }
 func (t *eventTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {
 	t.log("drop r=%d %s %d->%d bits=%d", round, reason, from, to, bits)
 }
@@ -48,10 +46,14 @@ func latencyScenario(shards int, lat Latency) (string, []string, int64) {
 	tr := &eventTracer{}
 	net.SetTracer(tr)
 	const n = 48
+	halt := map[NodeID]bool{} // set between rounds: the node departs at its next round, sending nothing
 	spawn := func(i int) {
 		idx := i
 		var h uint64
 		net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+			if halt[ctx.ID()] {
+				return false
+			}
 			for j := range inbox {
 				h = h*31 + uint64(inbox[j].From)*7 + uint64(inbox[j].Payload.(int))
 			}
@@ -68,16 +70,12 @@ func latencyScenario(shards int, lat Latency) (string, []string, int64) {
 	}
 	for r := 0; r < 14; r++ {
 		switch r {
-		case 2:
-			net.SetBlocked(map[NodeID]bool{3: true, 17: true, 40: true})
 		case 4:
-			net.Kill(5)
-			net.Kill(23)
+			halt[5], halt[23] = true, true
 		case 6:
 			spawn(n + 1)
-			net.SetBlocked(map[NodeID]bool{NodeID(n + 2): true, 9: true})
 		case 9:
-			net.Kill(1)
+			halt[1] = true
 			spawn(n + 3)
 		}
 		net.Step()

@@ -29,13 +29,13 @@
 // into one flat inbox arena — decide and count per receiver slot,
 // prefix-sum, scatter — so a node's inbox is a range of the arena,
 // nothing is buffered per node, and the round loop performs no map
-// operation. The per-round DoS-blocked set and the kill-request set are
-// bitsets indexed by slot.
+// operation.
 //
-// DoS semantics follow the paper: a message sent from v to w at round i
-// is received iff v is non-blocked in round i and w is non-blocked in
-// rounds i and i+1. A blocked node still performs local computation but
-// its sends are dropped and it receives nothing.
+// A node departs only by its handler returning false. Section 1.1's DoS
+// rule (a message from v in round i reaches w iff v is non-blocked in
+// round i and w is non-blocked in rounds i and i+1) is not the kernel's:
+// the §5/§6 stacks apply it in internal/committee, which every DoS
+// measurement runs on.
 package sim
 
 import (
@@ -227,8 +227,8 @@ func (mb *mailbag) close() {
 // feed RoundWork.Messages/TotalBits/MaxNodeBits, the Delivered count,
 // and the per-reason drop ledger. Control-lane messages carry the
 // reliable-delivery layer's traffic (acks and retransmit copies); they
-// ride the same delivery machinery — DoS blocking, fault injection, and
-// the event scheduler all apply — but are accounted separately
+// ride the same delivery machinery — fault injection and the event
+// scheduler both apply — but are accounted separately
 // (RoundWork.CtlMessages/CtlBits, ReliabilityRoundStats) and never
 // enter the exact work-conservation ledger, so a run whose reliability
 // layer stays silent is byte-identical to one without it.
@@ -270,9 +270,9 @@ type Config struct {
 	// Shards is ignored: the kernel is serial. The field stays only
 	// until bench/ stops setting it (ROADMAP item 1(c)/(e)).
 	Shards int
-	// SizeHint, when positive, presizes the node table, the dense id
+	// SizeHint, when positive, presizes the node table and the dense id
 	// table (ids up to twice the hint stay off the overflow map whatever
-	// the spawn order) and the slot-indexed bitsets. Purely a capacity
+	// the spawn order). Purely a capacity
 	// hint: it never changes results, only avoids the incremental growth
 	// (and its transient copies) while spawning a large network — worth
 	// setting for the n=1M scale runs, irrelevant below ~100k.
@@ -294,7 +294,7 @@ type Config struct {
 // perturbing the paper-semantics columns.
 type RoundWork struct {
 	Round       int
-	Messages    int   // protocol messages actually sent (sender non-blocked)
+	Messages    int   // protocol messages sent
 	TotalBits   int64 // sum over nodes of sent+received protocol bits
 	MaxNodeBits int64 // maximum over nodes of sent+received protocol bits
 	CtlMessages int   // control-lane (ack + retransmit) messages sent
@@ -354,11 +354,11 @@ type nodeState struct {
 	outLo, outHi int32
 	inLo, inHi   int32
 	live         bool // slot is occupied
-	halted       bool // handler returned false or node was killed
+	halted       bool // handler returned false
 }
 
 // Network coordinates the synchronous rounds. It is not safe for
-// concurrent use; Spawn, SetBlocked, Step and the accessors must all be
+// concurrent use; Spawn, Step and the accessors must all be
 // called from a single driver goroutine, between rounds.
 type Network struct {
 	root  *rng.RNG
@@ -379,12 +379,6 @@ type Network struct {
 
 	mail   mailbag // send log and inbox arena
 	cursor []int32 // per-slot count, then write cursor, of the send step
-
-	pendingBlocked Bitset // applies to the next Step (built by SetBlocked)
-	pendingAny     bool
-	blocked        Bitset // blocked set of the round in progress
-	blockedAny     bool
-	killReq        Bitset // Kill/Shutdown requests, indexed by slot
 
 	work       []RoundWork
 	recordWork bool
@@ -450,9 +444,6 @@ func NewNetwork(cfg Config) *Network {
 		n.order = make([]int32, 0, hint)
 		n.dense = make([]int32, 0, hint+1)
 		n.cursor = make([]int32, 0, hint)
-		n.blocked = GrowBitset(nil, hint)
-		n.pendingBlocked = GrowBitset(nil, hint)
-		n.killReq = GrowBitset(nil, hint)
 	}
 	return n
 }
@@ -549,8 +540,7 @@ func (n *Network) setSlot(id NodeID, s int32) {
 // Work returns the per-round communication-work log.
 func (n *Network) Work() []RoundWork { return n.work }
 
-// allocSlot pops a recycled slot or extends the node table (growing the
-// slot-indexed bitsets alongside it).
+// allocSlot pops a recycled slot or extends the node table.
 func (n *Network) allocSlot() int32 {
 	if k := len(n.free); k > 0 {
 		s := n.free[k-1]
@@ -559,9 +549,6 @@ func (n *Network) allocSlot() int32 {
 	}
 	s := int32(len(n.slots))
 	n.slots = append(n.slots, nodeState{})
-	n.blocked = GrowBitset(n.blocked, len(n.slots))
-	n.pendingBlocked = GrowBitset(n.pendingBlocked, len(n.slots))
-	n.killReq = GrowBitset(n.killReq, len(n.slots))
 	n.cursor = append(n.cursor, 0)
 	return s
 }
@@ -570,18 +557,15 @@ func (n *Network) allocSlot() int32 {
 // and Ctx are dropped, the inbox range is emptied so the next occupant
 // starts with none (mail placed for the departed node this round is
 // absorbed; its payloads go when the arena is next overwritten; mail
-// still in the calendar is absorbed by place), and all slot-indexed bits
-// are cleared. A coroutine adapter whose goroutine is still parked (the
-// node was killed rather than returning) is unwound here.
+// still in the calendar is absorbed by place). A coroutine adapter whose
+// goroutine is still parked (Shutdown, not a return, ends the node) is
+// unwound here.
 func (n *Network) freeSlot(s int32) {
 	st := &n.slots[s]
 	if a, ok := st.h.(*procAdapter); ok {
 		a.stop()
 	}
 	*st = nodeState{}
-	n.killReq.Unset(s)
-	n.blocked.Unset(s)
-	n.pendingBlocked.Unset(s)
 	n.free = append(n.free, s)
 }
 
@@ -618,58 +602,21 @@ func (n *Network) Spawn(id NodeID, proc Proc) {
 	n.SpawnHandler(id, &procAdapter{net: n, proc: proc})
 }
 
-// Kill forces the node to stop at its next round barrier (a crash: it
-// performs no further computation, then vanishes at the end of the
-// round — messages addressed to it in its final round are absorbed, not
-// counted as drops, exactly as for a node whose program returns).
-func (n *Network) Kill(id NodeID) {
-	if s := n.slotOf(id); s >= 0 {
-		n.killReq.Set(s)
-		if n.tracer != nil {
-			n.tracer.NodeKilled(n.round, id)
-		}
-	}
-}
-
-// SetBlocked sets the DoS-blocked node set for the next Step only. The
-// set is copied into an internal Bitset at call time: later mutations
-// of the map do not affect the round, and ids that do not name a live
-// node at call time are ignored.
-func (n *Network) SetBlocked(blocked map[NodeID]bool) {
-	if n.pendingAny {
-		n.pendingBlocked.Zero()
-		n.pendingAny = false
-	}
-	for id, b := range blocked {
-		if !b {
-			continue
-		}
-		if s := n.slotOf(id); s >= 0 {
-			n.pendingBlocked.Set(s)
-			n.pendingAny = true
-		}
-	}
-}
-
 // Step executes one synchronous round: deliver + compute, then collect
 // sends.
 func (n *Network) Step() {
-	n.blocked, n.pendingBlocked = n.pendingBlocked, n.blocked
-	n.blockedAny, n.pendingAny = n.pendingAny, false
 	n.round++
 
-	aliveAtStart, nblocked := len(n.order), 0
+	aliveAtStart := len(n.order)
 	if n.tracer != nil {
-		nblocked = n.traceRoundStart()
+		n.traceRoundStart()
 	}
 
 	n.roundDeferred = 0
 	n.roundRel = ReliabilityRoundStats{}
 
 	// Compute step: hand each node the inbox the previous send step
-	// placed (empty if blocked in this round — the "receiver non-blocked
-	// in round i+1" half of the rule; the other half was enforced at send
-	// time) and run its handler inline. Send step: sort the log (and the
+	// placed and run its handler inline. Send step: sort the log (and the
 	// calendar bucket due next round) into the arena.
 	n.compute()
 	messages, totalBits, maxBits, anyHalted := n.send()
@@ -707,10 +654,6 @@ func (n *Network) Step() {
 	if !n.async {
 		n.release()
 	}
-	if n.blockedAny {
-		n.blocked.Zero()
-		n.blockedAny = false
-	}
 	if n.recordWork {
 		n.work = append(n.work, RoundWork{
 			Round:       n.round,
@@ -722,39 +665,23 @@ func (n *Network) Step() {
 		})
 	}
 	if n.tracer != nil {
-		n.traceRoundEnd(aliveAtStart, nblocked, messages, totalBits, maxBits)
+		n.traceRoundEnd(aliveAtStart, messages, totalBits, maxBits)
 	}
 }
 
 // compute runs the merged receive + compute step in spawn order: it
-// restarts the send log, hands each node its pending inbox (or, for
-// blocked receivers, drops it), and invokes the node's handler inline —
-// unless a kill was requested, in which case the node halts without
-// computing. Between two handlers it seals a nearly full log segment
-// (see segLen).
+// restarts the send log, hands each node its pending inbox, and invokes
+// the node's handler inline. Between two handlers it seals a nearly full
+// log segment (see segLen).
 func (n *Network) compute() {
 	tr := n.tracer
 	slots := n.slots
-	blocked, anyB := n.blocked, n.blockedAny
 	mb := &n.mail
 	mb.open(0)
 	mb.widest = 0
 	for _, s := range n.order {
 		st := &slots[s]
 		box := mb.arena[st.inLo:st.inHi]
-		if anyB && blocked.Test(s) {
-			// Drop the pending inbox without delivering it. Control-lane
-			// messages are lost the same way but stay out of the exact
-			// drop ledger (the reliable layer accounts them itself).
-			if tr != nil {
-				for i := range box {
-					if box[i].lane == laneProtocol {
-						tr.MessageDropped(n.round, DropBlockedReceiverDeliveryRound, box[i].From, st.id, box[i].Bits)
-					}
-				}
-			}
-			box = nil
-		}
 		// Protocol-lane receive accounting: control-lane messages (acks,
 		// retransmit copies) are delivered but contribute neither to the
 		// node's bit footprint nor to the Delivered/inbox-depth samples,
@@ -770,16 +697,14 @@ func (n *Network) compute() {
 		if tr != nil {
 			n.traceInbox = append(n.traceInbox, nprot)
 		}
-		// Compute: a killed node halts without running; otherwise the
-		// handler executes inline and its sends append to the log.
+		// Compute: the handler executes inline and its sends append to
+		// the log.
 		if k := len(mb.log); k >= segLen && k > cap(mb.log)-mb.widest {
 			mb.close()
 			mb.open(mb.cur + 1)
 		}
 		st.outLo = int32(len(mb.log))
-		if n.killReq.Test(s) {
-			st.halted = true
-		} else if !st.h.OnRound(st.ctx, box) {
+		if !st.h.OnRound(st.ctx, box) {
 			st.halted = true
 		}
 		st.outHi = int32(len(mb.log))
@@ -817,9 +742,8 @@ const noDrop = NumDropReasons
 
 // send runs the send step: a stable counting sort from the send log
 // into the inbox arena. It scans every sender's log range in spawn
-// order and, per message, decides the copy count — the §1.1 blocking
-// rule's send-round half (sender, then receiver; the i+1 half is
-// checked at delivery), then the injector — records it (under a latency
+// order and, per message, decides the copy count — none for a departed
+// receiver, else the injector's — records it (under a latency
 // model, after stamping its arrival: see schedule), counts what is due
 // next round, and performs the round's accounting: message and bit
 // totals, drop and duplication events, deferrals, departures. place then
@@ -832,7 +756,6 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 	slots := n.slots
 	segs := n.mail.segs
 	log, hi := segs[0], int32(0)
-	blocked, anyB := n.blocked, n.blockedAny
 	async, round := n.async, n.round
 	rel := &n.roundRel
 	cnt := n.cursor
@@ -847,9 +770,6 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 		}
 		hi = st.outHi
 		out := log[st.outLo:st.outHi]
-		// A blocked sender's sends are all discarded, uncounted: they
-		// enter neither Messages nor the control-lane totals.
-		sblocked := anyB && blocked.Test(s)
 		nctl := 0
 		seq := st.seq - uint64(len(out))
 		for i := range out {
@@ -858,12 +778,8 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 			seq++
 			copies, reason := 1, noDrop
 			switch {
-			case sblocked:
-				copies, reason = 0, DropBlockedSender
 			case t < 0:
 				copies, reason = 0, DropDeadReceiver
-			case anyB && blocked.Test(t):
-				copies, reason = 0, DropBlockedReceiverSendRound
 			case inj != nil:
 				if copies = max(inj.Deliveries(round, e.m.From, e.m.To, seq), 0); copies == 0 {
 					reason = DropFaultInjected
@@ -876,8 +792,8 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 			if e.copies > 0 {
 				cnt[t] += e.copies
 			}
-			// Control-lane messages face the same blocking and faults but
-			// never enter the drop/dup ledger.
+			// Control-lane messages face the same faults but never enter
+			// the drop/dup ledger.
 			if e.m.lane == laneProtocol {
 				if reason != noDrop {
 					if tr != nil {
@@ -886,10 +802,8 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 				} else if copies > 1 && tr != nil {
 					n.dupScratch = append(n.dupScratch, dupEvent{from: e.m.From, to: e.m.To, bits: e.m.Bits, copies: copies})
 				}
-				if !sblocked {
-					st.bits += int64(e.m.Bits)
-				}
-			} else if !sblocked {
+				st.bits += int64(e.m.Bits)
+			} else {
 				nctl++
 				rel.CtlBits += int64(e.m.Bits)
 				if e.m.lane == laneAck {
@@ -899,9 +813,7 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 				}
 			}
 		}
-		if !sblocked {
-			messages += len(out) - nctl
-		}
+		messages += len(out) - nctl
 		rel.CtlMessages += nctl
 		totalBits += st.bits
 		if st.bits > maxBits {
@@ -1153,8 +1065,7 @@ func (c *Ctx) Send(to NodeID, payload any, bits int) {
 // sendRaw queues a message on an explicit lane, bypassing the send
 // hook. Every transmission — protocol envelope, ack, or retransmit
 // copy — goes through here so lane choice is the only difference
-// between them: all lanes share the same blocking, fault, and latency
-// machinery.
+// between them: all lanes share the same fault and latency machinery.
 func (c *Ctx) sendRaw(to NodeID, payload any, bits int, lane uint8) {
 	n := c.net
 	st := &n.slots[c.slot]

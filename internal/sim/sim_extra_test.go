@@ -139,37 +139,3 @@ func TestExactDeliveryCount(t *testing.T) {
 		t.Fatalf("received %d, want %d", received.Load(), R)
 	}
 }
-
-func TestBlockedRoundWindow(t *testing.T) {
-	// Block the receiver ONLY in the send round: dropped. Block ONLY
-	// in the delivery round: dropped. Blocked in neither: delivered.
-	for _, blockAt := range []int{0, 1, 2, -1} {
-		net := NewNetwork(Config{Seed: 4})
-		var received atomic.Int64
-		net.Spawn(1, func(ctx *Ctx) {
-			ctx.NextRound() // round 1 idle
-			ctx.Send(2, "x", 1)
-			ctx.NextRound() // sends in round 2
-		})
-		net.Spawn(2, func(ctx *Ctx) {
-			for i := 0; i < 4; i++ {
-				inbox := ctx.NextRound()
-				received.Add(int64(len(inbox)))
-			}
-		})
-		for round := 1; round <= 4; round++ {
-			if round == 2+blockAt && blockAt >= 0 && blockAt <= 1 {
-				net.SetBlocked(map[NodeID]bool{2: true})
-			}
-			net.Step()
-		}
-		net.Shutdown()
-		want := int64(1)
-		if blockAt == 0 || blockAt == 1 {
-			want = 0 // blocked in send round (2) or delivery round (3)
-		}
-		if received.Load() != want {
-			t.Fatalf("blockAt=%d: received %d, want %d", blockAt, received.Load(), want)
-		}
-	}
-}

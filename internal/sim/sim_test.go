@@ -107,122 +107,6 @@ func TestDeterministicInboxOrder(t *testing.T) {
 	}
 }
 
-func TestBlockedSenderDropsMessages(t *testing.T) {
-	net := NewNetwork(Config{Seed: 1})
-	var received atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "x", 1)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 3; i++ {
-			inbox := ctx.NextRound()
-			received.Add(int64(len(inbox)))
-		}
-	})
-	net.SetBlocked(map[NodeID]bool{1: true}) // sender blocked at send round
-	net.Run(4)
-	net.Shutdown()
-	if received.Load() != 0 {
-		t.Fatalf("blocked sender's message was delivered (%d)", received.Load())
-	}
-}
-
-func TestBlockedReceiverAtSendRoundDrops(t *testing.T) {
-	net := NewNetwork(Config{Seed: 1})
-	var received atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "x", 1)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 3; i++ {
-			inbox := ctx.NextRound()
-			received.Add(int64(len(inbox)))
-		}
-	})
-	// Receiver blocked in the SEND round i: message must be dropped
-	// even though the receiver is free in round i+1.
-	net.SetBlocked(map[NodeID]bool{2: true})
-	net.Run(4)
-	net.Shutdown()
-	if received.Load() != 0 {
-		t.Fatalf("message to receiver blocked at send round was delivered (%d)", received.Load())
-	}
-}
-
-func TestBlockedReceiverAtDeliveryRoundDrops(t *testing.T) {
-	net := NewNetwork(Config{Seed: 1})
-	var received atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "x", 1)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 3; i++ {
-			inbox := ctx.NextRound()
-			received.Add(int64(len(inbox)))
-		}
-	})
-	net.Step() // round 1: send happens, nobody blocked
-	net.SetBlocked(map[NodeID]bool{2: true})
-	net.Step() // round 2: delivery round, receiver blocked -> dropped
-	net.Run(2)
-	net.Shutdown()
-	if received.Load() != 0 {
-		t.Fatalf("message to receiver blocked at delivery round was delivered (%d)", received.Load())
-	}
-}
-
-func TestUnblockedDeliveryUnderOtherBlocking(t *testing.T) {
-	// Blocking node 3 must not disturb 1 -> 2 traffic.
-	net := NewNetwork(Config{Seed: 1})
-	var received atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "x", 1)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 3; i++ {
-			inbox := ctx.NextRound()
-			received.Add(int64(len(inbox)))
-		}
-	})
-	net.Spawn(3, func(ctx *Ctx) {
-		for i := 0; i < 3; i++ {
-			ctx.NextRound()
-		}
-	})
-	net.SetBlocked(map[NodeID]bool{3: true})
-	net.Step()
-	net.SetBlocked(map[NodeID]bool{3: true})
-	net.Step()
-	net.Run(2)
-	net.Shutdown()
-	if received.Load() != 1 {
-		t.Fatalf("expected exactly 1 delivery, got %d", received.Load())
-	}
-}
-
-func TestBlockedNodeStillComputes(t *testing.T) {
-	net := NewNetwork(Config{Seed: 1})
-	var steps atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		for i := 0; i < 4; i++ {
-			steps.Add(1)
-			ctx.NextRound()
-		}
-	})
-	for i := 0; i < 4; i++ {
-		net.SetBlocked(map[NodeID]bool{1: true})
-		net.Step()
-	}
-	net.Shutdown()
-	if steps.Load() != 4 {
-		t.Fatalf("blocked node computed %d steps, want 4", steps.Load())
-	}
-}
-
 func TestNodeLeavesWhenProcReturns(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	net.Spawn(1, func(ctx *Ctx) {
@@ -263,28 +147,6 @@ func TestMessageToDepartedNodeDropped(t *testing.T) {
 	net.Shutdown()
 }
 
-func TestKill(t *testing.T) {
-	net := NewNetwork(Config{Seed: 1})
-	var steps atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		for {
-			steps.Add(1)
-			ctx.NextRound()
-		}
-	})
-	net.Step()
-	net.Step()
-	net.Kill(1)
-	net.Step()
-	if net.Exists(1) {
-		t.Fatal("killed node still exists")
-	}
-	got := steps.Load()
-	if got != 2 {
-		t.Fatalf("killed node computed %d steps, want 2", got)
-	}
-}
-
 func TestDuplicateSpawnPanics(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	net.Spawn(1, func(ctx *Ctx) {})
@@ -323,25 +185,6 @@ func TestWorkAccounting(t *testing.T) {
 	}
 	if w[0].MaxNodeBits != 10 || w[1].MaxNodeBits != 10 {
 		t.Fatalf("max bits wrong: %+v %+v", w[0], w[1])
-	}
-}
-
-func TestBlockedWorkNotCounted(t *testing.T) {
-	net := NewNetwork(Config{Seed: 1})
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "a", 10)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		ctx.NextRound()
-		ctx.NextRound()
-	})
-	net.SetBlocked(map[NodeID]bool{1: true})
-	net.Run(2)
-	net.Shutdown()
-	w := net.Work()
-	if w[0].TotalBits != 0 || w[0].Messages != 0 {
-		t.Fatalf("blocked sender's work counted: %+v", w[0])
 	}
 }
 
@@ -387,81 +230,6 @@ func TestSpawnMidRun(t *testing.T) {
 	net.Shutdown()
 	if recv.Load() != 1 {
 		t.Fatalf("node 1 received %d messages from late joiner, want 1", recv.Load())
-	}
-}
-
-// TestSetBlockedMapAliasing is the regression test for the aliasing
-// footgun: SetBlocked must snapshot the caller's map at call time, so
-// mutating (or clearing) the map afterwards cannot change the round's
-// DoS set.
-func TestSetBlockedMapAliasing(t *testing.T) {
-	run := func(mutate bool) []RoundWork {
-		net := NewNetwork(Config{Seed: 13})
-		net.Spawn(1, func(ctx *Ctx) {
-			for {
-				ctx.Send(2, "x", 8)
-				ctx.NextRound()
-			}
-		})
-		net.Spawn(2, func(ctx *Ctx) {
-			for {
-				ctx.NextRound()
-			}
-		})
-		blocked := map[NodeID]bool{1: true}
-		net.SetBlocked(blocked)
-		if mutate {
-			delete(blocked, 1) // must not unblock node 1
-			blocked[2] = true  // must not block node 2
-		}
-		net.Step()
-		net.Run(2)
-		net.Shutdown()
-		return net.Work()
-	}
-	base, mutated := run(false), run(true)
-	if len(base) != len(mutated) {
-		t.Fatalf("work log lengths differ: %d vs %d", len(base), len(mutated))
-	}
-	for i := range base {
-		if base[i] != mutated[i] {
-			t.Fatalf("round %d: mutating the map after SetBlocked changed the round: %+v vs %+v",
-				i+1, base[i], mutated[i])
-		}
-	}
-	// Sanity: the snapshot actually blocked node 1 in round 1.
-	if base[0].Messages != 0 {
-		t.Fatalf("round 1 should have a blocked sender, got %d messages", base[0].Messages)
-	}
-	if base[1].Messages != 1 {
-		t.Fatalf("round 2 should be unblocked (the set applies to one Step only), got %d messages",
-			base[1].Messages)
-	}
-}
-
-// TestSetBlockedReplacesPreviousPending: two SetBlocked calls before a
-// Step — the second call replaces the first set rather than unioning.
-func TestSetBlockedReplacesPreviousPending(t *testing.T) {
-	net := NewNetwork(Config{Seed: 14})
-	for i := 1; i <= 2; i++ {
-		net.Spawn(NodeID(i), func(ctx *Ctx) {
-			for {
-				ctx.Send(3, "x", 8)
-				ctx.NextRound()
-			}
-		})
-	}
-	net.Spawn(3, func(ctx *Ctx) {
-		for {
-			ctx.NextRound()
-		}
-	})
-	net.SetBlocked(map[NodeID]bool{1: true, 2: true})
-	net.SetBlocked(map[NodeID]bool{1: true})
-	net.Step()
-	net.Shutdown()
-	if got := net.Work()[0].Messages; got != 1 {
-		t.Fatalf("round 1 messages = %d, want 1 (only node 1 blocked after replacement)", got)
 	}
 }
 

@@ -1,37 +1,20 @@
 package sim
 
-// DropReason classifies why a message was not delivered. The paper's
-// DoS rule (a message from v to w sent in round i arrives iff v is
-// non-blocked in round i and w is non-blocked in rounds i and i+1)
-// yields three blocking-related reasons; the fourth covers messages
-// addressed to ids that have left the network.
+// DropReason classifies why a message was not delivered.
 type DropReason uint8
 
 const (
-	// DropBlockedSender: the sender was blocked in the send round, so
-	// all of its sends were discarded.
-	DropBlockedSender DropReason = iota
-	// DropBlockedReceiverSendRound: the receiver was blocked in the
-	// send round (round i of the paper's rule).
-	DropBlockedReceiverSendRound
-	// DropBlockedReceiverDeliveryRound: the receiver was blocked in the
-	// delivery round (round i+1), so its pending inbox was discarded.
-	DropBlockedReceiverDeliveryRound
 	// DropDeadReceiver: the receiver id does not (or no longer) exist.
-	DropDeadReceiver
+	DropDeadReceiver DropReason = iota
 	// DropFaultInjected: an attached Injector (see inject.go) decided to
-	// drop the message in transit. Unlike the blocking-related reasons
-	// this one is synthetic — the message counted as sent and would have
-	// been delivered.
+	// drop the message in transit. The message counted as sent and would
+	// have been delivered.
 	DropFaultInjected
 	// NumDropReasons sizes per-reason counter arrays.
 	NumDropReasons
 )
 
 var dropReasonNames = [NumDropReasons]string{
-	"blocked-sender",
-	"blocked-receiver-send-round",
-	"blocked-receiver-delivery-round",
 	"dead-receiver",
 	"fault-injected",
 }
@@ -47,10 +30,9 @@ func (r DropReason) String() string {
 // triple the network always computes, plus how many messages were
 // delivered. The per-node samples behind it reach Tracer.RoundSamples.
 type RoundStats struct {
-	Round   int
-	Alive   int // nodes alive at the start of the round
-	Blocked int // of those, blocked in this round
-	Work    RoundWork
+	Round int
+	Alive int // nodes alive at the start of the round
+	Work  RoundWork
 	// Delivered is the number of messages handed to nodes in this
 	// round's receive step (the sum of the round's inbox samples).
 	// audit.WorkAuditor reconciles it against the previous round's
@@ -65,34 +47,25 @@ type RoundStats struct {
 // all and keeps its zero-allocation steady state.
 //
 // Drop accounting reconciles with the work log as follows: for every
-// round, Work.Messages (sends by non-blocked senders) equals the number
-// of messages delivered into inboxes plus the MessageDropped calls with
-// reasons DropDeadReceiver, DropBlockedReceiverSendRound, and
-// DropFaultInjected for that round, minus the extra copies reported via
+// round, Work.Messages equals the number of messages delivered into
+// inboxes plus that round's MessageDropped calls (DropDeadReceiver and
+// DropFaultInjected), minus the extra copies reported via
 // MessageDuplicated (each adds copies-1 inbox entries beyond the single
-// counted send). DropBlockedSender drops are *not* part of
-// Work.Messages, and DropBlockedReceiverDeliveryRound drops were counted
-// as Messages in the preceding round (their send round).
+// counted send). Messages addressed to a node that departs before they
+// arrive are absorbed without a drop event.
 //
-// Within a round the hooks fire in this order: RoundStart, NodeBlocked,
-// the receive step's MessageDropped, the send step's MessageDropped,
-// MessageDuplicated, RoundDeferred, RoundReliability, RoundSamples,
-// RoundEnd.
+// Within a round the hooks fire in this order: RoundStart,
+// MessageDropped, MessageDuplicated, RoundDeferred, RoundReliability,
+// RoundSamples, RoundEnd.
 type Tracer interface {
 	// RoundStart fires after the round counter is advanced, before
-	// delivery: alive is the number of participating nodes, blocked how
-	// many of them are DoS-blocked this round.
-	RoundStart(round, alive, blocked int)
+	// delivery: alive is the number of participating nodes.
+	RoundStart(round, alive int)
 	// RoundEnd fires after the send step with the round's statistics.
 	RoundEnd(stats RoundStats)
 	// NodeSpawned fires when a node is added (round = completed rounds
 	// at spawn time; the node first participates in round+1).
 	NodeSpawned(round int, id NodeID)
-	// NodeKilled fires when Kill marks a node for removal.
-	NodeKilled(round int, id NodeID)
-	// NodeBlocked fires once per blocked alive node per round, in spawn
-	// order, right after RoundStart.
-	NodeBlocked(round int, id NodeID)
 	// MessageDropped fires for every undelivered message with the round
 	// in which the drop happened.
 	MessageDropped(round int, reason DropReason, from, to NodeID, bits int)
@@ -125,38 +98,20 @@ type Tracer interface {
 // rounds.
 func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 
-// traceRoundStart counts blocked members in spawn order, emits the
-// round-start and per-node block events, and resets the distribution
-// scratch buffers for the round.
-func (n *Network) traceRoundStart() int {
-	nblocked := 0
-	if n.blockedAny {
-		for _, s := range n.order {
-			if n.blocked.Test(s) {
-				nblocked++
-			}
-		}
-	}
-	n.tracer.RoundStart(n.round, len(n.order), nblocked)
-	if nblocked > 0 {
-		for _, s := range n.order {
-			if n.blocked.Test(s) {
-				n.tracer.NodeBlocked(n.round, n.slots[s].id)
-			}
-		}
-	}
+// traceRoundStart emits the round-start event and resets the
+// distribution scratch buffers for the round.
+func (n *Network) traceRoundStart() {
+	n.tracer.RoundStart(n.round, len(n.order))
 	n.traceInbox = n.traceInbox[:0]
 	n.traceBits = n.traceBits[:0]
-	return nblocked
 }
 
 // traceRoundEnd hands the round's samples to the tracer and emits the
 // round-end event.
-func (n *Network) traceRoundEnd(alive, nblocked, messages int, totalBits, maxBits int64) {
+func (n *Network) traceRoundEnd(alive, messages int, totalBits, maxBits int64) {
 	stats := RoundStats{
-		Round:   n.round,
-		Alive:   alive,
-		Blocked: nblocked,
+		Round: n.round,
+		Alive: alive,
 		Work: RoundWork{
 			Round:       n.round,
 			Messages:    messages,

@@ -10,11 +10,9 @@ import (
 // override what they observe.
 type nopTracer struct{}
 
-func (nopTracer) RoundStart(round, alive, blocked int)                                   {}
+func (nopTracer) RoundStart(round, alive int)                                            {}
 func (nopTracer) RoundEnd(stats RoundStats)                                              {}
 func (nopTracer) NodeSpawned(round int, id NodeID)                                       {}
-func (nopTracer) NodeKilled(round int, id NodeID)                                        {}
-func (nopTracer) NodeBlocked(round int, id NodeID)                                       {}
 func (nopTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {}
 func (nopTracer) MessageDuplicated(round int, from, to NodeID, bits, copies int)         {}
 func (nopTracer) RoundDeferred(round, deferred int)                                      {}
@@ -26,34 +24,31 @@ func (nopTracer) RoundSamples(round int, inbox, bits []int64)                   
 // tracer-attached overhead in the benchmarks.
 type countingTracer struct {
 	nopTracer
-	rounds, spawns, kills, blocks int
-	messages                      int
-	drops                         [NumDropReasons]int
-	stats                         []RoundStats
+	rounds, spawns int
+	messages       int
+	drops          [NumDropReasons]int
+	stats          []RoundStats
 }
 
-func (t *countingTracer) RoundStart(round, alive, blocked int) { t.rounds++ }
+func (t *countingTracer) RoundStart(round, alive int) { t.rounds++ }
 func (t *countingTracer) RoundEnd(stats RoundStats) {
 	t.messages += stats.Work.Messages
 	t.stats = append(t.stats, stats)
 }
 func (t *countingTracer) NodeSpawned(round int, id NodeID) { t.spawns++ }
-func (t *countingTracer) NodeKilled(round int, id NodeID)  { t.kills++ }
-func (t *countingTracer) NodeBlocked(round int, id NodeID) { t.blocks++ }
 func (t *countingTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {
 	t.drops[reason]++
 }
 
 // TestDropReasonAccounting hand-computes every drop counter in a
-// scenario exercising all four reasons, and reconciles them with the
-// RoundWork message totals: Messages (sends by non-blocked senders)
-// must equal deliveries into inboxes plus the send-round drops
-// (dead-receiver, blocked-receiver-send-round), while delivery-round
-// drops are a subset of earlier deliveries.
+// scenario exercising both reasons, and reconciles them with the
+// RoundWork message totals: Messages must equal deliveries into inboxes
+// plus the round's drops (dead-receiver, fault-injected).
 func TestDropReasonAccounting(t *testing.T) {
 	net := NewNetwork(Config{Seed: 9})
 	tr := &countingTracer{}
 	net.SetTracer(tr)
+	net.SetInjector(dropRound(3))
 
 	// Node 1 sends to 2, 3 and 4 in rounds 1-4, then departs (during
 	// round 5).
@@ -80,67 +75,40 @@ func TestDropReasonAccounting(t *testing.T) {
 	// reaped only at the end of the round), every later send to it is
 	// a dead-receiver drop.
 	net.Spawn(4, func(ctx *Ctx) {})
-	// Node 5 exists only to be killed.
-	net.Spawn(5, func(ctx *Ctx) {
-		for {
-			ctx.NextRound()
-		}
-	})
 
-	net.Step() // round 1: all three sends counted, node 4 departs
-	net.Kill(5)
-	// Round 2: node 3 blocked — drops its pending round-1 delivery
-	// (delivery-round) and the round-2 send to it (send-round); the
-	// round-2 send to 4 is a dead-receiver drop.
-	net.SetBlocked(map[NodeID]bool{3: true})
-	net.Step()
-	// Round 3: the sender is blocked — its whole outbox (3 messages)
-	// is discarded and not counted in Messages.
-	net.SetBlocked(map[NodeID]bool{1: true})
-	net.Step()
-	// Rounds 4-5: unblocked; round-4 sends to 2 and 3 deliver in
-	// round 5, the send to 4 is again dead.
-	net.Run(2)
+	// Round 3's sends to the live nodes 2 and 3 are dropped in transit;
+	// the dead receiver is decided first, so the send to 4 stays a
+	// dead-receiver drop.
+	net.Run(5)
 
-	if tr.rounds != 5 {
-		t.Fatalf("rounds traced: %d, want 5", tr.rounds)
-	}
-	if tr.spawns != 5 || tr.kills != 1 {
-		t.Fatalf("spawns/kills = %d/%d, want 5/1", tr.spawns, tr.kills)
-	}
-	if tr.blocks != 2 { // node 3 in round 2, node 1 in round 3
-		t.Fatalf("block events: %d, want 2", tr.blocks)
+	if tr.rounds != 5 || tr.spawns != 4 {
+		t.Fatalf("rounds/spawns traced: %d/%d, want 5/4", tr.rounds, tr.spawns)
 	}
 
 	wantDrops := [NumDropReasons]int{}
-	wantDrops[DropBlockedSender] = 3                // round 3, whole outbox
-	wantDrops[DropBlockedReceiverSendRound] = 1     // round 2, send to 3
-	wantDrops[DropBlockedReceiverDeliveryRound] = 1 // round 2, pending round-1 msg to 3
-	wantDrops[DropDeadReceiver] = 2                 // rounds 2 and 4, sends to 4
+	wantDrops[DropFaultInjected] = 2 // round 3, sends to 2 and 3
+	wantDrops[DropDeadReceiver] = 3  // rounds 2-4, sends to 4
 	if tr.drops != wantDrops {
 		t.Fatalf("drop counters = %v, want %v", tr.drops, wantDrops)
 	}
 
-	// Reconciliation with the work log: Messages counts non-blocked
-	// sends (rounds 1, 2, 4 → 3 each).
+	// Reconciliation with the work log: Messages counts every send
+	// (rounds 1-4 → 3 each).
 	msgs := 0
 	for _, w := range net.Work() {
 		msgs += w.Messages
 	}
-	if msgs != 9 || tr.messages != msgs {
-		t.Fatalf("Messages total = %d (tracer %d), want 9", msgs, tr.messages)
+	if msgs != 12 || tr.messages != msgs {
+		t.Fatalf("Messages total = %d (tracer %d), want 12", msgs, tr.messages)
 	}
-	delivered := msgs - tr.drops[DropDeadReceiver] - tr.drops[DropBlockedReceiverSendRound]
-	if delivered != 6 {
-		t.Fatalf("derived deliveries = %d, want 6", delivered)
+	delivered := msgs - tr.drops[DropDeadReceiver] - tr.drops[DropFaultInjected]
+	if delivered != 7 {
+		t.Fatalf("derived deliveries = %d, want 7", delivered)
 	}
-	// Of those 6, one went to the departing node 4 (round 1) and one
-	// was discarded at node 3's blocked delivery round; the live
-	// receivers saw the remaining 4.
-	received := int(got2.Load() + got3.Load())
-	if received != delivered-1-tr.drops[DropBlockedReceiverDeliveryRound] {
-		t.Fatalf("receivers saw %d messages, want %d", received,
-			delivered-1-tr.drops[DropBlockedReceiverDeliveryRound])
+	// Of those 7, one went to the departing node 4 (round 1); the live
+	// receivers saw the remaining 6.
+	if received := int(got2.Load() + got3.Load()); received != delivered-1 {
+		t.Fatalf("receivers saw %d messages, want %d", received, delivered-1)
 	}
 
 	net.Shutdown()
@@ -160,8 +128,7 @@ func (t *samplingTracer) RoundSamples(round int, inbox, bits []int64) {
 
 // TestRoundStatsDistributions sanity-checks the per-round inbox/bits
 // samples a tracer receives: one per alive node, inbox sizes summing to
-// Delivered, the largest bits sample matching the work log, and a
-// blocked round reporting blocked > 0.
+// Delivered, and the largest bits sample matching the work log.
 func TestRoundStatsDistributions(t *testing.T) {
 	net := NewNetwork(Config{Seed: 11})
 	tr := &samplingTracer{}
@@ -182,9 +149,7 @@ func TestRoundStatsDistributions(t *testing.T) {
 			}
 		})
 	}
-	net.Step()
-	net.SetBlocked(map[NodeID]bool{2: true})
-	net.Step()
+	net.Run(2)
 	net.Shutdown()
 
 	if len(tr.stats) != 2 {
@@ -212,12 +177,9 @@ func TestRoundStatsDistributions(t *testing.T) {
 			t.Fatalf("stats[%d]: Work %+v != log %+v", i, st.Work, net.Work()[i])
 		}
 	}
-	// Round 2: node 1's round-1 fan-out delivers to 14 of the 15
-	// targets (node 2 is blocked); the sender's fan-out dominates bits.
-	if tr.stats[1].Blocked != 1 {
-		t.Fatalf("round 2 blocked = %d, want 1", tr.stats[1].Blocked)
-	}
-	if in := tr.inbox[1]; slices.Max(in) != 1 || in[0] != 0 || in[1] != 0 || tr.stats[1].Delivered != n-2 {
+	// Round 2: node 1's round-1 fan-out delivers to all 15 targets; the
+	// sender's fan-out dominates bits.
+	if in := tr.inbox[1]; slices.Max(in) != 1 || in[0] != 0 || in[1] != 1 || tr.stats[1].Delivered != n-1 {
 		t.Fatalf("round 2 inbox samples unexpected: %v (%+v)", in, tr.stats[1])
 	}
 }
@@ -229,6 +191,7 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 	run := func(tr Tracer) []RoundWork {
 		net := NewNetwork(Config{Seed: 77})
 		net.SetTracer(tr)
+		net.SetInjector(dropRound(2))
 		for i := 0; i < 32; i++ {
 			idx := i
 			net.Spawn(NodeID(i+1), func(ctx *Ctx) {
@@ -241,12 +204,7 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 				}
 			})
 		}
-		for r := 0; r < 8; r++ {
-			if r%3 == 1 {
-				net.SetBlocked(map[NodeID]bool{NodeID(r + 1): true, NodeID(r + 9): true})
-			}
-			net.Step()
-		}
+		net.Run(8)
 		net.Shutdown()
 		return net.Work()
 	}

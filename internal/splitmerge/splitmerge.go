@@ -71,8 +71,8 @@ func (cfg Config) Validate() error {
 	if c < 0 {
 		return fmt.Errorf("splitmerge: group-size constant %d must be positive", c)
 	}
-	if cfg.Epsilon < 0 {
-		return fmt.Errorf("splitmerge: epsilon %g must be positive", cfg.Epsilon)
+	if !(cfg.Epsilon >= 0 && cfg.Epsilon < math.Inf(1)) {
+		return fmt.Errorf("splitmerge: epsilon %g must be finite and positive", cfg.Epsilon)
 	}
 	if cfg.N0 < 8*c {
 		return fmt.Errorf("splitmerge: n0 = %d too small for c = %d (need at least %d)", cfg.N0, c, 8*c)

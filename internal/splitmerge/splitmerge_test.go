@@ -3,7 +3,9 @@ package splitmerge
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"overlaynet/internal/dos"
@@ -310,5 +312,15 @@ func TestReplaceMembersTranscript(t *testing.T) {
 			t.Fatalf("k=%d: generator is at %d after the call, recorded %d (a different number of draws)", tc.k, got, tc.next)
 		}
 		nw.Close()
+	}
+}
+
+// TestValidateRejectsNonFinite: a NaN or infinite epsilon must fail
+// Validate. Past it, New slices out of range.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, eps := range []float64{math.NaN(), math.Inf(1)} {
+		if err := (Config{N0: 256, Epsilon: eps}).Validate(); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("Epsilon=%g: Validate() = %v, want an error saying it must be finite", eps, err)
+		}
 	}
 }

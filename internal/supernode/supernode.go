@@ -97,11 +97,11 @@ func (cfg Config) Validate() error {
 	if c == 0 {
 		c = 1
 	}
-	if c < 0 {
-		return fmt.Errorf("supernode: group-size constant %g must be positive", c)
+	if !(c > 0 && c < math.Inf(1)) {
+		return fmt.Errorf("supernode: group-size constant %g must be finite and positive", c)
 	}
-	if cfg.Epsilon < 0 {
-		return fmt.Errorf("supernode: epsilon %g must be positive", cfg.Epsilon)
+	if !(cfg.Epsilon >= 0 && cfg.Epsilon < math.Inf(1)) {
+		return fmt.Errorf("supernode: epsilon %g must be finite and positive", cfg.Epsilon)
 	}
 	// The smallest cube has dimension 2, so k^2 supernodes must fit the
 	// group-size budget n/(c·log₂ n).

@@ -1,6 +1,7 @@
 package supernode
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -222,6 +223,26 @@ func TestValidateArity(t *testing.T) {
 		err := Config{N: c.n, K: c.k}.Validate()
 		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
 			t.Errorf("K=%d N=%d: Validate() = %v, want an error containing %q", c.k, c.n, err, c.want)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite: a NaN or infinite constant must fail
+// Validate. Past it, New slices out of range on such an epsilon, and a
+// NaN group-size constant runs without complaint.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"C=NaN", Config{N: 1024, C: nan}},
+		{"C=+Inf", Config{N: 1024, C: inf}},
+		{"Epsilon=NaN", Config{N: 1024, Epsilon: nan}},
+		{"Epsilon=+Inf", Config{N: 1024, Epsilon: inf}},
+	} {
+		if err := c.cfg.Validate(); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%s: Validate() = %v, want an error saying the value must be finite", c.name, err)
 		}
 	}
 }

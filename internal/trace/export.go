@@ -149,11 +149,10 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 				ev.Args["total_bits"] = e.Stats.Work.TotalBits
 				ev.Args["max_node_bits"] = e.Stats.Work.MaxNodeBits
 			}
-		case "spawn", "kill", "block":
+		case "spawn":
 			ev.Args["node"] = e.Node
 		case "round_start":
 			ev.Args["alive"] = e.Alive
-			ev.Args["blocked"] = e.Blocked
 		case "violation":
 			ev.Args["invariant"] = e.Reason
 			ev.Args["detail"] = e.Detail

@@ -13,9 +13,9 @@ import (
 )
 
 // floodNet builds a deterministic flood workload: n nodes, each
-// forwarding to its next fanout ring neighbours every round, with a few
-// blocked rounds to exercise the drop paths. shards sets the ignored
-// sim.Config.Shards (0 everywhere but the flight-recorder pin).
+// forwarding to its next fanout ring neighbours every round. shards sets
+// the ignored sim.Config.Shards (0 everywhere but the flight-recorder
+// pin).
 func floodNet(n, fanout, shards int, tr sim.Tracer) *sim.Network {
 	net := sim.NewNetwork(sim.Config{Seed: 1234, Shards: shards})
 	if tr != nil {
@@ -52,7 +52,7 @@ func TestRecorderMetricsConcurrent(t *testing.T) {
 			defer wg.Done()
 			tr := rec.Tracer("cell")
 			for i := 1; i <= rounds; i++ {
-				tr.RoundStart(i, 10, 1)
+				tr.RoundStart(i, 10)
 				tr.MessageDropped(i, sim.DropDeadReceiver, 1, 2, 64)
 				tr.RoundEnd(sim.RoundStats{Round: i, Alive: 10, Delivered: 3,
 					Work: sim.RoundWork{Messages: 4}})
@@ -104,9 +104,8 @@ func TestFlightRecorderDeterministicAcrossShards(t *testing.T) {
 	capture := func(shards int) []Event {
 		rec := New().FlightRecorder(99, 0.25, 4096)
 		net := floodNet(64, 3, shards, rec.Tracer("flight"))
-		net.Step()
-		net.SetBlocked(map[sim.NodeID]bool{5: true, 9: true})
-		net.Run(6)
+		net.SetInjector(dropRound(2)) // a round of drops
+		net.Run(7)
 		net.Shutdown()
 		return maskTS(rec.FlightEvents())
 	}

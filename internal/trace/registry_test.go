@@ -55,13 +55,8 @@ func TestCountersMatchRegistry(t *testing.T) {
 		"overlaynet_rounds_total",
 		"overlaynet_messages_total",
 		"overlaynet_spawns_total",
-		"overlaynet_kills_total",
-		"overlaynet_blocks_total",
 		"overlaynet_cells_total",
 		"overlaynet_epochs_total",
-		"overlaynet_drops_blocked_sender_total",
-		"overlaynet_drops_blocked_receiver_send_round_total",
-		"overlaynet_drops_blocked_receiver_delivery_round_total",
 		"overlaynet_drops_dead_receiver_total",
 		"overlaynet_drops_fault_injected_total",
 		"overlaynet_dup_extra_copies_total",
@@ -83,7 +78,6 @@ func TestCountersMatchRegistry(t *testing.T) {
 		t.Errorf("snapshot has %d series, registry %d: want the registry plus overlaynet_delivered_total", len(snap), len(reg))
 	}
 	want := snap["overlaynet_messages_total"] - snap["overlaynet_drops_dead_receiver_total"] -
-		snap["overlaynet_drops_blocked_receiver_send_round_total"] -
 		snap["overlaynet_drops_fault_injected_total"] + snap["overlaynet_dup_extra_copies_total"]
 	if got := snap["overlaynet_delivered_total"]; got == 0 || got != want {
 		t.Errorf("overlaynet_delivered_total = %v, want %v by the reconciliation contract", got, want)

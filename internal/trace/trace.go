@@ -32,7 +32,7 @@ import (
 // since the Recorder was created.
 type Event struct {
 	TSMicros int64  `json:"ts_us"`
-	Kind     string `json:"kind"` // round_start, round_end, spawn, kill, block, drop, dup, violation, recovery
+	Kind     string `json:"kind"` // round_start, round_end, spawn, drop, dup, sched_deferred, reliable_round, violation, recovery
 	Scope    string `json:"scope,omitempty"`
 	Round    int    `json:"round"`
 	Node     uint64 `json:"node,omitempty"`
@@ -41,7 +41,6 @@ type Event struct {
 	Reason   string `json:"reason,omitempty"` // drop reason, or invariant name on violations
 	Bits     int    `json:"bits,omitempty"`
 	Alive    int    `json:"alive,omitempty"`
-	Blocked  int    `json:"blocked,omitempty"`
 	// Copies (on dup events) is the delivered copy count; Detail, Epoch,
 	// Seed, and Nodes carry the structured report on violation events.
 	Copies int      `json:"copies,omitempty"`
@@ -197,13 +196,12 @@ func (r *Recorder) ExperimentSpan(id string, seed uint64, rows int, start time.T
 // overlaynet_delivered_total.
 func (r *Recorder) Snapshot() map[string]float64 {
 	m := r.reg.FlatSnapshot()
-	// Per the sim.Tracer reconciliation contract: delivered = sends by
-	// non-blocked senders minus the send-round drops (including
-	// injected ones), plus the extra copies injected duplication added.
+	// Per the sim.Tracer reconciliation contract: delivered = sends minus
+	// the drops (dead-receiver and injected), plus the extra copies
+	// injected duplication added.
 	km := r.km
 	m["overlaynet_delivered_total"] = float64(km.messages.Value() -
 		km.drops[sim.DropDeadReceiver].Value() -
-		km.drops[sim.DropBlockedReceiverSendRound].Value() -
 		km.drops[sim.DropFaultInjected].Value() +
 		km.dupExtra.Value())
 	return m
@@ -298,15 +296,14 @@ type simTracer struct {
 
 func (t *simTracer) now() int64 { return time.Since(t.rec.start).Microseconds() }
 
-func (t *simTracer) RoundStart(round, alive, blocked int) {
+func (t *simTracer) RoundStart(round, alive int) {
 	km := t.rec.km
 	km.rounds.Inc(t.lane)
-	km.blocks.Add(t.lane, uint64(blocked))
 	km.alive.Observe(int64(alive))
 	t.roundStartUS = t.now()
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "round_start", Scope: t.scope,
-			Round: round, Alive: alive, Blocked: blocked})
+			Round: round, Alive: alive})
 	}
 }
 
@@ -316,7 +313,7 @@ func (t *simTracer) RoundEnd(stats sim.RoundStats) {
 	if t.rec.wantsEvents() {
 		s := stats
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "round_end", Scope: t.scope,
-			Round: stats.Round, Alive: stats.Alive, Blocked: stats.Blocked, Stats: &s})
+			Round: stats.Round, Alive: stats.Alive, Stats: &s})
 	}
 }
 
@@ -332,23 +329,6 @@ func (t *simTracer) NodeSpawned(round int, id sim.NodeID) {
 	t.rec.km.spawns.Inc(t.lane)
 	if t.rec.wantsEvents() {
 		t.rec.emit(Event{TSMicros: t.now(), Kind: "spawn", Scope: t.scope,
-			Round: round, Node: uint64(id)})
-	}
-}
-
-func (t *simTracer) NodeKilled(round int, id sim.NodeID) {
-	t.rec.km.kills.Inc(t.lane)
-	if t.rec.wantsEvents() {
-		t.rec.emit(Event{TSMicros: t.now(), Kind: "kill", Scope: t.scope,
-			Round: round, Node: uint64(id)})
-	}
-}
-
-// NodeBlocked only emits the event: RoundStart has counted the round's
-// blocked nodes.
-func (t *simTracer) NodeBlocked(round int, id sim.NodeID) {
-	if t.rec.wantsEvents() {
-		t.rec.emit(Event{TSMicros: t.now(), Kind: "block", Scope: t.scope,
 			Round: round, Node: uint64(id)})
 	}
 }

@@ -12,13 +12,25 @@ import (
 	"overlaynet/internal/sim"
 )
 
+// dropRound is a sim.Injector that drops every message sent in one
+// round.
+type dropRound int
+
+func (d dropRound) Deliveries(round int, _, _ sim.NodeID, _ uint64) int {
+	if round == int(d) {
+		return 0
+	}
+	return 1
+}
+
 // scenario drives a small network through every drop reason against a
-// Recorder and returns the hand-computed expectations: 5 rounds, one
-// kill, two node-round blocks, 9 non-blocked sends of which 3 are
-// dropped before reaching an inbox.
+// Recorder, to these hand-computed expectations: 5 rounds, 5 spawns, 12
+// sends of which 5 are dropped before reaching an inbox (3 to a departed
+// node, 2 in transit in round 3).
 func scenario(rec *Recorder) {
 	net := sim.NewNetwork(sim.Config{Seed: 9})
 	net.SetTracer(rec.Tracer("test"))
+	net.SetInjector(dropRound(3))
 	idle := sim.HandlerFunc(func(*sim.Ctx, []sim.Message) bool { return true })
 	net.SpawnHandler(1, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
 		if ctx.Round() > 4 {
@@ -31,16 +43,10 @@ func scenario(rec *Recorder) {
 	}))
 	net.SpawnHandler(2, idle)
 	net.SpawnHandler(3, idle)
-	net.SpawnHandler(4, sim.HandlerFunc(func(*sim.Ctx, []sim.Message) bool { return false })) // departs after round 1
-	net.SpawnHandler(5, idle)
+	net.SpawnHandler(4, sim.HandlerFunc(func(*sim.Ctx, []sim.Message) bool { return false }))                 // departs after round 1
+	net.SpawnHandler(5, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool { return ctx.Round() < 2 })) // departs in round 2
 
-	net.Step()
-	net.Kill(5)
-	net.SetBlocked(map[sim.NodeID]bool{3: true})
-	net.Step()
-	net.SetBlocked(map[sim.NodeID]bool{1: true})
-	net.Step()
-	net.Run(2)
+	net.Run(5)
 	net.Shutdown()
 }
 
@@ -54,16 +60,12 @@ func TestRecorderCounters(t *testing.T) {
 	for name, want := range map[string]float64{
 		"overlaynet_rounds_total":   5,
 		"overlaynet_spawns_total":   5,
-		"overlaynet_kills_total":    1,
-		"overlaynet_blocks_total":   2,
-		"overlaynet_messages_total": 9,
+		"overlaynet_messages_total": 12,
 
-		"overlaynet_drops_blocked_sender_total":                  3,
-		"overlaynet_drops_blocked_receiver_send_round_total":     1,
-		"overlaynet_drops_blocked_receiver_delivery_round_total": 1,
-		"overlaynet_drops_dead_receiver_total":                   2,
+		"overlaynet_drops_dead_receiver_total":  3,
+		"overlaynet_drops_fault_injected_total": 2,
 
-		"overlaynet_delivered_total": 6, // 9 sends − 2 dead − 1 blocked-receiver-send-round
+		"overlaynet_delivered_total": 7, // 12 sends − 3 dead − 2 fault-injected
 	} {
 		if m[name] != want {
 			t.Errorf("%s = %v, want %v", name, m[name], want)
@@ -91,8 +93,8 @@ func TestRecorderEventRetention(t *testing.T) {
 			t.Fatalf("event missing scope: %+v", ev)
 		}
 	}
-	// 5 rounds, 5 spawns, 1 kill, 2 blocks, 7 drops.
-	want := map[string]int{"round_start": 5, "round_end": 5, "spawn": 5, "kill": 1, "block": 2, "drop": 7}
+	// 5 rounds, 5 spawns, 5 drops.
+	want := map[string]int{"round_start": 5, "round_end": 5, "spawn": 5, "drop": 5}
 	for k, n := range want {
 		if kinds[k] != n {
 			t.Fatalf("event kind %q: %d, want %d (all: %v)", k, kinds[k], n, kinds)
@@ -221,7 +223,7 @@ func exportedKinds(t *testing.T, rec *Recorder) (jsonl, chrome map[string]int) {
 
 // TestExportKeepsFlightSampleBesideViolations is the regression test for
 // an export that wrote only the violations once there was one, dropping
-// the flight sample around it: both formats carry the scenario's 25
+// the flight sample around it: both formats carry the scenario's 20
 // sampled events and the one violation.
 func TestExportKeepsFlightSampleBesideViolations(t *testing.T) {
 	rec := New().FlightRecorder(1, 1, 1024)
@@ -233,8 +235,8 @@ func TestExportKeepsFlightSampleBesideViolations(t *testing.T) {
 		for _, n := range kinds {
 			total += n
 		}
-		if total != 26 || kinds["violation"] != 1 {
-			t.Errorf("%s export: %d events, %d violations, want 26 and 1 (%v)", name, total, kinds["violation"], kinds)
+		if total != 21 || kinds["violation"] != 1 {
+			t.Errorf("%s export: %d events, %d violations, want 21 and 1 (%v)", name, total, kinds["violation"], kinds)
 		}
 	}
 }
