@@ -12,10 +12,10 @@
 // Sweep cells run on -procs workers (default: all CPUs), and each §5/§6
 // overlay network runs its rounds on $OVERLAYNET_SHARDS intra-round
 // workers (default 1; see internal/committee); the sim kernel is serial.
-// The rendered tables are identical for every -procs and shard count at
-// a fixed seed, and for every combination of the telemetry flags —
-// tracing is observation only. -only names experiments by id (-list
-// prints them); an id that names none is a usage error.
+// Neither count, nor any telemetry flag, changes a table: the contract
+// exp.Options states and internal/exp's invariant_test.go checks.
+// -only names experiments by id (-list prints them); an id that names
+// none is a usage error.
 //
 // Telemetry:
 //
@@ -35,15 +35,12 @@
 //	             N entries (0 disables; needs -events or -trace). Both
 //	             write every audit violation and recovery (kept whatever
 //	             N is), then the sample. Sampling is a pure function of
-//	             the seed and event identity — byte-identical at any
-//	             -procs or shard count.
+//	             the seed and event identity.
 //
 // With -trace or -events, one metrics registry (internal/obs) holds the
 // run's kernel, cell, epoch and audit counts as named counters and
 // streaming histograms, exported on the -events file's last line. The
-// protocol stacks' own counts are the tables' columns. Metrics are
-// observation only — tables are byte-identical with the pipeline
-// attached or detached.
+// protocol stacks' own counts are the tables' columns.
 //
 // Robustness:
 //
@@ -130,8 +127,8 @@ func gitRev() string {
 	return "unknown"
 }
 
-// faultsString renders the spec for the manifest ("" when inactive, so
-// the field is omitted).
+// faultsString renders the spec for the manifest, seed included so the
+// run can be repeated ("" when inactive, so the field is omitted).
 func faultsString(s fault.Spec) string {
 	if !s.Active() {
 		return ""
@@ -250,15 +247,11 @@ func main() {
 	// -latency runs every sim-kernel network under the discrete-event
 	// scheduler (the §5/§6 overlay stacks translate the model into a
 	// per-virtual-round delivery deadline only inside AS1, which sweeps
-	// its own specs). Zero-spread specs ("const:1") produce tables
-	// byte-identical to the synchronous run — CI diffs exactly that.
+	// its own specs).
 	latencyFlag := flag.String("latency", "", "per-edge latency model for sim-kernel networks: sync, const:D, uniform:LO,HI, lognorm:MU,SIGMA (rounds)")
 	// -reliable wraps every sim-kernel protocol handler in the
-	// ack/retransmit endpoints of internal/reliable. With a zero-spread
-	// model ("-latency const:1 -reliable on") the layer is provably
-	// silent and the tables stay byte-identical to the synchronous run —
-	// CI diffs exactly that. AS2 sweeps its own configs and ignores the
-	// global flag, like AS1 does for -latency.
+	// ack/retransmit endpoints of internal/reliable. AS2 sweeps its own
+	// configs and ignores the global flag, like AS1 does for -latency.
 	reliableFlag := flag.String("reliable", "", "reliable delivery for sim-kernel networks: off, on, or rto=3,backoff=2,budget=5,stretch=0")
 	flag.Parse()
 

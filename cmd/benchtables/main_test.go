@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -26,12 +29,194 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// benchtables runs the command on args and returns its stdout; a
+// non-zero exit fails the test with its stderr.
+func benchtables(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{mainArg}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("benchtables %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return string(out)
+}
+
+// readJSON decodes the JSON file at path into v.
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(b, v)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", filepath.Base(path), err)
+	}
+}
+
+// event is one line of an -events file.
+type event struct {
+	Type    string             `json:"type"`
+	Kind    string             `json:"kind"`
+	Metrics map[string]float64 `json:"metrics"`
+}
+
+// readEvents decodes an -events file, one JSON object per line.
+func readEvents(t *testing.T, path string) []event {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []event
+	for _, line := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+		var e event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("%s: %v in %q", filepath.Base(path), err, line)
+		}
+		evs = append(evs, e)
+	}
+	return evs
+}
+
+// TestArtifacts checks what the telemetry flags write, as the command
+// writes it. The tables on stdout are the same at -procs 1 and at
+// -procs 8 with every telemetry flag on, which covers the concurrency
+// of whole experiments that only the command has. The -trace file is a
+// Perfetto timeline without metrics; the -events file ends in the one
+// metrics snapshot and carries the flight sample beside the recovery
+// reports; the manifest records the run and one entry per selected
+// experiment. An audited, faulted run exports its violations and the
+// sample together, and its manifest records the -faults value with its
+// seed.
+func TestArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, eventsPath, manifestPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "manifest.json")
+	sel := []string{"-quick", "-maskwall", "-only", "E1,E6,E8,R1"}
+	serial := benchtables(t, append(sel, "-procs", "1")...)
+	traced := benchtables(t, append(sel, "-procs", "8", "-progress", "-flight", "4096",
+		"-trace", tracePath, "-events", eventsPath, "-manifest", manifestPath)...)
+	if serial != traced {
+		t.Errorf("tables differ with -procs 8 and telemetry:\n--- -procs 1\n%s\n--- -procs 8\n%s", serial, traced)
+	}
+
+	var tr struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+		Metrics     json.RawMessage  `json:"metrics"`
+	}
+	readJSON(t, tracePath, &tr)
+	if len(tr.TraceEvents) == 0 || tr.Metrics != nil {
+		t.Errorf("trace.json has %d traceEvents and metrics %s; want some and none", len(tr.TraceEvents), tr.Metrics)
+	}
+	for _, s := range tr.TraceEvents {
+		if s["ph"] == nil || s["ts"] == nil {
+			t.Fatalf("trace event without ph or ts: %v", s)
+		}
+	}
+
+	evs := readEvents(t, eventsPath)
+	last := evs[len(evs)-1]
+	if last.Type != "metrics" || last.Metrics["overlaynet_rounds_total"] == 0 || last.Metrics["overlaynet_cells_total"] == 0 {
+		t.Errorf("events.jsonl ends in %+v, want a metrics line with rounds and cells", last)
+	}
+	if slices.ContainsFunc(evs, func(e event) bool { return e.Type == "counters" }) {
+		t.Error("events.jsonl has a counters line")
+	}
+	if !slices.ContainsFunc(evs, func(e event) bool { return e.Type == "event" && e.Kind == "round_start" }) {
+		t.Error("events.jsonl has no sampled round_start: R1's recovery reports displaced the flight sample")
+	}
+
+	var m map[string]json.RawMessage
+	readJSON(t, manifestPath, &m)
+	for _, key := range []string{"generated_at", "go_version", "git_rev", "seed", "procs", "gomaxprocs", "experiments"} {
+		if m[key] == nil {
+			t.Errorf("manifest has no %s", key)
+		}
+	}
+	for _, key := range []string{"counters", "scale_points", "metrics"} {
+		if m[key] != nil {
+			t.Errorf("manifest carries %s", key)
+		}
+	}
+	var exps []any
+	if err := json.Unmarshal(m["experiments"], &exps); err != nil || len(exps) != 4 {
+		t.Errorf("manifest lists %d experiments (%v), want the 4 selected", len(exps), err)
+	}
+
+	benchtables(t, "-quick", "-only", "E6", "-audit", "-faults", "drop=0.01,seed=5", "-flight", "4096",
+		"-events", eventsPath, "-manifest", manifestPath)
+	violations, sampled := 0, 0
+	for _, e := range readEvents(t, eventsPath) {
+		switch {
+		case e.Type != "event":
+		case e.Kind == "violation":
+			violations++
+		default:
+			sampled++
+		}
+	}
+	if violations == 0 || sampled == 0 {
+		t.Errorf("audited faulted run exported %d violations and %d sampled events, want both", violations, sampled)
+	}
+	var faulted struct{ Faults string }
+	if readJSON(t, manifestPath, &faulted); faulted.Faults != "drop=0.01,seed=5" {
+		t.Errorf("manifest records -faults as %q, want drop=0.01,seed=5", faulted.Faults)
+	}
+}
+
+// TestDocsNameRealFlags keeps the docs from naming flags the command
+// no longer has. On every line of the docs that invokes benchtables (as
+// benchtables or /tmp/bt), each -flag token must be one -h lists.
+// Tokens between a go command and the next invocation are the go
+// tool's own flags (go build -race -o /tmp/bt) and are skipped.
+func TestDocsNameRealFlags(t *testing.T) {
+	cmd := exec.Command(os.Args[0], mainArg, "-h")
+	usage, _ := cmd.CombinedOutput()
+	defined := map[string]bool{"h": true, "help": true}
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z-]+)`).FindAllSubmatch(usage, -1) {
+		defined[string(m[1])] = true
+	}
+	if !defined["quick"] {
+		t.Fatalf("-h output lists no -quick:\n%s", usage)
+	}
+	invocation := regexp.MustCompile(`benchtables|/tmp/bt\b`)
+	token := regexp.MustCompile("(?:^|[`(\"'/])-([a-z][a-z-]*)")
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			if !invocation.MatchString(line) {
+				continue
+			}
+			goFlags := false
+			for _, word := range strings.Fields(line) {
+				switch {
+				case strings.Trim(word, "`(") == "go":
+					goFlags = true
+				case invocation.MatchString(word):
+					goFlags = false
+				case !goFlags:
+					for _, m := range token.FindAllStringSubmatch(word, -1) {
+						if !defined[m[1]] {
+							t.Errorf("%s:%d names -%s, which benchtables does not define", doc, i+1, m[1])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFaultsUsageExit runs the command on -faults values that parse key
-// by key but are no usable spec — a NaN rate, a repeated key — and
-// requires exit status 1 with one benchtables: line on stderr. -list
-// keeps a wrongly accepted spec from starting the sweep.
+// by key but are no usable spec — a NaN rate, a repeated key, a key that
+// changes nothing without its partner — and requires exit status 1 with
+// one benchtables: line on stderr. -list keeps a wrongly accepted spec
+// from starting the sweep.
 func TestFaultsUsageExit(t *testing.T) {
-	for _, spec := range []string{"drop=NaN", "drop=0.1,drop=0.2"} {
+	for _, spec := range []string{"drop=NaN", "drop=0.1,drop=0.2", "partk=3", "restart=3", "partfrom=4", "seed=5"} {
 		cmd := exec.Command(os.Args[0], mainArg, "-faults", spec, "-list")
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr

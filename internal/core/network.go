@@ -254,8 +254,9 @@ type budgetWindow struct {
 
 // SetTrace attaches a telemetry recorder: each RunEpoch emits an epoch
 // span (epoch number, rounds, member counts before/after, wall time)
-// tagged with scope, and the underlying simulator's round/spawn/kill/
-// block/drop events feed the recorder's counters. Pass nil to detach.
+// tagged with scope, and the underlying simulator's round, spawn, drop
+// and duplication events feed the recorder's counters. Pass nil to
+// detach.
 // Tracing is observation only: it does not touch any randomness, so
 // results are identical with and without it.
 func (nw *Network) SetTrace(rec *trace.Recorder, scope string) {

@@ -1,11 +1,6 @@
 package exp
 
-import (
-	"testing"
-
-	"overlaynet/internal/metrics"
-	"overlaynet/internal/sim"
-)
+import "testing"
 
 // TestAS1ZeroSpreadRowsMatchSync pins AS1's control pair inside one
 // run of the experiment: for every system, the "const:1" row (event
@@ -53,29 +48,5 @@ func TestAS1ShardAndProcInvariance(t *testing.T) {
 	base := AS1AsyncLatency(Options{Seed: 7, Quick: true, Procs: 1, Shards: 1}).String()
 	if got := AS1AsyncLatency(Options{Seed: 7, Quick: true, Procs: 4, Shards: 4}).String(); got != base {
 		t.Fatal("AS1 table varies with -procs/OVERLAYNET_SHARDS")
-	}
-}
-
-// TestLatencyZeroSpreadReproducesSyncTables is the experiment-level
-// sync-equivalence regression: whole tables produced with
-// Options.Latency const:1 (every message delivered through the event
-// calendar with delay exactly one round) must be byte-identical to the
-// synchronous tables, across a sampling, a reconfiguration, and a
-// scale driver.
-func TestLatencyZeroSpreadReproducesSyncTables(t *testing.T) {
-	zero := sim.Latency{Kind: sim.LatencyConst, A: 1}
-	for _, run := range []struct {
-		id string
-		f  func(Options) *metrics.Table
-	}{
-		{"E1", E1RapidSamplingHGraph},
-		{"E6", E6ReconfigChurn},
-		{"S1", S1ScaleFlood},
-	} {
-		base := run.f(Options{Seed: 3, Quick: true, Exp: run.id}).String()
-		got := run.f(Options{Seed: 3, Quick: true, Exp: run.id, Latency: zero}).String()
-		if got != base {
-			t.Errorf("%s: const:1 latency changed the table:\n--- sync ---\n%s--- const:1 ---\n%s", run.id, base, got)
-		}
 	}
 }

@@ -16,7 +16,11 @@ import (
 	"overlaynet/internal/trace"
 )
 
-// Options scales an experiment.
+// Options scales an experiment. A table is a pure function of the seed
+// and the model (Quick, Latency, Reliable, Faults): no worker or shard
+// count, telemetry, audit engine or zero-spread latency model (bare or
+// behind an idle reliable layer) moves a byte of it.
+// The matrix in invariant_test.go checks that contract.
 type Options struct {
 	// Seed drives all randomness.
 	Seed uint64
@@ -25,31 +29,27 @@ type Options struct {
 	Quick bool
 	// Procs caps the number of worker goroutines the trial runner
 	// uses for a driver's independent sweep cells. Zero means
-	// runtime.GOMAXPROCS(0). Any value yields identical tables: cells
-	// are seeded independently and merged in canonical order.
+	// runtime.GOMAXPROCS(0). Cells are seeded independently and merged
+	// in canonical order.
 	Procs int
 	// Shards is the worker count of the §5/§6 committee engine inside a
 	// round (intra-round parallelism, orthogonal to Procs' across-cell
 	// parallelism); the sim kernel is serial. Zero defers to the
-	// OVERLAYNET_SHARDS environment variable, then 1. Any value yields
-	// byte-identical tables.
+	// OVERLAYNET_SHARDS environment variable, then 1.
 	Shards int
 	// Latency is forwarded to sim.Config.Latency by the drivers that
 	// build sim-kernel networks (the sampling, churn, and scale
 	// experiments): the zero value keeps the synchronous round model; an
 	// enabled model runs the networks under the discrete-event scheduler
-	// (cmd/benchtables -latency). Zero-spread models (sync, const ≤ 1)
-	// yield byte-identical tables to the synchronous run; models with
-	// spread defer messages and degrade the protocols — experiment AS1
-	// sweeps exactly that. The §5/§6 overlay stacks translate the model
-	// into a per-virtual-round delivery deadline via SetLatency instead.
+	// (cmd/benchtables -latency). Models with spread defer messages and
+	// degrade the protocols — experiment AS1 sweeps exactly that. The
+	// §5/§6 overlay stacks translate the model into a per-virtual-round
+	// delivery deadline via SetLatency instead.
 	Latency sim.Latency
 	// Reliable is forwarded — like Latency — to the sampling and
 	// reconfiguration networks the drivers build (cmd/benchtables
 	// -reliable): when enabled, every protocol node runs behind the
-	// deterministic ack/retransmit endpoint of internal/reliable. On
-	// zero-spread latency models the endpoint's phase stretch resolves
-	// to 1 and the tables stay byte-identical to the unprotected run;
+	// deterministic ack/retransmit endpoint of internal/reliable;
 	// experiment AS2 sweeps the layer explicitly (and, like AS1's
 	// latency sweep, ignores this global). The §5/§6 overlay stacks do
 	// not carry it (their virtual rounds already model whole phases).
@@ -70,8 +70,6 @@ type Options struct {
 	// from the drivers that thread it through (the reconfiguration and
 	// flood experiments). The protocol stacks' own counts (epochs,
 	// stalls, splits/merges) are their Stats, read into the tables.
-	// Tracing never perturbs the tables: no randomness or scheduling
-	// depends on it.
 	Trace *trace.Recorder
 	// Progress, when non-nil, is notified as sweep cells are
 	// registered and completed (cmd/benchtables -progress).
@@ -81,8 +79,7 @@ type Options struct {
 	// built by the reconfiguration drivers (E6/E8/E10/F1), checking every
 	// tick: every epoch for the core network and every round for the
 	// supernode overlays. Violations are reported through Trace (when
-	// set) and never change table output: a clean run renders
-	// byte-identical tables with or without auditing.
+	// set).
 	Audit bool
 	// Faults is a deterministic fault-injection spec the supporting
 	// drivers apply to every network they build. Each sweep cell

@@ -119,7 +119,7 @@ func f1Core(o Options, cell int, spec fault.Spec) [][]string {
 	nw.Shutdown()
 
 	m := ev.trace.Snapshot()
-	return [][]string{metrics.Row("reconfig §4", spec.String(), epochs,
+	return [][]string{metrics.Row("reconfig §4", spec.WithSeed(0).String(), epochs,
 		crashes, rejoins, uint64(m["overlaynet_drops_fault_injected_total"]),
 		uint64(m["overlaynet_dup_extra_copies_total"]),
 		ev.audit.Count(), failedInvariants(ev.audit), healthy)}
@@ -138,6 +138,6 @@ func f1SplitMerge(o Options, cell int, spec fault.Spec) [][]string {
 	nw.Run(adv, buf, epochs*nw.EpochRounds())
 	st := nw.StatsSnapshot()
 	healthy := st.Disconnected == 0 && nw.Eq1Holds()
-	return [][]string{metrics.Row("splitmerge §6", spec.String(), epochs,
+	return [][]string{metrics.Row("splitmerge §6", spec.WithSeed(0).String(), epochs,
 		st.Crashes, st.Restarts, st.FaultDrops, st.FaultDups, ev.audit.Count(), failedInvariants(ev.audit), healthy)}
 }

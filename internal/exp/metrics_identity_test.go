@@ -11,40 +11,6 @@ import (
 	"overlaynet/internal/trace"
 )
 
-// TestTablesByteIdenticalWithMetricsAttached is the acceptance gate for
-// the always-on metrics pipeline: every table must render byte-for-byte
-// identically with the full observability stack attached (registry +
-// kernel metrics + flight recorder) and fully detached. The drivers
-// cover the ways experiments reach the simulator: sampling primitives
-// (E1), the reconfiguration network (E6), a raw-kernel protocol (E14),
-// and the scale sweeps (S1, S2 with its wall-clock column masked).
-func TestTablesByteIdenticalWithMetricsAttached(t *testing.T) {
-	drivers := map[string]func(Options) *metrics.Table{
-		"E1":  E1RapidSamplingHGraph,
-		"E6":  E6ReconfigChurn,
-		"E14": E14PointerDoubling,
-		"S1":  S1ScaleFlood,
-		"S2":  func(o Options) *metrics.Table { return MaskWallClock(S2ScaleFloodEvent(o)) },
-	}
-	for name, run := range drivers {
-		base := run(Options{Seed: 42, Quick: true}).String()
-		reg := obs.NewRegistry(0)
-		o := Options{Seed: 42, Quick: true, Trace: trace.New().WithMetrics(reg).FlightRecorder(42, 0.05, 1024)}
-		if got := run(o).String(); got != base {
-			t.Errorf("%s: table differs with metrics attached:\n--- detached\n%s\n--- attached\n%s",
-				name, base, got)
-		}
-		// The attachment must not be a no-op either: every driver feeds
-		// the registry — kernel rounds where the tracer reaches the
-		// simulator (E6, S1, S2), sweep cells via the runner elsewhere
-		// (E1, E14).
-		snap := reg.FlatSnapshot()
-		if snap["overlaynet_rounds_total"] == 0 && snap["overlaynet_cells_total"] == 0 {
-			t.Errorf("%s: attached registry recorded neither rounds nor cells", name)
-		}
-	}
-}
-
 // TestArtifactMetricsDeterministic pins what a metrics line may be
 // diffed on: the snapshot the JSONL carries is the same at any worker layout
 // on every series that is not wall-clock (the *_duration_us

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
 
@@ -69,11 +70,13 @@ type Corrupter interface {
 // "partk=2,partfrom=10,partwin=40,corrupt=0.5". Keys: drop, dup, crash,
 // corrupt (probabilities in [0,1]), restart (epochs, >= 1), partk
 // (components, >= 2), partfrom/partwin (rounds), seed (uint64). Each key
-// may appear once. The empty string parses to the zero Spec.
+// may appear once, and a key that would change nothing is an error:
+// restart without crash, partk or partfrom without partwin, seed without
+// any fault. The empty string and "none" parse to the zero Spec.
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
 	s = strings.TrimSpace(s)
-	if s == "" {
+	if s == "" || s == "none" {
 		return spec, nil
 	}
 	seen := map[string]bool{}
@@ -115,6 +118,9 @@ func ParseSpec(s string) (Spec, error) {
 			}
 			switch key {
 			case "restart":
+				if n == 1 {
+					n = 0 // the default, which String omits
+				}
 				spec.Restart = n
 			case "partk":
 				spec.PartK = n
@@ -133,7 +139,24 @@ func ParseSpec(s string) (Spec, error) {
 			return spec, fmt.Errorf("fault: unknown key %q (want drop, dup, crash, corrupt, restart, partk, partfrom, partwin, or seed)", key)
 		}
 	}
-	return spec, spec.Validate()
+	if err := spec.Validate(); err != nil {
+		return spec, err
+	}
+	for _, k := range []struct {
+		key   string
+		inert bool
+		needs string
+	}{
+		{"restart", spec.Crash == 0, "crash"},
+		{"partk", spec.PartWin == 0, "partwin"},
+		{"partfrom", spec.PartWin == 0, "partwin"},
+		{"seed", !spec.Active(), "a fault"},
+	} {
+		if seen[k.key] && k.inert {
+			return spec, fmt.Errorf("fault: %s has no effect without %s", k.key, k.needs)
+		}
+	}
+	return spec, nil
 }
 
 // Validate reports whether the spec's rates are usable.
@@ -177,7 +200,8 @@ func (s Spec) WithSeed(seed uint64) Spec {
 }
 
 // String renders the spec in ParseSpec's format (stable key order,
-// zero-valued keys omitted; "none" for the zero spec).
+// zero-valued keys omitted; "none" for a spec that injects nothing), so
+// ParseSpec(s.String()) == s for every spec ParseSpec returns.
 func (s Spec) String() string {
 	var parts []string
 	if s.Drop > 0 {
@@ -204,6 +228,9 @@ func (s Spec) String() string {
 	}
 	if len(parts) == 0 {
 		return "none"
+	}
+	if s.Seed != 0 {
+		parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
 	}
 	sort.Strings(parts)
 	return strings.Join(parts, ",")
@@ -239,19 +266,6 @@ const (
 	saltCorrupt   = 0x2d358dccaa6c78a5
 )
 
-// mix64 is the splitmix64 finalizer: a bijective avalanche over uint64.
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
-// unit maps a hash to a float in [0, 1) using its top 53 bits.
-func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
-
 // Injector decides the fate of individual messages. It implements
 // sim.Injector; the centrally simulated networks (supernode,
 // splitmerge) call CopiesAt with queue indices instead of send
@@ -267,7 +281,7 @@ type Injector struct {
 // copies maps one hashed decision to a delivery count: the unit interval
 // is split into [0,drop) -> lost, [1-dup,1) -> duplicated, else normal.
 func (in *Injector) copies(h uint64) int {
-	u := unit(h)
+	u := rng.Unit(h)
 	switch {
 	case u < in.drop:
 		return 0
@@ -291,10 +305,10 @@ func (in *Injector) Deliveries(round int, from, to sim.NodeID, seq uint64) int {
 		return 1
 	}
 	h := in.seed ^ saltMessage
-	h = mix64(h + uint64(round)*0x9e3779b97f4a7c15)
-	h = mix64(h + uint64(from))
-	h = mix64(h + uint64(to))
-	h = mix64(h + seq)
+	h = rng.Mix64(h + uint64(round)*0x9e3779b97f4a7c15)
+	h = rng.Mix64(h + uint64(from))
+	h = rng.Mix64(h + uint64(to))
+	h = rng.Mix64(h + seq)
 	return in.copies(h)
 }
 
@@ -313,16 +327,16 @@ func (s Spec) Crashes(epoch int, id uint64) bool {
 		return false
 	}
 	h := s.Seed ^ saltCrash
-	h = mix64(h + uint64(epoch)*0x9e3779b97f4a7c15)
-	h = mix64(h + id)
-	return unit(h) < s.Crash
+	h = rng.Mix64(h + uint64(epoch)*0x9e3779b97f4a7c15)
+	h = rng.Mix64(h + id)
+	return rng.Unit(h) < s.Crash
 }
 
 // partComponent is the shared component hash behind Spec.Component and
 // Injector.Deliveries: a pure function of (seed, id) so every worker —
 // and the audit checker looking at the same round — agrees on the cut.
 func partComponent(seed, id uint64, k int) int {
-	return int(mix64(seed^saltPartition+id) % uint64(k))
+	return int(rng.Mix64(seed^saltPartition+id) % uint64(k))
 }
 
 // Partitioned reports whether the partition window is open at round.
@@ -365,8 +379,8 @@ func (s Spec) CorruptsAt(epoch int) bool {
 		return false
 	}
 	h := s.Seed ^ saltCorrupt
-	h = mix64(h + uint64(epoch)*0x9e3779b97f4a7c15)
-	return unit(h) < s.Corrupt
+	h = rng.Mix64(h + uint64(epoch)*0x9e3779b97f4a7c15)
+	return rng.Unit(h) < s.Corrupt
 }
 
 // CorruptPick derives the selector handed to Corrupter.CorruptState for
@@ -375,6 +389,6 @@ func (s Spec) CorruptsAt(epoch int) bool {
 // decision.
 func (s Spec) CorruptPick(epoch int) uint64 {
 	h := s.Seed ^ saltCorrupt
-	h = mix64(h + uint64(epoch)*0x9e3779b97f4a7c15)
-	return mix64(h + 0x632be59bd9b4e019)
+	h = rng.Mix64(h + uint64(epoch)*0x9e3779b97f4a7c15)
+	return rng.Mix64(h + 0x632be59bd9b4e019)
 }

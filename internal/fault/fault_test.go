@@ -48,6 +48,18 @@ func TestParseSpecAcceptsSeedAndSpaces(t *testing.T) {
 	}
 }
 
+// TestParseSpecRoundTripsSeed pins the manifest's record of -faults:
+// the seed comes back out of String, and the zero spec's "none" parses
+// back to the zero spec.
+func TestParseSpecRoundTripsSeed(t *testing.T) {
+	for _, want := range []Spec{{}, {Drop: 0.1, Seed: 5}, {Crash: 0.1, Restart: 2, Seed: 9}} {
+		got, err := ParseSpec(want.String())
+		if err != nil || got != want {
+			t.Errorf("ParseSpec(%q) = %+v, %v; want %+v", want.String(), got, err, want)
+		}
+	}
+}
+
 func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
 		"drop",              // not key=value
@@ -61,6 +73,11 @@ func TestParseSpecErrors(t *testing.T) {
 		"drop=NaN",          // not in [0,1]
 		"crash=NaN",         // not in [0,1]
 		"drop=0.1,drop=0.2", // repeated key
+		"partk=3",           // no effect without partwin
+		"partfrom=4",        // no effect without partwin
+		"restart=3",         // no effect without crash
+		"drop=0.1,restart=3",
+		"seed=5", // no effect without a fault
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)

@@ -1,17 +1,13 @@
 package obs
 
-// splitmix64 is the same finalizer internal/rng seeds xoshiro from
-// (kept local: obs depends on nothing in the repo). It is a bijective
-// avalanche mix, so hashing an event identity through it gives an
-// effectively uniform 64-bit value that is a pure function of the
-// inputs — the property that makes sampling deterministic and
-// placement-independent.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+import "overlaynet/internal/rng"
+
+// splitmix64 is one step of the splitmix64 generator from state x: the
+// golden-ratio increment, then rng.Mix64's bijective avalanche. Hashing
+// an event identity through it gives an effectively uniform 64-bit
+// value that is a pure function of the inputs — the property that makes
+// sampling deterministic and placement-independent.
+func splitmix64(x uint64) uint64 { return rng.Mix64(x + 0x9e3779b97f4a7c15) }
 
 // Sampler makes deterministic keep/drop decisions at a configured
 // rate. The decision for an event depends only on the sampler seed and

@@ -28,6 +28,7 @@ import (
 	"strconv"
 	"strings"
 
+	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
 
@@ -220,16 +221,6 @@ func StretchedRounds(inner, stretch int) int {
 	return inner * stretch
 }
 
-// mix64 is the splitmix64 finalizer.
-func mix64(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // AttemptDelay returns the delay, in sim rounds, between transmission
 // attempt a of a message (a = 0 is the original send) and attempt a+1 —
 // RTO·Backoff^a, capped, plus a deterministic jitter of up to half the
@@ -247,10 +238,10 @@ func AttemptDelay(cfg Config, seed uint64, round int, src, dst uint64, attempt i
 		base = maxAttemptDelay
 	}
 	h := seed ^ saltReliable
-	h = mix64(h + uint64(round)*0x9e3779b97f4a7c15)
-	h = mix64(h + src)
-	h = mix64(h + dst)
-	h = mix64(h + uint64(attempt))
+	h = rng.Mix64(h + uint64(round)*0x9e3779b97f4a7c15)
+	h = rng.Mix64(h + src)
+	h = rng.Mix64(h + dst)
+	h = rng.Mix64(h + uint64(attempt))
 	return base + int(h%uint64(base/2+1))
 }
 

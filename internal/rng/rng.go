@@ -17,14 +17,26 @@ type RNG struct {
 	s [4]uint64
 }
 
+// Mix64 is the splitmix64 finalizer: a bijective avalanche over
+// uint64. The fault, latency, retransmit and sampling schedules hash
+// event identities through it, so each decision is a pure function of
+// (seed, identity) rather than a draw from a shared stream.
+func Mix64(h uint64) uint64 {
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// Unit maps a hash to a float64 in [0, 1) using its top 53 bits.
+func Unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+
 // splitmix64 advances x and returns the next splitmix64 output.
 // It is used to expand seeds into full xoshiro state.
 func splitmix64(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return Mix64(*x)
 }
 
 // New returns a generator seeded from seed.
@@ -117,7 +129,7 @@ func (r *RNG) Uint64nTail(hi, lo, n uint64) uint64 {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return Unit(r.Uint64())
 }
 
 // Coin returns true with probability 1/2.

@@ -235,3 +235,27 @@ func BenchmarkIntn(b *testing.B) {
 		_ = r.Intn(1000)
 	}
 }
+
+// TestMix64KnownAnswers pins Mix64 to the splitmix64 reference: from
+// state 1234567, each output is Mix64 of the state advanced by the
+// golden-ratio increment. Every fault, latency, retransmit and sampling
+// schedule in the repo hashes through Mix64, so a changed constant
+// would silently redraw all of them. Unit keeps the top 53 bits.
+func TestMix64KnownAnswers(t *testing.T) {
+	x := uint64(1234567)
+	for i, want := range []uint64{
+		6457827717110365317, 3203168211198807973, 9817491932198370423,
+		4593380528125082431, 16408922859458223821,
+	} {
+		x += 0x9e3779b97f4a7c15
+		if got := Mix64(x); got != want {
+			t.Errorf("output %d = %d, want %d", i, got, want)
+		}
+	}
+	if Mix64(0) != 0 {
+		t.Error("Mix64(0) != 0")
+	}
+	if got := [3]float64{Unit(0), Unit(1 << 63), Unit(^uint64(0))}; got != [3]float64{0, 0.5, 1 - 1.0/(1<<53)} {
+		t.Errorf("Unit(0, 2^63, 2^64-1) = %v", got)
+	}
+}

@@ -116,7 +116,7 @@ func (g *goldenNode) OnRound(ctx *Ctx, inbox []Message) bool {
 type goldenInjector struct{}
 
 func (goldenInjector) Deliveries(round int, from, to NodeID, seq uint64) int {
-	switch latMix(uint64(round)<<48^uint64(from)<<24^uint64(to)<<8^seq) % 16 {
+	switch rng.Mix64(uint64(round)<<48^uint64(from)<<24^uint64(to)<<8^seq) % 16 {
 	case 0:
 		return 0
 	case 1:

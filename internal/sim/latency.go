@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"overlaynet/internal/rng"
 )
 
 // Asynchronous execution mode: a deterministic discrete-event scheduler
@@ -198,23 +200,6 @@ func ParseLatency(s string) (Latency, error) {
 	return l, l.Validate()
 }
 
-// latMix is the splitmix64 finalizer — the same mixer the fault layer
-// builds its schedules from (duplicated here because fault imports sim;
-// covered by TestLatMixMatchesSplitmix).
-func latMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// latUnit maps 64 hash bits to a float64 in [0, 1).
-func latUnit(h uint64) float64 {
-	return float64(h>>11) / (1 << 53)
-}
-
 // saltLatency separates the latency hash stream from every other use
 // of the seed.
 const saltLatency = 0xa24baed4963ee407
@@ -229,21 +214,21 @@ func (l Latency) delayTicks(seed uint64, round int, from, to uint64) uint64 {
 	case LatencyConst:
 		d = l.A
 	default:
-		h := latMix(seed ^ saltLatency)
-		h = latMix(h + uint64(round)*0x9e3779b97f4a7c15)
-		h = latMix(h + from*0xd1342543de82ef95)
-		h = latMix(h + to*0x2545f4914f6cdd1d)
+		h := rng.Mix64(seed ^ saltLatency)
+		h = rng.Mix64(h + uint64(round)*0x9e3779b97f4a7c15)
+		h = rng.Mix64(h + from*0xd1342543de82ef95)
+		h = rng.Mix64(h + to*0x2545f4914f6cdd1d)
 		switch l.Kind {
 		case LatencyUniform:
-			d = l.A + (l.B-l.A)*latUnit(h)
+			d = l.A + (l.B-l.A)*rng.Unit(h)
 		case LatencyLognorm:
 			// Box-Muller on two hash-derived uniforms; u1 is kept away
 			// from 0 so the log is finite.
-			u1 := latUnit(h)
+			u1 := rng.Unit(h)
 			if u1 < 1e-12 {
 				u1 = 1e-12
 			}
-			u2 := latUnit(latMix(h ^ 0x6a09e667f3bcc909))
+			u2 := rng.Unit(rng.Mix64(h ^ 0x6a09e667f3bcc909))
 			z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 			d = math.Exp(l.A + l.B*z)
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"overlaynet/internal/rng"
 )
 
 // eventTracer records every deterministic tracer callback as a rendered
@@ -296,7 +298,7 @@ func TestAsyncDeterministicWithFaults(t *testing.T) {
 type hashInjector struct{}
 
 func (hashInjector) Deliveries(round int, from, to NodeID, seq uint64) int {
-	h := latMix(uint64(round)*0x9e3779b97f4a7c15 + uint64(from)*3 + uint64(to)*5 + seq*7)
+	h := rng.Mix64(uint64(round)*0x9e3779b97f4a7c15 + uint64(from)*3 + uint64(to)*5 + seq*7)
 	switch h % 8 {
 	case 0:
 		return 0
