@@ -1,31 +1,102 @@
 package committee
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
 	"overlaynet/internal/rng"
 )
 
-// coinEngine is a one-worker engine whose Fill packs Intn(Arity) per draw.
-func coinEngine() *Engine {
-	e := New(1, 1, func(phase, w int) {})
-	e.Fill = func(r *rng.RNG, _, _ int, syms []uint64, m int) {
-		b := SymBits(e.Arity)
-		clear(syms)
-		for i := uint(0); i < uint(m); i++ {
-			syms[i*b>>6] |= uint64(r.Intn(e.Arity)) << (i * b & 63)
+// coinEngine is a one-worker engine with no stack around it.
+func coinEngine() *Engine { return New(1, 1, func(phase, w int) {}) }
+
+// fillSymbols decodes, symbol by symbol, the m Phase-1 symbols fill draws
+// from r for arity k: a power of two takes the next symbol from the low
+// bits of the current word's next symBits(k)-bit slot, starting a word
+// when the last one is used up — ⌈m·b/64⌉ words in all; any other arity
+// is one Intn(k) apiece.
+func fillSymbols(r *rng.RNG, k, m int) []int {
+	b, out := symBits(k), make([]int, 0, m)
+	if k&(k-1) != 0 {
+		for range m {
+			out = append(out, r.Intn(k))
+		}
+		return out
+	}
+	for len(out) < m {
+		x := r.Uint64()
+		for s := uint(0); s < 64 && len(out) < m; s += b {
+			out = append(out, int(x>>s)&(k-1))
 		}
 	}
-	return e
+	return out
+}
+
+// TestFillConsumesWhatItStores: for a power-of-two arity the fill takes
+// exactly ⌈m·b/64⌉ words, each slot holding its low bits of the word with
+// the bits above them and the last word's tail zero; any other arity takes
+// exactly m Intn draws. Both overwrite every word they are handed and
+// nothing past it.
+func TestFillConsumesWhatItStores(t *testing.T) {
+	e := coinEngine()
+	defer e.Close()
+	for _, k := range []int{2, 3, 4, 5, 8, 16, 32, 200, 256} {
+		b := symBits(k)
+		for _, m := range []int{0, 1, 31, 32, 33, 63, 64, 65, 2496} {
+			e.Arity = k
+			e.Reset(1, 1, []int{m})
+			words := (m*int(b) + 63) / 64
+			if e.wpl != words {
+				t.Fatalf("k=%d m=%d: %d words per list, want ⌈m·%d/64⌉ = %d", k, m, e.wpl, b, words)
+			}
+			buf := make([]uint64, words+1)
+			for i := range buf {
+				buf[i] = ^uint64(0)
+			}
+			r, ref := rng.New(uint64(k*m)+1), rng.New(uint64(k*m)+1)
+			e.fill(r, buf[:words])
+			want := make([]uint64, words+1)
+			want[words] = ^uint64(0) // the word past the list is not the fill's
+			for i, v := range fillSymbols(ref, k, m) {
+				want[i*int(b)/64] |= uint64(v) << (uint(i) * b % 64)
+			}
+			if !slices.Equal(buf, want) {
+				t.Fatalf("k=%d m=%d: filled %#x, want %#x", k, m, buf, want)
+			}
+			if *r != *ref {
+				t.Fatalf("k=%d m=%d: the fill consumed other than ⌈m·b/64⌉ words or m draws", k, m)
+			}
+		}
+	}
+}
+
+// BenchmarkFill reports ns per Phase-1 symbol for one §6 list at n = 100k
+// (m₀ = 2496) on the binary cube, the k-ary cube of X4 and a power of two
+// whose symbols leave slot bits unused.
+func BenchmarkFill(b *testing.B) {
+	const m = 2496
+	for _, k := range []int{2, 3, 8} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			e := coinEngine()
+			defer e.Close()
+			e.Arity = k
+			e.Reset(1, 1, []int{m})
+			r, syms := rng.New(1), e.syms(0)
+			for i := 0; i < b.N; i++ {
+				e.fill(r, syms)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/m, "ns/symbol")
+		})
+	}
 }
 
 // coinListAgainstSlice takes vertex u of the k-ary 2-cube through Phase 1,
 // iteration 1's m1 requests from list 1 and a serve that drains list 2 past
 // underflow, and replays it on the []int32 lists the packed ones replaced —
-// fill decoded up front, swap-remove on vertex ids — from a copy of the
-// generator: the same targets, answers, SampleFails and Held, and the same
-// generator state at the end.
+// fill decoded up front by fillSymbols, swap-remove on vertex ids — from a
+// copy of the generator: the same targets, answers, SampleFails and Held,
+// and the same generator state at the end.
 func coinListAgainstSlice(t testing.TB, e *Engine, seed uint64, k, m0, m1, u int) {
 	e.Arity = k
 	e.Reset(k*k, 2, []int{m0, m1})
@@ -36,8 +107,8 @@ func coinListAgainstSlice(t testing.TB, e *Engine, seed uint64, k, m0, m1, u int
 
 	var lists [2][]int32
 	for j, pow := 0, 1; j < 2; j, pow = j+1, pow*k {
-		for i := 0; i < m0; i++ {
-			lists[j] = append(lists[j], int32(u-u/pow%k*pow+ref.Intn(k)*pow))
+		for _, v := range fillSymbols(&ref, k, m0) {
+			lists[j] = append(lists[j], int32(u-u/pow%k*pow+v*pow))
 		}
 	}
 	fails := 0

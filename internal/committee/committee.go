@@ -20,8 +20,8 @@
 // over a dense vertex space (sample.go), the S(x) catch-up rule, the epoch
 // history ring and the knowledge-graph oracle over it (history.go), the
 // per-worker counter cells and the worker pool. A stack keeps what
-// differs: its topology and which vertices a committee simulates, the
-// Phase-1 fill, who is assigned where, and what a commit does.
+// differs: its topology and which vertices a committee simulates, who is
+// assigned where, and what a commit does.
 package committee
 
 import (
@@ -67,13 +67,11 @@ const (
 // configuration fields once after New, owns the contents of NodeR,
 // NodeGroup, ViewEpoch and Owner, and advances Epoch when it commits.
 type Engine struct {
-	// Arity is the cube's K: a vertex is a D-digit base-K number.
+	// Arity is the cube's K: a vertex is a D-digit base-K number. Phase 1
+	// draws each list's symbols from the leader's RNG, symBits(Arity) bits
+	// apiece: 64/symBits(Arity) to a generator word when K is a power of
+	// two, one Lemire draw each otherwise.
 	Arity int
-	// Fill draws vertex u's Phase-1 list j (1-based) from r: m one-hop
-	// walks, packed into syms as the symbol each sets coordinate j−1 to,
-	// SymBits(Arity) bits apiece from bit 0 of syms[0]; what lies past them
-	// is never read. The stacks use different bits of each draw.
-	Fill func(r *rng.RNG, u, j int, syms []uint64, m int)
 	// RespFrom offsets a response's gate identity past every request's,
 	// keeping the two hash streams of one vertex pair disjoint.
 	RespFrom uint64

@@ -12,7 +12,7 @@ import (
 	"overlaynet/internal/sim"
 )
 
-// toy is the smallest stack the engine can run: the binary d-cube with
+// toy is the smallest stack the engine can run: the k-ary d-cube with
 // one three-member committee per vertex (vertex x: ids 3x+1..3x+3).
 type toy struct {
 	e       *Engine
@@ -24,8 +24,11 @@ type toy struct {
 	lateCoins int
 }
 
-func newToy(d, shards int) *toy {
-	n := 1 << d
+func newToy(k, d, shards int) *toy {
+	n := 1
+	for range d {
+		n *= k
+	}
 	ty := &toy{}
 	for T := bits.Len(uint(d - 1)); len(ty.mi) <= T; { // d·2^T, …, 2d, d
 		ty.mi = append(ty.mi, d<<(T-len(ty.mi)))
@@ -33,15 +36,7 @@ func newToy(d, shards int) *toy {
 	e := New(1, shards, func(phase, w int) {})
 	ty.e = e
 	e.RespFrom = uint64(n) + 1
-	e.Arity = 2
-	e.Fill = func(r *rng.RNG, u, j int, syms []uint64, m int) { // §6's: flip bit j−1 on the low bit of a draw
-		r.PackBit(syms, m, 0)
-		if u>>(j-1)&1 == 1 {
-			for i := range syms {
-				syms[i] = ^syms[i]
-			}
-		}
-	}
+	e.Arity = k
 	e.Grow(3 * n)
 	seed := rng.New(9)
 	for x := 0; x < n; x++ {
@@ -131,7 +126,7 @@ func TestSegmentOrderIsSerialOrder(t *testing.T) {
 	} {
 		var want string
 		for _, shards := range []int{1, 2, 5, 40} {
-			ty := newToy(sc.d, shards)
+			ty := newToy(2, sc.d, shards)
 			ty.e.SetFaults(sc.spec)
 			if sc.unown {
 				ty.e.Owner[5] = -1
@@ -157,7 +152,7 @@ func TestSegmentOrderIsSerialOrder(t *testing.T) {
 }
 
 func TestElection(t *testing.T) {
-	ty := newToy(2, 3)
+	ty := newToy(2, 2, 3)
 	defer ty.e.Close()
 	e := ty.e
 	e.Begin(map[sim.NodeID]bool{1: true, 7: true, 8: true, 9: true}, ty.members, ty.verts)
@@ -187,7 +182,7 @@ func TestElection(t *testing.T) {
 // TestRouteGatherOrder: what Gather returns is in source-worker order,
 // then generation order, and is counted once.
 func TestRouteGatherOrder(t *testing.T) {
-	ty := newToy(2, 3)
+	ty := newToy(2, 2, 3)
 	defer ty.e.Close()
 	e := ty.e
 	e.Begin(nil, ty.members, ty.verts)
@@ -211,7 +206,7 @@ func TestRouteGatherOrder(t *testing.T) {
 // some member's ViewEpoch names it, its arenas are recycled, and the
 // current epoch's view always stays.
 func TestHistoryPrunesUnreferencedViews(t *testing.T) {
-	ty := newToy(2, 1)
+	ty := newToy(2, 2, 1)
 	e := ty.e
 	commit := func() {
 		e.Epoch++

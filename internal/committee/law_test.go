@@ -1,0 +1,111 @@
+package committee
+
+import (
+	"math"
+	"testing"
+
+	"overlaynet/internal/metrics"
+	"overlaynet/internal/rng"
+)
+
+// lawCube is one cube the law test runs Algorithm 2 on. Its schedule
+// keeps every list from underflowing: at iteration i a list of m_{i−1}
+// entries is asked by the k^(2^(i−1)) vertices of a block at most m_i
+// times each, so m_{i−1} ≥ k^(2^(i−1))·m_i leaves no draw without an
+// entry, and the law TestSamplerLaw checks is exact, not approximate. m_T = 2
+// gives each vertex one pair of samples from its final list.
+type lawCube struct {
+	k, d int
+	mi   []int
+}
+
+var lawCubes = []lawCube{
+	{k: 2, d: 4, mi: []int{16, 8, 2}}, // D = 2^T, T = 2: two doubling steps
+	{k: 3, d: 2, mi: []int{6, 2}},     // the per-symbol Lemire fill
+	{k: 4, d: 2, mi: []int{8, 2}},     // a power of two above 2: two bits per symbol
+}
+
+// lawCounts runs one epoch of the toy engine on the cube per seed in
+// [seed0, seed0+seeds) and pools, over every vertex u and its final
+// samples a and b: a's vertex, a − u digit by digit mod k, and the pair
+// (a − u, b − u), and counts the draws that underflowed.
+func lawCounts(t *testing.T, c lawCube, seed0, seeds int) (abs, rel, pair []int, fails int) {
+	ty := newToy(c.k, c.d, 1)
+	defer ty.e.Close()
+	e, n := ty.e, len(ty.verts)
+	abs, rel, pair = make([]int, n), make([]int, n), make([]int, n*n)
+	off := func(u, v int) (o int) {
+		for p := 1; p < n; p *= c.k {
+			o += (v/p%c.k - u/p%c.k + c.k) % c.k * p
+		}
+		return o
+	}
+	for s := seed0; s < seed0+seeds; s++ {
+		root := rng.New(uint64(s))
+		for i := range e.NodeR {
+			e.NodeR[i] = *root.Split(uint64(i) + 1)
+		}
+		e.Reset(n, c.d, c.mi)
+		clear(e.Owner)
+		for pr := 0; pr < 2*len(c.mi)-1; pr++ {
+			e.Begin(nil, ty.members, ty.verts)
+			e.Sample(pr)
+			fails += e.End().SampleFails
+		}
+		for u, smp := range e.Samples {
+			if len(smp) != 2 {
+				t.Fatalf("k=%d d=%d seed %d: vertex %d holds %d final samples, want 2", c.k, c.d, s, u, len(smp))
+			}
+			for _, v := range smp {
+				abs[v]++
+				rel[off(u, int(v))]++
+			}
+			pair[off(u, int(smp[0]))*n+off(u, int(smp[1]))]++
+		}
+	}
+	return abs, rel, pair, fails
+}
+
+// chiSquareBound is the χ² quantile at df degrees of freedom that a
+// uniform law exceeds with probability about 10⁻⁵ (Wilson–Hilferty).
+func chiSquareBound(df int) float64 {
+	const z = 4.265 // standard normal quantile at 1 − 10⁻⁵
+	v := 2 / (9 * float64(df))
+	return float64(df) * math.Pow(1-v+z*math.Sqrt(v), 3)
+}
+
+// TestSamplerLaw checks, by χ² over the final samples of lawSeeds epochs
+// pooled, what Lemma 8 and Theorem 3 need of Algorithm 2: a final sample
+// is uniform on the cube ("sample") and independent of its source vertex
+// ("offset" from the source), and two samples from one list are
+// independent ("pair", their joint offset). It runs the binary cube with two
+// doubling steps and k-ary cubes with K = 3 and K = 4, so both branches of
+// the Phase-1 fill are visited. Each statistic is compared against its
+// 10⁻⁵ quantile: with nine of them, a correct sampler fails for about one
+// seed range in 10⁴.
+//
+// Power at lawSeeds = 1500, measured over 100 disjoint seed ranges: each
+// of these mutations fails the test in all 100, and the sampler as it is
+// in none.
+//   - A fill coin biased to 1/2 + 1/64 (sample χ², k = 2 and 4).
+//   - A generator word reused for two lists: list j+1 drawn from the words
+//     list j was, for odd j (sample χ², every cube).
+//   - A doubling step that reads list j+2^(i−1)−1 instead of j+2^(i−1)
+//     (offset and pair χ², and underflows, every cube).
+func TestSamplerLaw(t *testing.T) {
+	const lawSeeds = 1500
+	for _, c := range lawCubes {
+		abs, rel, pair, fails := lawCounts(t, c, 0, lawSeeds)
+		if fails > 0 {
+			t.Errorf("k=%d d=%d: %d draws underflowed; the schedule %v must rule that out", c.k, c.d, fails, c.mi)
+		}
+		for _, st := range []struct {
+			name   string
+			counts []int
+		}{{"sample", abs}, {"offset", rel}, {"pair", pair}} {
+			if chi, bound := metrics.ChiSquareUniform(st.counts), chiSquareBound(len(st.counts)-1); chi > bound {
+				t.Errorf("k=%d d=%d: %s χ² = %.1f over %d cells, above %.1f", c.k, c.d, st.name, chi, len(st.counts), bound)
+			}
+		}
+	}
+}

@@ -75,12 +75,51 @@ type algorithm2 struct {
 	pr     int              // primitive round being simulated
 }
 
-// SymBits is the width in bits of one packed Phase-1 symbol for a cube of
+// symBits is the width in bits of one packed Phase-1 symbol for a cube of
 // the given arity (at most 256).
-func SymBits(arity int) uint { return 1 << uint(bits.Len(uint(bits.Len(uint(arity-1))-1))) }
+func symBits(arity int) uint { return 1 << uint(bits.Len(uint(bits.Len(uint(arity-1))-1))) }
 
 // syms returns the coin words of list i.
 func (e *Engine) syms(i int) []uint64 { return e.coins[i*e.wpl : (i+1)*e.wpl] }
+
+// fill draws a Phase-1 list from r into syms: m₀ uniform symbols, 1<<lb
+// bits apiece from bit 0 of syms[0], the unused tail of the last word zero.
+// For an arity 2^p one word carries 64>>lb symbols: each slot keeps its low
+// p bits of the word, and a constant mask clears any above them. Another
+// arity draws one symbol per word, Intn's Lemire draw. Every output bit of
+// xoshiro256** is fair and the words are independent, so the slots of a
+// word are i.i.d. uniform symbols, as one draw apiece would be.
+func (e *Engine) fill(r *rng.RNG, syms []uint64) {
+	k, b := uint64(e.Arity), uint(1)<<e.lb
+	left := uint(e.mi[0]) << e.lb // bits still to store
+	slot := ^uint64(0) / (1<<b - 1) * (k - 1)
+	st := r.State()
+	var x uint64
+	for i := range syms {
+		var word uint64
+		if k&(k-1) == 0 {
+			word, st = st.Next()
+			word &= slot
+		} else {
+			for s := uint(0); s < min(left, 64); s += b {
+				x, st = st.Next()
+				hi, lo := bits.Mul64(x, k) // r.Intn(k), Lemire's fast path
+				if lo < k {
+					r.SetState(st)
+					hi = r.Uint64nTail(hi, lo, k)
+					st = r.State()
+				}
+				word |= hi << s
+			}
+		}
+		if left < 64 {
+			word &= 1<<left - 1
+		}
+		syms[i] = word
+		left -= min(left, 64)
+	}
+	r.SetState(st)
+}
 
 // take is the swap-remove of a packed list: it returns the symbol at bit
 // position at and moves the list's last symbol, at bit position end, there.
@@ -103,7 +142,7 @@ func (e *Engine) Reset(nVerts, d int, mi []int) {
 		panic("committee: Engine.Arity must be set to the cube's arity, 2 to 256")
 	}
 	e.dim, e.mi = d, mi
-	e.lb = uint(bits.TrailingZeros(SymBits(e.Arity)))
+	e.lb = uint(bits.TrailingZeros(symBits(e.Arity)))
 	e.pow = e.pow[:0]
 	for p := 1; len(e.pow) < d; p *= e.Arity {
 		e.pow = append(e.pow, int32(p))
@@ -185,7 +224,7 @@ func (e *Engine) vertexRound(w int, r *rng.RNG, u int) {
 	case pr == 0:
 		// Phase 1: fill every list with m₀ one-hop walks, then ask.
 		for j := 1; j <= d; j++ {
-			e.Fill(r, u, j, e.syms(base+j-1), e.mi[0])
+			e.fill(r, e.syms(base+j-1))
 			e.lists[base+j-1] = list{coins: int32(e.mi[0]), vals: e.lists[base+j-1].vals[:0]}
 		}
 		e.request(w, r, u, 1)

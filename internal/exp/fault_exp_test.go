@@ -67,7 +67,7 @@ func TestF1FaultMatrixSmoke(t *testing.T) {
 // whose digest must not move, and one driver per stack that does not
 // (E7, E9, X1) renders the same bytes with and without them.
 func TestGlobalFlagMatrix(t *testing.T) {
-	const recorded = "6d4cc2f4601dcc46"
+	const recorded = "b879573dd4e6bff4"
 	flags := func(o Options) Options {
 		o.Audit, o.Faults = true, fault.Spec{Drop: 0.01, Dup: 0.01}
 		return o

@@ -26,26 +26,6 @@ func (s State) Next() (uint64, State) {
 		State{s.s0 ^ x, s.s1 ^ s.s2 ^ s.s0, s.s2 ^ s.s0 ^ s.s1<<17, bits.RotateLeft64(x, 45)}
 }
 
-// PackBit makes m draws and packs bit `bit` of each into dst, draw k at bit
-// k%64 of dst[k/64]; the unused tail of the last word is zero. It consumes
-// exactly the m Uint64 calls it replaces. len(dst) must be ≥ ⌈m/64⌉.
-func (r *RNG) PackBit(dst []uint64, m int, bit uint) {
-	s := r.State()
-	dst = dst[:(m+63)/64]
-	for w := range dst {
-		// Shift each coin in from the top: the one variable shift count is
-		// loop-invariant, so the state and it stay in registers throughout.
-		n := min(m-w*64, 64)
-		var word, x uint64
-		for k := 0; k < n; k++ {
-			x, s = s.Next()
-			word = word>>1 | x>>(bit&63)<<63
-		}
-		dst[w] = word >> (64 - uint(n))
-	}
-	r.SetState(s)
-}
-
 // FillIntn fills dst with len(dst) draws from [0, n), n ≤ 256 — exactly the
 // Intn(n) calls it replaces: Lemire's draw on the next Uint64 (for a power
 // of two its top bits), with the state handed to Uint64nTail for the rare

@@ -99,24 +99,24 @@ func goldenScenarios() []goldenScenario {
 	}
 	uni := sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2}
 	return []goldenScenario{
-		{name: "steady", digest: "0fb18ac05f446567",
+		{name: "steady", digest: "8f5c1a9c6268e775",
 			drive: func(g *goldenRun) { g.attack(nil, 0, 3) }},
-		{name: "isolate-0-late", digest: "ee817bf306a1dd48",
+		{name: "isolate-0-late", digest: "a404ccce2368b3ae",
 			drive: func(g *goldenRun) { g.attack(isolate(0.4), 0, 3) }},
-		{name: "isolate-2-epochs-late", digest: "2afad11a371d9d90",
+		{name: "isolate-2-epochs-late", digest: "dabc5ce23849d78d",
 			drive: func(g *goldenRun) { g.attack(isolate(0.4), 2, 3) }},
-		{name: "drop-dup-crash", digest: "3759a5d82902e7fa",
+		{name: "drop-dup-crash", digest: "b9009a4d44b202d9",
 			spec:  fault.Spec{Seed: 11, Drop: 0.02, Dup: 0.01, Crash: 0.02, Restart: 2},
 			drive: func(g *goldenRun) { g.attack(isolate(0.2), 1, 4) }},
-		{name: "partition-window", digest: "1a17dbff88ee4c52",
+		{name: "partition-window", digest: "4ab932cd13f10015",
 			spec:  fault.Spec{Seed: 11, PartK: 2, PartFrom: 5, PartWin: 12},
 			drive: func(g *goldenRun) { g.attack(random(g, 0.1), 0, 3) }},
-		{name: "latency", digest: "c534cccd80f5881f", lat: uni,
+		{name: "latency", digest: "63f5ebb3ea2e00f7", lat: uni,
 			drive: func(g *goldenRun) { g.attack(random(g, 0.1), 0, 3) }},
-		{name: "latency-drop-dup", digest: "1349efe610a4844b", lat: uni,
+		{name: "latency-drop-dup", digest: "1eb5330790ad94b4", lat: uni,
 			spec:  fault.Spec{Seed: 11, Drop: 0.02, Dup: 0.01},
 			drive: func(g *goldenRun) { g.attack(isolate(0.2), 0, 3) }},
-		{name: "corrupt-repair", digest: "4fd01850d1ebe859",
+		{name: "corrupt-repair", digest: "e6793e89422a8952",
 			drive: func(g *goldenRun) {
 				adv := random(g, 0.1)
 				g.attack(adv, 0, 1)
@@ -141,7 +141,7 @@ func goldenScenarios() []goldenScenario {
 				fmt.Fprintf(&g.b, "repair: %d\n", g.nw.RepairBalance())
 				g.attack(adv, 0, 1)
 			}},
-		{name: "churn-split-merge", digest: "fbde4d3ad3fb2db7",
+		{name: "churn-split-merge", digest: "cbe00b1f88a5a898",
 			drive: func(g *goldenRun) {
 				adv, r := random(g, 0.1), rng.New(9)
 				for e := 0; e < 6; e++ { // an eighth replaced per epoch; three epochs up, three down

@@ -19,9 +19,9 @@
 // history, leaders, the primitive over the 2^Dmax virtual vertices, the
 // S(x) catch-up, the epoch history and the connectivity oracle. What is
 // here is what Section 6 adds: the label tree with Join and Leave, the
-// per-epoch tables from virtual vertex to owning supernode, the coin
-// fill, the assignment of stayers and joiners to the owners of sampled
-// vertices, and the commit with its split/merge normalization. Slots
+// per-epoch tables from virtual vertex to owning supernode, the assignment
+// of stayers and joiners to the owners of sampled vertices, and the commit
+// with its split/merge normalization. Slots
 // (slot = id−1) are allocated once at Join and go dead on Leave; every
 // arena is reused across rounds and epochs, so Step allocates nothing in
 // churn-free steady state, and results are byte-identical at any worker
@@ -196,7 +196,7 @@ func New(cfg Config) *Network {
 	}
 	e := committee.New(cfg.Seed, cfg.Shards, nw.runShard)
 	nw.eng = e
-	e.Arity, e.Fill = 2, fill
+	e.Arity = 2
 	e.RespFrom = 1 + 1<<32 // past the 32-bit virtual-label space
 	nw.growNodes(cfg.N0)
 	for v := 0; v < cfg.N0; v++ {
@@ -212,19 +212,6 @@ func New(cfg Config) *Network {
 	nw.commitHistory()
 	nw.prepareEpoch()
 	return nw
-}
-
-// fill is the Phase-1 fill: every entry of virtual vertex w's list j is w
-// with bit j−1 flipped by a fair coin, the low bit of one raw draw. What is
-// stored is the bit the entry ends up with — the coin XOR w's own bit j−1 —
-// so a set own bit complements the list (and the unread padding with it).
-func fill(r *rng.RNG, w, j int, syms []uint64, m int) {
-	r.PackBit(syms, m, 0)
-	if w>>(j-1)&1 == 1 {
-		for i := range syms {
-			syms[i] = ^syms[i]
-		}
-	}
 }
 
 // growNodes extends every slot-indexed structure to cover n node slots

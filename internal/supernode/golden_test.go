@@ -88,24 +88,24 @@ func goldenScenarios() []goldenScenario {
 	isolate := func(frac float64) dos.Adversary { return &dos.GroupIsolate{Fraction: frac, R: rng.New(7)} }
 	uni := sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2}
 	return []goldenScenario{
-		{name: "steady", digest: "69dbb60485374a75",
+		{name: "steady", digest: "2a99e95334dde2e4",
 			drive: func(g *goldenRun) { g.attack(nil, 0, 3) }},
-		{name: "isolate-0-late", digest: "e1bbb654109f5f30",
+		{name: "isolate-0-late", digest: "003398ab6a58eaf3",
 			drive: func(g *goldenRun) { g.attack(isolate(0.4), 0, 3) }},
-		{name: "isolate-2-epochs-late", digest: "e0017318ca450c36",
+		{name: "isolate-2-epochs-late", digest: "a1306e0900932f43",
 			drive: func(g *goldenRun) { g.attack(isolate(0.4), 2, 3) }},
-		{name: "drop-dup-crash", digest: "e612fb0103cd95d4",
+		{name: "drop-dup-crash", digest: "fa80e417a7641c40",
 			spec:  fault.Spec{Seed: 11, Drop: 0.02, Dup: 0.01, Crash: 0.02, Restart: 2},
 			drive: func(g *goldenRun) { g.attack(isolate(0.2), 1, 4) }},
-		{name: "partition-window", digest: "6551521ad9ea0ccd",
+		{name: "partition-window", digest: "435580ab1554b40f",
 			spec:  fault.Spec{Seed: 11, PartK: 2, PartFrom: 5, PartWin: 12},
 			drive: func(g *goldenRun) { g.attack(randomBlocking(0.1), 0, 3) }},
-		{name: "latency", digest: "1bc503ac47de3e64", lat: uni,
+		{name: "latency", digest: "d9eab6491b524d78", lat: uni,
 			drive: func(g *goldenRun) { g.attack(randomBlocking(0.1), 0, 3) }},
-		{name: "latency-drop-dup", digest: "7e3bd1a68b88a07c", lat: uni,
+		{name: "latency-drop-dup", digest: "603b3abe16007012", lat: uni,
 			spec:  fault.Spec{Seed: 11, Drop: 0.02, Dup: 0.01},
 			drive: func(g *goldenRun) { g.attack(isolate(0.2), 0, 3) }},
-		{name: "corrupt-repair", digest: "cf3a44f6ad4af529",
+		{name: "corrupt-repair", digest: "263352db702d09ea",
 			drive: func(g *goldenRun) {
 				adv := randomBlocking(0.1)
 				g.attack(adv, 0, 1)
@@ -121,7 +121,7 @@ func goldenScenarios() []goldenScenario {
 			}},
 		{name: "k=3", digest: "e93124ea667bde1b", cfg: Config{K: 3},
 			drive: func(g *goldenRun) { g.attack(isolate(0.3), 0, 3) }},
-		{name: "random-leader", digest: "5fa4c6a0fbf4a033", cfg: Config{RandomLeader: true},
+		{name: "random-leader", digest: "24a102fd64e34c96", cfg: Config{RandomLeader: true},
 			drive: func(g *goldenRun) { g.attack(randomBlocking(0.3), 0, 3) }},
 	}
 }

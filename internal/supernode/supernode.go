@@ -25,9 +25,8 @@
 // primitive and its message queues, the S(x) catch-up, the epoch history
 // and the connectivity oracle — are run by internal/committee, the
 // engine this stack shares with Section 6; what is here is what Section
-// 5 fixes: the K-ary cube (one vertex per group), the Phase-1 fill, the
-// reassignment of members to sampled groups, the commit and the work
-// estimate. All state is dense and slot-indexed (slot = id−1) and every
+// 5 fixes: the K-ary cube (one vertex per group), the reassignment of
+// members to sampled groups, the commit and the work estimate. All state is dense and slot-indexed (slot = id−1) and every
 // per-round structure is an arena reused across rounds and epochs, so
 // Step allocates nothing in steady state, and results are byte-identical
 // at any worker count (see DESIGN.md).
@@ -222,7 +221,7 @@ func New(cfg Config) *Network {
 
 	e := committee.New(cfg.Seed, cfg.Shards, nw.runShard)
 	nw.eng = e
-	e.Arity, e.Fill = cfg.K, nw.fill()
+	e.Arity = cfg.K
 	e.Rotate = cfg.RandomLeader
 	e.RespFrom = uint64(nw.nSuper) + 1
 	e.Grow(cfg.N)
@@ -256,25 +255,6 @@ func New(cfg Config) *Network {
 	nw.supBits = sim.IDBits(nw.nSuper)
 	nw.groupBitsAvg = int(avg+1) * nw.idBits
 	return nw
-}
-
-// fill returns the Phase-1 fill: every entry of a list is its vertex with
-// one coordinate replaced by a uniform symbol, Intn(k) of one draw, and the
-// symbol is all that is stored. For k = 2 — the paper's fair coin — Intn is
-// the draw's top bit (a power of two never enters Lemire's rejection loop),
-// which has a bulk form.
-func (nw *Network) fill() func(r *rng.RNG, x, j int, syms []uint64, m int) {
-	k := nw.cfg.K
-	if k == 2 {
-		return func(r *rng.RNG, _, _ int, syms []uint64, m int) { r.PackBit(syms, m, 63) }
-	}
-	b := committee.SymBits(k)
-	return func(r *rng.RNG, _, _ int, syms []uint64, m int) {
-		clear(syms)
-		for i := uint(0); i < uint(m); i++ {
-			syms[i*b>>6] |= uint64(r.Intn(k)) << (i * b & 63)
-		}
-	}
 }
 
 // Close releases the shard worker goroutines. The network must not be
