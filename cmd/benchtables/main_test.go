@@ -230,6 +230,21 @@ func TestFaultsUsageExit(t *testing.T) {
 	}
 }
 
+// TestReliableUsageExit: a -reliable value that repeats a key is a usage
+// error, exit status 1 with one benchtables: line, as for -faults.
+func TestReliableUsageExit(t *testing.T) {
+	cmd := exec.Command(os.Args[0], mainArg, "-reliable", "rto=3,rto=4", "-list")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee := (*exec.ExitError)(nil); !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Errorf("-reliable rto=3,rto=4: %v, want exit status 1", err)
+	}
+	if lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], "benchtables: ") {
+		t.Errorf("-reliable rto=3,rto=4: stderr %q, want one benchtables: line", stderr.String())
+	}
+}
+
 // TestParseSpecs covers the structured-model flag triple: well-formed
 // values parse, and every malformed value fails with one error that
 // names the flag and the offending token — the single usage line the

@@ -9,7 +9,7 @@ import (
 )
 
 // coinEngine is a one-worker engine with no stack around it.
-func coinEngine() *Engine { return New(1, 1, func(phase, w int) {}) }
+func coinEngine() *Engine { return New(1, 1) }
 
 // fillSymbols decodes, symbol by symbol, the m Phase-1 symbols fill draws
 // from r for arity k: a power of two takes the next symbol from the low

@@ -14,14 +14,15 @@
 // RNG, delivering in (source committee, vertex, generation) order at any
 // worker count.
 //
-// It owns what the paper says §5 and §6 share — the three-round blocked
-// history with the crash schedule composed in, the delivery gate composed
-// from faults and latency, leader election and stall counting, Algorithm 2
-// over a dense vertex space (sample.go), the S(x) catch-up rule, the epoch
-// history ring and the knowledge-graph oracle over it (history.go), the
-// per-worker counter cells and the worker pool. A stack keeps what
-// differs: its topology and which vertices a committee simulates, who is
-// assigned where, and what a commit does.
+// It owns what the paper says §5 and §6 share — the epoch loop both
+// stacks embed (loop.go), the three-round blocked history with the crash
+// schedule composed in, the delivery gate composed from faults and
+// latency, leader election and stall counting, Algorithm 2 over a dense
+// vertex space (sample.go), the S(x) catch-up rule, the epoch history ring
+// and the knowledge-graph oracle over it (history.go), the per-worker
+// counter cells and the worker pool. A stack keeps what differs: its
+// topology and which vertices a committee simulates, who is assigned
+// where, and what a commit does.
 package committee
 
 import (
@@ -55,13 +56,6 @@ type cell struct {
 	scratch []int32 // response values: a gated segment being rebuilt, answers nobody receives
 	_       [64]byte
 }
-
-// Engine phases dispatched through runShard; a stack's own are >= 0.
-const (
-	phaseElect = -1 - iota
-	phaseSim
-	phaseGate
-)
 
 // Engine is the shared round machine. A stack fills the exported
 // configuration fields once after New, owns the contents of NodeR,
@@ -115,17 +109,18 @@ type Engine struct {
 	leads  sim.Bitset
 	guard  *struct{ *pool } // finalizer anchor: closes the pool of an engine dropped without Close
 	cells  []cell
-	run    func(phase, w int)
+	// The engine's own phases, bound once so that a round allocates nothing.
+	phases struct{ elect, sim, gate func(w int) }
 }
 
 // New returns an engine with the given worker count (0 consults
-// OVERLAYNET_SHARDS, then 1) and no nodes. run executes worker w's share
-// of one of the stack's own phases (see Each); seed keys the latency gate.
-func New(seed uint64, shards int, run func(phase, w int)) *Engine {
-	e := &Engine{seed: seed, shards: defaultShards(shards), run: run}
+// OVERLAYNET_SHARDS, then 1) and no nodes; seed keys the latency gate.
+func New(seed uint64, shards int) *Engine {
+	e := &Engine{seed: seed, shards: defaultShards(shards)}
+	e.phases.elect, e.phases.sim, e.phases.gate = e.electRange, e.simRange, e.gateRange
 	e.pool = newPool(e.shards)
-	// The engine is reachable from itself through run, and an object in a
-	// cycle is never finalized; the guard has no way back.
+	// The engine is reachable from itself through its phases, and an
+	// object in a cycle is never finalized; the guard has no way back.
 	e.guard = &struct{ *pool }{e.pool}
 	e.pool.finalize(e.guard)
 	e.cells = make([]cell, e.shards)
@@ -170,21 +165,6 @@ func (e *Engine) SetFaults(spec fault.Spec) {
 	if spec.Crash > 0 && e.wasCrashed == nil {
 		e.wasCrashed = sim.GrowBitset(nil, len(e.NodeR))
 	}
-}
-
-// SetLatency attaches the discrete-event latency model in virtual-round
-// form: an epoch is a fixed sequence of synchronous phases, so instead of
-// re-ordering deliveries the gate drops any message whose sampled delay
-// (the sim kernel's pure (seed, round, edge) hash) exceeds one round. A
-// model that can never miss the deadline composes to the bare injector
-// and the run is bit-for-bit unchanged. The zero value detaches.
-func (e *Engine) SetLatency(lat sim.Latency) error {
-	if err := lat.Validate(); err != nil {
-		return err
-	}
-	e.lat = lat
-	e.gate = fault.ComposeGate(e.Faults.Injector(), lat, e.seed)
-	return nil
 }
 
 // crashedNow reports whether node id is down in the current epoch. The
@@ -252,7 +232,7 @@ func (e *Engine) Begin(blocked map[sim.NodeID]bool, members [][]sim.NodeID, vert
 	for w := range e.routed {
 		e.routed[w] = slices.Grow(e.routed[w][:0], len(members))[:len(members)]
 	}
-	e.pool.run(e, phaseElect)
+	e.pool.run(e.phases.elect)
 	e.serial = false
 	if e.shards > 1 {
 		for _, ld := range e.Leaders {
@@ -302,18 +282,22 @@ func (e *Engine) electRange(w int) {
 // End closes the round and returns its counters, summed over the workers.
 func (e *Engine) End() (sum Counters) {
 	for w := range e.cells {
-		c := &e.cells[w].Counters
-		sum.Stalls += c.Stalls
-		sum.SampleFails += c.SampleFails
-		sum.AssignFails += c.AssignFails
-		sum.EmptyGroups += c.EmptyGroups
-		sum.FaultDrops += c.FaultDrops
-		sum.FaultDups += c.FaultDups
-		sum.Crashes += c.Crashes
-		sum.Restarts += c.Restarts
-		sum.Messages += c.Messages
+		sum.add(&e.cells[w].Counters)
 	}
 	return sum
+}
+
+// add sums c into s.
+func (s *Counters) add(c *Counters) {
+	s.Stalls += c.Stalls
+	s.SampleFails += c.SampleFails
+	s.AssignFails += c.AssignFails
+	s.EmptyGroups += c.EmptyGroups
+	s.FaultDrops += c.FaultDrops
+	s.FaultDups += c.FaultDups
+	s.Crashes += c.Crashes
+	s.Restarts += c.Restarts
+	s.Messages += c.Messages
 }
 
 // Cell returns worker w's counters for the stack's own phases.
@@ -325,32 +309,18 @@ func (e *Engine) Chunk(total, w int) (lo, hi int) {
 	return total * w / e.shards, total * (w + 1) / e.shards
 }
 
-// Each runs one of the stack's phases (>= 0) on every worker through the
-// run function given to New and returns when all are done. A worker may
-// write only what its Chunk owns, its Cell, and the RNGs of its
-// committees' leaders.
-func (e *Engine) Each(phase int) {
+// Each runs phase(w) for every worker w and returns when all are done. A
+// worker may write only what its Chunk owns, its Cell, and the RNGs of its
+// committees' leaders. phase should be bound once, not per call: a method
+// value made at the call allocates.
+func (e *Engine) Each(phase func(w int)) {
 	if e.serial {
 		for w := range e.cells {
-			e.runShard(phase, w)
+			phase(w)
 		}
 		return
 	}
-	e.pool.run(e, phase)
-}
-
-// runShard executes worker w's share of one phase.
-func (e *Engine) runShard(phase, w int) {
-	switch phase {
-	case phaseElect:
-		e.electRange(w)
-	case phaseSim:
-		e.simRange(w)
-	case phaseGate:
-		e.gateRange(w)
-	default:
-		e.run(phase, w)
-	}
+	e.pool.run(phase)
 }
 
 // Route hands node id to committee c for the next epoch. Called from an

@@ -33,7 +33,7 @@ func newToy(k, d, shards int) *toy {
 	for T := bits.Len(uint(d - 1)); len(ty.mi) <= T; { // d·2^T, …, 2d, d
 		ty.mi = append(ty.mi, d<<(T-len(ty.mi)))
 	}
-	e := New(1, shards, func(phase, w int) {})
+	e := New(1, shards)
 	ty.e = e
 	e.RespFrom = uint64(n) + 1
 	e.Arity = k
@@ -237,5 +237,97 @@ func TestHistoryPrunesUnreferencedViews(t *testing.T) {
 	}
 	if &e.ViewAt(7).Groups[0][0] != oldest && !slices.ContainsFunc(e.free, func(v View) bool { return &v.Groups[0][0] == oldest }) {
 		t.Fatal("the pruned view's arenas were not recycled")
+	}
+}
+
+// TestLoopSchedule drives the toy through three epochs of the Loop with
+// four reorganization rounds, a committee blocked every fifth round, at
+// each measurement cadence: the epoch is 2(2T+1) sampling rounds, which
+// simulate Algorithm 2 on the even ones, plus the four, Assign runs once
+// per epoch on its first round after the sampling and Commit once on its
+// last, connectivity is measured on exactly the rounds the cadence
+// selects, and the totals are the sums of the rounds' counters.
+func TestLoopSchedule(t *testing.T) {
+	const reorg, epochs = 4, 3
+	for _, every := range []int{-1, 1, 3} {
+		ty := newToy(2, 4, 2)
+		e := ty.e
+		var assigns, commits []int // the rounds the hooks ran in
+		l := NewLoop(e, every, Hooks{
+			Reorg:      reorg,
+			Committees: func() ([][]sim.NodeID, [][]int32) { return ty.members, ty.verts },
+			Assign: func() {
+				assigns = append(assigns, e.Round)
+				if e.Samples[0] == nil {
+					t.Errorf("round %d: Assign ran before the sampling finished", e.Round)
+				}
+			},
+			Commit: func() {
+				commits = append(commits, e.Round)
+				e.Epoch++
+				e.Commit(ty.members).Adj = make([][]int32, len(ty.members))
+				e.Reset(len(ty.verts), 4, ty.mi)
+				clear(e.Owner)
+			},
+			CatchUp: func(w int) {
+				lo, hi := e.Chunk(len(ty.members), w)
+				for _, g := range ty.members[lo:hi] {
+					for _, id := range g {
+						e.CatchUp(int32(id-1), g)
+					}
+				}
+			},
+		})
+		sampling := 2 * (2*(len(ty.mi)-1) + 1)
+		rounds := sampling + reorg
+		if got := l.EpochRounds(); got != rounds {
+			t.Fatalf("every=%d: EpochRounds() = %d, want 2(2T+1)+%d = %d", every, got, reorg, rounds)
+		}
+		var want Totals
+		for r := 1; r <= epochs*rounds; r++ {
+			var blocked map[sim.NodeID]bool
+			if r%5 == 0 {
+				blocked = map[sim.NodeID]bool{4: true, 5: true, 6: true}
+			}
+			rep := l.Step(blocked)
+			c := e.End() // the round's counters, still in the cells
+			want.add(&c)
+			want.Rounds++
+			if measure := every > 0 && r%every == 0; rep.Measured != measure {
+				t.Errorf("every=%d round %d: measured %v, want %v", every, r, rep.Measured, measure)
+			}
+			if rep.Measured {
+				want.Measured++
+				if !rep.Connected {
+					want.Disconnected++
+				}
+			}
+			// Only a simulation half-round, an even one of the sampling part,
+			// sends messages.
+			if p := (r - 1) % rounds; c.Messages > 0 && (p >= sampling || p%2 == 1) {
+				t.Errorf("every=%d round %d: %d messages in epoch round %d", every, r, c.Messages, p)
+			}
+			// Committee 1 is unavailable in a blocked round and the next.
+			if stalled := r%5 == 0 || r%5 == 1 && r > 5; rep.Round != r || rep.Stalls != c.Stalls || stalled != (c.Stalls > 0) {
+				t.Errorf("every=%d round %d: report %+v, counters %+v", every, r, rep, c)
+			}
+		}
+		var wantAssigns, wantCommits []int
+		for k := 0; k < epochs; k++ {
+			wantAssigns = append(wantAssigns, k*rounds+sampling+1)
+			wantCommits = append(wantCommits, (k+1)*rounds)
+		}
+		if !slices.Equal(assigns, wantAssigns) || !slices.Equal(commits, wantCommits) {
+			t.Errorf("every=%d: Assign in rounds %v, Commit in %v; want %v and %v",
+				every, assigns, commits, wantAssigns, wantCommits)
+		}
+		if got := l.Totals(); got != want || l.Epoch() != epochs || l.Round() != epochs*rounds {
+			t.Errorf("every=%d: totals %+v after epoch %d round %d, want %+v after %d and %d",
+				every, got, l.Epoch(), l.Round(), want, epochs, epochs*rounds)
+		}
+		if every == 1 && (want.Disconnected == 0 || want.Messages == 0) {
+			t.Errorf("totals %+v: the toy should disconnect and send messages", want)
+		}
+		l.Close()
 	}
 }

@@ -89,9 +89,10 @@ func (e *Engine) Commit(groups [][]sim.NodeID) *View {
 // ConnectedNow reports whether the non-blocked members form a connected
 // graph under each node's current knowledge (a stale node contributes the
 // edges of the epoch it last received). While a partition window is open,
-// cross-component knowledge edges are down: no message can traverse them.
-func (e *Engine) ConnectedNow() bool {
-	alive, comps := e.collapseViews(false)
+// cross-component knowledge edges are down: no message can traverse them,
+// so they cannot carry the overlay.
+func (l *Loop) ConnectedNow() bool {
+	alive, comps := l.e.collapseViews(false)
 	return alive <= 1 || comps == 1
 }
 
@@ -99,7 +100,8 @@ func (e *Engine) ConnectedNow() bool {
 // the knowledge graph over all members (the graph ConnectedNow restricts
 // to the non-blocked ones, including any open partition cut), largest
 // first — the recovery experiments' degraded-mode service measure.
-func (e *Engine) KnowledgeComponents() []int {
+func (l *Loop) KnowledgeComponents() []int {
+	e := l.e
 	e.collapseViews(true)
 	var sizes []int
 	for v, g := range e.NodeGroup {

@@ -17,14 +17,14 @@ import (
 // Workers 1..S-1 are parked goroutines woken per phase, so a 1-worker
 // pool spawns nothing. run performs no allocations, keeping the stacks
 // at 0 allocs/round in steady state. The parked goroutines reference
-// only the pool, never the engine — the engine is attached for the
-// duration of one run call — so an unreferenced engine (and its pool,
-// once close runs or the guard's finalizer fires) can be collected even
-// when Close was never called.
+// only the pool, never the engine — a phase, which may reach the engine,
+// is attached for the duration of one run call — so an unreferenced
+// engine (and its pool, once close runs or the guard's finalizer fires)
+// can be collected even when Close was never called.
 type pool struct {
-	wake   []chan int // one per worker 1..S-1
+	wake   []chan struct{} // one per worker 1..S-1
 	wg     sync.WaitGroup
-	e      *Engine
+	phase  func(w int)
 	closed bool
 }
 
@@ -34,13 +34,13 @@ const maxShards = 64
 // newPool returns a pool of the given width, which must be in
 // [1, maxShards].
 func newPool(shards int) *pool {
-	p := &pool{wake: make([]chan int, shards-1)}
+	p := &pool{wake: make([]chan struct{}, shards-1)}
 	for w := range p.wake {
-		ch := make(chan int)
+		ch := make(chan struct{})
 		p.wake[w] = ch
 		go func() {
-			for phase := range ch {
-				p.e.runShard(phase, w+1)
+			for range ch {
+				p.phase(w + 1)
 				p.wg.Done()
 			}
 		}()
@@ -48,23 +48,22 @@ func newPool(shards int) *pool {
 	return p
 }
 
-// run executes one phase: every worker calls e.runShard(phase, w) for
-// its own w, and run returns when all are done. The channel sends
-// publish the caller's writes to the workers; wg.Wait publishes the
-// workers' writes back.
-func (p *pool) run(e *Engine, phase int) {
+// run executes one phase: every worker calls phase(w) for its own w, and
+// run returns when all are done. The channel sends publish the caller's
+// writes to the workers; wg.Wait publishes the workers' writes back.
+func (p *pool) run(phase func(w int)) {
 	if len(p.wake) == 0 {
-		e.runShard(phase, 0)
+		phase(0)
 		return
 	}
-	p.e = e
+	p.phase = phase
 	p.wg.Add(len(p.wake))
 	for _, ch := range p.wake {
-		ch <- phase
+		ch <- struct{}{}
 	}
-	e.runShard(phase, 0)
+	phase(0)
 	p.wg.Wait()
-	p.e = nil
+	p.phase = nil
 }
 
 // close stops the parked workers. Idempotent; the pool must not be used

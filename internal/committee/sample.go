@@ -129,6 +129,19 @@ func take(syms []uint64, at, end, mask uint64) uint64 {
 	return s
 }
 
+// Budgets returns Algorithm 2's budget schedule m₀ … m_T for dimension d,
+// T = ⌈log₂ d⌉, in dst's array: m_i = ⌈(1+ε)^(T−i)·c·d⌉, with c raised to
+// at least 1.
+func Budgets(dst []int, d int, eps, c float64) []int {
+	T := bits.Len(uint(d - 1))
+	c = max(c, 1)
+	dst = slices.Grow(dst[:0], T+1)[:T+1]
+	for i := range dst {
+		dst[i] = int(math.Ceil(math.Pow(1+eps, float64(T-i)) * c * float64(d)))
+	}
+	return dst
+}
+
 // Reset empties the primitive's state for a new epoch over nVerts vertices
 // of dimension d with budget schedule mi, keeping every arena. The stack
 // fills Owner afterwards.
@@ -191,9 +204,9 @@ func (e *Engine) Sample(pr int) {
 			}
 		}
 	}
-	e.Each(phaseSim)
+	e.Each(e.phases.sim)
 	if e.gate != nil {
-		e.Each(phaseGate)
+		e.Each(e.phases.gate)
 	}
 }
 

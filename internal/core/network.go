@@ -530,7 +530,9 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	if nw.budget != nil {
 		*nw.budget = sampling.BudgetStats{}
 	}
-	workStart := len(nw.net.Work())
+	// The kernel's work log holds this epoch's rounds only: nothing reads
+	// an earlier epoch's, and truncating keeps it bounded.
+	nw.net.ResetWork()
 	// With a reliable layer the epoch's protocol rounds are stretched:
 	// one protocol round per `stretch` sim rounds, the in-between rounds
 	// carrying acks and retransmissions. stretch is 1 otherwise, and on
@@ -546,7 +548,7 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 		// and checkBudget audits nothing for the epoch.
 		w := budgetWindow{epoch: nw.epoch, budget: *nw.budget, valid: nw.stretch == 1}
 		if w.valid {
-			for _, rw := range nw.net.Work()[workStart+1 : workStart+1+2*params.T()] {
+			for _, rw := range nw.net.Work()[1 : 1+2*params.T()] {
 				w.messages += int64(rw.Messages)
 			}
 		}
@@ -569,7 +571,7 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 		NOld:   n,
 		NNew:   len(newMembers),
 	}
-	for _, w := range nw.net.Work()[workStart:] {
+	for _, w := range nw.net.Work() {
 		if w.MaxNodeBits > rep.MaxNodeBits {
 			rep.MaxNodeBits = w.MaxNodeBits
 		}
@@ -754,9 +756,3 @@ func (nw *Network) ReliabilityStats() sim.ReliabilityTotals { return nw.net.Reli
 // configuration, Config.Reliable's effective stretch otherwise. Every
 // epoch occupies EpochReport.Rounds × Stretch() simulator rounds.
 func (nw *Network) Stretch() int { return nw.stretch }
-
-// ResetWork truncates the underlying simulator's per-round work log.
-// Long-horizon drivers call it between epochs so the log stays bounded
-// without giving up per-epoch work measurements. RunEpoch only inspects
-// rounds it ran itself, so resetting between epochs is always safe.
-func (nw *Network) ResetWork() { nw.net.ResetWork() }

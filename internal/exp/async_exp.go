@@ -136,7 +136,7 @@ func as1Overlay(o Options, lat sim.Latency, k overlayKind) []string {
 	defer nw.Close()
 	adv, lateness := nw.as1(rng.New(seed + 1))
 	nw.run(adv, &dos.Buffer{Lateness: lateness}, 2*nw.EpochRounds())
-	h := nw.health()
-	return metrics.Row(k.label(), lat, "-", h.stalls,
-		fmt.Sprintf("disc %d/%d", h.disconnected, h.measured), h.disconnected == 0)
+	t := nw.Totals()
+	return metrics.Row(k.label(), lat, "-", t.Stalls,
+		fmt.Sprintf("disc %d/%d", t.Disconnected, t.Measured), t.Disconnected == 0)
 }

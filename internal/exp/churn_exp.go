@@ -70,7 +70,6 @@ func E6ReconfigChurn(o Options) *metrics.Table {
 			for e := 0; e < epochs; e++ {
 				rep, _ := nw.RunEpoch(nil, nil)
 				reports = append(reports, rep)
-				nw.ResetWork() // keep the round log bounded across epochs
 			}
 		} else {
 			reports = churn.Run(nw, a.adv, epochs)
@@ -108,7 +107,6 @@ func E7CongestionSegments(o Options) *metrics.Table {
 			if rep.MaxNodeBits > maxBits {
 				maxBits = rep.MaxNodeBits
 			}
-			nw.ResetWork() // keep the round log bounded across epochs
 		}
 		nw.Shutdown()
 		return [][]string{metrics.Row(n, maxChosen, maxSeg, fmt.Sprintf("%.1f", math.Log2(float64(n))),

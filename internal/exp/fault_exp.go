@@ -114,7 +114,6 @@ func f1Core(o Options, cell int, spec fault.Spec) [][]string {
 		}
 		rep, _ := nw.RunEpoch(joins, leaves)
 		healthy = healthy && rep.Connected && rep.Valid
-		nw.ResetWork() // keep the round log bounded across epochs
 	}
 	nw.Shutdown()
 

@@ -141,7 +141,6 @@ func r1Core(o Options, cell, n int, scen r1Scenario) []string {
 	defer nw.Shutdown()
 
 	nw.RunEpoch(nil, nil) // clean warm-up epoch
-	nw.ResetWork()
 
 	worst := worstService{routing: 1}
 	observe := func() {
@@ -158,7 +157,6 @@ func r1Core(o Options, cell, n int, scen r1Scenario) []string {
 		for i := 0; i < budget && len(eng.OpenBreaks()) > 0; i++ {
 			nw.Repair()
 			repairs++
-			nw.ResetWork()
 		}
 	}
 
@@ -168,7 +166,6 @@ func r1Core(o Options, cell, n int, scen r1Scenario) []string {
 		ps.PartWin = 1 << 30
 		inject(nw, ps)
 		nw.RunEpoch(nil, nil) // one epoch under the cut
-		nw.ResetWork()
 		eng.RunNow(nw.Round())
 		observe()
 		inject(nw, fault.Spec{}) // the partition heals
@@ -183,7 +180,6 @@ func r1Core(o Options, cell, n int, scen r1Scenario) []string {
 				continue
 			}
 			nw.RunEpoch(nil, nil)
-			nw.ResetWork()
 		}
 	}
 	return r1Row(o, "reconfig §4", n, scen.name, eng, repairs, worst)

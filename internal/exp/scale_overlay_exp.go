@@ -47,7 +47,7 @@ func S3ScaleOverlay(o Options) *metrics.Table {
 		wall := time.Since(start)
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		msgs := nw.health().messages
+		msgs := nw.Totals().Messages
 		nw.Close()
 		return [][]string{metrics.Row(k.name, n, rounds, nw.supers(),
 			fmt.Sprintf("%.1f", float64(msgs)*8/float64(n)/float64(rounds)),

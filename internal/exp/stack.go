@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"overlaynet/internal/audit"
+	"overlaynet/internal/committee"
 	"overlaynet/internal/core"
 	"overlaynet/internal/dos"
 	"overlaynet/internal/fault"
@@ -141,24 +142,18 @@ type overlay interface {
 	Round() int
 	EpochRounds() int
 	KnowledgeComponents() []int // component sizes of the nodes' current knowledge graph
+	Totals() committee.Totals   // the round loop's running sums
 	CorruptState(pick uint64) string
 	SetFaults(fault.Spec)
 	Close()
 
 	step() // one round with nobody blocked
 	run(adv dos.Adversary, buf *dos.Buffer, rounds int)
-	health() health
 	n() int      // current members
 	supers() int // current supernodes
 	repair() int // the stack's repair protocol, between rounds; what it fixed
 	// as1 is AS1's 20% adversary and how late its view is.
 	as1(r *rng.RNG) (dos.Adversary, int)
-}
-
-// health is the part of both stacks' Stats the experiments report.
-type health struct {
-	measured, disconnected, stalls int
-	messages                       int64
 }
 
 // cut opens spec's partition on nw for the next `rounds` rounds.
@@ -177,10 +172,6 @@ func (s s5) run(a dos.Adversary, b *dos.Buffer, k int) { s.Run(a, b, k) }
 func (s s5) n() int                                    { return s.size }
 func (s s5) supers() int                               { return s.NSuper() }
 func (s s5) repair() int                               { return s.RepairGroups() }
-func (s s5) health() health {
-	st := s.StatsSnapshot()
-	return health{st.MeasuredTotal, st.Disconnected, st.Stalls, st.Messages}
-}
 func (s s5) as1(r *rng.RNG) (dos.Adversary, int) {
 	return &dos.GroupIsolate{Fraction: 0.2, R: r}, s.EpochRounds()
 }
@@ -192,10 +183,6 @@ func (s s6) run(a dos.Adversary, b *dos.Buffer, k int) { s.Run(a, b, k) }
 func (s s6) n() int                                    { return s.N() }
 func (s s6) supers() int                               { return s.NumSupers() }
 func (s s6) repair() int                               { return s.RepairBalance() + s.RepairMembership() }
-func (s s6) health() health {
-	st := s.StatsSnapshot()
-	return health{st.Measured, st.Disconnected, st.Stalls, st.Messages}
-}
 func (s s6) as1(r *rng.RNG) (dos.Adversary, int) {
 	return &dos.Random{Fraction: 0.2, R: r, IDs: s.Members}, 2
 }

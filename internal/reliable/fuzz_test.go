@@ -73,6 +73,7 @@ func FuzzParseConfig(f *testing.F) {
 	f.Add("rto=4,backoff=2,budget=3,stretch=16")
 	f.Add("rto=,=,x")
 	f.Add("stretch=9999999999999999999")
+	f.Add("rto=3,rto=4")
 	f.Fuzz(func(t *testing.T, s string) {
 		cfg, err := ParseConfig(s)
 		if err != nil {

@@ -106,6 +106,7 @@ func ParseConfig(s string) (Config, error) {
 	if s == "on" {
 		return cfg, nil
 	}
+	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -116,6 +117,10 @@ func ParseConfig(s string) (Config, error) {
 			return Config{}, fmt.Errorf("reliable: %q is not key=value", part)
 		}
 		key = strings.TrimSpace(key)
+		if seen[key] {
+			return Config{}, fmt.Errorf("reliable: %s given twice", key)
+		}
+		seen[key] = true
 		n, err := strconv.Atoi(strings.TrimSpace(val))
 		if err != nil {
 			return Config{}, fmt.Errorf("reliable: %s: %v", key, err)

@@ -77,14 +77,14 @@ func (p HGraphParams) Validate() error {
 	if p.D > MaxDegree {
 		return fmt.Errorf("sampling: degree %d exceeds %d, the most a sampler's byte symbols index", p.D, MaxDegree)
 	}
-	if p.WalkOverride == 0 && p.Alpha < 1 {
-		return fmt.Errorf("sampling: alpha %v < 1", p.Alpha)
+	if p.WalkOverride == 0 && !(p.Alpha >= 1 && p.Alpha < math.Inf(1)) {
+		return fmt.Errorf("sampling: alpha %v must be finite and ≥ 1", p.Alpha)
 	}
-	if p.Epsilon <= 0 || p.Epsilon > 1 {
+	if !(p.Epsilon > 0 && p.Epsilon <= 1) {
 		return fmt.Errorf("sampling: epsilon %v outside (0,1]", p.Epsilon)
 	}
-	if p.C <= 0 {
-		return fmt.Errorf("sampling: c %v must be positive", p.C)
+	if !(p.C > 0 && p.C < math.Inf(1)) {
+		return fmt.Errorf("sampling: c %v must be finite and positive", p.C)
 	}
 	if err := p.Faults.Validate(); err != nil {
 		return fmt.Errorf("sampling: %w", err)
@@ -177,11 +177,11 @@ func (p HypercubeParams) Validate() error {
 	if p.Dim < 2 || p.Dim&(p.Dim-1) != 0 {
 		return fmt.Errorf("sampling: hypercube dimension %d must be a power of two ≥ 2", p.Dim)
 	}
-	if p.Epsilon <= 0 || p.Epsilon > 1 {
+	if !(p.Epsilon > 0 && p.Epsilon <= 1) {
 		return fmt.Errorf("sampling: epsilon %v outside (0,1]", p.Epsilon)
 	}
-	if p.C <= 0 {
-		return fmt.Errorf("sampling: c %v must be positive", p.C)
+	if !(p.C > 0 && p.C < math.Inf(1)) {
+		return fmt.Errorf("sampling: c %v must be finite and positive", p.C)
 	}
 	return nil
 }

@@ -33,11 +33,11 @@ func (p KAryParams) Validate() error {
 	if p.Dim < 2 || p.Dim&(p.Dim-1) != 0 {
 		return fmt.Errorf("sampling: k-ary dimension %d must be a power of two ≥ 2", p.Dim)
 	}
-	if p.Epsilon <= 0 || p.Epsilon > 1 {
+	if !(p.Epsilon > 0 && p.Epsilon <= 1) {
 		return fmt.Errorf("sampling: epsilon %v outside (0,1]", p.Epsilon)
 	}
-	if p.C <= 0 {
-		return fmt.Errorf("sampling: c %v must be positive", p.C)
+	if !(p.C > 0 && p.C < math.Inf(1)) {
+		return fmt.Errorf("sampling: c %v must be finite and positive", p.C)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -111,6 +112,32 @@ func TestHGraphParamsValidate(t *testing.T) {
 	for i, p := range bad {
 		if p.Validate() == nil {
 			t.Fatalf("case %d: invalid params accepted: %+v", i, p)
+		}
+	}
+}
+
+// TestParamsRejectNonFinite: a NaN or infinite slack, budget constant or
+// walk factor is an error, not a panic deep inside the sampler.
+func TestParamsRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		p    interface{ Validate() error }
+	}{
+		{"kary/eps=NaN", KAryParams{K: 3, Dim: 4, Epsilon: nan, C: 1}},
+		{"kary/c=NaN", KAryParams{K: 3, Dim: 4, Epsilon: 1, C: nan}},
+		{"kary/c=+Inf", KAryParams{K: 3, Dim: 4, Epsilon: 1, C: inf}},
+		{"hgraph/alpha=NaN", HGraphParams{N: 100, D: 8, Alpha: nan, Epsilon: 1, C: 1}},
+		{"hgraph/alpha=+Inf", HGraphParams{N: 100, D: 8, Alpha: inf, Epsilon: 1, C: 1}},
+		{"hgraph/eps=NaN", HGraphParams{N: 100, D: 8, Alpha: 2, Epsilon: nan, C: 1}},
+		{"hgraph/c=NaN", HGraphParams{N: 100, D: 8, Alpha: 2, Epsilon: 1, C: nan}},
+		{"hgraph/c=+Inf", HGraphParams{N: 100, D: 8, Alpha: 2, Epsilon: 1, C: inf}},
+		{"hypercube/eps=NaN", HypercubeParams{Dim: 16, Epsilon: nan, C: 1}},
+		{"hypercube/c=NaN", HypercubeParams{Dim: 16, Epsilon: 1, C: nan}},
+		{"hypercube/c=+Inf", HypercubeParams{Dim: 16, Epsilon: 1, C: inf}},
+	} {
+		if c.p.Validate() == nil {
+			t.Errorf("%s: accepted %+v", c.name, c.p)
 		}
 	}
 }

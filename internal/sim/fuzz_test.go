@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzBitset drives Bitset through an arbitrary operation sequence,
 // mirrored against a map reference: after every step the two must agree
@@ -49,6 +52,32 @@ func FuzzBitset(f *testing.F) {
 					t.Fatalf("op %d: bit %d = %v, ref %v", i/2, bit, b.Test(int32(bit)), ref[int32(bit)])
 				}
 			}
+		}
+	})
+}
+
+// FuzzParseLatency checks the -latency spec parser never panics, that
+// every accepted spec validates, and that String() round-trips through
+// the parser to the same bits.
+func FuzzParseLatency(f *testing.F) {
+	for _, s := range []string{"", "sync", "const:1", "uniform:0.5,2.5", "lognorm:0,0.6",
+		"const:NaN", "uniform:NaN,1", "uniform:2,1", "lognorm:0,-1", "const:-0", "uniform:1e400,1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		l, err := ParseLatency(s)
+		if err != nil {
+			return
+		}
+		if verr := l.Validate(); verr != nil {
+			t.Fatalf("ParseLatency(%q) accepted invalid %+v: %v", s, l, verr)
+		}
+		back, err := ParseLatency(l.String())
+		if err != nil {
+			t.Fatalf("String() %q does not re-parse: %v", l.String(), err)
+		}
+		if back.Kind != l.Kind || math.Float64bits(back.A) != math.Float64bits(l.A) || math.Float64bits(back.B) != math.Float64bits(l.B) {
+			t.Fatalf("round trip %q -> %+v -> %q -> %+v", s, l, l.String(), back)
 		}
 	})
 }

@@ -11,13 +11,6 @@ import (
 // the label-coverage invariant the corruption breaks, and a repair
 // protocol that forces a re-balance back toward Equation (1).
 
-// KnowledgeComponents returns the sizes of the connected components of
-// the current knowledge-based overlay over all committed members (the
-// graph ConnectedNow restricts to the non-blocked ones, including any
-// open partition cut), largest first — the recovery experiments'
-// degraded-mode service measure.
-func (nw *Network) KnowledgeComponents() []int { return nw.eng.KnowledgeComponents() }
-
 // checkLabelCoverage verifies that the supernode labels form an exact
 // partition of the label space (the invariant behind ownerOf and the
 // virtual-vertex sampling weights): no label may be an ancestor of —

@@ -186,10 +186,18 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	}
 	nw := New(Config{Seed: 1, N0: 10000, MeasureEvery: -1})
 	defer nw.Close()
-	for i := 0; i < 6*nw.EpochRounds(); i++ {
+	phase := 0 // rounds into the current epoch
+	step := func() {
+		epoch := nw.Epoch()
 		nw.Step(nil)
+		if phase++; nw.Epoch() != epoch {
+			phase = 0
+		}
 	}
-	samplingRounds := nw.samplingRounds()
+	for i := 0; i < 6*nw.EpochRounds(); i++ {
+		step()
+	}
+	samplingRounds := nw.EpochRounds() - 6
 	var m0, m1 runtime.MemStats
 	type badRound struct {
 		round, phase int
@@ -197,12 +205,12 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	}
 	var bad []badRound
 	for i := 0; i < 2*nw.EpochRounds(); i++ {
-		phase := nw.phase
+		at := phase
 		runtime.ReadMemStats(&m0)
-		nw.Step(nil)
+		step()
 		runtime.ReadMemStats(&m1)
-		if d := m1.Mallocs - m0.Mallocs; d > 0 && phase != samplingRounds && phase != samplingRounds+5 {
-			bad = append(bad, badRound{nw.Round(), phase, d})
+		if d := m1.Mallocs - m0.Mallocs; d > 0 && at != samplingRounds && at != samplingRounds+5 {
+			bad = append(bad, badRound{nw.Round(), at, d})
 		}
 	}
 	for _, r := range bad {

@@ -15,17 +15,17 @@
 // carries over, already complete.
 //
 // As in package supernode, the replicated group-state machine is
-// executed semantically, by the same engine (internal/committee): blocked
-// history, leaders, the primitive over the 2^Dmax virtual vertices, the
-// S(x) catch-up, the epoch history and the connectivity oracle. What is
-// here is what Section 6 adds: the label tree with Join and Leave, the
-// per-epoch tables from virtual vertex to owning supernode, the assignment
-// of stayers and joiners to the owners of sampled vertices, and the commit
-// with its split/merge normalization. Slots
-// (slot = id−1) are allocated once at Join and go dead on Leave; every
-// arena is reused across rounds and epochs, so Step allocates nothing in
-// churn-free steady state, and results are byte-identical at any worker
-// count (see DESIGN.md).
+// executed semantically, by the same loop (internal/committee): the epoch
+// schedule, blocked history, leaders, the primitive over the 2^Dmax
+// virtual vertices, the S(x) catch-up, the epoch history, the
+// connectivity oracle and the running totals. What is here is what
+// Section 6 adds: the label tree with Join and Leave, the per-epoch tables
+// from virtual vertex to owning supernode, the assignment of stayers and
+// joiners to the owners of sampled vertices, and the commit with its
+// split/merge normalization. Slots (slot = id−1) are allocated once at
+// Join and go dead on Leave; every arena is reused across rounds and
+// epochs, so Step allocates nothing in churn-free steady state, and
+// results are byte-identical at any worker count (see DESIGN.md).
 package splitmerge
 
 import (
@@ -36,7 +36,6 @@ import (
 	"overlaynet/internal/audit"
 	"overlaynet/internal/committee"
 	"overlaynet/internal/dos"
-	"overlaynet/internal/fault"
 	"overlaynet/internal/hypercube"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
@@ -109,14 +108,7 @@ type Stats struct {
 }
 
 // RoundReport summarizes one round.
-type RoundReport struct {
-	Round     int
-	Epoch     int
-	Blocked   int
-	Connected bool
-	Measured  bool
-	Stalls    int
-}
+type RoundReport = committee.Report
 
 type super struct {
 	label   hypercube.Label
@@ -127,15 +119,18 @@ type super struct {
 	verts []int32
 }
 
-// Network is the Section 6 overlay.
+// Network is the Section 6 overlay. The embedded Loop runs its rounds
+// and provides Step, Round, Epoch, EpochRounds, Close, SetFaults,
+// SetLatency, ConnectedNow and KnowledgeComponents.
 type Network struct {
+	committee.Loop
 	cfg    Config
 	r      *rng.RNG
 	supers []*super // sorted by label
-	// eng runs the rounds: blocked history, leaders, the simulated
-	// primitive over the 2^dmax virtual vertices, catch-up, epoch history
-	// and the connectivity oracle. Its NodeGroup is this stack's
-	// membership index: slot -> supers index, −1 when not committed.
+	// eng is the Loop's engine: blocked history, leaders, the simulated
+	// primitive over the 2^dmax virtual vertices, epoch history and the
+	// connectivity oracle. Its NodeGroup is this stack's membership
+	// index: slot -> supers index, −1 when not committed.
 	eng *committee.Engine
 
 	// leaving is the global departure set (slot-indexed) with its id
@@ -147,7 +142,6 @@ type Network struct {
 
 	dmax   int
 	mi     []int // sample budget schedule of the primitive, T+1 entries
-	phase  int
 	nextID sim.NodeID
 
 	// Per-Step views of supers handed to the engine, and the arena the
@@ -162,11 +156,11 @@ type Network struct {
 	vidOwner []int32
 
 	pendingAssign [][]sim.NodeID
-	pendingValid  bool
-	stats         Stats
-
-	// audit: optional invariant engine, ticked once per Step.
-	audit *audit.Engine
+	// assign and gather are the reorganization's worker phases, bound once.
+	assign, gather func(w int)
+	// stats holds the counters the Loop's totals do not: splits, merges
+	// and the normalization's health.
+	stats Stats
 }
 
 // New builds the initial network: the label tree starts at the unique
@@ -180,9 +174,6 @@ func New(cfg Config) *Network {
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = 1
 	}
-	if cfg.MeasureEvery == 0 {
-		cfg.MeasureEvery = 1
-	}
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
@@ -194,8 +185,17 @@ func New(cfg Config) *Network {
 	for x := 0; x < 1<<d; x++ {
 		nw.supers = append(nw.supers, &super{label: hypercube.MakeLabel(uint64(x), d)})
 	}
-	e := committee.New(cfg.Seed, cfg.Shards, nw.runShard)
+	e := committee.New(cfg.Seed, cfg.Shards)
 	nw.eng = e
+	nw.assign, nw.gather = nw.assignRange, nw.gatherRange
+	nw.Loop = committee.NewLoop(e, cfg.MeasureEvery, committee.Hooks{
+		// Four reorganization rounds and two of organized split/merge.
+		Reorg:      6,
+		Committees: nw.viewSupers,
+		Assign:     nw.assignRound,
+		Commit:     nw.commitRound,
+		CatchUp:    nw.catchUpRange,
+	})
 	e.Arity = 2
 	e.RespFrom = 1 + 1<<32 // past the 32-bit virtual-label space
 	nw.growNodes(cfg.N0)
@@ -221,11 +221,6 @@ func (nw *Network) growNodes(n int) {
 	nw.leaving = sim.GrowBitset(nw.leaving, n)
 }
 
-// Close releases the shard worker goroutines. The network must not be
-// stepped afterwards. Networks that are simply dropped are cleaned up
-// by a GC finalizer, so Close is an optimization, not an obligation.
-func (nw *Network) Close() { nw.eng.Close() }
-
 // superOf returns the supers index of a committed member, −1 otherwise.
 func (nw *Network) superOf(id sim.NodeID) int32 {
 	if id < 1 || int(id) > len(nw.eng.NodeGroup) {
@@ -246,14 +241,16 @@ func (nw *Network) N() int {
 // NumSupers returns the current supernode count.
 func (nw *Network) NumSupers() int { return len(nw.supers) }
 
-// Epoch returns the number of completed reorganizations.
-func (nw *Network) Epoch() int { return nw.eng.Epoch }
-
-// Round returns the number of completed rounds.
-func (nw *Network) Round() int { return nw.eng.Round }
-
 // StatsSnapshot returns the health counters.
-func (nw *Network) StatsSnapshot() Stats { return nw.stats }
+func (nw *Network) StatsSnapshot() Stats {
+	st, t := nw.stats, nw.Totals()
+	st.Rounds, st.Epochs = t.Rounds, nw.Epoch()
+	st.Stalls, st.SampleFails, st.AssignFails = t.Stalls, t.SampleFails, t.AssignFails
+	st.Disconnected, st.Measured = t.Disconnected, t.Measured
+	st.FaultDrops, st.FaultDups, st.Crashes, st.Restarts = t.FaultDrops, t.FaultDups, t.Crashes, t.Restarts
+	st.Messages = t.Messages
+	return st
+}
 
 // DimRange returns the minimum and maximum supernode dimensions.
 func (nw *Network) DimRange() (min, max int) {
@@ -288,15 +285,6 @@ func (nw *Network) Labels() []hypercube.Label {
 	return out
 }
 
-// samplingRounds is the length of the epoch's sampling part: two real
-// rounds per primitive round of the simulated primitive.
-func (nw *Network) samplingRounds() int { return 2 * (2*len(nw.mi) - 1) }
-
-// EpochRounds returns rounds per epoch: the sampling rounds plus four
-// reorganization rounds and two organized split/merge rounds —
-// Θ(log log n).
-func (nw *Network) EpochRounds() int { return nw.samplingRounds() + 6 }
-
 // Eq1Holds reports whether every supernode's size lies in the band the
 // split/merge triggers maintain: c·d(x)−c ≤ |R(x)| ≤ 2c·d(x) (the
 // closure of Equation (1); the paper splits only when the size exceeds
@@ -318,7 +306,7 @@ func (nw *Network) Eq1Holds() bool {
 // spread, membership-index consistency, and connectivity of the
 // non-blocked subgraph.
 func (nw *Network) SetAudit(e *audit.Engine) {
-	nw.audit = e
+	nw.Loop.SetAudit(e)
 	if e == nil {
 		return
 	}
@@ -352,23 +340,6 @@ func (nw *Network) SetAudit(e *audit.Engine) {
 		}
 		return nil
 	})
-}
-
-// SetFaults installs a deterministic fault schedule (zero Spec
-// disables). Message faults apply to the supernode request/response
-// queues; the crash schedule composes into every round's blocked set.
-func (nw *Network) SetFaults(spec fault.Spec) { nw.eng.SetFaults(spec) }
-
-// SetLatency attaches the discrete-event latency model in virtual-round
-// form (see supernode.Network.SetLatency): messages whose sampled delay
-// exceeds one virtual round are dropped via fault.ComposeGate rather
-// than re-ordered. A model that can never miss the deadline composes to
-// the bare injector, leaving the run bit-for-bit unchanged. The zero
-// value detaches.
-func (nw *Network) SetLatency(lat sim.Latency) {
-	if err := nw.eng.SetLatency(lat); err != nil {
-		panic("splitmerge: " + err.Error())
-	}
 }
 
 // checkMembership verifies that every committed member sits in exactly
@@ -566,10 +537,6 @@ func (nw *Network) fillVidTables() {
 // label tree, reusing the previous epoch's arenas.
 func (nw *Network) prepareEpoch() {
 	_, nw.dmax = nw.DimRange()
-	T := 0
-	for v := 1; v < nw.dmax; v <<= 1 {
-		T++
-	}
 	// The final per-virtual-vertex sample count times the owned virtual
 	// vertices must cover the group (plus joiners) with slack.
 	maxNeed := 1
@@ -580,14 +547,7 @@ func (nw *Network) prepareEpoch() {
 			maxNeed = per
 		}
 	}
-	cSamp := float64(2*maxNeed) / float64(nw.dmax)
-	if cSamp < 1 {
-		cSamp = 1
-	}
-	nw.mi = slices.Grow(nw.mi[:0], T+1)[:T+1]
-	for i := range nw.mi {
-		nw.mi[i] = int(math.Ceil(math.Pow(1+nw.cfg.Epsilon, float64(T-i)) * cSamp * float64(nw.dmax)))
-	}
+	nw.mi = committee.Budgets(nw.mi, nw.dmax, nw.cfg.Epsilon, float64(2*maxNeed)/float64(nw.dmax))
 	// Every supernode simulates the leaves of its label subtree.
 	arena := slices.Grow(nw.vertArena[:0], 1<<nw.dmax)
 	for _, s := range nw.supers {
@@ -602,93 +562,15 @@ func (nw *Network) prepareEpoch() {
 	nw.fillVidTables()
 }
 
-// The stack's own worker phases (committee.Engine.Each).
-const (
-	phaseAssign = iota
-	phaseGather
-	phaseCatchUp
-)
-
-func (nw *Network) runShard(phase, w int) {
-	switch phase {
-	case phaseAssign:
-		nw.assignRange(w)
-	case phaseGather:
-		nw.gatherRange(w)
-	case phaseCatchUp:
-		nw.catchUpRange(w)
-	}
-}
-
-// Step executes one round under the given blocked set. The map is
-// copied into owned bitset storage; the caller may reuse or mutate it
-// freely after Step returns.
-func (nw *Network) Step(blocked map[sim.NodeID]bool) RoundReport {
-	e := nw.eng
-	nw.viewSupers()
-	e.Begin(blocked, nw.members, nw.verts)
-	rep := RoundReport{Round: e.Round, Epoch: e.Epoch, Blocked: e.Blocked, Connected: true}
-
-	switch sampling := nw.samplingRounds(); {
-	case nw.phase < sampling:
-		if nw.phase%2 == 0 {
-			e.Sample(nw.phase / 2)
-		}
-	case nw.phase == sampling:
-		nw.assignRound()
-	case nw.phase == sampling+5:
-		// Phases +1..+4 are the reorganization's gather/share and
-		// distribute rounds plus the organized split/merge (O(1)
-		// rounds, Lemma 18); the new topology takes effect atomically
-		// in the epoch's final round, when the distribute messages
-		// have reached every available node.
-		nw.commitRound()
-		nw.normalize()
-		nw.indexMembers()
-		nw.commitHistory()
-		nw.prepareEpoch()
-		nw.phase = -1 // the new epoch starts at phase 0
-	}
-
-	// Every-round S(x) broadcast: an available node with an available
-	// group peer is up to date.
-	e.Each(phaseCatchUp)
-
-	c := e.End()
-	rep.Stalls = c.Stalls
-	nw.stats.Stalls += c.Stalls
-	nw.stats.SampleFails += c.SampleFails
-	nw.stats.AssignFails += c.AssignFails
-	nw.stats.FaultDrops += c.FaultDrops
-	nw.stats.FaultDups += c.FaultDups
-	nw.stats.Crashes += c.Crashes
-	nw.stats.Restarts += c.Restarts
-	nw.stats.Messages += c.Messages
-
-	nw.phase++
-	nw.stats.Rounds++
-
-	if nw.cfg.MeasureEvery > 0 && e.Round%nw.cfg.MeasureEvery == 0 {
-		rep.Measured = true
-		rep.Connected = nw.ConnectedNow()
-		nw.stats.Measured++
-		if !rep.Connected {
-			nw.stats.Disconnected++
-		}
-	}
-	nw.audit.SetEpoch(e.Epoch)
-	nw.audit.Tick(e.Round)
-	return rep
-}
-
-// viewSupers refreshes the per-committee views of supers the engine
-// works from: member lists and simulated vertices, in label order.
-func (nw *Network) viewSupers() {
+// viewSupers refreshes and returns the per-committee views of supers the
+// engine works from: member lists and simulated vertices, in label order.
+func (nw *Network) viewSupers() ([][]sim.NodeID, [][]int32) {
 	nw.members, nw.verts = nw.members[:0], nw.verts[:0]
 	for _, s := range nw.supers {
 		nw.members = append(nw.members, s.members)
 		nw.verts = append(nw.verts, s.verts)
 	}
+	return nw.members, nw.verts
 }
 
 // catchUpRange applies the S(x) broadcast over the worker's supers
@@ -708,9 +590,8 @@ func (nw *Network) catchUpRange(w int) {
 func (nw *Network) assignRound() {
 	nS := len(nw.supers)
 	nw.pendingAssign = slices.Grow(nw.pendingAssign[:0], nS)[:nS]
-	nw.eng.Each(phaseAssign)
-	nw.eng.Each(phaseGather)
-	nw.pendingValid = true
+	nw.eng.Each(nw.assign)
+	nw.eng.Each(nw.gather)
 }
 
 func (nw *Network) assignRange(w int) {
@@ -773,13 +654,15 @@ func (nw *Network) gatherRange(w int) {
 	}
 }
 
-// commitRound installs the reorganized groups; joiners become members
-// and leavers depart. The member arenas swap with the pending arenas,
-// so churn-free commits allocate nothing.
+// commitRound is the epoch's final round. The rounds between the
+// assignment and it are the reorganization's gather/share and distribute
+// rounds plus the organized split/merge (O(1) rounds, Lemma 18); the new
+// topology takes effect atomically here, when the distribute messages
+// have reached every available node. It installs the reorganized groups
+// — joiners become members and leavers depart — normalizes them and
+// prepares the next epoch. The member arenas swap with the pending
+// arenas, so churn-free commits allocate nothing.
 func (nw *Network) commitRound() {
-	if !nw.pendingValid {
-		return
-	}
 	for _, id := range nw.leavingIDs {
 		// Departed: the slot goes dead at the reindex below (it was
 		// excluded from every new group); clear the departure mark.
@@ -790,10 +673,12 @@ func (nw *Network) commitRound() {
 		s.members, nw.pendingAssign[si] = nw.pendingAssign[si], s.members
 		s.pending = s.pending[:0]
 	}
-	nw.pendingValid = false
 	nw.eng.Epoch++
-	nw.stats.Epochs++
 	nw.indexMembers()
+	nw.normalize()
+	nw.indexMembers()
+	nw.commitHistory()
+	nw.prepareEpoch()
 }
 
 // normalize enforces Equation (1) by splitting oversized and merging
@@ -952,12 +837,6 @@ func (nw *Network) Snapshot() *dos.Snapshot {
 	}
 	return &dos.Snapshot{Round: nw.eng.Round, Groups: groups, Adj: adj}
 }
-
-// ConnectedNow reports whether the non-blocked committed members form a
-// connected graph under each node's (possibly stale) knowledge. While a
-// partition window is open, cross-component knowledge edges are treated
-// as down — no message can traverse them.
-func (nw *Network) ConnectedNow() bool { return nw.eng.ConnectedNow() }
 
 // Run drives the network under the adversary for the given rounds,
 // publishing snapshots and enforcing the buffer's lateness.

@@ -12,13 +12,6 @@ import (
 // repair protocol that re-forms the group partition from the surviving
 // replicas.
 
-// KnowledgeComponents returns the sizes of the connected components of
-// the current knowledge-based overlay over all nodes (the graph
-// ConnectedNow restricts to the non-blocked ones, including any open
-// partition cut), largest first — the recovery experiments'
-// degraded-mode service measure.
-func (nw *Network) KnowledgeComponents() []int { return nw.eng.KnowledgeComponents() }
-
 // CorruptState implements fault.Corrupter: it perturbs the live
 // replicated group state in one of three ways selected by pick —
 // desynchronize a node's nodeGroup pointer (heals at the next commit,

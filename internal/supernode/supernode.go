@@ -21,27 +21,26 @@
 // communication work (full-state broadcasts within groups, supernode
 // messages fanned out to whole target groups) is accounted in bits.
 //
-// The rounds themselves — blocked history, leaders, the simulated
-// primitive and its message queues, the S(x) catch-up, the epoch history
-// and the connectivity oracle — are run by internal/committee, the
-// engine this stack shares with Section 6; what is here is what Section
-// 5 fixes: the K-ary cube (one vertex per group), the reassignment of
-// members to sampled groups, the commit and the work estimate. All state is dense and slot-indexed (slot = id−1) and every
-// per-round structure is an arena reused across rounds and epochs, so
-// Step allocates nothing in steady state, and results are byte-identical
-// at any worker count (see DESIGN.md).
+// The rounds themselves — the epoch schedule, blocked history, leaders,
+// the simulated primitive and its message queues, the S(x) catch-up, the
+// epoch history, the connectivity oracle and the running totals — are run
+// by internal/committee's Loop, which this stack shares with Section 6;
+// what is here is what Section 5 fixes: the K-ary cube (one vertex per
+// group), the reassignment of members to sampled groups, the commit and
+// the work estimate. All state is dense and slot-indexed (slot = id−1)
+// and every per-round structure is an arena reused across rounds and
+// epochs, so Step allocates nothing in steady state, and results are
+// byte-identical at any worker count (see DESIGN.md).
 package supernode
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"overlaynet/internal/audit"
 	"overlaynet/internal/committee"
 	"overlaynet/internal/dos"
-	"overlaynet/internal/fault"
 	"overlaynet/internal/hypercube"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
@@ -146,34 +145,34 @@ type Stats struct {
 	Messages      int64 // supernode-level protocol messages delivered
 }
 
-// Network is the Section 5 overlay.
+// Network is the Section 5 overlay. The embedded Loop runs its rounds
+// and provides Round, Epoch, EpochRounds, Close, SetFaults, SetLatency,
+// ConnectedNow and KnowledgeComponents.
 type Network struct {
+	committee.Loop
 	cfg    Config
 	cube   *hypercube.KAry
 	dim    int // supernode hypercube dimension (power of two)
 	nSuper int
 	r      *rng.RNG
-	// eng runs the rounds: blocked history, leaders, the simulated
-	// primitive (one vertex per supernode), catch-up, epoch history and
-	// the connectivity oracle.
+	// eng is the Loop's engine: blocked history, leaders, the simulated
+	// primitive (one vertex per supernode), epoch history and the
+	// connectivity oracle.
 	eng *committee.Engine
 
-	groups [][]sim.NodeID // current committed groups, each sorted
-	adj    [][]int32      // supernode adjacency (fixed hypercube)
-	verts  [][]int32      // verts[x] = {x}: group x simulates supernode x
-	mi     []int          // sample budget schedule of the primitive
+	groups  [][]sim.NodeID // current committed groups, each sorted
+	adj     [][]int32      // supernode adjacency (fixed hypercube)
+	verts   [][]int32      // verts[x] = {x}: group x simulates supernode x
+	mi      []int          // sample budget schedule of the primitive
+	pending [][]sim.NodeID // reorganized groups awaiting commit
 
-	pending      [][]sim.NodeID // reorganized groups awaiting commit
-	pendingValid bool
-	phase        int // round index within the epoch
+	// assign and gather are the reorganization's worker phases, bound once.
+	assign, gather func(w int)
 
-	stats        Stats
+	maxNodeBits  int64 // peak per-node round work over the run
 	idBits       int
 	supBits      int
 	groupBitsAvg int
-
-	// audit: optional invariant engine, ticked once per Step.
-	audit *audit.Engine
 }
 
 // New builds the network with nodes assigned to groups independently
@@ -187,9 +186,6 @@ func New(cfg Config) *Network {
 	}
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = 1
-	}
-	if cfg.MeasureEvery == 0 {
-		cfg.MeasureEvery = 1
 	}
 	if cfg.K == 0 {
 		cfg.K = 2
@@ -209,18 +205,18 @@ func New(cfg Config) *Network {
 	nw.nSuper = nw.cube.N()
 	// Sample budget: m_T must cover the largest group w.h.p.
 	avg := float64(cfg.N) / float64(nw.nSuper)
-	cSamp := math.Ceil(3*avg) / float64(d)
-	if cSamp < 1 {
-		cSamp = 1
-	}
-	T := bits.Len(uint(d)) - 1 // log₂ d
-	nw.mi = make([]int, T+1)
-	for i := range nw.mi {
-		nw.mi[i] = int(math.Ceil(math.Pow(1+cfg.Epsilon, float64(T-i)) * cSamp * float64(d)))
-	}
+	nw.mi = committee.Budgets(nil, d, cfg.Epsilon, math.Ceil(3*avg)/float64(d))
 
-	e := committee.New(cfg.Seed, cfg.Shards, nw.runShard)
+	e := committee.New(cfg.Seed, cfg.Shards)
 	nw.eng = e
+	nw.assign, nw.gather = nw.assignRange, nw.gatherRange
+	nw.Loop = committee.NewLoop(e, cfg.MeasureEvery, committee.Hooks{
+		Reorg:      4,
+		Committees: func() ([][]sim.NodeID, [][]int32) { return nw.groups, nw.verts },
+		Assign:     nw.assignRound,
+		Commit:     nw.commitRound,
+		CatchUp:    nw.catchUpRange,
+	})
 	e.Arity = cfg.K
 	e.Rotate = cfg.RandomLeader
 	e.RespFrom = uint64(nw.nSuper) + 1
@@ -257,11 +253,6 @@ func New(cfg Config) *Network {
 	return nw
 }
 
-// Close releases the shard worker goroutines. The network must not be
-// stepped afterwards. Networks that are simply dropped are cleaned up
-// by a GC finalizer, so Close is an optimization, not an obligation.
-func (nw *Network) Close() { nw.eng.Close() }
-
 func cloneGroups(gs [][]sim.NodeID) [][]sim.NodeID {
 	out := make([][]sim.NodeID, len(gs))
 	for i, g := range gs {
@@ -276,21 +267,6 @@ func (nw *Network) Dim() int { return nw.dim }
 // NSuper returns the number of supernodes.
 func (nw *Network) NSuper() int { return nw.nSuper }
 
-// Epoch returns the number of completed reorganizations.
-func (nw *Network) Epoch() int { return nw.eng.Epoch }
-
-// Round returns the number of completed rounds.
-func (nw *Network) Round() int { return nw.eng.Round }
-
-// samplingRounds is the length of the epoch's sampling part: two real
-// rounds (simulation + synchronization) per primitive round of
-// Algorithm 2.
-func (nw *Network) samplingRounds() int { return 2 * (2*len(nw.mi) - 1) }
-
-// EpochRounds returns the rounds per reorganization epoch: the sampling
-// rounds plus four reorganization rounds — Θ(log log n).
-func (nw *Network) EpochRounds() int { return nw.samplingRounds() + 4 }
-
 // GroupSizes returns the current group sizes.
 func (nw *Network) GroupSizes() []int {
 	out := make([]int, nw.nSuper)
@@ -304,7 +280,13 @@ func (nw *Network) GroupSizes() []int {
 func (nw *Network) Groups() [][]sim.NodeID { return nw.groups }
 
 // StatsSnapshot returns the accumulated health counters.
-func (nw *Network) StatsSnapshot() Stats { return nw.stats }
+func (nw *Network) StatsSnapshot() Stats {
+	t := nw.Totals()
+	return Stats{Rounds: t.Rounds, Epochs: nw.Epoch(), Stalls: t.Stalls, SampleFails: t.SampleFails,
+		AssignFails: t.AssignFails, EmptyGroups: t.EmptyGroups, Disconnected: t.Disconnected,
+		MeasuredTotal: t.Measured, MaxNodeBits: nw.maxNodeBits, FaultDrops: t.FaultDrops,
+		FaultDups: t.FaultDups, Crashes: t.Crashes, Restarts: t.Restarts, Messages: t.Messages}
+}
 
 // Snapshot publishes the current topology at supernode granularity —
 // exactly the information the paper allows the adversary to see.
@@ -316,7 +298,7 @@ func (nw *Network) Snapshot() *dos.Snapshot {
 // connectivity and group-partition checkers are registered and the
 // engine ticks once per Step.
 func (nw *Network) SetAudit(e *audit.Engine) {
-	nw.audit = e
+	nw.Loop.SetAudit(e)
 	if e == nil {
 		return
 	}
@@ -328,26 +310,6 @@ func (nw *Network) SetAudit(e *audit.Engine) {
 		return nil
 	})
 	e.Register("supernode-groups", nw.checkGroups)
-}
-
-// SetFaults attaches a deterministic fault specification: message
-// drop/duplication applies to the supernode-level queues, and the crash
-// schedule takes nodes out for spec.RestartEpochs() epochs at a time.
-// The zero spec detaches.
-func (nw *Network) SetFaults(spec fault.Spec) { nw.eng.SetFaults(spec) }
-
-// SetLatency attaches the discrete-event latency model in virtual-round
-// form: supernode epochs are fixed sequences of synchronous phases, so
-// instead of re-ordering deliveries the model drops any message whose
-// sampled delay (the same pure (seed, round, edge) hash the sim kernel
-// uses) exceeds one round — see fault.ComposeGate. A model that can
-// never miss the deadline (sync, or zero spread with delay <= 1)
-// composes to the bare injector and the run is bit-for-bit unchanged.
-// The zero value detaches.
-func (nw *Network) SetLatency(lat sim.Latency) {
-	if err := nw.eng.SetLatency(lat); err != nil {
-		panic("supernode: " + err.Error())
-	}
 }
 
 // checkGroups verifies the group partition: every node is in exactly
@@ -391,86 +353,23 @@ func (nw *Network) checkGroups() []audit.Violation {
 	return []audit.Violation{{Detail: fmt.Sprintf("%s (%d nodes affected)", detail, len(bad)), Nodes: bad}}
 }
 
-// The stack's own worker phases (committee.Engine.Each).
-const (
-	phaseAssign = iota
-	phaseGather
-	phaseCatchUp
-)
-
-func (nw *Network) runShard(phase, w int) {
-	switch phase {
-	case phaseAssign:
-		nw.assignRange(w)
-	case phaseGather:
-		nw.gatherRange(w)
-	case phaseCatchUp:
-		nw.catchUpRange(w)
-	}
+// Step executes one communication round under the given blocked set (see
+// committee.Loop.Step) and estimates its per-node work. The map is copied
+// into owned bitset storage; the caller may reuse or mutate it freely
+// after Step returns.
+func (nw *Network) Step(blocked map[sim.NodeID]bool) RoundReport {
+	r := nw.Loop.Step(blocked)
+	work := nw.estimateWork()
+	nw.maxNodeBits = max(nw.maxNodeBits, work)
+	return RoundReport{Round: r.Round, Epoch: r.Epoch, Blocked: r.Blocked, Connected: r.Connected,
+		Measured: r.Measured, Stalls: r.Stalls, MaxNodeBits: work}
 }
 
-// Step executes one communication round under the given blocked set.
-// The map is copied into owned bitset storage; the caller may reuse or
-// mutate it freely after Step returns.
-func (nw *Network) Step(blocked map[sim.NodeID]bool) RoundReport {
-	e := nw.eng
-	e.Begin(blocked, nw.groups, nw.verts)
-	rep := RoundReport{Round: e.Round, Epoch: e.Epoch, Blocked: e.Blocked, Connected: true}
-
-	// Advance the epoch protocol.
-	switch sampling := nw.samplingRounds(); {
-	case nw.phase < sampling:
-		// The synchronization half-round only moves messages, which the
-		// queues already represent; availability was enforced at the
-		// simulation half-round via the leader check.
-		if nw.phase%2 == 0 {
-			e.Sample(nw.phase / 2)
-		}
-	case nw.phase == sampling:
-		// Reorganization: the members of each group (sorted by id) are
-		// assigned to the first k sampled supernodes.
-		e.Each(phaseAssign)
-		e.Each(phaseGather)
-		nw.pendingValid = true
-	case nw.phase == sampling+3:
-		nw.commitRound()
-	}
-
-	// Every-round S(x) broadcast: an available node receives the state
-	// its group peers sent in the previous round, provided some peer
-	// was available to send it (the paper's recovery mechanism for
-	// formerly blocked nodes).
-	e.Each(phaseCatchUp)
-
-	rep.MaxNodeBits = nw.estimateWork()
-	nw.stats.MaxNodeBits = max(nw.stats.MaxNodeBits, rep.MaxNodeBits)
-
-	c := e.End()
-	rep.Stalls = c.Stalls
-	nw.stats.Stalls += c.Stalls
-	nw.stats.SampleFails += c.SampleFails
-	nw.stats.AssignFails += c.AssignFails
-	nw.stats.EmptyGroups += c.EmptyGroups
-	nw.stats.FaultDrops += c.FaultDrops
-	nw.stats.FaultDups += c.FaultDups
-	nw.stats.Crashes += c.Crashes
-	nw.stats.Restarts += c.Restarts
-	nw.stats.Messages += c.Messages
-
-	nw.phase = (nw.phase + 1) % nw.EpochRounds()
-	nw.stats.Rounds++
-
-	if nw.cfg.MeasureEvery > 0 && e.Round%nw.cfg.MeasureEvery == 0 {
-		rep.Measured = true
-		rep.Connected = nw.ConnectedNow()
-		nw.stats.MeasuredTotal++
-		if !rep.Connected {
-			nw.stats.Disconnected++
-		}
-	}
-	nw.audit.SetEpoch(e.Epoch)
-	nw.audit.Tick(e.Round)
-	return rep
+// assignRound reorganizes: the members of each group (sorted by id) are
+// assigned to the first k sampled supernodes.
+func (nw *Network) assignRound() {
+	nw.eng.Each(nw.assign)
+	nw.eng.Each(nw.gather)
 }
 
 // assignRange routes the members of the worker's groups to their sampled
@@ -519,19 +418,14 @@ func (nw *Network) gatherRange(w int) {
 // corruption listed in two groups must resolve to the same one (the
 // higher) at every worker count.
 func (nw *Network) commitRound() {
-	if !nw.pendingValid {
-		return
-	}
 	e := nw.eng
 	nw.groups, nw.pending = nw.pending, nw.groups
-	nw.pendingValid = false
 	for x, g := range nw.groups {
 		for _, id := range g {
 			e.NodeGroup[id-1] = int32(x)
 		}
 	}
 	e.Epoch++
-	nw.stats.Epochs++
 	e.Commit(nw.groups).Adj = nw.adj
 	e.Reset(nw.nSuper, nw.dim, nw.mi)
 }
@@ -565,13 +459,6 @@ func (nw *Network) estimateWork() int64 {
 	}
 	return maxBits
 }
-
-// ConnectedNow reports whether the non-blocked nodes form a connected
-// graph under each node's current knowledge (stale nodes contribute
-// the edges of the epoch they last received). While a partition window
-// is open, cross-component knowledge edges are treated as down — no
-// message can traverse them, so they cannot carry the overlay.
-func (nw *Network) ConnectedNow() bool { return nw.eng.ConnectedNow() }
 
 // Run drives the network for the given number of rounds under the
 // adversary, publishing a snapshot every round and enforcing the
