@@ -19,8 +19,9 @@
 // schedule composed in, the delivery gate composed from faults and
 // latency, leader election and stall counting, Algorithm 2 over a dense
 // vertex space (sample.go), the S(x) catch-up rule, the epoch history ring
-// and the knowledge-graph oracle over it (history.go), the per-worker
-// counter cells and the worker pool. A stack keeps what differs: its
+// and the knowledge-graph oracle over it (history.go), the group-partition
+// rule both stacks' auditors and repairs answer to (partition.go), the
+// per-worker counter cells and the worker pool. A stack keeps what differs: its
 // topology and which vertices a committee simulates, who is assigned
 // where, and what a commit does.
 package committee

@@ -45,14 +45,14 @@ func (nw *Network) CorruptState(pick uint64) string {
 	return fmt.Sprintf("member %d cycle %d successor %d -> %d", victim, c, old, target)
 }
 
-// SuspectMembers returns the members implicated in the current
+// suspectMembers returns the members implicated in the current
 // topology damage, sorted: first by the pairwise invariant (successor
 // must be a live member other than yourself, and its predecessor
 // pointer must point back), then — when the pointers are pairwise
 // consistent but validateTopology still fails (split cycles) — by
-// walking each cycle from members[0] and suspecting everyone the walk
-// cannot reach. An empty result means the topology is valid.
-func (nw *Network) SuspectMembers() []int {
+// suspecting everyone each cycle's walk (cycleOrder) cannot reach. An
+// empty result means the topology is valid.
+func (nw *Network) suspectMembers() []int {
 	nc := nw.cfg.D / 2
 	n := len(nw.members)
 	suspect := make(map[int]bool)
@@ -81,25 +81,9 @@ func (nw *Network) SuspectMembers() []int {
 	}
 	if len(suspect) == 0 && nw.validateTopology() != nil {
 		for c := 0; c < nc; c++ {
-			reached := make(map[int]bool, n)
-			v := nw.members[0]
-			for i := 0; i < n; i++ {
-				if reached[v] {
-					break
-				}
-				reached[v] = true
-				succ := nw.curSucc[v]
-				if c >= len(succ) {
-					break
-				}
-				v = int(succ[c])
-			}
-			if len(reached) < n {
-				for _, id := range nw.members {
-					if !reached[id] {
-						suspect[id] = true
-					}
-				}
+			order, reached := nw.cycleOrder(c, isMember)
+			for _, id := range order[reached:] {
+				suspect[id] = true
 			}
 		}
 	}
@@ -111,14 +95,41 @@ func (nw *Network) SuspectMembers() []int {
 	return out
 }
 
+// cycleOrder walks cycle c from members[0] keeping every live link,
+// cut at the first self-loop, dead reference or early revisit: order is
+// the walk followed by the unreached members in member order, and
+// reached is the walk's length. When every pointer is pairwise
+// consistent, order[reached:] are the members a split cycle strands.
+func (nw *Network) cycleOrder(c int, isMember map[int]bool) (order []int, reached int) {
+	visited := make(map[int]bool, len(nw.members))
+	order = make([]int, 0, len(nw.members))
+	for v := nw.members[0]; !visited[v]; {
+		visited[v] = true
+		order = append(order, v)
+		succ := nw.curSucc[v]
+		if c >= len(succ) {
+			break
+		}
+		w := int(succ[c])
+		if w == v || !isMember[w] {
+			break
+		}
+		v = w
+	}
+	reached = len(order)
+	for _, id := range nw.members {
+		if !visited[id] {
+			order = append(order, id)
+		}
+	}
+	return order, reached
+}
+
 // quarantineCycles restores every Hamilton cycle to a legal successor
-// permutation before the splice epoch runs: each cycle is walked from
-// the lowest member keeping every live link, the walk is cut at the
-// first self-loop, dead reference or early revisit, the unreached
-// members are appended in member order, and the successor/predecessor
-// arrays are rewritten in place along the result. The writes go through
-// the shared backing arrays the parked node goroutines alias, so the
-// protocol resumes with the quarantined pointers — the driver-level
+// permutation before the splice epoch runs: each cycle's successor and
+// predecessor arrays are rewritten in place along its cycleOrder. The
+// writes go through the shared backing arrays the parked node
+// goroutines alias, so the protocol resumes with the quarantined pointers — the driver-level
 // analogue of a node dropping links it has detected as inconsistent
 // before re-running the join protocol. Returns the number of pointers
 // rewritten (0 when every cycle was already legal).
@@ -134,28 +145,7 @@ func (nw *Network) quarantineCycles() int {
 	}
 	fixed := 0
 	for c := 0; c < nc; c++ {
-		visited := make(map[int]bool, n)
-		order := make([]int, 0, n)
-		for v := nw.members[0]; !visited[v]; {
-			visited[v] = true
-			order = append(order, v)
-			succ := nw.curSucc[v]
-			if c >= len(succ) {
-				break
-			}
-			w := int(succ[c])
-			if w == v || !isMember[w] {
-				break
-			}
-			v = w
-		}
-		if len(order) < n {
-			for _, id := range nw.members {
-				if !visited[id] {
-					order = append(order, id)
-				}
-			}
-		}
+		order, _ := nw.cycleOrder(c, isMember)
 		for i, id := range order {
 			w := order[(i+1)%n]
 			if succ := nw.curSucc[id]; c < len(succ) && int(succ[c]) != w {
@@ -183,7 +173,7 @@ func (nw *Network) quarantineCycles() int {
 // cannot attribute. Returns the epoch report and how many suspects were
 // evicted; callers loop until their audit engine reports clean.
 func (nw *Network) Repair() (EpochReport, int) {
-	suspects := nw.SuspectMembers() // before quarantine erases the evidence
+	suspects := nw.suspectMembers() // before quarantine erases the evidence
 	nw.quarantineCycles()
 	n := len(nw.members)
 	if len(suspects) > n-3 {

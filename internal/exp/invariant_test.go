@@ -88,11 +88,12 @@ func checkRow(t *testing.T, edit func(*Options)) {
 
 // TestTablesInvariant pins the baseline: the digest of the quick tables
 // in All() order is the repo's one record of absolute table values,
-// taken before the coroutine drivers were ported to handlers, and must
-// not move.
+// taken before the coroutine drivers were ported to handlers. It moves
+// only with a deliberate table change; the last was R1's §6 repairs
+// column counting the membership-index fixes (one quick cell, 1 → 2).
 func TestTablesInvariant(t *testing.T) {
 	t.Parallel()
-	const recorded = "aecfb68b9982e3c6"
+	const recorded = "5c939fdf3db0cb8b"
 	h := fnv.New64a()
 	for _, e := range All() {
 		fmt.Fprintf(h, "%s\n", baseline[e.ID]().out)

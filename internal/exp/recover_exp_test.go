@@ -56,6 +56,23 @@ func TestR1RecoverySmoke(t *testing.T) {
 	}
 }
 
+// TestS6RepairCountsIndexFixes: R1's §6 repair reconciles the
+// membership index before the re-balance rebuilds it, so an index desync
+// it fixes counts as a repair.
+func TestS6RepairCountsIndexFixes(t *testing.T) {
+	nw := overlayKinds[1].build(env{}, 42, 64, -1, 0)
+	defer nw.Close()
+	for range nw.EpochRounds() {
+		nw.step()
+	}
+	if nw.CorruptState(2<<8) == "" { // even: a nodeSuper index desync
+		t.Fatal("corruption applied nothing")
+	}
+	if got := nw.repair(); got == 0 {
+		t.Fatal("repair of an index desync reported no fixes")
+	}
+}
+
 // TestR1DegradedService pins the closed-form degraded-service metrics
 // used while the overlay is partitioned.
 func TestR1DegradedService(t *testing.T) {

@@ -182,7 +182,7 @@ func (s s6) step()                                     { s.Step(nil) }
 func (s s6) run(a dos.Adversary, b *dos.Buffer, k int) { s.Run(a, b, k) }
 func (s s6) n() int                                    { return s.N() }
 func (s s6) supers() int                               { return s.NumSupers() }
-func (s s6) repair() int                               { return s.RepairBalance() + s.RepairMembership() }
+func (s s6) repair() int                               { return s.RepairMembership() + s.RepairBalance() }
 func (s s6) as1(r *rng.RNG) (dos.Adversary, int) {
 	return &dos.Random{Fraction: 0.2, R: r, IDs: s.Members}, 2
 }

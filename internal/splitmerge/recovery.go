@@ -143,26 +143,16 @@ func (nw *Network) RepairBalance() int {
 
 // RepairMembership reconciles the nodeSuper index with the committed
 // group lists (the cheap half of repair, sufficient for pure index
-// desync): every committed member's index entry is rewritten from its
-// group, and stale index entries for unknown nodes are dropped.
-// Returns the number of entries fixed.
+// desync) by the rule the membership auditor checks
+// (committee.Engine.RepairPartition): every committed member's index
+// entry is rewritten from its group, duplicate copies collapse onto one,
+// and a node the index places but no group lists rejoins the group the
+// index names. Returns the number of entries fixed.
 func (nw *Network) RepairMembership() int {
-	fixes := 0
-	seen := make([]bool, len(nw.eng.NodeGroup))
+	members, _ := nw.viewSupers()
+	fixes := nw.eng.RepairPartition(members)
 	for x, s := range nw.supers {
-		for _, id := range s.members {
-			seen[id-1] = true
-			if nw.eng.NodeGroup[id-1] != int32(x) {
-				nw.eng.NodeGroup[id-1] = int32(x)
-				fixes++
-			}
-		}
-	}
-	for v := range nw.eng.NodeGroup {
-		if nw.eng.NodeGroup[v] >= 0 && !seen[v] {
-			nw.eng.NodeGroup[v] = -1
-			fixes++
-		}
+		s.members = members[x]
 	}
 	return fixes
 }

@@ -332,7 +332,10 @@ func (nw *Network) SetAudit(e *audit.Engine) {
 		}
 		return nil
 	})
-	e.Register("membership", nw.checkMembership)
+	e.Register("membership", func() []audit.Violation {
+		members, _ := nw.viewSupers()
+		return nw.eng.CheckPartition(members)
+	})
 	e.Register("label-coverage", nw.checkLabelCoverage)
 	e.Register("splitmerge-connectivity", func() []audit.Violation {
 		if !nw.ConnectedNow() {
@@ -340,43 +343,6 @@ func (nw *Network) SetAudit(e *audit.Engine) {
 		}
 		return nil
 	})
-}
-
-// checkMembership verifies that every committed member sits in exactly
-// one group and that the nodeSuper index agrees with group membership.
-func (nw *Network) checkMembership() []audit.Violation {
-	var out []audit.Violation
-	bad := func(id sim.NodeID, detail string) {
-		if len(out) < 16 {
-			out = append(out, audit.Violation{Nodes: []uint64{uint64(id)}, Detail: detail})
-		}
-	}
-	seen := make([]int32, len(nw.eng.NodeGroup))
-	for i := range seen {
-		seen[i] = -1
-	}
-	for x, s := range nw.supers {
-		for _, id := range s.members {
-			if id < 1 || int(id) > len(seen) {
-				bad(id, fmt.Sprintf("member id %d outside the allocated slot space", id))
-				continue
-			}
-			if prev := seen[id-1]; prev >= 0 {
-				bad(id, fmt.Sprintf("node %d appears in groups %d and %d", id, prev, x))
-				continue
-			}
-			seen[id-1] = int32(x)
-			if got := nw.eng.NodeGroup[id-1]; got != int32(x) {
-				bad(id, fmt.Sprintf("nodeSuper index says %d for node %d, membership says %d", got, id, x))
-			}
-		}
-	}
-	for v := range nw.eng.NodeGroup {
-		if nw.eng.NodeGroup[v] >= 0 && seen[v] < 0 {
-			bad(sim.NodeID(v+1), fmt.Sprintf("node %d indexed but missing from every group", v+1))
-		}
-	}
-	return out
 }
 
 // Join introduces a new node through the given sponsor and returns its

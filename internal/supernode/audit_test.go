@@ -5,6 +5,7 @@ import (
 
 	"overlaynet/internal/audit"
 	"overlaynet/internal/fault"
+	"overlaynet/internal/rng"
 )
 
 // TestAuditCleanRunNoViolations: a healthy network audited every round
@@ -64,6 +65,35 @@ func TestCrashRestartCycle(t *testing.T) {
 	}
 	if got := eng.CountFor("supernode-groups"); got != 0 {
 		t.Fatalf("crash-restart broke the group partition %d times: %+v", got, eng.Violations())
+	}
+}
+
+// TestRepairAfterHeavyCorruption: after 1,000 corruptions, one
+// RepairGroups must leave a partition the supernode-groups auditor
+// accepts at once and in every round of the next three epochs. A repair
+// that dedupes only across groups stops at a fixed point with nodes
+// listed twice in one group, which the auditor rejects every round.
+func TestRepairAfterHeavyCorruption(t *testing.T) {
+	nw := New(Config{Seed: 3, N: 1024, MeasureEvery: -1, Shards: 1})
+	defer nw.Close()
+	for r := 0; r < 2*nw.EpochRounds(); r++ {
+		nw.Step(nil)
+	}
+	r := rng.New(3)
+	for i := 0; i < 1000; i++ {
+		nw.CorruptState(r.Uint64())
+	}
+	nw.RepairGroups()
+	eng := audit.NewEngine("test", 3, 1, nil)
+	nw.SetAudit(eng)
+	if eng.RunNow(nw.Round()); eng.Count() != 0 {
+		t.Fatalf("repaired partition rejected: %+v", eng.Violations()[0])
+	}
+	for r := 0; r < 3*nw.EpochRounds(); r++ {
+		nw.Step(nil)
+	}
+	if got := eng.CountFor("supernode-groups"); got != 0 {
+		t.Fatalf("supernode-groups fired in %d rounds after repair: %+v", got, eng.Violations()[0])
 	}
 }
 

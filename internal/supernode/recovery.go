@@ -51,72 +51,11 @@ func (nw *Network) CorruptState(pick uint64) string {
 }
 
 // RepairGroups re-forms the group partition from the surviving
-// replicas, the §5 analogue of the join-protocol splice: duplicate
-// occurrences collapse onto the copy the node's own pointer names (or
-// the lowest-index group holding one), nodes missing from every
-// replicated list are re-admitted to the group their pointer — or,
-// failing that, the last committed epoch snapshot — names, and the
-// pointers are rebuilt from the final lists. Returns the number of
-// fixes applied; zero means the partition was already consistent.
-func (nw *Network) RepairGroups() int {
-	n := nw.cfg.N
-	fixes := 0
-	where := make([][]int, n) // groups currently listing each node
-	for x, g := range nw.groups {
-		for _, id := range g {
-			v := int(id) - 1
-			if v >= 0 && v < n {
-				where[v] = append(where[v], x)
-			}
-		}
-	}
-	remove := make(map[int]map[sim.NodeID]bool) // group -> ids to drop
-	for v := 0; v < n; v++ {
-		id := sim.NodeID(v + 1)
-		switch {
-		case len(where[v]) == 0:
-			x := int(nw.eng.NodeGroup[v])
-			if x < 0 || x >= nw.nSuper {
-				x = int(nw.eng.ViewAt(nw.eng.Epoch).NodeGroup[v])
-			}
-			nw.groups[x] = append(nw.groups[x], id)
-			slices.Sort(nw.groups[x])
-			fixes++
-		case len(where[v]) > 1:
-			keep := where[v][0]
-			for _, x := range where[v] {
-				if int32(x) == nw.eng.NodeGroup[v] {
-					keep = x
-					break
-				}
-			}
-			for _, x := range where[v] {
-				if x != keep {
-					if remove[x] == nil {
-						remove[x] = make(map[sim.NodeID]bool)
-					}
-					remove[x][id] = true
-					fixes++
-				}
-			}
-		}
-	}
-	for x, ids := range remove {
-		g := nw.groups[x][:0]
-		for _, id := range nw.groups[x] {
-			if !ids[id] {
-				g = append(g, id)
-			}
-		}
-		nw.groups[x] = g
-	}
-	for x, g := range nw.groups {
-		for _, id := range g {
-			if nw.eng.NodeGroup[int(id)-1] != int32(x) {
-				nw.eng.NodeGroup[int(id)-1] = int32(x)
-				fixes++
-			}
-		}
-	}
-	return fixes
-}
+// replicas, the §5 analogue of the join-protocol splice, by the rule the
+// supernode-groups auditor checks (committee.Engine.RepairPartition):
+// duplicate copies collapse onto the one the node's own pointer names,
+// nodes missing from every replicated list rejoin the group their
+// pointer — or the last committed view — names, and the pointers are
+// rebuilt from the final lists. Returns the number of fixes applied;
+// zero means the partition was already consistent.
+func (nw *Network) RepairGroups() int { return nw.eng.RepairPartition(nw.groups) }

@@ -309,48 +309,7 @@ func (nw *Network) SetAudit(e *audit.Engine) {
 		}
 		return nil
 	})
-	e.Register("supernode-groups", nw.checkGroups)
-}
-
-// checkGroups verifies the group partition: every node is in exactly
-// one group, and its nodeGroup pointer names that group.
-func (nw *Network) checkGroups() []audit.Violation {
-	seen := make([]int32, nw.cfg.N) // group+1 where each node was found
-	var bad []uint64
-	var detail string
-	for x, g := range nw.groups {
-		for _, id := range g {
-			v := int(id) - 1
-			if v < 0 || v >= nw.cfg.N {
-				bad = append(bad, uint64(id))
-				detail = "group member id out of range"
-				continue
-			}
-			if seen[v] != 0 {
-				bad = append(bad, uint64(id))
-				detail = "node appears in more than one group"
-				continue
-			}
-			seen[v] = int32(x) + 1
-		}
-	}
-	for v := 0; v < nw.cfg.N; v++ {
-		switch {
-		case seen[v] == 0:
-			bad = append(bad, uint64(v+1))
-			detail = "node missing from every group"
-		case seen[v]-1 != nw.eng.NodeGroup[v]:
-			bad = append(bad, uint64(v+1))
-			detail = "nodeGroup pointer disagrees with group membership"
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	if len(bad) > 16 {
-		bad = bad[:16]
-	}
-	return []audit.Violation{{Detail: fmt.Sprintf("%s (%d nodes affected)", detail, len(bad)), Nodes: bad}}
+	e.Register("supernode-groups", func() []audit.Violation { return nw.eng.CheckPartition(nw.groups) })
 }
 
 // Step executes one communication round under the given blocked set (see
