@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"overlaynet/internal/audit"
 	"overlaynet/internal/fault"
+	"overlaynet/internal/rng"
 )
 
 // TestAuditCleanEpochsNoViolations: reconfiguration epochs with no
@@ -41,6 +43,53 @@ func TestAuditDetectsCorruptedTopology(t *testing.T) {
 	eng.RunNow(nw.net.Round())
 	if eng.CountFor("hamilton-topology") == 0 {
 		t.Fatalf("corrupted topology not reported (violations: %+v)", eng.Violations())
+	}
+}
+
+// TestRepairAfterHeavyCorruption: from a warm network hit by k
+// CorruptState picks, the repair's suspect scan is empty exactly when
+// ValidateTopology accepts, quarantine rewrites nothing exactly when the
+// topology was legal (checked on the damaged and on the repaired
+// network), and one Repair epoch leaves the hamilton-topology and
+// connectivity checkers clean — at k up to 4n.
+func TestRepairAfterHeavyCorruption(t *testing.T) {
+	for _, n := range []int{48, 128} {
+		for _, k := range []int{1, n / 10, n, 4 * n} {
+			seed := uint64(n + k)
+			nw := NewNetwork(Config{Seed: seed, N0: n, D: 8, Alpha: 2, Epsilon: 1})
+			eng := audit.NewEngine("test", seed, 1, nil)
+			nw.SetAudit(eng)
+			nw.RunEpoch(nil, nil)
+			r := rng.New(seed)
+			for i := 0; i < k; i++ {
+				nw.CorruptState(r.Uint64())
+			}
+			legal := nw.ValidateTopology() == nil
+			if suspects := nw.suspectMembers(); (len(suspects) == 0) != legal {
+				t.Fatalf("n=%d k=%d: %d suspects, ValidateTopology legal=%v", n, k, len(suspects), legal)
+			}
+			saved := make(map[int][2][]int32, n)
+			for _, id := range nw.members {
+				saved[id] = [2][]int32{slices.Clone(nw.curSucc[id]), slices.Clone(nw.curPred[id])}
+			}
+			if fixed := nw.quarantineCycles(); (fixed == 0) != legal {
+				t.Fatalf("n=%d k=%d: quarantine rewrote %d pointers, legal=%v", n, k, fixed, legal)
+			}
+			for id, p := range saved { // undo, so Repair sees the damage
+				copy(nw.curSucc[id], p[0])
+				copy(nw.curPred[id], p[1])
+			}
+			nw.Repair()
+			for _, inv := range []string{"hamilton-topology", "connectivity"} {
+				if got := eng.CountFor(inv); got != 0 {
+					t.Fatalf("n=%d k=%d: %s fired after one repair: %+v", n, k, inv, eng.Violations()[0])
+				}
+			}
+			if s, q := nw.suspectMembers(), nw.quarantineCycles(); len(s) != 0 || q != 0 {
+				t.Fatalf("n=%d k=%d: legal repaired topology gave %d suspects, %d rewrites", n, k, len(s), q)
+			}
+			nw.Shutdown()
+		}
 	}
 }
 

@@ -299,7 +299,7 @@ func (nw *Network) SetAudit(e *audit.Engine) {
 	}
 	nw.budget = &sampling.BudgetStats{}
 	e.Register("hamilton-topology", func() []audit.Violation {
-		if err := nw.validateTopology(); err != nil {
+		if err := nw.ValidateTopology(); err != nil {
 			return []audit.Violation{{Detail: err.Error()}}
 		}
 		return nil
@@ -469,13 +469,9 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	nc := nw.cfg.D / 2
 
 	// Mark leavers.
-	isMember := make(map[int]bool, n)
-	for _, id := range nw.members {
-		isMember[id] = true
-	}
 	leaving := make(map[int]bool, len(leaves))
 	for _, id := range leaves {
-		if !isMember[id] {
+		if _, member := nw.curPred[id]; !member {
 			panic(fmt.Sprintf("core: leaver %d is not a member", id))
 		}
 		if leaving[id] {
@@ -493,7 +489,7 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	perSponsor := make(map[int]int)
 	maxJoin := 0
 	for _, j := range joins {
-		if !isMember[j.Sponsor] || leaving[j.Sponsor] {
+		if _, member := nw.curPred[j.Sponsor]; !member || leaving[j.Sponsor] {
 			panic(fmt.Sprintf("core: sponsor %d not a staying member", j.Sponsor))
 		}
 		perSponsor[j.Sponsor]++
@@ -613,7 +609,7 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	nw.curSucc, nw.curPred = newSucc, newPred
 	nw.members = newMembers
 
-	rep.Valid = nw.validateTopology() == nil
+	rep.Valid = nw.ValidateTopology() == nil
 	g := nw.BuildGraph()
 	rep.Connected = g.IsConnected()
 	if nw.MeasureExpansion && rep.Connected {
@@ -630,11 +626,28 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	return rep, joinerIDs
 }
 
-// ValidateTopology checks that every cycle of the current topology is a
-// single Hamilton cycle over the current member set (the §2.2/§4
-// structural invariant); nil means valid. The audit layer's
-// hamilton-topology checker is this test.
-func (nw *Network) ValidateTopology() error { return nw.validateTopology() }
+// ValidateTopology is the §2.2/§4 structural rule; nil means legal. A
+// topology is legal iff n ≥ 3 and each cycle's walk (cycleOrder) from
+// members[0] reaches all n members over links that hold: every member's
+// successor is another member whose predecessor points back, and the
+// cycle is one Hamilton cycle over the member set. The
+// hamilton-topology checker and EpochReport.Valid are this test, and the
+// repair's suspect scan (suspectMembers) reads the same link and walk.
+func (nw *Network) ValidateTopology() error {
+	n := len(nw.members)
+	if n < 3 {
+		return fmt.Errorf("core: too few members (%d)", n)
+	}
+	for c := 0; c < nw.cfg.D/2; c++ {
+		switch _, reached, broken := nw.cycleOrder(c); {
+		case broken >= 0:
+			return fmt.Errorf("core: member %d has a broken link in cycle %d", broken, c)
+		case reached < n:
+			return fmt.Errorf("core: cycle %d reaches %d of %d members", c, reached, n)
+		}
+	}
+	return nil
+}
 
 // maxEmptySegment scans every old cycle for the longest run of
 // inactive nodes (Lemma 12), using the active flags the nodes recorded.
@@ -664,11 +677,9 @@ func (nw *Network) maxEmptySegment() int {
 			} else {
 				run++
 			}
-			succ, ok := nw.curSucc[v]
-			if !ok || c >= len(succ) {
+			if v, _ = nw.link(v, c); v < 0 {
 				return maxSeg
 			}
-			v = int(succ[c])
 		}
 		if first < 0 {
 			// No active node at all: the whole cycle is one empty segment.
@@ -683,41 +694,6 @@ func (nw *Network) maxEmptySegment() int {
 	return maxSeg
 }
 
-// validateTopology checks that every cycle is a single Hamilton cycle
-// over the current member set.
-func (nw *Network) validateTopology() error {
-	nc := nw.cfg.D / 2
-	n := len(nw.members)
-	if n < 3 {
-		return fmt.Errorf("core: too few members (%d)", n)
-	}
-	for c := 0; c < nc; c++ {
-		start := nw.members[0]
-		v := start
-		seen := make(map[int]bool, n)
-		for i := 0; i < n; i++ {
-			succ, ok := nw.curSucc[v]
-			if !ok || c >= len(succ) {
-				return fmt.Errorf("core: member %d has no successor in cycle %d", v, c)
-			}
-			w := int(succ[c])
-			predW, ok := nw.curPred[w]
-			if !ok || int(predW[c]) != v {
-				return fmt.Errorf("core: pred/succ mismatch at %d -> %d in cycle %d", v, w, c)
-			}
-			if seen[v] {
-				return fmt.Errorf("core: cycle %d revisits %d early", c, v)
-			}
-			seen[v] = true
-			v = w
-		}
-		if v != start {
-			return fmt.Errorf("core: cycle %d does not close", c)
-		}
-	}
-	return nil
-}
-
 // BuildGraph materializes the current topology as a multigraph over
 // compacted vertex indices (in Members() order).
 func (nw *Network) BuildGraph() *graph.Graph {
@@ -727,14 +703,11 @@ func (nw *Network) BuildGraph() *graph.Graph {
 	}
 	g := graph.New(len(nw.members))
 	nc := nw.cfg.D / 2
-	for _, id := range nw.members {
-		succ := nw.curSucc[id]
+	for i, id := range nw.members {
 		for c := 0; c < nc; c++ {
-			j, ok := idx[int(succ[c])]
-			if !ok || j == idx[id] {
-				continue // invalid topology; validateTopology reports it
+			if w, _ := nw.link(id, c); w >= 0 {
+				g.AddEdge(i, idx[w])
 			}
-			g.AddEdge(idx[id], j)
 		}
 	}
 	return g

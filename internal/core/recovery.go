@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // This file is the §4 network's self-healing surface: deterministic
@@ -45,84 +46,79 @@ func (nw *Network) CorruptState(pick uint64) string {
 	return fmt.Sprintf("member %d cycle %d successor %d -> %d", victim, c, old, target)
 }
 
-// suspectMembers returns the members implicated in the current
-// topology damage, sorted: first by the pairwise invariant (successor
-// must be a live member other than yourself, and its predecessor
-// pointer must point back), then — when the pointers are pairwise
-// consistent but validateTopology still fails (split cycles) — by
-// suspecting everyone each cycle's walk (cycleOrder) cannot reach. An
-// empty result means the topology is valid.
-func (nw *Network) suspectMembers() []int {
-	nc := nw.cfg.D / 2
-	n := len(nw.members)
-	suspect := make(map[int]bool)
-	isMember := make(map[int]bool, n)
-	for _, id := range nw.members {
-		isMember[id] = true
+// link is the pairwise half of the §2.2/§4 rule, read by the cycle walk
+// (cycleOrder, and through it ValidateTopology), the repair's suspect
+// scan (suspectMembers) and the stats (BuildGraph, maxEmptySegment): w
+// is member v's successor in cycle c when that is a member other than
+// v, else −1, and ok reports whether w's predecessor points back at v.
+// The curSucc and curPred keys are the member set.
+func (nw *Network) link(v, c int) (w int, ok bool) {
+	succ := nw.curSucc[v]
+	if c >= len(succ) {
+		return -1, false
 	}
-	for _, v := range nw.members {
-		succ := nw.curSucc[v]
-		for c := 0; c < nc; c++ {
-			if c >= len(succ) {
-				suspect[v] = true
-				continue
-			}
-			w := int(succ[c])
-			if !isMember[w] || w == v {
-				suspect[v] = true
-				continue
-			}
-			predW := nw.curPred[w]
-			if c >= len(predW) || int(predW[c]) != v {
-				suspect[v] = true
-				suspect[w] = true
-			}
-		}
+	w = int(succ[c])
+	pred, member := nw.curPred[w]
+	if !member || w == v {
+		return -1, false
 	}
-	if len(suspect) == 0 && nw.validateTopology() != nil {
-		for c := 0; c < nc; c++ {
-			order, reached := nw.cycleOrder(c, isMember)
-			for _, id := range order[reached:] {
-				suspect[id] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(suspect))
-	for id := range suspect {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return w, c < len(pred) && int(pred[c]) == v
 }
 
-// cycleOrder walks cycle c from members[0] keeping every live link,
-// cut at the first self-loop, dead reference or early revisit: order is
-// the walk followed by the unreached members in member order, and
-// reached is the walk's length. When every pointer is pairwise
-// consistent, order[reached:] are the members a split cycle strands.
-func (nw *Network) cycleOrder(c int, isMember map[int]bool) (order []int, reached int) {
-	visited := make(map[int]bool, len(nw.members))
-	order = make([]int, 0, len(nw.members))
-	for v := nw.members[0]; !visited[v]; {
+// suspectMembers returns, sorted, the members the §2.2/§4 rule
+// (ValidateTopology) implicates: both ends of every broken link, and
+// when no link is broken (split cycles), everyone a cycle's walk from
+// members[0] cannot reach. For n ≥ 3 the result is empty exactly when
+// ValidateTopology is nil.
+func (nw *Network) suspectMembers() []int {
+	nc := nw.cfg.D / 2
+	suspect := make(map[int]bool)
+	for _, v := range nw.members {
+		for c := 0; c < nc; c++ {
+			if w, ok := nw.link(v, c); !ok {
+				suspect[v] = true
+				if w >= 0 {
+					suspect[w] = true
+				}
+			}
+		}
+	}
+	for c := 0; c < nc && len(suspect) == 0; c++ {
+		order, reached, _ := nw.cycleOrder(c)
+		for _, id := range order[reached:] {
+			suspect[id] = true
+		}
+	}
+	return slices.Sorted(maps.Keys(suspect))
+}
+
+// cycleOrder walks cycle c from members[0] along every link whose
+// successor is another member, cut at the first dead reference or
+// early revisit: order is the walk followed by the unreached members in
+// member order, reached is the walk's length, and broken is the first
+// member on the walk whose link does not hold (−1 if none). When every
+// link holds, order[reached:] are the members a split cycle strands.
+func (nw *Network) cycleOrder(c int) (order []int, reached, broken int) {
+	n := len(nw.members)
+	visited := make(map[int]bool, n)
+	order = make([]int, 0, n)
+	broken = -1
+	for v := nw.members[0]; v >= 0 && !visited[v]; {
 		visited[v] = true
 		order = append(order, v)
-		succ := nw.curSucc[v]
-		if c >= len(succ) {
-			break
-		}
-		w := int(succ[c])
-		if w == v || !isMember[w] {
-			break
+		w, ok := nw.link(v, c)
+		if !ok && broken < 0 {
+			broken = v
 		}
 		v = w
 	}
 	reached = len(order)
 	for _, id := range nw.members {
-		if !visited[id] {
+		if reached < n && !visited[id] {
 			order = append(order, id)
 		}
 	}
-	return order, reached
+	return order, reached, broken
 }
 
 // quarantineCycles restores every Hamilton cycle to a legal successor
@@ -139,13 +135,9 @@ func (nw *Network) quarantineCycles() int {
 	if n == 0 || nc == 0 {
 		return 0
 	}
-	isMember := make(map[int]bool, n)
-	for _, id := range nw.members {
-		isMember[id] = true
-	}
 	fixed := 0
 	for c := 0; c < nc; c++ {
-		order, _ := nw.cycleOrder(c, isMember)
+		order, _, _ := nw.cycleOrder(c)
 		for i, id := range order {
 			w := order[(i+1)%n]
 			if succ := nw.curSucc[id]; c < len(succ) && int(succ[c]) != w {

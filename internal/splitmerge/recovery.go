@@ -2,8 +2,10 @@ package splitmerge
 
 import (
 	"fmt"
+	"slices"
 
 	"overlaynet/internal/audit"
+	"overlaynet/internal/hypercube"
 )
 
 // This file is the §6 network's self-healing surface: deterministic
@@ -11,33 +13,63 @@ import (
 // the label-coverage invariant the corruption breaks, and a repair
 // protocol that forces a re-balance back toward Equation (1).
 
-// checkLabelCoverage verifies that the supernode labels form an exact
-// partition of the label space (the invariant behind ownerOf and the
-// virtual-vertex sampling weights): no label may be an ancestor of —
-// or equal to — another, and the subtree weights 2^(dmax−d(x)) must
-// sum to the full 2^dmax cube. A dimension-mutated label breaks this
-// immediately: its old subtree is double- or un-covered.
-func (nw *Network) checkLabelCoverage() []audit.Violation {
-	var out []audit.Violation
-	_, dmax := nw.DimRange()
-	var total uint64
+// labelFault is one defect of the label rule. Without s it is an
+// overlap: x is a prefix of, or equal to, y, and the repair collapses
+// x's subtree. With s it is a hole: no label lies under x's sibling,
+// where x is s's label or an ancestor of it, and the repair moves s up
+// to x's parent.
+type labelFault struct {
+	x, y hypercube.Label
+	s    *super
+}
+
+// within reports whether label y lies in x's subtree: y is x or a
+// descendant of it.
+func within(x, y hypercube.Label) bool { return x.Equal(y) || x.IsAncestorOf(y) }
+
+// labelDefect is the §6 label rule — the supernode labels partition the
+// label space, the invariant behind ownerOf and the virtual-vertex
+// sampling weights — written once for the label-coverage checker and
+// RepairBalance. It returns the first defect in scan order, or ok =
+// false when the rule holds: overlaps first (pairs in label order; the
+// supers are sorted by (dimension, bits), so the shorter label comes
+// first), then holes (each label's sibling, then its ancestors'
+// siblings). For a prefix-free, non-empty set, a label under every
+// sibling on every label's path to the root is exactly full coverage.
+func (nw *Network) labelDefect() (f labelFault, ok bool) {
 	for i, s := range nw.supers {
-		if d := s.label.Dim(); d <= dmax {
-			total += 1 << uint(dmax-d)
-		}
-		for j := i + 1; j < len(nw.supers); j++ {
-			t := nw.supers[j]
-			if s.label.Equal(t.label) || s.label.IsAncestorOf(t.label) || t.label.IsAncestorOf(s.label) {
-				out = append(out, audit.Violation{Detail: fmt.Sprintf(
-					"labels %v and %v overlap (one is a prefix of the other)", s.label, t.label)})
+		for _, t := range nw.supers[i+1:] {
+			if within(s.label, t.label) {
+				return labelFault{x: s.label, y: t.label}, true
 			}
 		}
 	}
-	if len(out) == 0 && total != 1<<uint(dmax) {
-		out = append(out, audit.Violation{Detail: fmt.Sprintf(
-			"labels cover %d of %d leaves of the depth-%d cube", total, uint64(1)<<uint(dmax), dmax)})
+	for _, s := range nw.supers {
+		for x := s.label; x.Dim() > 0; x = x.Parent() {
+			sib := x.Sibling()
+			if !slices.ContainsFunc(nw.supers, func(t *super) bool { return within(sib, t.label) }) {
+				return labelFault{x: x, s: s}, true
+			}
+		}
 	}
-	return out
+	return labelFault{}, false
+}
+
+// checkLabelCoverage is the label-coverage checker: labelDefect's first
+// defect, if any. A dimension-mutated label breaks the rule at once:
+// its old subtree is un-covered.
+func (nw *Network) checkLabelCoverage() []audit.Violation {
+	f, ok := nw.labelDefect()
+	switch {
+	case !ok:
+		return nil
+	case f.s == nil:
+		return []audit.Violation{{Detail: fmt.Sprintf(
+			"labels %v and %v overlap (one is a prefix of the other)", f.x, f.y)}}
+	default:
+		return []audit.Violation{{Detail: fmt.Sprintf(
+			"no label covers %v, the sibling of %v", f.x.Sibling(), f.x)}}
+	}
 }
 
 // CorruptState implements fault.Corrupter: selected by pick, it either
@@ -77,63 +109,23 @@ func (nw *Network) CorruptState(pick uint64) string {
 	return fmt.Sprintf("group %v dimension mutated to %v (coverage hole at %v)", old, s.label, old.Child(1))
 }
 
-// RepairBalance restores the label partition and forces a re-balance
-// toward Equation (1): overlapping label subtrees are collapsed into
-// their common ancestor, coverage holes are closed by promoting the
-// orphaned sibling to its parent label, and a normalization pass then
-// splits/merges every group back inside the Equation (1) band. The
-// membership index is rebuilt last. Returns the number of structural
-// fixes applied (0 when the tree was already a legal partition).
+// RepairBalance restores the label rule (labelDefect) and forces a
+// re-balance toward Equation (1): it fixes the first defect until none
+// is left — an overlap collapses into the shorter label, a hole is
+// closed by moving the label above it up to the hole's parent — and a
+// normalization pass then splits/merges every group back inside the
+// Equation (1) band. The membership index is rebuilt last. Returns the
+// number of structural fixes applied, 0 exactly when the label rule held.
 func (nw *Network) RepairBalance() int {
 	fixes := 0
-	// Collapse overlapping subtrees: if one label is an ancestor of (or
-	// equal to) another, merge the whole subtree under the shorter label.
-	for changed := true; changed; {
-		changed = false
-		for i := 0; i < len(nw.supers) && !changed; i++ {
-			s := nw.supers[i]
-			for j := i + 1; j < len(nw.supers); j++ {
-				t := nw.supers[j]
-				switch {
-				case s.label.Equal(t.label) || s.label.IsAncestorOf(t.label):
-					nw.mergeSubtree(s.label)
-					fixes++
-					changed = true
-				case t.label.IsAncestorOf(s.label):
-					nw.mergeSubtree(t.label)
-					fixes++
-					changed = true
-				}
-				if changed {
-					break
-				}
-			}
+	for f, ok := nw.labelDefect(); ok; f, ok = nw.labelDefect() {
+		if f.s == nil {
+			nw.mergeSubtree(f.x)
+		} else {
+			f.s.label = f.x.Parent()
+			nw.sortSupers()
 		}
-	}
-	// Close coverage holes: a supernode whose sibling subtree has no
-	// owner at all is promoted to its parent label, adopting the hole.
-	for changed := true; changed; {
-		changed = false
-		for _, s := range nw.supers {
-			if s.label.Dim() == 0 {
-				continue
-			}
-			sib := s.label.Sibling()
-			covered := false
-			for _, t := range nw.supers {
-				if sib.Equal(t.label) || sib.IsAncestorOf(t.label) {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				s.label = s.label.Parent()
-				nw.sortSupers()
-				fixes++
-				changed = true
-				break
-			}
-		}
+		fixes++
 	}
 	nw.normalize()
 	nw.indexMembers()

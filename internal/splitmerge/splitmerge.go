@@ -179,7 +179,7 @@ func New(cfg Config) *Network {
 	}
 	nw := &Network{cfg: cfg, r: rng.New(cfg.Seed)}
 	d := 1
-	for (1<<(d+1))*2*cfg.C*(d+1) < cfg.N0 {
+	for _, hi := nw.eq1Band(d + 1); (1<<(d+1))*hi < cfg.N0; _, hi = nw.eq1Band(d + 1) {
 		d++
 	}
 	for x := 0; x < 1<<d; x++ {
@@ -285,20 +285,35 @@ func (nw *Network) Labels() []hypercube.Label {
 	return out
 }
 
-// Eq1Holds reports whether every supernode's size lies in the band the
-// split/merge triggers maintain: c·d(x)−c ≤ |R(x)| ≤ 2c·d(x) (the
-// closure of Equation (1); the paper splits only when the size exceeds
-// the upper bound and merges only below the lower one).
-func (nw *Network) Eq1Holds() bool {
+// eq1Band is Equation (1)'s size band for a dimension-d supernode,
+// c·d−c ≤ |R(x)| ≤ 2c·d (its closure: the paper splits only when the
+// size exceeds the upper bound and merges only below the lower one).
+// The eq1-group-size checker, Eq1Holds and normalize's split and merge
+// triggers all read it.
+func (nw *Network) eq1Band(d int) (lo, hi int) {
 	c := nw.cfg.C
+	return c*d - c, 2 * c * d
+}
+
+// checkEq1 is the eq1-group-size checker: one violation per committed
+// group outside its eq1Band.
+func (nw *Network) checkEq1() []audit.Violation {
+	var out []audit.Violation
 	for _, s := range nw.supers {
-		d := s.label.Dim()
-		if len(s.members) < c*d-c || len(s.members) > 2*c*d {
-			return false
+		d, n := s.label.Dim(), len(s.members)
+		if lo, hi := nw.eq1Band(d); n < lo || n > hi {
+			out = append(out, audit.Violation{
+				Detail: fmt.Sprintf("group %v (dim %d) has %d members, Equation (1) band is [%d, %d]",
+					s.label, d, n, lo, hi),
+			})
 		}
 	}
-	return true
+	return out
 }
+
+// Eq1Holds reports whether every committed group's size lies in its
+// Equation (1) band: the eq1-group-size checker finds nothing.
+func (nw *Network) Eq1Holds() bool { return nw.checkEq1() == nil }
 
 // SetAudit attaches (or, with nil, detaches) an invariant engine. The
 // registered checkers run every engine-tick against the committed
@@ -310,20 +325,7 @@ func (nw *Network) SetAudit(e *audit.Engine) {
 	if e == nil {
 		return
 	}
-	e.Register("eq1-group-size", func() []audit.Violation {
-		c := nw.cfg.C
-		var out []audit.Violation
-		for _, s := range nw.supers {
-			d := s.label.Dim()
-			if n := len(s.members); n < c*d-c || n > 2*c*d {
-				out = append(out, audit.Violation{
-					Detail: fmt.Sprintf("group %v (dim %d) has %d members, Equation (1) band is [%d, %d]",
-						s.label, d, n, c*d-c, 2*c*d),
-				})
-			}
-		}
-		return out
-	})
+	e.Register("eq1-group-size", nw.checkEq1)
 	e.Register("dim-spread", func() []audit.Violation {
 		if min, max := nw.DimRange(); max-min > 2 {
 			return []audit.Violation{{
@@ -651,7 +653,6 @@ func (nw *Network) commitRound() {
 // undersized supernodes (the organized O(1)-round procedure of
 // Lemma 18). It also updates the dimension-spread and violation stats.
 func (nw *Network) normalize() {
-	c := nw.cfg.C
 	for iter := 0; iter < 256; iter++ {
 		changed := false
 		// Splits first: |R(x)| > 2c·d(x) -> two children. Members are
@@ -661,7 +662,7 @@ func (nw *Network) normalize() {
 		var next []*super
 		for _, s := range nw.supers {
 			d := s.label.Dim()
-			if len(s.members)+len(s.pending) > 2*c*d && d < 60 {
+			if _, hi := nw.eq1Band(d); len(s.members)+len(s.pending) > hi && d < 60 {
 				nw.stats.Splits++
 				changed = true
 				a := &super{label: s.label.Child(0)}
@@ -694,7 +695,7 @@ func (nw *Network) normalize() {
 		for i := 0; i < len(nw.supers); i++ {
 			s := nw.supers[i]
 			d := s.label.Dim()
-			if d == 0 || len(s.members)+len(s.pending) >= c*d-c {
+			if lo, _ := nw.eq1Band(d); d == 0 || len(s.members)+len(s.pending) >= lo {
 				continue
 			}
 			sib := s.label.Sibling()
@@ -759,7 +760,7 @@ func (nw *Network) mergeSubtree(prefix hypercube.Label) {
 	acc := &super{label: prefix}
 	var next []*super
 	for _, s := range nw.supers {
-		if prefix.IsAncestorOf(s.label) || prefix.Equal(s.label) {
+		if within(prefix, s.label) {
 			acc.members = append(acc.members, s.members...)
 			acc.pending = append(acc.pending, s.pending...)
 		} else {
