@@ -11,166 +11,172 @@ import (
 // coinEngine is a one-worker engine with no stack around it.
 func coinEngine() *Engine { return New(1, 1) }
 
-// fillSymbols decodes, symbol by symbol, the m Phase-1 symbols fill draws
-// from r for arity k: a power of two takes the next symbol from the low
-// bits of the current word's next symBits(k)-bit slot, starting a word
-// when the last one is used up — ⌈m·b/64⌉ words in all; any other arity
-// is one Intn(k) apiece.
-func fillSymbols(r *rng.RNG, k, m int) []int {
-	b, out := symBits(k), make([]int, 0, m)
-	if k&(k-1) != 0 {
-		for range m {
-			out = append(out, r.Intn(k))
-		}
-		return out
-	}
-	for len(out) < m {
-		x := r.Uint64()
-		for s := uint(0); s < 64 && len(out) < m; s += b {
-			out = append(out, int(x>>s)&(k-1))
-		}
-	}
-	return out
+// lazyCoins is the reference Phase-1 symbol source: every symbol is drawn
+// from r at the moment it is read. For k = 2^p it is the next p bits of a
+// buffered word, low bits first, a new word taken when fewer than p bits
+// are left; any other k is one Intn(k). The buffer lives for one
+// vertexRound call: start empties it.
+type lazyCoins struct {
+	r    *rng.RNG
+	k    int
+	w    uint64
+	bits uint
 }
 
-// TestFillConsumesWhatItStores: for a power-of-two arity the fill takes
-// exactly ⌈m·b/64⌉ words, each slot holding its low bits of the word with
-// the bits above them and the last word's tail zero; any other arity takes
-// exactly m Intn draws. Both overwrite every word they are handed and
-// nothing past it.
-func TestFillConsumesWhatItStores(t *testing.T) {
-	e := coinEngine()
-	defer e.Close()
-	for _, k := range []int{2, 3, 4, 5, 8, 16, 32, 200, 256} {
-		b := symBits(k)
-		for _, m := range []int{0, 1, 31, 32, 33, 63, 64, 65, 2496} {
-			e.Arity = k
-			e.Reset(1, 1, []int{m})
-			words := (m*int(b) + 63) / 64
-			if e.wpl != words {
-				t.Fatalf("k=%d m=%d: %d words per list, want ⌈m·%d/64⌉ = %d", k, m, e.wpl, b, words)
-			}
-			buf := make([]uint64, words+1)
-			for i := range buf {
-				buf[i] = ^uint64(0)
-			}
-			r, ref := rng.New(uint64(k*m)+1), rng.New(uint64(k*m)+1)
-			e.fill(r, buf[:words])
-			want := make([]uint64, words+1)
-			want[words] = ^uint64(0) // the word past the list is not the fill's
-			for i, v := range fillSymbols(ref, k, m) {
-				want[i*int(b)/64] |= uint64(v) << (uint(i) * b % 64)
-			}
-			if !slices.Equal(buf, want) {
-				t.Fatalf("k=%d m=%d: filled %#x, want %#x", k, m, buf, want)
-			}
-			if *r != *ref {
-				t.Fatalf("k=%d m=%d: the fill consumed other than ⌈m·b/64⌉ words or m draws", k, m)
-			}
-		}
+func (c *lazyCoins) start() { c.w, c.bits = 0, 0 }
+
+func (c *lazyCoins) sym() int {
+	if c.k&(c.k-1) != 0 {
+		return c.r.Intn(c.k)
 	}
+	p := uint(0)
+	for 1<<p < c.k {
+		p++
+	}
+	if c.bits < p {
+		c.w, c.bits = c.r.Uint64(), 64
+	}
+	s := int(c.w & (1<<p - 1))
+	c.w >>= p
+	c.bits -= p
+	return s
 }
 
-// BenchmarkFill reports ns per Phase-1 symbol for one §6 list at n = 100k
-// (m₀ = 2496) on the binary cube, the k-ary cube of X4 and a power of two
-// whose symbols leave slot bits unused.
-func BenchmarkFill(b *testing.B) {
-	const m = 2496
-	for _, k := range []int{2, 3, 8} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			e := coinEngine()
-			defer e.Close()
-			e.Arity = k
-			e.Reset(1, 1, []int{m})
-			r, syms := rng.New(1), e.syms(0)
-			for i := 0; i < b.N; i++ {
-				e.fill(r, syms)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/m, "ns/symbol")
-		})
+// ones is iteration 1's count on the binary cube: a popcount of the next m bits.
+func (c *lazyCoins) ones(m int) (n int) {
+	for range m {
+		n += c.sym()
 	}
+	return n
 }
 
-// coinListAgainstSlice takes vertex u of the k-ary 2-cube through Phase 1,
-// iteration 1's m1 requests from list 1 and a serve that drains list 2 past
-// underflow, and replays it on the []int32 lists the packed ones replaced —
-// fill decoded up front by fillSymbols, swap-remove on vertex ids — from a
-// copy of the generator: the same targets, answers, SampleFails and Held,
-// and the same generator state at the end.
-func coinListAgainstSlice(t testing.TB, e *Engine, seed uint64, k, m0, m1, u int) {
+// coinListAgainstLazy takes vertex u of the k-ary d-cube (d = 2 or 4)
+// through Phase 1 and iteration 1: the m1 requests from each asking list
+// (1, and 3 when d = 4), then serves that drain lists 2 and 4 past
+// underflow, each in two runs from two askers, split at cut. It replays
+// the same reads on budgets with lazyCoins over a copy of the generator
+// and asks for the same targets, answers, SampleFails and Held, and the
+// same generator state at the end.
+func coinListAgainstLazy(t testing.TB, e *Engine, seed uint64, k, d, m0, m1, u, cut int) {
+	nv := 1
+	for range d {
+		nv *= k
+	}
 	e.Arity = k
-	e.Reset(k*k, 2, []int{m0, m1})
+	e.Reset(nv, d, []int{m0, m1, m1})
 	clear(e.Owner)
 	e.cells[0].Counters = Counters{}
 	r := rng.New(seed)
-	ref := *r
+	ref := lazyCoins{r: rng.New(seed), k: k}
+	name := fmt.Sprintf("k=%d d=%d m0=%d m1=%d u=%d cut=%d", k, d, m0, m1, u, cut)
 
-	var lists [2][]int32
-	for j, pow := 0, 1; j < 2; j, pow = j+1, pow*k {
-		for _, v := range fillSymbols(&ref, k, m0) {
-			lists[j] = append(lists[j], int32(u-u/pow%k*pow+v*pow))
-		}
+	budget := make([]int, d)
+	for j := range budget {
+		budget[j] = m0
 	}
+	pow := func(j int) int { // coordinate j's place value, j from 0
+		p := 1
+		for range j {
+			p *= k
+		}
+		return p
+	}
+	to := func(j, s int) int32 { return int32(u - u/pow(j)%k*pow(j) + s*pow(j)) }
 	fails := 0
-	draw := func(j int) int32 {
-		l := lists[j]
-		if len(l) == 0 {
-			fails++
-			return int32(u)
-		}
-		h := ref.Intn(len(l))
-		v := l[h]
-		l[h] = l[len(l)-1]
-		lists[j] = l[:len(l)-1]
-		return v
-	}
-	asked := make([]int32, k*k)
-	for i := 0; i < m1; i++ {
-		asked[draw(0)]++
-	}
 
+	// Iteration 1's ask: per asking list, per symbol, one run.
+	ref.start()
+	want := make(map[int32][]asks)
+	for j := 0; j < d; j += 2 {
+		got := min(m1, budget[j])
+		cnt := make([]int32, k)
+		if k == 2 {
+			ones := ref.ones(got)
+			cnt[0], cnt[1] = int32(got-ones), int32(ones)
+		} else {
+			for range got {
+				cnt[ref.sym()]++
+			}
+		}
+		budget[j] -= got
+		own := u / pow(j) % k
+		cnt[own] += int32(m1 - got)
+		fails += m1 - got
+		for s, n := range cnt {
+			if n > 0 {
+				want[to(j, s)] = append(want[to(j, s)], asks{int32(u), n, int32(j + 1)})
+			}
+		}
+	}
 	e.pr = 0
 	e.vertexRound(0, r, u)
-	for v := range asked {
-		q := e.reqs[0][v].q
-		if asked[v] == 0 && len(q) == 0 {
-			continue
-		}
-		if len(q) != 1 || q[0] != (asks{int32(u), asked[v], 1}) {
-			t.Fatalf("k=%d m0=%d m1=%d u=%d: vertex %d is asked %v, want one run of %d for list 1", k, m0, m1, u, v, q, asked[v])
+	for v := range int32(nv) {
+		if got := e.reqs[0][v].q; !slices.Equal(got, want[v]) {
+			t.Fatalf("%s: vertex %d is asked %v, want %v", name, v, got, want[v])
 		}
 	}
 
-	const asker = 0
+	// Iteration 1's serve: lists 2 (and 4) drained past their end.
+	ref.start()
 	n := m0 + 5
-	e.reqs[0][u].q = append(e.reqs[0][u].q[:0], asks{asker, int32(n), 1})
-	e.resps[0][asker].vals.q = e.resps[0][asker].vals.q[:0]
-	want := make([]int32, n)
-	for i := range want {
-		want[i] = draw(1)
+	runs := e.reqs[0][u].q[:0]
+	answers := [2][]int32{}
+	for j := 0; j < d; j += 2 {
+		for a, cnt := range [2]int{cut % (n + 1), n - cut%(n+1)} {
+			runs = append(runs, asks{int32(a), int32(cnt), int32(j + 1)})
+			for range cnt {
+				v := int32(u)
+				if budget[j+1] == 0 {
+					fails++
+				} else {
+					budget[j+1]--
+					v = to(j+1, ref.sym())
+				}
+				answers[a] = append(answers[a], v)
+			}
+		}
+	}
+	e.reqs[0][u].q = runs
+	for a := range answers {
+		e.resps[0][a].vals.q = e.resps[0][a].vals.q[:0]
 	}
 	e.pr = 1
 	e.vertexRound(0, r, u)
-	if got := e.resps[0][asker].vals.q; !slices.Equal(got, want) {
-		t.Fatalf("k=%d m0=%d m1=%d u=%d: list 2 drained to\n%v, want\n%v", k, m0, m1, u, got, want)
+	for a := range answers {
+		if got := e.resps[0][a].vals.q; !slices.Equal(got, answers[a]) {
+			t.Fatalf("%s: asker %d is answered\n%v, want\n%v", name, a, got, answers[a])
+		}
 	}
 	if got := e.cells[0].SampleFails; got != fails || fails < 5 {
-		t.Fatalf("k=%d m0=%d m1=%d u=%d: %d sample fails, reference %d (at least the 5 past the end)", k, m0, m1, u, got, fails)
+		t.Fatalf("%s: %d sample fails, reference %d (at least the 5 past the end)", name, got, fails)
 	}
-	if got, want := e.Held(u), len(lists[0])+len(lists[1]); got != want {
-		t.Fatalf("k=%d m0=%d m1=%d u=%d: holds %d entries, want %d", k, m0, m1, u, got, want)
+	held := 0
+	for _, b := range budget {
+		held += b
 	}
-	if *r != ref {
-		t.Fatalf("k=%d m0=%d m1=%d u=%d: the packed lists consumed different draws", k, m0, m1, u)
+	if got := e.Held(u); got != held {
+		t.Fatalf("%s: holds %d entries, want %d", name, got, held)
+	}
+	if *r != *ref.r {
+		t.Fatalf("%s: the budgets consumed different draws from the lazy reference", name)
 	}
 }
 
-func TestCoinListMatchesSlice(t *testing.T) {
+// coinCubeDim is the cube coinListAgainstLazy runs: d = 4, two asking
+// lists whose reads share one buffer, while the cube stays small.
+func coinCubeDim(k int) int {
+	if k <= 8 {
+		return 4
+	}
+	return 2
+}
+
+func TestCoinListMatchesLazyCoins(t *testing.T) {
 	e := coinEngine()
 	defer e.Close()
-	for _, k := range []int{2, 3, 4, 5, 16, 256} { // symbol widths 1, 2, 2, 4, 4, 8
+	for _, k := range []int{2, 3, 4, 5, 8, 16, 256} { // symbol widths 1, –, 2, –, 3 (a word's last bit unread), 4, 8
 		for _, m := range [][2]int{{1, 1}, {70, 35}, {133, 140}, {257, 256}} { // m₀ off the word size; m₁ short of, past and at the list's end
-			coinListAgainstSlice(t, e, uint64(k*m[0]), k, m[0], m[1], (k*k-1)/2)
+			coinListAgainstLazy(t, e, uint64(k*m[0]), k, coinCubeDim(k), m[0], m[1], (k*k-1)/2, m[0]/3)
 		}
 	}
 }
@@ -182,6 +188,30 @@ func FuzzCoinList(f *testing.F) {
 	f.Cleanup(e.Close)
 	f.Fuzz(func(t *testing.T, seed uint64, k uint8, m0, m1, u uint16) {
 		arity := 2 + int(k)%255
-		coinListAgainstSlice(t, e, seed, arity, int(m0)%600, int(m1)%600, int(u)%(arity*arity))
+		d := coinCubeDim(arity)
+		nv := arity * arity
+		if d == 4 {
+			nv *= nv
+		}
+		coinListAgainstLazy(t, e, seed, arity, d, int(m0)%600, int(m1)%600, int(u)%nv, int(seed%1024))
 	})
+}
+
+// BenchmarkSample reports ns per Algorithm 2 message over one epoch of
+// the toy engine on the binary 12-cube: Phase 1's coins, every serve and
+// collect, one worker.
+func BenchmarkSample(b *testing.B) {
+	ty := newToy(2, 12, 1)
+	defer ty.e.Close()
+	e, msgs := ty.e, int64(0)
+	for b.Loop() {
+		e.Reset(len(ty.verts), 12, ty.mi)
+		clear(e.Owner)
+		for pr := 0; pr < 2*len(ty.mi)-1; pr++ {
+			e.Begin(nil, ty.members, ty.verts)
+			e.Sample(pr)
+			msgs += e.End().Messages
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 }

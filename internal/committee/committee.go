@@ -62,10 +62,9 @@ type cell struct {
 // configuration fields once after New, owns the contents of NodeR,
 // NodeGroup, ViewEpoch and Owner, and advances Epoch when it commits.
 type Engine struct {
-	// Arity is the cube's K: a vertex is a D-digit base-K number. Phase 1
-	// draws each list's symbols from the leader's RNG, symBits(Arity) bits
-	// apiece: 64/symBits(Arity) to a generator word when K is a power of
-	// two, one Lemire draw each otherwise.
+	// Arity is the cube's K: a vertex is a D-digit base-K number. A
+	// Phase-1 symbol is drawn from the leader's RNG when it is read: the
+	// next p bits of a generator word when K = 2^p, one Intn(K) otherwise.
 	Arity int
 	// RespFrom offsets a response's gate identity past every request's,
 	// keeping the two hash streams of one vertex pair disjoint.

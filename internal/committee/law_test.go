@@ -12,17 +12,21 @@ import (
 // keeps every list from underflowing: at iteration i a list of m_{i−1}
 // entries is asked by the k^(2^(i−1)) vertices of a block at most m_i
 // times each, so m_{i−1} ≥ k^(2^(i−1))·m_i leaves no draw without an
-// entry, and the law TestSamplerLaw checks is exact, not approximate. m_T = 2
-// gives each vertex one pair of samples from its final list.
+// entry, and the law TestSamplerLaw checks is exact, not approximate. A
+// list that carries its coins past iteration 1 still holds m₀ ≥ m_{i−1}
+// of them. m_T = 2 gives each vertex one pair of samples from its final
+// list.
 type lawCube struct {
 	k, d int
 	mi   []int
 }
 
 var lawCubes = []lawCube{
-	{k: 2, d: 4, mi: []int{16, 8, 2}}, // D = 2^T, T = 2: two doubling steps
-	{k: 3, d: 2, mi: []int{6, 2}},     // the per-symbol Lemire fill
-	{k: 4, d: 2, mi: []int{8, 2}},     // a power of two above 2: two bits per symbol
+	{k: 2, d: 4, mi: []int{16, 8, 2}},        // D = 2^T, T = 2: two doubling steps
+	{k: 2, d: 3, mi: []int{16, 8, 2}},        // ragged: list 3 carries its coins to iteration 2
+	{k: 2, d: 5, mi: []int{256, 128, 32, 2}}, // ragged: list 5 carries its coins to iteration 3
+	{k: 3, d: 2, mi: []int{6, 2}},            // one Intn draw per symbol
+	{k: 4, d: 2, mi: []int{8, 2}},            // a power of two above 2: two bits per symbol
 }
 
 // lawCounts runs one epoch of the toy engine on the cube per seed in
@@ -78,18 +82,23 @@ func chiSquareBound(df int) float64 {
 // pooled, what Lemma 8 and Theorem 3 need of Algorithm 2: a final sample
 // is uniform on the cube ("sample") and independent of its source vertex
 // ("offset" from the source), and two samples from one list are
-// independent ("pair", their joint offset). It runs the binary cube with two
-// doubling steps and k-ary cubes with K = 3 and K = 4, so both branches of
-// the Phase-1 fill are visited. Each statistic is compared against its
-// 10⁻⁵ quantile: with nine of them, a correct sampler fails for about one
-// seed range in 10⁴.
+// independent ("pair", their joint offset). It runs the binary cube with
+// two doubling steps, two ragged binary cubes whose last list serves its
+// Phase-1 coins at iteration 2 (D = 3) and 3 (D = 5), and k-ary cubes
+// with K = 3 and K = 4, so every way a symbol is drawn is visited. Each
+// statistic is compared against its 10⁻⁵ quantile: with fifteen of them,
+// a correct sampler fails for about one seed range in 7,000.
 //
 // Power at lawSeeds = 1500, measured over 100 disjoint seed ranges: each
 // of these mutations fails the test in all 100, and the sampler as it is
 // in none.
-//   - A fill coin biased to 1/2 + 1/64 (sample χ², k = 2 and 4).
-//   - A generator word reused for two lists: list j+1 drawn from the words
-//     list j was, for odd j (sample χ², every cube).
+//   - A symbol bit served twice, the buffered word shifted only every
+//     other read (pair χ², every binary cube and K = 4).
+//   - Iteration 1's popcount taken over one bit too many (sample χ²,
+//     D = 3 and 4).
+//   - A carried-over coin list decoded with the asking list's place value
+//     (offset and pair χ², D = 3 and 5 only).
+//   - A symbol bit biased to 1/2 + 1/64 (sample χ², D = 4, D = 5, K = 4).
 //   - A doubling step that reads list j+2^(i−1)−1 instead of j+2^(i−1)
 //     (offset and pair χ², and underflows, every cube).
 func TestSamplerLaw(t *testing.T) {

@@ -9,12 +9,12 @@ import (
 	"overlaynet/internal/sim"
 )
 
-// list is one of a vertex's D lists (the paper's M). Phase 1 fills list j
-// of vertex u with coins — entry k is u with coordinate j−1 set to a
-// uniform symbol — so until a collect refills or empties it a list is
-// `coins` symbols, packed in its words of the coin arena and decoded only
-// when drawn. Afterwards it holds vertex ids in vals. At most one of the
-// two is non-empty.
+// list is one of a vertex's D lists (the paper's M). Phase 1 gives list j
+// of vertex u m₀ coins — one-hop walks, u with coordinate j−1 set to a
+// uniform symbol — and until a collect refills or empties it the list is
+// only their count: each coin's symbol is drawn when the coin is read, by
+// the one iteration that reads the list (see symbols). Afterwards it holds
+// vertex ids in vals. At most one of the two is non-empty.
 type list struct {
 	coins int32
 	vals  []int32
@@ -46,7 +46,8 @@ type answers struct {
 
 // algorithm2 is the simulated rapid-sampling primitive (Algorithm 2) over
 // a dense vertex space. Every slice is an arena: truncated, never freed,
-// across rounds and epochs, so a steady-state round allocates nothing.
+// across rounds and epochs, so a steady-state round allocates nothing. A
+// Phase-1 list stores no symbols, only its coin budget (see symbols).
 //
 // Delivery has one mode. Worker w appends a message, as it generates it,
 // to its own segment of the target vertex's queue (reqs[w][t],
@@ -55,15 +56,9 @@ type answers struct {
 // then generation order is the serial order, at any worker count, and no
 // message is ever copied from a sender-side buffer to a receiver-side one.
 type algorithm2 struct {
-	dim int   // lists per vertex: the cube's dimension D
-	mi  []int // budget schedule m₀ … m_T
-	// lists[u·D+j−1] is vertex u's list j, and its Phase-1 symbols are
-	// words [·wpl, (·+1)·wpl) of coins at the same index, 1<<lb bits each:
-	// the smallest power of two that holds a symbol, so none straddles a word.
-	lists   []list
-	coins   []uint64
-	wpl     int
-	lb      uint
+	dim     int       // lists per vertex: the cube's dimension D
+	mi      []int     // budget schedule m₀ … m_T
+	lists   []list    // lists[u·D+j−1] is vertex u's list j
 	pow     []int32   // pow[j] = Arity^j: coordinate j's place value
 	Samples [][]int32 // a vertex's final sample; nil until its last collect
 	// Owner[u] is the committee simulating vertex u, −1 for none: messages
@@ -75,58 +70,44 @@ type algorithm2 struct {
 	pr     int              // primitive round being simulated
 }
 
-// symBits is the width in bits of one packed Phase-1 symbol for a cube of
-// the given arity (at most 256).
-func symBits(arity int) uint { return 1 << uint(bits.Len(uint(bits.Len(uint(arity-1))-1))) }
-
-// syms returns the coin words of list i.
-func (e *Engine) syms(i int) []uint64 { return e.coins[i*e.wpl : (i+1)*e.wpl] }
-
-// fill draws a Phase-1 list from r into syms: m₀ uniform symbols, 1<<lb
-// bits apiece from bit 0 of syms[0], the unused tail of the last word zero.
-// For an arity 2^p one word carries 64>>lb symbols: each slot keeps its low
-// p bits of the word, and a constant mask clears any above them. Another
-// arity draws one symbol per word, Intn's Lemire draw. Every output bit of
-// xoshiro256** is fair and the words are independent, so the slots of a
-// word are i.i.d. uniform symbols, as one draw apiece would be.
-func (e *Engine) fill(r *rng.RNG, syms []uint64) {
-	k, b := uint64(e.Arity), uint(1)<<e.lb
-	left := uint(e.mi[0]) << e.lb // bits still to store
-	slot := ^uint64(0) / (1<<b - 1) * (k - 1)
-	st := r.State()
-	var x uint64
-	for i := range syms {
-		var word uint64
-		if k&(k-1) == 0 {
-			word, st = st.Next()
-			word &= slot
-		} else {
-			for s := uint(0); s < min(left, 64); s += b {
-				x, st = st.Next()
-				hi, lo := bits.Mul64(x, k) // r.Intn(k), Lemire's fast path
-				if lo < k {
-					r.SetState(st)
-					hi = r.Uint64nTail(hi, lo, k)
-					st = r.State()
-				}
-				word |= hi << s
-			}
-		}
-		if left < 64 {
-			word &= 1<<left - 1
-		}
-		syms[i] = word
-		left -= min(left, 64)
-	}
-	r.SetState(st)
+// symbols is the source of Phase-1 symbols within one vertexRound call,
+// each drawn as it is read (DESIGN.md, "Phase-1 coin lists are budgets"):
+// for an arity 2^p the next p bits of a buffered generator word, low bits
+// first, a new word drawn when fewer than p are left. Any other arity
+// takes one Intn draw per symbol instead.
+type symbols struct {
+	w uint64 // the buffered word, its next symbol in the low bits
+	n uint   // bits of w not yet read
 }
 
-// take is the swap-remove of a packed list: it returns the symbol at bit
-// position at and moves the list's last symbol, at bit position end, there.
-func take(syms []uint64, at, end, mask uint64) uint64 {
-	s := syms[at>>6] >> (at & 63) & mask
-	syms[at>>6] ^= (s ^ syms[end>>6]>>(end&63)&mask) << (at & 63)
-	return s
+// refill draws a new word from st when fewer than p bits are left, and
+// returns the source and the generator state after it.
+func (s symbols) refill(st rng.State, p uint) (symbols, rng.State) {
+	if s.n < p {
+		s.w, st = st.Next()
+		s.n = 64
+	}
+	return s, st
+}
+
+// read returns the next p bits, of the at least p left, and the source
+// after them.
+func (s symbols) read(p uint) (uint64, symbols) {
+	return s.w & (1<<p - 1), symbols{s.w >> p, s.n - p}
+}
+
+// ones reads the next m one-bit symbols and returns how many are 1: what
+// m refill and read pairs would sum to, a popcount per word.
+func (s symbols) ones(st rng.State, m uint) (c int, _ symbols, _ rng.State) {
+	for {
+		t := min(m, s.n)
+		c += bits.OnesCount64(s.w & (1<<t - 1))
+		s, m = symbols{s.w >> t, s.n - t}, m-t
+		if m == 0 {
+			return c, s, st
+		}
+		s, st = s.refill(st, 1)
+	}
 }
 
 // Budgets returns Algorithm 2's budget schedule m₀ … m_T for dimension d,
@@ -155,16 +136,9 @@ func (e *Engine) Reset(nVerts, d int, mi []int) {
 		panic("committee: Engine.Arity must be set to the cube's arity, 2 to 256")
 	}
 	e.dim, e.mi = d, mi
-	e.lb = uint(bits.TrailingZeros(symBits(e.Arity)))
 	e.pow = e.pow[:0]
 	for p := 1; len(e.pow) < d; p *= e.Arity {
 		e.pow = append(e.pow, int32(p))
-	}
-	// One arena for all Phase-1 lists, with headroom: §6's m₀ follows the
-	// largest group, and a new record must not reallocate every list.
-	e.wpl = (mi[0]<<e.lb + 63) >> 6
-	if need := nVerts * d * e.wpl; len(e.coins) < need {
-		e.coins = make([]uint64, need+need/8)
 	}
 	// slices.Grow keeps what the backing array holds, so arenas survive.
 	e.lists = slices.Grow(e.lists[:0], nVerts*d)[:nVerts*d]
@@ -226,8 +200,9 @@ func (e *Engine) simRange(w int) {
 // vertexRound advances vertex u through primitive round e.pr. Ragged
 // pointer doubling: at iteration i, list j ≡ 1 (mod 2^i) is extended from
 // list j+2^(i−1) when that index is ≤ D; otherwise its block is already
-// complete and it carries over, still coins, until the iteration that
-// serves from it. When D is a power of two (§5) that never happens.
+// complete and it carries over, still a coin budget, until the iteration
+// that serves from it. When D is a power of two (§5) that never happens.
+// One symbols source serves every coin read of the call.
 func (e *Engine) vertexRound(w int, r *rng.RNG, u int) {
 	c := &e.cells[w]
 	d, pr := e.dim, e.pr
@@ -235,21 +210,22 @@ func (e *Engine) vertexRound(w int, r *rng.RNG, u int) {
 	split := e.shards > 1
 	switch {
 	case pr == 0:
-		// Phase 1: fill every list with m₀ one-hop walks, then ask.
-		for j := 1; j <= d; j++ {
-			e.fill(r, e.syms(base+j-1))
-			e.lists[base+j-1] = list{coins: int32(e.mi[0]), vals: e.lists[base+j-1].vals[:0]}
+		// Phase 1: m₀ one-hop walks in every list, none drawn yet; then ask.
+		for j := base; j < base+d; j++ {
+			e.lists[j] = list{coins: int32(e.mi[0]), vals: e.lists[j].vals[:0]}
 		}
 		e.request(w, r, u, 1)
 	case pr%2 == 1:
 		// Serve iteration i = (pr+1)/2: answer each request for list j
-		// with a draw from list j+2^(i−1). Per run: where the answers go,
-		// which list they come from and how a coin decodes; per draw: the
-		// generator, in registers, and a swap-remove.
+		// with a draw from list j+2^(i−1) — a fresh symbol while the list
+		// is coins, else a swap-remove at a uniform index — the generator
+		// in registers throughout. Draws past the list's end fail and
+		// answer u.
 		half := 1 << ((pr+1)/2 - 1)
-		lb, mask := e.lb, uint64(1)<<(1<<e.lb)-1
+		arity, p := e.Arity, uint(bits.TrailingZeros(uint(e.Arity)))
 		st := r.State()
-		var x uint64
+		var src symbols
+		var x, s uint64
 		msgs, fails := 0, 0
 		for sw := range e.reqs {
 			for _, rq := range e.reqs[sw][u].q {
@@ -259,55 +235,62 @@ func (e *Engine) vertexRound(w int, r *rng.RNG, u int) {
 				n := int(rq.n)
 				var dst []int32
 				if a := &e.resps[w][rq.v]; e.Owner[rq.v] >= 0 {
-					p := len(a.vals.q)
-					if cap(a.vals.q)-p < n {
+					at := len(a.vals.q)
+					if cap(a.vals.q)-at < n {
 						a.vals.q = slices.Grow(a.vals.q, n)
 					}
-					a.vals.q = a.vals.q[:p+n]
-					dst = a.vals.q[p:]
+					a.vals.q = a.vals.q[:at+n]
+					dst = a.vals.q[at:]
 					a.spans.q = append(a.spans.q, span{rq.j, rq.n})
 				} else { // nobody to answer: the draws are still made
 					c.scratch = slices.Grow(c.scratch[:0], n)[:n]
 					dst = c.scratch
 				}
-				// The list is coins or vertex ids for the whole run; only
-				// what a drawn index means differs.
-				li := base + int(rq.j) + half - 1
-				l := &e.lists[li]
-				packed, vals := l.coins > 0, l.vals
-				left := uint64(l.coins) + uint64(len(vals))
-				var syms []uint64
-				var pw, strip int32
-				if packed {
-					syms, pw = e.syms(li), e.pow[li-base]
-					strip = int32(u) - int32(u)/pw%int32(e.Arity)*pw
-				}
-				for k := range dst {
-					if left == 0 {
-						fails++
-						dst[k] = int32(u)
-						continue
-					}
-					x, st = st.Next()
-					hi, lo := bits.Mul64(x, left) // r.Intn(left), Lemire's fast path
-					if lo < left {
+				j := int(rq.j) + half - 1 // the served list, from 0
+				l := &e.lists[base+j]
+				got := 0
+				if l.coins > 0 {
+					got = min(n, int(l.coins))
+					pw := e.pow[j]
+					strip := int32(u) - int32(u)/pw%int32(arity)*pw
+					if arity&(arity-1) == 0 {
+						for k := 0; k < got; {
+							src, st = src.refill(st, p)
+							for end := min(got, k+int(src.n/p)); k < end; k++ {
+								s, src = src.read(p)
+								dst[k] = strip + int32(s)*pw
+							}
+						}
+					} else {
 						r.SetState(st)
-						hi = r.Uint64nTail(hi, lo, left)
+						for k := range dst[:got] {
+							dst[k] = strip + int32(r.Intn(arity))*pw
+						}
 						st = r.State()
 					}
-					left--
-					if packed {
-						dst[k] = strip + int32(take(syms, hi<<lb, left<<lb, mask))*pw
-					} else {
-						dst[k] = vals[hi]
-						vals[hi] = vals[left]
-					}
-				}
-				if packed {
-					l.coins = int32(left)
+					l.coins -= int32(got)
 				} else {
-					l.vals = vals[:left]
+					vals := l.vals
+					got = min(n, len(vals))
+					for k := range dst[:got] {
+						left := uint64(len(vals))
+						x, st = st.Next()
+						hi, lo := bits.Mul64(x, left) // r.Intn(left), Lemire's fast path
+						if lo < left {
+							r.SetState(st)
+							hi = r.Uint64nTail(hi, lo, left)
+							st = r.State()
+						}
+						dst[k] = vals[hi]
+						vals[hi] = vals[left-1]
+						vals = vals[:left-1]
+					}
+					l.vals = vals
 				}
+				for k := range dst[got:] {
+					dst[got+k] = int32(u)
+				}
+				fails += n - got
 				msgs += n
 			}
 			e.reqs[sw][u].drain(split)
@@ -395,43 +378,50 @@ func (s *segment[T]) reset() {
 
 // request sends iteration i's requests from vertex u: mᵢ draws from each
 // list j ≡ 1 (mod 2^i) whose block is still incomplete, each asking the
-// drawn vertex to extend the walk. Iteration 1 draws coins: the targets
-// of one list differ in one coordinate, so it counts draws per symbol and
+// drawn vertex to extend the walk. Iteration 1 reads coins: the targets
+// of one list differ in one coordinate, so it draws min(m₁, coins) fresh
+// symbols, counts them per symbol — on the binary cube a popcount — and
 // appends one run per symbol. Later iterations draw collected vertices —
 // a refill always precedes the ask — and extend the target's tail run.
+// A draw past a list's end asks u itself and counts as a sample fail.
 func (e *Engine) request(w int, r *rng.RNG, u, i int) {
 	c := &e.cells[w]
 	d, m := e.dim, e.mi[i]
 	step := 1 << i
 	owner, out := e.Owner, e.reqs[w]
-	lb, mask := e.lb, uint64(1)<<(1<<e.lb)-1
+	arity, p := e.Arity, uint(bits.TrailingZeros(uint(e.Arity)))
 	st := r.State()
-	var x uint64
+	var src symbols
+	var x, s uint64
 	var cnt [256]int32 // iteration 1: draws per symbol of the list at hand
 	for j := 1; j+step/2 <= d; j += step {
 		l := &e.lists[u*d+j-1]
 		if i == 1 {
-			syms, pw := e.syms(u*d+j-1), e.pow[j-1]
-			own := int32(u) / pw % int32(e.Arity)
-			rem := uint64(l.coins)
-			for k := 0; k < m; k++ {
-				if rem == 0 { // underflow: the remaining draws ask u itself
-					cnt[own] += int32(m - k)
-					c.SampleFails += m - k
-					break
+			pw := e.pow[j-1]
+			own := int32(u) / pw % int32(arity)
+			got := min(m, int(l.coins))
+			switch {
+			case arity == 2:
+				var ones int
+				ones, src, st = src.ones(st, uint(got))
+				cnt[0], cnt[1] = int32(got-ones), int32(ones)
+			case arity&(arity-1) == 0:
+				for range got {
+					src, st = src.refill(st, p)
+					s, src = src.read(p)
+					cnt[s]++
 				}
-				x, st = st.Next()
-				hi, lo := bits.Mul64(x, rem) // r.Intn(rem), Lemire's fast path
-				if lo < rem {
-					r.SetState(st)
-					hi = r.Uint64nTail(hi, lo, rem)
-					st = r.State()
+			default:
+				r.SetState(st)
+				for range got {
+					cnt[r.Intn(arity)]++
 				}
-				rem--
-				cnt[take(syms, hi<<lb, rem<<lb, mask)]++
+				st = r.State()
 			}
-			l.coins = int32(rem)
-			for s := int32(0); s < int32(e.Arity); s++ {
+			l.coins -= int32(got)
+			cnt[own] += int32(m - got)
+			c.SampleFails += m - got
+			for s := range int32(arity) {
 				if t := int32(u) + (s-own)*pw; cnt[s] > 0 && owner[t] >= 0 {
 					out[t].q = append(out[t].q, asks{int32(u), cnt[s], int32(j)})
 				}
@@ -439,7 +429,7 @@ func (e *Engine) request(w int, r *rng.RNG, u, i int) {
 			}
 		} else {
 			vals := l.vals
-			for k := 0; k < m; k++ {
+			for range m {
 				t := int32(u)
 				if n := uint64(len(vals)); n == 0 {
 					c.SampleFails++
@@ -545,7 +535,10 @@ func (e *Engine) Queued(u int) (reqs, resps int) {
 	return reqs, resps
 }
 
-// Held returns how many list entries vertex u holds.
+// Held returns how many list entries vertex u holds, a coin list counting
+// its unread budget: a paper node holds all m₀ entries of a Phase-1 list,
+// so §5's work estimate, which reads this, counts them too, although the
+// engine draws only the symbols it reads.
 func (e *Engine) Held(u int) (n int) {
 	for _, l := range e.lists[u*e.dim : (u+1)*e.dim] {
 		n += int(l.coins) + len(l.vals)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -51,7 +52,9 @@ func TestAuditDetectsCorruptedTopology(t *testing.T) {
 // ValidateTopology accepts, quarantine rewrites nothing exactly when the
 // topology was legal (checked on the damaged and on the repaired
 // network), and one Repair epoch leaves the hamilton-topology and
-// connectivity checkers clean — at k up to 4n.
+// connectivity checkers clean — at k up to 4n. The repair spreads its s
+// joiners over the n − s staying sponsors: its epoch's sampling budget is
+// sized for ⌈s/(n−s)⌉ joiners per sponsor, not for s.
 func TestRepairAfterHeavyCorruption(t *testing.T) {
 	for _, n := range []int{48, 128} {
 		for _, k := range []int{1, n / 10, n, 4 * n} {
@@ -79,7 +82,16 @@ func TestRepairAfterHeavyCorruption(t *testing.T) {
 				copy(nw.curSucc[id], p[0])
 				copy(nw.curPred[id], p[1])
 			}
-			nw.Repair()
+			rep, s := nw.Repair()
+			if s > 0 {
+				n, nc := rep.NOld, nw.cfg.D/2
+				sponsors := n - s
+				busiest := (s + sponsors - 1) / sponsors // ⌈s/(n−s)⌉
+				if c, want := nw.plan.params.C, float64(nc*(1+busiest)+1)/math.Log2(float64(n))+1; c != want {
+					t.Fatalf("n=%d k=%d: %d joiners over %d sponsors ran at budget constant %.2f, want %.2f (at most %d per sponsor)",
+						n, k, s, sponsors, c, want, busiest)
+				}
+			}
 			for _, inv := range []string{"hamilton-topology", "connectivity"} {
 				if got := eng.CountFor(inv); got != 0 {
 					t.Fatalf("n=%d k=%d: %s fired after one repair: %+v", n, k, inv, eng.Violations()[0])

@@ -157,12 +157,14 @@ func (nw *Network) quarantineCycles() int {
 // quarantined back to a legal permutation (without that step the leave
 // splice itself runs over corrupt pointers and spreads the damage), and
 // then every suspect departs and an equal number of fresh nodes join
-// through the §4 join protocol, sponsored by the first non-suspect
-// member — the Hamilton-cycle splice the join protocol performs is the
-// repair primitive that rebuilds the suspects' volatile state from
-// scratch. With no suspects it runs a plain reconfiguration epoch (full
-// topology resample), which clears residual damage the pointer scan
-// cannot attribute. Returns the epoch report and how many suspects were
+// through the §4 join protocol — the Hamilton-cycle splice the join
+// protocol performs is the repair primitive that rebuilds the suspects'
+// volatile state from scratch. The staying members sponsor them
+// round-robin, in member order, so none hosts more than ⌈s/(n−s)⌉ of the
+// s joiners, and the epoch's sampling budget, sized for the busiest
+// sponsor, grows with that share rather than with s. With no suspects it
+// runs a plain reconfiguration epoch (full topology resample), which
+// clears residual damage the pointer scan cannot attribute. Returns the epoch report and how many suspects were
 // evicted; callers loop until their audit engine reports clean.
 func (nw *Network) Repair() (EpochReport, int) {
 	suspects := nw.suspectMembers() // before quarantine erases the evidence
@@ -181,16 +183,15 @@ func (nw *Network) Repair() (EpochReport, int) {
 	for _, id := range suspects {
 		isSuspect[id] = true
 	}
-	sponsor := -1
+	var staying []int
 	for _, id := range nw.members {
 		if !isSuspect[id] {
-			sponsor = id
-			break
+			staying = append(staying, id)
 		}
 	}
 	joins := make([]JoinSpec, len(suspects))
 	for i := range joins {
-		joins[i] = JoinSpec{Sponsor: sponsor}
+		joins[i] = JoinSpec{Sponsor: staying[i%len(staying)]}
 	}
 	rep, _ := nw.RunEpoch(joins, suspects)
 	return rep, len(suspects)

@@ -67,7 +67,7 @@ func TestF1FaultMatrixSmoke(t *testing.T) {
 // whose digest must not move, and one driver per stack that does not
 // (E7, E9, X1) renders the same bytes with and without them.
 func TestGlobalFlagMatrix(t *testing.T) {
-	const recorded = "b879573dd4e6bff4"
+	const recorded = "dd52cb62910bbc61"
 	flags := func(o Options) Options {
 		o.Audit, o.Faults = true, fault.Spec{Drop: 0.01, Dup: 0.01}
 		return o

@@ -89,11 +89,12 @@ func checkRow(t *testing.T, edit func(*Options)) {
 // TestTablesInvariant pins the baseline: the digest of the quick tables
 // in All() order is the repo's one record of absolute table values,
 // taken before the coroutine drivers were ported to handlers. It moves
-// only with a deliberate table change; the last was R1's §6 repairs
-// column counting the membership-index fixes (one quick cell, 1 → 2).
+// only with a deliberate table change; the last was the §5/§6 engine
+// drawing each Phase-1 symbol when it is read, with §4's repair spreading
+// its joiners over the staying sponsors (R1's §4 cells).
 func TestTablesInvariant(t *testing.T) {
 	t.Parallel()
-	const recorded = "5c939fdf3db0cb8b"
+	const recorded = "48436272412abd8e"
 	h := fnv.New64a()
 	for _, e := range All() {
 		fmt.Fprintf(h, "%s\n", baseline[e.ID]().out)

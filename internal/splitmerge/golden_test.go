@@ -99,24 +99,24 @@ func goldenScenarios() []goldenScenario {
 	}
 	uni := sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2}
 	return []goldenScenario{
-		{name: "steady", digest: "8f5c1a9c6268e775",
+		{name: "steady", digest: "2a3082d469ad6a9f",
 			drive: func(g *goldenRun) { g.attack(nil, 0, 3) }},
-		{name: "isolate-0-late", digest: "a404ccce2368b3ae",
+		{name: "isolate-0-late", digest: "5d8e7c6d6040f885",
 			drive: func(g *goldenRun) { g.attack(isolate(0.4), 0, 3) }},
-		{name: "isolate-2-epochs-late", digest: "dabc5ce23849d78d",
+		{name: "isolate-2-epochs-late", digest: "c6a2d80e7b3782ec",
 			drive: func(g *goldenRun) { g.attack(isolate(0.4), 2, 3) }},
-		{name: "drop-dup-crash", digest: "b9009a4d44b202d9",
+		{name: "drop-dup-crash", digest: "80c08f455e61398d",
 			spec:  fault.Spec{Seed: 11, Drop: 0.02, Dup: 0.01, Crash: 0.02, Restart: 2},
 			drive: func(g *goldenRun) { g.attack(isolate(0.2), 1, 4) }},
-		{name: "partition-window", digest: "4ab932cd13f10015",
+		{name: "partition-window", digest: "1e3cd39067d205c7",
 			spec:  fault.Spec{Seed: 11, PartK: 2, PartFrom: 5, PartWin: 12},
 			drive: func(g *goldenRun) { g.attack(random(g, 0.1), 0, 3) }},
-		{name: "latency", digest: "63f5ebb3ea2e00f7", lat: uni,
+		{name: "latency", digest: "ec87e757292574fd", lat: uni,
 			drive: func(g *goldenRun) { g.attack(random(g, 0.1), 0, 3) }},
-		{name: "latency-drop-dup", digest: "1eb5330790ad94b4", lat: uni,
+		{name: "latency-drop-dup", digest: "99b2b48a5be988b1", lat: uni,
 			spec:  fault.Spec{Seed: 11, Drop: 0.02, Dup: 0.01},
 			drive: func(g *goldenRun) { g.attack(isolate(0.2), 0, 3) }},
-		{name: "corrupt-repair", digest: "e6793e89422a8952",
+		{name: "corrupt-repair", digest: "348f3206c675482f",
 			drive: func(g *goldenRun) {
 				adv := random(g, 0.1)
 				g.attack(adv, 0, 1)
@@ -141,7 +141,7 @@ func goldenScenarios() []goldenScenario {
 				fmt.Fprintf(&g.b, "repair: %d\n", g.nw.RepairBalance())
 				g.attack(adv, 0, 1)
 			}},
-		{name: "churn-split-merge", digest: "cbe00b1f88a5a898",
+		{name: "churn-split-merge", digest: "80a2409910f928b3",
 			drive: func(g *goldenRun) {
 				adv, r := random(g, 0.1), rng.New(9)
 				for e := 0; e < 6; e++ { // an eighth replaced per epoch; three epochs up, three down

@@ -88,24 +88,24 @@ func goldenScenarios() []goldenScenario {
 	isolate := func(frac float64) dos.Adversary { return &dos.GroupIsolate{Fraction: frac, R: rng.New(7)} }
 	uni := sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2}
 	return []goldenScenario{
-		{name: "steady", digest: "2a99e95334dde2e4",
+		{name: "steady", digest: "8d3e3a402f0283a4",
 			drive: func(g *goldenRun) { g.attack(nil, 0, 3) }},
-		{name: "isolate-0-late", digest: "003398ab6a58eaf3",
+		{name: "isolate-0-late", digest: "b22792f0ef02b80b",
 			drive: func(g *goldenRun) { g.attack(isolate(0.4), 0, 3) }},
-		{name: "isolate-2-epochs-late", digest: "a1306e0900932f43",
+		{name: "isolate-2-epochs-late", digest: "6642f660874772b1",
 			drive: func(g *goldenRun) { g.attack(isolate(0.4), 2, 3) }},
-		{name: "drop-dup-crash", digest: "fa80e417a7641c40",
+		{name: "drop-dup-crash", digest: "0f4c60282e6c5ff5",
 			spec:  fault.Spec{Seed: 11, Drop: 0.02, Dup: 0.01, Crash: 0.02, Restart: 2},
 			drive: func(g *goldenRun) { g.attack(isolate(0.2), 1, 4) }},
-		{name: "partition-window", digest: "435580ab1554b40f",
+		{name: "partition-window", digest: "cb7d5bcf72b29a0e",
 			spec:  fault.Spec{Seed: 11, PartK: 2, PartFrom: 5, PartWin: 12},
 			drive: func(g *goldenRun) { g.attack(randomBlocking(0.1), 0, 3) }},
-		{name: "latency", digest: "d9eab6491b524d78", lat: uni,
+		{name: "latency", digest: "4ff29bd62aed971c", lat: uni,
 			drive: func(g *goldenRun) { g.attack(randomBlocking(0.1), 0, 3) }},
-		{name: "latency-drop-dup", digest: "603b3abe16007012", lat: uni,
+		{name: "latency-drop-dup", digest: "ede5e1c9a2f14ecb", lat: uni,
 			spec:  fault.Spec{Seed: 11, Drop: 0.02, Dup: 0.01},
 			drive: func(g *goldenRun) { g.attack(isolate(0.2), 0, 3) }},
-		{name: "corrupt-repair", digest: "263352db702d09ea",
+		{name: "corrupt-repair", digest: "64995592b212e064",
 			drive: func(g *goldenRun) {
 				adv := randomBlocking(0.1)
 				g.attack(adv, 0, 1)
@@ -119,9 +119,9 @@ func goldenScenarios() []goldenScenario {
 					g.attack(adv, 0, 1)
 				}
 			}},
-		{name: "k=3", digest: "e93124ea667bde1b", cfg: Config{K: 3},
+		{name: "k=3", digest: "52c64a9900731ea8", cfg: Config{K: 3},
 			drive: func(g *goldenRun) { g.attack(isolate(0.3), 0, 3) }},
-		{name: "random-leader", digest: "24a102fd64e34c96", cfg: Config{RandomLeader: true},
+		{name: "random-leader", digest: "7b05bbd5222677d6", cfg: Config{RandomLeader: true},
 			drive: func(g *goldenRun) { g.attack(randomBlocking(0.3), 0, 3) }},
 	}
 }
