@@ -167,6 +167,21 @@ func (e *Engine) SetFaults(spec fault.Spec) {
 	}
 }
 
+// SetLatency attaches the discrete-event latency model in virtual-round
+// form: the primitive's rounds are fixed synchronous phases, so instead of
+// re-ordering deliveries the gate drops any message whose sampled delay
+// (the same pure (seed, round, edge) hash the sim kernel uses) exceeds
+// one round — see fault.ComposeGate. A model that can never miss the
+// deadline (sync, or zero spread with delay <= 1) composes to the bare
+// injector and the run is bit-for-bit unchanged. The zero value detaches.
+func (e *Engine) SetLatency(lat sim.Latency) {
+	if err := lat.Validate(); err != nil {
+		panic("committee: " + err.Error())
+	}
+	e.lat = lat
+	e.gate = fault.ComposeGate(e.Faults.Injector(), lat, e.seed)
+}
+
 // crashedNow reports whether node id is down in the current epoch. The
 // schedule is a pure function, so the answer is the same wherever and
 // whenever it is asked.

@@ -1,7 +1,6 @@
 package committee
 
 import (
-	"math"
 	"testing"
 
 	"overlaynet/internal/metrics"
@@ -70,14 +69,6 @@ func lawCounts(t *testing.T, c lawCube, seed0, seeds int) (abs, rel, pair []int,
 	return abs, rel, pair, fails
 }
 
-// chiSquareBound is the χ² quantile at df degrees of freedom that a
-// uniform law exceeds with probability about 10⁻⁵ (Wilson–Hilferty).
-func chiSquareBound(df int) float64 {
-	const z = 4.265 // standard normal quantile at 1 − 10⁻⁵
-	v := 2 / (9 * float64(df))
-	return float64(df) * math.Pow(1-v+z*math.Sqrt(v), 3)
-}
-
 // TestSamplerLaw checks, by χ² over the final samples of lawSeeds epochs
 // pooled, what Lemma 8 and Theorem 3 need of Algorithm 2: a final sample
 // is uniform on the cube ("sample") and independent of its source vertex
@@ -112,7 +103,7 @@ func TestSamplerLaw(t *testing.T) {
 			name   string
 			counts []int
 		}{{"sample", abs}, {"offset", rel}, {"pair", pair}} {
-			if chi, bound := metrics.ChiSquareUniform(st.counts), chiSquareBound(len(st.counts)-1); chi > bound {
+			if chi, bound := metrics.ChiSquareUniform(st.counts), metrics.ChiSquareBound(len(st.counts)-1); chi > bound {
 				t.Errorf("k=%d d=%d: %s χ² = %.1f over %d cells, above %.1f", c.k, c.d, st.name, chi, len(st.counts), bound)
 			}
 		}

@@ -145,18 +145,5 @@ func (l *Loop) Close() { l.e.Close() }
 // spec.RestartEpochs() epochs at a time (see Engine.SetFaults).
 func (l *Loop) SetFaults(spec fault.Spec) { l.e.SetFaults(spec) }
 
-// SetLatency attaches the discrete-event latency model in virtual-round
-// form: epochs are fixed sequences of synchronous phases, so instead of
-// re-ordering deliveries the gate drops any message whose sampled delay
-// (the same pure (seed, round, edge) hash the sim kernel uses) exceeds
-// one round — see fault.ComposeGate. A model that can never miss the
-// deadline (sync, or zero spread with delay <= 1) composes to the bare
-// injector and the run is bit-for-bit unchanged. The zero value detaches.
-func (l *Loop) SetLatency(lat sim.Latency) {
-	if err := lat.Validate(); err != nil {
-		panic("committee: " + err.Error())
-	}
-	e := l.e
-	e.lat = lat
-	e.gate = fault.ComposeGate(e.Faults.Injector(), lat, e.seed)
-}
+// SetLatency attaches the latency model (see Engine.SetLatency).
+func (l *Loop) SetLatency(lat sim.Latency) { l.e.SetLatency(lat) }

@@ -89,12 +89,11 @@ func checkRow(t *testing.T, edit func(*Options)) {
 // TestTablesInvariant pins the baseline: the digest of the quick tables
 // in All() order is the repo's one record of absolute table values,
 // taken before the coroutine drivers were ported to handlers. It moves
-// only with a deliberate table change; the last was the §5/§6 engine
-// drawing each Phase-1 symbol when it is read, with §4's repair spreading
-// its joiners over the staying sponsors (R1's §4 cells).
+// only with a deliberate table change; the last was §3's cube samplers
+// moving to the committee engine (E3, E4's hypercube rows and X3).
 func TestTablesInvariant(t *testing.T) {
 	t.Parallel()
-	const recorded = "48436272412abd8e"
+	const recorded = "61180adf29110c54"
 	h := fnv.New64a()
 	for _, e := range All() {
 		fmt.Fprintf(h, "%s\n", baseline[e.ID]().out)

@@ -65,6 +65,35 @@ func TestChiSquareUniform(t *testing.T) {
 	}
 }
 
+// TestChiSquareBound compares the bound with the exact 10⁻⁵ quantile at
+// even df, where the χ² tail is e^(−x/2)·Σ_{k<df/2} (x/2)^k/k!: it may
+// err high, by at most 5 %, never low.
+func TestChiSquareBound(t *testing.T) {
+	tail := func(x float64, df int) (s float64) {
+		term := 1.0
+		for k := 0; k < df/2; k++ {
+			if k > 0 {
+				term *= x / 2 / float64(k)
+			}
+			s += term
+		}
+		return math.Exp(-x/2) * s
+	}
+	for _, df := range []int{4, 16, 64, 256} {
+		lo, hi := 0.0, 4096.0
+		for range 100 { // bisect for the exact quantile
+			if mid := (lo + hi) / 2; tail(mid, df) > 1e-5 {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		if b := ChiSquareBound(df); b < lo || b > 1.05*lo {
+			t.Errorf("df=%d: bound %.2f, exact quantile %.2f", df, b, lo)
+		}
+	}
+}
+
 func TestEntropy(t *testing.T) {
 	if got := Entropy([]int{1, 1, 1, 1}); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("entropy of uniform-4 = %f, want 2", got)

@@ -1,3 +1,11 @@
+// Package sampling implements the node sampling machinery of Sections
+// 2.3 and 3 of the paper: classic random-walk sampling for hypercubes
+// and ℍ-graphs, and the rapid node sampling primitives (Algorithms 1
+// and 2) that combine random walks with pointer doubling to sample
+// Θ(log n) near-uniform nodes in O(log log n) communication rounds.
+// Algorithm 1 runs on the sim kernel; Algorithm 2, on the binary and the
+// k-ary cube, runs on committee.Engine, the engine of §5 and §6, with a
+// one-member committee per vertex.
 package sampling
 
 import (
@@ -152,61 +160,3 @@ func (p HGraphParams) Samples() int { return p.M(p.T()) }
 // and Phase 2 of iteration i+1 share a round; the paper's
 // one-phase-per-round accounting gives 3T, the same O(log log n)).
 func (p HGraphParams) Rounds() int { return 2*p.T() + 1 }
-
-// HypercubeParams are the parameters of Algorithm 2 (rapid node
-// sampling in the binary hypercube). The paper assumes the dimension d
-// is a power of two; n = 2^d, log n = d, and the algorithm runs
-// T = log₂ d iterations with budgets m_i = ⌈(1+ε)^{T−i}·c·d⌉ (Lemma 9).
-type HypercubeParams struct {
-	Dim     int     // hypercube dimension d (power of two)
-	Epsilon float64 // 0 < ε ≤ 1
-	C       float64 // c ≥ β
-	Shards  int     // ignored, like HGraphParams.Shards
-	// Latency is sim.Config.Latency: zero keeps the synchronous model
-	// (see HGraphParams.Latency).
-	Latency sim.Latency
-}
-
-// DefaultHypercubeParams returns ε = 1, c = 1.
-func DefaultHypercubeParams(dim int) HypercubeParams {
-	return HypercubeParams{Dim: dim, Epsilon: 1, C: 1}
-}
-
-// Validate reports whether the parameters are usable.
-func (p HypercubeParams) Validate() error {
-	if p.Dim < 2 || p.Dim&(p.Dim-1) != 0 {
-		return fmt.Errorf("sampling: hypercube dimension %d must be a power of two ≥ 2", p.Dim)
-	}
-	if !(p.Epsilon > 0 && p.Epsilon <= 1) {
-		return fmt.Errorf("sampling: epsilon %v outside (0,1]", p.Epsilon)
-	}
-	if !(p.C > 0 && p.C < math.Inf(1)) {
-		return fmt.Errorf("sampling: c %v must be finite and positive", p.C)
-	}
-	return nil
-}
-
-// T returns log₂ d, the iteration count (= log log n).
-func (p HypercubeParams) T() int {
-	t := 0
-	for v := 1; v < p.Dim; v <<= 1 {
-		t++
-	}
-	return t
-}
-
-// M returns m_i = ⌈(1+ε)^{T−i}·c·d⌉.
-func (p HypercubeParams) M(i int) int {
-	t := p.T()
-	if i < 0 || i > t {
-		panic(fmt.Sprintf("sampling: m_%d outside [0,%d]", i, t))
-	}
-	return int(math.Ceil(math.Pow(1+p.Epsilon, float64(t-i)) * p.C * float64(p.Dim)))
-}
-
-// Samples returns the final sample count m_T.
-func (p HypercubeParams) Samples() int { return p.M(p.T()) }
-
-// Rounds returns the communication rounds of the distributed
-// implementation (2 per iteration plus the initial round, as above).
-func (p HypercubeParams) Rounds() int { return 2*p.T() + 1 }

@@ -17,7 +17,9 @@ type RapidResult struct {
 	// Rounds is the number of communication rounds used.
 	Rounds int
 	// MaxNodeBits is the largest sent+received bits of any node in any
-	// round (Theorem 2/3 bound this polylogarithmically).
+	// round (Theorem 2/3 bound this polylogarithmically). It and the
+	// kernel counters below stay zero for RapidHypercube and RapidKAry,
+	// which run on the committee engine.
 	MaxNodeBits int64
 	// TotalBits is the total communication volume.
 	TotalBits int64

@@ -1,201 +1,180 @@
 package sampling
 
 import (
-	"cmp"
+	"fmt"
+	"math"
 	"math/bits"
-	"slices"
 
-	"overlaynet/internal/hypercube"
+	"overlaynet/internal/committee"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
 
-type hcReq struct {
-	Js []int16 // one entry per request: the dimension index j
+// HypercubeParams are the parameters of Algorithm 2 (rapid node
+// sampling in the binary hypercube). The paper assumes the dimension d
+// is a power of two; n = 2^d, log n = d, and the algorithm runs
+// T = log₂ d iterations with budgets m_i = ⌈(1+ε)^{T−i}·c·d⌉ (Lemma 9):
+// the schedule of KAryParams at K = 2, to which the methods delegate.
+type HypercubeParams struct {
+	Dim     int     // hypercube dimension d (power of two)
+	Epsilon float64 // 0 < ε ≤ 1
+	C       float64 // c ≥ β
+	Shards  int     // ignored, like HGraphParams.Shards
+	// Latency is the delivery deadline of every round: a message whose
+	// sampled delay exceeds one round is lost, as in §5 and §6, so lists
+	// run short and draws from an empty one count as failures. Zero loses
+	// nothing.
+	Latency sim.Latency
 }
 
-type hcRespPair struct {
-	V int32
-	J int16
+// DefaultHypercubeParams returns ε = 1, c = 1.
+func DefaultHypercubeParams(dim int) HypercubeParams {
+	return HypercubeParams{Dim: dim, Epsilon: 1, C: 1}
 }
 
-type hcResp struct {
-	Pairs []hcRespPair
+// kary returns the same cube as the k-ary parameters with K = 2: log₂ 2
+// is exactly 1, so every budget is the same.
+func (p HypercubeParams) kary() KAryParams {
+	return KAryParams{K: 2, Dim: p.Dim, Epsilon: p.Epsilon, C: p.C}
 }
+
+// Validate reports whether the parameters are usable.
+func (p HypercubeParams) Validate() error { return p.kary().Validate() }
+
+// T returns log₂ d, the iteration count (= log log n).
+func (p HypercubeParams) T() int { return p.kary().T() }
+
+// M returns m_i = ⌈(1+ε)^{T−i}·c·d⌉.
+func (p HypercubeParams) M(i int) int { return p.kary().M(i) }
+
+// Samples returns the final sample count m_T.
+func (p HypercubeParams) Samples() int { return p.kary().Samples() }
+
+// Rounds returns the communication rounds (2 per iteration plus the
+// initial round, as above).
+func (p HypercubeParams) Rounds() int { return p.kary().Rounds() }
+
+// KAryParams parameterizes rapid node sampling on the d-dimensional
+// k-ary hypercube (Definition 1) — the "straightforward extension" of
+// Algorithm 2 that Section 7.2's robust DHT relies on. The dimension
+// must be a power of two, as in the binary case.
+type KAryParams struct {
+	K, Dim  int
+	Epsilon float64 // 0 < ε ≤ 1
+	C       float64 // c ≥ β
+	Shards  int     // ignored, like HGraphParams.Shards
+}
+
+// DefaultKAryParams returns ε = 1, c = 1.
+func DefaultKAryParams(k, dim int) KAryParams {
+	return KAryParams{K: k, Dim: dim, Epsilon: 1, C: 1}
+}
+
+// Validate reports whether the parameters are usable.
+func (p KAryParams) Validate() error {
+	if p.K < 2 {
+		return fmt.Errorf("sampling: cube arity %d < 2", p.K)
+	}
+	if p.Dim < 2 || p.Dim&(p.Dim-1) != 0 {
+		return fmt.Errorf("sampling: cube dimension %d must be a power of two ≥ 2", p.Dim)
+	}
+	if !(p.Epsilon > 0 && p.Epsilon <= 1) {
+		return fmt.Errorf("sampling: epsilon %v outside (0,1]", p.Epsilon)
+	}
+	if !(p.C > 0 && p.C < math.Inf(1)) {
+		return fmt.Errorf("sampling: c %v must be finite and positive", p.C)
+	}
+	return nil
+}
+
+// T returns log₂ dim.
+func (p KAryParams) T() int { return bits.Len(uint(max(p.Dim, 1) - 1)) }
+
+// M returns m_i = ⌈(1+ε)^{T−i}·c·log₂(k^dim)⌉, the k-ary analogue of
+// Lemma 9's budgets (log n = dim·log₂ k).
+func (p KAryParams) M(i int) int {
+	t := p.T()
+	if i < 0 || i > t {
+		panic(fmt.Sprintf("sampling: m_%d outside [0,%d]", i, t))
+	}
+	logn := float64(p.Dim) * math.Log2(float64(p.K))
+	return int(math.Ceil(math.Pow(1+p.Epsilon, float64(t-i)) * p.C * logn))
+}
+
+// Samples returns the final per-node sample count m_T.
+func (p KAryParams) Samples() int { return p.M(p.T()) }
+
+// Rounds returns the communication rounds (2 per iteration plus one).
+func (p KAryParams) Rounds() int { return 2*p.T() + 1 }
 
 // RapidHypercube runs Algorithm 2 (rapid node sampling in the binary
-// hypercube) as a distributed protocol. The cube dimension must be a
-// power of two (the paper's d = 2^k assumption). After T = log₂ d
-// iterations every node's list M₁ holds p.Samples() vertices whose
-// coordinates 1..d were all chosen independently and uniformly —
-// i.e. exactly uniform samples of V (Lemma 8) — using p.Rounds() =
-// O(log log n) communication rounds.
+// hypercube). The cube dimension must be a power of two (the paper's
+// d = 2^k assumption). After T = log₂ d iterations every node's list M₁
+// holds p.Samples() vertices whose coordinates 1..d were all chosen
+// independently and uniformly — i.e. exactly uniform samples of V
+// (Lemma 8) — using p.Rounds() = O(log log n) communication rounds.
 func RapidHypercube(seed uint64, p HypercubeParams) *RapidResult {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	// Phase 1: an entry of M_j is n_j(u) or u by a fair coin — a walk
-	// randomizing exactly coordinate j.
-	fill := func(r *rng.RNG, u, j int) int32 {
-		if r.Coin() {
-			return int32(hypercube.Neighbor(hypercube.Vertex(u), j))
-		}
-		return int32(u)
-	}
-	cfg := sim.Config{Seed: seed, Latency: p.Latency}
-	return rapidCube(cfg, hypercube.N(p.Dim), p.Dim, p.M, fill)
+	return onCommittees(seed, p.kary(), p.Latency)
 }
 
-// rapidCube is the driver of Algorithm 2 on a cube of n vertices and
-// d = 2^T dimensions with budget schedule m(0) … m(T). fill draws one
-// Phase-1 entry of M_j at vertex u; it is all that differs between the
-// binary and the k-ary cube.
-func rapidCube(cfg sim.Config, n, d int, m func(i int) int, fill func(r *rng.RNG, u, j int) int32) *RapidResult {
-	T := bits.TrailingZeros(uint(d))
-	run := &cubeRun{d: d, m: make([]int, T+1), idBits: sim.IDBits(n), fill: fill,
-		res:      &RapidResult{Samples: make([][]int, n), Rounds: 2*T + 1},
-		failures: make([]int, n)}
-	for i := range run.m {
-		run.m[i] = m(i)
+// RapidKAry runs the k-ary generalization of Algorithm 2: coordinate j
+// of a walk is randomized by drawing a uniform value from {0,…,k−1}
+// (the binary coin flip generalizes to a uniform symbol), and pointer
+// doubling merges coordinate blocks exactly as in the binary case, so
+// after log₂ dim iterations every node holds m_T exactly uniform
+// samples of the k^dim vertices.
+func RapidKAry(seed uint64, p KAryParams) *RapidResult {
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
-	net := newNetwork(cfg)
-	simulate(net, n, run.res.Rounds, func(v int) sim.Handler { return &cubeNode{run: run, u: v} })
-	run.res.collect(net, run.failures)
-	return run.res
+	return onCommittees(seed, p, sim.Latency{})
 }
 
-// cubeRun is what the nodes of one Algorithm 2 run share.
-type cubeRun struct {
-	d        int
-	m        []int // budget schedule m_0 … m_T
-	idBits   int
-	fill     func(r *rng.RNG, u, j int) int32
-	res      *RapidResult
-	failures []int // per vertex: extractions from an empty list
-}
-
-type cubeReq struct {
-	target int32
-	j      int16
-}
-
-// cubeNode is one node of Algorithm 2. Round 1 is Phase 1 plus the
-// first requests; iteration i then serves in round 2i and refills in
-// round 2i+1, which is also where the node departs after iteration T.
-type cubeNode struct {
-	run  *cubeRun
-	u    int
-	step int               // rounds completed
-	M    []Multiset[int32] // M[j-1] is the paper's M_j
-	reqs []cubeReq         // sendRequests' scratch
-}
-
-// extract draws one entry of M_j, substituting the node itself (a
-// counted failure) when the list is empty — or when there is no such
-// list: under a latency model with spread a request can arrive an
-// iteration late and name a block past dimension d.
-func (nd *cubeNode) extract(r *rng.RNG, j int) int32 {
-	if j <= nd.run.d {
-		if w, ok := nd.M[j-1].Extract(r); ok {
-			return w
+// onCommittees runs Algorithm 2 on the k-ary cube of p on the engine §5
+// and §6 share, each vertex v simulated by the committee {node v}: the
+// degenerate committee, whose leader is the node itself. Node v+1 draws
+// from the seed's split v+1, as a kernel node would. A message whose
+// sampled delay under lat exceeds one round misses the primitive round it
+// was sent for and is lost, the deadline §5 and §6 run under
+// (Engine.SetLatency).
+func onCommittees(seed uint64, p KAryParams, lat sim.Latency) *RapidResult {
+	n := 1
+	for range p.Dim {
+		n *= p.K
+	}
+	e := committee.New(seed, 1)
+	defer e.Close()
+	e.Arity, e.RespFrom = p.K, uint64(n)+1
+	e.Grow(n)
+	root := rng.New(seed)
+	ids, verts := make([]sim.NodeID, n), make([]int32, n)
+	members, owned := make([][]sim.NodeID, n), make([][]int32, n)
+	for v := range n {
+		ids[v], verts[v] = vertexID(v), int32(v)
+		members[v], owned[v] = ids[v:v+1:v+1], verts[v:v+1:v+1]
+		e.NodeR[v] = *root.Split(uint64(vertexID(v)))
+	}
+	mi := make([]int, p.T()+1)
+	for i := range mi {
+		mi[i] = p.M(i)
+	}
+	e.Reset(n, p.Dim, mi)
+	clear(e.Owner)
+	e.SetLatency(lat)
+	res := &RapidResult{Samples: make([][]int, n), Rounds: p.Rounds()}
+	for pr := range res.Rounds {
+		e.Begin(nil, members, owned)
+		e.Sample(pr)
+		res.Failures += e.End().SampleFails
+	}
+	for v, s := range e.Samples {
+		res.Samples[v] = make([]int, len(s))
+		for k, w := range s {
+			res.Samples[v][k] = int(w)
 		}
 	}
-	nd.run.failures[nd.u]++
-	return int32(nd.u)
-}
-
-// sendRequests is Phase 2 of iteration i: for every list index
-// j ≡ 1 (mod 2^i), extract m_i walk endpoints from M_j and ask each for
-// an extension in dimension block j+2^{i-1}..j+2^i−1, one message per
-// distinct endpoint, in ascending endpoint order.
-func (nd *cubeNode) sendRequests(ctx *sim.Ctx, i int) {
-	run, r := nd.run, ctx.RNG()
-	reqs := nd.reqs[:0]
-	for j := 1; j <= run.d; j += 1 << i {
-		for k := 0; k < run.m[i]; k++ {
-			reqs = append(reqs, cubeReq{target: nd.extract(r, j), j: int16(j)})
-		}
-	}
-	nd.reqs = reqs
-	slices.SortFunc(reqs, func(a, b cubeReq) int {
-		if a.target != b.target {
-			return cmp.Compare(a.target, b.target)
-		}
-		return cmp.Compare(a.j, b.j)
-	})
-	// The round's Js payloads are carved out of one array; it is never
-	// reused, the messages keep pointing into it.
-	js := make([]int16, len(reqs))
-	for k, rq := range reqs {
-		js[k] = rq.j
-	}
-	for a := 0; a < len(reqs); {
-		b := a + 1
-		for b < len(reqs) && reqs[b].target == reqs[a].target {
-			b++
-		}
-		ctx.Send(vertexID(int(reqs[a].target)), hcReq{Js: js[a:b:b]}, (b-a)*run.idBits)
-		a = b
-	}
-}
-
-func (nd *cubeNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
-	run := nd.run
-	nd.step++
-	i := nd.step / 2 // the iteration this round belongs to
-	switch {
-	case nd.step == 1:
-		// Phase 1 (local): fill every M_j with m_0 entries.
-		r, m0 := ctx.RNG(), run.m[0]
-		nd.M = make([]Multiset[int32], run.d)
-		buf := make([]int32, run.d*m0)
-		for j := 1; j <= run.d; j++ {
-			lo := (j - 1) * m0
-			nd.M[j-1].Reset(buf[lo : lo : lo+m0])
-			for k := 0; k < m0; k++ {
-				nd.M[j-1].Add(run.fill(r, nd.u, j))
-			}
-		}
-		nd.sendRequests(ctx, 1)
-	case nd.step&1 == 0:
-		// Phase 3: a request (w, j) is served from M_{j+2^{i-1}}, whose
-		// entries have coordinates j+2^{i-1}..j+2^i−1 randomized
-		// relative to us.
-		r, half := ctx.RNG(), 1<<(i-1)
-		for _, m := range inbox {
-			rq, ok := m.Payload.(hcReq)
-			if !ok {
-				continue
-			}
-			pairs := make([]hcRespPair, len(rq.Js))
-			for k, j := range rq.Js {
-				pairs[k] = hcRespPair{V: nd.extract(r, int(j)+half), J: j}
-			}
-			ctx.Send(m.From, hcResp{Pairs: pairs}, len(pairs)*run.idBits)
-		}
-	default:
-		// Phase 4: clear all lists and refill from the responses; Phase 2
-		// of the next iteration shares this round.
-		for j := range nd.M {
-			nd.M[j].Clear()
-		}
-		for _, m := range inbox {
-			if rp, ok := m.Payload.(hcResp); ok {
-				for _, pr := range rp.Pairs {
-					nd.M[pr.J-1].Add(pr.V)
-				}
-			}
-		}
-		if i < len(run.m)-1 {
-			nd.sendRequests(ctx, i+1)
-			break
-		}
-		out := make([]int, nd.M[0].Len())
-		for k, w := range nd.M[0].Items() {
-			out[k] = int(w)
-		}
-		run.res.Samples[nd.u] = out
-		return false
-	}
-	return true
+	return res
 }

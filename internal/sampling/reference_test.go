@@ -483,3 +483,40 @@ func FuzzSamplerMatchesReference(f *testing.F) {
 		matchReference(t, seed, diffCase{n: p.N, p: p})
 	})
 }
+
+// Multiset is a multiset supporting uniform random extraction, the M
+// of Algorithms 1 and 2 as the paper states them: referenceSampler's
+// lists.
+type Multiset[T any] struct {
+	items []T
+}
+
+// Add inserts one occurrence of v.
+func (m *Multiset[T]) Add(v T) { m.items = append(m.items, v) }
+
+// Len returns the number of stored occurrences.
+func (m *Multiset[T]) Len() int { return len(m.items) }
+
+// Extract removes and returns an occurrence chosen uniformly at
+// random. ok is false if the multiset is empty — the failure event of
+// Lemma 7/9 whose probability the budget schedule keeps negligible.
+func (m *Multiset[T]) Extract(r *rng.RNG) (v T, ok bool) {
+	n := len(m.items)
+	if n == 0 {
+		return v, false
+	}
+	i := r.Intn(n)
+	v = m.items[i]
+	m.items[i] = m.items[n-1]
+	m.items = m.items[:n-1]
+	return v, true
+}
+
+// Reset replaces the contents with the given items (taking ownership).
+func (m *Multiset[T]) Reset(items []T) { m.items = items }
+
+// Clear removes all items.
+func (m *Multiset[T]) Clear() { m.items = m.items[:0] }
+
+// Items returns the underlying storage; callers must not modify it.
+func (m *Multiset[T]) Items() []T { return m.items }

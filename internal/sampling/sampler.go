@@ -140,8 +140,9 @@ func (s *HGraphSampler) requestNeighbors(ctx *sim.Ctx) {
 
 // extract fills dst with walk endpoints drawn from the multiset, in
 // order, substituting the node itself (and counting the refusal) once
-// the multiset is empty. Each draw is Multiset.Extract — r.Intn(len),
-// swap-remove — with the Lemire fast path of Intn inlined.
+// the multiset is empty. Each draw is the reference's Multiset.Extract
+// (reference_test.go) — r.Intn(len), swap-remove — with the Lemire fast
+// path of Intn inlined.
 func (s *HGraphSampler) extract(ctx *sim.Ctx, dst []int32) {
 	r, items := ctx.RNG(), s.M
 	k := 0

@@ -161,6 +161,28 @@ func TestHypercubeParams(t *testing.T) {
 	}
 }
 
+// TestHypercubeScheduleIsLemma9: HypercubeParams delegates to the k-ary
+// schedule at K = 2, whose log₂ n = Dim·log₂ 2 is Dim exactly, so every
+// budget is still Lemma 9's m_i = ⌈(1+ε)^(T−i)·c·d⌉.
+func TestHypercubeScheduleIsLemma9(t *testing.T) {
+	for d := 2; d <= 32; d *= 2 {
+		for _, eps := range []float64{0.1, 0.5, 1} {
+			for _, c := range []float64{0.3, 1, 2, 3.7} {
+				p := HypercubeParams{Dim: d, Epsilon: eps, C: c}
+				T := p.T()
+				if 1<<T != d || p.Rounds() != 2*T+1 || p.Samples() != p.M(T) {
+					t.Fatalf("%+v: T = %d, %d rounds, %d samples", p, T, p.Rounds(), p.Samples())
+				}
+				for i := 0; i <= T; i++ {
+					if want := int(math.Ceil(math.Pow(1+eps, float64(T-i)) * c * float64(d))); p.M(i) != want {
+						t.Errorf("%+v: m_%d = %d, Lemma 9 gives %d", p, i, p.M(i), want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestWalkHypercubeUniform(t *testing.T) {
 	r := rng.New(3)
 	const d, trials = 6, 64000
@@ -366,14 +388,15 @@ func TestRapidHypercubeDeterministic(t *testing.T) {
 	}
 }
 
-// TestRapidHypercubeSurvivesLatencySpread: a request deferred past its
-// iteration names a list beyond dimension d; it must be refused as a
-// counted failure, not index out of range.
+// TestRapidHypercubeSurvivesLatencySpread: under a latency model with
+// spread, HypercubeParams.Latency is a deadline, as in §5 and §6 — a
+// message later than one round is lost, not deferred, and draws from
+// the lists it leaves short are counted failures.
 func TestRapidHypercubeSurvivesLatencySpread(t *testing.T) {
 	p := DefaultHypercubeParams(4)
 	p.Latency = mustLatency(t, "uniform:0.5,2.5")
-	if res := RapidHypercube(42, p); res.Deferred == 0 || res.Failures == 0 {
-		t.Fatalf("spread run deferred %d messages and counted %d failures, want both > 0", res.Deferred, res.Failures)
+	if res := RapidHypercube(42, p); res.Failures == 0 || res.Deferred != 0 {
+		t.Fatalf("spread run counted %d failures and deferred %d messages, want failures > 0 and nothing deferred", res.Failures, res.Deferred)
 	}
 }
 
