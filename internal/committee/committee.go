@@ -15,15 +15,17 @@
 // worker count.
 //
 // It owns what the paper says §5 and §6 share — the epoch loop both
-// stacks embed (loop.go), the three-round blocked history with the crash
-// schedule composed in, the delivery gate composed from faults and
-// latency, leader election and stall counting, Algorithm 2 over a dense
-// vertex space (sample.go), the S(x) catch-up rule, the epoch history ring
-// and the knowledge-graph oracle over it (history.go), the group-partition
-// rule both stacks' auditors and repairs answer to (partition.go), the
-// per-worker counter cells and the worker pool. A stack keeps what differs: its
-// topology and which vertices a committee simulates, who is assigned
-// where, and what a commit does.
+// stacks embed with the whole reorganization: assignment, gather, commit
+// and the S(x) catch-up (loop.go); the three-round blocked history with
+// the crash schedule composed in, the delivery gate composed from faults
+// and latency, leader election and stall counting, Algorithm 2 over a
+// dense vertex space (sample.go), the epoch history ring and the
+// knowledge-graph oracle over it (history.go), the group-partition rule
+// both stacks' auditors and repairs answer to (partition.go), the
+// per-worker counter cells and the worker pool. A stack keeps what
+// differs: its topology and which vertices a committee simulates, and the
+// Hooks through which §6 changes who is assigned, which committee owns a
+// sampled vertex and what follows a commit (split and merge).
 package committee
 
 import (
@@ -53,14 +55,17 @@ type Counters struct {
 // never share a cache line.
 type cell struct {
 	Counters
-	avail   []int32 // election: a committee's available members
-	scratch []int32 // response values: a gated segment being rebuilt, answers nobody receives
+	avail   []int32      // election: a committee's available members
+	scratch []int32      // response values: a gated segment being rebuilt, answers nobody receives
+	ids     []sim.NodeID // assignment: a committee's assignees
+	samples []int32      // assignment: a committee's pooled samples
 	_       [64]byte
 }
 
 // Engine is the shared round machine. A stack fills the exported
-// configuration fields once after New, owns the contents of NodeR,
-// NodeGroup, ViewEpoch and Owner, and advances Epoch when it commits.
+// configuration fields once after New and owns the contents of NodeR,
+// ViewEpoch and Owner; the Loop advances Epoch and rebuilds NodeGroup when
+// it commits.
 type Engine struct {
 	// Arity is the cube's K: a vertex is a D-digit base-K number. A
 	// Phase-1 symbol is drawn from the leader's RNG when it is read: the
@@ -271,7 +276,7 @@ func (e *Engine) Begin(blocked map[sim.NodeID]bool, members [][]sim.NodeID, vert
 func (e *Engine) electRange(w int) {
 	c := &e.cells[w]
 	b0, b1 := e.blocked[0], e.blocked[1]
-	lo, hi := e.Chunk(len(e.members), w)
+	lo, hi := e.chunk(len(e.members), w)
 	for x := lo; x < hi; x++ {
 		ld := int32(-1)
 		c.avail = c.avail[:0]
@@ -315,20 +320,17 @@ func (s *Counters) add(c *Counters) {
 	s.Messages += c.Messages
 }
 
-// Cell returns worker w's counters for the stack's own phases.
-func (e *Engine) Cell(w int) *Counters { return &e.cells[w].Counters }
-
-// Chunk returns worker w's contiguous share of [0, total). Worker order
+// chunk returns worker w's contiguous share of [0, total). Worker order
 // is index order, which is what makes merging in worker order serial.
-func (e *Engine) Chunk(total, w int) (lo, hi int) {
+func (e *Engine) chunk(total, w int) (lo, hi int) {
 	return total * w / e.shards, total * (w + 1) / e.shards
 }
 
-// Each runs phase(w) for every worker w and returns when all are done. A
-// worker may write only what its Chunk owns, its Cell, and the RNGs of its
+// each runs phase(w) for every worker w and returns when all are done. A
+// worker may write only what its chunk owns, its cell, and the RNGs of its
 // committees' leaders. phase should be bound once, not per call: a method
 // value made at the call allocates.
-func (e *Engine) Each(phase func(w int)) {
+func (e *Engine) each(phase func(w int)) {
 	if e.serial {
 		for w := range e.cells {
 			phase(w)
@@ -338,16 +340,16 @@ func (e *Engine) Each(phase func(w int)) {
 	e.pool.run(phase)
 }
 
-// Route hands node id to committee c for the next epoch. Called from an
-// Each phase by worker w, which appends to its own segment of c's list.
-func (e *Engine) Route(w int, c int32, id sim.NodeID) {
+// route hands node id to committee c for the next epoch. Called from an
+// each phase by worker w, which appends to its own segment of c's list.
+func (e *Engine) route(w int, c int32, id sim.NodeID) {
 	e.routed[w][c] = append(e.routed[w][c], id)
 }
 
-// Gather appends to dst the nodes routed to committee c, in source
+// gather appends to dst the nodes routed to committee c, in source
 // order, counts them as messages and empties the segments. Called from a
-// later Each phase by the worker that owns c.
-func (e *Engine) Gather(w, c int, dst []sim.NodeID) []sim.NodeID {
+// later each phase by the worker that owns c.
+func (e *Engine) gather(w, c int, dst []sim.NodeID) []sim.NodeID {
 	for sw := range e.routed {
 		seg := e.routed[sw][c]
 		dst = append(dst, seg...)
@@ -357,13 +359,12 @@ func (e *Engine) Gather(w, c int, dst []sim.NodeID) []sim.NodeID {
 	return dst
 }
 
-// CatchUp applies the every-round S(x) broadcast to slot v, whose
+// catchUp applies the every-round S(x) broadcast to slot v, whose
 // committee lists peers: an available node with a stale view adopts the
 // current epoch if some peer could have sent the state last round — it was
 // non-blocked in the two rounds before this one and no open partition
-// window separates the two. The stacks differ in how they find v's
-// committee, which matters once state is corrupted, so each keeps its walk.
-func (e *Engine) CatchUp(v int32, peers []sim.NodeID) {
+// window separates the two.
+func (e *Engine) catchUp(v int32, peers []sim.NodeID) {
 	cur := int32(e.Epoch)
 	if e.ViewEpoch[v] == cur || e.blocked[0].Test(v) || e.blocked[1].Test(v) {
 		return

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"overlaynet/internal/fault"
@@ -50,10 +51,25 @@ func newToy(k, d, shards int) *toy {
 		}
 		ty.members = append(ty.members, g)
 	}
-	e.Commit(ty.members).Adj = make([][]int32, n)
 	e.Reset(n, d, ty.mi)
 	clear(e.Owner) // vertex u belongs to committee 0 for all the engine cares
 	return ty
+}
+
+// loop returns the Loop over the toy with h's Committees, Adj and Prepare
+// filled in — the toy's committees, no adjacency, and a Reset with every
+// vertex owned — and commits the toy's committees as epoch 0.
+func (ty *toy) loop(every int, h Hooks) *Loop {
+	e := ty.e
+	h.Committees = func() ([][]sim.NodeID, [][]int32) { return ty.members, ty.verts }
+	h.Adj = func([][]int32) [][]int32 { return make([][]int32, len(ty.members)) }
+	h.Prepare = func() {
+		e.Reset(len(ty.verts), e.dim, ty.mi)
+		clear(e.Owner)
+	}
+	l := NewLoop(e, every, h)
+	l.Commit()
+	return l
 }
 
 // epoch runs Algorithm 2's 2T+1 primitive rounds with the given nodes
@@ -179,22 +195,22 @@ func TestElection(t *testing.T) {
 	}
 }
 
-// TestRouteGatherOrder: what Gather returns is in source-worker order,
+// TestRouteGatherOrder: what gather returns is in source-worker order,
 // then generation order, and is counted once.
 func TestRouteGatherOrder(t *testing.T) {
 	ty := newToy(2, 2, 3)
 	defer ty.e.Close()
 	e := ty.e
 	e.Begin(nil, ty.members, ty.verts)
-	e.Route(2, 1, 30)
-	e.Route(0, 1, 10)
-	e.Route(1, 1, 20)
-	e.Route(0, 1, 11)
-	e.Route(1, 3, 99)
-	if got := e.Gather(0, 1, nil); !slices.Equal(got, []sim.NodeID{10, 11, 20, 30}) {
+	e.route(2, 1, 30)
+	e.route(0, 1, 10)
+	e.route(1, 1, 20)
+	e.route(0, 1, 11)
+	e.route(1, 3, 99)
+	if got := e.gather(0, 1, nil); !slices.Equal(got, []sim.NodeID{10, 11, 20, 30}) {
 		t.Fatalf("gathered %v", got)
 	}
-	if got := e.Gather(0, 1, nil); len(got) != 0 {
+	if got := e.gather(0, 1, nil); len(got) != 0 {
 		t.Fatalf("second gather returned %v, want the segments emptied", got)
 	}
 	if c := e.End(); c.Messages != 4 {
@@ -208,9 +224,10 @@ func TestRouteGatherOrder(t *testing.T) {
 func TestHistoryPrunesUnreferencedViews(t *testing.T) {
 	ty := newToy(2, 2, 1)
 	e := ty.e
+	e.commit(ty.members).Adj = make([][]int32, len(ty.members)) // epoch 0
 	commit := func() {
 		e.Epoch++
-		e.Commit(ty.members).Adj = make([][]int32, len(ty.members))
+		e.commit(ty.members).Adj = make([][]int32, len(ty.members))
 	}
 	for i := 0; i < 5; i++ { // nobody catches up: every view is still held, the ring grows past 4
 		commit()
@@ -243,39 +260,27 @@ func TestHistoryPrunesUnreferencedViews(t *testing.T) {
 // TestLoopSchedule drives the toy through three epochs of the Loop with
 // four reorganization rounds, a committee blocked every fifth round, at
 // each measurement cadence: the epoch is 2(2T+1) sampling rounds, which
-// simulate Algorithm 2 on the even ones, plus the four, Assign runs once
-// per epoch on its first round after the sampling and Commit once on its
-// last, connectivity is measured on exactly the rounds the cadence
-// selects, and the totals are the sums of the rounds' counters.
+// simulate Algorithm 2 on the even ones, plus the four; the assignment
+// routes every member once on the first of them, counted as messages, and
+// Install runs once per epoch on the last; connectivity is measured on
+// exactly the rounds the cadence selects, and the totals are the sums of
+// the rounds' counters. The toy keeps its committees: Install hands the
+// gathered lists back.
 func TestLoopSchedule(t *testing.T) {
 	const reorg, epochs = 4, 3
 	for _, every := range []int{-1, 1, 3} {
 		ty := newToy(2, 4, 2)
 		e := ty.e
-		var assigns, commits []int // the rounds the hooks ran in
-		l := NewLoop(e, every, Hooks{
-			Reorg:      reorg,
-			Committees: func() ([][]sim.NodeID, [][]int32) { return ty.members, ty.verts },
-			Assign: func() {
-				assigns = append(assigns, e.Round)
-				if e.Samples[0] == nil {
-					t.Errorf("round %d: Assign ran before the sampling finished", e.Round)
+		nodes := 3 * len(ty.members)
+		var installs []int // the rounds Install ran in
+		l := ty.loop(every, Hooks{
+			Reorg: reorg,
+			Install: func(next [][]sim.NodeID) [][]sim.NodeID {
+				installs = append(installs, e.Round)
+				if got := sumLen(next); got != nodes {
+					t.Errorf("round %d: %d nodes gathered, want all %d", e.Round, got, nodes)
 				}
-			},
-			Commit: func() {
-				commits = append(commits, e.Round)
-				e.Epoch++
-				e.Commit(ty.members).Adj = make([][]int32, len(ty.members))
-				e.Reset(len(ty.verts), 4, ty.mi)
-				clear(e.Owner)
-			},
-			CatchUp: func(w int) {
-				lo, hi := e.Chunk(len(ty.members), w)
-				for _, g := range ty.members[lo:hi] {
-					for _, id := range g {
-						e.CatchUp(int32(id-1), g)
-					}
-				}
+				return next
 			},
 		})
 		sampling := 2 * (2*(len(ty.mi)-1) + 1)
@@ -302,9 +307,12 @@ func TestLoopSchedule(t *testing.T) {
 					want.Disconnected++
 				}
 			}
-			// Only a simulation half-round, an even one of the sampling part,
-			// sends messages.
-			if p := (r - 1) % rounds; c.Messages > 0 && (p >= sampling || p%2 == 1) {
+			// A simulation half-round, an even one of the sampling part,
+			// sends messages, and so does the assignment: one per member.
+			switch p := (r - 1) % rounds; {
+			case p == sampling && c.Messages != int64(nodes):
+				t.Errorf("every=%d round %d: the assignment counted %d messages, want %d", every, r, c.Messages, nodes)
+			case c.Messages > 0 && (p > sampling || p%2 == 1):
 				t.Errorf("every=%d round %d: %d messages in epoch round %d", every, r, c.Messages, p)
 			}
 			// Committee 1 is unavailable in a blocked round and the next.
@@ -312,14 +320,12 @@ func TestLoopSchedule(t *testing.T) {
 				t.Errorf("every=%d round %d: report %+v, counters %+v", every, r, rep, c)
 			}
 		}
-		var wantAssigns, wantCommits []int
+		var wantInstalls []int
 		for k := 0; k < epochs; k++ {
-			wantAssigns = append(wantAssigns, k*rounds+sampling+1)
-			wantCommits = append(wantCommits, (k+1)*rounds)
+			wantInstalls = append(wantInstalls, (k+1)*rounds)
 		}
-		if !slices.Equal(assigns, wantAssigns) || !slices.Equal(commits, wantCommits) {
-			t.Errorf("every=%d: Assign in rounds %v, Commit in %v; want %v and %v",
-				every, assigns, commits, wantAssigns, wantCommits)
+		if !slices.Equal(installs, wantInstalls) {
+			t.Errorf("every=%d: Install in rounds %v, want %v", every, installs, wantInstalls)
 		}
 		if got := l.Totals(); got != want || l.Epoch() != epochs || l.Round() != epochs*rounds {
 			t.Errorf("every=%d: totals %+v after epoch %d round %d, want %+v after %d and %d",
@@ -327,6 +333,109 @@ func TestLoopSchedule(t *testing.T) {
 		}
 		if every == 1 && (want.Disconnected == 0 || want.Messages == 0) {
 			t.Errorf("totals %+v: the toy should disconnect and send messages", want)
+		}
+		l.Close()
+	}
+}
+
+func sumLen(gs [][]sim.NodeID) (n int) {
+	for _, g := range gs {
+		n += len(g)
+	}
+	return n
+}
+
+// TestLoopAssignment runs one toy epoch with every assignment hook set:
+// each committee drops its first member (a leaver) and adds joiners —
+// committee 2 more than the final sample budget — a Target that shifts
+// vertex v to committee v+1 and has no committee for vertex 7, and the
+// leaders' shuffle, with committee 1 blocked throughout. Every assignee
+// must land in exactly one next-epoch list and nobody else in any; the
+// stalled committee keeps all its assignees; and AssignFails counts each
+// assignee past its committee's samples plus each sample Target refused.
+// The committed index then points every assignee at its list.
+func TestLoopAssignment(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		ty := newToy(2, 4, shards)
+		e := ty.e
+		n := len(ty.members)
+		e.Grow(3*n + 12*n) // room for up to 12 joiners per committee
+		assignees := make([][]sim.NodeID, n)
+		for c, g := range ty.members {
+			assignees[c] = append(assignees[c], g[1:]...)
+			joiners := 1
+			if c == 2 {
+				joiners = 12
+			}
+			for j := range joiners {
+				assignees[c] = append(assignees[c], sim.NodeID(3*n+12*c+j+1))
+			}
+		}
+		var overflow int
+		var refused atomic.Int64
+		var next [][]sim.NodeID
+		l := ty.loop(-1, Hooks{
+			Reorg: 2,
+			Assignees: func(c int, dst []sim.NodeID) []sim.NodeID {
+				return append(dst, assignees[c]...)
+			},
+			Target: func(v int32) int32 {
+				if v == 7 {
+					refused.Add(1)
+					return -1
+				}
+				return (v + 1) % int32(n)
+			},
+			Shuffle: true,
+			Install: func(gathered [][]sim.NodeID) [][]sim.NodeID {
+				for x := range gathered {
+					next = append(next, slices.Clone(gathered[x]))
+				}
+				old := ty.members
+				ty.members = gathered
+				return old
+			},
+		})
+		blocked := map[sim.NodeID]bool{4: true, 5: true, 6: true}
+		for p := 0; p < l.EpochRounds(); p++ {
+			if p == l.EpochRounds()-2 { // the assignment: the final samples are in
+				for c := range ty.members {
+					if c != 1 {
+						overflow += max(0, len(assignees[c])-len(e.Samples[c]))
+					}
+				}
+			}
+			l.Step(blocked)
+		}
+		where := map[sim.NodeID]int{}
+		for x, g := range next {
+			if !slices.IsSorted(g) {
+				t.Errorf("shards=%d: list %d is not sorted: %v", shards, x, g)
+			}
+			for _, id := range g {
+				if _, dup := where[id]; dup {
+					t.Errorf("shards=%d: node %d gathered twice", shards, id)
+				}
+				where[id] = x
+				if e.NodeGroup[id-1] != int32(x) {
+					t.Errorf("shards=%d: node %d indexed at %d, listed in %d", shards, id, e.NodeGroup[id-1], x)
+				}
+			}
+		}
+		for c, as := range assignees {
+			for _, id := range as {
+				if x, ok := where[id]; !ok || c == 1 && x != 1 {
+					t.Errorf("shards=%d: assignee %d of committee %d landed in %d (found %v)", shards, id, c, x, ok)
+				}
+			}
+		}
+		if len(where) != sumLen(assignees) {
+			t.Errorf("shards=%d: %d nodes gathered, want the %d assignees", shards, len(where), sumLen(assignees))
+		}
+		tot := l.Totals()
+		if want := overflow + int(refused.Load()); tot.AssignFails != want || overflow < 9 || refused.Load() == 0 {
+			t.Errorf("shards=%d: %d assignment failures, want %d past the samples + %d refused",
+				shards, tot.AssignFails, overflow, refused.Load())
 		}
 		l.Close()
 	}

@@ -13,7 +13,7 @@ import (
 type View struct {
 	Groups    [][]sim.NodeID
 	NodeGroup []int32
-	Adj       [][]int32 // committee adjacency; set by the stack after Commit
+	Adj       [][]int32 // committee adjacency, the stack's (Hooks.Adj)
 }
 
 // history is the ring of the views some member still holds, epochs
@@ -46,11 +46,11 @@ func (e *Engine) ViewAt(epoch int) *View {
 // Views returns the epochs the ring holds: [base, base+n).
 func (e *Engine) Views() (base, n int) { return e.base, e.n }
 
-// Commit records groups and NodeGroup (both copied) as the current
+// commit records groups and NodeGroup (both copied) as the current
 // epoch's view, recycles every view no member's ViewEpoch still names,
 // and returns the new view for the caller to set Adj: either a slice it
 // never modifies again or one rebuilt in the recycled Adj's arenas.
-func (e *Engine) Commit(groups [][]sim.NodeID) *View {
+func (e *Engine) commit(groups [][]sim.NodeID) *View {
 	var v View
 	if k := len(e.free); k > 0 {
 		v, e.free = e.free[k-1], e.free[:k-1]

@@ -1,8 +1,11 @@
 package committee
 
 import (
+	"slices"
+
 	"overlaynet/internal/audit"
 	"overlaynet/internal/fault"
+	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
 
@@ -29,27 +32,45 @@ type Totals struct {
 	Disconnected int // rounds measured disconnected
 }
 
-// Hooks are what a stack plugs into the loop.
+// Hooks are what a stack plugs into the loop: what the paper makes
+// different between §5 and §6. The reorganization itself is the loop's:
+// every committee sends each assignee to the committee that owns the vertex
+// its leader sampled for it, the sent nodes are gathered into next-epoch
+// groups, and the new groups take effect at once at the epoch's end.
 type Hooks struct {
 	// Reorg is the number of reorganization rounds after the sampling.
 	Reorg int
-	// Committees returns this round's committees and the vertices each
+	// Committees returns the current committees and the vertices each
 	// simulates, as Begin takes them.
 	Committees func() (members [][]sim.NodeID, verts [][]int32)
-	// Assign runs on the first reorganization round and Commit on the
-	// last, so every commit follows its epoch's assignment. Commit
-	// advances the engine's Epoch and Resets it for the next epoch.
-	Assign, Commit func()
-	// CatchUp is worker w's share of the every-round S(x) catch-up.
-	CatchUp func(w int)
+	// Assignees appends to dst the nodes committee c reassigns; nil means
+	// its members. It is called from the workers, one committee per call.
+	Assignees func(c int, dst []sim.NodeID) []sim.NodeID
+	// Target returns the committee that receives a node sent to sampled
+	// vertex v, −1 for none (the node stays, an assignment failure); nil
+	// means committee v.
+	Target func(v int32) int32
+	// Shuffle has each leader shuffle its committee's pooled samples
+	// before assigning them.
+	Shuffle bool
+	// Install makes next, the gathered groups in committee order, the
+	// committed ones, and returns the lists it replaced: the arrays the
+	// next epoch gathers into.
+	Install func(next [][]sim.NodeID) (old [][]sim.NodeID)
+	// Adj returns the committee adjacency of the new committees, built in
+	// arena (a recycled view's) or a slice the stack never modifies again.
+	Adj func(arena [][]int32) [][]int32
+	// Prepare readies the engine for the new epoch: Reset, then Owner.
+	Prepare func()
 }
 
 // Loop is the round loop of §5 and §6, which both stacks embed. An epoch
 // is Algorithm 2's 2T+1 primitive rounds, each two real rounds — the
 // simulation, then the synchronization, which only moves messages the
 // queues already represent — followed by the stack's reorganization
-// rounds; every round ends with the S(x) catch-up, an optional
-// connectivity measurement and an audit tick.
+// rounds: the assignment on the first and the commit on the last. Every
+// round ends with the S(x) catch-up, an optional connectivity measurement
+// and an audit tick.
 type Loop struct {
 	e            *Engine
 	hooks        Hooks
@@ -57,16 +78,31 @@ type Loop struct {
 	phase        int // round index within the epoch
 	totals       Totals
 	audit        *audit.Engine
+
+	// The committees the round's phases read: Begin's, then the new ones
+	// once the commit has run.
+	members [][]sim.NodeID
+	verts   [][]int32
+	next    [][]sim.NodeID // the gathered next-epoch groups, in committee order
+	// placed are the slots NodeGroup placed at the last commit, the ones
+	// the catch-up walks: a slot that left or never joined stays dead, and
+	// under churn the dead outnumber the members.
+	placed []int32
+	// The loop's worker phases, bound once so that a round allocates nothing.
+	phases struct{ assign, gather, catchUp func(w int) }
 }
 
 // NewLoop returns the loop that drives e through the stack's hooks,
 // measuring connectivity every measureEvery-th round (0 = every round,
-// negative = never; ConnectedNow still answers on demand).
-func NewLoop(e *Engine, measureEvery int, h Hooks) Loop {
+// negative = never; ConnectedNow still answers on demand). The stack
+// makes its first committees current with Commit.
+func NewLoop(e *Engine, measureEvery int, h Hooks) *Loop {
 	if measureEvery == 0 {
 		measureEvery = 1
 	}
-	return Loop{e: e, hooks: h, measureEvery: measureEvery}
+	l := &Loop{e: e, hooks: h, measureEvery: measureEvery}
+	l.phases.assign, l.phases.gather, l.phases.catchUp = l.assignRange, l.gatherRange, l.catchUpRange
+	return l
 }
 
 // Step executes one communication round under the given blocked set.
@@ -74,8 +110,8 @@ func NewLoop(e *Engine, measureEvery int, h Hooks) Loop {
 // mutate it freely after Step returns.
 func (l *Loop) Step(blocked map[sim.NodeID]bool) Report {
 	e, h := l.e, &l.hooks
-	members, verts := h.Committees()
-	e.Begin(blocked, members, verts)
+	l.members, l.verts = h.Committees()
+	e.Begin(blocked, l.members, l.verts)
 	rep := Report{Round: e.Round, Epoch: e.Epoch, Blocked: e.Blocked, Connected: true}
 	p, sampling := l.phase, l.samplingRounds()
 	l.phase++
@@ -85,16 +121,21 @@ func (l *Loop) Step(blocked map[sim.NodeID]bool) Report {
 			e.Sample(p / 2)
 		}
 	case p == sampling:
-		h.Assign()
+		n := len(l.members)
+		l.next = slices.Grow(l.next[:0], n)[:n] // the arrays the last Install returned
+		e.each(l.phases.assign)
+		e.each(l.phases.gather)
 	case p == sampling+h.Reorg-1:
-		h.Commit()
+		e.Epoch++
+		l.next = h.Install(l.next)
+		l.Commit()
 		l.phase = 0
 	}
 	// Every-round S(x) broadcast: an available node receives the state
 	// its committee peers sent in the previous round, provided some peer
 	// was available to send it (the paper's recovery mechanism for
 	// formerly blocked nodes).
-	e.Each(h.CatchUp)
+	e.each(l.phases.catchUp)
 
 	c := e.End()
 	rep.Stalls = c.Stalls
@@ -111,6 +152,125 @@ func (l *Loop) Step(blocked map[sim.NodeID]bool) Report {
 	l.audit.SetEpoch(e.Epoch)
 	l.audit.Tick(e.Round)
 	return rep
+}
+
+// Commit makes the stack's committees the current epoch's: it sorts every
+// member list, points each listed node's NodeGroup entry at its committee,
+// notes the placed slots, has the stack Prepare the epoch, and records the
+// view with the stack's adjacency. An entry is overwritten, never cleared: a node no list names
+// keeps its pointer (§5's repair finds a node a corruption erased by it,
+// and §6's Install clears its leavers' itself), and a node a corruption
+// lists twice resolves to the later committee at every worker count. The
+// loop commits at every epoch's end, after Install; a stack commits its
+// first committees once, from New.
+func (l *Loop) Commit() {
+	e, h := l.e, &l.hooks
+	l.members, _ = h.Committees()
+	for c, g := range l.members {
+		slices.Sort(g) // §6's split and merge leave lists unsorted
+		for _, id := range g {
+			e.NodeGroup[id-1] = int32(c)
+		}
+	}
+	l.placed = l.placed[:0]
+	for v, g := range e.NodeGroup {
+		if g >= 0 {
+			l.placed = append(l.placed, int32(v))
+		}
+	}
+	h.Prepare()
+	v := e.commit(l.members)
+	v.Adj = h.Adj(v.Adj)
+}
+
+// GroupSizes returns the current committees' sizes, in committee order.
+func (l *Loop) GroupSizes() []int {
+	members, _ := l.hooks.Committees()
+	out := make([]int, len(members))
+	for c, g := range members {
+		out[c] = len(g)
+	}
+	return out
+}
+
+// assignRange routes the assignees of worker w's committees. A stalled
+// committee cannot reorganize, so its assignees stay (it was counted as a
+// stall already). Otherwise assignee i goes to the target of the leader's
+// i-th pooled sample. Past the samples the assignment fails and the node
+// takes sample i mod their count, or stays when there is none; a sample
+// with no target fails too, and the node stays.
+func (l *Loop) assignRange(w int) {
+	e, h := l.e, &l.hooks
+	c := &e.cells[w]
+	lo, hi := e.chunk(len(l.members), w)
+	for x := lo; x < hi; x++ {
+		ids := l.members[x]
+		if h.Assignees != nil {
+			c.ids = h.Assignees(x, c.ids[:0])
+			ids = c.ids
+		}
+		ld := e.Leaders[x]
+		if ld < 0 {
+			for _, id := range ids {
+				e.route(w, int32(x), id)
+			}
+			continue
+		}
+		samples := c.samples[:0]
+		for _, u := range l.verts[x] {
+			samples = append(samples, e.Samples[u]...)
+		}
+		c.samples = samples
+		if h.Shuffle {
+			rng.ShuffleSlice(&e.NodeR[ld], samples)
+		}
+		for i, id := range ids {
+			to := int32(x)
+			if len(samples) > 0 {
+				to = samples[i%len(samples)]
+				if h.Target != nil {
+					to = h.Target(to)
+				}
+			}
+			if i >= len(samples) {
+				c.AssignFails++
+			}
+			if to < 0 {
+				c.AssignFails++
+				to = int32(x)
+			}
+			e.route(w, to, id)
+		}
+	}
+}
+
+// gatherRange collects the nodes sent to worker w's committees into their
+// next-epoch lists, sorted by id, and counts the lists left empty.
+func (l *Loop) gatherRange(w int) {
+	e := l.e
+	lo, hi := e.chunk(len(l.next), w)
+	for x := lo; x < hi; x++ {
+		l.next[x] = e.gather(w, x, l.next[x][:0])
+		slices.Sort(l.next[x])
+		if len(l.next[x]) == 0 {
+			e.cells[w].EmptyGroups++
+		}
+	}
+}
+
+// catchUpRange applies the S(x) broadcast over worker w's share of the
+// placed slots, finding each node's peers through its NodeGroup entry
+// (between commits only a repair can take a slot out). A slot is written
+// only by the worker that owns it, so a node a corruption lists twice is
+// still caught up once.
+func (l *Loop) catchUpRange(w int) {
+	e := l.e
+	lo, hi := e.chunk(len(l.placed), w)
+	for _, v := range l.placed[lo:hi] {
+		if g := e.NodeGroup[v]; g >= 0 {
+			e.catchUp(v, l.members[g])
+		}
+	}
 }
 
 // samplingRounds is the length of the current epoch's sampling part: two

@@ -26,7 +26,7 @@ func damagedPartition(data []byte) (*Engine, [][]sim.NodeID) {
 		e.NodeGroup[v] = int32(v % g)
 		groups[v%g] = append(groups[v%g], sim.NodeID(v+1))
 	}
-	e.Commit(groups)
+	e.commit(groups)
 	for ; len(data) >= 3; data = data[3:] {
 		v, x := int(data[1])%n, int(data[2])%g
 		id := sim.NodeID(v + 1)

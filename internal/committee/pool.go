@@ -9,7 +9,7 @@ import (
 
 // pool is the engine's persistent bulk-synchronous worker pool: it
 // partitions each phase across S workers (the caller's goroutine acts
-// as worker 0). Workers own contiguous index ranges (Engine.Chunk),
+// as worker 0). Workers own contiguous index ranges (Engine.chunk),
 // write only state owned by their range plus per-worker cells, and the
 // engine merges cells in worker order — which equals the serial
 // iteration order because the ranges are contiguous.

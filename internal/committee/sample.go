@@ -66,7 +66,7 @@ type algorithm2 struct {
 	Owner  []int32
 	reqs   [][]segment[asks]
 	resps  [][]answers
-	routed [][][]sim.NodeID // Route/Gather segments, [worker][committee]
+	routed [][][]sim.NodeID // route/gather segments, [worker][committee]
 	pr     int              // primitive round being simulated
 }
 
@@ -178,16 +178,16 @@ func (e *Engine) Sample(pr int) {
 			}
 		}
 	}
-	e.Each(e.phases.sim)
+	e.each(e.phases.sim)
 	if e.gate != nil {
-		e.Each(e.phases.gate)
+		e.each(e.phases.gate)
 	}
 }
 
 // simRange advances the vertices of worker w's committees, consuming each
 // leader's RNG in the serial order (committee, then vertex).
 func (e *Engine) simRange(w int) {
-	lo, hi := e.Chunk(len(e.members), w)
+	lo, hi := e.chunk(len(e.members), w)
 	for c := lo; c < hi; c++ {
 		if ld := e.Leaders[c]; ld >= 0 {
 			for _, u := range e.verts[c] {
@@ -474,7 +474,7 @@ func (e *Engine) request(w int, r *rng.RNG, u, i int) {
 // dropped value is omitted, a duplicated one written twice.
 func (e *Engine) gateRange(w int) {
 	c := &e.cells[w]
-	lo, hi := e.Chunk(len(e.Owner), w)
+	lo, hi := e.chunk(len(e.Owner), w)
 	for t := lo; t < hi; t++ {
 		k := 0
 		for sw := range e.reqs {

@@ -53,7 +53,8 @@ func ExpectedTVUniform(n, samples int) float64 {
 // PooledTV pools every node's samples over the n outcomes and returns
 // their total variation distance to uniform together with the envelope
 // it is judged against: 3x the distance expected of that many uniform
-// draws.
+// draws, clamped at 1, the largest distance there is. An envelope of 1
+// certifies nothing: so few samples survived that any law passes it.
 func PooledTV(samples [][]int, n int) (tv, env float64) {
 	counts := make([]int, n)
 	total := 0
@@ -63,7 +64,7 @@ func PooledTV(samples [][]int, n int) (tv, env float64) {
 			total++
 		}
 	}
-	return TVDistanceUniform(counts), 3 * ExpectedTVUniform(n, total)
+	return TVDistanceUniform(counts), min(1, 3*ExpectedTVUniform(n, total))
 }
 
 // ChiSquareUniform returns the chi-square statistic of counts against

@@ -1,6 +1,9 @@
 package metrics
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Summarize resolves quantiles through one clamped nearest-rank rule.
 // Historically its inline q() had no clamp (it would index past the
@@ -48,13 +51,38 @@ func TestSummarizeDegenerateLengths(t *testing.T) {
 }
 
 func TestPooledTV(t *testing.T) {
-	// Two nodes, four samples, one per outcome: exactly uniform, judged
-	// against 3x the noise floor of four draws over four outcomes.
-	tv, env := PooledTV([][]int{{0, 3}, {2, 1}}, 4)
-	if tv != 0 || env != 3*ExpectedTVUniform(4, 4) {
-		t.Fatalf("PooledTV = (%g, %g), want (0, %g)", tv, env, 3*ExpectedTVUniform(4, 4))
+	// Four nodes, sixteen samples, four per outcome: exactly uniform,
+	// judged against 3x the noise floor of sixteen draws over four
+	// outcomes.
+	tv, env := PooledTV([][]int{{0, 3, 2, 1}, {2, 1, 0, 3}, {1, 2, 3, 0}, {3, 0, 1, 2}}, 4)
+	if tv != 0 || env != 3*ExpectedTVUniform(4, 16) || env >= 1 {
+		t.Fatalf("PooledTV = (%g, %g), want (0, %g)", tv, env, 3*ExpectedTVUniform(4, 16))
 	}
 	if tv, _ := PooledTV([][]int{{1, 1}, {1, 1}}, 4); tv != 0.75 {
 		t.Fatalf("all mass on one of four outcomes: TV %g, want 0.75", tv)
+	}
+}
+
+// TestPooledTVEnvelopeClampsAtOne: with few samples over many outcomes
+// 3x the expected distance exceeds 1, which every law meets; the envelope
+// is clamped at 1 instead, so a certificate that reads "TV ≤ envelope"
+// needs an envelope below 1 too.
+func TestPooledTVEnvelopeClampsAtOne(t *testing.T) {
+	for _, c := range []struct {
+		samples [][]int
+		n       int
+	}{
+		{[][]int{{5}, {9}}, 16},          // two samples over 16 outcomes
+		{[][]int{{0, 1}, {2, 3}}, 4},     // four over four: 3x is 1.197
+		{[][]int{{7, 7, 7}, {7}}, 64},    // all mass on one outcome
+		{[][]int{{1, 2, 3, 4, 5}}, 1024}, // five over 1024
+	} {
+		tv, env := PooledTV(c.samples, c.n)
+		if raw := 3 * ExpectedTVUniform(c.n, len(slices.Concat(c.samples...))); raw <= 1 || env != 1 {
+			t.Errorf("%v over %d: envelope %g from 3x %g, want clamped to 1", c.samples, c.n, env, raw)
+		}
+		if tv > 1 {
+			t.Errorf("%v over %d: TV %g above 1", c.samples, c.n, tv)
+		}
 	}
 }

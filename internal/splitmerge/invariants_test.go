@@ -1,6 +1,8 @@
 package splitmerge
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"overlaynet/internal/dos"
@@ -75,7 +77,7 @@ func TestOwnerOfCoversEveryVirtualVertex(t *testing.T) {
 	_, dmax := nw.DimRange()
 	seen := make([]int, nw.NumSupers())
 	for w := 0; w < 1<<dmax; w++ {
-		oi := nw.ownerOf(int32(w))
+		oi := int(nw.vidOwner[w])
 		if oi < 0 {
 			t.Fatalf("virtual vertex %b has no owner", w)
 		}
@@ -174,5 +176,89 @@ func TestShrinkToMinimum(t *testing.T) {
 	}
 	if nw.StatsSnapshot().Merges+nw.StatsSnapshot().ForcedMerges == 0 {
 		t.Fatal("halving repeatedly never merged")
+	}
+}
+
+// scanAdjacency is the all-pairs rule the label-tree lookup replaced:
+// supernodes i ≠ j are adjacent when hypercube.Connected says so.
+func scanAdjacency(nw *Network) [][]int32 {
+	adj := make([][]int32, len(nw.supers))
+	for i, s := range nw.supers {
+		for j, u := range nw.supers {
+			if i != j && hypercube.Connected(s.label, u.label) {
+				adj[i] = append(adj[i], int32(j))
+			}
+		}
+	}
+	return adj
+}
+
+// TestAdjacencyMatchesAllPairsScan: the adjacency read from the label
+// tree equals the all-pairs hypercube.Connected scan on the committed
+// trees that churn grows, shrinks and replaces, and on trees a
+// CorruptState relabel left with a coverage hole — one at the deepest
+// dimension, which raises dmax, and one at the shallowest. (The next
+// commit usually heals such a hole: the relabelled group is undersized
+// and merges with its empty sibling. So the holed trees are read
+// directly, once the epoch's tables have been rebuilt for them.)
+func TestAdjacencyMatchesAllPairsScan(t *testing.T) {
+	nw := New(Config{Seed: 11, N0: 200, MeasureEvery: -1})
+	defer nw.Close()
+	r := rng.New(5)
+	buf := &dos.Buffer{Lateness: 1}
+	check := func(when string, got [][]int32) {
+		t.Helper()
+		want := scanAdjacency(nw)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d adjacency lists for %d supernodes", when, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("%s: supernode %v has neighbours %v, the scan finds %v (labels %v)",
+					when, nw.supers[i].label, got[i], want[i], nw.Labels())
+			}
+		}
+	}
+	committed := func() [][]int32 { return nw.eng.ViewAt(nw.Epoch()).Adj }
+	ragged := 0 // committed trees with labels of two dimensions
+	check("initially", committed())
+	for e := 0; e < 8; e++ {
+		members := nw.Members()
+		if e < 4 {
+			for i := 0; i < len(members)/3; i++ {
+				nw.Join(members[r.Intn(len(members))])
+			}
+		} else {
+			for i, id := range members {
+				if i%3 == 0 {
+					nw.Leave(id)
+				}
+			}
+		}
+		nw.ReplaceMembers(r, 10)
+		nw.Run(nil, buf, nw.EpochRounds())
+		check(fmt.Sprintf("epoch %d", nw.Epoch()), committed())
+		if lo, hi := nw.DimRange(); lo < hi {
+			ragged++
+		}
+	}
+	if ragged == 0 {
+		t.Fatal("no churned tree had labels of two dimensions")
+	}
+	for _, deepest := range []bool{true, false} {
+		si := 0
+		for i, s := range nw.supers {
+			if d := s.label.Dim(); deepest && d > nw.supers[si].label.Dim() || !deepest && d < nw.supers[si].label.Dim() {
+				si = i
+			}
+		}
+		if desc := nw.CorruptState(uint64(si)<<8 | 1); desc == "" {
+			t.Fatal("no relabel")
+		}
+		if f, ok := nw.labelDefect(); !ok || f.s == nil {
+			t.Fatal("the relabel left no coverage hole")
+		}
+		nw.prepareEpoch()
+		check(fmt.Sprintf("after relabelling the deepest=%v label", deepest), nw.adjacency(nil))
 	}
 }

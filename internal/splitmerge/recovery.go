@@ -114,8 +114,9 @@ func (nw *Network) CorruptState(pick uint64) string {
 // is left — an overlap collapses into the shorter label, a hole is
 // closed by moving the label above it up to the hole's parent — and a
 // normalization pass then splits/merges every group back inside the
-// Equation (1) band. The membership index is rebuilt last. Returns the
-// number of structural fixes applied, 0 exactly when the label rule held.
+// Equation (1) band. The groups are sorted again and the membership index
+// is rebuilt from them last (RepairMembership). Returns the number of
+// structural fixes applied, 0 exactly when the label rule held.
 func (nw *Network) RepairBalance() int {
 	fixes := 0
 	for f, ok := nw.labelDefect(); ok; f, ok = nw.labelDefect() {
@@ -128,7 +129,10 @@ func (nw *Network) RepairBalance() int {
 		fixes++
 	}
 	nw.normalize()
-	nw.indexMembers()
+	for _, s := range nw.supers {
+		slices.Sort(s.members)
+	}
+	nw.RepairMembership()
 	nw.fillVidTables()
 	return fixes
 }

@@ -17,12 +17,13 @@
 // As in package supernode, the replicated group-state machine is
 // executed semantically, by the same loop (internal/committee): the epoch
 // schedule, blocked history, leaders, the primitive over the 2^Dmax
-// virtual vertices, the S(x) catch-up, the epoch history, the
-// connectivity oracle and the running totals. What is here is what
-// Section 6 adds: the label tree with Join and Leave, the per-epoch tables
-// from virtual vertex to owning supernode, the assignment of stayers and
-// joiners to the owners of sampled vertices, and the commit with its
-// split/merge normalization. Slots (slot = id−1) are allocated once at
+// virtual vertices, the reassignment and its commit, the S(x) catch-up,
+// the epoch history, the connectivity oracle and the running totals. What
+// is here is what Section 6 adds: the label tree with Join and Leave, the
+// per-epoch tables from virtual vertex to owning supernode (which also
+// give the adjacency), the hooks that assign stayers and joiners to the
+// owners of sampled vertices after a shuffle, and the split/merge
+// normalization each commit runs. Slots (slot = id−1) are allocated once at
 // Join and go dead on Leave; every arena is reused across rounds and
 // epochs, so Step allocates nothing in churn-free steady state, and
 // results are byte-identical at any worker count (see DESIGN.md).
@@ -119,11 +120,12 @@ type super struct {
 	verts []int32
 }
 
-// Network is the Section 6 overlay. The embedded Loop runs its rounds
-// and provides Step, Round, Epoch, EpochRounds, Close, SetFaults,
-// SetLatency, ConnectedNow and KnowledgeComponents.
+// Network is the Section 6 overlay. The embedded Loop runs its rounds,
+// reorganization included, and provides Step, Round, Epoch, EpochRounds,
+// GroupSizes, Close, SetFaults, SetLatency, ConnectedNow and
+// KnowledgeComponents.
 type Network struct {
-	committee.Loop
+	*committee.Loop
 	cfg    Config
 	r      *rng.RNG
 	supers []*super // sorted by label
@@ -150,14 +152,12 @@ type Network struct {
 	verts     [][]int32
 	vertArena []int32
 	// vidOwner maps every dmax-bit virtual label to the supernode whose
-	// label is a prefix of it (−1 in a coverage hole), replacing a
-	// per-message label search. The engine's Owner is narrower: it names
-	// that supernode only while it holds the vertex's state.
+	// label is a prefix of it (−1 in a coverage hole): the committee a node
+	// sent to that vertex joins, and the adjacency's lookup. The engine's
+	// Owner is narrower: it names that supernode only while it holds the
+	// vertex's state.
 	vidOwner []int32
 
-	pendingAssign [][]sim.NodeID
-	// assign and gather are the reorganization's worker phases, bound once.
-	assign, gather func(w int)
 	// stats holds the counters the Loop's totals do not: splits, merges
 	// and the normalization's health.
 	stats Stats
@@ -187,14 +187,19 @@ func New(cfg Config) *Network {
 	}
 	e := committee.New(cfg.Seed, cfg.Shards)
 	nw.eng = e
-	nw.assign, nw.gather = nw.assignRange, nw.gatherRange
+	// The reorganization sends every stayer and joiner to the owner of a
+	// sampled virtual vertex, i.e. to supernode y with probability
+	// 2^{−d(y)}, and the leader shuffles the samples its vertices pooled.
 	nw.Loop = committee.NewLoop(e, cfg.MeasureEvery, committee.Hooks{
 		// Four reorganization rounds and two of organized split/merge.
 		Reorg:      6,
 		Committees: nw.viewSupers,
-		Assign:     nw.assignRound,
-		Commit:     nw.commitRound,
-		CatchUp:    nw.catchUpRange,
+		Assignees:  nw.assignees,
+		Target:     func(v int32) int32 { return nw.vidOwner[v] },
+		Shuffle:    true,
+		Install:    nw.install,
+		Adj:        nw.adjacency,
+		Prepare:    nw.prepareEpoch,
 	})
 	e.Arity = 2
 	e.RespFrom = 1 + 1<<32 // past the 32-bit virtual-label space
@@ -208,9 +213,7 @@ func New(cfg Config) *Network {
 	nw.nextID = sim.NodeID(cfg.N0 + 1)
 
 	nw.normalize()
-	nw.indexMembers()
-	nw.commitHistory()
-	nw.prepareEpoch()
+	nw.Commit()
 	return nw
 }
 
@@ -265,15 +268,6 @@ func (nw *Network) DimRange() (min, max int) {
 		}
 	}
 	return
-}
-
-// GroupSizes returns the committed group sizes.
-func (nw *Network) GroupSizes() []int {
-	out := make([]int, len(nw.supers))
-	for i, s := range nw.supers {
-		out[i] = len(s.members)
-	}
-	return out
 }
 
 // Labels returns the current supernode labels (sorted).
@@ -415,18 +409,6 @@ func (nw *Network) ReplaceMembers(r *rng.RNG, k int) {
 	}
 }
 
-func (nw *Network) indexMembers() {
-	for i := range nw.eng.NodeGroup {
-		nw.eng.NodeGroup[i] = -1
-	}
-	for x, s := range nw.supers {
-		slices.Sort(s.members)
-		for _, id := range s.members {
-			nw.eng.NodeGroup[id-1] = int32(x)
-		}
-	}
-}
-
 // sortSupers keeps the label order invariant used by findLabel.
 func (nw *Network) sortSupers() {
 	slices.SortFunc(nw.supers, func(a, b *super) int {
@@ -456,19 +438,9 @@ func (nw *Network) findLabel(l hypercube.Label) int {
 	return -1
 }
 
-// ownerOf returns the supernode whose label is a prefix of the
-// dmax-bit virtual label w, or -1. Backed by the per-epoch vidOwner
-// table (rebuilt by fillVidTables after any structural mutation).
-func (nw *Network) ownerOf(w int32) int {
-	if int(w) < len(nw.vidOwner) {
-		return int(nw.vidOwner[w])
-	}
-	return -1
-}
-
 // fillVidTables rebuilds the dense virtual-vertex tables for the
 // current dmax: vidOwner maps every dmax-bit label to the deepest
-// supernode whose label is a prefix of it (the serial ownerOf search
+// supernode whose label is a prefix of it (the serial label search
 // order — supers are sorted by (dim, bits), so scanning in order lets
 // deeper labels overwrite shallower ones), and the engine's Owner names
 // that supernode only where it also simulates the vertex. After a
@@ -541,112 +513,37 @@ func (nw *Network) viewSupers() ([][]sim.NodeID, [][]int32) {
 	return nw.members, nw.verts
 }
 
-// catchUpRange applies the S(x) broadcast over the worker's supers
-// range, finding each node's peers through its group's member list.
-func (nw *Network) catchUpRange(w int) {
-	lo, hi := nw.eng.Chunk(len(nw.supers), w)
-	for _, s := range nw.supers[lo:hi] {
-		for _, id := range s.members {
-			nw.eng.CatchUp(int32(id-1), s.members)
+// assignees appends to dst whom supernode si reassigns: its members that
+// are not leaving, then its pending joiners.
+func (nw *Network) assignees(si int, dst []sim.NodeID) []sim.NodeID {
+	s := nw.supers[si]
+	for _, id := range s.members {
+		if !nw.leaving.Test(int32(id - 1)) {
+			dst = append(dst, id)
 		}
 	}
+	return append(dst, s.pending...)
 }
 
-// assignRound reorganizes: each group's members (stayers plus pending
-// joiners, sorted by id) are assigned to the owners of the sampled
-// virtual vertices, i.e. to supernode y with probability 2^{−d(y)}.
-func (nw *Network) assignRound() {
-	nS := len(nw.supers)
-	nw.pendingAssign = slices.Grow(nw.pendingAssign[:0], nS)[:nS]
-	nw.eng.Each(nw.assign)
-	nw.eng.Each(nw.gather)
-}
-
-func (nw *Network) assignRange(w int) {
-	e := nw.eng
-	c := e.Cell(w)
-	var assignees []sim.NodeID // scratch, reused from super to super
-	var samples []int32
-	lo, hi := e.Chunk(len(nw.supers), w)
-	for si := lo; si < hi; si++ {
-		s := nw.supers[si]
-		assignees = assignees[:0]
-		for _, id := range s.members {
-			if !nw.leaving.Test(int32(id - 1)) {
-				assignees = append(assignees, id)
-			}
-		}
-		assignees = append(assignees, s.pending...)
-		ld := e.Leaders[si]
-		if ld < 0 {
-			// Stalled group: cannot reorganize; everyone stays
-			// (already counted as a stall).
-			for _, id := range assignees {
-				e.Route(w, int32(si), id)
-			}
-			continue
-		}
-		samples = samples[:0]
-		for _, u := range s.verts {
-			samples = append(samples, e.Samples[u]...)
-		}
-		rng.ShuffleSlice(&e.NodeR[ld], samples)
-		for i, id := range assignees {
-			var vw int32
-			switch {
-			case len(samples) == 0:
-				c.AssignFails++
-				vw = int32(s.label.Bits())
-			case i < len(samples):
-				vw = samples[i]
-			default:
-				c.AssignFails++
-				vw = samples[i%len(samples)]
-			}
-			oi := nw.ownerOf(vw)
-			if oi < 0 {
-				c.AssignFails++
-				oi = si
-			}
-			e.Route(w, int32(oi), id)
-		}
-	}
-}
-
-// gatherRange collects the worker's target groups' new members into the
-// pending-assignment arena.
-func (nw *Network) gatherRange(w int) {
-	lo, hi := nw.eng.Chunk(len(nw.supers), w)
-	for si := lo; si < hi; si++ {
-		nw.pendingAssign[si] = nw.eng.Gather(w, si, nw.pendingAssign[si][:0])
-	}
-}
-
-// commitRound is the epoch's final round. The rounds between the
-// assignment and it are the reorganization's gather/share and distribute
-// rounds plus the organized split/merge (O(1) rounds, Lemma 18); the new
-// topology takes effect atomically here, when the distribute messages
-// have reached every available node. It installs the reorganized groups
-// — joiners become members and leavers depart — normalizes them and
-// prepares the next epoch. The member arenas swap with the pending
-// arenas, so churn-free commits allocate nothing.
-func (nw *Network) commitRound() {
+// install is the epoch's final round. The rounds between the assignment
+// and it are the reorganization's gather/share and distribute rounds plus
+// the organized split/merge (O(1) rounds, Lemma 18); the new topology takes
+// effect atomically here, when the distribute messages have reached every
+// available node. Joiners become members, leavers depart (their slots go
+// dead), and the groups are normalized. The member arrays swap with the
+// gathered ones, so churn-free commits allocate nothing.
+func (nw *Network) install(next [][]sim.NodeID) [][]sim.NodeID {
 	for _, id := range nw.leavingIDs {
-		// Departed: the slot goes dead at the reindex below (it was
-		// excluded from every new group); clear the departure mark.
 		nw.leaving.Unset(int32(id - 1))
+		nw.eng.NodeGroup[id-1] = -1
 	}
 	nw.leavingIDs = nw.leavingIDs[:0]
 	for si, s := range nw.supers {
-		s.members, nw.pendingAssign[si] = nw.pendingAssign[si], s.members
+		s.members, next[si] = next[si], s.members
 		s.pending = s.pending[:0]
 	}
-	nw.eng.Epoch++
-	nw.indexMembers()
 	nw.normalize()
-	nw.indexMembers()
-	nw.commitHistory()
-	nw.prepareEpoch()
+	return next
 }
 
 // normalize enforces Equation (1) by splitting oversized and merging
@@ -771,22 +668,31 @@ func (nw *Network) mergeSubtree(prefix hypercube.Label) {
 	nw.sortSupers()
 }
 
-// commitHistory records the committed topology for the connectivity
-// measurement and the adversary snapshots; the engine prunes the views no
-// committed member still holds.
-func (nw *Network) commitHistory() {
-	nw.viewSupers()
-	v := nw.eng.Commit(nw.members)
+// adjacency returns the committee adjacency of the label tree, built in
+// arena: supernodes are adjacent when their labels differ in exactly one
+// of the bits both have (hypercube.Connected). Across bit b of x's label,
+// x's neighbours are the owners of the subtree of x's label with b
+// flipped. That is exact for a prefix-free label set, holes included: an
+// owner above the flipped label has more than b bits, else it would be a
+// prefix of x's label. Each list is ascending. It reads vidOwner, so
+// prepareEpoch has run.
+func (nw *Network) adjacency(arena [][]int32) [][]int32 {
 	nS := len(nw.supers)
-	v.Adj = slices.Grow(v.Adj[:0], nS)[:nS]
-	for i := range nw.supers {
-		v.Adj[i] = v.Adj[i][:0]
-		for j := range nw.supers {
-			if i != j && hypercube.Connected(nw.supers[i].label, nw.supers[j].label) {
-				v.Adj[i] = append(v.Adj[i], int32(j))
+	arena = slices.Grow(arena[:0], nS)[:nS]
+	for i, s := range nw.supers {
+		a, d := arena[i][:0], s.label.Dim()
+		for b := 0; b < d; b++ {
+			flip := int(s.label.Bits() ^ 1<<b)
+			for k := 0; k < 1<<(nw.dmax-d); k++ {
+				if o := nw.vidOwner[flip|k<<d]; o >= 0 {
+					a = append(a, o)
+				}
 			}
 		}
+		slices.Sort(a)
+		arena[i] = slices.Compact(a)
 	}
+	return arena
 }
 
 // Snapshot publishes the current topology at supernode granularity.

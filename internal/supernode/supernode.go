@@ -22,12 +22,13 @@
 // messages fanned out to whole target groups) is accounted in bits.
 //
 // The rounds themselves — the epoch schedule, blocked history, leaders,
-// the simulated primitive and its message queues, the S(x) catch-up, the
-// epoch history, the connectivity oracle and the running totals — are run
-// by internal/committee's Loop, which this stack shares with Section 6;
-// what is here is what Section 5 fixes: the K-ary cube (one vertex per
-// group), the reassignment of members to sampled groups, the commit and
-// the work estimate. All state is dense and slot-indexed (slot = id−1)
+// the simulated primitive and its message queues, the reassignment of
+// members to sampled groups and its commit, the S(x) catch-up, the epoch
+// history, the connectivity oracle and the running totals — are run by
+// internal/committee's Loop, which this stack shares with Section 6; what
+// is here is what Section 5 fixes: the K-ary cube (one vertex per group,
+// so a node sent to vertex x joins group x), its fixed adjacency, and the
+// work estimate. All state is dense and slot-indexed (slot = id−1)
 // and every per-round structure is an arena reused across rounds and
 // epochs, so Step allocates nothing in steady state, and results are
 // byte-identical at any worker count (see DESIGN.md).
@@ -36,7 +37,6 @@ package supernode
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"overlaynet/internal/audit"
 	"overlaynet/internal/committee"
@@ -145,11 +145,12 @@ type Stats struct {
 	Messages      int64 // supernode-level protocol messages delivered
 }
 
-// Network is the Section 5 overlay. The embedded Loop runs its rounds
-// and provides Round, Epoch, EpochRounds, Close, SetFaults, SetLatency,
-// ConnectedNow and KnowledgeComponents.
+// Network is the Section 5 overlay. The embedded Loop runs its rounds,
+// reorganization included, and provides Round, Epoch, EpochRounds,
+// GroupSizes, Close, SetFaults, SetLatency, ConnectedNow and
+// KnowledgeComponents.
 type Network struct {
-	committee.Loop
+	*committee.Loop
 	cfg    Config
 	cube   *hypercube.KAry
 	dim    int // supernode hypercube dimension (power of two)
@@ -160,14 +161,10 @@ type Network struct {
 	// connectivity oracle.
 	eng *committee.Engine
 
-	groups  [][]sim.NodeID // current committed groups, each sorted
-	adj     [][]int32      // supernode adjacency (fixed hypercube)
-	verts   [][]int32      // verts[x] = {x}: group x simulates supernode x
-	mi      []int          // sample budget schedule of the primitive
-	pending [][]sim.NodeID // reorganized groups awaiting commit
-
-	// assign and gather are the reorganization's worker phases, bound once.
-	assign, gather func(w int)
+	groups [][]sim.NodeID // current committed groups, each sorted
+	adj    [][]int32      // supernode adjacency (fixed hypercube)
+	verts  [][]int32      // verts[x] = {x}: group x simulates supernode x
+	mi     []int          // sample budget schedule of the primitive
 
 	maxNodeBits  int64 // peak per-node round work over the run
 	idBits       int
@@ -209,13 +206,23 @@ func New(cfg Config) *Network {
 
 	e := committee.New(cfg.Seed, cfg.Shards)
 	nw.eng = e
-	nw.assign, nw.gather = nw.assignRange, nw.gatherRange
+	// A member goes to the supernode sampled for it, one vertex per group:
+	// Target, Assignees and Shuffle stay nil.
 	nw.Loop = committee.NewLoop(e, cfg.MeasureEvery, committee.Hooks{
 		Reorg:      4,
 		Committees: func() ([][]sim.NodeID, [][]int32) { return nw.groups, nw.verts },
-		Assign:     nw.assignRound,
-		Commit:     nw.commitRound,
-		CatchUp:    nw.catchUpRange,
+		Install: func(next [][]sim.NodeID) [][]sim.NodeID {
+			old := nw.groups
+			nw.groups = next
+			return old
+		},
+		Adj: func([][]int32) [][]int32 { return nw.adj },
+		Prepare: func() {
+			e.Reset(nw.nSuper, nw.dim, nw.mi)
+			for x := range e.Owner {
+				e.Owner[x] = int32(x)
+			}
+		},
 	})
 	e.Arity = cfg.K
 	e.Rotate = cfg.RandomLeader
@@ -227,13 +234,8 @@ func New(cfg Config) *Network {
 	nw.groups = make([][]sim.NodeID, nw.nSuper)
 	for v := 0; v < cfg.N; v++ {
 		x := nw.r.Intn(nw.nSuper)
-		e.NodeGroup[v] = int32(x)
 		nw.groups[x] = append(nw.groups[x], sim.NodeID(v+1))
 	}
-	for x := range nw.groups {
-		slices.Sort(nw.groups[x])
-	}
-	nw.pending = make([][]sim.NodeID, nw.nSuper)
 	nw.adj = make([][]int32, nw.nSuper)
 	nw.verts = make([][]int32, nw.nSuper)
 	ident := make([]int32, nw.nSuper)
@@ -244,9 +246,7 @@ func New(cfg Config) *Network {
 		ident[x] = int32(x)
 		nw.verts[x] = ident[x : x+1]
 	}
-	e.Commit(nw.groups).Adj = nw.adj
-	e.Reset(nw.nSuper, d, nw.mi)
-	copy(e.Owner, ident)
+	nw.Commit()
 	nw.idBits = sim.IDBits(cfg.N)
 	nw.supBits = sim.IDBits(nw.nSuper)
 	nw.groupBitsAvg = int(avg+1) * nw.idBits
@@ -266,15 +266,6 @@ func (nw *Network) Dim() int { return nw.dim }
 
 // NSuper returns the number of supernodes.
 func (nw *Network) NSuper() int { return nw.nSuper }
-
-// GroupSizes returns the current group sizes.
-func (nw *Network) GroupSizes() []int {
-	out := make([]int, nw.nSuper)
-	for x, g := range nw.groups {
-		out[x] = len(g)
-	}
-	return out
-}
 
 // Groups returns the current committed groups (do not modify).
 func (nw *Network) Groups() [][]sim.NodeID { return nw.groups }
@@ -322,81 +313,6 @@ func (nw *Network) Step(blocked map[sim.NodeID]bool) RoundReport {
 	nw.maxNodeBits = max(nw.maxNodeBits, work)
 	return RoundReport{Round: r.Round, Epoch: r.Epoch, Blocked: r.Blocked, Connected: r.Connected,
 		Measured: r.Measured, Stalls: r.Stalls, MaxNodeBits: work}
-}
-
-// assignRound reorganizes: the members of each group (sorted by id) are
-// assigned to the first k sampled supernodes.
-func (nw *Network) assignRound() {
-	nw.eng.Each(nw.assign)
-	nw.eng.Each(nw.gather)
-}
-
-// assignRange routes the members of the worker's groups to their sampled
-// target groups.
-func (nw *Network) assignRange(w int) {
-	e := nw.eng
-	c := e.Cell(w)
-	lo, hi := e.Chunk(nw.nSuper, w)
-	for x := lo; x < hi; x++ {
-		samples := e.Samples[x]
-		for i, id := range nw.groups[x] {
-			target := int32(x)
-			switch {
-			case e.Leaders[x] < 0:
-				// No available member: the group cannot reorganize; its
-				// members stay put (counted as a stall already).
-			case len(samples) == 0:
-				c.AssignFails++
-			case i < len(samples):
-				target = samples[i]
-			default:
-				c.AssignFails++
-				target = samples[i%len(samples)]
-			}
-			e.Route(w, target, id)
-		}
-	}
-}
-
-// gatherRange collects the worker's target groups' new members into the
-// pending arena and sorts each group by id.
-func (nw *Network) gatherRange(w int) {
-	e := nw.eng
-	lo, hi := e.Chunk(nw.nSuper, w)
-	for x := lo; x < hi; x++ {
-		nw.pending[x] = e.Gather(w, x, nw.pending[x][:0])
-		slices.Sort(nw.pending[x])
-		if len(nw.pending[x]) == 0 {
-			e.Cell(w).EmptyGroups++
-		}
-	}
-}
-
-// commitRound installs the new groups by swapping the pending arena in
-// and rebuilding the nodeGroup index. The rebuild is serial: a node a
-// corruption listed in two groups must resolve to the same one (the
-// higher) at every worker count.
-func (nw *Network) commitRound() {
-	e := nw.eng
-	nw.groups, nw.pending = nw.pending, nw.groups
-	for x, g := range nw.groups {
-		for _, id := range g {
-			e.NodeGroup[id-1] = int32(x)
-		}
-	}
-	e.Epoch++
-	e.Commit(nw.groups).Adj = nw.adj
-	e.Reset(nw.nSuper, nw.dim, nw.mi)
-}
-
-// catchUpRange applies the S(x) broadcast over the worker's node-slot
-// range, finding each node's peers through its nodeGroup pointer.
-func (nw *Network) catchUpRange(w int) {
-	e := nw.eng
-	lo, hi := e.Chunk(nw.cfg.N, w)
-	for v := lo; v < hi; v++ {
-		e.CatchUp(int32(v), nw.groups[e.NodeGroup[v]])
-	}
 }
 
 // estimateWork returns the implied per-node communication bits for the
