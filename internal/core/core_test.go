@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"overlaynet/internal/audit"
 	"overlaynet/internal/hgraph"
 	"overlaynet/internal/metrics"
 	"overlaynet/internal/rng"
@@ -121,14 +122,25 @@ func TestNetworkStaticEpoch(t *testing.T) {
 	}
 }
 
+// TestNetworkMultipleEpochs checks what holds at every seed over five
+// epochs at N0 = 48, D = 6: each epoch Valid and Connected, every audit
+// checker clean, and every failure a sampling refusal that the budget
+// tally counts. About half the network seeds see a refusal here (this
+// one in its third epoch), so none is asserted absent.
 func TestNetworkMultipleEpochs(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 2, N0: 48, D: 6})
 	defer nw.Shutdown()
+	eng := audit.NewEngine("test", 2, 1, nil)
+	nw.SetAudit(eng)
 	for e := 0; e < 5; e++ {
 		rep, _ := nw.RunEpoch(nil, nil)
-		if !rep.Valid || !rep.Connected || rep.Failures != 0 {
-			t.Fatalf("epoch %d: %+v", e, rep)
+		refused := nw.lastWindow.budget.Refused
+		if !rep.Valid || !rep.Connected || rep.Failures != rep.FailureKinds[FailSampling] || int64(rep.Failures) != refused {
+			t.Fatalf("epoch %d, budget tally refused %d: %+v", e, refused, rep)
 		}
+	}
+	if eng.Count() != 0 {
+		t.Fatalf("%d audit violations: %+v", eng.Count(), eng.Violations())
 	}
 }
 

@@ -42,14 +42,14 @@ func epochTranscript() string {
 	return out
 }
 
-// TestEpochTranscriptGolden pins the §4 protocol's absolute output: the
-// digest was recorded while the protocol still existed twice (blocking
-// coroutines and handlers, compared byte for byte by the test this one
-// replaces), so it stands for both — epoch reports, joiner id
-// assignments, membership and topology over four epochs of joins and
-// leaves.
+// TestEpochTranscriptGolden pins the §4 protocol's absolute output:
+// epoch reports, joiner id assignments, membership and topology over four
+// epochs of joins and leaves. The digest was first recorded while the
+// protocol still existed twice (blocking coroutines and handlers,
+// compared byte for byte), and re-recorded when Algorithm 1's M_0 became
+// a budget read by fresh draws.
 func TestEpochTranscriptGolden(t *testing.T) {
-	const recorded = "a47f9af9811b177e"
+	const recorded = "8c1f19df3873e4a4"
 	h := fnv.New64a()
 	h.Write([]byte(epochTranscript()))
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != recorded {

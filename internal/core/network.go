@@ -61,7 +61,7 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("core: degree %d must be even and at least 6", cfg.D)
 	}
 	if cfg.D > sampling.MaxDegree {
-		return fmt.Errorf("core: degree %d exceeds %d, the most the sampler's byte symbols index", cfg.D, sampling.MaxDegree)
+		return fmt.Errorf("core: degree %d exceeds %d, the most the sampler's request counters cover", cfg.D, sampling.MaxDegree)
 	}
 	if !(cfg.Alpha >= 0 && cfg.Alpha < math.Inf(1)) {
 		return fmt.Errorf("core: alpha %g must be finite and positive", cfg.Alpha)

@@ -62,12 +62,13 @@ func TestF1FaultMatrixSmoke(t *testing.T) {
 }
 
 // TestGlobalFlagMatrix pins which drivers the global -audit/-faults
-// options reach, recorded before the wiring moved into stack.go: the
-// three that honour them (E6, E8, E10 — one per stack) render tables
+// options reach, recorded before the wiring moved into stack.go (and
+// re-recorded when Algorithm 1's M_0 became a budget, which moves E6):
+// the three that honour them (E6, E8, E10 — one per stack) render tables
 // whose digest must not move, and one driver per stack that does not
 // (E7, E9, X1) renders the same bytes with and without them.
 func TestGlobalFlagMatrix(t *testing.T) {
-	const recorded = "dd52cb62910bbc61"
+	const recorded = "56b8ad28239ff368"
 	flags := func(o Options) Options {
 		o.Audit, o.Faults = true, fault.Spec{Drop: 0.01, Dup: 0.01}
 		return o

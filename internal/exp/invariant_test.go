@@ -89,11 +89,12 @@ func checkRow(t *testing.T, edit func(*Options)) {
 // TestTablesInvariant pins the baseline: the digest of the quick tables
 // in All() order is the repo's one record of absolute table values,
 // taken before the coroutine drivers were ported to handlers. It moves
-// only with a deliberate table change; the last was §3's cube samplers
-// moving to the committee engine (E3, E4's hypercube rows and X3).
+// only with a deliberate table change; the last was Algorithm 1's M_0
+// becoming a budget read by fresh draws (every table that runs §3's
+// H-graph sampler or §4).
 func TestTablesInvariant(t *testing.T) {
 	t.Parallel()
-	const recorded = "61180adf29110c54"
+	const recorded = "744edb728d90fb48"
 	h := fnv.New64a()
 	for _, e := range All() {
 		fmt.Fprintf(h, "%s\n", baseline[e.ID]().out)

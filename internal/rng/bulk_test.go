@@ -1,7 +1,6 @@
 package rng
 
 import (
-	"fmt"
 	"math/bits"
 	"testing"
 )
@@ -44,55 +43,5 @@ func TestStateNextMatchesUint64(t *testing.T) {
 	}
 	if retried < 100 {
 		t.Fatalf("the retry loop fired on %d of 1000 draws; the hand-off is not exercised", retried)
-	}
-}
-
-// TestFillIntnMatchesIntn: the bytes are len(dst) successive Intn(n)
-// calls, the byte past the slice is not FillIntn's, and the generator ends
-// in the state those calls leave.
-func TestFillIntnMatchesIntn(t *testing.T) {
-	for _, n := range []int{2, 4, 6, 8, 10, 256} {
-		for _, m := range []int{0, 1, 13851} {
-			got, want := New(uint64(n*m)+7), New(uint64(n*m)+7)
-			buf := make([]uint8, m+1)
-			buf[m] = 0xa5
-			got.FillIntn(buf[:m], n)
-			for k, v := range buf[:m] {
-				if w := want.Intn(n); int(v) != w {
-					t.Fatalf("n=%d len=%d: draw %d = %d, want %d", n, m, k, v, w)
-				}
-			}
-			if buf[m] != 0xa5 {
-				t.Fatalf("n=%d len=%d: the byte past the slice was written", n, m)
-			}
-			if *got != *want {
-				t.Fatalf("n=%d len=%d: generator state differs after the fill", n, m)
-			}
-		}
-	}
-}
-
-// BenchmarkFillIntn reports ns per draw of Algorithm 1's M₀ fill next to
-// the Intn loop it replaces (m = core_churn's m₀, d = 8 and the Lemire
-// path's d = 6).
-func BenchmarkFillIntn(b *testing.B) {
-	const m = 13851
-	for _, n := range []int{8, 6} {
-		b.Run(fmt.Sprintf("FillIntn/n=%d", n), func(b *testing.B) {
-			r, dst := New(1), make([]uint8, m)
-			for i := 0; i < b.N; i++ {
-				r.FillIntn(dst, n)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/m, "ns/draw")
-		})
-		b.Run(fmt.Sprintf("Intn-loop/n=%d", n), func(b *testing.B) {
-			r, dst := New(1), make([]int32, m)
-			for i := 0; i < b.N; i++ {
-				for k := range dst {
-					dst[k] = int32(r.Intn(n))
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/m, "ns/draw")
-		})
 	}
 }

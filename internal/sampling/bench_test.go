@@ -34,11 +34,11 @@ func BenchmarkRapidHGraphCoreShape(b *testing.B) {
 // BenchmarkSendRequests is one node's request step (extract m_i
 // targets, group, send) at three points of the core_churn schedule. The
 // multiset holds 3·m_i endpoints as it does in a run: in iteration 1
-// (m = 4617) they are symbols of the node's 8 neighbors and d counters
-// group the targets, later they are vertices spread over the network and
-// the radix pass does. One op is one sim round of a one-node network
-// whose sends go to absent ids, so the kernel's share is a round's fixed
-// cost plus one outbox entry per batch.
+// (m = 4617) it is M_0, a count of reads over the node's 8 neighbors,
+// and d counters group the targets; later they are vertices spread over
+// the network and the radix pass does. One op is one sim round of a
+// one-node network whose sends go to absent ids, so the kernel's share
+// is a round's fixed cost plus one outbox entry per batch.
 func BenchmarkSendRequests(b *testing.B) {
 	for _, c := range []struct{ mi, distinct int }{{19, 1024}, {513, 1024}, {4617, 8}} {
 		b.Run(fmt.Sprintf("m=%d", c.mi), func(b *testing.B) {
@@ -48,16 +48,13 @@ func BenchmarkSendRequests(b *testing.B) {
 				idBits: sim.IDBits(1024),
 			}
 			var request func(ctx *sim.Ctx)
-			if c.distinct <= MaxDegree { // iteration 1: M_0's symbols
-				master := make([]uint8, 3*c.mi)
-				r.FillIntn(master, c.distinct)
+			if c.distinct <= MaxDegree { // iteration 1: M_0
 				for v := 0; v < c.distinct; v++ {
 					s.neighbors = append(s.neighbors, 1024+v)
 				}
-				s.m = []int{len(master), c.mi}
-				syms := make([]uint8, len(master))
+				s.m = []int{0, c.mi}
 				request = func(ctx *sim.Ctx) {
-					s.syms = syms[:copy(syms, master)]
+					s.m[0] = 3 * c.mi
 					s.requestNeighbors(ctx)
 				}
 			} else {

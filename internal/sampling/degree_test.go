@@ -9,8 +9,9 @@ import (
 	"overlaynet/internal/sampling"
 )
 
-// TestDegreeAboveByteRejected: M_0 holds neighbor indices as bytes, so
-// every way a degree reaches a sampler refuses one above 256 and says so.
+// TestDegreeAboveByteRejected: iteration 1 groups its requests in
+// MaxDegree+1 counters on the stack, so every way a degree reaches a
+// sampler refuses one above 256 and says so.
 func TestDegreeAboveByteRejected(t *testing.T) {
 	const d = 258
 	for _, c := range []struct {

@@ -31,9 +31,11 @@ func runDigest(run func() any) string {
 
 // TestGoldenDrivers pins the absolute output of every distributed
 // sampling driver except RapidHGraph (whose data path has its own frozen
-// reference). The RapidRegular and baseline-walk digests were recorded
-// while those drivers were still blocking coroutines, so they hold every
-// draw, sample, failure count and per-round work entry of that form. The
+// reference). The baseline-walk digests were recorded while those
+// drivers were still blocking coroutines, so they hold every draw,
+// sample, failure count and per-round work entry of that form; the
+// RapidRegular digests, which hold the same, were re-recorded when
+// Algorithm 1's M_0 became a budget read by fresh draws. The
 // RapidHypercube and RapidKAry digests were recorded when the two moved
 // to the committee engine and hold every sample and failure count.
 func TestGoldenDrivers(t *testing.T) {
@@ -63,8 +65,8 @@ func TestGoldenDrivers(t *testing.T) {
 		}, [2]string{"fe6c028bbe09eab2", "1a4ea53a1bc20c29"}},
 		{"RapidKAry/k=2", kary(2), [2]string{"da0a47de43d785f1", "e15356b170a673ad"}},
 		{"RapidKAry/k=3", kary(3), [2]string{"22d444fbdbaaa555", "9a80f052756f09d4"}},
-		{"RapidRegular/torus", regular(torus), [2]string{"f005f5220bff5b2a", "d1b576b04167ea9e"}},
-		{"RapidRegular/hgraph", regular(hadj), [2]string{"77aa381e232de1c4", "b7caef1b21e4794a"}},
+		{"RapidRegular/torus", regular(torus), [2]string{"9f4cfbeb164da8c0", "e61430c686782861"}},
+		{"RapidRegular/hgraph", regular(hadj), [2]string{"bdf39ad47be9bec9", "0aafcd049eaea3ab"}},
 		{"BaselineWalkHGraph", func(seed uint64) any {
 			return *BaselineWalkHGraph(seed, hg, 4, 10)
 		}, [2]string{"b7bcaf534943d4aa", "22cc0692b21985dc"}},

@@ -83,7 +83,7 @@ func (p HGraphParams) Validate() error {
 		return fmt.Errorf("sampling: degree %d must be even and ≥ 6", p.D)
 	}
 	if p.D > MaxDegree {
-		return fmt.Errorf("sampling: degree %d exceeds %d, the most a sampler's byte symbols index", p.D, MaxDegree)
+		return fmt.Errorf("sampling: degree %d exceeds %d, the most a sampler's request counters cover", p.D, MaxDegree)
 	}
 	if p.WalkOverride == 0 && !(p.Alpha >= 1 && p.Alpha < math.Inf(1)) {
 		return fmt.Errorf("sampling: alpha %v must be finite and ≥ 1", p.Alpha)

@@ -26,7 +26,7 @@ func RapidRegular(seed uint64, adj [][]int, p HGraphParams) *RapidResult {
 	}
 	deg := len(adj[0])
 	if deg > MaxDegree {
-		panic(fmt.Sprintf("sampling: degree %d exceeds %d, the most a sampler's byte symbols index", deg, MaxDegree))
+		panic(fmt.Sprintf("sampling: degree %d exceeds %d, the most a sampler's request counters cover", deg, MaxDegree))
 	}
 	for v, nb := range adj {
 		if len(nb) != deg {

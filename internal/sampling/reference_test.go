@@ -15,10 +15,15 @@ import (
 )
 
 // referenceSampler is HGraphSampler as it stood before its data path
-// was rebuilt (comparison sort, append-grown M_0, one allocation per
-// served batch), kept verbatim as the oracle of
-// TestSamplerMatchesReference: the rebuilt sampler must consume the
-// same randomness and send the same messages in the same order.
+// was rebuilt (comparison sort, append-grown multisets, one allocation
+// per served batch), kept as the oracle of TestSamplerMatchesReference:
+// the rebuilt sampler must consume the same randomness and send the same
+// messages in the same order. Its M_0 is a budget, as the sampler's is:
+// each read draws neighbors[r.Intn(d)]. With eager set it is the sampler
+// as it stood before that: M_0 a list of m_0 such draws made at Start
+// and read by Multiset.Extract, the draws of the sampler's earlier M_0
+// of byte symbols (filled at Start, swap-removed when read), which
+// TestM0BudgetLaw compares with the budget in law.
 type referenceSampler struct {
 	p      HGraphParams
 	self   int
@@ -29,6 +34,10 @@ type referenceSampler struct {
 	T      int
 	step   int // completed HandleRound calls; odd = serve, even = collect
 	M      Multiset[int32]
+
+	eager     bool
+	m0        int // M_0's reads left while it is a budget
+	neighbors []int
 }
 
 // Start begins a sampling run in the current round: it performs the
@@ -49,11 +58,13 @@ func (s *referenceSampler) Start(ctx *sim.Ctx, p HGraphParams, self int, neighbo
 	s.T = p.T()
 	s.step = 0
 	s.M = Multiset[int32]{}
+	s.m0, s.neighbors = p.M(0), neighbors
 
-	r := ctx.RNG()
-	m0 := p.M(0)
-	for j := 0; j < m0; j++ {
-		s.M.Add(int32(neighbors[r.Intn(len(neighbors))]))
+	if s.eager {
+		r := ctx.RNG()
+		for ; s.m0 > 0; s.m0-- {
+			s.M.Add(int32(neighbors[r.Intn(len(neighbors))]))
+		}
 	}
 	s.sendRequests(ctx, 1)
 }
@@ -61,6 +72,10 @@ func (s *referenceSampler) Start(ctx *sim.Ctx, p HGraphParams, self int, neighbo
 // extract draws one walk endpoint from the multiset, substituting the
 // node itself (and counting the refusal) when the multiset is empty.
 func (s *referenceSampler) extract(ctx *sim.Ctx) int32 {
+	if s.m0 > 0 {
+		s.m0--
+		return int32(s.neighbors[ctx.RNG().Intn(len(s.neighbors))])
+	}
 	w, ok := s.M.Extract(ctx.RNG())
 	if !ok {
 		if s.fail != nil {
@@ -146,6 +161,7 @@ func (s *referenceSampler) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOthe
 		collected = append(collected, rb.IDs...)
 	}
 	s.M.Reset(collected)
+	s.m0 = 0
 	if i < s.T {
 		s.sendRequests(ctx, i+1)
 		return false

@@ -14,7 +14,7 @@ import (
 // nothing else, the reconfiguration network of Section 4 does it once
 // per epoch. Usage:
 //
-//	Start(ctx, ...)              // in some round r: local walks + first requests
+//	Start(ctx, ...)              // in some round r: first requests
 //	for each following round:    // rounds r+1 .. r+2T
 //	    done := HandleRound(ctx, inbox, onOther)
 //	Samples()                    // after HandleRound returns true
@@ -31,29 +31,31 @@ type HGraphSampler struct {
 	step   int     // completed HandleRound calls; odd = serve, even = collect
 	M      []int32 // the multiset M_i of Algorithm 1, i ≥ 1
 
-	// M_0 is m_0 draws from the node's d neighbors, kept as what was
-	// drawn: indices into the neighbor list, decoded when extracted.
-	// Iteration 1 (step < 2) draws from it; its collect round drops both.
-	syms      []uint8
+	// M_0, the m_0 one-hop walks over the node's d neighbors, is only the
+	// count of those left, m[0]: each read draws a fresh neighbor position
+	// (DESIGN.md, "Sampling data path"). Iteration 1 (step < 2) reads it;
+	// its collect round drops the neighbor list.
 	neighbors []int
 
 	// Run scratch, allocated by Start and dropped when HandleRound
 	// returns true: the node programs that embed a sampler outlive the
 	// run by many epochs and must not keep its buffers.
-	m       []int   // budget schedule m_0 … m_T
+	m       []int   // budget schedule m_0 … m_T, m_0 counted down by M_0's reads
 	targets []int32 // 2·m_2: an iteration's request targets and the radix pass's other buffer
 }
 
-// MaxDegree bounds a neighbor list: M_0 stores indices into it as bytes.
+// MaxDegree bounds a neighbor list: requestNeighbors groups iteration
+// 1's requests in MaxDegree+1 counters on its stack.
 const MaxDegree = 256
 
-// Start begins a sampling run in the current round: it performs the
-// phase-1 local walks (walks of length 1 over the neighbor multiset)
-// and sends the first request batches. neighbors is the node's
-// multigraph neighbor list with multiplicity (length p.D ≤ MaxDegree),
-// which the sampler reads until iteration 1 is over; idOf maps graph
-// vertices to sim ids; fail (optional) counts extraction-from-empty
-// events; stats (optional) is the shared budget tally.
+// Start begins a sampling run in the current round: it sends iteration
+// 1's request batches, each request a read of M_0 (a phase-1 walk of
+// length 1 over the neighbor multiset, drawn as it is read). neighbors
+// is the node's multigraph neighbor list with multiplicity (length
+// p.D ≤ MaxDegree), which the sampler reads until iteration 1 is over;
+// idOf maps graph vertices to sim ids; fail (optional) counts
+// extraction-from-empty events; stats (optional) is the shared budget
+// tally.
 func (s *HGraphSampler) Start(ctx *sim.Ctx, p HGraphParams, self int, neighbors []int,
 	idOf func(int) sim.NodeID, fail *int, stats *BudgetStats) {
 
@@ -62,8 +64,6 @@ func (s *HGraphSampler) Start(ctx *sim.Ctx, p HGraphParams, self int, neighbors 
 	if len(s.m) > 2 {
 		s.targets = make([]int32, 2*s.m[2])
 	}
-	s.syms = make([]uint8, s.m[0])
-	ctx.RNG().FillIntn(s.syms, len(neighbors))
 	s.requestNeighbors(ctx)
 }
 
@@ -77,49 +77,37 @@ func (s *HGraphSampler) refuse(n int) {
 	}
 }
 
-// drawSyms makes extract's draws on M_0's symbols, up to k of them, the
-// generator held in registers. A drawn symbol is parked in the slot the
-// multiset just vacated, so the draws come back as the buffer's dead
-// tail, last draw first; fewer than k mean the multiset ran empty.
-func (s *HGraphSampler) drawSyms(ctx *sim.Ctx, k int) []uint8 {
-	r, items := ctx.RNG(), s.syms
-	k = min(k, len(items))
-	rs, end := r.State(), uint64(len(items)-k)
-	for n := uint64(len(items)); n > end; n-- {
-		var x uint64
-		x, rs = rs.Next()
-		hi, lo := bits.Mul64(x, n)
-		if lo < n {
-			r.SetState(rs)
-			hi = r.Uint64nTail(hi, lo, n)
-			rs = r.State()
-		}
-		items[hi], items[n-1] = items[n-1], items[hi]
-	}
-	r.SetState(rs)
-	s.syms = items[:end]
-	return items[end:]
-}
-
-// requestNeighbors issues iteration 1's requests. Drawn from M_0, its
-// targets take at most d values, so d counters group them: one reqBatch
-// per distinct vertex in ascending order, with the summed count where a
-// vertex fills several slots of the neighbor list or is the node itself,
-// substituted once M_0 ran empty.
+// requestNeighbors issues iteration 1's requests, each a read of M_0.
+// Its targets take at most d values, so d counters group them: one
+// reqBatch per distinct vertex in ascending order, with the summed count
+// where a vertex fills several slots of the neighbor list or is the node
+// itself, substituted once M_0 ran empty.
 func (s *HGraphSampler) requestNeighbors(ctx *sim.Ctx) {
 	m1 := s.m[1]
-	drawn := s.drawSyms(ctx, m1)
 	type batch struct{ vertex, count int32 }
 	var buf [MaxDegree + 1]batch
-	for _, sym := range drawn {
-		buf[sym].count++
+	read := min(m1, s.m[0])
+	s.m[0] -= read
+	r, d := ctx.RNG(), uint64(len(s.neighbors))
+	rs := r.State()
+	for range read { // r.Intn(d), Lemire's draw on the generator held in registers
+		var x uint64
+		x, rs = rs.Next()
+		slot, lo := bits.Mul64(x, d)
+		if lo < d {
+			r.SetState(rs)
+			slot = r.Uint64nTail(slot, lo, d)
+			rs = r.State()
+		}
+		buf[slot].count++
 	}
+	r.SetState(rs)
 	b := buf[:len(s.neighbors)+1]
-	for sym, v := range s.neighbors {
-		b[sym].vertex = int32(v)
+	for slot, v := range s.neighbors {
+		b[slot].vertex = int32(v)
 	}
-	b[len(b)-1] = batch{int32(s.self), int32(m1 - len(drawn))}
-	s.refuse(m1 - len(drawn))
+	b[len(b)-1] = batch{int32(s.self), int32(m1 - read)}
+	s.refuse(m1 - read)
 	slices.SortFunc(b, func(x, y batch) int { return cmp.Compare(x.vertex, y.vertex) })
 	batches := 0
 	for j, k := 0, 0; j < len(b); j = k {
@@ -140,17 +128,29 @@ func (s *HGraphSampler) requestNeighbors(ctx *sim.Ctx) {
 
 // extract fills dst with walk endpoints drawn from the multiset, in
 // order, substituting the node itself (and counting the refusal) once
-// the multiset is empty. Each draw is the reference's Multiset.Extract
+// the multiset is empty. In iteration 1 the multiset is M_0 and each
+// draw is a read of it; later each is the reference's Multiset.Extract
 // (reference_test.go) — r.Intn(len), swap-remove — with the Lemire fast
 // path of Intn inlined.
 func (s *HGraphSampler) extract(ctx *sim.Ctx, dst []int32) {
 	r, items := ctx.RNG(), s.M
 	k := 0
-	if s.step < 2 { // M is M_0 (and items empty): decode the drawn symbols
-		drawn := s.drawSyms(ctx, len(dst))
-		for ; k < len(drawn); k++ {
-			dst[k] = int32(s.neighbors[drawn[len(drawn)-1-k]])
+	if s.step < 2 { // M is M_0 (and items empty)
+		k = min(len(dst), s.m[0])
+		s.m[0] -= k
+		rs, d := r.State(), uint64(len(s.neighbors))
+		for j := range dst[:k] { // requestNeighbors' draw
+			var x uint64
+			x, rs = rs.Next()
+			slot, lo := bits.Mul64(x, d)
+			if lo < d {
+				r.SetState(rs)
+				slot = r.Uint64nTail(slot, lo, d)
+				rs = r.State()
+			}
+			dst[j] = int32(s.neighbors[slot])
 		}
+		r.SetState(rs)
 	}
 	for ; k < len(dst) && len(items) > 0; k++ {
 		n := uint64(len(items))
@@ -197,22 +197,27 @@ func (s *HGraphSampler) sendRequests(ctx *sim.Ctx, i int) {
 
 // radixSort sorts a ascending, using tmp (of the same length) as the
 // second buffer, and returns whichever of the two ends up holding the
-// result. It is an LSD radix sort on v − min(a), radixBits per pass, so
-// the cost follows the observed id range — one pass while the targets
-// span less than 2^radixBits — and nothing is sized by N or IDBits(N):
+// result. It is an LSD radix sort on v − min(a) with digits of
+// bits.Len(len(a)) bits, at most 11, so that a pass costs O(len(a)) —
+// the final iterations sort a few dozen targets — and the passes follow
+// the observed id range: nothing is sized by N or IDBits(N), since
 // vertex ids are names (core's grow under churn).
 func radixSort(a, tmp []int32) []int32 {
 	lo, hi := a[0], a[0]
 	for _, v := range a {
 		lo, hi = min(lo, v), max(hi, v)
 	}
-	const radixBits, mask = 11, 1<<11 - 1
-	for shift := 0; uint32(hi-lo)>>shift != 0; shift += radixBits {
-		var pos [mask + 2]int32 // pos[d+1] counts digit d, then pos[d] is where digit d goes next
+	w := min(bits.Len(uint(len(a))), 11)
+	mask := uint32(1)<<w - 1
+	var table [1<<11 + 1]int32
+	for shift := 0; uint32(hi-lo)>>shift != 0; shift += w {
+		top := min(uint32(hi-lo)>>shift, mask) // the largest digit of this pass
+		pos := table[:top+2]                   // pos[d+1] counts digit d, then pos[d] is where digit d goes next
+		clear(pos)
 		for _, v := range a {
 			pos[uint32(v-lo)>>shift&mask+1]++
 		}
-		for d, top := uint32(1), min(uint32(hi-lo)>>shift, mask); d <= top; d++ {
+		for d := 1; d < len(pos); d++ {
 			pos[d] += pos[d-1]
 		}
 		for _, v := range a {
@@ -270,13 +275,13 @@ func (s *HGraphSampler) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOther f
 	}
 	// Collect round for iteration i: the responses replace the multiset
 	// (the walks grew by 2^(i-1) steps) and are written over it, except
-	// that M_1 — M_0 is symbols — and the final M_T, so that the run's
+	// that M_1 — M_0 is a count — and the final M_T, so that the run's
 	// buffers can go, get storage of their own size.
 	i := s.step / 2
 	collected := s.M[:0]
 	if i == 1 || i == len(s.m)-1 {
 		collected = make([]int32, 0, s.m[i])
-		s.syms, s.neighbors = nil, nil
+		s.neighbors = nil
 	}
 	for _, m := range inbox {
 		rb, ok := m.Payload.(*respBatch)

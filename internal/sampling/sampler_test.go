@@ -24,6 +24,10 @@ func TestRadixSortMatchesSort(t *testing.T) {
 		{1, 7, 7}, {19, 0, 1023}, {513, 0, 1023}, {4617, 1024, 1031},
 		{300, 0, 255}, {300, 0, 256}, {300, 5000, 5000 + 1<<16}, {300, 0, 1<<24 + 1},
 		{300, -1000, 1000}, {300, -1 << 31, 1<<31 - 1}, {64, 42, 42},
+		// Small batches, whose digits are short, over spans that need
+		// several passes of them.
+		{2, 0, 1}, {2, -1 << 31, 1<<31 - 1}, {3, 5000, 5002}, {19, 1024, 6024},
+		{19, 0, 1<<24 + 1}, {57, 300, 300 + 70001*127}, {255, 0, 1 << 16}, {256, 0, 1 << 16},
 	} {
 		a := make([]int32, c.n)
 		for i := range a {
@@ -114,17 +118,17 @@ func (f *footprintProbe) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOther 
 }
 
 // TestSamplerRunFootprint bounds what a sampler holds during a run of
-// the core_churn shape: M_0 at a byte per entry beside the 2·m_2 request
-// scratch (26.2 kB; an int32 M_0 with 2·m_1 of scratch was 92.3 kB),
-// then M_1 in storage of its own size, then the samples alone. The 64
-// bytes are the schedule's; until the first collect the caller's
-// neighbor list is referenced too.
+// the core_churn shape: the 2·m_2 request scratch alone while M_0 is a
+// count (12.4 kB; M_0 at a byte per entry was 26.2 kB and an int32 M_0
+// with 2·m_1 of scratch 92.3 kB), then M_1 in storage of its own size,
+// then the samples alone. The 64 bytes are the schedule's; until the
+// first collect the caller's neighbor list is referenced too.
 func TestSamplerRunFootprint(t *testing.T) {
 	p := coreShape
 	c := diffCase{n: p.N, p: p}
 	c.run(3, func() nodeSampler {
 		return &footprintProbe{t: t,
-			started:   p.M(0) + 8*p.M(2) + 64 + 8*p.D,
+			started:   8*p.M(2) + 64 + 8*p.D,
 			collected: 4*p.M(1) + 8*p.M(2) + 64,
 			end:       4 * p.Samples(),
 		}
