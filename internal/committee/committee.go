@@ -359,21 +359,20 @@ func (e *Engine) gather(w, c int, dst []sim.NodeID) []sim.NodeID {
 	return dst
 }
 
-// catchUp applies the every-round S(x) broadcast to slot v, whose
-// committee lists peers: an available node with a stale view adopts the
+// catchUp applies the every-round S(x) broadcast to slot v, whose view is
+// stale and whose committee lists peers: an available node adopts the
 // current epoch if some peer could have sent the state last round — it was
 // non-blocked in the two rounds before this one and no open partition
 // window separates the two.
 func (e *Engine) catchUp(v int32, peers []sim.NodeID) {
-	cur := int32(e.Epoch)
-	if e.ViewEpoch[v] == cur || e.blocked[0].Test(v) || e.blocked[1].Test(v) {
+	if e.blocked[0].Test(v) || e.blocked[1].Test(v) {
 		return
 	}
 	id := sim.NodeID(v + 1)
 	for _, u := range peers {
 		if u != id && !e.blocked[1].Test(int32(u-1)) && !e.blocked[2].Test(int32(u-1)) &&
 			!(e.part && e.Faults.CutsEdge(e.Round, uint64(id), uint64(u))) {
-			e.ViewEpoch[v] = cur
+			e.ViewEpoch[v] = int32(e.Epoch)
 			return
 		}
 	}

@@ -88,6 +88,9 @@ type Loop struct {
 	// the catch-up walks: a slot that left or never joined stays dead, and
 	// under churn the dead outnumber the members.
 	placed []int32
+	// commits counts Commit calls, the stack's first included: the
+	// committed state a Publication copies changes with it.
+	commits int
 	// The loop's worker phases, bound once so that a round allocates nothing.
 	phases struct{ assign, gather, catchUp func(w int) }
 }
@@ -181,6 +184,7 @@ func (l *Loop) Commit() {
 	h.Prepare()
 	v := e.commit(l.members)
 	v.Adj = h.Adj(v.Adj)
+	l.commits++
 }
 
 // GroupSizes returns the current committees' sizes, in committee order.
@@ -260,13 +264,19 @@ func (l *Loop) gatherRange(w int) {
 
 // catchUpRange applies the S(x) broadcast over worker w's share of the
 // placed slots, finding each node's peers through its NodeGroup entry
-// (between commits only a repair can take a slot out). A slot is written
-// only by the worker that owns it, so a node a corruption lists twice is
-// still caught up once.
+// (between commits only a repair can take a slot out). A slot whose view
+// is already current is skipped before its entry is read: without blocks,
+// that is every slot once the commit round's catch-up has run. A slot is
+// written only by the worker that owns it, so a node a corruption lists
+// twice is still caught up once.
 func (l *Loop) catchUpRange(w int) {
 	e := l.e
+	cur := int32(e.Epoch)
 	lo, hi := e.chunk(len(l.placed), w)
 	for _, v := range l.placed[lo:hi] {
+		if e.ViewEpoch[v] == cur {
+			continue
+		}
 		if g := e.NodeGroup[v]; g >= 0 {
 			e.catchUp(v, l.members[g])
 		}

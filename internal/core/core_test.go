@@ -134,10 +134,20 @@ func TestNetworkMultipleEpochs(t *testing.T) {
 	nw.SetAudit(eng)
 	for e := 0; e < 5; e++ {
 		rep, _ := nw.RunEpoch(nil, nil)
-		refused := nw.lastWindow.budget.Refused
-		if !rep.Valid || !rep.Connected || rep.Failures != rep.FailureKinds[FailSampling] || int64(rep.Failures) != refused {
-			t.Fatalf("epoch %d, budget tally refused %d: %+v", e, refused, rep)
-		}
+		checkEpochHealthy(t, nw, eng, rep)
+	}
+}
+
+// checkEpochHealthy asserts what holds after an epoch at every seed: the
+// attached audit engine saw no violation, the new topology is valid and
+// connected, and every failure is a sampling refusal the epoch's budget
+// tally counted. How often refusals occur at all is a matter of the
+// seed, so that is left to the sampler's law tests.
+func checkEpochHealthy(t *testing.T, nw *Network, eng *audit.Engine, rep EpochReport) {
+	t.Helper()
+	refused := nw.lastWindow.budget.Refused
+	if !rep.Valid || !rep.Connected || rep.Failures != rep.FailureKinds[FailSampling] || int64(rep.Failures) != refused {
+		t.Fatalf("epoch %d, budget tally refused %d: %+v", rep.Epoch, refused, rep)
 	}
 	if eng.Count() != 0 {
 		t.Fatalf("%d audit violations: %+v", eng.Count(), eng.Violations())
@@ -147,16 +157,16 @@ func TestNetworkMultipleEpochs(t *testing.T) {
 func TestNetworkJoin(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 3, N0: 32, D: 6})
 	defer nw.Shutdown()
+	eng := audit.NewEngine("test", 2, 1, nil)
+	nw.SetAudit(eng)
 	joins := []JoinSpec{{Sponsor: 0}, {Sponsor: 0}, {Sponsor: 5}}
 	rep, ids := nw.RunEpoch(joins, nil)
+	checkEpochHealthy(t, nw, eng, rep)
 	if len(ids) != 3 {
 		t.Fatalf("got %d joiner ids", len(ids))
 	}
 	if rep.NNew != 35 {
 		t.Fatalf("NNew = %d, want 35", rep.NNew)
-	}
-	if !rep.Valid || !rep.Connected || rep.Failures != 0 {
-		t.Fatalf("join epoch failed: %+v", rep)
 	}
 	if nw.N() != 35 {
 		t.Fatalf("member count %d", nw.N())
@@ -178,12 +188,12 @@ func TestNetworkJoin(t *testing.T) {
 func TestNetworkLeave(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 4, N0: 32, D: 6})
 	defer nw.Shutdown()
+	eng := audit.NewEngine("test", 2, 1, nil)
+	nw.SetAudit(eng)
 	rep, _ := nw.RunEpoch(nil, []int{3, 17, 31})
+	checkEpochHealthy(t, nw, eng, rep)
 	if rep.NNew != 29 {
 		t.Fatalf("NNew = %d, want 29", rep.NNew)
-	}
-	if !rep.Valid || !rep.Connected || rep.Failures != 0 {
-		t.Fatalf("leave epoch failed: %+v", rep)
 	}
 	for _, m := range nw.Members() {
 		if m == 3 || m == 17 || m == 31 {

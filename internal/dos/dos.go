@@ -18,7 +18,10 @@ import (
 // Snapshot is the topological information visible to the adversary: the
 // assignment of nodes to supernode groups and the supernode adjacency.
 // Message contents, node state, and message counts are NOT included,
-// matching the paper's restriction.
+// matching the paper's restriction. A snapshot is read-only: the
+// networks publish one per round, and the snapshots of one committed
+// state share their Groups and Adj, so a write would show in the other
+// rounds' snapshots too.
 type Snapshot struct {
 	Round int
 	// Groups[x] lists the node ids representing supernode x.
@@ -60,7 +63,8 @@ func (b *Buffer) Len() int { return len(b.history) }
 
 // Adversary selects the blocked set for a round. n is the current node
 // count; the returned set must respect the adversary's budget. snap may
-// be nil early on (before any sufficiently old snapshot exists).
+// be nil early on (before any sufficiently old snapshot exists), and
+// SelectBlocked must not modify it: it may be shared with other rounds.
 type Adversary interface {
 	SelectBlocked(round, n int, snap *Snapshot) map[sim.NodeID]bool
 }

@@ -108,3 +108,29 @@ func BenchmarkStep1M(b *testing.B) {
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.HeapInuse)/1e6, "heapMB")
 }
+
+// BenchmarkAttackRound is one round of the late DoS attack at n=2048:
+// publish a snapshot, let a group-isolate adversary pick its blocks from
+// the one two epochs old, Step under them and ask the connectivity
+// oracle. Two warm epochs fill the buffer first, so the rounds timed are
+// the steady state, with a full window of snapshots held.
+func BenchmarkAttackRound(b *testing.B) {
+	nw := New(Config{Seed: 1, N0: 2048, MeasureEvery: -1, Shards: 1})
+	defer nw.Close()
+	adv := &dos.GroupIsolate{Fraction: 0.4, R: rng.New(5)}
+	buf := &dos.Buffer{Lateness: 2 * nw.EpochRounds()}
+	for i := 0; i < 2*nw.EpochRounds(); i++ {
+		buf.Publish(nw.Snapshot())
+		nw.Step(nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Publish(nw.Snapshot())
+		blocked := adv.SelectBlocked(nw.Round()+1, nw.N(), buf.View(nw.Round()+1))
+		nw.Step(blocked)
+		if !nw.ConnectedNow() {
+			b.Fatalf("round %d: disconnected under the late attack", nw.Round())
+		}
+	}
+}

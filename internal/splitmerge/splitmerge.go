@@ -161,6 +161,10 @@ type Network struct {
 	// stats holds the counters the Loop's totals do not: splits, merges
 	// and the normalization's health.
 	stats Stats
+
+	// pub is the copy of the committed view the DoS snapshots share. Only
+	// a commit writes a view, so nothing else invalidates it.
+	pub committee.Publication
 }
 
 // New builds the initial network: the label tree starts at the unique
@@ -695,20 +699,16 @@ func (nw *Network) adjacency(arena [][]int32) [][]int32 {
 	return arena
 }
 
-// Snapshot publishes the current topology at supernode granularity.
-// Groups and adjacency are copied: history arenas are recycled, and a
-// dos.Buffer may retain the snapshot past this epoch's window.
+// Snapshot publishes the current epoch's committed view at supernode
+// granularity. Groups and adjacency are copied, since history arenas are
+// recycled and a dos.Buffer may retain the snapshot past this epoch's
+// window, but once per commit: every snapshot of one view shares the copy
+// (committee.Publication).
 func (nw *Network) Snapshot() *dos.Snapshot {
-	h := nw.eng.ViewAt(nw.eng.Epoch)
-	groups := make([][]sim.NodeID, len(h.Groups))
-	for i, g := range h.Groups {
-		groups[i] = append([]sim.NodeID(nil), g...)
-	}
-	adj := make([][]int32, len(h.Adj))
-	for i, a := range h.Adj {
-		adj[i] = append([]int32(nil), a...)
-	}
-	return &dos.Snapshot{Round: nw.eng.Round, Groups: groups, Adj: adj}
+	return nw.pub.Snapshot(nw.Loop, func() ([][]sim.NodeID, [][]int32) {
+		h := nw.eng.ViewAt(nw.eng.Epoch)
+		return committee.CloneLists(h.Groups), committee.CloneLists(h.Adj)
+	})
 }
 
 // Run drives the network under the adversary for the given rounds,

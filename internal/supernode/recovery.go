@@ -37,6 +37,7 @@ func (nw *Network) CorruptState(pick uint64) string {
 		g := nw.groups[x]
 		for i, u := range g {
 			if u == id {
+				nw.pub.Invalidate()
 				nw.groups[x] = append(g[:i:i], g[i+1:]...)
 				return fmt.Sprintf("node %d erased from group %d's replicated state", id, x)
 			}
@@ -44,6 +45,7 @@ func (nw *Network) CorruptState(pick uint64) string {
 		return ""
 	default:
 		y := (x + 1 + int((pick>>40)%uint64(nw.nSuper-1))) % nw.nSuper
+		nw.pub.Invalidate()
 		nw.groups[y] = append(nw.groups[y], id)
 		slices.Sort(nw.groups[y])
 		return fmt.Sprintf("node %d duplicated into group %d (home %d)", id, y, x)
@@ -58,4 +60,7 @@ func (nw *Network) CorruptState(pick uint64) string {
 // pointer — or the last committed view — names, and the pointers are
 // rebuilt from the final lists. Returns the number of fixes applied;
 // zero means the partition was already consistent.
-func (nw *Network) RepairGroups() int { return nw.eng.RepairPartition(nw.groups) }
+func (nw *Network) RepairGroups() int {
+	nw.pub.Invalidate()
+	return nw.eng.RepairPartition(nw.groups)
+}

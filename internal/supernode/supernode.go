@@ -166,6 +166,10 @@ type Network struct {
 	verts  [][]int32      // verts[x] = {x}: group x simulates supernode x
 	mi     []int          // sample budget schedule of the primitive
 
+	// pub is the copy of groups the DoS snapshots share; CorruptState and
+	// RepairGroups invalidate it, as they edit groups in place.
+	pub committee.Publication
+
 	maxNodeBits  int64 // peak per-node round work over the run
 	idBits       int
 	supBits      int
@@ -253,14 +257,6 @@ func New(cfg Config) *Network {
 	return nw
 }
 
-func cloneGroups(gs [][]sim.NodeID) [][]sim.NodeID {
-	out := make([][]sim.NodeID, len(gs))
-	for i, g := range gs {
-		out[i] = append([]sim.NodeID(nil), g...)
-	}
-	return out
-}
-
 // Dim returns the supernode hypercube dimension.
 func (nw *Network) Dim() int { return nw.dim }
 
@@ -280,9 +276,13 @@ func (nw *Network) StatsSnapshot() Stats {
 }
 
 // Snapshot publishes the current topology at supernode granularity —
-// exactly the information the paper allows the adversary to see.
+// exactly the information the paper allows the adversary to see. The
+// groups are copied once per state and shared by every snapshot of it
+// (committee.Publication); the adjacency is the fixed cube's.
 func (nw *Network) Snapshot() *dos.Snapshot {
-	return &dos.Snapshot{Round: nw.eng.Round, Groups: cloneGroups(nw.groups), Adj: nw.adj}
+	return nw.pub.Snapshot(nw.Loop, func() ([][]sim.NodeID, [][]int32) {
+		return committee.CloneLists(nw.groups), nw.adj
+	})
 }
 
 // SetAudit attaches an invariant-audit engine (nil detaches): the
