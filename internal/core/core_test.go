@@ -90,22 +90,20 @@ func TestReconfigureRefUniformSuccessor(t *testing.T) {
 	}
 }
 
+// TestNetworkStaticEpoch: one churn-free epoch is healthy
+// (checkEpochHealthy: a sampling refusal, which some seeds see, is the
+// only failure allowed) and its congestion stays within the polylog
+// envelopes of Lemmas 11 and 12.
 func TestNetworkStaticEpoch(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 1, N0: 64, D: 8})
 	defer nw.Shutdown()
+	eng := audit.NewEngine("test", 2, 1, nil)
+	nw.SetAudit(eng)
 	rep, joiners := nw.RunEpoch(nil, nil)
 	if len(joiners) != 0 {
 		t.Fatal("no joiners requested")
 	}
-	if !rep.Valid {
-		t.Fatal("reconfigured topology invalid")
-	}
-	if !rep.Connected {
-		t.Fatal("reconfigured topology disconnected")
-	}
-	if rep.Failures != 0 {
-		t.Fatalf("failures = %d", rep.Failures)
-	}
+	checkEpochHealthy(t, nw, eng, rep)
 	if rep.NOld != 64 || rep.NNew != 64 {
 		t.Fatalf("sizes %d -> %d", rep.NOld, rep.NNew)
 	}
@@ -204,10 +202,12 @@ func TestNetworkLeave(t *testing.T) {
 
 func TestNetworkChurnBothWays(t *testing.T) {
 	// Constant churn rate: every epoch ~1/4 of the nodes leave and the
-	// same number join; connectivity and validity must hold throughout
+	// same number join; every epoch is healthy and the size holds
 	// (Theorem 5).
 	nw := NewNetwork(Config{Seed: 5, N0: 64, D: 6})
 	defer nw.Shutdown()
+	eng := audit.NewEngine("test", 2, 1, nil)
+	nw.SetAudit(eng)
 	r := rng.New(99)
 	for e := 0; e < 6; e++ {
 		members := nw.Members()
@@ -230,12 +230,7 @@ func TestNetworkChurnBothWays(t *testing.T) {
 			}
 		}
 		rep, _ := nw.RunEpoch(joins, leaves)
-		if !rep.Valid || !rep.Connected {
-			t.Fatalf("epoch %d under churn: %+v", e, rep)
-		}
-		if rep.Failures != 0 {
-			t.Fatalf("epoch %d failures: %d", e, rep.Failures)
-		}
+		checkEpochHealthy(t, nw, eng, rep)
 		if rep.NNew != n {
 			t.Fatalf("epoch %d size drifted: %d -> %d", e, n, rep.NNew)
 		}
@@ -245,19 +240,23 @@ func TestNetworkChurnBothWays(t *testing.T) {
 func TestNetworkGrowthAndShrink(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 6, N0: 24, D: 6})
 	defer nw.Shutdown()
+	eng := audit.NewEngine("test", 2, 1, nil)
+	nw.SetAudit(eng)
 	// Double the network, then halve it.
 	var joins []JoinSpec
 	for i := 0; i < 24; i++ {
 		joins = append(joins, JoinSpec{Sponsor: nw.Members()[i%12]})
 	}
 	rep, _ := nw.RunEpoch(joins, nil)
-	if rep.NNew != 48 || !rep.Valid || !rep.Connected || rep.Failures != 0 {
+	checkEpochHealthy(t, nw, eng, rep)
+	if rep.NNew != 48 {
 		t.Fatalf("growth epoch: %+v", rep)
 	}
 	members := nw.Members()
 	leaves := append([]int(nil), members[:24]...)
 	rep, _ = nw.RunEpoch(nil, leaves)
-	if rep.NNew != 24 || !rep.Valid || !rep.Connected || rep.Failures != 0 {
+	checkEpochHealthy(t, nw, eng, rep)
+	if rep.NNew != 24 {
 		t.Fatalf("shrink epoch: %+v", rep)
 	}
 }

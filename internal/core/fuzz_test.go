@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"overlaynet/internal/audit"
 	"overlaynet/internal/rng"
 )
 
@@ -119,14 +120,18 @@ func TestEpochReportWorkIsPolylog(t *testing.T) {
 
 // TestLeaverStillServesDuringItsLastEpoch: a leaving node must keep
 // relaying during the reconfiguration it departs in (the paper requires
-// leavers to participate); this is visible as zero failures even when
-// a large batch leaves at once.
+// leavers to participate); this is visible as a healthy epoch — no
+// failure of a non-sampling kind — even when a large batch leaves at
+// once.
 func TestLeaverStillServesDuringItsLastEpoch(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 41, N0: 48, D: 6})
 	defer nw.Shutdown()
+	eng := audit.NewEngine("test", 2, 1, nil)
+	nw.SetAudit(eng)
 	members := nw.Members()
 	rep, _ := nw.RunEpoch(nil, members[:20])
-	if rep.Failures != 0 || !rep.Valid || !rep.Connected {
+	checkEpochHealthy(t, nw, eng, rep)
+	if rep.NNew != 28 {
 		t.Fatalf("mass leave epoch: %+v", rep)
 	}
 }

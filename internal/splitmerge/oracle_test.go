@@ -133,55 +133,6 @@ func checkPartition(t *testing.T, round int, comps [][]int, slot func(int) int32
 	}
 }
 
-// attack steps the network under adv for the given rounds, checking the
-// oracle after every Step, and counts the verdicts.
-func attack(t *testing.T, nw *Network, adv dos.Adversary, buf *dos.Buffer, rounds int) (connected, cut int) {
-	t.Helper()
-	for i := 0; i < rounds; i++ {
-		buf.Publish(nw.Snapshot())
-		nw.Step(adv.SelectBlocked(nw.eng.Round+1, nw.N(), buf.View(nw.eng.Round+1)))
-		if checkOracle(t, nw) {
-			connected++
-		} else {
-			cut++
-		}
-	}
-	return connected, cut
-}
-
-func TestOracleMatchesReferenceRandomBlocking(t *testing.T) {
-	for _, frac := range []float64{0, 0.2, 0.4, 0.9, 1.0} {
-		t.Run(fmt.Sprint(frac), func(t *testing.T) {
-			nw := New(Config{Seed: 31, N0: 512, MeasureEvery: -1})
-			defer nw.Close()
-			adv := &dos.Random{Fraction: frac, R: rng.New(7), IDs: nw.Members}
-			attack(t, nw, adv, &dos.Buffer{}, 2*nw.EpochRounds())
-		})
-	}
-}
-
-// Both verdicts must occur (see the supernode twin of this test).
-func TestOracleMatchesReferenceGroupIsolate(t *testing.T) {
-	for _, late := range []bool{false, true} {
-		t.Run(fmt.Sprintf("late=%v", late), func(t *testing.T) {
-			nw := New(Config{Seed: 32, N0: 1024, MeasureEvery: -1})
-			defer nw.Close()
-			buf := &dos.Buffer{}
-			if late {
-				buf.Lateness = 2 * nw.EpochRounds()
-			}
-			adv := &dos.GroupIsolate{Fraction: 0.4, R: rng.New(8)}
-			connected, cut := attack(t, nw, adv, buf, 3*nw.EpochRounds())
-			if late && cut > 0 {
-				t.Fatalf("%d rounds cut under a 2-epoch-late adversary", cut)
-			}
-			if !late && (cut == 0 || connected == 0) {
-				t.Fatalf("0-late run saw %d connected and %d cut rounds, want both", connected, cut)
-			}
-		})
-	}
-}
-
 // churn replaces an eighth of the members and adds grow joins and
 // shrink leaves on top, all taking effect at the next commit.
 func churn(nw *Network, r *rng.RNG, grow, shrink int) {
@@ -202,104 +153,226 @@ func churn(nw *Network, r *rng.RNG, grow, shrink int) {
 	}
 }
 
-// Churn across a split and a merge, with a third of the founding
-// members blocked for epochs at a time: their stale views name history
-// entries with other supernode counts, other adjacency and members that
-// have since left, and joiners hold views of epochs they were not in.
-// In two of each epoch's idle reorganization rounds only a handful of
-// those victims are alive, so the graph is their stale views and little
-// else and its partition shows whether the oracle resolved them.
-func TestOracleMatchesReferenceChurnSplitMerge(t *testing.T) {
-	nw := New(Config{Seed: 33, N0: 512, MeasureEvery: -1})
-	defer nw.Close()
-	r := rng.New(9)
-	victims := make(map[sim.NodeID]bool)
-	for id := sim.NodeID(1); id <= 512; id += 3 {
-		victims[id] = true
-	}
-	staleAlive, cut, entries := 0, 0, 0
-	for e := 0; e < 8; e++ {
-		grow, shrink := nw.N()/2, 0 // four epochs up, four down
-		if e >= 4 {
-			grow, shrink = 0, nw.N()/3
+// staleViews blocks every third id, so those nodes miss reorganizations
+// and keep views of epochs the others have left. In a Fraction of the
+// rounds from From on it blocks every member but a handful of them, so
+// the graph is their stale views and little else and its partition shows
+// whether the oracle resolved those views through the history ring; in
+// one round of 16 nobody is blocked and the victims catch up.
+type staleViews struct {
+	Fraction float64
+	R        *rng.RNG
+	IDs      func() []sim.NodeID
+	From     int
+}
+
+func (a *staleViews) SelectBlocked(round, n int, _ *dos.Snapshot) map[sim.NodeID]bool {
+	ids := a.IDs()
+	blocked := make(map[sim.NodeID]bool)
+	var victims []sim.NodeID
+	for _, id := range ids {
+		if id%3 == 1 {
+			victims = append(victims, id)
+			blocked[id] = true
 		}
-		churn(nw, r, grow, shrink)
+	}
+	switch p := a.R.Float64(); {
+	case p < 1.0/16:
+		return nil
+	case round >= a.From && p < 1.0/16+a.Fraction && len(victims) > 0:
+		for _, id := range ids {
+			blocked[id] = true
+		}
+		for j := 0; j < 6; j++ {
+			delete(blocked, victims[a.R.Intn(len(victims))])
+		}
+	}
+	return blocked
+}
+
+// oracleCase is one differential run as FuzzOracleMatchesReference
+// decodes it from its arguments.
+type oracleCase struct {
+	seed                                               uint64
+	n                                                  uint16
+	kind, frac, late, churn, faults, faultArg, at, eps uint8
+}
+
+// oracleRun is what a run saw besides the differential itself.
+type oracleRun struct {
+	connected, cut int
+	open           int // rounds a partition window was open in
+	staleAlive     int // alive members holding a past epoch's view, summed over rounds
+	entries        int // the most history entries at an epoch's end
+	stats          Stats
+}
+
+// run decodes the case and steps it epoch by epoch, checking the oracle
+// against the reference after every Step: n₀ ∈ [64, 1024]; one of the
+// four adversaries or staleViews at a fraction in [0, 1]; lateness 0 or
+// 2 epochs; per-epoch churn (none, an eighth replaced, growth by half
+// then shrinkage by a third, or the reverse: splits, merges and forced
+// merges); no fault, a crash schedule, a partition window, or a burst of
+// state corruption repaired by RepairBalance or RepairMembership after
+// the decoded number of Steps; 1 to 8 epochs.
+func (c oracleCase) run(t *testing.T) oracleRun {
+	t.Helper()
+	nw := New(Config{Seed: c.seed, N0: 64 + int(c.n)%961, MeasureEvery: -1})
+	defer nw.Close()
+	er := nw.EpochRounds()
+	r := rng.New(c.seed ^ 0x5eed)
+	switch c.faults % 4 {
+	case 1:
+		nw.SetFaults(fault.Spec{Seed: c.seed, Crash: float64(c.faultArg%64) / 128, Restart: 1 + int(c.faultArg>>6)%2})
+	case 2:
+		nw.SetFaults(fault.Spec{Seed: c.seed, PartK: 2 + int(c.faultArg)%2, PartFrom: int(c.faultArg>>1) % er, PartWin: 1 + int(c.faultArg>>2)%er})
+	case 3: // index desyncs and dimension mutations
+		for i := 0; i <= int(c.faultArg%16); i++ {
+			nw.CorruptState(r.Uint64())
+		}
+		checkOracle(t, nw)
+	}
+	fraction := float64(c.frac) / 255
+	var adv dos.Adversary
+	switch c.kind % 5 {
+	case 0:
+		adv = &dos.Random{Fraction: fraction, R: r, IDs: nw.Members}
+	case 1:
+		adv = &dos.GroupIsolate{Fraction: fraction, R: r}
+	case 2:
+		adv = &dos.WholeGroups{Fraction: fraction, R: r}
+	case 3:
+		adv = &dos.HalfEachGroup{Fraction: fraction, R: r}
+	case 4:
+		adv = &staleViews{Fraction: fraction, R: r, IDs: nw.Members, From: 2 * er}
+	}
+	buf := &dos.Buffer{Lateness: 2 * er * int(c.late%2)}
+	var out oracleRun
+	steps, epochs := 0, 1+int(c.eps)%8
+	for e := 0; e < epochs; e++ {
+		switch grow, shrink := nw.N()/2, nw.N()/3; {
+		case c.churn%4 == 1:
+			churn(nw, r, 0, 0)
+		case c.churn%4 == 2 && 2*e < epochs, c.churn%4 == 3 && 2*e >= epochs:
+			churn(nw, r, grow, 0)
+		case c.churn%4 >= 2:
+			churn(nw, r, 0, max(0, min(shrink, nw.N()-nw.N()/8-32)))
+		}
 		for i, er := 0, nw.EpochRounds(); i < er; i++ {
-			blocked := victims
-			if e%3 == 2 {
-				blocked = nil // let the victims catch up now and then
-			}
-			if i == er-5 || i == er-4 {
-				blocked = make(map[sim.NodeID]bool)
-				var still []sim.NodeID
-				for _, id := range nw.Members() {
-					blocked[id] = true
-					if victims[id] {
-						still = append(still, id)
-					}
+			if c.faults%4 == 3 && steps == int(c.at) {
+				if c.faultArg&16 == 0 {
+					nw.RepairBalance()
+				} else {
+					nw.RepairMembership()
 				}
-				for j := 0; j < 6; j++ {
-					delete(blocked, still[r.Intn(len(still))])
-				}
+				checkOracle(t, nw)
 			}
-			nw.Step(blocked)
-			if !checkOracle(t, nw) {
-				cut++
+			steps++
+			buf.Publish(nw.Snapshot())
+			nw.Step(adv.SelectBlocked(nw.eng.Round+1, nw.N(), buf.View(nw.eng.Round+1)))
+			if checkOracle(t, nw) {
+				out.connected++
+			} else {
+				out.cut++
+			}
+			if nw.eng.Faults.Components(nw.eng.Round) > 1 {
+				out.open++
 			}
 			for v, x := range nw.eng.NodeGroup {
 				if x >= 0 && int(nw.eng.ViewEpoch[v]) < nw.eng.Epoch && !nw.eng.BlockedAgo(int32(v), 0) {
-					staleAlive++
+					out.staleAlive++
 				}
 			}
 		}
 		_, views := nw.eng.Views()
-		entries = max(entries, views)
+		out.entries = max(out.entries, views)
 	}
-	st := nw.StatsSnapshot()
-	if st.Splits == 0 || st.Merges+st.ForcedMerges == 0 {
-		t.Fatalf("scenario saw %d splits and %d merges, want both", st.Splits, st.Merges+st.ForcedMerges)
-	}
-	if staleAlive == 0 || cut == 0 || entries < 3 {
-		t.Fatalf("scenario saw %d alive stale views, %d cut rounds and at most %d history entries, want all three",
-			staleAlive, cut, entries)
-	}
+	out.stats = nw.StatsSnapshot()
+	return out
 }
 
-func TestOracleMatchesReferencePartitionWindow(t *testing.T) {
-	for _, k := range []int{2, 3} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			nw := New(Config{Seed: 34, N0: 512, MeasureEvery: -1})
-			defer nw.Close()
-			er := nw.EpochRounds()
-			nw.SetFaults(fault.Spec{Seed: 99, PartK: k, PartFrom: er / 2, PartWin: er})
-			adv := &dos.Random{Fraction: 0.2, R: rng.New(9), IDs: nw.Members}
-			churn(nw, rng.New(10), 0, 0)
-			_, cut := attack(t, nw, adv, &dos.Buffer{}, 2*er+er/2)
-			if cut < er {
-				t.Fatalf("only %d cut rounds with a %d-round partition window open", cut, er)
+// oracleCorpus holds the runs FuzzOracleMatchesReference starts from,
+// each named for the state it reaches. Where reaching that state takes
+// more than the differential, reaches says what else the run must see,
+// so the entry cannot silently stop reaching it.
+var oracleCorpus = []struct {
+	name string
+	oracleCase
+	reaches func(oracleRun) string
+}{
+	{name: "random-blocking-0", oracleCase: oracleCase{31, 0, 0, 0, 0, 0, 0, 0, 0, 1}},
+	{name: "random-blocking-0.2", oracleCase: oracleCase{31, 0, 0, 51, 0, 0, 0, 0, 0, 1}},
+	{name: "random-blocking-0.4", oracleCase: oracleCase{31, 0, 0, 102, 0, 0, 0, 0, 0, 1}},
+	{name: "random-blocking-0.9", oracleCase: oracleCase{31, 0, 0, 230, 0, 0, 0, 0, 0, 1}},
+	{name: "random-blocking-1", oracleCase: oracleCase{31, 0, 0, 255, 0, 0, 0, 0, 0, 1}},
+	{name: "group-isolate-0-late", oracleCase: oracleCase{32, 64, 1, 102, 0, 0, 0, 0, 0, 2}, reaches: bothVerdicts},
+	{name: "group-isolate-2-late", oracleCase: oracleCase{32, 0, 1, 102, 1, 0, 0, 0, 0, 2}, reaches: neverCut},
+	{name: "churn-split-merge", oracleCase: oracleCase{33, 0, 4, 96, 0, 2, 0, 0, 0, 2}, reaches: splitMergeStale},
+	{name: "partition-window-k2", oracleCase: oracleCase{34, 0, 0, 51, 0, 1, 2, 20, 0, 2}, reaches: cutWhileOpen},
+	{name: "partition-window-k3", oracleCase: oracleCase{34, 0, 0, 51, 0, 1, 2, 21, 0, 2}, reaches: cutWhileOpen},
+	{name: "corrupt-state", oracleCase: oracleCase{35, 0, 0, 3, 0, 0, 3, 5, 30, 3}},
+	// Joiners pending and a RepairBalance after 12 Steps: between the
+	// assignment round and the install of a 16-round epoch.
+	{name: "repair-in-window", oracleCase: oracleCase{3, 0, 0, 0, 0, 2, 3, 0, 12, 1}},
+}
+
+// bothVerdicts: a run that must show the differential on connected and
+// on cut rounds.
+func bothVerdicts(r oracleRun) string {
+	if r.connected == 0 || r.cut == 0 {
+		return fmt.Sprintf("%d connected and %d cut rounds, want both", r.connected, r.cut)
+	}
+	return ""
+}
+
+// neverCut: a 2-epoch-late adversary's picture is obsolete, so it cannot
+// cut the network.
+func neverCut(r oracleRun) string {
+	if r.cut > 0 {
+		return fmt.Sprintf("%d rounds cut under a 2-epoch-late adversary", r.cut)
+	}
+	return ""
+}
+
+// cutWhileOpen: every round of an open partition window is cut.
+func cutWhileOpen(r oracleRun) string {
+	if r.open == 0 || r.cut < r.open {
+		return fmt.Sprintf("%d cut rounds with a partition window open for %d", r.cut, r.open)
+	}
+	return ""
+}
+
+// splitMergeStale: churn across splits and merges with alive stale views
+// that name at least three history entries, and cut rounds, so the
+// partition depends on views of epochs with other supernode counts,
+// other adjacency and members that have since left.
+func splitMergeStale(r oracleRun) string {
+	st := r.stats
+	if st.Splits == 0 || st.Merges+st.ForcedMerges == 0 || r.staleAlive == 0 || r.cut == 0 || r.entries < 3 {
+		return fmt.Sprintf("%d splits, %d merges, %d alive stale views, %d cut rounds and at most %d history entries, want all five",
+			st.Splits, st.Merges+st.ForcedMerges, r.staleAlive, r.cut, r.entries)
+	}
+	return ""
+}
+
+// FuzzOracleMatchesReference is the differential test of the oracle on
+// generated runs (oracleCase.run).
+func FuzzOracleMatchesReference(f *testing.F) {
+	for _, e := range oracleCorpus {
+		c := e.oracleCase
+		f.Add(c.seed, c.n, c.kind, c.frac, c.late, c.churn, c.faults, c.faultArg, c.at, c.eps)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, kind, frac, late, churn, faults, faultArg, at, eps uint8) {
+		c := oracleCase{seed, n, kind, frac, late, churn, faults, faultArg, at, eps}
+		got := c.run(t)
+		for _, e := range oracleCorpus {
+			if e.oracleCase == c && e.reaches != nil {
+				if msg := e.reaches(got); msg != "" {
+					t.Fatalf("corpus entry %q: %s", e.name, msg)
+				}
 			}
-		})
-	}
-}
-
-func TestOracleMatchesReferenceCorruptState(t *testing.T) {
-	nw := New(Config{Seed: 35, N0: 512, MeasureEvery: -1})
-	defer nw.Close()
-	r := rng.New(10)
-	for e := 0; e < 4; e++ {
-		for i := 0; i < 6; i++ { // index desyncs and dimension mutations
-			nw.CorruptState(r.Uint64())
 		}
-		checkOracle(t, nw)
-		members := nw.Members()
-		for i := 0; i < nw.EpochRounds(); i++ {
-			nw.Step(map[sim.NodeID]bool{members[r.Intn(len(members))]: true})
-			checkOracle(t, nw)
-		}
-		nw.RepairBalance()
-		nw.RepairMembership()
-		checkOracle(t, nw)
-	}
+	})
 }
 
 func TestOracleEdgeCases(t *testing.T) {

@@ -1,6 +1,7 @@
 package splitmerge
 
 import (
+	"slices"
 	"testing"
 
 	"overlaynet/internal/audit"
@@ -105,5 +106,50 @@ func TestLabelRuleSeesHoleAboveSiblings(t *testing.T) {
 	}
 	if fixes := nw.RepairBalance(); fixes == 0 || nw.checkLabelCoverage() != nil {
 		t.Fatalf("repair made %d fixes and left labels %v", fixes, nw.Labels())
+	}
+}
+
+// TestRepairAtEveryPhase: a RepairBalance at any round of an epoch in
+// which joiners are pending, the reorganization window between the
+// assignment round and the install included, loses and duplicates no
+// node at the next commit and leaves the membership and label-coverage
+// checkers clean. The joiners push groups over 2c·d, so the repair's
+// normalization splits them and the committees the assignment gathered
+// for no longer line up with the tree.
+func TestRepairAtEveryPhase(t *testing.T) {
+	const n0 = 128
+	probe := New(Config{Seed: 3, N0: n0, MeasureEvery: -1})
+	er := probe.EpochRounds()
+	probe.Close()
+	for p := 0; p < er; p++ {
+		nw := New(Config{Seed: 3, N0: n0, MeasureEvery: -1})
+		want := nw.Members()
+		for i := 0; i < n0/2; i++ {
+			want = append(want, nw.Join(want[i]))
+		}
+		for i := 0; i < p; i++ {
+			nw.Step(nil)
+		}
+		splits := nw.stats.Splits
+		nw.RepairBalance()
+		if p > 0 && nw.stats.Splits == splits {
+			t.Fatalf("phase %d: the repair split nothing", p)
+		}
+		for nw.Epoch() == 0 {
+			nw.Step(nil)
+		}
+		if got := nw.Members(); !slices.Equal(got, want) || nw.N() != len(want) {
+			t.Fatalf("phase %d: %d members listed in %d group slots after the commit, want %d",
+				p, len(got), nw.N(), len(want))
+		}
+		eng := audit.NewEngine("test", 9, 1, nil)
+		nw.SetAudit(eng)
+		eng.RunNow(nw.Round())
+		for _, inv := range []string{"membership", "label-coverage"} {
+			if eng.CountFor(inv) != 0 {
+				t.Fatalf("phase %d: %s after the commit: %+v", p, inv, eng.Violations())
+			}
+		}
+		nw.Close()
 	}
 }

@@ -535,16 +535,29 @@ func (nw *Network) assignees(si int, dst []sim.NodeID) []sim.NodeID {
 // effect atomically here, when the distribute messages have reached every
 // available node. Joiners become members, leavers depart (their slots go
 // dead), and the groups are normalized. The member arrays swap with the
-// gathered ones, so churn-free commits allocate nothing.
+// gathered ones, so churn-free commits allocate nothing. A RepairBalance
+// between the assignment and here can split or merge groups: when the
+// committee count no longer matches the gathered groups', they cannot be
+// applied by position, so the repaired groups stand instead, each keeping
+// its stayers and taking in its joiners, and the next epoch reorganizes
+// them.
 func (nw *Network) install(next [][]sim.NodeID) [][]sim.NodeID {
 	for _, id := range nw.leavingIDs {
 		nw.leaving.Unset(int32(id - 1))
 		nw.eng.NodeGroup[id-1] = -1
 	}
 	nw.leavingIDs = nw.leavingIDs[:0]
-	for si, s := range nw.supers {
-		s.members, next[si] = next[si], s.members
-		s.pending = s.pending[:0]
+	if len(next) != len(nw.supers) {
+		departed := func(id sim.NodeID) bool { return nw.eng.NodeGroup[id-1] < 0 }
+		for _, s := range nw.supers {
+			s.members = append(slices.DeleteFunc(s.members, departed), s.pending...)
+			s.pending = s.pending[:0]
+		}
+	} else {
+		for si, s := range nw.supers {
+			s.members, next[si] = next[si], s.members
+			s.pending = s.pending[:0]
+		}
 	}
 	nw.normalize()
 	return next

@@ -116,139 +116,12 @@ func checkPartition(t *testing.T, round int, comps [][]int, slot func(int) int32
 	}
 }
 
-// attack steps the network under adv for the given rounds, checking the
-// oracle after every Step, and counts the verdicts.
-func attack(t *testing.T, nw *Network, adv dos.Adversary, buf *dos.Buffer, rounds int) (connected, cut int) {
-	t.Helper()
-	for i := 0; i < rounds; i++ {
-		buf.Publish(nw.Snapshot())
-		nw.Step(adv.SelectBlocked(nw.eng.Round+1, nw.cfg.N, buf.View(nw.eng.Round+1)))
-		if checkOracle(t, nw) {
-			connected++
-		} else {
-			cut++
-		}
-	}
-	return connected, cut
-}
-
 func allIDs(n int) []sim.NodeID {
 	ids := make([]sim.NodeID, n)
 	for i := range ids {
 		ids[i] = sim.NodeID(i + 1)
 	}
 	return ids
-}
-
-func TestOracleMatchesReferenceRandomBlocking(t *testing.T) {
-	for _, frac := range []float64{0, 0.2, 0.4, 0.9, 1.0} {
-		t.Run(fmt.Sprint(frac), func(t *testing.T) {
-			nw := New(Config{Seed: 31, N: 512, MeasureEvery: -1})
-			defer nw.Close()
-			ids := allIDs(512)
-			adv := &dos.Random{Fraction: frac, R: rng.New(7), IDs: func() []sim.NodeID { return ids }}
-			attack(t, nw, adv, &dos.Buffer{}, 2*nw.EpochRounds())
-		})
-	}
-}
-
-// GroupIsolate sees fresh topology at lateness 0 and cuts the network;
-// two epochs late its picture is obsolete and it cannot. Both verdicts
-// must occur, or the differential test proves nothing about one of them.
-func TestOracleMatchesReferenceGroupIsolate(t *testing.T) {
-	for _, late := range []bool{false, true} {
-		t.Run(fmt.Sprintf("late=%v", late), func(t *testing.T) {
-			nw := New(Config{Seed: 32, N: 1024, MeasureEvery: -1})
-			defer nw.Close()
-			buf := &dos.Buffer{}
-			if late {
-				buf.Lateness = 2 * nw.EpochRounds()
-			}
-			adv := &dos.GroupIsolate{Fraction: 0.4, R: rng.New(8)}
-			connected, cut := attack(t, nw, adv, buf, 3*nw.EpochRounds())
-			if late && cut > 0 {
-				t.Fatalf("%d rounds cut under a 2-epoch-late adversary", cut)
-			}
-			if !late && (cut == 0 || connected == 0) {
-				t.Fatalf("0-late run saw %d connected and %d cut rounds, want both", connected, cut)
-			}
-		})
-	}
-}
-
-// Nodes blocked across two reorganizations hold views of an epoch nobody
-// else is in any more. With only a handful of them alive at a time the
-// graph is their stale views and little else, so its partition shows
-// whether the oracle resolved those views through the history ring.
-func TestOracleMatchesReferenceStaleViews(t *testing.T) {
-	nw := New(Config{Seed: 33, N: 512, MeasureEvery: -1})
-	defer nw.Close()
-	var victims []sim.NodeID
-	down := make(map[sim.NodeID]bool)
-	for id := sim.NodeID(1); id <= 512; id += 3 {
-		victims = append(victims, id)
-		down[id] = true
-	}
-	for i := 0; i < 2*nw.EpochRounds()+3; i++ {
-		nw.Step(down)
-		checkOracle(t, nw)
-	}
-	r := rng.New(11)
-	staleAlive, cut := 0, 0
-	for i := 0; i < 2*nw.EpochRounds(); i++ {
-		blocked := make(map[sim.NodeID]bool)
-		for _, id := range allIDs(512) {
-			blocked[id] = true
-		}
-		for j := 0; j < 6; j++ {
-			delete(blocked, victims[r.Intn(len(victims))])
-		}
-		nw.Step(blocked)
-		if !checkOracle(t, nw) {
-			cut++
-		}
-		for v, ve := range nw.eng.ViewEpoch {
-			if int(ve) < nw.eng.Epoch && !nw.eng.BlockedAgo(int32(v), 0) {
-				staleAlive++
-			}
-		}
-	}
-	if staleAlive == 0 || cut == 0 {
-		t.Fatalf("scenario saw %d alive stale views and %d cut rounds, want both", staleAlive, cut)
-	}
-}
-
-func TestOracleMatchesReferencePartitionWindow(t *testing.T) {
-	for _, k := range []int{2, 3} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			nw := New(Config{Seed: 34, N: 512, MeasureEvery: -1})
-			defer nw.Close()
-			er := nw.EpochRounds()
-			nw.SetFaults(fault.Spec{Seed: 99, PartK: k, PartFrom: er / 2, PartWin: er})
-			ids := allIDs(512)
-			adv := &dos.Random{Fraction: 0.2, R: rng.New(9), IDs: func() []sim.NodeID { return ids }}
-			_, cut := attack(t, nw, adv, &dos.Buffer{}, 2*er+er/2)
-			if cut < er {
-				t.Fatalf("only %d cut rounds with a %d-round partition window open", cut, er)
-			}
-		})
-	}
-}
-
-func TestOracleMatchesReferenceCorruptState(t *testing.T) {
-	nw := New(Config{Seed: 35, N: 512, MeasureEvery: -1})
-	defer nw.Close()
-	r := rng.New(10)
-	for e := 0; e < 4; e++ {
-		for i := 0; i < 12; i++ { // all three corruption kinds, many victims
-			nw.CorruptState(r.Uint64())
-		}
-		checkOracle(t, nw)
-		for i := 0; i < nw.EpochRounds(); i++ {
-			nw.Step(map[sim.NodeID]bool{sim.NodeID(1 + r.Intn(512)): true})
-			checkOracle(t, nw)
-		}
-	}
 }
 
 func TestOracleEdgeCases(t *testing.T) {
@@ -298,49 +171,196 @@ func TestConnectedNowAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// FuzzOracleMatchesReference is the differential test on generated
-// runs: the arguments decode to a seed, n ∈ [64, 512], one of the four
-// adversaries at a fraction in [0, 1], lateness 0 or 2 epochs, no fault,
-// a crash schedule, a partition window or a burst of state corruption,
-// and up to two epochs of rounds, with the oracle checked against the
-// reference after each Step.
-func FuzzOracleMatchesReference(f *testing.F) {
-	f.Add(uint64(0), uint16(183), uint8(1), uint8(75), uint8(0), uint8(0), uint8(7), uint8(255))
-	f.Add(uint64(34), uint16(53), uint8(0), uint8(53), uint8(0), uint8(3), uint8(110), uint8(137))
-	f.Add(uint64(196), uint16(62), uint8(1), uint8(102), uint8(0), uint8(3), uint8(117), uint8(255))
-	f.Add(uint64(2), uint16(192), uint8(1), uint8(102), uint8(1), uint8(1), uint8(40), uint8(255))
-	f.Add(uint64(5), uint16(320), uint8(3), uint8(200), uint8(0), uint8(2), uint8(3), uint8(255))
-	f.Add(uint64(4), uint16(64), uint8(2), uint8(128), uint8(1), uint8(0), uint8(0), uint8(255))
-	f.Fuzz(func(t *testing.T, seed uint64, n16 uint16, kind, frac, late, faults, faultArg, rounds uint8) {
-		n := 64 + int(n16)%449
-		nw := New(Config{Seed: seed, N: n, MeasureEvery: -1})
-		defer nw.Close()
-		er := nw.EpochRounds()
-		r := rng.New(seed ^ 0x5eed)
-		switch faults % 4 {
-		case 1:
-			nw.SetFaults(fault.Spec{Seed: seed, Crash: float64(faultArg%64) / 128, Restart: 1 + int(faultArg>>6)%2})
-		case 2:
-			nw.SetFaults(fault.Spec{Seed: seed, PartK: 2 + int(faultArg)%2, PartFrom: int(faultArg>>1) % er, PartWin: 1 + int(faultArg>>2)%er})
-		case 3: // views whose member lists disagree with their pointers
-			for i := 0; i <= int(faultArg%16); i++ {
-				nw.CorruptState(r.Uint64())
+// staleViews blocks every third id, so those nodes miss reorganizations
+// and keep views of epochs the others have left. In a Fraction of the
+// rounds from From on it blocks every node but a handful of them, so the
+// graph is their stale views and little else and its partition shows
+// whether the oracle resolved those views through the history ring; in
+// one round of 16 nobody is blocked and the victims catch up.
+type staleViews struct {
+	Fraction float64
+	R        *rng.RNG
+	IDs      func() []sim.NodeID
+	From     int
+}
+
+func (a *staleViews) SelectBlocked(round, n int, _ *dos.Snapshot) map[sim.NodeID]bool {
+	ids := a.IDs()
+	blocked := make(map[sim.NodeID]bool)
+	var victims []sim.NodeID
+	for _, id := range ids {
+		if id%3 == 1 {
+			victims = append(victims, id)
+			blocked[id] = true
+		}
+	}
+	switch p := a.R.Float64(); {
+	case p < 1.0/16:
+		return nil
+	case round >= a.From && p < 1.0/16+a.Fraction && len(victims) > 0:
+		for _, id := range ids {
+			blocked[id] = true
+		}
+		for j := 0; j < 6; j++ {
+			delete(blocked, victims[a.R.Intn(len(victims))])
+		}
+	}
+	return blocked
+}
+
+// oracleCase is one differential run as FuzzOracleMatchesReference
+// decodes it from its arguments.
+type oracleCase struct {
+	seed                                       uint64
+	n                                          uint16
+	kind, frac, late, faults, faultArg, rounds uint8
+}
+
+// oracleRun is what a run saw besides the differential itself.
+type oracleRun struct {
+	connected, cut int
+	open           int // rounds a partition window was open in
+	staleAlive     int // alive nodes holding a past epoch's view, summed over rounds
+}
+
+// run decodes the case and steps it, checking the oracle against the
+// reference after every Step: n ∈ [64, 512]; one of the four adversaries
+// or staleViews at a fraction in [0, 1]; lateness 0 or 2 epochs; no
+// fault, a crash schedule, a partition window or a burst of state
+// corruption; up to three epochs of rounds.
+func (c oracleCase) run(t *testing.T) oracleRun {
+	t.Helper()
+	n := 64 + int(c.n)%449
+	nw := New(Config{Seed: c.seed, N: n, MeasureEvery: -1})
+	defer nw.Close()
+	er := nw.EpochRounds()
+	r := rng.New(c.seed ^ 0x5eed)
+	switch c.faults % 4 {
+	case 1:
+		nw.SetFaults(fault.Spec{Seed: c.seed, Crash: float64(c.faultArg%64) / 128, Restart: 1 + int(c.faultArg>>6)%2})
+	case 2:
+		nw.SetFaults(fault.Spec{Seed: c.seed, PartK: 2 + int(c.faultArg)%2, PartFrom: int(c.faultArg>>1) % er, PartWin: 1 + int(c.faultArg>>2)%er})
+	case 3: // views whose member lists disagree with their pointers
+		for i := 0; i <= int(c.faultArg%16); i++ {
+			nw.CorruptState(r.Uint64())
+		}
+	}
+	fraction := float64(c.frac) / 255
+	ids := allIDs(n)
+	var adv dos.Adversary
+	switch c.kind % 5 {
+	case 0:
+		adv = &dos.Random{Fraction: fraction, R: r, IDs: func() []sim.NodeID { return ids }}
+	case 1:
+		adv = &dos.GroupIsolate{Fraction: fraction, R: r}
+	case 2:
+		adv = &dos.WholeGroups{Fraction: fraction, R: r}
+	case 3:
+		adv = &dos.HalfEachGroup{Fraction: fraction, R: r}
+	case 4:
+		adv = &staleViews{Fraction: fraction, R: r, IDs: func() []sim.NodeID { return ids }, From: er}
+	}
+	buf := &dos.Buffer{Lateness: 2 * er * int(c.late%2)}
+	var out oracleRun
+	for i := 0; i < int(c.rounds)%(3*er+1); i++ {
+		buf.Publish(nw.Snapshot())
+		nw.Step(adv.SelectBlocked(nw.eng.Round+1, n, buf.View(nw.eng.Round+1)))
+		if checkOracle(t, nw) {
+			out.connected++
+		} else {
+			out.cut++
+		}
+		if nw.eng.Faults.Components(nw.eng.Round) > 1 {
+			out.open++
+		}
+		for v, ve := range nw.eng.ViewEpoch {
+			if int(ve) < nw.eng.Epoch && !nw.eng.BlockedAgo(int32(v), 0) {
+				out.staleAlive++
 			}
 		}
-		fraction := float64(frac) / 255
-		var adv dos.Adversary
-		switch kind % 4 {
-		case 0:
-			ids := allIDs(n)
-			adv = &dos.Random{Fraction: fraction, R: r, IDs: func() []sim.NodeID { return ids }}
-		case 1:
-			adv = &dos.GroupIsolate{Fraction: fraction, R: r}
-		case 2:
-			adv = &dos.WholeGroups{Fraction: fraction, R: r}
-		case 3:
-			adv = &dos.HalfEachGroup{Fraction: fraction, R: r}
+	}
+	return out
+}
+
+// oracleCorpus holds the runs FuzzOracleMatchesReference starts from,
+// each named for the state it reaches. Where reaching that state takes
+// more than the differential, reaches says what else the run must see,
+// so the entry cannot silently stop reaching it.
+var oracleCorpus = []struct {
+	name string
+	oracleCase
+	reaches func(oracleRun) string
+}{
+	{name: "group-isolate-0-late", oracleCase: oracleCase{0, 183, 1, 75, 0, 0, 7, 23}},
+	{name: "random-corrupt", oracleCase: oracleCase{34, 53, 0, 53, 0, 3, 110, 21}},
+	{name: "group-isolate-corrupt", oracleCase: oracleCase{196, 62, 1, 102, 0, 3, 117, 23}},
+	{name: "group-isolate-2-late-crash", oracleCase: oracleCase{2, 192, 1, 102, 1, 1, 40, 23}},
+	{name: "half-each-group-partition", oracleCase: oracleCase{5, 320, 3, 200, 0, 2, 3, 23}},
+	{name: "whole-groups-2-late", oracleCase: oracleCase{4, 64, 2, 128, 1, 0, 0, 23}},
+	{name: "random-blocking-0", oracleCase: oracleCase{31, 0, 0, 0, 0, 0, 0, 28}},
+	{name: "random-blocking-0.2", oracleCase: oracleCase{31, 0, 0, 51, 0, 0, 0, 28}},
+	{name: "random-blocking-0.4", oracleCase: oracleCase{31, 0, 0, 102, 0, 0, 0, 28}},
+	{name: "random-blocking-0.9", oracleCase: oracleCase{31, 0, 0, 230, 0, 0, 0, 28}},
+	{name: "random-blocking-1", oracleCase: oracleCase{31, 0, 0, 255, 0, 0, 0, 28}},
+	{name: "group-isolate-both-verdicts", oracleCase: oracleCase{33, 0, 1, 77, 0, 0, 0, 20}, reaches: bothVerdicts},
+	{name: "group-isolate-2-late-never-cut", oracleCase: oracleCase{32, 0, 1, 102, 1, 0, 0, 42}, reaches: neverCut},
+	{name: "stale-views", oracleCase: oracleCase{36, 0, 4, 128, 0, 0, 0, 20}, reaches: staleAndCut},
+	{name: "partition-window-k2", oracleCase: oracleCase{34, 0, 0, 51, 0, 2, 20, 28}, reaches: cutWhileOpen},
+	{name: "partition-window-k3", oracleCase: oracleCase{34, 0, 0, 51, 0, 2, 21, 28}, reaches: cutWhileOpen},
+	{name: "corrupt-state", oracleCase: oracleCase{35, 0, 0, 3, 0, 3, 11, 28}},
+}
+
+// bothVerdicts: a run that must show the differential on connected and
+// on cut rounds.
+func bothVerdicts(r oracleRun) string {
+	if r.connected == 0 || r.cut == 0 {
+		return fmt.Sprintf("%d connected and %d cut rounds, want both", r.connected, r.cut)
+	}
+	return ""
+}
+
+// neverCut: a 2-epoch-late adversary's picture is obsolete, so it cannot
+// cut the network.
+func neverCut(r oracleRun) string {
+	if r.cut > 0 {
+		return fmt.Sprintf("%d rounds cut under a 2-epoch-late adversary", r.cut)
+	}
+	return ""
+}
+
+// staleAndCut: alive stale views and cut rounds, so the partition
+// depends on views the oracle resolves through the history ring.
+func staleAndCut(r oracleRun) string {
+	if r.staleAlive == 0 || r.cut == 0 {
+		return fmt.Sprintf("%d alive stale views and %d cut rounds, want both", r.staleAlive, r.cut)
+	}
+	return ""
+}
+
+// cutWhileOpen: every round of an open partition window is cut.
+func cutWhileOpen(r oracleRun) string {
+	if r.open == 0 || r.cut < r.open {
+		return fmt.Sprintf("%d cut rounds with a partition window open for %d", r.cut, r.open)
+	}
+	return ""
+}
+
+// FuzzOracleMatchesReference is the differential test of the oracle on
+// generated runs (oracleCase.run).
+func FuzzOracleMatchesReference(f *testing.F) {
+	for _, e := range oracleCorpus {
+		c := e.oracleCase
+		f.Add(c.seed, c.n, c.kind, c.frac, c.late, c.faults, c.faultArg, c.rounds)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, kind, frac, late, faults, faultArg, rounds uint8) {
+		c := oracleCase{seed, n, kind, frac, late, faults, faultArg, rounds}
+		got := c.run(t)
+		for _, e := range oracleCorpus {
+			if e.oracleCase == c && e.reaches != nil {
+				if msg := e.reaches(got); msg != "" {
+					t.Fatalf("corpus entry %q: %s", e.name, msg)
+				}
+			}
 		}
-		buf := &dos.Buffer{Lateness: 2 * er * int(late%2)}
-		attack(t, nw, adv, buf, int(rounds)%(2*er+1))
 	})
 }
