@@ -363,16 +363,47 @@ func FuzzOracleMatchesReference(f *testing.F) {
 		f.Add(c.seed, c.n, c.kind, c.frac, c.late, c.churn, c.faults, c.faultArg, c.at, c.eps)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, kind, frac, late, churn, faults, faultArg, at, eps uint8) {
-		c := oracleCase{seed, n, kind, frac, late, churn, faults, faultArg, at, eps}
-		got := c.run(t)
-		for _, e := range oracleCorpus {
-			if e.oracleCase == c && e.reaches != nil {
-				if msg := e.reaches(got); msg != "" {
-					t.Fatalf("corpus entry %q: %s", e.name, msg)
-				}
+		oracleCase{seed, n, kind, frac, late, churn, faults, faultArg, at, eps}.check(t)
+	})
+}
+
+// check runs c and, if c is a corpus entry with a reaches check, that
+// check.
+func (c oracleCase) check(t *testing.T) {
+	got := c.run(t)
+	for _, e := range oracleCorpus {
+		if e.oracleCase == c && e.reaches != nil {
+			if msg := e.reaches(got); msg != "" {
+				t.Fatalf("corpus entry %q: %s", e.name, msg)
 			}
 		}
-	})
+	}
+}
+
+// checkEntry runs the named corpus entry as a test of its own.
+func checkEntry(t *testing.T, name string) {
+	for _, e := range oracleCorpus {
+		if e.name == name {
+			e.oracleCase.check(t)
+			return
+		}
+	}
+	t.Fatalf("no corpus entry %q", name)
+}
+
+// The three oracle tests below keep, under their names, one corpus entry
+// of each scenario family: Random blocking, a GroupIsolate that sees both
+// verdicts, and a partition window that cuts every open round.
+func TestOracleMatchesReferenceRandomBlocking(t *testing.T) {
+	t.Run("0", func(t *testing.T) { checkEntry(t, "random-blocking-0") })
+}
+
+func TestOracleMatchesReferenceGroupIsolate(t *testing.T) {
+	t.Run("late=false", func(t *testing.T) { checkEntry(t, "group-isolate-0-late") })
+}
+
+func TestOracleMatchesReferencePartitionWindow(t *testing.T) {
+	t.Run("k=2", func(t *testing.T) { checkEntry(t, "partition-window-k2") })
 }
 
 func TestOracleEdgeCases(t *testing.T) {
