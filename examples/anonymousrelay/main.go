@@ -27,7 +27,9 @@ func main() {
 	const requests = 3000
 
 	t := metrics.NewTable("anonymous relaying under DoS attack (n=512 relay servers)",
-		"blocked", "delivered", "replied", "rounds/request", "exit entropy (max 9.00 bits)")
+		"blocked", "delivered", "replied", "rounds/request", "exit entropy (max 9.00 bits)").
+		Format("blocked", "%.0f%%").Format("delivered", "%.2f%%").Format("replied", "%.2f%%").
+		Format("exit entropy (max 9.00 bits)", "%.2f")
 
 	failed := false
 	for _, frac := range []float64{0, 0.25, 0.45} {
@@ -69,10 +71,7 @@ func main() {
 			}
 		}
 		entropy := metrics.Entropy(counts)
-		t.AddRowf(fmt.Sprintf("%.0f%%", frac*100),
-			fmt.Sprintf("%.2f%%", 100*float64(delivered)/requests),
-			fmt.Sprintf("%.2f%%", 100*float64(replied)/requests),
-			4, fmt.Sprintf("%.2f", entropy))
+		t.AddRow(frac*100, 100*float64(delivered)/requests, 100*float64(replied)/requests, 4, entropy)
 		// Corollary 2: requests keep flowing under attack, and exits
 		// remain near-uniform (full entropy would be log2(n) = 9 bits).
 		if delivered != requests || float64(replied) < 0.9*requests || entropy < 8.0 {

@@ -40,8 +40,7 @@ func main() {
 		t := metrics.NewTable("churnstorm: "+sc.name,
 			"epoch", "n", "rounds", "connected", "valid", "failures", "|lambda2| (<= 2 sqrt d = 5.66)")
 		for _, rep := range churn.Run(nw, sc.adv, 4) {
-			t.AddRowf(rep.Epoch, rep.NNew, rep.Rounds, rep.Connected, rep.Valid,
-				rep.Failures, rep.SecondEigenvalue)
+			t.AddRow(rep.Epoch, rep.NNew, rep.Rounds, rep.Connected, rep.Valid, rep.Failures, rep.SecondEigenvalue)
 			if !rep.Connected || !rep.Valid || rep.SecondEigenvalue > lambdaBound {
 				failed = true
 				fmt.Fprintf(os.Stderr, "churnstorm: FAIL: %s epoch %d: connected=%v valid=%v |lambda2|=%.3f (bound %.3f)\n",

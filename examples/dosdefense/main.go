@@ -27,7 +27,8 @@ func main() {
 
 	t := metrics.NewTable(
 		fmt.Sprintf("group-isolate adversary blocking %.0f%% of %d nodes", blockedFraction*100, n),
-		"adversary lateness", "rounds", "disconnected rounds", "group stalls", "verdict")
+		"adversary lateness", "rounds", "disconnected rounds", "group stalls", "verdict").
+		Format("adversary lateness", "%d rounds")
 
 	failed := false
 	for _, lateness := range []int{0, 1, -1} {
@@ -45,7 +46,7 @@ func main() {
 		if disc == 0 {
 			verdict = "connectivity maintained"
 		}
-		t.AddRowf(fmt.Sprintf("%d rounds", late), st.Rounds, disc, st.Stalls, verdict)
+		t.AddRow(late, st.Rounds, disc, st.Stalls, verdict)
 		// The headline contrast: real-time information cuts the network
 		// (the Section 1.1 impossibility), 2t-stale information cannot
 		// (Theorem 6).

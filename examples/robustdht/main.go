@@ -48,7 +48,7 @@ func main() {
 			ops = append(ops, dht.BatchOp{Entry: entry, Key: fmt.Sprintf("k/%d/%d", mult, i), Value: "v"})
 		}
 		st := d.ServeBatch(ops, hop)
-		t.AddRowf(len(blocked), len(ops), st.Served, st.Failed, st.MaxRounds, st.MaxCongestion)
+		t.AddRow(len(blocked), len(ops), st.Served, st.Failed, st.MaxRounds, st.MaxCongestion)
 		if st.Failed != 0 || st.Served != len(ops) {
 			failed = true
 			fmt.Fprintf(os.Stderr, "robustdht: FAIL: %d blocked: served %d/%d, %d failed\n",

@@ -4,25 +4,38 @@ import (
 	"slices"
 	"testing"
 
+	"overlaynet/internal/audit"
 	"overlaynet/internal/core"
 	"overlaynet/internal/rng"
 )
 
+// newNet builds a §4 network with the invariant-audit engine attached,
+// checked every epoch; the test fails if it ever reports a violation.
 func newNet(t *testing.T, seed uint64, n int) *core.Network {
 	t.Helper()
 	nw := core.NewNetwork(core.Config{Seed: seed, N0: n, D: 6})
-	t.Cleanup(nw.Shutdown)
+	eng := audit.NewEngine("test", seed, 1, nil)
+	nw.SetAudit(eng)
+	t.Cleanup(func() {
+		nw.Shutdown()
+		if eng.Count() != 0 {
+			t.Errorf("%d audit violations: %+v", eng.Count(), eng.Violations())
+		}
+	})
 	return nw
 }
 
+// checkReports asserts what Theorems 4 and 5 guarantee of every epoch
+// under churn: valid and connected, and every protocol failure an
+// Algorithm 1 sampling refusal, which Theorem 2 allows with small
+// probability. (Zero failures is not guaranteed: over network seeds
+// 1–100 it failed at 9–20 seeds per adversary, this at none.)
 func checkReports(t *testing.T, reports []core.EpochReport, name string) {
 	t.Helper()
 	for i, rep := range reports {
-		if !rep.Valid || !rep.Connected {
-			t.Fatalf("%s epoch %d: valid=%v connected=%v", name, i, rep.Valid, rep.Connected)
-		}
-		if rep.Failures != 0 {
-			t.Fatalf("%s epoch %d: %d failures (%v)", name, i, rep.Failures, rep.FailureKinds)
+		if !rep.Valid || !rep.Connected || rep.Failures != rep.FailureKinds[core.FailSampling] {
+			t.Fatalf("%s epoch %d: valid=%v connected=%v failures=%d (%v)",
+				name, i, rep.Valid, rep.Connected, rep.Failures, rep.FailureKinds)
 		}
 	}
 }

@@ -283,6 +283,11 @@ func (l *Loop) catchUpRange(w int) {
 	}
 }
 
+// Assigned reports whether the current epoch's assignment round has run
+// and its commit has not: churn from now on misses the reorganization in
+// flight, so a stack defers it to the next epoch's.
+func (l *Loop) Assigned() bool { return l.phase > l.samplingRounds() }
+
 // samplingRounds is the length of the current epoch's sampling part: two
 // real rounds per primitive round of Algorithm 2.
 func (l *Loop) samplingRounds() int { return 2 * (2*len(l.e.mi) - 1) }

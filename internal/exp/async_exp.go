@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"overlaynet/internal/churn"
 	"overlaynet/internal/core"
 	"overlaynet/internal/dos"
@@ -42,25 +40,22 @@ func AS1AsyncLatency(o Options) *metrics.Table {
 		"system", "latency", "deferred", "failures", "quality", "healthy")
 	lats := as1Latencies(o.Quick)
 	const nSystems = 4
-	t.AddRows(mustRows(RunRows(o, nSystems*len(lats), func(cell int) [][]string {
+	return sweep(o, t, nSystems*len(lats), func(cell int) [][]any {
 		lat := lats[cell%len(lats)]
 		// AS1 measures the UNPROTECTED protocols (AS2 adds the reliable
 		// endpoints), so the global -reliable option does not apply here.
 		switch sys := cell / len(lats); sys {
 		case 0:
 			res, tv, inEnv := samplingUnder(o, 0xa5, lat, 0, reliable.Config{})
-			return [][]string{metrics.Row("sampling §3", lat, res.Deferred, res.Failures,
-				tv, res.Failures == 0 && inEnv)}
+			return [][]any{{"sampling §3", lat, res.Deferred, res.Failures, tv, res.Failures == 0 && inEnv}}
 		case 1:
 			nw, tally := coreUnder(o, 0xa5, lat, 0, reliable.Config{})
 			defer nw.Shutdown()
-			return [][]string{metrics.Row("reconfig §4", lat, nw.DeferredMessages(), tally.failures,
-				tally, tally.healthy())}
+			return [][]any{{"reconfig §4", lat, nw.DeferredMessages(), tally.failures, tally.quality(), tally.healthy()}}
 		default:
-			return [][]string{as1Overlay(o, lat, overlayKinds[sys-2])}
+			return [][]any{as1Overlay(o, lat, overlayKinds[sys-2])}
 		}
-	})))
-	return t
+	})
 }
 
 // as1Latencies is the spread sweep: the synchronous control, the
@@ -89,7 +84,7 @@ func as1Latencies(quick bool) []sim.Latency {
 // shows up first as extraction failures, then as TV loss. The seed depends
 // only on tag (the experiment) and n, so every row of a sweep reruns the
 // SAME protocol instance.
-func samplingUnder(o Options, tag uint64, lat sim.Latency, drop float64, rel reliable.Config) (res *sampling.RapidResult, quality string, inEnv bool) {
+func samplingUnder(o Options, tag uint64, lat sim.Latency, drop float64, rel reliable.Config) (res *sampling.RapidResult, quality metrics.Tuple, inEnv bool) {
 	n := o.size(128, 256)
 	seed := cellSeed(o.Seed, tag, uint64(n))
 	p := expParams(o, n)
@@ -100,7 +95,7 @@ func samplingUnder(o Options, tag uint64, lat sim.Latency, drop float64, rel rel
 	h := hgraph.Random(rng.New(seed), n, p.D)
 	res = sampling.RapidHGraph(seed^1, h, p)
 	tv, env := metrics.PooledTV(res.Samples, n)
-	return res, fmt.Sprintf("TV %.3f (env %.3f)", tv, env), tv <= env && env < 1
+	return res, metrics.Tuple{Format: "TV %.3f (env %.3f)", Values: []any{tv, env}}, tv <= env && env < 1
 }
 
 // coreUnder reruns Theorem 4/5's reconfiguration under the same kind of
@@ -128,7 +123,7 @@ func coreUnder(o Options, tag uint64, lat sim.Latency, drop float64, rel reliabl
 // delivery deadline: messages sampled later than one round are lost for
 // their phase. Quality is the disconnected fraction of the measured
 // rounds.
-func as1Overlay(o Options, lat sim.Latency, k overlayKind) []string {
+func as1Overlay(o Options, lat sim.Latency, k overlayKind) []any {
 	n := o.size(128, 256)
 	seed := cellSeed(o.Seed, 0xa5, uint64(k.sec)<<4, uint64(n))
 	e := o.envDelivery()
@@ -138,6 +133,6 @@ func as1Overlay(o Options, lat sim.Latency, k overlayKind) []string {
 	adv, lateness := nw.as1(rng.New(seed + 1))
 	nw.run(adv, &dos.Buffer{Lateness: lateness}, 2*nw.EpochRounds())
 	t := nw.Totals()
-	return metrics.Row(k.label(), lat, "-", t.Stalls,
-		fmt.Sprintf("disc %d/%d", t.Disconnected, t.Measured), t.Disconnected == 0)
+	return []any{k.label, lat, "-", t.Stalls,
+		metrics.Tuple{Format: "disc %d/%d", Values: []any{t.Disconnected, t.Measured}}, t.Disconnected == 0}
 }

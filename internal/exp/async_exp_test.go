@@ -1,6 +1,9 @@
 package exp
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestAS1ZeroSpreadRowsMatchSync pins AS1's control pair inside one
 // run of the experiment: for every system, the "const:1" row (event
@@ -12,32 +15,27 @@ import "testing"
 func TestAS1ZeroSpreadRowsMatchSync(t *testing.T) {
 	tab := AS1AsyncLatency(Options{Seed: 7, Quick: true})
 	rows := tab.Rows()
-	per := len(as1Latencies(true))
+	lats := as1Latencies(true)
+	per := len(lats)
 	if len(rows) != 4*per {
 		t.Fatalf("AS1 quick table has %d rows, want %d", len(rows), 4*per)
 	}
 	for s := 0; s < 4; s++ {
 		sync, zero := rows[s*per], rows[s*per+1]
-		if sync[1] != "sync" || zero[1] != "const:1" {
-			t.Fatalf("system %q: unexpected control labels %q, %q", sync[0], sync[1], zero[1])
+		if tab.Value(s*per, "latency") != lats[0] || tab.Value(s*per+1, "latency") != lats[1] {
+			t.Fatalf("system %v: unexpected control latencies %v, %v", sync[0], sync[1], zero[1])
 		}
-		for i := range sync {
-			if i == 1 {
-				continue
-			}
-			if zero[i] != sync[i] {
-				t.Errorf("%s col %d: sync=%q but const:1=%q — zero-spread scheduler diverges",
-					sync[0], i, sync[i], zero[i])
-			}
+		sync[1], zero[1] = nil, nil
+		if !reflect.DeepEqual(sync, zero) {
+			t.Errorf("sync row %v but const:1 row %v — zero-spread scheduler diverges", sync, zero)
 		}
 	}
 	// Quick lats: [sync, const:1, uniform:0.5,2.5]. Row 2 is the
-	// sampling system's wide-uniform row; deferred (col 2) must be > 0.
-	if rows[2][2] == "0" || rows[2][2] == "-" {
-		t.Errorf("wide-spread sampling row deferred = %q, want > 0", rows[2][2])
-	}
-	if rows[per+2][2] == "0" || rows[per+2][2] == "-" {
-		t.Errorf("wide-spread reconfig row deferred = %q, want > 0", rows[per+2][2])
+	// sampling system's wide-uniform row, row per+2 the reconfiguration's.
+	for _, i := range []int{2, per + 2} {
+		if d := num(t, tab, i, "deferred"); d <= 0 {
+			t.Errorf("wide-spread %v row deferred = %v, want > 0", rows[i][0], d)
+		}
 	}
 }
 

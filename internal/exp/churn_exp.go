@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"math"
 
 	"overlaynet/internal/churn"
@@ -38,8 +37,9 @@ func (t epochTally) healthy() bool {
 	return t.conn == t.epochs && t.valid == t.epochs && t.failures == 0
 }
 
-func (t epochTally) String() string {
-	return fmt.Sprintf("conn %d/%d valid %d/%d", t.conn, t.epochs, t.valid, t.epochs)
+// quality is the tally as a table cell.
+func (t epochTally) quality() metrics.Tuple {
+	return metrics.Tuple{Format: "conn %d/%d valid %d/%d", Values: []any{t.conn, t.epochs, t.valid, t.epochs}}
 }
 
 // E6ReconfigChurn measures Theorems 4 and 5: rounds per reconfiguration
@@ -47,11 +47,11 @@ func (t epochTally) String() string {
 // adversarial churn of increasing aggressiveness.
 func E6ReconfigChurn(o Options) *metrics.Table {
 	t := metrics.NewTable("E6  Theorems 4/5 — reconfiguration under adversarial churn (d=8)",
-		"n", "adversary", "epochs", "rounds/epoch", "loglog n", "connected", "valid", "failures")
+		"n", "adversary", "epochs", "rounds/epoch", "loglog n", "connected", "valid", "failures").Format("loglog n", "%.2f")
 	epochs := o.size(2, 4)
 	ns := o.sizes([]int{64}, []int{64, 256, 1024})
 	nadv := o.size(2, 5)
-	t.AddRows(mustRows(RunRows(o, len(ns)*nadv, func(cell int) [][]string {
+	return sweep(o, t, len(ns)*nadv, func(cell int) [][]any {
 		n := ns[cell/nadv]
 		advs := []struct {
 			name string
@@ -76,11 +76,9 @@ func E6ReconfigChurn(o Options) *metrics.Table {
 		}
 		nw.Shutdown()
 		t := tallyEpochs(reports)
-		return [][]string{metrics.Row(n, a.name, epochs, t.lastRounds,
-			fmt.Sprintf("%.2f", math.Log2(math.Log2(float64(n)))),
-			t.conn == epochs, t.valid == epochs, t.failures)}
-	})))
-	return t
+		return [][]any{{n, a.name, epochs, t.lastRounds, math.Log2(math.Log2(float64(n))),
+			t.conn == epochs, t.valid == epochs, t.failures}}
+	})
 }
 
 // E7CongestionSegments measures Lemmas 11 and 12: the maximum number of
@@ -88,9 +86,9 @@ func E6ReconfigChurn(o Options) *metrics.Table {
 // along the old cycles, against a polylog envelope.
 func E7CongestionSegments(o Options) *metrics.Table {
 	t := metrics.NewTable("E7  Lemmas 11/12 — congestion and empty segments per reconfiguration",
-		"n", "max chosen", "max empty segment", "log2 n", "polylog env (4 log^2)", "max bits/node-round")
+		"n", "max chosen", "max empty segment", "log2 n", "polylog env (4 log^2)", "max bits/node-round").Format("log2 n", "%.1f")
 	ns := o.sizes([]int{64}, []int{64, 256, 1024, 2048})
-	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
+	return sweep(o, t, len(ns), func(cell int) [][]any {
 		n := ns[cell]
 		nw := newCore(o.envTraced(cell), o.Seed^uint64(n), n)
 		maxChosen, maxSeg := 0, 0
@@ -109,8 +107,6 @@ func E7CongestionSegments(o Options) *metrics.Table {
 			}
 		}
 		nw.Shutdown()
-		return [][]string{metrics.Row(n, maxChosen, maxSeg, fmt.Sprintf("%.1f", math.Log2(float64(n))),
-			metrics.PolylogEnvelope(n, 2, 4), maxBits)}
-	})))
-	return t
+		return [][]any{{n, maxChosen, maxSeg, math.Log2(float64(n)), metrics.PolylogEnvelope(n, 2, 4), maxBits}}
+	})
 }

@@ -28,7 +28,7 @@ func E10ChurnDoS(o Options) *metrics.Table {
 	if o.Quick {
 		cases = cases[2:3]
 	}
-	t.AddRows(mustRows(RunRows(o, len(n0s)*len(cases), func(cell int) [][]string {
+	return sweep(o, t, len(n0s)*len(cases), func(cell int) [][]any {
 		n0 := n0s[cell/len(cases)]
 		cse := cases[cell%len(cases)]
 		nw := newSplitMerge(o.envGlobals(cell, o.Seed^uint64(n0)), splitmerge.Config{Seed: o.Seed ^ uint64(n0), N0: n0})
@@ -43,9 +43,7 @@ func E10ChurnDoS(o Options) *metrics.Table {
 			nw.Run(adv, buf, nw.EpochRounds())
 		}
 		st := nw.StatsSnapshot()
-		return [][]string{metrics.Row(n0, cse.churnFrac, cse.blocked, epochs, st.Disconnected,
-			st.MaxDimSpread, st.Eq1Violations == 0 && nw.Eq1Holds(),
-			st.Splits, st.Merges+st.ForcedMerges, nw.N())}
-	})))
-	return t
+		return [][]any{{n0, cse.churnFrac, cse.blocked, epochs, st.Disconnected, st.MaxDimSpread,
+			st.Eq1Violations == 0 && nw.Eq1Holds(), st.Splits, st.Merges + st.ForcedMerges, nw.N()}}
+	})
 }

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"overlaynet/internal/dos"
 	"overlaynet/internal/metrics"
 	"overlaynet/internal/rng"
@@ -23,15 +21,14 @@ func E8DoSConnectivity(o Options) *metrics.Table {
 	if o.Quick {
 		fracs = []float64{0.4}
 	}
-	t.AddRows(mustRows(RunRows(o, len(ns)*len(fracs)*2, func(cell int) [][]string {
+	return sweep(o, t, len(ns)*len(fracs)*2, func(cell int) [][]any {
 		n := ns[cell/(len(fracs)*2)]
 		frac := fracs[cell/2%len(fracs)]
 		late := cell%2 == 0
 		nw := newSupernode(o.envGlobals(cell, o.Seed^uint64(n)), supernode.Config{Seed: o.Seed ^ uint64(n), N: n})
 		lateness, st := isolate(nw, frac, rng.New(o.Seed+uint64(n)+uint64(frac*100)), late, epochs)
-		return [][]string{metrics.Row(n, frac, fmt.Sprintf("%d", lateness), st.Rounds, st.Disconnected, st.Stalls)}
-	})))
-	return t
+		return [][]any{{n, frac, lateness, st.Rounds, st.Disconnected, st.Stalls}}
+	})
 }
 
 // isolate attacks nw for the given number of epochs with the
@@ -56,7 +53,7 @@ func E9GroupBalance(o Options) *metrics.Table {
 	if o.Quick {
 		fracs = fracs[1:]
 	}
-	t.AddRows(mustRows(RunRows(o, len(ns)*len(fracs), func(cell int) [][]string {
+	return sweep(o, t, len(ns)*len(fracs), func(cell int) [][]any {
 		n := ns[cell/len(fracs)]
 		frac := fracs[cell%len(fracs)]
 		nw := newSupernode(o.envDelivery(), supernode.Config{Seed: o.Seed ^ uint64(n), N: n, MeasureEvery: -1})
@@ -90,9 +87,8 @@ func E9GroupBalance(o Options) *metrics.Table {
 		}
 		sizes := nw.GroupSizes()
 		s := metrics.SummarizeInts(sizes)
-		return [][]string{metrics.Row(n, nw.NSuper(), s.Mean, s.Min, s.Max, frac, maxFrac, allAvail)}
-	})))
-	return t
+		return [][]any{{n, nw.NSuper(), s.Mean, s.Min, s.Max, frac, maxFrac, allAvail}}
+	})
 }
 
 // A2SyncRule compares the paper's lowest-id synchronization rule with a
@@ -102,7 +98,7 @@ func A2SyncRule(o Options) *metrics.Table {
 	t := metrics.NewTable("A2  Ablation — synchronization rule (n=1024, blocked 0.4, late)",
 		"rule", "rounds", "disconnected", "stalls", "empty groups")
 	n := o.size(256, 1024)
-	t.AddRows(mustRows(RunRows(o, 2, func(cell int) [][]string {
+	return sweep(o, t, 2, func(cell int) [][]any {
 		random := cell == 1
 		nw := newSupernode(o.envDelivery(), supernode.Config{Seed: o.Seed, N: n, RandomLeader: random})
 		_, st := isolate(nw, 0.4, rng.New(o.Seed+7), true, 3)
@@ -110,9 +106,8 @@ func A2SyncRule(o Options) *metrics.Table {
 		if random {
 			name = "rotating"
 		}
-		return [][]string{metrics.Row(name, st.Rounds, st.Disconnected, st.Stalls, st.EmptyGroups)}
-	})))
-	return t
+		return [][]any{{name, st.Rounds, st.Disconnected, st.Stalls, st.EmptyGroups}}
+	})
 }
 
 // blockedIDs enumerates node ids 1..n (helper for adversaries needing

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"math"
 
 	"overlaynet/internal/dos"
@@ -23,7 +22,7 @@ func A3ExpansionMatters(o Options) *metrics.Table {
 	t := metrics.NewTable("A3  Ablation — the primitive needs expansion (identical walk lengths)",
 		"graph", "n", "degree", "walk length", "mean dist to sample", "uniform mean dist", "locality ratio")
 	sides := o.sizes([]int{12}, []int{16, 24, 32})
-	t.AddRows(mustRows(RunRows(o, len(sides), func(cell int) [][]string {
+	return sweep(o, t, len(sides), func(cell int) [][]any {
 		side := sides[cell]
 		n := side * side
 		walk := 1 << bitsCeilLog2(4*int(math.Log2(float64(n))))
@@ -41,7 +40,7 @@ func A3ExpansionMatters(o Options) *metrics.Table {
 		}
 		uni := float64(side) / 2
 		mean := sum / float64(cnt)
-		rows := [][]string{metrics.Row("torus", n, 4, walk, mean, uni, mean/uni)}
+		rows := [][]any{{"torus", n, 4, walk, mean, uni, mean / uni}}
 
 		// H-graph with the same degree-4 and walk length: full mixing,
 		// measured as pooled TV at the noise floor.
@@ -56,10 +55,8 @@ func A3ExpansionMatters(o Options) *metrics.Table {
 		// Mean BFS distance from vertex 0 approximates the uniform
 		// expectation on the expander.
 		meanDist, uniDist := expanderSampleDistance(g.Neighbors, n, res2.Samples)
-		rows = append(rows, metrics.Row("H-graph", n, 4, walk, meanDist, uniDist, meanDist/uniDist))
-		return rows
-	})))
-	return t
+		return append(rows, []any{"H-graph", n, 4, walk, meanDist, uniDist, meanDist / uniDist})
+	})
 }
 
 func bitsCeilLog2(x int) int {
@@ -134,11 +131,12 @@ func bfsAll(neighbors func(int) []int32, n, src int) []int {
 // failures or disconnections appear.
 func X1ChurnRateLimit(o Options) *metrics.Table {
 	t := metrics.NewTable("X1  Extension — churn-rate limit of the split/merge network (n0=1024)",
-		"churn/epoch", "epochs", "disc rounds", "stalls", "assign fails", "eq1 ok", "dim spread", "n final")
+		"churn/epoch", "epochs", "disc rounds", "stalls", "assign fails", "eq1 ok", "dim spread", "n final").
+		Format("churn/epoch", "%d%%")
 	n0 := o.size(512, 1024)
 	fracs := o.sizes([]int{25}, []int{12, 25, 50, 75, 100})
 	epochs := o.size(2, 4)
-	t.AddRows(mustRows(RunRows(o, len(fracs), func(cell int) [][]string {
+	return sweep(o, t, len(fracs), func(cell int) [][]any {
 		f := fracs[cell]
 		frac := float64(f) / 100
 		nw := newSplitMerge(o.envDelivery(), splitmerge.Config{Seed: o.Seed, N0: n0})
@@ -150,10 +148,9 @@ func X1ChurnRateLimit(o Options) *metrics.Table {
 			nw.Run(nil, buf, nw.EpochRounds())
 		}
 		st := nw.StatsSnapshot()
-		return [][]string{metrics.Row(fmt.Sprintf("%d%%", f), epochs, st.Disconnected, st.Stalls, st.AssignFails,
-			st.Eq1Violations == 0 && nw.Eq1Holds(), st.MaxDimSpread, nw.N())}
-	})))
-	return t
+		return [][]any{{f, epochs, st.Disconnected, st.Stalls, st.AssignFails,
+			st.Eq1Violations == 0 && nw.Eq1Holds(), st.MaxDimSpread, nw.N()}}
+	})
 }
 
 // X2CrashFailures explores the paper's §6 discussion of crash
@@ -167,7 +164,7 @@ func X2CrashFailures(o Options) *metrics.Table {
 		"crashed frac", "rounds", "disconnected (live)", "stalls", "epochs completed")
 	n := o.size(256, 1024)
 	fracs := o.sizes([]int{20}, []int{10, 25, 40, 48})
-	t.AddRows(mustRows(RunRows(o, len(fracs), func(cell int) [][]string {
+	return sweep(o, t, len(fracs), func(cell int) [][]any {
 		f := fracs[cell]
 		frac := float64(f) / 100
 		nw := newSupernode(o.envDelivery(), supernode.Config{Seed: o.Seed ^ uint64(f), N: n})
@@ -181,9 +178,8 @@ func X2CrashFailures(o Options) *metrics.Table {
 			nw.Step(crashed)
 		}
 		st := nw.StatsSnapshot()
-		return [][]string{metrics.Row(frac, rounds, st.Disconnected, st.Stalls, nw.Epoch())}
-	})))
-	return t
+		return [][]any{{frac, rounds, st.Disconnected, st.Stalls, nw.Epoch()}}
+	})
 }
 
 // X4KAryNetwork runs the full Section 7.2 extension: the Section 5
@@ -197,15 +193,13 @@ func X4KAryNetwork(o Options) *metrics.Table {
 	if o.Quick {
 		cases = cases[1:2]
 	}
-	t.AddRows(mustRows(RunRows(o, len(cases)*2, func(cell int) [][]string {
+	return sweep(o, t, len(cases)*2, func(cell int) [][]any {
 		c := cases[cell/2]
 		late := cell%2 == 0
 		nw := newSupernode(o.envDelivery(), supernode.Config{Seed: o.Seed ^ uint64(c[0]), N: c[1], K: c[0]})
 		lateness, st := isolate(nw, 0.4, rng.New(o.Seed+uint64(c[0])), late, 3)
-		return [][]string{metrics.Row(c[0], c[1], nw.NSuper(), nw.EpochRounds(),
-			fmt.Sprintf("%d", lateness), st.Disconnected, st.Stalls)}
-	})))
-	return t
+		return [][]any{{c[0], c[1], nw.NSuper(), nw.EpochRounds(), lateness, st.Disconnected, st.Stalls}}
+	})
 }
 
 // X3KAryRapidSampling validates the k-ary generalization of Algorithm
@@ -218,7 +212,7 @@ func X3KAryRapidSampling(o Options) *metrics.Table {
 	if o.Quick {
 		cases = cases[:1]
 	}
-	t.AddRows(mustRows(RunRows(o, len(cases), func(cell int) [][]string {
+	return sweep(o, t, len(cases), func(cell int) [][]any {
 		c := cases[cell]
 		p := sampling.KAryParams{K: c[0], Dim: c[1], Epsilon: 1, C: 2}
 		res := sampling.RapidKAry(o.Seed^uint64(c[0]*100+c[1]), p)
@@ -227,7 +221,6 @@ func X3KAryRapidSampling(o Options) *metrics.Table {
 			n *= c[0]
 		}
 		tv, env := metrics.PooledTV(res.Samples, n)
-		return [][]string{metrics.Row(c[0], c[1], n, res.Rounds, p.Samples(), tv, env, res.Failures)}
-	})))
-	return t
+		return [][]any{{c[0], c[1], n, res.Rounds, p.Samples(), tv, env, res.Failures}}
+	})
 }

@@ -62,14 +62,13 @@ func F1FaultMatrix(o Options) *metrics.Table {
 	t := metrics.NewTable("F1  Invariant audit under deterministic fault injection",
 		"system", "faults", "epochs", "crashes", "rejoins", "msg drops", "msg dups", "violations", "failed invariants", "healthy")
 	specs := f1Specs(o.Quick)
-	t.AddRows(mustRows(RunRows(o, 2*len(specs), func(cell int) [][]string {
+	return sweep(o, t, 2*len(specs), func(cell int) [][]any {
 		spec := specs[cell%len(specs)].WithSeed(cellSeed(o.Seed, 0xf1a, uint64(cell%len(specs))))
 		if cell < len(specs) {
 			return f1Core(o, cell, spec)
 		}
 		return f1SplitMerge(o, cell, spec)
-	})))
-	return t
+	})
 }
 
 // f1Core runs the §4 reconfiguration network under spec, auditing every
@@ -77,7 +76,7 @@ func F1FaultMatrix(o Options) *metrics.Table {
 // schedule picks victims among current members each epoch, they leave
 // (volatile state gone), and rejoin through the §4 join protocol once
 // their downtime expires.
-func f1Core(o Options, cell int, spec fault.Spec) [][]string {
+func f1Core(o Options, cell int, spec fault.Spec) [][]any {
 	n := 64
 	epochs := o.size(2, 4)
 	seed := cellSeed(o.Seed, 0xf1, uint64(cell))
@@ -118,15 +117,14 @@ func f1Core(o Options, cell int, spec fault.Spec) [][]string {
 	nw.Shutdown()
 
 	m := ev.trace.Snapshot()
-	return [][]string{metrics.Row("reconfig §4", spec.WithSeed(0).String(), epochs,
-		crashes, rejoins, uint64(m["overlaynet_drops_fault_injected_total"]),
-		uint64(m["overlaynet_dup_extra_copies_total"]),
-		ev.audit.Count(), failedInvariants(ev.audit), healthy)}
+	return [][]any{{"reconfig §4", spec.WithSeed(0).String(), epochs, crashes, rejoins,
+		uint64(m["overlaynet_drops_fault_injected_total"]), uint64(m["overlaynet_dup_extra_copies_total"]),
+		ev.audit.Count(), failedInvariants(ev.audit), healthy}}
 }
 
 // f1SplitMerge runs the §6 split/merge overlay under spec plus a late
 // DoS adversary, auditing every round.
-func f1SplitMerge(o Options, cell int, spec fault.Spec) [][]string {
+func f1SplitMerge(o Options, cell int, spec fault.Spec) [][]any {
 	n0, epochs := o.size(128, 256), o.size(2, 3)
 	seed := cellSeed(o.Seed, 0xf1, uint64(cell))
 	ev := o.envLocal(cell, seed)
@@ -137,6 +135,6 @@ func f1SplitMerge(o Options, cell int, spec fault.Spec) [][]string {
 	nw.Run(adv, buf, epochs*nw.EpochRounds())
 	st := nw.StatsSnapshot()
 	healthy := st.Disconnected == 0 && nw.Eq1Holds()
-	return [][]string{metrics.Row("splitmerge §6", spec.WithSeed(0).String(), epochs,
-		st.Crashes, st.Restarts, st.FaultDrops, st.FaultDups, ev.audit.Count(), failedInvariants(ev.audit), healthy)}
+	return [][]any{{"splitmerge §6", spec.WithSeed(0).String(), epochs,
+		st.Crashes, st.Restarts, st.FaultDrops, st.FaultDups, ev.audit.Count(), failedInvariants(ev.audit), healthy}}
 }

@@ -35,21 +35,18 @@ func TestAuditedFaultedTablesShardInvariant(t *testing.T) {
 // actual injected activity.
 func TestF1FaultMatrixSmoke(t *testing.T) {
 	tbl := F1FaultMatrix(Options{Seed: 42, Quick: true, Procs: 2, Exp: "F1"})
-	rows := tbl.Rows()
-	if len(rows) == 0 {
+	if tbl.NumRows() == 0 {
 		t.Fatal("F1 rendered no rows")
 	}
 	sawFaultActivity := false
-	for _, row := range rows {
-		// Columns: system, faults, epochs, crashes, rejoins, drops,
-		// dups, violations, failed invariants, healthy.
-		if row[1] == "none" {
-			if row[7] != "0" || row[9] != "true" {
+	for i, row := range tbl.Rows() {
+		if valueAs[string](t, tbl, i, "faults") == "none" {
+			if valueAs[int](t, tbl, i, "violations") != 0 || !valueAs[bool](t, tbl, i, "healthy") {
 				t.Fatalf("control row unhealthy: %v", row)
 			}
 			continue
 		}
-		if row[3] != "0" || row[5] != "0" || row[6] != "0" {
+		if num(t, tbl, i, "crashes") != 0 || num(t, tbl, i, "msg drops") != 0 || num(t, tbl, i, "msg dups") != 0 {
 			sawFaultActivity = true
 		}
 	}

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"fmt"
-
 	"overlaynet/internal/audit"
 	"overlaynet/internal/fault"
 	"overlaynet/internal/metrics"
@@ -74,14 +72,14 @@ func (w *worstService) observe(sizes []int, n int) {
 // one break was observed and no invariant is still broken. Closed
 // episodes are forwarded to the shared trace recorder so benchtables
 // -events and tracestats see them.
-func r1Row(o Options, system string, n int, scen string, eng *audit.Engine, repairs int, worst worstService) []string {
+func r1Row(o Options, system string, n int, scen string, eng *audit.Engine, repairs int, worst worstService) []any {
 	recs := eng.Recoveries()
 	if o.Trace != nil {
 		for _, r := range recs {
 			o.Trace.ReportRecovery(r)
 		}
 	}
-	brokenAt, cleanAt, mttr := "-", "-", "-"
+	var brokenAt, cleanAt, mttr any = "-", "-", "-"
 	if len(recs) > 0 {
 		w := recs[0]
 		for _, r := range recs[1:] {
@@ -89,11 +87,10 @@ func r1Row(o Options, system string, n int, scen string, eng *audit.Engine, repa
 				w = r
 			}
 		}
-		brokenAt, cleanAt, mttr = fmt.Sprint(w.BrokenAt), fmt.Sprint(w.CleanAt), fmt.Sprint(w.Rounds)
+		brokenAt, cleanAt, mttr = w.BrokenAt, w.CleanAt, w.Rounds
 	}
 	recovered := len(recs) > 0 && len(eng.OpenBreaks()) == 0
-	return metrics.Row(system, n, scen, len(recs), brokenAt, cleanAt, mttr, repairs,
-		fmt.Sprintf("%.3f", worst.routing), fmt.Sprintf("%.3f", worst.tv), recovered)
+	return []any{system, n, scen, len(recs), brokenAt, cleanAt, mttr, repairs, worst.routing, worst.tv, recovered}
 }
 
 // R1Recovery sweeps partition width, corruption rate and n over the
@@ -103,20 +100,20 @@ func r1Row(o Options, system string, n int, scen string, eng *audit.Engine, repa
 // byte-identical for any -procs or OVERLAYNET_SHARDS.
 func R1Recovery(o Options) *metrics.Table {
 	t := metrics.NewTable("R1  Self-healing — partition & state corruption, measured time-to-recover",
-		"system", "n", "fault", "episodes", "broken@", "clean@", "mttr (rounds)", "repairs", "svc routing", "svc sampling", "recovered")
+		"system", "n", "fault", "episodes", "broken@", "clean@", "mttr (rounds)", "repairs", "svc routing", "svc sampling", "recovered").
+		Format("svc routing", "%.3f").Format("svc sampling", "%.3f")
 	scens := r1Scenarios(o.Quick)
 	coreNs := o.sizes([]int{48}, []int{48, 64})
 	ovNs := o.sizes([]int{128}, []int{192, 256})
 	perCore := len(coreNs) * len(scens)
 	perOv := len(ovNs) * len(scens)
-	t.AddRows(mustRows(RunRows(o, perCore+2*perOv, func(cell int) [][]string {
+	return sweep(o, t, perCore+2*perOv, func(cell int) [][]any {
 		if cell < perCore {
-			return [][]string{r1Core(o, cell, coreNs[cell/len(scens)], scens[cell%len(scens)])}
+			return [][]any{r1Core(o, cell, coreNs[cell/len(scens)], scens[cell%len(scens)])}
 		}
 		c := (cell - perCore) % perOv
-		return [][]string{r1Overlay(o, cell, ovNs[c/len(scens)], scens[c%len(scens)], overlayKinds[(cell-perCore)/perOv])}
-	})))
-	return t
+		return [][]any{r1Overlay(o, cell, ovNs[c/len(scens)], scens[c%len(scens)], overlayKinds[(cell-perCore)/perOv])}
+	})
 }
 
 // r1Cell is what the §4 and the §5/§6 halves of a cell share: the seed,
@@ -134,7 +131,7 @@ func r1Cell(o Options, cell int, scen r1Scenario) (seed uint64, spec fault.Spec,
 // through the shared backing arrays. Repair is the Hamilton-cycle
 // splice: suspects computed from the broken topology leave and re-enter
 // through the §4 join protocol until the auditors are quiet.
-func r1Core(o Options, cell, n int, scen r1Scenario) []string {
+func r1Core(o Options, cell, n int, scen r1Scenario) []any {
 	seed, spec, e := r1Cell(o, cell, scen)
 	eng := e.audit
 	nw := newCore(e, seed, n)
@@ -195,7 +192,7 @@ func r1Core(o Options, cell, n int, scen r1Scenario) []string {
 // own — group re-formation from the surviving replicas, or restoring the
 // label partition, forcing a re-balance toward Equation (1) and
 // reconciling the membership index.
-func r1Overlay(o Options, cell, n int, scen r1Scenario, k overlayKind) []string {
+func r1Overlay(o Options, cell, n int, scen r1Scenario, k overlayKind) []any {
 	seed, spec, e := r1Cell(o, cell, scen)
 	eng := e.audit
 	nw := k.build(e, seed, n, 0, 0)
@@ -247,5 +244,5 @@ func r1Overlay(o Options, cell, n int, scen r1Scenario, k overlayKind) []string 
 			step(er)
 		}
 	}
-	return r1Row(o, k.label(), n, scen.name, eng, repairs, worst)
+	return r1Row(o, k.label, n, scen.name, eng, repairs, worst)
 }

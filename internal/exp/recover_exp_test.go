@@ -1,9 +1,6 @@
 package exp
 
-import (
-	"strconv"
-	"testing"
-)
+import "testing"
 
 // TestR1RecoveryShardInvariant is the recovery-layer determinism
 // acceptance: fault injection, audit timestamps and repair decisions
@@ -23,29 +20,22 @@ func TestR1RecoveryShardInvariant(t *testing.T) {
 // the headline claim of the recovery subsystem.
 func TestR1RecoverySmoke(t *testing.T) {
 	tbl := R1Recovery(Options{Seed: 42, Quick: true, Procs: 2, Exp: "R1"})
-	rows := tbl.Rows()
-	if len(rows) != 6 {
-		t.Fatalf("quick R1 rendered %d rows, want 6 (3 systems × 2 scenarios):\n%s", len(rows), tbl.String())
+	if tbl.NumRows() != 6 {
+		t.Fatalf("quick R1 rendered %d rows, want 6 (3 systems × 2 scenarios):\n%s", tbl.NumRows(), tbl.String())
 	}
 	systems := map[string]bool{}
-	for _, row := range rows {
-		// Columns: system, n, fault, episodes, broken@, clean@,
-		// mttr (rounds), repairs, svc routing, svc sampling, recovered.
-		systems[row[0]] = true
-		if row[10] != "true" {
+	for i, row := range tbl.Rows() {
+		systems[valueAs[string](t, tbl, i, "system")] = true
+		if !valueAs[bool](t, tbl, i, "recovered") {
 			t.Fatalf("cell did not recover: %v", row)
 		}
-		eps, err := strconv.Atoi(row[3])
-		if err != nil || eps < 1 {
+		if valueAs[int](t, tbl, i, "episodes") < 1 {
 			t.Fatalf("cell observed no break episodes: %v", row)
 		}
-		mttr, err := strconv.Atoi(row[6])
-		if err != nil || mttr < 1 {
+		if valueAs[int](t, tbl, i, "mttr (rounds)") < 1 {
 			t.Fatalf("MTTR not a positive round count: %v", row)
 		}
-		broken, err1 := strconv.Atoi(row[4])
-		clean, err2 := strconv.Atoi(row[5])
-		if err1 != nil || err2 != nil || clean <= broken {
+		if valueAs[int](t, tbl, i, "clean@") <= valueAs[int](t, tbl, i, "broken@") {
 			t.Fatalf("clean@ must come after broken@: %v", row)
 		}
 	}

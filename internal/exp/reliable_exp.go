@@ -38,7 +38,7 @@ func AS2ReliableDelivery(o Options) *metrics.Table {
 	drops := []float64{0, 0.05}
 	const modes = 2
 	perSys := len(lats) * len(drops) * modes
-	t.AddRows(mustRows(RunRows(o, 2*perSys, func(cell int) [][]string {
+	return sweep(o, t, 2*perSys, func(cell int) [][]any {
 		c := cell % perSys
 		lat := lats[c/(len(drops)*modes)]
 		drop := drops[(c/modes)%len(drops)]
@@ -48,9 +48,8 @@ func AS2ReliableDelivery(o Options) *metrics.Table {
 		}
 		if cell/perSys == 0 {
 			res, tv, inEnv := samplingUnder(o, 0xa2, lat, drop, rel)
-			return [][]string{metrics.Row("sampling §3", lat, drop, mode, res.Rounds,
-				res.Failures, res.Retransmits, res.DeliveryFailures,
-				tv, res.Failures == 0 && res.DeliveryFailures == 0 && inEnv)}
+			return [][]any{{"sampling §3", lat, drop, mode, res.Rounds, res.Failures, res.Retransmits,
+				res.DeliveryFailures, tv, res.Failures == 0 && res.DeliveryFailures == 0 && inEnv}}
 		}
 		// Budget-exhausted deliveries surface as FailDelivery inside the
 		// failures column AND in the lost column (the kernel's own tally),
@@ -59,10 +58,9 @@ func AS2ReliableDelivery(o Options) *metrics.Table {
 		nw, tally := coreUnder(o, 0xa2, lat, drop, rel)
 		defer nw.Shutdown()
 		rs := nw.ReliabilityStats()
-		return [][]string{metrics.Row("reconfig §4", lat, drop, mode, tally.rounds*nw.Stretch(),
-			tally.failures, rs.Retransmits, rs.Failures, tally, tally.healthy())}
-	})))
-	return t
+		return [][]any{{"reconfig §4", lat, drop, mode, tally.rounds * nw.Stretch(),
+			tally.failures, rs.Retransmits, rs.Failures, tally.quality(), tally.healthy()}}
+	})
 }
 
 // as2Latencies is the sweep: the zero-spread control plus the two

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -17,22 +18,18 @@ func TestAS2ZeroSpreadPairIdentity(t *testing.T) {
 		t.Fatalf("AS2 quick table has %d rows, want %d", len(rows), 2*per)
 	}
 	for s := 0; s < 2; s++ {
-		legacy, rel := rows[s*per], rows[s*per+1]
-		if legacy[3] != "legacy" || rel[3] != "reliable" ||
-			legacy[1] != "const:1" || legacy[2] != "0" {
-			t.Fatalf("system %q: unexpected control rows %v, %v", legacy[0], legacy, rel)
+		l, r := s*per, s*per+1
+		legacy, rel := rows[l], rows[r]
+		if tab.Value(l, "mode") != "legacy" || tab.Value(r, "mode") != "reliable" ||
+			tab.Value(l, "latency") != as2Latencies(true)[0] || tab.Value(l, "drop") != 0.0 {
+			t.Fatalf("system %v: unexpected control rows %v, %v", legacy[0], legacy, rel)
 		}
-		for i := range legacy {
-			if i == 3 {
-				continue
-			}
-			if rel[i] != legacy[i] {
-				t.Errorf("%s col %d: legacy=%q but reliable=%q — idle reliable layer not silent",
-					legacy[0], i, legacy[i], rel[i])
-			}
+		if num(t, tab, r, "retx") != 0 || num(t, tab, r, "lost") != 0 {
+			t.Errorf("%v control: retx, lost = %v, %v, want 0/0", rel[0], rel[6], rel[7])
 		}
-		if rel[6] != "0" || rel[7] != "0" {
-			t.Errorf("%s control: retx=%q lost=%q, want 0/0", rel[0], rel[6], rel[7])
+		legacy[3], rel[3] = nil, nil
+		if !reflect.DeepEqual(legacy, rel) {
+			t.Errorf("legacy row %v but reliable row %v — idle reliable layer not silent", legacy, rel)
 		}
 	}
 }
@@ -44,23 +41,22 @@ func TestAS2ZeroSpreadPairIdentity(t *testing.T) {
 // assertion.
 func TestAS2ReliableRestores(t *testing.T) {
 	tab := AS2ReliableDelivery(Options{Seed: 7, Quick: true})
-	rows := tab.Rows()
 	per := len(as2Latencies(true)) * 2 * 2
 	for s := 0; s < 2; s++ {
 		// Quick lats: [const:1, uniform]. Rows per system are ordered
 		// (lat, drop, mode); the uniform/drop-0 pair sits at offset 4.
-		legacy, rel := rows[s*per+4], rows[s*per+5]
-		if legacy[1] != "uniform:0.5,2.5" || legacy[2] != "0" {
-			t.Fatalf("system %d: unexpected spread rows %v, %v", s, legacy, rel)
+		l, r := s*per+4, s*per+5
+		if tab.Value(l, "latency") != as2Latencies(true)[1] || tab.Value(l, "drop") != 0.0 {
+			t.Fatalf("system %d: unexpected spread rows %v, %v", s, tab.Rows()[l], tab.Rows()[r])
 		}
-		if legacy[9] != "false" {
-			t.Errorf("%s legacy spread row healthy=%q, want false (sweep is vacuous)", legacy[0], legacy[9])
+		if valueAs[bool](t, tab, l, "healthy") {
+			t.Errorf("%v legacy spread row healthy, want not (sweep is vacuous)", tab.Value(l, "system"))
 		}
-		if rel[9] != "true" {
-			t.Errorf("%s reliable spread row healthy=%q, want true — restoration failed", rel[0], rel[9])
+		if !valueAs[bool](t, tab, r, "healthy") {
+			t.Errorf("%v reliable spread row unhealthy — restoration failed", tab.Value(r, "system"))
 		}
-		if rel[6] == "0" || rel[7] != "0" {
-			t.Errorf("%s reliable spread row retx=%q lost=%q, want >0 and 0", rel[0], rel[6], rel[7])
+		if retx, lost := num(t, tab, r, "retx"), num(t, tab, r, "lost"); retx == 0 || lost != 0 {
+			t.Errorf("%v reliable spread row retx=%v lost=%v, want >0 and 0", tab.Value(r, "system"), retx, lost)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"overlaynet/internal/metrics"
 )
 
 // The parallel trial harness. Every experiment driver is a sweep over
@@ -146,18 +148,18 @@ func RunCells[T any](o Options, ncells int, fn func(cell int) T) ([]T, error) {
 	return out, firstErr
 }
 
-// RunRows is RunCells for the common case of cells that each render a
-// batch of table rows: the per-cell batches are concatenated in cell
-// order. A cell that renders zero rows (with no watchdog error already
-// explaining why) is reported as an error — it means the cell built a
-// degenerate (for example zero-node) configuration and its absence
-// would silently shrink the table.
-func RunRows(o Options, ncells int, fn func(cell int) [][]string) ([][]string, error) {
+// RunRows is RunCells for the common case of cells that each produce a
+// batch of table rows, one value per column: the per-cell batches are
+// concatenated in cell order. A cell that produces zero rows (with no
+// watchdog error already explaining why) is reported as an error — it
+// means the cell built a degenerate (for example zero-node) configuration
+// and its absence would silently shrink the table.
+func RunRows(o Options, ncells int, fn func(cell int) [][]any) ([][]any, error) {
 	batches, err := RunCells(o, ncells, fn)
 	if err != nil {
 		return nil, err
 	}
-	var rows [][]string
+	var rows [][]any
 	for i, batch := range batches {
 		if len(batch) == 0 {
 			return nil, fmt.Errorf("exp: %s: cell %d rendered zero rows (zero-node or degenerate cell configuration)",
@@ -168,22 +170,17 @@ func RunRows(o Options, ncells int, fn func(cell int) [][]string) ([][]string, e
 	return rows, nil
 }
 
-// mustRows unwraps a RunRows result inside the table drivers: a sweep
-// that fails validation or stalls is a driver/config bug, surfaced as a
-// panic the CLI's recover path turns into a proper error exit.
-func mustRows(rows [][]string, err error) [][]string {
+// sweep fills a driver's table t with the rows of its RunRows sweep and
+// returns it. A sweep that fails validation or stalls is a driver/config
+// bug, surfaced as a panic the CLI's recover path turns into a proper
+// error exit; so is a row of the wrong width (metrics.Table.AddRow).
+func sweep(o Options, t *metrics.Table, ncells int, fn func(cell int) [][]any) *metrics.Table {
+	rows, err := RunRows(o, ncells, fn)
 	if err != nil {
 		panic(err)
 	}
-	return rows
-}
-
-// mustCells is mustRows for raw RunCells results.
-func mustCells[T any](res []T, err error) []T {
-	if err != nil {
-		panic(err)
-	}
-	return res
+	t.AddRows(rows)
+	return t
 }
 
 // cellSeed derives the seed for one sweep cell from the experiment

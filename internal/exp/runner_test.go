@@ -11,6 +11,14 @@ import (
 	"overlaynet/internal/trace"
 )
 
+// mustCells unwraps a RunCells result.
+func mustCells[T any](res []T, err error) []T {
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 // TestRunCellsOrderAndCoverage checks that every cell runs exactly once
 // and that results land in canonical cell order for worker counts both
 // below and above the cell count.
@@ -37,10 +45,10 @@ func TestRunCellsOrderAndCoverage(t *testing.T) {
 // cell order regardless of scheduling.
 func TestRunRowsFlattensInOrder(t *testing.T) {
 	o := Options{Procs: 8}
-	rows, err := RunRows(o, 10, func(cell int) [][]string {
-		out := make([][]string, cell%3+1)
+	rows, err := RunRows(o, 10, func(cell int) [][]any {
+		out := make([][]any, cell%3+1)
 		for i := range out {
-			out[i] = []string{fmt.Sprintf("%d.%d", cell, i)}
+			out[i] = []any{fmt.Sprintf("%d.%d", cell, i)}
 		}
 		return out
 	})
@@ -87,11 +95,11 @@ func TestRunCellsRejectsEmptySweep(t *testing.T) {
 // loudly instead of silently shrinking the table.
 func TestRunRowsRejectsZeroRowCell(t *testing.T) {
 	o := Options{Exp: "EZ", Procs: 2}
-	_, err := RunRows(o, 5, func(cell int) [][]string {
+	_, err := RunRows(o, 5, func(cell int) [][]any {
 		if cell == 3 {
 			return nil
 		}
-		return [][]string{{fmt.Sprint(cell)}}
+		return [][]any{{cell}}
 	})
 	if err == nil {
 		t.Fatal("want zero-row cell error, got nil")

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"math"
 
 	"overlaynet/internal/hgraph"
@@ -25,18 +24,16 @@ func expParams(o Options, n int) sampling.HGraphParams {
 // distance of the pooled samples to uniform, and protocol failures.
 func E1RapidSamplingHGraph(o Options) *metrics.Table {
 	t := metrics.NewTable("E1  Theorem 2 — rapid node sampling in H-graphs (d=8, alpha=2, eps=1, c=2)",
-		"n", "rounds", "loglog n", "samples/node", "TV", "3x envelope", "failures")
+		"n", "rounds", "loglog n", "samples/node", "TV", "3x envelope", "failures").Format("loglog n", "%.2f")
 	ns := o.sizes([]int{128, 256}, []int{256, 512, 1024, 2048})
-	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
+	return sweep(o, t, len(ns), func(cell int) [][]any {
 		n := ns[cell]
 		p := expParams(o, n)
 		h := hgraph.Random(rng.New(cellSeed(o.Seed, uint64(n))), n, p.D)
 		res := sampling.RapidHGraph(o.Seed^uint64(n), h, p)
 		tv, env := metrics.PooledTV(res.Samples, n)
-		return [][]string{metrics.Row(n, res.Rounds, fmt.Sprintf("%.2f", math.Log2(math.Log2(float64(n)))),
-			p.Samples(), tv, env, res.Failures)}
-	})))
-	return t
+		return [][]any{{n, res.Rounds, math.Log2(math.Log2(float64(n))), p.Samples(), tv, env, res.Failures}}
+	})
 }
 
 // E2CommunicationWork measures Theorem 2's communication-work bound:
@@ -46,17 +43,15 @@ func E2CommunicationWork(o Options) *metrics.Table {
 	t := metrics.NewTable("E2  Theorem 2 — communication work per node per round",
 		"n", "max bits/node-round", "log^k n envelope", "ratio", "total Mbits")
 	ns := o.sizes([]int{128, 256}, []int{256, 512, 1024, 2048})
-	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
+	return sweep(o, t, len(ns), func(cell int) [][]any {
 		n := ns[cell]
 		p := expParams(o, n)
 		h := hgraph.Random(rng.New(cellSeed(o.Seed, uint64(n))), n, p.D)
 		res := sampling.RapidHGraph(o.Seed^uint64(n), h, p)
 		k := 2 + math.Log2(2+p.Epsilon)
 		env := metrics.PolylogEnvelope(n, k, 1)
-		return [][]string{metrics.Row(n, res.MaxNodeBits, env, float64(res.MaxNodeBits)/env,
-			float64(res.TotalBits)/1e6)}
-	})))
-	return t
+		return [][]any{{n, res.MaxNodeBits, env, float64(res.MaxNodeBits) / env, float64(res.TotalBits) / 1e6}}
+	})
 }
 
 // E3RapidSamplingHypercube measures Theorem 3 on the binary hypercube:
@@ -65,15 +60,14 @@ func E3RapidSamplingHypercube(o Options) *metrics.Table {
 	t := metrics.NewTable("E3  Theorem 3 — rapid node sampling in the hypercube (eps=1, c=2)",
 		"dim", "n", "rounds", "samples/node", "TV", "3x envelope", "failures")
 	dims := o.sizes([]int{4}, []int{2, 4, 8})
-	t.AddRows(mustRows(RunRows(o, len(dims), func(cell int) [][]string {
+	return sweep(o, t, len(dims), func(cell int) [][]any {
 		dim := dims[cell]
 		p := sampling.HypercubeParams{Dim: dim, Epsilon: 1, C: 2, Latency: o.Latency}
 		res := sampling.RapidHypercube(o.Seed^uint64(dim), p)
 		n := 1 << dim
 		tv, env := metrics.PooledTV(res.Samples, n)
-		return [][]string{metrics.Row(dim, n, res.Rounds, p.Samples(), tv, env, res.Failures)}
-	})))
-	return t
+		return [][]any{{dim, n, res.Rounds, p.Samples(), tv, env, res.Failures}}
+	})
 }
 
 // E4RapidVsWalk compares the rapid primitives against the classic
@@ -82,10 +76,10 @@ func E3RapidSamplingHypercube(o Options) *metrics.Table {
 // improvement over Das Sarma et al.).
 func E4RapidVsWalk(o Options) *metrics.Table {
 	t := metrics.NewTable("E4  Rapid sampling vs plain random walks (who wins, by what factor)",
-		"topology", "n", "walk rounds", "rapid rounds", "speed-up", "walk TV", "rapid TV")
+		"topology", "n", "walk rounds", "rapid rounds", "speed-up", "walk TV", "rapid TV").Format("speed-up", "%.1fx")
 	ns := o.sizes([]int{128}, []int{256, 1024, 2048})
 	dims := o.sizes([]int{4}, []int{4, 8})
-	t.AddRows(mustRows(RunRows(o, len(ns)+len(dims), func(cell int) [][]string {
+	return sweep(o, t, len(ns)+len(dims), func(cell int) [][]any {
 		if cell < len(ns) {
 			n := ns[cell]
 			p := expParams(o, n)
@@ -93,20 +87,17 @@ func E4RapidVsWalk(o Options) *metrics.Table {
 			steps := p.WalkTarget()
 			base := sampling.BaselineWalkHGraph(o.Seed^uint64(n), h, 4, steps)
 			rapid := sampling.RapidHGraph(o.Seed^uint64(n)+1, h, p)
-			return [][]string{metrics.Row("H-graph", n, base.Rounds, rapid.Rounds,
-				fmt.Sprintf("%.1fx", float64(base.Rounds)/float64(rapid.Rounds)),
-				tvOf(base.Samples, n), tvOf(rapid.Samples, n))}
+			return [][]any{{"H-graph", n, base.Rounds, rapid.Rounds, float64(base.Rounds) / float64(rapid.Rounds),
+				tvOf(base.Samples, n), tvOf(rapid.Samples, n)}}
 		}
 		dim := dims[cell-len(ns)]
 		p := sampling.DefaultHypercubeParams(dim)
 		base := sampling.BaselineWalkHypercube(o.Seed^uint64(dim), dim, 4)
 		rapid := sampling.RapidHypercube(o.Seed^uint64(dim)+1, p)
 		n := 1 << dim
-		return [][]string{metrics.Row("hypercube", n, base.Rounds, rapid.Rounds,
-			fmt.Sprintf("%.1fx", float64(base.Rounds)/float64(rapid.Rounds)),
-			tvOf(base.Samples, n), tvOf(rapid.Samples, n))}
-	})))
-	return t
+		return [][]any{{"hypercube", n, base.Rounds, rapid.Rounds, float64(base.Rounds) / float64(rapid.Rounds),
+			tvOf(base.Samples, n), tvOf(rapid.Samples, n)}}
+	})
 }
 
 func tvOf(samples [][]int, n int) float64 {
@@ -129,13 +120,12 @@ func E5SuccessProbability(o Options) *metrics.Table {
 	if o.Quick {
 		cases = cases[:3]
 	}
-	t.AddRows(mustRows(RunRows(o, len(cases), func(cell int) [][]string {
+	return sweep(o, t, len(cases), func(cell int) [][]any {
 		cse := cases[cell]
 		p := sampling.HGraphParams{N: n, D: 8, Alpha: 2, Epsilon: cse.eps, C: cse.c}
 		res := sampling.RapidHGraph(o.Seed, h, p)
-		return [][]string{metrics.Row(cse.eps, cse.c, p.M(0), res.Failures, float64(res.Failures)/float64(n))}
-	})))
-	return t
+		return [][]any{{cse.eps, cse.c, p.M(0), res.Failures, float64(res.Failures) / float64(n)}}
+	})
 }
 
 // A1BudgetAblation contrasts the geometric budget schedule of Lemma 7
@@ -148,7 +138,7 @@ func A1BudgetAblation(o Options) *metrics.Table {
 	r := rng.New(o.Seed)
 	h := hgraph.Random(r, n, 8)
 	epss := o.sizes([]int{1}, []int{1, 2, 4})
-	t.AddRows(mustRows(RunRows(o, 2*len(epss), func(cell int) [][]string {
+	return sweep(o, t, 2*len(epss), func(cell int) [][]any {
 		eps := epss[cell/2]
 		flat := cell%2 == 1
 		epsilon := float64(eps) / 4
@@ -161,9 +151,8 @@ func A1BudgetAblation(o Options) *metrics.Table {
 		if flat {
 			name = "flat"
 		}
-		return [][]string{metrics.Row(name, epsilon, p.M(0), res.Failures, res.MaxNodeBits)}
-	})))
-	return t
+		return [][]any{{name, epsilon, p.M(0), res.Failures, res.MaxNodeBits}}
+	})
 }
 
 // E14PointerDoubling demonstrates the mechanism behind Lemma 4's lower
@@ -175,14 +164,13 @@ func A1BudgetAblation(o Options) *metrics.Table {
 // round when using message passing is huge towards the end").
 func E14PointerDoubling(o Options) *metrics.Table {
 	t := metrics.NewTable("E14  Lemma 4 — pointer doubling across a cycle",
-		"n", "distance", "rounds to know antipode", "log2(distance)")
+		"n", "distance", "rounds to know antipode", "log2(distance)").Format("log2(distance)", "%.1f")
 	ns := o.sizes([]int{64}, []int{64, 128, 256})
-	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
+	return sweep(o, t, len(ns), func(cell int) [][]any {
 		n := ns[cell]
 		rounds := pointerDoublingRounds(sim.NewNetwork(sim.Config{Seed: o.Seed}), n)
-		return [][]string{metrics.Row(n, n/2, rounds, fmt.Sprintf("%.1f", math.Log2(float64(n/2))))}
-	})))
-	return t
+		return [][]any{{n, n / 2, rounds, math.Log2(float64(n / 2))}}
+	})
 }
 
 // pointerDoublingRounds runs the introduce-all-contacts protocol on an

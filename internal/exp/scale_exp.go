@@ -70,17 +70,16 @@ func runFlood(o Options, n, hint int) floodWork {
 func S1ScaleFlood(o Options) *metrics.Table {
 	t := metrics.NewTable(
 		"S1  Scale — flood rounds on a single network (fanout=4)",
-		"n", "rounds", "messages/round", "total Mbits", "max bits/node-round")
+		"n", "rounds", "messages/round", "total Mbits", "max bits/node-round").Format("total Mbits", "%.2f")
 	ns := o.sizes([]int{1000, 10000}, []int{10000, 100000})
 	// One network at a time: the cells here are memory-heavy, so the
 	// sweep runs serially regardless of Procs.
 	o.Procs = 1
-	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
+	return sweep(o, t, len(ns), func(cell int) [][]any {
 		n := ns[cell]
 		w := runFlood(o, n, 0)
-		return [][]string{metrics.Row(n, floodRounds, w.msgs/floodRounds, fmt.Sprintf("%.2f", float64(w.bits)/1e6), w.maxBits)}
-	})))
-	return t
+		return [][]any{{n, floodRounds, w.msgs / floodRounds, float64(w.bits) / 1e6, w.maxBits}}
+	})
 }
 
 // S2ScaleFloodEvent measures the event-driven handler kernel at the
@@ -95,30 +94,21 @@ func S1ScaleFlood(o Options) *metrics.Table {
 func S2ScaleFloodEvent(o Options) *metrics.Table {
 	t := metrics.NewTable(
 		"S2  Scale — event-driven flood, handler kernel (fanout=4)",
-		"n", "rounds", "messages/round", "bytes/node-round", "max bits/node-round", "rounds/sec (wall)")
+		"n", "rounds", "messages/round", "bytes/node-round", "max bits/node-round", "rounds/sec (wall)").
+		Format("bytes/node-round", "%.1f").Format("rounds/sec (wall)", "%.1f").Wall("rounds/sec (wall)")
 	ns := o.sizes([]int{10000, 100000}, []int{100000, 1000000})
 	// Memory-heavy, one network at a time, as in S1.
 	o.Procs = 1
-	t.AddRows(mustRows(RunRows(o, len(ns), func(cell int) [][]string {
+	return sweep(o, t, len(ns), func(cell int) [][]any {
 		n := ns[cell]
 		w := runFlood(o, n, n)
-		return [][]string{metrics.Row(n, floodRounds, w.msgs/floodRounds,
-			fmt.Sprintf("%.1f", float64(w.bits)/8/float64(n)/floodRounds), w.maxBits,
-			fmt.Sprintf("%.1f", floodRounds/w.wall.Seconds()))}
-	})))
-	return t
+		return [][]any{{n, floodRounds, w.msgs / floodRounds, float64(w.bits) / 8 / float64(n) / floodRounds,
+			w.maxBits, floodRounds / w.wall.Seconds()}}
+	})
 }
 
-// MaskWallClock blanks every wall-clock column of a table (headers
-// containing "(wall)"), so renderings can be compared byte-for-byte
-// across machines, execution modes, and -procs values. It returns the
-// table for chaining and is a no-op on tables without such a column.
-func MaskWallClock(t *metrics.Table) *metrics.Table {
-	for i := 0; ; i++ {
-		i = t.FindColumnFrom("(wall)", i)
-		if i < 0 {
-			return t
-		}
-		t.MaskColumn(i, "-")
-	}
-}
+// MaskWallClock blanks every column of t that its driver tagged Wall
+// (metrics.Table.MaskWall), so renderings can be compared byte-for-byte
+// across machines, execution modes, and -procs values. The tag, not the
+// header text, decides. It returns the table for chaining.
+func MaskWallClock(t *metrics.Table) *metrics.Table { return t.MaskWall() }

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 
@@ -28,11 +27,13 @@ import (
 func S3ScaleOverlay(o Options) *metrics.Table {
 	t := metrics.NewTable(
 		"S3  Scale — §5/§6 overlay stacks, full epochs (dense slots, sharded rounds)",
-		"stack", "n", "rounds", "supers", "bytes/node-round", "rounds/sec (wall)", "heapMB (wall)")
+		"stack", "n", "rounds", "supers", "bytes/node-round", "rounds/sec (wall)", "heapMB (wall)").
+		Format("bytes/node-round", "%.1f").Format("rounds/sec (wall)", "%.2f").Format("heapMB (wall)", "%.0f").
+		Wall("rounds/sec (wall)").Wall("heapMB (wall)")
 	ns := o.sizes([]int{10000}, []int{100000, 1000000})
 	// Memory-heavy, one network at a time, as in S1.
 	o.Procs = 1
-	t.AddRows(mustRows(RunRows(o, len(ns)*len(overlayKinds), func(cell int) [][]string {
+	return sweep(o, t, len(ns)*len(overlayKinds), func(cell int) [][]any {
 		n, k := ns[cell/len(overlayKinds)], overlayKinds[cell%len(overlayKinds)]
 		eps := 1.0
 		if n >= 1000000 {
@@ -49,10 +50,7 @@ func S3ScaleOverlay(o Options) *metrics.Table {
 		runtime.ReadMemStats(&ms)
 		msgs := nw.Totals().Messages
 		nw.Close()
-		return [][]string{metrics.Row(k.name, n, rounds, nw.supers(),
-			fmt.Sprintf("%.1f", float64(msgs)*8/float64(n)/float64(rounds)),
-			fmt.Sprintf("%.2f", float64(rounds)/wall.Seconds()),
-			fmt.Sprintf("%.0f", float64(ms.HeapInuse)/1e6))}
-	})))
-	return t
+		return [][]any{{k.name, n, rounds, nw.supers(), float64(msgs) * 8 / float64(n) / float64(rounds),
+			float64(rounds) / wall.Seconds(), float64(ms.HeapInuse) / 1e6}}
+	})
 }

@@ -189,8 +189,9 @@ func (s s6) as1(r *rng.RNG) (dos.Adversary, int) {
 
 // overlayKind is a stack as the cross-stack sweeps enumerate it.
 type overlayKind struct {
-	name string // S3's row label
-	sec  int    // the paper's section: row label "name §sec", seed coordinate
+	name  string // S3's row label
+	label string // the other sweeps' row label, "name §sec"
+	sec   int    // the paper's section, a seed coordinate
 	// eps1M is S3's sampling slack at n = 1M, where the default ε = 1
 	// budget schedule would dominate memory, not the protocol state.
 	eps1M float64
@@ -199,13 +200,11 @@ type overlayKind struct {
 	build func(e env, seed uint64, n, measureEvery int, eps float64) overlay
 }
 
-func (k overlayKind) label() string { return fmt.Sprintf("%s §%d", k.name, k.sec) }
-
 var overlayKinds = [...]overlayKind{
-	{"supernode", 5, 0.25, func(e env, seed uint64, n, measureEvery int, eps float64) overlay {
+	{"supernode", "supernode §5", 5, 0.25, func(e env, seed uint64, n, measureEvery int, eps float64) overlay {
 		return s5{newSupernode(e, supernode.Config{Seed: seed, N: n, Epsilon: eps, MeasureEvery: measureEvery}), n}
 	}},
-	{"splitmerge", 6, 0.1, func(e env, seed uint64, n, measureEvery int, eps float64) overlay {
+	{"splitmerge", "splitmerge §6", 6, 0.1, func(e env, seed uint64, n, measureEvery int, eps float64) overlay {
 		return s6{newSplitMerge(e, splitmerge.Config{Seed: seed, N0: n, Epsilon: eps, MeasureEvery: measureEvery})}
 	}},
 }

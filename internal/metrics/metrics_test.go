@@ -136,8 +136,8 @@ func TestSummarizeInts(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("demo", "n", "rounds", "tv")
-	tb.AddRowf(1024, 7, 0.0123)
-	tb.AddRow("65536", "9")
+	tb.AddRow(1024, 7, 0.0123)
+	tb.AddRow("65536", "9", "")
 	out := tb.String()
 	if !strings.Contains(out, "demo") || !strings.Contains(out, "rounds") {
 		t.Fatalf("missing header in:\n%s", out)
@@ -151,6 +151,52 @@ func TestTableRendering(t *testing.T) {
 	}
 	if tb.NumRows() != 2 {
 		t.Fatalf("NumRows = %d", tb.NumRows())
+	}
+}
+
+// TestTableRendersByColumn pins the one rendering rule: a float in a
+// column without a format at %.4g, a formatted column through its verb,
+// a label or a Tuple as itself, anything else through fmt.Sprint.
+func TestTableRendersByColumn(t *testing.T) {
+	tb := NewTable("", "plain", "speed-up", "share", "ok", "quality").
+		Format("speed-up", "%.1fx").Format("share", "%d%%")
+	tb.AddRow(2.0/3, 2.63, 25, true, Tuple{Format: "disc %d/%d", Values: []any{3, 28}})
+	tb.AddRow(12345678.0, "-", 100, false, "n/a")
+	want := "plain      speed-up  share  ok     quality  \n" +
+		"---------  --------  -----  -----  ---------\n" +
+		"0.6667     2.6x      25%    true   disc 3/28\n" +
+		"1.235e+07  -         100%   false  n/a      \n"
+	if got := tb.String(); got != want {
+		t.Fatalf("rendering:\n%q\nwant\n%q", got, want)
+	}
+	if v := tb.Value(0, "share"); v != 25 {
+		t.Fatalf("Value(0, share) = %v, want the int 25", v)
+	}
+}
+
+// TestTableRowWidthPanics: a row that does not match the header is a
+// driver bug, never a padded or truncated row.
+func TestTableRowWidthPanics(t *testing.T) {
+	for _, row := range [][]any{{1}, {1, 2, 3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a row of %d cells under 2 columns did not panic", len(row))
+				}
+			}()
+			NewTable("w", "a", "b").AddRow(row...)
+		}()
+	}
+}
+
+// TestMaskWallReadsTheTag: MaskWall blanks the columns tagged Wall,
+// whatever their headers say.
+func TestMaskWallReadsTheTag(t *testing.T) {
+	tb := NewTable("", "rounds/sec", "heap (wall)").Wall("rounds/sec")
+	tb.AddRow(123.4, 56)
+	tb.MaskWall()
+	if got := tb.Rows()[0]; got[0] != "-" || got[1] != 56 {
+		t.Fatalf("masked row = %v, want [- 56]", got)
 	}
 }
 

@@ -5,55 +5,80 @@ import (
 	"strings"
 )
 
-// Table renders aligned text tables for the experiment reports emitted
-// by cmd/benchtables and the examples.
+// Table is an experiment report as typed data: every row holds one value
+// per column (an int, a float, a bool, a label or a Tuple), and each
+// column owns how its values render and whether they read the wall clock.
+// String is the one place a cell becomes text, so tests and tooling read
+// values (Value, Rows), never renderings.
 type Table struct {
-	Title  string
-	header []string
-	rows   [][]string
+	Title string
+	cols  []column
+	rows  [][]any
 }
 
-// NewTable returns a table with the given title and column headers.
+// column is one column of a Table.
+type column struct {
+	Header string
+	// Format is the fmt verb the column's numbers render with. Empty
+	// renders a float64 at %.4g and any other value through fmt.Sprint.
+	// A label (string) or a Tuple renders as itself in any column.
+	Format string
+	// Wall tags a column whose values are wall-clock measurements, which
+	// differ run to run; MaskWall blanks it.
+	Wall bool
+}
+
+// Tuple is a composite cell: several values rendered through one format,
+// such as "disc %d/%d". It carries its own format because a column of
+// tuples may mix kinds from row to row; its values stay typed.
+type Tuple struct {
+	Format string
+	Values []any
+}
+
+// NewTable returns a table with the given title and plain columns.
 func NewTable(title string, header ...string) *Table {
-	return &Table{Title: title, header: header}
+	t := &Table{Title: title}
+	for _, h := range header {
+		t.cols = append(t.cols, column{Header: h})
+	}
+	return t
 }
 
-// AddRow appends a row; cells beyond the header width are dropped,
-// missing cells render empty.
-func (t *Table) AddRow(cells ...string) {
-	row := make([]string, len(t.header))
-	for i := range row {
-		if i < len(cells) {
-			row[i] = cells[i]
+// Format sets the named column's format and returns t.
+func (t *Table) Format(header, format string) *Table {
+	t.cols[t.col(header)].Format = format
+	return t
+}
+
+// Wall tags the named column as wall-clock and returns t.
+func (t *Table) Wall(header string) *Table {
+	t.cols[t.col(header)].Wall = true
+	return t
+}
+
+// col returns the index of the named column; an unknown name panics.
+func (t *Table) col(header string) int {
+	for i, c := range t.cols {
+		if c.Header == header {
+			return i
 		}
 	}
-	t.rows = append(t.rows, row)
+	panic(fmt.Sprintf("metrics: table %q has no column %q", t.Title, header))
 }
 
-// AddRowf appends a row built from format/value pairs: each value is
-// rendered with fmt.Sprint unless it is a float64, which uses %.3g.
-func (t *Table) AddRowf(values ...any) {
-	t.AddRow(Row(values...)...)
-}
-
-// Row renders values into table cells with AddRowf's formatting rules.
-// Experiment cells that run off the driver goroutine build their rows
-// with Row and merge them into the table afterwards.
-func Row(values ...any) []string {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case float64:
-			cells[i] = fmt.Sprintf("%.4g", x)
-		default:
-			cells[i] = fmt.Sprint(x)
-		}
+// AddRow appends a row of one value per column. A row of another width
+// panics: a driver that adds a column to its header but not to its rows
+// would otherwise render a wrong table that looks right.
+func (t *Table) AddRow(values ...any) {
+	if len(values) != len(t.cols) {
+		panic(fmt.Sprintf("metrics: table %q: a row of %d cells under %d columns", t.Title, len(values), len(t.cols)))
 	}
-	return cells
+	t.rows = append(t.rows, append([]any(nil), values...))
 }
 
-// AddRows appends pre-rendered rows in order.
-func (t *Table) AddRows(rows [][]string) {
+// AddRows appends rows in order, each as AddRow.
+func (t *Table) AddRows(rows [][]any) {
 	for _, r := range rows {
 		t.AddRow(r...)
 	}
@@ -62,83 +87,84 @@ func (t *Table) AddRows(rows [][]string) {
 // NumRows returns the number of data rows.
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// Rows returns a copy of the data rows, so tests and tooling can
-// inspect cell values without reparsing the rendered text.
-func (t *Table) Rows() [][]string {
-	out := make([][]string, len(t.rows))
+// Value returns the value in row i of the named column.
+func (t *Table) Value(i int, header string) any { return t.rows[i][t.col(header)] }
+
+// Rows returns a copy of the data rows.
+func (t *Table) Rows() [][]any {
+	out := make([][]any, len(t.rows))
 	for i, r := range t.rows {
-		out[i] = append([]string(nil), r...)
+		out[i] = append([]any(nil), r...)
 	}
 	return out
 }
 
+// MaskWall replaces every cell of the wall-clock columns with "-", so
+// renderings compare byte for byte across machines and runs, and
+// returns t.
+func (t *Table) MaskWall() *Table {
+	for i, c := range t.cols {
+		if !c.Wall {
+			continue
+		}
+		for _, row := range t.rows {
+			row[i] = "-"
+		}
+	}
+	return t
+}
+
+// render is the text of value v in column c.
+func (c column) render(v any) string {
+	switch x := v.(type) {
+	case string:
+		return x
+	case Tuple:
+		return fmt.Sprintf(x.Format, x.Values...)
+	case float64:
+		if c.Format == "" {
+			return fmt.Sprintf("%.4g", x)
+		}
+	}
+	if c.Format != "" {
+		return fmt.Sprintf(c.Format, v)
+	}
+	return fmt.Sprint(v)
+}
+
 // String renders the table with aligned columns.
 func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
+	lines := make([][]string, 2, len(t.rows)+2)
+	widths := make([]int, len(t.cols))
+	for i, c := range t.cols {
+		lines[0] = append(lines[0], c.Header)
+		widths[i] = len(c.Header)
 	}
 	for _, row := range t.rows {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = t.cols[i].render(v)
+			widths[i] = max(widths[i], len(cells[i]))
 		}
+		lines = append(lines, cells)
+	}
+	for _, w := range widths {
+		lines[1] = append(lines[1], strings.Repeat("-", w))
 	}
 	var b strings.Builder
 	if t.Title != "" {
 		b.WriteString(t.Title)
 		b.WriteByte('\n')
 	}
-	writeRow := func(cells []string) {
+	for _, cells := range lines {
 		for i, c := range cells {
 			if i > 0 {
 				b.WriteString("  ")
 			}
 			b.WriteString(c)
-			for p := len(c); p < widths[i]; p++ {
-				b.WriteByte(' ')
-			}
+			b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.header)
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
 	return b.String()
-}
-
-// MaskColumn replaces every data cell of column i with placeholder.
-// Regression tests use it to blank wall-clock columns before comparing
-// renderings across machines or execution modes; out-of-range columns
-// are ignored.
-func (t *Table) MaskColumn(i int, placeholder string) {
-	if i < 0 || i >= len(t.header) {
-		return
-	}
-	for _, row := range t.rows {
-		row[i] = placeholder
-	}
-}
-
-// FindColumnFrom returns the index of the first header at or after
-// start containing substr, or -1 if none does. MaskColumn leaves
-// headers intact, so callers masking every matching column advance
-// start past each hit instead of re-searching from the front.
-func (t *Table) FindColumnFrom(substr string, start int) int {
-	if start < 0 {
-		start = 0
-	}
-	for i := start; i < len(t.header); i++ {
-		if strings.Contains(t.header[i], substr) {
-			return i
-		}
-	}
-	return -1
 }

@@ -330,21 +330,30 @@ func TestRapidHGraphUndersizedBudgetFails(t *testing.T) {
 	}
 }
 
-func TestRapidHypercubeBasics(t *testing.T) {
-	p := DefaultHypercubeParams(8)
-	res := RapidHypercube(11, p)
-	if res.Failures != 0 {
-		t.Fatalf("unexpected failures: %d", res.Failures)
-	}
-	n := hypercube.N(8)
+// checkRefusalsRare is what Theorems 2 and 3 promise of one run at the
+// prescribed budgets: an extraction from an empty multiset is rare, not
+// impossible. Every one of the n nodes still ends with its m samples, and
+// the refusals stay under 1 % of those n·m final draws. (A zero-failure
+// assert at the fixed seeds below failed at 1, 3 and 46 of seeds 1–100;
+// the worst of those runs refused 0.34 %.)
+func checkRefusalsRare(t *testing.T, res *RapidResult, n, m int) {
+	t.Helper()
 	if len(res.Samples) != n {
-		t.Fatalf("got %d nodes", len(res.Samples))
+		t.Fatalf("got %d nodes, want %d", len(res.Samples), n)
 	}
 	for v, s := range res.Samples {
-		if len(s) != p.Samples() {
-			t.Fatalf("node %d has %d samples, want %d", v, len(s), p.Samples())
+		if len(s) != m {
+			t.Fatalf("node %d has %d samples, want %d", v, len(s), m)
 		}
 	}
+	if 100*res.Failures > n*m {
+		t.Fatalf("%d refusals among %d final draws, over the 1%% bound", res.Failures, n*m)
+	}
+}
+
+func TestRapidHypercubeBasics(t *testing.T) {
+	p := DefaultHypercubeParams(8)
+	checkRefusalsRare(t, RapidHypercube(11, p), hypercube.N(8), p.Samples())
 }
 
 func TestRapidHypercubeUniform(t *testing.T) {

@@ -139,8 +139,11 @@ type Network struct {
 	// list for the commit sweep. The serial code kept one map per
 	// supernode and copied it through splits and merges; membership is
 	// id-keyed, so one global set is equivalent and the copies vanish.
+	// lateIDs are the leavers that came after the assignment: the
+	// reorganization routed them as stayers, so they depart a commit later.
 	leaving    sim.Bitset
 	leavingIDs []sim.NodeID
+	lateIDs    []sim.NodeID
 
 	dmax   int
 	mi     []int // sample budget schedule of the primitive, T+1 entries
@@ -347,7 +350,9 @@ func (nw *Network) SetAudit(e *audit.Engine) {
 
 // Join introduces a new node through the given sponsor and returns its
 // id; the node becomes a full member at the next commit (the paper's
-// O(log log n)-round join).
+// O(log log n)-round join), or at the one after when this epoch's
+// assignment has already run. Its view epoch is the epoch whose
+// reorganization places it, so install tells the two apart.
 func (nw *Network) Join(sponsor sim.NodeID) sim.NodeID {
 	x := nw.superOf(sponsor)
 	if x < 0 {
@@ -358,19 +363,27 @@ func (nw *Network) Join(sponsor sim.NodeID) sim.NodeID {
 	nw.growNodes(int(id))
 	nw.eng.NodeR[id-1] = *nw.r.Split(uint64(id))
 	nw.eng.ViewEpoch[id-1] = int32(nw.eng.Epoch)
+	if nw.Assigned() {
+		nw.eng.ViewEpoch[id-1]++
+	}
 	nw.supers[x].pending = append(nw.supers[x].pending, id)
 	return id
 }
 
 // Leave marks a member as leaving; it departs at the next commit (the
-// paper's O(log log n)-round leave).
+// paper's O(log log n)-round leave), or at the one after when this
+// epoch's assignment has already run.
 func (nw *Network) Leave(id sim.NodeID) {
 	if nw.superOf(id) < 0 {
 		panic(fmt.Sprintf("splitmerge: leaver %d is not a member", id))
 	}
 	if !nw.leaving.Test(int32(id - 1)) {
 		nw.leaving.Set(int32(id - 1))
-		nw.leavingIDs = append(nw.leavingIDs, id)
+		if nw.Assigned() {
+			nw.lateIDs = append(nw.lateIDs, id)
+		} else {
+			nw.leavingIDs = append(nw.leavingIDs, id)
+		}
 	}
 }
 
@@ -534,19 +547,20 @@ func (nw *Network) assignees(si int, dst []sim.NodeID) []sim.NodeID {
 // the organized split/merge (O(1) rounds, Lemma 18); the new topology takes
 // effect atomically here, when the distribute messages have reached every
 // available node. Joiners become members, leavers depart (their slots go
-// dead), and the groups are normalized. The member arrays swap with the
-// gathered ones, so churn-free commits allocate nothing. A RepairBalance
-// between the assignment and here can split or merge groups: when the
-// committee count no longer matches the gathered groups', they cannot be
-// applied by position, so the repaired groups stand instead, each keeping
-// its stayers and taking in its joiners, and the next epoch reorganizes
-// them.
+// dead), and the groups are normalized; churn that came after the
+// assignment waits for the next epoch's commit. The member arrays swap
+// with the gathered ones, so churn-free commits allocate nothing. A
+// RepairBalance between the assignment and here can split or merge
+// groups: when the committee count no longer matches the gathered
+// groups', they cannot be applied by position, so the repaired groups
+// stand instead, each keeping its stayers and taking in its joiners, and
+// the next epoch reorganizes them.
 func (nw *Network) install(next [][]sim.NodeID) [][]sim.NodeID {
 	for _, id := range nw.leavingIDs {
 		nw.leaving.Unset(int32(id - 1))
 		nw.eng.NodeGroup[id-1] = -1
 	}
-	nw.leavingIDs = nw.leavingIDs[:0]
+	nw.leavingIDs, nw.lateIDs = append(nw.leavingIDs[:0], nw.lateIDs...), nw.lateIDs[:0]
 	if len(next) != len(nw.supers) {
 		departed := func(id sim.NodeID) bool { return nw.eng.NodeGroup[id-1] < 0 }
 		for _, s := range nw.supers {
@@ -554,9 +568,10 @@ func (nw *Network) install(next [][]sim.NodeID) [][]sim.NodeID {
 			s.pending = s.pending[:0]
 		}
 	} else {
+		routed := func(id sim.NodeID) bool { return nw.eng.ViewEpoch[id-1] < int32(nw.eng.Epoch) }
 		for si, s := range nw.supers {
 			s.members, next[si] = next[si], s.members
-			s.pending = s.pending[:0]
+			s.pending = slices.DeleteFunc(s.pending, routed)
 		}
 	}
 	nw.normalize()

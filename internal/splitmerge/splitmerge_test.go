@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"overlaynet/internal/audit"
 	"overlaynet/internal/dos"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
@@ -203,6 +204,66 @@ func TestJoinLeaveBookkeeping(t *testing.T) {
 	}
 	if nw.superOf(id) < 0 {
 		t.Fatal("joiner not committed after the epoch")
+	}
+}
+
+// TestChurnAtEveryPhase: a Join or Leave at any round of an epoch takes
+// effect at that epoch's commit when it precedes the assignment round, and
+// at the next epoch's when it comes after it (the reorganization in
+// flight has routed the leaver as a stayer and missed the joiner). Two
+// commits later every joiner is a member and every leaver is gone, with
+// the membership and label-coverage checkers clean.
+func TestChurnAtEveryPhase(t *testing.T) {
+	const n0 = 128
+	probe := New(Config{Seed: 3, N0: n0, MeasureEvery: -1})
+	er := probe.EpochRounds()
+	probe.Close()
+	for p := 0; p < er; p++ {
+		nw := New(Config{Seed: 3, N0: n0, MeasureEvery: -1})
+		for i := 0; i < p; i++ {
+			nw.Step(nil)
+		}
+		before := nw.Members()
+		var after []sim.NodeID
+		for i, id := range before {
+			switch i % 8 {
+			case 0:
+				nw.Leave(id)
+			case 1:
+				after = append(after, id, nw.Join(id))
+			default:
+				after = append(after, id)
+			}
+		}
+		slices.Sort(after)
+		late := nw.Assigned()
+		if late != (p > 2*(2*len(nw.mi)-1)) {
+			t.Fatalf("phase %d: Assigned() = %v", p, late)
+		}
+		want := after
+		if late {
+			want = before
+		}
+		for nw.Epoch() < 1 {
+			nw.Step(nil)
+		}
+		if got := nw.Members(); !slices.Equal(got, want) {
+			t.Fatalf("phase %d (late %v): %d members after the first commit, want %d", p, late, len(got), len(want))
+		}
+		for nw.Epoch() < 2 {
+			nw.Step(nil)
+		}
+		if got := nw.Members(); !slices.Equal(got, after) || nw.N() != len(after) {
+			t.Fatalf("phase %d (late %v): %d members in %d group slots after the second commit, want %d",
+				p, late, len(got), nw.N(), len(after))
+		}
+		eng := audit.NewEngine("test", 9, 1, nil)
+		nw.SetAudit(eng)
+		eng.RunNow(nw.Round())
+		if eng.Count() != 0 {
+			t.Fatalf("phase %d: %+v", p, eng.Violations())
+		}
+		nw.Close()
 	}
 }
 
