@@ -24,8 +24,8 @@ func TestAS2ZeroSpreadPairIdentity(t *testing.T) {
 			tab.Value(l, "latency") != as2Latencies(true)[0] || tab.Value(l, "drop") != 0.0 {
 			t.Fatalf("system %v: unexpected control rows %v, %v", legacy[0], legacy, rel)
 		}
-		if num(t, tab, r, "retx") != 0 || num(t, tab, r, "lost") != 0 {
-			t.Errorf("%v control: retx, lost = %v, %v, want 0/0", rel[0], rel[6], rel[7])
+		if retx, lost := num(t, tab, r, "retx"), num(t, tab, r, "lost"); retx != 0 || lost != 0 {
+			t.Errorf("%v control: retx, lost = %v, %v, want 0/0", rel[0], retx, lost)
 		}
 		legacy[3], rel[3] = nil, nil
 		if !reflect.DeepEqual(legacy, rel) {
