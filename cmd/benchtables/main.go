@@ -7,7 +7,7 @@
 //	           [-audit] [-faults drop=0.01,dup=0.001,crash=0.05,restart=2]
 //	           [-latency uniform:0.5,2.5] [-reliable on]
 //	           [-cell-timeout D] [-cpuprofile F] [-trace F] [-events F]
-//	           [-manifest F] [-progress] [-flight N] [-maskwall]
+//	           [-manifest F] [-progress] [-maskwall]
 //
 // Sweep cells run on -procs workers (default: all CPUs), and each §5/§6
 // overlay network runs its rounds on $OVERLAYNET_SHARDS intra-round
@@ -30,17 +30,13 @@
 //	             every recorded table is attributable to the run that
 //	             produced it.
 //	-progress    print a live cells-done/total + ETA line to stderr.
-//	-flight N    flight recorder: retain a deterministic 1 % sample of
-//	             per-round and per-message events in a bounded ring of
-//	             N entries (0 disables; needs -events or -trace). Both
-//	             write every audit violation and recovery (kept whatever
-//	             N is), then the sample. Sampling is a pure function of
-//	             the seed and event identity.
 //
 // With -trace or -events, one metrics registry (internal/obs) holds the
 // run's kernel, cell, epoch and audit counts as named counters and
-// streaming histograms, exported on the -events file's last line. The
-// protocol stacks' own counts are the tables' columns.
+// streaming histograms, exported on the -events file's last line. Both
+// files carry every audit violation and recovery as an event; a
+// round's facts are counts, never events. The protocol stacks' own
+// counts are the tables' columns.
 //
 // Robustness:
 //
@@ -175,9 +171,8 @@ func parseSpecs(faults, latency, rel string) (fault.Spec, sim.Latency, reliable.
 
 // checkCounts validates the numeric flags. Each bad value yields one
 // line naming the flag and the value, so a negative -procs is a usage
-// error rather than a driver panic, and a -flight ring that neither
-// -events nor -trace would write is not filled for nothing.
-func checkCounts(procs, flight int, cellTimeout time.Duration, exported bool) error {
+// error rather than a driver panic.
+func checkCounts(procs int, cellTimeout time.Duration) error {
 	var errs []error
 	check := func(ok bool, flag string, v any, want string) {
 		if !ok {
@@ -185,8 +180,6 @@ func checkCounts(procs, flight int, cellTimeout time.Duration, exported bool) er
 		}
 	}
 	check(procs >= 1, "-procs", procs, "a worker count of at least 1")
-	check(flight >= 0, "-flight", flight, "a ring capacity of at least 0")
-	check(flight <= 0 || exported, "-flight", flight, "written anywhere without -events or -trace")
 	check(cellTimeout >= 0, "-cell-timeout", cellTimeout, "a duration of at least 0")
 	return errors.Join(errs...)
 }
@@ -239,7 +232,6 @@ func main() {
 	eventsOut := flag.String("events", "", "write the raw telemetry stream as JSONL")
 	manifestOut := flag.String("manifest", "", "write a run manifest JSON file")
 	progress := flag.Bool("progress", false, "print live sweep progress to stderr")
-	flightCap := flag.Int("flight", 0, "flight-recorder ring capacity in events, a 1% sample written by -events and -trace (0 disables)")
 	auditOn := flag.Bool("audit", false, "attach the runtime invariant-audit engine to the reconfiguration experiments")
 	faultsFlag := flag.String("faults", "", "deterministic fault injection, e.g. drop=0.01,dup=0.001,crash=0.05,restart=2")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell stall watchdog (e.g. 5m); 0 disables")
@@ -259,8 +251,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	exported := *traceOut != "" || *eventsOut != ""
-	if err := checkCounts(*procs, *flightCap, *cellTimeout, exported); err != nil {
+	if err := checkCounts(*procs, *cellTimeout); err != nil {
 		fatalf("%v", err)
 	}
 
@@ -293,16 +284,11 @@ func main() {
 
 	// Telemetry wiring. A single recorder spans every experiment; it
 	// aggregates counters and spans and keeps violation and recovery
-	// reports (a sweep's millions of round and message events reach the
-	// artifacts only as -flight's bounded deterministic sample). Its
-	// registry holds every count of the run: counters and streaming
-	// histograms cost O(1) per event and never perturb tables.
+	// reports. Its registry holds every count of the run: counters and
+	// streaming histograms cost O(1) per round and never perturb tables.
 	var rec *trace.Recorder
-	if exported {
+	if *traceOut != "" || *eventsOut != "" {
 		rec = trace.New()
-		if *flightCap > 0 {
-			rec.FlightRecorder(*seed, 0.01, *flightCap)
-		}
 		opts.Trace = rec
 	}
 	var prog *trace.Progress

@@ -62,6 +62,17 @@ type event struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
+// eventKinds counts the event lines of an -events file by kind.
+func eventKinds(evs []event) map[string]int {
+	kinds := map[string]int{}
+	for _, e := range evs {
+		if e.Type == "event" {
+			kinds[e.Kind]++
+		}
+	}
+	return kinds
+}
+
 // readEvents decodes an -events file, one JSON object per line.
 func readEvents(t *testing.T, path string) []event {
 	t.Helper()
@@ -85,17 +96,16 @@ func readEvents(t *testing.T, path string) []event {
 // -procs 8 with every telemetry flag on, which covers the concurrency
 // of whole experiments that only the command has. The -trace file is a
 // Perfetto timeline without metrics; the -events file ends in the one
-// metrics snapshot and carries the flight sample beside the recovery
-// reports; the manifest records the run and one entry per selected
-// experiment. An audited, faulted run exports its violations and the
-// sample together, and its manifest records the -faults value with its
-// seed.
+// metrics snapshot and carries R1's recovery reports as its only
+// events; the manifest records the run and one entry per selected
+// experiment. An audited, faulted run exports its violations, and its
+// manifest records the -faults value with its seed.
 func TestArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	tracePath, eventsPath, manifestPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "manifest.json")
 	sel := []string{"-quick", "-maskwall", "-only", "E1,E6,E8,R1"}
 	serial := benchtables(t, append(sel, "-procs", "1")...)
-	traced := benchtables(t, append(sel, "-procs", "8", "-progress", "-flight", "4096",
+	traced := benchtables(t, append(sel, "-procs", "8", "-progress",
 		"-trace", tracePath, "-events", eventsPath, "-manifest", manifestPath)...)
 	if serial != traced {
 		t.Errorf("tables differ with -procs 8 and telemetry:\n--- -procs 1\n%s\n--- -procs 8\n%s", serial, traced)
@@ -123,8 +133,8 @@ func TestArtifacts(t *testing.T) {
 	if slices.ContainsFunc(evs, func(e event) bool { return e.Type == "counters" }) {
 		t.Error("events.jsonl has a counters line")
 	}
-	if !slices.ContainsFunc(evs, func(e event) bool { return e.Type == "event" && e.Kind == "round_start" }) {
-		t.Error("events.jsonl has no sampled round_start: R1's recovery reports displaced the flight sample")
+	if kinds := eventKinds(evs); kinds["recovery"] == 0 || len(kinds) != 1 {
+		t.Errorf("events.jsonl has events %v, want R1's recoveries and nothing else", kinds)
 	}
 
 	var m map[string]json.RawMessage
@@ -144,20 +154,12 @@ func TestArtifacts(t *testing.T) {
 		t.Errorf("manifest lists %d experiments (%v), want the 4 selected", len(exps), err)
 	}
 
-	benchtables(t, "-quick", "-only", "E6", "-audit", "-faults", "drop=0.01,seed=5", "-flight", "4096",
+	benchtables(t, "-quick", "-only", "E6", "-audit", "-faults", "drop=0.01,seed=5",
 		"-events", eventsPath, "-manifest", manifestPath)
-	violations, sampled := 0, 0
-	for _, e := range readEvents(t, eventsPath) {
-		switch {
-		case e.Type != "event":
-		case e.Kind == "violation":
-			violations++
-		default:
-			sampled++
-		}
-	}
-	if violations == 0 || sampled == 0 {
-		t.Errorf("audited faulted run exported %d violations and %d sampled events, want both", violations, sampled)
+	kinds := eventKinds(readEvents(t, eventsPath))
+	delete(kinds, "recovery")
+	if kinds["violation"] == 0 || len(kinds) != 1 {
+		t.Errorf("audited faulted run exported events %v, want violations and no kind but violation or recovery", kinds)
 	}
 	var faulted struct{ Faults string }
 	if readJSON(t, manifestPath, &faulted); faulted.Faults != "drop=0.01,seed=5" {
@@ -338,14 +340,11 @@ func TestReliableStringRoundTrip(t *testing.T) {
 
 // TestCheckCounts covers the numeric flags: the defaults pass, and each
 // bad value fails with one line naming the flag and the value, however
-// many are bad at once. A negative -procs used to end in a driver panic,
-// and a -flight ring with neither -events nor -trace was filled and
-// never written.
+// many are bad at once. A negative -procs used to end in a driver panic.
 func TestCheckCounts(t *testing.T) {
 	type counts struct {
-		procs, flight int
-		timeout       time.Duration
-		exported      bool
+		procs   int
+		timeout time.Duration
 	}
 	good := counts{procs: 2}
 	cases := []struct {
@@ -354,20 +353,18 @@ func TestCheckCounts(t *testing.T) {
 		lines []string // wanted error lines, in flag order; nil means valid
 	}{
 		{name: "defaults", edit: func(*counts) {}},
-		{name: "all set", edit: func(c *counts) { *c = counts{1, 4096, time.Minute, true} }},
+		{name: "all set", edit: func(c *counts) { *c = counts{1, time.Minute} }},
 		{name: "procs zero", edit: func(c *counts) { c.procs = 0 }, lines: []string{"-procs: 0"}},
 		{name: "procs negative", edit: func(c *counts) { c.procs = -1 }, lines: []string{"-procs: -1"}},
-		{name: "flight negative", edit: func(c *counts) { c.flight = -1 }, lines: []string{"-flight: -1"}},
-		{name: "flight without exporter", edit: func(c *counts) { c.flight = 4096 }, lines: []string{"-flight: 4096"}},
 		{name: "cell-timeout negative", edit: func(c *counts) { c.timeout = -time.Second }, lines: []string{"-cell-timeout: -1s"}},
-		{name: "two bad", edit: func(c *counts) { c.procs, c.flight = -1, 64 },
-			lines: []string{"-procs: -1", "-flight: 64"}},
+		{name: "two bad", edit: func(c *counts) { c.procs, c.timeout = -1, -time.Minute },
+			lines: []string{"-procs: -1", "-cell-timeout: -1m0s"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := good
 			tc.edit(&c)
-			err := checkCounts(c.procs, c.flight, c.timeout, c.exported)
+			err := checkCounts(c.procs, c.timeout)
 			if tc.lines == nil {
 				if err != nil {
 					t.Fatalf("checkCounts(%+v) = %v, want nil", c, err)

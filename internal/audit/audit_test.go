@@ -119,14 +119,8 @@ type statsTap struct {
 
 func (s *statsTap) RoundEnd(stats sim.RoundStats) {
 	s.last = stats
+	s.dead += stats.Dropped[sim.DropDeadReceiver]
 	s.WorkAuditor.RoundEnd(stats)
-}
-
-func (s *statsTap) MessageDropped(round int, reason sim.DropReason, from, to sim.NodeID, bits int) {
-	if reason == sim.DropDeadReceiver {
-		s.dead++
-	}
-	s.WorkAuditor.MessageDropped(round, reason, from, to, bits)
 }
 
 // workloadRun drives a real simulator network through a uniform all-send
@@ -184,8 +178,8 @@ func TestWorkAuditorDeadReceivers(t *testing.T) {
 }
 
 // TestWorkAuditorUnderInjectedFaults: the ledger must still balance
-// when the injector drops and duplicates messages, because the fault
-// events enter the ledger through MessageDropped/MessageDuplicated.
+// when the injector drops and duplicates messages, because the round's
+// stats carry the drops and the duplicated extras.
 func TestWorkAuditorUnderInjectedFaults(t *testing.T) {
 	spec := fault.Spec{Seed: 9, Drop: 0.1, Dup: 0.05}
 	workloadRun(t, spec.Injector(), 0)
@@ -227,5 +221,26 @@ func TestWorkAuditorDetectsImbalance(t *testing.T) {
 	a.RoundEnd(stats(5, 5, 2))
 	if a.Mismatches() != 2 {
 		t.Fatalf("shortfall with a departure was reported (mismatches=%d)", a.Mismatches())
+	}
+	// Each drop reason and the duplicated extras are on the ledger: after
+	// 9 sends with 1 dead-receiver drop, 2 injected drops and 3 extra
+	// copies, 9 deliveries balance and any other count is a mismatch.
+	for _, delivered := range []int64{9, 8, 7, 12, 10} {
+		b := NewWorkAuditor(nil, nil)
+		sent := stats(1, 9, 0)
+		sent.Dropped[sim.DropDeadReceiver] = 1
+		sent.Dropped[sim.DropFaultInjected] = 2
+		sent.DupExtra = 3
+		b.RoundStart(1, 10)
+		b.RoundEnd(sent)
+		b.RoundStart(2, 10)
+		b.RoundEnd(stats(2, 0, delivered))
+		want := 1
+		if delivered == 9 {
+			want = 0
+		}
+		if b.Mismatches() != want {
+			t.Errorf("delivered %d against a ledger of 9: %d mismatches, want %d", delivered, b.Mismatches(), want)
+		}
 	}
 }

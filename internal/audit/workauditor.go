@@ -19,22 +19,19 @@ import (
 // departed at the end of round r-1 are absorbed silently (the kernel
 // recycles their slots), so a shortfall is tolerated — but only in
 // rounds following a departure; any other mismatch is reported as a
-// "work-conservation" violation.
+// "work-conservation" violation. Control-lane traffic (acks and
+// retransmit copies) is outside the ledger: the kernel counts it in
+// Work.CtlMessages and Reliability, never in Messages or Delivered.
 type WorkAuditor struct {
 	next sim.Tracer
 	rep  Reporter
 
+	prev       sim.RoundStats // the previous round's, without samples
 	haveRound  bool
-	prevMsgs   int
-	prevDead   int
-	prevFault  int
-	prevDupX   int
 	havePrevA  bool
 	prevAlive  int
 	spawns     int
 	departures int
-
-	curDead, curFault, curDupX int
 
 	checked, mismatches int
 }
@@ -69,7 +66,9 @@ func (a *WorkAuditor) RoundStart(round, alive int) {
 
 func (a *WorkAuditor) RoundEnd(stats sim.RoundStats) {
 	if a.haveRound {
-		expected := int64(a.prevMsgs - a.prevDead - a.prevFault + a.prevDupX)
+		p := &a.prev
+		dead, fault := p.Dropped[sim.DropDeadReceiver], p.Dropped[sim.DropFaultInjected]
+		expected := int64(p.Work.Messages - dead - fault + p.DupExtra)
 		a.checked++
 		if stats.Delivered > expected || (stats.Delivered < expected && a.departures == 0) {
 			a.mismatches++
@@ -77,14 +76,13 @@ func (a *WorkAuditor) RoundEnd(stats sim.RoundStats) {
 				Invariant: "work-conservation",
 				Round:     stats.Round,
 				Detail: fmt.Sprintf("delivered %d, ledger expects %d (prev sent %d, dead %d, fault %d, dup extra %d, departures %d)",
-					stats.Delivered, expected, a.prevMsgs, a.prevDead, a.prevFault, a.prevDupX, a.departures),
+					stats.Delivered, expected, p.Work.Messages, dead, fault, p.DupExtra, a.departures),
 			})
 		}
 	}
 	a.haveRound = true
-	a.prevMsgs = stats.Work.Messages
-	a.prevDead, a.prevFault, a.prevDupX = a.curDead, a.curFault, a.curDupX
-	a.curDead, a.curFault, a.curDupX = 0, 0, 0
+	a.prev = stats
+	a.prev.Inbox, a.prev.Bits = nil, nil
 	if a.next != nil {
 		a.next.RoundEnd(stats)
 	}
@@ -94,49 +92,6 @@ func (a *WorkAuditor) NodeSpawned(round int, id sim.NodeID) {
 	a.spawns++
 	if a.next != nil {
 		a.next.NodeSpawned(round, id)
-	}
-}
-
-func (a *WorkAuditor) MessageDropped(round int, reason sim.DropReason, from, to sim.NodeID, bits int) {
-	switch reason {
-	case sim.DropDeadReceiver:
-		a.curDead++
-	case sim.DropFaultInjected:
-		a.curFault++
-	}
-	if a.next != nil {
-		a.next.MessageDropped(round, reason, from, to, bits)
-	}
-}
-
-// MessageDuplicated enters the extra copies on the ledger's credit side.
-func (a *WorkAuditor) MessageDuplicated(round int, from, to sim.NodeID, bits, copies int) {
-	a.curDupX += copies - 1
-	if a.next != nil {
-		a.next.MessageDuplicated(round, from, to, bits, copies)
-	}
-}
-
-func (a *WorkAuditor) RoundSamples(round int, inbox, bits []int64) {
-	if a.next != nil {
-		a.next.RoundSamples(round, inbox, bits)
-	}
-}
-
-func (a *WorkAuditor) RoundDeferred(round, deferred int) {
-	if a.next != nil {
-		a.next.RoundDeferred(round, deferred)
-	}
-}
-
-// RoundReliability only forwards. The control-lane traffic it describes
-// is deliberately outside the work-conservation ledger (see the sim lane
-// constants): acks and retransmit copies are accounted in
-// RoundWork.CtlMessages/CtlBits, never in Messages or Delivered, so the
-// ledger arithmetic above stays exact with a reliable layer attached.
-func (a *WorkAuditor) RoundReliability(round int, stats sim.ReliabilityRoundStats) {
-	if a.next != nil {
-		a.next.RoundReliability(round, stats)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // property it guards:
 //
 //	TestTelemetryDoesNotPerturbTables           recorder + progress
-//	TestTablesByteIdenticalWithMetricsAttached  registry + flight sample
+//	TestTablesByteIdenticalWithMetricsAttached  shared registry
 //	TestParallelDeterminism                     8 cell workers
 //	TestTablesByteIdenticalAcrossShards         4 engine shards
 //	TestAuditAttachmentDoesNotChangeTables      audit engine
@@ -131,7 +131,7 @@ func TestTelemetryDoesNotPerturbTables(t *testing.T) {
 func TestTablesByteIdenticalWithMetricsAttached(t *testing.T) {
 	t.Parallel()
 	checkRow(t, func(o *Options) {
-		o.Trace = trace.New().WithMetrics(obs.NewRegistry(0)).FlightRecorder(42, 0.05, 1024)
+		o.Trace = trace.New().WithMetrics(obs.NewRegistry(0))
 	})
 }
 

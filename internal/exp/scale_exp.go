@@ -38,9 +38,9 @@ const floodFanout, floodRounds = 4, 8
 func runFlood(o Options, n, hint int) floodWork {
 	net := sim.NewNetwork(sim.Config{Seed: cellSeed(o.Seed, uint64(n)), SizeHint: hint, Latency: o.Latency})
 	if o.Trace != nil {
-		// Metrics-only and flight-recorder tracing keep the kernel's
-		// streaming-histogram path (no per-round percentile sort), so
-		// attaching here stays viable at n=1M.
+		// The recorder's tracer streams each round's samples into
+		// histograms (no per-round percentile sort), so attaching here
+		// stays viable at n=1M.
 		net.SetTracer(o.Trace.Tracer(fmt.Sprintf("%s/n%d", o.Exp, n)))
 	}
 	h := floodHandler(n, floodFanout, sim.IDBits(n))

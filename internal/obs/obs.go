@@ -18,9 +18,6 @@
 //     the tracer's exact per-node sample sort (O(n log n) per round)
 //     with O(n) bucket increments — the difference between "usable at
 //     1M" and not.
-//   - Deterministic sampling. Sampler is a pure splitmix64 hash of the
-//     event identity, so a sampled "flight recorder" keeps the same
-//     events at any -procs/OVERLAYNET_SHARDS setting.
 //
 // FlatSnapshot is the one export: the JSONL stream's last line embeds
 // it. Its one writer is trace.Recorder (kernel, cell, epoch and

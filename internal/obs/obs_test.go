@@ -179,71 +179,6 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 	}
 }
 
-func TestSamplerDeterministicAndRate(t *testing.T) {
-	s1 := NewSampler(42, 0.25)
-	s2 := NewSampler(42, 0.25)
-	kept := 0
-	const n = 200000
-	for i := uint64(0); i < n; i++ {
-		k1 := s1.Keep(i, i*3, 7, 9)
-		if k1 != s2.Keep(i, i*3, 7, 9) {
-			t.Fatal("same seed+identity produced different decisions")
-		}
-		if k1 {
-			kept++
-		}
-	}
-	rate := float64(kept) / n
-	if rate < 0.24 || rate > 0.26 {
-		t.Fatalf("empirical keep rate %.4f, want ~0.25", rate)
-	}
-	if !NewSampler(1, 1).Keep(1, 2, 3, 4) {
-		t.Fatal("rate=1 sampler dropped an event")
-	}
-	if NewSampler(1, 0).Keep(1, 2, 3, 4) {
-		t.Fatal("rate=0 sampler kept an event")
-	}
-	if NewSampler(9, 0.5).Rate() < 0.49 || NewSampler(9, 0.5).Rate() > 0.51 {
-		t.Fatal("Rate() not close to configured")
-	}
-	// Different seeds must make different choices somewhere.
-	diff := false
-	sA, sB := NewSampler(1, 0.5), NewSampler(2, 0.5)
-	for i := uint64(0); i < 64 && !diff; i++ {
-		diff = sA.Keep(i, 0, 0, 0) != sB.Keep(i, 0, 0, 0)
-	}
-	if !diff {
-		t.Fatal("seed does not influence sampling")
-	}
-}
-
-func TestRingOverwriteOldest(t *testing.T) {
-	r := NewRing[int](4)
-	for i := 1; i <= 10; i++ {
-		r.Append(i)
-	}
-	if r.Len() != 4 || r.Cap() != 4 {
-		t.Fatalf("Len/Cap = %d/%d", r.Len(), r.Cap())
-	}
-	got := r.Snapshot()
-	want := []int{7, 8, 9, 10}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Snapshot = %v, want %v", got, want)
-		}
-	}
-	var nilRing *Ring[int]
-	if nilRing.Len() != 0 || nilRing.Cap() != 0 || nilRing.Snapshot() != nil {
-		t.Fatal("nil ring not inert")
-	}
-	small := NewRing[string](0)
-	small.Append("a")
-	small.Append("b")
-	if small.Cap() != 1 || small.Snapshot()[0] != "b" {
-		t.Fatal("zero-capacity ring should clamp to 1")
-	}
-}
-
 func TestFlatSnapshot(t *testing.T) {
 	r := NewRegistry(2)
 	r.Counter("overlaynet_c_total", "").Add(0, 5)

@@ -48,10 +48,7 @@ func (a *ackScript) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	if ctx.Round() == a.lateAt {
 		acks = a.batches[0]
 	}
-	// One ack for a seq never sent, every round: a no-op for the sender
-	// that keeps the control lane busy, so every round's reliability
-	// stats (quiet rounds are not reported) reach the tracer.
-	for _, s := range append(acks, 1<<40) {
+	for _, s := range acks {
 		ctx.SendAck(1, Ack{Seq: s}, AckBits)
 	}
 	return true
@@ -60,15 +57,10 @@ func (a *ackScript) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 // ackHist sums the per-round ack-delay histograms.
 type ackHist struct{ hist [8]int }
 
-func (*ackHist) RoundStart(int, int)                                             {}
-func (*ackHist) RoundEnd(sim.RoundStats)                                         {}
-func (*ackHist) NodeSpawned(int, sim.NodeID)                                     {}
-func (*ackHist) MessageDropped(int, sim.DropReason, sim.NodeID, sim.NodeID, int) {}
-func (*ackHist) MessageDuplicated(int, sim.NodeID, sim.NodeID, int, int)         {}
-func (*ackHist) RoundDeferred(int, int)                                          {}
-func (*ackHist) RoundSamples(int, []int64, []int64)                              {}
-func (h *ackHist) RoundReliability(_ int, s sim.ReliabilityRoundStats) {
-	for b, c := range s.AckDelay {
+func (*ackHist) RoundStart(int, int)         {}
+func (*ackHist) NodeSpawned(int, sim.NodeID) {}
+func (h *ackHist) RoundEnd(s sim.RoundStats) {
+	for b, c := range s.Reliability.AckDelay {
 		h.hist[b] += int(c)
 	}
 }

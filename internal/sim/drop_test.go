@@ -225,13 +225,17 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 	}
 }
 
-// dropCounter counts the tracer's drop events by reason.
+// dropCounter sums the rounds' drops by reason.
 type dropCounter struct {
 	nopTracer
 	drops [NumDropReasons]int
 }
 
-func (d *dropCounter) MessageDropped(_ int, reason DropReason, _, _ NodeID, _ int) { d.drops[reason]++ }
+func (d *dropCounter) RoundEnd(stats RoundStats) {
+	for r, k := range stats.Dropped {
+		d.drops[r] += k
+	}
+}
 
 // TestKilledNodeBuffersReleased checks that a node whose handler halts
 // (returns false before reading its inbox) leaves no network-side state

@@ -12,12 +12,12 @@ import (
 
 // The delivery transcript: everything a node program or a tracer can
 // observe of the kernel's delivery, folded into one FNV-64 digest. The
-// constants in TestDeliveryTranscriptGolden were recorded on the kernel
-// that still had a DoS-blocked set and a kill request, with this
-// scenario already departing nodes only by handler halts, and held
-// unchanged when both were deleted. A change that moves one changed an
-// inbox, its order, a work-log row, a reliability counter or a tracer
-// event.
+// constants in TestDeliveryTranscriptGolden were re-recorded when the
+// tracer's per-message and per-round hooks folded into RoundStats: on
+// the kernel before that change, a tracer summing its drop, dup,
+// deferred and reliability calls into the same round-end line gives
+// exactly these digests. A change that moves one changed an inbox, its
+// order, a work-log row, a reliability counter or a round's stats.
 
 // Lane markers added to the payload so the transcript sees which Send
 // variant produced a message without reading unexported fields.
@@ -129,46 +129,28 @@ func (goldenInjector) Deliveries(round int, from, to NodeID, seq uint64) int {
 
 // goldenTracer folds every tracer call into the digest. The round's
 // samples enter it as the nearest-rank p50, p95 and max of the inbox
-// sizes and of the bits, printed in the round-end line as RoundStats
-// printed them when it carried them, so the recorded digests still hold.
-type goldenTracer struct {
-	h   hash.Hash64
-	pct [6]int64 // inbox p50, p95, max; bits p50, p95, max
-}
+// sizes and of the bits.
+type goldenTracer struct{ h hash.Hash64 }
 
 func (t *goldenTracer) RoundStart(round, alive int) {
 	fmt.Fprintf(t.h, "start %d %d\n", round, alive)
 }
-func (t *goldenTracer) RoundSamples(round int, inbox, bits []int64) {
-	t.pct = [6]int64{}
-	for i, s := range [][]int64{inbox, bits} {
+func (t *goldenTracer) RoundEnd(st RoundStats) {
+	var p [6]int64 // inbox p50, p95, max; bits p50, p95, max
+	for i, s := range [][]int64{st.Inbox, st.Bits} {
 		if len(s) > 0 {
 			s = slices.Sorted(slices.Values(s))
-			t.pct[3*i] = s[int(0.50*float64(len(s)-1))]
-			t.pct[3*i+1] = s[int(0.95*float64(len(s)-1))]
-			t.pct[3*i+2] = s[len(s)-1]
+			p[3*i] = s[int(0.50*float64(len(s)-1))]
+			p[3*i+1] = s[int(0.95*float64(len(s)-1))]
+			p[3*i+2] = s[len(s)-1]
 		}
 	}
-}
-func (t *goldenTracer) RoundEnd(st RoundStats) {
-	p := t.pct
-	fmt.Fprintf(t.h, "end {Round:%d Alive:%d Work:%+v Delivered:%d InboxP50:%d InboxP95:%d InboxMax:%d BitsP50:%d BitsP95:%d BitsMax:%d}\n",
-		st.Round, st.Alive, st.Work, st.Delivered, p[0], p[1], p[2], p[3], p[4], p[5])
+	fmt.Fprintf(t.h, "end {Round:%d Alive:%d Work:%+v Delivered:%d Dropped:%v DupExtra:%d Deferred:%d Reliability:%+v InboxP50:%d InboxP95:%d InboxMax:%d BitsP50:%d BitsP95:%d BitsMax:%d}\n",
+		st.Round, st.Alive, st.Work, st.Delivered, st.Dropped, st.DupExtra, st.Deferred, st.Reliability,
+		p[0], p[1], p[2], p[3], p[4], p[5])
 }
 func (t *goldenTracer) NodeSpawned(round int, id NodeID) {
 	fmt.Fprintf(t.h, "spawn %d %d\n", round, id)
-}
-func (t *goldenTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {
-	fmt.Fprintf(t.h, "drop %d %v %d %d %d\n", round, reason, from, to, bits)
-}
-func (t *goldenTracer) MessageDuplicated(round int, from, to NodeID, bits, copies int) {
-	fmt.Fprintf(t.h, "dup %d %d %d %d %d\n", round, from, to, bits, copies)
-}
-func (t *goldenTracer) RoundDeferred(round, deferred int) {
-	fmt.Fprintf(t.h, "deferred %d %d\n", round, deferred)
-}
-func (t *goldenTracer) RoundReliability(round int, stats ReliabilityRoundStats) {
-	fmt.Fprintf(t.h, "rel %d %+v\n", round, stats)
 }
 
 // deliveryTranscript runs the scenario: 40 nodes flooding random
@@ -285,19 +267,19 @@ func TestDeliveryTranscriptGolden(t *testing.T) {
 		load goldenLoad
 		want uint64
 	}{
-		{"sync", "quiet", goldenLoad{}, 0xa5a5c29d544d774c},
-		{"const:1", "quiet", goldenLoad{}, 0xa5a5c29d544d774c},
-		{"uniform:1,3", "quiet", goldenLoad{}, 0x5dea83fb1792b31c},
-		{"sync", "burst", burst, 0xe8bf152da7c70091},
-		{"const:1", "burst", burst, 0xe8bf152da7c70091},
-		{"uniform:1,3", "burst", burst, 0x83562c56c01a5ca8},
-		{"sync", "seals", seals, 0x925924268f814ce1},
-		{"const:1", "seals", seals, 0x925924268f814ce1},
-		{"uniform:1,3", "seals", seals, 0xeea38ba37912fd87},
-		{"const:2.5", "quiet", goldenLoad{}, 0x0a5ff53125091aa4},
-		{"const:2.5", "burst", burst, 0x40f916ce8bd79b85},
-		{"lognorm:1,1.5", "quiet", goldenLoad{}, 0xd042c8ec2465986b},
-		{"lognorm:1,1.5", "burst", burst, 0x846b66949f4eb8d5},
+		{"sync", "quiet", goldenLoad{}, 0x0863dc9cdc8cbd58},
+		{"const:1", "quiet", goldenLoad{}, 0x0863dc9cdc8cbd58},
+		{"uniform:1,3", "quiet", goldenLoad{}, 0xd38f78f9a9f91170},
+		{"sync", "burst", burst, 0xd3dddbcc96a16b05},
+		{"const:1", "burst", burst, 0xd3dddbcc96a16b05},
+		{"uniform:1,3", "burst", burst, 0xac814a15955c26b0},
+		{"sync", "seals", seals, 0xd301f320fe8cb948},
+		{"const:1", "seals", seals, 0xd301f320fe8cb948},
+		{"uniform:1,3", "seals", seals, 0xcd5fd3bd1cfea534},
+		{"const:2.5", "quiet", goldenLoad{}, 0x38e96cb4ba541460},
+		{"const:2.5", "burst", burst, 0x4cdd6e4ec2fa8149},
+		{"lognorm:1,1.5", "quiet", goldenLoad{}, 0x9f6b5f41ea762957},
+		{"lognorm:1,1.5", "burst", burst, 0xbdae228fbdcc5147},
 	} {
 		lat, err := ParseLatency(tc.lat)
 		if err != nil {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"slices"
+	"reflect"
 	"testing"
 )
 
@@ -94,7 +94,7 @@ func sameRun(t *testing.T, label string, aw, bw []RoundWork, at, bt *countingTra
 	if at.rounds != bt.rounds || at.spawns != bt.spawns {
 		t.Fatalf("%s: lifecycle counters differ", label)
 	}
-	if !slices.Equal(at.stats, bt.stats) {
+	if !reflect.DeepEqual(at.stats, bt.stats) {
 		t.Fatalf("%s: round stats differ:\n%+v\n%+v", label, at.stats, bt.stats)
 	}
 }

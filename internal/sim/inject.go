@@ -21,14 +21,6 @@ type Injector interface {
 	Deliveries(round int, from, to NodeID, seq uint64) int
 }
 
-// dupEvent is a deferred Tracer.MessageDuplicated call, buffered
-// in Network.dupScratch and replayed after the send step's drops.
-type dupEvent struct {
-	from, to NodeID
-	bits     int
-	copies   int
-}
-
 // SetInjector attaches (or, with nil, detaches) a fault Injector. Like
 // the other network methods it must be called from the driver goroutine
 // between rounds.

@@ -6,44 +6,31 @@ package sim_test
 import (
 	"bytes"
 	"encoding/json"
-	"slices"
+	"reflect"
 	"testing"
 
 	"overlaynet/internal/fault"
 	. "overlaynet/internal/sim"
 )
 
-// faultEvent is one injected-fault observation in tracer call order,
-// used to compare the exact event sequence of two runs.
-type faultEvent struct {
-	Kind     string // "drop" or "dup"
-	Round    int
-	From, To NodeID
-	Copies   int
-}
-
-// faultTracer records round stats plus the ordered fault event stream.
+// faultTracer keeps every round's stats, without the samples (the
+// kernel's scratch), and sums the drops and duplicated extras.
 type faultTracer struct {
-	stats  []RoundStats
-	drops  [NumDropReasons]int
-	events []faultEvent
+	stats    []RoundStats
+	drops    [NumDropReasons]int
+	dupExtra int
 }
 
-func (t *faultTracer) RoundStart(round, alive int)      {}
-func (t *faultTracer) RoundEnd(stats RoundStats)        { t.stats = append(t.stats, stats) }
-func (t *faultTracer) NodeSpawned(round int, id NodeID) {}
-func (t *faultTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {
-	t.drops[reason]++
-	if reason == DropFaultInjected {
-		t.events = append(t.events, faultEvent{"drop", round, from, to, 0})
+func (t *faultTracer) RoundStart(round, alive int) {}
+func (t *faultTracer) RoundEnd(stats RoundStats) {
+	for r, d := range stats.Dropped {
+		t.drops[r] += d
 	}
+	t.dupExtra += stats.DupExtra
+	stats.Inbox, stats.Bits = nil, nil
+	t.stats = append(t.stats, stats)
 }
-func (t *faultTracer) MessageDuplicated(round int, from, to NodeID, bits, copies int) {
-	t.events = append(t.events, faultEvent{"dup", round, from, to, copies})
-}
-func (t *faultTracer) RoundDeferred(round, deferred int)                       {}
-func (t *faultTracer) RoundReliability(round int, stats ReliabilityRoundStats) {}
-func (t *faultTracer) RoundSamples(round int, inbox, bits []int64)             {}
+func (t *faultTracer) NodeSpawned(round int, id NodeID) {}
 
 // injectScenario runs a fan-out workload (every node alive, so the
 // message ledger is exact) with the given injector.
@@ -82,34 +69,26 @@ func TestInjectorLedgerExact(t *testing.T) {
 	if tr.drops[DropFaultInjected] == 0 {
 		t.Fatal("workload too small: no drops injected")
 	}
-	dropsIn := make(map[int]int64)
-	dupExtraIn := make(map[int]int64)
-	dupSeen := false
-	for _, ev := range tr.events {
-		switch ev.Kind {
-		case "drop":
-			dropsIn[ev.Round]++
-		case "dup":
-			dupSeen = true
-			dupExtraIn[ev.Round] += int64(ev.Copies - 1)
-		}
-	}
-	if !dupSeen {
+	if tr.dupExtra == 0 {
 		t.Fatal("workload too small: no duplications injected")
 	}
 	for i := 1; i < len(tr.stats); i++ {
-		prev := work[i-1]
-		want := int64(prev.Messages) - dropsIn[prev.Round] + dupExtraIn[prev.Round]
+		prev := tr.stats[i-1]
+		if prev.Work != work[i-1] {
+			t.Fatalf("round %d: traced work %+v, log %+v", prev.Round, prev.Work, work[i-1])
+		}
+		dropped := prev.Dropped[DropDeadReceiver] + prev.Dropped[DropFaultInjected]
+		want := int64(prev.Work.Messages - dropped + prev.DupExtra)
 		if got := tr.stats[i].Delivered; got != want {
 			t.Fatalf("round %d: delivered %d, ledger expects %d (sent %d, dropped %d, dup extra %d)",
-				tr.stats[i].Round, got, want, prev.Messages, dropsIn[prev.Round], dupExtraIn[prev.Round])
+				tr.stats[i].Round, got, want, prev.Work.Messages, dropped, prev.DupExtra)
 		}
 	}
 }
 
 // TestInjectorShardInvariance pins the ignored Config.Shards field under
-// injection (see TestWorkLogByteIdentityAcrossShards): the work log,
-// the round stats, and the exact ordered fault event sequence at
+// injection (see TestWorkLogByteIdentityAcrossShards): the work log
+// and every round's stats, drop and duplication counts included, at
 // Shards: 8 equal the default's.
 func TestInjectorShardInvariance(t *testing.T) {
 	spec := fault.Spec{Seed: 3, Drop: 0.1, Dup: 0.05}
@@ -120,8 +99,8 @@ func TestInjectorShardInvariance(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("Work() log differs at Shards: 8 under injection")
 	}
-	if tr.drops != baseTr.drops || !slices.Equal(tr.events, baseTr.events) || !slices.Equal(tr.stats, baseTr.stats) {
-		t.Fatal("drop counters, fault events or round stats differ at Shards: 8")
+	if !reflect.DeepEqual(tr.stats, baseTr.stats) {
+		t.Fatal("round stats differ at Shards: 8")
 	}
 }
 
@@ -145,18 +124,16 @@ func TestInjectorPassThroughMatchesDetached(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("pass-through injector changed the work log")
 	}
-	if len(injTr.events) != 0 {
-		t.Fatalf("pass-through injector produced %d fault events", len(injTr.events))
+	if injTr.drops != ([NumDropReasons]int{}) || injTr.dupExtra != 0 {
+		t.Fatalf("pass-through injector dropped %v and duplicated %d", injTr.drops, injTr.dupExtra)
 	}
-	for i := range detTr.stats {
-		if detTr.stats[i] != injTr.stats[i] {
-			t.Fatalf("round %d stats differ with pass-through injector attached", i+1)
-		}
+	if !reflect.DeepEqual(detTr.stats, injTr.stats) {
+		t.Fatal("round stats differ with pass-through injector attached")
 	}
 }
 
 // TestInjectorMultiCopies: an injector returning c > 2 delivers c
-// consecutive copies and reports the count to the tracer.
+// consecutive copies and reports the c-1 extras to the tracer.
 func TestInjectorMultiCopies(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	tr := &faultTracer{}
@@ -175,8 +152,8 @@ func TestInjectorMultiCopies(t *testing.T) {
 	if got != 3 {
 		t.Fatalf("receiver got %d copies, want 3", got)
 	}
-	if len(tr.events) != 1 || tr.events[0].Kind != "dup" || tr.events[0].Copies != 3 {
-		t.Fatalf("fault events = %+v, want one dup with copies=3", tr.events)
+	if tr.dupExtra != 2 || tr.stats[0].DupExtra != 2 {
+		t.Fatalf("duplicated extras = %d (round 1: %d), want 2 in round 1", tr.dupExtra, tr.stats[0].DupExtra)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 	"overlaynet/internal/rng"
 )
 
-// eventTracer records every deterministic tracer callback as a rendered
-// line, preserving call order, so comparing two runs' event slices is a
-// byte-level comparison of their entire observable histories,
-// RoundDeferred events included.
+// eventTracer records every tracer callback as a rendered line,
+// preserving call order, so comparing two runs' event slices is a
+// byte-level comparison of their entire observable histories, deferral
+// counts and per-node samples included.
 type eventTracer struct {
 	nopTracer
 	events   []string
@@ -25,16 +25,12 @@ func (t *eventTracer) log(format string, args ...any) {
 func (t *eventTracer) RoundStart(round, alive int) {
 	t.log("start r=%d alive=%d", round, alive)
 }
-func (t *eventTracer) RoundEnd(stats RoundStats) { t.log("end %+v", stats) }
+func (t *eventTracer) RoundEnd(stats RoundStats) {
+	t.log("end %+v", stats)
+	t.deferred += int64(stats.Deferred)
+}
 func (t *eventTracer) NodeSpawned(round int, id NodeID) {
 	t.log("spawn r=%d id=%d", round, id)
-}
-func (t *eventTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {
-	t.log("drop r=%d %s %d->%d bits=%d", round, reason, from, to, bits)
-}
-func (t *eventTracer) RoundDeferred(round, deferred int) {
-	t.log("deferred r=%d n=%d", round, deferred)
-	t.deferred += int64(deferred)
 }
 
 // latencyScenario drives the churn workload of churnScenario with

@@ -322,11 +322,6 @@ type ReliabilityRoundStats struct {
 	AckDelay    [ackDelayBuckets]int32
 }
 
-func (s *ReliabilityRoundStats) any() bool {
-	return s.Retransmits != 0 || s.Acks != 0 || s.Failures != 0 ||
-		s.Stale != 0 || s.CtlMessages != 0
-}
-
 // ReliabilityTotals is the cumulative reliability-layer activity of a
 // network, for drivers' report columns (retransmit overhead, delivery
 // failures). Deterministic like the per-round stats.
@@ -387,38 +382,30 @@ type Network struct {
 	// for the teardown leak audit (AdapterGoroutines).
 	adapterLive int
 
-	// tracer, when non-nil, receives lifecycle events and drop-reason
-	// accounting (see trace.go). The scratch slices collect the
-	// per-node inbox-size and bits samples for RoundSamples; they are
-	// reused round after round so tracing adds no steady-state
+	// tracer, when non-nil, receives each round's stats (see
+	// trace.go). stats is the round being counted; its Inbox and Bits
+	// samples are taken only with a tracer attached and reuse their
+	// buffers round after round, so tracing adds no steady-state
 	// allocations beyond its first round.
-	tracer     Tracer
-	traceInbox []int64
-	traceBits  []int64
+	tracer Tracer
+	stats  RoundStats
 
 	// injector, when non-nil, is consulted for every otherwise-
-	// deliverable message (see inject.go). dupScratch buffers the
-	// tracer's duplication events so they fire after the send step's
-	// drops.
-	injector   Injector
-	dupScratch []dupEvent
+	// deliverable message (see inject.go).
+	injector Injector
 
 	// Discrete-event scheduler state (latency.go). async mirrors
 	// lat.Enabled(); latSeed feeds the pure per-edge delay hash;
 	// deferred counts messages (cumulatively) whose sampled delay
 	// pushed arrival past the next round — a deterministic statistic.
-	// roundDeferred is this round's count.
-	lat           Latency
-	async         bool
-	latSeed       uint64
-	deferred      int64
-	roundDeferred int64
+	lat      Latency
+	async    bool
+	latSeed  uint64
+	deferred int64
 
-	// Reliability-layer accounting (see the lane constants). roundRel
-	// is this round's stats; relTotals is cumulative. All zero unless
-	// nodes actually use the control-lane sends, so a reliability-free
-	// run is untouched.
-	roundRel  ReliabilityRoundStats
+	// Cumulative reliability-layer accounting (see the lane constants):
+	// all zero unless nodes actually use the control-lane sends, so a
+	// reliability-free run is untouched.
 	relTotals ReliabilityTotals
 }
 
@@ -606,47 +593,33 @@ func (n *Network) Spawn(id NodeID, proc Proc) {
 // sends.
 func (n *Network) Step() {
 	n.round++
-
-	aliveAtStart := len(n.order)
+	rs := &n.stats
+	*rs = RoundStats{Round: n.round, Alive: len(n.order), Inbox: rs.Inbox[:0], Bits: rs.Bits[:0]}
 	if n.tracer != nil {
-		n.traceRoundStart()
+		n.tracer.RoundStart(n.round, rs.Alive)
 	}
-
-	n.roundDeferred = 0
-	n.roundRel = ReliabilityRoundStats{}
 
 	// Compute step: hand each node the inbox the previous send step
 	// placed and run its handler inline. Send step: sort the log (and the
 	// calendar bucket due next round) into the arena.
 	n.compute()
 	messages, totalBits, maxBits, anyHalted := n.send()
-	for _, d := range n.dupScratch {
-		n.tracer.MessageDuplicated(n.round, d.from, d.to, d.bits, d.copies)
+	rel := &rs.Reliability
+	rs.Work = RoundWork{
+		Round:       n.round,
+		Messages:    messages,
+		TotalBits:   totalBits,
+		MaxNodeBits: maxBits,
+		CtlMessages: rel.CtlMessages,
+		CtlBits:     rel.CtlBits,
 	}
-	n.dupScratch = n.dupScratch[:0]
-	if n.async {
-		n.deferred += n.roundDeferred
-		// Fire only on nonzero counts: a zero-spread async run then
-		// produces exactly the synchronous run's tracer call sequence.
-		if n.tracer != nil && n.roundDeferred > 0 {
-			n.tracer.RoundDeferred(n.round, int(n.roundDeferred))
-		}
-	}
-
-	// Reliability flush: totals accumulate, and the tracer hook fires
-	// only on rounds with activity — a run whose reliable layer stays
-	// silent produces exactly the pre-reliability call sequence.
-	if rel := &n.roundRel; rel.any() {
-		n.relTotals.Retransmits += int64(rel.Retransmits)
-		n.relTotals.Acks += int64(rel.Acks)
-		n.relTotals.Failures += int64(rel.Failures)
-		n.relTotals.Stale += int64(rel.Stale)
-		n.relTotals.CtlMessages += int64(rel.CtlMessages)
-		n.relTotals.CtlBits += rel.CtlBits
-		if n.tracer != nil {
-			n.tracer.RoundReliability(n.round, *rel)
-		}
-	}
+	n.deferred += int64(rs.Deferred)
+	n.relTotals.Retransmits += int64(rel.Retransmits)
+	n.relTotals.Acks += int64(rel.Acks)
+	n.relTotals.Failures += int64(rel.Failures)
+	n.relTotals.Stale += int64(rel.Stale)
+	n.relTotals.CtlMessages += int64(rel.CtlMessages)
+	n.relTotals.CtlBits += rel.CtlBits
 
 	if anyHalted {
 		n.reap()
@@ -655,17 +628,13 @@ func (n *Network) Step() {
 		n.release()
 	}
 	if n.recordWork {
-		n.work = append(n.work, RoundWork{
-			Round:       n.round,
-			Messages:    messages,
-			TotalBits:   totalBits,
-			MaxNodeBits: maxBits,
-			CtlMessages: n.roundRel.CtlMessages,
-			CtlBits:     n.roundRel.CtlBits,
-		})
+		n.work = append(n.work, rs.Work)
 	}
 	if n.tracer != nil {
-		n.traceRoundEnd(aliveAtStart, messages, totalBits, maxBits)
+		for _, v := range rs.Inbox {
+			rs.Delivered += v
+		}
+		n.tracer.RoundEnd(*rs)
 	}
 }
 
@@ -674,7 +643,7 @@ func (n *Network) Step() {
 // the node's handler inline. Between two handlers it seals a nearly full
 // log segment (see segLen).
 func (n *Network) compute() {
-	tr := n.tracer
+	rs, traced := &n.stats, n.tracer != nil
 	slots := n.slots
 	mb := &n.mail
 	mb.open(0)
@@ -694,8 +663,8 @@ func (n *Network) compute() {
 			}
 		}
 		st.bits = bits
-		if tr != nil {
-			n.traceInbox = append(n.traceInbox, nprot)
+		if traced {
+			rs.Inbox = append(rs.Inbox, nprot)
 		}
 		// Compute: the handler executes inline and its sends append to
 		// the log.
@@ -716,7 +685,7 @@ func (n *Network) compute() {
 		// dirty flag keeps this to one branch per node for the common
 		// case of no reliable layer.
 		if ctx := st.ctx; ctx.rel.dirty {
-			rel := &n.roundRel
+			rel := &rs.Reliability
 			rel.Failures += int(ctx.rel.failures)
 			rel.Stale += int(ctx.rel.stale)
 			for b := range ctx.rel.ackDelay {
@@ -746,18 +715,18 @@ const noDrop = NumDropReasons
 // receiver, else the injector's — records it (under a latency
 // model, after stamping its arrival: see schedule), counts what is due
 // next round, and performs the round's accounting: message and bit
-// totals, drop and duplication events, deferrals, departures. place then
+// totals, drop and duplication counts, deferrals, departures. place then
 // turns the counts into inboxes; the log's segments in order are in
 // (sender spawn order, send sequence) order and the sort is stable, so
 // every inbox is in canonical order.
 func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool) {
-	tr := n.tracer
+	rs, traced := &n.stats, n.tracer != nil
 	inj := n.injector
 	slots := n.slots
 	segs := n.mail.segs
 	log, hi := segs[0], int32(0)
 	async, round := n.async, n.round
-	rel := &n.roundRel
+	rel := &rs.Reliability
 	cnt := n.cursor
 	clear(cnt)
 	for _, s := range n.order {
@@ -796,11 +765,9 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 			// the drop/dup ledger.
 			if e.m.lane == laneProtocol {
 				if reason != noDrop {
-					if tr != nil {
-						tr.MessageDropped(round, reason, e.m.From, e.m.To, e.m.Bits)
-					}
-				} else if copies > 1 && tr != nil {
-					n.dupScratch = append(n.dupScratch, dupEvent{from: e.m.From, to: e.m.To, bits: e.m.Bits, copies: copies})
+					rs.Dropped[reason]++
+				} else if copies > 1 {
+					rs.DupExtra += copies - 1
 				}
 				st.bits += int64(e.m.Bits)
 			} else {
@@ -819,8 +786,8 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 		if st.bits > maxBits {
 			maxBits = st.bits
 		}
-		if tr != nil {
-			n.traceBits = append(n.traceBits, st.bits)
+		if traced {
+			rs.Bits = append(rs.Bits, st.bits)
 		}
 		if st.halted {
 			anyHalted = true
@@ -849,7 +816,7 @@ func (n *Network) schedule(e *sent, round int) {
 	mb.cal[k].push(*e)
 	e.copies = 0
 	if e.m.lane == laneProtocol {
-		n.roundDeferred++
+		n.stats.Deferred++
 	}
 }
 

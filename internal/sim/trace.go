@@ -26,102 +26,63 @@ func (r DropReason) String() string {
 	return "unknown"
 }
 
-// RoundStats summarizes one completed round for a Tracer: the work
-// triple the network always computes, plus how many messages were
-// delivered. The per-node samples behind it reach Tracer.RoundSamples.
+// RoundStats is one completed round as the kernel reports it: the work
+// log's entry, what became of the round's protocol-lane sends, the
+// reliable layer's activity, and the per-node samples behind them.
+// Every field but Inbox and Bits is a pure function of the seed and the
+// run.
 type RoundStats struct {
 	Round int
 	Alive int // nodes alive at the start of the round
-	Work  RoundWork
-	// Delivered is the number of messages handed to nodes in this
-	// round's receive step (the sum of the round's inbox samples).
-	// audit.WorkAuditor reconciles it against the previous round's
-	// Messages and drop events.
+	// Work is the entry Network.Work appends for the round, control
+	// lane included.
+	Work RoundWork
+	// Delivered is the number of protocol-lane messages handed to nodes
+	// in this round's receive step (the sum of Inbox).
 	Delivered int64
+	// Dropped counts the round's undelivered protocol-lane sends by
+	// reason; DupExtra counts the copies an Injector delivered beyond
+	// the one each send counts as.
+	Dropped  [NumDropReasons]int
+	DupExtra int
+	// Deferred counts the round's protocol-lane sends whose latency
+	// (Config.Latency) put their arrival beyond the next round.
+	Deferred int
+	// Reliability is the reliable layer's round: control-lane traffic,
+	// reported failures and stale discards, and ack delays.
+	Reliability ReliabilityRoundStats
+	// Inbox and Bits sample every node alive at the round's start, in
+	// spawn order: its delivered protocol-lane inbox size and its sent+
+	// received protocol bits. They are the network's scratch buffers,
+	// valid only during Tracer.RoundEnd.
+	Inbox, Bits []int64
 }
 
-// Tracer receives simulator lifecycle events. Implementations must be
-// cheap: every hook is called synchronously from the network's driver
-// goroutine between (or during) rounds. A nil tracer is the fast path —
-// with no tracer attached the round loop performs no tracing work at
-// all and keeps its zero-allocation steady state.
+// Tracer observes the kernel round by round. Every hook is called
+// synchronously on the goroutine driving the network, so
+// implementations must be cheap. A nil tracer is the fast path: the
+// round loop then does no tracing work and keeps its zero-allocation
+// steady state.
 //
-// Drop accounting reconciles with the work log as follows: for every
-// round, Work.Messages equals the number of messages delivered into
-// inboxes plus that round's MessageDropped calls (DropDeadReceiver and
-// DropFaultInjected), minus the extra copies reported via
-// MessageDuplicated (each adds copies-1 inbox entries beyond the single
-// counted send). Messages addressed to a node that departs before they
-// arrive are absorbed without a drop event.
-//
-// Within a round the hooks fire in this order: RoundStart,
-// MessageDropped, MessageDuplicated, RoundDeferred, RoundReliability,
-// RoundSamples, RoundEnd.
+// The ledger a tracer can reconcile: in a synchronous run a round's
+// Delivered equals the previous round's Work.Messages, minus its
+// Dropped (both reasons), plus its DupExtra. Under a latency model the
+// sends a round counts as Deferred arrive in later rounds instead.
+// Messages addressed to a node that departs before they arrive are
+// absorbed without counting as a drop.
 type Tracer interface {
 	// RoundStart fires after the round counter is advanced, before
 	// delivery: alive is the number of participating nodes.
 	RoundStart(round, alive int)
-	// RoundEnd fires after the send step with the round's statistics.
+	// RoundEnd fires once the round is complete (after the send step,
+	// departures and the work-log append) with the round's facts.
 	RoundEnd(stats RoundStats)
 	// NodeSpawned fires when a node is added (round = completed rounds
 	// at spawn time; the node first participates in round+1).
 	NodeSpawned(round int, id NodeID)
-	// MessageDropped fires for every undelivered message with the round
-	// in which the drop happened.
-	MessageDropped(round int, reason DropReason, from, to NodeID, bits int)
-	// MessageDuplicated fires for every message an Injector delivered
-	// more than once, after the round's drops: copies is the total
-	// number delivered, so copies-1 extra messages entered the
-	// receiver's inbox beyond the one counted in RoundWork.Messages.
-	MessageDuplicated(round int, from, to NodeID, bits, copies int)
-	// RoundDeferred reports how many of the round's delivered sends drew
-	// a latency beyond the next round and so missed the synchronous
-	// deadline (Config.Latency enabled). It never fires on a zero count,
-	// so a zero-spread async run emits exactly the synchronous run's
-	// call sequence; the count is a pure function of the seed.
-	RoundDeferred(round, deferred int)
-	// RoundReliability reports the reliable-delivery layer's round:
-	// acks and retransmit copies sent, delivery failures and stale
-	// discards reported, control-lane traffic and the ack-delay
-	// histogram. It never fires on an empty round, so a run without a
-	// reliable layer emits exactly the legacy call sequence.
-	RoundReliability(round int, stats ReliabilityRoundStats)
-	// RoundSamples hands over the round's raw per-node samples across
-	// alive nodes, in spawn order: delivered inbox sizes and sent+
-	// received bits. The slices are the network's scratch buffers,
-	// valid only for the duration of the call.
-	RoundSamples(round int, inbox, bits []int64)
 }
 
 // SetTracer attaches (or, with nil, detaches) a Tracer. Like the other
 // network methods it must be called from the driver goroutine between
 // rounds.
 func (n *Network) SetTracer(t Tracer) { n.tracer = t }
-
-// traceRoundStart emits the round-start event and resets the
-// distribution scratch buffers for the round.
-func (n *Network) traceRoundStart() {
-	n.tracer.RoundStart(n.round, len(n.order))
-	n.traceInbox = n.traceInbox[:0]
-	n.traceBits = n.traceBits[:0]
-}
-
-// traceRoundEnd hands the round's samples to the tracer and emits the
-// round-end event.
-func (n *Network) traceRoundEnd(alive, messages int, totalBits, maxBits int64) {
-	stats := RoundStats{
-		Round: n.round,
-		Alive: alive,
-		Work: RoundWork{
-			Round:       n.round,
-			Messages:    messages,
-			TotalBits:   totalBits,
-			MaxNodeBits: maxBits,
-		},
-	}
-	for _, v := range n.traceInbox {
-		stats.Delivered += v
-	}
-	n.tracer.RoundSamples(n.round, n.traceInbox, n.traceBits)
-	n.tracer.RoundEnd(stats)
-}

@@ -10,20 +10,15 @@ import (
 // override what they observe.
 type nopTracer struct{}
 
-func (nopTracer) RoundStart(round, alive int)                                            {}
-func (nopTracer) RoundEnd(stats RoundStats)                                              {}
-func (nopTracer) NodeSpawned(round int, id NodeID)                                       {}
-func (nopTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {}
-func (nopTracer) MessageDuplicated(round int, from, to NodeID, bits, copies int)         {}
-func (nopTracer) RoundDeferred(round, deferred int)                                      {}
-func (nopTracer) RoundReliability(round int, stats ReliabilityRoundStats)                {}
-func (nopTracer) RoundSamples(round int, inbox, bits []int64)                            {}
+func (nopTracer) RoundStart(round, alive int)      {}
+func (nopTracer) RoundEnd(stats RoundStats)        {}
+func (nopTracer) NodeSpawned(round int, id NodeID) {}
 
-// countingTracer tallies every hook invocation; it is the minimal
+// countingTracer tallies every hook invocation and keeps each round's
+// stats (without the samples, which are scratch); it is the minimal
 // Tracer used to pin the drop-reason accounting and to measure
 // tracer-attached overhead in the benchmarks.
 type countingTracer struct {
-	nopTracer
 	rounds, spawns int
 	messages       int
 	drops          [NumDropReasons]int
@@ -33,12 +28,13 @@ type countingTracer struct {
 func (t *countingTracer) RoundStart(round, alive int) { t.rounds++ }
 func (t *countingTracer) RoundEnd(stats RoundStats) {
 	t.messages += stats.Work.Messages
+	for r, d := range stats.Dropped {
+		t.drops[r] += d
+	}
+	stats.Inbox, stats.Bits = nil, nil
 	t.stats = append(t.stats, stats)
 }
 func (t *countingTracer) NodeSpawned(round int, id NodeID) { t.spawns++ }
-func (t *countingTracer) MessageDropped(round int, reason DropReason, from, to NodeID, bits int) {
-	t.drops[reason]++
-}
 
 // TestDropReasonAccounting hand-computes every drop counter in a
 // scenario exercising both reasons, and reconciles them with the
@@ -114,16 +110,17 @@ func TestDropReasonAccounting(t *testing.T) {
 	net.Shutdown()
 }
 
-// samplingTracer is a countingTracer that also keeps every round's
-// samples.
+// samplingTracer is a countingTracer that also keeps copies of every
+// round's samples.
 type samplingTracer struct {
 	countingTracer
 	inbox, bits [][]int64
 }
 
-func (t *samplingTracer) RoundSamples(round int, inbox, bits []int64) {
-	t.inbox = append(t.inbox, slices.Clone(inbox))
-	t.bits = append(t.bits, slices.Clone(bits))
+func (t *samplingTracer) RoundEnd(stats RoundStats) {
+	t.inbox = append(t.inbox, slices.Clone(stats.Inbox))
+	t.bits = append(t.bits, slices.Clone(stats.Bits))
+	t.countingTracer.RoundEnd(stats)
 }
 
 // TestRoundStatsDistributions sanity-checks the per-round inbox/bits

@@ -10,16 +10,16 @@ import (
 // The two export formats:
 //
 //   - JSONL: one JSON object per line — {"type":"event",...} lines for
-//     simulator lifecycle events, {"type":"span",...} lines for timed
+//     violations and recoveries, {"type":"span",...} lines for timed
 //     regions, and a final {"type":"metrics",...} line with the
 //     recorder's Snapshot. It is the complete record of a run, and the
 //     one format cmd/tracestats reads.
 //
 //   - Chrome trace_events JSON: {"traceEvents":[...]} with complete
-//     ("X") events for spans and instant ("i") events for lifecycle
-//     events, a view for https://ui.perfetto.dev or chrome://tracing.
-//     It carries no metrics, and its args omit what a timeline does not
-//     draw (violation nodes, seeds, epochs).
+//     ("X") events for spans and instant ("i") events for violations
+//     and recoveries, a view for https://ui.perfetto.dev or
+//     chrome://tracing. It carries no metrics, and its args omit what a
+//     timeline does not draw (violation nodes, seeds, epochs).
 
 type eventLine struct {
 	Type string `json:"type"`
@@ -74,11 +74,11 @@ type chromeFile struct {
 
 // Track layout of the Chrome export: pid 1 holds the experiment
 // harness (tid 0 = whole experiments, tid 1+w = runner worker w), pid 2
-// holds epoch spans keyed by scope, pid 3 holds raw simulator events.
+// holds epoch spans keyed by scope, pid 3 holds the audit's events.
 const (
 	chromePidHarness = 1
 	chromePidEpochs  = 2
-	chromePidSim     = 3
+	chromePidAudit   = 3
 )
 
 // WriteChromeTrace writes the recorder's contents as Chrome
@@ -129,37 +129,19 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	for _, e := range events {
 		ev := chromeEvent{
 			Name: e.Kind,
-			Cat:  "sim",
+			Cat:  "audit",
 			Ph:   "i",
 			S:    "t",
 			TS:   e.TSMicros,
-			Pid:  chromePidSim,
+			Pid:  chromePidAudit,
 			Tid:  0,
-			Args: map[string]any{"scope": e.Scope, "round": e.Round},
+			Args: map[string]any{"scope": e.Scope, "round": e.Round, "invariant": e.Reason},
 		}
-		switch e.Kind {
-		case "drop":
-			ev.Name = "drop:" + e.Reason
-			ev.Args["from"] = e.From
-			ev.Args["to"] = e.To
-			ev.Args["bits"] = e.Bits
-		case "round_end":
-			if e.Stats != nil {
-				ev.Args["messages"] = e.Stats.Work.Messages
-				ev.Args["total_bits"] = e.Stats.Work.TotalBits
-				ev.Args["max_node_bits"] = e.Stats.Work.MaxNodeBits
-			}
-		case "spawn":
-			ev.Args["node"] = e.Node
-		case "round_start":
-			ev.Args["alive"] = e.Alive
-		case "violation":
-			ev.Args["invariant"] = e.Reason
-			ev.Args["detail"] = e.Detail
-		case "recovery":
-			ev.Args["invariant"] = e.Reason
+		if e.Kind == "recovery" {
 			ev.Args["clean_round"] = e.CleanRound
 			ev.Args["mttr_rounds"] = e.MTTRRounds
+		} else {
+			ev.Args["detail"] = e.Detail
 		}
 		out.TraceEvents = append(out.TraceEvents, ev)
 	}

@@ -96,62 +96,3 @@ func (r *Recorder) WithMetrics(reg *obs.Registry) *Recorder {
 	r.recLane = reg.Lane()
 	return r
 }
-
-// FlightRecorder turns on sampled event retention: a deterministic
-// splitmix64 sampler keeps roughly rate of the per-message/per-round
-// events in a bounded ring of the given capacity, regardless of run
-// length; rate 1 keeps every event until the ring fills. Violations and
-// recoveries are kept beside the ring whatever the rate. The sampling
-// decision is a pure function of (seed, event identity), so the kept
-// set is byte-identical at any -procs/OVERLAYNET_SHARDS setting.
-// Returns r for chaining.
-func (r *Recorder) FlightRecorder(seed uint64, rate float64, capacity int) *Recorder {
-	r.mu.Lock()
-	r.flight = obs.NewRing[Event](capacity)
-	r.flightSampler = obs.NewSampler(seed, rate)
-	r.mu.Unlock()
-	r.flightOn.Store(true)
-	return r
-}
-
-// FlightEvents returns the sampled events currently in the flight ring,
-// oldest first (nil when flight mode is off).
-func (r *Recorder) FlightEvents() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.flight.Snapshot()
-}
-
-// kindID gives each event kind a stable small integer for the flight
-// sampler's identity hash. The numbers are fixed, since the sample is a
-// function of them: a removed kind leaves its number unused (4 and 5).
-func kindID(kind string) uint64 {
-	switch kind {
-	case "round_start":
-		return 1
-	case "round_end":
-		return 2
-	case "spawn":
-		return 3
-	case "drop":
-		return 6
-	case "dup":
-		return 7
-	case "sched_deferred":
-		return 8
-	case "reliable_round":
-		return 9
-	default:
-		return 63
-	}
-}
-
-// keepInFlight decides (deterministically) whether ev enters the flight
-// ring. Caller holds r.mu.
-func (r *Recorder) keepInFlight(ev Event) bool {
-	return r.flightSampler.Keep(
-		kindID(ev.Kind)^uint64(ev.Round)<<8,
-		ev.From^ev.Node,
-		ev.To,
-		uint64(ev.Bits))
-}

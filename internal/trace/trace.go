@@ -1,26 +1,24 @@
 // Package trace is the observability layer of the reproduction: a
-// pluggable, zero-cost-when-disabled recorder for simulator lifecycle
-// events, drop-reason accounting, and wall-clock spans from the
-// experiment harness (per sweep cell) and the reconfiguration network
-// (per epoch).
+// pluggable, zero-cost-when-disabled recorder for the simulator's
+// round reports, audit violations and recoveries, and wall-clock spans
+// from the experiment harness (per sweep cell) and the reconfiguration
+// network (per epoch).
 //
 // A single Recorder may be shared by many networks and worker
 // goroutines: its counters are the series of an obs.Registry (per-lane
 // atomic banks) and span/event recording is mutex-protected. Attach it
 // to a simulator with Network.SetTracer(rec.Tracer(scope)) and to the
 // experiment harness via exp.Options.Trace; export the result with
-// WriteJSONL (one event per line) or WriteChromeTrace (Chrome/Perfetto
+// WriteJSONL (one record per line) or WriteChromeTrace (Chrome/Perfetto
 // trace_events JSON, load it at https://ui.perfetto.dev).
 //
-// Every Recorder keeps its counters, spans, and every violation and
-// recovery report. Per-round and per-message events are kept only in
-// the bounded flight ring FlightRecorder turns on; FlightRecorder(seed,
-// 1, capacity) keeps all of them until the ring fills.
+// A round's facts reach the registry as counts and histograms, never as
+// events: the only events are violation and recovery reports, and the
+// Recorder keeps every one.
 package trace
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"overlaynet/internal/audit"
@@ -28,46 +26,25 @@ import (
 	"overlaynet/internal/sim"
 )
 
-// Event is one simulator lifecycle event. TSMicros is microseconds
-// since the Recorder was created.
+// Event is one audit report: a violation or a closed recovery episode.
+// TSMicros is microseconds since the Recorder was created.
 type Event struct {
 	TSMicros int64  `json:"ts_us"`
-	Kind     string `json:"kind"` // round_start, round_end, spawn, drop, dup, sched_deferred, reliable_round, violation, recovery
+	Kind     string `json:"kind"` // violation, recovery
 	Scope    string `json:"scope,omitempty"`
 	Round    int    `json:"round"`
-	Node     uint64 `json:"node,omitempty"`
-	From     uint64 `json:"from,omitempty"`
-	To       uint64 `json:"to,omitempty"`
-	Reason   string `json:"reason,omitempty"` // drop reason, or invariant name on violations
-	Bits     int    `json:"bits,omitempty"`
-	Alive    int    `json:"alive,omitempty"`
-	// Copies (on dup events) is the delivered copy count; Detail, Epoch,
-	// Seed, and Nodes carry the structured report on violation events.
-	Copies int      `json:"copies,omitempty"`
+	Reason   string `json:"reason,omitempty"` // the invariant's name
+	// Detail, Epoch, Seed, and Nodes carry the structured report on
+	// violation events.
 	Detail string   `json:"detail,omitempty"`
 	Epoch  int      `json:"epoch,omitempty"`
 	Seed   uint64   `json:"seed,omitempty"`
 	Nodes  []uint64 `json:"nodes,omitempty"`
-	// Stats carries the round summary on round_end events.
-	Stats *sim.RoundStats `json:"stats,omitempty"`
 	// CleanRound and MTTRRounds appear on recovery events only: Round is
 	// the episode's first violation, CleanRound the first clean audit
 	// pass after it, MTTRRounds their difference.
 	CleanRound int `json:"clean_round,omitempty"`
 	MTTRRounds int `json:"mttr_rounds,omitempty"`
-	// Deferred, on sched_deferred events only: how many messages the
-	// discrete-event scheduler parked past round+1 this round. It is a
-	// deterministic count — a pure function of the seed and the latency
-	// model — so it participates in byte-compared output.
-	Deferred int `json:"deferred,omitempty"`
-	// Reliability lane, on reliable_round events only: the round's
-	// control-plane activity from internal/reliable endpoints. Like
-	// Deferred these are deterministic counts (pure functions of seed,
-	// latency model, and fault spec), safe in byte-compared output.
-	Retransmits  int `json:"retransmits,omitempty"`
-	Acks         int `json:"acks,omitempty"`
-	RelFailures  int `json:"rel_failures,omitempty"`
-	StaleArrived int `json:"stale,omitempty"`
 }
 
 // Span is one timed region: an experiment, one sweep cell of its
@@ -100,16 +77,9 @@ type Recorder struct {
 	km      *kernelMetrics
 	recLane int
 
-	// Flight recorder (see metrics.go): a bounded ring of
-	// deterministically sampled events. flightOn mirrors flight != nil
-	// so the tracer hooks' check stays lock-free.
-	flightOn      atomic.Bool
-	flightSampler obs.Sampler
-
 	mu     sync.Mutex
 	spans  []Span
-	kept   []Event // every violation and recovery, beside the ring so none is evicted
-	flight *obs.Ring[Event]
+	events []Event // every violation and recovery
 }
 
 // New returns an empty Recorder counting into a registry of its own
@@ -122,14 +92,15 @@ func New() *Recorder {
 // relative to it.
 func (r *Recorder) Start() time.Time { return r.start }
 
-// Tracer returns a sim.Tracer that feeds this recorder, labeling its
-// events with scope (e.g. "E6/cell3"). Multiple tracers from the same
-// recorder may be attached to different networks concurrently.
+// Tracer returns a sim.Tracer that counts into this recorder's
+// registry. The series sum over every tracer, so scope (e.g.
+// "E6/cell3") labels nothing. Multiple tracers from the same recorder
+// may be attached to different networks concurrently.
 func (r *Recorder) Tracer(scope string) sim.Tracer {
 	// Each tracer gets its own counter lane: networks traced
 	// concurrently (sweep cells on different workers) increment
 	// different cache lines of the metric banks.
-	return &simTracer{rec: r, scope: scope, lane: r.reg.Lane()}
+	return &simTracer{rec: r, lane: r.reg.Lane()}
 }
 
 // AddSpan records a fully built span.
@@ -213,9 +184,8 @@ func (r *Recorder) Snapshot() map[string]float64 {
 // the rest of the telemetry.
 func (r *Recorder) ReportViolation(v audit.Violation) {
 	r.km.violations.Inc(r.recLane)
-	// Unlike round/message telemetry, violations are rare and
-	// load-bearing, so every one is kept. The audit engine caps what it
-	// reports.
+	// Violations are rare and load-bearing, so every one is kept. The
+	// audit engine caps what it reports.
 	r.keep(Event{
 		TSMicros: time.Since(r.start).Microseconds(),
 		Kind:     "violation",
@@ -249,7 +219,7 @@ func (r *Recorder) ReportRecovery(rec audit.Recovery) {
 
 func (r *Recorder) keep(ev Event) {
 	r.mu.Lock()
-	r.kept = append(r.kept, ev)
+	r.events = append(r.events, ev)
 	r.mu.Unlock()
 }
 
@@ -261,35 +231,20 @@ func (r *Recorder) Spans() []Span {
 }
 
 // Events returns a copy of the events both exports write: every
-// violation and recovery report, then the flight ring's sample, oldest
-// first (none without FlightRecorder).
+// violation and recovery report, in report order.
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append(append([]Event(nil), r.kept...), r.flight.Snapshot()...)
+	return append([]Event(nil), r.events...)
 }
 
-// emit offers an event to the flight ring. The tracer hooks call it only
-// when wantsEvents reports a ring, checked without the lock.
-func (r *Recorder) emit(ev Event) {
-	r.mu.Lock()
-	if r.keepInFlight(ev) {
-		r.flight.Append(ev)
-	}
-	r.mu.Unlock()
-}
-
-func (r *Recorder) wantsEvents() bool { return r.flightOn.Load() }
-
-// simTracer adapts a Recorder to the sim.Tracer interface, labeling
-// everything with a fixed scope; the raw per-round samples stream into
-// the registry's log-scale histograms. lane is the tracer's private
-// counter lane; roundStartUS times the current round for the duration
-// histogram (driver-goroutine-only state, like the kernel's own
-// scratch).
+// simTracer adapts a Recorder to the sim.Tracer interface: each round's
+// stats stream into the registry's counters (on the tracer's private
+// lane) and log-scale histograms. roundStartUS times the current round
+// for the duration histogram (driver-goroutine-only state, like the
+// kernel's own scratch).
 type simTracer struct {
 	rec          *Recorder
-	scope        string
 	lane         int
 	roundStartUS int64
 }
@@ -301,87 +256,32 @@ func (t *simTracer) RoundStart(round, alive int) {
 	km.rounds.Inc(t.lane)
 	km.alive.Observe(int64(alive))
 	t.roundStartUS = t.now()
-	if t.rec.wantsEvents() {
-		t.rec.emit(Event{TSMicros: t.now(), Kind: "round_start", Scope: t.scope,
-			Round: round, Alive: alive})
+}
+
+// RoundEnd counts the round: its sends, drops by reason, duplicated
+// extras, deferrals and reliable-layer activity, every one a pure
+// function of seed, latency model and fault spec; the per-node samples
+// stream into the histograms as O(n) bucket increments, with no
+// sorting and no retention.
+func (t *simTracer) RoundEnd(s sim.RoundStats) {
+	km, l := t.rec.km, t.lane
+	km.messages.Add(l, uint64(s.Work.Messages))
+	for r, d := range s.Dropped {
+		km.drops[r].Add(l, uint64(d))
 	}
-}
-
-func (t *simTracer) RoundEnd(stats sim.RoundStats) {
-	t.rec.km.messages.Add(t.lane, uint64(stats.Work.Messages))
-	t.rec.km.roundDurUS.Observe(t.now() - t.roundStartUS)
-	if t.rec.wantsEvents() {
-		s := stats
-		t.rec.emit(Event{TSMicros: t.now(), Kind: "round_end", Scope: t.scope,
-			Round: stats.Round, Alive: stats.Alive, Stats: &s})
-	}
-}
-
-// RoundSamples streams the kernel's raw per-node inbox and bits samples
-// into the registry's histograms — O(n) bucket increments on the driver
-// goroutine, no sorting, no retention.
-func (t *simTracer) RoundSamples(round int, inbox, bits []int64) {
-	t.rec.km.inboxDepth.ObserveAll(inbox)
-	t.rec.km.nodeBits.ObserveAll(bits)
-}
-
-func (t *simTracer) NodeSpawned(round int, id sim.NodeID) {
-	t.rec.km.spawns.Inc(t.lane)
-	if t.rec.wantsEvents() {
-		t.rec.emit(Event{TSMicros: t.now(), Kind: "spawn", Scope: t.scope,
-			Round: round, Node: uint64(id)})
-	}
-}
-
-// RoundDeferred counts the messages the discrete-event scheduler parked
-// past the synchronous round+1 deadline. The count is a pure function of
-// (seed, latency model): sched_deferred events and the
-// overlaynet_async_deferred_total series are deterministic output, safe
-// to byte-compare.
-func (t *simTracer) RoundDeferred(round, deferred int) {
-	t.rec.km.asyncDeferred.Add(t.lane, uint64(deferred))
-	if t.rec.wantsEvents() {
-		t.rec.emit(Event{TSMicros: t.now(), Kind: "sched_deferred", Scope: t.scope,
-			Round: round, Deferred: deferred})
-	}
-}
-
-// RoundReliability counts a round's control-lane activity (retransmits,
-// acks, exhausted budgets, stale arrivals) from reliable endpoints; every
-// count is a pure function of (seed, latency model, fault spec), safe to
-// byte-compare.
-func (t *simTracer) RoundReliability(round int, stats sim.ReliabilityRoundStats) {
-	km := t.rec.km
-	km.retransmits.Add(t.lane, uint64(stats.Retransmits))
-	km.acks.Add(t.lane, uint64(stats.Acks))
-	km.relFailures.Add(t.lane, uint64(stats.Failures))
-	km.staleDeliveries.Add(t.lane, uint64(stats.Stale))
-	for b, c := range stats.AckDelay {
+	km.dupExtra.Add(l, uint64(s.DupExtra))
+	km.asyncDeferred.Add(l, uint64(s.Deferred))
+	rel := &s.Reliability
+	km.retransmits.Add(l, uint64(rel.Retransmits))
+	km.acks.Add(l, uint64(rel.Acks))
+	km.relFailures.Add(l, uint64(rel.Failures))
+	km.staleDeliveries.Add(l, uint64(rel.Stale))
+	for b, c := range rel.AckDelay {
 		km.ackDelayRounds.ObserveN(int64(1)<<b, uint64(c))
 	}
-	if t.rec.wantsEvents() {
-		t.rec.emit(Event{TSMicros: t.now(), Kind: "reliable_round", Scope: t.scope,
-			Round: round, Retransmits: stats.Retransmits, Acks: stats.Acks,
-			RelFailures: stats.Failures, StaleArrived: stats.Stale})
-	}
+	km.inboxDepth.ObserveAll(s.Inbox)
+	km.nodeBits.ObserveAll(s.Bits)
+	km.roundDurUS.Observe(t.now() - t.roundStartUS)
 }
 
-// MessageDuplicated accumulates the extra-copy counter the delivered
-// reconciliation uses.
-func (t *simTracer) MessageDuplicated(round int, from, to sim.NodeID, bits, copies int) {
-	t.rec.km.dupExtra.Add(t.lane, uint64(copies-1))
-	if t.rec.wantsEvents() {
-		t.rec.emit(Event{TSMicros: t.now(), Kind: "dup", Scope: t.scope,
-			Round: round, From: uint64(from), To: uint64(to),
-			Bits: bits, Copies: copies})
-	}
-}
-
-func (t *simTracer) MessageDropped(round int, reason sim.DropReason, from, to sim.NodeID, bits int) {
-	t.rec.km.drops[reason].Inc(t.lane)
-	if t.rec.wantsEvents() {
-		t.rec.emit(Event{TSMicros: t.now(), Kind: "drop", Scope: t.scope,
-			Round: round, From: uint64(from), To: uint64(to),
-			Reason: reason.String(), Bits: bits})
-	}
-}
+func (t *simTracer) NodeSpawned(int, sim.NodeID) { t.rec.km.spawns.Inc(t.lane) }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"maps"
 	"strings"
 	"testing"
 	"time"
@@ -73,40 +74,33 @@ func TestRecorderCounters(t *testing.T) {
 	}
 }
 
-// TestRecorderEventRetention verifies that lifecycle events are kept
-// only in a flight ring, and that a rate-1 ring keeps all lifecycle kinds
-// with scope labels.
+// TestRecorderEventRetention checks what the recorder keeps as events:
+// nothing of a round, however long the run, and every violation and
+// recovery report, in report order with its scope.
 func TestRecorderEventRetention(t *testing.T) {
-	off := New()
-	scenario(off)
-	if n := len(off.Events()); n != 0 {
-		t.Fatalf("events retained without a flight ring: %d", n)
+	rec := New()
+	scenario(rec)
+	if n := len(rec.Events()); n != 0 {
+		t.Fatalf("a traced run left %d events", n)
 	}
-
-	on := New().FlightRecorder(1, 1, 1024)
-	scenario(on)
-	evs := on.FlightEvents()
-	kinds := map[string]int{}
-	for _, ev := range evs {
-		kinds[ev.Kind]++
-		if ev.Scope != "test" {
-			t.Fatalf("event missing scope: %+v", ev)
-		}
-	}
-	// 5 rounds, 5 spawns, 5 drops.
-	want := map[string]int{"round_start": 5, "round_end": 5, "spawn": 5, "drop": 5}
-	for k, n := range want {
-		if kinds[k] != n {
-			t.Fatalf("event kind %q: %d, want %d (all: %v)", k, kinds[k], n, kinds)
-		}
+	rec.ReportViolation(audit.Violation{Scope: "test", Invariant: "cycle-cover", Round: 3, Detail: "early"})
+	net := floodNet(32, 2, rec.Tracer("long"))
+	net.Run(40)
+	net.Shutdown()
+	rec.ReportRecovery(audit.Recovery{Scope: "test", Invariant: "cycle-cover", BrokenAt: 3, CleanAt: 5, Rounds: 2})
+	evs := rec.Events()
+	if len(evs) != 2 || evs[0].Kind != "violation" || evs[0].Detail != "early" || evs[1].Kind != "recovery" ||
+		evs[0].Scope != "test" || evs[1].Scope != "test" {
+		t.Fatalf("events = %+v, want the violation then the recovery", evs)
 	}
 }
 
 // TestWriteJSONL checks that every emitted line parses as JSON and that
 // the export ends with the metrics line.
 func TestWriteJSONL(t *testing.T) {
-	rec := New().FlightRecorder(1, 1, 1024)
+	rec := New()
 	scenario(rec)
+	rec.ReportViolation(audit.Violation{Scope: "test", Invariant: "cycle-cover", Round: 3, Detail: "test"})
 	rec.CellSpan("E0", 3, 42, 1, rec.Start())
 
 	var batch bytes.Buffer
@@ -134,12 +128,14 @@ func TestWriteJSONL(t *testing.T) {
 }
 
 // TestWriteChromeTrace round-trips the Chrome export through its own
-// types: spans become "X" events on the documented pid layout, lifecycle
+// types: spans become "X" events on the documented pid layout, audit
 // events become "i" instants, and no metrics snapshot rides along (the
 // JSONL stream carries it).
 func TestWriteChromeTrace(t *testing.T) {
-	rec := New().FlightRecorder(1, 1, 1024)
+	rec := New()
 	scenario(rec)
+	rec.ReportViolation(audit.Violation{Scope: "test", Invariant: "cycle-cover", Round: 3, Detail: "test"})
+	rec.ReportRecovery(audit.Recovery{Scope: "test", Invariant: "cycle-cover", BrokenAt: 3, CleanAt: 5, Rounds: 2})
 	start := rec.Start()
 	rec.CellSpan("E0", 0, 42, 2, start)
 	rec.EpochSpan("E0/cell0", 1, 7, 64, 64, start)
@@ -174,15 +170,15 @@ func TestWriteChromeTrace(t *testing.T) {
 			}
 		case "i":
 			instants++
-			if ev.Pid != chromePidSim {
-				t.Fatalf("instant %q on pid %d, want %d", ev.Name, ev.Pid, chromePidSim)
+			if ev.Pid != chromePidAudit {
+				t.Fatalf("instant %q on pid %d, want %d", ev.Name, ev.Pid, chromePidAudit)
 			}
 		default:
 			t.Fatalf("unexpected phase %q", ev.Ph)
 		}
 	}
-	if spans != 3 || instants != len(rec.Events()) {
-		t.Fatalf("spans=%d instants=%d, want 3/%d", spans, instants, len(rec.Events()))
+	if spans != 3 || instants != 2 {
+		t.Fatalf("spans=%d instants=%d, want 3/2", spans, instants)
 	}
 }
 
@@ -215,28 +211,25 @@ func exportedKinds(t *testing.T, rec *Recorder) (jsonl, chrome map[string]int) {
 	chrome = map[string]int{}
 	for _, ev := range f.TraceEvents {
 		if ev.Ph == "i" {
-			chrome[strings.SplitN(ev.Name, ":", 2)[0]]++
+			chrome[ev.Name]++
 		}
 	}
 	return jsonl, chrome
 }
 
-// TestExportKeepsFlightSampleBesideViolations is the regression test for
-// an export that wrote only the violations once there was one, dropping
-// the flight sample around it: both formats carry the scenario's 20
-// sampled events and the one violation.
-func TestExportKeepsFlightSampleBesideViolations(t *testing.T) {
-	rec := New().FlightRecorder(1, 1, 1024)
+// TestExportKeepsViolationsAndRecoveries: both formats carry every
+// violation and recovery report of a traced run, and no other event.
+func TestExportKeepsViolationsAndRecoveries(t *testing.T) {
+	rec := New()
 	scenario(rec)
 	rec.ReportViolation(audit.Violation{Scope: "test", Invariant: "cycle-cover", Round: 3, Detail: "test"})
+	rec.ReportViolation(audit.Violation{Scope: "test", Invariant: "cycle-cover", Round: 4, Detail: "test"})
+	rec.ReportRecovery(audit.Recovery{Scope: "test", Invariant: "cycle-cover", BrokenAt: 3, CleanAt: 5, Rounds: 2})
 	jsonl, chrome := exportedKinds(t, rec)
+	want := map[string]int{"violation": 2, "recovery": 1}
 	for name, kinds := range map[string]map[string]int{"JSONL": jsonl, "Chrome": chrome} {
-		total := 0
-		for _, n := range kinds {
-			total += n
-		}
-		if total != 21 || kinds["violation"] != 1 {
-			t.Errorf("%s export: %d events, %d violations, want 21 and 1 (%v)", name, total, kinds["violation"], kinds)
+		if !maps.Equal(kinds, want) {
+			t.Errorf("%s export: events by kind %v, want %v", name, kinds, want)
 		}
 	}
 }
