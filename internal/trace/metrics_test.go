@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"overlaynet/internal/audit"
 	"overlaynet/internal/obs"
 	"overlaynet/internal/sim"
 )
@@ -182,6 +183,31 @@ func TestJSONLCarriesMetricsLine(t *testing.T) {
 		if metrics.Type != "metrics" || metrics.Metrics["overlaynet_rounds_total"] != 3 {
 			t.Fatalf("%s: last line is not the metrics snapshot: %s", name, lines[len(lines)-1])
 		}
+	}
+}
+
+// TestFlightRecorderBoundedAndKeepsViolations checks the two retention
+// rules: the recorder's event store does not grow with the run however
+// long it is (no round leaves an event), and a violation reported early
+// in a long run is still exported beside the recovery reported at its end.
+func TestFlightRecorderBoundedAndKeepsViolations(t *testing.T) {
+	rec := New()
+	net := floodNet(32, 2, rec.Tracer("long"))
+	net.Run(1)
+	rec.ReportViolation(audit.Violation{Invariant: "cycle-cover", Round: 1, Detail: "early"})
+	net.Run(39)
+	net.Shutdown()
+	rec.ReportRecovery(audit.Recovery{Invariant: "cycle-cover", BrokenAt: 1, CleanAt: 40, Rounds: 39})
+	if got := len(rec.Events()); got != 2 {
+		t.Fatalf("a 40-round run kept %d events, want the violation and the recovery only", got)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, `"detail":"early"`) || !strings.Contains(out, `"kind":"recovery"`) {
+		t.Fatalf("the early violation or the late recovery is missing from the export:\n%s", out)
 	}
 }
 
