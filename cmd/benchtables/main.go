@@ -5,7 +5,7 @@
 //
 //	benchtables [-quick] [-seed N] [-only E8[,E9,…]] [-procs N] [-list]
 //	           [-audit] [-faults drop=0.01,dup=0.001,crash=0.05,restart=2]
-//	           [-latency uniform:0.5,2.5] [-reliable on]
+//	           [-latency uniform:0.5,2.5] [-reliable on|off]
 //	           [-cell-timeout D] [-cpuprofile F] [-trace F] [-events F]
 //	           [-manifest F] [-progress] [-maskwall]
 //
@@ -244,7 +244,7 @@ func main() {
 	// -reliable wraps every sim-kernel protocol handler in the
 	// ack/retransmit endpoints of internal/reliable. AS2 sweeps its own
 	// configs and ignores the global flag, like AS1 does for -latency.
-	reliableFlag := flag.String("reliable", "", "reliable delivery for sim-kernel networks: off, on, or rto=3,backoff=2,budget=5,stretch=0")
+	reliableFlag := flag.String("reliable", "", "reliable delivery for sim-kernel networks: off or on (rto 3, backoff 2, budget 5, automatic stretch)")
 	flag.Parse()
 
 	faultSpec, latency, reliableCfg, err := parseSpecs(*faultsFlag, *latencyFlag, *reliableFlag)

@@ -232,18 +232,19 @@ func TestFaultsUsageExit(t *testing.T) {
 	}
 }
 
-// TestReliableUsageExit: a -reliable value that repeats a key is a usage
-// error, exit status 1 with one benchtables: line, as for -faults.
+// TestReliableUsageExit: a -reliable value other than on, off or none is
+// a usage error, exit status 1 with one benchtables: line naming the
+// flag, as for -faults.
 func TestReliableUsageExit(t *testing.T) {
-	cmd := exec.Command(os.Args[0], mainArg, "-reliable", "rto=3,rto=4", "-list")
+	cmd := exec.Command(os.Args[0], mainArg, "-reliable", "rto=4", "-list")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	err := cmd.Run()
 	if ee := (*exec.ExitError)(nil); !errors.As(err, &ee) || ee.ExitCode() != 1 {
-		t.Errorf("-reliable rto=3,rto=4: %v, want exit status 1", err)
+		t.Errorf("-reliable rto=4: %v, want exit status 1", err)
 	}
-	if lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], "benchtables: ") {
-		t.Errorf("-reliable rto=3,rto=4: stderr %q, want one benchtables: line", stderr.String())
+	if lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], "benchtables: -reliable: ") {
+		t.Errorf("-reliable rto=4: stderr %q, want one benchtables: -reliable: line", stderr.String())
 	}
 }
 
@@ -263,7 +264,6 @@ func TestParseSpecs(t *testing.T) {
 		{name: "good faults", faults: "drop=0.01,dup=0.001", wantFault: true},
 		{name: "good latency", latency: "uniform:0.5,2.5", wantLat: true},
 		{name: "good reliable on", rel: "on", wantRel: true},
-		{name: "good reliable kv", rel: "rto=4,budget=6", wantRel: true},
 		{name: "reliable off", rel: "off"},
 		{name: "everything", faults: "drop=0.05", latency: "lognorm:0,0.6", rel: "on",
 			wantFault: true, wantLat: true, wantRel: true},
@@ -284,6 +284,8 @@ func TestParseSpecs(t *testing.T) {
 			wantErr: true, wantFlag: "-reliable:", wantToken: "budget"},
 		{name: "reliable invalid rto", rel: "rto=1",
 			wantErr: true, wantFlag: "-reliable:", wantToken: "rto=1"},
+		{name: "reliable kv rejected", rel: "rto=4,budget=6",
+			wantErr: true, wantFlag: "-reliable:", wantToken: "rto=4,budget=6"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -321,11 +323,10 @@ func TestParseSpecs(t *testing.T) {
 // form, and a disabled config renders empty so the field is omitted.
 func TestReliableStringRoundTrip(t *testing.T) {
 	for spec, want := range map[string]string{
-		"":                 "",
-		"off":              "",
-		"on":               "on",
-		"rto=3,backoff=2":  "on", // defaults collapse
-		"rto=4,stretch=16": "rto=4,stretch=16",
+		"":     "",
+		"off":  "",
+		"none": "",
+		"on":   "on",
 	} {
 		fs, lat, cfg, err := parseSpecs("", "", spec)
 		if err != nil {

@@ -33,12 +33,6 @@ type Config struct {
 	Seed uint64
 	// N is the number of servers.
 	N int
-	// K and D define the k-ary hypercube of groups; if zero they are
-	// derived so that k^d ≈ n/log₂ n with d ≈ k/log₂ k, the regime of
-	// Section 7.2.
-	K, D int
-	// Replicas is the per-key redundancy (default ⌈log₂ n⌉).
-	Replicas int
 }
 
 // Result reports the outcome of one request.
@@ -57,9 +51,13 @@ type Result struct {
 
 // DHT is the robust distributed hash table.
 type DHT struct {
-	cfg  Config
+	cfg Config
+	// cube is the k-ary hypercube of groups, k^d ≈ n/log₂ n with
+	// d ≈ k/log₂ k, the regime of Section 7.2.
 	cube *hypercube.KAry
 	r    *rng.RNG
+	// replicas is the per-key redundancy, ⌈log₂ n⌉.
+	replicas int
 
 	groups    [][]sim.NodeID // per cube vertex
 	nodeGroup []int32
@@ -72,26 +70,21 @@ func New(cfg Config) *DHT {
 	if cfg.N < 64 {
 		panic(fmt.Sprintf("dht: n = %d too small", cfg.N))
 	}
-	if cfg.K == 0 || cfg.D == 0 {
-		// d ≈ k/log₂ k with k^d ≤ n/log₂ n: search small (k, d) pairs.
-		target := float64(cfg.N) / math.Log2(float64(cfg.N))
-		bestK, bestD, bestV := 2, 1, 2.0
-		for k := 2; k <= 16; k++ {
-			d := int(math.Max(1, math.Round(float64(k)/math.Log2(float64(k)))))
-			v := math.Pow(float64(k), float64(d))
-			if v <= target && v > bestV {
-				bestK, bestD, bestV = k, d, v
-			}
+	// d ≈ k/log₂ k with k^d ≤ n/log₂ n: search small (k, d) pairs.
+	target := float64(cfg.N) / math.Log2(float64(cfg.N))
+	bestK, bestD, bestV := 2, 1, 2.0
+	for k := 2; k <= 16; k++ {
+		d := int(math.Max(1, math.Round(float64(k)/math.Log2(float64(k)))))
+		v := math.Pow(float64(k), float64(d))
+		if v <= target && v > bestV {
+			bestK, bestD, bestV = k, d, v
 		}
-		cfg.K, cfg.D = bestK, bestD
-	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = int(math.Ceil(math.Log2(float64(cfg.N))))
 	}
 	d := &DHT{
-		cfg:  cfg,
-		cube: hypercube.NewKAry(cfg.K, cfg.D),
-		r:    rng.New(cfg.Seed),
+		cfg:      cfg,
+		cube:     hypercube.NewKAry(bestK, bestD),
+		r:        rng.New(cfg.Seed),
+		replicas: int(math.Ceil(math.Log2(float64(cfg.N)))),
 	}
 	if d.cube.N() > cfg.N {
 		panic(fmt.Sprintf("dht: %d groups for %d servers", d.cube.N(), cfg.N))
@@ -106,10 +99,10 @@ func New(cfg Config) *DHT {
 }
 
 // K returns the cube arity; D its dimension.
-func (d *DHT) K() int { return d.cfg.K }
+func (d *DHT) K() int { return d.cube.K }
 
 // D returns the cube dimension (also the routing diameter).
-func (d *DHT) D() int { return d.cfg.D }
+func (d *DHT) D() int { return d.cube.D }
 
 // NumGroups returns k^d.
 func (d *DHT) NumGroups() int { return d.cube.N() }
@@ -143,14 +136,14 @@ func (d *DHT) Rebuild() {
 	d.epoch++
 }
 
-// ReplicaSet returns the servers storing the given key: Replicas
+// ReplicaSet returns the servers storing the given key: ⌈log₂ n⌉
 // servers determined by iterated hashing (stable across rebuilds, as
 // the paper notes that reconfiguration must not force data movement).
 func (d *DHT) ReplicaSet(key string) []sim.NodeID {
-	out := make([]sim.NodeID, 0, d.cfg.Replicas)
-	seen := make(map[uint64]bool, d.cfg.Replicas)
+	out := make([]sim.NodeID, 0, d.replicas)
+	seen := make(map[uint64]bool, d.replicas)
 	salt := 0
-	for len(out) < d.cfg.Replicas && salt < 64*d.cfg.Replicas {
+	for len(out) < d.replicas && salt < 64*d.replicas {
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%s/%d", key, salt)
 		salt++

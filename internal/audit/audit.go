@@ -150,17 +150,18 @@ func (e *Engine) RunNow(round int) {
 			}
 			v.Round = round
 			violated[v.Invariant] = true
-			e.Report(v)
+			e.ReportViolation(v)
 		}
 	}
 	e.observeRun(round, violated)
 }
 
-// Report records one violation (stamping scope/seed/epoch defaults) and
-// forwards it to the reporter. It is also the path for failures
-// detected outside checkers, e.g. the work-conservation ledger or a
-// recovered invariant panic.
-func (e *Engine) Report(v Violation) {
+// ReportViolation records one violation (stamping scope/seed/epoch
+// defaults) and forwards it to the reporter. It is also the path for
+// failures detected outside checkers, e.g. the work-conservation ledger
+// or a recovered invariant panic, and implements Reporter, so an Engine
+// can sit behind a WorkAuditor or another engine.
+func (e *Engine) ReportViolation(v Violation) {
 	if e == nil {
 		return
 	}
@@ -185,10 +186,6 @@ func (e *Engine) Report(v Violation) {
 		e.rep.ReportViolation(v)
 	}
 }
-
-// ReportViolation implements Reporter, so an Engine can sit behind a
-// WorkAuditor or another engine.
-func (e *Engine) ReportViolation(v Violation) { e.Report(v) }
 
 // Count returns the total number of violations observed (including any
 // past the retention cap).

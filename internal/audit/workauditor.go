@@ -15,13 +15,15 @@ import (
 // The ledger, per the sim.Tracer reconciliation contract: messages
 // handed to nodes in round r's receive step equal the previous round's
 // Work.Messages, minus that round's dead-receiver and fault-injected
-// drops, plus its duplicated extra copies. Inboxes of nodes that
-// departed at the end of round r-1 are absorbed silently (the kernel
-// recycles their slots), so a shortfall is tolerated — but only in
-// rounds following a departure; any other mismatch is reported as a
-// "work-conservation" violation. Control-lane traffic (acks and
-// retransmit copies) is outside the ledger: the kernel counts it in
-// Work.CtlMessages and Reliability, never in Messages or Delivered.
+// drops, plus its duplicated extra copies, minus the copies it moved
+// into the latency calendar, plus the copies it placed out of it.
+// Inboxes of nodes that departed at the end of round r-1 are absorbed
+// silently (the kernel recycles their slots), so a shortfall is
+// tolerated — but only in rounds following a departure; any other
+// mismatch is reported as a "work-conservation" violation. Control-lane
+// traffic (acks and retransmit copies) is outside the ledger: the
+// kernel counts it in Work.CtlMessages and Reliability, never in
+// Messages or Delivered.
 type WorkAuditor struct {
 	next sim.Tracer
 	rep  Reporter
@@ -68,15 +70,16 @@ func (a *WorkAuditor) RoundEnd(stats sim.RoundStats) {
 	if a.haveRound {
 		p := &a.prev
 		dead, fault := p.Dropped[sim.DropDeadReceiver], p.Dropped[sim.DropFaultInjected]
-		expected := int64(p.Work.Messages - dead - fault + p.DupExtra)
+		expected := int64(p.Work.Messages - dead - fault + p.DupExtra - p.CalendarIn + p.CalendarOut)
 		a.checked++
 		if stats.Delivered > expected || (stats.Delivered < expected && a.departures == 0) {
 			a.mismatches++
 			a.report(Violation{
 				Invariant: "work-conservation",
 				Round:     stats.Round,
-				Detail: fmt.Sprintf("delivered %d, ledger expects %d (prev sent %d, dead %d, fault %d, dup extra %d, departures %d)",
-					stats.Delivered, expected, p.Work.Messages, dead, fault, p.DupExtra, a.departures),
+				Detail: fmt.Sprintf("delivered %d, ledger expects %d (prev sent %d, dead %d, fault %d, dup extra %d, calendar in %d out %d absorbed %d, departures %d)",
+					stats.Delivered, expected, p.Work.Messages, dead, fault, p.DupExtra,
+					p.CalendarIn, p.CalendarOut, p.CalendarAbsorbed, a.departures),
 			})
 		}
 	}

@@ -64,37 +64,6 @@ func (a *Replace) Plan(v View) ([]core.JoinSpec, []int) {
 	return joins, leaves
 }
 
-// GrowShrink alternates between growing the network by Factor and
-// shrinking it back, exercising churn rates r = Factor in both
-// directions.
-type GrowShrink struct {
-	Factor float64
-	R      *rng.RNG
-}
-
-// Plan implements Adversary.
-func (a *GrowShrink) Plan(v View) ([]core.JoinSpec, []int) {
-	n := len(v.Members)
-	if v.Epoch%2 == 0 {
-		k := int(float64(n)*a.Factor) - n
-		joins := make([]core.JoinSpec, k)
-		for i := range joins {
-			joins[i] = core.JoinSpec{Sponsor: v.Members[a.R.Intn(n)]}
-		}
-		return joins, nil
-	}
-	k := n - int(float64(n)/a.Factor)
-	if k > n-3 {
-		k = n - 3
-	}
-	perm := a.R.Perm(n)
-	leaves := make([]int, k)
-	for i := range leaves {
-		leaves[i] = v.Members[perm[i]]
-	}
-	return nil, leaves
-}
-
 // TargetOldest removes the longest-lived members (the lowest ids) every
 // epoch and replaces them — the classic attack on age-stratified
 // multi-tier overlays, which the reconfigured expander shrugs off

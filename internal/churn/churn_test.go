@@ -70,19 +70,6 @@ func TestReplaceFullTurnover(t *testing.T) {
 	}
 }
 
-func TestGrowShrinkAdversary(t *testing.T) {
-	nw := newNet(t, 3, 32)
-	adv := &GrowShrink{Factor: 1.5, R: rng.New(12)}
-	reports := Run(nw, adv, 4)
-	checkReports(t, reports, "growshrink")
-	if reports[0].NNew != 48 {
-		t.Fatalf("grow epoch produced %d, want 48", reports[0].NNew)
-	}
-	if reports[1].NNew != 32 {
-		t.Fatalf("shrink epoch produced %d, want 32", reports[1].NNew)
-	}
-}
-
 func TestTargetOldestAdversary(t *testing.T) {
 	nw := newNet(t, 4, 40)
 	adv := &TargetOldest{Fraction: 0.3, R: rng.New(13)}

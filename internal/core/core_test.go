@@ -286,14 +286,14 @@ func TestNetworkDeterministic(t *testing.T) {
 func TestNetworkExpansion(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 8, N0: 128, D: 8})
 	defer nw.Shutdown()
-	nw.MeasureExpansion = true
-	rep, _ := nw.RunEpoch(nil, nil)
-	if rep.SecondEigenvalue <= 0 {
+	nw.RunEpoch(nil, nil)
+	lambda2 := nw.BuildGraph().SecondEigenvalue(rng.New(8), 100)
+	if lambda2 <= 0 {
 		t.Fatal("expansion not measured")
 	}
 	// Corollary 1: |λ₂| ≤ 2√d w.h.p.
-	if rep.SecondEigenvalue > 2*math.Sqrt(8) {
-		t.Fatalf("second eigenvalue %.3f too large", rep.SecondEigenvalue)
+	if lambda2 > 2*math.Sqrt(8) {
+		t.Fatalf("second eigenvalue %.3f too large", lambda2)
 	}
 }
 

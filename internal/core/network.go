@@ -112,9 +112,6 @@ type EpochReport struct {
 	// MaxNodeBits is the peak per-node per-round communication work
 	// during the epoch (Theorem 4: polylogarithmic w.h.p.).
 	MaxNodeBits int64
-	// SecondEigenvalue estimates |λ₂| of the new topology when
-	// measured (0 if measurement was skipped).
-	SecondEigenvalue float64
 }
 
 // epochPlan carries the parameters all nodes use for one epoch. The
@@ -204,7 +201,6 @@ type assignMsg struct {
 type Network struct {
 	cfg     Config
 	net     *sim.Network
-	r       *rng.RNG
 	plan    *epochPlan
 	slots   map[int]*slot
 	members []int // sorted current member ids
@@ -214,9 +210,6 @@ type Network struct {
 	curPred map[int][]int32
 	nextID  int
 	epoch   int
-	// MeasureExpansion, when set, estimates |λ₂| of each new topology
-	// (costs O(n·d·iters) per epoch).
-	MeasureExpansion bool
 	// trace/traceScope: optional telemetry (SetTrace). Every RunEpoch
 	// emits an epoch span and the underlying simulator reports its
 	// lifecycle events and drop accounting under the same scope.
@@ -379,7 +372,6 @@ func NewNetwork(cfg Config) *Network {
 	nw := &Network{
 		cfg:     cfg,
 		net:     sim.NewNetwork(sim.Config{Seed: cfg.Seed, Latency: cfg.Latency}),
-		r:       rng.New(cfg.Seed ^ 0xabcdef0123456789),
 		slots:   make(map[int]*slot),
 		curSucc: make(map[int][]int32),
 		curPred: make(map[int][]int32),
@@ -389,7 +381,7 @@ func NewNetwork(cfg Config) *Network {
 	if cfg.Reliable.Enabled() {
 		nw.stretch = cfg.Reliable.EffectiveStretch(cfg.Latency)
 	}
-	h := hgraph.Random(nw.r, cfg.N0, cfg.D)
+	h := hgraph.Random(rng.New(cfg.Seed^0xabcdef0123456789), cfg.N0, cfg.D)
 	nc := cfg.D / 2
 	for v := 0; v < cfg.N0; v++ {
 		succ := make([]int32, nc)
@@ -610,11 +602,7 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	nw.members = newMembers
 
 	rep.Valid = nw.ValidateTopology() == nil
-	g := nw.BuildGraph()
-	rep.Connected = g.IsConnected()
-	if nw.MeasureExpansion && rep.Connected {
-		rep.SecondEigenvalue = g.SecondEigenvalue(nw.r, 100)
-	}
+	rep.Connected = nw.BuildGraph().IsConnected()
 	if nw.trace != nil {
 		nw.trace.EpochSpan(nw.traceScope, rep.Epoch, rep.Rounds, rep.NOld, rep.NNew, epochStart)
 	}

@@ -63,7 +63,7 @@ func TestReliableRecoversDroppedEpoch(t *testing.T) {
 	}
 
 	cfg := Config{Seed: seed, N0: 32, D: 8, Latency: mustLat(t, "const:1"),
-		Reliable: reliable.Config{On: true, RTO: 3, Backoff: 2, Budget: 4, Stretch: 16}}
+		Reliable: reliable.Config{On: true, Backoff: 2, Budget: 4, Stretch: 16}}
 	nw := NewNetwork(cfg)
 	defer nw.Shutdown()
 	nw.SetInjector(spec.Injector())

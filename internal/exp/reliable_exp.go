@@ -91,8 +91,9 @@ func as2Latencies(quick bool) []sim.Latency {
 // drop = 0.05 the per-message residual is ~0.1^attempts: the default 6
 // attempts leave ~1e-6 — about one reported loss per run at these
 // message volumes — while 8 attempts (~1e-8) silence the table. On the
-// zero-spread control the choice is invisible: RTO 3 exceeds the
-// 2-round ack trip, so no retransmit is ever scheduled.
+// zero-spread control the choice is invisible: the fixed 3-round
+// timeout exceeds the 2-round ack trip, so no retransmit is ever
+// scheduled.
 func as2Config(drop float64) reliable.Config {
 	cfg := reliable.On()
 	cfg.Backoff = 1

@@ -62,8 +62,8 @@ func E3RapidSamplingHypercube(o Options) *metrics.Table {
 	dims := o.sizes([]int{4}, []int{2, 4, 8})
 	return sweep(o, t, len(dims), func(cell int) [][]any {
 		dim := dims[cell]
-		p := sampling.HypercubeParams{Dim: dim, Epsilon: 1, C: 2, Latency: o.Latency}
-		res := sampling.RapidHypercube(o.Seed^uint64(dim), p)
+		p := sampling.KAryParams{K: 2, Dim: dim, Epsilon: 1, C: 2, Latency: o.Latency}
+		res := sampling.RapidKAry(o.Seed^uint64(dim), p)
 		n := 1 << dim
 		tv, env := metrics.PooledTV(res.Samples, n)
 		return [][]any{{dim, n, res.Rounds, p.Samples(), tv, env, res.Failures}}
@@ -91,9 +91,9 @@ func E4RapidVsWalk(o Options) *metrics.Table {
 				tvOf(base.Samples, n), tvOf(rapid.Samples, n)}}
 		}
 		dim := dims[cell-len(ns)]
-		p := sampling.DefaultHypercubeParams(dim)
+		p := sampling.KAryParams{K: 2, Dim: dim, Epsilon: 1, C: 1}
 		base := sampling.BaselineWalkHypercube(o.Seed^uint64(dim), dim, 4)
-		rapid := sampling.RapidHypercube(o.Seed^uint64(dim)+1, p)
+		rapid := sampling.RapidKAry(o.Seed^uint64(dim)+1, p)
 		n := 1 << dim
 		return [][]any{{"hypercube", n, base.Rounds, rapid.Rounds, float64(base.Rounds) / float64(rapid.Rounds),
 			tvOf(base.Samples, n), tvOf(rapid.Samples, n)}}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"time"
 
 	"overlaynet/internal/metrics"
@@ -41,7 +40,7 @@ func runFlood(o Options, n, hint int) floodWork {
 		// The recorder's tracer streams each round's samples into
 		// histograms (no per-round percentile sort), so attaching here
 		// stays viable at n=1M.
-		net.SetTracer(o.Trace.Tracer(fmt.Sprintf("%s/n%d", o.Exp, n)))
+		net.SetTracer(o.Trace.Tracer(o.Exp))
 	}
 	h := floodHandler(n, floodFanout, sim.IDBits(n))
 	for v := 0; v < n; v++ {

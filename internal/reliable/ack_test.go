@@ -76,7 +76,7 @@ func (h *ackHist) RoundEnd(s sim.RoundStats) {
 // unchanged on it).
 func TestAckManyOutstanding(t *testing.T) {
 	const n = 600
-	cfg := Config{On: true, RTO: 3, Backoff: 2, Budget: 2}
+	cfg := Config{On: true, Backoff: 2, Budget: 2}
 	d0 := AttemptDelay(cfg, 5, 1, 1, 2, 0)
 	pick := func(seqs []uint64, rem uint64) (out []uint64) {
 		for _, s := range seqs {

@@ -10,24 +10,24 @@ import (
 )
 
 // FuzzRetransmitSchedule checks the retransmit/backoff derivation's
-// invariants for arbitrary identity tuples and configurations:
+// invariants for arbitrary identity tuples, backoffs and budgets:
 // determinism (the schedule is a pure function — recomputation agrees),
-// bounds (every delay sits in [base, 3·base/2] with base capped at
+// bounds (every delay sits in [base, 3·base/2], base rto·Backoff^a capped at
 // maxAttemptDelay), monotonicity of the backoff base, and the
 // budget-bound deadline (the whole schedule, and therefore the failure
 // report, happens within (Budget+1)·3/2·maxAttemptDelay rounds).
 func FuzzRetransmitSchedule(f *testing.F) {
-	f.Add(uint64(1), 0, uint64(1), uint64(2), 3, 2, 5)
-	f.Add(uint64(42), 100, uint64(7), uint64(7), 3, 1, 0)
-	f.Add(^uint64(0), 1<<30, ^uint64(0), uint64(0), 64, 16, 32)
-	f.Fuzz(func(t *testing.T, seed uint64, round int, src, dst uint64, rto, backoff, budget int) {
-		if rto < 3 || rto > 64 || backoff < 1 || backoff > 16 || budget < 0 || budget > 32 {
+	f.Add(uint64(1), 0, uint64(1), uint64(2), 2, 5)
+	f.Add(uint64(42), 100, uint64(7), uint64(7), 1, 0)
+	f.Add(^uint64(0), 1<<30, ^uint64(0), uint64(0), 16, 32)
+	f.Fuzz(func(t *testing.T, seed uint64, round int, src, dst uint64, backoff, budget int) {
+		if backoff < 1 || backoff > 16 || budget < 0 || budget > 32 {
 			t.Skip()
 		}
 		if round < 0 {
 			t.Skip()
 		}
-		cfg := Config{On: true, RTO: rto, Backoff: backoff, Budget: budget}
+		cfg := Config{On: true, Backoff: backoff, Budget: budget}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("in-range config invalid: %v", err)
 		}
@@ -64,8 +64,8 @@ func FuzzRetransmitSchedule(f *testing.F) {
 }
 
 // FuzzParseConfig checks the -reliable spec parser never panics, that
-// accepted specs validate, and that String() round-trips through the
-// parser unchanged.
+// it accepts only the disabled and the default config, and that
+// String() round-trips through the parser unchanged.
 func FuzzParseConfig(f *testing.F) {
 	f.Add("")
 	f.Add("on")
@@ -82,8 +82,8 @@ func FuzzParseConfig(f *testing.F) {
 			}
 			return
 		}
-		if verr := cfg.Validate(); verr != nil {
-			t.Fatalf("ParseConfig(%q) accepted invalid config: %v", s, verr)
+		if cfg != (Config{}) && cfg != On() {
+			t.Fatalf("ParseConfig(%q) = %+v, want the zero config or On()", s, cfg)
 		}
 		back, err := ParseConfig(cfg.String())
 		if err != nil {
@@ -156,7 +156,7 @@ func FuzzEndpointExactlyOnce(f *testing.F) {
 			t.Skip()
 		}
 		nn, ns, np := int(n%8)+1, int(sends%6), int(phases%10)+1
-		cfg := Config{On: true, RTO: DefaultRTO, Backoff: DefaultBackoff, Budget: int(budget % 4), Stretch: int(stretch % 13)}
+		cfg := Config{On: true, Backoff: DefaultBackoff, Budget: int(budget % 4), Stretch: int(stretch % 13)}
 		s := cfg.EffectiveStretch(lat)
 		net := sim.NewNetwork(sim.Config{Seed: seed, Latency: lat})
 		defer net.Shutdown()

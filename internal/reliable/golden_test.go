@@ -71,7 +71,7 @@ func endpointTranscript(t *testing.T, latSpec string, spec fault.Spec) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{On: true, RTO: DefaultRTO, Backoff: DefaultBackoff, Budget: 1}
+	cfg := Config{On: true, Backoff: DefaultBackoff, Budget: 1}
 	stretch := cfg.EffectiveStretch(lat)
 	net := sim.NewNetwork(sim.Config{Seed: seed, Latency: lat})
 	spec.Seed = seed

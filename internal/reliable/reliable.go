@@ -24,19 +24,19 @@ package reliable
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
 	"strings"
 
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
 
-// Defaults. RTO = 3 is the smallest timeout that stays silent on a
-// perfect network: an envelope sent at round r is delivered at r+1, its
-// ack at r+2, one round before the first retransmit would fire.
+// rto, the retransmission timeout in sim rounds, is fixed at 3: the
+// smallest timeout that stays silent on a perfect network, since an
+// envelope sent at round r is delivered at r+1 and its ack at r+2, one
+// round before the first retransmit would fire. The Default values are
+// On()'s.
 const (
-	DefaultRTO     = 3
+	rto            = 3
 	DefaultBackoff = 2
 	DefaultBudget  = 5
 	// maxAttemptDelay caps a single backoff interval (and its jitter),
@@ -64,10 +64,6 @@ type Config struct {
 	// On enables the layer. Separate from the parameter fields so the
 	// zero value of every parameter can mean "default".
 	On bool
-	// RTO is the retransmission timeout in sim rounds: how long after a
-	// transmission the sender waits for the ack before the next attempt.
-	// Must be ≥ 3, or the layer would retransmit on a perfect network.
-	RTO int
 	// Backoff multiplies the timeout after every unacked attempt
 	// (bounded exponential backoff). ≥ 1.
 	Backoff int
@@ -84,73 +80,29 @@ type Config struct {
 
 // On returns the default-configured enabled layer.
 func On() Config {
-	return Config{On: true, RTO: DefaultRTO, Backoff: DefaultBackoff, Budget: DefaultBudget}
+	return Config{On: true, Backoff: DefaultBackoff, Budget: DefaultBudget}
 }
 
 // Enabled reports whether the layer is active.
 func (c Config) Enabled() bool { return c.On }
 
 // ParseConfig parses a -reliable flag value: "" / "off" / "none"
-// (disabled), "on" (the defaults), or a comma-separated key=value list, e.g.
-// "rto=3,backoff=2,budget=5,stretch=16". Keys: rto (rounds ≥ 3),
-// backoff (factor ≥ 1), budget (retransmissions ≥ 0), stretch
-// (rounds/protocol round, 0 = auto). Any key=value form enables the
-// layer; unset keys take the defaults.
+// (disabled) or "on" (the defaults). Only AS2 tunes the other fields,
+// in code.
 func ParseConfig(s string) (Config, error) {
-	var cfg Config
-	s = strings.TrimSpace(s)
-	if s == "" || s == "off" || s == "none" {
-		return cfg, nil
+	switch strings.TrimSpace(s) {
+	case "", "off", "none":
+		return Config{}, nil
+	case "on":
+		return On(), nil
 	}
-	cfg = On()
-	if s == "on" {
-		return cfg, nil
-	}
-	seen := map[string]bool{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return Config{}, fmt.Errorf("reliable: %q is not key=value", part)
-		}
-		key = strings.TrimSpace(key)
-		if seen[key] {
-			return Config{}, fmt.Errorf("reliable: %s given twice", key)
-		}
-		seen[key] = true
-		n, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil {
-			return Config{}, fmt.Errorf("reliable: %s: %v", key, err)
-		}
-		switch key {
-		case "rto":
-			cfg.RTO = n
-		case "backoff":
-			cfg.Backoff = n
-		case "budget":
-			cfg.Budget = n
-		case "stretch":
-			cfg.Stretch = n
-		default:
-			return Config{}, fmt.Errorf("reliable: unknown key %q (want rto, backoff, budget, or stretch)", key)
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
+	return Config{}, fmt.Errorf("reliable: %q is not on, off or none", s)
 }
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
 	if !c.On {
 		return nil
-	}
-	if c.RTO < 3 {
-		return fmt.Errorf("reliable: rto=%d must be ≥ 3 (the ack round trip takes 2 rounds)", c.RTO)
 	}
 	if c.Backoff < 1 {
 		return fmt.Errorf("reliable: backoff=%d must be ≥ 1", c.Backoff)
@@ -164,31 +116,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// String renders the config in ParseConfig's format (stable key order,
-// default-valued keys omitted; "on" for the plain defaults, "none" when
-// disabled).
+// String renders the config as the ParseConfig value that selects it:
+// "none" when disabled, else "on".
 func (c Config) String() string {
 	if !c.On {
 		return "none"
 	}
-	var parts []string
-	if c.RTO != DefaultRTO {
-		parts = append(parts, fmt.Sprintf("rto=%d", c.RTO))
-	}
-	if c.Backoff != DefaultBackoff {
-		parts = append(parts, fmt.Sprintf("backoff=%d", c.Backoff))
-	}
-	if c.Budget != DefaultBudget {
-		parts = append(parts, fmt.Sprintf("budget=%d", c.Budget))
-	}
-	if c.Stretch != 0 {
-		parts = append(parts, fmt.Sprintf("stretch=%d", c.Stretch))
-	}
-	if len(parts) == 0 {
-		return "on"
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
+	return "on"
 }
 
 // EffectiveStretch resolves the phase stretch against a latency model:
@@ -228,14 +162,14 @@ func StretchedRounds(inner, stretch int) int {
 
 // AttemptDelay returns the delay, in sim rounds, between transmission
 // attempt a of a message (a = 0 is the original send) and attempt a+1 —
-// RTO·Backoff^a, capped, plus a deterministic jitter of up to half the
+// rto·Backoff^a, capped, plus a deterministic jitter of up to half the
 // base drawn from splitmix64(seed, round, src, dst, attempt). round is
 // the sim round of the original transmission, so the whole schedule is
 // fixed the moment the message is first sent: a pure function of the
 // message identity that desynchronizes retransmit storms without a
 // shared RNG stream.
 func AttemptDelay(cfg Config, seed uint64, round int, src, dst uint64, attempt int) int {
-	base := cfg.RTO
+	base := rto
 	for i := 0; i < attempt && base < maxAttemptDelay; i++ {
 		base *= cfg.Backoff
 	}

@@ -29,7 +29,7 @@ func ExampleRapidHGraph() {
 // ExampleRapidHypercube runs Algorithm 2 on the 8-dimensional binary
 // hypercube: the samples are exactly uniform.
 func ExampleRapidHypercube() {
-	p := sampling.HypercubeParams{Dim: 8, Epsilon: 1, C: 2}
+	p := sampling.KAryParams{K: 2, Dim: 8, Epsilon: 1, C: 2}
 	res := sampling.RapidHypercube(3, p)
 	fmt.Println("nodes:", len(res.Samples))
 	fmt.Println("rounds:", res.Rounds)

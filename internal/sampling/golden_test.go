@@ -61,7 +61,7 @@ func TestGoldenDrivers(t *testing.T) {
 		want [2]string // seeds 5 and 11
 	}{
 		{"RapidHypercube/dim=8", func(seed uint64) any {
-			return *RapidHypercube(seed, HypercubeParams{Dim: 8, Epsilon: 1, C: 1})
+			return *RapidHypercube(seed, KAryParams{K: 2, Dim: 8, Epsilon: 1, C: 1})
 		}, [2]string{"fe6c028bbe09eab2", "1a4ea53a1bc20c29"}},
 		{"RapidKAry/k=2", kary(2), [2]string{"da0a47de43d785f1", "e15356b170a673ad"}},
 		{"RapidKAry/k=3", kary(3), [2]string{"22d444fbdbaaa555", "9a80f052756f09d4"}},

@@ -26,7 +26,7 @@ type lawCube struct {
 
 var lawCubes = []lawCube{
 	{"hypercube/dim=4", 2, 4, func(seed uint64) *RapidResult { // two doubling steps
-		return RapidHypercube(seed, HypercubeParams{Dim: 4, Epsilon: 1, C: 16})
+		return RapidHypercube(seed, KAryParams{K: 2, Dim: 4, Epsilon: 1, C: 16})
 	}},
 	{"kary/k=3,dim=2", 3, 2, func(seed uint64) *RapidResult { // one Intn draw per symbol
 		return RapidKAry(seed, KAryParams{K: 3, Dim: 2, Epsilon: 1, C: 16})

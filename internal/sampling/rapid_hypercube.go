@@ -10,13 +10,15 @@ import (
 	"overlaynet/internal/sim"
 )
 
-// HypercubeParams are the parameters of Algorithm 2 (rapid node
-// sampling in the binary hypercube). The paper assumes the dimension d
-// is a power of two; n = 2^d, log n = d, and the algorithm runs
-// T = log₂ d iterations with budgets m_i = ⌈(1+ε)^{T−i}·c·d⌉ (Lemma 9):
-// the schedule of KAryParams at K = 2, to which the methods delegate.
-type HypercubeParams struct {
-	Dim     int     // hypercube dimension d (power of two)
+// KAryParams parameterizes Algorithm 2, rapid node sampling on the
+// d-dimensional k-ary hypercube (Definition 1). K = 2 is the paper's
+// binary hypercube; K > 2 is the "straightforward extension" Section
+// 7.2's robust DHT relies on. The dimension must be a power of two (the
+// paper's d = 2^k assumption). The algorithm runs T = log₂ d iterations
+// with budgets m_i = ⌈(1+ε)^{T−i}·c·log₂ n⌉, n = k^d (Lemma 9 at K = 2,
+// where log₂ n = d).
+type KAryParams struct {
+	K, Dim  int
 	Epsilon float64 // 0 < ε ≤ 1
 	C       float64 // c ≥ β
 	Shards  int     // ignored, like HGraphParams.Shards
@@ -27,47 +29,10 @@ type HypercubeParams struct {
 	Latency sim.Latency
 }
 
-// DefaultHypercubeParams returns ε = 1, c = 1.
-func DefaultHypercubeParams(dim int) HypercubeParams {
-	return HypercubeParams{Dim: dim, Epsilon: 1, C: 1}
-}
-
-// kary returns the same cube as the k-ary parameters with K = 2: log₂ 2
-// is exactly 1, so every budget is the same.
-func (p HypercubeParams) kary() KAryParams {
-	return KAryParams{K: 2, Dim: p.Dim, Epsilon: p.Epsilon, C: p.C}
-}
-
-// Validate reports whether the parameters are usable.
-func (p HypercubeParams) Validate() error { return p.kary().Validate() }
-
-// T returns log₂ d, the iteration count (= log log n).
-func (p HypercubeParams) T() int { return p.kary().T() }
-
-// M returns m_i = ⌈(1+ε)^{T−i}·c·d⌉.
-func (p HypercubeParams) M(i int) int { return p.kary().M(i) }
-
-// Samples returns the final sample count m_T.
-func (p HypercubeParams) Samples() int { return p.kary().Samples() }
-
-// Rounds returns the communication rounds (2 per iteration plus the
-// initial round, as above).
-func (p HypercubeParams) Rounds() int { return p.kary().Rounds() }
-
-// KAryParams parameterizes rapid node sampling on the d-dimensional
-// k-ary hypercube (Definition 1) — the "straightforward extension" of
-// Algorithm 2 that Section 7.2's robust DHT relies on. The dimension
-// must be a power of two, as in the binary case.
-type KAryParams struct {
-	K, Dim  int
-	Epsilon float64 // 0 < ε ≤ 1
-	C       float64 // c ≥ β
-	Shards  int     // ignored, like HGraphParams.Shards
-}
-
-// DefaultKAryParams returns ε = 1, c = 1.
-func DefaultKAryParams(k, dim int) KAryParams {
-	return KAryParams{K: k, Dim: dim, Epsilon: 1, C: 1}
+// DefaultHypercubeParams returns the binary cube of dimension dim with
+// ε = 1, c = 1. It and RapidHypercube stay while bench/ calls them.
+func DefaultHypercubeParams(dim int) KAryParams {
+	return KAryParams{K: 2, Dim: dim, Epsilon: 1, C: 1}
 }
 
 // Validate reports whether the parameters are usable.
@@ -107,40 +72,31 @@ func (p KAryParams) Samples() int { return p.M(p.T()) }
 // Rounds returns the communication rounds (2 per iteration plus one).
 func (p KAryParams) Rounds() int { return 2*p.T() + 1 }
 
-// RapidHypercube runs Algorithm 2 (rapid node sampling in the binary
-// hypercube). The cube dimension must be a power of two (the paper's
-// d = 2^k assumption). After T = log₂ d iterations every node's list M₁
-// holds p.Samples() vertices whose coordinates 1..d were all chosen
-// independently and uniformly — i.e. exactly uniform samples of V
-// (Lemma 8) — using p.Rounds() = O(log log n) communication rounds.
-func RapidHypercube(seed uint64, p HypercubeParams) *RapidResult {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	return onCommittees(seed, p.kary(), p.Latency)
-}
-
-// RapidKAry runs the k-ary generalization of Algorithm 2: coordinate j
-// of a walk is randomized by drawing a uniform value from {0,…,k−1}
-// (the binary coin flip generalizes to a uniform symbol), and pointer
-// doubling merges coordinate blocks exactly as in the binary case, so
-// after log₂ dim iterations every node holds m_T exactly uniform
-// samples of the k^dim vertices.
+// RapidKAry runs Algorithm 2 on the cube of p. Coordinate j of a walk
+// is randomized by drawing a uniform value from {0,…,k−1} (the coin
+// flip at k = 2), and pointer doubling merges coordinate blocks, so
+// after T = log₂ dim iterations every node's list M₁ holds p.Samples()
+// vertices whose coordinates were all chosen independently and
+// uniformly — exactly uniform samples of the k^dim vertices (Lemma 8) —
+// using p.Rounds() = O(log log n) communication rounds.
 func RapidKAry(seed uint64, p KAryParams) *RapidResult {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return onCommittees(seed, p, sim.Latency{})
+	return onCommittees(seed, p)
 }
+
+// RapidHypercube is RapidKAry; p.K is 2 for the binary cube.
+func RapidHypercube(seed uint64, p KAryParams) *RapidResult { return RapidKAry(seed, p) }
 
 // onCommittees runs Algorithm 2 on the k-ary cube of p on the engine §5
 // and §6 share, each vertex v simulated by the committee {node v}: the
 // degenerate committee, whose leader is the node itself. Node v+1 draws
 // from the seed's split v+1, as a kernel node would. A message whose
-// sampled delay under lat exceeds one round misses the primitive round it
-// was sent for and is lost, the deadline §5 and §6 run under
+// sampled delay under p.Latency exceeds one round misses the primitive
+// round it was sent for and is lost, the deadline §5 and §6 run under
 // (Engine.SetLatency).
-func onCommittees(seed uint64, p KAryParams, lat sim.Latency) *RapidResult {
+func onCommittees(seed uint64, p KAryParams) *RapidResult {
 	n := 1
 	for range p.Dim {
 		n *= p.K
@@ -163,7 +119,7 @@ func onCommittees(seed uint64, p KAryParams, lat sim.Latency) *RapidResult {
 	}
 	e.Reset(n, p.Dim, mi)
 	clear(e.Owner)
-	e.SetLatency(lat)
+	e.SetLatency(p.Latency)
 	res := &RapidResult{Samples: make([][]int, n), Rounds: p.Rounds()}
 	for pr := range res.Rounds {
 		e.Begin(nil, members, owned)

@@ -71,7 +71,7 @@ func TestRapidReliableRecoversDrops(t *testing.T) {
 	}
 
 	pr := p
-	pr.Reliable = reliable.Config{On: true, RTO: 3, Backoff: 2, Budget: 4, Stretch: 16}
+	pr.Reliable = reliable.Config{On: true, Backoff: 2, Budget: 4, Stretch: 16}
 	rel := RapidHGraph(seed, h, pr)
 
 	if rel.Retransmits == 0 {
@@ -136,7 +136,7 @@ func TestRapidRegularHonoursFaultsAndReliable(t *testing.T) {
 		t.Fatal("drop=0.05 lost nothing: RapidRegular ignores HGraphParams.Faults")
 	}
 
-	p.Reliable = reliable.Config{On: true, RTO: 3, Backoff: 1, Budget: 4, Stretch: 16}
+	p.Reliable = reliable.Config{On: true, Backoff: 1, Budget: 4, Stretch: 16}
 	rel := RapidRegular(seed, adj, p)
 	if rel.Retransmits == 0 || rel.DeliveryFailures != 0 {
 		t.Fatalf("protected run: %d retransmits, %d delivery failures", rel.Retransmits, rel.DeliveryFailures)

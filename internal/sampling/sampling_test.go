@@ -132,9 +132,6 @@ func TestParamsRejectNonFinite(t *testing.T) {
 		{"hgraph/eps=NaN", HGraphParams{N: 100, D: 8, Alpha: 2, Epsilon: nan, C: 1}},
 		{"hgraph/c=NaN", HGraphParams{N: 100, D: 8, Alpha: 2, Epsilon: 1, C: nan}},
 		{"hgraph/c=+Inf", HGraphParams{N: 100, D: 8, Alpha: 2, Epsilon: 1, C: inf}},
-		{"hypercube/eps=NaN", HypercubeParams{Dim: 16, Epsilon: nan, C: 1}},
-		{"hypercube/c=NaN", HypercubeParams{Dim: 16, Epsilon: 1, C: nan}},
-		{"hypercube/c=+Inf", HypercubeParams{Dim: 16, Epsilon: 1, C: inf}},
 	} {
 		if c.p.Validate() == nil {
 			t.Errorf("%s: accepted %+v", c.name, c.p)
@@ -156,19 +153,19 @@ func TestHypercubeParams(t *testing.T) {
 	if p.Rounds() != 9 {
 		t.Fatalf("rounds = %d, want 9", p.Rounds())
 	}
-	if (HypercubeParams{Dim: 12, Epsilon: 1, C: 1}).Validate() == nil {
+	if (KAryParams{K: 2, Dim: 12, Epsilon: 1, C: 1}).Validate() == nil {
 		t.Fatal("non-power-of-two dimension accepted")
 	}
 }
 
-// TestHypercubeScheduleIsLemma9: HypercubeParams delegates to the k-ary
-// schedule at K = 2, whose log₂ n = Dim·log₂ 2 is Dim exactly, so every
-// budget is still Lemma 9's m_i = ⌈(1+ε)^(T−i)·c·d⌉.
+// TestHypercubeScheduleIsLemma9: at K = 2 the k-ary schedule's
+// log₂ n = Dim·log₂ 2 is Dim exactly, so every budget is Lemma 9's
+// m_i = ⌈(1+ε)^(T−i)·c·d⌉.
 func TestHypercubeScheduleIsLemma9(t *testing.T) {
 	for d := 2; d <= 32; d *= 2 {
 		for _, eps := range []float64{0.1, 0.5, 1} {
 			for _, c := range []float64{0.3, 1, 2, 3.7} {
-				p := HypercubeParams{Dim: d, Epsilon: eps, C: c}
+				p := KAryParams{K: 2, Dim: d, Epsilon: eps, C: c}
 				T := p.T()
 				if 1<<T != d || p.Rounds() != 2*T+1 || p.Samples() != p.M(T) {
 					t.Fatalf("%+v: T = %d, %d rounds, %d samples", p, T, p.Rounds(), p.Samples())
@@ -357,7 +354,7 @@ func TestRapidHypercubeBasics(t *testing.T) {
 }
 
 func TestRapidHypercubeUniform(t *testing.T) {
-	p := HypercubeParams{Dim: 8, Epsilon: 1, C: 2}
+	p := KAryParams{K: 2, Dim: 8, Epsilon: 1, C: 2}
 	res := RapidHypercube(12, p)
 	n := hypercube.N(8)
 	counts := make([]int, n)
@@ -412,7 +409,7 @@ func TestRapidHypercubeDeterministic(t *testing.T) {
 }
 
 // TestRapidHypercubeSurvivesLatencySpread: under a latency model with
-// spread, HypercubeParams.Latency is a deadline, as in §5 and §6 — a
+// spread, KAryParams.Latency is a deadline, as in §5 and §6 — a
 // message later than one round is lost, not deferred, and draws from
 // the lists it leaves short are counted failures.
 func TestRapidHypercubeSurvivesLatencySpread(t *testing.T) {

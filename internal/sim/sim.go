@@ -813,16 +813,20 @@ func (n *Network) schedule(e *sent, round int) {
 	for len(mb.cal) <= k {
 		mb.cal = append(mb.cal, bucket{})
 	}
-	mb.cal[k].push(*e)
-	e.copies = 0
+	b := &mb.cal[k]
+	b.push(*e)
 	if e.m.lane == laneProtocol {
+		b.owed += int(e.copies)
 		n.stats.Deferred++
+		n.stats.CalendarIn += int(e.copies)
 	}
+	e.copies = 0
 }
 
 // place finishes the counting sort. It counts the calendar bucket due
 // next round (an entry whose receiver slot no longer holds its addressee,
-// departed since the send, is absorbed), a prefix sum lays the inboxes
+// departed since the send, is absorbed; the bucket's protocol-lane copies
+// owed less those absorbed are CalendarOut), a prefix sum lays the inboxes
 // out in the arena, and one lean pass scatters the bucket, which holds
 // older send rounds in send order, then the log: every inbox is in (send
 // round, sender position, send sequence) order, and under spread is then
@@ -835,12 +839,16 @@ func (n *Network) place() {
 	if len(mb.cal) > 0 {
 		due = mb.cal[0]
 	}
+	absorbed := 0
 	for _, c := range due.chunks[:due.used] {
 		for i := range c {
 			e := &c[i]
 			if rcv := &n.slots[e.m.slot]; rcv.live && rcv.id == e.m.To {
 				cur[e.m.slot] += e.copies
 			} else {
+				if e.m.lane == laneProtocol {
+					absorbed += int(e.copies)
+				}
 				e.copies = 0
 			}
 		}
@@ -878,11 +886,12 @@ func (n *Network) place() {
 		}
 	}
 	if len(mb.cal) > 0 { // recycle the bucket as the last, its payloads released
+		n.stats.CalendarOut, n.stats.CalendarAbsorbed = due.owed-absorbed, absorbed
 		for i, c := range due.chunks[:due.used] {
 			clear(c)
 			due.chunks[i] = c[:0]
 		}
-		due.used = 0
+		due.used, due.owed = 0, 0
 		copy(mb.cal, mb.cal[1:])
 		mb.cal[len(mb.cal)-1] = due
 	}
@@ -895,6 +904,11 @@ func (n *Network) place() {
 type bucket struct {
 	chunks [][]sent
 	used   int // chunks[:used] hold the entries
+	// owed counts the protocol-lane copies scheduled into the bucket: what
+	// it must hand out, or absorb, in the round it falls due. It is
+	// counted at the push, apart from the entries place reads, so a copy
+	// the calendar loses shows as a shortfall in the work ledger.
+	owed int
 }
 
 const chunkLen = segLen / 4

@@ -48,6 +48,11 @@ type RoundStats struct {
 	// Deferred counts the round's protocol-lane sends whose latency
 	// (Config.Latency) put their arrival beyond the next round.
 	Deferred int
+	// The latency calendar's protocol-lane copies this round: moved into
+	// it by the send step (the Deferred sends' copies), placed out of it
+	// for delivery next round, and absorbed from it because their
+	// receiver left after the send. All zero on the synchronous path.
+	CalendarIn, CalendarOut, CalendarAbsorbed int
 	// Reliability is the reliable layer's round: control-lane traffic,
 	// reported failures and stale discards, and ack delays.
 	Reliability ReliabilityRoundStats
@@ -64,12 +69,12 @@ type RoundStats struct {
 // round loop then does no tracing work and keeps its zero-allocation
 // steady state.
 //
-// The ledger a tracer can reconcile: in a synchronous run a round's
-// Delivered equals the previous round's Work.Messages, minus its
-// Dropped (both reasons), plus its DupExtra. Under a latency model the
-// sends a round counts as Deferred arrive in later rounds instead.
-// Messages addressed to a node that departs before they arrive are
-// absorbed without counting as a drop.
+// The ledger a tracer can reconcile: a round's Delivered equals the
+// previous round's Work.Messages, minus its Dropped (both reasons),
+// plus its DupExtra, minus its CalendarIn, plus its CalendarOut; in a
+// synchronous run the calendar terms are zero. Messages already placed
+// for a node that departs before its next round are absorbed without
+// counting as a drop.
 type Tracer interface {
 	// RoundStart fires after the round counter is advanced, before
 	// delivery: alive is the number of participating nodes.

@@ -47,8 +47,6 @@ type Config struct {
 	Seed uint64
 	// N0 is the initial node count.
 	N0 int
-	// C is Equation (1)'s constant c (default 4).
-	C int
 	// Epsilon is the sampling budget slack (default 1).
 	Epsilon float64
 	// MeasureEvery controls connectivity measurement (1 = every round,
@@ -64,18 +62,11 @@ type Config struct {
 // turn bad flag values into error messages instead of stack traces.
 // New still panics on the same conditions.
 func (cfg Config) Validate() error {
-	c := cfg.C
-	if c == 0 {
-		c = 4
-	}
-	if c < 0 {
-		return fmt.Errorf("splitmerge: group-size constant %d must be positive", c)
-	}
 	if !(cfg.Epsilon >= 0 && cfg.Epsilon < math.Inf(1)) {
 		return fmt.Errorf("splitmerge: epsilon %g must be finite and positive", cfg.Epsilon)
 	}
-	if cfg.N0 < 8*c {
-		return fmt.Errorf("splitmerge: n0 = %d too small for c = %d (need at least %d)", cfg.N0, c, 8*c)
+	if cfg.N0 < 8*eq1C {
+		return fmt.Errorf("splitmerge: n0 = %d too small for c = %d (need at least %d)", cfg.N0, eq1C, 8*eq1C)
 	}
 	return nil
 }
@@ -175,9 +166,6 @@ type Network struct {
 // assigned uniformly, and a split/merge normalization enforces
 // Equation (1).
 func New(cfg Config) *Network {
-	if cfg.C == 0 {
-		cfg.C = 4
-	}
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = 1
 	}
@@ -186,7 +174,7 @@ func New(cfg Config) *Network {
 	}
 	nw := &Network{cfg: cfg, r: rng.New(cfg.Seed)}
 	d := 1
-	for _, hi := nw.eq1Band(d + 1); (1<<(d+1))*hi < cfg.N0; _, hi = nw.eq1Band(d + 1) {
+	for _, hi := eq1Band(d + 1); (1<<(d+1))*hi < cfg.N0; _, hi = eq1Band(d + 1) {
 		d++
 	}
 	for x := 0; x < 1<<d; x++ {
@@ -286,14 +274,16 @@ func (nw *Network) Labels() []hypercube.Label {
 	return out
 }
 
+// eq1C is Equation (1)'s constant c.
+const eq1C = 4
+
 // eq1Band is Equation (1)'s size band for a dimension-d supernode,
 // c·d−c ≤ |R(x)| ≤ 2c·d (its closure: the paper splits only when the
 // size exceeds the upper bound and merges only below the lower one).
 // The eq1-group-size checker, Eq1Holds and normalize's split and merge
 // triggers all read it.
-func (nw *Network) eq1Band(d int) (lo, hi int) {
-	c := nw.cfg.C
-	return c*d - c, 2 * c * d
+func eq1Band(d int) (lo, hi int) {
+	return eq1C*d - eq1C, 2 * eq1C * d
 }
 
 // checkEq1 is the eq1-group-size checker: one violation per committed
@@ -302,7 +292,7 @@ func (nw *Network) checkEq1() []audit.Violation {
 	var out []audit.Violation
 	for _, s := range nw.supers {
 		d, n := s.label.Dim(), len(s.members)
-		if lo, hi := nw.eq1Band(d); n < lo || n > hi {
+		if lo, hi := eq1Band(d); n < lo || n > hi {
 			out = append(out, audit.Violation{
 				Detail: fmt.Sprintf("group %v (dim %d) has %d members, Equation (1) band is [%d, %d]",
 					s.label, d, n, lo, hi),
@@ -591,7 +581,7 @@ func (nw *Network) normalize() {
 		var next []*super
 		for _, s := range nw.supers {
 			d := s.label.Dim()
-			if _, hi := nw.eq1Band(d); len(s.members)+len(s.pending) > hi && d < 60 {
+			if _, hi := eq1Band(d); len(s.members)+len(s.pending) > hi && d < 60 {
 				nw.stats.Splits++
 				changed = true
 				a := &super{label: s.label.Child(0)}
@@ -624,7 +614,7 @@ func (nw *Network) normalize() {
 		for i := 0; i < len(nw.supers); i++ {
 			s := nw.supers[i]
 			d := s.label.Dim()
-			if lo, _ := nw.eq1Band(d); d == 0 || len(s.members)+len(s.pending) >= lo {
+			if lo, _ := eq1Band(d); d == 0 || len(s.members)+len(s.pending) >= lo {
 				continue
 			}
 			sib := s.label.Sibling()

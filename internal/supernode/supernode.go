@@ -57,10 +57,6 @@ type Config struct {
 	// and coordinate randomization draws a uniform symbol from
 	// {0,…,k−1}, which for k = 2 is exactly the paper's coin flip.
 	K int
-	// C is the group-size constant: the supernode count is the largest
-	// K^d ≤ N/(C·log₂ N) with the dimension d a power of two
-	// (Algorithm 2's d = 2^k assumption). Default 1.
-	C float64
 	// Epsilon is the sampling budget slack (default 1).
 	Epsilon float64
 	// MeasureEvery controls how often Step measures connectivity
@@ -91,24 +87,21 @@ func (cfg Config) Validate() error {
 	if k < 2 || k > 256 {
 		return fmt.Errorf("supernode: arity %d outside [2, 256] (a coordinate is stored in 8 bits)", k)
 	}
-	c := cfg.C
-	if c == 0 {
-		c = 1
-	}
-	if !(c > 0 && c < math.Inf(1)) {
-		return fmt.Errorf("supernode: group-size constant %g must be finite and positive", c)
-	}
 	if !(cfg.Epsilon >= 0 && cfg.Epsilon < math.Inf(1)) {
 		return fmt.Errorf("supernode: epsilon %g must be finite and positive", cfg.Epsilon)
 	}
 	// The smallest cube has dimension 2, so k^2 supernodes must fit the
-	// group-size budget n/(c·log₂ n).
-	if limit := float64(cfg.N) / (c * math.Log2(float64(cfg.N))); float64(k)*float64(k) > limit {
+	// group-size budget.
+	if limit := superLimit(cfg.N); float64(k)*float64(k) > limit {
 		return fmt.Errorf("supernode: arity %d too large for n = %d (needs %d supernodes, budget %.1f)",
 			k, cfg.N, k*k, limit)
 	}
 	return nil
 }
+
+// superLimit is the most supernodes n nodes support, n/log₂ n: §5's
+// groups of c·log₂ n members with the group-size constant c = 1.
+func superLimit(n int) float64 { return float64(n) / math.Log2(float64(n)) }
 
 // RoundReport summarizes one communication round.
 type RoundReport struct {
@@ -182,9 +175,6 @@ func New(cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if cfg.C == 0 {
-		cfg.C = 1
-	}
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = 1
 	}
@@ -192,8 +182,9 @@ func New(cfg Config) *Network {
 		cfg.K = 2
 	}
 	nw := &Network{cfg: cfg, r: rng.New(cfg.Seed)}
-	// Largest power-of-two dimension d with k^d ≤ n/(C·log₂ n).
-	limit := float64(cfg.N) / (cfg.C * math.Log2(float64(cfg.N)))
+	// Largest power-of-two dimension d with k^d ≤ n/log₂ n (Algorithm
+	// 2's d = 2^k assumption).
+	limit := superLimit(cfg.N)
 	d := 2
 	for next := d * 2; math.Pow(float64(cfg.K), float64(next)) <= limit; next *= 2 {
 		d = next

