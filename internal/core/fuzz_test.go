@@ -1,11 +1,14 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 
 	"overlaynet/internal/audit"
+	"overlaynet/internal/reliable"
 	"overlaynet/internal/rng"
+	"overlaynet/internal/sim"
 )
 
 // TestChurnSequenceProperty drives the network with arbitrary join and
@@ -134,4 +137,53 @@ func TestLeaverStillServesDuringItsLastEpoch(t *testing.T) {
 	if rep.NNew != 28 {
 		t.Fatalf("mass leave epoch: %+v", rep)
 	}
+}
+
+// FuzzEpochUnderLatency runs two churned epochs under a latency model
+// and fails on any panic: a message may arrive rounds late, in a phase
+// that does not expect it, at a node with nothing to answer it with.
+// The arguments decode to a seed, N0 ∈ [16, 128], D ∈ {6, 8}, a model
+// (sync, const, uniform or lognorm, its parameters a and b as given;
+// one sim.ParseLatency rejects ends the run), the reliable layer on or
+// off, and as many leavers and joiners as c/16 of the members, c ≤ 4.
+// The first two seeds are configurations in which a late boundary
+// message reaches a node with no elements in its cycle.
+func FuzzEpochUnderLatency(f *testing.F) {
+	f.Add(uint64(5), uint8(48), true, uint8(3), 1.0, 1.5, false, uint8(2))
+	f.Add(uint64(6), uint8(112), false, uint8(3), 1.0, 1.5, false, uint8(2))
+	f.Add(uint64(1), uint8(0), false, uint8(2), 0.5, 2.5, true, uint8(4))
+	f.Add(uint64(2), uint8(112), true, uint8(1), 2.0, 0.0, false, uint8(1))
+	f.Add(uint64(4), uint8(16), true, uint8(0), 0.0, 0.0, true, uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, d8 bool, kind uint8, a, b float64, rel bool, c uint8) {
+		g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+		spec := [...]string{"sync", "const:" + g(a), "uniform:" + g(a) + "," + g(b), "lognorm:" + g(a) + "," + g(b)}[kind%4]
+		lat, err := sim.ParseLatency(spec)
+		if err != nil {
+			return
+		}
+		cfg := Config{Seed: seed, N0: 16 + int(n)%113, D: 6, Alpha: 2, Epsilon: 1, Latency: lat}
+		if d8 {
+			cfg.D = 8
+		}
+		if rel {
+			cfg.Reliable = reliable.On()
+		}
+		nw := NewNetwork(cfg)
+		defer nw.Shutdown()
+		r := rng.New(seed ^ 0xfeed)
+		for range 2 {
+			members := nw.Members()
+			k := len(members) * int(c%5) / 16
+			perm := r.Perm(len(members))
+			leaves := make([]int, k)
+			joins := make([]JoinSpec, k)
+			for j := range leaves {
+				leaves[j] = members[perm[j]]
+				joins[j] = JoinSpec{Sponsor: members[perm[k+j]]}
+			}
+			if rep, _ := nw.RunEpoch(joins, leaves); rep.NNew != len(members) {
+				t.Fatalf("%s: %d members after an epoch of %d joins and leaves, want %d", spec, rep.NNew, k, len(members))
+			}
+		}
+	})
 }

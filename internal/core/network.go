@@ -120,8 +120,9 @@ type EpochReport struct {
 type epochPlan struct {
 	epoch    int
 	params   sampling.HGraphParams
-	doubling int // pointer-doubling steps K
-	rounds   int // total rounds in the epoch
+	sampling *sampling.Run // the epoch's Algorithm 1 run, dropped when the epoch ends
+	doubling int           // pointer-doubling steps K
+	rounds   int           // total rounds in the epoch
 }
 
 // Failure kinds recorded per epoch (all zero w.h.p. under the
@@ -501,6 +502,7 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	plan := &epochPlan{
 		epoch:    nw.epoch,
 		params:   params,
+		sampling: sampling.NewRun(params, nw.idOf, nw.budget),
 		doubling: K,
 		rounds:   EpochRounds(params.T(), K),
 	}
@@ -526,6 +528,7 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	// carrying acks and retransmissions. stretch is 1 otherwise, and on
 	// spread-free models, so legacy timing is untouched.
 	nw.net.Run(plan.rounds * nw.stretch)
+	plan.sampling = nil
 	if nw.budget != nil {
 		// Sampling occupies epoch rounds 2..2T+1 exclusively: hellos are
 		// round 1, placements round 2T+2, so the sim-level message count

@@ -125,15 +125,14 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 		for c := 0; c < nc; c++ {
 			neighbors = append(neighbors, int(m.pred[c]), int(m.succ[c]))
 		}
-		m.sampler.Start(ctx, nw.plan.params, m.id, neighbors, nw.idOf,
-			&m.st.fails[FailSampling], nw.budget)
+		m.sampler.Start(ctx, nw.plan.sampling, m.id, neighbors, &m.st.fails[FailSampling])
 
 	case p <= 2*T+2:
-		if m.sampler.HandleRound(ctx, inbox, nil) {
+		if samples, done := m.sampler.HandleRound(ctx, inbox, nil); done {
 			// p = 2T+2, Phase 1 of Algorithm 3: place own id (unless
 			// leaving) and every hosted joiner's id at independently
 			// sampled targets, one per cycle.
-			m.samples = m.sampler.Samples()
+			m.samples = samples
 			m.si = 0
 			for c := 0; c < nc; c++ {
 				if !m.leaving {
@@ -240,8 +239,11 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 		for _, msg := range inbox {
 			if b, ok := msg.Payload.(boundMsg); ok {
 				c := b.Cycle
-				if m.haveU0[c] {
-					m.st.fails[FailBound]++ // two active predecessors: doubling failure
+				if m.haveU0[c] || !m.active[c] {
+					// Two active predecessors, or a boundary sent to an
+					// inactive node (a late doubling response under
+					// latency spread): a doubling failure, no reply.
+					m.st.fails[FailBound]++
 					continue
 				}
 				m.u0[c] = b.Last

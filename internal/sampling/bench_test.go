@@ -32,38 +32,44 @@ func BenchmarkRapidHGraphCoreShape(b *testing.B) {
 }
 
 // BenchmarkSendRequests is one node's request step (extract m_i
-// targets, group, send) at three points of the core_churn schedule. The
+// targets, group, send) at four points of the core_churn schedule. The
 // multiset holds 3·m_i endpoints as it does in a run: in iteration 1
 // (m = 4617) it is M_0, a count of reads over the node's 8 neighbors,
 // and d counters group the targets; later they are vertices spread over
-// the network and the radix pass does. One op is one sim round of a
-// one-node network whose sends go to absent ids, so the kernel's share
-// is a round's fixed cost plus one outbox entry per batch.
+// 1024 names, dense (one counting pass groups m = 1539, the radix sort
+// the smaller m) or 70001 apart as in the ids-wide-range reference case
+// (three radix passes). One op is one sim round of a one-node network
+// whose sends go to absent ids, so the kernel's share is a round's fixed
+// cost plus one outbox entry per batch.
 func BenchmarkSendRequests(b *testing.B) {
-	for _, c := range []struct{ mi, distinct int }{{19, 1024}, {513, 1024}, {4617, 8}} {
-		b.Run(fmt.Sprintf("m=%d", c.mi), func(b *testing.B) {
+	for _, c := range []struct{ mi, distinct, gap int }{
+		{19, 1024, 1}, {513, 1024, 1}, {1539, 1024, 1}, {1539, 1024, 70001}, {4617, 8, 1},
+	} {
+		name := fmt.Sprintf("m=%d", c.mi)
+		if c.gap > 1 {
+			name += fmt.Sprintf("/gap=%d", c.gap)
+		}
+		b.Run(name, func(b *testing.B) {
 			r := rng.New(1)
-			s := HGraphSampler{
-				idOf:   func(v int) sim.NodeID { return sim.NodeID(v) },
-				idBits: sim.IDBits(1024),
-			}
+			run := &Run{idOf: func(v int) sim.NodeID { return sim.NodeID(v) }, idBits: sim.IDBits(1024)}
+			s := HGraphSampler{run: run}
 			var request func(ctx *sim.Ctx)
 			if c.distinct <= MaxDegree { // iteration 1: M_0
 				for v := 0; v < c.distinct; v++ {
 					s.neighbors = append(s.neighbors, 1024+v)
 				}
-				s.m = []int{0, c.mi}
+				run.m = []int{0, c.mi}
 				request = func(ctx *sim.Ctx) {
-					s.m[0] = 3 * c.mi
+					s.m0 = 3 * c.mi
 					s.requestNeighbors(ctx)
 				}
 			} else {
 				master := make([]int32, 3*c.mi)
 				for j := range master {
-					master[j] = int32(1024 + r.Intn(c.distinct))
+					master[j] = int32(1024 + c.gap*r.Intn(c.distinct))
 				}
-				s.m, s.step = []int{0, len(master), c.mi}, 2
-				s.targets = make([]int32, 2*c.mi)
+				run.m, s.step = []int{0, len(master), c.mi}, 2
+				run.targets, run.counts = make([]int32, 2*c.mi), make([]int32, 1<<digitBits(c.mi)+1)
 				items := make([]int32, len(master))
 				request = func(ctx *sim.Ctx) {
 					s.M = items[:copy(items, master)]

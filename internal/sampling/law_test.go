@@ -136,13 +136,14 @@ func (nd *m0Node) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	return false
 }
 
-// m0Runs runs Algorithm 1 on h with samplers made by mk at seeds
-// seed0 … seed0+seeds−1 and pools what m0Counts holds.
-func m0Runs(h *hgraph.HGraph, p HGraphParams, seed0, seeds int, mk func() nodeSampler) m0Counts {
+// m0Runs runs Algorithm 1 on h at seeds seed0 … seed0+seeds−1, each
+// run with samplers made by a factory of its own from samplers, and
+// pools what m0Counts holds.
+func m0Runs(h *hgraph.HGraph, p HGraphParams, seed0, seeds int, samplers func() func() nodeSampler) m0Counts {
 	n := h.N()
 	out := m0Counts{asks: make([]int, n*n), samples: make([]int, n)}
 	for seed := seed0; seed < seed0+seeds; seed++ {
-		fails := make([]int, n)
+		fails, mk := make([]int, n), samplers()
 		simulate(sim.NewNetwork(sim.Config{Seed: uint64(seed)}), n, p.Rounds(), func(v int) sim.Handler {
 			return &m0Node{s: mk(), v: v, p: p, nbrs: h.Neighbors(v), fails: &fails[v], out: &out}
 		})
@@ -201,8 +202,10 @@ func TestM0BudgetLaw(t *testing.T) {
 	const m0LawSeeds = 32
 	p := HGraphParams{N: 128, D: 8, Alpha: 2, Epsilon: 1, C: 1}
 	h := hgraph.Random(rng.New(6), p.N, p.D)
-	list := func() nodeSampler { return &referenceSampler{eager: true} }
-	budget := func() nodeSampler { return &HGraphSampler{} }
+	list := func() func() nodeSampler {
+		return func() nodeSampler { return &referenceSampler{eager: true} }
+	}
+	budget := hgraphSamplers
 	want, got := m0Runs(h, p, 1, m0LawSeeds, list), m0Runs(h, p, 1+m0LawSeeds, m0LawSeeds, budget)
 	refusing := func(c m0Counts) []int { // runs with a refusal, runs without
 		k := 0

@@ -85,10 +85,10 @@ func (res *RapidResult) collect(net *sim.Network, failures []int) {
 // departs once its samples are in.
 type rapidNode struct {
 	s         HGraphSampler
+	run       *Run
 	started   bool
 	v         int
 	neighbors func(v int) []int
-	p         HGraphParams
 	res       *RapidResult
 	fail      *int
 }
@@ -96,11 +96,11 @@ type rapidNode struct {
 func (nd *rapidNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	if !nd.started {
 		nd.started = true
-		nd.s.Start(ctx, nd.p, nd.v, nd.neighbors(nd.v), vertexID, nd.fail, nil)
+		nd.s.Start(ctx, nd.run, nd.v, nd.neighbors(nd.v), nd.fail)
 		return true
 	}
-	if nd.s.HandleRound(ctx, inbox, nil) {
-		nd.res.Samples[nd.v] = nd.s.Samples()
+	if samples, done := nd.s.HandleRound(ctx, inbox, nil); done {
+		nd.res.Samples[nd.v] = samples
 		return false
 	}
 	return true
@@ -122,8 +122,9 @@ func rapidWalks(seed uint64, n int, p HGraphParams, neighbors func(v int) []int)
 	rounds := reliable.StretchedRounds(p.Rounds(), stretch)
 	res := &RapidResult{Samples: make([][]int, n), Rounds: rounds}
 	failures := make([]int, n)
+	run := NewRun(p, vertexID, nil)
 	simulate(net, n, rounds, func(v int) sim.Handler {
-		var hnd sim.Handler = &rapidNode{v: v, neighbors: neighbors, p: p, res: res, fail: &failures[v]}
+		var hnd sim.Handler = &rapidNode{run: run, v: v, neighbors: neighbors, res: res, fail: &failures[v]}
 		if p.Reliable.Enabled() {
 			hnd = reliable.Wrap(seed, p.Reliable, stretch, hnd)
 		}

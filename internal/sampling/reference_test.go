@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"overlaynet/internal/fault"
@@ -188,6 +189,38 @@ type nodeSampler interface {
 	Samples() []int
 }
 
+// runSampler adapts HGraphSampler to nodeSampler. The samplers one
+// hgraphSamplers factory makes share the Run their first Start makes,
+// as a driver's nodes do, and each keeps the samples its last
+// HandleRound returned for Samples.
+type runSampler struct {
+	HGraphSampler
+	run     **Run
+	samples []int
+}
+
+func (a *runSampler) Start(ctx *sim.Ctx, p HGraphParams, self int, neighbors []int,
+	idOf func(int) sim.NodeID, fail *int, stats *BudgetStats) {
+	if *a.run == nil {
+		*a.run = NewRun(p, idOf, stats)
+	}
+	a.HGraphSampler.Start(ctx, *a.run, self, neighbors, fail)
+}
+
+func (a *runSampler) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOther func(sim.Message)) bool {
+	samples, done := a.HGraphSampler.HandleRound(ctx, inbox, onOther)
+	a.samples = samples
+	return done
+}
+
+func (a *runSampler) Samples() []int { return a.samples }
+
+// hgraphSamplers returns a factory for one run's HGraphSamplers.
+func hgraphSamplers() func() nodeSampler {
+	var run *Run
+	return func() nodeSampler { return &runSampler{run: &run} }
+}
+
 // foreignMsg is a non-sampling message the harness interleaves with the
 // protocol's own traffic to exercise onOther.
 type foreignMsg struct{ X uint64 }
@@ -212,6 +245,8 @@ type diffRun struct {
 	Budget   BudgetStats
 	Work     []sim.RoundWork
 	Rel      sim.ReliabilityTotals
+	Deferred int64 // messages delivered after their synchronous round
+	Dups     int64 // messages the fault injector delivered twice
 }
 
 type diffNode struct {
@@ -280,6 +315,20 @@ func hashInbox(inbox []sim.Message) uint64 {
 	return uint64(h)
 }
 
+// dupCounter counts the messages its injector duplicates.
+type dupCounter struct {
+	sim.Injector
+	dups *int64
+}
+
+func (d dupCounter) Deliveries(round int, from, to sim.NodeID, seq uint64) int {
+	n := d.Injector.Deliveries(round, from, to, seq)
+	if n > 1 {
+		*d.dups++
+	}
+	return n
+}
+
 // wireTap sits outside the reliable endpoint and records what arrives
 // on the wire: envelopes carry the sender's sequence numbers, which is
 // where the reliable layer makes the send order observable.
@@ -346,9 +395,6 @@ func (c *diffCase) run(seed uint64, mk func() nodeSampler) *diffRun {
 	n, p := c.n, c.p
 	h := hgraph.Random(rng.New(seed), n, p.D)
 	net := sim.NewNetwork(sim.Config{Seed: seed, Latency: p.Latency})
-	if inj := p.Faults.Injector(); inj != nil {
-		net.SetInjector(inj)
-	}
 	stretch := 1
 	if p.Reliable.Enabled() {
 		stretch = p.Reliable.EffectiveStretch(p.Latency)
@@ -357,6 +403,9 @@ func (c *diffCase) run(seed uint64, mk func() nodeSampler) *diffRun {
 		Inboxes: make([][]uint64, n), Others: make([][]uint64, n), Samples: make([][]int, n),
 		Failures: make([]int, n), NextRNG: make([]uint64, n),
 		Sends: make([]transcript, n), Wire: make([][]uint64, n),
+	}
+	if inj := p.Faults.Injector(); inj != nil {
+		net.SetInjector(dupCounter{inj, &out.Dups})
 	}
 	stats := &BudgetStats{}
 	// Vertex names map to sim ids through a non-identity idOf.
@@ -377,6 +426,7 @@ func (c *diffCase) run(seed uint64, mk func() nodeSampler) *diffRun {
 	out.Budget = *stats
 	out.Work = net.Work()
 	out.Rel = net.ReliabilityStats()
+	out.Deferred = net.DeferredMessages()
 	return out
 }
 
@@ -407,6 +457,20 @@ func diffCases(t *testing.T) []diffCase {
 		// round — by which time a recycled serve buffer would have been
 		// overwritten.
 		{name: "latency-unprotected", n: 128, p: small(func(p *HGraphParams) { p.Latency = mustLatency(t, "uniform:1,3") })},
+		// Response payloads held up to the kernel's 64-round delay clamp
+		// (lognorm:2,2 puts one message in seven at it) while duplicates
+		// reference them twice: unprotected, and under the reliable
+		// layer, whose retransmit buffers hold them too and whose run of
+		// 12 sim rounds per protocol round outlasts the clamp.
+		{name: "lognorm-clamp-dup", n: 128, p: small(func(p *HGraphParams) {
+			p.Latency = mustLatency(t, "lognorm:2,2")
+			p.Faults = fault.Spec{Seed: 7, Dup: 0.05}
+		})},
+		{name: "lognorm-clamp-dup-reliable", n: 128, p: small(func(p *HGraphParams) {
+			p.Latency = mustLatency(t, "lognorm:2,2")
+			p.Faults = fault.Spec{Seed: 7, Dup: 0.05}
+			p.Reliable = reliable.On()
+		})},
 		{name: "foreign-messages", n: 128, p: small(nil), foreign: true},
 		{name: "foreign-messages-drop", n: 128, foreign: true,
 			p: small(func(p *HGraphParams) { p.Faults = fault.Spec{Seed: 5, Drop: 0.05} })},
@@ -433,7 +497,7 @@ func matchReference(t *testing.T, seed uint64, c diffCase) *diffRun {
 		c := c
 		c.p.Shards = shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got := c.run(seed, func() nodeSampler { return &HGraphSampler{} })
+			got := c.run(seed, hgraphSamplers())
 			for v := 0; v < c.n; v++ {
 				if !reflect.DeepEqual(got.Inboxes[v], want.Inboxes[v]) {
 					for r := range want.Inboxes[v] {
@@ -477,6 +541,14 @@ func TestSamplerMatchesReference(t *testing.T) {
 			}
 			if c.name == "one-iteration" && c.p.T() != 1 {
 				t.Fatalf("T = %d", c.p.T())
+			}
+			if strings.HasPrefix(c.name, "lognorm-clamp-dup") && (want.Deferred == 0 || want.Dups == 0) {
+				t.Fatalf("%d messages deferred, %d duplicated: want both", want.Deferred, want.Dups)
+			}
+			if c.name == "lognorm-clamp-dup-reliable" {
+				if rounds := reliable.StretchedRounds(c.p.Rounds(), c.p.Reliable.EffectiveStretch(c.p.Latency)); rounds <= 64 {
+					t.Fatalf("the run ends after %d rounds, inside the delay clamp", rounds)
+				}
 			}
 		})
 	}

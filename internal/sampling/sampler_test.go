@@ -35,7 +35,7 @@ func TestRadixSortMatchesSort(t *testing.T) {
 		}
 		want := slices.Clone(a)
 		slices.Sort(want)
-		got := radixSort(a, make([]int32, c.n))
+		got := radixSort(a, make([]int32, c.n), make([]int32, 1<<digitBits(c.n)+1), slices.Min(a), slices.Max(a))
 		if !slices.Equal(got, want) {
 			t.Errorf("n=%d range [%d,%d]: not sorted", c.n, c.lo, c.hi)
 		}
@@ -57,15 +57,15 @@ func sliceCaps(v reflect.Value, caps []int) []int {
 }
 
 // TestSamplerReleasesScratch: node programs embed a sampler for the
-// node's lifetime (core.coreNode), so a completed run may keep nothing
-// larger than its result — the 55 KB an int32 M_0 of the core_churn
-// shape took would be +143 % on that workload's 38.8 kB of live bytes
-// per node.
+// node's lifetime (core.coreNode), so a completed run keeps nothing: the
+// samples are the caller's, and the schedule and request scratch are the
+// Run's, which the driver drops.
 func TestSamplerReleasesScratch(t *testing.T) {
-	var samplers []*HGraphSampler
+	var samplers []*runSampler
+	mk := hgraphSamplers()
 	c := diffCase{n: coreShape.N, p: coreShape}
 	c.run(3, func() nodeSampler {
-		samplers = append(samplers, &HGraphSampler{})
+		samplers = append(samplers, mk().(*runSampler))
 		return samplers[len(samplers)-1]
 	})
 	mT := coreShape.Samples()
@@ -73,9 +73,12 @@ func TestSamplerReleasesScratch(t *testing.T) {
 		if got := len(s.Samples()); got != mT {
 			t.Fatalf("node %d: %d samples, want %d", v, got, mT)
 		}
-		for _, c := range sliceCaps(reflect.ValueOf(*s), nil) {
-			if c > 4*mT {
-				t.Fatalf("node %d: sampler retains a slice of %d bytes > 4·m_T = %d after completion", v, c, 4*mT)
+		if s.HGraphSampler.run != nil {
+			t.Fatalf("node %d: sampler keeps its Run after completion", v)
+		}
+		for _, c := range sliceCaps(reflect.ValueOf(s.HGraphSampler), nil) {
+			if c > 0 {
+				t.Fatalf("node %d: sampler retains a slice of %d bytes after completion", v, c)
 			}
 		}
 	}
@@ -84,15 +87,15 @@ func TestSamplerReleasesScratch(t *testing.T) {
 // footprintProbe is a sampler that checks, after every call, the bytes
 // of all slices it holds against the limit of the run's stage.
 type footprintProbe struct {
-	HGraphSampler
-	t                       *testing.T
-	started, collected, end int
+	runSampler
+	t                  *testing.T
+	started, collected int
 }
 
 func (f *footprintProbe) check(done bool) {
 	limit, stage := f.started, "Start"
 	if done {
-		limit, stage = f.end, "completion"
+		limit, stage = 0, "completion"
 	} else if f.step >= 2 {
 		limit, stage = f.collected, "the first collect"
 	}
@@ -101,38 +104,45 @@ func (f *footprintProbe) check(done bool) {
 		held += c
 	}
 	if held > limit {
-		f.t.Errorf("node %d holds %d bytes after %s (step %d), want at most %d", f.self, held, stage, f.step, limit)
+		f.t.Errorf("a node holds %d bytes after %s, want at most %d", held, stage, limit)
 	}
 }
 
 func (f *footprintProbe) Start(ctx *sim.Ctx, p HGraphParams, self int, neighbors []int,
 	idOf func(int) sim.NodeID, fail *int, stats *BudgetStats) {
-	f.HGraphSampler.Start(ctx, p, self, neighbors, idOf, fail, stats)
+	f.runSampler.Start(ctx, p, self, neighbors, idOf, fail, stats)
 	f.check(false)
 }
 
 func (f *footprintProbe) HandleRound(ctx *sim.Ctx, inbox []sim.Message, onOther func(sim.Message)) bool {
-	done := f.HGraphSampler.HandleRound(ctx, inbox, onOther)
+	done := f.runSampler.HandleRound(ctx, inbox, onOther)
 	f.check(done)
 	return done
 }
 
 // TestSamplerRunFootprint bounds what a sampler holds during a run of
-// the core_churn shape: the 2·m_2 request scratch alone while M_0 is a
-// count (12.4 kB; M_0 at a byte per entry was 26.2 kB and an int32 M_0
-// with 2·m_1 of scratch 92.3 kB), then M_1 in storage of its own size,
-// then the samples alone. The 64 bytes are the schedule's; until the
-// first collect the caller's neighbor list is referenced too.
+// the core_churn shape: the caller's neighbor list until the first
+// collect, then M_1 in storage of its own size, then nothing. The
+// schedule, the 2·m_2 request targets (12.3 kB) and the counters of a
+// radix digit (8.2 kB) are the run's, one per network; each node held
+// its own schedule and targets before, and radixSort its own counters.
 func TestSamplerRunFootprint(t *testing.T) {
 	p := coreShape
+	var run *Run
 	c := diffCase{n: p.N, p: p}
 	c.run(3, func() nodeSampler {
-		return &footprintProbe{t: t,
-			started:   8*p.M(2) + 64 + 8*p.D,
-			collected: 4*p.M(1) + 8*p.M(2) + 64,
-			end:       4 * p.Samples(),
+		return &footprintProbe{runSampler: runSampler{run: &run}, t: t,
+			started:   8 * p.D,
+			collected: 4 * p.M(1),
 		}
 	})
+	held := 0
+	for _, c := range sliceCaps(reflect.ValueOf(*run), nil) {
+		held += c
+	}
+	if limit := 8*p.M(2) + 4*(1<<digitBits(p.M(2))+1) + 8*(p.T()+1); held > limit {
+		t.Errorf("the run holds %d bytes, want at most 2·m_2 targets, a digit's counters and the schedule, %d", held, limit)
+	}
 }
 
 // TestSamplerAllocsPerRun: a run allocates per iteration (the serve
@@ -146,7 +156,7 @@ func TestSamplerAllocsPerRun(t *testing.T) {
 	perNode := testing.AllocsPerRun(3, func() { RapidHGraph(7, h, p) }) / float64(p.N)
 
 	c := diffCase{n: p.N, p: p}
-	b := c.run(7, func() nodeSampler { return &HGraphSampler{} }).Budget
+	b := c.run(7, hgraphSamplers()).Budget
 	batches := float64(b.ReqBatches+b.RespBatches) / float64(p.N)
 	t.Logf("%.1f allocations and %.0f batches per node, T = %d", perNode, batches, p.T())
 	if limit := float64(12 * p.T()); perNode > limit || limit > batches/4 {

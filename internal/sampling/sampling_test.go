@@ -253,7 +253,7 @@ func TestRapidHGraphBasics(t *testing.T) {
 	if res.MaxNodeBits <= 0 || res.TotalBits <= 0 {
 		t.Fatal("work accounting missing")
 	}
-	run := (&diffCase{n: n, p: p}).run(77, func() nodeSampler { return &HGraphSampler{} })
+	run := (&diffCase{n: n, p: p}).run(77, hgraphSamplers())
 	failures, issued := 0, 0
 	for _, f := range run.Failures {
 		failures += f
