@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"overlaynet/internal/audit"
 	"overlaynet/internal/trace"
@@ -120,7 +121,7 @@ func TestRunUsageError(t *testing.T) {
 func TestRunRejectsChromeTrace(t *testing.T) {
 	rec := trace.New()
 	rec.ReportViolation(audit.Violation{Scope: "E6/cell0", Invariant: "cycle-cover", Round: 3, Detail: "broken edge"})
-	rec.CellSpan("E6", 0, 42, 0, rec.Start())
+	rec.CellSpan("E6", 0, 42, 0, time.Now())
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := rec.WriteChromeTraceFile(path); err != nil {
 		t.Fatal(err)

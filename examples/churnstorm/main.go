@@ -39,8 +39,8 @@ func main() {
 		r := rng.New(5)
 		t := metrics.NewTable("churnstorm: "+sc.name,
 			"epoch", "n", "rounds", "connected", "valid", "failures", "|lambda2| (<= 2 sqrt d = 5.66)")
-		for e := range 4 {
-			joins, leaves := sc.adv.Plan(churn.View{Epoch: e, Members: nw.Members(), Neighbors: nw.NeighborsOf})
+		for range 4 {
+			joins, leaves := sc.adv.Plan(churn.View{Members: nw.Members(), Neighbors: nw.NeighborsOf})
 			rep, _ := nw.RunEpoch(joins, leaves)
 			lambda2 := 0.0
 			if rep.Connected {

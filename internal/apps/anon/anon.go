@@ -110,6 +110,3 @@ func (sy *System) Request(entry sim.NodeID, blockedSeq []map[sim.NodeID]bool) Re
 	}
 	return res
 }
-
-// Servers returns the number of servers in the system.
-func (sy *System) Servers() int { return len(sy.dest) }

@@ -127,7 +127,7 @@ func TestDestGroupUniform(t *testing.T) {
 
 func TestServersCount(t *testing.T) {
 	sy := newSys(t, 6, 128)
-	if sy.Servers() != 128 {
-		t.Fatalf("servers = %d", sy.Servers())
+	if len(sy.dest) != 128 {
+		t.Fatalf("servers = %d", len(sy.dest))
 	}
 }

@@ -107,21 +107,6 @@ func (d *DHT) D() int { return d.cube.D }
 // NumGroups returns k^d.
 func (d *DHT) NumGroups() int { return d.cube.N() }
 
-// Epoch returns the number of group rebuilds performed.
-func (d *DHT) Epoch() int { return d.epoch }
-
-// GroupSizes returns the current group sizes.
-func (d *DHT) GroupSizes() []int {
-	out := make([]int, len(d.groups))
-	for i, g := range d.groups {
-		out[i] = len(g)
-	}
-	return out
-}
-
-// Groups returns the current groups (do not modify).
-func (d *DHT) Groups() [][]sim.NodeID { return d.groups }
-
 // Rebuild reassigns every server to a uniformly random group — the
 // k-ary extension of the Section 5 reconfiguration (each rebuild costs
 // Θ(log log n) rounds of the underlying primitive; package supernode

@@ -15,8 +15,8 @@ func TestAutoSizing(t *testing.T) {
 		t.Fatalf("k=%d d=%d gives %d groups for 1024 servers", d.K(), d.D(), d.NumGroups())
 	}
 	total := 0
-	for _, s := range d.GroupSizes() {
-		total += s
+	for _, g := range d.groups {
+		total += len(g)
 	}
 	if total != 1024 {
 		t.Fatalf("groups cover %d servers", total)
@@ -143,7 +143,7 @@ func TestWholeGroupBlockedFailsRoute(t *testing.T) {
 	key := "victim"
 	home := d.HomeVertex(key)
 	blocked := map[sim.NodeID]bool{}
-	for _, id := range d.Groups()[home] {
+	for _, id := range d.groups[home] {
 		blocked[id] = true
 	}
 	// Entry in a different group.
@@ -199,7 +199,7 @@ func TestRebuildChangesGroups(t *testing.T) {
 	if changed < 256 {
 		t.Fatalf("rebuild moved only %d/512 servers", changed)
 	}
-	if d.Epoch() != 2 {
-		t.Fatalf("epoch = %d", d.Epoch())
+	if d.epoch != 2 {
+		t.Fatalf("epoch = %d", d.epoch)
 	}
 }

@@ -15,10 +15,7 @@
 // cmd/tracestats.
 package audit
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Violation is one invariant failure, with enough context to replay it:
 // the failing invariant, where and when it fired, and the offending
@@ -31,17 +28,6 @@ type Violation struct {
 	Epoch     int      `json:"epoch,omitempty"`
 	Nodes     []uint64 `json:"nodes,omitempty"`
 	Detail    string   `json:"detail,omitempty"`
-}
-
-func (v Violation) String() string {
-	s := fmt.Sprintf("%s: round %d", v.Invariant, v.Round)
-	if v.Scope != "" {
-		s = v.Scope + ": " + s
-	}
-	if v.Detail != "" {
-		s += ": " + v.Detail
-	}
-	return s
 }
 
 // Reporter receives violations as they are detected. Implementations
@@ -203,10 +189,6 @@ func (e *Engine) CountFor(invariant string) int {
 	}
 	return e.byName[invariant]
 }
-
-// Passed reports whether the named invariant has never fired. Unknown
-// names report true (never registered, never violated).
-func (e *Engine) Passed(invariant string) bool { return e.CountFor(invariant) == 0 }
 
 // Violations returns a copy of the retained violations.
 func (e *Engine) Violations() []Violation {

@@ -45,12 +45,6 @@ func NewWorkAuditor(rep Reporter, next sim.Tracer) *WorkAuditor {
 	return &WorkAuditor{next: next, rep: rep}
 }
 
-// Checked returns how many rounds the ledger was verified for.
-func (a *WorkAuditor) Checked() int { return a.checked }
-
-// Mismatches returns how many rounds failed the ledger check.
-func (a *WorkAuditor) Mismatches() int { return a.mismatches }
-
 func (a *WorkAuditor) RoundStart(round, alive int) {
 	if a.havePrevA {
 		// Nodes that departed at the end of the previous round are the
@@ -74,13 +68,15 @@ func (a *WorkAuditor) RoundEnd(stats sim.RoundStats) {
 		a.checked++
 		if stats.Delivered > expected || (stats.Delivered < expected && a.departures == 0) {
 			a.mismatches++
-			a.report(Violation{
-				Invariant: "work-conservation",
-				Round:     stats.Round,
-				Detail: fmt.Sprintf("delivered %d, ledger expects %d (prev sent %d, dead %d, fault %d, dup extra %d, calendar in %d out %d absorbed %d, departures %d)",
-					stats.Delivered, expected, p.Work.Messages, dead, fault, p.DupExtra,
-					p.CalendarIn, p.CalendarOut, p.CalendarAbsorbed, a.departures),
-			})
+			if a.rep != nil {
+				a.rep.ReportViolation(Violation{
+					Invariant: "work-conservation",
+					Round:     stats.Round,
+					Detail: fmt.Sprintf("delivered %d, ledger expects %d (prev sent %d, dead %d, fault %d, dup extra %d, calendar in %d out %d absorbed %d, departures %d)",
+						stats.Delivered, expected, p.Work.Messages, dead, fault, p.DupExtra,
+						p.CalendarIn, p.CalendarOut, p.CalendarAbsorbed, a.departures),
+				})
+			}
 		}
 	}
 	a.haveRound = true
@@ -95,11 +91,5 @@ func (a *WorkAuditor) NodeSpawned(round int, id sim.NodeID) {
 	a.spawns++
 	if a.next != nil {
 		a.next.NodeSpawned(round, id)
-	}
-}
-
-func (a *WorkAuditor) report(v Violation) {
-	if a.rep != nil {
-		a.rep.ReportViolation(v)
 	}
 }

@@ -31,7 +31,7 @@ func TestRateCheckerFirstRecordUnconstrained(t *testing.T) {
 	if err := rc.Record(1000000); err != nil {
 		t.Fatalf("first size constrained: %v", err)
 	}
-	if got := rc.Sizes(); len(got) != 1 || got[0] != 1000000 {
+	if got := rc.sizes; len(got) != 1 || got[0] != 1000000 {
 		t.Fatalf("Sizes() = %v", got)
 	}
 }

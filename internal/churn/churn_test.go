@@ -141,8 +141,8 @@ func TestRateChecker(t *testing.T) {
 	if err := rc2.Record(10); err == nil {
 		t.Fatal("100 -> 10 at rate 2 accepted")
 	}
-	if len(rc.Sizes()) != 5 {
-		t.Fatalf("sizes history wrong: %v", rc.Sizes())
+	if len(rc.sizes) != 5 {
+		t.Fatalf("sizes history wrong: %v", rc.sizes)
 	}
 }
 
@@ -153,8 +153,8 @@ func TestReplaceRespectsRate(t *testing.T) {
 	if err := rc.Record(nw.N()); err != nil {
 		t.Fatal(err)
 	}
-	for e := 0; e < 3; e++ {
-		view := View{Epoch: e, Members: nw.Members(), Neighbors: nw.NeighborsOf}
+	for range 3 {
+		view := View{Members: nw.Members(), Neighbors: nw.NeighborsOf}
 		joins, leaves := adv.Plan(view)
 		rep, _ := nw.RunEpoch(joins, leaves)
 		if err := rc.Record(rep.NNew); err != nil {

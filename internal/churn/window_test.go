@@ -61,8 +61,9 @@ func TestNetworkSatisfiesWindowContainment(t *testing.T) {
 	if err := wc.Record(nw.Members(), nw.Members()); err != nil {
 		t.Fatal(err)
 	}
+	next := 32 // joiners are numbered on from N0, in join order
 	for e := 0; e < 5; e++ {
-		view := View{Epoch: e, Members: nw.Members(), Neighbors: nw.NeighborsOf}
+		view := View{Members: nw.Members(), Neighbors: nw.NeighborsOf}
 		joins, leaves := adv.Plan(view)
 		// The prescription W_{e+1}: current members minus leavers plus
 		// the ids the joiners will get.
@@ -76,7 +77,6 @@ func TestNetworkSatisfiesWindowContainment(t *testing.T) {
 				prescribed = append(prescribed, id)
 			}
 		}
-		next := nw.NextID()
 		for range joins {
 			prescribed = append(prescribed, next)
 			next++

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"overlaynet/internal/hgraph"
 	"overlaynet/internal/rng"
 )
 
@@ -119,20 +118,5 @@ func TestChurnEpochReleasesKernelBuffers(t *testing.T) {
 	t.Logf("retained %.0f B/node", retained)
 	if retained > bound {
 		t.Fatalf("a churn epoch at N0 = 1024 retained %.0f B/node, want <= %d", retained, bound)
-	}
-}
-
-func BenchmarkReconfigureRef1024(b *testing.B) {
-	r := rng.New(3)
-	old := hgraph.RandomCycle(r, 1024)
-	placed := make([]int, 1024)
-	for i := range placed {
-		placed[i] = i
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReconfigureRef(r, old, placed); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

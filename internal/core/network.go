@@ -1,3 +1,15 @@
+// Package core implements the paper's primary contribution (Section 4):
+// an overlay network organized as an ℍ-graph that maintains
+// connectivity under adversarial churn with any constant churn rate by
+// continuously reconfiguring itself. Every O(log log n) rounds each
+// Hamilton cycle is replaced by a fresh one chosen uniformly at random
+// (Algorithm 3), so the adversary's knowledge of the topology is
+// always stale and joins/leaves are absorbed wholesale.
+//
+// Network is the full distributed protocol, running on the sim
+// runtime. The tests hold a centralized reference of one
+// reconfiguration (ReconfigureRef), whose output distribution is the
+// protocol's by construction, and check the protocol against it.
 package core
 
 import (
@@ -404,9 +416,6 @@ func (nw *Network) Members() []int { return nw.members }
 
 // N returns the current member count.
 func (nw *Network) N() int { return len(nw.members) }
-
-// NextID previews the id the next joiner will receive.
-func (nw *Network) NextID() int { return nw.nextID }
 
 // NeighborsOf returns the current neighbors of a member with
 // multiplicity (predecessor and successor in each Hamilton cycle).

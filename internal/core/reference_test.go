@@ -1,16 +1,3 @@
-// Package core implements the paper's primary contribution (Section 4):
-// an overlay network organized as an ℍ-graph that maintains
-// connectivity under adversarial churn with any constant churn rate by
-// continuously reconfiguring itself. Every O(log log n) rounds each
-// Hamilton cycle is replaced by a fresh one chosen uniformly at random
-// (Algorithm 3), so the adversary's knowledge of the topology is
-// always stale and joins/leaves are absorbed wholesale.
-//
-// The package provides both the full distributed protocol (Network,
-// running on the sim runtime) and a centralized reference
-// implementation of one reconfiguration (ReconfigureRef) whose output
-// distribution is identical by construction; tests validate the
-// distributed protocol against it.
 package core
 
 import (
@@ -43,7 +30,10 @@ type RefCycle struct {
 // old is the previous cycle over vertices 0..n−1; placed lists the ids
 // to incorporate (at least 3).
 func ReconfigureRef(r *rng.RNG, old *hgraph.Cycle, placed []int) (*RefCycle, error) {
-	n := old.N()
+	n := 1
+	for v := old.Succ(0); v != 0; v = old.Succ(v) {
+		n++
+	}
 	if len(placed) < 3 {
 		return nil, fmt.Errorf("core: need at least 3 placed ids, got %d", len(placed))
 	}

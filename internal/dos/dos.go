@@ -58,9 +58,6 @@ func (b *Buffer) View(round int) *Snapshot {
 	return nil
 }
 
-// Len returns the number of retained snapshots.
-func (b *Buffer) Len() int { return len(b.history) }
-
 // Adversary selects the blocked set for a round. n is the current node
 // count; the returned set must respect the adversary's budget. snap may
 // be nil early on (before any sufficiently old snapshot exists), and
@@ -142,8 +139,9 @@ func (a *GroupIsolate) SelectBlocked(round, n int, snap *Snapshot) map[sim.NodeI
 }
 
 // WholeGroups blocks as many complete groups as the budget allows,
-// chosen at random from the snapshot — a blunt mass attack used in the
-// sweeps of experiment E8.
+// chosen at random from the snapshot: a blunt mass attack. No
+// experiment runs it; it is the test adversary of the dos, supernode
+// and splitmerge tests.
 type WholeGroups struct {
 	Fraction float64
 	R        *rng.RNG

@@ -122,8 +122,8 @@ func TestBufferPrunesBehindView(t *testing.T) {
 			if got := b.View(r); got != want {
 				t.Fatalf("lateness %d round %d: View = %+v, unpruned buffer serves %+v", late, r, got, want)
 			}
-			if b.Len() > late+2 {
-				t.Fatalf("lateness %d round %d: %d snapshots retained, want at most %d", late, r, b.Len(), late+2)
+			if len(b.history) > late+2 {
+				t.Fatalf("lateness %d round %d: %d snapshots retained, want at most %d", late, r, len(b.history), late+2)
 			}
 		}
 	}

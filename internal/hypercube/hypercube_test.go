@@ -11,7 +11,7 @@ func TestNeighborFlipsOneBit(t *testing.T) {
 		v := Vertex(vRaw) & Vertex(N(d)-1)
 		i := int(iRaw%uint8(d)) + 1
 		w := Neighbor(v, i)
-		if Dist(v, w) != 1 {
+		if hamming(v, w) != 1 {
 			return false
 		}
 		// Involution.
@@ -24,17 +24,14 @@ func TestNeighborFlipsOneBit(t *testing.T) {
 
 func TestNeighborsCount(t *testing.T) {
 	d := 6
-	nb := Neighbors(0, d)
-	if len(nb) != d {
-		t.Fatalf("got %d neighbors, want %d", len(nb), d)
-	}
 	seen := map[Vertex]bool{}
-	for _, w := range nb {
+	for i := 1; i <= d; i++ {
+		w := Neighbor(0, i)
 		if seen[w] {
 			t.Fatal("duplicate neighbor")
 		}
 		seen[w] = true
-		if Dist(0, w) != 1 {
+		if hamming(0, w) != 1 {
 			t.Fatal("neighbor at distance != 1")
 		}
 	}
@@ -42,11 +39,11 @@ func TestNeighborsCount(t *testing.T) {
 
 func TestBinaryCubeGraph(t *testing.T) {
 	for d := 1; d <= 8; d++ {
-		g := Graph(d)
+		g := cubeGraph(d)
 		if g.N() != 1<<d {
 			t.Fatalf("d=%d: %d vertices", d, g.N())
 		}
-		if !g.IsRegular(d) {
+		if !regular(g, d) {
 			t.Fatalf("d=%d: not %d-regular", d, d)
 		}
 		if !g.IsConnected() {
@@ -54,18 +51,8 @@ func TestBinaryCubeGraph(t *testing.T) {
 		}
 	}
 	// Diameter of the d-cube is d.
-	if got := Graph(6).Diameter(); got != 6 {
+	if got := eccentricity(cubeGraph(6), 0); got != 6 {
 		t.Fatalf("6-cube diameter = %d, want 6", got)
-	}
-}
-
-func TestBit(t *testing.T) {
-	v := Vertex(0b1011)
-	want := []int{1, 1, 0, 1}
-	for i := 1; i <= 4; i++ {
-		if Bit(v, i) != want[i-1] {
-			t.Fatalf("Bit(%04b, %d) = %d, want %d", v, i, Bit(v, i), want[i-1])
-		}
 	}
 }
 
@@ -77,11 +64,11 @@ func TestKAryBasics(t *testing.T) {
 	if c.Degree() != 8 {
 		t.Fatalf("degree = %d, want 8", c.Degree())
 	}
-	g := c.Graph()
-	if !g.IsRegular(8) || !g.IsConnected() {
+	g := c.materialize()
+	if !regular(g, 8) || !g.IsConnected() {
 		t.Fatal("k-ary cube structure wrong")
 	}
-	if got := g.Diameter(); got != 4 {
+	if got := eccentricity(g, 0); got != 4 {
 		t.Fatalf("k-ary diameter = %d, want 4", got)
 	}
 }
@@ -116,8 +103,8 @@ func TestKAryNeighborsDistOne(t *testing.T) {
 			t.Fatalf("vertex %d: %d neighbors", v, len(nb))
 		}
 		for _, w := range nb {
-			if c.Dist(v, w) != 1 {
-				t.Fatalf("neighbor %d of %d at distance %d", w, v, c.Dist(v, w))
+			if c.dist(v, w) != 1 {
+				t.Fatalf("neighbor %d of %d at distance %d", w, v, c.dist(v, w))
 			}
 		}
 	}
@@ -125,8 +112,8 @@ func TestKAryNeighborsDistOne(t *testing.T) {
 
 func TestKAryBinaryMatchesBinaryCube(t *testing.T) {
 	c := NewKAry(2, 5)
-	g1 := c.Graph()
-	g2 := Graph(5)
+	g1 := c.materialize()
+	g2 := cubeGraph(5)
 	if g1.N() != g2.N() || g1.NumEdges() != g2.NumEdges() {
 		t.Fatal("2-ary cube does not match binary cube")
 	}
@@ -182,35 +169,6 @@ func TestLabelRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLabelConnected(t *testing.T) {
-	// Same-dimension labels: connected iff Hamming distance 1.
-	x := MakeLabel(0b0000, 4)
-	y := MakeLabel(0b0001, 4)
-	z := MakeLabel(0b0011, 4)
-	if !Connected(x, y) {
-		t.Fatal("distance-1 labels should be connected")
-	}
-	if Connected(x, z) {
-		t.Fatal("distance-2 labels should not be connected")
-	}
-	if Connected(x, x) {
-		t.Fatal("label not connected to itself")
-	}
-	// Mixed dimensions: compare the first min(d(x),d(y)) bits.
-	short := MakeLabel(0b001, 3)  // "100" reading b1 b2 b3 = 1,0,0
-	long := MakeLabel(0b0000, 4)  // differs from short in bit 1 only
-	long2 := MakeLabel(0b0110, 4) // differs in bits 1,2,3
-	if !Connected(short, long) {
-		t.Fatalf("prefix-distance-1 labels should be connected")
-	}
-	if Connected(short, long2) {
-		t.Fatal("prefix-distance-3 labels should not be connected")
-	}
-	if !Connected(long, short) {
-		t.Fatal("Connected must be symmetric")
 	}
 }
 

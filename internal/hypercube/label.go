@@ -70,18 +70,6 @@ func (l Label) IsAncestorOf(m Label) bool {
 	return l.len < m.len && (m.bits&mask(l.len)) == l.bits
 }
 
-// Connected implements the paper's connectivity rule for supernodes of
-// different dimensions: x and y with d(x) ≤ d(y) are connected iff the
-// first d(x) bits of their labels differ in exactly one coordinate.
-func Connected(x, y Label) bool {
-	short := x.len
-	if y.len < short {
-		short = y.len
-	}
-	diff := (x.bits ^ y.bits) & mask(short)
-	return diff != 0 && diff&(diff-1) == 0
-}
-
 // Equal reports label equality.
 func (l Label) Equal(m Label) bool { return l.len == m.len && l.bits == m.bits }
 

@@ -178,9 +178,6 @@ func SummarizeInts(xs []int) Summary {
 	return Summarize(fs)
 }
 
-// Log2 returns log₂(x).
-func Log2(x float64) float64 { return math.Log2(x) }
-
 // PolylogEnvelope returns C·log(n)^k, the envelope used to check
 // "polylogarithmic" claims empirically.
 func PolylogEnvelope(n int, k, c float64) float64 {

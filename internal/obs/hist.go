@@ -151,14 +151,6 @@ func (h *Histogram) ObserveAll(vals []int64) {
 	}
 }
 
-// Name returns the registered metric name ("" on a nil handle).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // HistSnapshot is a point-in-time copy of a histogram, safe to read
 // while the source keeps streaming.
 type HistSnapshot struct {
@@ -225,12 +217,4 @@ func (s HistSnapshot) Max() float64 {
 		return 0
 	}
 	return float64(s.MaxSeen)
-}
-
-// Mean returns Sum/Count (0 on empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }

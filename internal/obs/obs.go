@@ -83,14 +83,6 @@ func (c *Counter) Value() uint64 {
 	return t
 }
 
-// Name returns the registered metric name ("" on a nil handle).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Registry holds the named metrics of one process. Registration is
 // get-or-create and safe for concurrent use; the returned handles are
 // stable for the life of the registry. A nil *Registry is a valid

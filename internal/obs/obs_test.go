@@ -23,7 +23,7 @@ func TestCounterLanesSumAndNilSafety(t *testing.T) {
 	var nilC *Counter
 	nilC.Add(0, 5)
 	nilC.Inc(3)
-	if nilC.Value() != 0 || nilC.Name() != "" {
+	if nilC.Value() != 0 {
 		t.Fatal("nil counter not inert")
 	}
 	var nilH *Histogram
@@ -134,8 +134,8 @@ func TestHistogramQuantileError(t *testing.T) {
 	if s.Max() != n {
 		t.Fatalf("Max = %v, want %d", s.Max(), int64(n))
 	}
-	if got, want := s.Mean(), float64(n+1)/2; math.Abs(got-want) > 0.5 {
-		t.Fatalf("Mean = %v, want %v", got, want)
+	if got, want := float64(s.Sum)/float64(s.Count), float64(n+1)/2; math.Abs(got-want) > 0.5 {
+		t.Fatalf("Sum/Count = %v, want %v", got, want)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestObserveAllMatchesObserve(t *testing.T) {
 
 func TestHistogramEmptyAndNegative(t *testing.T) {
 	h := newHistogram("overlaynet_e")
-	if s := h.Snapshot(); s.Quantile(0.5) != 0 || s.Max() != 0 || s.Mean() != 0 {
+	if s := h.Snapshot(); s.Quantile(0.5) != 0 || s.Max() != 0 || s.Count != 0 || s.Sum != 0 {
 		t.Fatal("empty snapshot not zero")
 	}
 	h.Observe(-3)

@@ -39,7 +39,6 @@ func floodNet(tb testing.TB, n int, latSpec string, drop float64) (*sim.Network,
 	if inj := (fault.Spec{Seed: 1, Drop: drop}).Injector(); inj != nil {
 		net.SetInjector(inj)
 	}
-	net.DisableWorkLog()
 	cfg := On()
 	stretch := cfg.EffectiveStretch(lat)
 	h := &floodNode{n: n, payload: any(0)}
@@ -73,7 +72,10 @@ func BenchmarkEndpoint(b *testing.B) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
-			net.Run(b.N * stretch)
+			for i := 0; i < b.N; i++ {
+				net.ResetWork()
+				net.Run(stretch)
+			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			msgs := float64(b.N * n * floodFanout)

@@ -54,9 +54,6 @@ func FuzzRetransmitSchedule(f *testing.F) {
 			}
 			total += d
 		}
-		if dl := ScheduleDeadline(cfg, seed, round, src, dst); dl != total {
-			t.Fatalf("deadline %d != sum of delays %d", dl, total)
-		}
 		if bound := (budget + 1) * maxAttemptDelay * 3 / 2; total > bound {
 			t.Fatalf("schedule %d rounds exceeds budget bound %d", total, bound)
 		}

@@ -183,16 +183,3 @@ func AttemptDelay(cfg Config, seed uint64, round int, src, dst uint64, attempt i
 	h = rng.Mix64(h + uint64(attempt))
 	return base + int(h%uint64(base/2+1))
 }
-
-// ScheduleDeadline returns the sim round, relative to the original
-// transmission, by which the whole retransmit schedule has run its
-// course: the sum of every attempt's delay. After it passes unacked,
-// the message is declared failed. Bounded by (Budget+1)·(3/2)·
-// maxAttemptDelay, the fuzz target's budget-bound invariant.
-func ScheduleDeadline(cfg Config, seed uint64, round int, src, dst uint64) int {
-	d := 0
-	for a := 0; a <= cfg.Budget; a++ {
-		d += AttemptDelay(cfg, seed, round, src, dst, a)
-	}
-	return d
-}

@@ -137,11 +137,6 @@ func (r *RNG) Coin() bool {
 	return r.Uint64()&1 == 1
 }
 
-// Bernoulli returns true with probability p.
-func (r *RNG) Bernoulli(p float64) bool {
-	return r.Float64() < p
-}
-
 // Perm returns a uniform random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

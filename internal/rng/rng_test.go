@@ -132,23 +132,6 @@ func TestCoinFair(t *testing.T) {
 	}
 }
 
-func TestBernoulli(t *testing.T) {
-	r := New(8)
-	for _, p := range []float64{0.1, 0.5, 0.9} {
-		hits := 0
-		const trials = 50000
-		for i := 0; i < trials; i++ {
-			if r.Bernoulli(p) {
-				hits++
-			}
-		}
-		got := float64(hits) / trials
-		if math.Abs(got-p) > 0.02 {
-			t.Fatalf("Bernoulli(%v) frequency %.4f", p, got)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%64) + 1

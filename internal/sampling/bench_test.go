@@ -77,14 +77,16 @@ func BenchmarkSendRequests(b *testing.B) {
 				}
 			}
 			net := sim.NewNetwork(sim.Config{Seed: 1})
-			net.DisableWorkLog()
 			net.SpawnHandler(1, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
 				request(ctx)
 				return true
 			}))
 			b.ReportAllocs()
 			b.ResetTimer()
-			net.Run(b.N)
+			for i := 0; i < b.N; i++ {
+				net.ResetWork()
+				net.Step()
+			}
 			b.StopTimer()
 			net.Shutdown()
 		})
@@ -112,14 +114,5 @@ func BenchmarkBaselineWalkHGraph256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BaselineWalkHGraph(uint64(i)+1, h, 4, steps)
-	}
-}
-
-func BenchmarkCentralWalkHGraph(b *testing.B) {
-	r := rng.New(1)
-	h := hgraph.Random(r, 1024, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		WalkHGraph(r, h, i%1024, 44)
 	}
 }

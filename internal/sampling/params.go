@@ -124,10 +124,6 @@ func (p HGraphParams) T() int {
 	return t
 }
 
-// WalkLength returns the length 2^T of the walks the algorithm
-// actually produces.
-func (p HGraphParams) WalkLength() int { return 1 << p.T() }
-
 // M returns the multiset budget m_i for iteration i (0 ≤ i ≤ T):
 // m_i = ⌈(2+ε)^{T−i}·c·log₂ n⌉.
 func (p HGraphParams) M(i int) int {

@@ -80,9 +80,6 @@ func TestHGraphParams(t *testing.T) {
 	if got := p.T(); got != 6 { // ceil(log2 50)
 		t.Fatalf("T = %d, want 6", got)
 	}
-	if p.WalkLength() != 64 {
-		t.Fatalf("walk length = %d, want 64", p.WalkLength())
-	}
 	if p.Rounds() != 13 {
 		t.Fatalf("rounds = %d, want 13", p.Rounds())
 	}
@@ -180,12 +177,47 @@ func TestHypercubeScheduleIsLemma9(t *testing.T) {
 	}
 }
 
+// walkHGraph performs a centralized simple random walk of the given
+// length on an ℍ-graph and returns the endpoint: the §2.3 law that
+// BaselineWalkHGraph distributes. By Lemma 2 the endpoint of a
+// ⌈2α·log_{d/4} n⌉-step walk is almost uniform.
+func walkHGraph(r *rng.RNG, h *hgraph.HGraph, start, steps int) int {
+	v := start
+	d := h.D()
+	for s := 0; s < steps; s++ {
+		// Simple random walk on the multigraph: pick one of the d
+		// incident edge endpoints (with multiplicity) uniformly.
+		e := r.Intn(d)
+		c := h.Cycle(e / 2)
+		if e%2 == 0 {
+			v = c.Pred(v)
+		} else {
+			v = c.Succ(v)
+		}
+	}
+	return v
+}
+
+// walkHypercube performs the classic d-round coin-flip walk of Section
+// 2.3 on the d-dimensional binary hypercube: in round i the token
+// moves to n_i(v) with probability 1/2, else stays. The endpoint is
+// exactly uniform over all 2^d vertices.
+func walkHypercube(r *rng.RNG, d int, start hypercube.Vertex) hypercube.Vertex {
+	v := start
+	for i := 1; i <= d; i++ {
+		if r.Coin() {
+			v = hypercube.Neighbor(v, i)
+		}
+	}
+	return v
+}
+
 func TestWalkHypercubeUniform(t *testing.T) {
 	r := rng.New(3)
 	const d, trials = 6, 64000
 	counts := make([]int, hypercube.N(d))
 	for i := 0; i < trials; i++ {
-		counts[WalkHypercube(r, d, 0)]++
+		counts[walkHypercube(r, d, 0)]++
 	}
 	tv := metrics.TVDistanceUniform(counts)
 	env := metrics.ExpectedTVUniform(len(counts), trials)
@@ -201,7 +233,7 @@ func TestWalkHGraphAlmostUniform(t *testing.T) {
 	const trials = 64000
 	counts := make([]int, 64)
 	for i := 0; i < trials; i++ {
-		counts[WalkHGraph(r, h, 0, p.WalkTarget())]++
+		counts[walkHGraph(r, h, 0, p.WalkTarget())]++
 	}
 	tv := metrics.TVDistanceUniform(counts)
 	env := metrics.ExpectedTVUniform(64, trials)
@@ -217,7 +249,7 @@ func TestWalkHGraphShortWalkNotUniform(t *testing.T) {
 	h := hgraph.Random(r, 64, 8)
 	counts := make([]int, 64)
 	for i := 0; i < 10000; i++ {
-		counts[WalkHGraph(r, h, 0, 1)]++
+		counts[walkHGraph(r, h, 0, 1)]++
 	}
 	if tv := metrics.TVDistanceUniform(counts); tv < 0.5 {
 		t.Fatalf("length-1 walk suspiciously uniform (TV %.3f)", tv)
@@ -383,7 +415,7 @@ func TestRapidHypercubeCoordinateBalance(t *testing.T) {
 		for _, w := range s {
 			total++
 			for i := 1; i <= 8; i++ {
-				ones[i-1] += hypercube.Bit(hypercube.Vertex(w), i)
+				ones[i-1] += (w >> (i - 1)) & 1
 			}
 		}
 	}

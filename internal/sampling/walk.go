@@ -3,44 +3,8 @@ package sampling
 import (
 	"overlaynet/internal/hgraph"
 	"overlaynet/internal/hypercube"
-	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
 )
-
-// WalkHGraph performs a centralized simple random walk of the given
-// length on an ℍ-graph and returns the endpoint. This is the reference
-// the distributed primitives are validated against: by Lemma 2 the
-// endpoint of a ⌈2α·log_{d/4} n⌉-step walk is almost uniform.
-func WalkHGraph(r *rng.RNG, h *hgraph.HGraph, start, steps int) int {
-	v := start
-	d := h.D()
-	for s := 0; s < steps; s++ {
-		// Simple random walk on the multigraph: pick one of the d
-		// incident edge endpoints (with multiplicity) uniformly.
-		e := r.Intn(d)
-		c := h.Cycle(e / 2)
-		if e%2 == 0 {
-			v = c.Pred(v)
-		} else {
-			v = c.Succ(v)
-		}
-	}
-	return v
-}
-
-// WalkHypercube performs the classic d-round coin-flip walk of Section
-// 2.3 on the d-dimensional binary hypercube: in round i the token
-// moves to n_i(v) with probability 1/2, else stays. The endpoint is
-// exactly uniform over all 2^d vertices.
-func WalkHypercube(r *rng.RNG, d int, start hypercube.Vertex) hypercube.Vertex {
-	v := start
-	for i := 1; i <= d; i++ {
-		if r.Coin() {
-			v = hypercube.Neighbor(v, i)
-		}
-	}
-	return v
-}
 
 // TokenWalkResult is the outcome of a distributed token-walk baseline.
 type TokenWalkResult struct {

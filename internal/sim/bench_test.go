@@ -143,12 +143,11 @@ func BenchmarkStep(b *testing.B) {
 			default:
 				net = floodNet(bc.n, bc.fanout)
 			}
-			net.DisableWorkLog()
 			net.Run(2) // reach buffer steady state
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				net.Step()
+				net.stepBounded()
 			}
 			b.StopTimer()
 			if bc.n >= 100000 {
@@ -238,12 +237,11 @@ func readPeakRSSMB() float64 {
 // invariant in the regular test run).
 func BenchmarkStepAllocs(b *testing.B) {
 	net := floodNet(1000, 4)
-	net.DisableWorkLog()
 	net.Run(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Step()
+		net.stepBounded()
 	}
 	b.StopTimer()
 	net.Shutdown()
@@ -256,13 +254,12 @@ func BenchmarkStepAllocs(b *testing.B) {
 // allocation steady state: the distribution scratch buffers are reused.
 func BenchmarkStepTraced(b *testing.B) {
 	net := floodNet(1000, 4)
-	net.DisableWorkLog()
 	net.SetTracer(&countingTracer{})
 	net.Run(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Step()
+		net.stepBounded()
 	}
 	b.StopTimer()
 	net.Shutdown()

@@ -1,7 +1,5 @@
 package sim
 
-import "math/bits"
-
 // Bitset is a fixed-layout bit vector indexed by dense node slot, so a
 // hot path tests membership with a shift and a mask instead of a map
 // probe. The §5/§6 overlay stacks keep their blocked-history, crash,
@@ -31,15 +29,6 @@ func (b Bitset) Unset(i int32) {
 // Zero clears every bit, keeping capacity.
 func (b Bitset) Zero() {
 	clear(b)
-}
-
-// Count returns the number of set bits.
-func (b Bitset) Count() int {
-	c := 0
-	for _, w := range b {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // GrowBitset returns b extended (zero-filled) to hold at least n bits.

@@ -19,6 +19,23 @@ func (n *Network) indexed() int {
 	return k
 }
 
+// stepBounded empties the work log, keeping its capacity, and runs one
+// round: a steady-state measurement over many rounds allocates nothing
+// for the log.
+func (n *Network) stepBounded() {
+	n.ResetWork()
+	n.Step()
+}
+
+// alive returns the ids of the live nodes in spawn order.
+func (n *Network) alive() []NodeID {
+	ids := make([]NodeID, len(n.order))
+	for i, s := range n.order {
+		ids[i] = n.slots[s].id
+	}
+	return ids
+}
+
 // inboxOf returns the pending inbox of a live node: its range of the
 // arena.
 func (n *Network) inboxOf(id NodeID) []Message {
@@ -163,8 +180,8 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 		net.SpawnHandler(3, HandlerFunc(func(*Ctx, []Message) bool { return false })) // departs after round 1
 
 		net.Step() // round 1: first sends go out; node 3 departs
-		if net.Exists(3) || net.indexed() != 2+senders {
-			t.Fatalf("%s: node 3 still tracked: exists=%v indexed=%d, want %d", lat, net.Exists(3), net.indexed(), 2+senders)
+		if net.slotOf(3) >= 0 || net.indexed() != 2+senders {
+			t.Fatalf("%s: node 3 still tracked: exists=%v indexed=%d, want %d", lat, net.slotOf(3) >= 0, net.indexed(), 2+senders)
 		}
 		if segs := len(net.mail.segs); segs < 4 {
 			t.Fatalf("%s: the burst filled %d log segments, want >= 4 (3 seals)", lat, segs)
@@ -211,8 +228,8 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 			t.Fatalf("%s: %d dropped log segments still referenced", lat, k)
 		}
 		net.Shutdown()
-		if net.NumAlive() != 0 || net.indexed() != 0 {
-			t.Fatalf("%s: after shutdown alive=%d indexed=%d, want 0/0", lat, net.NumAlive(), net.indexed())
+		if len(net.order) != 0 || net.indexed() != 0 {
+			t.Fatalf("%s: after shutdown alive=%d indexed=%d, want 0/0", lat, len(net.order), net.indexed())
 		}
 		if mb := &net.mail; mb.segs != nil || mb.log != nil || mb.arena != nil || mb.cal != nil {
 			t.Fatalf("%s: Shutdown kept the log/arena/calendar", lat)
@@ -261,8 +278,8 @@ func TestKilledNodeBuffersReleased(t *testing.T) {
 			s := net.slotOf(id)
 			halt = true
 			net.Step()
-			if net.Exists(id) || net.indexed() != senders {
-				t.Fatalf("%s: halted node %d still tracked: exists=%v indexed=%d", spec, id, net.Exists(id), net.indexed())
+			if net.slotOf(id) >= 0 || net.indexed() != senders {
+				t.Fatalf("%s: halted node %d still tracked: exists=%v indexed=%d", spec, id, net.slotOf(id) >= 0, net.indexed())
 			}
 			if st := &net.slots[s]; st.inLo != st.inHi || st.h != nil || st.ctx != nil {
 				t.Fatalf("%s: freed slot keeps state: %+v", spec, *st)
@@ -307,13 +324,12 @@ func TestInboxBufferReuse(t *testing.T) {
 				return true
 			}))
 		}
-		net.DisableWorkLog()
 		net.Run(3) // reach the steady state
 		_, before := net.bufferSizes()
 		if before[0] == 0 || before[1] == 0 {
 			t.Fatalf("%v: log/arena never populated: %v", lat, before)
 		}
-		if allocs := testing.AllocsPerRun(32, net.Step); allocs != 0 {
+		if allocs := testing.AllocsPerRun(32, net.stepBounded); allocs != 0 {
 			t.Errorf("%v: %v allocs per steady round, want 0", lat, allocs)
 		}
 		if _, after := net.bufferSizes(); !slices.Equal(before, after) {
@@ -357,13 +373,12 @@ func TestSealBeforeSilentTail(t *testing.T) {
 		}))
 	}
 	net.SpawnHandler(senders+1, burst(0, nil))
-	net.DisableWorkLog()
 	net.Step()
 	if mb := &net.mail; len(mb.segs) != 1 || mb.reserve == nil {
 		t.Fatalf("segments %v and a reserve of %d after a seal before the silent tail, want one segment and a reserve",
 			net.segCaps(), cap(mb.reserve))
 	}
-	if allocs := testing.AllocsPerRun(8, net.Step); allocs != 0 {
+	if allocs := testing.AllocsPerRun(8, net.stepBounded); allocs != 0 {
 		t.Errorf("%v allocs per round of the same shape, want 0", allocs)
 	}
 	quiet = true
@@ -402,7 +417,6 @@ func pulseNet(lat Latency, fanout func(round int) int, bad *[64]int) *Network {
 			return true
 		}))
 	}
-	net.DisableWorkLog()
 	return net
 }
 

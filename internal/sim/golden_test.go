@@ -195,7 +195,7 @@ func deliveryTranscript(lat Latency, load goldenLoad) (digest uint64, ex exercis
 		return k
 	}
 	for round := 1; round <= 48; round++ {
-		switch alive := net.Alive(); {
+		switch alive := net.alive(); {
 		case round%5 == 2:
 			for k := 0; k < 3; k++ {
 				byID[alive[drv.Intn(len(alive))]].halt = true
@@ -227,7 +227,7 @@ func deliveryTranscript(lat Latency, load goldenLoad) (digest uint64, ex exercis
 				last = g
 			}
 		}
-		fmt.Fprintf(h, "alive %v %v %v\n", net.Alive(), net.Exists(maxID), net.Exists(goldenSparse+2))
+		fmt.Fprintf(h, "alive %v %v %v\n", net.alive(), net.slotOf(maxID) >= 0, net.slotOf(goldenSparse+2) >= 0)
 	}
 	fmt.Fprintf(h, "work %+v\nrel %+v\ndeferred %d\n", net.Work(), net.ReliabilityStats(), net.DeferredMessages())
 	net.Shutdown()

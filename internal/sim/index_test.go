@@ -109,7 +109,7 @@ func TestDenseTableDoesNotDecay(t *testing.T) {
 		net.SpawnHandler(next, idle)
 	}
 	for epoch := 0; epoch < 200; epoch++ {
-		for _, id := range net.Alive()[:8] {
+		for _, id := range net.alive()[:8] {
 			halt[id] = true
 		}
 		net.Step()
@@ -121,8 +121,8 @@ func TestDenseTableDoesNotDecay(t *testing.T) {
 			t.Fatalf("epoch %d: id %d went to the overflow map", epoch, next-1)
 		}
 	}
-	if net.NumAlive() != 64 || net.indexed() != 64 {
-		t.Fatalf("alive=%d indexed=%d, want 64/64", net.NumAlive(), net.indexed())
+	if len(net.order) != 64 || net.indexed() != 64 {
+		t.Fatalf("alive=%d indexed=%d, want 64/64", len(net.order), net.indexed())
 	}
 	if len(net.dense) != int(next) {
 		t.Fatalf("dense table has %d entries for %d ids ever spawned", len(net.dense), next-1)

@@ -375,8 +375,7 @@ type Network struct {
 	mail   mailbag // send log and inbox arena
 	cursor []int32 // per-slot count, then write cursor, of the send step
 
-	work       []RoundWork
-	recordWork bool
+	work []RoundWork
 
 	// adapterLive counts coroutine-adapter goroutines currently alive,
 	// for the teardown leak audit (AdapterGoroutines).
@@ -419,12 +418,11 @@ func NewNetwork(cfg Config) *Network {
 		panic("sim: " + err.Error())
 	}
 	n := &Network{
-		root:       rng.New(cfg.Seed),
-		hint:       hint,
-		recordWork: true,
-		lat:        cfg.Latency,
-		async:      cfg.Latency.Enabled(),
-		latSeed:    cfg.Seed,
+		root:    rng.New(cfg.Seed),
+		hint:    hint,
+		lat:     cfg.Latency,
+		async:   cfg.Latency.Enabled(),
+		latSeed: cfg.Seed,
 	}
 	if hint > 0 {
 		n.slots = make([]nodeState, 0, hint)
@@ -449,39 +447,19 @@ func (n *Network) DeferredMessages() int64 { return n.deferred }
 // all zero when no node uses the reliable layer.
 func (n *Network) ReliabilityStats() ReliabilityTotals { return n.relTotals }
 
-// DisableWorkLog turns off per-round work summaries (useful for very
-// long runs where the slice would grow without bound).
-func (n *Network) DisableWorkLog() { n.recordWork = false }
-
 // ResetWork truncates the per-round work log, keeping its capacity.
-// Long-horizon drivers can call it between epochs to keep memory
-// bounded while still measuring each epoch (unlike DisableWorkLog,
-// which is all-or-nothing).
+// Long-horizon drivers call it between epochs to keep memory bounded
+// while still measuring each epoch.
 func (n *Network) ResetWork() { n.work = n.work[:0] }
 
 // Round returns the number of completed rounds.
 func (n *Network) Round() int { return n.round }
-
-// NumAlive returns the number of live nodes.
-func (n *Network) NumAlive() int { return len(n.order) }
 
 // AdapterGoroutines returns the number of coroutine-adapter goroutines
 // currently alive. It is 0 for a network of pure handler nodes, and
 // must return to 0 after Shutdown (the teardown leak audit asserts
 // both).
 func (n *Network) AdapterGoroutines() int { return n.adapterLive }
-
-// Alive returns the ids of live nodes in spawn order.
-func (n *Network) Alive() []NodeID {
-	ids := make([]NodeID, len(n.order))
-	for i, s := range n.order {
-		ids[i] = n.slots[s].id
-	}
-	return ids
-}
-
-// Exists reports whether a node with the given id is currently alive.
-func (n *Network) Exists(id NodeID) bool { return n.slotOf(id) >= 0 }
 
 // denseSlack is the headroom of the dense id table beyond twice the
 // number of ids ever spawned.
@@ -627,9 +605,7 @@ func (n *Network) Step() {
 	if !n.async {
 		n.release()
 	}
-	if n.recordWork {
-		n.work = append(n.work, rs.Work)
-	}
+	n.work = append(n.work, rs.Work)
 	if n.tracer != nil {
 		for _, v := range rs.Inbox {
 			rs.Delivered += v

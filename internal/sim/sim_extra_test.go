@@ -35,20 +35,6 @@ func TestFirstInboxEmpty(t *testing.T) {
 	}
 }
 
-func TestDisableWorkLog(t *testing.T) {
-	net := NewNetwork(Config{Seed: 1})
-	net.DisableWorkLog()
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(1, "x", 8)
-		ctx.NextRound()
-	})
-	net.Run(3)
-	net.Shutdown()
-	if len(net.Work()) != 0 {
-		t.Fatalf("work log has %d entries after disabling", len(net.Work()))
-	}
-}
-
 func TestAliveOrderIsSpawnOrder(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	ids := []NodeID{5, 2, 9}
@@ -59,7 +45,7 @@ func TestAliveOrderIsSpawnOrder(t *testing.T) {
 			}
 		})
 	}
-	got := net.Alive()
+	got := net.alive()
 	for i := range ids {
 		if got[i] != ids[i] {
 			t.Fatalf("alive order %v, want %v", got, ids)

@@ -119,14 +119,14 @@ func TestNodeLeavesWhenProcReturns(t *testing.T) {
 	})
 	net.Step()
 	net.Step()
-	if net.Exists(1) {
+	if net.slotOf(1) >= 0 {
 		t.Fatal("node 1 should have left")
 	}
-	if !net.Exists(2) {
+	if net.slotOf(2) < 0 {
 		t.Fatal("node 2 should still exist")
 	}
-	if net.NumAlive() != 1 {
-		t.Fatalf("NumAlive = %d, want 1", net.NumAlive())
+	if len(net.order) != 1 {
+		t.Fatalf("%d nodes alive, want 1", len(net.order))
 	}
 	net.Shutdown()
 }

@@ -242,8 +242,8 @@ func TestShutdownDoesNotPolluteAccounting(t *testing.T) {
 	if len(net.Work()) != entries {
 		t.Fatalf("Shutdown appended to the work log: %d -> %d entries", entries, len(net.Work()))
 	}
-	if net.NumAlive() != 0 || net.indexed() != 0 {
-		t.Fatalf("Shutdown left state: alive=%d indexed=%d", net.NumAlive(), net.indexed())
+	if len(net.order) != 0 || net.indexed() != 0 {
+		t.Fatalf("Shutdown left state: alive=%d indexed=%d", len(net.order), net.indexed())
 	}
 }
 
@@ -259,9 +259,9 @@ func TestShutdownBeforeAnyStep(t *testing.T) {
 		})
 	}
 	net.Shutdown()
-	if net.Round() != 0 || len(net.Work()) != 0 || net.NumAlive() != 0 {
+	if net.Round() != 0 || len(net.Work()) != 0 || len(net.order) != 0 {
 		t.Fatalf("shutdown before step: round=%d work=%d alive=%d",
-			net.Round(), len(net.Work()), net.NumAlive())
+			net.Round(), len(net.Work()), len(net.order))
 	}
 	// Idempotent on an empty network.
 	net.Shutdown()
@@ -272,9 +272,8 @@ func TestShutdownBeforeAnyStep(t *testing.T) {
 // round must stay at zero allocations without a tracer.
 func TestNilTracerSteadyStateZeroAllocs(t *testing.T) {
 	net := floodNet(256, 4)
-	net.DisableWorkLog()
 	net.Run(2) // reach buffer steady state
-	allocs := testing.AllocsPerRun(20, func() { net.Step() })
+	allocs := testing.AllocsPerRun(20, net.stepBounded)
 	net.Shutdown()
 	if allocs != 0 {
 		t.Fatalf("steady-state Step allocates %.1f times per round with nil tracer, want 0", allocs)

@@ -57,7 +57,7 @@ func (g *goldenRun) step(blocked map[sim.NodeID]bool) {
 	g.nw.roundState(&g.b)
 	if e := g.nw.Epoch(); e != g.epoch {
 		g.epoch = e
-		fmt.Fprintf(&g.b, "%+v\n%v\n", g.nw.StatsSnapshot(), g.nw.Labels())
+		fmt.Fprintf(&g.b, "%+v\n%v\n", g.nw.StatsSnapshot(), g.nw.labels())
 		for _, s := range g.nw.supers {
 			fmt.Fprintf(&g.b, "%v ", s.members)
 		}

@@ -2,6 +2,7 @@ package splitmerge
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -11,13 +12,22 @@ import (
 	"overlaynet/internal/sim"
 )
 
+// labels returns the supernode labels in supernode order (sorted).
+func (nw *Network) labels() []hypercube.Label {
+	out := make([]hypercube.Label, len(nw.supers))
+	for i, s := range nw.supers {
+		out[i] = s.label
+	}
+	return out
+}
+
 // checkLabelPartition verifies that the supernode labels tile the label
 // space exactly: Σ 2^{−d(x)} = 1 and no label is an ancestor of
 // another. This is the structural invariant behind the 2^{−d(x)}
 // sampling probabilities summing to one.
 func checkLabelPartition(t *testing.T, nw *Network) {
 	t.Helper()
-	labels := nw.Labels()
+	labels := nw.labels()
 	// Use 2^{dmax−d(x)} integer weights to avoid float error.
 	_, dmax := nw.DimRange()
 	sum := 0
@@ -134,11 +144,11 @@ func TestSamplingProbabilityProportionalToDimension(t *testing.T) {
 
 func TestHypercubeConnectedSymmetryAcrossDims(t *testing.T) {
 	nw := New(Config{Seed: 6, N0: 300, MeasureEvery: -1})
-	labels := nw.Labels()
+	labels := nw.labels()
 	for i := range labels {
 		for j := range labels {
-			if hypercube.Connected(labels[i], labels[j]) != hypercube.Connected(labels[j], labels[i]) {
-				t.Fatalf("Connected not symmetric for %v, %v", labels[i], labels[j])
+			if connected(labels[i], labels[j]) != connected(labels[j], labels[i]) {
+				t.Fatalf("connected not symmetric for %v, %v", labels[i], labels[j])
 			}
 		}
 	}
@@ -171,7 +181,7 @@ func TestShrinkToMinimum(t *testing.T) {
 		}
 		checkLabelPartition(t, nw)
 		if !nw.Eq1Holds() {
-			t.Fatalf("Equation 1 violated at n=%d: %v / %v", nw.N(), nw.GroupSizes(), nw.Labels())
+			t.Fatalf("Equation 1 violated at n=%d: %v / %v", nw.N(), nw.GroupSizes(), nw.labels())
 		}
 	}
 	if nw.StatsSnapshot().Merges+nw.StatsSnapshot().ForcedMerges == 0 {
@@ -179,13 +189,55 @@ func TestShrinkToMinimum(t *testing.T) {
 	}
 }
 
+// connected is §6's adjacency rule for supernodes of any two
+// dimensions: x and y with d(x) ≤ d(y) are adjacent iff the first d(x)
+// bits of their labels differ in exactly one coordinate.
+func connected(x, y hypercube.Label) bool {
+	short := min(x.Dim(), y.Dim())
+	return bits.OnesCount64((x.Bits()^y.Bits())&(1<<short-1)) == 1
+}
+
+// TestLabelConnected pins the rule: Hamming distance 1 at one
+// dimension, the shorter label's prefix across two, and symmetric and
+// irreflexive over every label up to dimension 4.
+func TestLabelConnected(t *testing.T) {
+	x := hypercube.MakeLabel(0b0000, 4)
+	y := hypercube.MakeLabel(0b0001, 4)
+	z := hypercube.MakeLabel(0b0011, 4)
+	if !connected(x, y) || connected(x, z) {
+		t.Fatal("same-dimension labels: want connected iff at distance 1")
+	}
+	short := hypercube.MakeLabel(0b001, 3)  // "100" reading b1 b2 b3 = 1,0,0
+	long := hypercube.MakeLabel(0b0000, 4)  // differs from short in bit 1 only
+	long2 := hypercube.MakeLabel(0b0110, 4) // differs in bits 1,2,3
+	if !connected(short, long) || connected(short, long2) {
+		t.Fatal("mixed dimensions: want connected iff the prefixes are at distance 1")
+	}
+	var labels []hypercube.Label
+	for d := 0; d <= 4; d++ {
+		for b := range uint64(1) << d {
+			labels = append(labels, hypercube.MakeLabel(b, d))
+		}
+	}
+	for _, a := range labels {
+		if connected(a, a) {
+			t.Fatalf("%v connected to itself", a)
+		}
+		for _, b := range labels {
+			if connected(a, b) != connected(b, a) {
+				t.Fatalf("connected(%v, %v) is not symmetric", a, b)
+			}
+		}
+	}
+}
+
 // scanAdjacency is the all-pairs rule the label-tree lookup replaced:
-// supernodes i ≠ j are adjacent when hypercube.Connected says so.
+// supernodes i ≠ j are adjacent when connected says so.
 func scanAdjacency(nw *Network) [][]int32 {
 	adj := make([][]int32, len(nw.supers))
 	for i, s := range nw.supers {
 		for j, u := range nw.supers {
-			if i != j && hypercube.Connected(s.label, u.label) {
+			if i != j && connected(s.label, u.label) {
 				adj[i] = append(adj[i], int32(j))
 			}
 		}
@@ -194,7 +246,7 @@ func scanAdjacency(nw *Network) [][]int32 {
 }
 
 // TestAdjacencyMatchesAllPairsScan: the adjacency read from the label
-// tree equals the all-pairs hypercube.Connected scan on the committed
+// tree equals the all-pairs connected scan on the committed
 // trees that churn grows, shrinks and replaces, and on trees a
 // CorruptState relabel left with a coverage hole — one at the deepest
 // dimension, which raises dmax, and one at the shallowest. (The next
@@ -215,7 +267,7 @@ func TestAdjacencyMatchesAllPairsScan(t *testing.T) {
 		for i := range want {
 			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("%s: supernode %v has neighbours %v, the scan finds %v (labels %v)",
-					when, nw.supers[i].label, got[i], want[i], nw.Labels())
+					when, nw.supers[i].label, got[i], want[i], nw.labels())
 			}
 		}
 	}

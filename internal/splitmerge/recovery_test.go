@@ -78,7 +78,7 @@ func FuzzRepairLabels(f *testing.F) {
 		eng.RunNow(nw.Round())
 		for _, inv := range []string{"label-coverage", "membership", "eq1-group-size", "dim-spread"} {
 			if eng.CountFor(inv) != 0 {
-				t.Fatalf("%s after repair: %+v (labels %v)", inv, eng.Violations(), nw.Labels())
+				t.Fatalf("%s after repair: %+v (labels %v)", inv, eng.Violations(), nw.labels())
 			}
 		}
 		if m, b := nw.RepairMembership(), nw.RepairBalance(); m != 0 || b != 0 {
@@ -102,10 +102,10 @@ func TestLabelRuleSeesHoleAboveSiblings(t *testing.T) {
 	}
 	nw.sortSupers()
 	if nw.checkLabelCoverage() == nil {
-		t.Fatalf("labels %v passed the label rule", nw.Labels())
+		t.Fatalf("labels %v passed the label rule", nw.labels())
 	}
 	if fixes := nw.RepairBalance(); fixes == 0 || nw.checkLabelCoverage() != nil {
-		t.Fatalf("repair made %d fixes and left labels %v", fixes, nw.Labels())
+		t.Fatalf("repair made %d fixes and left labels %v", fixes, nw.labels())
 	}
 }
 

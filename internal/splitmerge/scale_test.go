@@ -46,7 +46,7 @@ func driveDigest(shards int, withAudit, withFaults bool) string {
 			fmt.Fprintf(&b, "%+v\n", rep)
 		}
 	}
-	fmt.Fprintf(&b, "%+v\n%v\n%v\n", nw.StatsSnapshot(), nw.Labels(), nw.GroupSizes())
+	fmt.Fprintf(&b, "%+v\n%v\n%v\n", nw.StatsSnapshot(), nw.labels(), nw.GroupSizes())
 	return b.String()
 }
 
@@ -96,7 +96,7 @@ func gateDigest(shards int, withAudit bool, spec fault.Spec, lat sim.Latency, co
 	for _, rep := range nw.Run(adv, buf, nw.EpochRounds()) {
 		fmt.Fprintf(&b, "%+v\n", rep)
 	}
-	fmt.Fprintf(&b, "%+v\n%v\n%v\n", nw.StatsSnapshot(), nw.Labels(), nw.GroupSizes())
+	fmt.Fprintf(&b, "%+v\n%v\n%v\n", nw.StatsSnapshot(), nw.labels(), nw.GroupSizes())
 	return b.String()
 }
 
@@ -243,7 +243,7 @@ func TestUnevenShards(t *testing.T) {
 				nw.roundState(&b)
 			}
 		}
-		fmt.Fprintf(&b, "%+v\n%v\n%v\n", nw.StatsSnapshot(), nw.Labels(), nw.Members())
+		fmt.Fprintf(&b, "%+v\n%v\n%v\n", nw.StatsSnapshot(), nw.labels(), nw.Members())
 		return b.String()
 	}
 	for _, n := range []int{64, 100, 300} {

@@ -265,15 +265,6 @@ func (nw *Network) DimRange() (min, max int) {
 	return
 }
 
-// Labels returns the current supernode labels (sorted).
-func (nw *Network) Labels() []hypercube.Label {
-	out := make([]hypercube.Label, len(nw.supers))
-	for i, s := range nw.supers {
-		out[i] = s.label
-	}
-	return out
-}
-
 // eq1C is Equation (1)'s constant c.
 const eq1C = 4
 

@@ -17,7 +17,7 @@ import (
 func TestNewInvariants(t *testing.T) {
 	nw := New(Config{Seed: 1, N0: 512, MeasureEvery: -1})
 	if !nw.Eq1Holds() {
-		t.Fatalf("Equation 1 violated initially: sizes %v labels %v", nw.GroupSizes(), nw.Labels())
+		t.Fatalf("Equation 1 violated initially: sizes %v labels %v", nw.GroupSizes(), nw.labels())
 	}
 	min, max := nw.DimRange()
 	if max-min > 2 {
@@ -136,7 +136,7 @@ func TestChurnShrink(t *testing.T) {
 			}
 		}
 		if !nw.Eq1Holds() {
-			t.Fatalf("Equation 1 violated after shrink epoch %d: %v (labels %v)", e, nw.GroupSizes(), nw.Labels())
+			t.Fatalf("Equation 1 violated after shrink epoch %d: %v (labels %v)", e, nw.GroupSizes(), nw.labels())
 		}
 	}
 	if nw.StatsSnapshot().Merges+nw.StatsSnapshot().ForcedMerges == 0 {

@@ -248,9 +248,6 @@ func New(cfg Config) *Network {
 	return nw
 }
 
-// Dim returns the supernode hypercube dimension.
-func (nw *Network) Dim() int { return nw.dim }
-
 // NSuper returns the number of supernodes.
 func (nw *Network) NSuper() int { return nw.nSuper }
 

@@ -39,7 +39,7 @@ func TestNewGroupSizesConcentrate(t *testing.T) {
 func TestDimensionIsPowerOfTwo(t *testing.T) {
 	for _, n := range []int{64, 256, 1024, 4096, 16384} {
 		nw := New(Config{Seed: 2, N: n, MeasureEvery: -1})
-		d := nw.Dim()
+		d := nw.dim
 		if d&(d-1) != 0 {
 			t.Fatalf("n=%d: dimension %d not a power of two", n, d)
 		}

@@ -221,11 +221,11 @@ func BenchmarkStepMetricsAttached(b *testing.B) {
 	reg := obs.NewRegistry(0)
 	rec := New().WithMetrics(reg)
 	net := floodNet(1000, 4, rec.Tracer("bench"))
-	net.DisableWorkLog()
 	net.Run(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		net.ResetWork()
 		net.Step()
 	}
 	b.StopTimer()
@@ -253,11 +253,11 @@ func benchScaleFlood(b *testing.B, n int, attach bool) {
 	for v := 0; v < n; v++ {
 		net.SpawnHandler(sim.NodeID(v+1), h)
 	}
-	net.DisableWorkLog()
 	net.Run(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		net.ResetWork()
 		net.Step()
 	}
 	b.StopTimer()

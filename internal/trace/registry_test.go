@@ -47,8 +47,8 @@ func TestCountersMatchRegistry(t *testing.T) {
 	lossyRing(rec)
 	rec.ReportViolation(audit.Violation{Invariant: "cycle-cover", Round: 3, Detail: "test"})
 	rec.ReportRecovery(audit.Recovery{Invariant: "cycle-cover", BrokenAt: 3, CleanAt: 8, Rounds: 5})
-	rec.CellSpan("E0", 0, 42, 0, rec.Start())
-	rec.EpochSpan("E0/cell0", 1, 7, 64, 64, rec.Start())
+	rec.CellSpan("E0", 0, 42, 0, rec.start)
+	rec.EpochSpan("E0/cell0", 1, 7, 64, 64, rec.start)
 
 	snap, reg := rec.Snapshot(), rec.reg.FlatSnapshot()
 	for _, name := range []string{

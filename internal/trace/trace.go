@@ -88,10 +88,6 @@ func New() *Recorder {
 	return (&Recorder{start: time.Now()}).WithMetrics(obs.NewRegistry(0))
 }
 
-// Start returns the recorder's epoch; span and event timestamps are
-// relative to it.
-func (r *Recorder) Start() time.Time { return r.start }
-
 // Tracer returns a sim.Tracer that counts into this recorder's
 // registry. The series sum over every tracer, so scope (e.g.
 // "E6/cell3") labels nothing. Multiple tracers from the same recorder

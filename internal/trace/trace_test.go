@@ -98,7 +98,7 @@ func TestWriteJSONL(t *testing.T) {
 	rec := New()
 	scenario(rec)
 	rec.ReportViolation(audit.Violation{Scope: "test", Invariant: "cycle-cover", Round: 3, Detail: "test"})
-	rec.CellSpan("E0", 3, 42, 1, rec.Start())
+	rec.CellSpan("E0", 3, 42, 1, rec.start)
 
 	var batch bytes.Buffer
 	if err := rec.WriteJSONL(&batch); err != nil {
@@ -133,7 +133,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	scenario(rec)
 	rec.ReportViolation(audit.Violation{Scope: "test", Invariant: "cycle-cover", Round: 3, Detail: "test"})
 	rec.ReportRecovery(audit.Recovery{Scope: "test", Invariant: "cycle-cover", BrokenAt: 3, CleanAt: 5, Rounds: 2})
-	start := rec.Start()
+	start := rec.start
 	rec.CellSpan("E0", 0, 42, 2, start)
 	rec.EpochSpan("E0/cell0", 1, 7, 64, 64, start)
 	rec.ExperimentSpan("E0", 42, 4, start)
@@ -235,7 +235,7 @@ func TestExportKeepsViolationsAndRecoveries(t *testing.T) {
 // tracestats and the Chrome exporter rely on.
 func TestSpanKinds(t *testing.T) {
 	rec := New()
-	start := rec.Start()
+	start := rec.start
 	rec.CellSpan("E6", 4, 99, 3, start)
 	rec.EpochSpan("E6/cell4", 2, 5, 64, 70, start)
 	rec.ExperimentSpan("E6", 99, 10, start)
