@@ -7,7 +7,7 @@
 //	           [-audit] [-faults drop=0.01,dup=0.001,crash=0.05,restart=2]
 //	           [-latency uniform:0.5,2.5] [-reliable on|off]
 //	           [-cell-timeout D] [-cpuprofile F] [-trace F] [-events F]
-//	           [-manifest F] [-progress] [-maskwall]
+//	           [-manifest F] [-progress]
 //
 // Sweep cells run on -procs workers (default: all CPUs), and each §5/§6
 // overlay network runs its rounds on $OVERLAYNET_SHARDS intra-round
@@ -235,7 +235,6 @@ func main() {
 	auditOn := flag.Bool("audit", false, "attach the runtime invariant-audit engine to the reconfiguration experiments")
 	faultsFlag := flag.String("faults", "", "deterministic fault injection, e.g. drop=0.01,dup=0.001,crash=0.05,restart=2")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell stall watchdog (e.g. 5m); 0 disables")
-	maskWall := flag.Bool("maskwall", false, "blank wall-clock table columns (rounds/sec) and omit the per-experiment seconds so output can be diffed across runs and machines")
 	// -latency runs every sim-kernel network under the discrete-event
 	// scheduler (the §5/§6 overlay stacks translate the model into a
 	// per-virtual-round delivery deadline only inside AS1, which sweeps
@@ -329,9 +328,6 @@ func main() {
 			o.Exp = e.ID
 			start := time.Now()
 			tbl := e.Run(o)
-			if *maskWall {
-				exp.MaskWallClock(tbl)
-			}
 			results[i] = result{table: tbl.String(), rows: tbl.NumRows(), elapsed: time.Since(start)}
 			if rec != nil {
 				rec.ExperimentSpan(e.ID, o.Seed, tbl.NumRows(), start)
@@ -342,11 +338,7 @@ func main() {
 	for i, e := range selected {
 		<-done[i]
 		fmt.Println(results[i].table)
-		if *maskWall {
-			fmt.Printf("(%s: %s)\n\n", e.ID, e.Claim)
-		} else {
-			fmt.Printf("(%s: %s, %.1fs)\n\n", e.ID, e.Claim, results[i].elapsed.Seconds())
-		}
+		fmt.Printf("(%s: %s)\n\n", e.ID, e.Claim)
 	}
 	total := time.Since(runStart)
 	if prog != nil {

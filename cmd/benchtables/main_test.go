@@ -103,7 +103,7 @@ func readEvents(t *testing.T, path string) []event {
 func TestArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	tracePath, eventsPath, manifestPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "manifest.json")
-	sel := []string{"-quick", "-maskwall", "-only", "E1,E6,E8,R1"}
+	sel := []string{"-quick", "-only", "E1,E6,E8,R1"}
 	serial := benchtables(t, append(sel, "-procs", "1")...)
 	traced := benchtables(t, append(sel, "-procs", "8", "-progress",
 		"-trace", tracePath, "-events", eventsPath, "-manifest", manifestPath)...)

@@ -43,11 +43,17 @@ type Reporter interface {
 // describe the failure itself.
 type Checker func() []Violation
 
-// maxRetained bounds the engine's in-memory violation list; the total
-// count keeps incrementing past it (a broken invariant typically fires
-// every check, and retaining millions of identical reports helps no
-// one).
-const maxRetained = 1024
+// ViolationCounter is an optional Reporter extension: past the engine's
+// cap, a reporter that implements it (trace.Recorder does) is told only
+// that one more violation fired, so its total stays exact.
+type ViolationCounter interface {
+	CountViolation()
+}
+
+// maxReported bounds how many violations an engine hands its reporter;
+// Count and CountFor keep counting past it (a broken invariant typically
+// fires every check, and millions of identical reports help no one).
+const maxReported = 1024
 
 // Engine runs registered checkers every k-th Tick. It is driven from a
 // single goroutine (the network driver between rounds); only the
@@ -61,11 +67,10 @@ type Engine struct {
 	names  []string
 	checks []Checker
 
-	epoch      int
-	ticks      int
-	count      int
-	violations []Violation
-	byName     map[string]int
+	epoch  int
+	ticks  int
+	count  int
+	byName map[string]int
 
 	// Recovery tracking (recovery.go): invariant -> round of the first
 	// violation of the currently open break episode, plus the closed
@@ -76,7 +81,7 @@ type Engine struct {
 
 // NewEngine returns an engine that runs its checkers on every k-th Tick
 // (k <= 0 means every tick), labeling violations with scope and seed and
-// forwarding them to rep (which may be nil to only collect).
+// forwarding them to rep (which may be nil to only count).
 func NewEngine(scope string, seed uint64, every int, rep Reporter) *Engine {
 	if every < 1 {
 		every = 1
@@ -142,11 +147,11 @@ func (e *Engine) RunNow(round int) {
 	e.observeRun(round, violated)
 }
 
-// ReportViolation records one violation (stamping scope/seed/epoch
-// defaults) and forwards it to the reporter. It is also the path for
-// failures detected outside checkers, e.g. the work-conservation ledger
-// or a recovered invariant panic, and implements Reporter, so an Engine
-// can sit behind a WorkAuditor or another engine.
+// ReportViolation counts one violation (stamping scope/seed/epoch
+// defaults) and forwards the engine's first maxReported to the reporter.
+// It is also the path for failures detected outside checkers, e.g. the
+// work-conservation ledger or a recovered invariant panic, and
+// implements Reporter, so an Engine can sit behind a WorkAuditor.
 func (e *Engine) ReportViolation(v Violation) {
 	if e == nil {
 		return
@@ -165,16 +170,17 @@ func (e *Engine) ReportViolation(v Violation) {
 	if _, open := e.brokenAt[v.Invariant]; !open {
 		e.brokenAt[v.Invariant] = v.Round
 	}
-	if len(e.violations) < maxRetained {
-		e.violations = append(e.violations, v)
-	}
-	if e.rep != nil {
-		e.rep.ReportViolation(v)
+	if e.count <= maxReported {
+		if e.rep != nil {
+			e.rep.ReportViolation(v)
+		}
+	} else if c, ok := e.rep.(ViolationCounter); ok {
+		c.CountViolation()
 	}
 }
 
 // Count returns the total number of violations observed (including any
-// past the retention cap).
+// past the reporting cap).
 func (e *Engine) Count() int {
 	if e == nil {
 		return 0
@@ -188,14 +194,6 @@ func (e *Engine) CountFor(invariant string) int {
 		return 0
 	}
 	return e.byName[invariant]
-}
-
-// Violations returns a copy of the retained violations.
-func (e *Engine) Violations() []Violation {
-	if e == nil {
-		return nil
-	}
-	return append([]Violation(nil), e.violations...)
 }
 
 // Invariants returns the registered checker names plus any invariant

@@ -7,6 +7,9 @@ import (
 	"overlaynet/internal/sim"
 )
 
+// MaxReported exports the engine's reporting cap to the external tests.
+const MaxReported = maxReported
+
 type sliceReporter struct{ got []Violation }
 
 func (r *sliceReporter) ReportViolation(v Violation) { r.got = append(r.got, v) }
@@ -25,7 +28,7 @@ func TestEngineNilReceiverSafe(t *testing.T) {
 	if e.Count() != 0 || e.CountFor("x") != 0 {
 		t.Fatal("nil engine reported nonzero state")
 	}
-	if e.Violations() != nil || e.Invariants() != nil {
+	if e.Invariants() != nil || e.Recoveries() != nil {
 		t.Fatal("nil engine returned non-nil slices")
 	}
 }
@@ -76,19 +79,6 @@ func TestEngineStamping(t *testing.T) {
 	}
 	if e.CountFor("never-registered") != 0 {
 		t.Fatal("an invariant never reported has a count")
-	}
-}
-
-func TestEngineRetentionCap(t *testing.T) {
-	e := NewEngine("s", 1, 1, nil)
-	for i := 0; i < maxRetained+100; i++ {
-		e.ReportViolation(Violation{Invariant: "hot"})
-	}
-	if e.Count() != maxRetained+100 {
-		t.Fatalf("Count() = %d, want %d", e.Count(), maxRetained+100)
-	}
-	if got := len(e.Violations()); got != maxRetained {
-		t.Fatalf("retained %d violations, want cap %d", got, maxRetained)
 	}
 }
 

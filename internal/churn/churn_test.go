@@ -7,6 +7,7 @@ import (
 	"overlaynet/internal/audit"
 	"overlaynet/internal/core"
 	"overlaynet/internal/rng"
+	"overlaynet/internal/trace"
 )
 
 // newNet builds a §4 network with the invariant-audit engine attached,
@@ -14,12 +15,13 @@ import (
 func newNet(t *testing.T, seed uint64, n int) *core.Network {
 	t.Helper()
 	nw := core.NewNetwork(core.Config{Seed: seed, N0: n, D: 6})
-	eng := audit.NewEngine("test", seed, 1, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", seed, 1, rec)
 	nw.SetAudit(eng)
 	t.Cleanup(func() {
 		nw.Shutdown()
 		if eng.Count() != 0 {
-			t.Errorf("%d audit violations: %+v", eng.Count(), eng.Violations())
+			t.Errorf("%d audit violations: %+v", eng.Count(), rec.Events())
 		}
 	})
 	return nw

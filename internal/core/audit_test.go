@@ -8,6 +8,7 @@ import (
 	"overlaynet/internal/audit"
 	"overlaynet/internal/fault"
 	"overlaynet/internal/rng"
+	"overlaynet/internal/trace"
 )
 
 // TestAuditCleanEpochsNoViolations: reconfiguration epochs with no
@@ -16,7 +17,8 @@ import (
 func TestAuditCleanEpochsNoViolations(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 7, N0: 128, D: 8, Alpha: 2, Epsilon: 1})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 7, 1, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 7, 1, rec)
 	nw.SetAudit(eng)
 	for e := 0; e < 2; e++ {
 		if rep, _ := nw.RunEpoch(nil, nil); !rep.Connected || !rep.Valid {
@@ -24,7 +26,7 @@ func TestAuditCleanEpochsNoViolations(t *testing.T) {
 		}
 	}
 	if eng.Count() != 0 {
-		t.Fatalf("clean epochs produced %d violations: %+v", eng.Count(), eng.Violations())
+		t.Fatalf("clean epochs produced %d violations: %+v", eng.Count(), rec.Events())
 	}
 }
 
@@ -34,7 +36,8 @@ func TestAuditCleanEpochsNoViolations(t *testing.T) {
 func TestAuditDetectsCorruptedTopology(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 7, N0: 128, D: 8, Alpha: 2, Epsilon: 1})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 7, 1, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 7, 1, rec)
 	nw.SetAudit(eng)
 	nw.RunEpoch(nil, nil)
 	nw.corruptTopology()
@@ -43,7 +46,7 @@ func TestAuditDetectsCorruptedTopology(t *testing.T) {
 	}
 	eng.RunNow(nw.net.Round())
 	if eng.CountFor("hamilton-topology") == 0 {
-		t.Fatalf("corrupted topology not reported (violations: %+v)", eng.Violations())
+		t.Fatalf("corrupted topology not reported (violations: %+v)", rec.Events())
 	}
 }
 
@@ -60,7 +63,8 @@ func TestRepairAfterHeavyCorruption(t *testing.T) {
 		for _, k := range []int{1, n / 10, n, 4 * n} {
 			seed := uint64(n + k)
 			nw := NewNetwork(Config{Seed: seed, N0: n, D: 8, Alpha: 2, Epsilon: 1})
-			eng := audit.NewEngine("test", seed, 1, nil)
+			rec := trace.New()
+			eng := audit.NewEngine("test", seed, 1, rec)
 			nw.SetAudit(eng)
 			nw.RunEpoch(nil, nil)
 			r := rng.New(seed)
@@ -94,7 +98,7 @@ func TestRepairAfterHeavyCorruption(t *testing.T) {
 			}
 			for _, inv := range []string{"hamilton-topology", "connectivity"} {
 				if got := eng.CountFor(inv); got != 0 {
-					t.Fatalf("n=%d k=%d: %s fired after one repair: %+v", n, k, inv, eng.Violations()[0])
+					t.Fatalf("n=%d k=%d: %s fired after one repair: %+v", n, k, inv, rec.Events()[0])
 				}
 			}
 			if s, q := nw.suspectMembers(), nw.quarantineCycles(); len(s) != 0 || q != 0 {
@@ -115,7 +119,8 @@ func TestCrashRestartRejoinsViaJoinProtocol(t *testing.T) {
 	spec := fault.Spec{Seed: 13, Crash: 0.15, Restart: 1}
 	nw := NewNetwork(Config{Seed: 13, N0: n, D: 8, Alpha: 2, Epsilon: 1})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 13, 1, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 13, 1, rec)
 	nw.SetAudit(eng)
 
 	crashed, rejoined := 0, 0
@@ -155,7 +160,7 @@ func TestCrashRestartRejoinsViaJoinProtocol(t *testing.T) {
 		t.Fatalf("crash schedule inactive: %d crashes, %d rejoins", crashed, rejoined)
 	}
 	if eng.Count() != 0 {
-		t.Fatalf("crash-restart epochs produced %d violations: %+v", eng.Count(), eng.Violations())
+		t.Fatalf("crash-restart epochs produced %d violations: %+v", eng.Count(), rec.Events())
 	}
 }
 
@@ -166,7 +171,8 @@ func TestCrashRestartRejoinsViaJoinProtocol(t *testing.T) {
 func TestInjectedDropsOpenBudgetGapWithoutPanic(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 3, N0: 64, D: 8, Alpha: 2, Epsilon: 1})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 3, 1, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 3, 1, rec)
 	nw.SetAudit(eng)
 	nw.SetInjector(fault.Spec{Seed: 3, Drop: 0.05}.Injector())
 	for e := 0; e < 2; e++ {
@@ -177,7 +183,7 @@ func TestInjectedDropsOpenBudgetGapWithoutPanic(t *testing.T) {
 	// findings, never a spurious budget one.
 	if got := eng.CountFor("sampling-budget"); got != 0 {
 		t.Fatalf("sampling-budget fired %d times under injection; the ledger should account faults: %+v",
-			got, eng.Violations())
+			got, rec.Events())
 	}
 }
 

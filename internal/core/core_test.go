@@ -11,6 +11,7 @@ import (
 	"overlaynet/internal/metrics"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sampling"
+	"overlaynet/internal/trace"
 )
 
 func TestReconfigureRefValid(t *testing.T) {
@@ -97,13 +98,13 @@ func TestReconfigureRefUniformSuccessor(t *testing.T) {
 func TestNetworkStaticEpoch(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 1, N0: 64, D: 8})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 2, 1, nil)
-	nw.SetAudit(eng)
+	rec := trace.New()
+	nw.SetAudit(audit.NewEngine("test", 2, 1, rec))
 	rep, joiners := nw.RunEpoch(nil, nil)
 	if len(joiners) != 0 {
 		t.Fatal("no joiners requested")
 	}
-	checkEpochHealthy(t, nw, eng, rep)
+	checkEpochHealthy(t, nw, rec, rep)
 	if rep.NOld != 64 || rep.NNew != 64 {
 		t.Fatalf("sizes %d -> %d", rep.NOld, rep.NNew)
 	}
@@ -128,11 +129,11 @@ func TestNetworkStaticEpoch(t *testing.T) {
 func TestNetworkMultipleEpochs(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 2, N0: 48, D: 6})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 2, 1, nil)
-	nw.SetAudit(eng)
+	rec := trace.New()
+	nw.SetAudit(audit.NewEngine("test", 2, 1, rec))
 	for e := 0; e < 5; e++ {
 		rep, _ := nw.RunEpoch(nil, nil)
-		checkEpochHealthy(t, nw, eng, rep)
+		checkEpochHealthy(t, nw, rec, rep)
 	}
 }
 
@@ -141,25 +142,25 @@ func TestNetworkMultipleEpochs(t *testing.T) {
 // connected, and every failure is a sampling refusal the epoch's budget
 // tally counted. How often refusals occur at all is a matter of the
 // seed, so that is left to the sampler's law tests.
-func checkEpochHealthy(t *testing.T, nw *Network, eng *audit.Engine, rep EpochReport) {
+func checkEpochHealthy(t *testing.T, nw *Network, rec *trace.Recorder, rep EpochReport) {
 	t.Helper()
 	refused := nw.lastWindow.budget.Refused
 	if !rep.Valid || !rep.Connected || rep.Failures != rep.FailureKinds[FailSampling] || int64(rep.Failures) != refused {
 		t.Fatalf("epoch %d, budget tally refused %d: %+v", rep.Epoch, refused, rep)
 	}
-	if eng.Count() != 0 {
-		t.Fatalf("%d audit violations: %+v", eng.Count(), eng.Violations())
+	if evs := rec.Events(); len(evs) != 0 {
+		t.Fatalf("%d audit violations: %+v", len(evs), evs)
 	}
 }
 
 func TestNetworkJoin(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 3, N0: 32, D: 6})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 2, 1, nil)
-	nw.SetAudit(eng)
+	rec := trace.New()
+	nw.SetAudit(audit.NewEngine("test", 2, 1, rec))
 	joins := []JoinSpec{{Sponsor: 0}, {Sponsor: 0}, {Sponsor: 5}}
 	rep, ids := nw.RunEpoch(joins, nil)
-	checkEpochHealthy(t, nw, eng, rep)
+	checkEpochHealthy(t, nw, rec, rep)
 	if len(ids) != 3 {
 		t.Fatalf("got %d joiner ids", len(ids))
 	}
@@ -186,10 +187,10 @@ func TestNetworkJoin(t *testing.T) {
 func TestNetworkLeave(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 4, N0: 32, D: 6})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 2, 1, nil)
-	nw.SetAudit(eng)
+	rec := trace.New()
+	nw.SetAudit(audit.NewEngine("test", 2, 1, rec))
 	rep, _ := nw.RunEpoch(nil, []int{3, 17, 31})
-	checkEpochHealthy(t, nw, eng, rep)
+	checkEpochHealthy(t, nw, rec, rep)
 	if rep.NNew != 29 {
 		t.Fatalf("NNew = %d, want 29", rep.NNew)
 	}
@@ -206,8 +207,8 @@ func TestNetworkChurnBothWays(t *testing.T) {
 	// (Theorem 5).
 	nw := NewNetwork(Config{Seed: 5, N0: 64, D: 6})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 2, 1, nil)
-	nw.SetAudit(eng)
+	rec := trace.New()
+	nw.SetAudit(audit.NewEngine("test", 2, 1, rec))
 	r := rng.New(99)
 	for e := 0; e < 6; e++ {
 		members := nw.Members()
@@ -230,7 +231,7 @@ func TestNetworkChurnBothWays(t *testing.T) {
 			}
 		}
 		rep, _ := nw.RunEpoch(joins, leaves)
-		checkEpochHealthy(t, nw, eng, rep)
+		checkEpochHealthy(t, nw, rec, rep)
 		if rep.NNew != n {
 			t.Fatalf("epoch %d size drifted: %d -> %d", e, n, rep.NNew)
 		}
@@ -240,22 +241,22 @@ func TestNetworkChurnBothWays(t *testing.T) {
 func TestNetworkGrowthAndShrink(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 6, N0: 24, D: 6})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 2, 1, nil)
-	nw.SetAudit(eng)
+	rec := trace.New()
+	nw.SetAudit(audit.NewEngine("test", 2, 1, rec))
 	// Double the network, then halve it.
 	var joins []JoinSpec
 	for i := 0; i < 24; i++ {
 		joins = append(joins, JoinSpec{Sponsor: nw.Members()[i%12]})
 	}
 	rep, _ := nw.RunEpoch(joins, nil)
-	checkEpochHealthy(t, nw, eng, rep)
+	checkEpochHealthy(t, nw, rec, rep)
 	if rep.NNew != 48 {
 		t.Fatalf("growth epoch: %+v", rep)
 	}
 	members := nw.Members()
 	leaves := append([]int(nil), members[:24]...)
 	rep, _ = nw.RunEpoch(nil, leaves)
-	checkEpochHealthy(t, nw, eng, rep)
+	checkEpochHealthy(t, nw, rec, rep)
 	if rep.NNew != 24 {
 		t.Fatalf("shrink epoch: %+v", rep)
 	}

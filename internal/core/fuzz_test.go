@@ -9,6 +9,7 @@ import (
 	"overlaynet/internal/reliable"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
+	"overlaynet/internal/trace"
 )
 
 // TestChurnSequenceProperty drives the network with arbitrary join and
@@ -129,11 +130,11 @@ func TestEpochReportWorkIsPolylog(t *testing.T) {
 func TestLeaverStillServesDuringItsLastEpoch(t *testing.T) {
 	nw := NewNetwork(Config{Seed: 41, N0: 48, D: 6})
 	defer nw.Shutdown()
-	eng := audit.NewEngine("test", 2, 1, nil)
-	nw.SetAudit(eng)
+	rec := trace.New()
+	nw.SetAudit(audit.NewEngine("test", 2, 1, rec))
 	members := nw.Members()
 	rep, _ := nw.RunEpoch(nil, members[:20])
-	checkEpochHealthy(t, nw, eng, rep)
+	checkEpochHealthy(t, nw, rec, rep)
 	if rep.NNew != 28 {
 		t.Fatalf("mass leave epoch: %+v", rep)
 	}

@@ -57,8 +57,8 @@ type Options struct {
 	// CellTimeout, when positive, arms the runner's stall watchdog: a
 	// sweep cell that fails to finish within this wall-clock budget is
 	// abandoned and reported as an error (cmd/benchtables -cell-timeout).
-	// Zero disables the watchdog. Wall-clock only — it never influences
-	// the deterministic output of cells that do finish.
+	// Zero disables the watchdog. It reads the clock only to stop a
+	// stalled cell, never to fill a table.
 	CellTimeout time.Duration
 
 	// Exp labels telemetry with the running experiment's id
@@ -150,8 +150,7 @@ func All() []Experiment {
 		{"X2", "Extension (§6): permanent crash failures", X2CrashFailures},
 		{"X3", "Extension (§7.2): rapid sampling on k-ary hypercubes", X3KAryRapidSampling},
 		{"X4", "Extension (§7.2): the reconfigured k-ary hypercube network under DoS", X4KAryNetwork},
-		{"S1", "Scale: one simulated network at n up to 100k, dense-slot kernel", S1ScaleFlood},
-		{"S2", "Scale: event-driven flood at n up to 1M, handler kernel", S2ScaleFloodEvent},
+		{"S2", "Scale: flood rounds on one simulated network at n up to 1M", S2ScaleFloodEvent},
 		{"S3", "Scale: §5/§6 overlay stacks at n up to 1M, dense slots + sharded rounds", S3ScaleOverlay},
 		{"F1", "Audit: which invariants survive which fault rates (drop/dup/crash sweep)", F1FaultMatrix},
 		{"R1", "Recovery: partition & state-corruption MTTR with degraded-mode service", R1Recovery},

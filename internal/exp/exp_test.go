@@ -46,8 +46,21 @@ func TestExperimentIDsUnique(t *testing.T) {
 			t.Fatalf("%s has no claim", e.ID)
 		}
 	}
-	if len(seen) != 28 {
-		t.Fatalf("expected 28 experiments, have %d", len(seen))
+	if len(seen) != 27 {
+		t.Fatalf("expected 27 experiments, have %d", len(seen))
+	}
+}
+
+// TestFloodSizeHintMovesNoCount pins that sim.Config.SizeHint is a
+// capacity hint only: S2's cell counts the same messages and bits with
+// it as without it, so S2 with a hint reports what a hintless flood
+// table would.
+func TestFloodSizeHintMovesNoCount(t *testing.T) {
+	const n = 2000
+	o := Options{Seed: 42}
+	bare, hinted := runFlood(o, n, 0), runFlood(o, n, n)
+	if bare != hinted || bare.msgs != n*floodFanout*floodRounds {
+		t.Fatalf("flood at n=%d: no hint %+v, hint n %+v", n, bare, hinted)
 	}
 }
 

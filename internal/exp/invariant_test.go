@@ -37,8 +37,7 @@ import (
 
 var invariantBase = Options{Seed: 42, Quick: true, Procs: 1, Shards: 1}
 
-// rendered is one experiment's table as the matrix compares it, with
-// S2's wall-clock column masked.
+// rendered is one experiment's table as the matrix compares it.
 type rendered struct {
 	rows int
 	out  string
@@ -46,7 +45,7 @@ type rendered struct {
 
 func render(o Options, e Experiment) rendered {
 	o.Exp = e.ID
-	tbl := MaskWallClock(e.Run(o))
+	tbl := e.Run(o)
 	return rendered{tbl.NumRows(), tbl.String()}
 }
 
@@ -89,12 +88,12 @@ func checkRow(t *testing.T, edit func(*Options)) {
 // TestTablesInvariant pins the baseline: the digest of the quick tables
 // in All() order is the repo's one record of absolute table values,
 // taken before the coroutine drivers were ported to handlers. It moves
-// only with a deliberate table change; the last was Algorithm 1's M_0
-// becoming a budget read by fresh draws (every table that runs §3's
-// H-graph sampler or §4).
+// only with a deliberate table change; the last was S1 folding into S2
+// and the wall-clock columns leaving S2 and S3 (every other table is
+// unchanged).
 func TestTablesInvariant(t *testing.T) {
 	t.Parallel()
-	const recorded = "744edb728d90fb48"
+	const recorded = "37bbf700657c3c01"
 	h := fnv.New64a()
 	for _, e := range All() {
 		fmt.Fprintf(h, "%s\n", baseline[e.ID]().out)

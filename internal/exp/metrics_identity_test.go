@@ -21,7 +21,8 @@ import (
 // its own networks, tracing into one Recorder.
 func TestArtifactMetricsDeterministic(t *testing.T) {
 	drivers := map[string]func(Options) *metrics.Table{
-		"E6": E6ReconfigChurn, "E7": E7CongestionSegments, "F1": F1FaultMatrix, "S1": S1ScaleFlood,
+		"E6": E6ReconfigChurn, "E7": E7CongestionSegments, "F1": F1FaultMatrix,
+		"S2": func(o Options) *metrics.Table { runFlood(o, 10000, 0); return nil },
 	}
 	snapshot := func(procs, shards int) map[string]float64 {
 		rec := trace.New().WithMetrics(obs.NewRegistry(0))

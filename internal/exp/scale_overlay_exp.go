@@ -1,11 +1,6 @@
 package exp
 
-import (
-	"runtime"
-	"time"
-
-	"overlaynet/internal/metrics"
-)
+import "overlaynet/internal/metrics"
 
 // S3ScaleOverlay measures the §5/§6 overlay stacks themselves at the
 // sizes the handler kernel reached in S2: one full reorganization epoch
@@ -21,17 +16,14 @@ import (
 // Columns: rounds actually stepped (one epoch); supernode count;
 // bytes/node-round — the measured supernode-message volume
 // (Stats.Messages at ~8 bytes per wire message) averaged over members
-// and rounds, the same quantity for both stacks; and wall-clock
-// rounds/sec plus end-of-run heap, both masked in regression
-// comparisons (MaskWallClock).
+// and rounds, the same quantity for both stacks. The stacks' round rate
+// and memory are the ledger's overlay_steady workload.
 func S3ScaleOverlay(o Options) *metrics.Table {
 	t := metrics.NewTable(
 		"S3  Scale — §5/§6 overlay stacks, full epochs (dense slots, sharded rounds)",
-		"stack", "n", "rounds", "supers", "bytes/node-round", "rounds/sec (wall)", "heapMB (wall)").
-		Format("bytes/node-round", "%.1f").Format("rounds/sec (wall)", "%.2f").Format("heapMB (wall)", "%.0f").
-		Wall("rounds/sec (wall)").Wall("heapMB (wall)")
+		"stack", "n", "rounds", "supers", "bytes/node-round").Format("bytes/node-round", "%.1f")
 	ns := o.sizes([]int{10000}, []int{100000, 1000000})
-	// Memory-heavy, one network at a time, as in S1.
+	// Memory-heavy, one network at a time, as in S2.
 	o.Procs = 1
 	return sweep(o, t, len(ns)*len(overlayKinds), func(cell int) [][]any {
 		n, k := ns[cell/len(overlayKinds)], overlayKinds[cell%len(overlayKinds)]
@@ -41,16 +33,11 @@ func S3ScaleOverlay(o Options) *metrics.Table {
 		}
 		nw := k.build(o.envDelivery(), cellSeed(o.Seed, uint64(n), uint64(k.sec)), n, -1, eps)
 		rounds := nw.EpochRounds()
-		start := time.Now()
 		for i := 0; i < rounds; i++ {
 			nw.step()
 		}
-		wall := time.Since(start)
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
 		msgs := nw.Totals().Messages
 		nw.Close()
-		return [][]any{{k.name, n, rounds, nw.supers(), float64(msgs) * 8 / float64(n) / float64(rounds),
-			float64(rounds) / wall.Seconds(), float64(ms.HeapInuse) / 1e6}}
+		return [][]any{{k.name, n, rounds, nw.supers(), float64(msgs) * 8 / float64(n) / float64(rounds)}}
 	})
 }

@@ -189,17 +189,6 @@ func TestTableRowWidthPanics(t *testing.T) {
 	}
 }
 
-// TestMaskWallReadsTheTag: MaskWall blanks the columns tagged Wall,
-// whatever their headers say.
-func TestMaskWallReadsTheTag(t *testing.T) {
-	tb := NewTable("", "rounds/sec", "heap (wall)").Wall("rounds/sec")
-	tb.AddRow(123.4, 56)
-	tb.MaskWall()
-	if got := tb.Rows()[0]; got[0] != "-" || got[1] != 56 {
-		t.Fatalf("masked row = %v, want [- 56]", got)
-	}
-}
-
 func TestPolylogEnvelope(t *testing.T) {
 	if got := PolylogEnvelope(1024, 2, 1); math.Abs(got-100) > 1e-9 {
 		t.Fatalf("log2(1024)^2 = %f, want 100", got)

@@ -7,7 +7,7 @@ import (
 
 // Table is an experiment report as typed data: every row holds one value
 // per column (an int, a float, a bool, a label or a Tuple), and each
-// column owns how its values render and whether they read the wall clock.
+// column owns how its values render.
 // String is the one place a cell becomes text, so tests and tooling read
 // values (Value, Rows), never renderings.
 type Table struct {
@@ -23,9 +23,6 @@ type column struct {
 	// renders a float64 at %.4g and any other value through fmt.Sprint.
 	// A label (string) or a Tuple renders as itself in any column.
 	Format string
-	// Wall tags a column whose values are wall-clock measurements, which
-	// differ run to run; MaskWall blanks it.
-	Wall bool
 }
 
 // Tuple is a composite cell: several values rendered through one format,
@@ -48,12 +45,6 @@ func NewTable(title string, header ...string) *Table {
 // Format sets the named column's format and returns t.
 func (t *Table) Format(header, format string) *Table {
 	t.cols[t.col(header)].Format = format
-	return t
-}
-
-// Wall tags the named column as wall-clock and returns t.
-func (t *Table) Wall(header string) *Table {
-	t.cols[t.col(header)].Wall = true
 	return t
 }
 
@@ -97,21 +88,6 @@ func (t *Table) Rows() [][]any {
 		out[i] = append([]any(nil), r...)
 	}
 	return out
-}
-
-// MaskWall replaces every cell of the wall-clock columns with "-", so
-// renderings compare byte for byte across machines and runs, and
-// returns t.
-func (t *Table) MaskWall() *Table {
-	for i, c := range t.cols {
-		if !c.Wall {
-			continue
-		}
-		for _, row := range t.rows {
-			row[i] = "-"
-		}
-	}
-	return t
 }
 
 // render is the text of value v in column c.

@@ -5,19 +5,21 @@ import (
 
 	"overlaynet/internal/audit"
 	"overlaynet/internal/fault"
+	"overlaynet/internal/trace"
 )
 
 // TestAuditCleanRunNoViolations: a healthy §6 network audited every
 // round over two epochs must never fire an invariant.
 func TestAuditCleanRunNoViolations(t *testing.T) {
 	nw := New(Config{Seed: 5, N0: 256, MeasureEvery: -1})
-	eng := audit.NewEngine("test", 5, 1, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 5, 1, rec)
 	nw.SetAudit(eng)
 	for r := 0; r < 2*nw.EpochRounds(); r++ {
 		nw.Step(nil)
 	}
 	if eng.Count() != 0 {
-		t.Fatalf("clean run produced %d violations: %+v", eng.Count(), eng.Violations())
+		t.Fatalf("clean run produced %d violations: %+v", eng.Count(), rec.Events())
 	}
 }
 
@@ -26,7 +28,8 @@ func TestAuditCleanRunNoViolations(t *testing.T) {
 func TestAuditDetectsCorruptedMembership(t *testing.T) {
 	const every = 3
 	nw := New(Config{Seed: 5, N0: 256, MeasureEvery: -1})
-	eng := audit.NewEngine("test", 5, every, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 5, every, rec)
 	nw.SetAudit(eng)
 	nw.corruptGroup()
 	for r := 0; r < every; r++ {
@@ -34,7 +37,7 @@ func TestAuditDetectsCorruptedMembership(t *testing.T) {
 	}
 	if eng.CountFor("membership") == 0 {
 		t.Fatalf("corrupted membership index not reported within %d rounds (violations: %+v)",
-			every, eng.Violations())
+			every, rec.Events())
 	}
 }
 
@@ -43,7 +46,8 @@ func TestAuditDetectsCorruptedMembership(t *testing.T) {
 // membership) must survive nodes going down and coming back.
 func TestCrashRestartKeepsInvariants(t *testing.T) {
 	nw := New(Config{Seed: 7, N0: 256, MeasureEvery: -1})
-	eng := audit.NewEngine("test", 7, 1, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 7, 1, rec)
 	nw.SetAudit(eng)
 	nw.SetFaults(fault.Spec{Seed: 7, Crash: 0.1, Restart: 2})
 	for r := 0; r < 4*nw.EpochRounds(); r++ {
@@ -55,7 +59,7 @@ func TestCrashRestartKeepsInvariants(t *testing.T) {
 	}
 	for _, inv := range []string{"eq1-group-size", "dim-spread", "membership"} {
 		if got := eng.CountFor(inv); got != 0 {
-			t.Fatalf("crash-restart violated %s %d times: %+v", inv, got, eng.Violations())
+			t.Fatalf("crash-restart violated %s %d times: %+v", inv, got, rec.Events())
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"overlaynet/internal/audit"
 	"overlaynet/internal/hypercube"
 	"overlaynet/internal/rng"
+	"overlaynet/internal/trace"
 )
 
 // damaged builds a small warm network of 64 + 2·data[0] nodes and
@@ -73,12 +74,13 @@ func FuzzRepairLabels(f *testing.F) {
 		if fixes := nw.RepairBalance(); (fixes == 0) != held {
 			t.Fatalf("RepairBalance made %d fixes; the label rule held before: %v", fixes, held)
 		}
-		eng := audit.NewEngine("test", 9, 1, nil)
+		rec := trace.New()
+		eng := audit.NewEngine("test", 9, 1, rec)
 		nw.SetAudit(eng)
 		eng.RunNow(nw.Round())
 		for _, inv := range []string{"label-coverage", "membership", "eq1-group-size", "dim-spread"} {
 			if eng.CountFor(inv) != 0 {
-				t.Fatalf("%s after repair: %+v (labels %v)", inv, eng.Violations(), nw.labels())
+				t.Fatalf("%s after repair: %+v (labels %v)", inv, rec.Events(), nw.labels())
 			}
 		}
 		if m, b := nw.RepairMembership(), nw.RepairBalance(); m != 0 || b != 0 {
@@ -142,12 +144,13 @@ func TestRepairAtEveryPhase(t *testing.T) {
 			t.Fatalf("phase %d: %d members listed in %d group slots after the commit, want %d",
 				p, len(got), nw.N(), len(want))
 		}
-		eng := audit.NewEngine("test", 9, 1, nil)
+		rec := trace.New()
+		eng := audit.NewEngine("test", 9, 1, rec)
 		nw.SetAudit(eng)
 		eng.RunNow(nw.Round())
 		for _, inv := range []string{"membership", "label-coverage"} {
 			if eng.CountFor(inv) != 0 {
-				t.Fatalf("phase %d: %s after the commit: %+v", p, inv, eng.Violations())
+				t.Fatalf("phase %d: %s after the commit: %+v", p, inv, rec.Events())
 			}
 		}
 		nw.Close()

@@ -12,6 +12,7 @@ import (
 	"overlaynet/internal/dos"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
+	"overlaynet/internal/trace"
 )
 
 func TestNewInvariants(t *testing.T) {
@@ -257,11 +258,12 @@ func TestChurnAtEveryPhase(t *testing.T) {
 			t.Fatalf("phase %d (late %v): %d members in %d group slots after the second commit, want %d",
 				p, late, len(got), nw.N(), len(after))
 		}
-		eng := audit.NewEngine("test", 9, 1, nil)
+		rec := trace.New()
+		eng := audit.NewEngine("test", 9, 1, rec)
 		nw.SetAudit(eng)
 		eng.RunNow(nw.Round())
 		if eng.Count() != 0 {
-			t.Fatalf("phase %d: %+v", p, eng.Violations())
+			t.Fatalf("phase %d: %+v", p, rec.Events())
 		}
 		nw.Close()
 	}

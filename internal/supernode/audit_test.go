@@ -6,19 +6,21 @@ import (
 	"overlaynet/internal/audit"
 	"overlaynet/internal/fault"
 	"overlaynet/internal/rng"
+	"overlaynet/internal/trace"
 )
 
 // TestAuditCleanRunNoViolations: a healthy network audited every round
 // must never fire an invariant.
 func TestAuditCleanRunNoViolations(t *testing.T) {
 	nw := New(Config{Seed: 5, N: 256, MeasureEvery: -1})
-	eng := audit.NewEngine("test", 5, 1, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 5, 1, rec)
 	nw.SetAudit(eng)
 	for r := 0; r < 2*nw.EpochRounds(); r++ {
 		nw.Step(nil)
 	}
 	if eng.Count() != 0 {
-		t.Fatalf("clean run produced %d violations: %+v", eng.Count(), eng.Violations())
+		t.Fatalf("clean run produced %d violations: %+v", eng.Count(), rec.Events())
 	}
 }
 
@@ -28,7 +30,8 @@ func TestAuditCleanRunNoViolations(t *testing.T) {
 func TestAuditDetectsCorruptedGroup(t *testing.T) {
 	const every = 3
 	nw := New(Config{Seed: 5, N: 256, MeasureEvery: -1})
-	eng := audit.NewEngine("test", 5, every, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 5, every, rec)
 	nw.SetAudit(eng)
 	nw.corruptGroup()
 	for r := 0; r < every; r++ {
@@ -36,9 +39,9 @@ func TestAuditDetectsCorruptedGroup(t *testing.T) {
 	}
 	if eng.CountFor("supernode-groups") == 0 {
 		t.Fatalf("corrupted group partition not reported within %d rounds (violations: %+v)",
-			every, eng.Violations())
+			every, rec.Events())
 	}
-	v := eng.Violations()[0]
+	v := rec.Events()[0]
 	if v.Scope != "test" || v.Seed != 5 || len(v.Nodes) == 0 {
 		t.Fatalf("violation missing context: %+v", v)
 	}
@@ -50,7 +53,8 @@ func TestAuditDetectsCorruptedGroup(t *testing.T) {
 // crashed node is treated exactly like a paper-blocked one.
 func TestCrashRestartCycle(t *testing.T) {
 	nw := New(Config{Seed: 7, N: 256, MeasureEvery: -1})
-	eng := audit.NewEngine("test", 7, 1, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 7, 1, rec)
 	nw.SetAudit(eng)
 	nw.SetFaults(fault.Spec{Seed: 7, Crash: 0.1, Restart: 2})
 	for r := 0; r < 4*nw.EpochRounds(); r++ {
@@ -64,7 +68,7 @@ func TestCrashRestartCycle(t *testing.T) {
 		t.Fatal("no crashed node ever restarted")
 	}
 	if got := eng.CountFor("supernode-groups"); got != 0 {
-		t.Fatalf("crash-restart broke the group partition %d times: %+v", got, eng.Violations())
+		t.Fatalf("crash-restart broke the group partition %d times: %+v", got, rec.Events())
 	}
 }
 
@@ -84,16 +88,17 @@ func TestRepairAfterHeavyCorruption(t *testing.T) {
 		nw.CorruptState(r.Uint64())
 	}
 	nw.RepairGroups()
-	eng := audit.NewEngine("test", 3, 1, nil)
+	rec := trace.New()
+	eng := audit.NewEngine("test", 3, 1, rec)
 	nw.SetAudit(eng)
 	if eng.RunNow(nw.Round()); eng.Count() != 0 {
-		t.Fatalf("repaired partition rejected: %+v", eng.Violations()[0])
+		t.Fatalf("repaired partition rejected: %+v", rec.Events()[0])
 	}
 	for r := 0; r < 3*nw.EpochRounds(); r++ {
 		nw.Step(nil)
 	}
 	if got := eng.CountFor("supernode-groups"); got != 0 {
-		t.Fatalf("supernode-groups fired in %d rounds after repair: %+v", got, eng.Violations()[0])
+		t.Fatalf("supernode-groups fired in %d rounds after repair: %+v", got, rec.Events()[0])
 	}
 }
 

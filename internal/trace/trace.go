@@ -180,8 +180,8 @@ func (r *Recorder) Snapshot() map[string]float64 {
 // the rest of the telemetry.
 func (r *Recorder) ReportViolation(v audit.Violation) {
 	r.km.violations.Inc(r.recLane)
-	// Violations are rare and load-bearing, so every one is kept. The
-	// audit engine caps what it reports.
+	// Every violation reported is kept: the audit engine caps what it
+	// reports, and counts the rest through CountViolation.
 	r.keep(Event{
 		TSMicros: time.Since(r.start).Microseconds(),
 		Kind:     "violation",
@@ -194,6 +194,10 @@ func (r *Recorder) ReportViolation(v audit.Violation) {
 		Nodes:    v.Nodes,
 	})
 }
+
+// CountViolation implements audit.ViolationCounter: a violation past
+// the audit engine's cap is counted, with no event.
+func (r *Recorder) CountViolation() { r.km.violations.Inc(r.recLane) }
 
 // ReportRecovery implements audit.RecoveryReporter: closed break
 // episodes are counted (with their recovery times summed for MTTR) and
