@@ -1,10 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"overlaynet/internal/rng"
+	"overlaynet/internal/sim"
 )
 
 func BenchmarkEpoch256(b *testing.B) {
@@ -103,13 +108,15 @@ func BenchmarkEpochWithChurn1024(b *testing.B) {
 // TestChurnEpochReleasesKernelBuffers bounds what one churn1024 epoch
 // leaves behind. An epoch's sampling rounds send ~100x the messages of
 // the rounds after them; the kernel's release rule gives that burst's
-// send log and inbox arena back (~2.3 kB/node retained, 38.9 kB without
-// it).
+// send log and inbox arena back (38.9 kB/node retained without it), and
+// the epoch's arena takes Algorithm 3's phase state with it. What stays
+// is about 1.1 kB/node: the kernel's node table and buffers, and per
+// node its coreNode, slot and topology rows.
 func TestChurnEpochReleasesKernelBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own")
 	}
-	const bound = 8000
+	const bound = 1280
 	base := liveHeap()
 	c := newChurn1024()
 	defer c.nw.Shutdown()
@@ -118,5 +125,111 @@ func TestChurnEpochReleasesKernelBuffers(t *testing.T) {
 	t.Logf("retained %.0f B/node", retained)
 	if retained > bound {
 		t.Fatalf("a churn epoch at N0 = 1024 retained %.0f B/node, want <= %d", retained, bound)
+	}
+}
+
+// TestChurnEpochAllocs bounds the allocations of one churn1024 epoch.
+// Algorithm 3's phase state and payloads are carved from the epoch's
+// arena, so what is left is mostly Algorithm 1's serve arrays and the
+// kernel's buffers: about 26.4 k (61.4 k when each member made its own
+// phase slices and every send boxed its payload).
+func TestChurnEpochAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	const bound = 40000
+	c := newChurn1024()
+	defer c.nw.Shutdown()
+	allocs := testing.AllocsPerRun(1, func() { c.epoch(t) })
+	t.Logf("%.0f allocations per epoch", allocs)
+	if allocs > bound {
+		t.Fatalf("a churn epoch at N0 = 1024 made %.0f allocations, want <= %d", allocs, bound)
+	}
+}
+
+// arenaWatch is a sim.Tracer that, at the end of every round, takes weak
+// pointers to the running epoch's arena and to the state it has handed
+// out, and one to the topology block the epoch's nodes adopt.
+type arenaWatch struct {
+	nw    *Network
+	state map[string]func() bool // reports whether the object is still reachable
+	topo  func() bool
+}
+
+func watch[T any](p *T) func() bool {
+	w := weak.Make(p)
+	return func() bool { return w.Value() != nil }
+}
+
+func (w *arenaWatch) RoundStart(round, alive int)          {}
+func (w *arenaWatch) NodeSpawned(round int, id sim.NodeID) {}
+func (w *arenaWatch) RoundEnd(sim.RoundStats) {
+	a := w.nw.plan.arena
+	if a == nil {
+		return
+	}
+	w.state["the arena"] = watch(a)
+	w.state["the member states"] = watch(&a.members[0])
+	w.state["the cycle states"] = watch(&a.cycles[0])
+	w.state["the neighbour lists"] = watch(&a.neighbors[0])
+	w.topo = watch(&a.topo[0])
+	for i, cs := range a.cycles {
+		if len(cs.seq) > 0 {
+			w.state[fmt.Sprintf("cycle state %d's placed ids", i)] = watch(&cs.seq[0])
+		}
+	}
+	for i, ms := range a.members {
+		if len(ms.joiners) > 0 {
+			w.state[fmt.Sprintf("member %d's joiners", i)] = watch(&ms.joiners[0])
+		}
+	}
+}
+
+// TestCoreNodeFootprint holds §4's rule for what outlives an epoch, the
+// counterpart of the sampler's "nothing retained after completion"
+// (TestSamplerReleasesScratch): a coreNode is at most 256 bytes, and
+// once RunEpoch returns no node, slot or plan refers to the epoch's
+// arena or to anything it handed out. Only the topology block the
+// nodes adopted stays reachable, which shows the check can see a
+// reference.
+func TestCoreNodeFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(coreNode{}); size > 256 {
+		t.Fatalf("coreNode is %d B, want <= 256", size)
+	}
+	nw := NewNetwork(Config{Seed: 5, N0: 64, D: 8, Alpha: 2, Epsilon: 1})
+	defer nw.Shutdown()
+	w := &arenaWatch{nw: nw}
+	nw.net.SetTracer(w)
+	r := rng.New(6)
+	for e := range 3 {
+		w.state = map[string]func() bool{}
+		members := nw.Members()
+		perm := r.Perm(len(members))
+		leaves := make([]int, 8)
+		joins := make([]JoinSpec, 8)
+		for j := range leaves {
+			leaves[j] = members[perm[j]]
+			joins[j] = JoinSpec{Sponsor: members[perm[8+j]]}
+		}
+		if rep, _ := nw.RunEpoch(joins, leaves); !rep.Valid {
+			t.Fatalf("epoch %d invalid", e)
+		}
+		if nw.plan.arena != nil {
+			t.Fatalf("epoch %d: the plan keeps its arena", e)
+		}
+		runtime.GC()
+		var held []string
+		for name, alive := range w.state {
+			if alive() {
+				held = append(held, name)
+			}
+		}
+		if len(held) > 0 {
+			slices.Sort(held)
+			t.Fatalf("epoch %d: %d of %d objects still reachable after RunEpoch, the first %q", e, len(held), len(w.state), held[0])
+		}
+		if !w.topo() {
+			t.Fatalf("epoch %d: the adopted topology is unreachable", e)
+		}
 	}
 }

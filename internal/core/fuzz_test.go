@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"overlaynet/internal/audit"
+	"overlaynet/internal/fault"
 	"overlaynet/internal/reliable"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
@@ -140,26 +143,64 @@ func TestLeaverStillServesDuringItsLastEpoch(t *testing.T) {
 	}
 }
 
+// payloadLedger is FuzzEpochUnderLatency's tap: it hashes a payload's
+// fields when a node sends it and again at every delivery, and reports a
+// payload that reads differently at delivery than at send, or one sent
+// twice with different fields. Payloads are keyed by identity, so a
+// payload slot rewritten while a late, duplicated or retransmitted copy
+// is still in flight is caught at whichever end sees it second.
+type payloadLedger struct {
+	t      *testing.T
+	spec   string
+	sent   map[any]uint64
+	failed bool
+}
+
+func (l *payloadLedger) tap(payload any, sent bool) {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%T %+v", payload, payload)
+	sum := h.Sum64()
+	want, seen := l.sent[payload]
+	switch {
+	case sent && !seen:
+		l.sent[payload] = sum
+	case seen && want != sum && !l.failed:
+		l.failed = true
+		l.t.Errorf("%s: payload %T now reads %+v, not what was sent", l.spec, payload, payload)
+	}
+}
+
 // FuzzEpochUnderLatency runs two churned epochs under a latency model
-// and fails on any panic: a message may arrive rounds late, in a phase
-// that does not expect it, at a node with nothing to answer it with.
-// The arguments decode to a seed, N0 ∈ [16, 128], D ∈ {6, 8}, a model
-// (sync, const, uniform or lognorm, its parameters a and b as given;
-// one sim.ParseLatency rejects ends the run), the reliable layer on or
-// off, and as many leavers and joiners as c/16 of the members, c ≤ 4.
-// The first two seeds are configurations in which a late boundary
-// message reaches a node with no elements in its cycle.
+// and message duplication, and fails on a panic or on a payload that
+// reads differently at delivery than at send (payloadLedger): a message
+// may arrive rounds late, twice, in a phase that does not expect it, at
+// a node with nothing to answer it with. The arguments decode to a
+// seed, N0 ∈ [16, 128], D ∈ {6, 8}, a model (sync, const, uniform or
+// lognorm, its parameters a and b as given; one sim.ParseLatency
+// rejects ends the run), the reliable layer on or off, as many leavers
+// and joiners as c/16 of the members, c ≤ 4, and a duplication rate
+// (one fault.Spec rejects ends the run). The first two seeds are
+// configurations in which a late boundary message reaches a node with
+// no elements in its cycle; the last two put about one delay in seven
+// at the 64-round clamp and duplicate one message in twenty, with the
+// reliable layer off and on.
 func FuzzEpochUnderLatency(f *testing.F) {
-	f.Add(uint64(5), uint8(48), true, uint8(3), 1.0, 1.5, false, uint8(2))
-	f.Add(uint64(6), uint8(112), false, uint8(3), 1.0, 1.5, false, uint8(2))
-	f.Add(uint64(1), uint8(0), false, uint8(2), 0.5, 2.5, true, uint8(4))
-	f.Add(uint64(2), uint8(112), true, uint8(1), 2.0, 0.0, false, uint8(1))
-	f.Add(uint64(4), uint8(16), true, uint8(0), 0.0, 0.0, true, uint8(3))
-	f.Fuzz(func(t *testing.T, seed uint64, n uint8, d8 bool, kind uint8, a, b float64, rel bool, c uint8) {
+	f.Add(uint64(5), uint8(48), true, uint8(3), 1.0, 1.5, false, uint8(2), 0.0)
+	f.Add(uint64(6), uint8(112), false, uint8(3), 1.0, 1.5, false, uint8(2), 0.0)
+	f.Add(uint64(1), uint8(0), false, uint8(2), 0.5, 2.5, true, uint8(4), 0.0)
+	f.Add(uint64(2), uint8(112), true, uint8(1), 2.0, 0.0, false, uint8(1), 0.0)
+	f.Add(uint64(4), uint8(16), true, uint8(0), 0.0, 0.0, true, uint8(3), 0.0)
+	f.Add(uint64(8), uint8(48), true, uint8(3), 2.0, 2.0, false, uint8(2), 0.05)
+	f.Add(uint64(9), uint8(48), true, uint8(3), 2.0, 2.0, true, uint8(2), 0.05)
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, d8 bool, kind uint8, a, b float64, rel bool, c uint8, dup float64) {
 		g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 		spec := [...]string{"sync", "const:" + g(a), "uniform:" + g(a) + "," + g(b), "lognorm:" + g(a) + "," + g(b)}[kind%4]
 		lat, err := sim.ParseLatency(spec)
 		if err != nil {
+			return
+		}
+		faults := fault.Spec{Seed: seed, Dup: dup}
+		if faults.Validate() != nil {
 			return
 		}
 		cfg := Config{Seed: seed, N0: 16 + int(n)%113, D: 6, Alpha: 2, Epsilon: 1, Latency: lat}
@@ -171,6 +212,11 @@ func FuzzEpochUnderLatency(f *testing.F) {
 		}
 		nw := NewNetwork(cfg)
 		defer nw.Shutdown()
+		if inj := faults.Injector(); inj != nil {
+			nw.SetInjector(inj)
+		}
+		ledger := &payloadLedger{t: t, spec: fmt.Sprintf("%s dup=%g", spec, dup), sent: map[any]uint64{}}
+		nw.tap = ledger.tap
 		r := rng.New(seed ^ 0xfeed)
 		for range 2 {
 			members := nw.Members()

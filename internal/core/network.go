@@ -133,8 +133,11 @@ type epochPlan struct {
 	epoch    int
 	params   sampling.HGraphParams
 	sampling *sampling.Run // the epoch's Algorithm 1 run, dropped when the epoch ends
+	arena    *epochArena   // the epoch's Algorithm 3 state, dropped when the epoch ends
+	T        int           // sampling iterations
 	doubling int           // pointer-doubling steps K
 	rounds   int           // total rounds in the epoch
+	idBits   int           // bits of one node id
 }
 
 // Failure kinds recorded per epoch (all zero w.h.p. under the
@@ -164,22 +167,15 @@ const (
 // writes it during the final round of an epoch.
 type slot struct {
 	pred, succ []int32 // new topology, one entry per cycle
-	active     []bool  // per cycle: was this node active (old role)?
-	placed     []int   // per cycle: ids placed here (congestion)
 	fails      [numFailKinds]int
-	leaving    bool // set by driver before the node's last epoch
-	assigned   int  // cycles for which an assignment arrived
+	ix         int32 // the node's index in this epoch's arena, set by the driver
+	leaving    bool  // set by driver before the node's last epoch
+	assigned   int   // cycles for which an assignment arrived
 }
 
-func (st *slot) failTotal() int {
-	t := 0
-	for _, f := range st.fails {
-		t += f
-	}
-	return t
-}
-
-// Message payload types of the reconfiguration protocol.
+// Message payload types of the reconfiguration protocol. A hello and a
+// doubling query travel as values; the others as pointers into the
+// epoch's arena, so a send allocates nothing.
 type helloMsg struct{ ID int32 }
 type placeMsg struct {
 	Cycle int8
@@ -241,6 +237,11 @@ type Network struct {
 	budget     *sampling.BudgetStats
 	lastWindow budgetWindow
 	faulty     bool
+
+	// tap, when set, sees each payload a §4 node sends (sent) and each
+	// one delivered to it. Tests set it to check that a payload reads the
+	// same at delivery as at send.
+	tap func(payload any, sent bool)
 
 	// stretch is the resolved phase stretch (sim rounds per protocol
 	// round): 1 without Config.Reliable, else
@@ -449,9 +450,10 @@ func (nw *Network) spawnMember(id int, succ, pred []int32) {
 }
 
 // spawnJoiner starts a node that is not yet in the topology; it
-// announces itself to its sponsor and waits to be placed.
-func (nw *Network) spawnJoiner(id, sponsor int) {
-	st := &slot{}
+// announces itself to its sponsor and waits to be placed. ix is its
+// index in the epoch's arena.
+func (nw *Network) spawnJoiner(id, sponsor int, ix int32) {
+	st := &slot{ix: ix}
 	nw.slots[id] = st
 	nw.net.SpawnHandler(nw.idOf(id), nw.wrap(&coreNode{nw: nw, id: id, st: st, joining: true, sponsor: sponsor}))
 }
@@ -507,15 +509,22 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	need := float64(nc*(1+maxJoin) + 1)
 	c := need/math.Log2(float64(n)) + 1
 	params := sampling.HGraphParams{N: n, D: nw.cfg.D, Alpha: nw.cfg.Alpha, Epsilon: nw.cfg.Epsilon, C: c}
-	K := doublingSteps(n)
+	T, K := params.T(), doublingSteps(n)
 	plan := &epochPlan{
 		epoch:    nw.epoch,
 		params:   params,
 		sampling: sampling.NewRun(params, nw.idOf, nw.budget),
+		arena:    newEpochArena(n, len(joins), nw.cfg.D),
+		T:        T,
 		doubling: K,
-		rounds:   EpochRounds(params.T(), K),
+		rounds:   EpochRounds(T, K),
+		idBits:   sim.IDBits(n),
 	}
 	nw.plan = plan
+	// The old members index the arena in member order; joiners follow.
+	for i, id := range nw.members {
+		nw.slots[id].ix = int32(i)
+	}
 
 	// Spawn joiners; they announce themselves in round 1.
 	joinerIDs := make([]int, len(joins))
@@ -523,7 +532,7 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 		id := nw.nextID
 		nw.nextID++
 		joinerIDs[i] = id
-		nw.spawnJoiner(id, j.Sponsor)
+		nw.spawnJoiner(id, j.Sponsor, int32(n+i))
 	}
 
 	if nw.budget != nil {
@@ -548,7 +557,7 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 		// and checkBudget audits nothing for the epoch.
 		w := budgetWindow{epoch: nw.epoch, budget: *nw.budget, valid: nw.stretch == 1}
 		if w.valid {
-			for _, rw := range nw.net.Work()[1 : 1+2*params.T()] {
+			for _, rw := range nw.net.Work()[1 : 1+2*T] {
 				w.messages += int64(rw.Messages)
 			}
 		}
@@ -577,40 +586,33 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 		}
 	}
 
+	// The slots are the old members' and the joiners' (a sum, so in
+	// any order).
+	for _, st := range nw.slots {
+		for k, f := range st.fails {
+			rep.FailureKinds[k] += f
+			rep.Failures += f
+		}
+	}
 	// Congestion and empty segments are measured on the OLD node set
 	// (the placements landed on old members).
-	for _, id := range nw.members {
-		st := nw.slots[id]
-		rep.Failures += st.failTotal()
-		for k := 0; k < numFailKinds; k++ {
-			rep.FailureKinds[k] += st.fails[k]
-		}
-		for c := 0; c < nc; c++ {
-			if st.placed != nil && st.placed[c] > rep.MaxChosen {
-				rep.MaxChosen = st.placed[c]
-			}
-		}
+	for _, cs := range plan.arena.cycles {
+		rep.MaxChosen = max(rep.MaxChosen, len(cs.seq))
 	}
-	for _, id := range joinerIDs {
-		rep.Failures += nw.slots[id].failTotal()
-		for k := 0; k < numFailKinds; k++ {
-			rep.FailureKinds[k] += nw.slots[id].fails[k]
-		}
-	}
-	rep.MaxEmptySegment = nw.maxEmptySegment()
+	rep.MaxEmptySegment = nw.maxEmptySegment(plan.arena)
+	plan.arena = nil
 
-	// Adopt the new topology.
-	newSucc := make(map[int][]int32, len(newMembers))
-	newPred := make(map[int][]int32, len(newMembers))
-	for _, id := range newMembers {
-		st := nw.slots[id]
-		newSucc[id] = st.succ
-		newPred[id] = st.pred
-	}
+	// Adopt the new topology, in place: the maps' keys become the new
+	// member set.
 	for _, id := range leaves {
 		delete(nw.slots, id)
+		delete(nw.curSucc, id)
+		delete(nw.curPred, id)
 	}
-	nw.curSucc, nw.curPred = newSucc, newPred
+	for _, id := range newMembers {
+		st := nw.slots[id]
+		nw.curSucc[id], nw.curPred[id] = st.succ, st.pred
+	}
 	nw.members = newMembers
 
 	rep.Valid = nw.ValidateTopology() == nil
@@ -650,9 +652,9 @@ func (nw *Network) ValidateTopology() error {
 }
 
 // maxEmptySegment scans every old cycle for the longest run of
-// inactive nodes (Lemma 12), using the active flags the nodes recorded.
-// Runs that wrap around the cycle's scan origin are merged.
-func (nw *Network) maxEmptySegment() int {
+// inactive nodes (Lemma 12), using the placements the nodes collected
+// in a. Runs that wrap around the cycle's scan origin are merged.
+func (nw *Network) maxEmptySegment(a *epochArena) int {
 	nc := nw.cfg.D / 2
 	n := len(nw.members)
 	maxSeg := 0
@@ -664,7 +666,7 @@ func (nw *Network) maxEmptySegment() int {
 		leading := 0 // inactive prefix before the first active node
 		for i := 0; i < n; i++ {
 			st := nw.slots[v]
-			isActive := st != nil && c < len(st.active) && st.active[c]
+			isActive := st != nil && len(a.cycles[int(st.ix)*nc+c].seq) > 0
 			if isActive {
 				if first < 0 {
 					first = i

@@ -27,54 +27,126 @@ import (
 // A joiner spends its first epoch collecting assignments (hello at
 // p = 1, collect at p = 2..R, finalize at p = R) and then runs the
 // member program from the next epoch on.
+//
+// Between epochs a node keeps only its d/2 successor and predecessor
+// pairs. Everything else an epoch builds is in the plan's epochArena,
+// found by the slot's epoch index.
 type coreNode struct {
 	nw *Network
 	id int
 	st *slot
 
 	joining bool
+	leaving bool // captured at p = 1 from the slot
 	sponsor int
 
 	p          int // rounds completed in the current epoch
 	succ, pred []int32
+}
 
-	// Epoch-scoped parameters, captured at epoch init (p = 1) from the
-	// driver's plan; the plan only changes between epochs.
-	T, K, R, idBits int
+// epochArena is what Algorithm 3 builds in one epoch and no node needs
+// after its commit: the members' phase state, indexed by slot.ix, and
+// the payloads of the epoch's sends. RunEpoch makes one per epoch and
+// drops it once the report is read. A payload is written once and never
+// reused, so late, duplicated and retransmitted copies read what was
+// sent. topo is the one thing that outlives the arena: the new
+// topology, a row pair per node, adopted by the nodes and the driver.
+type epochArena struct {
+	members   []memberState // one per old member
+	cycles    []cycleState  // d/2 per old member
+	neighbors []int         // d per old member: the lists handed to sampling.Start
+	topo      []int32       // d per node: new successors, then predecessors
 
-	// Epoch-scoped protocol state, in order of appearance.
-	leaving  bool
-	joiners  []int32
-	sampler  sampling.HGraphSampler
-	samples  []int
-	si       int
-	seqs     [][]int32
-	active   []bool
-	fwd      []int32
-	resolved []bool
-	u0       []int32
-	uLast    []int32
-	haveU0   []bool
-	haveLast []bool
-	newSucc  []int32
-	newPred  []int32
+	ids     slab[int32] // hosted joiners and placed ids
+	places  slab[placeMsg]
+	resps   slab[dblResp]
+	bounds  slab[boundMsg]
+	replies slab[boundReply]
+	assigns slab[assignMsg]
+}
+
+// memberState is one member's per-epoch state outside its cycles.
+type memberState struct {
+	sampler sampling.HGraphSampler
+	joiners []int32 // hosted this epoch
+	samples []int   // the sampler's output, consumed in order from si
+	si      int
+}
+
+// cycleState is one member's Algorithm 3 state in one cycle. The member
+// is active in the cycle iff seq is not empty.
+type cycleState struct {
+	seq              []int32 // ids placed here, permuted in Phase 2
+	fwd              int32   // pointer-doubling jump target
+	u0, uLast        int32   // the active neighbours' boundary elements
+	resolved         bool    // fwd is the nearest active successor
+	haveU0, haveLast bool
+}
+
+// newEpochArena makes the arena of an epoch that n old members and
+// joins joiners run with degree d. Each slab's chunk is an eighth of
+// the n·d/2 (member, cycle) pairs, so it wastes at most that.
+func newEpochArena(n, joins, d int) *epochArena {
+	chunk := max(n*d/16, 8)
+	return &epochArena{
+		members:   make([]memberState, n),
+		cycles:    make([]cycleState, n*d/2),
+		neighbors: make([]int, n*d),
+		topo:      make([]int32, (n+joins)*d),
+		ids:       slab[int32]{chunk: chunk},
+		places:    slab[placeMsg]{chunk: chunk},
+		resps:     slab[dblResp]{chunk: chunk},
+		bounds:    slab[boundMsg]{chunk: chunk},
+		replies:   slab[boundReply]{chunk: chunk},
+		assigns:   slab[assignMsg]{chunk: chunk},
+	}
+}
+
+// rows returns node ix's new successor and predecessor rows of topo.
+func (a *epochArena) rows(ix int32, nc int) (succ, pred []int32) {
+	r := a.topo[2*nc*int(ix):][: 2*nc : 2*nc]
+	return r[:nc:nc], r[nc:]
+}
+
+// slab hands out elements of chunks it never reuses: a new chunk of at
+// least chunk elements replaces one that runs short.
+type slab[T any] struct {
+	free  []T
+	chunk int
+}
+
+// take returns k fresh elements.
+func (s *slab[T]) take(k int) []T {
+	if len(s.free) < k {
+		s.free = make([]T, max(k, s.chunk))
+	}
+	out := s.free[:k:k]
+	s.free = s.free[k:]
+	return out
+}
+
+// put returns a fresh element holding v.
+func (s *slab[T]) put(v T) *T {
+	p := &s.take(1)[0]
+	*p = v
+	return p
 }
 
 // nextSample consumes the rapid-sampling budget in order, falling back
 // to a uniformly chosen reuse (a counted FailBudget) when it runs out.
-func (m *coreNode) nextSample(ctx *sim.Ctx) int {
-	if m.si < len(m.samples) {
-		v := m.samples[m.si]
-		m.si++
+func (m *coreNode) nextSample(ctx *sim.Ctx, ms *memberState) int {
+	if ms.si < len(ms.samples) {
+		v := ms.samples[ms.si]
+		ms.si++
 		return v
 	}
 	m.st.fails[FailBudget]++
-	if len(m.samples) == 0 {
+	if len(ms.samples) == 0 {
 		// Every sample was lost in transit (possible only under injected
 		// message faults): place at self rather than crash.
 		return m.id
 	}
-	return m.samples[ctx.RNG().Intn(len(m.samples))]
+	return ms.samples[ctx.RNG().Intn(len(ms.samples))]
 }
 
 // OnDeliveryFailure implements reliable.FailureHandler: an exhausted
@@ -85,22 +157,30 @@ func (m *coreNode) OnDeliveryFailure(to sim.NodeID) {
 	m.st.fails[FailDelivery]++
 }
 
+// send is ctx.Send, shown to the network's tap first.
+func (m *coreNode) send(ctx *sim.Ctx, to sim.NodeID, payload any, bits int) {
+	if m.nw.tap != nil {
+		m.nw.tap(payload, true)
+	}
+	ctx.Send(to, payload, bits)
+}
+
 func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	nw := m.nw
-	m.p++
-	p := m.p
-	if p == 1 {
-		plan := nw.plan
-		m.T = plan.params.T()
-		m.K = plan.doubling
-		m.R = plan.rounds
-		m.idBits = sim.IDBits(plan.params.N)
+	if nw.tap != nil {
+		for _, msg := range inbox {
+			nw.tap(msg.Payload, false)
+		}
 	}
+	m.p++
 	if m.joining {
 		return m.joinerRound(ctx, inbox)
 	}
+	p, plan := m.p, nw.plan
+	a, ix := plan.arena, int(m.st.ix)
 	nc := nw.cfg.D / 2
-	T, K, R := m.T, m.K, m.R
+	T, K, R, idBits := plan.T, plan.doubling, plan.rounds, plan.idBits
+	ms, cs := &a.members[ix], a.cycles[ix*nc:][:nc]
 
 	switch {
 	case p == 1:
@@ -111,68 +191,74 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 		m.leaving = m.st.leaving
 		m.st.fails = [numFailKinds]int{}
 		m.st.assigned = 0
-		m.joiners = m.joiners[:0]
 
 	case p == 2:
 		// Collect hellos; start rapid node sampling (Algorithm 1) over
 		// the current topology.
+		k := 0
 		for _, msg := range inbox {
-			if h, ok := msg.Payload.(helloMsg); ok {
-				m.joiners = append(m.joiners, h.ID)
+			if _, ok := msg.Payload.(helloMsg); ok {
+				k++
 			}
 		}
-		neighbors := make([]int, 0, nw.cfg.D)
+		ms.joiners = a.ids.take(k)[:0]
+		for _, msg := range inbox {
+			if h, ok := msg.Payload.(helloMsg); ok {
+				ms.joiners = append(ms.joiners, h.ID)
+			}
+		}
+		d := nw.cfg.D
+		neighbors := a.neighbors[ix*d:][:0:d]
 		for c := 0; c < nc; c++ {
 			neighbors = append(neighbors, int(m.pred[c]), int(m.succ[c]))
 		}
-		m.sampler.Start(ctx, nw.plan.sampling, m.id, neighbors, &m.st.fails[FailSampling])
+		ms.sampler.Start(ctx, plan.sampling, m.id, neighbors, &m.st.fails[FailSampling])
 
 	case p <= 2*T+2:
-		if samples, done := m.sampler.HandleRound(ctx, inbox, nil); done {
+		if samples, done := ms.sampler.HandleRound(ctx, inbox, nil); done {
 			// p = 2T+2, Phase 1 of Algorithm 3: place own id (unless
 			// leaving) and every hosted joiner's id at independently
 			// sampled targets, one per cycle.
-			m.samples = samples
-			m.si = 0
+			ms.samples = samples
 			for c := 0; c < nc; c++ {
 				if !m.leaving {
-					ctx.Send(nw.idOf(m.nextSample(ctx)), placeMsg{Cycle: int8(c), ID: int32(m.id)}, m.idBits)
+					to := nw.idOf(m.nextSample(ctx, ms))
+					m.send(ctx, to, a.places.put(placeMsg{Cycle: int8(c), ID: int32(m.id)}), idBits)
 				}
-				for _, j := range m.joiners {
-					ctx.Send(nw.idOf(m.nextSample(ctx)), placeMsg{Cycle: int8(c), ID: j}, m.idBits)
+				for _, j := range ms.joiners {
+					to := nw.idOf(m.nextSample(ctx, ms))
+					m.send(ctx, to, a.places.put(placeMsg{Cycle: int8(c), ID: j}), idBits)
 				}
 			}
 		}
 
 	case p == 2*T+3:
-		// Phase 2: collect placements, permute per cycle; then kick off
-		// pointer doubling (Phase 3) with the first queries.
-		r := ctx.RNG()
-		m.seqs = make([][]int32, nc)
+		// Phase 2: collect placements, in arrival order per cycle, and
+		// permute each cycle's; then kick off pointer doubling (Phase 3)
+		// with the first queries. Config.Validate bounds d/2 for count.
+		var count [sampling.MaxDegree / 2]int
 		for _, msg := range inbox {
-			if pm, ok := msg.Payload.(placeMsg); ok {
-				m.seqs[pm.Cycle] = append(m.seqs[pm.Cycle], pm.ID)
+			if pm, ok := msg.Payload.(*placeMsg); ok {
+				count[pm.Cycle]++
 			}
 		}
-		m.active = make([]bool, nc)
-		m.st.placed = make([]int, nc)
-		for c := 0; c < nc; c++ {
-			m.st.placed[c] = len(m.seqs[c])
-			if len(m.seqs[c]) > 0 {
-				m.active[c] = true
-				r.Shuffle(len(m.seqs[c]), func(i, j int) {
-					m.seqs[c][i], m.seqs[c][j] = m.seqs[c][j], m.seqs[c][i]
-				})
+		for c := range cs {
+			cs[c].seq = a.ids.take(count[c])[:0]
+		}
+		for _, msg := range inbox {
+			if pm, ok := msg.Payload.(*placeMsg); ok {
+				cs[pm.Cycle].seq = append(cs[pm.Cycle].seq, pm.ID)
 			}
 		}
-		m.st.active = m.active
-		m.fwd = make([]int32, nc)
-		m.resolved = make([]bool, nc)
-		copy(m.fwd, m.succ)
-		for c := 0; c < nc; c++ {
-			if !m.resolved[c] {
-				ctx.Send(nw.idOf(int(m.fwd[c])), dblQuery{Cycle: int8(c)}, m.idBits)
+		r := ctx.RNG()
+		for c := range cs {
+			if seq := cs[c].seq; len(seq) > 0 {
+				r.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
 			}
+		}
+		for c := range cs {
+			cs[c].fwd = m.succ[c]
+			m.send(ctx, nw.idOf(int(cs[c].fwd)), dblQuery{Cycle: int8(c)}, idBits)
 		}
 
 	case p <= 2*T+3+2*K:
@@ -182,48 +268,50 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 			// start of this doubling step.
 			for _, msg := range inbox {
 				if qu, ok := msg.Payload.(dblQuery); ok {
-					ctx.Send(msg.From, dblResp{
+					cc := &cs[qu.Cycle]
+					m.send(ctx, msg.From, a.resps.put(dblResp{
 						Cycle:     qu.Cycle,
-						Active:    m.active[qu.Cycle],
-						Fwd:       m.fwd[qu.Cycle],
-						FwdActive: m.resolved[qu.Cycle],
-					}, 2*m.idBits)
+						Active:    len(cc.seq) > 0,
+						Fwd:       cc.fwd,
+						FwdActive: cc.resolved,
+					}), 2*idBits)
 				}
 			}
 		} else {
 			// Fold this step's responses into the jump pointers.
 			for _, msg := range inbox {
-				if resp, ok := msg.Payload.(dblResp); ok {
-					c := resp.Cycle
-					if m.resolved[c] {
+				if resp, ok := msg.Payload.(*dblResp); ok {
+					cc := &cs[resp.Cycle]
+					if cc.resolved {
 						continue
 					}
 					if resp.Active {
-						m.resolved[c] = true // fwd[c] already points at the responder
+						cc.resolved = true // fwd already points at the responder
 					} else {
-						m.fwd[c] = resp.Fwd
-						m.resolved[c] = resp.FwdActive
+						cc.fwd = resp.Fwd
+						cc.resolved = resp.FwdActive
 					}
 				}
 			}
 			if q < 2*K {
 				// Issue the next doubling step's queries.
-				for c := 0; c < nc; c++ {
-					if !m.resolved[c] {
-						ctx.Send(nw.idOf(int(m.fwd[c])), dblQuery{Cycle: int8(c)}, m.idBits)
+				for c := range cs {
+					if !cs[c].resolved {
+						m.send(ctx, nw.idOf(int(cs[c].fwd)), dblQuery{Cycle: int8(c)}, idBits)
 					}
 				}
 			} else {
 				// Doubling done: active nodes send their last sequence
 				// element to their nearest active successor.
-				for c := 0; c < nc; c++ {
-					if m.active[c] {
-						if !m.resolved[c] {
+				for c := range cs {
+					cc := &cs[c]
+					if len(cc.seq) > 0 {
+						if !cc.resolved {
 							m.st.fails[FailDoubling]++
 							continue
 						}
-						ctx.Send(nw.idOf(int(m.fwd[c])),
-							boundMsg{Cycle: int8(c), Last: m.seqs[c][len(m.seqs[c])-1]}, m.idBits)
+						m.send(ctx, nw.idOf(int(cc.fwd)),
+							a.bounds.put(boundMsg{Cycle: int8(c), Last: cc.seq[len(cc.seq)-1]}), idBits)
 					}
 				}
 			}
@@ -232,81 +320,77 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	case p == 2*T+4+2*K:
 		// Receive the boundary element from the nearest active
 		// predecessor; reply with our first element.
-		m.u0 = make([]int32, nc)
-		m.uLast = make([]int32, nc)
-		m.haveU0 = make([]bool, nc)
-		m.haveLast = make([]bool, nc)
 		for _, msg := range inbox {
-			if b, ok := msg.Payload.(boundMsg); ok {
-				c := b.Cycle
-				if m.haveU0[c] || !m.active[c] {
+			if b, ok := msg.Payload.(*boundMsg); ok {
+				cc := &cs[b.Cycle]
+				if cc.haveU0 || len(cc.seq) == 0 {
 					// Two active predecessors, or a boundary sent to an
 					// inactive node (a late doubling response under
 					// latency spread): a doubling failure, no reply.
 					m.st.fails[FailBound]++
 					continue
 				}
-				m.u0[c] = b.Last
-				m.haveU0[c] = true
-				ctx.Send(msg.From, boundReply{Cycle: c, First: m.seqs[c][0]}, m.idBits)
+				cc.u0 = b.Last
+				cc.haveU0 = true
+				m.send(ctx, msg.From, a.replies.put(boundReply{Cycle: b.Cycle, First: cc.seq[0]}), idBits)
 			}
 		}
 
 	case p == 2*T+5+2*K:
 		// Collect replies; send the Phase 4 assignments.
 		for _, msg := range inbox {
-			if br, ok := msg.Payload.(boundReply); ok {
-				m.uLast[br.Cycle] = br.First
-				m.haveLast[br.Cycle] = true
+			if br, ok := msg.Payload.(*boundReply); ok {
+				cs[br.Cycle].uLast = br.First
+				cs[br.Cycle].haveLast = true
 			}
 		}
-		for c := 0; c < nc; c++ {
-			if !m.active[c] {
+		for c := range cs {
+			cc := &cs[c]
+			seq := cc.seq
+			mLen := len(seq)
+			if mLen == 0 {
 				continue
 			}
-			seq := m.seqs[c]
-			mLen := len(seq)
-			if !m.haveU0[c] {
+			if !cc.haveU0 {
 				m.st.fails[FailBound]++
-				m.u0[c] = seq[mLen-1]
+				cc.u0 = seq[mLen-1]
 			}
-			if !m.haveLast[c] {
+			if !cc.haveLast {
 				m.st.fails[FailBound]++
-				m.uLast[c] = seq[0]
+				cc.uLast = seq[0]
 			}
 			for i := 0; i < mLen; i++ {
-				p0 := m.u0[c]
+				p0 := cc.u0
 				if i > 0 {
 					p0 = seq[i-1]
 				}
-				s0 := m.uLast[c]
+				s0 := cc.uLast
 				if i < mLen-1 {
 					s0 = seq[i+1]
 				}
-				ctx.Send(nw.idOf(int(seq[i])), assignMsg{Cycle: int8(c), Pred: p0, Succ: s0}, 2*m.idBits)
+				m.send(ctx, nw.idOf(int(seq[i])), a.assigns.put(assignMsg{Cycle: int8(c), Pred: p0, Succ: s0}), 2*idBits)
 			}
 		}
 
 	case p == R:
 		// Receive the new neighbors and commit the result to the
 		// driver's slot; the next OnRound is round 1 of the next epoch.
-		m.newSucc = make([]int32, nc)
-		m.newPred = make([]int32, nc)
+		succ, pred := a.rows(m.st.ix, nc)
 		for _, msg := range inbox {
-			if a, ok := msg.Payload.(assignMsg); ok {
-				m.newSucc[a.Cycle] = a.Succ
-				m.newPred[a.Cycle] = a.Pred
+			if as, ok := msg.Payload.(*assignMsg); ok {
+				succ[as.Cycle] = as.Succ
+				pred[as.Cycle] = as.Pred
 				m.st.assigned++
 			}
 		}
 		if !m.leaving && m.st.assigned != nc {
 			m.st.fails[FailAssign]++
 		}
-		m.st.succ, m.st.pred = m.newSucc, m.newPred
+		m.st.succ, m.st.pred = succ, pred
 		if m.leaving {
 			return false
 		}
-		m.succ, m.pred = m.newSucc, m.newPred
+		m.succ, m.pred = succ, pred
 		m.p = 0
 	}
 	return true
@@ -315,32 +399,27 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 // joinerRound is a joiner's first epoch: announce at p = 1, collect
 // assignments until the epoch's final round, then become a member.
 func (m *coreNode) joinerRound(ctx *sim.Ctx, inbox []sim.Message) bool {
-	nw := m.nw
+	nw, plan := m.nw, m.nw.plan
 	if m.p == 1 {
-		ctx.Send(nw.idOf(m.sponsor), helloMsg{ID: int32(m.id)}, m.idBits)
-		nc := nw.cfg.D / 2
-		m.succ = make([]int32, nc)
-		m.pred = make([]int32, nc)
+		m.send(ctx, nw.idOf(m.sponsor), helloMsg{ID: int32(m.id)}, plan.idBits)
+		m.succ, m.pred = plan.arena.rows(m.st.ix, nw.cfg.D/2)
 		m.st.assigned = 0
 		return true
 	}
 	for _, msg := range inbox {
-		if a, ok := msg.Payload.(assignMsg); ok {
+		if a, ok := msg.Payload.(*assignMsg); ok {
 			m.succ[a.Cycle] = a.Succ
 			m.pred[a.Cycle] = a.Pred
 			m.st.assigned++
 		}
 	}
-	if m.p < m.R {
+	if m.p < plan.rounds {
 		return true
 	}
-	nc := nw.cfg.D / 2
-	if m.st.assigned != nc {
+	if m.st.assigned != nw.cfg.D/2 {
 		m.st.fails[FailAssign]++
 	}
 	m.st.succ, m.st.pred = m.succ, m.pred
-	m.st.active = make([]bool, nc)
-	m.st.placed = make([]int, nc)
 	m.joining = false
 	m.p = 0
 	return true
