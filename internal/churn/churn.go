@@ -92,6 +92,10 @@ func (a *TargetOldest) Plan(v View) ([]core.JoinSpec, []int) {
 // neighborhood (up to the budget), the strongest disconnection attempt
 // available to a churn adversary. The paper's point (Theorem 5) is that
 // even this fails: the victim is rewired before the departures bite.
+// A victim tried once has nothing more to give, so once every member has
+// been tried Plan stops with fewer leaves than its budget: after an
+// epoch broken by latency no member may have a live, non-leaving
+// neighbour left. The shortfall is the budget less len(leaves).
 type TargetNeighborhood struct {
 	Fraction float64
 	R        *rng.RNG
@@ -106,9 +110,16 @@ func (a *TargetNeighborhood) Plan(v View) ([]core.JoinSpec, []int) {
 	}
 	leaving := make(map[int]bool)
 	var leaves []int
-	// Keep attacking fresh victims until the budget is spent.
-	for len(leaves) < budget {
-		victim := v.Members[a.R.Intn(n)]
+	tried, untried := make([]bool, n), n
+	// Keep attacking fresh victims until the budget is spent or no member
+	// is left untried.
+	for len(leaves) < budget && untried > 0 {
+		i := a.R.Intn(n)
+		if !tried[i] {
+			tried[i] = true
+			untried--
+		}
+		victim := v.Members[i]
 		if leaving[victim] {
 			continue
 		}

@@ -1,12 +1,14 @@
 package churn
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
 	"overlaynet/internal/audit"
 	"overlaynet/internal/core"
 	"overlaynet/internal/rng"
+	"overlaynet/internal/sim"
 	"overlaynet/internal/trace"
 )
 
@@ -162,5 +164,57 @@ func TestReplaceRespectsRate(t *testing.T) {
 		if err := rc.Record(rep.NNew); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// readBound wraps a TargetNeighborhood: it panics once one Plan has read
+// more than limit neighbourhoods, so a plan that cannot spend its budget
+// fails the test by that bound rather than hanging it, and it counts the
+// plans that came back short of the budget.
+type readBound struct {
+	adv   *TargetNeighborhood
+	limit int
+	short int
+}
+
+func (b *readBound) Plan(v View) ([]core.JoinSpec, []int) {
+	reads, neighbors := 0, v.Neighbors
+	v.Neighbors = func(id int) []int {
+		if reads++; reads > b.limit {
+			panic(fmt.Sprintf("Plan read %d neighbourhoods of %d members", reads, len(v.Members)))
+		}
+		return neighbors(id)
+	}
+	joins, leaves := b.adv.Plan(v)
+	if n := len(v.Members); len(leaves) < min(int(b.adv.Fraction*float64(n)), n-3) {
+		b.short++
+	}
+	return joins, leaves
+}
+
+// TestTargetNeighborhoodEnds: once every member has been tried as a
+// victim, Plan stops with fewer leaves than its budget. The §4 epochs of
+// E6's full neighborhood-25% cell at n = 64 go invalid under
+// lognorm:1,1.5, and a later epoch's view has no live, non-leaving
+// neighbour left to give; a view whose neighbours are all gone gives
+// none at all. Every Plan must end within 64 reads per member.
+func TestTargetNeighborhoodEnds(t *testing.T) {
+	lat, err := sim.ParseLatency("lognorm:1,1.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	nw := core.NewNetwork(core.Config{Seed: 42 ^ n, N0: n, D: 8, Alpha: 2, Epsilon: 1, Latency: lat})
+	defer nw.Shutdown()
+	b := &readBound{adv: &TargetNeighborhood{Fraction: 0.25, R: rng.New(42 + 4)}, limit: 64 * n}
+	if reports := Run(nw, b, 4); len(reports) != 4 || b.short == 0 {
+		t.Fatalf("%d epochs with %d short plans, want 4 with at least one", len(reports), b.short)
+	}
+
+	members := []int{3, 4, 5, 6, 7, 8}
+	gone := View{Members: members, Neighbors: func(int) []int { return []int{0, 99} }}
+	b = &readBound{adv: &TargetNeighborhood{Fraction: 0.5, R: rng.New(1)}, limit: 64 * len(members)}
+	if joins, leaves := b.Plan(gone); len(joins) != 0 || len(leaves) != 0 {
+		t.Fatalf("a view with no live neighbour planned joins %v and leaves %v", joins, leaves)
 	}
 }

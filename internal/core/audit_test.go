@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -75,17 +76,11 @@ func TestRepairAfterHeavyCorruption(t *testing.T) {
 			if suspects := nw.suspectMembers(); (len(suspects) == 0) != legal {
 				t.Fatalf("n=%d k=%d: %d suspects, ValidateTopology legal=%v", n, k, len(suspects), legal)
 			}
-			saved := make(map[int][2][]int32, n)
-			for _, id := range nw.members {
-				saved[id] = [2][]int32{slices.Clone(nw.curSucc[id]), slices.Clone(nw.curPred[id])}
-			}
+			saved := slices.Clone(nw.topo)
 			if fixed := nw.quarantineCycles(); (fixed == 0) != legal {
 				t.Fatalf("n=%d k=%d: quarantine rewrote %d pointers, legal=%v", n, k, fixed, legal)
 			}
-			for id, p := range saved { // undo, so Repair sees the damage
-				copy(nw.curSucc[id], p[0])
-				copy(nw.curPred[id], p[1])
-			}
+			copy(nw.topo, saved) // undo, so Repair sees the damage
 			rep, s := nw.Repair()
 			if s > 0 {
 				n, nc := rep.NOld, nw.cfg.D/2
@@ -193,8 +188,51 @@ func TestInjectedDropsOpenBudgetGapWithoutPanic(t *testing.T) {
 // layer detects a corrupted topology within one check interval; never
 // call it outside tests.
 func (nw *Network) corruptTopology() {
-	id := nw.members[0]
-	succ := append([]int32(nil), nw.curSucc[id]...)
-	succ[0] = int32(id)
-	nw.curSucc[id] = succ
+	succ, _ := nw.rows(0)
+	succ[0] = int32(nw.members[0])
+}
+
+// TestConnectedMatchesBuildGraph: an invalid topology's
+// EpochReport.Connected and connectivity checker are a union-find over
+// the links (connected); its verdict must be BuildGraph().IsConnected()'s
+// on every invalid topology R1's faults make — CorruptState picks piled
+// up to 4n deep, and an epoch under each of R1's partition cuts — with
+// both verdicts among them. FuzzEpochUnderLatency checks the same on its
+// corpus.
+func TestConnectedMatchesBuildGraph(t *testing.T) {
+	verdicts := map[bool]int{}
+	check := func(nw *Network, what string) {
+		t.Helper()
+		if nw.ValidateTopology() == nil {
+			return
+		}
+		want := nw.BuildGraph().IsConnected()
+		if got := nw.connected(false); got != want {
+			t.Fatalf("%s: the union-find says connected=%v, BuildGraph %v", what, got, want)
+		}
+		verdicts[want]++
+	}
+	for _, n := range []int{48, 64} {
+		cfg := Config{Seed: uint64(n), N0: n, D: 8, Alpha: 2, Epsilon: 1}
+		nw := NewNetwork(cfg)
+		nw.RunEpoch(nil, nil)
+		r := rng.New(uint64(n))
+		for k := range 4 * n {
+			nw.CorruptState(r.Uint64())
+			check(nw, fmt.Sprintf("n=%d after %d corruptions", n, k+1))
+		}
+		nw.Shutdown()
+		for _, parts := range []int{2, 3} {
+			nw := NewNetwork(cfg)
+			nw.RunEpoch(nil, nil)
+			nw.SetInjector(fault.Spec{Seed: uint64(n), PartK: parts, PartFrom: nw.Round(), PartWin: 1 << 30}.Injector())
+			nw.RunEpoch(nil, nil)
+			check(nw, fmt.Sprintf("n=%d after an epoch cut in %d", n, parts))
+			nw.Shutdown()
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("invalid topologies by verdict %v, want both", verdicts)
+	}
+	t.Logf("invalid topologies by verdict: %v", verdicts)
 }

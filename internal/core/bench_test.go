@@ -106,17 +106,17 @@ func BenchmarkEpochWithChurn1024(b *testing.B) {
 }
 
 // TestChurnEpochReleasesKernelBuffers bounds what one churn1024 epoch
-// leaves behind. An epoch's sampling rounds send ~100x the messages of
-// the rounds after them; the kernel's release rule gives that burst's
-// send log and inbox arena back (38.9 kB/node retained without it), and
-// the epoch's arena takes Algorithm 3's phase state with it. What stays
-// is about 1.1 kB/node: the kernel's node table and buffers, and per
-// node its coreNode, slot and topology rows.
+// leaves behind. The epoch's commit round sends nothing, so the
+// kernel's idle rule gives its send log and inbox arena back, and the
+// epoch's arena takes Algorithm 3's phase state and the nodes' slots
+// with it. What stays is about 286 B/node: per node the kernel's table
+// slot, Ctx and id entry, its coreNode, its member id and its rows of
+// the topology block.
 func TestChurnEpochReleasesKernelBuffers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on its own")
 	}
-	const bound = 1280
+	const bound = 330
 	base := liveHeap()
 	c := newChurn1024()
 	defer c.nw.Shutdown()
@@ -131,7 +131,7 @@ func TestChurnEpochReleasesKernelBuffers(t *testing.T) {
 // TestChurnEpochAllocs bounds the allocations of one churn1024 epoch.
 // Algorithm 3's phase state and payloads are carved from the epoch's
 // arena, so what is left is mostly Algorithm 1's serve arrays and the
-// kernel's buffers: about 26.4 k (61.4 k when each member made its own
+// kernel's buffers: about 23.2 k (61.4 k when each member made its own
 // phase slices and every send boxed its payload).
 func TestChurnEpochAllocs(t *testing.T) {
 	if raceEnabled {
@@ -149,7 +149,7 @@ func TestChurnEpochAllocs(t *testing.T) {
 
 // arenaWatch is a sim.Tracer that, at the end of every round, takes weak
 // pointers to the running epoch's arena and to the state it has handed
-// out, and one to the topology block the epoch's nodes adopt.
+// out, and one to the topology block the network adopts.
 type arenaWatch struct {
 	nw    *Network
 	state map[string]func() bool // reports whether the object is still reachable
@@ -169,6 +169,7 @@ func (w *arenaWatch) RoundEnd(sim.RoundStats) {
 		return
 	}
 	w.state["the arena"] = watch(a)
+	w.state["the slots"] = watch(&a.slots[0])
 	w.state["the member states"] = watch(&a.members[0])
 	w.state["the cycle states"] = watch(&a.cycles[0])
 	w.state["the neighbour lists"] = watch(&a.neighbors[0])
@@ -187,14 +188,13 @@ func (w *arenaWatch) RoundEnd(sim.RoundStats) {
 
 // TestCoreNodeFootprint holds §4's rule for what outlives an epoch, the
 // counterpart of the sampler's "nothing retained after completion"
-// (TestSamplerReleasesScratch): a coreNode is at most 256 bytes, and
-// once RunEpoch returns no node, slot or plan refers to the epoch's
-// arena or to anything it handed out. Only the topology block the
-// nodes adopted stays reachable, which shows the check can see a
-// reference.
+// (TestSamplerReleasesScratch): a coreNode is at most 32 bytes, and
+// once RunEpoch returns no node or plan refers to the epoch's arena or
+// to anything it handed out. Only the topology block the network
+// adopted stays reachable, which shows the check can see a reference.
 func TestCoreNodeFootprint(t *testing.T) {
-	if size := unsafe.Sizeof(coreNode{}); size > 256 {
-		t.Fatalf("coreNode is %d B, want <= 256", size)
+	if size := unsafe.Sizeof(coreNode{}); size > 32 {
+		t.Fatalf("coreNode is %d B, want <= 32", size)
 	}
 	nw := NewNetwork(Config{Seed: 5, N0: 64, D: 8, Alpha: 2, Epsilon: 1})
 	defer nw.Shutdown()

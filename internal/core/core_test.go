@@ -268,8 +268,9 @@ func TestNetworkDeterministic(t *testing.T) {
 		defer nw.Shutdown()
 		nw.RunEpoch(nil, nil)
 		var out []int32
-		for _, id := range nw.Members() {
-			out = append(out, nw.curSucc[id]...)
+		for i := range nw.Members() {
+			succ, _ := nw.rows(i)
+			out = append(out, succ...)
 		}
 		return out
 	}
@@ -311,7 +312,8 @@ func TestNetworkDistributedMatchesReferenceDistribution(t *testing.T) {
 		if !rep.Valid {
 			t.Fatalf("trial %d invalid", i)
 		}
-		counts[int(nw.curSucc[0][0])]++
+		succ, _ := nw.rows(0) // member 0 is node 0: no node has joined
+		counts[int(succ[0])]++
 		nw.Shutdown()
 	}
 	if counts[0] != 0 {

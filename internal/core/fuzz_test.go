@@ -89,8 +89,9 @@ func TestRepeatedEpochsKeepUniformity(t *testing.T) {
 			t.Fatalf("epoch %d invalid", e)
 		}
 		var cur []int32
-		for _, id := range nw.Members() {
-			cur = append(cur, nw.curSucc[id][0])
+		for i := range nw.Members() {
+			succ, _ := nw.rows(i)
+			cur = append(cur, succ[0])
 		}
 		if prev != nil {
 			same := 0
@@ -171,8 +172,9 @@ func (l *payloadLedger) tap(payload any, sent bool) {
 }
 
 // FuzzEpochUnderLatency runs two churned epochs under a latency model
-// and message duplication, and fails on a panic or on a payload that
-// reads differently at delivery than at send (payloadLedger): a message
+// and message duplication, and fails on a panic, on a payload that
+// reads differently at delivery than at send (payloadLedger), or on an
+// invalid epoch whose Connected is not BuildGraph's verdict: a message
 // may arrive rounds late, twice, in a phase that does not expect it, at
 // a node with nothing to answer it with. The arguments decode to a
 // seed, N0 ∈ [16, 128], D ∈ {6, 8}, a model (sync, const, uniform or
@@ -228,8 +230,12 @@ func FuzzEpochUnderLatency(f *testing.F) {
 				leaves[j] = members[perm[j]]
 				joins[j] = JoinSpec{Sponsor: members[perm[k+j]]}
 			}
-			if rep, _ := nw.RunEpoch(joins, leaves); rep.NNew != len(members) {
+			rep, _ := nw.RunEpoch(joins, leaves)
+			if rep.NNew != len(members) {
 				t.Fatalf("%s: %d members after an epoch of %d joins and leaves, want %d", spec, rep.NNew, k, len(members))
+			}
+			if want := nw.BuildGraph().IsConnected(); !rep.Valid && rep.Connected != want {
+				t.Fatalf("%s: an invalid epoch reports connected=%v, BuildGraph %v", spec, rep.Connected, want)
 			}
 		}
 	})

@@ -15,7 +15,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"overlaynet/internal/audit"
@@ -163,14 +163,15 @@ const (
 	numFailKinds
 )
 
-// slot is the driver's per-node mailbox for results; the owning node
-// writes it during the final round of an epoch.
+// slot is what the driver and one node exchange in one epoch, kept in
+// the epoch's arena: the driver writes the node's orders before the
+// epoch, the node its results during it.
 type slot struct {
-	pred, succ []int32 // new topology, one entry per cycle
-	fails      [numFailKinds]int
-	ix         int32 // the node's index in this epoch's arena, set by the driver
-	leaving    bool  // set by driver before the node's last epoch
-	assigned   int   // cycles for which an assignment arrived
+	fails    [numFailKinds]int
+	assigned int   // cycles for which an assignment arrived
+	sponsor  int32 // a joiner's sponsor
+	row      int32 // the node's row of the new topology block; a leaver has none
+	leaving  bool
 }
 
 // Message payload types of the reconfiguration protocol. A hello and a
@@ -211,14 +212,14 @@ type Network struct {
 	cfg     Config
 	net     *sim.Network
 	plan    *epochPlan
-	slots   map[int]*slot
 	members []int // sorted current member ids
-	// oldSucc/oldPred snapshot the topology the epoch started from,
-	// for empty-segment measurement and validation.
-	curSucc map[int][]int32
-	curPred map[int][]int32
-	nextID  int
-	epoch   int
+	// topo is the adopted topology: d entries per member, in member
+	// order, its successors in the d/2 cycles and then its predecessors
+	// (see rows). The nodes read their own rows from it at the start of
+	// an epoch, so a write here reaches the live protocol state.
+	topo   []int32
+	nextID int
+	epoch  int
 	// trace/traceScope: optional telemetry (SetTrace). Every RunEpoch
 	// emits an epoch span and the underlying simulator reports its
 	// lifecycle events and drop accounting under the same scope.
@@ -312,7 +313,7 @@ func (nw *Network) SetAudit(e *audit.Engine) {
 		return nil
 	})
 	e.Register("connectivity", func() []audit.Violation {
-		if !nw.BuildGraph().IsConnected() {
+		if !nw.connected(nw.ValidateTopology() == nil) {
 			return []audit.Violation{{Detail: fmt.Sprintf("topology over %d members is disconnected", len(nw.members))}}
 		}
 		return nil
@@ -386,9 +387,8 @@ func NewNetwork(cfg Config) *Network {
 	nw := &Network{
 		cfg:     cfg,
 		net:     sim.NewNetwork(sim.Config{Seed: cfg.Seed, Latency: cfg.Latency}),
-		slots:   make(map[int]*slot),
-		curSucc: make(map[int][]int32),
-		curPred: make(map[int][]int32),
+		members: make([]int, cfg.N0),
+		topo:    make([]int32, cfg.N0*cfg.D),
 		nextID:  cfg.N0,
 		stretch: 1,
 	}
@@ -396,20 +396,35 @@ func NewNetwork(cfg Config) *Network {
 		nw.stretch = cfg.Reliable.EffectiveStretch(cfg.Latency)
 	}
 	h := hgraph.Random(rng.New(cfg.Seed^0xabcdef0123456789), cfg.N0, cfg.D)
-	nc := cfg.D / 2
-	for v := 0; v < cfg.N0; v++ {
-		succ := make([]int32, nc)
-		pred := make([]int32, nc)
-		for c := 0; c < nc; c++ {
+	for v := range nw.members {
+		succ, pred := nw.rows(v)
+		for c := range succ {
 			succ[c] = int32(h.Cycle(c).Succ(v))
 			pred[c] = int32(h.Cycle(c).Pred(v))
 		}
-		nw.curSucc[v] = succ
-		nw.curPred[v] = pred
-		nw.members = append(nw.members, v)
-		nw.spawnMember(v, succ, pred)
+		nw.members[v] = v
+		nw.net.SpawnHandler(nw.idOf(v), nw.wrap(&coreNode{nw: nw, id: v}))
 	}
 	return nw
+}
+
+// rows returns row i of a topology block of d entries per node: its
+// successors in the d/2 cycles, then its predecessors.
+func rows(block []int32, i, d int) (succ, pred []int32) {
+	r := block[d*i:][:d:d]
+	return r[: d/2 : d/2], r[d/2:]
+}
+
+// rows returns member i's rows of the adopted topology.
+func (nw *Network) rows(i int) (succ, pred []int32) { return rows(nw.topo, i, nw.cfg.D) }
+
+// indexOf returns a member's index in Members(), or −1 for an id that
+// is not a member.
+func (nw *Network) indexOf(id int) int {
+	if i, ok := slices.BinarySearch(nw.members, id); ok {
+		return i
+	}
+	return -1
 }
 
 // Members returns the current member ids (sorted; do not modify).
@@ -421,8 +436,11 @@ func (nw *Network) N() int { return len(nw.members) }
 // NeighborsOf returns the current neighbors of a member with
 // multiplicity (predecessor and successor in each Hamilton cycle).
 func (nw *Network) NeighborsOf(id int) []int {
-	succ := nw.curSucc[id]
-	pred := nw.curPred[id]
+	i := nw.indexOf(id)
+	if i < 0 {
+		return []int{}
+	}
+	succ, pred := nw.rows(i)
 	out := make([]int, 0, 2*len(succ))
 	for c := range succ {
 		out = append(out, int(pred[c]), int(succ[c]))
@@ -441,23 +459,6 @@ func (nw *Network) wrap(h sim.Handler) sim.Handler {
 	return reliable.Wrap(nw.cfg.Seed, nw.cfg.Reliable, nw.stretch, h)
 }
 
-// spawnMember starts the protocol node of a member that is already part
-// of the topology.
-func (nw *Network) spawnMember(id int, succ, pred []int32) {
-	st := &slot{}
-	nw.slots[id] = st
-	nw.net.SpawnHandler(nw.idOf(id), nw.wrap(&coreNode{nw: nw, id: id, st: st, succ: succ, pred: pred}))
-}
-
-// spawnJoiner starts a node that is not yet in the topology; it
-// announces itself to its sponsor and waits to be placed. ix is its
-// index in the epoch's arena.
-func (nw *Network) spawnJoiner(id, sponsor int, ix int32) {
-	st := &slot{ix: ix}
-	nw.slots[id] = st
-	nw.net.SpawnHandler(nw.idOf(id), nw.wrap(&coreNode{nw: nw, id: id, st: st, joining: true, sponsor: sponsor}))
-}
-
 // RunEpoch performs one reconfiguration epoch: the given joiners enter
 // and the given members leave, the whole topology is resampled, and
 // the report summarizes validity, connectivity and the congestion
@@ -471,34 +472,47 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	}
 	n := len(nw.members)
 	nc := nw.cfg.D / 2
+	// The old members index the arena in member order; joiners follow.
+	a := newEpochArena(n, len(joins), nw.cfg.D)
 
 	// Mark leavers.
-	leaving := make(map[int]bool, len(leaves))
 	for _, id := range leaves {
-		if _, member := nw.curPred[id]; !member {
+		i := nw.indexOf(id)
+		if i < 0 {
 			panic(fmt.Sprintf("core: leaver %d is not a member", id))
 		}
-		if leaving[id] {
+		if a.slots[i].leaving {
 			panic(fmt.Sprintf("core: duplicate leaver %d", id))
 		}
-		leaving[id] = true
-		nw.slots[id].leaving = true
+		a.slots[i].leaving = true
 	}
 
-	if n-len(leaves)+len(joins) < 3 {
+	nNew := n - len(leaves) + len(joins)
+	if nNew < 3 {
 		panic("core: epoch would leave fewer than 3 members")
 	}
 
 	// Count joiners per sponsor to size the sampling budget.
-	perSponsor := make(map[int]int)
+	hosted := make([]int32, n)
 	maxJoin := 0
 	for _, j := range joins {
-		if _, member := nw.curPred[j.Sponsor]; !member || leaving[j.Sponsor] {
+		i := nw.indexOf(j.Sponsor)
+		if i < 0 || a.slots[i].leaving {
 			panic(fmt.Sprintf("core: sponsor %d not a staying member", j.Sponsor))
 		}
-		perSponsor[j.Sponsor]++
-		if perSponsor[j.Sponsor] > maxJoin {
-			maxJoin = perSponsor[j.Sponsor]
+		hosted[i]++
+		maxJoin = max(maxJoin, int(hosted[i]))
+	}
+
+	// The new topology block has a row per new member, in member order:
+	// the staying members' in their order, then the joiners', whose ids
+	// come from nextID and so exceed every member's.
+	a.topo = make([]int32, nNew*nw.cfg.D)
+	row := int32(0)
+	for i := range n {
+		if !a.slots[i].leaving {
+			a.slots[i].row = row
+			row++
 		}
 	}
 
@@ -514,17 +528,13 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 		epoch:    nw.epoch,
 		params:   params,
 		sampling: sampling.NewRun(params, nw.idOf, nw.budget),
-		arena:    newEpochArena(n, len(joins), nw.cfg.D),
+		arena:    a,
 		T:        T,
 		doubling: K,
 		rounds:   EpochRounds(T, K),
 		idBits:   sim.IDBits(n),
 	}
 	nw.plan = plan
-	// The old members index the arena in member order; joiners follow.
-	for i, id := range nw.members {
-		nw.slots[id].ix = int32(i)
-	}
 
 	// Spawn joiners; they announce themselves in round 1.
 	joinerIDs := make([]int, len(joins))
@@ -532,7 +542,8 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 		id := nw.nextID
 		nw.nextID++
 		joinerIDs[i] = id
-		nw.spawnJoiner(id, j.Sponsor, int32(n+i))
+		a.slots[n+i] = slot{sponsor: int32(j.Sponsor), row: row + int32(i)}
+		nw.net.SpawnHandler(nw.idOf(id), nw.wrap(&coreNode{nw: nw, id: id, ix: int32(n + i), joining: true}))
 	}
 
 	if nw.budget != nil {
@@ -564,21 +575,20 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 		nw.lastWindow = w
 	}
 
-	// Assemble the new member set.
-	var newMembers []int
-	for _, id := range nw.members {
-		if !leaving[id] {
+	// The new member set, in the order of the block's rows.
+	newMembers := make([]int, 0, nNew)
+	for i, id := range nw.members {
+		if !a.slots[i].leaving {
 			newMembers = append(newMembers, id)
 		}
 	}
 	newMembers = append(newMembers, joinerIDs...)
-	sort.Ints(newMembers)
 
 	rep := EpochReport{
 		Epoch:  nw.epoch,
 		Rounds: plan.rounds,
 		NOld:   n,
-		NNew:   len(newMembers),
+		NNew:   nNew,
 	}
 	for _, w := range nw.net.Work() {
 		if w.MaxNodeBits > rep.MaxNodeBits {
@@ -586,9 +596,7 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 		}
 	}
 
-	// The slots are the old members' and the joiners' (a sum, so in
-	// any order).
-	for _, st := range nw.slots {
+	for _, st := range a.slots {
 		for k, f := range st.fails {
 			rep.FailureKinds[k] += f
 			rep.Failures += f
@@ -596,27 +604,17 @@ func (nw *Network) RunEpoch(joins []JoinSpec, leaves []int) (EpochReport, []int)
 	}
 	// Congestion and empty segments are measured on the OLD node set
 	// (the placements landed on old members).
-	for _, cs := range plan.arena.cycles {
+	for _, cs := range a.cycles {
 		rep.MaxChosen = max(rep.MaxChosen, len(cs.seq))
 	}
-	rep.MaxEmptySegment = nw.maxEmptySegment(plan.arena)
+	rep.MaxEmptySegment = nw.maxEmptySegment(a)
 	plan.arena = nil
 
-	// Adopt the new topology, in place: the maps' keys become the new
-	// member set.
-	for _, id := range leaves {
-		delete(nw.slots, id)
-		delete(nw.curSucc, id)
-		delete(nw.curPred, id)
-	}
-	for _, id := range newMembers {
-		st := nw.slots[id]
-		nw.curSucc[id], nw.curPred[id] = st.succ, st.pred
-	}
-	nw.members = newMembers
+	// Adopt the new topology: the block the nodes wrote their rows to.
+	nw.topo, nw.members = a.topo, newMembers
 
 	rep.Valid = nw.ValidateTopology() == nil
-	rep.Connected = nw.BuildGraph().IsConnected()
+	rep.Connected = nw.connected(rep.Valid)
 	if nw.trace != nil {
 		nw.trace.EpochSpan(nw.traceScope, rep.Epoch, rep.Rounds, rep.NOld, rep.NNew, epochStart)
 	}
@@ -643,7 +641,7 @@ func (nw *Network) ValidateTopology() error {
 	for c := 0; c < nw.cfg.D/2; c++ {
 		switch _, reached, broken := nw.cycleOrder(c); {
 		case broken >= 0:
-			return fmt.Errorf("core: member %d has a broken link in cycle %d", broken, c)
+			return fmt.Errorf("core: member %d has a broken link in cycle %d", nw.members[broken], c)
 		case reached < n:
 			return fmt.Errorf("core: cycle %d reaches %d of %d members", c, reached, n)
 		}
@@ -659,17 +657,14 @@ func (nw *Network) maxEmptySegment(a *epochArena) int {
 	n := len(nw.members)
 	maxSeg := 0
 	for c := 0; c < nc; c++ {
-		start := nw.members[0]
-		v := start
+		i := 0
 		run := 0     // current run of inactive nodes
 		first := -1  // scan index of the first active node
 		leading := 0 // inactive prefix before the first active node
-		for i := 0; i < n; i++ {
-			st := nw.slots[v]
-			isActive := st != nil && len(a.cycles[int(st.ix)*nc+c].seq) > 0
-			if isActive {
+		for k := 0; k < n; k++ {
+			if len(a.cycles[i*nc+c].seq) > 0 {
 				if first < 0 {
-					first = i
+					first = k
 					leading = run
 				}
 				if run > maxSeg {
@@ -679,7 +674,7 @@ func (nw *Network) maxEmptySegment(a *epochArena) int {
 			} else {
 				run++
 			}
-			if v, _ = nw.link(v, c); v < 0 {
+			if i, _ = nw.link(i, c); i < 0 {
 				return maxSeg
 			}
 		}
@@ -699,20 +694,36 @@ func (nw *Network) maxEmptySegment(a *epochArena) int {
 // BuildGraph materializes the current topology as a multigraph over
 // compacted vertex indices (in Members() order).
 func (nw *Network) BuildGraph() *graph.Graph {
-	idx := make(map[int]int, len(nw.members))
-	for i, id := range nw.members {
-		idx[id] = i
-	}
 	g := graph.New(len(nw.members))
-	nc := nw.cfg.D / 2
-	for i, id := range nw.members {
-		for c := 0; c < nc; c++ {
-			if w, _ := nw.link(id, c); w >= 0 {
-				g.AddEdge(i, idx[w])
+	for i := range nw.members {
+		for c := 0; c < nw.cfg.D/2; c++ {
+			if j, _ := nw.link(i, c); j >= 0 {
+				g.AddEdge(i, j)
 			}
 		}
 	}
 	return g
+}
+
+// connected reports whether the links join every member, as
+// BuildGraph().IsConnected() would: a valid topology is connected
+// (cycle 0 alone reaches all members), and an invalid one is answered by
+// a union-find over the same links, with no graph built.
+func (nw *Network) connected(valid bool) bool {
+	if valid {
+		return true
+	}
+	n := len(nw.members)
+	var uf graph.UnionFind
+	uf.Reset(n)
+	for i := range n {
+		for c := 0; c < nw.cfg.D/2; c++ {
+			if j, _ := nw.link(i, c); j >= 0 {
+				uf.Union(int32(i), int32(j))
+			}
+		}
+	}
+	return n <= 1 || uf.Size(0) == n
 }
 
 // Shutdown removes all nodes from the simulator.

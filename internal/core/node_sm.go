@@ -12,7 +12,7 @@ import (
 //
 // Epoch layout for a member (R = 2T+2K+6 rounds, see EpochRounds):
 //
-//	p = 1             epoch init (capture leaving, reset failure tally)
+//	p = 1             epoch init (find the node's index in the arena)
 //	p = 2             collect hellos; start the rapid-sampling sub-phase
 //	p = 3 .. 2T+2     drive the sampler; on completion (p = 2T+2) send
 //	                  the Phase 1 placements
@@ -28,34 +28,32 @@ import (
 // p = 1, collect at p = 2..R, finalize at p = R) and then runs the
 // member program from the next epoch on.
 //
-// Between epochs a node keeps only its d/2 successor and predecessor
-// pairs. Everything else an epoch builds is in the plan's epochArena,
-// found by the slot's epoch index.
+// Between epochs a node keeps only its id: its d/2 successor and
+// predecessor pairs are its rows of the network's adopted topology
+// block, at its index in the member list. Everything an epoch builds is
+// in the plan's epochArena, found by the node's index in it, ix.
 type coreNode struct {
-	nw *Network
-	id int
-	st *slot
-
+	nw      *Network
+	id      int
+	p       int32 // rounds completed in the current epoch
+	ix      int32 // the node's index in the epoch's arena
 	joining bool
-	leaving bool // captured at p = 1 from the slot
-	sponsor int
-
-	p          int // rounds completed in the current epoch
-	succ, pred []int32
 }
 
 // epochArena is what Algorithm 3 builds in one epoch and no node needs
-// after its commit: the members' phase state, indexed by slot.ix, and
-// the payloads of the epoch's sends. RunEpoch makes one per epoch and
-// drops it once the report is read. A payload is written once and never
-// reused, so late, duplicated and retransmitted copies read what was
-// sent. topo is the one thing that outlives the arena: the new
-// topology, a row pair per node, adopted by the nodes and the driver.
+// after its commit: the nodes' slots and the members' phase state,
+// indexed by coreNode.ix, and the payloads of the epoch's sends. RunEpoch
+// makes one per epoch and drops it once the report is read. A payload
+// is written once and never reused, so late, duplicated and
+// retransmitted copies read what was sent. topo is the one thing that
+// outlives the arena: the new topology block, a row per new member (see
+// rows), which the network adopts.
 type epochArena struct {
+	slots     []slot        // one per old member, then one per joiner
 	members   []memberState // one per old member
 	cycles    []cycleState  // d/2 per old member
 	neighbors []int         // d per old member: the lists handed to sampling.Start
-	topo      []int32       // d per node: new successors, then predecessors
+	topo      []int32       // d per new member, at its slot's row
 
 	ids     slab[int32] // hosted joiners and placed ids
 	places  slab[placeMsg]
@@ -84,15 +82,16 @@ type cycleState struct {
 }
 
 // newEpochArena makes the arena of an epoch that n old members and
-// joins joiners run with degree d. Each slab's chunk is an eighth of
-// the n·d/2 (member, cycle) pairs, so it wastes at most that.
+// joins joiners run with degree d; RunEpoch sizes topo once it has
+// checked the leavers. Each slab's chunk is an eighth of the n·d/2
+// (member, cycle) pairs, so it wastes at most that.
 func newEpochArena(n, joins, d int) *epochArena {
 	chunk := max(n*d/16, 8)
 	return &epochArena{
+		slots:     make([]slot, n+joins),
 		members:   make([]memberState, n),
 		cycles:    make([]cycleState, n*d/2),
 		neighbors: make([]int, n*d),
-		topo:      make([]int32, (n+joins)*d),
 		ids:       slab[int32]{chunk: chunk},
 		places:    slab[placeMsg]{chunk: chunk},
 		resps:     slab[dblResp]{chunk: chunk},
@@ -100,12 +99,6 @@ func newEpochArena(n, joins, d int) *epochArena {
 		replies:   slab[boundReply]{chunk: chunk},
 		assigns:   slab[assignMsg]{chunk: chunk},
 	}
-}
-
-// rows returns node ix's new successor and predecessor rows of topo.
-func (a *epochArena) rows(ix int32, nc int) (succ, pred []int32) {
-	r := a.topo[2*nc*int(ix):][: 2*nc : 2*nc]
-	return r[:nc:nc], r[nc:]
 }
 
 // slab hands out elements of chunks it never reuses: a new chunk of at
@@ -134,13 +127,13 @@ func (s *slab[T]) put(v T) *T {
 
 // nextSample consumes the rapid-sampling budget in order, falling back
 // to a uniformly chosen reuse (a counted FailBudget) when it runs out.
-func (m *coreNode) nextSample(ctx *sim.Ctx, ms *memberState) int {
+func (m *coreNode) nextSample(ctx *sim.Ctx, ms *memberState, st *slot) int {
 	if ms.si < len(ms.samples) {
 		v := ms.samples[ms.si]
 		ms.si++
 		return v
 	}
-	m.st.fails[FailBudget]++
+	st.fails[FailBudget]++
 	if len(ms.samples) == 0 {
 		// Every sample was lost in transit (possible only under injected
 		// message faults): place at self rather than crash.
@@ -152,9 +145,12 @@ func (m *coreNode) nextSample(ctx *sim.Ctx, ms *memberState) int {
 // OnDeliveryFailure implements reliable.FailureHandler: an exhausted
 // retransmit budget is tallied as a FailDelivery protocol failure — the
 // graceful-degradation contract is that the node *knows* the message is
-// lost, and the epoch report shows it.
+// lost, and the epoch report shows it. A loss reported between the
+// node's commit and its next epoch's first round belongs to no epoch.
 func (m *coreNode) OnDeliveryFailure(to sim.NodeID) {
-	m.st.fails[FailDelivery]++
+	if m.p > 0 {
+		m.nw.plan.arena.slots[m.ix].fails[FailDelivery]++
+	}
 }
 
 // send is ctx.Send, shown to the network's tap first.
@@ -176,21 +172,21 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	if m.joining {
 		return m.joinerRound(ctx, inbox)
 	}
-	p, plan := m.p, nw.plan
-	a, ix := plan.arena, int(m.st.ix)
+	p, plan := int(m.p), nw.plan
+	if p == 1 {
+		// Epoch init; nothing is sent (joiners send hellos this round)
+		// and nothing arrives (the commit round is silent). The old
+		// members index the arena in member order.
+		m.ix = int32(nw.indexOf(m.id))
+	}
+	a, ix := plan.arena, int(m.ix)
+	st := &a.slots[ix]
 	nc := nw.cfg.D / 2
 	T, K, R, idBits := plan.T, plan.doubling, plan.rounds, plan.idBits
 	ms, cs := &a.members[ix], a.cycles[ix*nc:][:nc]
 
 	switch {
-	case p == 1:
-		// Epoch init; nothing is sent (joiners send hellos this round)
-		// and nothing arrives (the commit round is silent). The leaving
-		// flag is captured here because the driver may mark the node as
-		// a leaver of the NEXT epoch before this one has committed.
-		m.leaving = m.st.leaving
-		m.st.fails = [numFailKinds]int{}
-		m.st.assigned = 0
+	case p == 1: // the index, found above, is all there is to do
 
 	case p == 2:
 		// Collect hellos; start rapid node sampling (Algorithm 1) over
@@ -209,10 +205,11 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 		}
 		d := nw.cfg.D
 		neighbors := a.neighbors[ix*d:][:0:d]
+		succ, pred := nw.rows(ix)
 		for c := 0; c < nc; c++ {
-			neighbors = append(neighbors, int(m.pred[c]), int(m.succ[c]))
+			neighbors = append(neighbors, int(pred[c]), int(succ[c]))
 		}
-		ms.sampler.Start(ctx, plan.sampling, m.id, neighbors, &m.st.fails[FailSampling])
+		ms.sampler.Start(ctx, plan.sampling, m.id, neighbors, &st.fails[FailSampling])
 
 	case p <= 2*T+2:
 		if samples, done := ms.sampler.HandleRound(ctx, inbox, nil); done {
@@ -221,12 +218,12 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 			// sampled targets, one per cycle.
 			ms.samples = samples
 			for c := 0; c < nc; c++ {
-				if !m.leaving {
-					to := nw.idOf(m.nextSample(ctx, ms))
+				if !st.leaving {
+					to := nw.idOf(m.nextSample(ctx, ms, st))
 					m.send(ctx, to, a.places.put(placeMsg{Cycle: int8(c), ID: int32(m.id)}), idBits)
 				}
 				for _, j := range ms.joiners {
-					to := nw.idOf(m.nextSample(ctx, ms))
+					to := nw.idOf(m.nextSample(ctx, ms, st))
 					m.send(ctx, to, a.places.put(placeMsg{Cycle: int8(c), ID: j}), idBits)
 				}
 			}
@@ -256,8 +253,9 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 				r.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
 			}
 		}
+		succ, _ := nw.rows(ix)
 		for c := range cs {
-			cs[c].fwd = m.succ[c]
+			cs[c].fwd = succ[c]
 			m.send(ctx, nw.idOf(int(cs[c].fwd)), dblQuery{Cycle: int8(c)}, idBits)
 		}
 
@@ -307,7 +305,7 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 					cc := &cs[c]
 					if len(cc.seq) > 0 {
 						if !cc.resolved {
-							m.st.fails[FailDoubling]++
+							st.fails[FailDoubling]++
 							continue
 						}
 						m.send(ctx, nw.idOf(int(cc.fwd)),
@@ -327,7 +325,7 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 					// Two active predecessors, or a boundary sent to an
 					// inactive node (a late doubling response under
 					// latency spread): a doubling failure, no reply.
-					m.st.fails[FailBound]++
+					st.fails[FailBound]++
 					continue
 				}
 				cc.u0 = b.Last
@@ -352,11 +350,11 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 				continue
 			}
 			if !cc.haveU0 {
-				m.st.fails[FailBound]++
+				st.fails[FailBound]++
 				cc.u0 = seq[mLen-1]
 			}
 			if !cc.haveLast {
-				m.st.fails[FailBound]++
+				st.fails[FailBound]++
 				cc.uLast = seq[0]
 			}
 			for i := 0; i < mLen; i++ {
@@ -373,24 +371,23 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 		}
 
 	case p == R:
-		// Receive the new neighbors and commit the result to the
-		// driver's slot; the next OnRound is round 1 of the next epoch.
-		succ, pred := a.rows(m.st.ix, nc)
+		// A leaver departs; a staying member writes the new neighbors to
+		// its row of the new topology block. The next OnRound is round 1
+		// of the next epoch.
+		if st.leaving {
+			return false
+		}
+		succ, pred := rows(a.topo, int(st.row), nw.cfg.D)
 		for _, msg := range inbox {
 			if as, ok := msg.Payload.(*assignMsg); ok {
 				succ[as.Cycle] = as.Succ
 				pred[as.Cycle] = as.Pred
-				m.st.assigned++
+				st.assigned++
 			}
 		}
-		if !m.leaving && m.st.assigned != nc {
-			m.st.fails[FailAssign]++
+		if st.assigned != nc {
+			st.fails[FailAssign]++
 		}
-		m.st.succ, m.st.pred = succ, pred
-		if m.leaving {
-			return false
-		}
-		m.succ, m.pred = succ, pred
 		m.p = 0
 	}
 	return true
@@ -400,26 +397,25 @@ func (m *coreNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 // assignments until the epoch's final round, then become a member.
 func (m *coreNode) joinerRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	nw, plan := m.nw, m.nw.plan
+	st := &plan.arena.slots[m.ix]
 	if m.p == 1 {
-		m.send(ctx, nw.idOf(m.sponsor), helloMsg{ID: int32(m.id)}, plan.idBits)
-		m.succ, m.pred = plan.arena.rows(m.st.ix, nw.cfg.D/2)
-		m.st.assigned = 0
+		m.send(ctx, nw.idOf(int(st.sponsor)), helloMsg{ID: int32(m.id)}, plan.idBits)
 		return true
 	}
+	succ, pred := rows(plan.arena.topo, int(st.row), nw.cfg.D)
 	for _, msg := range inbox {
 		if a, ok := msg.Payload.(*assignMsg); ok {
-			m.succ[a.Cycle] = a.Succ
-			m.pred[a.Cycle] = a.Pred
-			m.st.assigned++
+			succ[a.Cycle] = a.Succ
+			pred[a.Cycle] = a.Pred
+			st.assigned++
 		}
 	}
-	if m.p < plan.rounds {
+	if int(m.p) < plan.rounds {
 		return true
 	}
-	if m.st.assigned != nw.cfg.D/2 {
-		m.st.fails[FailAssign]++
+	if st.assigned != nw.cfg.D/2 {
+		st.fails[FailAssign]++
 	}
-	m.st.succ, m.st.pred = m.succ, m.pred
 	m.joining = false
 	m.p = 0
 	return true

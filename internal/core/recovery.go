@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"maps"
-	"slices"
-)
+import "fmt"
 
 // This file is the §4 network's self-healing surface: deterministic
 // live-state corruption (fault.Corrupter) and a repair protocol that
@@ -18,24 +14,19 @@ func (nw *Network) Round() int { return nw.net.Round() }
 
 // CorruptState implements fault.Corrupter: it scrambles one member's
 // live successor pointer in one Hamilton cycle, redirecting it at a
-// hash-selected wrong member. The write goes through the shared backing
-// array the node goroutine's local slice aliases (adopted at the last
-// commit), so the corruption reaches the live protocol state, not just
-// the driver's bookkeeping. Must be
-// called between epochs, when every node goroutine is parked at the
-// round barrier.
+// hash-selected wrong member. The write goes to the adopted topology
+// block, which the member's node reads at the start of the next epoch,
+// so the corruption reaches the live protocol state, not just the
+// driver's bookkeeping. Must be called between epochs.
 func (nw *Network) CorruptState(pick uint64) string {
 	n := len(nw.members)
 	nc := nw.cfg.D / 2
 	if n < 3 || nc == 0 {
 		return ""
 	}
-	victim := nw.members[int(pick%uint64(n))]
+	vi := int(pick % uint64(n))
 	c := int((pick >> 32) % uint64(nc))
-	succ := nw.curSucc[victim]
-	if c >= len(succ) {
-		return ""
-	}
+	succ, _ := nw.rows(vi)
 	ti := int((pick >> 16) % uint64(n))
 	for int32(nw.members[ti]) == succ[c] {
 		ti = (ti + 1) % n
@@ -43,27 +34,30 @@ func (nw *Network) CorruptState(pick uint64) string {
 	target := nw.members[ti]
 	old := succ[c]
 	succ[c] = int32(target)
-	return fmt.Sprintf("member %d cycle %d successor %d -> %d", victim, c, old, target)
+	return fmt.Sprintf("member %d cycle %d successor %d -> %d", nw.members[vi], c, old, target)
 }
 
 // link is the pairwise half of the §2.2/§4 rule, read by the cycle walk
 // (cycleOrder, and through it ValidateTopology), the repair's suspect
-// scan (suspectMembers) and the stats (BuildGraph, maxEmptySegment): w
-// is member v's successor in cycle c when that is a member other than
-// v, else −1, and ok reports whether w's predecessor points back at v.
-// The curSucc and curPred keys are the member set.
-func (nw *Network) link(v, c int) (w int, ok bool) {
-	succ := nw.curSucc[v]
-	if c >= len(succ) {
+// scan (suspectMembers) and the stats (BuildGraph, connected,
+// maxEmptySegment), on member indices: j is member i's successor in
+// cycle c when that is a member other than i, else −1, and ok reports
+// whether j's predecessor points back at i.
+func (nw *Network) link(i, c int) (j int, ok bool) {
+	succ, _ := nw.rows(i)
+	if j = nw.indexOf(int(succ[c])); j < 0 || j == i {
 		return -1, false
 	}
-	w = int(succ[c])
-	pred, member := nw.curPred[w]
-	if !member || w == v {
-		return -1, false
-	}
-	return w, c < len(pred) && int(pred[c]) == v
+	_, pred := nw.rows(j)
+	return j, int(pred[c]) == nw.members[i]
 }
+
+// bitset is a set of member indices.
+type bitset []uint64
+
+func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
+func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+func (b bitset) add(i int)      { b[i/64] |= 1 << (i % 64) }
 
 // suspectMembers returns, sorted, the members the §2.2/§4 rule
 // (ValidateTopology) implicates: both ends of every broken link, and
@@ -71,51 +65,60 @@ func (nw *Network) link(v, c int) (w int, ok bool) {
 // members[0] cannot reach. For n ≥ 3 the result is empty exactly when
 // ValidateTopology is nil.
 func (nw *Network) suspectMembers() []int {
-	nc := nw.cfg.D / 2
-	suspect := make(map[int]bool)
-	for _, v := range nw.members {
+	n, nc := len(nw.members), nw.cfg.D/2
+	suspect, found := newBitset(n), false
+	for i := range n {
 		for c := 0; c < nc; c++ {
-			if w, ok := nw.link(v, c); !ok {
-				suspect[v] = true
-				if w >= 0 {
-					suspect[w] = true
+			if j, ok := nw.link(i, c); !ok {
+				suspect.add(i)
+				if j >= 0 {
+					suspect.add(j)
 				}
+				found = true
 			}
 		}
 	}
-	for c := 0; c < nc && len(suspect) == 0; c++ {
+	for c := 0; c < nc && !found; c++ {
 		order, reached, _ := nw.cycleOrder(c)
-		for _, id := range order[reached:] {
-			suspect[id] = true
+		for _, i := range order[reached:] {
+			suspect.add(i)
+			found = true
 		}
 	}
-	return slices.Sorted(maps.Keys(suspect))
+	var out []int
+	for i, id := range nw.members {
+		if suspect.has(i) {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
-// cycleOrder walks cycle c from members[0] along every link whose
+// cycleOrder walks cycle c from member 0 along every link whose
 // successor is another member, cut at the first dead reference or
 // early revisit: order is the walk followed by the unreached members in
-// member order, reached is the walk's length, and broken is the first
-// member on the walk whose link does not hold (−1 if none). When every
-// link holds, order[reached:] are the members a split cycle strands.
+// member order, as member indices, reached is the walk's length, and
+// broken is the first member on the walk whose link does not hold (−1
+// if none). When every link holds, order[reached:] are the members a
+// split cycle strands.
 func (nw *Network) cycleOrder(c int) (order []int, reached, broken int) {
 	n := len(nw.members)
-	visited := make(map[int]bool, n)
+	visited := newBitset(n)
 	order = make([]int, 0, n)
 	broken = -1
-	for v := nw.members[0]; v >= 0 && !visited[v]; {
-		visited[v] = true
-		order = append(order, v)
-		w, ok := nw.link(v, c)
+	for i := 0; i >= 0 && !visited.has(i); {
+		visited.add(i)
+		order = append(order, i)
+		j, ok := nw.link(i, c)
 		if !ok && broken < 0 {
-			broken = v
+			broken = i
 		}
-		v = w
+		i = j
 	}
 	reached = len(order)
-	for _, id := range nw.members {
-		if reached < n && !visited[id] {
-			order = append(order, id)
+	for i := 0; i < n && len(order) < n; i++ {
+		if !visited.has(i) {
+			order = append(order, i)
 		}
 	}
 	return order, reached, broken
@@ -123,9 +126,9 @@ func (nw *Network) cycleOrder(c int) (order []int, reached, broken int) {
 
 // quarantineCycles restores every Hamilton cycle to a legal successor
 // permutation before the splice epoch runs: each cycle's successor and
-// predecessor arrays are rewritten in place along its cycleOrder. The
-// writes go through the shared backing arrays the parked node
-// goroutines alias, so the protocol resumes with the quarantined pointers — the driver-level
+// predecessor rows are rewritten in place along its cycleOrder. The
+// writes go to the adopted topology block the nodes read, so the
+// protocol resumes with the quarantined pointers — the driver-level
 // analogue of a node dropping links it has detected as inconsistent
 // before re-running the join protocol. Returns the number of pointers
 // rewritten (0 when every cycle was already legal).
@@ -138,14 +141,14 @@ func (nw *Network) quarantineCycles() int {
 	fixed := 0
 	for c := 0; c < nc; c++ {
 		order, _, _ := nw.cycleOrder(c)
-		for i, id := range order {
-			w := order[(i+1)%n]
-			if succ := nw.curSucc[id]; c < len(succ) && int(succ[c]) != w {
-				succ[c] = int32(w)
+		for k, i := range order {
+			j := order[(k+1)%n]
+			if succ, _ := nw.rows(i); int(succ[c]) != nw.members[j] {
+				succ[c] = int32(nw.members[j])
 				fixed++
 			}
-			if pred := nw.curPred[w]; c < len(pred) && int(pred[c]) != id {
-				pred[c] = int32(id)
+			if _, pred := nw.rows(j); int(pred[c]) != nw.members[i] {
+				pred[c] = int32(nw.members[i])
 				fixed++
 			}
 		}

@@ -157,7 +157,7 @@ func (d dropRound) Deliveries(round int, _, _ NodeID, _ uint64) int {
 // nothing outside the live part
 // of a log segment or arena still references a payload (and nothing at
 // all after Shutdown), and no segment is referenced from outside the
-// segment list, after the release rule has dropped segments too;
+// segment list, after the idle rule has dropped the buffers too;
 // departed nodes leave no bookkeeping behind.
 func TestDroppedMessagesDoNotLeak(t *testing.T) {
 	const senders = 16
@@ -209,7 +209,7 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 		if k := net.straySegments(); k != 0 {
 			t.Fatalf("%s: %d log segments referenced from outside the segment list", lat, k)
 		}
-		net.Run(5 + trimRounds)
+		net.Run(5)
 		if lat == "sync" {
 			// Node 4 sends in rounds 1..6. The round-1 message arrives
 			// with the burst, the round-2 one is dropped in transit, and
@@ -217,8 +217,9 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 			if want := 1 + senders*leakBurst + 4; delivered != want {
 				t.Fatalf("delivered %d messages, want %d", delivered, want)
 			}
-			if segs := len(net.mail.segs); segs > 1 {
-				t.Fatalf("the quiet rounds kept %d log segments, want the release rule to drop all but one", segs)
+			if mb := &net.mail; mb.segs != nil || mb.arena != nil {
+				t.Fatalf("the silent round 8 kept %d log segments and an arena of %d, want the idle rule to drop both",
+					len(mb.segs), cap(mb.arena))
 			}
 		}
 		if k := net.stalePayloads(); k != 0 {
@@ -355,11 +356,11 @@ func TestEntrySizes(t *testing.T) {
 	}
 }
 
-// TestSealBeforeSilentTail pins the send log's reserve: when the last
-// seal of a round comes just before nodes that all stay silent, the empty
-// segment it opened does not stay in the log; a round of that shape every
-// time reuses it without allocating, and a round that opens no segment
-// lets it go.
+// TestSealBeforeSilentTail pins the send log across a seal that comes
+// just before nodes that all stay silent: the empty segment the seal
+// opened stays in the list, so a round of that shape every time reuses
+// it without allocating, and the first silent round lets every segment
+// go.
 func TestSealBeforeSilentTail(t *testing.T) {
 	const senders = 8 // segLen/senders each: segment 0 is full after the last
 	quiet, payload := false, any("tail")
@@ -374,17 +375,16 @@ func TestSealBeforeSilentTail(t *testing.T) {
 	}
 	net.SpawnHandler(senders+1, burst(0, nil))
 	net.Step()
-	if mb := &net.mail; len(mb.segs) != 1 || mb.reserve == nil {
-		t.Fatalf("segments %v and a reserve of %d after a seal before the silent tail, want one segment and a reserve",
-			net.segCaps(), cap(mb.reserve))
+	if mb := &net.mail; len(mb.segs) != 2 || len(mb.segs[1]) != 0 {
+		t.Fatalf("segments %v after a seal before the silent tail, want a full one and an empty one", net.segCaps())
 	}
 	if allocs := testing.AllocsPerRun(8, net.stepBounded); allocs != 0 {
 		t.Errorf("%v allocs per round of the same shape, want 0", allocs)
 	}
 	quiet = true
-	net.Step()
-	if mb := &net.mail; mb.reserve != nil || net.straySegments() != 0 {
-		t.Errorf("a round without a seal kept the reserve (%d) or a stray segment", cap(mb.reserve))
+	net.Step() // delivers the last burst; sends nothing
+	if mb := &net.mail; mb.segs != nil || mb.arena != nil || net.straySegments() != 0 {
+		t.Errorf("a silent round kept segments %v, an arena of %d or a stray segment", net.segCaps(), cap(mb.arena))
 	}
 	net.Shutdown()
 }
@@ -420,135 +420,77 @@ func pulseNet(lat Latency, fanout func(round int) int, bad *[64]int) *Network {
 	return net
 }
 
-// pulseBurst is the fanout of TestBuffersReleaseAfterQuietRounds's heavy
+// pulseBurst is the fanout of TestBuffersReleaseWhenIdle's heavy
 // rounds: 64 nodes send 5·segLen messages, past four seal points.
 const pulseBurst = 5 * segLen / 64
 
-// TestBuffersReleaseAfterQuietRounds pins the release rule on the
-// synchronous path: after one burst round the send log and the inbox
-// arena keep the burst's capacity through trimRounds-1 light
-// rounds, the next light round shrinks them to at most twice the
-// window's highest length without moving a pending message — the log by
-// dropping its trailing segments, leaving no reference to them — and
-// the released sizes then hold. The burst's return regrows the log by
-// whole segments and the arena to its first size. The calendar path
-// keeps its log. The sampler's shape, heavy rounds alternating with
-// rounds an eighth as heavy, never releases.
-func TestBuffersReleaseAfterQuietRounds(t *testing.T) {
-	const again = 2 + 3*trimRounds // the second burst
-	burstThenLight := func(r int) int {
-		if r == 1 || r == again {
+// TestBuffersReleaseWhenIdle pins the idle rule. A burst round followed
+// by light rounds that each send one message per node keeps the burst's
+// send-log and arena capacity, without moving a pending message. On the
+// synchronous path the first round that sends nothing leaves nothing in
+// flight and holds no buffer afterwards, and no payload or dropped
+// segment stays referenced; the burst's return regrows the log by the
+// same segments and the arena to its first size. The calendar path
+// never releases.
+func TestBuffersReleaseWhenIdle(t *testing.T) {
+	const (
+		light = 12 // rounds 2..light send one message per node
+		again = 16 // the second burst, after silent rounds
+	)
+	fanout := func(r int) int {
+		switch {
+		case r == 1 || r == again:
 			return pulseBurst
+		case r <= light || r > again:
+			return 1
 		}
-		return 1
+		return 0
 	}
 	for _, lat := range []Latency{{}, {Kind: LatencyConst, A: 1}} {
 		name := lat.String()
 		var bad [64]int
-		net := pulseNet(lat, burstThenLight, &bad)
+		net := pulseNet(lat, fanout, &bad)
 		net.Step() // the burst
 		_, burst := net.bufferSizes()
 		burstSegs := net.segCaps()
 		if len(burstSegs) < 4 {
 			t.Fatalf("%s: the burst filled %d log segments, want >= 4 (3 seals)", name, len(burstSegs))
 		}
-		high := make([]int, len(burst))
-		for q := 1; q < trimRounds; q++ {
+		for r := 2; r <= light+1; r++ { // round light+1 delivers the last light round, sending nothing
 			net.Step()
-			lens, caps := net.bufferSizes()
-			if !slices.Equal(caps, burst) {
-				t.Fatalf("%s: capacities moved after %d quiet rounds: %v -> %v", name, q, burst, caps)
-			}
-			for i, l := range lens {
-				high[i] = max(high[i], l)
+			if lens, caps := net.bufferSizes(); r <= light && !slices.Equal(caps, burst) {
+				t.Fatalf("%s: light round %d moved the capacities %v -> %v (lengths %v)", name, r, burst, caps, lens)
 			}
 		}
-		net.Step() // the window's last round, as light as the others
-		_, released := net.bufferSizes()
+		_, idle := net.bufferSizes()
 		if lat.Enabled() {
-			if !slices.Equal(released, burst) {
-				t.Errorf("%s: the calendar path released its buffers: %v -> %v", name, burst, released)
+			if !slices.Equal(idle, burst) {
+				t.Errorf("%s: the calendar path released its buffers: %v -> %v", name, burst, idle)
 			}
-		} else {
-			for i, c := range released {
-				if c <= 0 || c > 2*high[i] || c >= burst[i] {
-					t.Errorf("%s: buffer %d has capacity %d after the window, want in (0, %d] (burst %d)", name, i, c, 2*high[i], burst[i])
-				}
-			}
+		} else if mb := &net.mail; mb.segs != nil || mb.arena != nil || mb.log != nil {
+			t.Errorf("%s: a round that left nothing in flight kept log segments %v and an arena of %d",
+				name, net.segCaps(), cap(mb.arena))
 		}
 		if k := net.stalePayloads(); k != 0 {
-			t.Errorf("%s: %d payloads referenced beyond the released buffers", name, k)
+			t.Errorf("%s: %d payloads referenced beyond the buffers", name, k)
 		}
 		if k := net.straySegments(); k != 0 {
 			t.Errorf("%s: %d dropped log segments still referenced", name, k)
 		}
-		net.Run(2 * trimRounds)
-		if _, caps := net.bufferSizes(); !slices.Equal(caps, released) {
-			t.Errorf("%s: light rounds moved the released capacities: %v -> %v", name, released, caps)
+		net.Run(again - light - 2)
+		if _, caps := net.bufferSizes(); !slices.Equal(caps, idle) {
+			t.Errorf("%s: silent rounds moved the capacities: %v -> %v", name, idle, caps)
 		}
 		net.Step() // the second burst
 		_, regrown := net.bufferSizes()
-		segs := net.segCaps()
-		if len(segs) != len(burstSegs) || regrown[1] != burst[1] {
-			t.Errorf("%s: the second burst regrew %d segments and an arena of %d, the first %d and %d",
-				name, len(segs), regrown[1], len(burstSegs), burst[1])
-		}
-		for i, c := range segs[1:] {
-			if c != burstSegs[i+1] {
-				t.Errorf("%s: the second burst's segment %d has capacity %d, the first's %d", name, i+1, c, burstSegs[i+1])
-			}
+		if segs := net.segCaps(); !slices.Equal(segs, burstSegs) || regrown[1] != burst[1] {
+			t.Errorf("%s: the second burst regrew segments %v and an arena of %d, the first %v and %d",
+				name, segs, regrown[1], burstSegs, burst[1])
 		}
 		net.Run(2) // deliver it, then a checked light round
 		if bad != [64]int{} {
 			t.Errorf("%s: light-round inboxes arrived wrong, per node: %v", name, bad)
 		}
 		net.Shutdown()
-
-		net = pulseNet(lat, func(r int) int { return pulseBurst/8 + (pulseBurst-pulseBurst/8)*(r%2) }, &bad)
-		net.Step()
-		_, first := net.bufferSizes()
-		for r := 2; r <= 64; r++ {
-			net.Step()
-			if _, caps := net.bufferSizes(); !slices.Equal(caps, first) {
-				t.Fatalf("%s: 8:1 alternation moved the capacities in round %d: %v -> %v", name, r, first, caps)
-			}
-		}
-		net.Shutdown()
 	}
-}
-
-// TestTrimObserve walks the release rule through a §4-like life: a
-// burst, a first release that keeps the tail's traffic, a second down to
-// the light rounds, the burst's return (which only restarts the window:
-// the buffer regrows by itself), a window a busy round interrupts, and a
-// release out of total silence.
-func TestTrimObserve(t *testing.T) {
-	var tr trim
-	step := func(length, capacity, want int) {
-		t.Helper()
-		if got := tr.observe(length, capacity); got != want {
-			t.Fatalf("observe(%d, %d) = %d, want %d (state %+v)", length, capacity, got, want, tr)
-		}
-	}
-	step(1000, 1200, -1) // the burst
-	for q := 1; q < trimRounds; q++ {
-		step(100+q, 1200, -1)
-	}
-	step(100, 1200, 2*(100+trimRounds-1)) // window high 107
-	for q := 1; q < trimRounds; q++ {
-		step(20, 214, -1)
-	}
-	step(25, 214, 50)    // released again
-	step(40, 64, -1)     // regrown a little
-	step(1100, 1200, -1) // the burst is back, at its own size
-	for q := 1; q < trimRounds; q++ {
-		step(5, 1200, -1)
-	}
-	step(300, 1200, -1) // a busy round restarts the window
-	for q := 1; q < trimRounds; q++ {
-		step(0, 1200, -1)
-	}
-	step(0, 1200, 0) // silence: released to nothing
-	step(9, 16, -1)
-	step(90, 128, -1)
 }

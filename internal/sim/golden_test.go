@@ -28,7 +28,7 @@ const (
 
 // goldenBurst is the extra fanout of a heavy round: 64 against the
 // quiet rounds' average of 2, so a burst outgrows the quiet rounds
-// around it by more than the factor the buffer release rule waits for.
+// around it thirty-fold.
 const goldenBurst = 64
 
 // goldenSealFanout and goldenGiant size the seal cases' traffic: a heavy
@@ -255,9 +255,9 @@ func (ex *exercised) observe(prev, g *goldenNode) {
 
 func TestDeliveryTranscriptGolden(t *testing.T) {
 	// The burst cases send goldenBurst more in rounds 3-4 and 24, so the
-	// synchronous kernel's buffers are released at the end of rounds
-	// whose halts and spawns into recycled slots leave inboxes
-	// pending, and regrown by the second burst.
+	// kernel's buffers hold a burst's capacity through rounds whose halts
+	// and spawns into recycled slots leave inboxes pending, and none may
+	// be released then.
 	burst := goldenLoad{heavy: map[int]bool{3: true, 4: true, 24: true}, extra: goldenBurst}
 	seals := goldenLoad{heavy: map[int]bool{4: true, 5: true, 20: true}, extra: goldenSealFanout,
 		giant: map[int]bool{10: true, 20: true}}
@@ -289,8 +289,8 @@ func TestDeliveryTranscriptGolden(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s %s: transcript digest %#x, want %#x", tc.lat, tc.name, got, tc.want)
 		}
-		if tc.load.heavy != nil && !lat.Enabled() && ex.releases == 0 {
-			t.Errorf("%s %s: no buffer was released with inboxes pending", tc.lat, tc.name)
+		if ex.releases != 0 {
+			t.Errorf("%s %s: %d buffers were released with inboxes pending", tc.lat, tc.name, ex.releases)
 		}
 		if tc.name == "seals" && (ex.seals < 3 || ex.giants == 0) {
 			t.Errorf("%s %s: the log was not exercised across seals: %+v", tc.lat, tc.name, ex)

@@ -82,21 +82,18 @@ type sent struct {
 // round's inboxes, one contiguous range per receiver slot. Both are
 // overwritten every round, so only what the new round no longer covers
 // is cleared and a steady state allocates nothing; a burst's capacity is
-// given back by the release rule (see trim). Under a latency model cal
-// is the calendar: cal[k] holds the copies due k+1 rounds after the
-// round in progress, in send order; place delivers cal[0] with the log
-// and recycles it as the last bucket.
+// given back by the idle rule (see Step). Under a latency model cal is
+// the calendar: cal[k] holds the copies due k+1 rounds after the round
+// in progress, in send order; place delivers cal[0] with the log and
+// recycles it as the last bucket.
 type mailbag struct {
-	log     []sent   // the open segment: Ctx.sendRaw appends here
-	segs    [][]sent // every segment; segs[:cur+1] hold this round's sends
-	cur     int      // the open segment's index in segs
-	stale   int      // the open segment's length in the round before
-	widest  int      // most sends of one node this round, at most segLen/4
-	reserve []sent   // an empty segment kept for the next round's seal
-	arena   []Message
-	cal     []bucket
-
-	logTrim, arenaTrim trim
+	log    []sent   // the open segment: Ctx.sendRaw appends here
+	segs   [][]sent // every segment; segs[:cur+1] hold this round's sends
+	cur    int      // the open segment's index in segs
+	stale  int      // the open segment's length in the round before
+	widest int      // most sends of one node this round, at most segLen/4
+	arena  []Message
+	cal    []bucket
 }
 
 // segLen is the length at which the send log's open segment may be
@@ -114,98 +111,13 @@ type mailbag struct {
 // (most of them) sees exactly the single log's capacities.
 const segLen = 4096
 
-// The release rule (synchronous path): a send log or inbox arena whose
-// end-of-round length stays under 1/trimShare of its capacity for
-// trimRounds consecutive rounds is cut to twice the highest length of
-// that window. A §4 epoch's sampling rounds send hundreds of times the
-// messages of the rounds after them; without the rule both buffers would
-// keep that burst's size for the life of the network. A sampler's
-// heavy/light alternation never keeps a buffer quiet long enough to
-// release it, and a steady flood never goes quiet at all. A released
-// buffer regrows at the burst's size when the burst returns, without
-// copying: the log by whole segments, the arena in place's one exact
-// allocation. Lengths are a pure function of the run, so the rule is
-// deterministic, and it moves no message. Under a latency model the
-// kernel keeps its buffers: releasing them there pays the regrowth of
-// every stretched reliable phase and retains more, not less.
-const (
-	trimRounds = 8
-	trimShare  = 4
-)
-
-// trim is one buffer's release window: how many consecutive rounds it
-// has been quiet and the highest length it held in them.
-type trim struct {
-	quiet, high int
-}
-
-// observe records a buffer's end-of-round length and capacity and
-// returns the capacity to cut it to, or -1 to keep it.
-func (t *trim) observe(length, capacity int) int {
-	if trimShare*length >= capacity {
-		*t = trim{}
-		return -1
-	}
-	t.quiet++
-	t.high = max(t.high, length)
-	if t.quiet < trimRounds {
-		return -1
-	}
-	c := 2 * t.high
-	*t = trim{}
-	return c
-}
-
-// release applies the release rule at the end of a synchronous round.
-// The log is dead by then (the send step consumed it): it keeps the
-// shortest prefix of its segments that holds the target and drops the
-// rest, reallocating only a segment 0 larger than the target. The arena
-// holds the next round's inboxes, whose live prefix is copied so every
-// slot's inLo/inHi stays valid.
-//
-// Before the rule, a last segment the round sealed its way into and then
-// wrote nothing to leaves the list: it waits one round as the reserve
-// the next new segment is taken from, and goes if that round opens none.
-// A seal cannot know that every later node stays silent. Kept, such a
-// segment is held by a network that never needed it (a §4 epoch ends on
-// such a round: 2,482 instead of 2,262 retained B/node at N₀ = 1024);
-// dropped at once, a round of that shape every time would allocate one.
-func (n *Network) release() {
-	mb := &n.mail
-	mb.reserve = nil
-	if last := len(mb.segs) - 1; last > 0 && last == mb.cur && len(mb.segs[last]) == 0 {
-		mb.reserve, mb.segs[last], mb.segs = mb.segs[last], nil, mb.segs[:last]
-	}
-	length, capacity := 0, 0
-	for _, seg := range mb.segs {
-		length, capacity = length+len(seg), capacity+cap(seg)
-	}
-	if c := mb.logTrim.observe(length, capacity); c >= 0 {
-		keep := 0
-		for have := 0; have < c; keep++ {
-			have += cap(mb.segs[keep])
-		}
-		if keep == 1 && cap(mb.segs[0]) > c {
-			mb.segs[0] = make([]sent, 0, c)
-		}
-		clear(mb.segs[keep:]) // no reference may outlive the drop in the spare capacity
-		mb.segs = mb.segs[:keep]
-	}
-	if c := mb.arenaTrim.observe(len(mb.arena), cap(mb.arena)); c >= 0 {
-		mb.arena = append(make([]Message, 0, c), mb.arena...)
-	}
-}
-
-// open makes segment i the open one — a new segment (the reserve, if
-// there is one) if there is none yet — and remembers its length from the
-// round before for close.
+// open makes segment i the open one — a new segment if there is none
+// yet — and remembers its length from the round before for close.
 func (mb *mailbag) open(i int) {
 	if i == len(mb.segs) {
 		var seg []sent // segment 0 grows by append
 		if i > 0 {
-			if seg, mb.reserve = mb.reserve, nil; seg == nil {
-				seg = make([]sent, 0, segLen+segLen/4)
-			}
+			seg = make([]sent, 0, segLen+segLen/4)
 		}
 		mb.segs = append(mb.segs, seg)
 	}
@@ -602,8 +514,16 @@ func (n *Network) Step() {
 	if anyHalted {
 		n.reap()
 	}
-	if !n.async {
-		n.release()
+	// The idle rule: a synchronous round whose send step placed nothing
+	// leaves nothing in flight, so the log and the arena go, with every
+	// payload they reference. A §4 epoch ends on such a round, so its
+	// buffers do not outlive it; a steady flood is never idle, and a
+	// burst followed by light rounds keeps its capacity until one is.
+	// The check is one length per round, never one per send. Under a
+	// latency model the kernel keeps its buffers: releasing them there
+	// pays the regrowth of every stretched reliable phase.
+	if mb := &n.mail; !n.async && len(mb.arena) == 0 {
+		mb.segs, mb.arena = nil, nil
 	}
 	n.work = append(n.work, rs.Work)
 	if n.tracer != nil {
@@ -673,7 +593,7 @@ func (n *Network) compute() {
 	// Release the payloads of whatever this round's log no longer covers:
 	// the open segment's old tail, and all of the spare segments this
 	// round did not reach. Between rounds only the list holds a segment,
-	// so the release rule's drop is a real one.
+	// so the idle rule's drop is a real one.
 	mb.close()
 	mb.log = nil
 	for i := mb.cur + 1; i < len(mb.segs); i++ {
