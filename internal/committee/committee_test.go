@@ -47,7 +47,7 @@ func newToy(k, d, shards int) *toy {
 			id := sim.NodeID(3*x + k)
 			g = append(g, id)
 			e.NodeGroup[id-1] = int32(x)
-			e.NodeR[id-1] = *seed.Split(uint64(id))
+			e.NodeR[id-1] = seed.Split(uint64(id))
 		}
 		ty.members = append(ty.members, g)
 	}

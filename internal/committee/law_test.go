@@ -46,7 +46,7 @@ func lawCounts(t *testing.T, c lawCube, seed0, seeds int) (abs, rel, pair []int,
 	for s := seed0; s < seed0+seeds; s++ {
 		root := rng.New(uint64(s))
 		for i := range e.NodeR {
-			e.NodeR[i] = *root.Split(uint64(i) + 1)
+			e.NodeR[i] = root.Split(uint64(i) + 1)
 		}
 		e.Reset(n, c.d, c.mi)
 		clear(e.Owner)

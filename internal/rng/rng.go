@@ -56,10 +56,11 @@ func New(seed uint64) *RNG {
 
 // Split derives a new independent generator from this one and the given
 // stream identifier. Two Splits with different ids yield generators with
-// unrelated streams; Split does not advance the parent.
-func (r *RNG) Split(id uint64) *RNG {
+// unrelated streams; Split does not advance the parent. The generator is
+// returned by value, so a caller that keeps it inline allocates nothing.
+func (r *RNG) Split(id uint64) RNG {
 	x := r.s[0] ^ bits.RotateLeft64(r.s[2], 17) ^ (id * 0xd1342543de82ef95)
-	n := &RNG{}
+	var n RNG
 	for i := range n.s {
 		n.s[i] = splitmix64(&x)
 	}

@@ -111,7 +111,7 @@ func onCommittees(seed uint64, p KAryParams) *RapidResult {
 	for v := range n {
 		ids[v], verts[v] = vertexID(v), int32(v)
 		members[v], owned[v] = ids[v:v+1:v+1], verts[v:v+1:v+1]
-		e.NodeR[v] = *root.Split(uint64(vertexID(v)))
+		e.NodeR[v] = root.Split(uint64(vertexID(v)))
 	}
 	mi := make([]int, p.T()+1)
 	for i := range mi {

@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"maps"
 	"slices"
 	"testing"
 	"unsafe"
@@ -36,11 +40,19 @@ func (n *Network) alive() []NodeID {
 	return ids
 }
 
-// inboxOf returns the pending inbox of a live node: its range of the
-// arena.
+// inRange returns slot s's pending inbox as a range of the arena: empty
+// for a slot the round scratch does not cover.
+func (n *Network) inRange(s int32) (lo, hi int32) {
+	if int(s) < len(n.scratch) {
+		return n.scratch[s].inLo, n.scratch[s].inHi
+	}
+	return 0, 0
+}
+
+// inboxOf returns the pending inbox of a live node.
 func (n *Network) inboxOf(id NodeID) []Message {
-	st := &n.slots[n.slotOf(id)]
-	return n.mail.arena[st.inLo:st.inHi]
+	lo, hi := n.inRange(n.slotOf(id))
+	return n.mail.arena[lo:hi]
 }
 
 // stalePayloads counts payload references the delivery state holds
@@ -236,7 +248,7 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 			t.Fatalf("%s: Shutdown kept the log/arena/calendar", lat)
 		}
 		for s := range net.slots {
-			if st := &net.slots[s]; st.inLo != st.inHi {
+			if lo, hi := net.inRange(int32(s)); lo != hi {
 				t.Fatalf("%s: slot %d kept its inbox range after shutdown", lat, s)
 			}
 		}
@@ -282,8 +294,8 @@ func TestKilledNodeBuffersReleased(t *testing.T) {
 			if net.slotOf(id) >= 0 || net.indexed() != senders {
 				t.Fatalf("%s: halted node %d still tracked: exists=%v indexed=%d", spec, id, net.slotOf(id) >= 0, net.indexed())
 			}
-			if st := &net.slots[s]; st.inLo != st.inHi || st.h != nil || st.ctx != nil {
-				t.Fatalf("%s: freed slot keeps state: %+v", spec, *st)
+			if lo, hi := net.inRange(s); lo != hi || net.slots[s].h != nil || net.slots[s].ctx != nil {
+				t.Fatalf("%s: freed slot keeps state: %+v, inbox [%d, %d)", spec, net.slots[s], lo, hi)
 			}
 			if inFlight := net.inFlightTo(id); lat.Enabled() != (inFlight > 0) {
 				t.Fatalf("%s: test premise broken: %d copies in flight to the halted node", spec, inFlight)
@@ -342,17 +354,25 @@ func TestInboxBufferReuse(t *testing.T) {
 
 // TestEntrySizes pins the layouts the kernel's memory figures rest on,
 // on 64-bit hosts: a send-log or calendar entry is 56 B (the arrival
-// tick fills the padding after the copy count) and a node-table slot,
-// which holds no buffer, 72 B.
+// tick fills the padding after the copy count). What a node keeps from
+// round to round is a node-table slot, which holds no buffer, of 48 B
+// and a Ctx of 64 B; its 24 B of round scratch go with the idle rule.
 func TestEntrySizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned on 64-bit hosts")
 	}
-	if got := unsafe.Sizeof(sent{}); got != 56 {
-		t.Errorf("sent is %d B, want 56", got)
-	}
-	if got := unsafe.Sizeof(nodeState{}); got != 72 {
-		t.Errorf("nodeState is %d B, want 72", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"sent", unsafe.Sizeof(sent{}), 56},
+		{"nodeState", unsafe.Sizeof(nodeState{}), 48},
+		{"Ctx", unsafe.Sizeof(Ctx{}), 64},
+		{"roundSlot", unsafe.Sizeof(roundSlot{}), 24},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d B, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -394,13 +414,14 @@ func TestSealBeforeSilentTail(t *testing.T) {
 // carries (r, v); the rest spread over the others. So after a round of
 // fanout 1 every node receives exactly one message, from a known
 // sender: such inboxes are checked, and bad[v] counts node v's wrong
-// ones.
-func pulseNet(lat Latency, fanout func(round int) int, bad *[64]int) *Network {
+// ones. Every inbox, with the receiver and the round, goes into h.
+func pulseNet(lat Latency, fanout func(round int) int, bad *[64]int, h hash.Hash64) *Network {
 	const nodes = 64
 	net := NewNetwork(Config{Seed: 4, Latency: lat})
 	for v := 0; v < nodes; v++ {
 		net.SpawnHandler(NodeID(v+1), HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
 			r := ctx.Round()
+			hashInbox(h, ctx, inbox)
 			if r > 1 && fanout(r-1) == 1 {
 				u := ((v-r+1)%nodes + nodes) % nodes
 				if len(inbox) != 1 || inbox[0].From != NodeID(u+1) || inbox[0].Payload != [2]int{r - 1, u} {
@@ -420,18 +441,31 @@ func pulseNet(lat Latency, fanout func(round int) int, bad *[64]int) *Network {
 	return net
 }
 
+// hashInbox folds a node's inbox of the round into h.
+func hashInbox(h hash.Hash64, ctx *Ctx, inbox []Message) {
+	fmt.Fprintf(h, "%d %d:", ctx.Round(), ctx.ID())
+	for _, m := range inbox {
+		fmt.Fprintf(h, " %d %v %d", m.From, m.Payload, m.Bits)
+	}
+	fmt.Fprintln(h)
+}
+
 // pulseBurst is the fanout of TestBuffersReleaseWhenIdle's heavy
 // rounds: 64 nodes send 5·segLen messages, past four seal points.
 const pulseBurst = 5 * segLen / 64
 
 // TestBuffersReleaseWhenIdle pins the idle rule. A burst round followed
 // by light rounds that each send one message per node keeps the burst's
-// send-log and arena capacity, without moving a pending message. On the
-// synchronous path the first round that sends nothing leaves nothing in
-// flight and holds no buffer afterwards, and no payload or dropped
-// segment stays referenced; the burst's return regrows the log by the
-// same segments and the arena to its first size. The calendar path
-// never releases.
+// send-log and arena capacity, without moving a pending message, and a
+// node spawned between two of them joins the round scratch without
+// moving one either. On the synchronous path the first round that sends
+// nothing leaves nothing in flight and holds no buffer afterwards: no
+// log, arena, round scratch or cursor, and no payload or dropped segment
+// stays referenced. A node spawned then starts with an empty inbox, and
+// the burst's return regrows the log by the same segments and the arena
+// to its first size. The calendar path never releases; at zero spread it
+// delivers what the synchronous path does, so every inbox of the two
+// runs hashes alike.
 func TestBuffersReleaseWhenIdle(t *testing.T) {
 	const (
 		light = 12 // rounds 2..light send one message per node
@@ -446,10 +480,27 @@ func TestBuffersReleaseWhenIdle(t *testing.T) {
 		}
 		return 0
 	}
+	digests := map[string]uint64{}
 	for _, lat := range []Latency{{}, {Kind: LatencyConst, A: 1}} {
 		name := lat.String()
 		var bad [64]int
-		net := pulseNet(lat, fanout, &bad)
+		h := fnv.New64a()
+		net := pulseNet(lat, fanout, &bad, h)
+		// The two late nodes, 65 and 66, record their first and their last
+		// inbox, and send each other one message in the round after the
+		// second burst.
+		first, last := map[NodeID]int{}, map[NodeID]int{}
+		late := HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+			hashInbox(h, ctx, inbox)
+			if _, ok := first[ctx.ID()]; !ok {
+				first[ctx.ID()] = len(inbox)
+			}
+			last[ctx.ID()] = len(inbox)
+			if ctx.Round() == again+1 {
+				ctx.Send(131-ctx.ID(), "late", 8)
+			}
+			return true
+		})
 		net.Step() // the burst
 		_, burst := net.bufferSizes()
 		burstSegs := net.segCaps()
@@ -457,6 +508,9 @@ func TestBuffersReleaseWhenIdle(t *testing.T) {
 			t.Fatalf("%s: the burst filled %d log segments, want >= 4 (3 seals)", name, len(burstSegs))
 		}
 		for r := 2; r <= light+1; r++ { // round light+1 delivers the last light round, sending nothing
+			if r == light/2 {
+				net.SpawnHandler(65, late) // inboxes are pending
+			}
 			net.Step()
 			if lens, caps := net.bufferSizes(); r <= light && !slices.Equal(caps, burst) {
 				t.Fatalf("%s: light round %d moved the capacities %v -> %v (lengths %v)", name, r, burst, caps, lens)
@@ -464,12 +518,13 @@ func TestBuffersReleaseWhenIdle(t *testing.T) {
 		}
 		_, idle := net.bufferSizes()
 		if lat.Enabled() {
-			if !slices.Equal(idle, burst) {
-				t.Errorf("%s: the calendar path released its buffers: %v -> %v", name, burst, idle)
+			if !slices.Equal(idle, burst) || len(net.scratch) != len(net.slots) || len(net.cursor) != len(net.slots) {
+				t.Errorf("%s: the calendar path released its buffers: %v -> %v, scratch %d and cursor %d of %d slots",
+					name, burst, idle, len(net.scratch), len(net.cursor), len(net.slots))
 			}
-		} else if mb := &net.mail; mb.segs != nil || mb.arena != nil || mb.log != nil {
-			t.Errorf("%s: a round that left nothing in flight kept log segments %v and an arena of %d",
-				name, net.segCaps(), cap(mb.arena))
+		} else if mb := &net.mail; mb.segs != nil || mb.arena != nil || mb.log != nil || net.scratch != nil || net.cursor != nil {
+			t.Errorf("%s: a round that left nothing in flight kept log segments %v, an arena of %d, a round scratch of %d or a cursor of %d",
+				name, net.segCaps(), cap(mb.arena), cap(net.scratch), cap(net.cursor))
 		}
 		if k := net.stalePayloads(); k != 0 {
 			t.Errorf("%s: %d payloads referenced beyond the buffers", name, k)
@@ -477,9 +532,13 @@ func TestBuffersReleaseWhenIdle(t *testing.T) {
 		if k := net.straySegments(); k != 0 {
 			t.Errorf("%s: %d dropped log segments still referenced", name, k)
 		}
+		net.SpawnHandler(66, late) // nothing is in flight
 		net.Run(again - light - 2)
 		if _, caps := net.bufferSizes(); !slices.Equal(caps, idle) {
 			t.Errorf("%s: silent rounds moved the capacities: %v -> %v", name, idle, caps)
+		}
+		if !lat.Enabled() && net.scratch != nil {
+			t.Errorf("%s: silent rounds made a round scratch of %d", name, len(net.scratch))
 		}
 		net.Step() // the second burst
 		_, regrown := net.bufferSizes()
@@ -487,10 +546,25 @@ func TestBuffersReleaseWhenIdle(t *testing.T) {
 			t.Errorf("%s: the second burst regrew segments %v and an arena of %d, the first %v and %d",
 				name, segs, regrown[1], burstSegs, burst[1])
 		}
-		net.Run(2) // deliver it, then a checked light round
+		if len(net.scratch) != len(net.slots) || len(net.cursor) != len(net.slots) {
+			t.Errorf("%s: the second burst regrew a round scratch of %d and a cursor of %d for %d slots",
+				name, len(net.scratch), len(net.cursor), len(net.slots))
+		}
+		net.Run(2) // deliver it, then a checked light round and the late nodes' exchange
 		if bad != [64]int{} {
 			t.Errorf("%s: light-round inboxes arrived wrong, per node: %v", name, bad)
 		}
+		if want := map[NodeID]int{65: 0, 66: 0}; !maps.Equal(first, want) {
+			t.Errorf("%s: the late nodes' first inboxes held %v messages, want %v", name, first, want)
+		}
+		if want := map[NodeID]int{65: 1, 66: 1}; !maps.Equal(last, want) {
+			t.Errorf("%s: the late nodes' last inboxes held %v messages, want %v", name, last, want)
+		}
+		digests[name] = h.Sum64()
 		net.Shutdown()
+	}
+	if digests["sync"] != digests["const:1"] {
+		t.Errorf("the synchronous path, which released and regrew its buffers, delivered inboxes %#x; the calendar path %#x",
+			digests["sync"], digests["const:1"])
 	}
 }

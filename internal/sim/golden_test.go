@@ -189,8 +189,8 @@ func deliveryTranscript(lat Latency, load goldenLoad) (digest uint64, ex exercis
 	spawn(goldenSparse+1, 0)
 	pending := func() (k int) {
 		for _, s := range net.order {
-			st := &net.slots[s]
-			k += int(st.inHi - st.inLo)
+			lo, hi := net.inRange(s)
+			k += int(hi - lo)
 		}
 		return k
 	}

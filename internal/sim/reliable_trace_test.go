@@ -52,3 +52,53 @@ func TestTracedWorkIsLoggedWork(t *testing.T) {
 		t.Fatalf("scenario sent %d control-lane messages, %d retransmits; want both", ctl, retx)
 	}
 }
+
+// TestReliabilityReportsAddUp: the delivery failures, stale deliveries
+// and ack delays that several nodes report in one round are that
+// round's RoundStats.Reliability, summed over the rounds into
+// ReliabilityStats. Round 1 sends nothing (no round scratch); rounds 2
+// and 3 flood; round 4 reports nothing.
+func TestReliabilityReportsAddUp(t *testing.T) {
+	const n = 6
+	net := NewNetwork(Config{Seed: 3})
+	tr := &faultTracer{}
+	net.SetTracer(tr)
+	for i := 1; i <= n; i++ {
+		net.SpawnHandler(NodeID(i), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+			r := ctx.Round()
+			if r == 4 {
+				return true
+			}
+			for k := 0; k < i; k++ {
+				ctx.ReportDeliveryFailure()
+			}
+			for k := 0; k < r*i; k++ {
+				ctx.ReportStaleDelivery()
+			}
+			ctx.ObserveAckDelay(1 << (i - 1)) // bucket i-1
+			ctx.ObserveAckDelay(0)            // bucket 0
+			if r > 1 {
+				ctx.Send(NodeID(i%n+1), r, 8)
+			}
+			return true
+		}))
+	}
+	net.Run(4)
+	var sum ReliabilityTotals
+	for _, st := range tr.stats {
+		var want ReliabilityRoundStats
+		if st.Round < 4 {
+			want = ReliabilityRoundStats{Failures: n * (n + 1) / 2, Stale: st.Round * n * (n + 1) / 2,
+				AckDelay: [8]int32{n + 1, 1, 1, 1, 1, 1}}
+		}
+		if st.Reliability != want {
+			t.Errorf("round %d: reliability %+v, want %+v", st.Round, st.Reliability, want)
+		}
+		sum.Failures += int64(st.Reliability.Failures)
+		sum.Stale += int64(st.Reliability.Stale)
+	}
+	if got := net.ReliabilityStats(); got != sum || sum.Failures != 3*n*(n+1)/2 {
+		t.Errorf("ReliabilityStats %+v, the rounds' sum %+v", got, sum)
+	}
+	net.Shutdown()
+}

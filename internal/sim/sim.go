@@ -248,20 +248,27 @@ type ReliabilityTotals struct {
 
 type haltSignal struct{}
 
-// nodeState is one dense slot of the node table. It owns no message
-// buffer: this round's sends are [outLo, outHi) of one send-log segment
-// and the pending inbox is mail.arena[inLo:inHi]. Slots are recycled
-// through a free list when nodes depart.
+// nodeState is one dense slot of the node table: what outlives a round.
+// It owns no message buffer; where the slot's sends and pending inbox lie
+// is its roundSlot. Slots are recycled through a free list when nodes
+// depart.
 type nodeState struct {
-	id           NodeID
-	h            Handler
-	ctx          *Ctx
-	seq          uint64
+	id     NodeID
+	h      Handler
+	ctx    *Ctx
+	seq    uint64
+	live   bool // slot is occupied
+	halted bool // handler returned false
+}
+
+// roundSlot is a slot's part of the round scratch, which lives from one
+// round's compute to the next round's place: this round's sends are
+// [outLo, outHi) of one send-log segment and the pending inbox is
+// mail.arena[inLo:inHi]. The idle rule drops the scratch with the arena.
+type roundSlot struct {
 	bits         int64 // sent+received bits in the current round
 	outLo, outHi int32
 	inLo, inHi   int32
-	live         bool // slot is occupied
-	halted       bool // handler returned false
 }
 
 // Network coordinates the synchronous rounds. It is not safe for
@@ -284,8 +291,12 @@ type Network struct {
 	spawned int
 	hint    int
 
-	mail   mailbag // send log and inbox arena
-	cursor []int32 // per-slot count, then write cursor, of the send step
+	mail mailbag // send log and inbox arena
+	// The round scratch, indexed by slot: nil, or as long as slots at
+	// the start of compute (see fitScratch). cursor is the send step's
+	// per-slot count, then write cursor.
+	scratch []roundSlot
+	cursor  []int32
 
 	work []RoundWork
 
@@ -340,7 +351,6 @@ func NewNetwork(cfg Config) *Network {
 		n.slots = make([]nodeState, 0, hint)
 		n.order = make([]int32, 0, hint)
 		n.dense = make([]int32, 0, hint+1)
-		n.cursor = make([]int32, 0, hint)
 	}
 	return n
 }
@@ -426,8 +436,18 @@ func (n *Network) allocSlot() int32 {
 	}
 	s := int32(len(n.slots))
 	n.slots = append(n.slots, nodeState{})
-	n.cursor = append(n.cursor, 0)
 	return s
+}
+
+// fitScratch extends the round scratch over slots spawned since it was
+// last fitted, keeping the inbox ranges already placed, or makes it when
+// it is nil. Every slot it adds starts with an empty inbox.
+func (n *Network) fitScratch() []roundSlot {
+	if k := len(n.slots) - len(n.scratch); k > 0 {
+		n.scratch = append(n.scratch, make([]roundSlot, k)...)
+		n.cursor = append(n.cursor, make([]int32, k)...)
+	}
+	return n.scratch
 }
 
 // freeSlot returns a departed node's slot to the free list: the handler
@@ -443,6 +463,9 @@ func (n *Network) freeSlot(s int32) {
 		a.stop()
 	}
 	*st = nodeState{}
+	if int(s) < len(n.scratch) {
+		n.scratch[s] = roundSlot{}
+	}
 	n.free = append(n.free, s)
 }
 
@@ -462,7 +485,7 @@ func (n *Network) SpawnHandler(id NodeID, h Handler) {
 	st.id = id
 	st.live = true
 	st.h = h
-	st.ctx = &Ctx{net: n, slot: s, rng: *n.root.Split(uint64(id))}
+	st.ctx = &Ctx{net: n, slot: s, rng: n.root.Split(uint64(id))}
 	n.setSlot(id, s)
 	n.spawned++
 	if n.tracer != nil {
@@ -492,8 +515,8 @@ func (n *Network) Step() {
 	// Compute step: hand each node the inbox the previous send step
 	// placed and run its handler inline. Send step: sort the log (and the
 	// calendar bucket due next round) into the arena.
-	n.compute()
-	messages, totalBits, maxBits, anyHalted := n.send()
+	anyHalted := n.compute()
+	messages, totalBits, maxBits := n.send()
 	rel := &rs.Reliability
 	rs.Work = RoundWork{
 		Round:       n.round,
@@ -515,8 +538,9 @@ func (n *Network) Step() {
 		n.reap()
 	}
 	// The idle rule: a synchronous round whose send step placed nothing
-	// leaves nothing in flight, so the log and the arena go, with every
-	// payload they reference. A §4 epoch ends on such a round, so its
+	// leaves nothing in flight, so the log, the arena and the round
+	// scratch go, with every payload they reference; the next round that
+	// sends makes them again. A §4 epoch ends on such a round, so its
 	// buffers do not outlive it; a steady flood is never idle, and a
 	// burst followed by light rounds keeps its capacity until one is.
 	// The check is one length per round, never one per send. Under a
@@ -524,6 +548,7 @@ func (n *Network) Step() {
 	// pays the regrowth of every stretched reliable phase.
 	if mb := &n.mail; !n.async && len(mb.arena) == 0 {
 		mb.segs, mb.arena = nil, nil
+		n.scratch, n.cursor = nil, nil
 	}
 	n.work = append(n.work, rs.Work)
 	if n.tracer != nil {
@@ -537,16 +562,24 @@ func (n *Network) Step() {
 // compute runs the merged receive + compute step in spawn order: it
 // restarts the send log, hands each node its pending inbox, and invokes
 // the node's handler inline. Between two handlers it seals a nearly full
-// log segment (see segLen).
-func (n *Network) compute() {
+// log segment (see segLen). After the idle rule there is no round
+// scratch, and so no inbox, until the first node that sends makes it.
+func (n *Network) compute() (anyHalted bool) {
 	rs, traced := &n.stats, n.tracer != nil
 	slots := n.slots
 	mb := &n.mail
 	mb.open(0)
 	mb.widest = 0
+	var sc []roundSlot
+	if n.scratch != nil {
+		sc = n.fitScratch()
+	}
 	for _, s := range n.order {
 		st := &slots[s]
-		box := mb.arena[st.inLo:st.inHi]
+		var box []Message
+		if sc != nil {
+			box = mb.arena[sc[s].inLo:sc[s].inHi]
+		}
 		// Protocol-lane receive accounting: control-lane messages (acks,
 		// retransmit copies) are delivered but contribute neither to the
 		// node's bit footprint nor to the Delivered/inbox-depth samples,
@@ -558,7 +591,6 @@ func (n *Network) compute() {
 				nprot++
 			}
 		}
-		st.bits = bits
 		if traced {
 			rs.Inbox = append(rs.Inbox, nprot)
 		}
@@ -568,26 +600,21 @@ func (n *Network) compute() {
 			mb.close()
 			mb.open(mb.cur + 1)
 		}
-		st.outLo = int32(len(mb.log))
+		lo := int32(len(mb.log))
 		if !st.h.OnRound(st.ctx, box) {
-			st.halted = true
+			st.halted, anyHalted = true, true
 		}
-		st.outHi = int32(len(mb.log))
-		if k := int(st.outHi - st.outLo); k > mb.widest {
-			mb.widest = min(k, segLen/4)
-		}
-		// Harvest the node's reliability reports (delivery failures,
-		// stale discards, ack delays) into the round accumulator. The
-		// dirty flag keeps this to one branch per node for the common
-		// case of no reliable layer.
-		if ctx := st.ctx; ctx.rel.dirty {
-			rel := &rs.Reliability
-			rel.Failures += int(ctx.rel.failures)
-			rel.Stale += int(ctx.rel.stale)
-			for b := range ctx.rel.ackDelay {
-				rel.AckDelay[b] += ctx.rel.ackDelay[b]
+		hi := int32(len(mb.log))
+		if sc == nil {
+			if hi == 0 {
+				continue // nothing sent or received yet this round
 			}
-			ctx.rel = relNodeStats{}
+			sc = n.fitScratch()
+		}
+		r := &sc[s]
+		r.bits, r.outLo, r.outHi = bits, lo, hi
+		if k := int(hi - lo); k > mb.widest {
+			mb.widest = min(k, segLen/4)
 		}
 	}
 	// Release the payloads of whatever this round's log no longer covers:
@@ -600,6 +627,7 @@ func (n *Network) compute() {
 		clear(mb.segs[i])
 		mb.segs[i] = mb.segs[i][:0]
 	}
+	return anyHalted
 }
 
 // noDrop marks a message the send step decided to deliver.
@@ -615,8 +643,15 @@ const noDrop = NumDropReasons
 // turns the counts into inboxes; the log's segments in order are in
 // (sender spawn order, send sequence) order and the sort is stable, so
 // every inbox is in canonical order.
-func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool) {
+func (n *Network) send() (messages int, totalBits, maxBits int64) {
 	rs, traced := &n.stats, n.tracer != nil
+	sc := n.scratch
+	if sc == nil { // nothing was sent or received this round
+		if traced {
+			rs.Bits = append(rs.Bits, make([]int64, len(n.order))...)
+		}
+		return 0, 0, 0
+	}
 	inj := n.injector
 	slots := n.slots
 	segs := n.mail.segs
@@ -626,15 +661,15 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 	cnt := n.cursor
 	clear(cnt)
 	for _, s := range n.order {
-		st := &slots[s]
+		st, r := &slots[s], &sc[s]
 		// A node's range starting below its predecessor's end is the
 		// first of the next segment: a sealed segment is never empty.
-		if st.outLo < hi {
+		if r.outLo < hi {
 			segs = segs[1:]
 			log = segs[0]
 		}
-		hi = st.outHi
-		out := log[st.outLo:st.outHi]
+		hi = r.outHi
+		out := log[r.outLo:r.outHi]
 		nctl := 0
 		seq := st.seq - uint64(len(out))
 		for i := range out {
@@ -665,7 +700,7 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 				} else if copies > 1 {
 					rs.DupExtra += copies - 1
 				}
-				st.bits += int64(e.m.Bits)
+				r.bits += int64(e.m.Bits)
 			} else {
 				nctl++
 				rel.CtlBits += int64(e.m.Bits)
@@ -678,19 +713,16 @@ func (n *Network) send() (messages int, totalBits, maxBits int64, anyHalted bool
 		}
 		messages += len(out) - nctl
 		rel.CtlMessages += nctl
-		totalBits += st.bits
-		if st.bits > maxBits {
-			maxBits = st.bits
+		totalBits += r.bits
+		if r.bits > maxBits {
+			maxBits = r.bits
 		}
 		if traced {
-			rs.Bits = append(rs.Bits, st.bits)
-		}
-		if st.halted {
-			anyHalted = true
+			rs.Bits = append(rs.Bits, r.bits)
 		}
 	}
 	n.place()
-	return messages, totalBits, maxBits, anyHalted
+	return messages, totalBits, maxBits
 }
 
 // schedule stamps a decided message's arrival under the latency model:
@@ -749,12 +781,12 @@ func (n *Network) place() {
 			}
 		}
 	}
+	sc := n.scratch
 	var off int32
 	for s := range cur {
-		st := &n.slots[s]
-		st.inLo = off
+		sc[s].inLo = off
 		cur[s], off = off, off+cur[s]
-		st.inHi = off
+		sc[s].inHi = off
 	}
 	arena := mb.arena
 	if total := int(off); total > cap(arena) {
@@ -772,9 +804,8 @@ func (n *Network) place() {
 		scatter(arena, cur, log, spread)
 	}
 	if spread {
-		for s := range n.slots {
-			st := &n.slots[s]
-			box := arena[st.inLo:st.inHi]
+		for s := range sc {
+			box := arena[sc[s].inLo:sc[s].inHi]
 			slices.SortStableFunc(box, func(a, b Message) int { return cmp.Compare(a.slot, b.slot) })
 			for i := range box {
 				box[i].slot = int32(s)
@@ -883,6 +914,7 @@ func (n *Network) Shutdown() {
 	}
 	n.order = n.order[:0]
 	n.mail = mailbag{} // the log and arena go, with every payload they reference
+	n.scratch, n.cursor = nil, nil
 }
 
 // Ctx is a node's handle to the network. It must only be used from the
@@ -902,20 +934,6 @@ type Ctx struct {
 	// runs on the node's own compute step and must itself use SendRaw/
 	// SendAck/SendRetransmit to reach the wire.
 	sendHook func(to NodeID, payload any, bits int)
-	// rel accumulates the node's reliability reports for the current
-	// round; the kernel harvests and clears it after OnRound.
-	rel relNodeStats
-}
-
-// relNodeStats is the per-node, per-round scratch for reliability
-// reports. The dirty flag lets the kernel skip the harvest entirely for
-// nodes that never report (every node, when no reliable layer is
-// attached).
-type relNodeStats struct {
-	dirty    bool
-	failures int32
-	stale    int32
-	ackDelay [ackDelayBuckets]int32
 }
 
 // ID returns the node's identifier.
@@ -978,19 +996,14 @@ func (c *Ctx) SendRetransmit(to NodeID, payload any, bits int) {
 
 // ReportDeliveryFailure records that the node's reliable layer
 // exhausted its retransmit budget for one message and surfaced the loss
-// to the protocol. Harvested into the round's reliability stats.
-func (c *Ctx) ReportDeliveryFailure() {
-	c.rel.dirty = true
-	c.rel.failures++
-}
+// to the protocol. Counted in the round's reliability stats, as the
+// other reports are: handlers run one at a time, so each adds in place.
+func (c *Ctx) ReportDeliveryFailure() { c.net.stats.Reliability.Failures++ }
 
 // ReportStaleDelivery records an envelope that arrived after its
 // protocol phase had already closed: it is acked (so the sender stops
 // retransmitting) but discarded rather than delivered.
-func (c *Ctx) ReportStaleDelivery() {
-	c.rel.dirty = true
-	c.rel.stale++
-}
+func (c *Ctx) ReportStaleDelivery() { c.net.stats.Reliability.Stale++ }
 
 // ObserveAckDelay records the round-trip delay, in sim rounds, between
 // an envelope's first transmission and its acknowledgement. Delays are
@@ -1004,8 +1017,7 @@ func (c *Ctx) ObserveAckDelay(rounds int) {
 	for v := rounds; v > 1 && b < ackDelayBuckets-1; v >>= 1 {
 		b++
 	}
-	c.rel.dirty = true
-	c.rel.ackDelay[b]++
+	c.net.stats.Reliability.AckDelay[b]++
 }
 
 // NextRound ends the node's current round and blocks until the next one

@@ -201,7 +201,7 @@ func New(cfg Config) *Network {
 	nw.growNodes(cfg.N0)
 	for v := 0; v < cfg.N0; v++ {
 		id := sim.NodeID(v + 1)
-		e.NodeR[v] = *nw.r.Split(uint64(id))
+		e.NodeR[v] = nw.r.Split(uint64(id))
 		x := nw.r.Intn(len(nw.supers))
 		nw.supers[x].members = append(nw.supers[x].members, id)
 	}
@@ -342,7 +342,7 @@ func (nw *Network) Join(sponsor sim.NodeID) sim.NodeID {
 	id := nw.nextID
 	nw.nextID++
 	nw.growNodes(int(id))
-	nw.eng.NodeR[id-1] = *nw.r.Split(uint64(id))
+	nw.eng.NodeR[id-1] = nw.r.Split(uint64(id))
 	nw.eng.ViewEpoch[id-1] = int32(nw.eng.Epoch)
 	if nw.Assigned() {
 		nw.eng.ViewEpoch[id-1]++

@@ -224,7 +224,7 @@ func New(cfg Config) *Network {
 	e.RespFrom = uint64(nw.nSuper) + 1
 	e.Grow(cfg.N)
 	for v := range e.NodeR {
-		e.NodeR[v] = *nw.r.Split(uint64(v) + 1)
+		e.NodeR[v] = nw.r.Split(uint64(v) + 1)
 	}
 	nw.groups = make([][]sim.NodeID, nw.nSuper)
 	for v := 0; v < cfg.N; v++ {
